@@ -1,35 +1,32 @@
-"""Multi-thread GET scaling benchmark for the lock-free read path.
+"""Multi-thread GET scaling benchmark for the superversion read path.
 
-Measures aggregate GET throughput at 1/2/4/8 reader threads with the
-superversion read path + sharded caches (``Options.read_optimized()``,
-DESIGN.md §9) against the default lock-held read path, and writes
+Measures aggregate GET throughput at 1/2/4/8 reader threads over sharded
+caches (``Options.read_optimized()``, DESIGN.md §9) and writes
 ``BENCH_read_scaling.json`` at the repo root.
 
 The engine's compute is pure Python, so thread overlap cannot speed up
-*CPU*; what the lock-free path unlocks is overlapping device time.  The
-benchmark therefore runs on a real-file store in ``realtime`` mode — every
-second charged to the analytic device model is also slept, with the GIL
-released — emulating an I/O-bound device.  The block cache is sized to
-zero so every GET pays its data-block random read: on the locked path that
-read is slept *while holding the engine lock*, serializing the readers; on
-the superversion path readers only touch the lock for a pointer-load +
-incref, so their device waits overlap.
+*CPU*; what reading with the engine lock released unlocks is overlapping
+device time.  The benchmark therefore runs on a real-file store in
+``realtime`` mode — every second charged to the analytic device model is
+also slept, with the GIL released — emulating an I/O-bound device.  The
+block cache is sized to zero so every GET pays its data-block random read:
+readers only touch the engine lock for a pointer-load + incref, so their
+device waits overlap (a reader that slept its read while holding the lock
+would serialize the others and the speedup would stay near 1).
 
 Usage::
 
     python benchmarks/perf/read_scaling.py            # full run, refresh JSON
     python benchmarks/perf/read_scaling.py --quick    # CI smoke sizes
     python benchmarks/perf/read_scaling.py --check    # exit 1 unless the
-                                                      # 4-thread lock-free
-                                                      # speedup vs the locked
-                                                      # 1-thread baseline
+                                                      # 4-thread speedup vs
+                                                      # 1 reader thread
                                                       # meets the floor
 
-The headline number is ``speedup_4t``: lock-free GET throughput at 4
-reader threads over the single-threaded lock-held baseline.  The full-run
-acceptance bar is 2.0x; ``--quick --check`` gates CI on a deliberately
-generous floor so only a real read-path regression fails the job, not
-shared-runner noise.
+The headline number is ``speedup_4t``: GET throughput at 4 reader threads
+over 1 reader thread.  The full-run acceptance bar is 2.0x; ``--quick
+--check`` gates CI on a deliberately generous floor so only a real
+read-path regression fails the job, not shared-runner noise.
 """
 
 from __future__ import annotations
@@ -70,21 +67,18 @@ def _device():
     )
 
 
-def _options(lock_free: bool):
+def _options():
     from repro.options import Options
 
-    options = Options(
+    return Options(
         block_size=1024,
         sstable_size=8 * 1024,
         memtable_size=8 * 1024,
         max_levels=6,
         # Zero block cache: every GET pays its data-block random read, so
-        # the two arms compare device-wait overlap, not cache luck.
+        # the cells compare device-wait overlap, not cache luck.
         block_cache_capacity=0,
-    )
-    if lock_free:
-        options = options.read_optimized()
-    return options
+    ).read_optimized()
 
 
 def _load(db, num_keys: int, value_size: int) -> None:
@@ -102,10 +96,9 @@ def _key(i: int) -> bytes:
 
 
 def _run_scenario(
-    name: str, *, lock_free: bool, threads: int, num_ops: int, num_keys: int,
-    value_size: int,
+    name: str, *, threads: int, num_ops: int, num_keys: int, value_size: int,
 ) -> dict:
-    """One (mode, reader-thread-count) cell: uniform random GETs over a
+    """One reader-thread-count cell: uniform random GETs over a
     pre-loaded real-file DB, returning aggregate wall-clock throughput."""
     import random
 
@@ -114,7 +107,7 @@ def _run_scenario(
 
     with tempfile.TemporaryDirectory(prefix=f"bench-{name}-") as root:
         fs = LocalFS(root, device=_device(), realtime=0.0)
-        db = DB(fs, _options(lock_free), seed=7)
+        db = DB(fs, _options(), seed=7)
         _load(db, num_keys, value_size=value_size)
 
         per_thread = [num_ops // threads] * threads
@@ -153,7 +146,6 @@ def _run_scenario(
         block_stats = db.block_cache.snapshot()
         table_stats = db.table_cache.snapshot()
         entry = {
-            "mode": "lockfree" if lock_free else "locked",
             "reader_threads": threads,
             "ops": num_ops,
             "found": sum(found_counts),
@@ -180,8 +172,7 @@ def _run_scenario(
 
 
 def run_suite(quick: bool, value_size: int = 100) -> dict:
-    """The locked 1-thread baseline plus lock-free 1/2/4/8-thread cells;
-    returns the JSON report."""
+    """The 1/2/4/8-reader-thread cells; returns the JSON report."""
     num_ops = 600 if quick else 2000
     num_keys = 400 if quick else 1500
     print(
@@ -189,32 +180,23 @@ def run_suite(quick: bool, value_size: int = 100) -> dict:
         f"{num_ops} GETs/scenario over {num_keys} keys, "
         f"{value_size}-byte values)"
     )
-    scenarios = {
-        "locked_1t": _run_scenario(
-            "locked_1t", lock_free=False, threads=1, num_ops=num_ops,
-            num_keys=num_keys, value_size=value_size,
-        ),
-        "locked_4t": _run_scenario(
-            "locked_4t", lock_free=False, threads=4, num_ops=num_ops,
-            num_keys=num_keys, value_size=value_size,
-        ),
-    }
+    scenarios = {}
     for threads in THREAD_COUNTS:
-        name = f"lockfree_{threads}t"
+        name = f"readers_{threads}t"
         scenarios[name] = _run_scenario(
-            name, lock_free=True, threads=threads, num_ops=num_ops,
-            num_keys=num_keys, value_size=value_size,
+            name, threads=threads, num_ops=num_ops, num_keys=num_keys,
+            value_size=value_size,
         )
-    baseline = scenarios["locked_1t"]["ops_per_sec"]
+    baseline = scenarios["readers_1t"]["ops_per_sec"]
     speedups = {
         f"speedup_{threads}t": round(
-            scenarios[f"lockfree_{threads}t"]["ops_per_sec"] / baseline, 2
+            scenarios[f"readers_{threads}t"]["ops_per_sec"] / baseline, 2
         )
-        for threads in THREAD_COUNTS
+        for threads in THREAD_COUNTS[1:]
     }
     print(
-        "\n  lock-free speedup vs locked 1-thread baseline: "
-        + "  ".join(f"{t}t={speedups[f'speedup_{t}t']}x" for t in THREAD_COUNTS)
+        "\n  read speedup vs 1 reader thread: "
+        + "  ".join(f"{t}t={speedups[f'speedup_{t}t']}x" for t in THREAD_COUNTS[1:])
     )
     return {
         "meta": {
@@ -242,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     status = baseline_status(report, args)
     if args.check:
         gate = gate_speedup(
-            report, "speedup_4t", floor, "lock-free read speedup at 4 threads"
+            report, "speedup_4t", floor, "read speedup at 4 threads vs 1"
         )
         return max(gate, status or 0)
     if status is not None:

@@ -22,6 +22,13 @@ Concurrency model — two modes, selected by :class:`~repro.options.Options`
   coalesces concurrent writers into one WAL append, and
   ``real_parallel_compaction`` runs disjoint compaction sub-tasks on a
   thread pool.  Throughput mode: simulated metrics are approximate here.
+
+Reads are the same code in both modes (DESIGN.md §9): ``get``,
+``multi_get`` and iterators take a reference on the current refcounted
+:class:`~repro.core.superversion.SuperVersion` under the engine lock,
+resolve against that snapshot with the lock released, and apply any
+seek-compaction charge under the lock afterwards.  Synchronous mode is
+simply the case with one reader.
 """
 
 from __future__ import annotations
@@ -218,15 +225,14 @@ class DB:
         self._seed = seed
         self._memtable_counter = 0
         self._sequence = 0
-        # Lock-free read path (DESIGN.md §9): readers resolve lookups
-        # against a refcounted superversion instead of holding the engine
-        # lock.  Inert (None) unless Options.lock_free_reads.
-        self._lock_free_reads = self.options.lock_free_reads
+        # The read path (DESIGN.md §9): readers resolve lookups against a
+        # refcounted superversion instead of holding the engine lock.
+        # Installed at the end of recovery; None again once closed.
         self._superversion: SuperVersion | None = None
         self._sv_number = 0
         # L2SM stacks auxiliary read components under the levels; probing
-        # them is not superversion-safe, so the lock-free path falls back
-        # to the engine lock around the hook when a subclass overrides it.
+        # them is not superversion-safe, so reads take the engine lock
+        # around the hook when a subclass overrides it.
         self._has_extra_read_hook = (
             type(self)._extra_get_after_level is not DB._extra_get_after_level
         )
@@ -289,8 +295,7 @@ class DB:
                 )
 
             self._recover()
-            if self._lock_free_reads:
-                self._install_superversion_locked()
+            self._install_superversion_locked()
 
             # Started last: the worker must only ever see a fully-recovered DB.
             if self.options.background_compaction:
@@ -1021,8 +1026,6 @@ class DB:
         in-flight readers still hold it, the deletion manager takes one pin
         on its behalf so files retired by this very commit stay on disk;
         the last reader's unref releases the pin (deferred deletion)."""
-        if not self._lock_free_reads:
-            return
         old = self._superversion
         self._sv_number += 1
         self._superversion = SuperVersion(
@@ -1049,22 +1052,28 @@ class DB:
             self.deletion_manager.unpin()
 
     def _acquire_read(self) -> tuple[SuperVersion, int]:
-        """The lock-free read path's only engine-lock touch: load the
+        """A lookup's only engine-lock touch before it resolves: load the
         current superversion pointer, incref, read the latest sequence."""
+        lock = self._lock
         tracer = self.tracer
         if not tracer.enabled:
-            with self._lock:
-                self._check_open()
-                return self._superversion.ref(), self._sequence
-        tracer.begin("get.superversion_ref", "get")
+            lock.acquire()
+        elif not lock.acquire(blocking=False):
+            # Another thread holds the engine lock: one pre-timed event
+            # brackets the wait (the ``cache.shard_wait`` pattern).  An
+            # uncontended reader records nothing — every get passes here,
+            # and a ring append per get is what the tracing-overhead gate
+            # (benchmarks/perf/harness.py) cannot afford.
+            start = time.perf_counter()
+            lock.acquire()
+            tracer.complete(
+                "get.superversion_ref", "get", dur=time.perf_counter() - start
+            )
         try:
-            with self._lock:
-                self._check_open()
-                sv = self._superversion.ref()
-                sequence = self._sequence
+            self._check_open()
+            return self._superversion.ref(), self._sequence
         finally:
-            tracer.end("get.superversion_ref", "get")
-        return sv, sequence
+            lock.release()
 
     # ------------------------------------------------------------------ compaction
 
@@ -1540,8 +1549,8 @@ class DB:
     ) -> dict[bytes, bytes | None]:
         """Batched point lookups: ``{key: value-or-None}`` for each input.
 
-        A true batch, not a per-key loop: the snapshot, version and engine
-        lock are resolved once, and SSTable probes are grouped per file —
+        A true batch, not a per-key loop: the snapshot and superversion
+        are resolved once, and SSTable probes are grouped per file —
         each table's reader is fetched from the table cache once per batch
         instead of once per (key, file) pair.  Lookup results (including
         seek-compaction charges) match ``get`` called per key."""
@@ -1551,133 +1560,26 @@ class DB:
             if not isinstance(key, (bytes, bytearray)):
                 raise InvalidArgumentError("keys must be bytes")
             checked.append(bytes(key))
-        # One critical section per call: the snapshot, sequence, and every
-        # component probe resolve under a single lock acquisition (or, on
-        # the lock-free path, a single superversion incref).
         start = time.perf_counter() if self.latency is not None else 0.0
         try:
-            if self._lock_free_reads:
-                return self._multi_get_superversion(checked, snapshot)
-            with self._lock:
-                return self._multi_get_locked(checked, snapshot)
+            return self._multi_get(checked, snapshot)
         finally:
             if self.latency is not None:
                 self._hist_multi_get.record(time.perf_counter() - start)
             if self._tuner is not None:
                 self._tuner.record_op()
 
-    def _multi_get_locked(
+    def _multi_get(
         self, keys: list[bytes], snapshot: Snapshot | None
     ) -> dict[bytes, bytes | None]:
-        stats = self.stats
-        stats.gets += len(keys)
-        sequence = self._resolve_snapshot(snapshot, self._sequence)
-
-        # ``resolved`` maps key -> raw value (None = tombstone); keys absent
-        # from it fell through every component.
-        resolved: dict[bytes, bytes | None] = {}
-        pending: list[bytes] = []
-        for key in keys:
-            if key in resolved or key in pending:
-                continue
-            found, value = self._memtable.get(key, sequence)
-            if not found and self._immutable is not None:
-                found, value = self._immutable.get(key, sequence)
-            if found:
-                resolved[key] = value
-            else:
-                pending.append(key)
-
-        if pending:
-            # Per-key seek-charge bookkeeping, mirroring _get_locked:
-            # [first_miss, charged] per still-unresolved key.
-            trackers: dict[bytes, list] = {key: [None, False] for key in pending}
-            exhausted = False
-
-            def probe(level, meta, reader, key):
-                """Probe one file for one key, tracking seek charges."""
-                nonlocal exhausted
-                found, value, touched = reader.lookup(
-                    key, sequence, block_cache=self.block_cache, category=CAT_GET
-                )
-                tracker = trackers[key]
-                if touched and not found and tracker[0] is None:
-                    tracker[0] = (level, meta)
-                elif (touched or found) and tracker[0] is not None and not tracker[1]:
-                    tracker[1] = True
-                    miss_level, miss_meta = tracker[0]
-                    miss_meta.allowed_seeks -= 1
-                    stats.seek_miss_charges += 1
-                    if miss_meta.allowed_seeks <= 0:
-                        self.picker.note_seek_exhausted(miss_level, miss_meta)
-                        miss_meta.allowed_seeks = self._seek_budget(miss_meta)
-                        exhausted = True
-                return found, value
-
-            for meta in self.version.level0_files_newest_first():
-                if not pending:
-                    break
-                in_range = [
-                    key
-                    for key in pending
-                    if meta.smallest_user_key <= key <= meta.largest_user_key
-                ]
-                if not in_range:
-                    continue
-                reader = self.table_cache.get(meta.file_number, meta.file_name())
-                for key in in_range:
-                    found, value = probe(0, meta, reader, key)
-                    if found:
-                        resolved[key] = value
-                        pending.remove(key)
-            for level in range(1, self.version.num_levels):
-                if not pending:
-                    break
-                by_file: dict[int, tuple[FileMetadata, list[bytes]]] = {}
-                for key in pending:
-                    meta = self.version.file_for_key(level, key)
-                    if meta is not None:
-                        by_file.setdefault(meta.file_number, (meta, []))[1].append(key)
-                for meta, file_keys in by_file.values():
-                    reader = self.table_cache.get(meta.file_number, meta.file_name())
-                    for key in file_keys:
-                        found, value = probe(level, meta, reader, key)
-                        if found:
-                            resolved[key] = value
-                            pending.remove(key)
-                for key in list(pending):
-                    extra = self._extra_get_after_level(level, key, sequence)
-                    if extra is not None:
-                        found, value = extra
-                        if found:
-                            resolved[key] = value
-                            pending.remove(key)
-            if exhausted:
-                # Deferred to after the whole batch: compacting mid-batch
-                # would pull files out from under the remaining probes.
-                self._request_compaction()
-
-        out: dict[bytes, bytes | None] = {}
-        vlog = self.vlog
-        for key in keys:
-            value = resolved.get(key)
-            if value is not None:
-                stats.gets_found += 1
-                if vlog is not None:
-                    value = vlog.resolve(value)
-            out[key] = value
-        return out
-
-    def _multi_get_superversion(
-        self, keys: list[bytes], snapshot: Snapshot | None
-    ) -> dict[bytes, bytes | None]:
-        """Batched lookups against one superversion reference: the engine
-        lock is touched once to incref (plus once at the end if any seek
-        charges accrued).  Probe grouping mirrors :meth:`_multi_get_locked`."""
+        """The batched traversal, against one superversion reference: the
+        engine lock is touched once to incref (plus once at the end if any
+        seek charges accrued)."""
         sv, sequence = self._acquire_read()
         resolved: dict[bytes, bytes | None] = {}
         # Deferred seek-compaction charges: (level, meta) per charged miss,
-        # applied under the engine lock after the batch.
+        # applied under the engine lock after the batch — compacting
+        # mid-batch would pull files out from under the remaining probes.
         charges: list[tuple[int, FileMetadata]] = []
         try:
             sequence = self._resolve_snapshot(snapshot, sequence)
@@ -1694,6 +1596,8 @@ class DB:
                     pending.append(key)
 
             if pending:
+                # Per-key seek-charge bookkeeping, as in _lookup:
+                # [first_miss, charged] per still-unresolved key.
                 trackers: dict[bytes, list] = {key: [None, False] for key in pending}
                 table_cache = self.table_cache
                 block_cache = self.block_cache
@@ -1753,7 +1657,7 @@ class DB:
                             if extra is not None and extra[0]:
                                 resolved[key] = extra[1]
                                 pending.remove(key)
-            # Resolve pointers before unref (see _get_superversion).
+            # Resolve pointers before unref (see get).
             if self.vlog is not None:
                 for key, value in resolved.items():
                     if value is not None:
@@ -1769,11 +1673,7 @@ class DB:
                 found_count += 1
             out[key] = value
         self.stats.count_gets(len(keys), found_count)
-        if charges:
-            with self._lock:
-                if not self._closed:
-                    for level, meta in charges:
-                        self._charge_seek(level, meta)
+        self._charge_seeks(charges)
         return out
 
     def _rewrite_bottom_level(self) -> None:
@@ -1898,7 +1798,11 @@ class DB:
         with self._lock:
             live: list[tuple[bytes, bytes]] = []
             for frame_offset, frame_length, key, value in chunk:
-                stored = self._lookup_stored_locked(key)
+                # The engine lock is held, so the current superversion
+                # cannot be retired under this walk: no reference needed.
+                stored, _charge = self._lookup(
+                    self._superversion, key, self._sequence
+                )
                 if stored is not None and stored == encode_pointer(
                     victim, frame_offset, frame_length
                 ):
@@ -1962,40 +1866,6 @@ class DB:
                 > 0
             )
 
-    def _lookup_stored_locked(self, key: bytes) -> bytes | None:
-        """Newest stored (unresolved) value for ``key`` at the current
-        sequence; None covers both absent and deleted.  GC's liveness
-        re-check: no stats, no seek charges, no pointer resolution."""
-        sequence = self._sequence
-        found, value = self._memtable.get(key, sequence)
-        if found:
-            return value
-        if self._immutable is not None:
-            found, value = self._immutable.get(key, sequence)
-            if found:
-                return value
-        for meta in self.version.level0_files_newest_first():
-            if meta.smallest_user_key <= key <= meta.largest_user_key:
-                reader = self.table_cache.get(meta.file_number, meta.file_name())
-                found, value, _touched = reader.lookup(
-                    key, sequence, block_cache=self.block_cache, category=CAT_GET
-                )
-                if found:
-                    return value
-        for level in range(1, self.version.num_levels):
-            meta = self.version.file_for_key(level, key)
-            if meta is not None:
-                reader = self.table_cache.get(meta.file_number, meta.file_name())
-                found, value, _touched = reader.lookup(
-                    key, sequence, block_cache=self.block_cache, category=CAT_GET
-                )
-                if found:
-                    return value
-            extra = self._extra_get_after_level(level, key, sequence)
-            if extra is not None and extra[0]:
-                return extra[1]
-        return None
-
     # ------------------------------------------------------------------ reads
 
     def get(
@@ -2015,156 +1885,87 @@ class DB:
         key = bytes(key)
         start = time.perf_counter() if self.latency is not None else 0.0
         try:
-            if self._lock_free_reads:
-                return self._get_superversion(key, default, snapshot)
-            with self._lock:
-                return self._get_locked(key, default, snapshot)
+            sv, sequence = self._acquire_read()
+            try:
+                sequence = self._resolve_snapshot(snapshot, sequence)
+                value, charge = self._lookup(sv, key, sequence)
+                # Resolve while still holding the superversion reference:
+                # pointer resolution must finish before this read stops
+                # being visible to the GC deletion barrier.
+                if value is not None and self.vlog is not None:
+                    value = self.vlog.resolve(value)
+            finally:
+                sv.unref()
+            self.stats.count_gets(1, 0 if value is None else 1)
+            if charge is not None:
+                self._charge_seeks((charge,))
+            return default if value is None else value
         finally:
             if self.latency is not None:
                 self._hist_get.record(time.perf_counter() - start)
             if self._tuner is not None:
                 self._tuner.record_op()
 
-    def _get_locked(
-        self, key: bytes, default: bytes | None, snapshot: Snapshot | None
-    ) -> bytes | None:
-        self.stats.gets += 1
-        snapshot = self._resolve_snapshot(snapshot, self._sequence)
+    def _lookup(
+        self, sv: SuperVersion, key: bytes, sequence: int
+    ) -> tuple[bytes | None, tuple[int, FileMetadata] | None]:
+        """The single-key traversal: newest stored (unresolved) value for
+        ``key`` at ``sequence`` in ``sv``, newest component first; None
+        covers both absent and deleted.
 
-        found, value = self._memtable.get(key, snapshot)
+        Also returns the seek-compaction charge the walk earned, as
+        ``(level, file)`` or None: the first file that cost a block read
+        but did not contain the key is charged one seek if the lookup had
+        to continue past it (LevelDB's rule).  The charge is only observed
+        here — the caller applies it under the engine lock once the walk is
+        over (mutating picker state from here would race the background
+        worker, and a compaction in the middle of a level walk would pull
+        files out from under it)."""
+        found, value = sv.memtable.get(key, sequence)
+        if not found and sv.immutable is not None:
+            found, value = sv.immutable.get(key, sequence)
         if found:
-            return self._get_result(value, default)
-        if self._immutable is not None:
-            found, value = self._immutable.get(key, snapshot)
-            if found:
-                return self._get_result(value, default)
+            return value, None
 
-        # Seek-compaction accounting: the first file that cost a block read
-        # but did not contain the key is charged one seek if the lookup had
-        # to continue past it (LevelDB's rule).
         first_miss: tuple[int, FileMetadata] | None = None
         charged = False
+        table_cache = self.table_cache
+        block_cache = self.block_cache
 
         def visit(level: int, meta: FileMetadata) -> tuple[bool, bytes | None]:
-            """Probe one file, tracking the seek-charge bookkeeping."""
+            """Probe one file via the superversion's pinned reader,
+            observing the seek-charge bookkeeping."""
             nonlocal first_miss, charged
-            reader = self.table_cache.get(meta.file_number, meta.file_name())
-            found, value, touched = reader.lookup(
-                key, snapshot, block_cache=self.block_cache, category=CAT_GET
+            reader = sv.reader_for(meta, table_cache)
+            hit, val, touched = reader.lookup(
+                key, sequence, block_cache=block_cache, category=CAT_GET
             )
-            if touched and not found and first_miss is None:
+            if touched and not hit and first_miss is None:
                 first_miss = (level, meta)
-            elif (touched or found) and first_miss is not None and not charged:
+            elif (touched or hit) and first_miss is not None:
                 charged = True
-                self._charge_seek(*first_miss)
-            return found, value
+            return hit, val
 
-        for meta in self.version.level0_files_newest_first():
+        for meta in sv.level0_newest_first:
             if meta.smallest_user_key <= key <= meta.largest_user_key:
                 found, value = visit(0, meta)
                 if found:
-                    return self._get_result(value, default)
-        for level in range(1, self.version.num_levels):
-            meta = self.version.file_for_key(level, key)
+                    return value, first_miss if charged else None
+        for level in range(1, sv.num_levels):
+            meta = sv.file_for_key(level, key)
             if meta is not None:
                 found, value = visit(level, meta)
                 if found:
-                    return self._get_result(value, default)
+                    return value, first_miss if charged else None
             # Auxiliary components logically stacked under this level
             # (L2SM's log: entries diverted FROM a level are older than the
             # level's current content but newer than everything deeper).
-            extra = self._extra_get_after_level(level, key, snapshot)
-            if extra is not None:
-                found, value = extra
-                if found:
-                    return self._get_result(value, default)
-        return default
-
-    def _get_superversion(
-        self, key: bytes, default: bytes | None, snapshot: Snapshot | None
-    ) -> bytes | None:
-        """Point lookup against a refcounted superversion: the engine lock
-        is held only inside :meth:`_acquire_read`; the traversal mirrors
-        :meth:`_get_locked` over the snapshot's immutable file lists.
-
-        Seek-compaction bookkeeping is observed locally and applied under
-        the engine lock after the lookup — mutating picker state lock-free
-        would race the background worker, and triggering a compaction
-        mid-traversal would be pointless anyway (this reader's superversion
-        pins its view regardless)."""
-        sv, sequence = self._acquire_read()
-        found_value: bytes | None = None
-        found = False
-        first_miss: tuple[int, FileMetadata] | None = None
-        charged = False
-        try:
-            sequence = self._resolve_snapshot(snapshot, sequence)
-            found, value = sv.memtable.get(key, sequence)
-            if not found and sv.immutable is not None:
-                found, value = sv.immutable.get(key, sequence)
-            if not found:
-                table_cache = self.table_cache
-                block_cache = self.block_cache
-
-                def visit(level: int, meta: FileMetadata) -> tuple[bool, bytes | None]:
-                    """Probe one file via the superversion's pinned reader,
-                    observing (not applying) seek-charge bookkeeping."""
-                    nonlocal first_miss, charged
-                    reader = sv.reader_for(meta, table_cache)
-                    hit, val, touched = reader.lookup(
-                        key, sequence, block_cache=block_cache, category=CAT_GET
-                    )
-                    if touched and not hit and first_miss is None:
-                        first_miss = (level, meta)
-                    elif (touched or hit) and first_miss is not None and not charged:
-                        charged = True
-                    return hit, val
-
-                for meta in sv.level0_newest_first:
-                    if meta.smallest_user_key <= key <= meta.largest_user_key:
-                        found, value = visit(0, meta)
-                        if found:
-                            break
-                if not found:
-                    for level in range(1, sv.num_levels):
-                        meta = sv.file_for_key(level, key)
-                        if meta is not None:
-                            found, value = visit(level, meta)
-                            if found:
-                                break
-                        if self._has_extra_read_hook:
-                            with self._lock:
-                                extra = self._extra_get_after_level(level, key, sequence)
-                            if extra is not None:
-                                found, value = extra
-                                if found:
-                                    break
-            if found:
-                found_value = value
-                # Resolve while still holding the superversion reference:
-                # pointer resolution must finish before this read stops
-                # being visible to the GC deletion barrier.
-                if found_value is not None and self.vlog is not None:
-                    found_value = self.vlog.resolve(found_value)
-        finally:
-            sv.unref()
-        hit = found and found_value is not None
-        self.stats.count_gets(1, 1 if hit else 0)
-        if charged and first_miss is not None:
-            with self._lock:
-                if not self._closed:
-                    self._charge_seek(*first_miss)
-        if not found or found_value is None:
-            return default
-        return found_value
-
-    def _get_result(self, value: bytes | None, default: bytes | None) -> bytes | None:
-        if value is None:  # tombstone
-            return default
-        self.stats.gets_found += 1
-        if self.vlog is not None:
-            return self.vlog.resolve(value)
-        return value
+            if self._has_extra_read_hook:
+                with self._lock:
+                    extra = self._extra_get_after_level(level, key, sequence)
+                if extra is not None and extra[0]:
+                    return extra[1], first_miss if charged else None
+        return None, first_miss if charged else None
 
     def _extra_get_after_level(
         self, level: int, key: bytes, snapshot: int
@@ -2172,13 +1973,23 @@ class DB:
         """L2SM hook: search auxiliary components stacked under ``level``."""
         return None
 
-    def _charge_seek(self, level: int, meta: FileMetadata) -> None:
-        meta.allowed_seeks -= 1
-        self.stats.seek_miss_charges += 1
-        if meta.allowed_seeks <= 0:
-            self.picker.note_seek_exhausted(level, meta)
-            meta.allowed_seeks = self._seek_budget(meta)
-            self._request_compaction()
+    def _charge_seeks(self, charges: Iterable[tuple[int, FileMetadata]]) -> None:
+        """Apply the seek charges a finished lookup observed.  Takes the
+        engine lock (picker state and the compaction this may request are
+        guarded by it); a file compacted away in the meantime is harmless —
+        the picker drops candidates it no longer finds."""
+        if not charges:
+            return
+        with self._lock:
+            if self._closed:
+                return
+            for level, meta in charges:
+                meta.allowed_seeks -= 1
+                self.stats.seek_miss_charges += 1
+                if meta.allowed_seeks <= 0:
+                    self.picker.note_seek_exhausted(level, meta)
+                    meta.allowed_seeks = self._seek_budget(meta)
+                    self._request_compaction()
 
     def _seek_budget(self, meta: FileMetadata) -> int:
         return max(
@@ -2252,7 +2063,7 @@ class DB:
         trigger seek compactions and collapse levels (Section V-G).
 
         The triggered compaction itself is deferred until the iterator
-        closes (see :meth:`_iterator_closed`); mutating the tree mid-scan
+        closes (see :meth:`_release_iterator`); mutating the tree mid-scan
         would pull files out from under the open iterator.
         """
         meta.allowed_seeks -= 1
@@ -2260,20 +2071,11 @@ class DB:
             self.picker.note_seek_exhausted(level, meta)
             meta.allowed_seeks = self._seek_budget(meta)
 
-    def _iterator_closed(self) -> None:
-        with self._lock:
-            self.deletion_manager.unpin()
-            if (
-                not self._closed
-                and self.deletion_manager.active_pins == 0
-                and self.picker.seek_candidates
-            ):
-                self._request_compaction()
-
-    def _iterator_closed_superversion(self, sv: SuperVersion, sequence: int) -> None:
-        """Lock-free iterator teardown: drop the superversion reference
-        first (its drain callback takes the engine lock itself), then
-        release the sequence pin and deletion pin under the lock."""
+    def _release_iterator(self, sv: SuperVersion, sequence: int) -> None:
+        """Iterator teardown: drop the superversion reference first (its
+        drain callback takes the engine lock itself), then release the
+        sequence pin and deletion pin under the lock, and run the seek
+        compactions the scan made due."""
         sv.unref()
         with self._lock:
             self.snapshots.unpin(sequence)
@@ -2346,44 +2148,34 @@ class DB:
         with self._lock:
             snapshot = self._resolve_snapshot(snapshot, self._sequence)
             seek = seek_comparable(start, snapshot) if start is not None else None
-            # The lock-free path reads from a refcounted superversion and
-            # pins the iterator's sequence in the snapshot registry for its
-            # lifetime: with a background worker live, a compaction landing
-            # mid-scan could otherwise merge away key versions this
-            # iterator still needs (the memtable/file pins alone don't
-            # protect versions inside surviving files).
-            sv: SuperVersion | None = None
-            if self._lock_free_reads:
-                sv = self._superversion.ref()
-                self.snapshots.pin(snapshot)
-                memtable, immutable = sv.memtable, sv.immutable
-                file_lists = sv.file_lists
-                on_close = lambda: self._iterator_closed_superversion(sv, snapshot)
-            else:
-                memtable, immutable = self._memtable, self._immutable
-                file_lists = self.version.clone_file_lists()
-                on_close = self._iterator_closed
+            # The iterator reads from a refcounted superversion and pins
+            # its sequence in the snapshot registry for its lifetime: a
+            # compaction landing mid-scan could otherwise merge away key
+            # versions this iterator still needs (the memtable/file pins
+            # alone don't protect versions inside surviving files).
+            sv = self._superversion.ref()
+            self.snapshots.pin(snapshot)
 
             sources: list[EntryStream] = [
-                memtable.entries_from(seek)
+                sv.memtable.entries_from(seek)
                 if seek is not None
-                else memtable.entries()
+                else sv.memtable.entries()
             ]
-            if immutable is not None:
+            if sv.immutable is not None:
                 sources.append(
-                    immutable.entries_from(seek)
+                    sv.immutable.entries_from(seek)
                     if seek is not None
-                    else immutable.entries()
+                    else sv.immutable.entries()
                 )
             sources.extend(self._extra_entry_sources(seek, CAT_SCAN))
-            for meta in sorted(file_lists[0], key=lambda f: f.file_number, reverse=True):
+            for meta in sv.level0_newest_first:
                 if end is not None and meta.smallest_user_key >= end:
                     continue  # wholly past the bound: never opened
                 sources.append(self._file_entries(0, meta, seek, CAT_SCAN))
-            for level in range(1, self.version.num_levels):
-                if file_lists[level]:
+            for level in range(1, sv.num_levels):
+                if sv.file_lists[level]:
                     sources.append(
-                        self._level_entries(level, file_lists[level], seek, CAT_SCAN, end)
+                        self._level_entries(level, sv.file_lists[level], seek, CAT_SCAN, end)
                     )
 
             self.deletion_manager.pin()
@@ -2392,7 +2184,7 @@ class DB:
                 sources,
                 snapshot,
                 end=end,
-                on_close=on_close,
+                on_close=lambda: self._release_iterator(sv, snapshot),
                 resolve=self.vlog.resolve if self.vlog is not None else None,
             )
 

@@ -1,4 +1,4 @@
-"""Refcounted superversions — the lock-free read path (DESIGN.md §9).
+"""Refcounted superversions — the engine's one read path (DESIGN.md §9).
 
 A :class:`SuperVersion` is an immutable snapshot of the engine's read
 sources: the active memtable, the frozen immutable memtable (if any), and
@@ -7,7 +7,9 @@ under the engine lock whenever any of those change (memtable rotation,
 flush commit, compaction commit) and retires the old one; readers take the
 engine lock only long enough to load the current pointer and increment its
 refcount — LevelDB's ``Version::Ref/Unref`` discipline — then resolve the
-whole lookup against their private snapshot with no lock held.
+whole lookup against their private snapshot with no lock held.  Every
+``get``, ``multi_get`` and iterator reads this way in every mode;
+synchronous mode is the case with one reader.
 
 Lifecycle invariants:
 

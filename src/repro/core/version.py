@@ -191,9 +191,6 @@ class Version:
             return f
         return None
 
-    def level0_files_newest_first(self) -> list[FileMetadata]:
-        return sorted(self.levels[0], key=lambda f: f.file_number, reverse=True)
-
     def is_key_range_absent_below(self, level: int, lo: bytes, hi: bytes) -> bool:
         """True when no level deeper than ``level`` overlaps ``[lo, hi]`` —
         the test that lets compaction drop tombstones."""

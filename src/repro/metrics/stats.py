@@ -155,7 +155,7 @@ class DBStats:
         """Batch-add point-lookup counters.  Safe to call without the engine
         lock (the superversion read path resolves lookups lock-free and
         records the tallies afterwards).  Seek-miss charges are *not*
-        recorded here — those stay engine-lock-guarded via ``_charge_seek``
+        recorded here — those stay engine-lock-guarded via ``_charge_seeks``
         so the two locking domains never write the same counter."""
         with self._lock:
             self.gets += gets

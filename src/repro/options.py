@@ -136,19 +136,10 @@ class Options:
     #: Number of independently locked shards for the block and table caches
     #: (DESIGN.md §9).  1 (the default) keeps the single-mutex caches and
     #: their eviction order bit-identical; the concurrent pipeline uses 16
-    #: so reader threads contend on per-shard locks instead of one mutex.
+    #: so reader threads — which resolve lookups against a refcounted
+    #: superversion with the engine lock released — contend on per-shard
+    #: locks instead of one cache mutex.
     cache_shards: int = 1
-    #: Serve point reads, multi-gets, and scans from a refcounted
-    #: *superversion* — an immutable snapshot of {memtable, immutable
-    #: memtable, version file lists} swapped atomically on flush/compaction
-    #: commit — so readers hold the engine lock only for a pointer load
-    #: plus incref instead of for the whole lookup (DESIGN.md §9).  Off by
-    #: default: the locked read path keeps the synchronous engine's
-    #: simulated metrics bit-identical (superversion reads defer
-    #: seek-triggered compactions to the end of the lookup and bypass
-    #: table-cache recency on repeat probes, which perturbs cache/IO
-    #: accounting slightly).
-    lock_free_reads: bool = False
     verify_checksums: bool = True
     #: Parse data blocks lazily: point lookups decode only the restart
     #: region they bisect into (see ``repro.sstable.block.LazyDataBlock``).
@@ -423,27 +414,26 @@ class Options:
     def concurrent_pipeline(self, **overrides) -> "Options":
         """Copy with the full concurrent write pipeline enabled: background
         flush/compaction, group commit, real parallel sub-task execution
-        (DESIGN.md §7), plus the lock-free read path — superversion reads
-        and sharded caches (DESIGN.md §9).  Simulated metrics are not
-        deterministic in this mode; use the default synchronous mode for
-        the paper's figures."""
+        (DESIGN.md §7), plus sharded caches so concurrent superversion
+        reads do not meet on one cache mutex (DESIGN.md §9).  Simulated
+        metrics are not deterministic in this mode; use the default
+        synchronous mode for the paper's figures."""
         params: dict = dict(
             background_compaction=True,
             group_commit=True,
             real_parallel_compaction=True,
-            lock_free_reads=True,
             cache_shards=16,
         )
         params.update(overrides)
         return self.copy(**params)
 
     def read_optimized(self, **overrides) -> "Options":
-        """Copy with only the read-side scaling features enabled: the
-        superversion (lock-free) read path and 16-way sharded caches
+        """Copy with the read-side scaling feature enabled: 16-way sharded
+        caches under the superversion read path every configuration uses
         (DESIGN.md §9).  Unlike :meth:`concurrent_pipeline` the write path
         stays synchronous — this is the configuration the read-scaling
         benchmark measures."""
-        params: dict = dict(lock_free_reads=True, cache_shards=16)
+        params: dict = dict(cache_shards=16)
         params.update(overrides)
         return self.copy(**params)
 

@@ -390,7 +390,7 @@ def format_cache_report(report: dict) -> str:
     if speedups:
         lines.append("")
         lines.append(
-            "lock-free speedup vs locked 1-thread baseline: "
+            "read speedup vs 1 reader thread: "
             + "  ".join(f"{k.removeprefix('speedup_')}={v}x" for k, v in speedups.items())
         )
     return "\n".join(lines)

@@ -15,9 +15,9 @@ barriers) is driven by the DB.
 
 Thread safety: head appends happen only under the engine lock (the write
 path and GC are serialized there); pointer resolution is called from the
-lock-free read path, so the reader cache has its own lock; the dead-byte
-accumulator has its own lock because compactions observe drops outside
-the engine lock.
+read path with the engine lock released, so the reader cache has its
+own lock; the dead-byte accumulator has its own lock because compactions
+observe drops outside the engine lock.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class VlogManager:
         """Map a tagged stored value back to the user value.
 
         Inline values strip the tag; pointers read and CRC-check their
-        frame.  Called from both the locked and lock-free read paths.
+        frame.  Called by readers with the engine lock released.
         """
         if stored and stored[0] == TAG_INLINE:
             return stored[1:]

@@ -329,12 +329,12 @@ def test_metrics_cli_rejects_non_store(tmp_path, capsys):
 def test_metrics_cli_cache_report(tmp_path, capsys):
     report = {
         "scenarios": {
-            "locked_1t": {
+            "readers_1t": {
                 "reader_threads": 1,
                 "block_cache": {"shards": 1, "hits": 5, "misses": 10},
                 "table_cache": {"shards": 1, "hits": 7, "misses": 3},
             },
-            "lockfree_4t": {
+            "readers_4t": {
                 "reader_threads": 4,
                 "block_cache": {"shards": 16, "hits": 50, "misses": 100},
                 "table_cache": {
@@ -352,7 +352,7 @@ def test_metrics_cli_cache_report(tmp_path, capsys):
     assert tools_main(["metrics", "--cache-report", str(path)]) == 0
     out = capsys.readouterr().out
     assert "Cache shard counters" in out
-    assert "lockfree_4t" in out
+    assert "readers_4t" in out
     # 16 equal shards: the busiest one holds 1/16 = 6.2% of hits.
     assert "6.2%" in out
     assert "4t=2.5x" in out

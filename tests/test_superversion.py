@@ -1,4 +1,4 @@
-"""Superversion lifecycle and lock-free read-path tests (DESIGN.md §9):
+"""Superversion lifecycle and read-path tests (DESIGN.md §9):
 refcount hygiene across flush/compaction churn, deferred table-file
 deletion until the last in-flight reader drops its reference, single-lock
 multi_get, trace spans, the tracing-off determinism contract, and a stress
@@ -10,9 +10,7 @@ import hashlib
 import threading
 import time
 
-import pytest
-
-from repro.obs.trace import Tracer
+from repro.obs.trace import PHASE_COMPLETE, Tracer
 from repro.options import COMPACTION_SELECTIVE
 from repro.storage.fs import SimulatedFS
 from repro.ycsb.runner import load_db, run_workload
@@ -22,8 +20,7 @@ from conftest import kv, make_db, tiny_options
 
 
 def lockfree_db(fs=None, **overrides):
-    """Tiny-geometry DB with the superversion read path + sharded caches."""
-    overrides.setdefault("lock_free_reads", True)
+    """Tiny-geometry DB with sharded caches under the superversion reads."""
     overrides.setdefault("cache_shards", 16)
     return make_db(fs=fs or SimulatedFS(), **overrides)
 
@@ -52,26 +49,25 @@ class TestSuperversionLifecycle:
         finally:
             db.close()
 
-    def test_results_match_locked_path(self):
-        """The superversion traversal returns exactly what the lock-held
-        path returns for the same workload."""
-        dbs = [make_db(), lockfree_db()]
+    def test_results_match_dict_oracle(self):
+        """Both traversals (single-key and batched) return exactly what a
+        plain dict holds after the same puts, deletes and flush."""
+        db = lockfree_db()
+        oracle: dict[bytes, bytes] = {}
         try:
-            for db in dbs:
-                for i in range(300):
-                    key, value = kv(i)
-                    db.put(key, value)
-                for i in range(0, 300, 3):
-                    db.delete(kv(i)[0])
-                db.flush()
+            for i in range(300):
+                key, value = kv(i)
+                db.put(key, value)
+                oracle[key] = value
+            for i in range(0, 300, 3):
+                db.delete(kv(i)[0])
+                del oracle[kv(i)[0]]
+            db.flush()
             keys = [kv(i)[0] for i in range(320)]
-            expected = [dbs[0].get(k) for k in keys]
-            actual = [dbs[1].get(k) for k in keys]
-            assert actual == expected
-            assert dbs[1].multi_get(keys) == dbs[0].multi_get(keys)
+            assert [db.get(k) for k in keys] == [oracle.get(k) for k in keys]
+            assert db.multi_get(keys) == {k: oracle.get(k) for k in keys}
         finally:
-            for db in dbs:
-                db.close()
+            db.close()
 
     def test_deferred_deletion_until_last_reader_unrefs(self):
         """Files retired by a compaction stay on disk while a superversion
@@ -107,7 +103,7 @@ class TestSuperversionLifecycle:
             db.close()
 
     def test_iterator_pins_sequence_and_files(self):
-        """A lock-free iterator reads its snapshot even when updates and a
+        """An iterator reads its snapshot even when updates and a
         full compaction land mid-scan: its sequence is pinned in the
         snapshot registry, so merging keeps the versions it needs."""
         db = lockfree_db()
@@ -169,9 +165,8 @@ class _CountingLock:
         return False
 
 
-@pytest.mark.parametrize("lock_free", [False, True])
-def test_multi_get_takes_the_lock_once(lock_free):
-    db = lockfree_db() if lock_free else make_db()
+def test_multi_get_takes_the_lock_once():
+    db = make_db()
     try:
         for i in range(200):
             key, value = kv(i)
@@ -191,15 +186,36 @@ def test_multi_get_takes_the_lock_once(lock_free):
 # ------------------------------------------------------------ trace spans
 
 
-def test_superversion_ref_span_recorded():
+def test_superversion_ref_event_brackets_the_lock_wait():
+    """A reader that finds the engine lock held records one pre-timed
+    ``get.superversion_ref`` event for the wait; an uncontended reader
+    records nothing (the per-get ring append is what the tracing-overhead
+    gate could not afford)."""
     db = lockfree_db(tracing=True)
     try:
         for i in range(50):
             key, value = kv(i)
             db.put(key, value)
-        db.get(kv(3)[0])
-        names = {event.name for event in db.tracer.events()}
-        assert "get.superversion_ref" in names
+        assert db.get(kv(3)[0]) == kv(3)[1]
+        assert "get.superversion_ref" not in {e.name for e in db.tracer.events()}
+
+        held = threading.Event()
+
+        def hold_then_release():
+            with db._lock:
+                held.set()
+                time.sleep(0.05)
+
+        holder = threading.Thread(target=hold_then_release)
+        holder.start()
+        assert held.wait(timeout=5)
+        assert db.get(kv(3)[0]) == kv(3)[1]
+        holder.join(timeout=5)
+        assert not holder.is_alive()
+        waits = [e for e in db.tracer.events() if e.name == "get.superversion_ref"]
+        assert len(waits) == 1
+        assert waits[0].phase == PHASE_COMPLETE and waits[0].category == "get"
+        assert waits[0].dur > 0
     finally:
         db.close()
 
@@ -273,23 +289,34 @@ def _run_fixed_workload(**options):
         db.close()
 
 
-def test_tracing_toggle_bit_identical_under_lock_free_reads():
-    """Satellite contract: with the superversion path + sharded caches on,
-    Options.tracing=False produces bit-identical stores and simulated
+def test_tracing_toggle_bit_identical_with_sharded_caches():
+    """Satellite contract: with sharded caches under the superversion
+    reads, Options.tracing=False produces bit-identical stores and simulated
     metrics to tracing=True — instrumentation observes, never perturbs."""
-    base = dict(lock_free_reads=True, cache_shards=16)
+    base = dict(cache_shards=16)
     off = _run_fixed_workload(tracing=False, **base)
     on = _run_fixed_workload(tracing=True, **base)
     assert off == on
 
 
-def test_lock_free_flag_defaults_off_and_default_mode_unchanged():
-    """The default engine never constructs superversions: the sync read
-    path (and thus the paper-figure metrics) is untouched."""
+def test_default_sync_mode_reads_through_a_live_superversion():
+    """The default (synchronous, unsharded) engine reads through the same
+    superversion path: after put/flush/compact churn only the install
+    reference remains and nothing is left pinned."""
     db = make_db()
     try:
-        assert db._superversion is None
-        assert db.options.lock_free_reads is False
+        first_number = db._superversion.number
+        for i in range(400):
+            key, value = kv(i)
+            db.put(key, value)
+        db.flush()
+        assert all(db.get(kv(i)[0]) == kv(i)[1] for i in range(0, 400, 7))
+        assert len(db.scan()) == 400
+        db.compact_all()
+        assert db._superversion.number > first_number
+        assert db._superversion.refs == 1
+        assert db.deletion_manager.active_pins == 0
+        assert db.snapshot_boundaries() == []
         assert db.block_cache.num_shards == 1
         assert db.table_cache.num_shards == 1
     finally:
@@ -328,7 +355,7 @@ def test_stress_readers_race_background_worker():
             errors.append(exc)
 
     def reader() -> None:
-        """Hammer the lock-free read path over the acked key set."""
+        """Hammer the read path over the acked key set."""
         try:
             while not stop.is_set():
                 with acked_lock:
@@ -385,9 +412,9 @@ def test_read_scaling_bench_quick_writes_report(tmp_path):
     assert module.main(["--quick", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report["scenarios"]) >= {
-        "locked_1t", "lockfree_1t", "lockfree_2t", "lockfree_4t", "lockfree_8t",
+        "readers_1t", "readers_2t", "readers_4t", "readers_8t",
     }
     assert report["speedup_4t"] > 0
-    cell = report["scenarios"]["lockfree_4t"]
+    cell = report["scenarios"]["readers_4t"]
     assert cell["table_cache"]["shards"] == 16
     assert len(cell["table_cache"]["shard_hits"]) == 16

@@ -82,9 +82,6 @@ class TestVersionQueries:
         assert version.file_for_key(1, b"zz") is None
         assert version.file_for_key(3, b"a") is None  # empty level
 
-    def test_level0_newest_first(self, version):
-        assert [f.file_number for f in version.level0_files_newest_first()] == [11, 10]
-
     def test_key_range_absent_below(self, version):
         assert not version.is_key_range_absent_below(1, b"a", b"b")  # L2 covers
         assert version.is_key_range_absent_below(2, b"a", b"b")  # nothing below L2
