@@ -18,8 +18,9 @@ reproduces LevelDB's behavior bit-for-bit:
   lookups that touch a file fruitlessly decrement it, and a file whose
   budget hits zero is compacted into the next level.
 
-L0 input selection expands to the transitive closure of overlapping L0
-files, since L0 files may overlap one another.
+L0 input selection — size- and seek-triggered alike — expands to the
+transitive closure of overlapping L0 files, since L0 files may overlap one
+another.
 
 Policies may be swapped live via :meth:`CompactionPicker.set_policy` (the
 online tuner's path).  Durable picker state — the compact pointers — stays
@@ -110,7 +111,11 @@ class CompactionPicker:
             for meta in version.files_at(level):
                 if meta.file_number == file_number:
                     del self._seek_candidates[file_number]
-                    return self._build_task(version, level, [meta], reason="seek")
+                    # L0 files overlap: moving one down alone would sink it
+                    # below an older file that still holds the same keys,
+                    # and reads would return the older value.
+                    parents = self.expand_level0(version, meta) if level == 0 else [meta]
+                    return self._build_task(version, level, parents, reason="seek")
             # The file was compacted away in the meantime.
             del self._seek_candidates[file_number]
         return None
@@ -126,10 +131,13 @@ class CompactionPicker:
                 return meta
         return files[0]
 
-    def expand_level0(self, version: Version) -> list[FileMetadata]:
-        """Oldest L0 file plus the transitive closure of L0 overlaps."""
+    def expand_level0(
+        self, version: Version, seed: FileMetadata | None = None
+    ) -> list[FileMetadata]:
+        """``seed`` (default: the oldest L0 file) plus the transitive
+        closure of L0 files overlapping it."""
         files = sorted(version.files_at(0), key=lambda f: f.file_number)
-        chosen = [files[0]]
+        chosen = [seed if seed is not None else files[0]]
         lo, hi = chosen[0].smallest_user_key, chosen[0].largest_user_key
         changed = True
         while changed:

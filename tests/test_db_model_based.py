@@ -28,11 +28,23 @@ def _key(i: int) -> bytes:
 
 class EngineMachine(RuleBasedStateMachine):
     style = COMPACTION_TABLE
+    #: Extra Options fields a variant runs with.
+    overrides: dict = {}
+    #: Distinct keys a run touches (rule arguments are folded into it); a
+    #: small space makes every flush overlap and overwrite the ones before.
+    key_space = 121
+
+    def _k(self, i: int) -> bytes:
+        return _key(i % self.key_space)
+
+    def _open(self) -> DB:
+        options = tiny_options(compaction_style=self.style, **self.overrides)
+        return DB(self.fs, options, seed=7)
 
     @initialize()
     def setup(self):
         self.fs = SimulatedFS()
-        self.db = DB(self.fs, tiny_options(compaction_style=self.style), seed=7)
+        self.db = self._open()
         self.model: dict[bytes, bytes] = {}
         #: live snapshots with the model state frozen at acquisition
         self.pinned: list[tuple] = []
@@ -45,24 +57,24 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(i=KEYS, value=VALUES)
     def put(self, i, value):
-        self.db.put(_key(i), value)
-        self.model[_key(i)] = value
+        self.db.put(self._k(i), value)
+        self.model[self._k(i)] = value
 
     @rule(i=KEYS)
     def delete(self, i):
-        self.db.delete(_key(i))
-        self.model.pop(_key(i), None)
+        self.db.delete(self._k(i))
+        self.model.pop(self._k(i), None)
 
     @rule(ops=st.lists(st.tuples(st.booleans(), KEYS, VALUES), min_size=1, max_size=6))
     def batch(self, ops):
         batch = WriteBatch()
         for is_put, i, value in ops:
             if is_put:
-                batch.put(_key(i), value)
-                self.model[_key(i)] = value
+                batch.put(self._k(i), value)
+                self.model[self._k(i)] = value
             else:
-                batch.delete(_key(i))
-                self.model.pop(_key(i), None)
+                batch.delete(self._k(i))
+                self.model.pop(self._k(i), None)
         self.db.write(batch)
 
     @rule()
@@ -78,7 +90,7 @@ class EngineMachine(RuleBasedStateMachine):
         # abandon without close(); reopen over the same simulated disk.
         # Snapshots are handles on the old instance — they don't survive.
         self.pinned.clear()
-        self.db = DB(self.fs, tiny_options(compaction_style=self.style), seed=7)
+        self.db = self._open()
 
     @rule()
     def take_snapshot(self):
@@ -94,7 +106,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(i=KEYS)
     def check_snapshot_get(self, i):
         for snap, frozen in self.pinned:
-            assert self.db.get(_key(i), snapshot=snap) == frozen.get(_key(i))
+            assert self.db.get(self._k(i), snapshot=snap) == frozen.get(self._k(i))
 
     @rule()
     def check_snapshot_scan(self):
@@ -105,15 +117,13 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(i=KEYS)
     def check_get(self, i):
-        assert self.db.get(_key(i)) == self.model.get(_key(i))
+        assert self.db.get(self._k(i)) == self.model.get(self._k(i))
 
     @rule(lo=KEYS, hi=KEYS)
     def check_scan(self, lo, hi):
-        lo, hi = min(lo, hi), max(lo, hi)
-        expected = sorted(
-            (k, v) for k, v in self.model.items() if _key(lo) <= k < _key(hi)
-        )
-        assert self.db.scan(_key(lo), _key(hi)) == expected
+        lo, hi = sorted((self._k(lo), self._k(hi)))
+        expected = sorted((k, v) for k, v in self.model.items() if lo <= k < hi)
+        assert self.db.scan(lo, hi) == expected
 
     @invariant()
     def levels_disjoint_and_files_exist(self):
@@ -149,9 +159,46 @@ class _SelectiveMachine(EngineMachine):
     style = COMPACTION_SELECTIVE
 
 
+class _SeekHeavyMachine(EngineMachine):
+    """A seek budget of one per file: every charged miss (gets) and every
+    file a scan reads exhausts it, so L0/L1 seek compactions and deferred
+    charges fire constantly under the dict oracle."""
+
+    style = COMPACTION_SELECTIVE
+    overrides = dict(
+        seek_compaction_min_seeks=1, seek_compaction_bytes_per_seek=1 << 40
+    )
+    key_space = 3
+
+    @initialize()
+    def setup(self):
+        """Start from overlapping L0 files, one per generation: generation g
+        rewrites keys 0..g, so each file's top key is in no older file and
+        a scan that starts there reads — and seek-exhausts — only the newer
+        files.  Moving those down without the older ones is the stale-read
+        hazard the picker's L0 expansion exists for."""
+        super().setup()
+        for generation in range(self.key_space):
+            for i in range(generation + 1):
+                self.put(i, b"generation-%d" % generation)
+            self.flush()
+
+    @invariant()
+    def every_key_reads_as_the_model(self):
+        # Three keys: cheap enough after every step, so the step that
+        # reorders files wrongly is the step that fails.
+        if getattr(self, "db", None) is not None:
+            for i in range(self.key_space):
+                assert self.db.get(self._k(i)) == self.model.get(self._k(i))
+
+
 class TestBlockStyleMachine(_BlockMachine.TestCase):
     settings = _settings
 
 
 class TestSelectiveStyleMachine(_SelectiveMachine.TestCase):
     settings = _settings
+
+
+class TestSeekHeavyMachine(_SeekHeavyMachine.TestCase):
+    settings = settings(_settings, max_examples=120)

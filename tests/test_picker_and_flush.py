@@ -103,6 +103,20 @@ class TestInputSelection:
         assert task.parent_files[0].file_number == 7
         assert picker.pick(v) is None  # candidate consumed
 
+    def test_level0_seek_candidate_takes_its_overlapping_files(self, picker):
+        """Two overlapping L0 files, the newer one seek-exhausted: moving it
+        down alone would sink it below the older one, so the task's
+        parents are the closure of L0 overlaps seeded at the candidate."""
+        v = Version(5)
+        older, newer = meta(5, b"a", b"m"), meta(6, b"g", b"t")
+        apart = meta(7, b"x", b"z")
+        v.apply(VersionEdit(new_files=[(0, older), (0, newer), (0, apart)]))
+        picker.note_seek_exhausted(0, newer)
+        task = picker.pick(v)
+        assert task is not None and task.reason == "seek"
+        assert task.parent_level == 0
+        assert {f.file_number for f in task.parent_files} == {5, 6}
+
     def test_stale_seek_candidate_dropped(self, picker):
         v = Version(5)
         f = meta(7, b"a", b"c")
