@@ -1928,14 +1928,14 @@ class DB:
             return value, None
 
         first_miss: tuple[int, FileMetadata] | None = None
-        charged = False
+        charge: tuple[int, FileMetadata] | None = None
         table_cache = self.table_cache
         block_cache = self.block_cache
 
         def visit(level: int, meta: FileMetadata) -> tuple[bool, bytes | None]:
             """Probe one file via the superversion's pinned reader,
             observing the seek-charge bookkeeping."""
-            nonlocal first_miss, charged
+            nonlocal first_miss, charge
             reader = sv.reader_for(meta, table_cache)
             hit, val, touched = reader.lookup(
                 key, sequence, block_cache=block_cache, category=CAT_GET
@@ -1943,20 +1943,20 @@ class DB:
             if touched and not hit and first_miss is None:
                 first_miss = (level, meta)
             elif (touched or hit) and first_miss is not None:
-                charged = True
+                charge = first_miss
             return hit, val
 
         for meta in sv.level0_newest_first:
             if meta.smallest_user_key <= key <= meta.largest_user_key:
                 found, value = visit(0, meta)
                 if found:
-                    return value, first_miss if charged else None
+                    return value, charge
         for level in range(1, sv.num_levels):
             meta = sv.file_for_key(level, key)
             if meta is not None:
                 found, value = visit(level, meta)
                 if found:
-                    return value, first_miss if charged else None
+                    return value, charge
             # Auxiliary components logically stacked under this level
             # (L2SM's log: entries diverted FROM a level are older than the
             # level's current content but newer than everything deeper).
@@ -1964,8 +1964,8 @@ class DB:
                 with self._lock:
                     extra = self._extra_get_after_level(level, key, sequence)
                 if extra is not None and extra[0]:
-                    return extra[1], first_miss if charged else None
-        return None, first_miss if charged else None
+                    return extra[1], charge
+        return None, charge
 
     def _extra_get_after_level(
         self, level: int, key: bytes, snapshot: int
