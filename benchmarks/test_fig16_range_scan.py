@@ -4,18 +4,18 @@ Paper result: BlockDB outperforms the others; LevelDB/L2SM/BlockDB benefit
 from seek compaction collapsing levels under scan pressure while RocksDB
 (no seek compaction) keeps its full height and pays more reads per scan.
 
-Reproduced shape: RocksDB pays for its full-height tree on SCAN-RO (the
-paper's slowest engine there), and every seek-compacting engine — BlockDB
-included — collapses its tree and beats it clearly.  On the write-bearing
-mixes RocksDB's static tree keeps its block cache warm and avoids collapse
-churn, which can put it ahead — a scale artifact of the measurement
-window.
+Reproduced shape: on SCAN-RO the paper's ordering holds exactly — BlockDB
+fastest, RocksDB slowest.  On the write-bearing mixes BlockDB remains the
+best *seek-compacting* engine (vs LevelDB/L2SM), but in this simulation
+RocksDB's static tree keeps its block cache warm and avoids collapse churn,
+which can put it ahead — a scale artifact of the measurement window; see
+EXPERIMENTS.md for the discussion.
 
-Documented deviation (EXPERIMENTS.md): BlockDB trails LevelDB/L2SM by
-5-22 % instead of leading them.  Files that Block Compaction grew by
-appending during the load keep their blocks physically scattered; seek
-compaction moves most of them down by metadata only (trivial move), so
-scans keep paying random reads for them.
+BlockDB matches LevelDB/L2SM on SCAN-WH rather than beating them by 10 %:
+that margin (0.45 s against 0.57 s) was LevelDB compacting seek-exhausted
+L0 files one at a time, rewriting L1 once per file — the picker bug that
+also returned stale reads.  With L0 seek candidates compacted together
+LevelDB takes 0.41 s and BlockDB 0.43 s (EXPERIMENTS.md, Fig 16).
 """
 
 from conftest import emit
@@ -37,16 +37,16 @@ def test_fig16_range_scan(benchmark, scale):
     names = headers[1:]
     data = {row[0]: dict(zip(names, row[1:])) for row in rows}
 
-    # SCAN-RO: RocksDB (no seek compaction, full-height tree) is clearly
-    # the slowest; every seek-compacting engine beats it by a wide margin.
+    # SCAN-RO: the paper's ordering — BlockDB at (or within noise of) the
+    # best, RocksDB clearly the worst.
     ro = {s: data[s]["SCAN-RO"] for s in data}
+    assert ro["BlockDB"] <= min(ro.values()) * 1.03
     assert ro["RocksDB"] == max(ro.values())
     assert ro["RocksDB"] > ro["LevelDB"] * 1.05  # tall tree costs real time
-    for system in ("LevelDB", "L2SM", "BlockDB"):
-        assert ro[system] < ro["RocksDB"] * 0.85
 
-    # BlockDB stays within a quarter of the other seek-compacting engines
-    # on every mix (the scattered-blocks deviation, see module docstring).
-    for mix in ("SCAN-RO", "SCAN-RH", "SCAN-BA", "SCAN-WH"):
-        assert data["BlockDB"][mix] <= data["LevelDB"][mix] * 1.25
-        assert data["BlockDB"][mix] <= data["L2SM"][mix] * 1.25
+    # Write-bearing mixes: BlockDB at least matches the other
+    # seek-compacting engines (5% tolerance — all three are near-ties at
+    # this scale; see the module docstring for SCAN-WH).
+    for mix in ("SCAN-RH", "SCAN-BA", "SCAN-WH"):
+        assert data["BlockDB"][mix] <= data["LevelDB"][mix] * 1.05
+        assert data["BlockDB"][mix] <= data["L2SM"][mix] * 1.05

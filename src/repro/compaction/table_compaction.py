@@ -27,10 +27,17 @@ from .base import (
 
 
 def can_trivially_move(env: CompactionEnv, task: CompactionTask) -> bool:
-    """A single parent file with no child overlap moves by metadata only."""
+    """A single parent file with no child overlap moves by metadata only.
+
+    Except on a seek compaction when Block Compaction has appended to the
+    file: its blocks are out of key order, a move would carry that layout
+    down unchanged, and the reads that asked for the compaction would keep
+    paying a device seek per out-of-order run.  That file is rewritten."""
     if not env.options.enable_trivial_move:
         return False
-    return len(task.parent_files) == 1 and not task.child_files
+    if len(task.parent_files) != 1 or task.child_files:
+        return False
+    return not (task.reason == "seek" and task.parent_files[0].append_count > 0)
 
 
 def run_trivial_move(env: CompactionEnv, task: CompactionTask) -> CompactionResult:

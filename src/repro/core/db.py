@@ -5,8 +5,9 @@ the paper's optimizations are chosen by :class:`~repro.options.Options`
 (see :mod:`repro.baselines.presets` for the LevelDB / RocksDB / BlockDB
 configurations; L2SM subclasses this DB in :mod:`repro.baselines.l2sm`).
 
-Concurrency model — two modes, selected by :class:`~repro.options.Options`
-(DESIGN.md §7):
+Concurrency model (DESIGN.md §7) — writes, flushes and compactions run in
+one of two modes, selected by :class:`~repro.options.Options`; reads do not
+depend on the mode:
 
 * **Synchronous (default)**: operations execute on the calling thread — a
   write that fills the memtable performs the flush and any due compactions
@@ -23,7 +24,7 @@ Concurrency model — two modes, selected by :class:`~repro.options.Options`
   ``real_parallel_compaction`` runs disjoint compaction sub-tasks on a
   thread pool.  Throughput mode: simulated metrics are approximate here.
 
-Reads are the same code in both modes (DESIGN.md §9): ``get``,
+Reads (DESIGN.md §9): ``get``,
 ``multi_get`` and iterators take a reference on the current refcounted
 :class:`~repro.core.superversion.SuperVersion` under the engine lock,
 resolve against that snapshot with the lock released, and apply any
@@ -1053,22 +1054,21 @@ class DB:
 
     def _acquire_read(self) -> tuple[SuperVersion, int]:
         """A lookup's only engine-lock touch before it resolves: load the
-        current superversion pointer, incref, read the latest sequence."""
+        current superversion pointer, incref, read the latest sequence.
+
+        The lock is tried first and waited for only when another thread
+        holds it — the same sequence with tracing on or off.  With tracing
+        on, the wait is recorded as one pre-timed ``get.lock_wait`` event
+        (the ``cache.shard_wait`` pattern); an uncontended reader records
+        nothing, because a ring append on every get costs more than the
+        tracing-overhead gate (benchmarks/perf/harness.py) allows."""
         lock = self._lock
-        tracer = self.tracer
-        if not tracer.enabled:
+        if not lock.acquire(blocking=False):
+            tracer = self.tracer
+            start = time.perf_counter() if tracer.enabled else 0.0
             lock.acquire()
-        elif not lock.acquire(blocking=False):
-            # Another thread holds the engine lock: one pre-timed event
-            # brackets the wait (the ``cache.shard_wait`` pattern).  An
-            # uncontended reader records nothing — every get passes here,
-            # and a ring append per get is what the tracing-overhead gate
-            # (benchmarks/perf/harness.py) cannot afford.
-            start = time.perf_counter()
-            lock.acquire()
-            tracer.complete(
-                "get.superversion_ref", "get", dur=time.perf_counter() - start
-            )
+            if tracer.enabled:
+                tracer.complete("get.lock_wait", "get", dur=time.perf_counter() - start)
         try:
             self._check_open()
             return self._superversion.ref(), self._sequence
@@ -2062,11 +2062,17 @@ class DB:
         LevelDB's read-sampling, which is what makes repeated range scans
         trigger seek compactions and collapse levels (Section V-G).
 
+        A file grown by Block Compaction appends is charged one more seek
+        per append: each left at least one more out-of-order run of blocks
+        that a scan pays a device seek for, so the file reaches its seek
+        compaction — which rewrites it in key order
+        (:func:`~repro.compaction.can_trivially_move`) — that much sooner.
+
         The triggered compaction itself is deferred until the iterator
         closes (see :meth:`_release_iterator`); mutating the tree mid-scan
         would pull files out from under the open iterator.
         """
-        meta.allowed_seeks -= 1
+        meta.allowed_seeks -= 1 + meta.append_count
         if meta.allowed_seeks <= 0:
             self.picker.note_seek_exhausted(level, meta)
             meta.allowed_seeks = self._seek_budget(meta)

@@ -428,8 +428,8 @@ class Options:
         return self.copy(**params)
 
     def read_optimized(self, **overrides) -> "Options":
-        """Copy with the read-side scaling feature enabled: 16-way sharded
-        caches under the superversion read path every configuration uses
+        """``copy(cache_shards=16)`` under a name: 16-way sharded caches
+        under the superversion read path every configuration uses
         (DESIGN.md §9).  Unlike :meth:`concurrent_pipeline` the write path
         stays synchronous — this is the configuration the read-scaling
         benchmark measures."""

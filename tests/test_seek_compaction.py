@@ -88,3 +88,51 @@ class TestScanSeeks:
         rows = db.scan(kv(100)[0], kv(130)[0])
         assert [k for k, _ in rows] == [kv(i)[0] for i in range(100, 130)]
         db.close()
+
+
+class TestAppendedFiles:
+    """A file grown by Block Compaction appends keeps its blocks out of key
+    order: scans pay a device seek per out-of-order run, so they charge it
+    faster and its seek compaction rewrites it instead of moving it."""
+
+    @staticmethod
+    def lone_appended_file(db):
+        """An appended file with nothing under it in the next level."""
+        version = db.version
+        for level, meta in version.all_files():
+            if meta.append_count >= 3 and level + 2 < version.num_levels and not (
+                version.overlapping_files(
+                    level + 1, meta.smallest_user_key, meta.largest_user_key
+                )
+            ):
+                return level, meta
+        raise AssertionError("the load left no lone appended file")
+
+    def test_only_seek_compactions_refuse_to_move_an_appended_file(self):
+        from repro.compaction import CompactionTask, can_trivially_move
+        from repro.core.version import clone_metadata
+
+        db = make_db("block")
+        load(db)
+        level, appended = self.lone_appended_file(db)
+        fresh = clone_metadata(appended, append_count=0)
+        assert not can_trivially_move(db, CompactionTask(level, [appended], [], reason="seek"))
+        assert can_trivially_move(db, CompactionTask(level, [fresh], [], reason="seek"))
+        assert can_trivially_move(db, CompactionTask(level, [appended], [], reason="size"))
+        db.close()
+
+    def test_one_scan_gets_a_scattered_file_rewritten(self):
+        db = make_db("block", seek_compaction_min_seeks=4)
+        load(db)
+        level, meta = self.lone_appended_file(db)
+        start = meta.smallest_user_key
+        # One scan charges 1 + append_count >= the budget of 4; the seek
+        # compaction runs when the scan's iterator closes.
+        rows = db.scan(start, limit=3)
+        assert rows and rows[0][0] == start
+        live = {m.file_number for _level, m in db.version.all_files()}
+        assert meta.file_number not in live
+        rewritten = db.version.file_for_key(level + 1, start)
+        assert rewritten is not None and rewritten.append_count == 0
+        assert db.scan(start, limit=3) == rows
+        db.close()

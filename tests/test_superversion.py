@@ -19,8 +19,8 @@ from repro.ycsb.workloads import WorkloadSpec
 from conftest import kv, make_db, tiny_options
 
 
-def lockfree_db(fs=None, **overrides):
-    """Tiny-geometry DB with sharded caches under the superversion reads."""
+def sharded_db(fs=None, **overrides):
+    """Tiny-geometry DB with 16-way sharded block/table caches."""
     overrides.setdefault("cache_shards", 16)
     return make_db(fs=fs or SimulatedFS(), **overrides)
 
@@ -30,7 +30,7 @@ def lockfree_db(fs=None, **overrides):
 
 class TestSuperversionLifecycle:
     def test_refcount_returns_to_install_ref_after_churn(self):
-        db = lockfree_db()
+        db = sharded_db()
         try:
             first_number = db._superversion.number
             for i in range(400):
@@ -52,7 +52,7 @@ class TestSuperversionLifecycle:
     def test_results_match_dict_oracle(self):
         """Both traversals (single-key and batched) return exactly what a
         plain dict holds after the same puts, deletes and flush."""
-        db = lockfree_db()
+        db = sharded_db()
         oracle: dict[bytes, bytes] = {}
         try:
             for i in range(300):
@@ -73,7 +73,7 @@ class TestSuperversionLifecycle:
         """Files retired by a compaction stay on disk while a superversion
         that can still read them is referenced; the last unref deletes."""
         fs = SimulatedFS()
-        db = lockfree_db(fs=fs)
+        db = sharded_db(fs=fs)
         try:
             for i in range(300):
                 key, value = kv(i)
@@ -106,7 +106,7 @@ class TestSuperversionLifecycle:
         """An iterator reads its snapshot even when updates and a
         full compaction land mid-scan: its sequence is pinned in the
         snapshot registry, so merging keeps the versions it needs."""
-        db = lockfree_db()
+        db = sharded_db()
         try:
             for i in range(100):
                 db.put(kv(i)[0], b"old-" + bytes(str(i), "ascii"))
@@ -126,7 +126,7 @@ class TestSuperversionLifecycle:
             db.close()
 
     def test_close_with_inflight_reference_does_not_raise(self):
-        db = lockfree_db()
+        db = sharded_db()
         for i in range(50):
             key, value = kv(i)
             db.put(key, value)
@@ -186,36 +186,43 @@ def test_multi_get_takes_the_lock_once():
 # ------------------------------------------------------------ trace spans
 
 
-def test_superversion_ref_event_brackets_the_lock_wait():
+class _BusyOnceLock(_CountingLock):
+    """Reports the lock as held to the first non-blocking attempt, as if
+    another thread owned it at that instant."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.refused = False
+
+    def acquire(self, blocking=True, timeout=-1):
+        if not blocking and not self.refused:
+            self.refused = True
+            return False
+        return super().acquire(blocking, timeout)
+
+
+def test_lock_wait_event_brackets_the_wait_for_the_engine_lock():
     """A reader that finds the engine lock held records one pre-timed
-    ``get.superversion_ref`` event for the wait; an uncontended reader
-    records nothing (the per-get ring append is what the tracing-overhead
-    gate could not afford)."""
-    db = lockfree_db(tracing=True)
+    ``get.lock_wait`` event for the wait; an uncontended reader records
+    nothing (the per-get ring append is what the tracing-overhead gate
+    could not afford)."""
+    db = sharded_db(tracing=True)
     try:
         for i in range(50):
             key, value = kv(i)
             db.put(key, value)
         assert db.get(kv(3)[0]) == kv(3)[1]
-        assert "get.superversion_ref" not in {e.name for e in db.tracer.events()}
+        assert "get.lock_wait" not in {e.name for e in db.tracer.events()}
 
-        held = threading.Event()
-
-        def hold_then_release():
-            with db._lock:
-                held.set()
-                time.sleep(0.05)
-
-        holder = threading.Thread(target=hold_then_release)
-        holder.start()
-        assert held.wait(timeout=5)
+        shim = _BusyOnceLock(db._lock)
+        db._lock = shim
         assert db.get(kv(3)[0]) == kv(3)[1]
-        holder.join(timeout=5)
-        assert not holder.is_alive()
-        waits = [e for e in db.tracer.events() if e.name == "get.superversion_ref"]
+        db._lock = shim._inner
+        assert shim.refused
+        waits = [e for e in db.tracer.events() if e.name == "get.lock_wait"]
         assert len(waits) == 1
         assert waits[0].phase == PHASE_COMPLETE and waits[0].category == "get"
-        assert waits[0].dur > 0
+        assert waits[0].dur >= 0
     finally:
         db.close()
 
