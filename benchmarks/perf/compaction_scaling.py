@@ -169,7 +169,7 @@ def _run_scenario(name: str, *, workers: int, num_keys: int) -> dict:
         _land_updates(db, num_keys)
         # Start every process worker before the clock does: the first job a
         # cold worker receives pays the child interpreter's module import.
-        db._offload_pool.warm()
+        db._subtasks.offload_pool.warm()
 
         fs.realtime = 1.0  # timed phase only: sleep the device model
         start = time.perf_counter()
@@ -183,7 +183,7 @@ def _run_scenario(name: str, *, workers: int, num_keys: int) -> dict:
             "table_subtasks": table_subtasks,
             "wall_time_s": round(elapsed, 3),
             "subtasks_per_sec": round(block_subtasks / elapsed, 2),
-            "pool_restarts": db._offload_pool.restarts,
+            "pool_restarts": db._subtasks.offload_pool.restarts,
         }
         db.close()
     print(

@@ -1,9 +1,11 @@
 """Concurrent write-pipeline benchmark.
 
 Measures aggregate wall-clock throughput of the concurrent pipeline
-(background flush/compaction + group commit + real parallel sub-tasks,
-DESIGN.md §7) against the default synchronous engine, at 1 and 4 client
-threads, and writes ``BENCH_concurrency.json`` at the repo root.
+(background flush/compaction + group commit, DESIGN.md §7) against the
+default synchronous engine, at 1 and 4 client threads, and writes
+``BENCH_concurrency.json`` at the repo root.  The scenario's options use
+Table Compaction, which has no sub-tasks, so the pipeline's sub-task thread
+pool is never exercised here (``compaction_scaling.py`` covers it).
 
 The engine's compute is pure Python, so thread overlap cannot speed up
 *CPU*; what the pipeline overlaps is device time.  The benchmark therefore

@@ -16,7 +16,7 @@ from .block_compaction import (
     run_block_compaction,
 )
 from .lazy_deletion import DeletionManager
-from .parallel import SubtaskScheduler, lpt_makespan
+from .parallel import SubtaskExecutor, lpt_makespan
 from .picker import CompactionPicker
 from .policy import (
     CompactionPolicy,
@@ -48,7 +48,7 @@ __all__ = [
     "partition_parent_slices",
     "run_block_compaction",
     "DeletionManager",
-    "SubtaskScheduler",
+    "SubtaskExecutor",
     "lpt_makespan",
     "CompactionPicker",
     "CompactionPolicy",

@@ -80,9 +80,9 @@ class CompactionResult:
     #: Sub-task mix for selective compactions.
     table_subtasks: int = 0
     block_subtasks: int = 0
-    #: Guards result mutation when sub-tasks execute on a real thread pool
-    #: (``Options.real_parallel_compaction``); uncontended — and therefore
-    #: free — on the deterministic sequential path.
+    #: Guards result mutation when sub-tasks execute on the
+    #: :class:`~repro.compaction.parallel.SubtaskExecutor`'s thread pool;
+    #: uncontended — and therefore free — on its deterministic inline path.
     apply_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )

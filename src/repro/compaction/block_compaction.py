@@ -27,12 +27,9 @@ from typing import Callable, Iterator
 from ..core.merge import merge_entries
 from ..core.snapshot import VersionKeeper
 from ..core.version import FileMetadata, clone_metadata
-from ..keys import (
-    TYPE_DELETION,
-    ComparableKey,
-    comparable_parts,
-    comparable_to_internal,
-)
+from ..keys import ComparableKey, comparable_to_internal
+from ..obs.trace import NULL_TRACER
+from ..options import Options
 from ..sstable.index import IndexBlock, IndexEntry
 from ..sstable.table_appender import AppendSession
 from ..sstable.table_reader import TableReader
@@ -102,15 +99,58 @@ class BlockCompactionFileStats:
     filter_rebuilt: bool = False
 
 
+# Walk-plan op tags, chosen short because they pickle with every offloaded job.
+OP_REUSE = "r"  # ("r", index_entry_idx)
+OP_MERGE = "m"  # ("m", dirty_idx, parent_lo, parent_hi)
+OP_GAP = "g"  # ("g", parent_lo, parent_hi)
+
+
+def plan_block_walk(
+    index_entries: list[IndexEntry],
+    parent_slice: list[ParentEntry],
+    dirty_entries: list[IndexEntry],
+) -> list[tuple]:
+    """Algorithm 1's walk over the child file's index, as a plan.
+
+    Contiguous parent keys below a block become one gap op (step 3: they
+    form new blocks), the ``dirty_idx``-th dirty block becomes a merge op
+    over its parent span (step 4), a clean block becomes a reuse op (step
+    2).  :func:`run_block_walk` executes the plan — here, or in an offload
+    worker that received it pickled inside a :class:`BlockMergeJob`.
+    """
+    dirty_idx = {e.offset: i for i, e in enumerate(dirty_entries)}
+    ops: list[tuple] = []
+    i = 0
+    n = len(parent_slice)
+    for entry_idx, entry in enumerate(index_entries):
+        j = i
+        while j < n and parent_slice[j][0][0] < entry.smallest_user_key:
+            j += 1
+        if j > i:
+            ops.append((OP_GAP, i, j))
+            i = j
+        if entry.offset in dirty_idx:
+            while j < n and parent_slice[j][0][0] <= entry.largest_user_key:
+                j += 1
+            ops.append((OP_MERGE, dirty_idx[entry.offset], i, j))
+            i = j
+        else:
+            ops.append((OP_REUSE, entry_idx))
+    if i < n:
+        ops.append((OP_GAP, i, n))
+    return ops
+
+
 def _update_block(
-    session: AppendSession,
+    sink,
     parent_entries: list[ParentEntry],
     block_entries: Iterator[tuple[ComparableKey, bytes]],
     can_drop_tombstone: Callable[[bytes], bool],
     boundaries: list[int],
     on_drop: Callable[[bytes], None] | None = None,
 ) -> None:
-    """Algorithm 2: merge-sort parent keys into one dirty block's entries.
+    """Algorithm 2: merge-sort parent keys into one dirty block's entries,
+    writing the survivors to ``sink.add``.
 
     Comparable-key order puts the parent's (newer) versions of a user key
     first; the :class:`VersionKeeper` retains the newest version per
@@ -131,7 +171,7 @@ def _update_block(
             last_user_key = user_key
             if inv & 0xFF == 0xFF and can_drop_tombstone(user_key):
                 continue
-            session.add(comparable_to_internal(comparable), value)
+            sink.add(comparable_to_internal(comparable), value)
         return
     keeper = VersionKeeper(boundaries)
     for comparable, value in merged:
@@ -150,7 +190,180 @@ def _update_block(
             and can_drop_tombstone(user_key)
         ):
             continue
-        session.add(comparable_to_internal(comparable), value)
+        sink.add(comparable_to_internal(comparable), value)
+
+
+def run_block_walk(
+    sink,
+    reuse: Callable[[int], None],
+    ops: list[tuple],
+    parent_slice: list[ParentEntry],
+    dirty_block_entries: Callable[[int], Iterator[tuple[ComparableKey, bytes]]],
+    can_drop_tombstone: Callable[[bytes], bool],
+    boundaries: list[int],
+    on_drop: Callable[[bytes], None] | None = None,
+) -> None:
+    """Execute a :func:`plan_block_walk` plan: merged and gap entries go to
+    ``sink.add`` (an :class:`AppendSession`, or the offload worker's block
+    emitter), clean blocks to ``reuse(index_entry_idx)``;
+    ``dirty_block_entries(dirty_idx)`` yields a dirty block's entries."""
+    gap_keeper = VersionKeeper(boundaries)
+    for op in ops:
+        tag = op[0]
+        if tag == OP_REUSE:
+            reuse(op[1])
+        elif tag == OP_GAP:
+            # Parent keys covered by no block.  The parent slice is already
+            # stratum-filtered upstream; only the tombstone rule needs
+            # re-checking here.
+            for comparable, value in parent_slice[op[1] : op[2]]:
+                user_key, inv = comparable
+                if (
+                    inv & 0xFF == 0xFF  # TYPE_DELETION
+                    and gap_keeper.tombstone_unprotected((_INVERT - inv) >> 8)
+                    and can_drop_tombstone(user_key)
+                ):
+                    continue
+                sink.add(comparable_to_internal(comparable), value)
+        else:
+            _update_block(
+                sink,
+                parent_slice[op[2] : op[3]],
+                dirty_block_entries(op[1]),
+                can_drop_tombstone,
+                boundaries,
+                on_drop,
+            )
+
+
+@dataclass(frozen=True)
+class JobGeometry:
+    """The slice of :class:`~repro.options.Options` an offload worker needs.
+
+    A full ``Options`` would drag unpicklable or irrelevant state across
+    the process boundary and make every new option a potential pickle
+    hazard; this snapshot is the complete compute contract instead.
+    """
+
+    block_size: int
+    block_restart_interval: int
+    compression_type: int
+    verify_checksums: bool
+
+    @classmethod
+    def from_options(cls, options: Options) -> "JobGeometry":
+        return cls(
+            block_size=options.block_size,
+            block_restart_interval=options.block_restart_interval,
+            compression_type=options.compression_type(),
+            verify_checksums=options.verify_checksums,
+        )
+
+
+@dataclass
+class BlockMergeJob:
+    """One sub-task's immutable inputs for an offload worker (DESIGN.md
+    §11), fully picklable: the :func:`plan_block_walk` plan (``ops``), the
+    parent slice it indexes into, and the dirty blocks' *raw stored bytes*
+    (payload + trailer, checksum unverified — the worker verifies as part
+    of its compute).  Payloads travel either inline (``payloads``) or via a
+    named shared-memory segment (``shm_name`` + ``shm_spans``), never both.
+
+    ``drop_tombstones`` stands in for the version probe a worker cannot
+    make (see :func:`prepare_block_merge_job`); ``report_drops`` asks for
+    the dropped value-log pointers back (the engine carries a vlog).
+    """
+
+    geometry: JobGeometry
+    ops: list[tuple]
+    parent_entries: list[ParentEntry]
+    drop_tombstones: bool
+    boundaries: list[int] = field(default_factory=list)
+    report_drops: bool = False
+    payloads: list[bytes] | None = None
+    shm_name: str | None = None
+    shm_spans: list[tuple[int, int]] | None = None
+
+
+def _input_key_range(
+    child_meta: FileMetadata, parent_slice: list[ParentEntry]
+) -> tuple[bytes, bytes]:
+    """User-key span of the child file plus its parent slice."""
+    if not parent_slice:
+        return child_meta.smallest_user_key, child_meta.largest_user_key
+    return (
+        min(child_meta.smallest_user_key, parent_slice[0][0][0]),
+        max(child_meta.largest_user_key, parent_slice[-1][0][0]),
+    )
+
+
+def prepare_block_merge_job(
+    env: CompactionEnv,
+    reader: TableReader,
+    parent_slice: list[ParentEntry],
+    child_meta: FileMetadata,
+    child_level: int,
+    scan: DirtyBlockScan,
+) -> BlockMergeJob:
+    """Build the picklable job for one child file (all I/O happens here).
+
+    The in-process path consults the live version for "may a deeper level
+    hold this key".  That structure cannot ship to a worker, so
+    ``drop_tombstones`` precomputes ``is_key_range_absent_below`` for the
+    file's key range.  When True the worker drops exactly what the
+    in-process path would; when False it conservatively keeps every
+    tombstone (the in-process path might drop a few via per-key probes) —
+    correct, merely a slightly larger output.
+    """
+    raws: list[bytes] = []
+    if scan.dirty_entries:
+        raws = reader.read_blocks_raw(
+            scan.dirty_entries,
+            category=CAT_COMPACTION,
+            concurrency=env.options.dirty_block_read_parallelism,
+        )
+    lo, hi = _input_key_range(child_meta, parent_slice)
+    return BlockMergeJob(
+        geometry=JobGeometry.from_options(env.options),
+        ops=plan_block_walk(reader.index.entries, parent_slice, scan.dirty_entries),
+        parent_entries=parent_slice,
+        drop_tombstones=env.version.is_key_range_absent_below(child_level, lo, hi),
+        boundaries=env.snapshot_boundaries(),
+        report_drops=drop_observer(env) is not None,
+        payloads=raws,
+    )
+
+
+def _run_offloaded(env: CompactionEnv, pool, job: BlockMergeJob, child_meta: FileMetadata):
+    """Ship ``job`` to the offload pool inside a ``compaction.offload`` span."""
+    tracer = getattr(env, "tracer", NULL_TRACER)
+    if not tracer.enabled:
+        return pool.run(job)
+    tracer.begin(
+        "compaction.offload",
+        "compaction",
+        {
+            "mode": pool.mode,
+            "file": child_meta.file_number,
+            "dirty_blocks": len(job.payloads or ()),
+            "parent_entries": len(job.parent_entries),
+        },
+    )
+    try:
+        merge = pool.run(job)
+    finally:
+        tracer.end("compaction.offload", "compaction")
+    tracer.instant(
+        "compaction.offload.result",
+        "compaction",
+        {
+            "file": child_meta.file_number,
+            "worker_pid": merge.worker_pid,
+            "decoded_bytes": merge.decoded_bytes,
+            "merged_entries": merge.merged_entries,
+        },
+    )
+    return merge
 
 
 def block_compact_file(
@@ -160,95 +373,75 @@ def block_compact_file(
     child_level: int,
     *,
     scan: DirtyBlockScan | None = None,
+    pool=None,
 ) -> tuple[FileMetadata, BlockCompactionFileStats]:
     """Algorithm 1: merge ``parent_slice`` into ``child_meta`` in place.
 
     Returns the child file's updated metadata plus per-file statistics.
     ``scan`` may carry a pre-computed ``FindDirtyBlocks`` result (Selective
     Compaction already ran it to make its decision).
+
+    With ``pool`` (an :class:`~repro.compaction.offload.OffloadPool`) the
+    walk's compute — decode, merge, block rebuild, CRC — runs on a pool
+    worker (DESIGN.md §11): the dirty blocks are read raw, shipped with the
+    plan, and the rebuilt blocks the worker returns are appended here.  All
+    filesystem access, its simulated charges and the value-log drop report
+    stay on this side either way.
     """
     reader: TableReader = env.table_cache.get(child_meta.file_number, child_meta.file_name())
-    parent_user_keys = [ck[0] for ck, _ in parent_slice]
     if scan is None:
-        scan = find_dirty_blocks(parent_user_keys, reader.index)
-
-    # Algorithm 3's payoff: fetch all dirty blocks with concurrent random
-    # reads before the merge walk.
-    dirty_offsets = {e.offset for e in scan.dirty_entries}
-    dirty_blocks = {}
-    if scan.dirty_entries:
-        blocks = reader.read_blocks_concurrently(
-            scan.dirty_entries,
-            category=CAT_COMPACTION,
-            concurrency=env.options.dirty_block_read_parallelism,
-        )
-        dirty_blocks = {e.offset: b for e, b in zip(scan.dirty_entries, blocks)}
-
-    lo = min(
-        (child_meta.smallest_user_key, parent_user_keys[0])
-        if parent_user_keys
-        else (child_meta.smallest_user_key,)
-    )
-    hi = max(
-        (child_meta.largest_user_key, parent_user_keys[-1])
-        if parent_user_keys
-        else (child_meta.largest_user_key,)
-    )
-    can_drop = make_tombstone_dropper(env, child_level, lo, hi)
-
-    session = AppendSession(env.fs, reader, env.options, child_level)
-    stats = BlockCompactionFileStats(dirty_blocks=len(scan.dirty_entries))
-    boundaries = env.snapshot_boundaries()
-    gap_keeper = VersionKeeper(boundaries)
+        scan = find_dirty_blocks([ck[0] for ck, _ in parent_slice], reader.index)
+    index_entries = reader.index.entries
     on_drop = drop_observer(env)
 
-    def emit_parent(comparable: ComparableKey, value: bytes) -> None:
-        """Write one gap entry (a parent key covered by no block).
-
-        The parent slice is already stratum-filtered upstream; only the
-        tombstone rule needs re-checking here."""
-        user_key, sequence, value_type = comparable_parts(comparable)
-        if (
-            value_type == TYPE_DELETION
-            and gap_keeper.tombstone_unprotected(sequence)
-            and can_drop(user_key)
-        ):
-            return
-        session.add(comparable_to_internal(comparable), value)
-
-    i = 0
-    n = len(parent_slice)
-    for entry in reader.index.entries:
-        # Step 3 of Algorithm 1: parent keys below this block form new blocks.
-        while i < n and parent_slice[i][0][0] < entry.smallest_user_key:
-            emit_parent(*parent_slice[i])
-            i += 1
-        if entry.offset in dirty_offsets:
-            # Step 4: rewrite the dirty block merged with its parent keys.
-            j = i
-            while j < n and parent_slice[j][0][0] <= entry.largest_user_key:
-                j += 1
-            _update_block(
-                session,
-                parent_slice[i:j],
-                dirty_blocks[entry.offset].entries(),
-                can_drop,
-                boundaries,
-                on_drop,
+    if pool is None:
+        # Algorithm 3's payoff: fetch all dirty blocks with concurrent
+        # random reads before the merge walk.
+        blocks: list = []
+        if scan.dirty_entries:
+            blocks = reader.read_blocks_concurrently(
+                scan.dirty_entries,
+                category=CAT_COMPACTION,
+                concurrency=env.options.dirty_block_read_parallelism,
             )
-            i = j
-        else:
-            # Step 2: clean block — reuse its index entry, zero I/O.
-            session.reuse(entry)
-            stats.clean_blocks += 1
-    while i < n:
-        emit_parent(*parent_slice[i])
-        i += 1
+        can_drop = make_tombstone_dropper(
+            env, child_level, *_input_key_range(child_meta, parent_slice)
+        )
+        session = AppendSession(env.fs, reader, env.options, child_level)
+        run_block_walk(
+            session,
+            lambda entry_idx: session.reuse(index_entries[entry_idx]),
+            plan_block_walk(index_entries, parent_slice, scan.dirty_entries),
+            parent_slice,
+            lambda dirty_idx: blocks[dirty_idx].entries(),
+            can_drop,
+            env.snapshot_boundaries(),
+            on_drop,
+        )
+    else:
+        job = prepare_block_merge_job(
+            env, reader, parent_slice, child_meta, child_level, scan
+        )
+        merge = _run_offloaded(env, pool, job, child_meta)
+        session = AppendSession(env.fs, reader, env.options, child_level)
+        for op in merge.ops:
+            if op[0] == OP_REUSE:
+                session.reuse(index_entries[op[1]])
+            else:
+                session.append_prebuilt(*op[1:])
+        if on_drop is not None:
+            for stored in merge.dropped:
+                on_drop(stored)
 
     result = session.finish()
-    stats.new_blocks = len(result.index.entries) - stats.clean_blocks
-    stats.appended_bytes = result.bytes_written
-    stats.filter_rebuilt = session.filter_rebuilt
+    clean_blocks = len(index_entries) - len(scan.dirty_entries)
+    stats = BlockCompactionFileStats(
+        clean_blocks=clean_blocks,
+        dirty_blocks=len(scan.dirty_entries),
+        new_blocks=len(result.index.entries) - clean_blocks,
+        appended_bytes=result.bytes_written,
+        filter_rebuilt=session.filter_rebuilt,
+    )
     if session.filter_rebuilt:
         env.stats.filter_rebuilds += 1
     else:
@@ -256,7 +449,9 @@ def block_compact_file(
 
     # Dirty blocks died; clean blocks stay valid in the block cache — the
     # cache-friendliness the paper measures in Fig 14.
-    env.block_cache.invalidate_blocks(child_meta.file_number, dirty_offsets)
+    env.block_cache.invalidate_blocks(
+        child_meta.file_number, {e.offset for e in scan.dirty_entries}
+    )
     env.table_cache.reload(child_meta.file_number)
 
     new_meta = clone_metadata(

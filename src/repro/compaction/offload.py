@@ -10,22 +10,22 @@ Block Compaction's per-file work splits cleanly in two:
   over immutable inputs, which under a thread pool serializes on the GIL no
   matter how many workers run.
 
-This module ships the compute to a persistent worker pool.  The parent
-performs all filesystem access; each subtask's immutable inputs — the raw
-dirty-block bytes, the parent entry slice, the key-range/tombstone facts,
-and a small geometry snapshot of the options — are packed into a picklable
-:class:`BlockMergeJob`.  The worker replays the exact walk
-:func:`~repro.compaction.block_compaction.block_compact_file` would perform
-(gap emit, dirty-block merge, clean-block reuse boundaries) and returns the
+This module is the worker side and the transport.  The parent —
+:func:`~repro.compaction.block_compaction.block_compact_file` called with
+an :class:`OffloadPool` — performs all filesystem access and packs each
+subtask's immutable inputs into a picklable
+:class:`~repro.compaction.block_compaction.BlockMergeJob`.  The worker
+(:func:`execute_block_merge`) runs the same plan executor and merge kernel
+the in-process path runs, over a :class:`_BlockEmitter` instead of an
+:class:`~repro.sstable.table_appender.AppendSession`, and returns the
 rebuilt raw block bytes plus their index facts; the parent replays those
-into an :class:`~repro.sstable.table_appender.AppendSession`, which charges
-the simulated writes and runs the existing locked commit path unchanged.
+into its append session, which charges the simulated writes and runs the
+existing locked commit path unchanged.
 
-Because the worker uses the same :class:`~repro.sstable.block_builder.
-BlockBuilder` cut rule and the same merge loops, an offloaded append
-produces **bit-identical file bytes** to the in-process path whenever the
-precomputed ``drop_tombstones`` fact is decisive (see below) — the
-equivalence the tests pin.
+Because the emitter uses the same :class:`~repro.sstable.block_builder.
+BlockBuilder` cut rule, an offloaded append produces **bit-identical file
+bytes** to the in-process path whenever the job's precomputed
+``drop_tombstones`` fact is decisive — the equivalence the tests pin.
 
 Transport: ``thread`` mode runs jobs on a ``ThreadPoolExecutor`` (no
 pickling — exercises the job pipeline without process overhead); ``process``
@@ -40,14 +40,6 @@ Failure semantics: a dead worker (``BrokenProcessPool``) surfaces as
 engine, so the DB degrades to read-only instead of hanging or retrying
 forever.  The pool discards the broken executor and lazily builds a fresh
 one, so ``DB.resume()`` can recover.
-
-Tombstones: the in-process path consults the live version for "may a deeper
-level hold this key".  That structure cannot ship to a worker, so the
-parent precomputes ``drop_tombstones = version.is_key_range_absent_below``
-for the file's key range.  When True the worker drops exactly what the
-in-process path would; when False it conservatively keeps every tombstone
-(the in-process path might drop a few via per-key probes) — correct, merely
-a slightly larger output, and only in opt-in offload mode.
 """
 
 from __future__ import annotations
@@ -59,90 +51,24 @@ import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Iterator
 
-from ..core.merge import merge_entries
-from ..core.snapshot import VersionKeeper
-from ..core.version import FileMetadata, clone_metadata
 from ..errors import OffloadError
-from ..keys import ComparableKey, comparable_to_internal, user_key_of
-from ..obs.trace import NULL_TRACER
+from ..keys import user_key_of
 from ..options import Options
 from ..sstable.block import parse_block_raw
 from ..sstable.block_builder import BlockBuilder
 from ..sstable.format import BLOCK_TRAILER_SIZE, wrap_block
-from ..sstable.table_appender import AppendSession
-from ..sstable.table_reader import TableReader
-from ..storage.io_stats import CAT_COMPACTION
-from .base import CompactionEnv
-from .block_compaction import (
-    BlockCompactionFileStats,
-    DirtyBlockScan,
-    ParentEntry,
-    find_dirty_blocks,
-)
+from ..vlog import is_pointer
+from .block_compaction import OP_REUSE, BlockMergeJob, JobGeometry, run_block_walk
 
 OFFLOAD_NONE = "none"
 OFFLOAD_THREAD = "thread"
 OFFLOAD_PROCESS = "process"
 OFFLOAD_MODES = (OFFLOAD_NONE, OFFLOAD_THREAD, OFFLOAD_PROCESS)
 
-_INVERT = (1 << 64) - 1
-
-# Op tags, chosen short because they pickle with every job/result.
-OP_REUSE = "r"  # ("r", index_entry_idx)
-OP_MERGE = "m"  # ("m", payload_idx, parent_lo, parent_hi)
-OP_GAP = "g"  # ("g", parent_lo, parent_hi)
-OP_BLOCK = "b"  # ("b", raw, smallest, largest, num_entries, user_keys)
-
-
-@dataclass(frozen=True)
-class JobGeometry:
-    """The slice of :class:`~repro.options.Options` the worker needs.
-
-    A full ``Options`` would drag unpicklable or irrelevant state across
-    the process boundary and make every new option a potential pickle
-    hazard; this snapshot is the complete compute contract instead.
-    """
-
-    block_size: int
-    block_restart_interval: int
-    compression_type: int
-    verify_checksums: bool
-
-    @classmethod
-    def from_options(cls, options: Options) -> "JobGeometry":
-        return cls(
-            block_size=options.block_size,
-            block_restart_interval=options.block_restart_interval,
-            compression_type=options.compression_type(),
-            verify_checksums=options.verify_checksums,
-        )
-
-
-@dataclass
-class BlockMergeJob:
-    """One subtask's immutable inputs, fully picklable.
-
-    ``ops`` is the ordered walk over the child file's index:
-    ``("r", entry_idx)`` reuse a clean block, ``("m", payload_idx, lo, hi)``
-    merge dirty payload ``payload_idx`` with ``parent_entries[lo:hi]``,
-    ``("g", lo, hi)`` emit ``parent_entries[lo:hi]`` as gap keys.
-
-    Dirty payloads are *raw stored blocks* (payload + trailer, checksum
-    unverified — the worker verifies as part of its compute) and travel
-    either inline (``payloads``) or via a named shared-memory segment
-    (``shm_name`` + ``shm_spans``), never both.
-    """
-
-    geometry: JobGeometry
-    ops: list[tuple]
-    parent_entries: list[tuple[ComparableKey, bytes]]
-    drop_tombstones: bool
-    boundaries: list[int] = field(default_factory=list)
-    payloads: list[bytes] | None = None
-    shm_name: str | None = None
-    shm_spans: list[tuple[int, int]] | None = None
+#: Result-op tag next to the echoed ``OP_REUSE``:
+#: ``("b", raw, smallest, largest, num_entries, user_keys)``.
+OP_BLOCK = "b"
 
 
 @dataclass
@@ -156,6 +82,9 @@ class BlockMergeResult:
 
     ops: list[tuple]
     worker_pid: int
+    #: Value-log pointers the merge dropped (``job.report_drops``); the
+    #: parent feeds them to its garbage ledger.
+    dropped: list[bytes] = field(default_factory=list)
     #: Payload bytes decoded from dirty blocks (observability).
     decoded_bytes: int = 0
     #: Merged entries written into rebuilt blocks (observability).
@@ -216,45 +145,6 @@ class _BlockEmitter:
         self.ops.append((OP_REUSE, entry_idx))
 
 
-def _merge_into(
-    emitter: _BlockEmitter,
-    parent_entries: list[tuple[ComparableKey, bytes]],
-    block_entries: Iterator[tuple[ComparableKey, bytes]],
-    drop_tombstones: bool,
-    boundaries: list[int],
-) -> None:
-    """Algorithm 2 in the worker — the twin of ``_update_block`` with the
-    version probe replaced by the precomputed ``drop_tombstones`` fact."""
-    merged = merge_entries([iter(parent_entries), block_entries])
-    last_user_key: bytes | None = None
-    if not boundaries:
-        for comparable, value in merged:
-            user_key, inv = comparable
-            if user_key == last_user_key:
-                continue
-            last_user_key = user_key
-            if inv & 0xFF == 0xFF and drop_tombstones:
-                continue
-            emitter.add(comparable_to_internal(comparable), value)
-        return
-    keeper = VersionKeeper(boundaries)
-    for comparable, value in merged:
-        user_key, inv = comparable
-        if user_key != last_user_key:
-            keeper.new_key()
-            last_user_key = user_key
-        sequence = (_INVERT - inv) >> 8
-        if not keeper.keep(sequence):
-            continue
-        if (
-            inv & 0xFF == 0xFF  # TYPE_DELETION
-            and keeper.tombstone_unprotected(sequence)
-            and drop_tombstones
-        ):
-            continue
-        emitter.add(comparable_to_internal(comparable), value)
-
-
 def _resolve_payloads(job: BlockMergeJob) -> list[bytes]:
     """Materialize the dirty payload list from whichever transport was used."""
     if job.shm_name is not None:
@@ -274,36 +164,36 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
     filesystem, no engine state — safe in any process."""
     payloads = _resolve_payloads(job)
     geometry = job.geometry
-    parent = job.parent_entries
     emitter = _BlockEmitter(geometry)
-    gap_keeper = VersionKeeper(job.boundaries)
-    drop = job.drop_tombstones
+    dropped: list[bytes] = []
     decoded_bytes = 0
-    for op in job.ops:
-        tag = op[0]
-        if tag == OP_REUSE:
-            emitter.reuse(op[1])
-        elif tag == OP_GAP:
-            for comparable, value in parent[op[1] : op[2]]:
-                user_key, inv = comparable
-                if (
-                    inv & 0xFF == 0xFF  # TYPE_DELETION
-                    and gap_keeper.tombstone_unprotected((_INVERT - inv) >> 8)
-                    and drop
-                ):
-                    continue
-                emitter.add(comparable_to_internal(comparable), value)
-        elif tag == OP_MERGE:
-            raw = payloads[op[1]]
-            decoded_bytes += len(raw) - BLOCK_TRAILER_SIZE
-            block = parse_block_raw(raw, verify_checksum=geometry.verify_checksums)
-            _merge_into(emitter, parent[op[2] : op[3]], block.entries(), drop, job.boundaries)
-        else:  # pragma: no cover - job construction never emits other tags
-            raise ValueError(f"unknown job op {tag!r}")
+
+    def dirty_block_entries(dirty_idx: int):
+        nonlocal decoded_bytes
+        raw = payloads[dirty_idx]
+        decoded_bytes += len(raw) - BLOCK_TRAILER_SIZE
+        return parse_block_raw(raw, verify_checksum=geometry.verify_checksums).entries()
+
+    def on_drop(stored: bytes) -> None:
+        if is_pointer(stored):
+            dropped.append(stored)
+
+    drop_tombstones = job.drop_tombstones
+    run_block_walk(
+        emitter,
+        emitter.reuse,
+        job.ops,
+        job.parent_entries,
+        dirty_block_entries,
+        lambda _user_key: drop_tombstones,
+        job.boundaries,
+        on_drop if job.report_drops else None,
+    )
     emitter.flush()
     return BlockMergeResult(
         ops=emitter.ops,
         worker_pid=os.getpid(),
+        dropped=dropped,
         decoded_bytes=decoded_bytes,
         merged_entries=emitter.merged_entries,
     )
@@ -343,6 +233,16 @@ class OffloadPool:
         self._closed = False
         #: Broken executors discarded after worker crashes (observability).
         self.restarts = 0
+
+    @classmethod
+    def from_options(cls, options: Options) -> "OffloadPool":
+        """The pool ``options.compaction_offload`` (not ``"none"``) asks for."""
+        return cls(
+            options.compaction_offload,
+            options.compaction_workers,
+            mp_context=options.compaction_offload_mp_context,
+            shm_threshold=options.compaction_offload_shm_bytes,
+        )
 
     def _make_executor(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
         if self.mode == OFFLOAD_THREAD:
@@ -440,162 +340,3 @@ class OffloadPool:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-
-
-# ------------------------------------------------------------- parent side
-
-
-def prepare_block_merge_job(
-    env: CompactionEnv,
-    reader: TableReader,
-    parent_slice: list[ParentEntry],
-    child_meta: FileMetadata,
-    child_level: int,
-    scan: DirtyBlockScan,
-) -> BlockMergeJob:
-    """Build the picklable job for one child file (all I/O happens here).
-
-    Replays :func:`~repro.compaction.block_compaction.block_compact_file`'s
-    walk over the index as a plan instead of executing it: contiguous
-    parent runs below a block become one gap op, dirty blocks become merge
-    ops over their parent span, clean blocks become reuse ops.
-    """
-    dirty_offsets = {e.offset for e in scan.dirty_entries}
-    payload_idx = {e.offset: i for i, e in enumerate(scan.dirty_entries)}
-    raws: list[bytes] = []
-    if scan.dirty_entries:
-        raws = reader.read_blocks_raw(
-            scan.dirty_entries,
-            category=CAT_COMPACTION,
-            concurrency=env.options.dirty_block_read_parallelism,
-        )
-
-    parent_user_keys = [ck[0] for ck, _ in parent_slice]
-    lo = min(
-        (child_meta.smallest_user_key, parent_user_keys[0])
-        if parent_user_keys
-        else (child_meta.smallest_user_key,)
-    )
-    hi = max(
-        (child_meta.largest_user_key, parent_user_keys[-1])
-        if parent_user_keys
-        else (child_meta.largest_user_key,)
-    )
-    drop_tombstones = env.version.is_key_range_absent_below(child_level, lo, hi)
-
-    ops: list[tuple] = []
-    i = 0
-    n = len(parent_slice)
-    for entry_idx, entry in enumerate(reader.index.entries):
-        j = i
-        while j < n and parent_slice[j][0][0] < entry.smallest_user_key:
-            j += 1
-        if j > i:
-            ops.append((OP_GAP, i, j))
-            i = j
-        if entry.offset in dirty_offsets:
-            j = i
-            while j < n and parent_slice[j][0][0] <= entry.largest_user_key:
-                j += 1
-            ops.append((OP_MERGE, payload_idx[entry.offset], i, j))
-            i = j
-        else:
-            ops.append((OP_REUSE, entry_idx))
-    if i < n:
-        ops.append((OP_GAP, i, n))
-
-    return BlockMergeJob(
-        geometry=JobGeometry.from_options(env.options),
-        ops=ops,
-        parent_entries=parent_slice,
-        drop_tombstones=drop_tombstones,
-        boundaries=env.snapshot_boundaries(),
-        payloads=raws,
-    )
-
-
-def block_compact_file_offloaded(
-    env: CompactionEnv,
-    parent_slice: list[ParentEntry],
-    child_meta: FileMetadata,
-    child_level: int,
-    pool: OffloadPool,
-    *,
-    scan: DirtyBlockScan | None = None,
-) -> tuple[FileMetadata, BlockCompactionFileStats]:
-    """Algorithm 1 with the merge compute on the offload pool.
-
-    Drop-in for :func:`~repro.compaction.block_compaction.
-    block_compact_file`: the parent reads the dirty blocks, ships the job,
-    and replays the returned rebuilt blocks through an
-    :class:`AppendSession` — same simulated I/O charges, same commit path.
-    """
-    reader: TableReader = env.table_cache.get(child_meta.file_number, child_meta.file_name())
-    if scan is None:
-        scan = find_dirty_blocks([ck[0] for ck, _ in parent_slice], reader.index)
-    dirty_offsets = {e.offset for e in scan.dirty_entries}
-
-    job = prepare_block_merge_job(env, reader, parent_slice, child_meta, child_level, scan)
-
-    tracer = getattr(env, "tracer", NULL_TRACER)
-    if tracer.enabled:
-        tracer.begin(
-            "compaction.offload",
-            "compaction",
-            {
-                "mode": pool.mode,
-                "file": child_meta.file_number,
-                "dirty_blocks": len(scan.dirty_entries),
-                "parent_entries": len(parent_slice),
-            },
-        )
-        try:
-            merge = pool.run(job)
-        finally:
-            tracer.end("compaction.offload", "compaction")
-        tracer.instant(
-            "compaction.offload.result",
-            "compaction",
-            {
-                "file": child_meta.file_number,
-                "worker_pid": merge.worker_pid,
-                "decoded_bytes": merge.decoded_bytes,
-                "merged_entries": merge.merged_entries,
-            },
-        )
-    else:
-        merge = pool.run(job)
-
-    index_entries = reader.index.entries
-    session = AppendSession(env.fs, reader, env.options, child_level)
-    stats = BlockCompactionFileStats(dirty_blocks=len(scan.dirty_entries))
-    for op in merge.ops:
-        if op[0] == OP_REUSE:
-            session.reuse(index_entries[op[1]])
-            stats.clean_blocks += 1
-        else:
-            _tag, raw, smallest, largest, num_entries, user_keys = op
-            session.append_prebuilt(raw, smallest, largest, num_entries, user_keys)
-
-    result = session.finish()
-    stats.new_blocks = len(result.index.entries) - stats.clean_blocks
-    stats.appended_bytes = result.bytes_written
-    stats.filter_rebuilt = session.filter_rebuilt
-    if session.filter_rebuilt:
-        env.stats.filter_rebuilds += 1
-    else:
-        env.stats.filter_absorbs += 1
-
-    env.block_cache.invalidate_blocks(child_meta.file_number, dirty_offsets)
-    env.table_cache.reload(child_meta.file_number)
-
-    new_meta = clone_metadata(
-        child_meta,
-        file_size=result.file_size,
-        valid_bytes=result.valid_bytes,
-        num_entries=result.num_entries,
-        smallest=result.smallest,
-        largest=result.largest,
-        append_count=child_meta.append_count + 1,
-    )
-    return new_meta, stats

@@ -44,8 +44,7 @@ from .block_compaction import (
     find_dirty_blocks,
     partition_parent_slices,
 )
-from .offload import OffloadPool, block_compact_file_offloaded
-from .parallel import SubtaskScheduler
+from .parallel import SubtaskExecutor
 from .table_compaction import build_output_tables
 
 
@@ -132,16 +131,16 @@ def _table_rewrite_subtask(
 def run_selective_compaction(
     env: CompactionEnv,
     task: CompactionTask,
-    scheduler: SubtaskScheduler | None = None,
+    executor: SubtaskExecutor,
     decisions_out: list[SelectiveDecision] | None = None,
-    offload_pool: OffloadPool | None = None,
 ) -> CompactionResult:
     """Drive one parent file against its overlapped children, choosing the
-    scheme per child (and optionally running sub-tasks under the Parallel
-    Merging scheduler).
+    scheme per child and running the per-child sub-tasks on ``executor``
+    (Parallel Merging).
 
-    With ``offload_pool`` the block subtasks' merge compute runs on the
-    pool (DESIGN.md §11); their I/O and commit bookkeeping stay here."""
+    When the executor holds an offload pool the block subtasks' merge
+    compute runs on it (DESIGN.md §11); their I/O and commit bookkeeping
+    stay here."""
     if not task.child_files:
         raise ValueError("selective compaction requires overlapped child files")
     write_start = env.fs.stats.per_category[CAT_COMPACTION].bytes_written
@@ -174,21 +173,14 @@ def run_selective_compaction(
                 s=parent_slice, m=child_meta, scan=decision.scan
             ) -> None:
                 """Block-compact one child file and fold in its outcome."""
-                if offload_pool is not None:
-                    new_meta, _stats = block_compact_file_offloaded(
-                        env, s, m, task.child_level, offload_pool, scan=scan
-                    )
-                else:
-                    new_meta, _stats = block_compact_file(
-                        env, s, m, task.child_level, scan=scan
-                    )
+                new_meta, _stats = block_compact_file(
+                    env, s, m, task.child_level, scan=scan, pool=executor.offload_pool
+                )
                 apply_block_update(result, task.child_level, m, new_meta)
 
             subtasks.append(block_subtask)
 
-    if scheduler is None:
-        scheduler = SubtaskScheduler(env.fs.stats, env.options.compaction_workers, False)
-    scheduler.run(subtasks)
+    executor.run(subtasks)
 
     env.fs.stats.charge_time(
         env.fs.device.merge_cpu_cost(sum(f.file_size for f in task.parent_files)),

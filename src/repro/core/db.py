@@ -17,12 +17,14 @@ depend on the mode:
   makespan accounting.
 * **Concurrent pipeline** (``background_compaction`` and friends): writes
   freeze a full memtable and hand flushing plus the compaction cascade to
-  a background worker (:mod:`repro.core.scheduler`); the frozen immutable
-  memtable stays readable throughout.  L0 pressure throttles writers via
-  the slowdown/stop triggers instead of inlining work, ``group_commit``
-  coalesces concurrent writers into one WAL append, and
-  ``real_parallel_compaction`` runs disjoint compaction sub-tasks on a
-  thread pool.  Throughput mode: simulated metrics are approximate here.
+  this DB's lane of a background executor (:mod:`repro.core.scheduler` —
+  its own one-worker executor, or the one a ``ShardedDB`` shares across
+  its shards); the frozen immutable memtable stays readable throughout.
+  L0 pressure throttles writers via the slowdown/stop triggers instead of
+  inlining work, ``group_commit`` coalesces concurrent writers into one
+  WAL append, and disjoint compaction sub-tasks run on a real thread pool
+  (:mod:`repro.compaction.parallel`).  Throughput mode: simulated metrics
+  are approximate here.
 
 Reads (DESIGN.md §9): ``get``,
 ``multi_get`` and iterators take a reference on the current refcounted
@@ -37,7 +39,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -47,8 +48,7 @@ from ..cache.table_cache import TableCache
 from ..compaction.base import CompactionResult, CompactionTask
 from ..compaction.block_compaction import run_block_compaction
 from ..compaction.lazy_deletion import DeletionManager
-from ..compaction.offload import OFFLOAD_NONE, OffloadPool
-from ..compaction.parallel import SubtaskScheduler
+from ..compaction.parallel import SubtaskExecutor
 from ..compaction.picker import CompactionPicker
 from ..compaction.policy import make_policy
 from ..compaction.selective import run_selective_compaction
@@ -88,7 +88,7 @@ from ..vlog import (
 )
 from .flush import flush_memtable
 from .iterator import DBIterator, EntryStream
-from .scheduler import BackgroundScheduler, ErrorHandler
+from .scheduler import ErrorHandler, SchedulerLane, SharedBackgroundExecutor
 from .snapshot import Snapshot, SnapshotRegistry
 from .superversion import SuperVersion
 from .manifest import (
@@ -139,16 +139,15 @@ class DB:
         block_cache=None,
         table_cache=None,
         offload_pool=None,
-        scheduler_factory=None,
+        background_executor: SharedBackgroundExecutor | None = None,
+        lane_name: str = "db",
     ):
         # The keyword-only injection points are how ShardedDB makes N
         # engines share global budgets instead of multiplying them: a
         # pre-built block/table cache (one byte budget across shards), a
-        # shared compaction OffloadPool, and a scheduler factory that
-        # registers this DB as one lane of a SharedBackgroundExecutor
-        # instead of spawning a private worker thread.  All default to
-        # None, which reproduces the historical self-owned resources
-        # bit-identically.
+        # shared compaction OffloadPool, and the SharedBackgroundExecutor
+        # this DB registers its lane (``lane_name``) on.  All default to
+        # None, which makes the DB build and own its own.
         self.options = options or Options()
         self.options.validate()
         self.fs = fs if fs is not None else SimulatedFS()
@@ -262,56 +261,37 @@ class DB:
         self._last_flush_meta: FileMetadata | None = None
         self._writers: deque[_GroupWriter] = deque()
         self._writers_cv = threading.Condition()
-        self._subtask_executor: ThreadPoolExecutor | None = None
-        self._offload_pool: OffloadPool | None = offload_pool
-        #: Shared (injected) executors are closed by their owner, not here.
-        self._owns_offload_pool = offload_pool is None
-        # Offload mode implies real subtask threads: each subtask thread
-        # does its (simulated) I/O while sibling subtasks' merge compute
-        # runs on the offload pool.
-        if (
-            self.options.real_parallel_compaction
-            or self.options.compaction_offload != OFFLOAD_NONE
-        ):
-            self._subtask_executor = ThreadPoolExecutor(
-                max_workers=max(1, self.options.compaction_workers),
-                thread_name_prefix="repro-subtask",
-            )
-        self._scheduler: BackgroundScheduler | None = None
+        #: Runs compaction sub-tasks (inline, or on real threads in the
+        #: concurrent/offload modes) and holds the offload pool.
+        self._subtasks = SubtaskExecutor(
+            self.fs.stats, self.options, offload_pool=offload_pool, tracer=self.tracer
+        )
+        self._scheduler: SchedulerLane | None = None
+        #: The one-worker executor a standalone DB runs its lane on; a
+        #: shared (injected) one is closed by its owner, not here.
+        self._own_background_executor: SharedBackgroundExecutor | None = None
 
-        # Anything past this point can raise (corrupt manifest, torn WAL,
-        # pool start failure).  Executors hold non-daemon worker threads
-        # and processes, so a failed open must tear them down or the
-        # process leaks workers and may never exit.
+        # Anything past this point can raise (corrupt manifest, torn WAL).
+        # Executors hold non-daemon worker threads and processes, so a
+        # failed open must tear them down or the process leaks workers and
+        # may never exit.
         try:
-            if (
-                self.options.compaction_offload != OFFLOAD_NONE
-                and self._offload_pool is None
-            ):
-                self._offload_pool = OffloadPool(
-                    self.options.compaction_offload,
-                    max(1, self.options.compaction_workers),
-                    mp_context=self.options.compaction_offload_mp_context,
-                    shm_threshold=self.options.compaction_offload_shm_bytes,
-                )
-
             self._recover()
             self._install_superversion_locked()
 
             # Started last: the worker must only ever see a fully-recovered DB.
             if self.options.background_compaction:
-                if scheduler_factory is not None:
-                    self._scheduler = scheduler_factory(
-                        self._background_step,
-                        tracer=self.tracer,
-                        on_error=self._handle_background_error,
+                if background_executor is None:
+                    background_executor = SharedBackgroundExecutor(
+                        workers=1, name="repro-background"
                     )
-                else:
-                    self._scheduler = BackgroundScheduler(
-                        self._background_work,
-                        tracer=self.tracer,
-                        on_error=self._handle_background_error,
-                    )
+                    self._own_background_executor = background_executor
+                self._scheduler = background_executor.register(
+                    self._background_step,
+                    name=lane_name,
+                    tracer=self.tracer,
+                    on_error=self._handle_background_error,
+                )
         except BaseException:
             self._shutdown_executors()
             raise
@@ -1131,23 +1111,14 @@ class DB:
             return _NULL_CONTEXT
         return scheduler.quiesce()
 
-    def _background_work(self) -> None:
-        """The background worker's round (see :class:`BackgroundScheduler`):
-        land any frozen memtable first — it gates foreground writers — then
-        drain due compactions, executing each with the engine lock released
-        and committing under it."""
-        scheduler = self._scheduler
-        while not scheduler.stopping and not scheduler.paused:
-            if not self._background_step():
-                return
-
     def _background_step(self) -> bool:
-        """One unit of background work: a pending flush (which gates
-        foreground writers, so it always goes first) or one compaction
-        pick-execute-commit.  Returns True when something was done (more
-        may be due), False when the backlog is drained.  This is the
-        granularity a :class:`SharedBackgroundExecutor` lane runs at, so
-        N shards interleave fairly on one worker pool."""
+        """One unit of background work — this DB's :class:`SchedulerLane`
+        step: a pending flush (which gates foreground writers, so it always
+        goes first) or one compaction pick-execute-commit, executed with
+        the engine lock released and committed under it.  Returns True when
+        something was done (more may be due), False when the backlog is
+        drained.  One unit per call is what lets N shards interleave fairly
+        on one worker pool."""
         if self._closed:
             return False
         if self._immutable is not None:
@@ -1176,11 +1147,11 @@ class DB:
         return True
 
     def _handle_background_error(self, exc: BaseException) -> bool:
-        """Scheduler ``on_error`` hook: route a failed background round
-        through the severity engine.  True = retry the round (the frozen
-        memtable / pending compaction is still there, so re-entering
-        ``_background_work`` re-attempts exactly the failed unit); False =
-        park the worker, leaving the DB read-only until resume()."""
+        """Lane ``on_error`` hook: route a failed background step through
+        the severity engine.  True = retry (the frozen memtable / pending
+        compaction is still there, so the next ``_background_step``
+        re-attempts exactly the failed unit); False = park the lane,
+        leaving the DB read-only until resume()."""
         retry = self._error_handler.record(exc)
         if not retry:
             # Wake anyone blocked on the flush/stop conditions: the error
@@ -1297,16 +1268,7 @@ class DB:
             elif style == COMPACTION_BLOCK:
                 result = run_block_compaction(self, task)
             elif style == COMPACTION_SELECTIVE:
-                scheduler = SubtaskScheduler(
-                    self.fs.stats,
-                    self.options.compaction_workers,
-                    self.options.parallel_merging,
-                    executor=self._subtask_executor,
-                    tracer=self.tracer,
-                )
-                result = run_selective_compaction(
-                    self, task, scheduler, offload_pool=self._offload_pool
-                )
+                result = run_selective_compaction(self, task, self._subtasks)
             else:  # pragma: no cover - options.validate() rejects this
                 raise InvalidArgumentError(f"unknown style {style!r}")
 
@@ -2399,19 +2361,18 @@ class DB:
     def _shutdown_executors(self) -> None:
         """Deterministically drain and stop every execution backend.
 
-        Order matters: the background scheduler goes first (its in-flight
-        compaction round may still submit subtasks), then the subtask
-        thread pool drains (in-flight subtasks may still be waiting on
-        offload results), and the offload pool last.  All shutdowns wait,
-        so no worker thread or process outlives this call.  Idempotent —
-        called both by :meth:`close` and by a failed ``__init__``.
+        Order matters: the background lane goes first (its in-flight
+        compaction step may still submit subtasks), then the subtask
+        executor (its threads, then the offload pool they may be waiting
+        on).  All shutdowns wait, so no worker thread or process outlives
+        this call.  Idempotent — called both by :meth:`close` and by a
+        failed ``__init__``.
         """
         if self._scheduler is not None:
             self._scheduler.close()
-        if self._subtask_executor is not None:
-            self._subtask_executor.shutdown(wait=True)
-        if self._offload_pool is not None and self._owns_offload_pool:
-            self._offload_pool.close()
+        if self._own_background_executor is not None:
+            self._own_background_executor.close()
+        self._subtasks.close()
 
     def _close_locked(self) -> None:
         if self._wal is not None:

@@ -4,35 +4,39 @@ With ``Options.background_compaction`` the DB stops running flushes and
 compaction cascades inline on the writing thread.  Instead:
 
 * a write that fills the memtable *freezes* it (the frozen immutable
-  memtable stays fully readable) and wakes this scheduler's single worker
-  thread, exactly like LevelDB's ``MaybeScheduleCompaction``;
-* the worker builds the L0 table and executes compactions with the engine
-  lock **released** — only the short commit step (version edit, file
-  retirement) re-acquires it — so foreground reads and writes proceed
-  while the heavy merging and I/O run in the background;
+  memtable stays fully readable) and wakes the DB's :class:`SchedulerLane`,
+  exactly like LevelDB's ``MaybeScheduleCompaction``;
+* a worker of the lane's :class:`SharedBackgroundExecutor` builds the L0
+  table and executes compactions with the engine lock **released** — only
+  the short commit step (version edit, file retirement) re-acquires it —
+  so foreground reads and writes proceed while the heavy merging and I/O
+  run in the background;
 * L0 pressure feeds back through the write path's slowdown/stop triggers
   (bounded sleep / block-until-drained), never through errors.
 
-One worker thread is deliberate: it serializes all structural mutation of
-the tree, which is what makes releasing the engine lock during compaction
-*execution* safe — between a pick and its commit nothing else can edit the
-version.  Intra-compaction parallelism comes from
-``Options.real_parallel_compaction`` (disjoint sub-tasks on a thread
-pool), matching LevelDB's one-background-thread architecture with the
-paper's Parallel Merging layered inside it.
+Every DB is one lane.  A standalone DB owns a one-worker executor with
+that single lane (LevelDB's one-background-thread architecture); the shards
+of a ``ShardedDB`` register their lanes on one shared pool.  Either way at
+most one worker executes a given lane at a time, which serializes all
+structural mutation of that DB's tree and is what makes releasing the
+engine lock during compaction *execution* safe — between a pick and its
+commit nothing else can edit the version.  Intra-compaction parallelism
+(the paper's Parallel Merging) is layered inside a step by
+:class:`~repro.compaction.parallel.SubtaskExecutor`.
 
-A failure in background work is routed through the ``on_error`` callback
-(the DB's severity engine): transient failures are retried in place —
-the worker survives and re-runs ``work_fn`` after the callback's backoff —
-while hard/fatal ones park the worker with the error stored (LevelDB's
-``bg_error_``), leaving the DB serving reads in degraded mode until
-:meth:`BackgroundScheduler.reset_error` (``DB.resume``) revives it.
+A failure in a lane's step is routed through its ``on_error`` callback
+(the DB's severity engine): transient failures are retried in place — the
+lane is re-queued after the callback's backoff — while hard/fatal ones
+park the lane with the error stored (LevelDB's ``bg_error_``), leaving the
+DB serving reads in degraded mode until :meth:`SchedulerLane.reset_error`
+(``DB.resume``) revives it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator
 
 from ..errors import SEVERITY_TRANSIENT, ReadOnlyError, classify_severity
 from ..obs.trace import NULL_TRACER
@@ -212,208 +216,24 @@ class ErrorHandler:
             }
 
 
-class BackgroundScheduler:
-    """One daemon worker thread servicing flush + compaction rounds.
-
-    ``work_fn`` is called with no arguments whenever work is signalled; it
-    must loop internally until nothing is due, and check :attr:`stopping`
-    between units of work so close() stays prompt.
-
-    ``tracer`` (optional) records one ``bg.round`` span per worker round,
-    which is what makes background work visible as its own timeline lane.
-
-    ``on_error`` (optional) is consulted when ``work_fn`` raises: return
-    True to retry the round (the callback sleeps/charges any backoff
-    itself), False to park the worker with the error stored.  Without a
-    callback every failure parks the worker.
-    """
-
-    def __init__(
-        self,
-        work_fn: Callable[[], None],
-        *,
-        name: str = "repro-background",
-        tracer=NULL_TRACER,
-        on_error: Callable[[BaseException], bool] | None = None,
-    ):
-        self._work_fn = work_fn
-        self._tracer = tracer
-        self._on_error = on_error
-        self._cv = threading.Condition()
-        self._work_due = False
-        self._idle = True
-        self._paused = 0
-        self._closed = False
-        #: Unrecovered exception from background work; the worker parks on
-        #: it (cleared by :meth:`reset_error`).
-        self.error: BaseException | None = None
-        self._thread = threading.Thread(target=self._loop, name=name, daemon=True)
-        self._thread.start()
-
-    # ------------------------------------------------------------- signalling
-
-    @property
-    def stopping(self) -> bool:
-        """True once close() was requested; work loops should wind down."""
-        return self._closed
-
-    @property
-    def paused(self) -> bool:
-        """True while a foreground caller holds the worker paused."""
-        return self._paused > 0
-
-    def pause(self) -> None:
-        """Quiesce the worker: block until the in-flight round yields, and
-        keep new rounds from starting until :meth:`resume`.  Counted, so
-        nested pauses compose.  Used by manual compactions, which mutate
-        the version inline and must not race an executing background
-        compaction's file reads/retirement."""
-        with self._cv:
-            self._paused += 1
-            self._cv.wait_for(
-                lambda: self.error is not None or self._closed or self._idle
-            )
-
-    def resume(self) -> None:
-        with self._cv:
-            self._paused = max(0, self._paused - 1)
-            if self._paused == 0:
-                # Re-signal: work may have become due while quiesced.
-                self._work_due = True
-                self._cv.notify_all()
-
-    def quiesce(self) -> "SchedulerQuiesce":
-        """Context-manager form of :meth:`pause`/:meth:`resume` — the
-        drain-then-mutate protocol manual compactions and live policy
-        switches (DESIGN.md §14) share."""
-        return SchedulerQuiesce(self)
-
-    def wake(self) -> None:
-        """Signal that flush/compaction work may be due."""
-        with self._cv:
-            if self._closed or self.error is not None:
-                return
-            self._work_due = True
-            self._cv.notify_all()
-
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until the worker has drained all due work (or errored).
-
-        Returns False if ``timeout`` elapsed first.
-        """
-        with self._cv:
-            return self._cv.wait_for(
-                lambda: self.error is not None
-                or self._closed
-                or (self._idle and not self._work_due),
-                timeout,
-            )
-
-    def on_worker_thread(self) -> bool:
-        return threading.current_thread() is self._thread
-
-    def raise_if_failed(self) -> None:
-        """Re-raise the stored background failure, if any."""
-        if self.error is not None:
-            raise self.error
-
-    def reset_error(self) -> bool:
-        """Clear a stored background failure and revive the parked worker.
-
-        The DB's ``resume()`` path calls this once the underlying fault is
-        believed cleared.  Returns False if there was nothing to clear.
-        """
-        with self._cv:
-            if self.error is None:
-                return False
-            self.error = None
-            if not self._closed:
-                self._work_due = True
-                self._cv.notify_all()
-            return True
-
-    def close(self, timeout: float = 60.0) -> None:
-        """Stop the worker, letting an in-flight round finish."""
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
-        if self._thread is not threading.current_thread():
-            self._thread.join(timeout=timeout)
-
-    # ------------------------------------------------------------- the worker
-
-    def _loop(self) -> None:
-        while True:
-            with self._cv:
-                while not self._closed and (not self._work_due or self._paused):
-                    self._idle = True
-                    self._cv.notify_all()
-                    self._cv.wait()
-                if self._closed:
-                    self._idle = True
-                    self._cv.notify_all()
-                    return
-                self._work_due = False
-                self._idle = False
-            tracer = self._tracer
-            if tracer.enabled:
-                tracer.begin("bg.round", "background")
-            try:
-                self._work_fn()
-            except BaseException as exc:  # noqa: BLE001 - routed to on_error
-                retry = False
-                if self._on_error is not None:
-                    try:
-                        retry = bool(self._on_error(exc))
-                    except BaseException as handler_exc:  # noqa: BLE001
-                        exc = handler_exc
-                        retry = False
-                with self._cv:
-                    if retry and not self._closed:
-                        # Transient: go around again (the callback already
-                        # slept/charged the backoff).
-                        self._work_due = True
-                    else:
-                        # Park with the error stored; reset_error() revives.
-                        self.error = exc
-                        self._idle = True
-                        self._cv.notify_all()
-            finally:
-                if tracer.enabled:
-                    tracer.end("bg.round", "background")
-
-
-class SchedulerQuiesce:
-    """Counted pause held as a context manager.  Works over anything with
-    the scheduler pause/resume surface (:class:`BackgroundScheduler` or a
-    :class:`SchedulerLane`), so callers quiesce a standalone worker and a
-    shared-executor lane through one protocol."""
-
-    __slots__ = ("_scheduler",)
-
-    def __init__(self, scheduler):
-        self._scheduler = scheduler
-
-    def __enter__(self) -> "SchedulerQuiesce":
-        self._scheduler.pause()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._scheduler.resume()
-
-
 class SchedulerLane:
-    """One shard's view of a :class:`SharedBackgroundExecutor`.
+    """One DB's view of a :class:`SharedBackgroundExecutor`: the signalling
+    surface its write path and manual operations drive (``wake`` / ``pause``
+    / ``resume`` / ``wait_idle`` / ``error`` / ``reset_error`` /
+    ``on_worker_thread`` / ``close``).
 
-    Implements the same signalling surface as :class:`BackgroundScheduler`
-    (``wake`` / ``pause`` / ``resume`` / ``wait_idle`` / ``error`` /
-    ``reset_error`` / ``on_worker_thread`` / ``close``), so a DB can be
-    handed a lane instead of a private scheduler without noticing.  The
-    difference is granularity: the lane's ``step_fn`` performs **one unit**
-    of work per call (one flush or one compaction) and returns whether it
-    did anything, which is what lets the executor interleave N shards
-    fairly instead of letting one shard drain its whole backlog while the
-    others starve.
+    The lane's ``step_fn`` performs **one unit** of work per call (one
+    flush or one compaction) and returns whether it did anything, which is
+    what lets the executor interleave N shards fairly instead of letting
+    one shard drain its whole backlog while the others starve.
+
+    ``tracer`` (optional) records one ``bg.round`` span per step, which is
+    what makes background work visible as its own timeline lane.
+
+    ``on_error`` (optional) is consulted when ``step_fn`` raises: return
+    True to re-queue the lane (the callback sleeps/charges any backoff
+    itself), False to park it with the error stored.  Without a callback
+    every failure parks the lane.
     """
 
     def __init__(
@@ -437,17 +257,8 @@ class SchedulerLane:
         self._closed = False
         self.error: BaseException | None = None
 
-    # -- BackgroundScheduler-compatible surface ---------------------------
-
-    @property
-    def stopping(self) -> bool:
-        return self._closed or self._executor._closed
-
-    @property
-    def paused(self) -> bool:
-        return self._paused > 0
-
     def wake(self) -> None:
+        """Signal that flush/compaction work may be due."""
         cv = self._executor._cv
         with cv:
             if self._closed or self.error is not None:
@@ -456,6 +267,11 @@ class SchedulerLane:
             cv.notify_all()
 
     def pause(self) -> None:
+        """Quiesce the lane: block until its in-flight step yields, and
+        keep new steps from starting until :meth:`resume`.  Counted, so
+        nested pauses compose.  Used by manual compactions, which mutate
+        the version inline and must not race an executing background
+        compaction's file reads/retirement."""
         cv = self._executor._cv
         with cv:
             self._paused += 1
@@ -468,15 +284,27 @@ class SchedulerLane:
         with cv:
             self._paused = max(0, self._paused - 1)
             if self._paused == 0:
+                # Re-signal: work may have become due while quiesced.
                 self._work_due = True
                 cv.notify_all()
 
-    def quiesce(self) -> SchedulerQuiesce:
-        """See :meth:`BackgroundScheduler.quiesce` — same protocol, lane
-        scope (only this shard's work drains)."""
-        return SchedulerQuiesce(self)
+    @contextmanager
+    def quiesce(self) -> Iterator[None]:
+        """Context-manager form of :meth:`pause`/:meth:`resume` — the
+        drain-then-mutate protocol manual compactions and live policy
+        switches (DESIGN.md §14) share.  Lane scope: only this DB's work
+        drains."""
+        self.pause()
+        try:
+            yield
+        finally:
+            self.resume()
 
     def wait_idle(self, timeout: float | None = None) -> bool:
+        """Block until the lane has drained all due work (or errored).
+
+        Returns False if ``timeout`` elapsed first.
+        """
         cv = self._executor._cv
         with cv:
             return cv.wait_for(
@@ -490,6 +318,7 @@ class SchedulerLane:
         return self._running is threading.current_thread()
 
     def raise_if_failed(self) -> None:
+        """Re-raise the stored background failure, if any."""
         if self.error is not None:
             raise self.error
 
@@ -519,22 +348,20 @@ class SchedulerLane:
 
 
 class SharedBackgroundExecutor:
-    """One background worker pool multiplexing many shards' flush/compaction.
+    """The background worker pool: ``workers`` daemon threads serving every
+    registered :class:`SchedulerLane`.
 
-    The generalization of :class:`BackgroundScheduler` the sharded engine
-    needs: instead of one daemon thread per DB (N shards → N threads → N
-    concurrent compactions' worth of device bandwidth), a fixed pool of
-    ``workers`` threads serves every registered :class:`SchedulerLane`,
-    picking the next runnable lane **round-robin** so a write-heavy shard
-    cannot starve its neighbours.
+    Instead of one thread per DB (N shards → N threads → N concurrent
+    compactions' worth of device bandwidth), the fixed pool picks the next
+    runnable lane **round-robin** so a write-heavy shard cannot starve its
+    neighbours.  A standalone DB is the one-lane, one-worker case.
 
     Invariant: at most one worker executes a given lane at a time (the
     claim is the lane's ``_running`` thread), preserving each DB's
     single-structural-mutator guarantee that makes lock-free compaction
-    execution safe.  Error handling per lane mirrors the solo scheduler:
-    ``on_error`` returning True re-queues the lane (the callback already
-    charged the backoff); False parks the lane with the error stored until
-    ``reset_error``.
+    execution safe.  Per-lane error handling: ``on_error`` returning True
+    re-queues the lane (the callback already charged the backoff); False
+    parks the lane with the error stored until ``reset_error``.
     """
 
     def __init__(self, workers: int = 1, *, name: str = "repro-shared-bg"):

@@ -205,22 +205,21 @@ class Options:
     #: inline on the writing thread.  Off by default: the synchronous mode
     #: is deterministic and generates the paper's figures; the concurrent
     #: mode trades that determinism for real multi-threaded throughput.
+    #: Compaction sub-tasks then run on a real thread pool instead of the
+    #: deterministic simulated-makespan rebate (Parallel Merging).
     background_compaction: bool = False
     #: Coalesce concurrent writers' batches into one WAL append and one
     #: lock-held memtable apply (LevelDB's leader/follower writer queue).
     group_commit: bool = False
     #: Largest coalesced group the leader will commit at once.
     group_commit_max_bytes: int = 1 * 1024 * 1024
-    #: Execute disjoint compaction sub-tasks on a real thread pool instead
-    #: of the deterministic simulated-makespan rebate (Parallel Merging).
-    real_parallel_compaction: bool = False
     #: Run each block-compaction subtask's merge *compute* (decode, k-way
     #: merge, block rebuild, CRC) on an offload pool (DESIGN.md §11):
     #: ``"none"`` (default) keeps it in-process, ``"thread"`` uses a thread
     #: pool (no pickling — exercises the job pipeline), ``"process"`` uses a
     #: persistent process pool so the compute escapes the GIL.  Enabling
-    #: offload also enables real subtask threads (as with
-    #: ``real_parallel_compaction``) so subtask I/O overlaps the offloaded
+    #: offload also runs the subtasks on real threads (as
+    #: ``background_compaction`` does) so subtask I/O overlaps the offloaded
     #: compute.  Default off: the synchronous in-process mode stays
     #: bit-identical on paper metrics and file bytes.
     compaction_offload: str = "none"
@@ -413,15 +412,14 @@ class Options:
 
     def concurrent_pipeline(self, **overrides) -> "Options":
         """Copy with the full concurrent write pipeline enabled: background
-        flush/compaction, group commit, real parallel sub-task execution
-        (DESIGN.md §7), plus sharded caches so concurrent superversion
-        reads do not meet on one cache mutex (DESIGN.md §9).  Simulated
-        metrics are not deterministic in this mode; use the default
-        synchronous mode for the paper's figures."""
+        flush/compaction (which brings real parallel sub-task execution
+        with it, DESIGN.md §7) and group commit, plus sharded caches so
+        concurrent superversion reads do not meet on one cache mutex
+        (DESIGN.md §9).  Simulated metrics are not deterministic in this
+        mode; use the default synchronous mode for the paper's figures."""
         params: dict = dict(
             background_compaction=True,
             group_commit=True,
-            real_parallel_compaction=True,
             cache_shards=16,
         )
         params.update(overrides)

@@ -169,12 +169,7 @@ class ShardedDB:
             self._executor = SharedBackgroundExecutor(workers=workers)
         self._offload_pool: OffloadPool | None = None
         if self.options.compaction_offload != OFFLOAD_NONE:
-            self._offload_pool = OffloadPool(
-                self.options.compaction_offload,
-                max(1, self.options.compaction_workers),
-                mp_context=self.options.compaction_offload_mp_context,
-                shm_threshold=self.options.compaction_offload_shm_bytes,
-            )
+            self._offload_pool = OffloadPool.from_options(self.options)
 
         self._dbs: dict[str, DB] = {}
         try:
@@ -200,15 +195,6 @@ class ShardedDB:
 
     def _open_shard_db(self, spec: ShardSpec) -> DB:
         fs = self.store.open_shard(spec.name)
-        scheduler_factory = None
-        if self._executor is not None:
-            executor = self._executor
-
-            def scheduler_factory(step_fn, *, tracer, on_error, _name=spec.name):
-                return executor.register(
-                    step_fn, name=_name, tracer=tracer, on_error=on_error
-                )
-
         return DB(
             fs,
             self.options,
@@ -218,7 +204,8 @@ class ShardedDB:
                 fs, self.options, lru=self._table_lru, namespace=spec.name
             ),
             offload_pool=self._offload_pool,
-            scheduler_factory=scheduler_factory,
+            background_executor=self._executor,
+            lane_name=spec.name,
         )
 
     def _teardown(self) -> None:

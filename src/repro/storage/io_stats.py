@@ -121,6 +121,7 @@ class IOStats:
             sequential_reads=self.sequential_reads,
             files_created=self.files_created,
             files_deleted=self.files_deleted,
+            syncs=self.syncs,
             dir_scans=self.dir_scans,
             dir_scan_entries=self.dir_scan_entries,
             sim_time_s=self.sim_time_s,
@@ -147,6 +148,7 @@ class IOStats:
             sequential_reads=self.sequential_reads - baseline.sequential_reads,
             files_created=self.files_created - baseline.files_created,
             files_deleted=self.files_deleted - baseline.files_deleted,
+            syncs=self.syncs - baseline.syncs,
             dir_scans=self.dir_scans - baseline.dir_scans,
             dir_scan_entries=self.dir_scan_entries - baseline.dir_scan_entries,
             sim_time_s=self.sim_time_s - baseline.sim_time_s,

@@ -27,19 +27,14 @@ from conftest import tiny_options
 from repro.cache.block_cache import BlockCache
 from repro.cache.table_cache import TableCache
 from repro.compaction.block_compaction import (
+    JobGeometry,
     block_compact_file,
     find_dirty_blocks,
     partition_parent_slices,
-)
-from repro.compaction.parallel import lpt_makespan
-from repro.compaction.offload import (
-    BlockMergeJob,
-    JobGeometry,
-    OffloadPool,
-    block_compact_file_offloaded,
-    execute_block_merge,
     prepare_block_merge_job,
 )
+from repro.compaction.parallel import lpt_makespan
+from repro.compaction.offload import OffloadPool, execute_block_merge
 from repro.core.db import DB
 from repro.core.version import Version, VersionEdit, new_file_metadata
 from repro.errors import (
@@ -52,6 +47,7 @@ from repro.metrics.stats import DBStats
 from repro.options import COMPACTION_SELECTIVE, Options
 from repro.sstable import TableBuilder
 from repro.storage.fs import SimulatedFS
+from repro.vlog import VlogManager, encode_pointer
 
 SNAP = 10**9
 
@@ -59,13 +55,15 @@ SNAP = 10**9
 class FakeEnv:
     """Minimal CompactionEnv for driving compaction functions directly."""
 
-    def __init__(self, options=None):
+    def __init__(self, options=None, *, with_vlog=False):
         self.options = options or tiny_options()
         self.fs = SimulatedFS()
         self.table_cache = TableCache(self.fs, self.options)
         self.block_cache = BlockCache(self.options.block_cache_capacity)
         self.version = Version(self.options.max_levels)
         self.stats = DBStats()
+        if with_vlog:
+            self.vlog = VlogManager(self.fs, self.options, self.stats)
         self._next = 1
 
     def new_file_number(self):
@@ -76,10 +74,13 @@ class FakeEnv:
         return []
 
     def build(self, keys, level=2, seq_start=1, value=b"v" * 40, register=None):
+        """``value`` is the stored value of every key, or a function of the
+        key's position."""
         number = self.new_file_number()
         builder = TableBuilder(self.fs, f"{number:06d}.sst", self.options, level)
         for offset, key in enumerate(keys):
-            builder.add(make_internal_key(key, seq_start + offset, TYPE_VALUE), value)
+            stored = value(offset) if callable(value) else value
+            builder.add(make_internal_key(key, seq_start + offset, TYPE_VALUE), stored)
         info = builder.finish()
         meta = new_file_metadata(number, info)
         if register is not None:
@@ -165,7 +166,7 @@ class TestOffloadEquivalence:
     def _run_offloaded(self, pool):
         env = FakeEnv()
         child, slice_ = _make_scenario(env)
-        new_meta, stats = block_compact_file_offloaded(env, slice_, child, 2, pool)
+        new_meta, stats = block_compact_file(env, slice_, child, 2, pool=pool)
         return env, child, new_meta, stats
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -204,6 +205,32 @@ class TestOffloadEquivalence:
             pool.close()
         assert env.fs.digest() == ref_env.fs.digest()
 
+    def test_vlog_drops_reported_like_in_process(self):
+        """The worker runs the same merge kernel, so the value-log pointers
+        a block merge drops reach the parent's garbage ledger exactly as
+        in-process (the offloaded twin used to report none)."""
+
+        def run(pool):
+            env = FakeEnv(with_vlog=True)
+            child = env.build(
+                [k(i) for i in range(0, 60, 2)],
+                value=lambda i: encode_pointer(7 + i % 2, 1000 * i, 100 + i),
+                register=2,
+            )
+            # 4, 8, 20 and 46 overwrite (8: delete) keys stored as pointers.
+            slice_ = parent_entries([1, 4, 8, 20, 33, 46, 70], tombstones=(8,))
+            block_compact_file(env, slice_, child, 2, pool=pool)
+            return env.vlog.take_pending_dead()
+
+        pool = OffloadPool("thread", 2)
+        try:
+            offloaded = run(pool)
+        finally:
+            pool.close()
+        in_process = run(None)
+        assert in_process == [(7, 100 + 2 + 100 + 4 + 100 + 10), (8, 100 + 23)]
+        assert offloaded == in_process
+
     def test_conservative_tombstones_when_deeper_levels_overlap(self):
         """When a deeper level may hold the key range, the worker keeps
         tombstones (conservative); content stays correct."""
@@ -214,7 +241,7 @@ class TestOffloadEquivalence:
             # range-absence fast path
             env.build([k(5), k(50)], register=3)
             child, slice_ = _make_scenario(env)
-            new_meta, _stats = block_compact_file_offloaded(env, slice_, child, 2, pool)
+            new_meta, _stats = block_compact_file(env, slice_, child, 2, pool=pool)
         finally:
             pool.close()
         reader = env.reader(child)
@@ -317,11 +344,12 @@ class TestExecutorLifecycle:
         db = DB(fs, _offload_db_options(), seed=1)
         for i in range(800):
             db.put(f"key{i % 300:06d}".encode(), b"x" * 40)
-        assert db._offload_pool is not None
-        assert db._subtask_executor is not None
+        pool = db._subtasks.offload_pool
+        assert pool is not None
+        assert db._subtasks._threads is not None
         db.close()
-        assert db._offload_pool._closed
-        assert db._offload_pool._executor is None
+        assert pool._closed
+        assert pool._executor is None
         assert _live_worker_threads() == []
 
     def test_close_with_background_compaction(self):
@@ -358,16 +386,28 @@ class TestExecutorLifecycle:
         fs = SimulatedFS()
         db = DB(fs, _offload_db_options(), seed=1)
         try:
-            assert db._subtask_executor is not None
+            assert db._subtasks._threads is not None
         finally:
             db.close()
+
+    def test_background_mode_enables_subtask_threads(self):
+        """The concurrent pipeline already runs compaction off the calling
+        thread, so its sub-tasks run on real threads too — without an
+        offload pool."""
+        db = DB(SimulatedFS(), tiny_options(background_compaction=True), seed=1)
+        try:
+            assert db._subtasks._threads is not None
+            assert db._subtasks.offload_pool is None
+        finally:
+            db.close()
+        assert _live_worker_threads() == []
 
     def test_default_mode_has_no_pools(self):
         fs = SimulatedFS()
         db = DB(fs, tiny_options(), seed=1)
         try:
-            assert db._offload_pool is None
-            assert db._subtask_executor is None
+            assert db._subtasks.offload_pool is None
+            assert db._subtasks._threads is None
         finally:
             db.close()
 

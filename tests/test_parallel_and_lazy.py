@@ -4,7 +4,7 @@ import pytest
 
 from conftest import kv, make_db, tiny_options
 from repro.compaction.lazy_deletion import DeletionManager
-from repro.compaction.parallel import SubtaskScheduler, lpt_makespan
+from repro.compaction.parallel import SubtaskExecutor, lpt_makespan
 from repro.core.version import FileMetadata
 from repro.cache.block_cache import BlockCache
 from repro.cache.table_cache import TableCache
@@ -39,7 +39,10 @@ class TestLptMakespan:
             assert lpt_makespan(durations, w) >= sum(durations) / w
 
 
-class TestSubtaskScheduler:
+class TestSubtaskExecutorInline:
+    """The inline backend (synchronous mode): in order, LPT rebate iff
+    ``parallel_merging``."""
+
     def _subtask(self, stats, cost):
         def run():
             stats.charge_time(cost)
@@ -48,13 +51,17 @@ class TestSubtaskScheduler:
 
     def test_disabled_charges_serial_time(self):
         stats = IOStats()
-        sched = SubtaskScheduler(stats, workers=4, enabled=False)
+        sched = SubtaskExecutor(
+            stats, tiny_options(compaction_workers=4, parallel_merging=False)
+        )
         sched.run([self._subtask(stats, 1.0), self._subtask(stats, 1.0)])
         assert stats.sim_time_s == pytest.approx(2.0)
 
     def test_enabled_rebates_to_makespan(self):
         stats = IOStats()
-        sched = SubtaskScheduler(stats, workers=2, enabled=True)
+        sched = SubtaskExecutor(
+            stats, tiny_options(compaction_workers=2, parallel_merging=True)
+        )
         sched.run([self._subtask(stats, 1.0) for _ in range(4)])
         assert stats.sim_time_s == pytest.approx(2.0)  # 4 x 1s on 2 workers
         assert sched.last_rebate == pytest.approx(2.0)
@@ -62,14 +69,18 @@ class TestSubtaskScheduler:
 
     def test_single_subtask_not_rebated(self):
         stats = IOStats()
-        sched = SubtaskScheduler(stats, workers=4, enabled=True)
+        sched = SubtaskExecutor(
+            stats, tiny_options(compaction_workers=4, parallel_merging=True)
+        )
         sched.run([self._subtask(stats, 3.0)])
         assert stats.sim_time_s == pytest.approx(3.0)
 
     def test_all_subtasks_execute(self):
         stats = IOStats()
         done = []
-        sched = SubtaskScheduler(stats, workers=2, enabled=True)
+        sched = SubtaskExecutor(
+            stats, tiny_options(compaction_workers=2, parallel_merging=True)
+        )
         sched.run([lambda i=i: done.append(i) for i in range(5)])
         assert done == [0, 1, 2, 3, 4]  # deterministic order
 

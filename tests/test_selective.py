@@ -4,6 +4,7 @@ import pytest
 
 from conftest import tiny_options
 from repro.compaction.base import CompactionTask
+from repro.compaction.parallel import SubtaskExecutor
 from repro.compaction.selective import decide, run_selective_compaction
 from repro.core.version import clone_metadata
 from repro.keys import TYPE_VALUE, comparable_key
@@ -20,6 +21,11 @@ def env():
     options = tiny_options(compaction_style="selective")
     options.selective_thresholds = lenient_thresholds(options.max_levels)
     return FakeEnv(options)
+
+
+def inline(env):
+    """The sub-task executor a default (synchronous) DB would own."""
+    return SubtaskExecutor(env.fs.stats, env.options)
 
 
 def parent_for(keys, seq=900):
@@ -99,7 +105,7 @@ class TestRunSelective:
         ] * env.options.max_levels
         task = CompactionTask(1, [parent], [clean_child, dirty_child])
         decisions = []
-        result = run_selective_compaction(env, task, decisions_out=decisions)
+        result = run_selective_compaction(env, task, inline(env), decisions)
         by_file = {d.file_number: d.compaction_type for d in decisions}
         assert by_file[clean_child.file_number] == "block"
         assert by_file[dirty_child.file_number] == "table"
@@ -114,7 +120,7 @@ class TestRunSelective:
     def test_requires_children(self, env):
         parent = env.build([k(1)], level=1, register=1)
         with pytest.raises(ValueError):
-            run_selective_compaction(env, CompactionTask(1, [parent], []))
+            run_selective_compaction(env, CompactionTask(1, [parent], []), inline(env))
 
     def test_table_rewrite_merges_content(self, env):
         child = env.build([k(i) for i in range(0, 20, 2)], register=2)
@@ -123,7 +129,7 @@ class TestRunSelective:
             SelectiveThresholds(max_dirty_ratio=0.0, min_valid_ratio=0.0, max_file_growth=10.0)
         ] * env.options.max_levels
         task = CompactionTask(1, [parent], [child])
-        result = run_selective_compaction(env, task)
+        result = run_selective_compaction(env, task, inline(env))
         assert result.table_subtasks == 1
         new_files = [m for _l, m in result.edit.new_files]
         assert new_files

@@ -1,5 +1,7 @@
 """Storage layer: filesystems, I/O accounting, device cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import FileSystemError
@@ -145,6 +147,22 @@ class TestIOAccounting:
         assert delta.per_category[CAT_FLUSH].bytes_written == 30
         # snapshot is unaffected by later activity
         assert snap.bytes_written == 50
+
+    def test_snapshot_and_delta_cover_every_counter(self):
+        """Walks the dataclass so a counter added to ``IOStats`` cannot be
+        left out of the two copy lists (``syncs`` once was)."""
+        scalars = [
+            f.name
+            for f in dataclasses.fields(IOStats)
+            if f.name not in ("per_category", "time_per_category")
+        ]
+        base = IOStats(**{name: 10 + i for i, name in enumerate(scalars)})
+        later = IOStats(**{name: 2 * (10 + i) + 1 for i, name in enumerate(scalars)})
+        snap = base.snapshot()
+        delta = later.delta_since(snap)
+        for i, name in enumerate(scalars):
+            assert getattr(snap, name) == 10 + i, name
+            assert getattr(delta, name) == 10 + i + 1, name
 
     def test_rebate_clamps_at_zero(self):
         stats = IOStats()

@@ -333,7 +333,7 @@ def test_default_sync_mode_reads_through_a_live_superversion():
 # ------------------------------------------------------------ stress
 
 
-def test_stress_readers_race_background_worker():
+def test_stress_readers_race_the_background_lane():
     """Reader threads (gets + multi_gets + scans) race writers and the
     background flush/compaction worker; afterwards every acknowledged key
     is readable and no superversion references or pins leaked."""
