@@ -79,7 +79,7 @@ def _device():
 def _options():
     from repro.options import Options
 
-    # Background flush/compaction + group commit on, reads on the engine
+    # Background flush/compaction on (group commit always is), reads on the engine
     # lock: within a shard the WAL append is the honest serialization
     # point, so the only parallelism the 4-shard cells can win is genuine
     # cross-shard overlap.
@@ -89,7 +89,6 @@ def _options():
         memtable_size=8 * 1024,
         max_levels=6,
         background_compaction=True,
-        group_commit=True,
     )
 
 

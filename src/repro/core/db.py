@@ -5,26 +5,28 @@ the paper's optimizations are chosen by :class:`~repro.options.Options`
 (see :mod:`repro.baselines.presets` for the LevelDB / RocksDB / BlockDB
 configurations; L2SM subclasses this DB in :mod:`repro.baselines.l2sm`).
 
-Concurrency model (DESIGN.md §7) — writes, flushes and compactions run in
-one of two modes, selected by :class:`~repro.options.Options`; reads do not
-depend on the mode:
+Concurrency model (DESIGN.md §7) — one write path and one unit of
+background work; :class:`~repro.options.Options` only selects which thread
+drains that unit:
 
-* **Synchronous (default)**: operations execute on the calling thread — a
-  write that fills the memtable performs the flush and any due compactions
-  inline before returning.  This keeps runs deterministic and is the mode
-  every paper figure is generated in; *time* parallelism (Parallel
-  Merging, concurrent dirty-block reads) is modelled by the device's
-  makespan accounting.
-* **Concurrent pipeline** (``background_compaction`` and friends): writes
-  freeze a full memtable and hand flushing plus the compaction cascade to
-  this DB's lane of a background executor (:mod:`repro.core.scheduler` —
-  its own one-worker executor, or the one a ``ShardedDB`` shares across
-  its shards); the frozen immutable memtable stays readable throughout.
+* **Writes** commit through ``_apply_locked`` — directly when the engine
+  lock is free, else through the writer queue, whose head commits everyone
+  behind it in one WAL append (group commit; a lone batch is a group of
+  one).
+* **Background work** is ``_background_step``: one flush, else one
+  compaction, else one value-log GC round.  **Synchronous (default)**: the
+  write that fills the memtable runs steps inline until nothing is due.
+  Deterministic, and the mode every paper figure is generated in; *time*
+  parallelism (Parallel Merging, concurrent dirty-block reads) is modelled
+  by the device's makespan accounting.  **Concurrent pipeline**
+  (``background_compaction``): the write freezes the full memtable — it
+  stays readable — and wakes this DB's lane of a background executor
+  (:mod:`repro.core.scheduler` — its own one-worker executor, or the one a
+  ``ShardedDB`` shares across its shards), which runs one step per wake.
   L0 pressure throttles writers via the slowdown/stop triggers instead of
-  inlining work, ``group_commit`` coalesces concurrent writers into one
-  WAL append, and disjoint compaction sub-tasks run on a real thread pool
-  (:mod:`repro.compaction.parallel`).  Throughput mode: simulated metrics
-  are approximate here.
+  inlining work, and disjoint compaction sub-tasks run on a real thread
+  pool (:mod:`repro.compaction.parallel`).  Throughput mode: simulated
+  metrics are approximate here.
 
 Reads (DESIGN.md §9): ``get``,
 ``multi_get`` and iterators take a reference on the current refcounted
@@ -107,11 +109,13 @@ def _log_name(number: int) -> str:
 
 _NULL_CONTEXT = nullcontext()
 
+#: Largest run of queued batches one group-commit leader adopts.
+_GROUP_COMMIT_MAX_BYTES = 1 * 1024 * 1024
+
 
 class _GroupWriter:
     """One queued batch in the group-commit writer queue (LevelDB's
-    ``Writer``): the queue head becomes the leader and commits a whole run
-    of queued batches in a single WAL append + one lock acquisition."""
+    ``Writer``); see :meth:`DB._write_queued`."""
 
     __slots__ = ("batch", "done", "error")
 
@@ -256,10 +260,9 @@ class DB:
         #: What tolerant WAL replay salvaged/skipped at the last open.
         self._wal_recovery = WalRecoveryStats()
 
-        # Concurrent-pipeline state (all None/inert in synchronous mode).
         self._pending_log: str | None = None  # frozen memtable's WAL, freed on commit
         self._last_flush_meta: FileMetadata | None = None
-        self._writers: deque[_GroupWriter] = deque()
+        self._writers: deque[_GroupWriter] = deque()  # queued behind a busy engine lock
         self._writers_cv = threading.Condition()
         #: Runs compaction sub-tasks (inline, or on real threads in the
         #: concurrent/offload modes) and holds the offload pool.
@@ -519,7 +522,9 @@ class DB:
         self.write(batch)
 
     def write(self, batch: WriteBatch) -> None:
-        """Apply a batch atomically: WAL record, then memtable."""
+        """Apply a batch atomically: WAL record, then memtable.  A failed
+        try-lock *is* the contention signal (another writer or a background
+        commit holds the engine lock); only then does the writer queue."""
         self._check_open()
         if len(batch) == 0:
             return
@@ -528,13 +533,19 @@ class DB:
             tracer.begin("write", "write", {"n": len(batch)})
         start = time.perf_counter() if self.latency is not None else 0.0
         try:
-            if self.options.group_commit:
-                self._write_grouped(batch)
-            elif self._scheduler is not None:
-                self._write_concurrent(batch)
+            if self._scheduler is not None:
+                # Only a fast-fail: the authoritative degraded check runs
+                # inside ``_apply_locked`` under the engine lock.
+                self._error_handler.check_writable()
+                self._throttle_l0()
+            if not self._writers and self._lock.acquire(False):  # non-blocking
+                try:
+                    self._apply_locked([batch])
+                    self._maybe_freeze_locked()
+                finally:
+                    self._lock.release()
             else:
-                with self._lock:
-                    self._write_locked(batch)
+                self._write_queued(batch)
         finally:
             if self.latency is not None:
                 self._hist_put.record(time.perf_counter() - start)
@@ -543,66 +554,8 @@ class DB:
             if self._tuner is not None:
                 self._tuner.record_op()
 
-    def _write_locked(self, batch: WriteBatch) -> None:
-        if len(self.version.files_at(0)) >= self.options.level0_slowdown_writes_trigger:
-            self.stats.stall_events += 1
-            if self.tracer.enabled:
-                self.tracer.instant("stall", "write", {"kind": "slowdown"})
-        self._apply_batch_locked(batch)
-        self._maybe_flush()
-
-    def _apply_batch_locked(self, batch: WriteBatch) -> None:
-        """The atomic core of a write: one WAL record, then memtable adds.
-
-        The degraded-mode check lives HERE, under the engine lock, not in
-        the pre-lock fast path: a background error recorded between a
-        writer's pre-check and its critical section must still refuse the
-        batch (the bg_error propagation race)."""
-        self._error_handler.check_writable()
-        user_bytes = batch.byte_size()
-        if self.vlog is not None:
-            # Separate BEFORE the WAL append: the vlog frames are synced
-            # inside, so a durable WAL pointer always addresses a durable
-            # frame (a crash in between leaves only orphan vlog garbage).
-            batch = self._separate_batch_locked(batch)
-        base_sequence = self._sequence + 1
-        if self._wal is not None:
-            try:
-                self._wal.add_record(batch.serialize(base_sequence))
-            except BaseException as exc:  # noqa: BLE001 - log integrity
-                # A failed append may leave a torn frame mid-log; appending
-                # more records behind it would make them unrecoverable
-                # (replay stops at the tear), so ANY WAL failure — even a
-                # transient one — degrades the DB instead of retrying.
-                self._error_handler.record(exc, "wal", retryable=False)
-                raise
-        sequence = base_sequence
-        for value_type, key, value in batch:
-            self._memtable.add(sequence, value_type, key, value)
-            sequence += 1
-            if value_type == 1:
-                self.stats.user_writes += 1
-            else:
-                self.stats.user_deletes += 1
-        self._sequence = sequence - 1
-        # Charged at the ORIGINAL size: separation must not deflate the
-        # write-amplification denominator.
-        self.stats.user_bytes_written += user_bytes
-
-    def _write_concurrent(self, batch: WriteBatch) -> None:
-        """Concurrent-pipeline write: throttle on L0 pressure, apply, and
-        freeze (never flush) — the background worker does the heavy work.
-
-        The pre-lock check is only a fast-fail; the authoritative degraded
-        check runs inside ``_apply_batch_locked`` under the engine lock."""
-        self._error_handler.check_writable()
-        self._throttle_l0()
-        with self._lock:
-            self._apply_batch_locked(batch)
-            self._maybe_freeze_locked()
-
-    def _write_grouped(self, batch: WriteBatch) -> None:
-        """Group commit: concurrent writers queue up; the queue head leads,
+    def _write_queued(self, batch: WriteBatch) -> None:
+        """Group commit: contended writers queue up; the queue head leads,
         committing a whole run of batches in one WAL append and one
         lock-held memtable pass, then wakes the followers (LevelDB's
         ``BuildBatchGroup``).  Each batch keeps its own WAL record — only
@@ -617,34 +570,32 @@ class DB:
                 if writer.error is not None:
                     raise writer.error
                 return
-            # Leader: adopt queued followers up to the byte cap.  The queue
-            # is left intact until completion so new arrivals keep waiting.
-            group = [writer]
-            size = batch.byte_size()
-            for follower in islice(self._writers, 1, None):
-                size += follower.batch.byte_size()
-                if size > self.options.group_commit_max_bytes:
-                    break
-                group.append(follower)
+        # Leader.  The queue is left intact until completion so new
+        # arrivals keep waiting behind it.
+        group = [writer]
+        size = batch.byte_size()
         error: BaseException | None = None
         tracer = self.tracer
         if tracer.enabled:
-            tracer.begin("group_commit", "write", {"writers": len(group), "bytes": size})
+            tracer.begin("group_commit", "write")
         try:
-            if self._scheduler is not None:
-                self._error_handler.check_writable()
-                self._throttle_l0()
             with self._lock:
-                self._apply_group_locked(group)
-                if self._scheduler is not None:
-                    self._maybe_freeze_locked()
-                else:
-                    self._maybe_flush()
+                # Adopt followers only now: everyone who queued while the
+                # leader waited for the engine lock rides along, up to the
+                # byte cap.
+                with cv:
+                    for follower in islice(self._writers, 1, None):
+                        size += follower.batch.byte_size()
+                        if size > _GROUP_COMMIT_MAX_BYTES:
+                            break
+                        group.append(follower)
+                self._apply_locked([m.batch for m in group])
+                self._maybe_freeze_locked()
         except BaseException as exc:  # noqa: BLE001 - delivered to every member
             error = exc
         finally:
             if tracer.enabled:
-                tracer.end("group_commit", "write")
+                tracer.end("group_commit", "write", {"writers": len(group), "bytes": size})
         with cv:
             for member in group:
                 popped = self._writers.popleft()
@@ -655,43 +606,69 @@ class DB:
         if error is not None:
             raise error
 
-    def _apply_group_locked(self, group: list[_GroupWriter]) -> None:
+    def _apply_locked(self, batches: list[WriteBatch], user: bool = True) -> None:
+        """The atomic core of every write — a lone batch, a group-commit
+        leader's run, or vlog GC's re-puts (``user=False``): one WAL append
+        carrying one record per batch, then the memtable adds.
+
+        The degraded-mode check lives HERE, under the engine lock, not in
+        the pre-lock fast path: a background error recorded between a
+        writer's pre-check and its critical section must still refuse the
+        batch (the bg_error propagation race)."""
         self._error_handler.check_writable()
+        stored = batches
         if self.vlog is not None:
-            # One vlog append + sync covers every member's large values —
-            # group commit's single-device-op shape extends to the vlog.
-            batches = self._separate_group_locked([m.batch for m in group])
-        else:
-            batches = [m.batch for m in group]
-        payloads: list[bytes] = []
-        sequence = self._sequence + 1
-        for batch in batches:
-            payloads.append(batch.serialize(sequence))
-            sequence += len(batch)
+            # Separate BEFORE the WAL append: the vlog frames are synced
+            # inside (one append + sync for the whole group), so a durable
+            # WAL pointer always addresses a durable frame (a crash in
+            # between leaves only orphan vlog garbage).
+            stored = self._separate_group_locked(batches)
+        first = self._sequence + 1
         if self._wal is not None:
+            payloads: list[bytes] = []
+            base = first
+            for batch in stored:
+                payloads.append(batch.serialize(base))
+                base += len(batch)
             try:
                 self._wal.add_records(payloads)
             except BaseException as exc:  # noqa: BLE001 - log integrity
-                # Same rule as _apply_batch_locked: a torn group frame makes
-                # the log tail unrecoverable, so degrade rather than retry.
+                # A failed append may leave a torn frame mid-log; appending
+                # more records behind it would make them unrecoverable
+                # (replay stops at the tear), so ANY WAL failure — even a
+                # transient one — degrades the DB instead of retrying.
                 self._error_handler.record(exc, "wal", retryable=False)
                 raise
-        sequence = self._sequence + 1
-        stats = self.stats
-        for member, batch in zip(group, batches):
+        sequence = first
+        puts = 0
+        add = self._memtable.add
+        for batch in stored:
             for value_type, key, value in batch:
-                self._memtable.add(sequence, value_type, key, value)
+                add(sequence, value_type, key, value)
                 sequence += 1
-                if value_type == 1:
-                    stats.user_writes += 1
-                else:
-                    stats.user_deletes += 1
-            # Original (pre-separation) size, as in _apply_batch_locked.
-            stats.user_bytes_written += member.batch.byte_size()
+                if value_type == TYPE_VALUE:
+                    puts += 1
         self._sequence = sequence - 1
-
-    def _separate_batch_locked(self, batch: WriteBatch) -> WriteBatch:
-        return self._separate_group_locked([batch])[0]
+        if user:
+            # GC re-puts skip this: they are engine-internal traffic and
+            # must not deflate the measured write amplification.  User
+            # bytes are charged at the ORIGINAL size for the same reason —
+            # separation must not shrink the denominator.
+            stats = self.stats
+            stats.user_writes += puts
+            stats.user_deletes += sequence - first - puts
+            for batch in batches:
+                stats.user_bytes_written += batch.byte_size()
+            # Without a lane nothing sleeps on L0 pressure (the work is
+            # inlined instead), but each write past the trigger — a group
+            # member's as much as a direct one — counts as a stall.
+            if (
+                self._scheduler is None
+                and len(self.version.files_at(0)) >= self.options.level0_slowdown_writes_trigger
+            ):
+                stats.stall_events += len(batches)
+                if self.tracer.enabled:
+                    self.tracer.instant("stall", "write", {"kind": "slowdown"})
 
     def _separate_group_locked(self, batches: list[WriteBatch]) -> list[WriteBatch]:
         """Rewrite batches into stored form: values at or past the
@@ -747,12 +724,12 @@ class DB:
         opts = self.options
         if len(self.version.files_at(0)) < opts.level0_slowdown_writes_trigger:
             return
-        stats = self.stats
         tracer = self.tracer
         self._scheduler.wake()
-        if len(self.version.files_at(0)) >= opts.level0_stop_writes_trigger:
-            if tracer.enabled:
-                tracer.begin("stall", "write", {"kind": "stop"})
+        stop = len(self.version.files_at(0)) >= opts.level0_stop_writes_trigger
+        if tracer.enabled:
+            tracer.begin("stall", "write", {"kind": "stop" if stop else "slowdown"})
+        if stop:
             start = time.monotonic()
             deadline = start + opts.level0_stop_max_wait_s
             with self._lock:
@@ -763,37 +740,28 @@ class DB:
                     and time.monotonic() < deadline
                 ):
                     self._l0_cv.wait(timeout=0.05)
-            # Throttled writers run OUTSIDE the engine lock, so these
-            # counters go through the dedicated stats lock (see DBStats).
-            stats.record_stall(stop=True, seconds=time.monotonic() - start)
-            if tracer.enabled:
-                tracer.end("stall", "write")
+            seconds = time.monotonic() - start
         else:
-            if tracer.enabled:
-                tracer.begin("stall", "write", {"kind": "slowdown"})
-            sleep = opts.level0_slowdown_sleep_s
-            if sleep > 0.0:
-                time.sleep(sleep)
-            stats.record_stall(seconds=sleep)
-            if tracer.enabled:
-                tracer.end("stall", "write")
-
-    def _maybe_flush(self) -> None:
-        if self._memtable.approximate_memory_usage() >= self.options.memtable_size:
-            self.flush()
-            self._run_due_compactions()
-            if self._maybe_run_vlog_gc():
-                # GC re-puts flushed inline; collect any compactions due.
-                self._run_due_compactions()
+            seconds = opts.level0_slowdown_sleep_s
+            if seconds > 0.0:
+                time.sleep(seconds)
+        # Throttled writers run OUTSIDE the engine lock, so these
+        # counters go through the dedicated stats lock (see DBStats).
+        self.stats.record_stall(stop=stop, seconds=seconds)
+        if tracer.enabled:
+            tracer.end("stall", "write")
 
     def _maybe_freeze_locked(self) -> None:
-        """Concurrent-pipeline memtable rollover: freeze a full memtable and
-        wake the worker.  If the previous freeze is still being flushed,
-        wait for it (writers have outrun the flusher) rather than stacking
-        immutables."""
+        """Memtable rollover: freeze a full memtable and hand it to the
+        step — wake the lane, or (synchronous mode) flush and compact
+        inline.  With a lane, if the previous freeze is still being
+        flushed, wait for it (writers have outrun the flusher) rather than
+        stacking immutables."""
         if self._memtable.approximate_memory_usage() < self.options.memtable_size:
             return
-        if self._immutable is not None:
+        if self._scheduler is None:
+            self._drain_immutable_locked()  # a failed flush's leftover: see _flush_locked
+        elif self._immutable is not None:
             if self.tracer.enabled:
                 self.tracer.begin("stall", "write", {"kind": "memtable"})
             self._scheduler.wake()
@@ -810,8 +778,8 @@ class DB:
                 self.tracer.end("stall", "write")
             if self._immutable is not None:
                 return  # flusher wedged or errored; keep accepting writes
-        self._pending_log = self._freeze_locked()
-        self._scheduler.wake()
+        self._freeze_locked()
+        self._request_compaction()
 
     def flush(self) -> FileMetadata | None:
         """Freeze the active memtable and flush it to an L0 SSTable.
@@ -827,7 +795,7 @@ class DB:
             if self._immutable is None:
                 if len(self._memtable) == 0:
                     return None
-                self._pending_log = self._freeze_locked()
+                self._freeze_locked()
             self._last_flush_meta = None
             self._scheduler.wake()
             while self._immutable is not None and self._scheduler.error is None:
@@ -847,70 +815,55 @@ class DB:
         self._drain_immutable_locked()
         if len(self._memtable) == 0:
             return None
-        self._pending_log = self._freeze_locked()
-        meta = self._retry_transient(self._build_flush, "flush")
-        result = self._commit_flush_locked(meta, self._pending_log)
-        self._pending_log = None
-        return result
+        self._freeze_locked()
+        self._drain_immutable_locked()
+        return self._last_flush_meta
 
-    def _retry_transient(self, fn, context: str):
-        """Synchronous-mode analogue of the background worker's retry loop:
-        run ``fn``, retrying while the severity engine says the failure is
-        transient (each retry charges capped exponential backoff to the
-        simulated clock), raising once it degrades."""
+    def _retry_transient(self, context: str) -> bool:
+        """Synchronous-mode analogue of the lane's ``on_error`` retry: run
+        one :meth:`_background_step`, retrying while the severity engine
+        says the failure is transient (each retry charges capped
+        exponential backoff to the simulated clock), raising once it
+        degrades."""
         while True:
             try:
-                result = fn()
+                return self._background_step()
             except BaseException as exc:  # noqa: BLE001 - severity-routed
-                if self._error_handler.record(exc, context):
-                    continue
-                raise
-            self._error_handler.note_success()
-            return result
+                if not self._error_handler.record(exc, context):
+                    raise
 
-    def _freeze_locked(self) -> str | None:
+    def _freeze_locked(self) -> None:
         """Freeze the active memtable into ``_immutable`` and rotate the
-        WAL; returns the retiring log's name (deleted once the flush
-        lands — until then it still guards the frozen entries)."""
+        WAL; the retiring log's name goes to ``_pending_log`` (deleted once
+        the flush lands — until then it still guards the frozen entries)."""
         self._memtable.freeze()
         self._immutable = self._memtable
         self._memtable = self._new_memtable()
 
         # Rotate the WAL with the memtable: the new log only covers the new
         # memtable, so the old log can go once the flush lands.
-        old_log = _log_name(self._log_number) if self._wal is not None else None
+        self._pending_log = _log_name(self._log_number) if self._wal is not None else None
         if self._wal is not None:
             self._wal.close()
             self._log_number = self.new_file_number()
             self._wal = WalWriter(self.fs, _log_name(self._log_number))
         self._install_superversion_locked()
-        return old_log
 
     def _build_flush(self) -> FileMetadata | None:
         """Build the L0 table from the frozen memtable.  Safe without the
         engine lock: ``_immutable`` is frozen and only cleared by the same
-        thread that commits the flush."""
+        thread that commits the flush.  One attempt: a failure deletes the
+        partial table so a retry (which takes a fresh file number) leaves
+        no orphan behind."""
         immutable = self._immutable
         file_number = self.new_file_number()
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._build_flush_file(immutable, file_number)
-        tracer.begin("flush.build", "flush", {"file": file_number, "entries": len(immutable)})
-        try:
-            meta = self._build_flush_file(immutable, file_number)
-        finally:
-            tracer.end("flush.build", "flush")
-        return meta
-
-    def _build_flush_file(
-        self, immutable: MemTable, file_number: int
-    ) -> FileMetadata | None:
-        """One flush-build attempt; a failure deletes the partial table so a
-        retry (which takes a fresh file number) leaves no orphan behind."""
         if self.vlog is not None:
             # Discard observations from a failed earlier attempt — folding
             # them would double-count the same drops after a retry.
             self.vlog.take_pending_dead()
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.begin("flush.build", "flush", {"file": file_number, "entries": len(immutable)})
         try:
             return flush_memtable(
                 self.fs,
@@ -928,10 +881,11 @@ class DB:
             except Exception:  # noqa: BLE001 - best-effort cleanup
                 pass
             raise
+        finally:
+            if tracer.enabled:
+                tracer.end("flush.build", "flush")
 
-    def _commit_flush_locked(
-        self, meta: FileMetadata | None, old_log: str | None
-    ) -> FileMetadata | None:
+    def _commit_flush_locked(self, meta: FileMetadata | None) -> None:
         if self.tracer.enabled and meta is not None:
             self.tracer.instant(
                 "flush.commit", "flush",
@@ -975,10 +929,12 @@ class DB:
             if dead:
                 self._apply_edit(VersionEdit(vlog_dead=dead))
             self._install_superversion_locked()
-        if old_log is not None and self.fs.exists(old_log):
-            self.fs.delete_file(old_log)
+        if self._pending_log is not None and self.fs.exists(self._pending_log):
+            self.fs.delete_file(self._pending_log)
+        self._pending_log = None
         self._observe_space()
-        return meta
+        self._last_flush_meta = meta
+        self._flush_cv.notify_all()
 
     def _apply_edit(self, edit: VersionEdit) -> None:
         self.version.apply(edit)
@@ -1078,30 +1034,21 @@ class DB:
             )
         return task
 
-    def _run_due_compactions(self) -> None:
-        """Run compactions until every level is within its trigger.
-
-        Each task runs under the transient-retry loop: a compaction that
-        failed before its commit left the version untouched (outputs are
-        orphans), so re-running it from scratch is safe; a failure *during*
-        commit surfaces as a fatal :class:`CommitError` and is never
-        retried."""
-        while True:
-            task = self._pick_compaction()
-            if task is None:
-                break
-            self._retry_transient(lambda: self.run_compaction(task), "compaction")
-            # Safe point between tasks: no task in flight references any
-            # file, so auxiliary maintenance (L2SM's log drain) may compact.
-            self._post_compaction_maintenance()
-
     def _request_compaction(self) -> None:
-        """Compaction work became due: run it inline (synchronous mode) or
-        wake the background worker (concurrent mode)."""
+        """Background work became due: wake the lane, or — synchronous
+        mode — run its step here until the backlog is drained.
+
+        Each inline step runs under the transient-retry loop: a unit that
+        failed before its commit left the version untouched (outputs are
+        orphans), so re-running the step — which re-picks it — is safe; a
+        failure *during* commit surfaces as a fatal :class:`CommitError`
+        and is never retried."""
         if self._scheduler is not None:
             self._scheduler.wake()
-        else:
-            self._run_due_compactions()
+        elif not self._error_handler.degraded:  # else read-only until resume()
+            with self._lock:
+                while self._retry_transient("compaction"):
+                    pass
 
     def _background_paused(self):
         """Context manager quiescing the background worker (no-op in
@@ -1112,22 +1059,22 @@ class DB:
         return scheduler.quiesce()
 
     def _background_step(self) -> bool:
-        """One unit of background work — this DB's :class:`SchedulerLane`
-        step: a pending flush (which gates foreground writers, so it always
-        goes first) or one compaction pick-execute-commit, executed with
-        the engine lock released and committed under it.  Returns True when
-        something was done (more may be due), False when the backlog is
-        drained.  One unit per call is what lets N shards interleave fairly
-        on one worker pool."""
+        """One unit of background work, the only flush-or-compact-or-GC
+        code there is: a pending flush (which gates foreground writers, so
+        it always goes first), else one compaction pick-execute-commit,
+        else one value-log GC round — the heavy half without taking the
+        engine lock, the commit under it.  Returns True when something was
+        done (more may be due), False when the backlog is drained.  The
+        :class:`SchedulerLane` calls it once per wake (one unit per call is
+        what lets N shards interleave fairly on one worker pool);
+        synchronous mode calls it until it returns False, on the writing
+        thread (:meth:`_request_compaction`)."""
         if self._closed:
             return False
         if self._immutable is not None:
             meta = self._build_flush()
             with self._lock:
-                self._commit_flush_locked(meta, self._pending_log)
-                self._pending_log = None
-                self._last_flush_meta = meta
-                self._flush_cv.notify_all()
+                self._commit_flush_locked(meta)
             self._error_handler.note_success()
             return True
         with self._lock:
@@ -1135,12 +1082,14 @@ class DB:
                 return False
             task = self._pick_compaction()
         if task is None:
-            # Lowest-priority background unit: value-log GC (flushes and
-            # compactions always drain first, keeping writers unblocked).
+            # Lowest-priority unit: value-log GC (flushes and compactions
+            # always drain first, keeping writers unblocked).
             return self._maybe_run_vlog_gc()
         result = self._execute_compaction(task)
         with self._lock:
             self._commit_compaction(task, result)
+            # Safe point between tasks: no task in flight references any
+            # file, so auxiliary maintenance (L2SM's log drain) may compact.
             self._post_compaction_maintenance()
             self._l0_cv.notify_all()
         self._error_handler.note_success()
@@ -1412,14 +1361,10 @@ class DB:
 
     def _drain_immutable_locked(self) -> None:
         """Land a pending frozen memtable inline (manual compactions run
-        with the background worker paused, so nobody else will)."""
-        if self._immutable is None:
-            return
-        meta = self._build_flush()
-        self._commit_flush_locked(meta, self._pending_log)
-        self._pending_log = None
-        self._last_flush_meta = meta
-        self._flush_cv.notify_all()
+        with the background worker paused, so nobody else will): with one
+        pending, the step is exactly that flush."""
+        if self._immutable is not None:
+            self._retry_transient("flush")
 
     def _compact_all_locked(self) -> None:
         self._drain_immutable_locked()
@@ -1693,10 +1638,10 @@ class DB:
         """Run one value-log GC round if a file qualifies, then try any
         deferred physical deletions.  Returns True when work happened.
 
-        Entry points: after flush-driven compactions (synchronous mode) and
-        as the background worker's lowest-priority unit (concurrent mode).
-        The ``_vlog_gc_running`` guard breaks the recursion GC's own re-put
-        traffic could otherwise cause (re-put -> flush -> compactions ->
+        The one entry point is :meth:`_background_step`'s lowest-priority
+        unit, so a failed round is retried by whichever driver ran the
+        step.  The ``_vlog_gc_running`` guard breaks the recursion GC's own
+        re-put traffic could otherwise cause (re-put -> flush -> step ->
         GC)."""
         if self.vlog is None or self._vlog_gc_running or self._closed:
             return False
@@ -1706,9 +1651,10 @@ class DB:
         if victim is not None:
             self._vlog_gc_running = True
             try:
-                self._retry_transient(lambda: self._run_vlog_gc(victim), "vlog-gc")
+                self._run_vlog_gc(victim)
             finally:
                 self._vlog_gc_running = False
+            self._error_handler.note_success()
             did = True
         if self._process_vlog_deletes():
             did = True
@@ -1758,7 +1704,7 @@ class DB:
         rewritten only while the newest version of its key is EXACTLY the
         pointer to this frame."""
         with self._lock:
-            live: list[tuple[bytes, bytes]] = []
+            survivors = WriteBatch()
             for frame_offset, frame_length, key, value in chunk:
                 # The engine lock is held, so the current superversion
                 # cannot be retired under this walk: no reference needed.
@@ -1768,34 +1714,15 @@ class DB:
                 if stored is not None and stored == encode_pointer(
                     victim, frame_offset, frame_length
                 ):
-                    live.append((key, value))
-            if live:
-                self._apply_gc_batch_locked(live)
-
-    def _apply_gc_batch_locked(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        """Re-put GC survivors through the normal durable write path (vlog
-        re-separation + WAL + memtable) WITHOUT touching the user write
-        counters — GC traffic is engine-internal and must not deflate the
-        measured write amplification."""
-        self._error_handler.check_writable()
-        batch = WriteBatch()
-        for key, value in pairs:
-            batch.put(key, value)
-        batch = self._separate_batch_locked(batch)
-        base_sequence = self._sequence + 1
-        if self._wal is not None:
-            try:
-                self._wal.add_record(batch.serialize(base_sequence))
-            except BaseException as exc:  # noqa: BLE001 - log integrity
-                self._error_handler.record(exc, "wal", retryable=False)
-                raise
-        sequence = base_sequence
-        for value_type, key, value in batch:
-            self._memtable.add(sequence, value_type, key, value)
-            sequence += 1
-        self._sequence = sequence - 1
-        self.stats.vlog_gc_rewritten_values += len(pairs)
-        self.stats.vlog_gc_rewritten_bytes += sum(len(v) for _k, v in pairs)
+                    survivors.put(key, value)
+            if len(survivors):
+                # Re-put through the one durable write core (vlog
+                # re-separation + WAL + memtable), as engine traffic.
+                self._apply_locked([survivors], user=False)
+                self.stats.vlog_gc_rewritten_values += len(survivors)
+                self.stats.vlog_gc_rewritten_bytes += sum(
+                    len(value) for _type, _key, value in survivors
+                )
 
     def _gc_maybe_flush(self) -> None:
         """Keep the memtable bounded while GC re-puts stream through it:
@@ -1807,7 +1734,7 @@ class DB:
                 and self._memtable.approximate_memory_usage()
                 >= self.options.memtable_size
             ):
-                self._pending_log = self._freeze_locked()
+                self._freeze_locked()
             self._drain_immutable_locked()
 
     def _process_vlog_deletes(self) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from ..errors import InvalidArgumentError
 from ..keys import comparable_from_internal, user_key_of
@@ -183,7 +184,7 @@ class Version:
         files = self.levels[level]
         if not files:
             return None
-        idx = bisect.bisect_left([f.largest_user_key for f in files], user_key)
+        idx = bisect.bisect_left(files, user_key, key=attrgetter("largest_user_key"))
         if idx >= len(files):
             return None
         f = files[idx]

@@ -23,8 +23,8 @@ _HEADER_CRC_BYTES = 4
 class WalWriter:
     """Appends records to a log file.
 
-    Not internally locked: callers serialize appends (the engine holds its
-    write lock, or the group-commit leader is the only appender).
+    Not internally locked: callers serialize appends (every engine append,
+    a lone writer's or a group-commit leader's, holds the engine lock).
     """
 
     def __init__(self, fs: FileSystem, name: str):
@@ -37,7 +37,9 @@ class WalWriter:
         self.records_written = 0
 
     def add_record(self, payload: bytes) -> None:
-        """Frame ``payload`` (crc, length, bytes) and append it to the log.
+        """Frame ``payload`` (crc, length, bytes) and append it to the log:
+        the manifest's single-record call, byte-for-byte ``add_records``
+        of one.
 
         The frame is assembled in one persistent :class:`BufferWriter`,
         cleared per record, so the write path allocates no intermediate
@@ -54,7 +56,9 @@ class WalWriter:
         self._file.sync()
 
     def add_records(self, payloads: list[bytes]) -> None:
-        """Frame every payload and append them all in ONE device write.
+        """Frame every payload and append them all in ONE device write —
+        the engine's only append (``DB._apply_locked``), a lone write being
+        a group of one.
 
         This is group commit's amortization: each batch keeps its own
         record (recovery replays them individually, preserving per-batch
@@ -69,8 +73,8 @@ class WalWriter:
         self.records_written += len(payloads)
         framed = writer.getvalue()
         if self._tracer.enabled:
-            # One marker per coalesced group: the timeline's evidence that
-            # group commit amortized N records into one device append.
+            # One marker per device append: ``records`` > 1 is the
+            # timeline's evidence that group commit amortized N records.
             self._tracer.instant(
                 "wal.group", "wal", {"records": len(payloads), "bytes": len(framed)}
             )
@@ -83,40 +87,6 @@ class WalWriter:
 
     def close(self) -> None:
         self._file.close()
-
-
-def read_wal(fs: FileSystem, name: str) -> Iterator[bytes]:
-    """Yield every intact record payload in ``name``.
-
-    A truncated final record (torn write) ends iteration silently, matching
-    crash-recovery semantics; a CRC mismatch on a complete record raises
-    :class:`CorruptionError`.
-    """
-    handle = fs.open_random(name)
-    try:
-        size = handle.size()
-        # One sequential read of the whole log: recovery replays it front to back.
-        data = handle.read(0, size, category=CAT_WAL, sequential=True) if size else b""
-    finally:
-        handle.close()
-
-    offset = 0
-    while offset < len(data):
-        if offset + _HEADER_CRC_BYTES > len(data):
-            return  # torn header
-        expected_crc = decode_fixed32(data, offset)
-        try:
-            length, payload_start = decode_varint(data, offset + _HEADER_CRC_BYTES)
-        except CorruptionError:
-            return  # torn length varint
-        payload_end = payload_start + length
-        if payload_end > len(data):
-            return  # torn payload
-        payload = data[payload_start:payload_end]
-        if crc32c(payload) != expected_crc:
-            raise CorruptionError(f"WAL record at offset {offset} failed checksum")
-        yield payload
-        offset = payload_end
 
 
 @dataclass
@@ -141,21 +111,17 @@ class WalRecoveryStats:
         self.corrupt = self.corrupt or other.corrupt
 
 
-def read_wal_tolerant(
-    fs: FileSystem, name: str, stats: WalRecoveryStats | None = None
-) -> Iterator[bytes]:
+def read_wal_tolerant(fs: FileSystem, name: str, stats: WalRecoveryStats) -> Iterator[bytes]:
     """Yield intact record payloads, stopping at the first bad record.
 
-    Crash-recovery variant of :func:`read_wal`: a record that fails its CRC
-    ends replay at the last good record instead of raising — the damage and
+    The one frame walk (:func:`read_wal` is this plus a raise): a record
+    that fails its CRC ends replay at the last good record — the damage and
     everything behind it is counted in ``stats.bytes_skipped`` (and flagged
     ``corrupt``).  A write whose frame never fully landed was never acked,
     so dropping the tail cannot lose an acknowledged write.  The manifest
     replay path keeps the strict reader: a torn catalog is not safely
     truncatable mid-stream.
     """
-    if stats is None:
-        stats = WalRecoveryStats()
     handle = fs.open_random(name)
     try:
         size = handle.size()
@@ -186,3 +152,17 @@ def read_wal_tolerant(
         offset = payload_end
     stats.bytes_replayed += replayed
     stats.bytes_skipped += len(data) - replayed
+
+
+def read_wal(fs: FileSystem, name: str) -> Iterator[bytes]:
+    """Yield every intact record payload in ``name``: the tolerant walk
+    plus a verdict.  A truncated final record (torn write) still ends
+    iteration silently, matching crash-recovery semantics; a CRC mismatch
+    on a complete record raises :class:`CorruptionError` once the good
+    records before it have been yielded."""
+    stats = WalRecoveryStats()
+    yield from read_wal_tolerant(fs, name, stats)
+    if stats.corrupt:
+        raise CorruptionError(
+            f"WAL record at offset {stats.bytes_replayed} failed checksum"
+        )

@@ -201,18 +201,15 @@ class Options:
     tuner_adapt_granularity: bool = True
 
     # --- Concurrency (DESIGN.md §7) -------------------------------------------
-    #: Run flushes and compactions on a background worker thread instead of
-    #: inline on the writing thread.  Off by default: the synchronous mode
-    #: is deterministic and generates the paper's figures; the concurrent
+    #: Run the flush / compaction / value-log-GC step on a background lane
+    #: instead of inline on the writing thread — all this selects: the step
+    #: and the write path (colliding writers always group-commit) are the
+    #: same code either way.  Off by default: the synchronous mode is
+    #: deterministic and generates the paper's figures; the concurrent
     #: mode trades that determinism for real multi-threaded throughput.
     #: Compaction sub-tasks then run on a real thread pool instead of the
     #: deterministic simulated-makespan rebate (Parallel Merging).
     background_compaction: bool = False
-    #: Coalesce concurrent writers' batches into one WAL append and one
-    #: lock-held memtable apply (LevelDB's leader/follower writer queue).
-    group_commit: bool = False
-    #: Largest coalesced group the leader will commit at once.
-    group_commit_max_bytes: int = 1 * 1024 * 1024
     #: Run each block-compaction subtask's merge *compute* (decode, k-way
     #: merge, block rebuild, CRC) on an offload pool (DESIGN.md §11):
     #: ``"none"`` (default) keeps it in-process, ``"thread"`` uses a thread
@@ -381,8 +378,6 @@ class Options:
             raise InvalidArgumentError("level0_slowdown_sleep_s must be >= 0")
         if self.level0_stop_max_wait_s <= 0:
             raise InvalidArgumentError("level0_stop_max_wait_s must be positive")
-        if self.group_commit_max_bytes < 1:
-            raise InvalidArgumentError("group_commit_max_bytes must be >= 1")
         if self.trace_buffer_capacity < 16:
             raise InvalidArgumentError("trace_buffer_capacity must be >= 16")
         if self.bg_error_max_retries < 0:
@@ -413,15 +408,12 @@ class Options:
     def concurrent_pipeline(self, **overrides) -> "Options":
         """Copy with the full concurrent write pipeline enabled: background
         flush/compaction (which brings real parallel sub-task execution
-        with it, DESIGN.md §7) and group commit, plus sharded caches so
-        concurrent superversion reads do not meet on one cache mutex
-        (DESIGN.md §9).  Simulated metrics are not deterministic in this
+        with it, DESIGN.md §7), plus sharded caches so concurrent
+        superversion reads do not meet on one cache mutex (DESIGN.md §9).
+        Group commit needs no switch: colliding writers coalesce in every
+        configuration.  Simulated metrics are not deterministic in this
         mode; use the default synchronous mode for the paper's figures."""
-        params: dict = dict(
-            background_compaction=True,
-            group_commit=True,
-            cache_shards=16,
-        )
+        params: dict = dict(background_compaction=True, cache_shards=16)
         params.update(overrides)
         return self.copy(**params)
 

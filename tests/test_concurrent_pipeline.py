@@ -3,20 +3,54 @@ L0 throttling, real parallel sub-tasks, batched multi_get, and the
 thread-safety stress test (DESIGN.md §7)."""
 
 import threading
+import time
 
 import pytest
 
 from conftest import kv, make_db, tiny_options
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
-from repro.errors import ReadOnlyError
-from repro.options import COMPACTION_SELECTIVE, COMPACTION_TABLE
+from repro.errors import ReadOnlyError, TransientIOError
+from repro.memtable.wal import read_wal
+from repro.options import COMPACTION_SELECTIVE, COMPACTION_TABLE, Options
+from repro.storage.faults import KIND_TRANSIENT, FaultInjectionFS, FaultPolicy
 from repro.storage.fs import LocalFS, SimulatedFS
+from repro.storage.io_stats import CAT_WAL
 
 
 def make_concurrent_db(style: str = COMPACTION_TABLE, fs=None, **overrides) -> DB:
     options = tiny_options(compaction_style=style, **overrides).concurrent_pipeline()
     return DB(fs or SimulatedFS(), options, seed=1)
+
+
+def write_behind_held_lock(db: DB, batches: list[WriteBatch]) -> list:
+    """Hold the engine lock, start one writer thread per batch, release
+    once every one of them is queued, join.  Returns what each writer
+    raised (None for success), in batch order."""
+    raised: list = [None] * len(batches)
+
+    def run(index: int) -> None:
+        try:
+            db.write(batches[index])
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            raised[index] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+    with db._lock:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30.0
+        while len(db._writers) < len(batches):
+            assert time.monotonic() < deadline, "writers never queued"
+            time.sleep(0.001)
+    for t in threads:
+        t.join(timeout=30.0)
+        assert not t.is_alive()
+    return raised
+
+
+def one_put(i: int) -> WriteBatch:
+    return WriteBatch().put(*kv(i))
 
 
 class TestBackgroundPipeline:
@@ -147,16 +181,72 @@ class TestGroupCommit:
         db.close()
 
     def test_group_commit_without_background(self):
-        """group_commit composes with the synchronous engine (leader runs
-        flush + compactions inline)."""
-        options = tiny_options(group_commit=True)
-        db = DB(SimulatedFS(), options, seed=1)
-        for i in range(300):
-            db.put(*kv(i))
+        """Colliding writers group-commit on the synchronous engine too —
+        no option selects it — and the leader runs flush + compactions
+        inline."""
+        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        for start in range(0, 300, 3):
+            raised = write_behind_held_lock(
+                db, [one_put(i) for i in range(start, start + 3)]
+            )
+            assert raised == [None] * 3
         assert db.stats.flush_count > 0
+        assert db.stats.user_writes == 300
         for i in range(300):
             key, value = kv(i)
             assert db.get(key) == value
+        db.close()
+
+    def test_contended_writers_share_one_wal_append(self):
+        """Default options: three writers parked behind a held engine lock
+        commit as one group — one device append carrying three records,
+        each batch its own record."""
+        fs = SimulatedFS()
+        db = DB(fs, Options(), seed=1)
+        wal = fs.stats.per_category[CAT_WAL]
+        appends = wal.write_ops
+        db.put(*kv(0))  # uncontended: a group of one
+        assert wal.write_ops == appends + 1
+        appends, records = wal.write_ops, db._wal.records_written
+        batches = [one_put(1), one_put(2).delete(kv(0)[0]), one_put(3)]
+        assert write_behind_held_lock(db, batches) == [None] * 3
+        assert wal.write_ops == appends + 1
+        assert db._wal.records_written == records + 3
+        assert not db._writers
+        assert db.get(kv(0)[0]) is None
+        for i in (1, 2, 3):
+            assert db.get(kv(i)[0]) == kv(i)[1]
+        log_name = db._wal.name
+        db.close()
+        # Queue order is thread-start order, so compare as a set of records.
+        replayed = [
+            [key for _type, key, _value in WriteBatch.deserialize(payload)[0]]
+            for payload in read_wal(fs, log_name)
+        ]
+        assert replayed[0] == [kv(0)[0]]
+        assert sorted(replayed[1:]) == sorted(
+            [[kv(1)[0]], [kv(2)[0], kv(0)[0]], [kv(3)[0]]]
+        )
+
+    def test_wal_fault_under_a_group_reaches_every_member(self):
+        """A WAL append that fails under a led group raises the same error
+        in every member, always pops the queue, and degrades the DB — a
+        later writer fails fast instead of hanging behind a dead leader."""
+        fs = FaultInjectionFS(SimulatedFS(), FaultPolicy())
+        db = DB(fs, tiny_options(), seed=1)
+        db.put(*kv(0))
+        fs.policy.fail("append", "*.log", kind=KIND_TRANSIENT, count=1)
+        raised = write_behind_held_lock(db, [one_put(i) for i in (1, 2, 3)])
+        assert isinstance(raised[0], TransientIOError)
+        assert raised[1] is raised[0] and raised[2] is raised[0]
+        assert not db._writers
+        assert db.health()["state"] == "degraded"
+        with pytest.raises(ReadOnlyError):
+            db.put(*kv(4))
+        (queued_error,) = write_behind_held_lock(db, [one_put(5)])
+        assert isinstance(queued_error, ReadOnlyError)
+        assert db.get(kv(0)[0]) == kv(0)[1]
+        assert db.get(kv(1)[0]) is None
         db.close()
 
 
@@ -180,6 +270,23 @@ class TestL0Throttling:
         assert db.stats.stall_stops == 0
         assert db.stats.stall_time_s >= 0.002
         assert db.get(kv(1)[0]) == kv(1)[1]  # write landed regardless
+        db.close()
+
+    def test_queued_sync_writes_count_slowdown_stalls(self, monkeypatch):
+        """Synchronous mode never sleeps on L0 pressure, but every write at
+        or past the slowdown trigger counts one stall event — a write a
+        group leader commits for its follower as much as a direct one."""
+        db = DB(SimulatedFS(), tiny_options(level0_slowdown_writes_trigger=1), seed=1)
+        self._wedge_compactions(db, monkeypatch)
+        db.put(*kv(0))
+        db.flush()  # one L0 file >= slowdown trigger
+        before = db.stats.stall_events
+        db.put(*kv(1))  # direct
+        assert db.stats.stall_events == before + 1
+        raised = write_behind_held_lock(db, [one_put(i) for i in (2, 3, 4)])
+        assert raised == [None] * 3
+        assert db.stats.stall_events == before + 4
+        assert db.stats.stall_stops == 0
         db.close()
 
     def test_stop_trigger_blocks_bounded_and_never_errors(self, monkeypatch):

@@ -90,7 +90,6 @@ def test_background_pipeline_traces_bg_rounds_and_stalls():
         tracing=True,
         latency_histograms=True,
         background_compaction=True,
-        group_commit=True,
     )
     try:
         for i in range(400):
@@ -101,18 +100,18 @@ def test_background_pipeline_traces_bg_rounds_and_stalls():
     finally:
         db.close()
     assert "bg.round" in names
-    assert "wal.group" in names  # group commit's coalescing marker
+    assert "wal.group" in names  # one marker per WAL device append
 
 
 def test_wal_group_instant_counts_records():
-    db = make_db(tracing=True, group_commit=True, background_compaction=True)
+    db = make_db(tracing=True)  # no option: every commit is a group of >= 1
     try:
         db.put(b"k1", b"v1")
         groups = [e for e in db.tracer.events() if e.name == "wal.group"]
     finally:
         db.close()
-    assert groups
-    assert all(e.args["records"] >= 1 and e.args["bytes"] > 0 for e in groups)
+    assert len(groups) == 1
+    assert groups[0].args["records"] == 1 and groups[0].args["bytes"] > 0
 
 
 def test_run_result_carries_latency_summaries():
@@ -217,7 +216,7 @@ def test_concurrent_stall_and_scan_counts_sum_exactly():
 def test_concurrent_pipeline_scan_entries_exact():
     """End-to-end: concurrent readers scanning while writers insert; the
     scan-entry tally equals the sum of per-call result lengths."""
-    db = make_db(background_compaction=True, group_commit=True)
+    db = make_db(background_compaction=True)
     counted = []
     lock = threading.Lock()
     try:

@@ -78,6 +78,8 @@ class TestVersionQueries:
     def test_file_for_key_sorted_level(self, version):
         assert version.file_for_key(1, b"b").file_number == 3
         assert version.file_for_key(1, b"h").file_number == 4
+        assert version.file_for_key(1, b"m").file_number == 4  # a file's last key
+        assert version.file_for_key(1, b"t").file_number == 5  # the level's last key
         assert version.file_for_key(1, b"g") is None  # gap between files
         assert version.file_for_key(1, b"zz") is None
         assert version.file_for_key(3, b"a") is None  # empty level

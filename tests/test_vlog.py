@@ -199,6 +199,16 @@ class TestGarbageCollection:
         assert db.stats.vlog_dead_bytes_observed > 0
         assert db.stats.vlog_gc_runs >= 1
         assert db.stats.vlog_files_deleted >= 1
+        # GC re-puts go through the same write core as user writes, as
+        # engine traffic: the WA denominator counts the churn's puts only.
+        assert db.stats.vlog_gc_rewritten_values > 0
+        assert db.stats.user_writes == 6 * 30
+        assert db.stats.user_deletes == 0
+        assert db.stats.user_bytes_written == sum(
+            len(big(i)[0]) + 64 + generation
+            for generation in range(6)
+            for i in range(30)
+        )
         for key, value in pairs:
             assert db.get(key) == value
         db.close()

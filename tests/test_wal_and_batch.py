@@ -60,6 +60,38 @@ class TestWal:
             w.add_record(p)
         assert list(read_wal(fs, "p.log")) == payloads
 
+    def test_group_of_one_is_byte_identical_to_a_single_record(self, fs):
+        """The engine appends through ``add_records`` only; the manifest and
+        these tests through ``add_record``.  Same frame, same bytes."""
+        for payload in (b"", b"x", b"payload" * 300):
+            single = WalWriter(fs, "single.log")
+            single.add_record(payload)
+            single.close()
+            group = WalWriter(fs, "group.log")
+            group.add_records([payload])
+            group.close()
+            assert bytes(fs._files["group.log"]) == bytes(fs._files["single.log"])
+            assert group.records_written == single.records_written == 1
+
+    def test_group_replays_record_by_record_in_order(self, fs):
+        w = WalWriter(fs, "a.log")
+        w.add_records([b"a-record", b"b-record"])
+        w.close()
+        assert w.records_written == 2
+        assert list(read_wal(fs, "a.log")) == [b"a-record", b"b-record"]
+
+    def test_corruption_yields_the_good_records_first(self, fs):
+        """The strict reader is lazy: records before the damage come out,
+        then the raise."""
+        w = WalWriter(fs, "a.log")
+        w.add_records([b"record-one!", b"record-two!"])
+        w.close()
+        fs._files["a.log"][-1] ^= 0xFF  # last payload byte of the second record
+        records = read_wal(fs, "a.log")
+        assert next(records) == b"record-one!"
+        with pytest.raises(CorruptionError):
+            next(records)
+
 
 class TestWriteBatch:
     def test_put_delete_roundtrip(self):
