@@ -24,6 +24,8 @@ block_encode       BlockBuilder over a corpus of internal keys
 block_decode       DataBlock.parse of the built blocks
 merge_visible      fused k-way merge + visibility (the read/scan inner loop)
 compaction_merge   fused merge_live (the compaction inner loop)
+catalog_apply      Version.apply + the picker's child lookup on an 800-file
+                   level, the edit mix a selective compaction commits
 point_get          DB.get against a compacted simulated DB
 multi_get          batched DB.multi_get vs the per-key get loop
 seq_fill           DB.put of a fresh sequential load (WAL + flush + compaction)
@@ -365,6 +367,99 @@ def bench_merge(suite: Suite) -> None:
         reference=live_reference,
         repeats=suite.micro_repeats,
     )
+
+
+# ------------------------------------------------------------------- catalog
+
+
+def _catalog_cycle(children: int, compactions: int):
+    """The set-up edit for a two-level tree (``children`` files at level 3,
+    a parent over every ninth run of them at level 2) plus a closed cycle
+    of edits over it: ``compactions`` selective-compaction commits — the
+    parent retired, two overlapped children updated in place with grown
+    sizes and moved bounds (block sub-tasks), a third rewritten into two
+    halves (a table sub-task) — then their inverses in reverse order, so
+    that one pass leaves the catalog as it found it and can be repeated.
+    Each edit comes with the user-key range the picker looks up next."""
+    from repro.core.version import FileMetadata, VersionEdit
+    from repro.keys import TYPE_VALUE, make_internal_key
+
+    def meta(number, lo, hi, size=65536, valid=65536, appends=0):
+        return FileMetadata(
+            file_number=number,
+            file_size=size,
+            valid_bytes=valid,
+            num_entries=60,
+            smallest=make_internal_key(b"user%019d" % lo, 9, TYPE_VALUE),
+            largest=make_internal_key(b"user%019d" % hi, 9, TYPE_VALUE),
+            append_count=appends,
+        )
+
+    # Child i owns [100i + 10, 100i + 90]: a gap on either side to grow into.
+    child = [meta(1000 + i, 100 * i + 10, 100 * i + 90) for i in range(children)]
+    parents = children // 9
+    parent = [meta(10 + j, 900 * j + 5, 900 * j + 295) for j in range(parents)]
+    setup = VersionEdit(
+        new_files=[(3, f) for f in child] + [(2, f) for f in parent]
+    )
+    forward, backward = [], []
+    stride = max(1, parents // compactions)
+    for n, j in enumerate(range(0, parents, stride)):
+        a, b, c = child[9 * j], child[9 * j + 1], child[9 * j + 2]
+        grown = [
+            meta(f.file_number, 100 * i + 5, 100 * i + 95, size=70000, valid=60000, appends=1)
+            for i, f in ((9 * j, a), (9 * j + 1, b))
+        ]
+        halves = [
+            meta(5000 + 2 * n, 100 * (9 * j + 2) + 10, 100 * (9 * j + 2) + 50, size=33000, valid=33000),
+            meta(5001 + 2 * n, 100 * (9 * j + 2) + 51, 100 * (9 * j + 2) + 90, size=33000, valid=33000),
+        ]
+        lookup = (parent[j].smallest_user_key, parent[j].largest_user_key)
+        forward.append((
+            VersionEdit(
+                deleted_files=[(2, parent[j].file_number), (3, c.file_number)],
+                updated_files=[(3, f) for f in grown],
+                new_files=[(3, f) for f in halves],
+            ),
+            lookup,
+        ))
+        backward.append((
+            VersionEdit(
+                deleted_files=[(3, f.file_number) for f in halves],
+                updated_files=[(3, a), (3, b)],
+                new_files=[(2, parent[j]), (3, c)],
+            ),
+            lookup,
+        ))
+    return setup, forward + backward[::-1]
+
+
+def bench_catalog(suite: Suite) -> None:
+    """The bisecting version catalog vs the re-sorting reference."""
+    from repro import _reference
+    from repro.core.version import Version
+
+    # One corpus in both modes: the reference's cost grows with the level,
+    # so a smaller quick-mode tree would shift the ratio --check compares.
+    setup, cycle = _catalog_cycle(children=800, compactions=40)
+    fast, ref = Version(5), _reference.ReferenceVersion(5)
+    fast.apply(setup)
+    ref.apply(setup)
+
+    def run(version):
+        for edit, (lo, hi) in cycle:
+            version.apply(edit)
+            version.overlapping_files(3, lo, hi)
+        return len(cycle)
+
+    suite.measure(
+        "catalog_apply",
+        lambda: run(fast),
+        "edit",
+        reference=lambda: run(ref),
+        repeats=suite.micro_repeats,
+    )
+    assert fast.levels == ref.levels, "catalog arms diverged"
 
 
 # ------------------------------------------------------------------ DB paths
@@ -757,6 +852,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_varint(suite)
     bench_block_codec(suite)
     bench_merge(suite)
+    bench_catalog(suite)
     bench_db_paths(suite, value_size=args.value_size)
     bench_observability(suite, value_size=args.value_size)
     report = suite.report()

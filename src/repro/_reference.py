@@ -1,8 +1,9 @@
 """Frozen reference implementations of the engine's hot paths.
 
 These are verbatim copies of the straightforward (pre-optimization)
-implementations of the varint codec, the data-block codec, the merge/
-visibility stack, and the LPT scheduler.  They exist for two reasons:
+implementations of the varint codec, the data-block codec, the per-entry
+table build and filter insert, the merge/visibility stack, the LPT
+scheduler, and the version catalog.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
   optimized fast path against these on random inputs — including the
@@ -22,13 +23,14 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator
 
-from .errors import CorruptionError
+from .errors import CorruptionError, InvalidArgumentError
 from .keys import (
     TYPE_DELETION,
     ComparableKey,
     comparable_from_internal,
     comparable_parts,
     comparable_to_internal,
+    user_key_of,
 )
 
 # --------------------------------------------------------------------- varints
@@ -154,6 +156,9 @@ class ReferenceBlockBuilder:
         self._count_since_restart += 1
         self.num_entries += 1
 
+    def current_size_estimate(self) -> int:
+        return len(self._buf) + 4 * len(self._restarts) + 4
+
     def finish(self) -> bytes:
         import struct
 
@@ -162,6 +167,121 @@ class ReferenceBlockBuilder:
             out += struct.pack("<I", offset)
         out += struct.pack("<I", len(self._restarts))
         return bytes(out)
+
+
+# ------------------------------------------------------ filters and table build
+
+
+def bloom_add(flt, key: bytes) -> None:
+    """Reference single-key filter insert (``BloomFilter.add`` before the
+    bulk path): a capacity check, two salted CRCs and ``k`` probe writes
+    per key, on ``flt``'s own bit array."""
+    import zlib
+
+    if flt.num_keys >= flt.capacity:
+        raise OverflowError(
+            f"bloom filter at capacity ({flt.capacity} keys); rebuild required"
+        )
+    h1 = zlib.crc32(key) & 0xFFFFFFFF
+    h2 = zlib.crc32(b"\x9e\x37\x79\xb9" + key + b"\x85\xeb\xca\x6b") & 0xFFFFFFFF
+    if h2 == 0:
+        h2 = 0x5BD1E995
+    for _ in range(flt.num_probes):
+        pos = h1 % flt.num_bits
+        flt._bits[pos >> 3] |= 1 << (pos & 7)
+        h1 = (h1 + h2) & 0xFFFFFFFF
+    flt.num_keys += 1
+
+
+def build_table_bytes(
+    entries: list[tuple[bytes, bytes]],
+    *,
+    block_size: int,
+    restart_interval: int,
+    bits_per_key: int,
+    reserved_fraction: float,
+) -> bytes:
+    """Reference table build: the file ``TableBuilder`` must write for
+    ``entries`` (internal key, value) under the table-filter policy.
+
+    The per-entry path is the pre-optimization one — a full comparable-key
+    order check, the block-cut rule re-deriving both user keys and the
+    block's size per entry, a :class:`ReferenceBlockBuilder`, per-key
+    filter inserts — over the live (unchanged) block trailer, index, filter
+    blob and footer encoders.
+    """
+    from .bloom import BloomFilter, ReservedBloomFilter
+    from .sstable.filter_block import TableFilter
+    from .sstable.format import BLOCK_TRAILER_SIZE, BlockHandle, Footer, wrap_block
+    from .sstable.index import IndexBlock, IndexEntry
+
+    out = bytearray()
+    index_entries: list = []
+    user_keys: list[bytes] = []
+    block = ReferenceBlockBuilder(restart_interval)
+    first_key = last_key = None
+    last_comparable = None
+
+    def flush_block() -> None:
+        """Cut the pending block: trailer, index entry, file bytes."""
+        raw = wrap_block(block.finish())
+        index_entries.append(
+            IndexEntry(
+                smallest=first_key,
+                largest=last_key,
+                offset=len(out),
+                size=len(raw) - BLOCK_TRAILER_SIZE,
+                num_entries=block.num_entries,
+            )
+        )
+        out.extend(raw)
+        block.reset()
+
+    for internal_key, value in entries:
+        comparable = comparable_from_internal(internal_key)
+        if last_comparable is not None and comparable <= last_comparable:
+            raise ValueError("table entries must be added in increasing internal-key order")
+        user_key = user_key_of(internal_key)
+        if (
+            block.num_entries > 0
+            and block.current_size_estimate() >= block_size
+            and user_key != user_key_of(last_key)
+        ):
+            flush_block()
+        if block.num_entries == 0:
+            first_key = internal_key
+        block.add(internal_key, value)
+        last_key = internal_key
+        user_keys.append(user_key)
+        last_comparable = comparable
+    if block.num_entries > 0:
+        flush_block()
+
+    filter_handle = BlockHandle(0, 0)
+    if bits_per_key > 0:
+        if reserved_fraction > 0:
+            bloom = ReservedBloomFilter(len(user_keys), bits_per_key, reserved_fraction)
+        else:
+            bloom = BloomFilter(len(user_keys), bits_per_key)
+        for key in user_keys:
+            bloom_add(bloom, key)
+        payload = TableFilter(bloom).serialize()
+        filter_handle = BlockHandle(len(out), len(payload))
+        out.extend(wrap_block(payload))
+    index = IndexBlock(index_entries)
+    payload = index.serialize()
+    index_handle = BlockHandle(len(out), len(payload))
+    out.extend(wrap_block(payload))
+    out.extend(
+        Footer(
+            index_handle=index_handle,
+            filter_handle=filter_handle,
+            num_entries=len(entries),
+            valid_data_bytes=index.total_valid_bytes(),
+            section=0,
+        ).serialize()
+    )
+    return bytes(out)
 
 
 # ----------------------------------------------------------------- merge stack
@@ -264,3 +384,91 @@ def lpt_makespan(durations: list[float], workers: int) -> float:
     for duration in sorted(durations, reverse=True):
         loads[loads.index(min(loads))] += duration
     return max(loads)
+
+
+# --------------------------------------------------------------------- catalog
+
+
+class ReferenceVersion:
+    """Reference level catalog: the ``Version`` of PRs 1-17.
+
+    ``apply`` re-sorts the whole level and re-checks every neighbour pair
+    once per added or updated file, ``overlapping_files`` scans the level,
+    the byte totals are sums over it — and every user-key bound is derived
+    from the internal key on each read, as ``FileMetadata``'s properties
+    did then (the catalog now caches them at construction).  Takes the
+    live ``VersionEdit`` / ``FileMetadata`` objects.
+    """
+
+    def __init__(self, num_levels: int):
+        if num_levels < 2:
+            raise InvalidArgumentError("need at least 2 levels")
+        self.levels: list[list] = [[] for _ in range(num_levels)]
+        self.vlog: dict[int, int] = {}
+
+    def level_valid_bytes(self, level: int) -> int:
+        return sum(f.valid_bytes for f in self.levels[level])
+
+    def level_file_bytes(self, level: int) -> int:
+        return sum(f.file_size for f in self.levels[level])
+
+    def level_obsolete_bytes(self, level: int) -> int:
+        return sum(f.obsolete_bytes for f in self.levels[level])
+
+    def overlapping_files(self, level: int, lo: bytes | None, hi: bytes | None) -> list:
+        """Files at ``level`` intersecting user-key range ``[lo, hi]``."""
+        return [f for f in self.levels[level] if self._overlaps_user_range(f, lo, hi)]
+
+    @staticmethod
+    def _overlaps_user_range(f, lo: bytes | None, hi: bytes | None) -> bool:
+        if hi is not None and user_key_of(f.smallest) > hi:
+            return False
+        if lo is not None and user_key_of(f.largest) < lo:
+            return False
+        return True
+
+    def apply(self, edit) -> None:
+        """Apply an edit in place (deletes, then updates, then adds)."""
+        if edit.deleted_files:
+            doomed = set(edit.deleted_files)
+            for level in {lv for lv, _ in doomed}:
+                self.levels[level] = [
+                    f for f in self.levels[level] if (level, f.file_number) not in doomed
+                ]
+        for level, meta in edit.updated_files:
+            files = self.levels[level]
+            for i, f in enumerate(files):
+                if f.file_number == meta.file_number:
+                    files[i] = meta
+                    break
+            else:
+                raise InvalidArgumentError(
+                    f"update for unknown file {meta.file_number} at level {level}"
+                )
+            self._resort(level)
+        for level, meta in edit.new_files:
+            self.levels[level].append(meta)
+            self._resort(level)
+        for number in edit.new_vlog_files:
+            self.vlog.setdefault(number, 0)
+        for number, dead_bytes in edit.vlog_dead:
+            if number in self.vlog:
+                self.vlog[number] += dead_bytes
+        for number in edit.deleted_vlog_files:
+            self.vlog.pop(number, None)
+
+    def _resort(self, level: int) -> None:
+        if level == 0:
+            self.levels[0].sort(key=lambda f: f.file_number)
+        else:
+            self.levels[level].sort(key=lambda f: comparable_from_internal(f.smallest))
+            self._check_disjoint(level)
+
+    def _check_disjoint(self, level: int) -> None:
+        files = self.levels[level]
+        for a, b in zip(files, files[1:]):
+            if user_key_of(a.largest) >= user_key_of(b.smallest):
+                raise InvalidArgumentError(
+                    f"level {level} files {a.file_number} and {b.file_number} overlap: "
+                    f"{user_key_of(a.largest)!r} >= {user_key_of(b.smallest)!r}"
+                )

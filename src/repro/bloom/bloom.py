@@ -58,18 +58,30 @@ class BloomFilter:
 
     def add(self, key: bytes) -> None:
         """Insert ``key``; raises when the filter is at capacity."""
-        if self.num_keys >= self.capacity:
+        self.add_many((key,))
+
+    def add_many(self, keys) -> None:
+        """Insert every key of the sequence ``keys`` — the builders' bulk
+        path: one capacity check and one pass over the bit array, instead
+        of a call, a check and a hash-helper call per key.  Raises, adding
+        nothing, when the keys do not all fit."""
+        if self.num_keys + len(keys) > self.capacity:
             raise OverflowError(
                 f"bloom filter at capacity ({self.capacity} keys); rebuild required"
             )
-        h1, h2 = _hash_pair(key)
+        crc32 = zlib.crc32
         bits = self._bits
         nbits = self.num_bits
-        for _ in range(self.num_probes):
-            pos = h1 % nbits
-            bits[pos >> 3] |= 1 << (pos & 7)
-            h1 = (h1 + h2) & 0xFFFFFFFF
-        self.num_keys += 1
+        probes = range(self.num_probes)
+        for key in keys:
+            # _hash_pair, inlined.
+            h1 = crc32(key)
+            h2 = crc32(_SALT1 + key + _SALT2) or 0x5BD1E995
+            for _ in probes:
+                pos = h1 % nbits
+                bits[pos >> 3] |= 1 << (pos & 7)
+                h1 = (h1 + h2) & 0xFFFFFFFF
+        self.num_keys += len(keys)
 
     def remaining_capacity(self) -> int:
         return self.capacity - self.num_keys

@@ -58,6 +58,5 @@ def build_filter(
         flt: BloomFilter = ReservedBloomFilter(len(keys), bits_per_key, reserved_fraction)
     else:
         flt = BloomFilter(len(keys), bits_per_key)
-    for key in keys:
-        flt.add(key)
+    flt.add_many(keys)
     return flt

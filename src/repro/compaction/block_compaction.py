@@ -21,13 +21,14 @@ obsolete bytes until a later Table Compaction collects them.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from ..core.merge import merge_entries
 from ..core.snapshot import VersionKeeper
 from ..core.version import FileMetadata, clone_metadata
-from ..keys import ComparableKey, comparable_to_internal
+from ..keys import ComparableKey
 from ..obs.trace import NULL_TRACER
 from ..options import Options
 from ..sstable.index import IndexBlock, IndexEntry
@@ -47,6 +48,7 @@ from .base import (
 ParentEntry = tuple[ComparableKey, bytes]
 
 _INVERT = (1 << 64) - 1
+_FIXED64_PACK = struct.Struct("<Q").pack
 
 
 @dataclass
@@ -158,6 +160,7 @@ def _update_block(
     breaking live snapshots.
     """
     merged = merge_entries([iter(parent_entries), block_entries])
+    add = sink.add
     last_user_key: bytes | None = None
     if not boundaries:
         # No live snapshots: keep the newest version per user key, dropping
@@ -171,7 +174,7 @@ def _update_block(
             last_user_key = user_key
             if inv & 0xFF == 0xFF and can_drop_tombstone(user_key):
                 continue
-            sink.add(comparable_to_internal(comparable), value)
+            add(user_key + _FIXED64_PACK(_INVERT - inv), value)
         return
     keeper = VersionKeeper(boundaries)
     for comparable, value in merged:
@@ -190,7 +193,7 @@ def _update_block(
             and can_drop_tombstone(user_key)
         ):
             continue
-        sink.add(comparable_to_internal(comparable), value)
+        add(user_key + _FIXED64_PACK(_INVERT - inv), value)
 
 
 def run_block_walk(
@@ -224,7 +227,7 @@ def run_block_walk(
                     and can_drop_tombstone(user_key)
                 ):
                     continue
-                sink.add(comparable_to_internal(comparable), value)
+                sink.add(user_key + _FIXED64_PACK(_INVERT - inv), value)
         else:
             _update_block(
                 sink,
@@ -374,10 +377,13 @@ def block_compact_file(
     *,
     scan: DirtyBlockScan | None = None,
     pool=None,
-) -> tuple[FileMetadata, BlockCompactionFileStats]:
+) -> tuple[FileMetadata | None, BlockCompactionFileStats]:
     """Algorithm 1: merge ``parent_slice`` into ``child_meta`` in place.
 
-    Returns the child file's updated metadata plus per-file statistics.
+    Returns the child file's updated metadata plus per-file statistics —
+    or None for the metadata when every key of the file was tombstoned
+    away: the appended index is empty, so there are no bounds to record
+    and :func:`apply_block_update` retires the file instead.
     ``scan`` may carry a pre-computed ``FindDirtyBlocks`` result (Selective
     Compaction already ran it to make its decision).
 
@@ -454,6 +460,8 @@ def block_compact_file(
     )
     env.table_cache.reload(child_meta.file_number)
 
+    if result.num_entries == 0:
+        return None, stats
     new_meta = clone_metadata(
         child_meta,
         file_size=result.file_size,
@@ -467,18 +475,21 @@ def block_compact_file(
 
 
 def apply_block_update(
-    result: CompactionResult, child_level: int, old_meta: FileMetadata, new_meta: FileMetadata
+    result: CompactionResult,
+    child_level: int,
+    old_meta: FileMetadata,
+    new_meta: FileMetadata | None,
 ) -> None:
     """Fold one per-file outcome into the task result.
 
-    A file left with zero live entries (every key tombstoned away) is
-    deleted rather than updated — an empty index has no bounds to keep.
+    ``new_meta`` None — the file was left with zero live entries — deletes
+    the file rather than updating it.
 
     Holds the result's ``apply_lock``: with real parallel sub-task
     execution, several sub-tasks fold their outcomes in concurrently.
     """
     with result.apply_lock:
-        if new_meta.num_entries == 0 or new_meta.smallest is None:
+        if new_meta is None:
             result.edit.deleted_files.append((child_level, old_meta.file_number))
             result.obsolete_files.append(old_meta)
         else:

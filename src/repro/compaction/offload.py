@@ -110,14 +110,12 @@ class _BlockEmitter:
         """Append one merged entry, cutting blocks exactly like
         :meth:`AppendSession.add`."""
         user_key = user_key_of(internal_key)
-        if (
-            not self._block.empty()
-            and self._block.current_size_estimate() >= self._geometry.block_size
-            and user_key != user_key_of(self._block.last_key)
-        ):
+        keys = self._user_keys
+        if keys and self._block.size_estimate >= self._geometry.block_size and user_key != keys[-1]:
             self.flush()
+            keys = self._user_keys
         self._block.add(internal_key, value)
-        self._user_keys.append(user_key)
+        keys.append(user_key)
         self.merged_entries += 1
 
     def flush(self) -> None:

@@ -30,7 +30,9 @@ candidates the incoming policy would veto are dropped.
 
 from __future__ import annotations
 
-from ..core.version import FileMetadata, Version
+import bisect
+
+from ..core.version import LARGEST_USER_KEY, FileMetadata, Version
 from ..options import Options
 from .base import CompactionTask
 from .policy import CompactionPolicy, make_policy
@@ -123,13 +125,12 @@ class CompactionPicker:
     # -- input selection (machinery shared by policies) ---------------------------
 
     def round_robin_file(self, version: Version, level: int) -> FileMetadata:
-        """First file past the compact pointer, wrapping (LevelDB policy)."""
+        """First file past the compact pointer at a sorted level (>= 1),
+        wrapping (LevelDB policy)."""
         files = version.files_at(level)
         pointer = self.compact_pointer[level]
-        for meta in files:
-            if not pointer or meta.largest_user_key > pointer:
-                return meta
-        return files[0]
+        idx = bisect.bisect_right(files, pointer, key=LARGEST_USER_KEY) if pointer else 0
+        return files[idx] if idx < len(files) else files[0]
 
     def expand_level0(
         self, version: Version, seed: FileMetadata | None = None

@@ -62,13 +62,12 @@ def build_output_tables(
     # must stay disjoint at user-key granularity.
     outputs: list[FileMetadata] = []
     builder: TableBuilder | None = None
-    last_user_key: bytes | None = None
+    sstable_size = env.options.sstable_size
     for internal_key, value, _is_tombstone in live_stream:
-        user_key = user_key_of(internal_key)
         if (
             builder is not None
-            and builder.estimated_file_size() >= env.options.sstable_size
-            and user_key != last_user_key
+            and builder.estimated_file_size() >= sstable_size
+            and user_key_of(internal_key) != builder.last_user_key
         ):
             outputs.append(_finish(env, builder, child_level))
             builder = None
@@ -82,7 +81,6 @@ def build_output_tables(
                 category=CAT_COMPACTION,
             )
         builder.add(internal_key, value)
-        last_user_key = user_key
     if builder is not None and not builder.empty():
         outputs.append(_finish(env, builder, child_level))
     return outputs

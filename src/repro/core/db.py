@@ -886,55 +886,60 @@ class DB:
                 tracer.end("flush.build", "flush")
 
     def _commit_flush_locked(self, meta: FileMetadata | None) -> None:
-        if self.tracer.enabled and meta is not None:
-            self.tracer.instant(
+        traced = self.tracer.enabled and meta is not None
+        if traced:
+            self.tracer.begin(
                 "flush.commit", "flush",
                 {"file": meta.file_number, "bytes": meta.file_size},
             )
-        self._immutable = None
-        dead = self.vlog.take_pending_dead() if self.vlog is not None else []
-        if meta is not None:
-            edit = VersionEdit(
-                log_number=self._log_number,
-                next_file_number=self._next_file_number,
-                last_sequence=self._sequence,
-                new_files=[(0, meta)],
-                vlog_dead=dead,
-            )
-            self._apply_edit(edit)
-            self.stats.flush_count += 1
-            self.stats.flush_bytes += meta.file_size
-            self.stats.charge_level_write(0, meta.file_size)
-            self.stats.record_event(
-                CompactionEvent(
-                    parent_level=-1,
-                    child_level=0,
-                    kind="flush",
-                    reason="memtable",
-                    bytes_read=0,
-                    bytes_written=meta.file_size,
-                    input_files=0,
-                    output_files=1,
+        try:
+            self._immutable = None
+            dead = self.vlog.take_pending_dead() if self.vlog is not None else []
+            if meta is not None:
+                edit = VersionEdit(
+                    log_number=self._log_number,
+                    next_file_number=self._next_file_number,
+                    last_sequence=self._sequence,
+                    new_files=[(0, meta)],
+                    vlog_dead=dead,
                 )
-            )
-            # Open the new table eagerly; the metadata load belongs to the
-            # flush, not to the first foreground read (see run_compaction).
-            self.table_cache.get(meta.file_number, meta.file_name(), CAT_FLUSH)
-            self._on_flush(meta)
-        else:
-            # No table came out (everything dropped), so no version edit —
-            # but _immutable was cleared, which is a read-source change.
-            # Dropped entries may still have freed vlog frames, though:
-            # journal the ledger delta on its own.
-            if dead:
-                self._apply_edit(VersionEdit(vlog_dead=dead))
-            self._install_superversion_locked()
-        if self._pending_log is not None and self.fs.exists(self._pending_log):
-            self.fs.delete_file(self._pending_log)
-        self._pending_log = None
-        self._observe_space()
-        self._last_flush_meta = meta
-        self._flush_cv.notify_all()
+                self._apply_edit(edit)
+                self.stats.flush_count += 1
+                self.stats.flush_bytes += meta.file_size
+                self.stats.charge_level_write(0, meta.file_size)
+                self.stats.record_event(
+                    CompactionEvent(
+                        parent_level=-1,
+                        child_level=0,
+                        kind="flush",
+                        reason="memtable",
+                        bytes_read=0,
+                        bytes_written=meta.file_size,
+                        input_files=0,
+                        output_files=1,
+                    )
+                )
+                # Open the new table eagerly; the metadata load belongs to the
+                # flush, not to the first foreground read (see run_compaction).
+                self.table_cache.get(meta.file_number, meta.file_name(), CAT_FLUSH)
+                self._on_flush(meta)
+            else:
+                # No table came out (everything dropped), so no version edit —
+                # but _immutable was cleared, which is a read-source change.
+                # Dropped entries may still have freed vlog frames, though:
+                # journal the ledger delta on its own.
+                if dead:
+                    self._apply_edit(VersionEdit(vlog_dead=dead))
+                self._install_superversion_locked()
+            if self._pending_log is not None and self.fs.exists(self._pending_log):
+                self.fs.delete_file(self._pending_log)
+            self._pending_log = None
+            self._observe_space()
+            self._last_flush_meta = meta
+            self._flush_cv.notify_all()
+        finally:
+            if traced:
+                self.tracer.end("flush.commit", "flush")
 
     def _apply_edit(self, edit: VersionEdit) -> None:
         self.version.apply(edit)
@@ -1235,8 +1240,9 @@ class DB:
     ) -> CompactionResult:
         """The short half, always under the engine lock: install the version
         edit, retire replaced files, record stats."""
-        if self.tracer.enabled:
-            self.tracer.instant(
+        traced = self.tracer.enabled
+        if traced:
+            self.tracer.begin(
                 "compaction.commit", "compaction",
                 {
                     "parent_level": task.parent_level,
@@ -1246,40 +1252,44 @@ class DB:
                     "output_files": result.output_files,
                 },
             )
-        self.picker.advance_pointer(task)
-        result.edit.compact_pointers.append(
-            (task.parent_level, self.picker.compact_pointer[task.parent_level])
-        )
-        result.edit.next_file_number = self._next_file_number
-        if self.vlog is not None:
-            # Fold the drops this compaction observed into its own edit:
-            # ledger deltas commit atomically with the file changes that
-            # made the frames dead.
-            result.edit.vlog_dead = self.vlog.take_pending_dead()
-        self._apply_edit(result.edit)
-        for meta in result.obsolete_files:
-            self.picker.forget_file(meta.file_number)
-        self.deletion_manager.retire(result.obsolete_files)
-
-        self.stats.charge_level_write(task.child_level, result.bytes_written)
-        self.stats.record_event(
-            CompactionEvent(
-                parent_level=task.parent_level,
-                child_level=task.child_level,
-                kind=result.kind,
-                reason=task.reason,
-                bytes_read=result.bytes_read,
-                bytes_written=result.bytes_written,
-                input_files=len(task.parent_files) + len(task.child_files),
-                output_files=result.output_files,
-                policy=self.picker.policy.name,
+        try:
+            self.picker.advance_pointer(task)
+            result.edit.compact_pointers.append(
+                (task.parent_level, self.picker.compact_pointer[task.parent_level])
             )
-        )
-        self._observe_space()
-        for level in range(self.version.num_levels):
-            self.stats.observe_obsolete(level, self.version.level_obsolete_bytes(level))
-        if self.options.paranoid_checks:
-            self._verify_catalog()
+            result.edit.next_file_number = self._next_file_number
+            if self.vlog is not None:
+                # Fold the drops this compaction observed into its own edit:
+                # ledger deltas commit atomically with the file changes that
+                # made the frames dead.
+                result.edit.vlog_dead = self.vlog.take_pending_dead()
+            self._apply_edit(result.edit)
+            for meta in result.obsolete_files:
+                self.picker.forget_file(meta.file_number)
+            self.deletion_manager.retire(result.obsolete_files)
+
+            self.stats.charge_level_write(task.child_level, result.bytes_written)
+            self.stats.record_event(
+                CompactionEvent(
+                    parent_level=task.parent_level,
+                    child_level=task.child_level,
+                    kind=result.kind,
+                    reason=task.reason,
+                    bytes_read=result.bytes_read,
+                    bytes_written=result.bytes_written,
+                    input_files=len(task.parent_files) + len(task.child_files),
+                    output_files=result.output_files,
+                    policy=self.picker.policy.name,
+                )
+            )
+            self._observe_space()
+            for level in range(self.version.num_levels):
+                self.stats.observe_obsolete(level, self.version.level_obsolete_bytes(level))
+            if self.options.paranoid_checks:
+                self._verify_catalog()
+        finally:
+            if traced:
+                self.tracer.end("compaction.commit", "compaction")
         return result
 
     def _verify_catalog(self) -> None:

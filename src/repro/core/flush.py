@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from ..keys import comparable_parts, comparable_to_internal
-from .snapshot import VersionKeeper
+from ..compaction.base import merge_keep_newest
+from ..keys import comparable_to_internal
 from ..memtable.memtable import MemTable
 from ..options import Options
 from ..sstable.table_builder import TableBuilder
@@ -31,19 +31,12 @@ def flush_memtable(
 
     Returns None when the memtable holds no live entries at all.
     """
-    keeper = VersionKeeper(snapshot_boundaries or [])
     builder = TableBuilder(fs, f"{file_number:06d}.sst", options, level=0, category=CAT_FLUSH)
-    last_user_key: bytes | None = None
-    for comparable, value in memtable.entries():
-        user_key, sequence, _value_type = comparable_parts(comparable)
-        if user_key != last_user_key:
-            keeper.new_key()
-            last_user_key = user_key
-        if not keeper.keep(sequence):
-            if on_drop is not None:
-                on_drop(value)
-            continue
-        builder.add(comparable_to_internal(comparable), value)
+    add = builder.add
+    for comparable, value in merge_keep_newest(
+        [memtable.entries()], snapshot_boundaries, on_drop
+    ):
+        add(comparable_to_internal(comparable), value)
     if builder.empty():
         builder.abandon()
         return None

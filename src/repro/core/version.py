@@ -19,7 +19,12 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from ..errors import InvalidArgumentError
-from ..keys import comparable_from_internal, user_key_of
+from ..keys import user_key_of
+
+#: Bisect keys over a sorted level's file list (``bisect(..., key=...)``).
+SMALLEST_USER_KEY = attrgetter("smallest_user_key")
+LARGEST_USER_KEY = attrgetter("largest_user_key")
+_FILE_NUMBER = attrgetter("file_number")
 
 
 @dataclass
@@ -38,14 +43,15 @@ class FileMetadata:
     allowed_seeks: int = 100
     #: Number of Block Compactions applied to this file since creation.
     append_count: int = 0
+    #: User-key bounds, derived once: every catalog query compares them.
+    #: ``smallest`` / ``largest`` are never assigned after construction
+    #: (an in-place update installs a fresh entry).
+    smallest_user_key: bytes = field(init=False, repr=False, compare=False)
+    largest_user_key: bytes = field(init=False, repr=False, compare=False)
 
-    @property
-    def smallest_user_key(self) -> bytes:
-        return user_key_of(self.smallest)
-
-    @property
-    def largest_user_key(self) -> bytes:
-        return user_key_of(self.largest)
+    def __post_init__(self) -> None:
+        self.smallest_user_key = user_key_of(self.smallest)
+        self.largest_user_key = user_key_of(self.largest)
 
     def overlaps_user_range(self, lo: bytes | None, hi: bytes | None) -> bool:
         """Whether the file's key range intersects ``[lo, hi]`` (None = open)."""
@@ -111,12 +117,25 @@ class Version:
     than LevelDB's immutable version chain) is sufficient; iterators pin the
     file *lists* they capture at creation and the DB defers physical file
     deletion while iterators are live.
+
+    Invariants, all maintained by :meth:`apply` — the only mutator — at
+    O(log files) key comparisons per file touched (DESIGN.md, "Catalog
+    invariants and their cost"): level 0 is ordered by file number, every
+    deeper level by smallest user key with pairwise-disjoint user-key
+    ranges, and the per-level byte totals equal the sums over the level's
+    files (a file's sizes never change in place).
     """
 
     def __init__(self, num_levels: int):
         if num_levels < 2:
             raise InvalidArgumentError("need at least 2 levels")
         self.levels: list[list[FileMetadata]] = [[] for _ in range(num_levels)]
+        #: ``(level, file_number)`` -> live entry: how a delete or an
+        #: in-place update finds the file it names without scanning.
+        self._files: dict[tuple[int, int], FileMetadata] = {}
+        self._file_bytes = [0] * num_levels
+        self._valid_bytes = [0] * num_levels
+        self._obsolete_bytes = [0] * num_levels
         #: Value-log garbage ledger: live vlog file number -> dead bytes
         #: (manifest-journaled; live bytes are the physical file size minus
         #: this, since vlog files are append-only).
@@ -132,25 +151,25 @@ class Version:
         return self.levels[level]
 
     def level_valid_bytes(self, level: int) -> int:
-        return sum(f.valid_bytes for f in self.levels[level])
+        return self._valid_bytes[level]
 
     def level_file_bytes(self, level: int) -> int:
-        return sum(f.file_size for f in self.levels[level])
+        return self._file_bytes[level]
 
     def level_obsolete_bytes(self, level: int) -> int:
-        return sum(f.obsolete_bytes for f in self.levels[level])
+        return self._obsolete_bytes[level]
 
     def total_file_bytes(self) -> int:
-        return sum(self.level_file_bytes(lv) for lv in range(self.num_levels))
+        return sum(self._file_bytes)
 
     def num_files(self) -> int:
-        return sum(len(files) for files in self.levels)
+        return len(self._files)
 
     def all_files(self) -> list[tuple[int, FileMetadata]]:
         return [(lv, f) for lv in range(self.num_levels) for f in self.levels[lv]]
 
     def live_file_numbers(self) -> set[int]:
-        return {f.file_number for _, f in self.all_files()}
+        return {number for _, number in self._files}
 
     def deepest_nonempty_level(self) -> int:
         deepest = 0
@@ -177,53 +196,66 @@ class Version:
         self, level: int, lo: bytes | None, hi: bytes | None
     ) -> list[FileMetadata]:
         """Files at ``level`` intersecting user-key range ``[lo, hi]``."""
-        return [f for f in self.levels[level] if f.overlaps_user_range(lo, hi)]
+        files = self.levels[level]
+        if level == 0:
+            return [f for f in files if f.overlaps_user_range(lo, hi)]
+        # Sorted and disjoint: both bounds ascend together, so the answer
+        # is the window from the first file ending at or after ``lo`` to
+        # the last one starting at or before ``hi``.
+        start = 0 if lo is None else bisect.bisect_left(files, lo, key=LARGEST_USER_KEY)
+        end = (
+            len(files)
+            if hi is None
+            else bisect.bisect_right(files, hi, key=SMALLEST_USER_KEY)
+        )
+        return files[start:end]
 
     def file_for_key(self, level: int, user_key: bytes) -> FileMetadata | None:
         """The unique file at a sorted level (>=1) that may hold ``user_key``."""
         files = self.levels[level]
-        if not files:
-            return None
-        idx = bisect.bisect_left(files, user_key, key=attrgetter("largest_user_key"))
-        if idx >= len(files):
-            return None
-        f = files[idx]
-        if f.smallest_user_key <= user_key:
-            return f
+        idx = bisect.bisect_left(files, user_key, key=LARGEST_USER_KEY)
+        if idx < len(files) and files[idx].smallest_user_key <= user_key:
+            return files[idx]
         return None
 
     def is_key_range_absent_below(self, level: int, lo: bytes, hi: bytes) -> bool:
         """True when no level deeper than ``level`` overlaps ``[lo, hi]`` —
         the test that lets compaction drop tombstones."""
         for deeper in range(level + 1, self.num_levels):
-            if self.overlapping_files(deeper, lo, hi):
+            files = self.levels[deeper]
+            idx = bisect.bisect_left(files, lo, key=LARGEST_USER_KEY)
+            if idx < len(files) and files[idx].smallest_user_key <= hi:
                 return False
         return True
 
     # -- mutation -----------------------------------------------------------
 
     def apply(self, edit: VersionEdit) -> None:
-        """Apply an edit in place (deletes, then updates, then adds)."""
-        if edit.deleted_files:
-            doomed = set(edit.deleted_files)
-            for level in {lv for lv, _ in doomed}:
-                self.levels[level] = [
-                    f for f in self.levels[level] if (level, f.file_number) not in doomed
-                ]
+        """Apply an edit in place (deletes, then updates, then adds).
+
+        A file that would overlap a neighbour at a sorted level, or an
+        update naming no live file, raises :class:`InvalidArgumentError`
+        and leaves that file as it was (earlier parts of the edit stay)."""
+        for key in edit.deleted_files:
+            old = self._files.get(key)
+            if old is not None:
+                self._remove(key[0], old)
         for level, meta in edit.updated_files:
-            files = self.levels[level]
-            for i, f in enumerate(files):
-                if f.file_number == meta.file_number:
-                    files[i] = meta
-                    break
-            else:
+            old = self._files.get((level, meta.file_number))
+            if old is None:
                 raise InvalidArgumentError(
                     f"update for unknown file {meta.file_number} at level {level}"
                 )
-            self._resort(level)
+            # Block Compaction may move either bound, so the entry is
+            # re-placed rather than overwritten where it stood.
+            self._remove(level, old)
+            try:
+                self._place(level, meta)
+            except InvalidArgumentError:
+                self._place(level, old)
+                raise
         for level, meta in edit.new_files:
-            self.levels[level].append(meta)
-            self._resort(level)
+            self._place(level, meta)
         for number in edit.new_vlog_files:
             self.vlog.setdefault(number, 0)
         for number, dead_bytes in edit.vlog_dead:
@@ -232,21 +264,47 @@ class Version:
         for number in edit.deleted_vlog_files:
             self.vlog.pop(number, None)
 
-    def _resort(self, level: int) -> None:
-        if level == 0:
-            self.levels[0].sort(key=lambda f: f.file_number)
-        else:
-            self.levels[level].sort(key=lambda f: comparable_from_internal(f.smallest))
-            self._check_disjoint(level)
-
-    def _check_disjoint(self, level: int) -> None:
+    def _place(self, level: int, meta: FileMetadata) -> None:
+        """Insert ``meta`` at its sorted position.  At a sorted level the
+        rest of the list is already disjoint, so the two files it lands
+        between are the only pairs the insertion can break."""
         files = self.levels[level]
-        for a, b in zip(files, files[1:]):
-            if a.largest_user_key >= b.smallest_user_key:
-                raise InvalidArgumentError(
-                    f"level {level} files {a.file_number} and {b.file_number} overlap: "
-                    f"{a.largest_user_key!r} >= {b.smallest_user_key!r}"
-                )
+        if level == 0:
+            idx = bisect.bisect_right(files, meta.file_number, key=_FILE_NUMBER)
+        else:
+            idx = bisect.bisect_left(files, meta.smallest_user_key, key=SMALLEST_USER_KEY)
+            if idx > 0:
+                self._check_disjoint(level, files[idx - 1], meta)
+            if idx < len(files):
+                self._check_disjoint(level, meta, files[idx])
+        files.insert(idx, meta)
+        self._files[level, meta.file_number] = meta
+        self._account(level, meta, 1)
+
+    def _remove(self, level: int, meta: FileMetadata) -> None:
+        """Take the live entry ``meta`` out of its level."""
+        files = self.levels[level]
+        if level == 0:
+            idx = bisect.bisect_left(files, meta.file_number, key=_FILE_NUMBER)
+        else:
+            idx = bisect.bisect_left(files, meta.smallest_user_key, key=SMALLEST_USER_KEY)
+        assert files[idx] is meta, "catalog index out of step with its level list"
+        del files[idx]
+        del self._files[level, meta.file_number]
+        self._account(level, meta, -1)
+
+    @staticmethod
+    def _check_disjoint(level: int, a: FileMetadata, b: FileMetadata) -> None:
+        if a.largest_user_key >= b.smallest_user_key:
+            raise InvalidArgumentError(
+                f"level {level} files {a.file_number} and {b.file_number} overlap: "
+                f"{a.largest_user_key!r} >= {b.smallest_user_key!r}"
+            )
+
+    def _account(self, level: int, meta: FileMetadata, sign: int) -> None:
+        self._file_bytes[level] += sign * meta.file_size
+        self._valid_bytes[level] += sign * meta.valid_bytes
+        self._obsolete_bytes[level] += sign * meta.obsolete_bytes
 
     def clone_file_lists(self) -> list[list[FileMetadata]]:
         """Shallow snapshot of file lists (iterator pinning)."""

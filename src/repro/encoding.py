@@ -257,10 +257,13 @@ def shared_prefix_len(a: bytes, b: bytes) -> int:
     comparison costs two ``int.from_bytes`` conversions instead of a
     Python-level byte loop.
     """
-    limit = min(len(a), len(b))
-    diff = int.from_bytes(a[:limit], "big") ^ int.from_bytes(b[:limit], "big")
-    if diff == 0:
-        return limit
+    limit = len(a)
+    if limit != len(b):
+        limit = min(limit, len(b))
+        a = a[:limit]
+        b = b[:limit]
+    # Equal keys XOR to 0, whose bit_length is 0: the whole span is shared.
+    diff = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
     return limit - ((diff.bit_length() + 7) >> 3)
 
 

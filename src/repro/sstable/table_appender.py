@@ -49,13 +49,15 @@ class AppendSession:
         self._options = options
         self._level = level
         self._category = category
+        self._block_size = options.block_size
+        self._compression = options.compression_type()
         self._file = fs.open_append(reader.name, category=category)
         self._offset = fs.file_size(reader.name)
         self._start_offset = self._offset
         self._block = BlockBuilder(options.block_restart_interval)
         self._entries: list[IndexEntry] = []
         self._reused_offsets: set[int] = set()
-        self._new_user_keys: list[bytes] = []
+        #: User keys of the pending block, then per appended block by offset.
         self._block_user_keys: list[bytes] = []
         self._keys_per_new_block: dict[int, list[bytes]] = {}
         self._num_new_entries = 0
@@ -67,15 +69,14 @@ class AppendSession:
     def add(self, internal_key: bytes, value: bytes) -> None:
         """Append one merged entry to the current new block."""
         user_key = user_key_of(internal_key)
-        if (
-            not self._block.empty()
-            and self._block.current_size_estimate() >= self._options.block_size
-            and user_key != user_key_of(self._block.last_key)
-        ):
+        keys = self._block_user_keys
+        # Cut the block when full, but never between two versions of the
+        # same user key (the rule TableBuilder.add applies).
+        if keys and self._block.size_estimate >= self._block_size and user_key != keys[-1]:
             self.flush_block()
+            keys = self._block_user_keys
         self._block.add(internal_key, value)
-        self._block_user_keys.append(user_key)
-        self._new_user_keys.append(user_key)
+        keys.append(user_key)
         self._num_new_entries += 1
 
     def flush_block(self) -> None:
@@ -83,7 +84,7 @@ class AppendSession:
         if self._block.empty():
             return
         payload = self._block.finish()
-        raw = wrap_block(payload, self._options.compression_type())
+        raw = wrap_block(payload, self._compression)
         entry = IndexEntry(
             smallest=self._block.first_key,
             largest=self._block.last_key,
@@ -133,7 +134,6 @@ class AppendSession:
         self._offset += len(raw)
         self._entries.append(entry)
         self._keys_per_new_block[entry.offset] = list(user_keys)
-        self._new_user_keys.extend(user_keys)
         self._num_new_entries += num_entries
 
     # -- filter maintenance ---------------------------------------------------------
@@ -162,21 +162,21 @@ class AppendSession:
         if policy == FILTER_NONE or self._options.bloom_bits_per_key <= 0:
             return None
         if policy == FILTER_TABLE:
+            new_keys = [key for keys in self._keys_per_new_block.values() for key in keys]
             old = self._reader.filter
             if (
                 isinstance(old, TableFilter)
                 and isinstance(old.bloom, ReservedBloomFilter)
-                and old.bloom.can_absorb(len(self._new_user_keys))
+                and old.bloom.can_absorb(len(new_keys))
             ):
                 # Deep-copy the live filter and absorb the appended keys into
                 # its reserved headroom.  Keys whose versions were superseded
                 # remain set — harmless false positives, no correctness loss.
                 bloom = ReservedBloomFilter.deserialize(old.bloom.serialize())
-                for key in self._new_user_keys:
-                    bloom.add(key)
+                bloom.add_many(new_keys)
                 return TableFilter(bloom)
             self._filter_rebuilt = True
-            live_keys = self._reused_user_keys() + self._new_user_keys
+            live_keys = self._reused_user_keys() + new_keys
             return TableFilter(
                 build_filter(
                     live_keys,
@@ -231,8 +231,9 @@ class AppendSession:
             valid_data_bytes=valid_bytes,
             section=self._reader.footer.section + 1,
         )
-        self._file.append(footer.serialize())
-        self._offset += len(footer.serialize())
+        footer_bytes = footer.serialize()
+        self._file.append(footer_bytes)
+        self._offset += len(footer_bytes)
         # Durability point before the manifest commit.  A crash between this
         # barrier and the manifest edit leaves an appended tail whose footer
         # is not yet live — recovery truncates back to the recorded size.

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..keys import comparable_from_internal, user_key_of
+from ..encoding import decode_fixed64
+from ..keys import user_key_of
 from ..options import FILTER_BLOCK, FILTER_NONE, FILTER_TABLE, Options
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_FLUSH
@@ -41,6 +42,11 @@ class TableInfo:
     bytes_written: int
 
 
+def _trailer(internal_key: bytes) -> int:
+    """The packed ``(sequence << 8) | type`` of an internal key."""
+    return decode_fixed64(internal_key, len(internal_key) - 8)
+
+
 class TableBuilder:
     """Serializes one new SSTable file."""
 
@@ -55,17 +61,20 @@ class TableBuilder:
         self._fs = fs
         self._options = options
         self._level = level
+        self._block_size = options.block_size
+        self._compression = options.compression_type()
         self._file = fs.create_file(name, category=category)
         self._offset = 0
         self._block = BlockBuilder(options.block_restart_interval)
         self._entries: list[IndexEntry] = []
-        self._all_user_keys: list[bytes] = []
+        #: User keys of the pending block, then per finished block by offset.
         self._block_user_keys: list[bytes] = []
         self._keys_per_block: dict[int, list[bytes]] = {}
         self._num_entries = 0
         self._smallest: bytes | None = None
         self._largest: bytes | None = None
-        self._last_comparable = None
+        #: User key of ``_largest`` (None before the first entry).
+        self.last_user_key: bytes | None = None
         self._finished = False
 
     @property
@@ -74,32 +83,29 @@ class TableBuilder:
 
     def add(self, internal_key: bytes, value: bytes) -> None:
         """Append one entry; keys must arrive in increasing internal order."""
-        comparable = comparable_from_internal(internal_key)
-        if self._last_comparable is not None and comparable <= self._last_comparable:
-            raise ValueError("table entries must be added in increasing internal-key order")
         user_key = user_key_of(internal_key)
-        # Cut the block when full, but never between two versions of the same
-        # user key: index entries must bound user-key ranges exactly.
-        if (
-            not self._block.empty()
-            and self._block.current_size_estimate() >= self._options.block_size
-            and user_key != user_key_of(self._block.last_key)
-        ):
-            self._flush_block()
+        last_user_key = self.last_user_key
+        if last_user_key is None:
+            self._smallest = internal_key
+        elif user_key > last_user_key:
+            # Cut the block when full, but never between two versions of the
+            # same user key: index entries must bound user-key ranges exactly.
+            if self._block.size_estimate >= self._block_size:
+                self._flush_block()
+        elif user_key < last_user_key or _trailer(internal_key) >= _trailer(self._largest):
+            # Same user key: versions must arrive newest (largest trailer) first.
+            raise ValueError("table entries must be added in increasing internal-key order")
         self._block.add(internal_key, value)
         self._block_user_keys.append(user_key)
-        self._all_user_keys.append(user_key)
         self._num_entries += 1
-        if self._smallest is None:
-            self._smallest = internal_key
         self._largest = internal_key
-        self._last_comparable = comparable
+        self.last_user_key = user_key
 
     def _flush_block(self) -> None:
         if self._block.empty():
             return
         payload = self._block.finish()
-        raw = wrap_block(payload, self._options.compression_type())
+        raw = wrap_block(payload, self._compression)
         entry = IndexEntry(
             smallest=self._block.first_key,
             largest=self._block.last_key,
@@ -118,7 +124,7 @@ class TableBuilder:
     def estimated_file_size(self) -> int:
         """Current file bytes plus the pending block — the compaction loop's
         output-rotation signal."""
-        return self._offset + self._block.current_size_estimate()
+        return self._offset + self._block.size_estimate
 
     def num_entries(self) -> int:
         return self._num_entries
@@ -132,7 +138,7 @@ class TableBuilder:
             return None
         if policy == FILTER_TABLE:
             return build_table_filter(
-                self._all_user_keys,
+                [key for keys in self._keys_per_block.values() for key in keys],
                 self._options.bloom_bits_per_key,
                 self._options.bloom_reserved_fraction(self._level),
             )
@@ -172,8 +178,9 @@ class TableBuilder:
             valid_data_bytes=valid_bytes,
             section=0,
         )
-        self._file.append(footer.serialize())
-        self._offset += len(footer.serialize())
+        footer_bytes = footer.serialize()
+        self._file.append(footer_bytes)
+        self._offset += len(footer_bytes)
         # Durability point: the table must be on disk before the manifest
         # edit that makes it live can reference it.
         self._file.sync()

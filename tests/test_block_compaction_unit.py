@@ -10,8 +10,9 @@ import pytest
 from conftest import tiny_options
 from repro.cache.block_cache import BlockCache
 from repro.cache.table_cache import TableCache
-from repro.compaction.base import CompactionTask
+from repro.compaction.base import CompactionResult, CompactionTask
 from repro.compaction.block_compaction import (
+    apply_block_update,
     block_compact_file,
     find_dirty_blocks,
     partition_parent_slices,
@@ -221,6 +222,30 @@ class TestBlockCompactFile:
         # nothing deeper: tombstone dropped entirely, key gone
         assert reader.get(victim, SNAP) == (False, None)
         assert new_meta.num_entries == meta.num_entries - 1
+
+    def test_file_emptied_by_tombstones_returns_no_metadata(self):
+        """Every key tombstoned away and nothing deeper: the appended index
+        is empty, so there are no bounds to build a catalog entry from —
+        the outcome is None and the task result retires the file."""
+        env = FakeEnv()
+        keys = [k(i) for i in range(0, 12, 2)]
+        meta = env.build(keys, level=2, register=2)
+        parent = [
+            (comparable_key(key, 900 + i, TYPE_DELETION), b"") for i, key in enumerate(keys)
+        ]
+        new_meta, stats = block_compact_file(env, parent, meta, 2)
+        assert new_meta is None
+        assert stats.clean_blocks == 0 and stats.new_blocks == 0
+        assert stats.dirty_blocks > 0
+
+        result = CompactionResult(kind="block")
+        apply_block_update(result, 2, meta, new_meta)
+        assert result.edit.deleted_files == [(2, meta.file_number)]
+        assert result.edit.updated_files == []
+        assert result.obsolete_files == [meta]
+        assert result.output_files == 0
+        env.version.apply(result.edit)
+        assert env.version.files_at(2) == []
 
     def test_parent_tombstone_kept_when_deeper_level_has_range(self):
         env = FakeEnv()

@@ -15,6 +15,7 @@ from repro.metrics.report import format_latency
 from repro.metrics.stats import DBStats
 from repro.obs.prom import render_prometheus
 from repro.obs.timeline import build_spans, load_events, render_timeline
+from repro.obs.trace import PHASE_BEGIN, PHASE_END
 from repro.storage.fs import LocalFS, SimulatedFS
 from repro.tools.__main__ import main as tools_main
 from repro.tools.metrics_report import format_store_report, replay_store
@@ -44,12 +45,19 @@ def test_engine_emits_write_flush_compaction_spans():
             key, value = kv(i)
             db.put(key, value)
         db.compact_all()
-        names = {event.name for event in db.tracer.events()}
+        events = db.tracer.events()
     finally:
         db.close()
+    names = {event.name for event in events}
     assert {"write", "flush.build", "flush.commit"} <= names
     assert {"compaction.pick", "compaction.execute", "compaction.commit"} <= names
     assert {"fs.write", "fs.read"} <= names
+    # Commits are begin/end spans (their catalog + manifest work has a
+    # duration the timeline can show), never instants.
+    for name in ("flush.commit", "compaction.commit"):
+        phases = [event.phase for event in events if event.name == name]
+        assert phases.count(PHASE_BEGIN) == phases.count(PHASE_END) > 0
+        assert set(phases) == {PHASE_BEGIN, PHASE_END}
 
 
 def test_trace_sim_timestamps_track_device_clock():

@@ -231,6 +231,29 @@ class TestOffloadEquivalence:
         assert in_process == [(7, 100 + 2 + 100 + 4 + 100 + 10), (8, 100 + 23)]
         assert offloaded == in_process
 
+    def test_file_emptied_by_tombstones_returns_no_metadata(self):
+        """The offload branch shares block_compact_file's tail: a file whose
+        every key the worker's merge dropped comes back as None (no catalog
+        entry without bounds), with the same bytes as in-process."""
+        keys = [k(i) for i in range(0, 12, 2)]
+
+        def run(pool):
+            env = FakeEnv()
+            child = env.build(keys, register=2)
+            slice_ = parent_entries(range(0, 12, 2), tombstones=range(0, 12, 2))
+            new_meta, stats = block_compact_file(env, slice_, child, 2, pool=pool)
+            return env, new_meta, stats
+
+        pool = OffloadPool("thread", 2)
+        try:
+            env, new_meta, stats = run(pool)
+        finally:
+            pool.close()
+        ref_env, ref_meta, ref_stats = run(None)
+        assert new_meta is None and ref_meta is None
+        assert (stats.dirty_blocks, stats.new_blocks) == (ref_stats.dirty_blocks, 0)
+        assert env.fs.digest() == ref_env.fs.digest()
+
     def test_conservative_tombstones_when_deeper_levels_overlap(self):
         """When a deeper level may hold the key range, the worker keeps
         tombstones (conservative); content stays correct."""

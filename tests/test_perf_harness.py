@@ -44,6 +44,7 @@ EXPECTED_PATHS = {
     "block_decode_raw",
     "merge_visible",
     "compaction_merge",
+    "catalog_apply",
     "seq_fill",
     "point_get",
     "multi_get",
@@ -62,7 +63,7 @@ def test_quick_run_covers_all_paths(quick_report):
         assert entry["ns_per_op"] > 0, name
     # Micro paths carry an in-process reference arm.
     for name in ("varint_roundtrip", "block_decode", "merge_visible",
-                 "compaction_merge"):
+                 "compaction_merge", "catalog_apply"):
         assert report["paths"][name]["speedup_vs_reference"] > 0
 
 

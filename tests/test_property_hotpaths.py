@@ -2,8 +2,9 @@
 frozen reference implementations in :mod:`repro._reference`.
 
 The engine's fast paths (table-driven varints, the fused block decode, the
-fused k-way merge stack, the heap-based LPT scheduler) must be drop-in
-replacements for the straightforward originals — same results on valid
+fused k-way merge stack, the heap-based LPT scheduler, the bisecting
+version catalog, the bulk filter build and the one-split table builder)
+must be drop-in replacements for the straightforward originals — same results on valid
 input, same :class:`CorruptionError` classification on corrupt input.
 Hypothesis generates the inputs, including prefix-heavy key sets,
 multi-version keys (which exercise the rare trailer-overlap branch of the
@@ -28,7 +29,8 @@ from repro.encoding import (  # noqa: E402
     encode_varint,
     shared_prefix_len,
 )
-from repro.errors import CorruptionError  # noqa: E402
+from repro.bloom import BloomFilter, ReservedBloomFilter, build_filter  # noqa: E402
+from repro.errors import CorruptionError, InvalidArgumentError  # noqa: E402
 from repro.keys import (  # noqa: E402
     MAX_SEQUENCE,
     TYPE_DELETION,
@@ -41,8 +43,12 @@ from repro.compaction.base import merge_keep_newest, merge_live  # noqa: E402
 from repro.compaction.parallel import lpt_makespan  # noqa: E402
 from repro.core.iterator import visible_entries  # noqa: E402
 from repro.core.merge import merge_entries, merge_visible  # noqa: E402
+from repro.core.version import FileMetadata, Version, VersionEdit  # noqa: E402
+from repro.options import Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
 from repro.sstable.block_builder import BlockBuilder  # noqa: E402
+from repro.sstable.table_builder import TableBuilder  # noqa: E402
+from repro.storage.fs import SimulatedFS  # noqa: E402
 
 # ---------------------------------------------------------------------- varint
 
@@ -382,3 +388,260 @@ def test_lpt_makespan_matches_linear_scan(durations, workers):
     assert lpt_makespan(durations, workers) == _reference.lpt_makespan(
         durations, workers
     )
+
+
+# --------------------------------------------------------------------- catalog
+
+_LEVELS = 4
+_KEY_SPACE = 200
+#: Mostly legal edits, so sequences grow long before one is rejected.
+_EDIT_KINDS = ["add"] * 12 + ["delete"] * 6 + ["update"] * 17 + ["unknown"]
+
+
+def _user_key(ordinal: int) -> bytes:
+    return b"%03d" % ordinal
+
+
+def _file(number: int, lo: int, hi: int, size: int = 1000, valid: int = 1000) -> FileMetadata:
+    return FileMetadata(
+        file_number=number,
+        file_size=size,
+        valid_bytes=valid,
+        num_entries=hi - lo + 1,
+        smallest=make_internal_key(_user_key(lo), 9, TYPE_VALUE),
+        largest=make_internal_key(_user_key(hi), 2, TYPE_DELETION),
+    )
+
+
+def _assert_catalogs_agree(version: Version, ref: _reference.ReferenceVersion, data) -> None:
+    assert version.levels == ref.levels
+    assert version.num_files() == sum(len(files) for files in ref.levels)
+    for level in range(_LEVELS):
+        assert version.level_valid_bytes(level) == ref.level_valid_bytes(level)
+        assert version.level_file_bytes(level) == ref.level_file_bytes(level)
+        assert version.level_obsolete_bytes(level) == ref.level_obsolete_bytes(level)
+    bound = st.one_of(st.none(), st.integers(-1, _KEY_SPACE + 1).map(_user_key))
+    for _ in range(4):
+        level = data.draw(st.integers(0, _LEVELS - 1))
+        lo, hi = data.draw(bound), data.draw(bound)
+        if data.draw(st.booleans()):
+            hi = lo  # a point range (or fully open)
+        assert version.overlapping_files(level, lo, hi) == ref.overlapping_files(level, lo, hi)
+        if lo is not None and hi is not None:
+            assert version.is_key_range_absent_below(level, lo, hi) == (
+                not any(
+                    ref.overlapping_files(deeper, lo, hi)
+                    for deeper in range(level + 1, _LEVELS)
+                )
+            )
+            if level > 0:
+                holders = ref.overlapping_files(level, lo, lo)
+                assert version.file_for_key(level, lo) == (holders[0] if holders else None)
+
+
+def _assert_catalog_invariants(version: Version) -> None:
+    """What must hold even after a rejected edit."""
+    numbers = [f.file_number for f in version.levels[0]]
+    assert numbers == sorted(numbers)
+    for level in range(1, _LEVELS):
+        files = version.levels[level]
+        for a, b in zip(files, files[1:]):
+            assert a.largest_user_key < b.smallest_user_key
+    for level in range(_LEVELS):
+        files = version.levels[level]
+        assert version.level_file_bytes(level) == sum(f.file_size for f in files)
+        assert version.level_valid_bytes(level) == sum(f.valid_bytes for f in files)
+        assert version.level_obsolete_bytes(level) == sum(f.obsolete_bytes for f in files)
+    assert version.num_files() == sum(len(files) for files in version.levels)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_version_matches_reference_catalog(data):
+    """Random edit sequences — adds (sorted levels and out-of-order L0
+    numbers), deletes (known and unknown), in-place updates that lower,
+    raise, shrink or move a file's bounds and change its sizes, multi-file
+    edits, overlapping adds and unknown-file updates — leave the bisecting
+    catalog and the re-sorting reference with equal levels, equal query
+    answers and equal running totals after every edit; a rejected edit
+    raises the same error in both and leaves the catalog's invariants
+    intact."""
+    version, ref = Version(_LEVELS), _reference.ReferenceVersion(_LEVELS)
+    unused = list(range(1, 400))
+    key = st.integers(0, _KEY_SPACE)
+
+    def fresh_number() -> int:
+        return unused.pop(data.draw(st.integers(0, min(5, len(unused) - 1))))
+
+    def draw_range() -> tuple[int, int]:
+        lo = data.draw(key)
+        return lo, min(_KEY_SPACE, lo + data.draw(st.integers(0, 6)))
+
+    for _ in range(data.draw(st.integers(1, 25))):
+        edit = VersionEdit()
+        touched: set[int] = set()  # an edit names a live file at most once
+        for _ in range(data.draw(st.integers(1, 3))):
+            live = [
+                (lv, f)
+                for lv, files in enumerate(ref.levels)
+                for f in files
+                if f.file_number not in touched
+            ]
+            kind = data.draw(st.sampled_from(_EDIT_KINDS))
+            if kind == "add" or not live:
+                level = data.draw(st.integers(0, _LEVELS - 1))
+                edit.new_files.append((level, _file(fresh_number(), *draw_range())))
+            elif kind == "delete":
+                level, victim = data.draw(st.sampled_from(live))
+                touched.add(victim.file_number)
+                edit.deleted_files.append((level, victim.file_number))
+                if data.draw(st.booleans()):
+                    edit.deleted_files.append((level, 10_000))  # never existed: ignored
+            elif kind == "update":
+                level, old = data.draw(st.sampled_from(live))
+                touched.add(old.file_number)
+                lo = int(old.smallest_user_key) + data.draw(st.integers(-4, 4))
+                hi = int(old.largest_user_key) + data.draw(st.integers(-4, 4))
+                lo = max(0, min(lo, _KEY_SPACE))
+                hi = max(lo, min(hi, _KEY_SPACE))
+                size = data.draw(st.integers(1, 5000))
+                edit.updated_files.append(
+                    (level, _file(old.file_number, lo, hi, size, data.draw(st.integers(0, size))))
+                )
+            else:
+                level = data.draw(st.integers(0, _LEVELS - 1))
+                edit.updated_files.append((level, _file(10_001, *draw_range())))
+        try:
+            ref.apply(edit)
+        except InvalidArgumentError as exc:
+            hypothesis.event(
+                "rejected: "
+                + ("unknown file" if "unknown" in str(exc) else "overlap")
+                + (" (edit has updates)" if edit.updated_files else "")
+            )
+            with pytest.raises(InvalidArgumentError) as caught:
+                version.apply(edit)
+            if "unknown file" in str(exc):
+                assert str(caught.value) == str(exc)
+            _assert_catalog_invariants(version)
+            # Stopping before the offending file (the reference stops after
+            # placing it) loses nothing: a rejected update keeps the old entry.
+            added = {meta.file_number for _, meta in edit.new_files}
+            kept = {f.file_number for files in ref.levels for f in files} - added
+            assert kept <= version.live_file_numbers()
+            return  # the reference's level is now corrupt: nothing left to compare
+        version.apply(edit)
+        _assert_catalogs_agree(version, ref, data)
+    _assert_catalog_invariants(version)
+
+
+# --------------------------------------------------------------------- filters
+
+
+@given(
+    st.lists(st.binary(max_size=12), max_size=60, unique=True),
+    st.integers(1, 16),
+    st.sampled_from([0.0, 0.1, 0.4]),
+    st.lists(st.binary(min_size=13, max_size=16), max_size=40, unique=True),
+)
+@settings(deadline=None)
+def test_bulk_filter_build_matches_per_key_adds(keys, bits_per_key, reserved, extra):
+    """``build_filter`` and the reserved-bits absorb path (both one
+    ``add_many``) serialize byte-identically to a per-key reference ``add``
+    loop, and overflow with the same error."""
+    bulk = build_filter(keys, bits_per_key, reserved)
+    if reserved > 0:
+        loop = ReservedBloomFilter(len(keys), bits_per_key, reserved)
+    else:
+        loop = BloomFilter(len(keys), bits_per_key)
+    for key in keys:
+        _reference.bloom_add(loop, key)
+    assert bulk.serialize() == loop.serialize()
+    # Absorbing appended keys into whatever headroom the filter has.
+    try:
+        for key in extra:
+            _reference.bloom_add(loop, key)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as caught:
+            bulk.add_many(extra)
+        assert str(caught.value) == str(exc)
+    else:
+        bulk.add_many(extra)
+        assert bulk.serialize() == loop.serialize()
+        assert all(bulk.may_contain(key) for key in keys + extra)
+
+
+# --------------------------------------------------------------- table builder
+
+
+def _table_options(block_size: int, restart_interval: int, bits_per_key: int) -> Options:
+    return Options(
+        block_size=block_size,
+        block_restart_interval=restart_interval,
+        bloom_bits_per_key=bits_per_key,
+    )
+
+
+@given(
+    internal_entries(),
+    st.sampled_from([64, 96, 200]),
+    st.integers(1, 5),
+    st.sampled_from([0, 10]),
+    st.integers(0, 6),
+)
+@settings(deadline=None)
+def test_table_builder_matches_reference_table(
+    entries, block_size, restart_interval, bits_per_key, level
+):
+    """The one-split ``TableBuilder.add`` path writes the very file the
+    reference per-entry path assembles — block cuts that never split a
+    user key's versions, index, reserved-bits filter and footer included."""
+    options = _table_options(block_size, restart_interval, bits_per_key)
+    fs = SimulatedFS()
+    builder = TableBuilder(fs, "000001.sst", options, level)
+    for key, value in entries:
+        builder.add(key, value)
+    info = builder.finish()
+    expected = _reference.build_table_bytes(
+        entries,
+        block_size=block_size,
+        restart_interval=restart_interval,
+        bits_per_key=bits_per_key,
+        reserved_fraction=options.bloom_reserved_fraction(level),
+    )
+    with fs.open_random("000001.sst") as f:
+        assert f.read(0, info.file_size, category="meta") == expected
+    assert info.file_size == len(expected)
+    assert (info.smallest, info.largest) == (entries[0][0], entries[-1][0])
+
+
+def _build_with_table_builder(pairs) -> None:
+    builder = TableBuilder(SimulatedFS(), "000001.sst", _table_options(64, 2, 0), 1)
+    for key, value in pairs:
+        builder.add(key, value)
+
+
+def _build_with_reference(pairs) -> None:
+    _reference.build_table_bytes(
+        pairs, block_size=64, restart_interval=2, bits_per_key=0, reserved_fraction=0.0
+    )
+
+
+@pytest.mark.parametrize("build", [_build_with_table_builder, _build_with_reference])
+@pytest.mark.parametrize(
+    "second",
+    [
+        make_internal_key(b"j", 50, TYPE_VALUE),  # a smaller user key
+        make_internal_key(b"k", 7, TYPE_VALUE),  # same user key, same trailer
+        make_internal_key(b"k", 8, TYPE_DELETION),  # same user key, newer sequence
+    ],
+)
+def test_table_builder_rejects_order_violations(build, second):
+    """The three ways an entry can be out of internal-key order raise the
+    same ``ValueError`` from the user-key-first check as from the
+    reference's full comparable-key check; the legal successor — same user
+    key, older sequence — is accepted by both."""
+    first = make_internal_key(b"k", 7, TYPE_VALUE)
+    with pytest.raises(ValueError, match="increasing internal-key order"):
+        build([(first, b"v"), (second, b"w")])
+    build([(first, b"v"), (make_internal_key(b"k", 6, TYPE_DELETION), b"")])

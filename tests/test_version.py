@@ -132,6 +132,26 @@ class TestVersionMutation:
         with pytest.raises(InvalidArgumentError):
             v.apply(VersionEdit(new_files=[(1, meta(2, b"k", b"z"))]))
 
+    def test_rejected_update_keeps_the_old_entry(self):
+        v = Version(3)
+        v.apply(VersionEdit(new_files=[(1, meta(1, b"a", b"c")), (1, meta(2, b"e", b"g"))]))
+        with pytest.raises(InvalidArgumentError, match="files 1 and 2 overlap"):
+            v.apply(VersionEdit(updated_files=[(1, meta(1, b"a", b"f", size=9000))]))
+        assert [(f.file_number, f.largest_user_key) for f in version_files(v, 1)] == [
+            (1, b"c"),
+            (2, b"g"),
+        ]
+        assert v.level_file_bytes(1) == 2000
+
+    def test_update_may_move_either_bound(self):
+        v = Version(3)
+        v.apply(VersionEdit(new_files=[(1, meta(n, b"%02d" % (10 * n), b"%02d" % (10 * n + 5))) for n in (1, 2, 3)]))
+        # Lowered smallest (keys below the file's range land in it), then a
+        # file whose old keys all died and whose new ones sit past its old end.
+        v.apply(VersionEdit(updated_files=[(1, meta(1, b"03", b"12"))]))
+        v.apply(VersionEdit(updated_files=[(1, meta(2, b"27", b"29"))]))
+        assert [f.smallest_user_key for f in version_files(v, 1)] == [b"03", b"27", b"30"]
+
     def test_level0_may_overlap(self):
         v = Version(3)
         v.apply(VersionEdit(new_files=[(0, meta(1, b"a", b"m")), (0, meta(2, b"k", b"z"))]))
@@ -152,3 +172,83 @@ class TestVersionMutation:
 
 def version_files(v: Version, level: int):
     return v.files_at(level)
+
+
+class _CountedKey(bytes):
+    """A user key that counts every comparison it takes part in."""
+
+    comparisons = 0
+    __hash__ = bytes.__hash__
+
+
+def _counting(name: str):
+    plain = getattr(bytes, name)
+
+    def compare(self, other):
+        _CountedKey.comparisons += 1
+        return plain(self, other)
+
+    return compare
+
+
+for _op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
+    setattr(_CountedKey, _op, _counting(_op))
+
+
+def _counted_meta(number: int, lo: int, hi: int, **kwargs) -> FileMetadata:
+    f = meta(number, b"%06d" % lo, b"%06d" % hi, **kwargs)
+    f.smallest_user_key = _CountedKey(f.smallest_user_key)
+    f.largest_user_key = _CountedKey(f.largest_user_key)
+    return f
+
+
+class TestCatalogComplexity:
+    """Deterministic stand-in for a wall-clock gate: catalog operations on
+    a 2 000-file level cost O(log files) key comparisons per file touched,
+    not a re-sort or a scan of the level."""
+
+    FILES = 2000
+    BUDGET = 64  # per file touched; log2(2000) is 11
+
+    @pytest.fixture
+    def version(self):
+        v = Version(4)
+        # File n covers [10n, 10n + 5]: every level-3 neighbour pair has a gap.
+        v.apply(
+            VersionEdit(
+                new_files=[(3, _counted_meta(n, 10 * n, 10 * n + 5)) for n in range(self.FILES)]
+            )
+        )
+        _CountedKey.comparisons = 0
+        return v
+
+    def test_one_file_add(self, version):
+        version.apply(VersionEdit(new_files=[(3, _counted_meta(5000, 10007, 10008))]))
+        assert 0 < _CountedKey.comparisons < self.BUDGET
+        assert version.files_at(3)[1001].file_number == 5000
+
+    def test_one_file_in_place_update(self, version):
+        # Block Compaction's shape: the file grows and both bounds move.
+        version.apply(
+            VersionEdit(updated_files=[(3, _counted_meta(700, 6997, 7008, size=4000, valid=3000))])
+        )
+        assert 0 < _CountedKey.comparisons < self.BUDGET
+        assert version.files_at(3)[700].file_size == 4000
+        assert version.level_obsolete_bytes(3) == 1000
+
+    def test_one_file_delete(self, version):
+        version.apply(VersionEdit(deleted_files=[(3, 1234)]))
+        assert 0 < _CountedKey.comparisons < self.BUDGET
+        assert version.num_files() == self.FILES - 1
+
+    def test_overlapping_files_on_a_three_file_window(self, version):
+        lo, hi = _CountedKey(b"%06d" % 5003), _CountedKey(b"%06d" % 5021)
+        window = version.overlapping_files(3, lo, hi)
+        assert [f.file_number for f in window] == [500, 501, 502]
+        assert 0 < _CountedKey.comparisons < self.BUDGET
+
+    def test_totals_do_not_walk_the_level(self, version):
+        assert version.level_file_bytes(3) == 1000 * self.FILES
+        assert version.level_valid_bytes(3) == 1000 * self.FILES
+        assert version.total_file_bytes() == 1000 * self.FILES
+        assert _CountedKey.comparisons == 0
