@@ -208,7 +208,7 @@ def run_block_walk(
 ) -> None:
     """Execute a :func:`plan_block_walk` plan: merged and gap entries go to
     ``sink.add`` (an :class:`AppendSession`, or the offload worker's block
-    emitter), clean blocks to ``reuse(index_entry_idx)``;
+    cutter), clean blocks to ``reuse(index_entry_idx)``;
     ``dirty_block_entries(dirty_idx)`` yields a dirty block's entries."""
     gap_keeper = VersionKeeper(boundaries)
     for op in ops:
@@ -434,7 +434,7 @@ def block_compact_file(
             if op[0] == OP_REUSE:
                 session.reuse(index_entries[op[1]])
             else:
-                session.append_prebuilt(*op[1:])
+                session.commit_block(*op[1:])
         if on_drop is not None:
             for stored in merge.dropped:
                 on_drop(stored)

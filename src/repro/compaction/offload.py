@@ -16,15 +16,15 @@ an :class:`OffloadPool` — performs all filesystem access and packs each
 subtask's immutable inputs into a picklable
 :class:`~repro.compaction.block_compaction.BlockMergeJob`.  The worker
 (:func:`execute_block_merge`) runs the same plan executor and merge kernel
-the in-process path runs, over a :class:`_BlockEmitter` instead of an
-:class:`~repro.sstable.table_appender.AppendSession`, and returns the
-rebuilt raw block bytes plus their index facts; the parent replays those
-into its append session, which charges the simulated writes and runs the
-existing locked commit path unchanged.
+the in-process path runs, over the same
+:class:`~repro.sstable.block_builder.BlockCutter` an
+:class:`~repro.sstable.table_appender.AppendSession` cuts blocks with, and
+returns the rebuilt raw block bytes plus their index facts; the parent
+replays those into its append session's ``commit_block``, which charges the
+simulated writes and runs the existing locked commit path unchanged.
 
-Because the emitter uses the same :class:`~repro.sstable.block_builder.
-BlockBuilder` cut rule, an offloaded append produces **bit-identical file
-bytes** to the in-process path whenever the job's precomputed
+Because it is the one cutter, an offloaded append produces **bit-identical
+file bytes** to the in-process path whenever the job's precomputed
 ``drop_tombstones`` fact is decisive — the equivalence the tests pin.
 
 Transport: ``thread`` mode runs jobs on a ``ThreadPoolExecutor`` (no
@@ -53,11 +53,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..errors import OffloadError
-from ..keys import user_key_of
 from ..options import Options
 from ..sstable.block import parse_block_raw
-from ..sstable.block_builder import BlockBuilder
-from ..sstable.format import BLOCK_TRAILER_SIZE, wrap_block
+from ..sstable.block_builder import BlockCutter
+from ..sstable.format import BLOCK_TRAILER_SIZE
 from ..vlog import is_pointer
 from .block_compaction import OP_REUSE, BlockMergeJob, JobGeometry, run_block_walk
 
@@ -91,58 +90,6 @@ class BlockMergeResult:
     merged_entries: int = 0
 
 
-class _BlockEmitter:
-    """Worker-side mirror of :class:`AppendSession`'s block-cut rule.
-
-    Same builder, same "cut when the estimate passes ``block_size`` and the
-    user key changes" condition, same flush-before-reuse boundary — so the
-    rebuilt raw bytes match what the in-process path would have written.
-    """
-
-    def __init__(self, geometry: JobGeometry):
-        self._geometry = geometry
-        self._block = BlockBuilder(geometry.block_restart_interval)
-        self._user_keys: list[bytes] = []
-        self.ops: list[tuple] = []
-        self.merged_entries = 0
-
-    def add(self, internal_key: bytes, value: bytes) -> None:
-        """Append one merged entry, cutting blocks exactly like
-        :meth:`AppendSession.add`."""
-        user_key = user_key_of(internal_key)
-        keys = self._user_keys
-        if keys and self._block.size_estimate >= self._geometry.block_size and user_key != keys[-1]:
-            self.flush()
-            keys = self._user_keys
-        self._block.add(internal_key, value)
-        keys.append(user_key)
-        self.merged_entries += 1
-
-    def flush(self) -> None:
-        """Cut the pending block into a ``("b", ...)`` result op."""
-        if self._block.empty():
-            return
-        payload = self._block.finish()
-        raw = wrap_block(payload, self._geometry.compression_type)
-        self.ops.append(
-            (
-                OP_BLOCK,
-                raw,
-                self._block.first_key,
-                self._block.last_key,
-                self._block.num_entries,
-                self._user_keys,
-            )
-        )
-        self._user_keys = []
-        self._block.reset()
-
-    def reuse(self, entry_idx: int) -> None:
-        """Echo a clean-block reuse, flushing first (reuse is a cut point)."""
-        self.flush()
-        self.ops.append((OP_REUSE, entry_idx))
-
-
 def _resolve_payloads(job: BlockMergeJob) -> list[bytes]:
     """Materialize the dirty payload list from whichever transport was used."""
     if job.shm_name is not None:
@@ -162,7 +109,15 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
     filesystem, no engine state — safe in any process."""
     payloads = _resolve_payloads(job)
     geometry = job.geometry
-    emitter = _BlockEmitter(geometry)
+    # The in-process cutter, emitting into the result script instead of an
+    # append session's ``commit_block``.
+    ops: list[tuple] = []
+    cutter = BlockCutter(
+        geometry.block_size,
+        geometry.block_restart_interval,
+        geometry.compression_type,
+        lambda *block: ops.append((OP_BLOCK, *block)),
+    )
     dropped: list[bytes] = []
     decoded_bytes = 0
 
@@ -176,10 +131,15 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
         if is_pointer(stored):
             dropped.append(stored)
 
+    def reuse(entry_idx: int) -> None:
+        # A reuse is a cut point, echoed for the parent to resolve.
+        cutter.cut()
+        ops.append((OP_REUSE, entry_idx))
+
     drop_tombstones = job.drop_tombstones
     run_block_walk(
-        emitter,
-        emitter.reuse,
+        cutter,
+        reuse,
         job.ops,
         job.parent_entries,
         dirty_block_entries,
@@ -187,13 +147,13 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
         job.boundaries,
         on_drop if job.report_drops else None,
     )
-    emitter.flush()
+    cutter.cut()
     return BlockMergeResult(
-        ops=emitter.ops,
+        ops=ops,
         worker_pid=os.getpid(),
         dropped=dropped,
         decoded_bytes=decoded_bytes,
-        merged_entries=emitter.merged_entries,
+        merged_entries=sum(op[4] for op in ops if op[0] == OP_BLOCK),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core.version import FileMetadata, clone_metadata, new_file_metadata
+from ..core.version import FileMetadata, clone_metadata, new_file_metadata, table_file_name
 from ..keys import user_key_of
 from ..sstable.table_builder import TableBuilder
 from ..storage.io_stats import CAT_COMPACTION
@@ -62,6 +62,7 @@ def build_output_tables(
     # must stay disjoint at user-key granularity.
     outputs: list[FileMetadata] = []
     builder: TableBuilder | None = None
+    number = 0
     sstable_size = env.options.sstable_size
     for internal_key, value, _is_tombstone in live_stream:
         if (
@@ -69,28 +70,27 @@ def build_output_tables(
             and builder.estimated_file_size() >= sstable_size
             and user_key_of(internal_key) != builder.last_user_key
         ):
-            outputs.append(_finish(env, builder, child_level))
+            outputs.append(_finish(env, builder, number))
             builder = None
         if builder is None:
             number = env.new_file_number()
             builder = TableBuilder(
                 env.fs,
-                f"{number:06d}.sst",
+                table_file_name(number),
                 env.options,
                 child_level,
                 category=CAT_COMPACTION,
             )
         builder.add(internal_key, value)
-    if builder is not None and not builder.empty():
-        outputs.append(_finish(env, builder, child_level))
+    if builder is not None:
+        outputs.append(_finish(env, builder, number))
     return outputs
 
 
-def _finish(env: CompactionEnv, builder: TableBuilder, child_level: int) -> FileMetadata:
-    info = builder.finish()
+def _finish(env: CompactionEnv, builder: TableBuilder, number: int) -> FileMetadata:
     return new_file_metadata(
-        int(info.file_name.split(".")[0]),
-        info,
+        number,
+        builder.finish(),
         allowed_seeks_divisor=env.options.seek_compaction_bytes_per_seek,
         min_allowed_seeks=env.options.seek_compaction_min_seeks,
     )

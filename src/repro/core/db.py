@@ -99,7 +99,7 @@ from .manifest import (
     replay_manifest,
     set_current,
 )
-from .version import FileMetadata, Version, VersionEdit
+from .version import FileMetadata, Version, VersionEdit, table_file_name
 from .write_batch import WriteBatch
 
 
@@ -211,7 +211,6 @@ class DB:
         )
         #: Re-entrancy guard: a GC re-put can fill the memtable, whose flush
         #: runs compactions, whose completion would otherwise start GC again.
-        self._vlog_gc_running = False
         self.version = Version(self.options.max_levels)
         self.snapshots = SnapshotRegistry()
         # One coarse engine lock: concurrent readers and a writer may share
@@ -874,7 +873,7 @@ class DB:
                 on_drop=self.vlog.observe_drop if self.vlog is not None else None,
             )
         except BaseException:
-            name = f"{file_number:06d}.sst"
+            name = table_file_name(file_number)
             try:
                 if self.fs.exists(name):
                     self.fs.delete_file(name)
@@ -1363,11 +1362,13 @@ class DB:
 
     def compact_all(self) -> None:
         """Drain every level into the deepest non-empty level (manual full
-        compaction, used by tests and experiment setup)."""
+        compaction, used by tests and experiment setup): an unbounded
+        :meth:`compact_range`, then the bottom level rewritten in place."""
         self._check_open()
         with self._background_paused():
             with self._lock:
-                self._compact_all_locked()
+                self._compact_range_locked(None, None)
+                self._rewrite_bottom_level()
 
     def _drain_immutable_locked(self) -> None:
         """Land a pending frozen memtable inline (manual compactions run
@@ -1375,30 +1376,6 @@ class DB:
         pending, the step is exactly that flush."""
         if self._immutable is not None:
             self._retry_transient("flush")
-
-    def _compact_all_locked(self) -> None:
-        self._drain_immutable_locked()
-        if len(self._memtable):
-            self._flush_locked()
-        for _pass in range(self.version.num_levels * 4):
-            moved = False
-            for level in range(self.version.num_levels - 1):
-                while self.version.files_at(level):
-                    meta = self.version.files_at(level)[0]
-                    children = self.version.overlapping_files(
-                        level + 1, meta.smallest_user_key, meta.largest_user_key
-                    )
-                    task = CompactionTask(
-                        parent_level=level,
-                        parent_files=[meta],
-                        child_files=children,
-                        reason="manual",
-                    )
-                    self.run_compaction(task)
-                    moved = True
-            if not moved:
-                break
-        self._rewrite_bottom_level()
 
     def compact_range(self, begin: bytes | None = None, end: bytes | None = None) -> None:
         """Manually compact every file overlapping ``[begin, end]`` down the
@@ -1650,20 +1627,17 @@ class DB:
 
         The one entry point is :meth:`_background_step`'s lowest-priority
         unit, so a failed round is retried by whichever driver ran the
-        step.  The ``_vlog_gc_running`` guard breaks the recursion GC's own
-        re-put traffic could otherwise cause (re-put -> flush -> step ->
-        GC)."""
-        if self.vlog is None or self._vlog_gc_running or self._closed:
+        step.  A round cannot re-enter itself: its re-puts go through
+        :meth:`_apply_locked`, which never rolls the memtable, and
+        :meth:`_gc_maybe_flush` only ever runs the step that is the pending
+        flush."""
+        if self.vlog is None or self._closed:
             return False
         with self._lock:
             victim = self.vlog.pick_gc_victim(self.version.vlog)
         did = False
         if victim is not None:
-            self._vlog_gc_running = True
-            try:
-                self._run_vlog_gc(victim)
-            finally:
-                self._vlog_gc_running = False
+            self._run_vlog_gc(victim)
             self._error_handler.note_success()
             did = True
         if self._process_vlog_deletes():

@@ -9,7 +9,7 @@ from ..options import Options
 from ..sstable.table_builder import TableBuilder
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_FLUSH
-from .version import FileMetadata, new_file_metadata
+from .version import FileMetadata, new_file_metadata, table_file_name
 
 
 def flush_memtable(
@@ -31,7 +31,7 @@ def flush_memtable(
 
     Returns None when the memtable holds no live entries at all.
     """
-    builder = TableBuilder(fs, f"{file_number:06d}.sst", options, level=0, category=CAT_FLUSH)
+    builder = TableBuilder(fs, table_file_name(file_number), options, level=0, category=CAT_FLUSH)
     add = builder.add
     for comparable, value in merge_keep_newest(
         [memtable.entries()], snapshot_boundaries, on_drop

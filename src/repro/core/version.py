@@ -27,6 +27,11 @@ LARGEST_USER_KEY = attrgetter("largest_user_key")
 _FILE_NUMBER = attrgetter("file_number")
 
 
+def table_file_name(number: int) -> str:
+    """The one place an SSTable's file name is formatted."""
+    return f"{number:06d}.sst"
+
+
 @dataclass
 class FileMetadata:
     """Catalog entry for one SSTable."""
@@ -68,7 +73,7 @@ class FileMetadata:
         return max(0, self.file_size - self.valid_bytes)
 
     def file_name(self) -> str:
-        return f"{self.file_number:06d}.sst"
+        return table_file_name(self.file_number)
 
 
 def new_file_metadata(
@@ -78,7 +83,7 @@ def new_file_metadata(
     allowed_seeks_divisor: int = 16 * 1024,
     min_allowed_seeks: int = 100,
 ) -> FileMetadata:
-    """Build metadata from a :class:`~repro.sstable.table_builder.TableInfo`."""
+    """Build metadata from a :class:`~repro.sstable.section_writer.TableInfo`."""
     return FileMetadata(
         file_number=file_number,
         file_size=info.file_size,

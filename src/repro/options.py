@@ -141,10 +141,6 @@ class Options:
     #: locks instead of one cache mutex.
     cache_shards: int = 1
     verify_checksums: bool = True
-    #: Parse data blocks lazily: point lookups decode only the restart
-    #: region they bisect into (see ``repro.sstable.block.LazyDataBlock``).
-    #: Purely a wall-clock optimization — simulated metrics are identical.
-    lazy_block_decode: bool = True
     #: Per-block codec: "none" (the paper's setting) or "zlib".
     compression: str = COMPRESSION_OFF
 
@@ -243,9 +239,6 @@ class Options:
     #: Concurrent dirty-block reads during Block Compaction (Algorithm 3's
     #: "read these dirty blocks concurrently using multi-threads").
     dirty_block_read_parallelism: int = 8
-    #: RocksDB-style sub-compaction restricted to L0 (Section IV-B notes
-    #: RocksDB only parallelizes L0 compactions).
-    l0_subcompaction_only: bool = True
 
     # --- Key-value separation (DESIGN.md §13) -----------------------------------
     #: Store values at or above ``kv_separation_threshold`` in append-only

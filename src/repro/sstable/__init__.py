@@ -20,8 +20,9 @@ from .format import (
     wrap_block,
 )
 from .index import IndexBlock, IndexEntry
-from .table_appender import AppendResult, AppendSession
-from .table_builder import TableBuilder, TableInfo
+from .section_writer import TableInfo
+from .table_appender import AppendSession
+from .table_builder import TableBuilder
 from .table_reader import TableReader
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "wrap_block",
     "IndexBlock",
     "IndexEntry",
-    "AppendResult",
     "AppendSession",
     "TableBuilder",
     "TableInfo",

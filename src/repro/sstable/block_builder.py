@@ -16,8 +16,11 @@ can binary-search restarts.  Keys are serialized internal keys.
 from __future__ import annotations
 
 import struct
+from typing import Callable
 
-from ..encoding import encode_varint, shared_prefix_len
+from ..encoding import decode_fixed64, encode_varint, shared_prefix_len
+from ..keys import user_key_of
+from .format import wrap_block
 
 #: Entry headers whose three varints fit 1+1+1 or 1+1+2 bytes — every
 #: header the engine writes for keys under 128 bytes and values under
@@ -32,8 +35,8 @@ class BlockBuilder:
     Entries are assembled straight into one reusable ``bytearray``;
     :meth:`reset` keeps the allocation, so a table builder emitting many
     blocks reuses it.  ``size_estimate`` is kept current by :meth:`add`,
-    so the per-entry block-cut checks of the table builders read an
-    attribute instead of calling :meth:`current_size_estimate`.
+    so :class:`BlockCutter`'s per-entry cut check reads an attribute
+    instead of calling :meth:`current_size_estimate`.
     """
 
     def __init__(self, restart_interval: int = 16):
@@ -100,3 +103,76 @@ class BlockBuilder:
         restarts = self._restarts
         trailer = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
         return bytes(self._buf) + trailer
+
+
+def _trailer(internal_key: bytes) -> int:
+    """The packed ``(sequence << 8) | type`` of an internal key."""
+    return decode_fixed64(internal_key, len(internal_key) - 8)
+
+
+class BlockCutter:
+    """Turns a sorted entry stream into finished data blocks — the one cut
+    rule and the one key-order rule of every table writer.
+
+    Each finished block goes to ``emit(raw, smallest, largest, num_entries,
+    user_keys)``: ``raw`` is the wrapped payload (trailer attached), the
+    keys are the block's first and last internal keys, ``user_keys`` its
+    entries' user keys (filter input).  In-process ``emit`` is
+    :meth:`SectionWriter.commit_block
+    <repro.sstable.section_writer.SectionWriter.commit_block>`; an offload
+    worker collects the same tuples and the parent replays them into it.
+    """
+
+    def __init__(
+        self,
+        block_size: int,
+        restart_interval: int,
+        compression: int,
+        emit: Callable[[bytes, bytes, bytes, int, list[bytes]], None],
+    ):
+        self.block = BlockBuilder(restart_interval)
+        self._block_size = block_size
+        self._compression = compression
+        self._emit = emit
+        self._user_keys: list[bytes] = []
+        #: User key of the last entry added — or, after a section writer
+        #: reused a clean block, that block's largest (None before either).
+        self.last_user_key: bytes | None = None
+
+    def add(self, internal_key: bytes, value: bytes) -> None:
+        """Append one entry; keys must arrive in increasing internal order."""
+        user_key = user_key_of(internal_key)
+        last_user_key = self.last_user_key
+        block = self.block
+        if last_user_key is not None:
+            if user_key > last_user_key:
+                # Cut the block when full, but never between two versions of
+                # the same user key: index entries must bound user-key
+                # ranges exactly.
+                if block.size_estimate >= self._block_size:
+                    self.cut()
+            elif (
+                user_key < last_user_key
+                # Same user key: versions must arrive newest (largest
+                # trailer) first, and never across a reused block.
+                or not block.num_entries
+                or _trailer(internal_key) >= _trailer(block.last_key)
+            ):
+                raise ValueError("table entries must be added in increasing internal-key order")
+        block.add(internal_key, value)
+        self._user_keys.append(user_key)
+        self.last_user_key = user_key
+
+    def cut(self) -> None:
+        """Finish the pending block, if any, and hand it to ``emit``."""
+        block = self.block
+        if block.num_entries:
+            self._emit(
+                wrap_block(block.finish(), self._compression),
+                block.first_key,
+                block.last_key,
+                block.num_entries,
+                self._user_keys,
+            )
+            self._user_keys = []
+            block.reset()

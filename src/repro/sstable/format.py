@@ -9,6 +9,13 @@ section; every Block Compaction appends another:
     [data blocks ...][filter blob][index block][footer]     <- section 1 (append)
     ...
 
+Both kinds are written by the one
+:class:`~repro.sstable.section_writer.SectionWriter` — a build is section 0
+with no base reader, an append the next section over the file's live reader
+(:class:`~repro.sstable.table_builder.TableBuilder` and
+:class:`~repro.sstable.table_appender.AppendSession` are its two front
+ends).
+
 Only the **last** footer is live: it points at the latest index block, which
 enumerates every *valid* data block (clean blocks from earlier sections by
 their original offsets, plus the newly appended blocks).  Data blocks

@@ -180,10 +180,11 @@ class TableReader:
     ) -> ParsedBlock:
         """Fetch one data block, through the block cache when given.
 
-        With ``options.lazy_block_decode`` the parse is deferred: the block
-        enters the cache partially decoded and point lookups decode only the
-        restart region they bisect into.  Cache accounting is unchanged
-        either way (both forms charge the serialized size).
+        The parse is deferred (``LazyDataBlock``): the block enters the
+        cache partially decoded and point lookups decode only the restart
+        region they bisect into — the compaction reads below parse eagerly,
+        they drain every entry.  Cache accounting is the same for both
+        forms (each charges the serialized size).
         """
         if block_cache is not None:
             cached = block_cache.get(self.file_number, entry.offset)
@@ -195,11 +196,7 @@ class TableReader:
             category=category,
             sequential=sequential,
         )
-        block = parse_block_raw(
-            raw,
-            verify_checksum=self._options.verify_checksums,
-            lazy=self._options.lazy_block_decode,
-        )
+        block = parse_block_raw(raw, verify_checksum=self._options.verify_checksums, lazy=True)
         if block_cache is not None:
             block_cache.insert(self.file_number, entry.offset, block)
         return block

@@ -280,6 +280,34 @@ class TestBlockCompactFile:
         assert new_meta.obsolete_bytes > 0
 
 
+    def test_walk_that_leaves_the_index_unsorted_is_refused(self, monkeypatch):
+        """A plan whose reuses and merges are out of key order (here: two
+        ops swapped) raises instead of writing an index point lookups would
+        bisect wrongly — in-process through ``add``/``reuse``, offloaded
+        through the replayed ``commit_block``."""
+        from repro.compaction import block_compaction
+        from repro.compaction.offload import OffloadPool
+
+        parent = [(comparable_key(k(2), 999, TYPE_VALUE), b"NEW" * 10)]
+        plan = block_compaction.plan_block_walk
+
+        def swapped(index_entries, parent_slice, dirty_entries):
+            ops = plan(index_entries, parent_slice, dirty_entries)
+            assert ops[0][0] == block_compaction.OP_MERGE
+            return [ops[1], ops[0], *ops[2:]]
+
+        monkeypatch.setattr(block_compaction, "plan_block_walk", swapped)
+        pool = OffloadPool("thread", 1)
+        try:
+            for offload in (None, pool):
+                env = FakeEnv()
+                meta = env.build([k(i) for i in range(0, 40, 2)], level=2)
+                with pytest.raises(ValueError):
+                    block_compact_file(env, parent, meta, 2, pool=offload)
+        finally:
+            pool.close()
+
+
 class TestRunBlockCompaction:
     def test_task_updates_children_and_drops_parent(self):
         env = FakeEnv()

@@ -41,6 +41,31 @@ class TestCompactRange:
         assert len(db.scan()) == 400
         db.close()
 
+    def test_compact_all_is_an_unbounded_range_plus_the_bottom_rewrite(self, any_style):
+        """One drain loop serves both: ``compact_all`` on a loaded tree
+        leaves the very bytes ``compact_range()`` followed by ``compact_all``
+        (whose drain then finds nothing to move) does — same files picked in
+        the same order, same file numbers, same simulated clock."""
+
+        def loaded():
+            db = make_db(any_style)
+            load(db)
+            for i in range(100, 200):
+                db.put(kv(i)[0], b"v2-%d" % i)
+            return db
+
+        direct, staged = loaded(), loaded()
+        direct.compact_all()
+        staged.compact_range()
+        before_rewrite = staged.fs.digest()
+        staged.compact_all()
+        assert staged.fs.digest() != before_rewrite  # the bottom rewrite ran
+        assert direct.fs.digest() == staged.fs.digest()
+        assert direct.num_files_per_level() == staged.num_files_per_level()
+        assert direct.fs.stats.sim_time_s == staged.fs.stats.sim_time_s
+        direct.close()
+        staged.close()
+
     def test_disjoint_range_is_noop(self):
         db = make_db("table")
         load(db, n=100)

@@ -115,6 +115,36 @@ def _make_scenario(env):
     return child, slice_
 
 
+def _make_versions_scenario(env):
+    """The boundaries the one cut rule decides: user keys whose versions
+    outgrow ``block_size`` (a block is never cut inside one key, so the
+    estimate passes the cut size and the *next* key cuts), in merges and in
+    gaps, with clean blocks reused between the merges.  Every parent
+    sequence is its own snapshot stratum, so all versions survive."""
+    env.snapshot_boundaries = lambda: list(range(400, 900))
+    child = env.build([k(i) for i in range(0, 80, 2)], register=2)
+
+    def versions(i, count):
+        return [
+            (comparable_key(k(i), 800 - age, TYPE_VALUE), b"new%02d" % age * 6)
+            for age in range(count)
+        ]
+
+    slice_ = (
+        versions(1, 3)
+        + versions(4, 9)  # one key's versions carry the block past the cut size...
+        + versions(5, 2)  # ...and the next key is what cuts
+        # two clean blocks reused, then a merge whose block is full when
+        # key 34's versions start: they get a block of their own
+        + versions(33, 7)
+        + versions(34, 8)
+        + versions(61, 1)  # two more reuses, a merge, one more reuse
+        + versions(90, 12)  # above the file: one oversized block...
+        + versions(95, 1)  # ...then a one-entry tail block
+    )
+    return child, slice_
+
+
 # ------------------------------------------------------------- picklability
 
 
@@ -157,26 +187,23 @@ class TestJobPicklability:
 
 
 class TestOffloadEquivalence:
-    def _run_inprocess(self):
+    def _run_inprocess(self, scenario=_make_scenario):
         env = FakeEnv()
-        child, slice_ = _make_scenario(env)
+        child, slice_ = scenario(env)
         new_meta, stats = block_compact_file(env, slice_, child, 2)
         return env, child, new_meta, stats
 
-    def _run_offloaded(self, pool):
+    def _run_offloaded(self, pool, scenario=_make_scenario):
         env = FakeEnv()
-        child, slice_ = _make_scenario(env)
+        child, slice_ = scenario(env)
         new_meta, stats = block_compact_file(env, slice_, child, 2, pool=pool)
         return env, child, new_meta, stats
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_file_bytes_bit_identical(self, mode):
-        """With the range-absence fact decisive, the offloaded append writes
-        the exact same bytes the in-process path does."""
-        ref_env, ref_child, ref_meta, ref_stats = self._run_inprocess()
+    def _check_bit_identical(self, mode, scenario):
+        ref_env, ref_child, ref_meta, ref_stats = self._run_inprocess(scenario)
         pool = OffloadPool(mode, 2, mp_context="fork")
         try:
-            env, child, new_meta, stats = self._run_offloaded(pool)
+            env, child, new_meta, stats = self._run_offloaded(pool, scenario)
         finally:
             pool.close()
         name = ref_child.file_name()
@@ -194,6 +221,26 @@ class TestOffloadEquivalence:
             ref_stats.dirty_blocks,
             ref_stats.new_blocks,
         )
+        return env, child, stats
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_file_bytes_bit_identical(self, mode):
+        """With the range-absence fact decisive, the offloaded append writes
+        the exact same bytes the in-process path does."""
+        self._check_bit_identical(mode, _make_scenario)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_file_bytes_bit_identical_on_cut_boundaries(self, mode):
+        """The same on the boundaries the cut rule decides — and the
+        scenario is what it claims: rebuilt blocks well past the cut size
+        because one key's versions cannot be split (two of them holding that
+        key alone), and reuses between the merges."""
+        env, child, stats = self._check_bit_identical(mode, _make_versions_scenario)
+        entries = env.reader(child).index.entries
+        oversized = [e for e in entries if e.size > 1.4 * env.options.block_size]
+        assert len(oversized) >= 4
+        assert sum(e.smallest_user_key == e.largest_user_key for e in oversized) >= 2
+        assert (stats.dirty_blocks, stats.clean_blocks) == (3, 5)
 
     def test_shared_memory_transport(self):
         """Forcing the shm path (threshold 0) produces the same file."""

@@ -138,3 +138,22 @@ class TestPresets:
     def test_preset_overrides(self):
         opts = leveldb_like(sstable_size=1 << 20, lazy_deletion=True)
         assert opts.lazy_deletion
+
+
+def test_every_option_is_read_somewhere():
+    """A field nothing reads is not an option: every ``Options`` field name
+    appears in the engine's source outside ``options.py`` (as an attribute
+    read, a keyword in a preset, or a ``JobGeometry`` copy)."""
+    import dataclasses
+    import re
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    source = "\n".join(
+        path.read_text() for path in sorted(root.rglob("*.py")) if path.name != "options.py"
+    )
+    words = set(re.findall(r"\w+", source))
+    unread = [f.name for f in dataclasses.fields(Options) if f.name not in words]
+    assert unread == []

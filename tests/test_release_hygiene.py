@@ -7,6 +7,7 @@ experiment covered by a bench module.
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -128,3 +129,26 @@ class TestStructure:
 
         pyproject = (ROOT / "pyproject.toml").read_text()
         assert f'version = "{repro.__version__}"' in pyproject
+
+
+def test_benchmark_trace_points_resolve(monkeypatch):
+    """``benchmarks/e2e/tracing.py::POINTS`` freezes ``module:attr`` names:
+    the recorder swaps ``vars(owner)[attr]``, so each target must be
+    defined on that very class or module (an inherited method, or a moved
+    or renamed function, breaks the benchmark's per-layer metrics).  Loaded
+    by path, read-only — a refactor that breaks one fails here, not only in
+    the benchmark's own ``--selftest``."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "_e2e_tracing", BENCHMARKS / "e2e" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # @dataclass looks it up
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for point in tracing.POINTS:
+        owner, attr = tracing._resolve(point.target)
+        if not callable(vars(owner).get(attr)):
+            unresolved.append(point.target)
+    assert unresolved == []

@@ -234,6 +234,42 @@ class TestAppendSessions:
         reader.reload()
         assert reader.get(tomb_key, SNAP) == (True, None)
 
+    # The order rule is the cutter's, so an append session enforces what
+    # TableBuilder.add does, and its adds and reuses leave the index sorted.
+
+    def test_out_of_order_add_rejected(self, fs):
+        options = opts()
+        session = AppendSession(fs, self._reader(fs, options), options, level=2)
+        session.add(make_internal_key(b"zz-b", 5, TYPE_VALUE), b"")
+        with pytest.raises(ValueError):
+            session.add(make_internal_key(b"zz-a", 6, TYPE_VALUE), b"")
+        with pytest.raises(ValueError):  # same user key: newest version first
+            session.add(make_internal_key(b"zz-b", 7, TYPE_VALUE), b"")
+        session.add(make_internal_key(b"zz-b", 4, TYPE_VALUE), b"")
+
+    def test_add_under_a_reused_block_rejected(self, fs):
+        options = opts()
+        reader = self._reader(fs, options)
+        session = AppendSession(fs, reader, options, level=2)
+        first = reader.index.entries[0]
+        session.reuse(first)
+        with pytest.raises(ValueError):
+            session.add(make_internal_key(first.smallest_user_key, 999, TYPE_VALUE), b"")
+        with pytest.raises(ValueError):  # AT the block's largest key, too
+            session.add(make_internal_key(first.largest_user_key, 999, TYPE_VALUE), b"")
+        session.add(make_internal_key(first.largest_user_key + b"x", 999, TYPE_VALUE), b"")
+
+    def test_reuse_below_the_last_added_key_rejected(self, fs):
+        options = opts()
+        reader = self._reader(fs, options)
+        session = AppendSession(fs, reader, options, level=2)
+        first, second = reader.index.entries[:2]
+        session.add(make_internal_key(second.smallest_user_key, 999, TYPE_VALUE), b"")
+        with pytest.raises(ValueError):
+            session.reuse(first)
+        with pytest.raises(ValueError):  # overlapping the added key
+            session.reuse(second)
+
     def test_double_finish_rejected(self, fs):
         options = opts()
         reader = self._reader(fs, options)

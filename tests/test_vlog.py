@@ -251,6 +251,46 @@ class TestGarbageCollection:
         db.close()
 
 
+    @pytest.mark.parametrize("background", [False, True], ids=["sync", "lane"])
+    def test_round_that_rolls_the_memtable_runs_once_per_victim(self, fs, background):
+        """A GC round whose re-puts overflow the memtable several times
+        flushes inline (``_gc_maybe_flush``) without re-entering GC: the
+        re-puts go through ``_apply_locked``, which never rolls the
+        memtable, and the inline drain only ever runs the pending flush —
+        so no guard flag is needed, and each victim is collected by exactly
+        one round in either driver."""
+        db = kv_db(fs, vlog_file_size=16 * 1024, background_compaction=background)
+        rounds: list[tuple[int, int]] = []  # (victim, flushes inside the round)
+        run_round = db._run_vlog_gc
+
+        def spy(victim: int) -> None:
+            flushes = db.stats.flush_count
+            run_round(victim)
+            rounds.append((victim, db.stats.flush_count - flushes))
+
+        db._run_vlog_gc = spy
+        # ~190 records per 16 KiB vlog file; overwriting every other key
+        # leaves each sealed file half dead (past the 0.3 ratio) with ~95
+        # live records to re-put through a 1 KiB memtable.
+        for i in range(400):
+            db.put(*big(i))
+        for i in range(0, 400, 2):
+            db.put(*big(i, 70))
+        db.flush()
+        db.compact_all()
+        for i in range(400, 460):  # roll the memtable: the driver runs its step
+            db.put(*big(i))
+        db.wait_for_background()
+
+        victims = [victim for victim, _ in rounds]
+        assert len(victims) >= 2 and len(set(victims)) == len(victims)
+        assert db.stats.vlog_gc_runs == len(victims)
+        assert all(flushes >= 3 for _, flushes in rounds)
+        for i in range(400):
+            assert db.get(big(i)[0]) == big(i, 70 if i % 2 == 0 else 64)[1]
+        db.close()
+
+
 class TestDefaultModeUnchanged:
     def test_no_vlog_artifacts(self, fs):
         db = make_db(COMPACTION_SELECTIVE, fs=fs)
