@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgumentError,
     NotFoundError,
     ReproError,
+    WouldBlock,
     WriteStallError,
 )
 from .options import (
@@ -69,5 +70,6 @@ __all__ = [
     "DBClosedError",
     "FileSystemError",
     "WriteStallError",
+    "WouldBlock",
     "__version__",
 ]

@@ -34,6 +34,18 @@ Reads (DESIGN.md §9): ``get``,
 resolve against that snapshot with the lock released, and apply any
 seek-compaction charge under the lock afterwards.  Synchronous mode is
 simply the case with one reader.
+
+No-wait mode (DESIGN.md §9): ``get`` / ``multi_get`` / ``scan`` / ``write``
+(and ``put`` / ``delete``) take ``wait=False``, which never waits and never
+runs background work on the calling thread.  It raises
+:class:`~repro.errors.WouldBlock` up front, before changing anything, on a
+filesystem whose I/O really blocks, when the engine lock is busy (it
+try-locks once and holds the lock for the call), and for a write that
+would have to queue, sleep on L0 pressure or roll the memtable over into
+work it must wait for.  Without a lane, a seek compaction that a no-wait
+read or scan makes due stays due — the picker keeps the candidate — until
+the next call that may run one.  The serving layer calls it first, on its
+event loop.
 """
 
 from __future__ import annotations
@@ -65,6 +77,7 @@ from ..errors import (
     DBClosedError,
     InvalidArgumentError,
     NotFoundError,
+    WouldBlock,
 )
 from ..keys import ComparableKey, TYPE_VALUE, seek_comparable
 from ..memtable.memtable import MemTable
@@ -85,6 +98,7 @@ from ..vlog import (
     encode_pointer,
     parse_vlog_file_name,
     salvage_scan,
+    stored_size_bound,
     vlog_file_name,
     wrap_inline,
 )
@@ -508,22 +522,26 @@ class DB:
 
     # ------------------------------------------------------------------ writes
 
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or update one key."""
+    def put(self, key: bytes, value: bytes, *, wait: bool = True) -> None:
+        """Insert or update one key (``wait``: see :meth:`write`)."""
         batch = WriteBatch()
         batch.put(key, value)
-        self.write(batch)
+        self.write(batch, wait=wait)
 
-    def delete(self, key: bytes) -> None:
-        """Delete one key (writes a tombstone)."""
+    def delete(self, key: bytes, *, wait: bool = True) -> None:
+        """Delete one key (writes a tombstone; ``wait``: see :meth:`write`)."""
         batch = WriteBatch()
         batch.delete(key)
-        self.write(batch)
+        self.write(batch, wait=wait)
 
-    def write(self, batch: WriteBatch) -> None:
+    def write(self, batch: WriteBatch, *, wait: bool = True) -> None:
         """Apply a batch atomically: WAL record, then memtable.  A failed
         try-lock *is* the contention signal (another writer or a background
-        commit holds the engine lock); only then does the writer queue."""
+        commit holds the engine lock); only then does the writer queue.
+
+        ``wait=False`` never queues, sleeps or rolls the memtable over into
+        work it must wait for: it raises :class:`WouldBlock` first, with
+        nothing written (see :meth:`_lock_nowait_write`)."""
         self._check_open()
         if len(batch) == 0:
             return
@@ -531,16 +549,25 @@ class DB:
         if tracer.enabled:
             tracer.begin("write", "write", {"n": len(batch)})
         start = time.perf_counter() if self.latency is not None else 0.0
+        if not wait:
+            try:
+                self._lock_nowait_write(batch)
+            except BaseException:  # declined, not served: no sample, no tuner tick
+                if tracer.enabled:
+                    tracer.end("write", "write")
+                raise
+        # A no-wait call holds the engine lock from here: nothing may come
+        # between taking it and the ``try`` whose ``finally`` releases it.
         try:
-            if self._scheduler is not None:
+            if wait and self._scheduler is not None:
                 # Only a fast-fail: the authoritative degraded check runs
                 # inside ``_apply_locked`` under the engine lock.
                 self._error_handler.check_writable()
                 self._throttle_l0()
-            if not self._writers and self._lock.acquire(False):  # non-blocking
+            if not wait or (not self._writers and self._lock.acquire(False)):
                 try:
                     self._apply_locked([batch])
-                    self._maybe_freeze_locked()
+                    self._maybe_freeze_locked(wait)
                 finally:
                     self._lock.release()
             else:
@@ -552,6 +579,25 @@ class DB:
                 tracer.end("write", "write")
             if self._tuner is not None:
                 self._tuner.record_op()
+
+    def _lock_nowait_write(self, batch: WriteBatch) -> None:
+        """Take the engine lock for a ``wait=False`` write, or raise
+        :class:`WouldBlock` with nothing changed.  A device that really
+        blocks, a busy lock and a writer queue (``_write_queued``'s wait)
+        are declined here; the other two waits are declined, under the
+        lock and before a byte is written, by the code that owns them — L0
+        past the slowdown trigger by :meth:`_throttle_l0`, a rollover that
+        would wait by :meth:`_rollover_waits_locked`."""
+        if self.fs.blocking or self._writers or not self._lock.acquire(False):
+            raise WouldBlock("device or engine lock busy")
+        try:
+            if self._scheduler is not None:
+                self._throttle_l0(wait=False)
+            if self._rollover_waits_locked(batch):
+                raise WouldBlock("memtable rollover would wait")
+        except BaseException:
+            self._lock.release()
+            raise
 
     def _write_queued(self, batch: WriteBatch) -> None:
         """Group commit: contended writers queue up; the queue head leads,
@@ -715,14 +761,17 @@ class DB:
         )
         self.vlog.open_head(number)
 
-    def _throttle_l0(self) -> None:
+    def _throttle_l0(self, wait: bool = True) -> None:
         """Feed L0 pressure back into the write path (MakeRoomForWrite):
         past the slowdown trigger each write sleeps briefly; past the stop
         trigger it blocks until the background worker drains L0 (bounded by
-        ``level0_stop_max_wait_s`` so writes never error, merely slow)."""
+        ``level0_stop_max_wait_s`` so writes never error, merely slow).
+        ``wait=False`` raises :class:`WouldBlock` instead of either."""
         opts = self.options
         if len(self.version.files_at(0)) < opts.level0_slowdown_writes_trigger:
             return
+        if not wait:
+            raise WouldBlock("L0 at the slowdown trigger")
         tracer = self.tracer
         self._scheduler.wake()
         stop = len(self.version.files_at(0)) >= opts.level0_stop_writes_trigger
@@ -750,14 +799,33 @@ class DB:
         if tracer.enabled:
             tracer.end("stall", "write")
 
-    def _maybe_freeze_locked(self) -> None:
+    def _rollover_waits_locked(self, batch: WriteBatch) -> bool:
+        """Whether writing ``batch`` now would end in a rollover its writer
+        waits for (:meth:`_maybe_freeze_locked`, below): the memtable
+        would be full, and there is no lane (the flush and compactions run
+        inline) or the previous frozen memtable is still pending.  The fill
+        is the memtable's own accounting — exact, or with separated values
+        the value log's upper bound, so a write let through never rolls
+        over where one turned away would not have."""
+        if self._scheduler is not None and self._immutable is None:
+            return False  # freeze, wake the lane: nothing to wait for
+        payload = batch.byte_size()
+        if self.vlog is not None:
+            payload = stored_size_bound(payload, len(batch))
+        return self._memtable.would_reach(self.options.memtable_size, payload, len(batch))
+
+    def _maybe_freeze_locked(self, wait: bool = True) -> None:
         """Memtable rollover: freeze a full memtable and hand it to the
         step — wake the lane, or (synchronous mode) flush and compact
         inline.  With a lane, if the previous freeze is still being
         flushed, wait for it (writers have outrun the flusher) rather than
-        stacking immutables."""
+        stacking immutables.  A ``wait=False`` write was let through by
+        :meth:`_rollover_waits_locked` because neither applies; if one does,
+        the two have drifted apart, and that fails here, loudly."""
         if self._memtable.approximate_memory_usage() < self.options.memtable_size:
             return
+        if not wait and (self._scheduler is None or self._immutable is not None):
+            raise AssertionError("a wait=False write reached a rollover that waits")
         if self._scheduler is None:
             self._drain_immutable_locked()  # a failed flush's leftover: see _flush_locked
         elif self._immutable is not None:
@@ -1038,9 +1106,11 @@ class DB:
             )
         return task
 
-    def _request_compaction(self) -> None:
+    def _request_compaction(self, wait: bool = True) -> None:
         """Background work became due: wake the lane, or — synchronous
-        mode — run its step here until the backlog is drained.
+        mode — run its step here until the backlog is drained.  A
+        ``wait=False`` caller never runs it here: the work stays due (the
+        picker keeps its candidates) for the next request that may.
 
         Each inline step runs under the transient-retry loop: a unit that
         failed before its commit left the version untouched (outputs are
@@ -1049,7 +1119,7 @@ class DB:
         and is never retried."""
         if self._scheduler is not None:
             self._scheduler.wake()
-        elif not self._error_handler.degraded:  # else read-only until resume()
+        elif wait and not self._error_handler.degraded:  # else read-only until resume()
             with self._lock:
                 while self._retry_transient("compaction"):
                     pass
@@ -1439,7 +1509,11 @@ class DB:
         return total
 
     def multi_get(
-        self, keys: list[bytes], *, snapshot: Snapshot | None = None
+        self,
+        keys: list[bytes],
+        *,
+        snapshot: Snapshot | None = None,
+        wait: bool = True,
     ) -> dict[bytes, bytes | None]:
         """Batched point lookups: ``{key: value-or-None}`` for each input.
 
@@ -1447,7 +1521,8 @@ class DB:
         are resolved once, and SSTable probes are grouped per file —
         each table's reader is fetched from the table cache once per batch
         instead of once per (key, file) pair.  Lookup results (including
-        seek-compaction charges) match ``get`` called per key."""
+        seek-compaction charges) match ``get`` called per key.  ``wait``
+        is :meth:`get`'s."""
         self._check_open()
         checked: list[bytes] = []
         for key in keys:
@@ -1455,20 +1530,24 @@ class DB:
                 raise InvalidArgumentError("keys must be bytes")
             checked.append(bytes(key))
         start = time.perf_counter() if self.latency is not None else 0.0
+        if not wait:
+            self.lock_nowait()
         try:
-            return self._multi_get(checked, snapshot)
+            return self._multi_get(checked, snapshot, wait)
         finally:
+            if not wait:
+                self._lock.release()
             if self.latency is not None:
                 self._hist_multi_get.record(time.perf_counter() - start)
             if self._tuner is not None:
                 self._tuner.record_op()
 
     def _multi_get(
-        self, keys: list[bytes], snapshot: Snapshot | None
+        self, keys: list[bytes], snapshot: Snapshot | None, wait: bool = True
     ) -> dict[bytes, bytes | None]:
         """The batched traversal, against one superversion reference: the
         engine lock is touched once to incref (plus once at the end if any
-        seek charges accrued)."""
+        seek charges accrued — ``wait`` is :meth:`_charge_seeks`'s)."""
         sv, sequence = self._acquire_read()
         resolved: dict[bytes, bytes | None] = {}
         # Deferred seek-compaction charges: (level, meta) per charged miss,
@@ -1567,7 +1646,7 @@ class DB:
                 found_count += 1
             out[key] = value
         self.stats.count_gets(len(keys), found_count)
-        self._charge_seeks(charges)
+        self._charge_seeks(charges, wait)
         return out
 
     def _rewrite_bottom_level(self) -> None:
@@ -1578,7 +1657,7 @@ class DB:
         reaches the bottom has no natural collection point; LevelDB's
         CompactRange has the same follow-up pass.
         """
-        from ..compaction.base import make_tombstone_dropper, merge_live, table_entry_stream
+        from ..compaction.base import make_tombstone_dropper, merge_live
         from ..compaction.table_compaction import build_output_tables
 
         level = self.version.deepest_nonempty_level()
@@ -1591,13 +1670,25 @@ class DB:
         write_start = self.fs.stats.per_category[CAT_COMPACTION].bytes_written
         if self.vlog is not None:
             self.vlog.take_pending_dead()
-        stream = merge_live(
-            [table_entry_stream(self, f) for f in files],
-            dropper,
-            self.snapshot_boundaries(),
-            on_drop=self.vlog.observe_drop if self.vlog is not None else None,
-        )
-        outputs = build_output_tables(self, stream, level)
+        # Every input streams at once, so each reader is pinned for the
+        # merge: with more bottom files than ``table_cache_capacity`` the
+        # cache would otherwise evict — and close — one mid-stream.
+        readers = []
+        try:
+            for meta in files:
+                reader = self.table_cache.get(meta.file_number, meta.file_name())
+                reader.acquire()
+                readers.append(reader)
+            stream = merge_live(
+                [r.entries_from(category=CAT_COMPACTION, sequential=True) for r in readers],
+                dropper,
+                self.snapshot_boundaries(),
+                on_drop=self.vlog.observe_drop if self.vlog is not None else None,
+            )
+            outputs = build_output_tables(self, stream, level)
+        finally:
+            for reader in readers:
+                reader.release()
         edit = VersionEdit(next_file_number=self._next_file_number)
         if self.vlog is not None:
             edit.vlog_dead = self.vlog.take_pending_dead()
@@ -1747,16 +1838,26 @@ class DB:
         default: bytes | None = None,
         *,
         snapshot: Snapshot | None = None,
+        wait: bool = True,
     ) -> bytes | None:
         """Point lookup; returns ``default`` when the key is absent.
 
         Pass a live :class:`Snapshot` to read a pinned point-in-time view.
+
+        ``wait=False`` is the no-wait mode every read shares (DESIGN.md
+        §9, :meth:`lock_nowait`): :class:`WouldBlock`, before
+        anything is read or counted, on a filesystem that really blocks or
+        when the engine lock is busy.  The lock is then held for the call,
+        so nothing further down — the superversion reference, the seek
+        charge, a draining superversion's callback — can wait for it.
         """
         self._check_open()
         if not isinstance(key, (bytes, bytearray)):
             raise InvalidArgumentError("keys must be bytes")
         key = bytes(key)
         start = time.perf_counter() if self.latency is not None else 0.0
+        if not wait:
+            self.lock_nowait()
         try:
             sv, sequence = self._acquire_read()
             try:
@@ -1771,13 +1872,28 @@ class DB:
                 sv.unref()
             self.stats.count_gets(1, 0 if value is None else 1)
             if charge is not None:
-                self._charge_seeks((charge,))
+                self._charge_seeks((charge,), wait)
             return default if value is None else value
         finally:
+            if not wait:
+                self._lock.release()
             if self.latency is not None:
                 self._hist_get.record(time.perf_counter() - start)
             if self._tuner is not None:
                 self._tuner.record_op()
+
+    def lock_nowait(self) -> None:
+        """Take the engine lock for a ``wait=False`` read or scan, or raise
+        :class:`WouldBlock` with nothing read, counted or charged: the
+        filesystem really blocks (any block, table open or value-log frame
+        the call needs might), or another thread holds the lock.  Public
+        for ``ShardedDB``, which takes every involved shard's before a
+        fanned-out no-wait read starts; pair with :meth:`unlock_nowait`."""
+        if self.fs.blocking or not self._lock.acquire(False):
+            raise WouldBlock("device or engine lock busy")
+
+    def unlock_nowait(self) -> None:
+        self._lock.release()
 
     def _lookup(
         self, sv: SuperVersion, key: bytes, sequence: int
@@ -1846,11 +1962,14 @@ class DB:
         """L2SM hook: search auxiliary components stacked under ``level``."""
         return None
 
-    def _charge_seeks(self, charges: Iterable[tuple[int, FileMetadata]]) -> None:
+    def _charge_seeks(
+        self, charges: Iterable[tuple[int, FileMetadata]], wait: bool = True
+    ) -> None:
         """Apply the seek charges a finished lookup observed.  Takes the
-        engine lock (picker state and the compaction this may request are
-        guarded by it); a file compacted away in the meantime is harmless —
-        the picker drops candidates it no longer finds."""
+        engine lock (picker state and the compaction this may request —
+        ``wait`` is :meth:`_request_compaction`'s — are guarded by it); a
+        file compacted away in the meantime is harmless: the picker drops
+        candidates it no longer finds."""
         if not charges:
             return
         with self._lock:
@@ -1862,7 +1981,7 @@ class DB:
                 if meta.allowed_seeks <= 0:
                     self.picker.note_seek_exhausted(level, meta)
                     meta.allowed_seeks = self._seek_budget(meta)
-                    self._request_compaction()
+                    self._request_compaction(wait)
 
     def _seek_budget(self, meta: FileMetadata) -> int:
         return max(
@@ -1950,11 +2069,12 @@ class DB:
             self.picker.note_seek_exhausted(level, meta)
             meta.allowed_seeks = self._seek_budget(meta)
 
-    def _release_iterator(self, sv: SuperVersion, sequence: int) -> None:
+    def _release_iterator(self, sv: SuperVersion, sequence: int, wait: bool = True) -> None:
         """Iterator teardown: drop the superversion reference first (its
         drain callback takes the engine lock itself), then release the
         sequence pin and deletion pin under the lock, and run the seek
-        compactions the scan made due."""
+        compactions the scan made due (``wait``:
+        :meth:`_request_compaction`'s)."""
         sv.unref()
         with self._lock:
             self.snapshots.unpin(sequence)
@@ -1962,7 +2082,7 @@ class DB:
                 return
             self.deletion_manager.unpin()
             if self.deletion_manager.active_pins == 0 and self.picker.seek_candidates:
-                self._request_compaction()
+                self._request_compaction(wait)
 
     def _level_blocks(
         self,
@@ -2016,12 +2136,15 @@ class DB:
         end: bytes | None = None,
         *,
         snapshot: Snapshot | None = None,
+        wait: bool = True,
     ) -> DBIterator:
         """Forward iterator over live keys in ``[start, end)``.
 
         The iterator pins obsolete-file deletion while open; close it (or
         exhaust it) promptly.  Pass a live :class:`Snapshot` to iterate a
-        pinned point-in-time view.
+        pinned point-in-time view.  ``wait=False`` (what a no-wait
+        :meth:`scan` passes) only tells the close not to run the seek
+        compactions the scan made due on the closing thread.
         """
         self._check_open()
         with self._lock:
@@ -2063,7 +2186,7 @@ class DB:
                 sources,
                 snapshot,
                 end=end,
-                on_close=lambda: self._release_iterator(sv, snapshot),
+                on_close=lambda: self._release_iterator(sv, snapshot, wait),
                 resolve=self.vlog.resolve if self.vlog is not None else None,
             )
 
@@ -2074,23 +2197,34 @@ class DB:
         limit: int | None = None,
         *,
         snapshot: Snapshot | None = None,
+        wait: bool = True,
     ) -> list[tuple[bytes, bytes]]:
-        """Materialized range scan: up to ``limit`` live pairs in [start, end)."""
+        """Materialized range scan: up to ``limit`` live pairs in [start, end).
+
+        ``wait=False`` (see :meth:`get`) runs the whole scan under the
+        engine lock it took without waiting, so bound it with ``limit``."""
         clock_start = time.perf_counter() if self.latency is not None else 0.0
-        results: list[tuple[bytes, bytes]] = []
-        # The iterator drains with the engine lock released, so the entry
-        # tally is accumulated locally and added through the stats lock.
-        with self.iterator(start, end, snapshot=snapshot) as it:
-            for key, value in it:
-                results.append((key, value))
-                if limit is not None and len(results) >= limit:
-                    break
-        self.stats.count_scan_entries(len(results))
-        if self.latency is not None:
-            self._hist_scan.record(time.perf_counter() - clock_start)
-        if self._tuner is not None:
-            self._tuner.record_op()
-        return results
+        if not wait:
+            self.lock_nowait()
+        try:
+            results: list[tuple[bytes, bytes]] = []
+            # The iterator drains with the engine lock released (a waiting
+            # scan's does), so the entry tally is accumulated locally and
+            # added through the stats lock.
+            with self.iterator(start, end, snapshot=snapshot, wait=wait) as it:
+                for key, value in it:
+                    results.append((key, value))
+                    if limit is not None and len(results) >= limit:
+                        break
+            self.stats.count_scan_entries(len(results))
+            if self.latency is not None:
+                self._hist_scan.record(time.perf_counter() - clock_start)
+            if self._tuner is not None:
+                self._tuner.record_op()
+            return results
+        finally:
+            if not wait:
+                self._lock.release()
 
     def _on_flush(self, meta: FileMetadata) -> None:
         """L2SM hook: observe flushed key ranges for hotness tracking."""

@@ -119,3 +119,18 @@ class WriteStallError(ReproError):
     accumulates too many SSTables the engine refuses new writes until
     compaction catches up.
     """
+
+
+class WouldBlock(ReproError):
+    """A ``wait=False`` call reached a point where it would have to wait.
+
+    Raised by ``DB`` / ``ShardedDB`` ``get`` / ``multi_get`` / ``scan`` /
+    ``write`` (and ``put`` / ``delete``) before anything a re-run would
+    change again: the engine lock or a router edit is held by someone else,
+    a write would be throttled or finds a memtable rollover due that it
+    would have to wait for, or the filesystem really blocks
+    (``FileSystem.blocking``).  Not an
+    error: the caller runs the same call again with ``wait=True``, on a
+    thread that may wait (DESIGN.md §9, §15).  It never reaches the
+    severity engine or the wire.
+    """

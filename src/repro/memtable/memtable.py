@@ -52,6 +52,12 @@ class MemTable:
         self._approximate_bytes += len(user_key) + len(value) + ENTRY_OVERHEAD
         self._num_entries += 1
 
+    def would_reach(self, limit: int, payload_bytes: int, entries: int) -> bool:
+        """Whether ``entries`` more adds carrying ``payload_bytes`` of keys
+        and values would take the usage to ``limit`` — :meth:`add`'s
+        accounting, asked before the adds."""
+        return self._approximate_bytes + payload_bytes + entries * ENTRY_OVERHEAD >= limit
+
     def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
         """Look up ``user_key`` at or before ``snapshot_sequence``.
 

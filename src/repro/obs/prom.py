@@ -298,6 +298,14 @@ def render_prometheus_serve(server) -> str:
             f"{name}{_label_str({'class': klass})} {counters['inflight'][klass]}"
         )
     body.sample(
+        f"{_PREFIX}_serve_inline", counters["inline"],
+        help_="Data requests answered on the event loop (no-wait engine call)",
+    )
+    body.sample(
+        f"{_PREFIX}_serve_hopped", counters["hopped"],
+        help_="Data requests sent to the executor pool (unbounded, or WouldBlock)",
+    )
+    body.sample(
         f"{_PREFIX}_serve_shed", counters["shed"],
         help_="Requests shed by admission control (STATUS_RETRY_LATER)",
     )

@@ -2,8 +2,9 @@
 
 ``python -m repro.serve --root DIR --shards N`` starts an asyncio server
 speaking a length-prefixed binary protocol over a range-sharded engine;
-:class:`ServeClient` is the matching client.  Connection concurrency
-amortizes into each shard's group commit via a bounded executor pool.
+:class:`ServeClient` is the matching client.  A request
+runs on the event loop unless its engine call would wait; those that would
+share a bounded executor pool and, there, each shard's group commit.
 
 The path is overload-safe and fault-transparent: per-request deadlines,
 admission control with RETRY_LATER shedding, severity-mapped status

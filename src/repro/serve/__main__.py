@@ -29,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=4, help="initial shard count")
     parser.add_argument(
         "--executor-threads", type=int, default=8,
-        help="blocking-call pool size (connections funnel into these)",
+        help="pool size for the engine calls that would wait (the rest run "
+        "on the event loop)",
     )
     parser.add_argument(
         "--auto-rebalance", action="store_true",

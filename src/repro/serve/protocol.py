@@ -24,11 +24,11 @@ receiving the frame) — relative budgets survive clock skew between client
 and server, absolute timestamps do not.
 
 The protocol is deliberately minimal — the interesting part is on the
-server side, where thousands of connections' writes funnel through a small
-thread pool into each shard's leader/follower group commit, so the WAL
-append cost amortizes across connections exactly as it does across
-threads (DESIGN.md §7/§12), and where admission control and deadline
-enforcement keep the funnel overload-safe (DESIGN.md §15).
+server side: a request runs on the event loop unless the engine would
+wait, the ones that would wait share a small thread pool and, there, each
+shard's leader/follower group commit (DESIGN.md §7/§12), and admission
+control and deadline enforcement keep that pool's queue overload-safe
+(DESIGN.md §15).
 """
 
 from __future__ import annotations

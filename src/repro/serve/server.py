@@ -1,22 +1,42 @@
 """The asyncio serving front end.
 
-One event loop multiplexes every client connection; the blocking engine
-calls run on a small thread pool.  That funnel is the point: thousands of
-connections' concurrent PUTs land on at most ``executor_threads`` threads,
-which queue into each shard's leader/follower group commit — so the WAL
-append (the per-write device cost) is paid once per *group*, not once per
-connection (DESIGN.md §7).  Reads similarly collapse onto per-shard
-engine-lock (or superversion) acquisitions.
+One event loop multiplexes every client connection, and a request's engine
+call runs **on that loop thread** unless the engine would have to wait
+(DESIGN.md §12, §15).  Every data op is first tried with ``wait=False``.
+On a non-blocking filesystem (``SimulatedFS``, whose modelled I/O never
+sleeps) that is normally the whole call.  It raises
+:class:`~repro.errors.WouldBlock`, with nothing changed, where it would
+wait: a busy engine lock or router edit, a throttled write or one that
+finds a memtable rollover due, and — up front, for every op — a filesystem
+that really blocks (``LocalFS``, or ``SimulatedFS(realtime > 0)``), which
+therefore serves exactly as it did before the inline attempt existed.
+Only then is the same bound method called again, ``wait=True``, on a small
+thread pool.  The pool exists for the calls that wait: in a pure-Python
+engine a worker thread buys no overlap for CPU-bound work, only two GIL
+hand-offs per request and a convoy behind whichever worker is mid-scan.
 
-The funnel is also where overload concentrates, so the server is
-overload-safe by construction (DESIGN.md §15):
+Group commit forms among the calls that hop: many connections' PUTs
+against a blocking filesystem land on at most ``executor_threads`` threads,
+queue behind whichever holds the engine lock, and share one WAL append
+(DESIGN.md §7).  The converse is stated, not hidden: on a non-blocking
+filesystem inline PUTs are groups of one by construction, so
+many-connection served writes no longer share a modelled WAL append.
+
+Requests that are not bounded — a scan without a ``limit``, or more than
+:data:`INLINE_MAX_ITEMS` keys / batch ops / scan rows — always hop, so no
+single request holds the loop for long; ``serve_counters()`` reports how
+many requests went each way (``inline`` / ``hopped``).
+
+The server is overload-safe by construction (DESIGN.md §15):
 
 * **Deadlines** — a request may carry a relative budget in its frame
-  (``protocol.FLAG_DEADLINE``); the budget is checked before dispatching
-  to the executor (expired work is refused with
-  ``STATUS_DEADLINE_EXCEEDED`` instead of run late) and enforced while
-  the engine call runs (``asyncio.wait_for``), so a stalled engine call
-  cannot hold a client past its budget.
+  (``protocol.FLAG_DEADLINE``); the budget is checked before the engine
+  call, inline or hopped (expired work is refused with
+  ``STATUS_DEADLINE_EXCEEDED`` instead of run late), and enforced while a
+  hopped call runs (``asyncio.wait_for``), so a stalled engine call
+  cannot hold a client past its budget.  An inline call cannot stall on
+  a lock, a queue or a device, nor run a lane-less engine's flush or
+  compaction itself — that is what ``WouldBlock`` is for.
 * **Admission control** — in-flight requests are bounded per opcode
   class (write / read; admin ops are never shed).  A write burst past the
   bound, or any shard's L0 slowdown/stop stall state crossing its
@@ -36,8 +56,10 @@ overload-safe by construction (DESIGN.md §15):
   (writable and not draining).
 
 The server fronts either a :class:`~repro.sharding.sharded_db.ShardedDB`
-or a plain :class:`~repro.core.db.DB` — anything with the put/get/delete/
-multi_get/scan/write surface.
+or a plain :class:`~repro.core.db.DB` — anything with their
+put/get/delete/multi_get/scan/write surface *including the* ``wait=``
+*keyword*: a stand-in that cannot promise not to wait must raise
+``WouldBlock`` for ``wait=False``.
 """
 
 from __future__ import annotations
@@ -51,6 +73,7 @@ from ..errors import (
     SEVERITY_TRANSIENT,
     ReadOnlyError,
     ReproError,
+    WouldBlock,
     WriteStallError,
     classify_severity,
 )
@@ -87,6 +110,11 @@ _OP_NAME = {
     p.OP_HEALTH: "health",
     p.OP_READY: "ready",
 }
+
+#: Largest request (keys of a multi_get, ops of a batch, ``limit`` of a
+#: scan) tried on the loop thread; anything bigger, and a scan with no
+#: limit, goes straight to the pool.
+INLINE_MAX_ITEMS = 128
 
 #: Stall pressure levels sampled from the shards' L0 state.
 _PRESSURE_OK = 0
@@ -160,6 +188,10 @@ class ShardServer:
         self.inflight: dict[str, int] = {
             CLASS_WRITE: 0, CLASS_READ: 0, CLASS_ADMIN: 0,
         }
+        #: Data-op requests answered on the loop thread / sent to the pool
+        #: (every ``WouldBlock`` fall-through counts as hopped).
+        self.inline = 0
+        self.hopped = 0
         self.shed = 0
         self.deadline_exceeded = 0
         self.protocol_errors = 0
@@ -437,28 +469,47 @@ class ShardServer:
         finally:
             self.inflight[op_class] -= 1
 
-    async def _run(self, loop, deadline: float | None, fn, *args):
-        """Run a blocking engine call on the pool, budget-checked.
+    async def _run(
+        self, loop, deadline: float | None, fn, *args, items: int | None = None
+    ):
+        """Run an engine call, budget-checked: here on the loop thread when
+        it will not wait, else on the pool.
 
-        The budget is enforced twice: before dispatch (late work is
-        refused while it is still cheap — the executor never sees it) and
-        around the call (``wait_for`` abandons a call that outlives the
-        budget; a not-yet-started work item is truly cancelled, a running
-        one finishes on its thread but nobody waits for it).
+        ``items`` is a data op's size (1 for a point op, the number of
+        keys or batch ops, a scan's ``limit``); admin calls leave it None
+        and always hop.  A data op of at most ``INLINE_MAX_ITEMS`` is first
+        called with ``wait=False`` right here; ``WouldBlock`` — the engine
+        would wait, and has changed nothing — falls through to the hop,
+        which calls the same bound method with ``wait=True``.
+
+        The budget is enforced twice: before the call (late work is
+        refused while it is still cheap — neither the engine nor the
+        executor sees it) and around a hopped call (``wait_for`` abandons
+        a call that outlives the budget; a not-yet-started work item is
+        truly cancelled, a running one finishes on its thread but nobody
+        waits for it).
         """
-        if deadline is not None:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                self.deadline_exceeded += 1
-                raise _DeadlineExceeded()
-            try:
-                return await asyncio.wait_for(
-                    loop.run_in_executor(self._pool, fn, *args), remaining
-                )
-            except asyncio.TimeoutError:
-                self.deadline_exceeded += 1
-                raise _DeadlineExceeded() from None
-        return await loop.run_in_executor(self._pool, fn, *args)
+        if deadline is not None and deadline - loop.time() <= 0:
+            self.deadline_exceeded += 1
+            raise _DeadlineExceeded()
+        if items is not None:
+            if items <= INLINE_MAX_ITEMS:
+                try:
+                    result = fn(*args, wait=False)
+                except WouldBlock:
+                    pass
+                else:
+                    self.inline += 1
+                    return result
+            self.hopped += 1
+        call = loop.run_in_executor(self._pool, fn, *args)
+        if deadline is None:
+            return await call
+        try:
+            return await asyncio.wait_for(call, deadline - loop.time())
+        except asyncio.TimeoutError:
+            self.deadline_exceeded += 1
+            raise _DeadlineExceeded() from None
 
     async def _execute(
         self, opcode: int, payload: bytes, deadline: float | None, loop
@@ -473,26 +524,29 @@ class ShardServer:
                 return await self._run(loop, deadline, self._ready_response)
             if opcode == p.OP_PUT:
                 key, value = p.decode_put(payload)
-                await self._run(loop, deadline, self.db.put, key, value)
+                await self._run(loop, deadline, self.db.put, key, value, items=1)
                 return p.encode_frame(p.STATUS_OK)
             if opcode == p.OP_GET:
-                value = await self._run(loop, deadline, self.db.get, payload)
+                value = await self._run(loop, deadline, self.db.get, payload, items=1)
                 if value is None:
                     return p.encode_frame(p.STATUS_NOT_FOUND)
                 return self._encode_ok(value)
             if opcode == p.OP_DELETE:
-                await self._run(loop, deadline, self.db.delete, payload)
+                await self._run(loop, deadline, self.db.delete, payload, items=1)
                 return p.encode_frame(p.STATUS_OK)
             if opcode == p.OP_MULTI_GET:
                 keys = p.decode_multi_get(payload)
-                found = await self._run(loop, deadline, self.db.multi_get, keys)
+                found = await self._run(
+                    loop, deadline, self.db.multi_get, keys, items=len(keys)
+                )
                 return self._encode_ok(
                     p.encode_values([found.get(key) for key in keys])
                 )
             if opcode == p.OP_SCAN:
                 start, end, limit = p.decode_scan(payload)
                 entries = await self._run(
-                    loop, deadline, self.db.scan, start, end, limit
+                    loop, deadline, self.db.scan, start, end, limit,
+                    items=INLINE_MAX_ITEMS + 1 if limit is None else limit,
                 )
                 return self._encode_ok(p.encode_entries(entries))
             if opcode == p.OP_BATCH:
@@ -503,7 +557,7 @@ class ShardServer:
                         batch.put(key, value)
                     else:
                         batch.delete(key)
-                await self._run(loop, deadline, self.db.write, batch)
+                await self._run(loop, deadline, self.db.write, batch, items=len(ops))
                 return p.encode_frame(p.STATUS_OK)
             if opcode == p.OP_STATS:
                 stats = await self._run(loop, deadline, self._stats_payload)
@@ -562,6 +616,8 @@ class ShardServer:
         return {
             "requests": dict(self.requests),
             "inflight": dict(self.inflight),
+            "inline": self.inline,
+            "hopped": self.hopped,
             "shed": self.shed,
             "deadline_exceeded": self.deadline_exceeded,
             "protocol_errors": self.protocol_errors,
@@ -602,10 +658,6 @@ class ShardServer:
                 }).encode("utf-8")
                 return p.encode_frame(p.STATUS_UNAVAILABLE, reason)
         return p.encode_frame(p.STATUS_OK, b"ready")
-
-    @staticmethod
-    def _op_name(opcode: int) -> str:
-        return _OP_NAME.get(opcode, f"op_{opcode:#x}")
 
 
 class _DeadlineExceeded(Exception):

@@ -31,7 +31,7 @@ orphan directories are garbage-collected on reopen.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from ..cache.block_cache import BlockCache
 from ..cache.lru import ShardedLRUCache
@@ -40,7 +40,7 @@ from ..compaction.offload import OFFLOAD_NONE, OffloadPool
 from ..core.db import DB
 from ..core.scheduler import SharedBackgroundExecutor
 from ..core.write_batch import WriteBatch
-from ..errors import InvalidArgumentError
+from ..errors import InvalidArgumentError, WouldBlock
 from ..keys import TYPE_VALUE
 from ..options import Options
 from ..storage.io_stats import IOStats
@@ -61,10 +61,13 @@ class _RWLock:
         self._writer = False
 
     @contextmanager
-    def read_locked(self):
-        """Shared lock for data ops; many readers, excluded by a writer."""
+    def read_locked(self, wait: bool = True):
+        """Shared lock for data ops; many readers, excluded by a writer —
+        which ``wait=False`` declines to wait out (``WouldBlock``)."""
         with self._cv:
             while self._writer:
+                if not wait:
+                    raise WouldBlock("router edit in progress")
                 self._cv.wait()
             self._readers += 1
         try:
@@ -100,6 +103,26 @@ class _RWLock:
             yield
         finally:
             self.release_write()
+
+
+@contextmanager
+def _held_nowait(dbs: list[DB]):
+    """Hold the engine lock of every shard a fanned-out ``wait=False`` read
+    will visit, or raise ``WouldBlock`` holding none — taken before any
+    shard runs its part, so a declined read has counted and charged nothing
+    anywhere (the engines' own try-lock then re-enters the held lock)."""
+    held: list[DB] = []
+    try:
+        for db in dbs:
+            db.lock_nowait()
+            held.append(db)
+        yield
+    finally:
+        for db in held:
+            db.unlock_nowait()
+
+
+_NOT_HELD = nullcontext()  # the waiting path: each engine locks for itself
 
 
 class ShardedDB:
@@ -264,51 +287,82 @@ class ShardedDB:
         rmap = self._map
         return self._dbs[rmap.specs[rmap.shard_for(key)].name]
 
-    def _after_write_ops(self, count: int) -> None:
+    def _after_write_ops(self, count: int, wait: bool = True) -> None:
         if not self.auto_rebalance:
             return
         with self._op_lock:
             self._op_count += count
-            if self._op_count < self.rebalance_check_interval:
-                return
+            if self._op_count < self.rebalance_check_interval or not wait:
+                return  # not due — or due, and left to the next waiting write
             self._op_count = 0
         self.maybe_rebalance(blocking=False)
 
+    def _decline_rebalance_check(self, count: int) -> None:
+        """A rebalance check may split or merge on the calling thread, so a
+        no-wait write that would make one due raises before it writes."""
+        if (
+            self.auto_rebalance
+            and self._op_count + count >= self.rebalance_check_interval
+        ):
+            raise WouldBlock("rebalance check due")
+
     # ------------------------------------------------------------- data ops
+    #
+    # ``wait=False`` is the engines' no-wait mode (``DB.get`` / ``DB.write``)
+    # plus the router's: WouldBlock while a split or merge holds the router,
+    # and for a write that would make a rebalance check due.  It raises with
+    # nothing written, counted or charged on any shard: a batch that spans
+    # shards is declined outright, and a read fanned out over several shards
+    # first try-locks every engine it will visit (``_held_nowait``).
 
-    def put(self, key: bytes, value: bytes) -> None:
-        with self._rw.read_locked():
-            self._db_for(key).put(key, value)
-        self._after_write_ops(1)
+    def put(self, key: bytes, value: bytes, *, wait: bool = True) -> None:
+        if not wait:
+            self._decline_rebalance_check(1)
+        with self._rw.read_locked(wait):
+            self._db_for(key).put(key, value, wait=wait)
+        self._after_write_ops(1, wait)
 
-    def delete(self, key: bytes) -> None:
-        with self._rw.read_locked():
-            self._db_for(key).delete(key)
-        self._after_write_ops(1)
+    def delete(self, key: bytes, *, wait: bool = True) -> None:
+        if not wait:
+            self._decline_rebalance_check(1)
+        with self._rw.read_locked(wait):
+            self._db_for(key).delete(key, wait=wait)
+        self._after_write_ops(1, wait)
 
-    def get(self, key: bytes, default: bytes | None = None) -> bytes | None:
-        with self._rw.read_locked():
-            return self._db_for(key).get(key, default)
+    def get(
+        self, key: bytes, default: bytes | None = None, *, wait: bool = True
+    ) -> bytes | None:
+        with self._rw.read_locked(wait):
+            return self._db_for(key).get(key, default, wait=wait)
 
-    def multi_get(self, keys: list[bytes]) -> dict[bytes, bytes | None]:
+    def multi_get(
+        self, keys: list[bytes], *, wait: bool = True
+    ) -> dict[bytes, bytes | None]:
         """Batched lookups: keys are grouped per shard so each engine
         resolves its group with one snapshot/lock acquisition."""
-        with self._rw.read_locked():
+        with self._rw.read_locked(wait):
             rmap = self._map
             groups: dict[str, list[bytes]] = {}
             for key in keys:
                 name = rmap.specs[rmap.shard_for(key)].name
                 groups.setdefault(name, []).append(key)
+            dbs = [self._dbs[name] for name in groups]
             results: dict[bytes, bytes | None] = {}
-            for name, group in groups.items():
-                results.update(self._dbs[name].multi_get(group))
+            with _held_nowait(dbs) if not wait else _NOT_HELD:
+                for db, group in zip(dbs, groups.values()):
+                    results.update(db.multi_get(group, wait=wait))
             return {key: results.get(key) for key in keys}
 
-    def write_batch(self, batch: WriteBatch) -> None:
+    def write_batch(self, batch: WriteBatch, *, wait: bool = True) -> None:
         """Apply a batch, split per shard.  Atomic *within* each shard (one
         WAL record per engine); cross-shard atomicity is documented out of
-        scope — a crash can land a prefix of the per-shard sub-batches."""
-        with self._rw.read_locked():
+        scope — a crash can land a prefix of the per-shard sub-batches.
+        For the same reason ``wait=False`` declines a batch that spans
+        shards outright: a later shard's ``WouldBlock`` could not take the
+        earlier shards' sub-batches back."""
+        if not wait:
+            self._decline_rebalance_check(len(batch))
+        with self._rw.read_locked(wait):
             rmap = self._map
             subs: dict[str, WriteBatch] = {}
             for value_type, key, value in batch:
@@ -320,9 +374,11 @@ class ShardedDB:
                     sub.put(key, value)
                 else:
                     sub.delete(key)
+            if not wait and len(subs) > 1:
+                raise WouldBlock("batch spans shards")
             for name, sub in subs.items():
-                self._dbs[name].write(sub)
-        self._after_write_ops(len(batch))
+                self._dbs[name].write(sub, wait=wait)
+        self._after_write_ops(len(batch), wait)
 
     # Alias matching DB.write(batch).
     write = write_batch
@@ -332,22 +388,28 @@ class ShardedDB:
         start: bytes | None = None,
         end: bytes | None = None,
         limit: int | None = None,
+        *,
+        wait: bool = True,
     ) -> list[tuple[bytes, bytes]]:
         """Ordered range scan across shards.  Shards are disjoint and
         visited in key order, so concatenation is globally sorted."""
-        with self._rw.read_locked():
+        with self._rw.read_locked(wait):
             rmap = self._map
-            out: list[tuple[bytes, bytes]] = []
+            dbs: list[DB] = []
             for index, spec in enumerate(rmap.specs):
                 lower = rmap.lower(index)
                 if end is not None and lower is not None and lower >= end:
                     break
                 if start is not None and spec.upper is not None and spec.upper <= start:
                     continue
-                remaining = None if limit is None else limit - len(out)
-                if remaining is not None and remaining <= 0:
-                    break
-                out.extend(self._dbs[spec.name].scan(start, end, remaining))
+                dbs.append(self._dbs[spec.name])
+            out: list[tuple[bytes, bytes]] = []
+            with _held_nowait(dbs) if not wait else _NOT_HELD:
+                for db in dbs:
+                    remaining = None if limit is None else limit - len(out)
+                    if remaining is not None and remaining <= 0:
+                        break
+                    out.extend(db.scan(start, end, remaining, wait=wait))
             return out
 
     # --------------------------------------------------------- maintenance

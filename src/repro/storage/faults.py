@@ -159,6 +159,10 @@ class FaultInjectionFS(FileSystem):
         self._sync_calls = 0
         self._crashed = False
 
+    @property
+    def blocking(self) -> bool:
+        return self.inner.blocking
+
     # -- fault plumbing ----------------------------------------------------
 
     @property

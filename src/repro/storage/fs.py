@@ -186,6 +186,12 @@ class FileSystem(ABC):
         #: the un-traced cost one attribute load and a branch per I/O.
         self.tracer = NULL_TRACER
 
+    @property
+    def blocking(self) -> bool:
+        """True when I/O takes wall-clock time: every ``wait=False`` engine
+        call raises ``WouldBlock`` rather than risk touching the device."""
+        return self.realtime > 0.0
+
     def charge_time(self, seconds: float, category: str) -> None:
         """Charge ``seconds`` of device time, sleeping it in realtime mode."""
         self.stats.charge_time(seconds, category)
@@ -379,6 +385,8 @@ class SimulatedFS(FileSystem):
 
 class LocalFS(FileSystem):
     """Real files under ``root``.  Same accounting as :class:`SimulatedFS`."""
+
+    blocking = True  # real disk I/O waits whatever ``realtime`` says
 
     def __init__(
         self,

@@ -17,6 +17,7 @@ from .format import (
     is_pointer,
     parse_vlog_file_name,
     salvage_scan,
+    stored_size_bound,
     unwrap_inline,
     vlog_file_name,
     wrap_inline,
@@ -37,6 +38,7 @@ __all__ = [
     "is_pointer",
     "parse_vlog_file_name",
     "salvage_scan",
+    "stored_size_bound",
     "unwrap_inline",
     "vlog_file_name",
     "wrap_inline",

@@ -113,6 +113,13 @@ def wrap_inline(value: bytes) -> bytes:
     return _TAG_INLINE_BYTE + value
 
 
+def stored_size_bound(payload_bytes: int, entries: int) -> int:
+    """Upper bound on the key + value bytes of ``entries`` operations once
+    their values are in stored form: a value gains its inline tag or is
+    replaced by a pointer, at most ``POINTER_SIZE`` more either way."""
+    return payload_bytes + entries * POINTER_SIZE
+
+
 def unwrap_inline(stored: bytes) -> bytes:
     """Strip the inline tag from a tagged stored value."""
     if not stored or stored[0] != TAG_INLINE:

@@ -66,6 +66,19 @@ class TestCompactRange:
         direct.close()
         staged.close()
 
+    def test_compact_all_with_more_bottom_files_than_table_cache_slots(self):
+        """The bottom rewrite streams every bottom-level file at once; with
+        more of them than ``table_cache_capacity`` the cache evicts readers
+        mid-merge, which must not close a file still being read."""
+        db = make_db("table")
+        for i in range(1500):
+            db.put(b"key-%06d" % i, b"v" * 64)
+        db.compact_all()
+        bottom = db.version.files_at(db.version.deepest_nonempty_level())
+        assert len(bottom) > db.options.table_cache_capacity
+        assert len(db.scan()) == 1500
+        db.close()
+
     def test_disjoint_range_is_noop(self):
         db = make_db("table")
         load(db, n=100)

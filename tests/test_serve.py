@@ -10,12 +10,17 @@ malformed payload, oversized frame).
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import pytest
 
+from repro.errors import WouldBlock
+from repro.obs import render_prometheus_serve
 from repro.serve import ServeClient, ServeError, ShardServer
 from repro.serve import protocol as P
+from repro.serve.server import INLINE_MAX_ITEMS
 from repro.sharding import MemoryShardStore, ShardedDB
+from repro.storage.fs import SimulatedFS
 
 from conftest import tiny_options
 
@@ -85,12 +90,36 @@ def run(coro):
     return asyncio.run(coro)
 
 
-async def _with_server(fn):
+class _DecliningDB:
+    """Delegating double whose every no-wait data op declines — an engine
+    that always would wait (the serve surface includes the keyword)."""
+
+    def __init__(self, db):
+        self._db = db
+        self.declined = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._db, name)
+        if name not in ("put", "get", "delete", "multi_get", "scan", "write"):
+            return attr
+
+        def call(*args, wait=True):
+            if not wait:
+                self.declined += 1
+                raise WouldBlock("double: always would wait")
+            return attr(*args)
+
+        return call
+
+
+async def _with_server(fn, wrap=None, store=None):
     """Start a server over a fresh 2-shard DB, run ``fn(client, server)``,
     tear everything down."""
-    db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2,
+    db = ShardedDB(store or MemoryShardStore(), tiny_options(), shards=2,
                    boundaries=[b"m"])
-    server = ShardServer(db, "127.0.0.1", 0, executor_threads=4)
+    server = ShardServer(
+        db if wrap is None else wrap(db), "127.0.0.1", 0, executor_threads=4
+    )
     await server.start()
     client = await ServeClient("127.0.0.1", server.port).connect()
     try:
@@ -151,6 +180,135 @@ class TestShardServer:
             assert len(stats["shards"]) == 2
 
         run(_with_server(scenario))
+
+    def test_inline_and_hopped_account_for_every_data_request(self):
+        async def scenario(client, server):
+            await client.put(b"apple", b"1")
+            await client.put(b"zebra", b"2")
+            await client.batch([(P.BATCH_PUT, b"ant", b"3")])
+            await client.delete(b"ant")
+            assert await client.get(b"apple") == b"1"
+            assert await client.multi_get([b"apple", b"zebra"]) == [b"1", b"2"]
+            assert await client.scan(limit=5) == [(b"apple", b"1"), (b"zebra", b"2")]
+            assert await client.ping() == b"pong"  # admin ops are not counted
+            stats = await client.stats()
+            serve = stats["serve"]
+            data_requests = sum(
+                count for op, count in serve["requests"].items()
+                if op in ("put", "get", "delete", "multi_get", "scan", "batch")
+            )
+            assert data_requests == 7
+            assert serve["inline"] + serve["hopped"] == data_requests
+            # A non-blocking filesystem and nobody else on the engine: every
+            # bounded request is answered on the loop thread.
+            assert (serve["inline"], serve["hopped"]) == (7, 0)
+            health = await client.health()
+            assert health["serve"]["inline"] == 7
+            body = render_prometheus_serve(server)
+            assert "repro_serve_inline 7" in body
+            assert "repro_serve_hopped 0" in body
+
+        run(_with_server(scenario))
+
+    def test_would_block_falls_through_to_the_pool(self):
+        async def scenario(client, server):
+            await client.put(b"apple", b"1")
+            await client.batch([(P.BATCH_PUT, b"zebra", b"2")])
+            assert await client.get(b"apple") == b"1"
+            assert await client.get(b"missing") is None
+            assert await client.multi_get([b"zebra", b"nope"]) == [b"2", None]
+            assert await client.scan(limit=5) == [(b"apple", b"1"), (b"zebra", b"2")]
+            await client.delete(b"apple")
+            assert await client.get(b"apple") is None
+            # Each request was tried here once, declined, and answered by
+            # the pool: the client saw nothing but the normal answers.
+            assert server.db.declined == 8
+            assert (server.inline, server.hopped) == (0, 8)
+            assert server.engine_errors == 0
+
+        run(_with_server(scenario, wrap=_DecliningDB))
+
+    def test_a_blocking_filesystem_is_served_from_the_pool_as_before(self):
+        """Where I/O takes wall-clock time nothing is attempted on the
+        loop thread — not even a read the memtable would answer."""
+        store = MemoryShardStore(fs_factory=lambda _name: SimulatedFS(realtime=0.01))
+
+        async def scenario(client, server):
+            await client.put(b"apple", b"1")
+            await client.batch([(P.BATCH_PUT, b"zebra", b"2")])
+            assert await client.get(b"apple") == b"1"
+            assert await client.multi_get([b"apple", b"zebra"]) == [b"1", b"2"]
+            assert await client.scan(limit=5) == [(b"apple", b"1"), (b"zebra", b"2")]
+            assert (server.inline, server.hopped) == (0, 5)
+
+        run(_with_server(scenario, store=store))
+
+    def test_unbounded_requests_go_straight_to_the_pool(self):
+        async def scenario(client, server):
+            for i in range(4):
+                await client.put(b"key-%d" % i, b"v")
+            assert (server.inline, server.hopped) == (4, 0)
+            assert len(await client.scan()) == 4  # no limit: never inline
+            assert (server.inline, server.hopped) == (4, 1)
+            assert len(await client.scan(limit=INLINE_MAX_ITEMS)) == 4
+            assert len(await client.scan(limit=INLINE_MAX_ITEMS + 1)) == 4
+            assert (server.inline, server.hopped) == (5, 2)
+            keys = [b"key-%d" % (i % 4) for i in range(INLINE_MAX_ITEMS + 1)]
+            assert await client.multi_get(keys[:-1]) == [b"v"] * INLINE_MAX_ITEMS
+            assert await client.multi_get(keys) == [b"v"] * (INLINE_MAX_ITEMS + 1)
+            assert (server.inline, server.hopped) == (6, 3)
+            ops = [(P.BATCH_PUT, b"key-0", b"w")] * (INLINE_MAX_ITEMS + 1)
+            await client.batch(ops)
+            assert (server.inline, server.hopped) == (6, 4)
+
+        run(_with_server(scenario))
+
+    def test_inline_and_hopped_requests_interleave_safely(self):
+        """Stress: a synchronous engine with a 1 KiB memtable rolls over
+        every few puts, and each rollover hops to the pool and holds the
+        engine lock through its flush and compactions — while the loop
+        thread keeps serving the other connections, declining whenever its
+        try-lock fails.  No acked write may be lost and no request may go
+        uncounted, whichever thread served it."""
+
+        async def connection(port: int, conn: int, model: dict) -> None:
+            client = await ServeClient("127.0.0.1", port).connect()
+            try:
+                for i in range(80):
+                    key = b"c%d-%03d" % (conn, i % 40)
+                    value = b"v%d-%d" % (conn, i) + b"x" * 48
+                    await client.put(key, value)
+                    model[key] = value
+                    assert await client.get(key) == value
+                    if i % 8 == 0:
+                        got = await client.scan(key, None, 4)
+                        assert got and got[0] == (key, value)
+            finally:
+                await client.aclose()
+
+        async def scenario(client, server):
+            model: dict[bytes, bytes] = {}
+            await asyncio.wait_for(
+                asyncio.gather(*(connection(server.port, c, model) for c in range(8))),
+                timeout=120,
+            )
+            keys = sorted(model)
+            assert await client.multi_get(keys[:100]) == [model[k] for k in keys[:100]]
+            assert dict(await client.scan()) == model
+            data_requests = sum(
+                count for op, count in server.requests.items()
+                if op in ("put", "get", "scan", "multi_get")
+            )
+            assert server.inline + server.hopped == data_requests
+            assert server.inline > 0 and server.hopped > 0
+            assert server.engine_errors == 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run(_with_server(scenario))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_stats_payload_shape(self):
         async def scenario(client, _server):

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.core.db import DB
-from repro.errors import ReproError
+from repro.errors import ReproError, WouldBlock
 from repro.serve import (
     DeadlineExceededError,
     RetryLaterError,
@@ -79,19 +79,25 @@ def run(coro):
 
 class _SlowDB:
     """Delegating DB wrapper whose data ops sleep first — a stand-in for
-    a device stall, letting deadline/admission tests control timing."""
+    a device stall, letting deadline/admission tests control timing.  A
+    sleeping engine *is* one that would block, so it declines ``wait=False``
+    and the server's hop, ``wait_for`` and in-flight caps stay under test."""
 
     def __init__(self, db: DB, delay_s: float):
         self._db = db
         self.delay_s = delay_s
 
-    def put(self, key: bytes, value: bytes) -> None:
+    def put(self, key: bytes, value: bytes, *, wait: bool = True) -> None:
         """Sleep, then put (models a write stuck behind a slow device)."""
+        if not wait:
+            raise WouldBlock("slow device")
         time.sleep(self.delay_s)
         self._db.put(key, value)
 
-    def get(self, key: bytes):
+    def get(self, key: bytes, *, wait: bool = True):
         """Sleep, then get."""
+        if not wait:
+            raise WouldBlock("slow device")
         time.sleep(self.delay_s)
         return self._db.get(key)
 
@@ -132,6 +138,9 @@ class TestFaultStatuses:
             assert await client.get(b"key") == b"value"
             assert client.retries >= 1
             assert server.engine_errors >= 1
+            # The fault was hit on the loop thread (SimulatedFS never
+            # blocks, so nothing hopped) and still mapped to RETRY_LATER.
+            assert server.hopped == 0 and server.inline >= 2
 
         run(_with_fault_server(
             scenario, client_kwargs=dict(max_retries=4, backoff_base_s=0.001)
@@ -169,6 +178,9 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceededError):
                 await client.put(b"k", b"v", deadline_ms=0)
             assert server.deadline_exceeded == 1
+            # Refused before anything ran — on the loop thread or the pool.
+            assert (server.inline, server.hopped) == (0, 0)
+            assert db.last_sequence == 0
             # No budget consumed anywhere else: a fresh request still works.
             await client.put(b"k", b"v", deadline_ms=60_000)
             assert await client.get(b"k") == b"v"
@@ -183,6 +195,7 @@ class TestDeadlines:
             elapsed = asyncio.get_running_loop().time() - start
             assert elapsed < 0.3  # cut at ~50ms, not the 400ms the op takes
             assert server.deadline_exceeded == 1
+            assert (server.inline, server.hopped) == (0, 1)  # cut on the pool
 
         run(_with_fault_server(
             scenario,
@@ -194,6 +207,7 @@ class TestDeadlines:
         async def scenario(client, server, db, fs):
             with pytest.raises(DeadlineExceededError):
                 await client.get(b"k")  # no per-request deadline
+            assert (server.inline, server.hopped) == (0, 1)
 
         run(_with_fault_server(
             scenario,
@@ -220,6 +234,9 @@ class TestAdmissionControl:
                 await second.aclose()
             assert server.shed >= 1
             assert server.serve_counters()["shed"] >= 1
+            # The admitted write held its in-flight slot on the pool; the
+            # shed one never reached the engine either way.
+            assert (server.inline, server.hopped) == (0, 1)
 
         run(_with_fault_server(
             scenario,

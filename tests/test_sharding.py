@@ -14,11 +14,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
+from repro.errors import WouldBlock
 from repro.sharding import (
     LocalShardStore,
     MemoryShardStore,
@@ -133,6 +135,110 @@ class TestShardedOps:
         db.write_batch(batch)
         got = db.multi_get([b"aaa", b"zzz", b"nope"])
         assert got == {b"aaa": b"1", b"zzz": b"2", b"nope": None}
+        db.close()
+
+    def test_nowait_ops_match_waiting_ops(self):
+        db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2,
+                       boundaries=[b"m"])
+        db.put(b"apple", b"1", wait=False)
+        db.put(b"zebra", b"2", wait=False)
+        db.write(WriteBatch().put(b"ant", b"3").delete(b"absent"), wait=False)
+        assert db.get(b"zebra", wait=False) == b"2"
+        assert db.get(b"nope", b"dflt", wait=False) == b"dflt"
+        assert db.multi_get([b"ant", b"zebra", b"nope"], wait=False) == {
+            b"ant": b"3", b"zebra": b"2", b"nope": None,
+        }
+        assert db.scan(limit=10, wait=False) == db.scan(limit=10) == [
+            (b"ant", b"3"), (b"apple", b"1"), (b"zebra", b"2"),
+        ]
+        db.delete(b"apple", wait=False)
+        assert db.get(b"apple") is None
+        db.close()
+
+    def test_nowait_ops_decline_while_a_router_edit_holds_the_lock(self):
+        db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2,
+                       boundaries=[b"m"])
+        db.put(b"apple", b"1")
+        sequences = [shard.last_sequence for _, shard in db.shard_dbs()]
+        assert db._rw.acquire_write()  # what split_shard / merge_shards hold
+        try:
+            for call in (
+                lambda: db.put(b"k", b"v", wait=False),
+                lambda: db.delete(b"apple", wait=False),
+                lambda: db.write(WriteBatch().put(b"k", b"v"), wait=False),
+                lambda: db.get(b"apple", wait=False),
+                lambda: db.multi_get([b"apple"], wait=False),
+                lambda: db.scan(limit=1, wait=False),
+            ):
+                with pytest.raises(WouldBlock):
+                    call()
+        finally:
+            db._rw.release_write()
+        assert [shard.last_sequence for _, shard in db.shard_dbs()] == sequences
+        assert db.get(b"apple", wait=False) == b"1"
+        db.close()
+
+    def test_nowait_batch_spanning_shards_declines_with_neither_written(self):
+        db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2,
+                       boundaries=[b"m"])
+        batch = WriteBatch().put(b"aaa", b"1").put(b"zzz", b"2")
+        with pytest.raises(WouldBlock):
+            db.write_batch(batch, wait=False)
+        assert [shard.last_sequence for _, shard in db.shard_dbs()] == [0, 0]
+        assert db.multi_get([b"aaa", b"zzz"]) == {b"aaa": None, b"zzz": None}
+        db.write_batch(batch)  # per-shard atomic only, so it may wait
+        assert db.multi_get([b"aaa", b"zzz"]) == {b"aaa": b"1", b"zzz": b"2"}
+        db.close()
+
+    def test_nowait_fanned_out_read_declines_before_any_shard_runs(self):
+        """A later shard's busy lock must not leave the earlier shards'
+        parts counted and charged: the hop re-runs the whole call."""
+        db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2,
+                       boundaries=[b"m"])
+        db.put(b"aaa", b"1")
+        db.put(b"zzz", b"2")
+        first, second = (shard for _, shard in db.shard_dbs())
+        held, done = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with second._lock:
+                held.set()
+                done.wait(10.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10.0)
+        try:
+            with pytest.raises(WouldBlock):
+                db.multi_get([b"aaa", b"zzz"], wait=False)
+            with pytest.raises(WouldBlock):
+                db.scan(limit=5, wait=False)
+            assert first.stats.gets == 0 and first.stats.scans == 0
+            # The first shard alone is still served, and its lock is free.
+            assert db.multi_get([b"aaa"], wait=False) == {b"aaa": b"1"}
+            assert db.scan(end=b"b", limit=5, wait=False) == [(b"aaa", b"1")]
+        finally:
+            done.set()
+            holder.join()
+        assert db.multi_get([b"aaa", b"zzz"], wait=False) == {b"aaa": b"1", b"zzz": b"2"}
+        assert db.scan(limit=5, wait=False) == [(b"aaa", b"1"), (b"zzz", b"2")]
+        assert first.stats.gets == 2 and first.stats.scans == 2
+        db.close()
+
+    def test_nowait_write_declines_when_a_rebalance_check_is_due(self):
+        # The check may split on the calling thread: the write that makes
+        # it due is the one that has to be allowed to wait.
+        db = ShardedDB(
+            MemoryShardStore(), tiny_options(), shards=1, auto_rebalance=True,
+            split_threshold_bytes=1 << 30, rebalance_check_interval=4,
+        )
+        for i in range(3):
+            db.put(b"k%d" % i, b"v", wait=False)
+        with pytest.raises(WouldBlock):
+            db.put(b"k3", b"v", wait=False)
+        assert db.get(b"k3") is None
+        db.put(b"k3", b"v")  # runs the check, resets the count
+        db.put(b"k4", b"v", wait=False)
         db.close()
 
     def test_closed_db_raises(self):
