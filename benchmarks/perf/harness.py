@@ -26,6 +26,9 @@ merge_visible      fused k-way merge + visibility (the read/scan inner loop)
 compaction_merge   fused merge_live (the compaction inner loop)
 catalog_apply      Version.apply + the picker's child lookup on an 800-file
                    level, the edit mix a selective compaction commits
+section_finish_open  build a 64-entry / 16-block table, ``finish``, eager open;
+                   then reuse 12 blocks, add 4 entries, ``finish``, ``reload`` —
+                   the opens handed the writer's TableInfo vs full parses
 point_get          DB.get against a compacted simulated DB
 multi_get          batched DB.multi_get vs the per-key get loop
 seq_fill           DB.put of a fresh sequential load (WAL + flush + compaction)
@@ -462,6 +465,62 @@ def bench_catalog(suite: Suite) -> None:
     assert fast.levels == ref.levels, "catalog arms diverged"
 
 
+def bench_section_finish_open(suite: Suite) -> None:
+    """What every flush and compaction output does — write a section, then
+    open it — with the writer's index and filter handed to the reader, vs
+    the reader decoding the bytes just encoded (same writes, same reads,
+    same checksums in both arms; the decode is the only difference)."""
+    from repro.keys import TYPE_VALUE, make_internal_key
+    from repro.options import Options
+    from repro.sstable import AppendSession, TableBuilder, TableReader
+    from repro.storage.fs import SimulatedFS
+
+    options = Options()  # 4 KiB blocks
+    rng = random.Random(11)
+    built = [
+        (make_internal_key(b"user%028d" % (i * 10), 1000 + i, TYPE_VALUE), rng.randbytes(1024))
+        for i in range(64)  # four to a block
+    ]
+    added = [
+        (make_internal_key(b"user%028d" % (10_000 + i), 2000 + i, TYPE_VALUE), rng.randbytes(1024))
+        for i in range(4)
+    ]
+    rounds = 10 if suite.quick else 40
+
+    def run(hand_over: bool):
+        def inner():
+            for _ in range(rounds):
+                fs = SimulatedFS()
+                builder = TableBuilder(fs, "000001.sst", options, level=2)
+                for key, value in built:
+                    builder.add(key, value)
+                info = builder.finish()
+                reader = TableReader(
+                    fs, "000001.sst", 1, options, "compaction", info if hand_over else None
+                )
+                entries = reader.index.entries
+                assert len(entries) == 16, len(entries)
+                session = AppendSession(fs, reader, options, level=2)
+                for entry in entries[:12]:
+                    session.reuse(entry)
+                for key, value in added:
+                    session.add(key, value)
+                info = session.finish()
+                reader.reload(info if hand_over else None)
+                assert (reader.index is info.index) == hand_over
+            return 2 * rounds
+
+        return inner
+
+    suite.measure(
+        "section_finish_open",
+        run(True),
+        "section",
+        reference=run(False),
+        repeats=suite.micro_repeats,
+    )
+
+
 # ------------------------------------------------------------------ DB paths
 
 
@@ -853,6 +912,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_block_codec(suite)
     bench_merge(suite)
     bench_catalog(suite)
+    bench_section_finish_open(suite)
     bench_db_paths(suite, value_size=args.value_size)
     bench_observability(suite, value_size=args.value_size)
     report = suite.report()

@@ -2,8 +2,9 @@
 
 These are verbatim copies of the straightforward (pre-optimization)
 implementations of the varint codec, the data-block codec, the per-entry
-table build and filter insert, the merge/visibility stack, the LPT
-scheduler, and the version catalog.  They exist for two reasons:
+table build and filter insert, the stored-block and index-block writers,
+the merge/visibility stack, the LPT scheduler, the version catalog, and
+the ``bytearray`` file store.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
   optimized fast path against these on random inputs — including the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator
 
-from .errors import CorruptionError, InvalidArgumentError
+from .errors import CorruptionError, FileSystemError, InvalidArgumentError
 from .keys import (
     TYPE_DELETION,
     ComparableKey,
@@ -32,6 +33,7 @@ from .keys import (
     comparable_to_internal,
     user_key_of,
 )
+from .storage.fs import FileSystem
 
 # --------------------------------------------------------------------- varints
 
@@ -167,6 +169,38 @@ class ReferenceBlockBuilder:
             out += struct.pack("<I", offset)
         out += struct.pack("<I", len(self._restarts))
         return bytes(out)
+
+
+def stored_block(payload: bytes) -> bytes:
+    """Reference stored form of an uncompressed block: the payload, copied,
+    then its type byte and the masked CRC of the whole payload — what
+    ``BlockCutter.cut`` produced as ``wrap_block(BlockBuilder.finish())``
+    before it assembled the block with one join and a running CRC."""
+    import struct
+    import zlib
+
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    masked = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+    return payload + bytes([0]) + struct.pack("<I", masked)
+
+
+def index_block_serialize(entries) -> bytes:
+    """Reference ``IndexBlock.serialize``: the ``BufferWriter`` version,
+    seven writer calls per entry (paper Fig 3 field order)."""
+    from .encoding import BufferWriter
+
+    writer = BufferWriter()
+    writer.varint(len(entries))
+    for e in entries:
+        shared = shared_prefix_len(e.smallest, e.largest)
+        non_shared = e.smallest[shared:]
+        writer.length_prefixed(e.largest)
+        writer.varint(shared)
+        writer.length_prefixed(non_shared)
+        writer.varint(e.size)
+        writer.varint(e.offset)
+        writer.varint(e.num_entries)
+    return writer.getvalue()
 
 
 # ------------------------------------------------------ filters and table build
@@ -472,3 +506,74 @@ class ReferenceVersion:
                     f"level {level} files {a.file_number} and {b.file_number} overlap: "
                     f"{user_key_of(a.largest)!r} >= {user_key_of(b.smallest)!r}"
                 )
+
+
+# ------------------------------------------------------------------ file store
+
+
+class ReferenceFS(FileSystem):
+    """Reference in-memory filesystem: ``name -> bytearray``, the
+    ``SimulatedFS`` of PRs 1-20.  An append regrows the array, a read
+    copies its span out of it twice.  The accounting above the backend
+    operations is the shared base class's and never changed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._files: dict[str, bytearray] = {}
+
+    def _create(self, name: str) -> None:
+        self._files[name] = bytearray()
+
+    def _append(self, name: str, data: bytes) -> None:
+        with self._lock:
+            try:
+                self._files[name] += data
+            except KeyError:
+                raise FileSystemError(f"append to missing file {name!r}") from None
+
+    def _read(self, name: str, offset: int, nbytes: int) -> bytes:
+        with self._lock:
+            try:
+                buf = self._files[name]
+            except KeyError:
+                raise FileSystemError(f"read from missing file {name!r}") from None
+            if offset < 0 or offset + nbytes > len(buf):
+                raise FileSystemError(
+                    f"read [{offset}, {offset + nbytes}) out of bounds for "
+                    f"{name!r} of size {len(buf)}"
+                )
+            return bytes(buf[offset : offset + nbytes])
+
+    def _delete(self, name: str) -> None:
+        try:
+            del self._files[name]
+        except KeyError:
+            raise FileSystemError(f"delete of missing file {name!r}") from None
+
+    def exists(self, name: str) -> bool:
+        with self._lock:
+            return name in self._files
+
+    def list_dir(self) -> list[str]:
+        with self._lock:
+            return sorted(self._files)
+
+    def file_size(self, name: str) -> int:
+        with self._lock:
+            try:
+                return len(self._files[name])
+            except KeyError:
+                raise FileSystemError(f"size of missing file {name!r}") from None
+
+    def rename(self, old: str, new: str) -> None:
+        with self._lock:
+            try:
+                self._files[new] = self._files.pop(old)
+            except KeyError:
+                raise FileSystemError(f"rename of missing file {old!r}") from None
+
+    def _truncate(self, name: str, size: int) -> None:
+        try:
+            del self._files[name][size:]
+        except KeyError:
+            raise FileSystemError(f"truncate of missing file {name!r}") from None

@@ -144,9 +144,6 @@ class BloomFilter:
 
             flt = ReservedBloomFilter.__new__(ReservedBloomFilter)
             flt.initial_keys = initial_keys
-            flt.reserved_fraction = (
-                (capacity - initial_keys) / initial_keys if initial_keys else 0.0
-            )
         else:
             raise CorruptionError(f"unknown bloom filter kind {kind}")
         flt.capacity = capacity

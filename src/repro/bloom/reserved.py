@@ -30,7 +30,6 @@ class ReservedBloomFilter(BloomFilter):
         capacity = initial_keys + int(initial_keys * reserved_fraction)
         super().__init__(capacity=max(capacity, initial_keys), bits_per_key=bits_per_key)
         self.initial_keys = initial_keys
-        self.reserved_fraction = reserved_fraction
 
     def can_absorb(self, extra_keys: int) -> bool:
         """True when ``extra_keys`` more keys fit without a rebuild."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any, Callable, Hashable, Iterator
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -29,6 +30,14 @@ def _fnv1a_64(data: bytes) -> int:
     return value
 
 
+@lru_cache(maxsize=256)
+def _text_hash(text: str) -> int:
+    """FNV-1a of ``text``, remembered: under ``ShardedDB`` every block- and
+    table-cache key leads with the shard's namespace string, and walking it
+    byte by byte in Python on each lookup was most of the routing cost."""
+    return _fnv1a_64(text.encode("utf-8"))
+
+
 def stable_hash(key: Hashable) -> int:
     """A process-stable hash for shard routing.
 
@@ -40,7 +49,7 @@ def stable_hash(key: Hashable) -> int:
     routing is unchanged; text-like keys go through FNV-1a instead.
     """
     if isinstance(key, str):
-        return _fnv1a_64(key.encode("utf-8"))
+        return _text_hash(key)
     if isinstance(key, (bytes, bytearray, memoryview)):
         return _fnv1a_64(bytes(key))
     if isinstance(key, tuple):

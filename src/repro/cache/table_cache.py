@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from ..options import Options
 from ..storage.fs import FileSystem
+from ..storage.io_stats import CAT_OPEN
+from ..sstable.section_writer import TableInfo
 from ..sstable.table_reader import TableReader
 from .lru import LRUStats, ShardedLRUCache
 
@@ -103,20 +105,24 @@ class TableCache:
         return len(self._lru)
 
     def get(
-        self, file_number: int, file_name: str, load_category: str | None = None
+        self,
+        file_number: int,
+        file_name: str,
+        load_category: str | None = None,
+        built: TableInfo | None = None,
     ) -> TableReader:
         """Return an open reader for the file, opening it on a miss.
 
         ``load_category`` directs where a cache-miss's metadata-load I/O is
         charged — compactions warm their outputs eagerly (LevelDB's
         table-usability check) so the cost lands on the background category
-        rather than the first unlucky foreground read.
+        rather than the first unlucky foreground read.  That eager open is
+        also the one that has ``built``, the writer's result for the file,
+        to give the reader (:mod:`repro.sstable.table_reader`).
         """
         def open_reader() -> TableReader:
-            if load_category is None:
-                return TableReader(self._fs, file_name, file_number, self._options)
             return TableReader(
-                self._fs, file_name, file_number, self._options, load_category
+                self._fs, file_name, file_number, self._options, load_category or CAT_OPEN, built
             )
 
         # Atomic per shard: two concurrent misses must not double-open the
@@ -124,15 +130,16 @@ class TableCache:
         # winner might already be probing it).
         return self._lru.get_or_insert(self._key(file_number), open_reader, charge=1)
 
-    def reload(self, file_number: int) -> None:
+    def reload(self, file_number: int, built: TableInfo | None = None) -> None:
         """Refresh cached metadata after an in-place append.
 
         Block Compaction rewrites a file's index/filter/footer; a cached
         reader must re-read them or it would keep serving the stale section.
+        ``built`` is the append's result, as for :meth:`get`.
         """
         reader = self._lru.peek(self._key(file_number))
         if reader is not None:
-            reader.reload()
+            reader.reload(built)
 
     def evict(self, file_number: int) -> None:
         """Close and drop the reader for a deleted file."""

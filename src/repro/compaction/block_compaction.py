@@ -458,7 +458,7 @@ def block_compact_file(
     env.block_cache.invalidate_blocks(
         child_meta.file_number, {e.offset for e in scan.dirty_entries}
     )
-    env.table_cache.reload(child_meta.file_number)
+    env.table_cache.reload(child_meta.file_number, result)
 
     if result.num_entries == 0:
         return None, stats

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..core.version import FileMetadata, clone_metadata, new_file_metadata, table_file_name
+from ..core.version import FileMetadata, built_file_metadata, clone_metadata, table_file_name
 from ..keys import user_key_of
 from ..sstable.table_builder import TableBuilder
 from ..storage.io_stats import CAT_COMPACTION
@@ -70,7 +70,7 @@ def build_output_tables(
             and builder.estimated_file_size() >= sstable_size
             and user_key_of(internal_key) != builder.last_user_key
         ):
-            outputs.append(_finish(env, builder, number))
+            outputs.append(built_file_metadata(number, builder.finish(), env.options))
             builder = None
         if builder is None:
             number = env.new_file_number()
@@ -83,17 +83,8 @@ def build_output_tables(
             )
         builder.add(internal_key, value)
     if builder is not None:
-        outputs.append(_finish(env, builder, number))
+        outputs.append(built_file_metadata(number, builder.finish(), env.options))
     return outputs
-
-
-def _finish(env: CompactionEnv, builder: TableBuilder, number: int) -> FileMetadata:
-    return new_file_metadata(
-        number,
-        builder.finish(),
-        allowed_seeks_divisor=env.options.seek_compaction_bytes_per_seek,
-        min_allowed_seeks=env.options.seek_compaction_min_seeks,
-    )
 
 
 def merged_task_stream(

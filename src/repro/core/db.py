@@ -403,6 +403,8 @@ class DB:
                 on_drop=self.vlog.observe_drop if self.vlog is not None else None,
             )
             self._memtable = self._new_memtable()
+            if recovered_file is not None:
+                recovered_file.built = None  # no eager open here to take it
         # Dead bytes the recovery flush observed (shadowed replayed entries)
         # fold into the ledger before the snapshot below re-emits it.
         if self.vlog is not None:
@@ -988,7 +990,7 @@ class DB:
                 )
                 # Open the new table eagerly; the metadata load belongs to the
                 # flush, not to the first foreground read (see run_compaction).
-                self.table_cache.get(meta.file_number, meta.file_name(), CAT_FLUSH)
+                self._open_built(meta, CAT_FLUSH)
                 self._on_flush(meta)
             else:
                 # No table came out (everything dropped), so no version edit —
@@ -1299,10 +1301,18 @@ class DB:
         # right after building it), charging the metadata loads to the
         # compaction rather than to the first foreground read.
         for _level, meta in result.edit.new_files:
-            self.table_cache.get(meta.file_number, meta.file_name(), CAT_COMPACTION)
+            self._open_built(meta, CAT_COMPACTION)
         for _level, meta in result.edit.updated_files:
             self.table_cache.get(meta.file_number, meta.file_name(), CAT_COMPACTION)
         return result
+
+    def _open_built(self, meta: FileMetadata, category: str) -> None:
+        """Open a table right after it was written, charging ``category``,
+        and hand the reader what its writer built (``meta.built``, taken:
+        :mod:`repro.sstable.table_reader` says what the reader does with
+        it)."""
+        built, meta.built = meta.built, None
+        self.table_cache.get(meta.file_number, meta.file_name(), category, built)
 
     def _commit_compaction(
         self, task: CompactionTask, result: CompactionResult
@@ -1698,7 +1708,7 @@ class DB:
             edit.new_files.append((level, meta))
         self._apply_edit(edit)
         for meta in outputs:
-            self.table_cache.get(meta.file_number, meta.file_name(), CAT_COMPACTION)
+            self._open_built(meta, CAT_COMPACTION)
         self.deletion_manager.retire(files)
         written = self.fs.stats.per_category[CAT_COMPACTION].bytes_written - write_start
         self.stats.charge_level_write(level, written)

@@ -9,7 +9,7 @@ from ..options import Options
 from ..sstable.table_builder import TableBuilder
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_FLUSH
-from .version import FileMetadata, new_file_metadata, table_file_name
+from .version import FileMetadata, built_file_metadata, table_file_name
 
 
 def flush_memtable(
@@ -40,10 +40,4 @@ def flush_memtable(
     if builder.empty():
         builder.abandon()
         return None
-    info = builder.finish()
-    return new_file_metadata(
-        file_number,
-        info,
-        allowed_seeks_divisor=options.seek_compaction_bytes_per_seek,
-        min_allowed_seeks=options.seek_compaction_min_seeks,
-    )
+    return built_file_metadata(file_number, builder.finish(), options)

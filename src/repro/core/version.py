@@ -53,6 +53,11 @@ class FileMetadata:
     #: (an in-place update installs a fresh entry).
     smallest_user_key: bytes = field(init=False, repr=False, compare=False)
     largest_user_key: bytes = field(init=False, repr=False, compare=False)
+    #: The section writer's ``TableInfo`` for a table built in this process,
+    #: riding along until the eager open that follows takes it (and clears
+    #: this, so the catalog does not keep an index and filter alive).  Not
+    #: journaled, not compared.
+    built: object | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.smallest_user_key = user_key_of(self.smallest)
@@ -93,6 +98,20 @@ def new_file_metadata(
         largest=info.largest,
         allowed_seeks=max(min_allowed_seeks, info.file_size // max(1, allowed_seeks_divisor)),
     )
+
+
+def built_file_metadata(file_number: int, info, options) -> FileMetadata:
+    """Metadata for a table this process just wrote, with the engine's
+    seek-budget options; carries ``info`` (the writer's ``TableInfo``) to
+    the eager open that follows (:attr:`FileMetadata.built`)."""
+    meta = new_file_metadata(
+        file_number,
+        info,
+        allowed_seeks_divisor=options.seek_compaction_bytes_per_seek,
+        min_allowed_seeks=options.seek_compaction_min_seeks,
+    )
+    meta.built = info
+    return meta
 
 
 @dataclass

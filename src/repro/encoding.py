@@ -195,7 +195,7 @@ def get_length_prefixed(buf: bytes, offset: int = 0) -> tuple[bytes, int]:
 class BufferWriter:
     """A reusable ``bytearray``-backed record assembler.
 
-    Builders (data blocks, WAL records, manifest edits, index blocks) used
+    Builders (data blocks, WAL records, manifest edits) used
     to assemble records by concatenating many small ``bytes`` returned from
     the ``encode_*`` helpers; every ``+=`` allocated an intermediate object.
     ``BufferWriter`` appends each field straight into one growing buffer —

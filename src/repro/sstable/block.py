@@ -78,9 +78,12 @@ def _parse_header(payload: bytes, payload_len: int) -> int:
 
 
 def _parse_entries(
-    payload: bytes, offset: int, data_end: int
+    payload: bytes, offset: int, data_end: int, with_values: bool = True
 ) -> tuple[list[ComparableKey], list[bytes]]:
     """Fused decode of the entry span ``[offset, data_end)``.
+
+    ``with_values=False`` leaves the value list empty: a caller that wants
+    only the keys (a filter rebuild) does not pay a copy of every value.
 
     The 3-varint header, prefix-compressed key reconstruction, and
     comparable-key conversion are all inlined into one loop.  The full
@@ -158,7 +161,8 @@ def _parse_entries(
             prev_ulen = key_len - 8
             prev_len = key_len
         append_key((user_key, invert - trailer))
-        append_value(buf[key_end:value_end])
+        if with_values:
+            append_value(buf[key_end:value_end])
         prev_user = user_key
         prev_trailer = trailer
         offset = value_end
@@ -381,8 +385,12 @@ class LazyDataBlock:
         return zip(keys[idx:], values[idx:])
 
     def user_keys(self) -> list[bytes]:
-        """Distinct-preserving list of user keys (for filter construction)."""
-        return [key[0] for key in self._materialize()[0]]
+        """Distinct-preserving list of user keys (for filter construction).
+        A block nothing has materialized decodes its keys only."""
+        keys = self._keys
+        if keys is None:
+            keys = _parse_entries(self.payload, 0, self._data_end, with_values=False)[0]
+        return [key[0] for key in keys]
 
     def memory_bytes(self) -> int:
         """Charge for cache accounting: the serialized payload size.

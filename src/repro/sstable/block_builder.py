@@ -17,16 +17,19 @@ from __future__ import annotations
 
 import struct
 from typing import Callable
+from zlib import crc32
 
 from ..encoding import decode_fixed64, encode_varint, shared_prefix_len
 from ..keys import user_key_of
-from .format import wrap_block
+from .format import COMPRESSION_NONE, wrap_block
 
 #: Entry headers whose three varints fit 1+1+1 or 1+1+2 bytes — every
 #: header the engine writes for keys under 128 bytes and values under
 #: 16 KiB — packed by one ``struct`` call.
 _HEADER_111 = struct.Struct("<BBB").pack
 _HEADER_112 = struct.Struct("<BBBB").pack
+#: The 5-byte block trailer: compression type, masked little-endian CRC.
+_BLOCK_TRAILER = struct.Struct("<BI").pack
 
 
 class BlockBuilder:
@@ -104,6 +107,18 @@ class BlockBuilder:
         trailer = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
         return bytes(self._buf) + trailer
 
+    def finish_stored(self) -> bytes:
+        """The block as stored uncompressed — payload plus its 5-byte
+        trailer, byte for byte ``wrap_block(self.finish())`` — assembled
+        with one copy of the entry bytes: the CRC runs over the buffer in
+        place and continues over the restart array."""
+        restarts = self._restarts
+        tail = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
+        crc = crc32(tail, crc32(self._buf))
+        # The mask of encoding.crc32c, which takes one buffer, not two.
+        masked = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+        return b"".join((self._buf, tail, _BLOCK_TRAILER(COMPRESSION_NONE, masked)))
+
 
 def _trailer(internal_key: bytes) -> int:
     """The packed ``(sequence << 8) | type`` of an internal key."""
@@ -168,7 +183,9 @@ class BlockCutter:
         block = self.block
         if block.num_entries:
             self._emit(
-                wrap_block(block.finish(), self._compression),
+                block.finish_stored()
+                if self._compression == COMPRESSION_NONE
+                else wrap_block(block.finish(), self._compression),
                 block.first_key,
                 block.last_key,
                 block.num_entries,

@@ -27,7 +27,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..encoding import BufferWriter, decode_varint, decode_varint3, shared_prefix_len
+from ..encoding import decode_varint, decode_varint3, encode_varint, shared_prefix_len
 from ..errors import CorruptionError
 from ..keys import user_key_of
 
@@ -104,19 +104,25 @@ class IndexBlock:
 
     def serialize(self) -> bytes:
         """Encode all entries in the paper's Fig 3 field order."""
-        writer = BufferWriter()
-        writer.varint(len(self.entries))
+        varint = encode_varint
+        parts = [varint(len(self.entries))]
         for e in self.entries:
-            shared = shared_prefix_len(e.smallest, e.largest)
-            non_shared = e.smallest[shared:]
-            writer.length_prefixed(e.largest)
-            writer.varint(shared)
-            writer.length_prefixed(non_shared)
-            writer.varint(e.size)
-            writer.varint(e.offset)
-            writer.varint(e.num_entries)
-        self._serialized_size = len(writer)
-        return writer.getvalue()
+            smallest = e.smallest
+            largest = e.largest
+            shared = shared_prefix_len(smallest, largest)
+            parts += (
+                varint(len(largest)),
+                largest,
+                varint(shared),
+                varint(len(smallest) - shared),
+                smallest[shared:],
+                varint(e.size),
+                varint(e.offset),
+                varint(e.num_entries),
+            )
+        payload = b"".join(parts)
+        self._serialized_size = len(payload)
+        return payload
 
     @classmethod
     def deserialize(cls, payload: bytes) -> "IndexBlock":

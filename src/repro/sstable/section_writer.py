@@ -36,7 +36,12 @@ from .table_reader import TableReader
 
 @dataclass
 class TableInfo:
-    """Result of building or appending to a table file."""
+    """Result of building or appending to a table file.
+
+    Handed to the eager open (or reload) that follows, it spares the reader
+    a decode of the index and filter just encoded (see
+    :mod:`repro.sstable.table_reader`); ``index`` and ``filter`` are never
+    mutated once returned."""
 
     file_name: str
     file_size: int
@@ -49,6 +54,9 @@ class TableInfo:
     filter: Filter | None
     #: Bytes physically written by this build/append operation.
     bytes_written: int
+    #: The section's footer as written: what the reader compares the
+    #: footer it reads back with before it adopts ``index`` / ``filter``.
+    footer_bytes: bytes
 
 
 class SectionWriter:
@@ -139,16 +147,12 @@ class SectionWriter:
         cost reserved bits avoid)."""
         if self._base is None:
             return []
-        keys: list[bytes] = []
         reused = [e for e in self._entries if e.offset in self._reused_offsets]
-        blocks = self._base.read_blocks_concurrently(
+        return self._base.read_user_keys(
             reused,
             category=self._category,
             concurrency=self._options.dirty_block_read_parallelism,
         )
-        for block in blocks:
-            keys.extend(block.user_keys())
-        return keys
 
     def _build_filter(self) -> Filter | None:
         options = self._options
@@ -236,4 +240,5 @@ class SectionWriter:
             index=index,
             filter=flt,
             bytes_written=self.offset - self._start_offset,
+            footer_bytes=footer_bytes,
         )

@@ -5,6 +5,15 @@ block, and filter blob (earlier sections' metadata is obsolete), and serves
 point lookups, scans, and the compaction primitives (block fetches, possibly
 concurrent).
 
+Who decodes the metadata: the reader, always — except on the eager open (or
+reload) that follows a build or append in this process, where the caller
+passes the section writer's :class:`~repro.sstable.section_writer.TableInfo`.
+The reader then issues the same three reads, checks the footer it read
+against the bytes the writer wrote and both block checksums, and keeps the
+writer's index and filter objects instead of decoding their bytes again.
+Anything else about the file — a recovery, a re-open after a cache
+eviction, an offline tool, a footer that does not match — is a full parse.
+
 The read path for a point lookup follows Section V-A of the paper: bloom
 filter first, then the extended index block (which can reject keys falling
 between blocks without I/O), then exactly one data block.
@@ -24,11 +33,18 @@ from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_GET, CAT_OPEN, CAT_SCAN
 from .block import DataBlock, ParsedBlock, parse_block_raw
 from .filter_block import Filter, deserialize_filter
-from .format import BLOCK_TRAILER_SIZE, FOOTER_SIZE, Footer, unwrap_block
+from .format import (
+    BLOCK_TRAILER_SIZE,
+    FOOTER_SIZE,
+    Footer,
+    check_block_trailer,
+    unwrap_block,
+)
 from .index import IndexBlock, IndexEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..cache.block_cache import BlockCache
+    from .section_writer import TableInfo
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,7 @@ class TableReader:
         file_number: int,
         options: Options,
         load_category: str = CAT_OPEN,
+        built: "TableInfo | None" = None,
     ):
         self._fs = fs
         self.name = name
@@ -76,40 +93,56 @@ class TableReader:
         self._ref_lock = threading.Lock()
         self._refs = 0
         self._close_pending = False
-        self._meta = self._load_metadata()
+        self._meta = self._load_metadata(built)
 
-    def _load_metadata(self) -> TableMeta:
-        """Load the latest footer, index, and filter as one generation."""
+    def _load_metadata(self, built: "TableInfo | None" = None) -> TableMeta:
+        """Load the latest footer, index, and filter as one generation.
+
+        ``built`` is what the section writer returned for the section it
+        just finished in this file (module docstring).  The footer, index
+        and filter reads are issued and charged the same with or without
+        it; when the footer read back is the writer's, byte for byte, the
+        two blocks are checksummed and the writer's objects adopted in
+        place of a decode.  They are never mutated afterwards — an append
+        that absorbs keys works on a copy of the filter.
+        """
         cat = self._load_category
+        verify = self._options.verify_checksums
         size = self._handle.size()
         if size < FOOTER_SIZE:
             raise CorruptionError(f"table {self.name!r} shorter than a footer")
         footer_raw = self._handle.read(size - FOOTER_SIZE, FOOTER_SIZE, category=cat)
         footer = Footer.deserialize(footer_raw)
+        adopt = built is not None and footer_raw == built.footer_bytes
 
         idx = footer.index_handle
         raw = self._handle.read(idx.offset, idx.size + BLOCK_TRAILER_SIZE, category=cat)
-        index = IndexBlock.deserialize(
-            unwrap_block(raw, verify_checksum=self._options.verify_checksums)
-        )
+        if adopt:
+            check_block_trailer(raw, verify_checksum=verify)
+            index = built.index
+        else:
+            index = IndexBlock.deserialize(unwrap_block(raw, verify_checksum=verify))
 
         filter_: Filter | None = None
         flt = footer.filter_handle
         if not flt.is_null():
             raw = self._handle.read(flt.offset, flt.size + BLOCK_TRAILER_SIZE, category=cat)
-            filter_ = deserialize_filter(
-                unwrap_block(raw, verify_checksum=self._options.verify_checksums)
-            )
+            if adopt:
+                check_block_trailer(raw, verify_checksum=verify)
+                filter_ = built.filter
+            else:
+                filter_ = deserialize_filter(unwrap_block(raw, verify_checksum=verify))
         return TableMeta(footer=footer, index=index, filter=filter_, file_size=size)
 
-    def reload(self) -> None:
-        """Re-read metadata after an in-place append (Block Compaction).
+    def reload(self, built: "TableInfo | None" = None) -> None:
+        """Re-read metadata after an in-place append (Block Compaction);
+        ``built`` as for :meth:`_load_metadata`.
 
         The new generation is built fully before the single ``_meta`` store
         publishes it, so concurrent readers see either the old or the new
         footer/index/filter set — never a mix.
         """
-        self._meta = self._load_metadata()
+        self._meta = self._load_metadata(built)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -177,14 +210,17 @@ class TableReader:
         category: str,
         block_cache: "BlockCache | None" = None,
         sequential: bool = False,
+        lazy: bool = True,
     ) -> ParsedBlock:
         """Fetch one data block, through the block cache when given.
 
         The parse is deferred (``LazyDataBlock``): the block enters the
         cache partially decoded and point lookups decode only the restart
-        region they bisect into — the compaction reads below parse eagerly,
-        they drain every entry.  Cache accounting is the same for both
-        forms (each charges the serialized size).
+        region they bisect into.  A caller about to drain every entry of a
+        block no one else will see (:meth:`entry_blocks` without a cache,
+        the concurrent compaction reads below) asks for the eager form.
+        Cache accounting is the same for both (each charges the serialized
+        size).
         """
         if block_cache is not None:
             cached = block_cache.get(self.file_number, entry.offset)
@@ -196,7 +232,7 @@ class TableReader:
             category=category,
             sequential=sequential,
         )
-        block = parse_block_raw(raw, verify_checksum=self._options.verify_checksums, lazy=True)
+        block = parse_block_raw(raw, verify_checksum=self._options.verify_checksums, lazy=lazy)
         if block_cache is not None:
             block_cache.insert(self.file_number, entry.offset, block)
         return block
@@ -211,10 +247,26 @@ class TableReader:
         """Fetch several blocks as overlapping random reads — Algorithm 3's
         multi-threaded dirty-block fetch, charged with the device's
         internal-parallelism makespan."""
-        spans = [(e.offset, e.size + BLOCK_TRAILER_SIZE) for e in entries]
-        raws = self._handle.read_many(spans, category=category, concurrency=concurrency)
+        raws = self.read_blocks_raw(entries, category=category, concurrency=concurrency)
         verify = self._options.verify_checksums
         return [parse_block_raw(raw, verify_checksum=verify) for raw in raws]
+
+    def read_user_keys(
+        self,
+        entries: list[IndexEntry],
+        *,
+        category: str,
+        concurrency: int,
+    ) -> list[bytes]:
+        """The user keys of several blocks, in order — a filter rebuild's
+        input.  Fetched, charged and checksummed as
+        :meth:`read_blocks_concurrently`; the values are never decoded."""
+        raws = self.read_blocks_raw(entries, category=category, concurrency=concurrency)
+        verify = self._options.verify_checksums
+        keys: list[bytes] = []
+        for raw in raws:
+            keys += parse_block_raw(raw, verify_checksum=verify, lazy=True).user_keys()
+        return keys
 
     def read_blocks_raw(
         self,
@@ -310,6 +362,9 @@ class TableReader:
         if seek is not None:
             start = index.first_overlapping(seek[0])
         entries = index.entries
+        # Every block is drained; only one headed for the cache, where a
+        # point lookup may find it first, is worth decoding lazily.
+        lazy = block_cache is not None
         expected_offset: int | None = None
         for i in range(start, len(entries)):
             entry = entries[i]
@@ -318,7 +373,11 @@ class TableReader:
             )
             expected_offset = entry.offset + entry.size + BLOCK_TRAILER_SIZE
             block = self.read_block(
-                entry, category=category, block_cache=block_cache, sequential=contiguous
+                entry,
+                category=category,
+                block_cache=block_cache,
+                sequential=contiguous,
+                lazy=lazy,
             )
             if seek is not None and i == start:
                 yield block.entries_from(seek)
@@ -343,14 +402,6 @@ class TableReader:
                 seek, category=category, block_cache=block_cache, sequential=sequential
             )
         )
-
-    def get_all_user_keys(self, *, category: str) -> list[bytes]:
-        """Every live user key (reads all valid blocks) — filter rebuilds."""
-        keys: list[bytes] = []
-        for entry in self._meta.index.entries:
-            block = self.read_block(entry, category=category)
-            keys.extend(block.user_keys())
-        return keys
 
     def seek_first_entry(self, user_key: bytes) -> tuple[ComparableKey, bytes] | None:
         """First entry at or after ``user_key`` (used by seek compaction

@@ -2,9 +2,13 @@
 
 Two implementations share one interface:
 
-* :class:`SimulatedFS` — in-memory byte arrays.  The default for tests,
+* :class:`SimulatedFS` — in memory; a file is the list of ``bytes`` objects
+  appended to it plus their cumulative offsets.  The default for tests,
   benchmarks, and experiments: deterministic, fast, and still byte-exact,
   because file contents are the same serialized bytes a real disk would see.
+  An append never copies or regrows the file, and a read that coincides
+  with one append — every data block, index, filter and footer read — is
+  that object handed back.
 * :class:`LocalFS` — real files under a directory, for users who want a
   persistent store.
 
@@ -20,6 +24,7 @@ import os
 import threading
 import time
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 
 from ..errors import FileSystemError
 from ..obs.trace import NULL_TRACER
@@ -44,16 +49,17 @@ class WritableFile:
         """Append ``data``, charging bytes and sequential-write time."""
         if self._closed:
             raise FileSystemError(f"append to closed file {self._name!r}")
-        self._fs._append(self._name, data)
+        fs = self._fs
+        nbytes = len(data)
+        fs._append(self._name, data)
         cat = category or self._category
-        self._fs.stats.record_write(len(data), cat)
-        cost = self._fs.device.sequential_write_cost(len(data))
-        self._fs.charge_time(cost, cat)
-        tracer = self._fs.tracer
-        if tracer.enabled:
-            tracer.complete(
+        fs.stats.record_write(nbytes, cat)
+        cost = fs.device.sequential_write_cost(nbytes)
+        fs.charge_time(cost, cat)
+        if fs.tracer.enabled:
+            fs.tracer.complete(
                 "fs.write", "fs", sim_dur=cost,
-                args={"file": self._name, "bytes": len(data), "category": cat},
+                args={"file": self._name, "bytes": nbytes, "category": cat},
             )
 
     def sync(self) -> None:
@@ -313,7 +319,17 @@ class FileSystem(ABC):
 
 
 class SimulatedFS(FileSystem):
-    """In-memory filesystem: ``name -> bytearray``.  Thread-safe."""
+    """In-memory filesystem.  Thread-safe.
+
+    A file is ``(chunks, ends)``: the ``bytes`` objects appended to it, in
+    order, and their cumulative end offsets after a leading 0 —
+    ``chunks[i]`` holds file bytes ``[ends[i], ends[i + 1])`` and
+    ``ends[-1]`` is the size.  Empty appends are not stored, so ``ends`` is
+    strictly increasing and a bisect finds the chunk holding any byte.
+    Appends are O(1) and a read costs only the span it returns, however
+    large the file has grown — Block Compaction appends to one file for
+    its whole life.
+    """
 
     def __init__(
         self,
@@ -323,30 +339,53 @@ class SimulatedFS(FileSystem):
         realtime: float = 0.0,
     ):
         super().__init__(device, stats, realtime=realtime)
-        self._files: dict[str, bytearray] = {}
+        self._files: dict[str, tuple[list[bytes], list[int]]] = {}
 
     def _create(self, name: str) -> None:
-        self._files[name] = bytearray()
+        self._files[name] = ([], [0])
 
     def _append(self, name: str, data: bytes) -> None:
         with self._lock:
             try:
-                self._files[name] += data
+                chunks, ends = self._files[name]
             except KeyError:
                 raise FileSystemError(f"append to missing file {name!r}") from None
+            if data:
+                # An immutable ``bytes`` is kept as is; anything else (the
+                # caller may reuse a bytearray) is copied once.
+                chunks.append(data if type(data) is bytes else bytes(data))
+                ends.append(ends[-1] + len(data))
 
     def _read(self, name: str, offset: int, nbytes: int) -> bytes:
+        """The chunk itself when the span is exactly one append, a slice of
+        one chunk when it falls inside one, else a join of just the chunks
+        it touches."""
         with self._lock:
             try:
-                buf = self._files[name]
+                chunks, ends = self._files[name]
             except KeyError:
                 raise FileSystemError(f"read from missing file {name!r}") from None
-            if offset < 0 or offset + nbytes > len(buf):
+            end = offset + nbytes
+            if offset < 0 or end > ends[-1]:
                 raise FileSystemError(
-                    f"read [{offset}, {offset + nbytes}) out of bounds for "
-                    f"{name!r} of size {len(buf)}"
+                    f"read [{offset}, {end}) out of bounds for "
+                    f"{name!r} of size {ends[-1]}"
                 )
-            return bytes(buf[offset : offset + nbytes])
+            if nbytes <= 0:
+                return b""
+            first = bisect_right(ends, offset) - 1
+            chunk = chunks[first]
+            start = ends[first]
+            chunk_end = ends[first + 1]
+            if end <= chunk_end:
+                if offset == start and end == chunk_end:
+                    return chunk
+                return chunk[offset - start : end - start]
+            last = bisect_left(ends, end, first + 1) - 1  # holds byte end - 1
+            parts = chunks[first : last + 1]
+            parts[0] = chunk[offset - start :]
+            parts[-1] = parts[-1][: end - ends[last]]
+            return b"".join(parts)
 
     def _delete(self, name: str) -> None:
         try:
@@ -365,7 +404,7 @@ class SimulatedFS(FileSystem):
     def file_size(self, name: str) -> int:
         with self._lock:
             try:
-                return len(self._files[name])
+                return self._files[name][1][-1]
             except KeyError:
                 raise FileSystemError(f"size of missing file {name!r}") from None
 
@@ -378,9 +417,31 @@ class SimulatedFS(FileSystem):
 
     def _truncate(self, name: str, size: int) -> None:
         try:
-            del self._files[name][size:]
+            chunks, ends = self._files[name]
         except KeyError:
             raise FileSystemError(f"truncate of missing file {name!r}") from None
+        if size >= ends[-1]:
+            return
+        keep = bisect_right(ends, size) - 1  # chunks[:keep] survive whole
+        if size > ends[keep]:
+            chunks[keep] = chunks[keep][: size - ends[keep]]
+            keep += 1
+            ends[keep] = size
+        del chunks[keep:]
+        del ends[keep + 1 :]
+
+    # -- whole-file access for tests and tools (no accounting, as digest()) --
+
+    def contents(self, name: str) -> bytes:
+        """Every byte of ``name``."""
+        return self._read(name, 0, self.file_size(name))
+
+    def replace(self, name: str, data: bytes) -> None:
+        """Make ``data`` the whole content of ``name`` (created if missing):
+        how a test plants a torn tail or a flipped bit."""
+        with self._lock:
+            self._create(name)
+            self._append(name, data)
 
 
 class LocalFS(FileSystem):

@@ -215,10 +215,7 @@ def _clone_files(fs: FaultInjectionFS) -> SimulatedFS:
     """Accounting-free copy of the (healed) file state, for repair runs."""
     clone = SimulatedFS()
     for name in fs.inner.list_dir():
-        size = fs.inner.file_size(name)
-        clone._files[name] = bytearray(
-            fs.inner._read(name, 0, size) if size else b""
-        )
+        clone.replace(name, fs.inner.contents(name))
     return clone
 
 

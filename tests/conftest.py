@@ -38,6 +38,13 @@ def make_db(style: str = COMPACTION_TABLE, fs: SimulatedFS | None = None, **over
     return DB(fs or SimulatedFS(), tiny_options(compaction_style=style, **overrides), seed=1)
 
 
+def flip_byte(fs: SimulatedFS, name: str, index: int) -> None:
+    """Corrupt one stored byte of ``name`` behind the engine's back."""
+    data = bytearray(fs.contents(name))
+    data[index] ^= 0xFF
+    fs.replace(name, data)
+
+
 def kv(i: int, *, width: int = 6) -> tuple[bytes, bytes]:
     key = f"key{i:0{width}d}".encode()
     return key, key + b"=" + b"v" * 40

@@ -220,6 +220,21 @@ class TestShardedLRU:
         # Every entry lives in exactly one shard.
         assert sum(len(s) for s in cache._shards) == len(cache) == 100
 
+    def test_namespaced_key_routes_by_the_unmemoised_formula(self):
+        """``(namespace, file, offset)`` keys — the sharded engine's — go to
+        the shard FNV-1a of the namespace text sends them to, however often
+        the namespace has been hashed before."""
+        from repro.cache.lru import ShardedLRUCache, _fnv1a_64
+
+        cache = ShardedLRUCache(1600, shards=16)
+        for namespace in ("shard-0000", "shard-0001", "tenant/é"):
+            for file_number, offset in ((7, 0), (7, 4101), (123456, 2**33)):
+                expected = (
+                    hash((_fnv1a_64(namespace.encode("utf-8")), file_number, offset)) % 16
+                )
+                for _ in range(2):  # cold, then remembered
+                    assert cache.shard_index((namespace, file_number, offset)) == expected
+
     def test_capacity_split_is_exact(self):
         from repro.cache.lru import ShardedLRUCache
 

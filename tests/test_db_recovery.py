@@ -46,7 +46,7 @@ class TestWalRecovery:
         db.put(b"b", b"2")
         log_names = [n for n in fs.list_dir() if n.endswith(".log")]
         assert len(log_names) == 1
-        fs._files[log_names[0]] = fs._files[log_names[0]][:-3]  # torn record
+        fs.replace(log_names[0], fs.contents(log_names[0])[:-3])  # torn record
         db2 = reopen(fs)
         assert db2.get(b"a") == b"1"
         assert db2.get(b"b") is None

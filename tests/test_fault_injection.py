@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import kv, make_db, tiny_options
+from conftest import flip_byte, kv, make_db, tiny_options
 from repro.core.db import DB
 from repro.errors import CorruptionError, FileSystemError
 from repro.storage.fs import SimulatedFS
@@ -44,7 +44,7 @@ class TestManifestDamage:
 
         name = read_current(fs)
         # flip a byte inside the first record's payload
-        fs._files[name][7] ^= 0xFF
+        flip_byte(fs, name, 7)
         with pytest.raises(CorruptionError):
             reopen(fs)
 
@@ -58,7 +58,7 @@ class TestManifestDamage:
 
     def test_empty_current_rejected(self, fs):
         build_store(fs)
-        fs._files["CURRENT"] = bytearray()
+        fs.replace("CURRENT", b"")
         with pytest.raises(CorruptionError):
             reopen(fs)
 
@@ -78,7 +78,7 @@ class TestSSTableDamage:
         db_ref = build_store(fs)
         meta = next(m for _l, m in db_ref.version.all_files())
         # Flip one byte inside the first data block's payload.
-        fs._files[meta.file_name()][3] ^= 0xFF
+        flip_byte(fs, meta.file_name(), 3)
         db = reopen(fs)
         with pytest.raises(CorruptionError):
             db.scan()
@@ -86,7 +86,7 @@ class TestSSTableDamage:
     def test_checksum_verification_can_be_disabled(self, fs):
         db_ref = build_store(fs)
         meta = next(m for _l, m in db_ref.version.all_files())
-        fs._files[meta.file_name()][3] ^= 0xFF
+        flip_byte(fs, meta.file_name(), 3)
         db = DB(fs, tiny_options(verify_checksums=False), seed=1)
         # No checksum guard: reads may return garbage, but only parse
         # errors (if any) surface; the DB doesn't crash on open.
@@ -99,7 +99,7 @@ class TestSSTableDamage:
     def test_truncated_footer_raises(self, fs):
         db_ref = build_store(fs)
         meta = next(m for _l, m in db_ref.version.all_files())
-        fs._files[meta.file_name()] = fs._files[meta.file_name()][:-5]
+        fs.replace(meta.file_name(), fs.contents(meta.file_name())[:-5])
         db = reopen(fs)
         with pytest.raises((CorruptionError, FileSystemError)):
             for i in range(300):
@@ -115,10 +115,10 @@ class TestWalDamage:
         db.put(b"k1", b"v1")
         db.put(b"k2", b"v2")
         log = next(n for n in fs.list_dir() if n.endswith(".log"))
-        log_size = len(fs._files[log])
+        log_size = fs.file_size(log)
         # Corrupt the SECOND record's frame: k1 replays, k2 is lost.
         frame1_end = log_size // 2
-        fs._files[log][frame1_end + 6] ^= 0xFF
+        flip_byte(fs, log, frame1_end + 6)
         db2 = reopen(fs)
         assert db2.get(b"k1") == b"v1"
         assert db2.get(b"k2") is None
@@ -134,7 +134,7 @@ class TestWalDamage:
         db.put(b"k1", b"v1")
         db.put(b"k2", b"v2")
         log = next(n for n in fs.list_dir() if n.endswith(".log"))
-        fs._files[log][6] ^= 0xFF
+        flip_byte(fs, log, 6)
         db2 = reopen(fs)
         assert db2.get(b"k1") is None
         assert db2.get(b"k2") is None
@@ -146,7 +146,7 @@ class TestWalDamage:
         db = make_db(fs=fs)
         db.put(b"k1", b"v1")
         log = next(n for n in fs.list_dir() if n.endswith(".log"))
-        fs._files[log] = bytearray()
+        fs.replace(log, b"")
         db2 = reopen(fs)
         assert db2.get(b"k1") is None  # lost with the log, but store opens
         db2.close()

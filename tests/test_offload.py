@@ -45,7 +45,7 @@ from repro.errors import (
 from repro.keys import TYPE_DELETION, TYPE_VALUE, comparable_key, make_internal_key
 from repro.metrics.stats import DBStats
 from repro.options import COMPACTION_SELECTIVE, Options
-from repro.sstable import TableBuilder
+from repro.sstable import TableBuilder, TableReader
 from repro.storage.fs import SimulatedFS
 from repro.vlog import VlogManager, encode_pointer
 
@@ -221,6 +221,19 @@ class TestOffloadEquivalence:
             ref_stats.dirty_blocks,
             ref_stats.new_blocks,
         )
+        # The replayed script ends in the same SectionWriter.finish, so the
+        # reload adopted its index and filter: they are what a full parse
+        # of the file gives, and both sides paid the same I/O for them.
+        assert env.fs.stats == ref_env.fs.stats
+        adopted = env.reader(child)
+        parsed = TableReader(env.fs, name, child.file_number, env.options)
+        assert adopted.index is not parsed.index
+        for reader in (adopted, ref_env.reader(ref_child)):
+            assert reader.footer == parsed.footer
+            assert reader.index.entries == parsed.index.entries
+            assert reader.index.memory_bytes() == parsed.index.memory_bytes()
+            assert reader.filter.serialize() == parsed.filter.serialize()
+            assert reader.file_size == parsed.file_size
         return env, child, stats
 
     @pytest.mark.parametrize("mode", ["thread", "process"])

@@ -26,7 +26,7 @@ class TestParanoidChecks:
         live = [m for _l, m in db.version.all_files()]
         assert live
         victim = live[0].file_name()
-        db.fs._files[victim] = db.fs._files[victim][:-10]
+        db.fs.replace(victim, db.fs.contents(victim)[:-10])
         with pytest.raises(InvalidArgumentError):
             db._verify_catalog()
         db.close()

@@ -45,6 +45,7 @@ EXPECTED_PATHS = {
     "merge_visible",
     "compaction_merge",
     "catalog_apply",
+    "section_finish_open",
     "seq_fill",
     "point_get",
     "multi_get",
@@ -63,7 +64,7 @@ def test_quick_run_covers_all_paths(quick_report):
         assert entry["ns_per_op"] > 0, name
     # Micro paths carry an in-process reference arm.
     for name in ("varint_roundtrip", "block_decode", "merge_visible",
-                 "compaction_merge", "catalog_apply"):
+                 "compaction_merge", "catalog_apply", "section_finish_open"):
         assert report["paths"][name]["speedup_vs_reference"] > 0
 
 

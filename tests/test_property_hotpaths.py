@@ -3,9 +3,11 @@ frozen reference implementations in :mod:`repro._reference`.
 
 The engine's fast paths (table-driven varints, the fused block decode, the
 fused k-way merge stack, the heap-based LPT scheduler, the bisecting
-version catalog, the bulk filter build and the one-split table builder)
-must be drop-in replacements for the straightforward originals — same results on valid
-input, same :class:`CorruptionError` classification on corrupt input.
+version catalog, the bulk filter build, the one-split table builder, the
+one-join stored-block and index-block writers and the chunked
+``SimulatedFS`` store) must be drop-in replacements for the straightforward
+originals — same results on valid input, same error classification on
+corrupt or out-of-bounds input.
 Hypothesis generates the inputs, including prefix-heavy key sets,
 multi-version keys (which exercise the rare trailer-overlap branch of the
 block decoder), tombstones, and arbitrary corrupt bytes.
@@ -645,3 +647,215 @@ def test_table_builder_rejects_order_violations(build, second):
     with pytest.raises(ValueError, match="increasing internal-key order"):
         build([(first, b"v"), (second, b"w")])
     build([(first, b"v"), (make_internal_key(b"k", 6, TYPE_DELETION), b"")])
+
+
+# ------------------------------------------------- stored blocks and the index
+
+
+@st.composite
+def wide_internal_entries(draw):
+    """Sorted internal-key entries whose headers leave the one-byte fast
+    path: user keys past 127 bytes, values past 127 bytes and past 16 KiB
+    (two- and three-byte varints)."""
+    sizes = st.one_of(st.integers(0, 24), st.integers(120, 200))
+    user_keys = draw(
+        st.lists(
+            sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n)).map(lambda b: b"k" + b),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    value_sizes = st.sampled_from([0, 1, 127, 128, 300, 16383, 16384, 20000])
+    seq = draw(st.integers(1, MAX_SEQUENCE - 2))
+    return [
+        (
+            make_internal_key(user_key, seq, TYPE_VALUE),
+            bytes([draw(st.integers(0, 255))]) * draw(value_sizes),
+        )
+        for user_key in sorted(user_keys)
+    ]
+
+
+@given(
+    st.one_of(internal_entries(), wide_internal_entries()),
+    st.sampled_from([64, 200, 4096]),
+    st.integers(1, 5),
+)
+@settings(deadline=None)
+def test_cutter_block_is_the_wrapped_finished_payload(entries, block_size, restart_interval):
+    """``BlockCutter.cut`` assembles an uncompressed stored block with one
+    join and a CRC continued over the restart array; byte for byte it is
+    the reference payload with the reference trailer — and what
+    ``wrap_block(BlockBuilder.finish())``, still the zlib path, gives."""
+    from repro.sstable.block_builder import BlockCutter
+    from repro.sstable.format import COMPRESSION_NONE, wrap_block
+
+    emitted = []
+    cutter = BlockCutter(
+        block_size, restart_interval, COMPRESSION_NONE,
+        lambda raw, _lo, _hi, count, _keys: emitted.append((raw, count)),
+    )
+    for key, value in entries:
+        cutter.add(key, value)
+    cutter.cut()
+    assert sum(count for _raw, count in emitted) == len(entries)
+    start = 0
+    for raw, count in emitted:
+        ref = _reference.ReferenceBlockBuilder(restart_interval=restart_interval)
+        fast = BlockBuilder(restart_interval=restart_interval)
+        for key, value in entries[start : start + count]:
+            ref.add(key, value)
+            fast.add(key, value)
+        start += count
+        assert raw == _reference.stored_block(ref.finish())
+        assert raw == wrap_block(fast.finish())
+        assert fast.finish_stored() == raw
+
+
+@st.composite
+def index_entry_lists(draw):
+    from repro.sstable.index import IndexEntry
+
+    entries = []
+    for lo, hi in zip(*[iter(draw(wide_internal_entries()))] * 2):
+        entries.append(
+            IndexEntry(
+                lo[0],
+                hi[0],
+                draw(st.one_of(st.integers(0, 127), st.integers(128, 1 << 40))),
+                draw(st.one_of(st.integers(0, 127), st.integers(128, 1 << 22))),
+                draw(st.one_of(st.integers(0, 127), st.integers(128, 1 << 15))),
+            )
+        )
+    return entries
+
+
+@given(index_entry_lists())
+@settings(deadline=None)
+def test_index_serialize_matches_reference_writer(entries):
+    """The one-join ``IndexBlock.serialize`` writes the bytes the
+    ``BufferWriter`` version wrote, reports their length as its memory
+    cost, and decodes back to the same entries."""
+    from repro.sstable.index import IndexBlock
+
+    block = IndexBlock(entries)
+    payload = block.serialize()
+    assert payload == _reference.index_block_serialize(entries)
+    assert block.memory_bytes() == len(payload)
+    parsed = IndexBlock.deserialize(payload)
+    assert parsed.entries == entries
+    assert parsed.memory_bytes() == block.memory_bytes()
+
+
+# ---------------------------------------------------------------- SimulatedFS
+
+_FS_NAMES = ["a", "b", "c"]
+_fs_payloads = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=40),
+    st.binary(min_size=1, max_size=40).map(bytearray),
+    st.binary(min_size=1, max_size=40).map(memoryview),
+)
+_fs_spans = st.tuples(st.integers(-2, 130), st.integers(-1, 130))
+_fs_ops = st.one_of(
+    st.tuples(st.just("create"), st.sampled_from(_FS_NAMES)),
+    st.tuples(st.just("append"), st.sampled_from(_FS_NAMES), _fs_payloads),
+    st.tuples(st.just("append"), st.sampled_from(_FS_NAMES), _fs_payloads),
+    st.tuples(st.just("read"), st.sampled_from(_FS_NAMES), _fs_spans),
+    st.tuples(st.just("read_many"), st.sampled_from(_FS_NAMES), st.lists(_fs_spans, max_size=4)),
+    st.tuples(st.just("truncate"), st.sampled_from(_FS_NAMES), st.integers(0, 130)),
+    st.tuples(st.just("rename"), st.sampled_from(_FS_NAMES), st.sampled_from(_FS_NAMES)),
+    st.tuples(st.just("delete"), st.sampled_from(_FS_NAMES)),
+)
+
+
+def _fs_outcome(call):
+    """What an op gave: its value, or the type and text of its error."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+def _fs_apply(store, op):
+    kind, name, *rest = op
+    if kind == "create":
+        return store._create(name)
+    if kind == "append":
+        return store._append(name, rest[0])
+    if kind == "read":
+        return store._read(name, *rest[0])
+    if kind == "read_many":
+        return [store._read(name, offset, nbytes) for offset, nbytes in rest[0]]
+    if kind == "truncate":
+        return store._truncate(name, rest[0])
+    if kind == "rename":
+        return store.rename(name, rest[0])
+    return store._delete(name)
+
+
+@given(st.lists(_fs_ops, max_size=40))
+@settings(deadline=None)
+def test_simulated_fs_matches_bytearray_reference(ops):
+    """``SimulatedFS`` keeps a file as the chunks appended to it; every
+    sequence of backend operations leaves the same bytes, sizes, listing
+    and digest as the ``bytearray`` store it replaced — out-of-bounds and
+    missing-file errors included, type and message."""
+    fast, ref = SimulatedFS(), _reference.ReferenceFS()
+    for op in ops:
+        assert _fs_outcome(lambda: _fs_apply(fast, op)) == _fs_outcome(
+            lambda: _fs_apply(ref, op)
+        ), op
+        assert fast.list_dir() == ref.list_dir()
+        for name in _FS_NAMES:
+            assert fast.exists(name) == ref.exists(name)
+            assert _fs_outcome(lambda: fast.file_size(name)) == _fs_outcome(
+                lambda: ref.file_size(name)
+            )
+            if ref.exists(name):
+                assert fast.contents(name) == bytes(ref._files[name])
+        assert fast.digest() == ref.digest()
+    # The accounted handle reads what the backend reads.
+    for name in fast.list_dir():
+        size = fast.file_size(name)
+        spans = [(0, size), (size // 3, size - size // 3), (size // 2, 0)]
+        with fast.open_random(name) as handle:
+            assert handle.read_many(spans, category="get") == [
+                ref._read(name, *span) for span in spans
+            ]
+
+
+def test_simulated_fs_reads_hand_back_chunks_and_copy_only_their_span():
+    """A read that coincides with one append returns that very object; a
+    read inside one chunk, or across two, allocates its own span — not the
+    file."""
+    import tracemalloc
+
+    fs = SimulatedFS()
+    fs._create("f")
+    chunks = [bytes([i]) * (1 << 20) for i in range(3)]
+    for chunk in chunks:
+        fs._append("f", chunk)
+    mutable = bytearray(b"tail")
+    fs._append("f", mutable)
+    mutable[:] = b"XXXX"  # the store kept its own copy
+    assert fs._read("f", 3 << 20, 4) == b"tail"
+    for i, chunk in enumerate(chunks):
+        assert fs._read("f", i << 20, 1 << 20) is chunk
+    tracemalloc.start()
+    try:
+        inside = fs._read("f", (1 << 20) + 17, 100)
+        across = fs._read("f", (2 << 20) - 50, 100)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inside == bytes([1]) * 100
+    assert across == bytes([1]) * 50 + bytes([2]) * 50
+    assert peak < 4096
+    # replace() and truncate keep the same shape.
+    fs._truncate("f", (1 << 20) + 5)
+    assert fs._read("f", 0, 1 << 20) is chunks[0]
+    assert fs.contents("f") == chunks[0] + bytes([1]) * 5
+    fs.replace("f", chunks[2])
+    assert fs.contents("f") is chunks[2]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import kv, make_db, tiny_options
+from conftest import flip_byte, kv, make_db, tiny_options
 from repro.core.db import DB
 from repro.core.manifest import read_current
 from repro.tools import repair_store
@@ -43,7 +43,7 @@ class TestRepair:
     def test_recovers_after_manifest_corruption(self, fs):
         build_store(fs)
         name = read_current(fs)
-        fs._files[name][7] ^= 0xFF
+        flip_byte(fs, name, 7)
         repair_store(fs, tiny_options())
         db = reopen(fs)
         assert db.get(kv(100)[0]) == kv(100)[1]
@@ -64,7 +64,7 @@ class TestRepair:
     def test_sets_aside_corrupt_tables(self, fs):
         ref = build_store(fs)
         victim = next(m.file_name() for _l, m in ref.version.all_files())
-        fs._files[victim] = fs._files[victim][: len(fs._files[victim]) // 2]
+        fs.replace(victim, fs.contents(victim)[: fs.file_size(victim) // 2])
         fs.delete_file("CURRENT")
         report = repair_store(fs, tiny_options())
         assert victim in report.corrupt_files
@@ -104,14 +104,14 @@ class TestRepair:
         instead of being set aside as corrupt."""
         ref = build_store(fs)
         victim = next(m.file_name() for _l, m in ref.version.all_files())
-        intact_size = len(fs._files[victim])
-        fs._files[victim] += b"\xde\xad" * 40  # torn append: no live footer
+        intact_size = fs.file_size(victim)
+        fs.replace(victim, fs.contents(victim) + b"\xde\xad" * 40)  # torn append: no live footer
         fs.delete_file("CURRENT")
         report = repair_store(fs, tiny_options())
         assert report.tables_truncated == 1
         assert report.table_bytes_discarded == 80
         assert victim not in report.corrupt_files
-        assert len(fs._files[victim]) == intact_size
+        assert fs.file_size(victim) == intact_size
         db = reopen(fs)
         for i in range(400):
             expected = None if i == 5 else kv(i)[1]
@@ -127,15 +127,15 @@ class TestRepair:
 
         ref = build_store(fs)
         victim = next(m.file_name() for _l, m in ref.version.all_files())
-        intact_size = len(fs._files[victim])
+        intact_size = fs.file_size(victim)
         # Garbage that *ends in the table magic* but is not a valid footer
         # (its decoded index handle points into nonsense).
         fake = b"\xff" * 52 + encode_fixed64(TABLE_MAGIC) + b"\x00" * 9
-        fs._files[victim] += fake
+        fs.replace(victim, fs.contents(victim) + fake)
         fs.delete_file("CURRENT")
         report = repair_store(fs, tiny_options())
         assert report.tables_truncated == 1
-        assert len(fs._files[victim]) == intact_size
+        assert fs.file_size(victim) == intact_size
         db = reopen(fs)
         assert db.get(kv(100)[0]) == kv(100)[1]
         db.close()
@@ -144,7 +144,7 @@ class TestRepair:
         db = build_store(fs, close=False)
         db.put(b"zz-wal-only", b"unflushed")
         log = next(n for n in fs.list_dir() if n.endswith(".log"))
-        fs._files[log] += b"\x01\x02\x03"  # torn final frame
+        fs.replace(log, fs.contents(log) + b"\x01\x02\x03")  # torn final frame
         fs.delete_file("CURRENT")
         report = repair_store(fs, tiny_options())
         assert report.wal_bytes_skipped == 3

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import flip_byte
 from repro.bloom import ReservedBloomFilter
 from repro.errors import CorruptionError
 from repro.keys import TYPE_DELETION, TYPE_VALUE, comparable_parts, make_internal_key
@@ -88,7 +89,7 @@ class TestBuildAndRead:
     def test_checksum_verification(self, fs):
         info = build_table(fs, opts(), n=10)
         # flip a byte inside the first data block
-        fs._files["000001.sst"][5] ^= 0xFF
+        flip_byte(fs, "000001.sst", 5)
         reader = TableReader(fs, "000001.sst", 1, opts(verify_checksums=True))
         first = reader.index.entries[0]
         with pytest.raises(CorruptionError):
@@ -297,3 +298,187 @@ class TestAppendSessions:
         for round_no in range(3):
             assert reader.get(b"zzz-%d" % round_no, SNAP) == (True, b"r%d" % round_no)
         assert reader.num_entries == 43
+
+
+# The eager open after a build or append is handed the writer's TableInfo and
+# keeps its index and filter instead of decoding them again.  Each scenario
+# writes a section on a fresh filesystem and returns ``(reopen, info)``:
+# ``reopen(built)`` opens (or reloads) the reader the way the engine does.
+
+
+def _built(options, **build):
+    def scenario(fs):
+        info = build_table(fs, options, **build)
+        return lambda built: TableReader(fs, "000001.sst", 1, options, "compaction", built), info
+
+    return scenario
+
+
+def _appended(options, new_keys, level=2):
+    """Reuse every block, add ``new_keys`` above them (``None``: as many as
+    the reserved filter has headroom for, plus one — forcing a rebuild)."""
+
+    def scenario(fs):
+        build_table(fs, options, n=40, level=level)
+        reader = TableReader(fs, "000001.sst", 1, options)
+        count = new_keys
+        if count is None:
+            count = reader.filter.bloom.remaining_capacity() + 1
+        session = AppendSession(fs, reader, options, level=level)
+        for entry in reader.index.entries:
+            session.reuse(entry)
+        for i in range(count):
+            session.add(make_internal_key(b"zz-%05d" % i, 1000 + i, TYPE_VALUE), b"NEW" * 9)
+        info = session.finish()
+        assert session.filter_rebuilt == (new_keys is None)
+
+        def reload(built):
+            reader.reload(built)
+            return reader
+
+        return reload, info
+
+    return scenario
+
+
+ADOPTION_SCENARIOS = {
+    "built": _built(opts()),
+    "built-last-level": _built(opts(), level=4),
+    "append-absorbs": _appended(opts(), 3),
+    "append-rebuilds": _appended(opts(), None),
+    "block-filters-built": _built(opts(filter_policy=FILTER_BLOCK)),
+    "block-filters-appended": _appended(opts(filter_policy=FILTER_BLOCK), 3),
+    "no-filter": _appended(opts(filter_policy=FILTER_NONE), 3),
+    "zlib-built": _built(opts(compression="zlib"), value=b"compressible " * 8),
+    "zlib-appended": _appended(opts(compression="zlib"), 3),
+}
+
+
+def _same_outcome(call_a, call_b):
+    outcomes = []
+    for call in (call_a, call_b):
+        try:
+            outcomes.append(call())
+        except Exception as exc:  # noqa: BLE001 - comparing failures is the point
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _meta_facts(reader):
+    meta = reader.meta
+    return (
+        meta.footer,
+        meta.index.entries,
+        meta.index.memory_bytes(),
+        None if meta.filter is None else (meta.filter.serialize(), meta.filter.memory_bytes()),
+        meta.file_size,
+        reader.metadata_memory_bytes(),
+    )
+
+
+class TestAdoptedMetadata:
+    @pytest.mark.parametrize("name", sorted(ADOPTION_SCENARIOS))
+    def test_adopted_meta_equals_a_full_parse(self, name):
+        """Same footer, index entries, filter bytes, memory accounting and
+        file size — and the same I/O, op for op and to the last bit of
+        simulated time — whether the reader adopts or parses."""
+        scenario = ADOPTION_SCENARIOS[name]
+        fs_adopted, fs_parsed = SimulatedFS(), SimulatedFS()
+        reopen, info = scenario(fs_adopted)
+        adopted = reopen(info)
+        reopen, _ = scenario(fs_parsed)
+        parsed = reopen(None)
+
+        assert adopted.index is info.index and adopted.filter is info.filter
+        assert parsed.index is not info.index
+        assert _meta_facts(adopted) == _meta_facts(parsed)
+        assert fs_adopted.stats == fs_parsed.stats
+        assert fs_adopted.digest() == fs_parsed.digest()
+        assert list(adopted.entries_from()) == list(parsed.entries_from())
+        for key in (b"key00010", b"key00011", b"zz-00000", b"zz-00002", b"zzz"):
+            assert adopted.get(key, SNAP) == parsed.get(key, SNAP)
+
+    @pytest.mark.parametrize("name", ["built", "append-absorbs", "block-filters-appended"])
+    def test_any_flipped_metadata_byte_ends_as_a_full_parse_would(self, name):
+        """Flip each byte of the section's filter block, index block and
+        footer in turn, between ``finish`` and the eager open: the open that
+        holds the writer's objects fails, or succeeds, exactly as the one
+        that parses — a ``CorruptionError`` for every index and filter byte."""
+        fs = SimulatedFS()
+        reopen, info = ADOPTION_SCENARIOS[name](fs)
+        intact = fs.contents("000001.sst")
+        section_meta_start = info.file_size - len(info.footer_bytes)
+        from repro.sstable.format import BLOCK_TRAILER_SIZE, Footer
+
+        footer = Footer.deserialize(info.footer_bytes)
+        handle = footer.filter_handle if not footer.filter_handle.is_null() else footer.index_handle
+        blocks_end = footer.index_handle.offset + footer.index_handle.size + BLOCK_TRAILER_SIZE
+        assert blocks_end == section_meta_start
+        for position in range(handle.offset, info.file_size):
+            damaged = bytearray(intact)
+            damaged[position] ^= 0x40
+            fs.replace("000001.sst", damaged)
+            with_built, without = _same_outcome(
+                lambda: _meta_facts(reopen(info)), lambda: _meta_facts(reopen(None))
+            )
+            assert with_built == without, position
+            if position < blocks_end:
+                assert with_built[0] is CorruptionError, position
+        fs.replace("000001.sst", intact)
+        assert _meta_facts(reopen(info)) == _meta_facts(reopen(None))
+
+    def test_a_flipped_index_byte_raises_corruption_on_the_eager_open(self, fs):
+        info = build_table(fs, opts())
+        from repro.sstable.format import Footer
+
+        flip_byte(fs, "000001.sst", Footer.deserialize(info.footer_bytes).index_handle.offset + 3)
+        with pytest.raises(CorruptionError, match="checksum"):
+            TableReader(fs, "000001.sst", 1, opts(), "flush", info)
+
+    def test_a_flipped_footer_byte_raises_corruption_on_the_eager_open(self, fs):
+        info = build_table(fs, opts())
+        flip_byte(fs, "000001.sst", -1)  # the magic
+        with pytest.raises(CorruptionError, match="magic"):
+            TableReader(fs, "000001.sst", 1, opts(), "flush", info)
+
+    def test_another_files_info_is_not_adopted(self, fs):
+        """The hand-off is checked, not trusted: a reader given the result
+        of a different section parses its own file."""
+        other = build_table(SimulatedFS(), opts(), n=20)
+        info = build_table(fs, opts(), n=40)
+        reader = TableReader(fs, "000001.sst", 1, opts(), "flush", other)
+        assert reader.index is not other.index
+        assert reader.index.entries == info.index.entries
+
+    def test_engine_opens_what_it_wrote_without_decoding_it_again(self, monkeypatch):
+        """Flush, Table Compaction outputs, Block Compaction's reload and the
+        bottom-level rewrite all hand their ``TableInfo`` over: a load
+        decodes no index block, and no catalog entry keeps one alive.  A
+        re-opened store has only the files, and parses."""
+        from conftest import kv, make_db
+        from repro.sstable.index import IndexBlock
+
+        decoded = []
+        real = IndexBlock.deserialize.__func__
+        monkeypatch.setattr(
+            IndexBlock,
+            "deserialize",
+            classmethod(lambda cls, payload: decoded.append(1) or real(cls, payload)),
+        )
+        db = make_db("selective", table_cache_capacity=10_000)
+        for i in range(900):
+            db.put(*kv((i * 37) % 900))
+        db.compact_all()
+        stats = db.stats
+        assert stats.flush_count and stats.table_compactions and stats.block_compactions
+        assert decoded == []
+        assert all(meta.built is None for _level, meta in db.version.all_files())
+        fs = db.fs
+        db.close()
+        from repro.core.db import DB
+        from conftest import tiny_options
+
+        reopened = DB(fs, tiny_options(compaction_style="selective"), seed=1)
+        assert reopened.get(kv(5)[0]) == kv(5)[1]
+        assert decoded
+        reopened.close()

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flip_byte
+
 from repro.core.manifest import (
     decode_edit,
     encode_edit,
@@ -39,7 +41,7 @@ class TestWal:
         w.add_record(b"will-be-torn")
         w.close()
         # chop bytes off the final record: simulated crash mid-append
-        fs._files["a.log"] = fs._files["a.log"][:-4]
+        fs.replace("a.log", fs.contents("a.log")[:-4])
         assert list(read_wal(fs, "a.log")) == [b"complete"]
 
     def test_corruption_mid_stream_raises(self, fs):
@@ -47,7 +49,7 @@ class TestWal:
         w.add_record(b"record-one!")
         w.add_record(b"record-two!")
         w.close()
-        fs._files["a.log"][6] ^= 0xFF  # flip payload byte of first record
+        flip_byte(fs, "a.log", 6)  # flip payload byte of first record
         with pytest.raises(CorruptionError):
             list(read_wal(fs, "a.log"))
 
@@ -70,7 +72,7 @@ class TestWal:
             group = WalWriter(fs, "group.log")
             group.add_records([payload])
             group.close()
-            assert bytes(fs._files["group.log"]) == bytes(fs._files["single.log"])
+            assert fs.contents("group.log") == fs.contents("single.log")
             assert group.records_written == single.records_written == 1
 
     def test_group_replays_record_by_record_in_order(self, fs):
@@ -86,7 +88,7 @@ class TestWal:
         w = WalWriter(fs, "a.log")
         w.add_records([b"record-one!", b"record-two!"])
         w.close()
-        fs._files["a.log"][-1] ^= 0xFF  # last payload byte of the second record
+        flip_byte(fs, "a.log", -1)  # last payload byte of the second record
         records = read_wal(fs, "a.log")
         assert next(records) == b"record-one!"
         with pytest.raises(CorruptionError):
