@@ -33,6 +33,8 @@ point_get          DB.get against a compacted simulated DB
 multi_get          batched DB.multi_get vs the per-key get loop
 seq_fill           DB.put of a fresh sequential load (WAL + flush + compaction)
 scan               full-range DB iterator drain
+scan_short         seek + ``limit=50`` into a sorted level of >= 256 files vs
+                   the linear level walk and per-entry drain it replaced
 full_compaction    DB.compact_all() on a freshly loaded tree
 traced_point_get   point_get with tracing+histograms enabled vs plain (the
                    observability overhead gate; also fills the report's
@@ -556,6 +558,69 @@ def _load_keys(db, count: int, value_size: int = 100) -> list[bytes]:
     return keys
 
 
+#: Files the seeked-scan store must have on its one populated level.
+SEEK_STORE_MIN_FILES = 256
+
+
+def seek_store():
+    """A store for seeked short scans: 10 000 keys (100 B values) in one
+    sorted level of >= 256 files (4 KiB tables of 512 B blocks, ~3.5
+    entries a block — a ``limit=50`` scan crosses ~14 blocks and a file
+    boundary or two, the shape of the end-to-end ``scan_short_rh`` scans).
+    The block cache holds the whole store: a miss costs the same whatever
+    path asked for the block and would only dilute a comparison of paths.
+    Seek compaction is off so that repeated scans leave the tree as it is.
+    Returns ``(db, keys)``; shared with ``opcodes.py``."""
+    from repro.core.db import DB
+    from repro.options import Options
+    from repro.storage.fs import SimulatedFS
+
+    options = Options(
+        block_size=512,
+        sstable_size=4096,
+        memtable_size=4096,
+        max_levels=4,
+        block_cache_capacity=4 * 1024 * 1024,
+        enable_seek_compaction=False,
+    )
+    db = DB(SimulatedFS(), options, seed=1)
+    keys = _load_keys(db, 10_000)
+    db.compact_all()
+    files = db.num_files_per_level()
+    if max(files) < SEEK_STORE_MIN_FILES or sum(1 for n in files if n) != 1:
+        raise AssertionError(
+            f"seek store is not one level of >= {SEEK_STORE_MIN_FILES} files: {files}"
+        )
+    return db, keys
+
+
+def bench_scan_short(suite: Suite) -> None:
+    """Seek + ``limit=50`` into a 256+-file level: ``DB.scan`` (bisected
+    level seek, one block stream per level, drained in C) against
+    ``_reference.scan_linear`` (linear walk, a generator per file, a
+    per-entry loop).  Both arms find the same blocks in the same cache;
+    what differs is the plumbing around them."""
+    from repro import _reference
+
+    db, keys = seek_store()
+    db.scan()  # every block cached
+    rng = random.Random(29)
+    starts = [rng.choice(keys) for _ in range(100 if suite.quick else 1000)]
+
+    def scan_fast():
+        for start in starts:
+            db.scan(start, None, 50)
+        return len(starts)
+
+    def scan_reference():
+        for start in starts:
+            _reference.scan_linear(db, start, None, 50)
+        return len(starts)
+
+    suite.measure("scan_short", scan_fast, "scan", reference=scan_reference)
+    db.close()
+
+
 def bench_db_paths(suite: Suite, value_size: int = 100) -> None:
     """End-to-end engine paths over the simulated FS (no reference arm —
     compare these across harness runs / baselines instead)."""
@@ -914,6 +979,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_catalog(suite)
     bench_section_finish_open(suite)
     bench_db_paths(suite, value_size=args.value_size)
+    bench_scan_short(suite)
     bench_observability(suite, value_size=args.value_size)
     report = suite.report()
     report["meta"]["value_size"] = args.value_size

@@ -1,0 +1,164 @@
+"""Deterministic CPU metric: the bytecodes one engine call executes.
+
+Wall-clock numbers on a shared host swing 2x between back-to-back runs;
+the number of Python bytecodes a call executes does not move at all.  This
+script counts them (``sys.settrace`` with ``frame.f_trace_opcodes``, so the
+count is per thread and excludes time spent inside C) for the engine's
+default-path operations and prints one line per path:
+
+=====================  =====================================================
+put                    a lone ``db.put`` into a memtable with room
+get_memtable           ``db.get`` of a key still in the memtable
+get_cached             ``db.get`` answered from a cached block
+get_cold               ``db.get`` that reads one block from the device
+scan_20                ``db.scan(start, None, 20)``, blocks cached
+scan_seek_50           ``db.scan(start, None, 50)`` into the middle of a
+                       sorted level of >= 256 files, blocks cached
+scan_seek_50_linear    the same call through ``_reference.scan_linear`` —
+                       the linear level seek, a generator per file and the
+                       per-entry loop ``DB.scan`` replaced
+multi_get_8            ``db.multi_get`` of 8 keys, blocks cached
+=====================  =====================================================
+
+Each path is called five times and the **third** call is the one counted:
+the first two absorb one-time work (a table opened, a block cached, a
+``struct`` format compiled) and the last two show nothing drifts.  All
+but the seeked scans run on a 3 000-key store in the end-to-end benchmark's geometry
+(``options_for("BlockDB", ...)``: 64 KiB tables, 4 KiB blocks, 32 B keys,
+1 KiB values, cache = 10 % of the data), loaded in a seeded shuffle; the
+seeked scans on :func:`harness.seek_store`.  Seek compaction is off in
+both, so no call is the one that happens to pay for a reorganisation.
+
+Counts compare two versions of this program under one interpreter (3.11
+and 3.12 compile the same source to different bytecode); they say nothing
+about waiting, C time or the GIL.  A perf or simplicity PR quotes this
+table, parent -> change, in its CHANGES.md line.
+
+Usage::
+
+    python benchmarks/perf/opcodes.py            # the table
+    python benchmarks/perf/opcodes.py --json     # one JSON object
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parents[2]
+for _path in (ROOT / "src", Path(__file__).resolve().parent):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from harness import seek_store  # noqa: E402
+
+STORE_KEYS = 3000
+VALUE_SIZE = 1024
+CALLS = 5
+COUNTED_CALL = 2  # the third
+
+
+def count_opcodes(fn: Callable[[], object]) -> int:
+    """Bytecodes executed by ``fn()`` on this thread, frames it calls
+    included.  Any trace function already installed (a debugger, coverage)
+    is put back afterwards."""
+    count = 0
+
+    def on_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def third_of_five(make_call: Callable[[int], Callable[[], object]]) -> int:
+    """Count ``make_call(i)()`` for ``i`` in 0..4; return the third."""
+    return [count_opcodes(make_call(i)) for i in range(CALLS)][COUNTED_CALL]
+
+
+def _benchmark_store():
+    """The warm store of the module docstring, and its keys in key order."""
+    from repro import DB, SimulatedFS
+    from repro.experiments.config import DEFAULT_SCALE, options_for
+    from repro.ycsb import make_key, make_value
+
+    options = options_for(
+        "BlockDB",
+        DEFAULT_SCALE,
+        STORE_KEYS * VALUE_SIZE // 10,
+        enable_seek_compaction=False,
+    )
+    db = DB(SimulatedFS(), options, seed=1)
+    keys = [make_key(ordinal, 32) for ordinal in range(STORE_KEYS)]
+    order = list(range(STORE_KEYS))
+    random.Random(20220509).shuffle(order)
+    for ordinal in order:
+        db.put(keys[ordinal], make_value(ordinal, 0, VALUE_SIZE))
+    db.compact_all()
+    db.scan()  # every table open; the cache ends up holding the tail of the key space
+    return db, keys
+
+
+def measure() -> dict[str, int]:
+    """Every path's count, in the order of the module docstring."""
+    from repro import _reference
+
+    db, keys = _benchmark_store()
+    seek_db, seek_keys = seek_store()
+    value = b"v" * VALUE_SIZE
+    fresh = [b"zz-new-key-%020d" % i for i in range(CALLS)]
+    batch = [keys[2000 + 53 * j] for j in range(8)]
+    start = seek_keys[len(seek_keys) // 2]
+    paths: dict[str, Callable[[int], Callable[[], object]]] = {
+        "put": lambda i: lambda: db.put(fresh[i], value),
+        "get_memtable": lambda i: lambda: db.get(fresh[0]),
+        "get_cached": lambda i: lambda: db.get(keys[700]),
+        # Far enough apart to sit in different blocks, early enough in the
+        # key space that the warm-up scan has long since evicted them.
+        "get_cold": lambda i: lambda: db.get(keys[100 + 97 * i]),
+        "scan_20": lambda i: lambda: db.scan(keys[1500], None, 20),
+        "scan_seek_50": lambda i: lambda: seek_db.scan(start, None, 50),
+        "scan_seek_50_linear": lambda i: lambda: _reference.scan_linear(
+            seek_db, start, None, 50
+        ),
+        "multi_get_8": lambda i: lambda: db.multi_get(batch),
+    }
+    try:
+        return {name: third_of_five(make_call) for name, make_call in paths.items()}
+    finally:
+        db.close()
+        seek_db.close()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
+    args = parser.parse_args(argv)
+    counts = measure()
+    if args.json:
+        print(json.dumps(counts))
+        return 0
+    print(f"opcodes per call (third of {CALLS}), python {sys.version.split()[0]}")
+    for name, count in counts.items():
+        print(f"  {name:<22} {count:>9,}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -3,7 +3,8 @@
 These are verbatim copies of the straightforward (pre-optimization)
 implementations of the varint codec, the data-block codec, the per-entry
 table build and filter insert, the stored-block and index-block writers,
-the merge/visibility stack, the LPT scheduler, the version catalog, and
+the merge/visibility stack, the LPT scheduler, the version catalog, the
+scan path (linear level seek, a generator per file, a per-entry drain), and
 the ``bytearray`` file store.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
@@ -22,18 +23,22 @@ collateral.  Do not "optimize" these copies — their slowness is the point.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptionError, FileSystemError, InvalidArgumentError
+from .core.iterator import DBIterator
 from .keys import (
     TYPE_DELETION,
     ComparableKey,
     comparable_from_internal,
     comparable_parts,
     comparable_to_internal,
+    seek_comparable,
     user_key_of,
 )
 from .storage.fs import FileSystem
+from .storage.io_stats import CAT_SCAN
 
 # --------------------------------------------------------------------- varints
 
@@ -506,6 +511,105 @@ class ReferenceVersion:
                     f"level {level} files {a.file_number} and {b.file_number} overlap: "
                     f"{user_key_of(a.largest)!r} >= {user_key_of(b.smallest)!r}"
                 )
+
+
+# ------------------------------------------------------------------- scan path
+
+
+def level_seek_linear(files: list, user_key: bytes) -> int:
+    """Reference seek into a sorted level: walk the files until one ends
+    at or after ``user_key`` (``len(files)`` when none does) — what
+    ``SuperVersion.seek_index`` bisects for."""
+    start = 0
+    while start < len(files) and files[start].largest_user_key < user_key:
+        start += 1
+    return start
+
+
+def _file_blocks(db, level: int, meta, seek: ComparableKey | None):
+    """One file's blocks for a scan, through ``TableReader.entry_blocks``:
+    the reader pinned for the generator's lifetime, the file's seek charged
+    on the first entry it produces."""
+    reader = db.table_cache.get(meta.file_number, meta.file_name())
+    reader.acquire()
+    try:
+        blocks = reader.entry_blocks(seek, category=CAT_SCAN, block_cache=db.block_cache)
+        for block_iter in blocks:
+            head = next(iter(block_iter), None)
+            if head is None:
+                continue
+            db._charge_scan_seek(level, meta)
+            yield itertools.chain((head,), block_iter)
+            break
+        yield from blocks
+    finally:
+        reader.release()
+
+
+def _level_blocks(db, level: int, files: list, seek: ComparableKey | None, end: bytes | None):
+    """One sorted level's blocks: the linear seek, then a generator per
+    file nested in this one."""
+    start = level_seek_linear(files, seek[0]) if seek is not None else 0
+    for i in range(start, len(files)):
+        meta = files[i]
+        if end is not None and meta.smallest_user_key >= end:
+            return
+        yield from _file_blocks(db, level, meta, seek if i == start else None)
+
+
+def scan_linear(
+    db,
+    start: bytes | None = None,
+    end: bytes | None = None,
+    limit: int | None = None,
+    snapshot=None,
+) -> list[tuple[bytes, bytes]]:
+    """Reference ``DB.scan`` — the scan path of PRs 1-21 run against a live
+    engine: the linear level seek, three nested generators per block
+    (level, file, ``entry_blocks``) and a per-entry Python loop over the
+    iterator.  It reads, pins, charges seeks and counts exactly as
+    ``DB.scan`` does, so a differential test may demand equal results *and*
+    equal ``IOStats``, ``allowed_seeks``, seek candidates and cache
+    counters.  Latency histograms and the tuner are not fed."""
+    flatten = itertools.chain.from_iterable
+    with db._lock:
+        sequence = db._resolve_snapshot(snapshot, db._sequence)
+        seek = seek_comparable(start, sequence) if start is not None else None
+        sv = db._superversion.ref()
+        db.snapshots.pin(sequence)
+        sources: list[EntryStream] = [
+            sv.memtable.entries_from(seek) if seek is not None else sv.memtable.entries()
+        ]
+        if sv.immutable is not None:
+            sources.append(
+                sv.immutable.entries_from(seek) if seek is not None else sv.immutable.entries()
+            )
+        sources.extend(db._extra_entry_sources(seek, CAT_SCAN))
+        for meta in sv.level0_newest_first:
+            if end is not None and meta.smallest_user_key >= end:
+                continue
+            sources.append(flatten(_file_blocks(db, 0, meta, seek)))
+        for level in range(1, sv.num_levels):
+            if sv.file_lists[level]:
+                sources.append(flatten(_level_blocks(db, level, sv.file_lists[level], seek, end)))
+        db.deletion_manager.pin()
+        db.stats.scans += 1
+        iterator = DBIterator(
+            sources,
+            sequence,
+            end=end,
+            on_close=lambda: db._release_iterator(sv, sequence),
+            resolve=db.vlog.resolve if db.vlog is not None else None,
+        )
+    results: list[tuple[bytes, bytes]] = []
+    with iterator:
+        if limit != 0:
+            for key, value in iterator:
+                results.append((key, value))
+                if limit is not None and len(results) >= limit:
+                    break
+    db.stats.count_scan_entries(len(results))
+    return results
 
 
 # ------------------------------------------------------------------ file store

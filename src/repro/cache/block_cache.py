@@ -55,11 +55,6 @@ class BlockCache:
             self._lru = ShardedLRUCache(capacity_bytes, shards=shards, tracer=tracer)
         self._namespace = namespace
 
-    def _key(self, file_number: int, offset: int):
-        if self._namespace is None:
-            return (file_number, offset)
-        return (self._namespace, file_number, offset)
-
     @property
     def namespace(self) -> str | None:
         return self._namespace
@@ -92,12 +87,21 @@ class BlockCache:
     def __len__(self) -> int:
         return len(self._lru)
 
+    # The key is built in place in the two per-block calls: (file, offset),
+    # led by the namespace when this facade shares its LRU.
+
     def get(self, file_number: int, offset: int) -> ParsedBlock | None:
-        return self._lru.get(self._key(file_number, offset))
+        namespace = self._namespace
+        return self._lru.get(
+            (file_number, offset) if namespace is None else (namespace, file_number, offset)
+        )
 
     def insert(self, file_number: int, offset: int, block: ParsedBlock) -> None:
+        namespace = self._namespace
         self._lru.insert(
-            self._key(file_number, offset), block, charge=block.memory_bytes()
+            (file_number, offset) if namespace is None else (namespace, file_number, offset),
+            block,
+            block.memory_bytes(),
         )
 
     def invalidate_file(self, file_number: int) -> int:

@@ -48,15 +48,29 @@ def stable_hash(key: Hashable) -> int:
     deterministic, so the engine's historical ``(file_number, offset)``
     routing is unchanged; text-like keys go through FNV-1a instead.
     """
+    if isinstance(key, tuple):
+        # hash(hash(i)) == hash(i) for an int, so an all-int tuple is its
+        # own builtin hash and a namespaced one swaps only its head.  The
+        # block and table caches' key shapes — (file, offset), (namespace,
+        # file), (namespace, file, offset) — are spelled out so that the
+        # lookup behind every cached block costs no generator.
+        size = len(key)
+        if size == 2:
+            head, file_number = key
+            if type(file_number) is int:
+                if type(head) is int:
+                    return hash(key)
+                if type(head) is str:
+                    return hash((_text_hash(head), file_number))
+        elif size == 3:
+            head, file_number, offset = key
+            if type(head) is str and type(file_number) is int and type(offset) is int:
+                return hash((_text_hash(head), file_number, offset))
+        return hash(tuple(stable_hash(item) for item in key))
     if isinstance(key, str):
         return _text_hash(key)
     if isinstance(key, (bytes, bytearray, memoryview)):
         return _fnv1a_64(bytes(key))
-    if isinstance(key, tuple):
-        # Hashing a tuple of (deterministic) ints is itself deterministic,
-        # and stable_hash(int) == hash(int), so all-int tuples route
-        # exactly as they always did.
-        return hash(tuple(stable_hash(item) for item in key))
     return hash(key)
 
 
@@ -149,9 +163,15 @@ class LRUCache:
             self._entries[key] = (value, charge)
             self._usage += charge
             self.stats.insertions += 1
-            while self._usage > self.capacity and self._entries:
-                oldest = next(iter(self._entries))
-                self._remove(oldest, invalidation=False, count_eviction=True)
+            entries = self._entries
+            while self._usage > self.capacity and entries:
+                # _remove(oldest, count_eviction=True), without the lookup
+                # of a key that is known to be the first one.
+                oldest, (evicted, evicted_charge) = entries.popitem(last=False)
+                self._usage -= evicted_charge
+                self.stats.evictions += 1
+                if self._on_evict is not None:
+                    self._on_evict(oldest, evicted)
 
     def get_or_insert(
         self, key: Hashable, factory: Callable[[], Any], charge: int = 1

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import nullcontext
 from itertools import chain, islice
@@ -2016,49 +2017,6 @@ class DB:
 
     # ------------------------------------------------------------------ scans
 
-    def _file_blocks(
-        self,
-        level: int,
-        meta: FileMetadata,
-        seek: ComparableKey | None,
-        category: str,
-    ) -> Iterator[Iterable[tuple[ComparableKey, bytes]]]:
-        """Lazy per-file stream of block-entry iterators, charging one seek
-        on the first entry actually produced (LevelDB's read sampling — a
-        file that is opened but yields nothing charges nothing).
-
-        The reader is pinned for the generator's lifetime: a table cache
-        eviction (or file retirement) must not close the handle while the
-        iterator still reads from it.
-        """
-        reader = self.table_cache.get(meta.file_number, meta.file_name())
-        reader.acquire()
-        try:
-            blocks = reader.entry_blocks(
-                seek, category=category, block_cache=self.block_cache
-            )
-            for block_iter in blocks:
-                head = next(iter(block_iter), None)
-                if head is None:
-                    continue
-                self._charge_scan_seek(level, meta)
-                yield chain((head,), block_iter)
-                break
-            yield from blocks
-        finally:
-            reader.release()
-
-    def _file_entries(
-        self,
-        level: int,
-        meta: FileMetadata,
-        seek: ComparableKey | None,
-        category: str,
-    ) -> Iterator[tuple[ComparableKey, bytes]]:
-        """Flattened view of :meth:`_file_blocks`: per-entry iteration stays
-        at C level (``chain`` over ``zip``); Python resumes once per block."""
-        return chain.from_iterable(self._file_blocks(level, meta, seek, category))
-
     def _charge_scan_seek(self, level: int, meta: FileMetadata) -> None:
         """Iterators sample a seek charge per file they actually read —
         LevelDB's read-sampling, which is what makes repeated range scans
@@ -2097,42 +2055,69 @@ class DB:
     def _level_blocks(
         self,
         level: int,
-        files: list[FileMetadata],
+        files: list[FileMetadata] | tuple[FileMetadata, ...],
+        first: int,
         seek: ComparableKey | None,
-        category: str,
-        end: bytes | None = None,
+        end: bytes | None,
     ) -> Iterator[Iterable[tuple[ComparableKey, bytes]]]:
-        """Block-entry iterators across one sorted level, in key order.
+        """The block stream of one sorted run for a scan: ``files[first:]``
+        of a level >= 1 (``first`` from :meth:`SuperVersion.seek_index`), or
+        one L0 file.  Each resume fetches one block and yields its entries
+        as a C-level ``zip`` — this frame is the only Python between the
+        merge and :meth:`TableReader.read_block` — so :meth:`iterator`
+        flattens it with ``chain.from_iterable`` and pays nothing per row.
 
-        Files wholly at or past the ``end`` bound are never opened: within a
-        sorted level key ranges are disjoint and ordered, so the first file
-        starting at/after ``end`` terminates the stream.
+        * Files wholly at or past ``end`` are never opened: the run is
+          disjoint and ordered, so the first such file ends the stream.
+        * The reader is pinned while the stream is inside its file: a table
+          cache eviction (or file retirement) must not close the handle
+          under the iterator.
+        * Reads follow the index order, each block handed the one before
+          it so that :meth:`TableReader.read_block` can charge a miss by
+          physical contiguity (sequential when it continues the last read,
+          random for a file's first block or one scattered by an earlier
+          Block Compaction).
+        * A file charges its seek (:meth:`_charge_scan_seek`) on the first
+          entry it actually produces — LevelDB's read sampling: a file that
+          is opened but yields nothing charges nothing.
+        * Only the first block read is cut at ``seek``; every block is
+          decoded eagerly, since all of it is about to be drained.
         """
-        start = 0
-        if seek is not None:
-            user_key = seek[0]
-            while start < len(files) and files[start].largest_user_key < user_key:
-                start += 1
-        for i in range(start, len(files)):
+        table_cache = self.table_cache
+        block_cache = self.block_cache
+        for i in range(first, len(files)):
             meta = files[i]
             if end is not None and meta.smallest_user_key >= end:
                 return
-            file_seek = seek if i == start else None
-            yield from self._file_blocks(level, meta, file_seek, category)
-
-    def _level_entries(
-        self,
-        level: int,
-        files: list[FileMetadata],
-        seek: ComparableKey | None,
-        category: str,
-        end: bytes | None = None,
-    ) -> Iterator[tuple[ComparableKey, bytes]]:
-        """Concatenated stream over one sorted level (flattened
-        :meth:`_level_blocks`; per-entry iteration stays at C level)."""
-        return chain.from_iterable(
-            self._level_blocks(level, files, seek, category, end)
-        )
+            reader = table_cache.get(meta.file_number, meta.file_name())
+            reader.acquire()
+            try:
+                index = reader.index
+                entries = index.entries
+                start = 0 if seek is None else index.first_overlapping(seek[0])
+                uncharged = True
+                previous = None
+                for entry in entries[start:] if start else entries:
+                    block = reader.read_block(
+                        entry, CAT_SCAN, block_cache, False, False, previous
+                    )
+                    previous = entry
+                    keys = block.keys
+                    values = block.values
+                    if seek is not None:
+                        cut = bisect_left(keys, seek)
+                        keys = keys[cut:]
+                        values = values[cut:]
+                        seek = None
+                    if uncharged:
+                        if not keys:
+                            continue
+                        self._charge_scan_seek(level, meta)
+                        uncharged = False
+                    yield zip(keys, values)
+            finally:
+                reader.release()
+            seek = None
 
     def _extra_entry_sources(
         self, seek: ComparableKey | None, category: str
@@ -2180,15 +2165,16 @@ class DB:
                     else sv.immutable.entries()
                 )
             sources.extend(self._extra_entry_sources(seek, CAT_SCAN))
+            flatten = chain.from_iterable
             for meta in sv.level0_newest_first:
                 if end is not None and meta.smallest_user_key >= end:
                     continue  # wholly past the bound: never opened
-                sources.append(self._file_entries(0, meta, seek, CAT_SCAN))
+                sources.append(flatten(self._level_blocks(0, (meta,), 0, seek, end)))
             for level in range(1, sv.num_levels):
-                if sv.file_lists[level]:
-                    sources.append(
-                        self._level_entries(level, sv.file_lists[level], seek, CAT_SCAN, end)
-                    )
+                files = sv.file_lists[level]
+                if files:
+                    first = sv.seek_index(level, start) if start is not None else 0
+                    sources.append(flatten(self._level_blocks(level, files, first, seek, end)))
 
             self.deletion_manager.pin()
             self.stats.scans += 1
@@ -2209,23 +2195,22 @@ class DB:
         snapshot: Snapshot | None = None,
         wait: bool = True,
     ) -> list[tuple[bytes, bytes]]:
-        """Materialized range scan: up to ``limit`` live pairs in [start, end).
+        """Materialized range scan: up to ``limit`` live pairs in [start, end)
+        (``None``: all of them; 0: none; negative: an error).
 
         ``wait=False`` (see :meth:`get`) runs the whole scan under the
         engine lock it took without waiting, so bound it with ``limit``."""
+        if limit is not None and limit < 0:
+            raise InvalidArgumentError(f"scan limit must be >= 0, got {limit}")
         clock_start = time.perf_counter() if self.latency is not None else 0.0
         if not wait:
             self.lock_nowait()
         try:
-            results: list[tuple[bytes, bytes]] = []
             # The iterator drains with the engine lock released (a waiting
-            # scan's does), so the entry tally is accumulated locally and
-            # added through the stats lock.
+            # scan's does), so the entry tally is taken from the result
+            # and added through the stats lock.
             with self.iterator(start, end, snapshot=snapshot, wait=wait) as it:
-                for key, value in it:
-                    results.append((key, value))
-                    if limit is not None and len(results) >= limit:
-                        break
+                results = list(it if limit is None else islice(it, limit))
             self.stats.count_scan_entries(len(results))
             if self.latency is not None:
                 self._hist_scan.record(time.perf_counter() - clock_start)

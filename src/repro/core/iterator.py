@@ -84,8 +84,6 @@ class DBIterator:
         return self
 
     def __next__(self) -> tuple[bytes, bytes]:
-        if self._closed:
-            raise StopIteration
         try:
             entry = next(self._stream)
         except StopIteration:
@@ -98,6 +96,10 @@ class DBIterator:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
+            # A closed iterator yields nothing more, and letting go of the
+            # merge lets go of its sources: the table readers they pinned
+            # are released here, not whenever this object is collected.
+            self._stream = iter(())
             if self._on_close is not None:
                 self._on_close()
 

@@ -68,9 +68,10 @@ class SuperVersion:
         #: deletion-manager pin for this superversion; the drain callback
         #: releases that pin.
         self.deletion_pinned = False
-        # Per-level largest-key arrays for the bisect in file_for_key,
-        # built lazily (levels a workload never reads cost nothing).  A
-        # racing double-build is benign: both threads derive the same list.
+        # Per-level largest-key arrays for the bisect in file_for_key and
+        # seek_index, built lazily (levels a workload never reads cost
+        # nothing).  A racing double-build is benign: both threads derive
+        # the same list.
         self._largest_keys: list[list[bytes] | None] = [None] * self.num_levels
         # The read-side fast path: table readers this superversion already
         # resolved, pinned open.  Repeat probes hit this dict instead of
@@ -139,10 +140,7 @@ class SuperVersion:
         files = self.file_lists[level]
         if not files:
             return None
-        keys = self._largest_keys[level]
-        if keys is None:
-            keys = [f.largest_user_key for f in files]
-            self._largest_keys[level] = keys
+        keys = self._largest_keys[level] or self._build_largest_keys(level)
         idx = bisect.bisect_left(keys, user_key)
         if idx >= len(files):
             return None
@@ -150,6 +148,20 @@ class SuperVersion:
         if meta.smallest_user_key <= user_key:
             return meta
         return None
+
+    def seek_index(self, level: int, user_key: bytes) -> int:
+        """Where a scan starting at ``user_key`` enters a sorted level
+        (>=1): the index of the first file whose largest key is >=
+        ``user_key`` (``len(files)`` past the last file) — the same bisect,
+        over the same array, as :meth:`file_for_key`."""
+        keys = self._largest_keys[level] or self._build_largest_keys(level)
+        return bisect.bisect_left(keys, user_key)
+
+    def _build_largest_keys(self, level: int) -> list[bytes]:
+        """First use of a level's bisect array by this superversion."""
+        keys = [f.largest_user_key for f in self.file_lists[level]]
+        self._largest_keys[level] = keys
+        return keys
 
     def reader_for(self, meta: FileMetadata, table_cache: "TableCache") -> "TableReader":
         """Resolve (and memoize) the table reader for ``meta``.

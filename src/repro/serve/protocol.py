@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import struct
 
+from ..errors import InvalidArgumentError
+
 #: Opcodes.  Must stay below 0x80: the high bit is the deadline flag.
 OP_PUT = 0x01
 OP_GET = 0x02
@@ -189,7 +191,11 @@ def encode_scan(
     deadline_ms: int | None = None,
 ) -> bytes:
     """``[flags u8][start lp?][end lp?][limit u32?]`` — flag bits 0/1/2 mark
-    which of start/end/limit are present."""
+    which of start/end/limit are present.  ``limit`` as for ``DB.scan``
+    (0 asks for nothing); a negative one is refused here, before it would
+    fail to pack."""
+    if limit is not None and limit < 0:
+        raise InvalidArgumentError(f"scan limit must be >= 0, got {limit}")
     flags = (
         (1 if start is not None else 0)
         | (2 if end is not None else 0)

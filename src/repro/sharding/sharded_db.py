@@ -392,7 +392,11 @@ class ShardedDB:
         wait: bool = True,
     ) -> list[tuple[bytes, bytes]]:
         """Ordered range scan across shards.  Shards are disjoint and
-        visited in key order, so concatenation is globally sorted."""
+        visited in key order, so concatenation is globally sorted.
+        ``limit`` as for :meth:`DB.scan`: ``None`` all, 0 none, negative an
+        error."""
+        if limit is not None and limit < 0:
+            raise InvalidArgumentError(f"scan limit must be >= 0, got {limit}")
         with self._rw.read_locked(wait):
             rmap = self._map
             dbs: list[DB] = []

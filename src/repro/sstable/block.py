@@ -4,8 +4,9 @@ A parsed block is the in-memory form of one data-block payload and is what
 the block cache stores.  Two forms exist:
 
 * :class:`DataBlock` — eagerly decoded into parallel entry lists, searched
-  with :mod:`bisect`.  Scans and compactions use this form: they touch every
-  entry anyway.
+  with :mod:`bisect`.  Scans and compactions read (and scans cache) this
+  form: they touch every entry anyway, so the restart table, restart-key
+  list and region cache of the lazy form would be built for nothing.
 * :class:`LazyDataBlock` — keeps the raw payload and the restart array and
   decodes *one restart region* on demand: ``get()`` binary-searches the
   restart keys (decoded lazily, then cached) and materializes only the
@@ -126,7 +127,14 @@ def _parse_entries(
                 value_len = byte
                 offset += 1
             else:
-                value_len, offset = decode_varint(buf, offset)
+                # A value of 128 B - 16 KiB has a two-byte length: decoded
+                # here, it is the one header field that is routinely long.
+                high = buf[offset + 1]
+                if high < 0x80:
+                    value_len = (byte & 0x7F) | (high << 7)
+                    offset += 2
+                else:
+                    value_len, offset = decode_varint(buf, offset)
         except IndexError:
             raise CorruptionError("truncated varint") from None
         key_end = offset + non_shared
@@ -449,4 +457,5 @@ def parse_block_raw(
             raise CorruptionError("block failed checksum")
     if lazy:
         return LazyDataBlock(raw, payload_len)
-    return DataBlock.parse(raw, payload_len)
+    keys, values = _parse_entries(raw, 0, _parse_header(raw, payload_len))
+    return DataBlock(keys, values, payload_len)

@@ -206,19 +206,32 @@ class TableReader:
     def read_block(
         self,
         entry: IndexEntry,
-        *,
         category: str,
         block_cache: "BlockCache | None" = None,
         sequential: bool = False,
         lazy: bool = True,
+        after: IndexEntry | None = None,
     ) -> ParsedBlock:
         """Fetch one data block, through the block cache when given.
 
-        The parse is deferred (``LazyDataBlock``): the block enters the
-        cache partially decoded and point lookups decode only the restart
-        region they bisect into.  A caller about to drain every entry of a
-        block no one else will see (:meth:`entry_blocks` without a cache,
-        the concurrent compaction reads below) asks for the eager form.
+        A miss is charged by *physical contiguity*.  ``after`` is the block
+        the caller's stream fetched just before this one: a block that
+        starts where that one ended continues a sequential read (freshly
+        table-compacted files are fully contiguous), while a jump — a
+        stream's first block, or a block scattered by earlier Block
+        Compactions — pays a random read.  This is exactly the range-scan
+        penalty of block reuse the paper discusses (Section IV).
+        ``sequential`` declares the read sequential outright (a
+        compaction's whole-file pass).
+
+        ``lazy`` picks the form a miss decodes to (and caches).  A point
+        lookup takes the default: the parse is deferred
+        (``LazyDataBlock``), the block enters the cache partially decoded
+        and lookups decode only the restart region they bisect into.  A
+        caller about to drain every entry — a scan, :meth:`entry_blocks`,
+        the concurrent compaction reads below — asks for the eager
+        ``DataBlock``, which builds no restart table it would never read;
+        a later lookup that finds it cached bisects its entry lists.
         Cache accounting is the same for both (each charges the serialized
         size).
         """
@@ -230,7 +243,11 @@ class TableReader:
             entry.offset,
             entry.size + BLOCK_TRAILER_SIZE,
             category=category,
-            sequential=sequential,
+            sequential=sequential
+            or (
+                after is not None
+                and entry.offset == after.offset + after.size + BLOCK_TRAILER_SIZE
+            ),
         )
         block = parse_block_raw(raw, verify_checksum=self._options.verify_checksums, lazy=lazy)
         if block_cache is not None:
@@ -345,40 +362,25 @@ class TableReader:
         This is the block-granular form of :meth:`entries_from`: each yield
         is a C-level iterator (a ``zip`` over the decoded entry lists) for
         one block, produced lazily so blocks are only read when the consumer
-        reaches them.  Scan pipelines flatten these with
+        reaches them.  Pipelines flatten these with
         ``itertools.chain.from_iterable`` and then pay no Python-frame
         resume per row — only one per block.
 
         Follows the index order (the logical sort), reading each valid block
-        as needed.  Reads are charged by *physical contiguity*: a block that
-        starts where the previous one ended continues a sequential read
-        (freshly table-compacted files are fully contiguous), while a jump —
-        the first block, or a block scattered by earlier Block Compactions —
-        pays a random read.  This is exactly the range-scan penalty of
-        block reuse the paper discusses (Section IV).
+        as needed, eagerly decoded; reads are charged as :meth:`read_block`
+        describes.  (A ``DB`` scan does not come through here: its stream
+        spans the files of a level, :meth:`repro.core.db.DB._level_blocks`.)
         """
         index = self._meta.index
         start = 0
         if seek is not None:
             start = index.first_overlapping(seek[0])
         entries = index.entries
-        # Every block is drained; only one headed for the cache, where a
-        # point lookup may find it first, is worth decoding lazily.
-        lazy = block_cache is not None
-        expected_offset: int | None = None
+        previous: IndexEntry | None = None
         for i in range(start, len(entries)):
             entry = entries[i]
-            contiguous = sequential or (
-                expected_offset is not None and entry.offset == expected_offset
-            )
-            expected_offset = entry.offset + entry.size + BLOCK_TRAILER_SIZE
-            block = self.read_block(
-                entry,
-                category=category,
-                block_cache=block_cache,
-                sequential=contiguous,
-                lazy=lazy,
-            )
+            block = self.read_block(entry, category, block_cache, sequential, False, previous)
+            previous = entry
             if seek is not None and i == start:
                 yield block.entries_from(seek)
             else:

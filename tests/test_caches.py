@@ -235,6 +235,26 @@ class TestShardedLRU:
                 for _ in range(2):  # cold, then remembered
                     assert cache.shard_index((namespace, file_number, offset)) == expected
 
+    def test_cache_key_shapes_route_by_the_generic_formula(self):
+        """The block / table cache key shapes ``stable_hash`` spells out —
+        (file, offset), (namespace, file), (namespace, file, offset) — hash
+        to what the per-item formula gives, as do their near misses (a
+        bool, a negative, -1 whose hash is -2, a str past the head, other
+        lengths)."""
+        from repro.cache.lru import stable_hash
+
+        def generic(key):
+            return hash(tuple(stable_hash(item) for item in key))
+
+        for key in (
+            (7, 4101), (0, 0), (-1, 5), (5, -1), (-2, -1), (2**70, 3), (True, 8),
+            ("shard-0000", 7), ("shard-0000", -1), ("", 0), ("a", "b"), (7, "b"),
+            ("shard-0001", 7, 4101), ("tenant/é", 123456, 2**33), ("s", -1, True),
+            ("s", "t", 1), (1, 2, 3), (b"raw", 1, 2), ("s", 1, 2.0),
+            (), (9,), ("s",), ("s", 1, 2, 3), (("s", 1), 2),
+        ):
+            assert stable_hash(key) == generic(key), key
+
     def test_capacity_split_is_exact(self):
         from repro.cache.lru import ShardedLRUCache
 

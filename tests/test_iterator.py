@@ -1,8 +1,10 @@
 """Merging-iterator and visibility-rule tests."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.iterator import DBIterator, merge_sorted, visible_entries
+from repro.errors import InvalidArgumentError
 from repro.keys import TYPE_DELETION, TYPE_VALUE, comparable_key
 
 
@@ -151,6 +153,21 @@ class TestBoundedScanBlockReads:
     @staticmethod
     def _reads(fs):
         return fs.stats.random_reads + fs.stats.sequential_reads
+
+    def test_scan_limit_zero_is_empty_and_negative_is_refused(self):
+        """``limit`` counts pairs: 0 asks for none (and reads no block),
+        ``None`` for all; a negative one is a caller error."""
+        db, fs = self._fresh()
+        before = self._reads(fs)
+        assert db.scan(limit=0) == []
+        assert db.scan(b"k0010", limit=0) == []
+        assert self._reads(fs) == before
+        assert db.scan(limit=1) == [(b"k0000", b"v" * 40)]
+        assert len(db.scan(limit=self.N + 5)) == self.N
+        for limit in (-1, -50):
+            with pytest.raises(InvalidArgumentError):
+                db.scan(limit=limit)
+        db.close()
 
     def test_bounded_scan_stops_reading_at_bound(self):
         db_full, fs_full = self._fresh()

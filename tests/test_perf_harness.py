@@ -2,7 +2,8 @@
 
 These do not assert absolute performance — only that the harness runs end
 to end in quick mode, emits a well-formed report, and that ``--check``
-passes against a just-written baseline and fails against a doctored one.
+passes against a just-written baseline and fails against a doctored one —
+and that the opcode counter (``opcodes.py``) counts the same twice.
 """
 
 from __future__ import annotations
@@ -14,18 +15,23 @@ from pathlib import Path
 
 import pytest
 
-HARNESS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "harness.py"
+PERF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+HARNESS_PATH = PERF_DIR / "harness.py"
 
 
-@pytest.fixture(scope="module")
-def harness():
-    """Import the harness module from its file path (benchmarks/ is not a
+def _load(name: str, path: Path):
+    """Import a perf script from its file path (benchmarks/ is not a
     package on sys.path during tests)."""
-    spec = importlib.util.spec_from_file_location("perf_harness", HARNESS_PATH)
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     assert spec.loader is not None
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def harness():
+    return _load("perf_harness", HARNESS_PATH)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,7 @@ EXPECTED_PATHS = {
     "point_get",
     "multi_get",
     "scan",
+    "scan_short",
     "full_compaction",
     "traced_point_get",
 }
@@ -64,7 +71,8 @@ def test_quick_run_covers_all_paths(quick_report):
         assert entry["ns_per_op"] > 0, name
     # Micro paths carry an in-process reference arm.
     for name in ("varint_roundtrip", "block_decode", "merge_visible",
-                 "compaction_merge", "catalog_apply", "section_finish_open"):
+                 "compaction_merge", "catalog_apply", "section_finish_open",
+                 "scan_short"):
         assert report["paths"][name]["speedup_vs_reference"] > 0
 
 
@@ -89,3 +97,20 @@ def test_check_without_baseline_is_ok(quick_report, tmp_path):
     """Missing baseline file: nothing to compare, exit 0."""
     harness, _out, report = quick_report
     assert harness.check_against_baseline(report, tmp_path / "missing.json") == 0
+
+
+def test_opcode_counts_repeat_exactly():
+    """The deterministic CPU metric is deterministic: two runs of
+    ``opcodes.measure()`` — each building its stores from scratch — give
+    the same count for every path, and the bisected, single-stream scan
+    executes fewer bytecodes than the reference walk on the same store."""
+    opcodes = _load("perf_opcodes", PERF_DIR / "opcodes.py")
+    first = opcodes.measure()
+    assert first == opcodes.measure()
+    assert list(first) == [
+        "put", "get_memtable", "get_cached", "get_cold", "scan_20",
+        "scan_seek_50", "scan_seek_50_linear", "multi_get_8",
+    ]
+    assert all(count > 0 for count in first.values())
+    assert first["get_memtable"] < first["get_cached"] < first["get_cold"]
+    assert first["scan_seek_50"] < first["scan_seek_50_linear"]

@@ -3,7 +3,7 @@ frozen reference implementations in :mod:`repro._reference`.
 
 The engine's fast paths (table-driven varints, the fused block decode, the
 fused k-way merge stack, the heap-based LPT scheduler, the bisecting
-version catalog, the bulk filter build, the one-split table builder, the
+version catalog, the bisected level seek, the bulk filter build, the one-split table builder, the
 one-join stored-block and index-block writers and the chunked
 ``SimulatedFS`` store) must be drop-in replacements for the straightforward
 originals — same results on valid input, same error classification on
@@ -45,6 +45,7 @@ from repro.compaction.base import merge_keep_newest, merge_live  # noqa: E402
 from repro.compaction.parallel import lpt_makespan  # noqa: E402
 from repro.core.iterator import visible_entries  # noqa: E402
 from repro.core.merge import merge_entries, merge_visible  # noqa: E402
+from repro.core.superversion import SuperVersion  # noqa: E402
 from repro.core.version import FileMetadata, Version, VersionEdit  # noqa: E402
 from repro.options import Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
@@ -535,6 +536,43 @@ def test_version_matches_reference_catalog(data):
         version.apply(edit)
         _assert_catalogs_agree(version, ref, data)
     _assert_catalog_invariants(version)
+
+
+# ------------------------------------------------------------------ level seek
+
+
+@st.composite
+def _sorted_level(draw) -> list[FileMetadata]:
+    """A sorted level of disjoint files with gaps between them; some files
+    hold a single key (smallest == largest)."""
+    ordinals = sorted(draw(st.lists(st.integers(0, _KEY_SPACE), unique=True, max_size=60)))
+    files, at = [], 0
+    while at < len(ordinals):
+        span = 1 if at + 1 == len(ordinals) else draw(st.integers(1, 2))
+        files.append(_file(len(files) + 1, ordinals[at], ordinals[at + span - 1]))
+        at += span
+    return files
+
+
+@given(_sorted_level(), _sorted_level())
+@settings(deadline=None)
+def test_seek_index_matches_linear_walk(level1, level2):
+    """Where a scan enters a sorted level: the superversion's bisect gives
+    the file the linear walk stops at, for every start key — before the
+    first file, inside a file, in a gap, equal to a file's largest key, past
+    the last file, and on an empty level — and agrees with ``file_for_key``
+    over the array the two share."""
+    sv = SuperVersion(1, None, None, [[], level1, level2], lambda _sv: None)
+    for level, files in ((1, level1), (2, level2)):
+        for ordinal in range(-1, _KEY_SPACE + 2):
+            key = _user_key(ordinal) if ordinal >= 0 else b""
+            index = sv.seek_index(level, key)
+            assert index == _reference.level_seek_linear(files, key)
+            holder = sv.file_for_key(level, key)
+            if index < len(files) and files[index].smallest_user_key <= key:
+                assert holder is files[index]
+            else:
+                assert holder is None
 
 
 # --------------------------------------------------------------------- filters

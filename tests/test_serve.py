@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.errors import WouldBlock
+from repro.errors import InvalidArgumentError, WouldBlock
 from repro.obs import render_prometheus_serve
 from repro.serve import ServeClient, ServeError, ShardServer
 from repro.serve import protocol as P
@@ -49,12 +49,16 @@ class TestProtocol:
     @pytest.mark.parametrize(
         "start,end,limit",
         [(None, None, None), (b"a", None, None), (None, b"z", 5),
-         (b"a", b"z", 100)],
+         (b"a", b"z", 100), (b"a", None, 0)],
     )
     def test_scan_roundtrip(self, start, end, limit):
         frame = P.encode_scan(start, end, limit)
         _, payload = P.decode_body(frame[4:])
         assert P.decode_scan(payload) == (start, end, limit)
+
+    def test_scan_negative_limit_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            P.encode_scan(None, None, -1)
 
     def test_batch_roundtrip(self):
         ops = [
@@ -156,6 +160,9 @@ class TestShardServer:
             assert entries == [(b"aaa", b"1"), (b"zzz", b"2")]
             assert await client.scan(start=b"m") == [(b"zzz", b"2")]
             assert await client.scan(limit=1) == [(b"aaa", b"1")]
+            assert await client.scan(limit=0) == []
+            with pytest.raises(InvalidArgumentError):
+                await client.scan(limit=-1)
 
         run(_with_server(scenario))
 

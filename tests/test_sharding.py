@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
-from repro.errors import WouldBlock
+from repro.errors import InvalidArgumentError, WouldBlock
 from repro.sharding import (
     LocalShardStore,
     MemoryShardStore,
@@ -119,6 +119,10 @@ class TestShardedOps:
         assert [k for k, _ in got] == sorted(state)
         assert dict(got) == state
         assert db.scan(limit=7) == got[:7]
+        # ``limit`` as on ``DB.scan``: 0 is none, negative is refused.
+        assert db.scan(limit=0) == []
+        with pytest.raises(InvalidArgumentError):
+            db.scan(limit=-1)
         lo, hi = sorted(state)[10], sorted(state)[30]
         assert dict(db.scan(lo, hi)) == {
             k: v for k, v in state.items() if lo <= k < hi
