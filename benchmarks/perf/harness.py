@@ -29,8 +29,11 @@ catalog_apply      Version.apply + the picker's child lookup on an 800-file
 section_finish_open  build a 64-entry / 16-block table, ``finish``, eager open;
                    then reuse 12 blocks, add 4 entries, ``finish``, ``reload`` —
                    the opens handed the writer's TableInfo vs full parses
-point_get          DB.get against a compacted simulated DB
-multi_get          batched DB.multi_get vs the per-key get loop
+point_get          DB.get against a compacted simulated DB vs the walk it
+                   replaced (a skiplist seek per memtable miss, a key hash
+                   per filter, a closure per call)
+multi_get          batched DB.multi_get vs the batch walk it replaced (the
+                   same, with a list of pending keys)
 seq_fill           DB.put of a fresh sequential load (WAL + flush + compaction)
 scan               full-range DB iterator drain
 scan_short         seek + ``limit=50`` into a sorted level of >= 256 files vs
@@ -622,8 +625,8 @@ def bench_scan_short(suite: Suite) -> None:
 
 
 def bench_db_paths(suite: Suite, value_size: int = 100) -> None:
-    """End-to-end engine paths over the simulated FS (no reference arm —
-    compare these across harness runs / baselines instead)."""
+    """End-to-end engine paths over the simulated FS.  The read paths carry
+    a reference arm; compare the others across harness runs / baselines."""
     fill_count = 400 if suite.quick else 4000
 
     def seq_fill():
@@ -640,15 +643,23 @@ def bench_db_paths(suite: Suite, value_size: int = 100) -> None:
     rng = random.Random(23)
     lookup_keys = [rng.choice(keys) for _ in range(fill_count)]
 
+    # DB.get / DB.multi_get against the walks they replaced, on the same
+    # tree through the same caches: what differs is what a lookup asks of
+    # each component, not what it reads.
+    from repro import _reference
+
     def point_get():
         for key in lookup_keys:
             db.get(key)
         return len(lookup_keys)
 
-    suite.measure("point_get", point_get, "get")
+    def point_get_reference():
+        for key in lookup_keys:
+            _reference.get_linear(db, key)
+        return len(lookup_keys)
 
-    # Batched lookup vs the naive per-key loop it replaced (same keys, same
-    # tree): the win is resolving snapshot/lock/table-cache once per batch.
+    suite.measure("point_get", point_get, "get", reference=point_get_reference)
+
     batch_size = 64
     batches = [
         lookup_keys[start : start + batch_size]
@@ -660,13 +671,13 @@ def bench_db_paths(suite: Suite, value_size: int = 100) -> None:
             db.multi_get(batch)
         return len(lookup_keys)
 
-    def multi_get_naive():
+    def multi_get_reference():
         for batch in batches:
-            {key: db.get(key) for key in batch}
+            _reference.multi_get_linear(db, batch)
         return len(lookup_keys)
 
     suite.measure(
-        "multi_get", multi_get_batched, "get", reference=multi_get_naive
+        "multi_get", multi_get_batched, "get", reference=multi_get_reference
     )
 
     def scan():

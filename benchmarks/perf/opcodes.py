@@ -6,27 +6,46 @@ script counts them (``sys.settrace`` with ``frame.f_trace_opcodes``, so the
 count is per thread and excludes time spent inside C) for the engine's
 default-path operations and prints one line per path:
 
-=====================  =====================================================
-put                    a lone ``db.put`` into a memtable with room
-get_memtable           ``db.get`` of a key still in the memtable
-get_cached             ``db.get`` answered from a cached block
-get_cold               ``db.get`` that reads one block from the device
-scan_20                ``db.scan(start, None, 20)``, blocks cached
-scan_seek_50           ``db.scan(start, None, 50)`` into the middle of a
-                       sorted level of >= 256 files, blocks cached
-scan_seek_50_linear    the same call through ``_reference.scan_linear`` —
-                       the linear level seek, a generator per file and the
-                       per-entry loop ``DB.scan`` replaced
-multi_get_8            ``db.multi_get`` of 8 keys, blocks cached
-=====================  =====================================================
+======================  ====================================================
+put                     a lone ``db.put`` into a memtable with room
+get_memtable            ``db.get`` of a key still in the memtable
+get_cached              ``db.get`` answered from a cached block
+get_cold                ``db.get`` that reads one block from the device
+scan_20                 ``db.scan(start, None, 20)``, blocks cached
+scan_seek_50            ``db.scan(start, None, 50)`` into the middle of a
+                        sorted level of >= 256 files, blocks cached
+scan_seek_50_linear     the same call through ``_reference.scan_linear`` —
+                        the linear level seek, a generator per file and the
+                        per-entry loop ``DB.scan`` replaced
+multi_get_8             ``db.multi_get`` of 8 keys, blocks cached
+get_absent              ``db.get`` of a key inside the stored range that no
+                        filter admits: the level walk and one negative
+                        filter check
+get_cached_tree         ``db.get`` answered from a cached block at the
+                        deepest level of a *tree* — the same load without
+                        the ``compact_all``: entries in the memtable, an L0
+                        file, two sorted levels, so the memtable miss and
+                        every shallower file's filter are paid on the way
+                        down, as in the end-to-end read workloads
+get_cached_tree_linear  the same call through ``_reference.get_linear`` — a
+                        skiplist seek per memtable miss, a key hash per
+                        filter, a closure per walk
+multi_get_8_linear      ``multi_get_8`` through
+                        ``_reference.multi_get_linear`` — the same, with a
+                        list of pending keys
+multi_get_64            ``db.multi_get`` of 64 keys, blocks cached
+======================  ====================================================
 
 Each path is called five times and the **third** call is the one counted:
 the first two absorb one-time work (a table opened, a block cached, a
 ``struct`` format compiled) and the last two show nothing drifts.  All
-but the seeked scans run on a 3 000-key store in the end-to-end benchmark's geometry
-(``options_for("BlockDB", ...)``: 64 KiB tables, 4 KiB blocks, 32 B keys,
-1 KiB values, cache = 10 % of the data), loaded in a seeded shuffle; the
-seeked scans on :func:`harness.seek_store`.  Seek compaction is off in
+but the seeked scans run on a 3 000-key store in the end-to-end benchmark's
+geometry (``options_for("BlockDB", ...)``: 64 KiB tables, 4 KiB blocks, 32 B
+keys, 1 KiB values, cache = 10 % of the data), loaded in a seeded shuffle
+and compacted into one level — the ``*_tree`` rows on a second copy of it
+left as the load built it; the seeked scans on :func:`harness.seek_store`.
+Rows are added at the end, so that a row's count does not depend on which
+rows exist (a get before a scan moves the scan's count by two).  Seek compaction is off in
 both, so no call is the one that happens to pay for a reorganisation.
 
 Counts compare two versions of this program under one interpreter (3.11
@@ -92,8 +111,10 @@ def third_of_five(make_call: Callable[[int], Callable[[], object]]) -> int:
     return [count_opcodes(make_call(i)) for i in range(CALLS)][COUNTED_CALL]
 
 
-def _benchmark_store():
-    """The warm store of the module docstring, and its keys in key order."""
+def _benchmark_store(compacted: bool = True):
+    """The warm store of the module docstring, and its keys in key order.
+    ``compacted=False`` leaves the tree as the load built it: entries in the
+    memtable, an L0 file, two or more sorted levels."""
     from repro import DB, SimulatedFS
     from repro.experiments.config import DEFAULT_SCALE, options_for
     from repro.ycsb import make_key, make_value
@@ -110,9 +131,33 @@ def _benchmark_store():
     random.Random(20220509).shuffle(order)
     for ordinal in order:
         db.put(keys[ordinal], make_value(ordinal, 0, VALUE_SIZE))
-    db.compact_all()
+    if compacted:
+        db.compact_all()
     db.scan()  # every table open; the cache ends up holding the tail of the key space
     return db, keys
+
+
+def _deepest_key(db, keys: list[bytes]) -> bytes:
+    """The first key (in key order) that a get finds at the deepest
+    populated level after asking a file at every populated level above it
+    — the walk the end-to-end read workloads pay.  Every key was put once,
+    so the level that holds it is the only place it is."""
+    files = db.num_files_per_level()
+    populated = [level for level in range(1, len(files)) if files[level]]
+    if not files[0] or len(populated) < 2 or not len(db._memtable):
+        raise AssertionError(f"tree store is not memtable + L0 + two sorted levels: {files}")
+    sequence = db.last_sequence
+    for key in keys:
+        metas = [db.version.file_for_key(level, key) for level in populated]
+        if not all(metas) or not any(
+            f.smallest_user_key <= key <= f.largest_user_key for f in db.version.files_at(0)
+        ):
+            continue
+        deepest = metas[-1]
+        reader = db.table_cache.get(deepest.file_number, deepest.file_name())
+        if reader.get(key, sequence)[0]:
+            return key
+    raise AssertionError("no key sits under a file of every level")
 
 
 def measure() -> dict[str, int]:
@@ -120,10 +165,14 @@ def measure() -> dict[str, int]:
     from repro import _reference
 
     db, keys = _benchmark_store()
+    tree_db, _ = _benchmark_store(compacted=False)
     seek_db, seek_keys = seek_store()
     value = b"v" * VALUE_SIZE
     fresh = [b"zz-new-key-%020d" % i for i in range(CALLS)]
+    absent = keys[1500] + b"-absent"
+    deep = _deepest_key(tree_db, keys)
     batch = [keys[2000 + 53 * j] for j in range(8)]
+    batch_64 = [keys[1000 + 29 * j] for j in range(64)]
     start = seek_keys[len(seek_keys) // 2]
     paths: dict[str, Callable[[int], Callable[[], object]]] = {
         "put": lambda i: lambda: db.put(fresh[i], value),
@@ -138,11 +187,17 @@ def measure() -> dict[str, int]:
             seek_db, start, None, 50
         ),
         "multi_get_8": lambda i: lambda: db.multi_get(batch),
+        "get_absent": lambda i: lambda: db.get(absent),
+        "get_cached_tree": lambda i: lambda: tree_db.get(deep),
+        "get_cached_tree_linear": lambda i: lambda: _reference.get_linear(tree_db, deep),
+        "multi_get_8_linear": lambda i: lambda: _reference.multi_get_linear(db, batch),
+        "multi_get_64": lambda i: lambda: db.multi_get(batch_64),
     }
     try:
         return {name: third_of_five(make_call) for name, make_call in paths.items()}
     finally:
         db.close()
+        tree_db.close()
         seek_db.close()
 
 

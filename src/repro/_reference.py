@@ -4,8 +4,10 @@ These are verbatim copies of the straightforward (pre-optimization)
 implementations of the varint codec, the data-block codec, the per-entry
 table build and filter insert, the stored-block and index-block writers,
 the merge/visibility stack, the LPT scheduler, the version catalog, the
-scan path (linear level seek, a generator per file, a per-entry drain), and
-the ``bytearray`` file store.  They exist for two reasons:
+scan path (linear level seek, a generator per file, a per-entry drain), the
+point-read path (a skiplist seek per memtable miss, a key hash per filter,
+a closure per level walk, a list of pending keys per batch), and the
+``bytearray`` file store.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
   optimized fast path against these on random inputs — including the
@@ -24,6 +26,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import time
+import zlib
 from typing import Callable, Iterable, Iterator
 
 from .errors import CorruptionError, FileSystemError, InvalidArgumentError
@@ -38,7 +42,8 @@ from .keys import (
     user_key_of,
 )
 from .storage.fs import FileSystem
-from .storage.io_stats import CAT_SCAN
+from .sstable.filter_block import MODE_TABLE
+from .storage.io_stats import CAT_GET, CAT_SCAN
 
 # --------------------------------------------------------------------- varints
 
@@ -610,6 +615,265 @@ def scan_linear(
                     break
     db.stats.count_scan_entries(len(results))
     return results
+
+
+# ------------------------------------------------------------- point-read path
+
+
+def memtable_get_seek(memtable, user_key: bytes, snapshot_sequence: int):
+    """Reference ``MemTable.get``: always a skiplist seek, also for a key
+    the memtable never held (no user-key set)."""
+    seek = seek_comparable(user_key, snapshot_sequence)
+    for key, value in memtable._table.items_from(seek):
+        found_user_key, _seq, value_type = comparable_parts(key)
+        if found_user_key != user_key:
+            break
+        if value_type == TYPE_DELETION:
+            return True, None
+        return True, value
+    return False, None
+
+
+def bloom_may_contain(flt, key: bytes) -> bool:
+    """Reference ``BloomFilter.may_contain``: the key hashed here, on every
+    check (two salted CRCs), and a running masked sum per probe."""
+    h1 = zlib.crc32(key) & 0xFFFFFFFF
+    h2 = zlib.crc32(b"\x9e\x37\x79\xb9" + key + b"\x85\xeb\xca\x6b") & 0xFFFFFFFF
+    if h2 == 0:
+        h2 = 0x5BD1E995
+    bits = flt._bits
+    nbits = flt.num_bits
+    for _ in range(flt.num_probes):
+        pos = h1 % nbits
+        if not bits[pos >> 3] & (1 << (pos & 7)):
+            return False
+        h1 = (h1 + h2) & 0xFFFFFFFF
+    return True
+
+
+def _filter_may_contain(filter_, user_key: bytes) -> bool:
+    """``Filter.may_contain`` over :func:`bloom_may_contain`."""
+    if filter_.mode == MODE_TABLE:
+        return bloom_may_contain(filter_.bloom, user_key)
+    return True
+
+
+def _filter_may_contain_in_block(filter_, block_offset: int, user_key: bytes) -> bool:
+    """``Filter.may_contain_in_block`` over :func:`bloom_may_contain`."""
+    if filter_.mode == MODE_TABLE:
+        return True
+    bloom = filter_.per_block.get(block_offset)
+    return bloom is None or bloom_may_contain(bloom, user_key)
+
+
+def table_lookup(reader, user_key: bytes, snapshot_sequence: int, block_cache):
+    """Reference ``TableReader.lookup``: each filter check hashes the key
+    again."""
+    meta = reader.meta
+    if meta.filter is not None and not _filter_may_contain(meta.filter, user_key):
+        return False, None, False
+    entry = meta.index.find_candidate(user_key)
+    if entry is None:
+        return False, None, False
+    if meta.filter is not None and not _filter_may_contain_in_block(
+        meta.filter, entry.offset, user_key
+    ):
+        return False, None, False
+    block = reader.read_block(entry, category=CAT_GET, block_cache=block_cache)
+    found, value = block.get(user_key, snapshot_sequence)
+    return found, value, True
+
+
+def lookup_linear(db, sv, key: bytes, sequence: int):
+    """Reference ``DB._lookup`` — the level walk of PRs 12-22: a skiplist
+    seek per memtable, a ``visit`` closure per call, the reader resolved
+    through ``reader_for`` and the key hashed by each filter.  Returns
+    ``(value, charge)`` as ``DB._lookup`` does."""
+    found, value = memtable_get_seek(sv.memtable, key, sequence)
+    if not found and sv.immutable is not None:
+        found, value = memtable_get_seek(sv.immutable, key, sequence)
+    if found:
+        return value, None
+
+    first_miss = None
+    charge = None
+    table_cache = db.table_cache
+    block_cache = db.block_cache
+
+    def visit(level: int, meta):
+        nonlocal first_miss, charge
+        reader = sv.reader_for(meta, table_cache)
+        hit, val, touched = table_lookup(reader, key, sequence, block_cache)
+        if touched and not hit and first_miss is None:
+            first_miss = (level, meta)
+        elif (touched or hit) and first_miss is not None:
+            charge = first_miss
+        return hit, val
+
+    for meta in sv.level0_newest_first:
+        if meta.smallest_user_key <= key <= meta.largest_user_key:
+            found, value = visit(0, meta)
+            if found:
+                return value, charge
+    for level in range(1, sv.num_levels):
+        meta = sv.file_for_key(level, key)
+        if meta is not None:
+            found, value = visit(level, meta)
+            if found:
+                return value, charge
+        if db._has_extra_read_hook:
+            with db._lock:
+                extra = db._extra_get_after_level(level, key, sequence)
+            if extra is not None and extra[0]:
+                return extra[1], charge
+    return None, charge
+
+
+def get_linear(db, key: bytes, default: bytes | None = None, snapshot=None):
+    """Reference ``DB.get``: the same shell (superversion reference,
+    snapshot, value-log resolve, get counters, seek charge, latency
+    histogram, tuner) around :func:`lookup_linear`.  It reads, pins,
+    charges and counts exactly as ``DB.get`` does, so a differential test
+    may demand equal values *and* equal ``IOStats``, ``allowed_seeks``,
+    seek candidates and cache counters."""
+    db._check_open()
+    if not isinstance(key, (bytes, bytearray)):
+        raise InvalidArgumentError("keys must be bytes")
+    key = bytes(key)
+    start = time.perf_counter() if db.latency is not None else 0.0
+    try:
+        sv, sequence = db._acquire_read()
+        try:
+            sequence = db._resolve_snapshot(snapshot, sequence)
+            value, charge = lookup_linear(db, sv, key, sequence)
+            if value is not None and db.vlog is not None:
+                value = db.vlog.resolve(value)
+        finally:
+            sv.unref()
+        db.stats.count_gets(1, 0 if value is None else 1)
+        if charge is not None:
+            db._charge_seeks((charge,))
+        return default if value is None else value
+    finally:
+        if db.latency is not None:
+            db._hist_get.record(time.perf_counter() - start)
+        if db._tuner is not None:
+            db._tuner.record_op()
+
+
+def multi_get_linear(db, keys: list[bytes], snapshot=None) -> dict[bytes, bytes | None]:
+    """Reference ``DB.multi_get`` — the batch walk of PRs 12-22: ``pending``
+    a list (``key in pending`` and ``pending.remove`` scan it, so a batch of
+    absent keys is quadratic), a ``probe`` closure and a dict of
+    ``[first_miss, charged]`` lists, every sorted level asked.  Same
+    contract as :func:`get_linear`."""
+    db._check_open()
+    checked: list[bytes] = []
+    for key in keys:
+        if not isinstance(key, (bytes, bytearray)):
+            raise InvalidArgumentError("keys must be bytes")
+        checked.append(bytes(key))
+    start = time.perf_counter() if db.latency is not None else 0.0
+    try:
+        return _multi_get_linear(db, checked, snapshot)
+    finally:
+        if db.latency is not None:
+            db._hist_multi_get.record(time.perf_counter() - start)
+        if db._tuner is not None:
+            db._tuner.record_op()
+
+
+def _multi_get_linear(db, keys: list[bytes], snapshot) -> dict[bytes, bytes | None]:
+    sv, sequence = db._acquire_read()
+    resolved: dict[bytes, bytes | None] = {}
+    charges: list = []
+    try:
+        sequence = db._resolve_snapshot(snapshot, sequence)
+        pending: list[bytes] = []
+        for key in keys:
+            if key in resolved or key in pending:
+                continue
+            found, value = memtable_get_seek(sv.memtable, key, sequence)
+            if not found and sv.immutable is not None:
+                found, value = memtable_get_seek(sv.immutable, key, sequence)
+            if found:
+                resolved[key] = value
+            else:
+                pending.append(key)
+
+        if pending:
+            trackers: dict[bytes, list] = {key: [None, False] for key in pending}
+            table_cache = db.table_cache
+            block_cache = db.block_cache
+
+            def probe(level, meta, reader, key):
+                found, value, touched = table_lookup(reader, key, sequence, block_cache)
+                tracker = trackers[key]
+                if touched and not found and tracker[0] is None:
+                    tracker[0] = (level, meta)
+                elif (touched or found) and tracker[0] is not None and not tracker[1]:
+                    tracker[1] = True
+                    charges.append(tracker[0])
+                return found, value
+
+            for meta in sv.level0_newest_first:
+                if not pending:
+                    break
+                in_range = [
+                    key
+                    for key in pending
+                    if meta.smallest_user_key <= key <= meta.largest_user_key
+                ]
+                if not in_range:
+                    continue
+                reader = sv.reader_for(meta, table_cache)
+                for key in in_range:
+                    found, value = probe(0, meta, reader, key)
+                    if found:
+                        resolved[key] = value
+                        pending.remove(key)
+            for level in range(1, sv.num_levels):
+                if not pending:
+                    break
+                by_file: dict = {}
+                for key in pending:
+                    meta = sv.file_for_key(level, key)
+                    if meta is not None:
+                        by_file.setdefault(meta.file_number, (meta, []))[1].append(key)
+                for meta, file_keys in by_file.values():
+                    reader = sv.reader_for(meta, table_cache)
+                    for key in file_keys:
+                        found, value = probe(level, meta, reader, key)
+                        if found:
+                            resolved[key] = value
+                            pending.remove(key)
+                if db._has_extra_read_hook and pending:
+                    with db._lock:
+                        extras = [
+                            (key, db._extra_get_after_level(level, key, sequence))
+                            for key in pending
+                        ]
+                    for key, extra in extras:
+                        if extra is not None and extra[0]:
+                            resolved[key] = extra[1]
+                            pending.remove(key)
+        if db.vlog is not None:
+            for key, value in resolved.items():
+                if value is not None:
+                    resolved[key] = db.vlog.resolve(value)
+    finally:
+        sv.unref()
+
+    out: dict[bytes, bytes | None] = {}
+    found_count = 0
+    for key in keys:
+        value = resolved.get(key)
+        if value is not None:
+            found_count += 1
+        out[key] = value
+    db.stats.count_gets(len(keys), found_count)
+    db._charge_seeks(charges)
+    return out
 
 
 # ------------------------------------------------------------------ file store

@@ -12,7 +12,7 @@ new keys to an SSTable without rebuilding its filter.
 
 from __future__ import annotations
 
-import zlib
+from zlib import crc32
 
 from ..encoding import decode_fixed32, encode_fixed32
 from ..errors import CorruptionError
@@ -23,13 +23,11 @@ _MIN_BITS = 64
 
 
 def _hash_pair(key: bytes) -> tuple[int, int]:
-    """Two independent 32-bit hashes of ``key``."""
-    h1 = zlib.crc32(key) & 0xFFFFFFFF
-    h2 = zlib.crc32(_SALT1 + key + _SALT2) & 0xFFFFFFFF
-    # Guard against a degenerate zero step for double hashing.
-    if h2 == 0:
-        h2 = 0x5BD1E995
-    return h1, h2
+    """Two independent 32-bit hashes of ``key`` — everything a filter
+    check needs to know about it.  A lookup computes the pair once and
+    hands it to every filter it asks (``may_contain(key, key_hash)``)."""
+    # ``or``: guard against a degenerate zero step for double hashing.
+    return crc32(key), crc32(_SALT1 + key + _SALT2) or 0x5BD1E995
 
 
 def probes_for_bits_per_key(bits_per_key: int) -> int:
@@ -69,7 +67,6 @@ class BloomFilter:
             raise OverflowError(
                 f"bloom filter at capacity ({self.capacity} keys); rebuild required"
             )
-        crc32 = zlib.crc32
         bits = self._bits
         nbits = self.num_bits
         probes = range(self.num_probes)
@@ -86,16 +83,18 @@ class BloomFilter:
     def remaining_capacity(self) -> int:
         return self.capacity - self.num_keys
 
-    def may_contain(self, key: bytes) -> bool:
-        """False means definitely absent; True means possibly present."""
-        h1, h2 = _hash_pair(key)
+    def may_contain(self, key: bytes, key_hash: tuple[int, int] | None = None) -> bool:
+        """False means definitely absent; True means possibly present.
+        ``key_hash`` is ``_hash_pair(key)`` when the caller already has it."""
+        h1, h2 = key_hash or _hash_pair(key)
         bits = self._bits
         nbits = self.num_bits
-        for _ in range(self.num_probes):
-            pos = h1 % nbits
+        # Probe i tests bit (h1 + i*h2 mod 2**32) mod nbits; the range does
+        # the running sum.
+        for h in range(h1, h1 + self.num_probes * h2, h2):
+            pos = (h & 0xFFFFFFFF) % nbits
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
-            h1 = (h1 + h2) & 0xFFFFFFFF
         return True
 
     # -- serialization -------------------------------------------------------
@@ -137,6 +136,11 @@ class BloomFilter:
         bit_bytes = data[BloomFilter._HEADER_SIZE :]
         if len(bit_bytes) != (num_bits + 7) // 8:
             raise CorruptionError("bloom filter bit array size mismatch")
+        # A check takes positions modulo num_bits, num_probes of them.
+        if num_bits == 0:
+            raise CorruptionError("bloom filter with an empty bit array")
+        if not 1 <= num_probes <= 30:
+            raise CorruptionError(f"bloom filter probe count {num_probes} outside [1, 30]")
         if kind == 0:
             flt = BloomFilter.__new__(BloomFilter)
         elif kind == 1:

@@ -58,6 +58,7 @@ from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
+from ..bloom.bloom import _hash_pair
 from ..cache.block_cache import BlockCache
 from ..cache.table_cache import TableCache
 from ..compaction.base import CompactionResult, CompactionTask
@@ -93,7 +94,7 @@ from ..options import (
     Options,
 )
 from ..storage.fs import FileSystem, SimulatedFS
-from ..storage.io_stats import CAT_COMPACTION, CAT_FLUSH, CAT_GET, CAT_SCAN
+from ..storage.io_stats import CAT_COMPACTION, CAT_FLUSH, CAT_SCAN
 from ..vlog import (
     VlogManager,
     encode_pointer,
@@ -1561,86 +1562,82 @@ class DB:
         seek charges accrued — ``wait`` is :meth:`_charge_seeks`'s)."""
         sv, sequence = self._acquire_read()
         resolved: dict[bytes, bytes | None] = {}
-        # Deferred seek-compaction charges: (level, meta) per charged miss,
-        # applied under the engine lock after the batch — compacting
-        # mid-batch would pull files out from under the remaining probes.
+        # Seek charges, (level, meta) each, applied under the engine lock after
+        # the batch: compacting mid-batch would pull files from under its probes.
         charges: list[tuple[int, FileMetadata]] = []
         try:
             sequence = self._resolve_snapshot(snapshot, sequence)
-            pending: list[bytes] = []
+            memtable, immutable = sv.memtable, sv.immutable
+            # Keys the memtables did not answer, in batch order, each with
+            # its seek-charge state (_lookup's rule): None until a probe
+            # reads a block and misses, then that (level, file) — appended
+            # to ``charges`` and set False when the walk goes on past it.
+            pending: dict[bytes, tuple[int, FileMetadata] | None | bool] = {}
             for key in keys:
                 if key in resolved or key in pending:
                     continue
-                found, value = sv.memtable.get(key, sequence)
-                if not found and sv.immutable is not None:
-                    found, value = sv.immutable.get(key, sequence)
+                found, value = memtable.get(key, sequence)
+                if not found and immutable is not None:
+                    found, value = immutable.get(key, sequence)
                 if found:
                     resolved[key] = value
                 else:
-                    pending.append(key)
+                    pending[key] = None
 
-            if pending:
-                # Per-key seek-charge bookkeeping, as in _lookup:
-                # [first_miss, charged] per still-unresolved key.
-                trackers: dict[bytes, list] = {key: [None, False] for key in pending}
-                table_cache = self.table_cache
-                block_cache = self.block_cache
-
-                def probe(level, meta, reader, key):
-                    """Probe one file for one key, collecting deferred
-                    seek charges instead of mutating picker state."""
-                    found, value, touched = reader.lookup(
-                        key, sequence, block_cache=block_cache, category=CAT_GET
-                    )
-                    tracker = trackers[key]
-                    if touched and not found and tracker[0] is None:
-                        tracker[0] = (level, meta)
-                    elif (touched or found) and tracker[0] is not None and not tracker[1]:
-                        tracker[1] = True
-                        charges.append(tracker[0])
-                    return found, value
-
-                for meta in sv.level0_newest_first:
-                    if not pending:
-                        break
-                    in_range = [
-                        key
-                        for key in pending
-                        if meta.smallest_user_key <= key <= meta.largest_user_key
-                    ]
-                    if not in_range:
-                        continue
-                    reader = sv.reader_for(meta, table_cache)
-                    for key in in_range:
-                        found, value = probe(0, meta, reader, key)
-                        if found:
-                            resolved[key] = value
-                            pending.remove(key)
-                for level in range(1, sv.num_levels):
-                    if not pending:
-                        break
+            hashes: dict[bytes, tuple[int, int]] = {}  # filled at a key's first probe
+            readers = sv.readers
+            table_cache, block_cache = self.table_cache, self.block_cache
+            hook = self._has_extra_read_hook
+            for level in range(sv.num_levels):
+                if not pending:
+                    break
+                # The level's probes as (file, keys) groups.  An L0 file's keys are
+                # picked at its turn (None here): a newer file may resolve some.
+                if level == 0:
+                    groups = [(meta, None) for meta in sv.level0_newest_first]
+                else:
                     by_file: dict[int, tuple[FileMetadata, list[bytes]]] = {}
                     for key in pending:
                         meta = sv.file_for_key(level, key)
                         if meta is not None:
                             by_file.setdefault(meta.file_number, (meta, []))[1].append(key)
-                    for meta, file_keys in by_file.values():
+                    groups = by_file.values()
+                for meta, file_keys in groups:
+                    if file_keys is None:
+                        smallest, largest = meta.smallest_user_key, meta.largest_user_key
+                        file_keys = [key for key in pending if smallest <= key <= largest]
+                        if not file_keys:
+                            continue
+                    reader = readers.get(meta.file_number)
+                    if reader is None:
                         reader = sv.reader_for(meta, table_cache)
-                        for key in file_keys:
-                            found, value = probe(level, meta, reader, key)
-                            if found:
-                                resolved[key] = value
-                                pending.remove(key)
-                    if self._has_extra_read_hook and pending:
-                        with self._lock:
-                            extras = [
-                                (key, self._extra_get_after_level(level, key, sequence))
-                                for key in pending
-                            ]
-                        for key, extra in extras:
-                            if extra is not None and extra[0]:
-                                resolved[key] = extra[1]
-                                pending.remove(key)
+                    for key in file_keys:
+                        key_hash = hashes.get(key) or hashes.setdefault(key, _hash_pair(key))
+                        found, value, touched = reader.lookup(
+                            key, sequence, block_cache=block_cache, key_hash=key_hash
+                        )
+                        if found:
+                            resolved[key] = value
+                            first_miss = pending.pop(key)
+                            if first_miss:
+                                charges.append(first_miss)
+                        elif touched:
+                            first_miss = pending[key]
+                            if first_miss is None:
+                                pending[key] = (level, meta)
+                            elif first_miss:
+                                charges.append(first_miss)
+                                pending[key] = False
+                if hook and level and pending:
+                    with self._lock:
+                        extras = [
+                            (key, self._extra_get_after_level(level, key, sequence))
+                            for key in pending
+                        ]
+                    for key, extra in extras:
+                        if extra is not None and extra[0]:
+                            resolved[key] = extra[1]
+                            del pending[key]
             # Resolve pointers before unref (see get).
             if self.vlog is not None:
                 for key, value in resolved.items():
@@ -1649,16 +1646,10 @@ class DB:
         finally:
             sv.unref()
 
-        out: dict[bytes, bytes | None] = {}
-        found_count = 0
-        for key in keys:
-            value = resolved.get(key)
-            if value is not None:
-                found_count += 1
-            out[key] = value
-        self.stats.count_gets(len(keys), found_count)
+        values = [resolved.get(key) for key in keys]
+        self.stats.count_gets(len(keys), len(keys) - values.count(None))
         self._charge_seeks(charges, wait)
-        return out
+        return dict(zip(keys, values))
 
     def _rewrite_bottom_level(self) -> None:
         """Rewrite the deepest level in place, dropping shadowed versions
@@ -1916,7 +1907,8 @@ class DB:
         Also returns the seek-compaction charge the walk earned, as
         ``(level, file)`` or None: the first file that cost a block read
         but did not contain the key is charged one seek if the lookup had
-        to continue past it (LevelDB's rule).  The charge is only observed
+        to continue past it — to a later block read, or to the file that
+        holds the key (LevelDB's rule).  The charge is only observed
         here — the caller applies it under the engine lock once the walk is
         over (mutating picker state from here would race the background
         worker, and a compaction in the middle of a level walk would pull
@@ -1927,40 +1919,48 @@ class DB:
         if found:
             return value, None
 
+        # The probe — the reader from the superversion's memo, the key hashed
+        # once (at the first file asked) for every filter, the charge
+        # bookkeeping — is written out twice: sharing it through a closure
+        # or a helper costs a cached get more bytecodes than the probe is.
         first_miss: tuple[int, FileMetadata] | None = None
         charge: tuple[int, FileMetadata] | None = None
-        table_cache = self.table_cache
-        block_cache = self.block_cache
-
-        def visit(level: int, meta: FileMetadata) -> tuple[bool, bytes | None]:
-            """Probe one file via the superversion's pinned reader,
-            observing the seek-charge bookkeeping."""
-            nonlocal first_miss, charge
-            reader = sv.reader_for(meta, table_cache)
-            hit, val, touched = reader.lookup(
-                key, sequence, block_cache=block_cache, category=CAT_GET
-            )
-            if touched and not hit and first_miss is None:
-                first_miss = (level, meta)
-            elif (touched or hit) and first_miss is not None:
-                charge = first_miss
-            return hit, val
-
+        readers = sv.readers
+        table_cache, block_cache = self.table_cache, self.block_cache
+        key_hash = None
         for meta in sv.level0_newest_first:
             if meta.smallest_user_key <= key <= meta.largest_user_key:
-                found, value = visit(0, meta)
+                reader = readers.get(meta.file_number)
+                if reader is None:
+                    reader = sv.reader_for(meta, table_cache)
+                if key_hash is None:
+                    key_hash = _hash_pair(key)
+                found, value, touched = reader.lookup(
+                    key, sequence, block_cache=block_cache, key_hash=key_hash
+                )
                 if found:
-                    return value, charge
+                    return value, first_miss
+                if touched:  # a block read for nothing: charged once another follows
+                    charge, first_miss = first_miss, first_miss or (0, meta)
+        # L2SM's log holds entries diverted FROM a level (older than its
+        # content, newer than everything deeper): asked after every level.
+        hook = self._has_extra_read_hook
         for level in range(1, sv.num_levels):
             meta = sv.file_for_key(level, key)
             if meta is not None:
-                found, value = visit(level, meta)
+                reader = readers.get(meta.file_number)
+                if reader is None:
+                    reader = sv.reader_for(meta, table_cache)
+                if key_hash is None:
+                    key_hash = _hash_pair(key)
+                found, value, touched = reader.lookup(
+                    key, sequence, block_cache=block_cache, key_hash=key_hash
+                )
                 if found:
-                    return value, charge
-            # Auxiliary components logically stacked under this level
-            # (L2SM's log: entries diverted FROM a level are older than the
-            # level's current content but newer than everything deeper).
-            if self._has_extra_read_hook:
+                    return value, first_miss
+                if touched:  # a block read for nothing: charged once another follows
+                    charge, first_miss = first_miss, first_miss or (level, meta)
+            if hook:
                 with self._lock:
                     extra = self._extra_get_after_level(level, key, sequence)
                 if extra is not None and extra[0]:

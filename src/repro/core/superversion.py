@@ -73,11 +73,14 @@ class SuperVersion:
         # nothing).  A racing double-build is benign: both threads derive
         # the same list.
         self._largest_keys: list[list[bytes] | None] = [None] * self.num_levels
-        # The read-side fast path: table readers this superversion already
-        # resolved, pinned open.  Repeat probes hit this dict instead of
-        # the sharded table cache (no shard lock, no LRU churn).
+        #: The read-side fast path: table readers this superversion already
+        #: resolved, pinned open, by file number.  Repeat probes hit this
+        #: dict instead of the sharded table cache (no shard lock, no LRU
+        #: churn).  Lookups read it directly — one ``get``, no lock: it only
+        #: grows while a reader holds a reference — and call
+        #: :meth:`reader_for` on a miss; only that method writes it.
+        self.readers: dict[int, "TableReader"] = {}
         self._readers_lock = threading.Lock()
-        self._readers: dict[int, "TableReader"] = {}
 
     # -- refcounting ---------------------------------------------------------
 
@@ -125,8 +128,8 @@ class SuperVersion:
 
     def _drain(self) -> None:
         with self._readers_lock:
-            readers = list(self._readers.values())
-            self._readers.clear()
+            readers = list(self.readers.values())
+            self.readers.clear()
         for reader in readers:
             reader.release()
         self._on_drain(self)
@@ -172,19 +175,19 @@ class SuperVersion:
         cache shard.  The pin also keeps a retired file's handle open until
         this superversion drains — the deferred-deletion half of the
         protocol."""
-        reader = self._readers.get(meta.file_number)
+        reader = self.readers.get(meta.file_number)
         if reader is not None:
             return reader
         with self._readers_lock:
-            reader = self._readers.get(meta.file_number)
+            reader = self.readers.get(meta.file_number)
             if reader is not None:
                 return reader
             reader = table_cache.get(meta.file_number, meta.file_name())
             reader.acquire()
-            self._readers[meta.file_number] = reader
+            self.readers[meta.file_number] = reader
             return reader
 
     @property
     def pinned_reader_count(self) -> int:
         with self._readers_lock:
-            return len(self._readers)
+            return len(self.readers)

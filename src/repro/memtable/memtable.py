@@ -30,6 +30,11 @@ class MemTable:
 
     def __init__(self, seed: int = 0):
         self._table = SkipList(seed=seed)
+        #: Every user key with at least one entry (any sequence, value or
+        #: tombstone): :meth:`get` answers "nothing here" from it without
+        #: descending the skiplist.  Not in the memory accounting — flush
+        #: timing is defined by ``_approximate_bytes`` alone.
+        self._user_keys: set[bytes] = set()
         self._approximate_bytes = 0
         self._num_entries = 0
         self.frozen = False
@@ -49,6 +54,7 @@ class MemTable:
         if value_type == TYPE_DELETION and value:
             raise ValueError("tombstones carry no value")
         self._table.insert(comparable_key(user_key, sequence, value_type), value)
+        self._user_keys.add(user_key)
         self._approximate_bytes += len(user_key) + len(value) + ENTRY_OVERHEAD
         self._num_entries += 1
 
@@ -64,7 +70,15 @@ class MemTable:
         Returns ``(found, value)``: ``(True, bytes)`` for a live entry,
         ``(True, None)`` for a tombstone, ``(False, None)`` when this
         memtable holds nothing visible for the key.
+
+        A key this memtable never saw — nearly every get on a loaded store
+        — is one set miss.  The set is safe to read while a writer adds: a
+        reader whose ``snapshot_sequence`` covers a write took that
+        sequence after the write's adds had finished (DESIGN.md §9); a
+        reader that races one is older than it and may see either answer.
         """
+        if user_key not in self._user_keys:
+            return False, None
         seek = seek_comparable(user_key, snapshot_sequence)
         for key, value in self._table.items_from(seek):
             found_user_key, _seq, value_type = comparable_parts(key)

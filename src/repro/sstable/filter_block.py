@@ -30,10 +30,14 @@ class TableFilter:
     def __init__(self, bloom: BloomFilter):
         self.bloom = bloom
 
-    def may_contain(self, user_key: bytes) -> bool:
-        return self.bloom.may_contain(user_key)
+    def may_contain(self, user_key: bytes, key_hash: tuple[int, int] | None = None) -> bool:
+        """``key_hash``: the lookup's ``_hash_pair(user_key)``, computed
+        once for every filter it asks; derived here when absent."""
+        return self.bloom.may_contain(user_key, key_hash)
 
-    def may_contain_in_block(self, block_offset: int, user_key: bytes) -> bool:
+    def may_contain_in_block(
+        self, block_offset: int, user_key: bytes, key_hash: tuple[int, int] | None = None
+    ) -> bool:
         """Table filters carry no per-block information."""
         return True
 
@@ -57,15 +61,17 @@ class BlockFilters:
     def __init__(self, per_block: dict[int, BloomFilter]):
         self.per_block = per_block
 
-    def may_contain(self, user_key: bytes) -> bool:
+    def may_contain(self, user_key: bytes, key_hash: tuple[int, int] | None = None) -> bool:
         """No whole-table filter exists; cannot prune at table granularity."""
         return True
 
-    def may_contain_in_block(self, block_offset: int, user_key: bytes) -> bool:
+    def may_contain_in_block(
+        self, block_offset: int, user_key: bytes, key_hash: tuple[int, int] | None = None
+    ) -> bool:
         bloom = self.per_block.get(block_offset)
         if bloom is None:
             return True
-        return bloom.may_contain(user_key)
+        return bloom.may_contain(user_key, key_hash)
 
     def memory_bytes(self) -> int:
         """Bit arrays plus an 8-byte offset-map entry per block — the

@@ -326,24 +326,30 @@ class TableReader:
         *,
         block_cache: "BlockCache | None" = None,
         category: str = CAT_GET,
+        key_hash: tuple[int, int] | None = None,
     ) -> tuple[bool, bytes | None, bool]:
         """Point lookup that also reports whether a data block was fetched
         (``touched``), the signal LevelDB's seek-compaction accounting needs:
         fruitless lookups that cost real block I/O drain the file's seek
-        budget; lookups pruned by the filter or index do not."""
+        budget; lookups pruned by the filter or index do not.
+
+        ``key_hash`` is the bloom hash pair of ``user_key`` when the caller
+        has it — a level walk asks several tables about one key and hashes
+        it once; the filter derives it when absent."""
         # One meta generation for the whole lookup: a concurrent reload()
         # must not hand us a new index with an old filter's block offsets.
         meta = self._meta
-        if meta.filter is not None and not meta.filter.may_contain(user_key):
+        filter_ = meta.filter
+        if filter_ is not None and not filter_.may_contain(user_key, key_hash):
             return False, None, False
         entry = meta.index.find_candidate(user_key)
         if entry is None:
             return False, None, False
-        if meta.filter is not None and not meta.filter.may_contain_in_block(
-            entry.offset, user_key
+        if filter_ is not None and not filter_.may_contain_in_block(
+            entry.offset, user_key, key_hash
         ):
             return False, None, False
-        block = self.read_block(entry, category=category, block_cache=block_cache)
+        block = self.read_block(entry, category, block_cache)
         found, value = block.get(user_key, snapshot_sequence)
         return found, value, True
 

@@ -1,9 +1,11 @@
 """Bloom filter tests: correctness, false-positive bounds, reserved bits."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bloom.bloom import BloomFilter, probes_for_bits_per_key
+from repro.bloom.bloom import BloomFilter, _hash_pair, probes_for_bits_per_key
 from repro.bloom.reserved import ReservedBloomFilter, build_filter
 from repro.errors import CorruptionError
 
@@ -95,6 +97,58 @@ class TestSerialization:
             BloomFilter.deserialize(bytes(blob))
         with pytest.raises(CorruptionError):
             BloomFilter.deserialize(flt.serialize()[:-1])  # truncated bits
+
+    def test_unusable_header_rejected_at_decode(self):
+        """A header a check cannot work with — no bits to take a position
+        modulo, a probe count outside what any builder writes — is
+        corruption when decoded, not a ZeroDivisionError (or a filter that
+        admits everything) at the first ``may_contain``."""
+        header = bytearray(build_filter([], bits_per_key=10).serialize()[:19])
+        header[1:5] = (0).to_bytes(4, "little")  # num_bits = 0, and no bit bytes
+        with pytest.raises(CorruptionError):
+            BloomFilter.deserialize(bytes(header))
+        blob = bytearray(build_filter(_keys(10), bits_per_key=10).serialize())
+        for probes in (0, 31, 255):
+            blob[18] = probes
+            with pytest.raises(CorruptionError):
+                BloomFilter.deserialize(bytes(blob))
+        for probes in (1, 30):
+            blob[18] = probes
+            assert BloomFilter.deserialize(bytes(blob)).num_probes == probes
+
+
+class TestKeyHash:
+    """A lookup hashes its key once and hands the pair to every filter."""
+
+    @pytest.mark.parametrize("reserved_fraction", [0.0, 0.4])
+    def test_passed_hash_gives_the_same_answers(self, reserved_fraction):
+        keys = _keys(200)
+        flt = build_filter(keys[:100], bits_per_key=10, reserved_fraction=reserved_fraction)
+        for k in keys:
+            assert flt.may_contain(k, _hash_pair(k)) == flt.may_contain(k)
+        assert all(flt.may_contain(k, _hash_pair(k)) for k in keys[:100])
+
+    def test_hash_pair_is_two_crcs_with_a_nonzero_step(self):
+        for k in _keys(50) + [b""]:
+            h1, h2 = _hash_pair(k)
+            assert h1 == zlib.crc32(k)
+            assert h2 == (zlib.crc32(b"\x9e\x37\x79\xb9" + k + b"\x85\xeb\xca\x6b") or 0x5BD1E995)
+            assert 0 <= h1 < 2**32 and 0 < h2 < 2**32
+
+    def test_probe_positions_wrap_at_32_bits(self):
+        """A check tests bits (h1 + i*h2 mod 2**32) mod num_bits — the
+        positions ``add_many`` sets with a running masked sum — also for a
+        hash pair whose sum wraps on the first step."""
+        flt = BloomFilter(capacity=64, bits_per_key=10)
+        pair = (0xFFFFFFF0, 0xFFFFFFFE)
+        assert not flt.may_contain(b"ignored", pair)
+        h1, h2 = pair
+        for probe in range(flt.num_probes):
+            pos = h1 % flt.num_bits
+            flt._bits[pos >> 3] |= 1 << (pos & 7)
+            h1 = (h1 + h2) & 0xFFFFFFFF
+            # Every probe's bit must be set before the filter admits the pair.
+            assert flt.may_contain(b"ignored", pair) == (probe == flt.num_probes - 1)
 
 
 class TestReservedBits:

@@ -89,21 +89,35 @@ class TestDecoderFuzz:
         except CorruptionError:
             pass
 
-    @FUZZ
-    @given(blobs)
-    def test_filter_blob(self, data):
-        try:
-            deserialize_filter(data)
-        except CorruptionError:
-            pass
+    # A bloom blob whose header says "no bits, six probes" / "64 bits, no
+    # probes": both used to decode, and the first then died in may_contain.
+    _NO_BITS = b"\x00" * 18 + b"\x06"
+    _NO_PROBES = b"\x00\x40" + b"\x00" * 17 + b"\x00" * 8
 
     @FUZZ
     @given(blobs)
+    @example(b"\x01\x13" + _NO_BITS)  # a table filter wrapping it
+    @example(b"\x02\x01\x00\x13" + _NO_BITS)  # a block filter wrapping it
+    @example(b"\x01\x1b" + _NO_PROBES)
+    def test_filter_blob(self, data):
+        try:
+            flt = deserialize_filter(data)
+        except CorruptionError:
+            return
+        # What decodes must also be usable: a filter is decoded to be asked.
+        flt.may_contain(b"key")
+        flt.may_contain_in_block(0, b"key")
+
+    @FUZZ
+    @given(blobs)
+    @example(_NO_BITS)
+    @example(_NO_PROBES)
     def test_bloom_filter(self, data):
         try:
-            BloomFilter.deserialize(data)
+            flt = BloomFilter.deserialize(data)
         except CorruptionError:
-            pass
+            return
+        flt.may_contain(b"key")
 
     @FUZZ
     @given(blobs)

@@ -69,10 +69,10 @@ def test_quick_run_covers_all_paths(quick_report):
     for name, entry in report["paths"].items():
         assert entry["ops_per_sec"] > 0, name
         assert entry["ns_per_op"] > 0, name
-    # Micro paths carry an in-process reference arm.
+    # Micro paths and the read paths carry an in-process reference arm.
     for name in ("varint_roundtrip", "block_decode", "merge_visible",
                  "compaction_merge", "catalog_apply", "section_finish_open",
-                 "scan_short"):
+                 "scan_short", "point_get", "multi_get"):
         assert report["paths"][name]["speedup_vs_reference"] > 0
 
 
@@ -102,15 +102,28 @@ def test_check_without_baseline_is_ok(quick_report, tmp_path):
 def test_opcode_counts_repeat_exactly():
     """The deterministic CPU metric is deterministic: two runs of
     ``opcodes.measure()`` — each building its stores from scratch — give
-    the same count for every path, and the bisected, single-stream scan
-    executes fewer bytecodes than the reference walk on the same store."""
+    the same count for every path.  And it gates the paths that have a
+    reference arm, as counts under this one interpreter (3.11 and 3.12
+    compile the same source differently; the ratio of two counts cancels
+    that): the bisected, single-stream scan, the point read that asks each
+    component once, and the batch read built on it each execute fewer
+    bytecodes than ``_reference``'s walk on the same store."""
     opcodes = _load("perf_opcodes", PERF_DIR / "opcodes.py")
     first = opcodes.measure()
     assert first == opcodes.measure()
     assert list(first) == [
         "put", "get_memtable", "get_cached", "get_cold", "scan_20",
         "scan_seek_50", "scan_seek_50_linear", "multi_get_8",
+        "get_absent", "get_cached_tree", "get_cached_tree_linear",
+        "multi_get_8_linear", "multi_get_64",
     ]
     assert all(count > 0 for count in first.values())
-    assert first["get_memtable"] < first["get_cached"] < first["get_cold"]
+    assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
+    assert first["get_cached"] < first["get_cached_tree"] < first["get_cold"]
     assert first["scan_seek_50"] < first["scan_seek_50_linear"]
+    assert first["get_cached_tree"] <= 0.80 * first["get_cached_tree_linear"]
+    # 0.85, not ISSUE 23's 0.75: this store is one full level under five
+    # empty ones, and both walks ask each of those about every key.
+    assert first["multi_get_8"] <= 0.85 * first["multi_get_8_linear"]
+    # A batch costs less per key as it grows, never more.
+    assert first["multi_get_64"] < 8 * first["multi_get_8"]

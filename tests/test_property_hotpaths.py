@@ -3,8 +3,9 @@ frozen reference implementations in :mod:`repro._reference`.
 
 The engine's fast paths (table-driven varints, the fused block decode, the
 fused k-way merge stack, the heap-based LPT scheduler, the bisecting
-version catalog, the bisected level seek, the bulk filter build, the one-split table builder, the
-one-join stored-block and index-block writers and the chunked
+version catalog, the bisected level seek, the bulk filter build, the
+one-hash filter check, the key-set memtable miss, the one-split table
+builder, the one-join stored-block and index-block writers and the chunked
 ``SimulatedFS`` store) must be drop-in replacements for the straightforward
 originals — same results on valid input, same error classification on
 corrupt or out-of-bounds input.
@@ -32,6 +33,7 @@ from repro.encoding import (  # noqa: E402
     shared_prefix_len,
 )
 from repro.bloom import BloomFilter, ReservedBloomFilter, build_filter  # noqa: E402
+from repro.bloom.bloom import _hash_pair  # noqa: E402
 from repro.errors import CorruptionError, InvalidArgumentError  # noqa: E402
 from repro.keys import (  # noqa: E402
     MAX_SEQUENCE,
@@ -47,6 +49,7 @@ from repro.core.iterator import visible_entries  # noqa: E402
 from repro.core.merge import merge_entries, merge_visible  # noqa: E402
 from repro.core.superversion import SuperVersion  # noqa: E402
 from repro.core.version import FileMetadata, Version, VersionEdit  # noqa: E402
+from repro.memtable import MemTable  # noqa: E402
 from repro.options import Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
 from repro.sstable.block_builder import BlockBuilder  # noqa: E402
@@ -609,6 +612,61 @@ def test_bulk_filter_build_matches_per_key_adds(keys, bits_per_key, reserved, ex
         bulk.add_many(extra)
         assert bulk.serialize() == loop.serialize()
         assert all(bulk.may_contain(key) for key in keys + extra)
+
+
+@given(
+    st.lists(st.binary(max_size=12), max_size=60, unique=True),
+    st.integers(1, 16),
+    st.sampled_from([0.0, 0.1, 0.4]),
+    st.lists(st.binary(max_size=14), max_size=60),
+)
+@settings(deadline=None)
+def test_filter_check_with_a_passed_hash_matches_reference_check(
+    keys, bits_per_key, reserved, probes
+):
+    """``may_contain`` — given the lookup's one ``_hash_pair`` or deriving
+    it — answers as the reference check (a hash per call, a masked running
+    sum per probe) does, for plain and reserved filters, members and
+    strangers, before and after a serialize round trip."""
+    built = build_filter(keys, bits_per_key, reserved)
+    for flt in (built, BloomFilter.deserialize(built.serialize())):
+        for key in keys + probes:
+            expected = _reference.bloom_may_contain(flt, key)
+            assert flt.may_contain(key) == expected
+            assert flt.may_contain(key, _hash_pair(key)) == expected
+        assert all(flt.may_contain(key, _hash_pair(key)) for key in keys)
+
+
+# -------------------------------------------------------------------- memtable
+
+_memtable_keys = st.sampled_from([b"", b"a", b"ab", b"b", b"key1", b"key2", b"zz"])
+
+
+@given(
+    st.lists(
+        st.tuples(_memtable_keys, st.sampled_from([TYPE_VALUE, TYPE_VALUE, TYPE_DELETION]),
+                  st.binary(max_size=6)),
+        max_size=40,
+    ),
+    st.lists(st.tuples(st.one_of(_memtable_keys, st.binary(max_size=4)),
+                       st.integers(0, 45)), max_size=40),
+)
+def test_memtable_get_with_key_set_matches_skiplist_only_get(history, reads):
+    """``MemTable.get`` — a key-set miss answered before the skiplist is
+    touched — equals the reference skiplist-only get for every key (held,
+    deleted, never seen) at every snapshot sequence, including those
+    older than the key's first entry; freezing changes nothing."""
+    memtable = MemTable(seed=3)
+    for sequence, (key, value_type, value) in enumerate(history, start=1):
+        memtable.add(sequence, value_type, key, value if value_type == TYPE_VALUE else b"")
+    assert memtable._user_keys == {key for key, _type, _value in history}
+    for frozen in (False, True):
+        if frozen:
+            memtable.freeze()
+        for key, snapshot in reads + [(key, 0) for key, _t, _v in history]:
+            assert memtable.get(key, snapshot) == _reference.memtable_get_seek(
+                memtable, key, snapshot
+            )
 
 
 # --------------------------------------------------------------- table builder
