@@ -258,7 +258,8 @@ def run_adaptive(quick: bool) -> dict:
         # op-mix deltas alone; windows sized so several evaluations land
         # inside each phase.
         window = max(200, len(sequence) // 40)
-        tuned = _options("leveled").adaptive_compaction(
+        tuned = _options("leveled").copy(
+            compaction_tuner=True,
             tuner_window_ops=window,
             tuner_hysteresis_windows=2,
             tuner_cooldown_ops=4 * window,

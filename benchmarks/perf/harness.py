@@ -735,7 +735,7 @@ def bench_observability(suite: Suite, value_size: int = 100) -> None:
         return db, keys
 
     plain_db, keys = build(_perf_options())
-    traced_db, _ = build(_perf_options().observability())
+    traced_db, _ = build(_perf_options().copy(tracing=True, latency_histograms=True))
     rng = random.Random(41)
     lookup_keys = [rng.choice(keys) for _ in range(fill_count)]
 

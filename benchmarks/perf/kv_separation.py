@@ -2,7 +2,7 @@
 
 Sweeps the value size from 100 B to 64 KiB and, at each size, runs the
 same overwrite-heavy workload twice — once on the plain engine, once with
-``Options.kv_separated()`` (DESIGN.md §13) — and writes
+``kv_separation=True`` (DESIGN.md §13) — and writes
 ``BENCH_kv_separation.json`` at the repo root.
 
 Each cell writes every key three times and then fully compacts, the
@@ -65,8 +65,8 @@ def _options(separated: bool):
     # The hot-path harness geometry: small enough that every cell runs
     # flushes and multi-level compactions, big enough that block encoding
     # (not file-open churn) dominates.  The separated arm keeps the stock
-    # kv_separated() knobs — 1 KiB threshold, 4 MiB vlog files — so the
-    # sweep measures the preset users actually get.
+    # separation knobs — 1 KiB threshold, 4 MiB vlog files — so the sweep
+    # measures the defaults users actually get.
     options = Options(
         block_size=4096,
         sstable_size=64 * 1024,
@@ -74,7 +74,7 @@ def _options(separated: bool):
         max_levels=6,
         block_cache_capacity=128 * 1024,
     )
-    return options.kv_separated() if separated else options
+    return options.copy(kv_separation=True) if separated else options
 
 
 def _workload_shape(value_size: int, quick: bool) -> tuple[int, int]:

@@ -1,7 +1,7 @@
 """Multi-thread GET scaling benchmark for the superversion read path.
 
 Measures aggregate GET throughput at 1/2/4/8 reader threads over sharded
-caches (``Options.read_optimized()``, DESIGN.md §9) and writes
+caches (``Options(cache_shards=16)``, DESIGN.md §9) and writes
 ``BENCH_read_scaling.json`` at the repo root.
 
 The engine's compute is pure Python, so thread overlap cannot speed up
@@ -78,7 +78,8 @@ def _options():
         # Zero block cache: every GET pays its data-block random read, so
         # the cells compare device-wait overlap, not cache luck.
         block_cache_capacity=0,
-    ).read_optimized()
+        cache_shards=16,
+    )
 
 
 def _load(db, num_keys: int, value_size: int) -> None:

@@ -320,11 +320,7 @@ def prepare_block_merge_job(
     """
     raws: list[bytes] = []
     if scan.dirty_entries:
-        raws = reader.read_blocks_raw(
-            scan.dirty_entries,
-            category=CAT_COMPACTION,
-            concurrency=env.options.dirty_block_read_parallelism,
-        )
+        raws = reader.read_blocks_raw(scan.dirty_entries, category=CAT_COMPACTION)
     lo, hi = _input_key_range(child_meta, parent_slice)
     return BlockMergeJob(
         geometry=JobGeometry.from_options(env.options),
@@ -406,9 +402,7 @@ def block_compact_file(
         blocks: list = []
         if scan.dirty_entries:
             blocks = reader.read_blocks_concurrently(
-                scan.dirty_entries,
-                category=CAT_COMPACTION,
-                concurrency=env.options.dirty_block_read_parallelism,
+                scan.dirty_entries, category=CAT_COMPACTION
             )
         can_drop = make_tombstone_dropper(
             env, child_level, *_input_key_range(child_meta, parent_slice)

@@ -23,7 +23,7 @@ read path — point-lookup bisects, Block Compaction's child addressing,
 selective thresholds — is built on it.  Tiering is therefore expressed as a
 **trigger + data-movement** policy over that invariant rather than as
 overlapping sorted runs: a tiered level is allowed to overfill to
-``tiered_overfill`` x its leveled capacity, and when it finally triggers the
+``TIERED_OVERFILL`` x its leveled capacity, and when it finally triggers the
 *whole level* merges down at once.  Per byte landing in a level of fanout
 ``a`` this costs ~``1 + a/overfill`` rewrites instead of leveled's ~``a`` —
 the same WA/read-cost trade tiering makes, with reads paying via the deeper,
@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 POLICY_NAMES = _COMPACTION_POLICIES
+
+#: Tiered policies let a level grow to this many times its leveled
+#: capacity before merging the whole level down — the write/read knob.
+TIERED_OVERFILL = 4.0
 
 
 class CompactionPolicy:
@@ -158,7 +162,7 @@ class LeveledPolicy(CompactionPolicy):
 class TieredPolicy(CompactionPolicy):
     """Overfill-then-merge tiering over the disjoint-level invariant.
 
-    Levels >= 1 only become due at ``tiered_overfill`` x their leveled
+    Levels >= 1 only become due at ``TIERED_OVERFILL`` x their leveled
     capacity, and then the *whole level* merges into its child at once,
     amortizing the child rewrite across ``overfill`` x more parent bytes.
     L0 keeps the leveled trigger (it is bounded by the write-stall
@@ -166,7 +170,7 @@ class TieredPolicy(CompactionPolicy):
 
     L0 is the one place the version invariant already permits real
     overlapping runs, so tiering uses it as such: the L0 trigger scales by
-    ``tiered_overfill`` too — capped at the write-slowdown trigger, so the
+    ``TIERED_OVERFILL`` too — capped at the write-slowdown trigger, so the
     policy never parks the buffer where writers throttle — and the whole
     batch merges into L1 at once.  This is where most of tiering's win
     comes from: without it, every small L0 batch re-rewrites the overfull
@@ -183,13 +187,13 @@ class TieredPolicy(CompactionPolicy):
     def level0_trigger(self) -> int:
         options = self._options
         trigger = options.level0_file_trigger()
-        scaled = int(trigger * options.tiered_overfill)
+        scaled = int(trigger * TIERED_OVERFILL)
         return max(trigger, min(scaled, options.level0_slowdown_writes_trigger))
 
     def level_score(self, version: Version, level: int) -> float:
         if level == 0:
             return len(version.files_at(0)) / self.level0_trigger()
-        capacity = self._options.level_capacity_bytes(level) * self._options.tiered_overfill
+        capacity = self._options.level_capacity_bytes(level) * TIERED_OVERFILL
         return version.level_valid_bytes(level) / capacity if capacity else 0.0
 
     def select_parents(
@@ -198,7 +202,7 @@ class TieredPolicy(CompactionPolicy):
         """The whole level (L0 included), or one round-robin file when the
         span overlaps nothing below (trivial-move degradation)."""
         files = list(version.files_at(level))
-        if level > 0 and len(files) > 1 and self._options.enable_trivial_move:
+        if level > 0 and len(files) > 1:
             span = version.level_span(level)
             if span is not None and not version.overlapping_files(
                 self.output_level(version, level), span[0], span[1]

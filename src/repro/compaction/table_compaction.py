@@ -33,8 +33,6 @@ def can_trivially_move(env: CompactionEnv, task: CompactionTask) -> bool:
     file: its blocks are out of key order, a move would carry that layout
     down unchanged, and the reads that asked for the compaction would keep
     paying a device seek per out-of-order run.  That file is rewritten."""
-    if not env.options.enable_trivial_move:
-        return False
     if len(task.parent_files) != 1 or task.child_files:
         return False
     return not (task.reason == "seek" and task.parent_files[0].append_count > 0)

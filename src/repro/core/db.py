@@ -115,7 +115,7 @@ from .manifest import (
     replay_manifest,
     set_current,
 )
-from .version import FileMetadata, Version, VersionEdit, table_file_name
+from .version import FileMetadata, Version, VersionEdit, seek_budget, table_file_name
 from .write_batch import WriteBatch
 
 
@@ -127,6 +127,13 @@ _NULL_CONTEXT = nullcontext()
 
 #: Largest run of queued batches one group-commit leader adopts.
 _GROUP_COMMIT_MAX_BYTES = 1 * 1024 * 1024
+
+#: Sleep applied once per write while L0 is at or above the slowdown
+#: trigger (LevelDB sleeps 1 ms).  Concurrent pipeline only.
+LEVEL0_SLOWDOWN_SLEEP_S = 0.001
+#: Upper bound on one write's stop-trigger stall before it proceeds anyway:
+#: writes must never error under L0 pressure.
+LEVEL0_STOP_MAX_WAIT_S = 30.0
 
 
 class _GroupWriter:
@@ -175,10 +182,7 @@ class DB:
         # the null tracer costs one branch per instrumented site, and a None
         # latency registry skips the clock reads entirely.
         if self.options.tracing:
-            self.tracer = Tracer(
-                capacity=self.options.trace_buffer_capacity,
-                sim_clock=lambda: self.fs.stats.sim_time_s,
-            )
+            self.tracer = Tracer(sim_clock=lambda: self.fs.stats.sim_time_s)
             self.fs.tracer = self.tracer
         else:
             self.tracer = NULL_TRACER
@@ -264,14 +268,7 @@ class DB:
         # retries transient ones with capped simulated backoff, and owns the
         # degraded (read-only) state the write paths consult under the
         # engine lock.
-        self._error_handler = ErrorHandler(
-            fs=self.fs,
-            stats=self.stats,
-            tracer=self.tracer,
-            max_retries=self.options.bg_error_max_retries,
-            backoff_s=self.options.bg_retry_backoff_s,
-            backoff_cap_s=self.options.bg_retry_backoff_cap_s,
-        )
+        self._error_handler = ErrorHandler(fs=self.fs, stats=self.stats, tracer=self.tracer)
         #: What tolerant WAL replay salvaged/skipped at the last open.
         self._wal_recovery = WalRecoveryStats()
 
@@ -769,7 +766,7 @@ class DB:
         """Feed L0 pressure back into the write path (MakeRoomForWrite):
         past the slowdown trigger each write sleeps briefly; past the stop
         trigger it blocks until the background worker drains L0 (bounded by
-        ``level0_stop_max_wait_s`` so writes never error, merely slow).
+        ``LEVEL0_STOP_MAX_WAIT_S`` so writes never error, merely slow).
         ``wait=False`` raises :class:`WouldBlock` instead of either."""
         opts = self.options
         if len(self.version.files_at(0)) < opts.level0_slowdown_writes_trigger:
@@ -783,7 +780,7 @@ class DB:
             tracer.begin("stall", "write", {"kind": "stop" if stop else "slowdown"})
         if stop:
             start = time.monotonic()
-            deadline = start + opts.level0_stop_max_wait_s
+            deadline = start + LEVEL0_STOP_MAX_WAIT_S
             with self._lock:
                 while (
                     len(self.version.files_at(0)) >= opts.level0_stop_writes_trigger
@@ -794,9 +791,8 @@ class DB:
                     self._l0_cv.wait(timeout=0.05)
             seconds = time.monotonic() - start
         else:
-            seconds = opts.level0_slowdown_sleep_s
-            if seconds > 0.0:
-                time.sleep(seconds)
+            seconds = LEVEL0_SLOWDOWN_SLEEP_S
+            time.sleep(seconds)
         # Throttled writers run OUTSIDE the engine lock, so these
         # counters go through the dedicated stats lock (see DBStats).
         self.stats.record_stall(stop=stop, seconds=seconds)
@@ -849,6 +845,8 @@ class DB:
                 self.tracer.end("stall", "write")
             if self._immutable is not None:
                 return  # flusher wedged or errored; keep accepting writes
+            if self._memtable.approximate_memory_usage() < self.options.memtable_size:
+                return  # frozen while this writer waited (a GC round's flush)
         self._freeze_locked()
         self._request_compaction()
 
@@ -1995,10 +1993,7 @@ class DB:
                     self._request_compaction(wait)
 
     def _seek_budget(self, meta: FileMetadata) -> int:
-        return max(
-            self.options.seek_compaction_min_seeks,
-            meta.file_size // max(1, self.options.seek_compaction_bytes_per_seek),
-        )
+        return seek_budget(meta.file_size, self.options.seek_compaction_min_seeks)
 
     def __getitem__(self, key: bytes) -> bytes:
         value = self.get(key)

@@ -68,22 +68,16 @@ class ErrorHandler:
     background worker, and ``DB.resume()``.
     """
 
-    def __init__(
-        self,
-        *,
-        fs,
-        stats,
-        tracer=NULL_TRACER,
-        max_retries: int = 8,
-        backoff_s: float = 0.01,
-        backoff_cap_s: float = 1.0,
-    ):
+    def __init__(self, *, fs, stats, tracer=NULL_TRACER):
         self._fs = fs
         self._stats = stats
         self._tracer = tracer
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.backoff_cap_s = backoff_cap_s
+        #: Consecutive retries of a transient failure before degrading.
+        self.max_retries = 8
+        #: Attempt N waits ``min(backoff_s * 2**(N-1), backoff_cap_s)``
+        #: simulated seconds.
+        self.backoff_s = 0.01
+        self.backoff_cap_s = 1.0
         self._lock = threading.Lock()
         self.state = STATE_OK
         self.severity: str | None = None

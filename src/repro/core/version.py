@@ -81,13 +81,17 @@ class FileMetadata:
         return table_file_name(self.file_number)
 
 
-def new_file_metadata(
-    file_number: int,
-    info,
-    *,
-    allowed_seeks_divisor: int = 16 * 1024,
-    min_allowed_seeks: int = 100,
-) -> FileMetadata:
+#: LevelDB charges one allowed seek per this many bytes of file size.
+SEEK_COMPACTION_BYTES_PER_SEEK = 16 * 1024
+
+
+def seek_budget(file_size: int, min_seeks: int) -> int:
+    """A file's allowed seeks: one per ``SEEK_COMPACTION_BYTES_PER_SEEK``
+    bytes, never fewer than ``min_seeks``."""
+    return max(min_seeks, file_size // SEEK_COMPACTION_BYTES_PER_SEEK)
+
+
+def new_file_metadata(file_number: int, info, *, min_allowed_seeks: int = 100) -> FileMetadata:
     """Build metadata from a :class:`~repro.sstable.section_writer.TableInfo`."""
     return FileMetadata(
         file_number=file_number,
@@ -96,19 +100,16 @@ def new_file_metadata(
         num_entries=info.num_entries,
         smallest=info.smallest,
         largest=info.largest,
-        allowed_seeks=max(min_allowed_seeks, info.file_size // max(1, allowed_seeks_divisor)),
+        allowed_seeks=seek_budget(info.file_size, min_allowed_seeks),
     )
 
 
 def built_file_metadata(file_number: int, info, options) -> FileMetadata:
     """Metadata for a table this process just wrote, with the engine's
-    seek-budget options; carries ``info`` (the writer's ``TableInfo``) to
+    seek-budget floor; carries ``info`` (the writer's ``TableInfo``) to
     the eager open that follows (:attr:`FileMetadata.built`)."""
     meta = new_file_metadata(
-        file_number,
-        info,
-        allowed_seeks_divisor=options.seek_compaction_bytes_per_seek,
-        min_allowed_seeks=options.seek_compaction_min_seeks,
+        file_number, info, min_allowed_seeks=options.seek_compaction_min_seeks
     )
     meta.built = info
     return meta

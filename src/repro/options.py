@@ -158,13 +158,10 @@ class Options:
     # --- Compaction -----------------------------------------------------------
     compaction_style: str = COMPACTION_TABLE
     enable_seek_compaction: bool = True
-    #: LevelDB charges one allowed seek per this many bytes of file size.
-    seek_compaction_bytes_per_seek: int = 16 * 1024
     #: Floor of a file's seek budget (LevelDB uses 100 for 2 MiB+ files);
     #: scaled-down experiments lower it so the budget keeps the paper's
     #: touches-per-budget ratio.
     seek_compaction_min_seeks: int = 100
-    enable_trivial_move: bool = True
     selective_thresholds: list[SelectiveThresholds] = field(default_factory=list)
 
     # --- Compaction policy + online tuner (DESIGN.md §14) -----------------------
@@ -176,9 +173,6 @@ class Options:
     #: read any store, because every policy maintains the same disjoint
     #: per-level invariant (tiering is expressed as overfill-then-merge).
     compaction_policy: str = POLICY_LEVELED
-    #: Tiered policies let a level grow to ``tiered_overfill`` x its leveled
-    #: capacity before merging the whole level down — the write/read knob.
-    tiered_overfill: float = 4.0
     #: Run the online workload tuner: watch the operation mix, stall and
     #: seek feedback over a sliding window and switch ``compaction_policy``
     #: (and per-level granularity) live as the workload shifts.  Off by
@@ -224,21 +218,12 @@ class Options:
     #: via one ``multiprocessing.shared_memory`` segment instead of pickling
     #: them into the job (avoids the double-copy through the call pickle).
     compaction_offload_shm_bytes: int = 64 * 1024
-    #: Bounded sleep applied once per write while L0 is at or above the
-    #: slowdown trigger (LevelDB sleeps 1 ms).  Concurrent pipeline only.
-    level0_slowdown_sleep_s: float = 0.001
-    #: Upper bound on one write's stop-trigger stall before it proceeds
-    #: anyway — writes must never error under L0 pressure.
-    level0_stop_max_wait_s: float = 30.0
 
     # --- Optimizations (Section IV) -------------------------------------------
     parallel_merging: bool = False
     compaction_workers: int = 4
     lazy_deletion: bool = False
     lazy_deletion_threshold: int = 200 * 1024 * 1024
-    #: Concurrent dirty-block reads during Block Compaction (Algorithm 3's
-    #: "read these dirty blocks concurrently using multi-threads").
-    dirty_block_read_parallelism: int = 8
 
     # --- Key-value separation (DESIGN.md §13) -----------------------------------
     #: Store values at or above ``kv_separation_threshold`` in append-only
@@ -266,22 +251,10 @@ class Options:
     #: per instrumented site; simulated metrics are bit-identical either
     #: way (the tracer only observes).
     tracing: bool = False
-    #: Ring capacity in events; the oldest events are dropped when full.
-    trace_buffer_capacity: int = 65536
     #: Record put/get/scan/multi_get latency into log-scale histograms
     #: (:mod:`repro.obs.histogram`) exposed via ``DB.latency``,
     #: ``debug_string`` and the Prometheus exporter.
     latency_histograms: bool = False
-
-    # --- Error handling (DESIGN.md §10) ----------------------------------------
-    #: Max consecutive retries of a transient background failure before the
-    #: DB gives up and degrades to read-only.
-    bg_error_max_retries: int = 8
-    #: Base of the capped exponential retry backoff, in *simulated* seconds
-    #: (attempt N waits ``min(base * 2**(N-1), cap)``).
-    bg_retry_backoff_s: float = 0.01
-    #: Cap on a single retry backoff, simulated seconds.
-    bg_retry_backoff_cap_s: float = 1.0
 
     # --- Misc -------------------------------------------------------------------
     paranoid_checks: bool = False
@@ -337,8 +310,6 @@ class Options:
             raise InvalidArgumentError(f"unknown compaction_style {self.compaction_style!r}")
         if self.compaction_policy not in _COMPACTION_POLICIES:
             raise InvalidArgumentError(f"unknown compaction_policy {self.compaction_policy!r}")
-        if self.tiered_overfill < 1.0:
-            raise InvalidArgumentError("tiered_overfill must be >= 1")
         if self.tuner_window_ops < 1:
             raise InvalidArgumentError("tuner_window_ops must be >= 1")
         if self.tuner_hysteresis_windows < 1:
@@ -367,16 +338,6 @@ class Options:
             raise InvalidArgumentError("cache_shards must be in [1, 64]")
         if self.level0_stop_writes_trigger < self.level0_slowdown_writes_trigger:
             raise InvalidArgumentError("stop trigger must be >= slowdown trigger")
-        if self.level0_slowdown_sleep_s < 0:
-            raise InvalidArgumentError("level0_slowdown_sleep_s must be >= 0")
-        if self.level0_stop_max_wait_s <= 0:
-            raise InvalidArgumentError("level0_stop_max_wait_s must be positive")
-        if self.trace_buffer_capacity < 16:
-            raise InvalidArgumentError("trace_buffer_capacity must be >= 16")
-        if self.bg_error_max_retries < 0:
-            raise InvalidArgumentError("bg_error_max_retries must be >= 0")
-        if self.bg_retry_backoff_s < 0 or self.bg_retry_backoff_cap_s < 0:
-            raise InvalidArgumentError("retry backoff values must be >= 0")
         if self.kv_separation_threshold < 1:
             raise InvalidArgumentError("kv_separation_threshold must be >= 1")
         if self.vlog_file_size < 1024:
@@ -407,41 +368,5 @@ class Options:
         configuration.  Simulated metrics are not deterministic in this
         mode; use the default synchronous mode for the paper's figures."""
         params: dict = dict(background_compaction=True, cache_shards=16)
-        params.update(overrides)
-        return self.copy(**params)
-
-    def read_optimized(self, **overrides) -> "Options":
-        """``copy(cache_shards=16)`` under a name: 16-way sharded caches
-        under the superversion read path every configuration uses
-        (DESIGN.md §9).  Unlike :meth:`concurrent_pipeline` the write path
-        stays synchronous — this is the configuration the read-scaling
-        benchmark measures."""
-        params: dict = dict(cache_shards=16)
-        params.update(overrides)
-        return self.copy(**params)
-
-    def kv_separated(self, **overrides) -> "Options":
-        """Copy with key-value separation enabled (DESIGN.md §13): values
-        at or above the threshold live in CRC-framed ``VLOG-%06d`` files
-        and the LSM stores fixed-size pointers, cutting compaction write
-        amplification in the large-value regime."""
-        params: dict = dict(kv_separation=True)
-        params.update(overrides)
-        return self.copy(**params)
-
-    def adaptive_compaction(self, **overrides) -> "Options":
-        """Copy with the online compaction tuner enabled (DESIGN.md §14):
-        the engine starts on ``compaction_policy`` and switches policy and
-        per-level granularity live as the observed workload shifts."""
-        params: dict = dict(compaction_tuner=True)
-        params.update(overrides)
-        return self.copy(**params)
-
-    def observability(self, **overrides) -> "Options":
-        """Copy with the observability subsystem enabled: span tracing into
-        the ring buffer plus per-operation latency histograms (DESIGN.md
-        §8).  Tracing only observes — simulated metrics stay bit-identical;
-        the overhead contract is <= 5% on the hot-path bench."""
-        params: dict = dict(tracing=True, latency_histograms=True)
         params.update(overrides)
         return self.copy(**params)

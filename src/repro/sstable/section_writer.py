@@ -148,11 +148,7 @@ class SectionWriter:
         if self._base is None:
             return []
         reused = [e for e in self._entries if e.offset in self._reused_offsets]
-        return self._base.read_user_keys(
-            reused,
-            category=self._category,
-            concurrency=self._options.dirty_block_read_parallelism,
-        )
+        return self._base.read_user_keys(reused, category=self._category)
 
     def _build_filter(self) -> Filter | None:
         options = self._options

@@ -46,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..cache.block_cache import BlockCache
     from .section_writer import TableInfo
 
+#: Concurrent dirty-block reads when several blocks are fetched at once
+#: (Algorithm 3's "read these dirty blocks concurrently using
+#: multi-threads"): the issuers the device's parallel-read makespan sees.
+DIRTY_BLOCK_READ_PARALLELISM = 8
+
 
 @dataclass(frozen=True)
 class TableMeta:
@@ -255,43 +260,27 @@ class TableReader:
         return block
 
     def read_blocks_concurrently(
-        self,
-        entries: list[IndexEntry],
-        *,
-        category: str,
-        concurrency: int,
+        self, entries: list[IndexEntry], *, category: str
     ) -> list[DataBlock]:
         """Fetch several blocks as overlapping random reads — Algorithm 3's
         multi-threaded dirty-block fetch, charged with the device's
         internal-parallelism makespan."""
-        raws = self.read_blocks_raw(entries, category=category, concurrency=concurrency)
+        raws = self.read_blocks_raw(entries, category=category)
         verify = self._options.verify_checksums
         return [parse_block_raw(raw, verify_checksum=verify) for raw in raws]
 
-    def read_user_keys(
-        self,
-        entries: list[IndexEntry],
-        *,
-        category: str,
-        concurrency: int,
-    ) -> list[bytes]:
+    def read_user_keys(self, entries: list[IndexEntry], *, category: str) -> list[bytes]:
         """The user keys of several blocks, in order — a filter rebuild's
         input.  Fetched, charged and checksummed as
         :meth:`read_blocks_concurrently`; the values are never decoded."""
-        raws = self.read_blocks_raw(entries, category=category, concurrency=concurrency)
+        raws = self.read_blocks_raw(entries, category=category)
         verify = self._options.verify_checksums
         keys: list[bytes] = []
         for raw in raws:
             keys += parse_block_raw(raw, verify_checksum=verify, lazy=True).user_keys()
         return keys
 
-    def read_blocks_raw(
-        self,
-        entries: list[IndexEntry],
-        *,
-        category: str,
-        concurrency: int,
-    ) -> list[bytes]:
+    def read_blocks_raw(self, entries: list[IndexEntry], *, category: str) -> list[bytes]:
         """Fetch several blocks' *raw stored bytes* (payload + trailer),
         charged identically to :meth:`read_blocks_concurrently`.
 
@@ -301,7 +290,9 @@ class TableReader:
         deliberately *not* verified here — the worker does that as part of
         its compute."""
         spans = [(e.offset, e.size + BLOCK_TRAILER_SIZE) for e in entries]
-        return self._handle.read_many(spans, category=category, concurrency=concurrency)
+        return self._handle.read_many(
+            spans, category=category, concurrency=DIRTY_BLOCK_READ_PARALLELISM
+        )
 
     # -- point lookup ------------------------------------------------------------
 

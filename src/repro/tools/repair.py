@@ -106,10 +106,7 @@ def _salvage_table(
             largest = reader.largest_key()
 
         return new_file_metadata(
-            reader.file_number,
-            _Info,
-            allowed_seeks_divisor=options.seek_compaction_bytes_per_seek,
-            min_allowed_seeks=options.seek_compaction_min_seeks,
+            reader.file_number, _Info, min_allowed_seeks=options.seek_compaction_min_seeks
         )
     finally:
         reader.close()

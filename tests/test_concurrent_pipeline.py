@@ -8,6 +8,7 @@ import time
 import pytest
 
 from conftest import kv, make_db, tiny_options
+from repro.core import db as db_module
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
 from repro.errors import ReadOnlyError, TransientIOError
@@ -82,6 +83,44 @@ class TestBackgroundPipeline:
             db._scheduler.resume()
         db.wait_for_background(timeout=60)
         for i in range(written):
+            key, value = kv(i)
+            assert db.get(key) == value
+        db.close()
+
+    def test_writer_that_waited_does_not_freeze_a_rolled_memtable(self):
+        """A writer that fills the memtable while a flush is pending waits
+        for it.  If the memtable was rolled meanwhile (a value-log GC round
+        freezes and flushes inline), the writer freezes nothing: an empty
+        freeze rotates the WAL for nothing and the next rollover then waits
+        on it — what made a GC round flush once less than its re-puts."""
+        db = make_concurrent_db()
+        db._scheduler.pause()  # keep the pending flush from landing
+        try:
+            written = 0
+            while db._immutable is None:
+                db.put(*kv(written))
+                written += 1
+            size = db.options.memtable_size
+            while not db._memtable.would_reach(size, len(b"".join(kv(written))), 1):
+                db.put(*kv(written))
+                written += 1
+            writer = threading.Thread(target=db.put, args=kv(written))
+            writer.start()
+            deadline = time.monotonic() + 30.0
+            while db._memtable.approximate_memory_usage() < size:
+                assert time.monotonic() < deadline, "the writer never wrote"
+                time.sleep(0.001)
+            with db._lock:  # the writer released it: it is waiting on the flush
+                db._drain_immutable_locked()
+                db._freeze_locked()
+                db._drain_immutable_locked()
+            writer.join(timeout=30.0)
+            assert not writer.is_alive()
+            assert db._immutable is None
+            assert len(db._memtable) == 0
+        finally:
+            db._scheduler.resume()
+        for i in range(written + 1):
             key, value = kv(i)
             assert db.get(key) == value
         db.close()
@@ -256,10 +295,10 @@ class TestL0Throttling:
         monkeypatch.setattr(db.picker, "pick", lambda version: None)
 
     def test_slowdown_trigger_sleeps_and_counts(self, monkeypatch):
+        monkeypatch.setattr(db_module, "LEVEL0_SLOWDOWN_SLEEP_S", 0.002)
         db = make_concurrent_db(
             level0_slowdown_writes_trigger=1,
             level0_stop_writes_trigger=100,
-            level0_slowdown_sleep_s=0.002,
         )
         self._wedge_compactions(db, monkeypatch)
         db.put(*kv(0))
@@ -290,10 +329,10 @@ class TestL0Throttling:
         db.close()
 
     def test_stop_trigger_blocks_bounded_and_never_errors(self, monkeypatch):
+        monkeypatch.setattr(db_module, "LEVEL0_STOP_MAX_WAIT_S", 0.2)
         db = make_concurrent_db(
             level0_slowdown_writes_trigger=1,
             level0_stop_writes_trigger=2,
-            level0_stop_max_wait_s=0.2,
         )
         self._wedge_compactions(db, monkeypatch)
         for i in range(2):
@@ -311,7 +350,6 @@ class TestL0Throttling:
         db = make_concurrent_db(
             level0_slowdown_writes_trigger=2,
             level0_stop_writes_trigger=4,
-            level0_stop_max_wait_s=30.0,
         )
         for i in range(1000):
             db.put(*kv(i))  # worker keeps up; no write may error

@@ -165,9 +165,7 @@ class _SeekHeavyMachine(EngineMachine):
     charges fire constantly under the dict oracle."""
 
     style = COMPACTION_SELECTIVE
-    overrides = dict(
-        seek_compaction_min_seeks=1, seek_compaction_bytes_per_seek=1 << 40
-    )
+    overrides = dict(seek_compaction_min_seeks=1)
     key_space = 3
 
     @initialize()

@@ -270,7 +270,8 @@ class TestRetriesExhausted:
         and lands in degraded mode (not an infinite retry loop)."""
         fs = fault_fs()
         fs.policy.fail("create", "*.sst", kind=KIND_TRANSIENT)  # never clears
-        db = open_db(fs, bg_error_max_retries=3)
+        db = open_db(fs)
+        db._error_handler.max_retries = 3
         with pytest.raises(TransientIOError):
             for i in range(200):
                 db.put(*kv(i))

@@ -157,3 +157,52 @@ def test_every_option_is_read_somewhere():
     words = set(re.findall(r"\w+", source))
     unread = [f.name for f in dataclasses.fields(Options) if f.name not in words]
     assert unread == []
+
+
+#: Fields no preset, experiment driver, tool, benchmark or example sets,
+#: kept anyway — each with the reason.  Every other field must have a
+#: caller (``test_every_option_has_a_caller``).
+UNCALLED_OPTIONS = {
+    "enable_wal": "a floor test pins the off path",
+    "verify_checksums": "a floor test pins the off path",
+    "tuner_adapt_granularity": "a floor test pins the off path",
+    "compression": "the parked tiering item (ROADMAP) sweeps it",
+    "block_restart_interval": "a format parameter the block property tests sweep",
+    "table_cache_capacity": "a memory budget",
+    "paranoid_checks": "a safety check",
+}
+
+
+def test_every_option_has_a_caller():
+    """A field only tests set is a constant with a configuration lattice
+    attached: every ``Options`` field is set somewhere in ``src/`` (outside
+    ``options.py``), ``benchmarks/`` or ``examples/`` — as a keyword
+    (``f=``), a dict key (``"f":``) or a quoted name — unless
+    :data:`UNCALLED_OPTIONS` says why not.  A copy of a value that already
+    exists (``f=options.f``, ``"f": self._lru.capacity``) sets nothing."""
+    import dataclasses
+    import re
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    source = "\n".join(
+        path.read_text()
+        for folder in ("src", "benchmarks", "examples")
+        for path in sorted((repo / folder).rglob("*.py"))
+        if path.name != "options.py"
+    )
+    uncalled = []
+    for f in dataclasses.fields(Options):
+        name = re.escape(f.name)
+        settings = re.findall(
+            rf"""(?<![\w.'"])(?:{name}=(?!=)|['"]{name}['"]\s*:)\s*([^,)}}\n]*)""", source
+        )
+        copies = [
+            value
+            for value in settings
+            if re.fullmatch(rf"(self(\.\w+)+|\w+(\.\w+)*\.{name})", value.strip())
+        ]
+        quoted = re.search(rf"""['"]{name}['"](?!\s*:)""", source)
+        if len(settings) == len(copies) and not quoted:
+            uncalled.append(f.name)
+    assert sorted(uncalled) == sorted(UNCALLED_OPTIONS)

@@ -3,7 +3,8 @@
 These do not assert absolute performance — only that the harness runs end
 to end in quick mode, emits a well-formed report, and that ``--check``
 passes against a just-written baseline and fails against a doctored one —
-and that the opcode counter (``opcodes.py``) counts the same twice.
+and that the opcode counter (``opcodes.py``) counts the same twice and
+gates the read paths that have a reference arm.
 """
 
 from __future__ import annotations
@@ -77,9 +78,23 @@ def test_quick_run_covers_all_paths(quick_report):
 
 
 def test_check_passes_against_own_baseline(quick_report):
-    """A report checked against itself shows no regression."""
+    """A report checked against itself shows no regression.  Only its
+    ratios are compared: the wall-clock observability ceiling is gated by
+    CI's ``harness.py --quick --check`` (and doctored below), since one
+    timed run under host load can cross it on any tree."""
     harness, out, report = quick_report
-    assert harness.check_against_baseline(report, out) == 0
+    ratios_only = json.loads(json.dumps(report))
+    ratios_only["paths"]["traced_point_get"].pop("overhead_vs_plain")
+    assert harness.check_against_baseline(ratios_only, out) == 0
+
+
+def test_check_fails_on_observability_overhead(quick_report):
+    """A traced point get slower than the ceiling makes --check fail even
+    when every ratio matches its baseline."""
+    harness, out, report = quick_report
+    doctored = json.loads(json.dumps(report))
+    doctored["paths"]["traced_point_get"]["overhead_vs_plain"] = harness.OVERHEAD_CEILING * 1.1
+    assert harness.check_against_baseline(doctored, out) == 1
 
 
 def test_check_fails_on_regression(quick_report, tmp_path):
@@ -120,7 +135,7 @@ def test_opcode_counts_repeat_exactly():
     assert all(count > 0 for count in first.values())
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
     assert first["get_cached"] < first["get_cached_tree"] < first["get_cold"]
-    assert first["scan_seek_50"] < first["scan_seek_50_linear"]
+    assert first["scan_seek_50"] <= 0.70 * first["scan_seek_50_linear"]
     assert first["get_cached_tree"] <= 0.80 * first["get_cached_tree_linear"]
     # 0.85, not ISSUE 23's 0.75: this store is one full level under five
     # empty ones, and both walks ask each of those about every key.

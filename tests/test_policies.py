@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_db, tiny_options
+from repro.compaction import policy as policy_module
 from repro.compaction.picker import CompactionPicker
 from repro.compaction.policy import (
     LazyLeveledPolicy,
@@ -104,7 +105,7 @@ class TestScoreMonotonicity:
     def test_tiered_due_later_than_leveled(self):
         """The overfill factor defers tiered's deeper-level trigger."""
         leveled = _policy("leveled")
-        tiered = _policy("tiered", tiered_overfill=4.0)
+        tiered = _policy("tiered")
         capacity = tiny_options().level_capacity_bytes(1)
         v = _version_with(1, [capacity + 1])
         assert leveled.level_score(v, 1) > 1.0
@@ -126,8 +127,9 @@ class TestInputSelection:
         assert task.parent_level == 0
         assert len(task.parent_files) == 5
 
-    def test_tiered_moves_whole_level(self):
-        options = tiny_options(compaction_policy="tiered", tiered_overfill=2.0)
+    def test_tiered_moves_whole_level(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "TIERED_OVERFILL", 2.0)
+        options = tiny_options(compaction_policy="tiered")
         picker = CompactionPicker(options)
         capacity = options.level_capacity_bytes(1)
         v = _version_with(1, [capacity] * 3)  # 3x capacity > 2x overfill
@@ -137,8 +139,9 @@ class TestInputSelection:
         assert task.parent_level == 1
         assert len(task.parent_files) == 3
 
-    def test_tiered_degrades_to_round_robin_for_trivial_moves(self):
-        options = tiny_options(compaction_policy="tiered", tiered_overfill=2.0)
+    def test_tiered_degrades_to_round_robin_for_trivial_moves(self, monkeypatch):
+        monkeypatch.setattr(policy_module, "TIERED_OVERFILL", 2.0)
+        options = tiny_options(compaction_policy="tiered")
         picker = CompactionPicker(options)
         capacity = options.level_capacity_bytes(1)
         v = _version_with(1, [capacity] * 3)  # nothing at L2: pure moves

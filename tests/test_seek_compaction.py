@@ -14,7 +14,7 @@ def load(db, n=600, seed=5):
 
 class TestPointLookupSeeks:
     def test_fruitless_block_reads_charge_budget(self):
-        db = make_db("table", seek_compaction_bytes_per_seek=64, bloom_bits_per_key=0, filter_policy="none")
+        db = make_db("table", bloom_bits_per_key=0, filter_policy="none")
         load(db)
         before = db.stats.seek_miss_charges
         # Keys in range of upper-level files but living deeper force
@@ -24,12 +24,7 @@ class TestPointLookupSeeks:
         assert db.stats.seek_miss_charges >= before
 
     def test_seek_budget_exhaustion_triggers_compaction(self):
-        db = make_db(
-            "table",
-            seek_compaction_bytes_per_seek=64,
-            bloom_bits_per_key=0,
-            filter_policy="none",
-        )
+        db = make_db("table", bloom_bits_per_key=0, filter_policy="none")
         load(db)
         # hammer misses until some file's budget drains
         for round_no in range(400):
@@ -42,7 +37,7 @@ class TestPointLookupSeeks:
     def test_bloom_filters_protect_budget(self):
         """With filters on, fruitless lookups are pruned without block I/O
         and must not drain seek budgets."""
-        db = make_db("table", seek_compaction_bytes_per_seek=64)
+        db = make_db("table")
         load(db)
         for _ in range(5):
             for i in range(600):
@@ -55,7 +50,7 @@ class TestScanSeeks:
     def test_repeated_scans_collapse_levels(self):
         """The paper's Section V-G observation: after many range scans,
         seek compactions reduce the number of populated levels."""
-        db = make_db("table", seek_compaction_bytes_per_seek=64)
+        db = make_db("table")
         load(db, n=800, seed=3)
         populated_before = sum(1 for c in db.num_files_per_level() if c)
         rng = random.Random(1)
@@ -69,7 +64,7 @@ class TestScanSeeks:
 
     def test_disabled_seek_compaction_keeps_levels(self):
         """RocksDB preset behaviour: scans never trigger compaction."""
-        db = make_db("table", enable_seek_compaction=False, seek_compaction_bytes_per_seek=64)
+        db = make_db("table", enable_seek_compaction=False)
         load(db, n=800, seed=3)
         files_before = db.num_files_per_level()
         rng = random.Random(1)
@@ -81,7 +76,7 @@ class TestScanSeeks:
         db.close()
 
     def test_scans_remain_correct_across_seek_compactions(self):
-        db = make_db("selective", seek_compaction_bytes_per_seek=64)
+        db = make_db("selective")
         load(db, n=500, seed=9)
         for _ in range(400):
             db.scan(kv(100)[0], limit=30)

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_db, tiny_options
 from repro.core.db import DB
 from repro.errors import CorruptionError
+from repro.memtable.memtable import ENTRY_OVERHEAD
 from repro.options import COMPACTION_SELECTIVE
 from repro.storage.fs import SimulatedFS
 from repro.vlog import (
@@ -258,17 +259,37 @@ class TestGarbageCollection:
         re-puts go through ``_apply_locked``, which never rolls the
         memtable, and the inline drain only ever runs the pending flush —
         so no guard flag is needed, and each victim is collected by exactly
-        one round in either driver."""
+        one round in either driver.
+
+        The flush bound comes from the round's own re-puts, whatever the
+        memtable held when the round began: a round re-puts in chunks of
+        at most 64 records and checks the memtable after each, so every
+        chunk whose entries x memtable charge reach ``memtable_size``
+        flushes once.  (A lane writer that waited out one of those flushes
+        used to freeze the emptied memtable, and the next check drained
+        that instead — see ``test_writer_that_waited_does_not_freeze_a_
+        rolled_memtable``.)"""
         db = kv_db(fs, vlog_file_size=16 * 1024, background_compaction=background)
-        rounds: list[tuple[int, int]] = []  # (victim, flushes inside the round)
+        charge = len(big(0)[0]) + POINTER_SIZE + ENTRY_OVERHEAD  # one re-put
+        rounds: list[tuple[int, int, int]] = []  # (victim, flushes, chunks that fill)
+        chunk_reputs: list[int] = []
         run_round = db._run_vlog_gc
+        rewrite_chunk = db._gc_rewrite_chunk
 
         def spy(victim: int) -> None:
             flushes = db.stats.flush_count
+            chunk_reputs.clear()
             run_round(victim)
-            rounds.append((victim, db.stats.flush_count - flushes))
+            filling = sum(1 for n in chunk_reputs if n * charge >= db.options.memtable_size)
+            rounds.append((victim, db.stats.flush_count - flushes, filling))
+
+        def chunk_spy(victim: int, chunk) -> None:
+            reputs = db.stats.vlog_gc_rewritten_values
+            rewrite_chunk(victim, chunk)
+            chunk_reputs.append(db.stats.vlog_gc_rewritten_values - reputs)
 
         db._run_vlog_gc = spy
+        db._gc_rewrite_chunk = chunk_spy
         # ~190 records per 16 KiB vlog file; overwriting every other key
         # leaves each sealed file half dead (past the 0.3 ratio) with ~95
         # live records to re-put through a 1 KiB memtable.
@@ -282,10 +303,10 @@ class TestGarbageCollection:
             db.put(*big(i))
         db.wait_for_background()
 
-        victims = [victim for victim, _ in rounds]
+        victims = [victim for victim, _, _ in rounds]
         assert len(victims) >= 2 and len(set(victims)) == len(victims)
         assert db.stats.vlog_gc_runs == len(victims)
-        assert all(flushes >= 3 for _, flushes in rounds)
+        assert all(filling >= 3 and flushes >= filling for _, flushes, filling in rounds)
         for i in range(400):
             assert db.get(big(i)[0]) == big(i, 70 if i % 2 == 0 else 64)[1]
         db.close()
