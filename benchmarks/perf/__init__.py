@@ -1,6 +1,7 @@
-"""Hot-path microbenchmark suite (see ``benchmarks/perf/harness.py``).
+"""Perf suites, all run by ``benchmarks/perf/run.py``.
 
-Run ``python benchmarks/perf/harness.py`` to measure every hot path and
-write ``BENCH_hotpaths.json`` at the repo root; add ``--check`` to compare
-against the committed baseline and fail on >20% regression.
+``python benchmarks/perf/run.py SUITE`` measures one suite (``hotpaths``,
+``concurrency``, ``read_scaling``, …) and writes ``BENCH_<SUITE>.json`` at
+the repo root; ``--check`` gates it on its metric table instead.
+``opcodes.py`` counts the bytecodes of the default-path operations.
 """

@@ -2,11 +2,11 @@
 
 Runs the same keyed workloads under every compaction policy (DESIGN.md
 §14) — leveled, tiered, lazy_leveled, one_leveling — across YCSB-style
-operation mixes and Zipfian skews, and writes
-``BENCH_compaction_policies.json`` at the repo root.  Two adaptive
-scenarios then pit the online tuner against the static policies on
-workloads whose character *shifts* mid-run (a hotspot/mix shift and a
-write-burst pattern), where no static choice is right the whole time.
+operation mixes and Zipfian skews: ``python benchmarks/perf/run.py
+compaction_policies``.  Two adaptive scenarios then pit the online tuner
+against the static policies on workloads whose character *shifts* mid-run
+(a hotspot/mix shift and a write-burst pattern), where no static choice is
+right the whole time.
 
 Per cell the report records incremental write amplification (bytes the
 device absorbed during the measured op phase over user bytes written —
@@ -15,53 +15,36 @@ cost), wall-clock throughput, p99 op latencies from the engine's own
 histograms, **simulated device seconds** (the deterministic cost model
 the gates use — wall clock on shared CI runners is noise), and the
 runtime policy counters (``compactions_by_policy``, ``policy_switches``)
-that ``python -m repro.tools metrics --policy-report`` renders.
+that the manifest never persists.
 
 The design-space claims the matrix reproduces:
 
 * **tiered** beats **leveled** on write-heavy mixes by >= 1.5x lower WA
-  (the overfill factor amortizes child rewrites; the ``--check`` gate),
+  (the overfill factor amortizes child rewrites; gated),
   while leveled wins p99 reads (fewer, sorted runs);
 * **lazy_leveled** sits between them: tiering's cheap upper-level merges
   with a leveled last level for reads;
 * the **tuner** lands within 10% of the best static policy on the
   hotspot-shift scenario *without knowing the shift schedule* (the second
-  ``--check`` gate, on simulated device seconds).  The burst scenario is
+  gate, on simulated device seconds).  The burst scenario is
   reported ungated: with phases much shorter than the hysteresis+cooldown
   horizon, chasing every flip costs more than any static choice — the
   flap-damping trade working as designed.
-
-Usage::
-
-    python benchmarks/perf/compaction_policies.py            # refresh JSON
-    python benchmarks/perf/compaction_policies.py --quick    # CI smoke
-    python benchmarks/perf/compaction_policies.py --check [--quick]
 """
 
 from __future__ import annotations
 
 import bisect
-import platform
 import random
-import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT / "benchmarks" / "perf") not in sys.path:
-    sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
-
-BASELINE_PATH = ROOT / "BENCH_compaction_policies.json"
-
-#: Full-run acceptance bar: tiered WA on the write-heavy mix at least
-#: this factor below leveled's, and the generous CI-smoke floor.
-TARGET_WA_RATIO = 1.5
-CHECK_MIN_WA_RATIO = 1.2
-#: The tuner may cost at most this factor of the best static policy's
-#: simulated device seconds on the shifting scenarios.
-TUNER_COST_CEILING = 1.1
+METRICS = {
+    # Full-run acceptance bar 1.5x; the quick floor is generous.
+    "wa_ratio_tiered_vs_leveled": ("higher", 1.2, 1.5),
+    # The tuner's simulated device seconds over the best static policy's.
+    "tuner_hotspot_vs_best_static": ("lower", 1.1, 1.1),
+    "tuner_burst_vs_best_static": ("lower", None, None),
+}
 
 POLICIES = ("leveled", "tiered", "lazy_leveled", "one_leveling")
 #: YCSB-flavoured operation mixes: (name, write fraction).
@@ -175,7 +158,11 @@ def _run_cell(options, sequence, keyspace: int) -> dict:
         "p99_read_us": _p99_us(latency, "get"),
         "stall_events": stats.stall_events,
         "policy_switches": stats.policy_switches,
-        "compactions_by_policy": dict(stats.compactions_by_policy),
+        # Which policies actually ran the work: one name for a static
+        # policy, the mix its switches produced for the tuner.
+        "compactions_by_policy": " ".join(
+            f"{name}={count}" for name, count in sorted(stats.compactions_by_policy.items())
+        ) or "-",
     }
     db.close()
     return entry
@@ -242,11 +229,12 @@ def _shift_sequences(quick: bool) -> dict[str, list[tuple[str, int]]]:
     return {"hotspot_shift": hotspot, "burst": burst}
 
 
-def run_adaptive(quick: bool) -> dict:
-    """Static policies vs the tuner on the shifting workloads."""
+def run_adaptive(quick: bool) -> tuple[dict, dict]:
+    """Static policies vs the tuner on the shifting workloads: the cells,
+    and each scenario's tuner-over-best-static device-seconds ratio."""
     _, keyspace = _shape(quick)
     scenarios: dict[str, dict] = {}
-    summary: dict[str, dict] = {}
+    ratios: dict[str, float] = {}
     for scenario_name, sequence in _shift_sequences(quick).items():
         costs: dict[str, float] = {}
         for policy in POLICIES:
@@ -267,37 +255,31 @@ def run_adaptive(quick: bool) -> dict:
         cell = _run_cell(tuned, sequence, keyspace)
         cell["mix"] = scenario_name
         cell["policy"] = "tuner"
-        scenarios[f"{scenario_name}/tuner"] = cell
         best_policy = min(costs, key=costs.get)
-        ratio = (
+        cell["best_static"] = best_policy
+        ratios[scenario_name] = (
             round(cell["sim_device_seconds"] / costs[best_policy], 3)
             if costs[best_policy]
             else 0.0
         )
-        summary[scenario_name] = {
-            "best_static": best_policy,
-            "best_static_device_seconds": costs[best_policy],
-            "tuner_device_seconds": cell["sim_device_seconds"],
-            "tuner_vs_best_static": ratio,
-            "tuner_switches": cell["policy_switches"],
-        }
+        scenarios[f"{scenario_name}/tuner"] = cell
         print(
             f"  {scenario_name:<16} best static {best_policy}"
             f" ({costs[best_policy]:.3f} dev-s), tuner"
-            f" {cell['sim_device_seconds']:.3f} dev-s ({ratio}x,"
+            f" {cell['sim_device_seconds']:.3f} dev-s ({ratios[scenario_name]}x,"
             f" {cell['policy_switches']} switches)"
         )
-    return {"scenarios": scenarios, "summary": summary}
+    return scenarios, ratios
 
 
-def run_suite(quick: bool) -> dict:
-    """The full matrix + adaptive scenarios; returns the JSON report."""
+def run(quick: bool) -> dict:
+    """The full matrix + adaptive scenarios."""
     print(
         f"compaction-policy benchmark ({'quick' if quick else 'full'} mode)"
     )
     scenarios = run_matrix(quick)
-    adaptive = run_adaptive(quick)
-    scenarios.update(adaptive["scenarios"])
+    adaptive, tuner_ratios = run_adaptive(quick)
+    scenarios.update(adaptive)
 
     skew = SKEWS_QUICK[0] if quick else SKEWS_FULL[0]
     leveled = scenarios[f"write_heavy/zipf{skew}/leveled"]
@@ -307,59 +289,15 @@ def run_suite(quick: bool) -> dict:
         if tiered["write_amplification"]
         else 0.0
     )
-    tuner_hotspot = adaptive["summary"]["hotspot_shift"]["tuner_vs_best_static"]
     print(
         f"\n  tiered WA advantage on write-heavy: {wa_ratio}x"
-        f"   tuner vs best static on hotspot-shift: {tuner_hotspot}x"
+        f"   tuner vs best static on hotspot-shift: {tuner_ratios['hotspot_shift']}x"
     )
     return {
-        "meta": {
-            "python": platform.python_version(),
-            "quick": quick,
-            "policies": list(POLICIES),
-            "value_size": VALUE_SIZE,
-            "target_wa_ratio": TARGET_WA_RATIO,
-            "check_min_wa_ratio": CHECK_MIN_WA_RATIO,
-            "tuner_cost_ceiling": TUNER_COST_CEILING,
+        "arms": scenarios,
+        "metrics": {
+            "wa_ratio_tiered_vs_leveled": wa_ratio,
+            "tuner_hotspot_vs_best_static": tuner_ratios["hotspot_shift"],
+            "tuner_burst_vs_best_static": tuner_ratios["burst"],
         },
-        "scenarios": scenarios,
-        "adaptive": adaptive["summary"],
-        "wa_ratio_tiered_vs_leveled": wa_ratio,
-        "tuner_hotspot_vs_best_static": tuner_hotspot,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the suite; write the JSON report or gate on the CI floors."""
-    from harness import baseline_status, gate_speedup, perf_arg_parser, write_report
-
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_suite(args.quick)
-    compared = baseline_status(report, args)
-    if args.check:
-        floor = CHECK_MIN_WA_RATIO if args.quick else TARGET_WA_RATIO
-        status = gate_speedup(
-            report, "wa_ratio_tiered_vs_leveled", floor,
-            "tiered WA advantage over leveled (write-heavy mix)",
-        )
-        hotspot = report["tuner_hotspot_vs_best_static"]
-        if hotspot > TUNER_COST_CEILING:
-            print(
-                f"\nFAIL: tuner device-seconds {hotspot}x of the best static "
-                f"policy on hotspot-shift exceeds the {TUNER_COST_CEILING}x "
-                f"ceiling"
-            )
-            status = 1
-        else:
-            print(
-                f"\nOK: tuner within {hotspot}x of the best static policy "
-                f"on hotspot-shift (ceiling {TUNER_COST_CEILING}x)"
-            )
-        return max(status, compared or 0)
-    if compared is not None:
-        return compared
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

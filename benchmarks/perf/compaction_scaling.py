@@ -2,8 +2,7 @@
 
 Measures block-compaction subtask throughput at 1/2/4 offload workers with
 the process-pool execution backend (``Options.compaction_offload``,
-DESIGN.md §11) and writes ``BENCH_compaction_scaling.json`` at the repo
-root.
+DESIGN.md §11): ``python benchmarks/perf/run.py compaction_scaling``.
 
 The engine's merge compute is pure Python, so on a small host thread
 overlap cannot speed up *CPU*; what offload unlocks is overlapping device
@@ -12,48 +11,30 @@ reloads while sibling subtasks' decode/merge/rebuild runs on the process
 pool.  The benchmark therefore runs on a real-file store in ``realtime``
 mode — every second charged to the analytic device model is also slept,
 with the GIL released — emulating an I/O-bound device, exactly like
-``read_scaling.py`` does for GETs.
+the ``read_scaling`` suite does for GETs.
 
 Each cell settles a tree (children at the bottom level), lands a sparse
 update wave at L1, then times one selective-compaction pass driving every
 L1 parent against its overlapped children — dozens of block subtasks whose
 device waits overlap across worker threads while merges run out-of-process.
 
-Usage::
-
-    python benchmarks/perf/compaction_scaling.py            # full run, refresh JSON
-    python benchmarks/perf/compaction_scaling.py --quick    # CI smoke sizes
-    python benchmarks/perf/compaction_scaling.py --check    # exit 1 unless the
-                                                            # 4-worker speedup
-                                                            # meets the floor
-
 The headline number is ``speedup_4w``: block-subtask throughput at 4
 process workers over the 1-worker serial baseline.  The full-run
-acceptance bar is 1.8x; ``--quick --check`` gates CI on a deliberately
-generous floor so only a real offload regression fails the job, not
-shared-runner noise.
+acceptance bar is 1.8x; quick mode gates on a deliberately generous floor
+(it runs on noisy two-core shared runners) so only a real offload
+regression fails, not runner noise.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT / "benchmarks" / "perf") not in sys.path:
-    sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
-
-BASELINE_PATH = ROOT / "BENCH_compaction_scaling.json"
-#: Full-run acceptance bar and the generous CI gate (quick mode runs on
-#: noisy two-core shared runners).
-TARGET_SPEEDUP_4W = 1.8
-CHECK_MIN_SPEEDUP_4W = 1.3
 WORKER_COUNTS = (1, 2, 4)
+METRICS = {
+    "speedup_2w": ("higher", None, None),
+    "speedup_4w": ("higher", 1.3, 1.8),
+}
 
 
 def _device():
@@ -194,8 +175,8 @@ def _run_scenario(name: str, *, workers: int, num_keys: int) -> dict:
     return entry
 
 
-def run_suite(quick: bool) -> dict:
-    """The 1/2/4-process-worker cells; returns the JSON report."""
+def run(quick: bool) -> dict:
+    """The 1/2/4-process-worker cells."""
     num_keys = 1200 if quick else 3000
     print(
         f"compaction scaling benchmark ({'quick' if quick else 'full'} mode, "
@@ -210,43 +191,10 @@ def run_suite(quick: bool) -> dict:
         f"speedup_{workers}w": round(
             scenarios[f"process_{workers}w"]["subtasks_per_sec"] / baseline, 2
         )
-        for workers in WORKER_COUNTS
+        for workers in WORKER_COUNTS[1:]
     }
     print(
         "\n  offload speedup vs 1-worker baseline: "
-        + "  ".join(f"{w}w={speedups[f'speedup_{w}w']}x" for w in WORKER_COUNTS)
+        + "  ".join(f"{w}w={speedups[f'speedup_{w}w']}x" for w in WORKER_COUNTS[1:])
     )
-    return {
-        "meta": {
-            "python": platform.python_version(),
-            "quick": quick,
-            "worker_counts": list(WORKER_COUNTS),
-            "num_keys": num_keys,
-            "target_speedup_4w": TARGET_SPEEDUP_4W,
-            "check_min_speedup_4w": CHECK_MIN_SPEEDUP_4W,
-        },
-        "scenarios": scenarios,
-        **speedups,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the suite; write the JSON report or gate on the CI floor."""
-    from harness import baseline_status, gate_speedup, perf_arg_parser, write_report
-
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_suite(args.quick)
-    floor = CHECK_MIN_SPEEDUP_4W if args.quick else TARGET_SPEEDUP_4W
-    status = baseline_status(report, args)
-    if args.check:
-        gate = gate_speedup(
-            report, "speedup_4w", floor, "offload speedup at 4 workers"
-        )
-        return max(gate, status or 0)
-    if status is not None:
-        return status
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return {"arms": scenarios, "metrics": speedups}

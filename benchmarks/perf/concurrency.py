@@ -3,13 +3,13 @@
 Measures aggregate wall-clock throughput of a write-heavy mix at 1 and 4
 client threads, with background work inline on the writer (the default
 synchronous engine) and on the background lane (``concurrent_pipeline()``,
-DESIGN.md §7), and writes ``BENCH_concurrency.json`` at the repo root.
+DESIGN.md §7): ``python benchmarks/perf/run.py concurrency``.
 "Against the default synchronous engine" means *background work* only:
 the write path is the same in both arms — writers that collide
 group-commit, no option involved — so the 4-thread synchronous arm
 coalesces WAL appends too.  The scenario's options use Table Compaction,
 which has no sub-tasks, so the pipeline's sub-task thread pool is never
-exercised here (``compaction_scaling.py`` covers it).
+exercised here (the ``compaction_scaling`` suite covers it).
 
 The engine's compute is pure Python, so thread overlap cannot speed up
 *CPU*; what the pipeline overlaps is device time.  The benchmark therefore
@@ -21,44 +21,28 @@ pipeline pays it on the background worker, overlapped with the foreground.
 A nonzero per-append cost makes group commit's WAL coalescing visible the
 same way.
 
-Usage::
-
-    python benchmarks/perf/concurrency.py            # full run, refresh JSON
-    python benchmarks/perf/concurrency.py --quick    # CI smoke sizes
-    python benchmarks/perf/concurrency.py --check    # exit 1 unless both
-                                                     # 4-thread ratios meet
-                                                     # the CI floor
-
 Both gated ratios are against the one arm nothing concurrent touches,
 ``sync_1t``: ``pipeline_4t`` (``concurrent_4t / sync_1t``) guards the
 background lane plus group commit, ``group_4t`` (``sync_4t / sync_1t``)
 guards group commit alone — 4 writers on the synchronous engine must beat
 1, which they only do by sharing WAL appends.  ``speedup_4t``
 (``concurrent_4t / sync_4t``, what the lane adds on top of group commit) is
-reported ungated.  ``--check`` gates on a deliberately generous floor so CI
-only fails on a real regression, not shared-runner noise.
+reported ungated.  Both modes gate on a deliberately generous floor, so
+that only a real regression fails, not shared-runner noise.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT / "benchmarks" / "perf") not in sys.path:
-    sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
-
-BASELINE_PATH = ROOT / "BENCH_concurrency.json"
-#: Full-run target (the acceptance bar) and the generous CI gate, both for
-#: ``pipeline_4t``; ``group_4t`` is held to the same CI floor.
-TARGET_SPEEDUP_4T = 1.5
-CHECK_MIN_SPEEDUP_4T = 1.15
 THREADS = 4
+METRICS = {
+    "pipeline_4t": ("higher", 1.15, 1.15),
+    "group_4t": ("higher", 1.15, 1.15),
+    "speedup_1t": ("higher", None, None),
+    "speedup_4t": ("higher", None, None),
+}
 
 
 def _device():
@@ -141,8 +125,8 @@ def _run_scenario(
     return entry
 
 
-def run_suite(quick: bool, value_size: int = 100) -> dict:
-    """All four cells; returns the JSON report."""
+def run(quick: bool, value_size: int) -> dict:
+    """All four cells."""
     num_ops = 1200 if quick else 4000
     print(f"concurrency benchmark ({'quick' if quick else 'full'} mode, "
           f"{num_ops} ops/scenario, {THREADS} threads, "
@@ -179,44 +163,11 @@ def run_suite(quick: bool, value_size: int = 100) -> dict:
           f"group commit alone {group_4t}x")
     print(f"  concurrent vs sync at {THREADS} threads: {speedup_4t}x  (1 thread: {speedup_1t}x)")
     return {
-        "meta": {
-            "python": platform.python_version(),
-            "quick": quick,
-            "threads": THREADS,
-            "ops_per_scenario": num_ops,
-            "value_size": value_size,
-            "target_speedup_4t": TARGET_SPEEDUP_4T,
-            "check_min_speedup_4t": CHECK_MIN_SPEEDUP_4T,
+        "arms": scenarios,
+        "metrics": {
+            "pipeline_4t": pipeline_4t,
+            "group_4t": group_4t,
+            "speedup_1t": speedup_1t,
+            "speedup_4t": speedup_4t,
         },
-        "scenarios": scenarios,
-        "pipeline_4t": pipeline_4t,
-        "group_4t": group_4t,
-        "speedup_1t": speedup_1t,
-        "speedup_4t": speedup_4t,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the suite; write the JSON report or gate on the CI floor."""
-    from harness import baseline_status, gate_speedup, perf_arg_parser, write_report
-
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_suite(args.quick, value_size=args.value_size)
-    status = baseline_status(report, args)
-    if args.check:
-        pipeline = gate_speedup(
-            report, "pipeline_4t", CHECK_MIN_SPEEDUP_4T,
-            f"concurrent pipeline at {THREADS} threads vs 1 synchronous",
-        )
-        group = gate_speedup(
-            report, "group_4t", CHECK_MIN_SPEEDUP_4T,
-            f"group commit at {THREADS} synchronous threads vs 1",
-        )
-        return max(pipeline, group, status or 0)
-    if status is not None:
-        return status
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -2,8 +2,8 @@
 
 Sweeps the value size from 100 B to 64 KiB and, at each size, runs the
 same overwrite-heavy workload twice — once on the plain engine, once with
-``kv_separation=True`` (DESIGN.md §13) — and writes
-``BENCH_kv_separation.json`` at the repo root.
+``kv_separation=True`` (DESIGN.md §13):
+``python benchmarks/perf/run.py kv_separation``.
 
 Each cell writes every key three times and then fully compacts, the
 regime where the LSM's write amplification multiplies value bytes: the
@@ -17,52 +17,34 @@ log is charged, not hidden.
 The sweep's point is the crossover: at 100-byte values separation is all
 overhead (every value still inline below the 1 KiB threshold; identical
 work), while at 16 KiB+ the pointer-sized LSM wins on both throughput
-and WA.  The report records per-size results and the smallest swept
-value size at which separation wins both metrics.
-
-Usage::
-
-    python benchmarks/perf/kv_separation.py            # full run, refresh JSON
-    python benchmarks/perf/kv_separation.py --quick    # CI smoke sizes
-    python benchmarks/perf/kv_separation.py --check    # exit 1 unless the
-                                                       # 16 KiB cell meets the
-                                                       # speedup floor with
-                                                       # lower total WA
+and WA.  Each separated arm records its ``speedup`` over the baseline arm
+of its size and whether it ``wins_both`` metrics there.
 
 The full-run acceptance bar at 16 KiB values is 2.0x write throughput
-with lower total WA; ``--quick --check`` gates CI on a generous floor so
-only a real separation regression fails the job, not runner noise.
+with lower total WA; quick mode gates on a generous throughput floor so
+only a real separation regression fails, not runner noise.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
 import time
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT / "benchmarks" / "perf") not in sys.path:
-    sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
-
-BASELINE_PATH = ROOT / "BENCH_kv_separation.json"
-#: Full-run acceptance bar at 16 KiB values and the generous CI gate.
-TARGET_SPEEDUP_16K = 2.0
-CHECK_MIN_SPEEDUP_16K = 1.3
 
 VALUE_SIZES_FULL = (100, 1024, 4096, 16384, 65536)
 VALUE_SIZES_QUICK = (100, 4096, 16384)
 #: Every key is written this many times, so compaction must repeatedly
 #: re-copy (plain) or re-point (separated) each live value.
 OVERWRITE_PASSES = 3
+METRICS = {
+    "speedup_16k": ("higher", 1.3, 2.0),
+    # Strict: separation must write fewer bytes, not as many.
+    "wa_separated_over_baseline_16k": ("lower", 1.0, 1.0, True),
+}
 
 
 def _options(separated: bool):
     from repro.options import Options
 
-    # The hot-path harness geometry: small enough that every cell runs
+    # The hotpaths suite's geometry: small enough that every cell runs
     # flushes and multi-level compactions, big enough that block encoding
     # (not file-open churn) dominates.  The separated arm keeps the stock
     # separation knobs — 1 KiB threshold, 4 MiB vlog files — so the sweep
@@ -135,81 +117,32 @@ def _run_arm(*, separated: bool, value_size: int, quick: bool) -> dict:
     return entry
 
 
-def run_suite(quick: bool) -> dict:
-    """Both arms at every swept value size; returns the JSON report."""
+def run(quick: bool) -> dict:
+    """Both arms at every swept value size."""
     sizes = VALUE_SIZES_QUICK if quick else VALUE_SIZES_FULL
     print(
         f"kv-separation benchmark ({'quick' if quick else 'full'} mode, "
         f"value sizes {list(sizes)})"
     )
-    cells = {}
-    crossover = None
+    arms = {}
     for size in sizes:
         base = _run_arm(separated=False, value_size=size, quick=quick)
         sep = _run_arm(separated=True, value_size=size, quick=quick)
-        speedup = round(sep["user_mb_per_s"] / base["user_mb_per_s"], 2)
-        cells[str(size)] = {
-            "baseline": base,
-            "kv_separated": sep,
-            "throughput_speedup": speedup,
-            "wa_baseline": base["wa_total"],
-            "wa_kv_separated": sep["wa_total"],
-        }
-        wins = speedup > 1.0 and sep["wa_total"] < base["wa_total"]
-        if wins and crossover is None:
-            crossover = size
+        sep["speedup"] = round(sep["user_mb_per_s"] / base["user_mb_per_s"], 2)
+        sep["wins_both"] = sep["speedup"] > 1.0 and sep["wa_total"] < base["wa_total"]
+        arms[f"{size}/baseline"] = base
+        arms[f"{size}/kv_separated"] = sep
         print(
             f"  {size:>6} B  baseline {base['user_mb_per_s']:>7.2f} MB/s"
             f" WA {base['wa_total']:>5.2f}  |  separated"
             f" {sep['user_mb_per_s']:>7.2f} MB/s WA {sep['wa_total']:>5.2f}"
-            f"  ->  {speedup}x{'  << crossover' if wins and crossover == size else ''}"
+            f"  ->  {sep['speedup']}x{'  (wins both)' if sep['wins_both'] else ''}"
         )
-    cell_16k = cells.get("16384")
-    speedup_16k = cell_16k["throughput_speedup"] if cell_16k else None
-    if crossover is not None:
-        print(f"\n  separation wins both metrics from {crossover} B values up")
-    else:
-        print("\n  separation never won both metrics in this sweep")
+    base, sep = arms["16384/baseline"], arms["16384/kv_separated"]
     return {
-        "meta": {
-            "python": platform.python_version(),
-            "quick": quick,
-            "value_sizes": list(sizes),
-            "overwrite_passes": OVERWRITE_PASSES,
-            "target_speedup_16k": TARGET_SPEEDUP_16K,
-            "check_min_speedup_16k": CHECK_MIN_SPEEDUP_16K,
+        "arms": arms,
+        "metrics": {
+            "speedup_16k": sep["speedup"],
+            "wa_separated_over_baseline_16k": round(sep["wa_total"] / base["wa_total"], 3),
         },
-        "cells": cells,
-        "crossover_value_size": crossover,
-        "speedup_16k": speedup_16k,
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the sweep; write the JSON report or gate on the CI floors."""
-    from harness import baseline_status, gate_speedup, perf_arg_parser, write_report
-
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_suite(args.quick)
-    compared = baseline_status(report, args)
-    if args.check:
-        floor = CHECK_MIN_SPEEDUP_16K if args.quick else TARGET_SPEEDUP_16K
-        status = gate_speedup(
-            report, "speedup_16k", floor,
-            "kv-separation write throughput at 16 KiB values",
-        )
-        cell = report["cells"]["16384"]
-        if cell["wa_kv_separated"] >= cell["wa_baseline"]:
-            print(
-                f"\nFAIL: separated WA {cell['wa_kv_separated']} is not below "
-                f"the baseline's {cell['wa_baseline']} at 16 KiB values"
-            )
-            status = 1
-        return max(status, compared or 0)
-    if compared is not None:
-        return compared
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

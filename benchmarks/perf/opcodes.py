@@ -43,7 +43,7 @@ but the seeked scans run on a 3 000-key store in the end-to-end benchmark's
 geometry (``options_for("BlockDB", ...)``: 64 KiB tables, 4 KiB blocks, 32 B
 keys, 1 KiB values, cache = 10 % of the data), loaded in a seeded shuffle
 and compacted into one level — the ``*_tree`` rows on a second copy of it
-left as the load built it; the seeked scans on :func:`harness.seek_store`.
+left as the load built it; the seeked scans on :func:`seek_store`.
 Rows are added at the end, so that a row's count does not depend on which
 rows exist (a get before a scan moves the scan's count by two).  Seek compaction is off in
 both, so no call is the one that happens to pay for a reorganisation.
@@ -69,16 +69,15 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[2]
-for _path in (ROOT / "src", Path(__file__).resolve().parent):
-    if str(_path) not in sys.path:
-        sys.path.insert(0, str(_path))
-
-from harness import seek_store  # noqa: E402
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
 STORE_KEYS = 3000
 VALUE_SIZE = 1024
 CALLS = 5
 COUNTED_CALL = 2  # the third
+#: Files the seeked-scan store must have on its one populated level.
+SEEK_STORE_MIN_FILES = 256
 
 
 def count_opcodes(fn: Callable[[], object]) -> int:
@@ -134,6 +133,41 @@ def _benchmark_store(compacted: bool = True):
     if compacted:
         db.compact_all()
     db.scan()  # every table open; the cache ends up holding the tail of the key space
+    return db, keys
+
+
+def seek_store():
+    """A store for seeked short scans: 10 000 keys (100 B values) in one
+    sorted level of >= 256 files (4 KiB tables of 512 B blocks, ~3.5
+    entries a block — a ``limit=50`` scan crosses ~14 blocks and a file
+    boundary or two, the shape of the end-to-end ``scan_short_rh`` scans).
+    The block cache holds the whole store: a miss costs the same whatever
+    path asked for the block and would only dilute a comparison of paths.
+    Seek compaction is off so that repeated scans leave the tree as it is.
+    Returns ``(db, keys)``."""
+    from repro.core.db import DB
+    from repro.options import Options
+    from repro.storage.fs import SimulatedFS
+
+    options = Options(
+        block_size=512,
+        sstable_size=4096,
+        memtable_size=4096,
+        max_levels=4,
+        block_cache_capacity=4 * 1024 * 1024,
+        enable_seek_compaction=False,
+    )
+    db = DB(SimulatedFS(), options, seed=1)
+    keys = [b"user%019d" % i for i in range(10_000)]
+    value = b"x" * 100
+    for key in keys:
+        db.put(key, value)
+    db.compact_all()
+    files = db.num_files_per_level()
+    if max(files) < SEEK_STORE_MIN_FILES or sum(1 for n in files if n) != 1:
+        raise AssertionError(
+            f"seek store is not one level of >= {SEEK_STORE_MIN_FILES} files: {files}"
+        )
     return db, keys
 
 

@@ -1,8 +1,8 @@
 """Multi-thread GET scaling benchmark for the superversion read path.
 
 Measures aggregate GET throughput at 1/2/4/8 reader threads over sharded
-caches (``Options(cache_shards=16)``, DESIGN.md §9) and writes
-``BENCH_read_scaling.json`` at the repo root.
+caches (``Options(cache_shards=16)``, DESIGN.md §9):
+``python benchmarks/perf/run.py read_scaling``.
 
 The engine's compute is pure Python, so thread overlap cannot speed up
 *CPU*; what reading with the engine lock released unlocks is overlapping
@@ -14,42 +14,24 @@ readers only touch the engine lock for a pointer-load + incref, so their
 device waits overlap (a reader that slept its read while holding the lock
 would serialize the others and the speedup would stay near 1).
 
-Usage::
-
-    python benchmarks/perf/read_scaling.py            # full run, refresh JSON
-    python benchmarks/perf/read_scaling.py --quick    # CI smoke sizes
-    python benchmarks/perf/read_scaling.py --check    # exit 1 unless the
-                                                      # 4-thread speedup vs
-                                                      # 1 reader thread
-                                                      # meets the floor
-
 The headline number is ``speedup_4t``: GET throughput at 4 reader threads
-over 1 reader thread.  The full-run acceptance bar is 2.0x; ``--quick
---check`` gates CI on a deliberately generous floor so only a real
-read-path regression fails the job, not shared-runner noise.
+over 1 reader thread.  The full-run acceptance bar is 2.0x; quick mode
+gates on a deliberately generous floor (it runs on noisy two-core shared
+runners) so only a real read-path regression fails, not runner noise.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
 import tempfile
 import threading
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT / "benchmarks" / "perf") not in sys.path:
-    sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
-
-BASELINE_PATH = ROOT / "BENCH_read_scaling.json"
-#: Full-run acceptance bar and the generous CI gate (quick mode runs on
-#: noisy two-core shared runners).
-TARGET_SPEEDUP_4T = 2.0
-CHECK_MIN_SPEEDUP_4T = 1.5
 THREAD_COUNTS = (1, 2, 4, 8)
+METRICS = {
+    "speedup_2t": ("higher", None, None),
+    "speedup_4t": ("higher", 1.5, 2.0),
+    "speedup_8t": ("higher", None, None),
+}
 
 
 def _device():
@@ -146,23 +128,23 @@ def _run_scenario(
 
         block_stats = db.block_cache.snapshot()
         table_stats = db.table_cache.snapshot()
+        shard_hits = [s.hits for s in db.table_cache.shard_snapshots()]
+        total_hits = sum(shard_hits)
         entry = {
             "reader_threads": threads,
             "ops": num_ops,
             "found": sum(found_counts),
             "wall_time_s": round(elapsed, 3),
             "ops_per_sec": round(num_ops / elapsed, 1),
-            "block_cache": {
-                "shards": db.block_cache.num_shards,
-                "hits": block_stats.hits,
-                "misses": block_stats.misses,
-            },
-            "table_cache": {
-                "shards": db.table_cache.num_shards,
-                "hits": table_stats.hits,
-                "misses": table_stats.misses,
-                "shard_hits": [s.hits for s in db.table_cache.shard_snapshots()],
-            },
+            "bc_shards": db.block_cache.num_shards,
+            "bc_hits": block_stats.hits,
+            "bc_misses": block_stats.misses,
+            "tc_shards": db.table_cache.num_shards,
+            "tc_hits": table_stats.hits,
+            "tc_misses": table_stats.misses,
+            "tc_shard_hits": shard_hits,
+            # Shard balance, the signal sharded caches exist for.
+            "busiest_tc_shard": f"{max(shard_hits) / total_hits:.1%}" if total_hits else "-",
         }
         db.close()
     print(
@@ -172,8 +154,8 @@ def _run_scenario(
     return entry
 
 
-def run_suite(quick: bool, value_size: int = 100) -> dict:
-    """The 1/2/4/8-reader-thread cells; returns the JSON report."""
+def run(quick: bool, value_size: int) -> dict:
+    """The 1/2/4/8-reader-thread cells."""
     num_ops = 600 if quick else 2000
     num_keys = 400 if quick else 1500
     print(
@@ -199,39 +181,4 @@ def run_suite(quick: bool, value_size: int = 100) -> dict:
         "\n  read speedup vs 1 reader thread: "
         + "  ".join(f"{t}t={speedups[f'speedup_{t}t']}x" for t in THREAD_COUNTS[1:])
     )
-    return {
-        "meta": {
-            "python": platform.python_version(),
-            "quick": quick,
-            "thread_counts": list(THREAD_COUNTS),
-            "ops_per_scenario": num_ops,
-            "num_keys": num_keys,
-            "value_size": value_size,
-            "target_speedup_4t": TARGET_SPEEDUP_4T,
-            "check_min_speedup_4t": CHECK_MIN_SPEEDUP_4T,
-        },
-        "scenarios": scenarios,
-        **speedups,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the suite; write the JSON report or gate on the CI floor."""
-    from harness import baseline_status, gate_speedup, perf_arg_parser, write_report
-
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_suite(args.quick, value_size=args.value_size)
-    floor = CHECK_MIN_SPEEDUP_4T if args.quick else TARGET_SPEEDUP_4T
-    status = baseline_status(report, args)
-    if args.check:
-        gate = gate_speedup(
-            report, "speedup_4t", floor, "read speedup at 4 threads vs 1"
-        )
-        return max(gate, status or 0)
-    if status is not None:
-        return status
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return {"arms": scenarios, "metrics": speedups}

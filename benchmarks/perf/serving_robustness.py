@@ -13,46 +13,28 @@ realtime-emulated device, and contrasts two arms:
 
 The claim under test (DESIGN.md §15): shedding holds tail latency down
 without giving up goodput — the server is the bottleneck either way, so
-completed-requests-per-second stays put while p99 collapses.  ``--check``
-gates ``controlled p99 <= 0.5x uncontrolled p99`` at ``controlled goodput
->= 0.8x uncontrolled goodput``.
-
-Writes ``BENCH_serving_robustness.json`` at the repo root.
-
-Usage::
-
-    PYTHONPATH=src python benchmarks/perf/serving_robustness.py            # full
-    PYTHONPATH=src python benchmarks/perf/serving_robustness.py --quick
-    PYTHONPATH=src python benchmarks/perf/serving_robustness.py --quick --check
+completed-requests-per-second stays put while p99 collapses.  Gated:
+``controlled p99 <= 0.5x uncontrolled p99`` at ``controlled goodput >=
+0.8x uncontrolled goodput``.  ``python benchmarks/perf/run.py
+serving_robustness``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import statistics
-import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+from repro.core.db import DB
+from repro.options import Options
+from repro.serve.client import RetryLaterError, ServeClient, ServeError
+from repro.serve.server import ShardServer
+from repro.storage.device_model import DeviceModel
+from repro.storage.fs import SimulatedFS
 
-from harness import baseline_status, perf_arg_parser, write_report  # noqa: E402
-
-from repro.core.db import DB  # noqa: E402
-from repro.options import Options  # noqa: E402
-from repro.serve.client import RetryLaterError, ServeClient, ServeError  # noqa: E402
-from repro.serve.server import ShardServer  # noqa: E402
-from repro.storage.device_model import DeviceModel  # noqa: E402
-from repro.storage.fs import SimulatedFS  # noqa: E402
-
-BASELINE_PATH = ROOT / "BENCH_serving_robustness.json"
-
-#: --check floors: controlled p99 at most this fraction of uncontrolled,
-#: at no more than this much goodput given up.
-P99_CEILING_RATIO = 0.5
-GOODPUT_FLOOR_RATIO = 0.8
+METRICS = {
+    "p99_ratio_controlled_over_uncontrolled": ("lower", 0.5, 0.5),
+    "goodput_ratio_controlled_over_uncontrolled": ("higher", 0.8, 0.8),
+}
 
 #: Per-append device op cost (seconds) slept in realtime mode — makes one
 #: put cost ~2 ms (WAL append + sync) so "capacity" is a real, stable
@@ -183,8 +165,8 @@ async def _run_arm(
     }
 
 
-def run_benchmark(quick: bool) -> dict:
-    """Both arms + the ratio summary the --check gate reads."""
+def run(quick: bool) -> dict:
+    """Both arms and their p99 and goodput ratios."""
     # Connection count is the uncontrolled arm's queue depth (each
     # connection is FIFO, so its backlog caps at one request); it stays
     # fixed across modes — shrinking it would shrink the very contrast
@@ -211,58 +193,12 @@ def run_benchmark(quick: bool) -> dict:
         / arms["uncontrolled"]["goodput_ops_per_sec"]
         if arms["uncontrolled"]["goodput_ops_per_sec"] else 0.0
     )
-    print(f"  p99 ratio (controlled/uncontrolled): {p99_ratio:.3f} "
-          f"(ceiling {P99_CEILING_RATIO})")
-    print(f"  goodput ratio: {goodput_ratio:.3f} (floor {GOODPUT_FLOOR_RATIO})")
+    print(f"  p99 ratio (controlled/uncontrolled): {p99_ratio:.3f}")
+    print(f"  goodput ratio: {goodput_ratio:.3f}")
     return {
-        "meta": {
-            "quick": quick,
-            "overload_factor": OVERLOAD_FACTOR,
-            "write_op_cost_s": WRITE_OP_COST,
-            "p99_ceiling_ratio": P99_CEILING_RATIO,
-            "goodput_floor_ratio": GOODPUT_FLOOR_RATIO,
-        },
         "arms": arms,
-        "p99_ratio_controlled_over_uncontrolled": round(p99_ratio, 3),
-        "goodput_ratio_controlled_over_uncontrolled": round(goodput_ratio, 3),
+        "metrics": {
+            "p99_ratio_controlled_over_uncontrolled": round(p99_ratio, 3),
+            "goodput_ratio_controlled_over_uncontrolled": round(goodput_ratio, 3),
+        },
     }
-
-
-def check_gate(report: dict) -> int:
-    """--check: admission control must collapse p99 without losing goodput."""
-    p99_ratio = report["p99_ratio_controlled_over_uncontrolled"]
-    goodput_ratio = report["goodput_ratio_controlled_over_uncontrolled"]
-    failures = []
-    if p99_ratio > P99_CEILING_RATIO:
-        failures.append(
-            f"controlled p99 is {p99_ratio}x of uncontrolled "
-            f"(ceiling {P99_CEILING_RATIO}x)"
-        )
-    if goodput_ratio < GOODPUT_FLOOR_RATIO:
-        failures.append(
-            f"controlled goodput is {goodput_ratio}x of uncontrolled "
-            f"(floor {GOODPUT_FLOOR_RATIO}x)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"\nFAIL: {failure}")
-        return 1
-    print(f"\nOK: p99 ratio {p99_ratio} <= {P99_CEILING_RATIO} at goodput "
-          f"ratio {goodput_ratio} >= {GOODPUT_FLOOR_RATIO}")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run both arms; write the report or gate on the committed floors."""
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_benchmark(args.quick)
-    status = baseline_status(report, args)
-    if args.check:
-        return max(check_gate(report), status or 0)
-    if status is not None:
-        return status
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,8 +1,8 @@
 """Range-sharded multi-tenant throughput benchmark.
 
 Measures aggregate wall-clock throughput of :class:`ShardedDB` at 1/2/4
-shards under the multi-tenant YCSB driver (DESIGN.md §12) and writes
-``BENCH_sharding.json`` at the repo root.
+shards under the multi-tenant YCSB driver (DESIGN.md §12):
+``python benchmarks/perf/run.py sharding``.
 
 The engine's compute is pure Python, so thread overlap cannot speed up
 *CPU*; what sharding overlaps is device time.  Every shard owns its own
@@ -22,41 +22,23 @@ deliberately low split threshold, and asserts that the router actually
 split — the dynamic-rebalance machinery under load, not just the happy
 path.
 
-Usage::
-
-    python benchmarks/perf/sharding.py            # full run, refresh JSON
-    python benchmarks/perf/sharding.py --quick    # CI smoke sizes
-    python benchmarks/perf/sharding.py --check    # exit 1 unless the
-                                                  # 4-shard speedup meets
-                                                  # the floor and the
-                                                  # hotspot run split
-
-The full-run acceptance bar is 2.5x at 4 shards; ``--quick --check``
-gates CI on a deliberately generous floor so only a real sharding
-regression fails the job, not shared-runner noise.
+The full-run acceptance bar is 2.5x at 4 shards; quick mode gates on a
+deliberately generous floor (it runs on noisy two-core shared runners) so
+only a real sharding regression fails, not runner noise.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
 import tempfile
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
-if str(ROOT / "benchmarks" / "perf") not in sys.path:
-    sys.path.insert(0, str(ROOT / "benchmarks" / "perf"))
-
-BASELINE_PATH = ROOT / "BENCH_sharding.json"
-#: Full-run acceptance bar and the generous CI gate (quick mode runs on
-#: noisy two-core shared runners).
-TARGET_SPEEDUP_4S = 2.5
-CHECK_MIN_SPEEDUP_4S = 1.3
 SHARD_COUNTS = (1, 2, 4)
 TENANTS = 8
+METRICS = {
+    "speedup_2s": ("higher", None, None),
+    "speedup_4s": ("higher", 1.3, 2.5),
+    "hotspot_splits": ("higher", 1, 1),
+}
 
 
 def _device():
@@ -205,9 +187,8 @@ def _run_hotspot_scenario(num_ops: int) -> dict:
     return entry
 
 
-def run_suite(quick: bool, value_size: int = 100) -> dict:
-    """The 1/2/4-shard cells plus the hotspot rebalance cell; returns the
-    JSON report."""
+def run(quick: bool, value_size: int) -> dict:
+    """The 1/2/4-shard cells plus the hotspot rebalance cell."""
     num_ops = 1200 if quick else 4000
     print(
         f"sharding benchmark ({'quick' if quick else 'full'} mode, "
@@ -225,50 +206,14 @@ def run_suite(quick: bool, value_size: int = 100) -> dict:
         f"speedup_{shards}s": round(
             scenarios[f"sharded_{shards}s"]["ops_per_sec"] / baseline, 2
         )
-        for shards in SHARD_COUNTS
+        for shards in SHARD_COUNTS[1:]
     }
     print(
         "\n  sharded speedup vs 1-shard baseline: "
-        + "  ".join(f"{s}s={speedups[f'speedup_{s}s']}x" for s in SHARD_COUNTS)
+        + "  ".join(f"{s}s={speedups[f'speedup_{s}s']}x" for s in SHARD_COUNTS[1:])
     )
-    rebalance = _run_hotspot_scenario(num_ops)
+    scenarios["hotspot"] = _run_hotspot_scenario(num_ops)
     return {
-        "meta": {
-            "python": platform.python_version(),
-            "quick": quick,
-            "shard_counts": list(SHARD_COUNTS),
-            "tenants": TENANTS,
-            "ops_per_scenario": num_ops,
-            "value_size": value_size,
-            "target_speedup_4s": TARGET_SPEEDUP_4S,
-            "check_min_speedup_4s": CHECK_MIN_SPEEDUP_4S,
-        },
-        "scenarios": scenarios,
-        "rebalance": rebalance,
-        **speedups,
+        "arms": scenarios,
+        "metrics": {**speedups, "hotspot_splits": scenarios["hotspot"]["splits"]},
     }
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Run the suite; write the JSON report or gate on the CI floor."""
-    from harness import baseline_status, gate_speedup, perf_arg_parser, write_report
-
-    args = perf_arg_parser(__doc__, BASELINE_PATH).parse_args(argv)
-    report = run_suite(args.quick, value_size=args.value_size)
-    floor = CHECK_MIN_SPEEDUP_4S if args.quick else TARGET_SPEEDUP_4S
-    compared = baseline_status(report, args)
-    if args.check:
-        status = gate_speedup(
-            report, "speedup_4s", floor, "sharded throughput at 4 shards"
-        )
-        if report["rebalance"]["splits"] < 1:
-            print("\nFAIL: shifting-hotspot scenario never split a shard")
-            status = 1
-        return max(status, compared or 0)
-    if compared is not None:
-        return compared
-    return write_report(report, args.output)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

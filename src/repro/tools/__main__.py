@@ -5,17 +5,16 @@ Usage::
     python -m repro.tools <store-dir> <file.sst> [--entries [N]]
     python -m repro.tools <store-dir> --manifest
     python -m repro.tools metrics <store-dir>
-    python -m repro.tools metrics --cache-report BENCH_read_scaling.json
-    python -m repro.tools metrics --policy-report BENCH_compaction_policies.json
-    python -m repro.tools metrics --serve-report BENCH_serving_robustness.json
+    python -m repro.tools metrics --bench-report BENCH_<suite>.json
     python -m repro.tools timeline <trace.jsonl> [--json] [--width N] [--fs]
     python -m repro.tools crashtest [--quick] [--json PATH]
     python -m repro.tools servechaos [--quick] [--schedules N] [--json PATH]
 
 The first two forms are the original table/manifest dumpers; ``metrics``
 replays a store's manifest into a per-level amplification report without
-opening the DB, ``timeline`` renders an exported trace (JSONL from
-``Tracer.export_jsonl``) as an ASCII Gantt chart or span JSON,
+opening the DB (or renders a ``benchmarks/perf`` report), ``timeline``
+renders an exported trace (JSONL from ``Tracer.export_jsonl``) as an
+ASCII Gantt chart or span JSON,
 ``crashtest`` runs the crash-point consistency harness (DESIGN.md §10),
 and ``servechaos`` runs composed network+disk fault schedules against
 the serving front end (DESIGN.md §15).
@@ -31,9 +30,7 @@ from ..errors import FileSystemError
 from ..obs.timeline import build_spans, load_events, render_timeline, spans_to_json
 from ..storage.fs import LocalFS
 from .metrics_report import (
-    format_cache_report,
-    format_policy_report,
-    format_serve_report,
+    format_bench_report,
     format_sharded_store_report,
     format_store_report,
     is_sharded_store,
@@ -72,22 +69,10 @@ def build_metrics_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("store", nargs="?", help="store directory (a LocalFS root)")
     parser.add_argument(
-        "--cache-report",
+        "--bench-report",
         metavar="PATH",
-        help="render per-shard cache counters from a read-scaling "
-        "benchmark report (BENCH_read_scaling.json) instead of a store",
-    )
-    parser.add_argument(
-        "--policy-report",
-        metavar="PATH",
-        help="render per-policy compaction counters from a policy-matrix "
-        "benchmark report (BENCH_compaction_policies.json) instead of a store",
-    )
-    parser.add_argument(
-        "--serve-report",
-        metavar="PATH",
-        help="render the overload-arm comparison from a serving-robustness "
-        "benchmark report (BENCH_serving_robustness.json) instead of a store",
+        help="render a benchmarks/perf report (BENCH_<suite>.json) instead "
+        "of a store",
     )
     return parser
 
@@ -113,28 +98,17 @@ def build_timeline_parser() -> argparse.ArgumentParser:
 
 def _run_metrics(argv: list[str]) -> int:
     args = build_metrics_parser().parse_args(argv)
-    for path, formatter in (
-        (args.cache_report, format_cache_report),
-        (args.policy_report, format_policy_report),
-        (args.serve_report, format_serve_report),
-    ):
-        if not path:
-            continue
+    if args.bench_report:
         try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-            report = formatter(data)
+            with open(args.bench_report, encoding="utf-8") as handle:
+                report = format_bench_report(json.load(handle))
         except (OSError, ValueError) as exc:
             print(exc, file=sys.stderr)
             return 2
         print(report)
         return 0
     if not args.store:
-        print(
-            "either a store directory, --cache-report, or --policy-report "
-            "is required",
-            file=sys.stderr,
-        )
+        print("either a store directory or --bench-report is required", file=sys.stderr)
         return 2
     try:
         if is_sharded_store(args.store):

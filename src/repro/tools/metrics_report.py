@@ -12,19 +12,16 @@ CLI::
 
     python -m repro.tools metrics <store-dir>
     python -m repro.tools metrics <sharded-store-root>
-    python -m repro.tools metrics --cache-report BENCH_read_scaling.json
-    python -m repro.tools metrics --policy-report BENCH_compaction_policies.json
+    python -m repro.tools metrics --bench-report BENCH_read_scaling.json
 
 A sharded store root (a ``LocalShardStore`` directory, recognized by its
 ``_router/`` catalog) is replayed shard by shard: the report aggregates
 every shard's per-level storage with a per-shard breakdown table keyed by
-the router's committed map.  The ``--cache-report`` form renders the
-per-shard cache hit/miss counters a benchmark report captured
-(``benchmarks/perf/read_scaling.py``) — cache state is runtime-only, so
-it travels via the report JSON rather than the manifest.  The
-``--policy-report`` form does the same for compaction-policy counters
-(per-policy compaction breakdown, tuner switches) captured by
-``benchmarks/perf/compaction_policies.py``.
+the router's committed map.  The ``--bench-report`` form renders any
+report ``benchmarks/perf/run.py`` writes — its arms, metrics and gates —
+which is how runtime-only state (per-shard cache counters, compactions
+per policy, tail latency under overload) travels: in the report JSON
+rather than the manifest.
 """
 
 from __future__ import annotations
@@ -339,164 +336,53 @@ def format_sharded_store_report(root: str) -> str:
     return "\n".join(lines)
 
 
-def format_cache_report(report: dict) -> str:
-    """Per-shard cache counters from a read-scaling benchmark report.
-
-    ``report`` is the parsed ``BENCH_read_scaling.json`` dict; each
-    scenario carries aggregate block/table cache hit/miss counts plus
-    ``table_cache.shard_hits`` when the cache is sharded.  The table shows
-    shard balance — the signal sharded caches exist for (DESIGN.md §9).
-    """
-    scenarios = report.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
-        raise ValueError("report has no 'scenarios' section: not a read-scaling report")
-
-    rows = []
-    for name, entry in scenarios.items():
-        block = entry.get("block_cache", {})
-        table = entry.get("table_cache", {})
-        shard_hits = table.get("shard_hits") or []
-        if shard_hits:
-            busiest = max(shard_hits)
-            total = sum(shard_hits)
-            balance = f"{busiest / total:.1%}" if total else "-"
-        else:
-            balance = "-"
-        rows.append(
-            [
-                name,
-                entry.get("reader_threads", "-"),
-                block.get("shards", "-"),
-                block.get("hits", 0),
-                block.get("misses", 0),
-                table.get("shards", "-"),
-                table.get("hits", 0),
-                table.get("misses", 0),
-                balance,
-            ]
-        )
-    table_text = format_table(
-        [
-            "scenario", "readers",
-            "bc shards", "bc hits", "bc misses",
-            "tc shards", "tc hits", "tc misses", "busiest tc shard",
-        ],
-        rows,
-        title="Cache shard counters (from benchmark report)",
-    )
-
-    lines = [table_text]
-    speedups = {k: v for k, v in report.items() if k.startswith("speedup_")}
-    if speedups:
-        lines.append("")
-        lines.append(
-            "read speedup vs 1 reader thread: "
-            + "  ".join(f"{k.removeprefix('speedup_')}={v}x" for k, v in speedups.items())
-        )
-    return "\n".join(lines)
-
-
-def format_policy_report(report: dict) -> str:
-    """Per-policy compaction breakdown from a policy-matrix benchmark report.
-
-    ``report`` is the parsed ``BENCH_compaction_policies.json`` dict
-    (``benchmarks/perf/compaction_policies.py``); each scenario carries the
-    configured policy, write amplification, throughput, and the runtime
-    counters the manifest never persists: completed compactions per
-    picking policy (``compactions_by_policy``) and the tuner's lifetime
-    switch count.  The per-policy column shows which policies actually ran
-    the work — for static scenarios a single name, for tuner scenarios the
-    mix its switches produced.
-    """
-    scenarios = report.get("scenarios")
-    if not isinstance(scenarios, dict) or not scenarios:
+def format_bench_report(report: dict) -> str:
+    """A ``benchmarks/perf/run.py`` report: one row per arm (its scalar
+    fields; nested ones stay in the JSON), then one per metric with the
+    bound it is gated at, if any."""
+    if not isinstance(report, dict):
+        report = {}
+    arms, metrics = report.get("arms"), report.get("metrics")
+    meta, gate_list = report.get("meta", {}), report.get("gates", [])
+    if not (
+        isinstance(arms, dict)
+        and all(isinstance(arm, dict) for arm in arms.values())
+        and isinstance(metrics, dict)
+        and isinstance(meta, dict)
+        and isinstance(gate_list, list)
+        and all(isinstance(gate, dict) and "metric" in gate for gate in gate_list)
+    ):
         raise ValueError(
-            "report has no 'scenarios' section: not a compaction-policies report"
+            "not a benchmark report: needs 'arms' and 'metrics' objects "
+            "(and, if present, a 'meta' object and a 'gates' list)"
         )
-
-    rows = []
-    for name, entry in scenarios.items():
-        by_policy = entry.get("compactions_by_policy") or {}
-        breakdown = (
-            " ".join(f"{k}={v}" for k, v in sorted(by_policy.items())) or "-"
-        )
-        wa = entry.get("write_amplification")
-        rows.append(
-            [
-                name,
-                entry.get("policy", "-"),
-                f"{wa:.3f}" if isinstance(wa, (int, float)) else "-",
-                entry.get("ops_per_sec", "-"),
-                entry.get("p99_write_us", "-"),
-                entry.get("policy_switches", 0),
-                breakdown,
-            ]
-        )
-    table_text = format_table(
-        [
-            "scenario", "policy", "WA", "ops/s", "p99 write us",
-            "switches", "compactions by policy",
-        ],
-        rows,
-        title="Compaction-policy counters (from benchmark report)",
-    )
-
-    lines = [table_text]
-    ratios = {k: v for k, v in report.items() if k.startswith("wa_ratio_")}
-    if ratios:
-        lines.append("")
-        lines.append(
-            "WA ratios vs leveled baseline: "
-            + "  ".join(
-                f"{k.removeprefix('wa_ratio_')}={v}x" for k, v in sorted(ratios.items())
-            )
-        )
-    return "\n".join(lines)
-
-
-def format_serve_report(report: dict) -> str:
-    """Overload-arm comparison from a serving-robustness benchmark report.
-
-    ``report`` is the parsed ``BENCH_serving_robustness.json`` dict
-    (``benchmarks/perf/serving_robustness.py``); each arm carries tail
-    latency and goodput under the same 4x-capacity open-loop load, with
-    admission control the only difference.  The ratio lines at the bottom
-    are what the benchmark's ``--check`` gate enforces (DESIGN.md §15).
-    """
-    arms = report.get("arms")
-    if not isinstance(arms, dict) or not arms:
-        raise ValueError(
-            "report has no 'arms' section: not a serving-robustness report"
-        )
-
-    rows = []
-    for name, arm in arms.items():
-        rows.append(
-            [
-                name,
-                "on" if arm.get("admission_control") else "off",
-                arm.get("offered_ops_per_sec", "-"),
-                arm.get("completed", "-"),
-                arm.get("shed", 0),
-                arm.get("p50_ms", "-"),
-                arm.get("p99_ms", "-"),
-                arm.get("goodput_ops_per_sec", "-"),
-            ]
-        )
-    table_text = format_table(
-        [
-            "arm", "admission", "offered/s", "completed", "shed",
-            "p50 ms", "p99 ms", "goodput/s",
-        ],
-        rows,
-        title="Serving robustness under overload (from benchmark report)",
-    )
-    lines = [table_text]
-    p99 = report.get("p99_ratio_controlled_over_uncontrolled")
-    goodput = report.get("goodput_ratio_controlled_over_uncontrolled")
-    if p99 is not None and goodput is not None:
-        lines.append("")
-        lines.append(
-            f"controlled/uncontrolled: p99 {p99}x  goodput {goodput}x"
-        )
-    return "\n".join(lines)
+    columns: list[str] = []
+    for arm in arms.values():
+        columns += [
+            key for key, value in arm.items()
+            if key not in columns and isinstance(value, (str, int, float, bool, type(None)))
+        ]
+    arm_rows = [
+        [name] + ["-" if arm.get(key) is None else arm[key] for key in columns]
+        for name, arm in arms.items()
+    ]
+    gates = {gate["metric"]: gate for gate in gate_list}
+    metric_rows = []
+    for name in list(metrics) + [name for name in gates if name not in metrics]:
+        gate = gates.get(name, {})
+        ok = gate.get("ok")
+        metric_rows.append([
+            name,
+            metrics.get(name, "-"),
+            gate.get("better", "-"),
+            gate.get("bound", "-"),
+            "-" if ok is None else "ok" if ok else "FAIL",
+        ])
+    title = f"{report.get('suite', 'benchmark')} (" + ", ".join(
+        f"{key}={value}" for key, value in meta.items()
+    ) + ")"
+    return "\n".join([
+        format_table(["arm"] + columns, arm_rows, title=title),
+        "",
+        format_table(["metric", "value", "better", "bound", "gate"], metric_rows),
+    ])

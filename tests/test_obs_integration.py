@@ -334,42 +334,49 @@ def test_metrics_cli_rejects_non_store(tmp_path, capsys):
 
 
 def test_metrics_cli_cache_report(tmp_path, capsys):
+    """``--bench-report`` renders a read-scaling report's per-shard cache
+    counters (arm fields) and its metrics with their gates."""
     report = {
-        "scenarios": {
+        "suite": "read_scaling",
+        "meta": {"python": "3.11", "quick": False},
+        "arms": {
             "readers_1t": {
                 "reader_threads": 1,
-                "block_cache": {"shards": 1, "hits": 5, "misses": 10},
-                "table_cache": {"shards": 1, "hits": 7, "misses": 3},
+                "bc_shards": 1, "bc_hits": 5, "bc_misses": 10,
+                "tc_shards": 1, "tc_hits": 7, "tc_misses": 3,
+                "tc_shard_hits": [7],
+                "busiest_tc_shard": "100.0%",
             },
             "readers_4t": {
                 "reader_threads": 4,
-                "block_cache": {"shards": 16, "hits": 50, "misses": 100},
-                "table_cache": {
-                    "shards": 16,
-                    "hits": 64,
-                    "misses": 16,
-                    "shard_hits": [4] * 16,
-                },
+                "bc_shards": 16, "bc_hits": 50, "bc_misses": 100,
+                "tc_shards": 16, "tc_hits": 64, "tc_misses": 16,
+                "tc_shard_hits": [4] * 16,
+                # 16 equal shards: the busiest one holds 1/16 of hits.
+                "busiest_tc_shard": "6.2%",
             },
         },
-        "speedup_4t": 2.5,
+        "metrics": {"speedup_2t": 1.6, "speedup_4t": 2.5},
+        "gates": [
+            {"metric": "speedup_4t", "better": "higher", "bound": 2.0, "value": 2.5, "ok": True},
+        ],
     }
     path = tmp_path / "BENCH_read_scaling.json"
     path.write_text(json.dumps(report))
-    assert tools_main(["metrics", "--cache-report", str(path)]) == 0
+    assert tools_main(["metrics", "--bench-report", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "Cache shard counters" in out
+    assert "busiest_tc_shard" in out
     assert "readers_4t" in out
-    # 16 equal shards: the busiest one holds 1/16 = 6.2% of hits.
     assert "6.2%" in out
-    assert "4t=2.5x" in out
+    speedup_4t = next(line for line in out.splitlines() if line.startswith("speedup_4t"))
+    assert speedup_4t.split() == ["speedup_4t", "2.50", "higher", "2.00", "ok"]
 
 
 def test_metrics_cli_cache_report_rejects_bad_input(tmp_path, capsys):
     bad = tmp_path / "not_a_report.json"
     bad.write_text(json.dumps({"foo": 1}))
-    assert tools_main(["metrics", "--cache-report", str(bad)]) == 2
-    assert tools_main(["metrics", "--cache-report", str(tmp_path / "missing.json")]) == 2
+    assert tools_main(["metrics", "--bench-report", str(bad)]) == 2
+    assert tools_main(["metrics", "--bench-report", str(tmp_path / "missing.json")]) == 2
     # Neither a store nor a report is an argparse-level usage error.
     assert tools_main(["metrics"]) == 2
 

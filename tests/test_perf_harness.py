@@ -1,23 +1,26 @@
-"""Smoke tests for the hot-path perf harness (``benchmarks/perf``).
+"""Tests for the perf runner (``benchmarks/perf/run.py``) and its suites.
 
-These do not assert absolute performance — only that the harness runs end
-to end in quick mode, emits a well-formed report, and that ``--check``
-passes against a just-written baseline and fails against a doctored one —
-and that the opcode counter (``opcodes.py``) counts the same twice and
-gates the read paths that have a reference arm.
+These do not assert absolute performance — only that the hot-path suite
+runs end to end in quick mode and emits a well-formed report, that its
+gates pass against its own report and fail against a doctored one, that
+every bound a suite's metric table sets is enforced by ``--check`` and
+compared by ``--baseline``, that two quick suites run, gate and render end
+to end — and that the opcode counter (``opcodes.py``) counts the same twice
+and gates the read paths that have a reference arm.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
+from repro.tools.__main__ import main as tools_main
+
 PERF_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
-HARNESS_PATH = PERF_DIR / "harness.py"
 
 
 def _load(name: str, path: Path):
@@ -31,17 +34,18 @@ def _load(name: str, path: Path):
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return _load("perf_harness", HARNESS_PATH)
+def runner():
+    """``run.py``, which puts the suites on ``sys.path`` as it loads."""
+    return _load("perf_run", PERF_DIR / "run.py")
 
 
 @pytest.fixture(scope="module")
-def quick_report(harness, tmp_path_factory):
-    """One quick-mode run shared by the assertions below."""
+def quick_report(runner, tmp_path_factory):
+    """One quick-mode hot-path run shared by the assertions below."""
     out = tmp_path_factory.mktemp("bench") / "BENCH_hotpaths.json"
-    status = harness.main(["--quick", "--output", str(out)])
+    status = runner.main(["hotpaths", "--quick", "--output", str(out)])
     assert status == 0
-    return harness, out, json.loads(out.read_text())
+    return runner, importlib.import_module("hotpaths"), json.loads(out.read_text())
 
 
 EXPECTED_PATHS = {
@@ -54,10 +58,7 @@ EXPECTED_PATHS = {
     "catalog_apply",
     "section_finish_open",
     "seq_fill",
-    "point_get",
-    "multi_get",
     "scan",
-    "scan_short",
     "full_compaction",
     "traced_point_get",
 }
@@ -65,53 +66,138 @@ EXPECTED_PATHS = {
 
 def test_quick_run_covers_all_paths(quick_report):
     """Quick mode measures every hot path and records sane numbers."""
-    _harness, _out, report = quick_report
-    assert set(report["paths"]) == EXPECTED_PATHS
-    for name, entry in report["paths"].items():
+    _runner, _hotpaths, report = quick_report
+    assert set(report) == {"suite", "meta", "arms", "metrics", "gates"}
+    assert set(report["arms"]) == EXPECTED_PATHS
+    for name, entry in report["arms"].items():
         assert entry["ops_per_sec"] > 0, name
         assert entry["ns_per_op"] > 0, name
-    # Micro paths and the read paths carry an in-process reference arm.
+    # The micro paths carry an in-process reference arm.
     for name in ("varint_roundtrip", "block_decode", "merge_visible",
-                 "compaction_merge", "catalog_apply", "section_finish_open",
-                 "scan_short", "point_get", "multi_get"):
-        assert report["paths"][name]["speedup_vs_reference"] > 0
+                 "compaction_merge", "catalog_apply", "section_finish_open"):
+        assert report["metrics"][f"{name}.speedup_vs_reference"] > 0
+
+
+def _speedup_gates(runner, hotpaths, metrics: dict, committed: dict) -> list[dict]:
+    """The gates on the speedups alone.  The wall-clock observability
+    ceiling is gated by CI's ``run.py hotpaths --quick --check`` (and
+    doctored below), since one timed run under host load can cross it on
+    any tree."""
+    gates = runner.evaluate(hotpaths.METRICS, metrics, True, committed)
+    return [g for g in gates if g["metric"] != "traced_point_get.overhead_vs_plain"]
 
 
 def test_check_passes_against_own_baseline(quick_report):
-    """A report checked against itself shows no regression.  Only its
-    ratios are compared: the wall-clock observability ceiling is gated by
-    CI's ``harness.py --quick --check`` (and doctored below), since one
-    timed run under host load can cross it on any tree."""
-    harness, out, report = quick_report
-    ratios_only = json.loads(json.dumps(report))
-    ratios_only["paths"]["traced_point_get"].pop("overhead_vs_plain")
-    assert harness.check_against_baseline(ratios_only, out) == 0
+    """A report checked against itself as the committed one passes every
+    speedup gate."""
+    runner, hotpaths, report = quick_report
+    gates = _speedup_gates(runner, hotpaths, report["metrics"], report["metrics"])
+    assert len(gates) == len(hotpaths.REFERENCE_ARMED)
+    assert runner.failed(gates) == 0
 
 
 def test_check_fails_on_observability_overhead(quick_report):
-    """A traced point get slower than the ceiling makes --check fail even
-    when every ratio matches its baseline."""
-    harness, out, report = quick_report
-    doctored = json.loads(json.dumps(report))
-    doctored["paths"]["traced_point_get"]["overhead_vs_plain"] = harness.OVERHEAD_CEILING * 1.1
-    assert harness.check_against_baseline(doctored, out) == 1
+    """A traced point get slower than the ceiling fails the check even
+    when every ratio matches its committed one."""
+    runner, hotpaths, report = quick_report
+    doctored = dict(report["metrics"])
+    doctored["traced_point_get.overhead_vs_plain"] = hotpaths.OVERHEAD_CEILING * 1.1
+    assert runner.failed(runner.evaluate(hotpaths.METRICS, doctored, True, report["metrics"])) == 1
 
 
-def test_check_fails_on_regression(quick_report, tmp_path):
-    """Inflating a baseline speedup beyond tolerance makes --check fail."""
-    harness, _out, report = quick_report
-    doctored = json.loads(json.dumps(report))
-    entry = doctored["paths"]["varint_roundtrip"]
-    entry["speedup_vs_reference"] = entry["speedup_vs_reference"] * 10
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(doctored))
-    assert harness.check_against_baseline(report, baseline) == 1
+def test_check_fails_on_regression(quick_report):
+    """Inflating a committed speedup beyond tolerance fails the check."""
+    runner, hotpaths, report = quick_report
+    committed = dict(report["metrics"])
+    committed["varint_roundtrip.speedup_vs_reference"] *= 10
+    gates = _speedup_gates(runner, hotpaths, report["metrics"], committed)
+    assert [g["metric"] for g in gates if not g["ok"]] == ["varint_roundtrip.speedup_vs_reference"]
 
 
-def test_check_without_baseline_is_ok(quick_report, tmp_path):
-    """Missing baseline file: nothing to compare, exit 0."""
-    harness, _out, report = quick_report
-    assert harness.check_against_baseline(report, tmp_path / "missing.json") == 0
+def test_check_without_baseline_is_ok(quick_report):
+    """No committed report: the speedups have nothing to be gated against."""
+    runner, hotpaths, report = quick_report
+    assert _speedup_gates(runner, hotpaths, report["metrics"], {}) == []
+
+
+def test_every_gated_metric_is_compared_by_baseline(runner):
+    """For every suite and every metric its table gates: a report that
+    moves only that metric 30% the wrong way fails ``--baseline``; a report
+    sitting exactly on every bound passes ``--check``, except a strict
+    bound, which a value equal to it fails and a value just past it
+    passes.  Runs no suite."""
+    strict_count = 0
+    for name in runner.SUITES:
+        table = importlib.import_module(name).METRICS
+        baseline = {metric: 10.0 for metric in table}
+        for quick in (True, False):
+            gated = {
+                metric: runner.Metric(*row) for metric, row in table.items()
+                if (runner.Metric(*row).quick if quick else runner.Metric(*row).full) is not None
+            }
+            assert gated, name
+            for metric, row in gated.items():
+                worse = dict(baseline)
+                worse[metric] *= 0.7 if row.better == "higher" else 1.3
+                compared = runner.compare(table, worse, baseline)
+                assert [g["metric"] for g in compared if not g["ok"]] == [metric], (name, metric)
+            # On the bound ("committed" bounds resolve against this
+            # committed report, so sit on theirs too).
+            bounds = {g["metric"]: g["bound"] for g in runner.evaluate(table, {}, quick, baseline)}
+            assert set(bounds) == set(gated), name
+            gates = {g["metric"]: g for g in runner.evaluate(table, bounds, quick, baseline)}
+            for metric, row in gated.items():
+                assert gates[metric]["ok"] is not row.strict, (name, metric)
+                if row.strict:
+                    nudge = 1.001 if row.better == "higher" else 0.999
+                    past = dict(bounds, **{metric: bounds[metric] * nudge})
+                    assert runner.failed(runner.evaluate(table, past, quick, baseline)) == 0
+                    strict_count += 1
+    assert strict_count == 2  # kv's WA, quick and full
+
+
+def test_value_size_rejected_by_suites_that_ignore_it(runner, capsys):
+    """``--value-size`` is a usage error for a suite whose ``run`` takes
+    none, and is refused before the suite runs."""
+    for name in ("kv_separation", "compaction_scaling", "compaction_policies",
+                 "serving_robustness"):
+        with pytest.raises(SystemExit) as exc:
+            runner.main([name, "--quick", "--value-size", "4096"])
+        assert exc.value.code == 2
+        assert "takes no --value-size" in capsys.readouterr().err
+
+
+def test_unreadable_baseline_is_a_usage_error(runner, tmp_path, capsys):
+    """A ``--baseline`` that is missing or holds no report's ``metrics``
+    exits 2 before the suite runs."""
+    not_a_report = tmp_path / "list.json"
+    not_a_report.write_text("[1, 2]")
+    for path in (tmp_path / "missing.json", not_a_report):
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["kv_separation", "--quick", "--baseline", str(path)])
+        assert exc.value.code == 2
+        assert "cannot read baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["kv_separation", "read_scaling"])
+def test_quick_suite_writes_gates_and_renders(runner, suite, tmp_path, capsys):
+    """A quick suite runs end to end through the runner: its report has
+    the one schema and a gate per bounded metric, and ``repro.tools
+    metrics --bench-report`` renders it."""
+    out = tmp_path / f"BENCH_{suite}.json"
+    assert runner.main([suite, "--quick", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["suite"] == suite and report["meta"]["quick"] is True
+    table = importlib.import_module(suite).METRICS
+    assert set(report["metrics"]) == set(table)
+    assert {g["metric"] for g in report["gates"]} == {
+        metric for metric, row in table.items() if runner.Metric(*row).quick is not None
+    }
+    capsys.readouterr()
+    assert tools_main(["metrics", "--bench-report", str(out)]) == 0
+    rendered = capsys.readouterr().out
+    for name in list(report["arms"]) + list(report["metrics"]):
+        assert name in rendered
 
 
 def test_opcode_counts_repeat_exactly():

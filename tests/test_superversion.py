@@ -403,25 +403,24 @@ def test_stress_readers_race_the_background_lane():
 
 
 def test_read_scaling_bench_quick_writes_report(tmp_path):
-    """The read-scaling micro-bench runs in quick mode and emits the
-    BENCH_read_scaling.json schema the CI job uploads."""
+    """The read-scaling suite runs in quick mode through the perf runner
+    and emits the report the CI job uploads."""
     import importlib.util
     import json
     from pathlib import Path
 
-    bench_path = (
-        Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "read_scaling.py"
-    )
-    spec = importlib.util.spec_from_file_location("read_scaling_bench", bench_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    runner_path = Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "run.py"
+    spec = importlib.util.spec_from_file_location("perf_run", runner_path)
+    runner = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(runner)
     out = tmp_path / "BENCH_read_scaling.json"
-    assert module.main(["--quick", "--output", str(out)]) == 0
+    assert runner.main(["read_scaling", "--quick", "--output", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert set(report["scenarios"]) >= {
+    assert set(report["arms"]) >= {
         "readers_1t", "readers_2t", "readers_4t", "readers_8t",
     }
-    assert report["speedup_4t"] > 0
-    cell = report["scenarios"]["readers_4t"]
-    assert cell["table_cache"]["shards"] == 16
-    assert len(cell["table_cache"]["shard_hits"]) == 16
+    assert report["metrics"]["speedup_4t"] > 0
+    cell = report["arms"]["readers_4t"]
+    assert cell["tc_shards"] == 16
+    assert len(cell["tc_shard_hits"]) == 16
+    assert cell["busiest_tc_shard"].endswith("%")
