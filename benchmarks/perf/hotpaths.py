@@ -1,7 +1,7 @@
 """Hot-path suite: wall-clock throughput of the engine's hot paths.
 
 Records ops/sec and ns/op per path, plus — for the paths with a frozen
-reference implementation in ``repro._reference`` — the speedup of the
+reference implementation in ``oracle.reference`` — the speedup of the
 optimized path over the reference *measured in the same process on the
 same machine*, which makes the before/after claim reproducible on any
 checkout: each speedup is gated at 0.8x the committed
@@ -128,7 +128,8 @@ class Suite:
 
 def bench_varint(suite: Suite) -> None:
     """Varint encode+decode round-trip, optimized vs reference codec."""
-    from repro import _reference, encoding
+    from oracle import reference
+    from repro import encoding
 
     # Mix modelled on what the engine actually encodes: block-entry headers
     # (shared/non_shared/value_len, almost always 1 byte), index/manifest
@@ -159,7 +160,7 @@ def bench_varint(suite: Suite) -> None:
         "varint_roundtrip",
         run(encoding.encode_varint, encoding.decode_varint),
         "op",
-        reference=run(_reference.encode_varint, _reference.decode_varint),
+        reference=run(reference.encode_varint, reference.decode_varint),
         repeats=suite.micro_repeats,
     )
 
@@ -183,7 +184,7 @@ def _entry_corpus(count: int) -> list[tuple[bytes, bytes]]:
 
 def bench_block_codec(suite: Suite) -> None:
     """Block encode (builder) and decode (parse), optimized vs reference."""
-    from repro import _reference
+    from oracle import reference
     from repro.sstable.block import DataBlock
     from repro.sstable.block_builder import BlockBuilder
 
@@ -206,7 +207,7 @@ def bench_block_codec(suite: Suite) -> None:
         "block_encode",
         encode_with(BlockBuilder),
         "entry",
-        reference=encode_with(_reference.ReferenceBlockBuilder),
+        reference=encode_with(reference.ReferenceBlockBuilder),
         repeats=suite.micro_repeats,
     )
 
@@ -227,7 +228,7 @@ def bench_block_codec(suite: Suite) -> None:
     def decode_reference():
         total = 0
         for payload in payloads:
-            total += len(_reference.parse_block(payload)[0])
+            total += len(reference.parse_block(payload)[0])
         return total
 
     suite.measure(
@@ -296,7 +297,7 @@ def _merge_sources(num_sources: int, per_source: int):
 
 def bench_merge(suite: Suite) -> None:
     """Fused merge+visibility and compaction merge vs the generator stacks."""
-    from repro import _reference
+    from oracle import reference
     from repro.compaction.base import merge_live
     from repro.core.merge import merge_visible
     from repro.keys import MAX_SEQUENCE
@@ -313,7 +314,7 @@ def bench_merge(suite: Suite) -> None:
 
     def visible_reference():
         count = 0
-        for _ in _reference.merge_visible([iter(s) for s in sources], MAX_SEQUENCE):
+        for _ in reference.merge_visible([iter(s) for s in sources], MAX_SEQUENCE):
             count += 1
         return total
 
@@ -337,7 +338,7 @@ def bench_merge(suite: Suite) -> None:
         return pair_total
 
     def live_reference():
-        for _ in _reference.merge_live([iter(s) for s in two_sources], lambda _k: True):
+        for _ in reference.merge_live([iter(s) for s in two_sources], lambda _k: True):
             pass
         return pair_total
 
@@ -417,13 +418,13 @@ def _catalog_cycle(children: int, compactions: int):
 
 def bench_catalog(suite: Suite) -> None:
     """The bisecting version catalog vs the re-sorting reference."""
-    from repro import _reference
+    from oracle import reference
     from repro.core.version import Version
 
     # One corpus in both modes: the reference's cost grows with the level,
     # so a smaller quick-mode tree would shift the ratio --check compares.
     setup, cycle = _catalog_cycle(children=800, compactions=40)
-    fast, ref = Version(5), _reference.ReferenceVersion(5)
+    fast, ref = Version(5), reference.ReferenceVersion(5)
     fast.apply(setup)
     ref.apply(setup)
 

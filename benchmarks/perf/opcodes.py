@@ -14,9 +14,10 @@ get_cold                ``db.get`` that reads one block from the device
 scan_20                 ``db.scan(start, None, 20)``, blocks cached
 scan_seek_50            ``db.scan(start, None, 50)`` into the middle of a
                         sorted level of >= 256 files, blocks cached
-scan_seek_50_linear     the same call through ``_reference.scan_linear`` —
-                        the linear level seek, a generator per file and the
-                        per-entry loop ``DB.scan`` replaced
+scan_seek_50_linear     the same call through
+                        ``oracle.reference.scan_linear`` — the linear level
+                        seek, a generator per file and the per-entry loop
+                        ``DB.scan`` replaced
 multi_get_8             ``db.multi_get`` of 8 keys, blocks cached
 get_absent              ``db.get`` of a key inside the stored range that no
                         filter admits: the level walk and one negative
@@ -27,12 +28,13 @@ get_cached_tree         ``db.get`` answered from a cached block at the
                         file, two sorted levels, so the memtable miss and
                         every shallower file's filter are paid on the way
                         down, as in the end-to-end read workloads
-get_cached_tree_linear  the same call through ``_reference.get_linear`` — a
-                        skiplist seek per memtable miss, a key hash per
-                        filter, a closure per walk
+get_cached_tree_linear  the same call through
+                        ``oracle.reference.get_linear`` — a skiplist seek
+                        per memtable miss, a key hash per filter, a closure
+                        per walk
 multi_get_8_linear      ``multi_get_8`` through
-                        ``_reference.multi_get_linear`` — the same, with a
-                        list of pending keys
+                        ``oracle.reference.multi_get_linear`` — the same,
+                        with a list of pending keys
 multi_get_64            ``db.multi_get`` of 64 keys, blocks cached
 ======================  ====================================================
 
@@ -69,8 +71,9 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[2]
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+for _path in (ROOT, ROOT / "src"):  # the oracle package, the engine
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 STORE_KEYS = 3000
 VALUE_SIZE = 1024
@@ -196,7 +199,7 @@ def _deepest_key(db, keys: list[bytes]) -> bytes:
 
 def measure() -> dict[str, int]:
     """Every path's count, in the order of the module docstring."""
-    from repro import _reference
+    from oracle import reference
 
     db, keys = _benchmark_store()
     tree_db, _ = _benchmark_store(compacted=False)
@@ -217,14 +220,14 @@ def measure() -> dict[str, int]:
         "get_cold": lambda i: lambda: db.get(keys[100 + 97 * i]),
         "scan_20": lambda i: lambda: db.scan(keys[1500], None, 20),
         "scan_seek_50": lambda i: lambda: seek_db.scan(start, None, 50),
-        "scan_seek_50_linear": lambda i: lambda: _reference.scan_linear(
+        "scan_seek_50_linear": lambda i: lambda: reference.scan_linear(
             seek_db, start, None, 50
         ),
         "multi_get_8": lambda i: lambda: db.multi_get(batch),
         "get_absent": lambda i: lambda: db.get(absent),
         "get_cached_tree": lambda i: lambda: tree_db.get(deep),
-        "get_cached_tree_linear": lambda i: lambda: _reference.get_linear(tree_db, deep),
-        "multi_get_8_linear": lambda i: lambda: _reference.multi_get_linear(db, batch),
+        "get_cached_tree_linear": lambda i: lambda: reference.get_linear(tree_db, deep),
+        "multi_get_8_linear": lambda i: lambda: reference.multi_get_linear(db, batch),
         "multi_get_64": lambda i: lambda: db.multi_get(batch_64),
     }
     try:

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[2]
-for _path in (ROOT / "src", Path(__file__).resolve().parent):
+for _path in (ROOT, ROOT / "src", Path(__file__).resolve().parent):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 

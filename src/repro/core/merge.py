@@ -22,7 +22,7 @@ One- and two-source fast paths skip the heap entirely; the two-source
 case (memtable + one level, or parent + child in block compaction) is a
 plain compare-and-advance loop.  Ties between sources go to the earlier
 source, matching ``heapq.merge`` stability.  The property tests cross-check
-all of this against the frozen originals in :mod:`repro._reference`.
+all of this against the frozen originals in :mod:`oracle.reference`.
 """
 
 from __future__ import annotations

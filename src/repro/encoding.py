@@ -16,7 +16,7 @@ so the codecs carry table/``struct``-driven fast paths:
   so builders stop concatenating small ``bytes`` objects.
 
 Every fast path is cross-checked against the frozen reference
-implementations in :mod:`repro._reference` by the property tests.
+implementations in :mod:`oracle.reference` by the property tests.
 """
 
 from __future__ import annotations

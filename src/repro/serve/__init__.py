@@ -9,7 +9,8 @@ share a bounded executor pool and, there, each shard's group commit.
 The path is overload-safe and fault-transparent: per-request deadlines,
 admission control with RETRY_LATER shedding, severity-mapped status
 codes, graceful drain, and a retrying client with a circuit breaker
-(DESIGN.md §15; chaos-tested by ``repro.tools servechaos``).
+(DESIGN.md §15; chaos-tested by the serving chaos harness in the
+top-level ``oracle`` package).
 """
 
 from .client import (

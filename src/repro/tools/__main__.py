@@ -7,17 +7,14 @@ Usage::
     python -m repro.tools metrics <store-dir>
     python -m repro.tools metrics --bench-report BENCH_<suite>.json
     python -m repro.tools timeline <trace.jsonl> [--json] [--width N] [--fs]
-    python -m repro.tools crashtest [--quick] [--json PATH]
-    python -m repro.tools servechaos [--quick] [--schedules N] [--json PATH]
 
 The first two forms are the original table/manifest dumpers; ``metrics``
 replays a store's manifest into a per-level amplification report without
 opening the DB (or renders a ``benchmarks/perf`` report), ``timeline``
 renders an exported trace (JSONL from ``Tracer.export_jsonl``) as an
-ASCII Gantt chart or span JSON,
-``crashtest`` runs the crash-point consistency harness (DESIGN.md §10),
-and ``servechaos`` runs composed network+disk fault schedules against
-the serving front end (DESIGN.md §15).
+ASCII Gantt chart or span JSON.  (The crash-point and serving chaos
+checkers are not store inspection; they live outside the engine, in the
+top-level ``oracle`` package.)
 """
 
 from __future__ import annotations
@@ -36,10 +33,6 @@ from .metrics_report import (
     is_sharded_store,
 )
 from .sst_dump import describe_manifest, describe_table, dump_table
-
-#: Subcommand names dispatched before the legacy positional parser.
-_SUBCOMMANDS = ("metrics", "timeline", "crashtest", "servechaos")
-
 
 def build_parser() -> argparse.ArgumentParser:
     """The legacy CLI argument schema (exposed for tests)."""
@@ -148,14 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_metrics(argv[1:])
     if argv and argv[0] == "timeline":
         return _run_timeline(argv[1:])
-    if argv and argv[0] == "crashtest":
-        from .crashtest import run_crashtest_cli
-
-        return run_crashtest_cli(argv[1:])
-    if argv and argv[0] == "servechaos":
-        from .servechaos import run_servechaos_cli
-
-        return run_servechaos_cli(argv[1:])
 
     args = build_parser().parse_args(argv)
     fs = LocalFS(args.store)

@@ -1,12 +1,12 @@
 """Crash-point consistency harness: in-suite quick run plus unit coverage
-of the harness machinery (full runs live in benchmarks/stress)."""
+of the harness machinery (full runs: ``python -m oracle.crashtest``)."""
 
-from repro.tools.crashtest import (
+from oracle.crashtest import (
     _subsample,
-    build_crashtest_parser,
+    build_parser,
     build_workload,
+    main,
     run_crash_test,
-    run_crashtest_cli,
 )
 
 
@@ -27,7 +27,7 @@ class TestHarnessMachinery:
         assert picked == sorted(set(picked))
 
     def test_parser_defaults(self):
-        args = build_crashtest_parser().parse_args([])
+        args = build_parser().parse_args([])
         assert args.ops == 160 and args.points == 96 and not args.quick
 
 
@@ -51,7 +51,7 @@ class TestCrashRecoveryInvariants:
 
     def test_cli_quick_exit_code(self, tmp_path, capsys):
         json_path = str(tmp_path / "report.json")
-        code = run_crashtest_cli(
+        code = main(
             ["--ops", "25", "--points", "6", "--json", json_path]
         )
         assert code == 0

@@ -2,9 +2,11 @@
 
 A hypothesis-driven stateful test runs random interleavings of puts,
 deletes, batches, flushes, manual compactions, scans, and reopen-after-crash
-against every compaction style, comparing the DB to a plain dict at each
-read.  This is the strongest correctness statement in the suite: whatever
-compaction rearranges on disk, reads never change.
+against every compaction style, comparing the DB to the oracle's acked-state
+model (:class:`oracle.model.Model`) at each read — live and under every
+pinned snapshot — and holding the catalog rule after every step.  This is
+the strongest correctness statement in the suite: whatever compaction
+rearranges on disk, reads never change.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from conftest import tiny_options
+from oracle.model import Model, catalog_violations
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
 from repro.options import COMPACTION_BLOCK, COMPACTION_SELECTIVE, COMPACTION_TABLE
@@ -45,8 +48,8 @@ class EngineMachine(RuleBasedStateMachine):
     def setup(self):
         self.fs = SimulatedFS()
         self.db = self._open()
-        self.model: dict[bytes, bytes] = {}
-        #: live snapshots with the model state frozen at acquisition
+        self.model = Model()
+        #: live snapshots with the model frozen at acquisition
         self.pinned: list[tuple] = []
 
     def teardown(self):
@@ -58,24 +61,26 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(i=KEYS, value=VALUES)
     def put(self, i, value):
         self.db.put(self._k(i), value)
-        self.model[self._k(i)] = value
+        self.model.apply(("put", self._k(i), value))
 
     @rule(i=KEYS)
     def delete(self, i):
         self.db.delete(self._k(i))
-        self.model.pop(self._k(i), None)
+        self.model.apply(("delete", self._k(i)))
 
     @rule(ops=st.lists(st.tuples(st.booleans(), KEYS, VALUES), min_size=1, max_size=6))
     def batch(self, ops):
         batch = WriteBatch()
+        entries = []
         for is_put, i, value in ops:
             if is_put:
                 batch.put(self._k(i), value)
-                self.model[self._k(i)] = value
+                entries.append(("put", self._k(i), value))
             else:
                 batch.delete(self._k(i))
-                self.model.pop(self._k(i), None)
+                entries.append(("delete", self._k(i), None))
         self.db.write(batch)
+        self.model.apply(("batch", entries))
 
     @rule()
     def flush(self):
@@ -95,7 +100,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule()
     def take_snapshot(self):
         if len(self.pinned) < 3:
-            self.pinned.append((self.db.snapshot(), dict(self.model)))
+            self.pinned.append((self.db.snapshot(), self.model.snapshot()))
 
     @rule()
     def release_oldest_snapshot(self):
@@ -111,7 +116,7 @@ class EngineMachine(RuleBasedStateMachine):
     @rule()
     def check_snapshot_scan(self):
         for snap, frozen in self.pinned:
-            assert self.db.scan(snapshot=snap) == sorted(frozen.items())
+            assert self.db.scan(snapshot=snap) == frozen.scan()
 
     # ----------------------------------------------------------- checks
 
@@ -122,20 +127,21 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(lo=KEYS, hi=KEYS)
     def check_scan(self, lo, hi):
         lo, hi = sorted((self._k(lo), self._k(hi)))
-        expected = sorted((k, v) for k, v in self.model.items() if lo <= k < hi)
-        assert self.db.scan(lo, hi) == expected
+        assert self.db.scan(lo, hi) == self.model.scan(lo, hi)
+
+    @rule(keys=st.lists(KEYS, min_size=1, max_size=8))
+    def check_multi_get(self, keys):
+        keys = [self._k(i) for i in keys]
+        assert self.db.multi_get(keys) == {key: self.model.get(key) for key in keys}
+        for snap, frozen in self.pinned:
+            assert self.db.multi_get(keys, snapshot=snap) == {
+                key: frozen.get(key) for key in keys
+            }
 
     @invariant()
     def levels_disjoint_and_files_exist(self):
-        if getattr(self, "db", None) is None:
-            return
-        version = self.db.version
-        for level in range(1, version.num_levels):
-            files = version.files_at(level)
-            for a, b in zip(files, files[1:]):
-                assert a.largest_user_key < b.smallest_user_key
-            for meta in files:
-                assert self.fs.exists(meta.file_name())
+        if getattr(self, "db", None) is not None:
+            assert catalog_violations(self.db) == []
 
 
 _settings = settings(

@@ -159,9 +159,9 @@ def test_every_option_is_read_somewhere():
     assert unread == []
 
 
-#: Fields no preset, experiment driver, tool, benchmark or example sets,
-#: kept anyway — each with the reason.  Every other field must have a
-#: caller (``test_every_option_has_a_caller``).
+#: Fields no preset, experiment driver, tool, oracle leg, benchmark or
+#: example sets, kept anyway — each with the reason.  Every other field
+#: must have a caller (``test_every_option_has_a_caller``).
 UNCALLED_OPTIONS = {
     "enable_wal": "a floor test pins the off path",
     "verify_checksums": "a floor test pins the off path",
@@ -176,7 +176,7 @@ UNCALLED_OPTIONS = {
 def test_every_option_has_a_caller():
     """A field only tests set is a constant with a configuration lattice
     attached: every ``Options`` field is set somewhere in ``src/`` (outside
-    ``options.py``), ``benchmarks/`` or ``examples/`` — as a keyword
+    ``options.py``), ``oracle/``, ``benchmarks/`` or ``examples/`` — as a keyword
     (``f=``), a dict key (``"f":``) or a quoted name — unless
     :data:`UNCALLED_OPTIONS` says why not.  A copy of a value that already
     exists (``f=options.f``, ``"f": self._lru.capacity``) sets nothing."""
@@ -187,7 +187,7 @@ def test_every_option_has_a_caller():
     repo = Path(__file__).resolve().parent.parent
     source = "\n".join(
         path.read_text()
-        for folder in ("src", "benchmarks", "examples")
+        for folder in ("src", "oracle", "benchmarks", "examples")
         for path in sorted((repo / folder).rglob("*.py"))
         if path.name != "options.py"
     )

@@ -2,14 +2,14 @@
 each component once — the memtable's key set, one key hash for every
 filter, a walk with no closure — and must read, charge, count and
 answer exactly as the walk they replaced, which lives on as
-``_reference.get_linear`` / ``_reference.multi_get_linear``."""
+``oracle.reference.get_linear`` / ``oracle.reference.multi_get_linear``."""
 
 import random
 
 import pytest
 
 from conftest import kv, make_db, tiny_options
-from repro import _reference
+from oracle import reference
 from repro.baselines.l2sm import L2SMDB
 from repro.storage.fs import SimulatedFS
 from test_version import _CountedKey
@@ -126,7 +126,7 @@ def _l2sm(fs):
 
 
 class TestPointReadDifferential:
-    """``DB.get`` / ``DB.multi_get`` against ``_reference.get_linear`` /
+    """``DB.get`` / ``DB.multi_get`` against ``oracle.reference.get_linear`` /
     ``multi_get_linear`` over one op list: L0 files, an immutable memtable,
     tombstones, overwritten keys, snapshots older and newer than the
     memtable's entries, absent keys, appended files, value separation and
@@ -155,8 +155,8 @@ class TestPointReadDifferential:
             expect_appends,
         )
         ref = _differential_run(
-            lambda db, key, snap: _reference.get_linear(db, key, snapshot=snap),
-            lambda db, keys, snap: _reference.multi_get_linear(db, keys, snapshot=snap),
+            lambda db, key, snap: reference.get_linear(db, key, snapshot=snap),
+            lambda db, keys, snap: reference.multi_get_linear(db, keys, snapshot=snap),
             make,
             expect_appends,
         )

@@ -1,5 +1,5 @@
 """Property tests cross-checking every optimized hot path against the
-frozen reference implementations in :mod:`repro._reference`.
+frozen reference implementations in :mod:`oracle.reference`.
 
 The engine's fast paths (table-driven varints, the fused block decode, the
 fused k-way merge stack, the heap-based LPT scheduler, the bisecting
@@ -24,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro import _reference  # noqa: E402
+from oracle import reference  # noqa: E402
 from repro.encoding import (  # noqa: E402
     BufferWriter,
     decode_varint,
@@ -70,7 +70,7 @@ varint_values = st.one_of(
 @given(varint_values)
 def test_encode_varint_matches_reference(value):
     """Table/tuple-driven encoder is byte-identical to the shift loop."""
-    assert encode_varint(value) == _reference.encode_varint(value)
+    assert encode_varint(value) == reference.encode_varint(value)
 
 
 @given(varint_values, st.binary(max_size=4))
@@ -85,7 +85,7 @@ def test_decode_varint_matches_reference_on_arbitrary_bytes(buf, offset):
     """Fast decoder and reference agree on every input: same value/offset on
     success, :class:`CorruptionError` (and nothing else) on failure."""
     try:
-        expected = _reference.decode_varint(buf, offset)
+        expected = reference.decode_varint(buf, offset)
     except CorruptionError:
         with pytest.raises(CorruptionError):
             decode_varint(buf, offset)
@@ -97,9 +97,9 @@ def test_decode_varint_matches_reference_on_arbitrary_bytes(buf, offset):
 def test_decode_varint3_equivalent_to_three_decodes(buf, offset):
     """Batched 3-varint decode behaves like three sequential decodes."""
     try:
-        a, pos = _reference.decode_varint(buf, offset)
-        b, pos = _reference.decode_varint(buf, pos)
-        c, pos = _reference.decode_varint(buf, pos)
+        a, pos = reference.decode_varint(buf, offset)
+        b, pos = reference.decode_varint(buf, pos)
+        c, pos = reference.decode_varint(buf, pos)
         expected = (a, b, c, pos)
     except CorruptionError:
         with pytest.raises(CorruptionError):
@@ -111,7 +111,7 @@ def test_decode_varint3_equivalent_to_three_decodes(buf, offset):
 @given(st.binary(max_size=24), st.binary(max_size=24))
 def test_shared_prefix_len_matches_reference(a, b):
     """XOR-based common-prefix length equals the byte-at-a-time scan."""
-    assert shared_prefix_len(a, b) == _reference.shared_prefix_len(a, b)
+    assert shared_prefix_len(a, b) == reference.shared_prefix_len(a, b)
 
 
 @given(st.binary(min_size=1, max_size=12), st.integers(2, 6))
@@ -142,7 +142,7 @@ def test_buffer_writer_matches_field_concatenation(ops):
     for kind, arg in ops:
         if kind == "varint":
             writer.varint(arg)
-            expected += _reference.encode_varint(arg)
+            expected += reference.encode_varint(arg)
         elif kind == "fixed32":
             writer.fixed32(arg)
             expected += struct.pack("<I", arg)
@@ -154,7 +154,7 @@ def test_buffer_writer_matches_field_concatenation(ops):
             expected += arg
         else:
             writer.length_prefixed(arg)
-            expected += _reference.encode_varint(len(arg)) + arg
+            expected += reference.encode_varint(len(arg)) + arg
     assert writer.getvalue() == bytes(expected)
     assert len(writer) == len(expected)
     writer.clear()
@@ -196,7 +196,7 @@ def internal_entries(draw):
 def test_block_builder_matches_reference_builder(entries, restart_interval):
     """Optimized builder output is byte-identical to the reference builder."""
     fast = BlockBuilder(restart_interval=restart_interval)
-    ref = _reference.ReferenceBlockBuilder(restart_interval=restart_interval)
+    ref = reference.ReferenceBlockBuilder(restart_interval=restart_interval)
     for key, value in entries:
         fast.add(key, value)
         ref.add(key, value)
@@ -212,7 +212,7 @@ def test_block_decode_matches_reference(entries, restart_interval):
         builder.add(key, value)
     payload = builder.finish()
     block = DataBlock.parse(payload)
-    ref_keys, ref_values = _reference.parse_block(payload)
+    ref_keys, ref_values = reference.parse_block(payload)
     assert block.keys == ref_keys
     assert block.values == ref_values
 
@@ -246,7 +246,7 @@ def test_block_decode_corruption_matches_reference(payload):
     nothing else) whenever the reference fails, and matches its output
     whenever the reference succeeds."""
     try:
-        expected = _reference.parse_block(payload)
+        expected = reference.parse_block(payload)
     except Exception:
         # Reference failure (however it fails) must be a clean
         # CorruptionError in the optimized decoder.
@@ -287,7 +287,7 @@ def entry_sources(draw, max_sources=6):
 def test_merge_entries_matches_heapq_merge(sources_seq):
     """Fused 1/2/k-way merge equals ``heapq.merge`` on the same streams."""
     sources, _ = sources_seq
-    expected = list(_reference.merge_sorted([list(s) for s in sources])) if sources else []
+    expected = list(reference.merge_sorted([list(s) for s in sources])) if sources else []
     assert list(merge_entries([iter(s) for s in sources])) == expected
 
 
@@ -298,7 +298,7 @@ def test_merge_visible_matches_reference_stack(sources_seq, snapshot):
     sources, max_seq = sources_seq
     snapshot = min(snapshot, max_seq)
     expected = list(
-        _reference.merge_visible([list(s) for s in sources], snapshot)
+        reference.merge_visible([list(s) for s in sources], snapshot)
     )
     assert list(merge_visible([iter(s) for s in sources], snapshot)) == expected
 
@@ -311,7 +311,7 @@ def test_merge_visible_end_bound_matches_reference(sources_seq, snapshot, end):
     sources, max_seq = sources_seq
     snapshot = min(snapshot, max_seq)
     expected = list(
-        _reference.merge_visible([list(s) for s in sources], snapshot, end)
+        reference.merge_visible([list(s) for s in sources], snapshot, end)
     )
     assert list(merge_visible([iter(s) for s in sources], snapshot, end)) == expected
 
@@ -322,9 +322,9 @@ def test_visible_entries_matches_reference(sources_seq, snapshot):
     """The kept ``visible_entries`` wrapper equals the reference pass."""
     sources, max_seq = sources_seq
     snapshot = min(snapshot, max_seq)
-    merged = list(_reference.merge_sorted([list(s) for s in sources])) if sources else []
+    merged = list(reference.merge_sorted([list(s) for s in sources])) if sources else []
     assert list(visible_entries(iter(merged), snapshot)) == list(
-        _reference.visible_entries(iter(merged), snapshot)
+        reference.visible_entries(iter(merged), snapshot)
     )
 
 
@@ -343,7 +343,7 @@ def test_merge_keep_newest_matches_reference(sources_seq, boundaries):
     if not sources:
         sources = [[]]
     expected = list(
-        _reference.merge_keep_newest([iter(list(s)) for s in sources], boundaries)
+        reference.merge_keep_newest([iter(list(s)) for s in sources], boundaries)
     )
     assert (
         list(merge_keep_newest([iter(s) for s in sources], boundaries)) == expected
@@ -363,7 +363,7 @@ def test_merge_live_matches_reference(sources_seq, boundaries, droppable):
         return droppable or user_key.endswith(b"\x01")
 
     expected = list(
-        _reference.merge_live([iter(list(s)) for s in sources], can_drop, boundaries)
+        reference.merge_live([iter(list(s)) for s in sources], can_drop, boundaries)
     )
     assert (
         list(merge_live([iter(s) for s in sources], can_drop, boundaries)) == expected
@@ -391,7 +391,7 @@ def test_merge_roundtrip_internal_keys():
 )
 def test_lpt_makespan_matches_linear_scan(durations, workers):
     """Heap-based LPT is bit-identical to the reference linear-scan LPT."""
-    assert lpt_makespan(durations, workers) == _reference.lpt_makespan(
+    assert lpt_makespan(durations, workers) == reference.lpt_makespan(
         durations, workers
     )
 
@@ -419,7 +419,7 @@ def _file(number: int, lo: int, hi: int, size: int = 1000, valid: int = 1000) ->
     )
 
 
-def _assert_catalogs_agree(version: Version, ref: _reference.ReferenceVersion, data) -> None:
+def _assert_catalogs_agree(version: Version, ref: reference.ReferenceVersion, data) -> None:
     assert version.levels == ref.levels
     assert version.num_files() == sum(len(files) for files in ref.levels)
     for level in range(_LEVELS):
@@ -472,7 +472,7 @@ def test_version_matches_reference_catalog(data):
     answers and equal running totals after every edit; a rejected edit
     raises the same error in both and leaves the catalog's invariants
     intact."""
-    version, ref = Version(_LEVELS), _reference.ReferenceVersion(_LEVELS)
+    version, ref = Version(_LEVELS), reference.ReferenceVersion(_LEVELS)
     unused = list(range(1, 400))
     key = st.integers(0, _KEY_SPACE)
 
@@ -570,7 +570,7 @@ def test_seek_index_matches_linear_walk(level1, level2):
         for ordinal in range(-1, _KEY_SPACE + 2):
             key = _user_key(ordinal) if ordinal >= 0 else b""
             index = sv.seek_index(level, key)
-            assert index == _reference.level_seek_linear(files, key)
+            assert index == reference.level_seek_linear(files, key)
             holder = sv.file_for_key(level, key)
             if index < len(files) and files[index].smallest_user_key <= key:
                 assert holder is files[index]
@@ -598,12 +598,12 @@ def test_bulk_filter_build_matches_per_key_adds(keys, bits_per_key, reserved, ex
     else:
         loop = BloomFilter(len(keys), bits_per_key)
     for key in keys:
-        _reference.bloom_add(loop, key)
+        reference.bloom_add(loop, key)
     assert bulk.serialize() == loop.serialize()
     # Absorbing appended keys into whatever headroom the filter has.
     try:
         for key in extra:
-            _reference.bloom_add(loop, key)
+            reference.bloom_add(loop, key)
     except OverflowError as exc:
         with pytest.raises(OverflowError) as caught:
             bulk.add_many(extra)
@@ -631,7 +631,7 @@ def test_filter_check_with_a_passed_hash_matches_reference_check(
     built = build_filter(keys, bits_per_key, reserved)
     for flt in (built, BloomFilter.deserialize(built.serialize())):
         for key in keys + probes:
-            expected = _reference.bloom_may_contain(flt, key)
+            expected = reference.bloom_may_contain(flt, key)
             assert flt.may_contain(key) == expected
             assert flt.may_contain(key, _hash_pair(key)) == expected
         assert all(flt.may_contain(key, _hash_pair(key)) for key in keys)
@@ -664,7 +664,7 @@ def test_memtable_get_with_key_set_matches_skiplist_only_get(history, reads):
         if frozen:
             memtable.freeze()
         for key, snapshot in reads + [(key, 0) for key, _t, _v in history]:
-            assert memtable.get(key, snapshot) == _reference.memtable_get_seek(
+            assert memtable.get(key, snapshot) == reference.memtable_get_seek(
                 memtable, key, snapshot
             )
 
@@ -700,7 +700,7 @@ def test_table_builder_matches_reference_table(
     for key, value in entries:
         builder.add(key, value)
     info = builder.finish()
-    expected = _reference.build_table_bytes(
+    expected = reference.build_table_bytes(
         entries,
         block_size=block_size,
         restart_interval=restart_interval,
@@ -720,7 +720,7 @@ def _build_with_table_builder(pairs) -> None:
 
 
 def _build_with_reference(pairs) -> None:
-    _reference.build_table_bytes(
+    reference.build_table_bytes(
         pairs, block_size=64, restart_interval=2, bits_per_key=0, reserved_fraction=0.0
     )
 
@@ -798,13 +798,13 @@ def test_cutter_block_is_the_wrapped_finished_payload(entries, block_size, resta
     assert sum(count for _raw, count in emitted) == len(entries)
     start = 0
     for raw, count in emitted:
-        ref = _reference.ReferenceBlockBuilder(restart_interval=restart_interval)
+        ref = reference.ReferenceBlockBuilder(restart_interval=restart_interval)
         fast = BlockBuilder(restart_interval=restart_interval)
         for key, value in entries[start : start + count]:
             ref.add(key, value)
             fast.add(key, value)
         start += count
-        assert raw == _reference.stored_block(ref.finish())
+        assert raw == reference.stored_block(ref.finish())
         assert raw == wrap_block(fast.finish())
         assert fast.finish_stored() == raw
 
@@ -837,7 +837,7 @@ def test_index_serialize_matches_reference_writer(entries):
 
     block = IndexBlock(entries)
     payload = block.serialize()
-    assert payload == _reference.index_block_serialize(entries)
+    assert payload == reference.index_block_serialize(entries)
     assert block.memory_bytes() == len(payload)
     parsed = IndexBlock.deserialize(payload)
     assert parsed.entries == entries
@@ -898,7 +898,7 @@ def test_simulated_fs_matches_bytearray_reference(ops):
     sequence of backend operations leaves the same bytes, sizes, listing
     and digest as the ``bytearray`` store it replaced — out-of-bounds and
     missing-file errors included, type and message."""
-    fast, ref = SimulatedFS(), _reference.ReferenceFS()
+    fast, ref = SimulatedFS(), reference.ReferenceFS()
     for op in ops:
         assert _fs_outcome(lambda: _fs_apply(fast, op)) == _fs_outcome(
             lambda: _fs_apply(ref, op)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from conftest import make_db, tiny_options
-from repro import _reference
+from oracle import reference
 from repro.keys import TYPE_VALUE, comparable_key, make_internal_key
 from repro.sstable import TableBuilder, TableReader
 from repro.storage.fs import SimulatedFS
@@ -158,7 +158,7 @@ def _differential_run(scan, style, kv_separation):
 
 class TestScanPathDifferential:
     """``DB.scan`` (bisected level seek, one block stream per level, C-level
-    drain) against ``_reference.scan_linear`` (the linear walk, a generator
+    drain) against ``oracle.reference.scan_linear`` (the linear walk, a generator
     per file, a per-entry loop) over one op list: a tree with L0 files, an
     immutable memtable and appended files, ``end`` bounds, every kind of
     ``limit`` and a snapshot.  A scan is allowed to cost less CPU, not to
@@ -174,7 +174,7 @@ class TestScanPathDifferential:
             style,
             kv_separation,
         )
-        ref = _differential_run(_reference.scan_linear, style, kv_separation)
+        ref = _differential_run(reference.scan_linear, style, kv_separation)
         assert any(new["results"]) and new["seek_compactions"] > 0
         for name, expected in ref.items():
             assert new[name] == expected, name

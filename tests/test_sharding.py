@@ -554,15 +554,15 @@ class TestShardedObservability:
 
 class TestShardedCrashHarness:
     def test_machine_crash_sweep_holds_invariants(self):
-        from repro.tools.crashtest import run_sharded_crash_test
+        from oracle.crashtest import run_crash_test
 
-        report = run_sharded_crash_test(num_ops=48, max_points=24, seed=3)
+        report = run_crash_test(num_ops=48, max_points=24, seed=3, sharded=True)
         assert report.total_sync_points > 0
         assert report.points_tested  # the sweep actually crashed somewhere
         assert report.passed, report.summary()
 
     def test_workload_interleaves_router_edits(self):
-        from repro.tools.crashtest import build_sharded_workload
+        from oracle.crashtest import build_sharded_workload
 
         ops = build_sharded_workload(64, seed=0)
         kinds = {op[0] for op in ops}

@@ -372,7 +372,7 @@ class TestCrashConsistencySmoke:
     def test_kv_crash_points_hold(self):
         """A thin slice of the kv-separation crash sweep (the full sweep is
         the crash harness's --kv-separation leg)."""
-        from repro.tools.crashtest import (
+        from oracle.crashtest import (
             KV_SEPARATION_VALUE_SIZE,
             kv_separation_overrides,
             run_crash_test,
