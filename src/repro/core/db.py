@@ -84,6 +84,7 @@ from ..errors import (
 from ..keys import ComparableKey, TYPE_VALUE, seek_comparable
 from ..memtable.memtable import MemTable
 from ..memtable.wal import WalRecoveryStats, WalWriter, read_wal_tolerant
+from ..metrics.amplification import level_rows
 from ..metrics.stats import CompactionEvent, DBStats
 from ..obs.histogram import LatencyRegistry
 from ..obs.trace import NULL_TRACER, Tracer
@@ -867,8 +868,13 @@ class DB:
                 self._freeze_locked()
             self._last_flush_meta = None
             self._scheduler.wake()
-            while self._immutable is not None and self._scheduler.error is None:
+            while (
+                self._immutable is not None
+                and self._scheduler.error is None
+                and not self._closed
+            ):
                 self._flush_cv.wait(timeout=0.05)
+            self._check_open()
             meta = self._last_flush_meta
         self._error_handler.check_writable()
         self._scheduler.raise_if_failed()
@@ -2272,15 +2278,12 @@ class DB:
             "Level  Files  Valid(KiB)  File(KiB)  Obsolete(KiB)",
             "-----  -----  ----------  ---------  -------------",
         ]
-        for level in range(self.version.num_levels):
-            files = self.version.files_at(level)
-            if not files and level > self.version.deepest_nonempty_level():
-                continue
+        with self._lock:
+            rows = level_rows(self.version)[: self.version.deepest_nonempty_level() + 1]
+        for row in rows:
             lines.append(
-                f"{level:>5}  {len(files):>5}  "
-                f"{self.version.level_valid_bytes(level) / 1024:>10.1f}  "
-                f"{self.version.level_file_bytes(level) / 1024:>9.1f}  "
-                f"{self.version.level_obsolete_bytes(level) / 1024:>13.1f}"
+                f"{row.level:>5}  {row.files:>5}  {row.valid_bytes / 1024:>10.1f}  "
+                f"{row.file_bytes / 1024:>9.1f}  {row.obsolete_bytes / 1024:>13.1f}"
             )
         s = self.stats
         lines.append("")

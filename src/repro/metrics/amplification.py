@@ -1,15 +1,80 @@
 """Amplification metrics — the quantities the paper's evaluation reports.
 
-All functions read a live :class:`~repro.core.db.DB`; nothing here mutates
+The functions read a live :class:`~repro.core.db.DB`, or for the catalog
+rows a bare :class:`~repro.core.version.Version`; nothing here mutates
 state, so they can be sampled mid-run (e.g. for the per-level series).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
+
+from ..errors import FileSystemError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; a runtime import would cycle
     from ..core.db import DB
+    from ..core.version import Version
+    from ..storage.fs import FileSystem
+
+
+class LevelRow(NamedTuple):
+    """One level's catalog totals."""
+
+    level: int
+    files: int
+    file_bytes: int
+    valid_bytes: int
+    obsolete_bytes: int
+    #: Block Compaction appends into the level's files, summed.
+    appends: int
+
+
+class VlogRow(NamedTuple):
+    """One registered value-log file: its on-disk size and the dead bytes
+    compactions have journaled against it."""
+
+    file: str
+    size: int
+    dead_bytes: int
+
+    @property
+    def live_bytes(self) -> int:
+        return max(0, self.size - self.dead_bytes)
+
+
+def level_rows(version: Version) -> list[LevelRow]:
+    """One row per level of ``version`` — the per-level table of
+    ``DB.debug_string``, the offline store report and the scrape.  The
+    caller holds whatever lock keeps ``version`` still."""
+    return [
+        LevelRow(
+            level,
+            len(files),
+            version.level_file_bytes(level),
+            version.level_valid_bytes(level),
+            version.level_obsolete_bytes(level),
+            sum(f.append_count for f in files),
+        )
+        for level, files in enumerate(version.levels)
+    ]
+
+
+def vlog_utilization(fs: FileSystem, version: Version) -> list[VlogRow]:
+    """Per-value-log-file utilization from ``version``'s garbage ledger, in
+    file-number order.  The ledger is GC's scheduling heuristic — dead
+    counts reset on repair and lag the newest drops — so ratios are
+    advisory, not exact.  A file that cannot be sized counts as empty."""
+    from ..vlog import vlog_file_name  # the vlog package imports the fs layer
+
+    rows = []
+    for number in sorted(version.vlog):
+        name = vlog_file_name(number)
+        try:
+            size = fs.file_size(name)
+        except (FileSystemError, OSError):
+            size = 0
+        rows.append(VlogRow(name, size, version.vlog[number]))
+    return rows
 
 
 def write_amplification(db: DB) -> float:

@@ -9,7 +9,7 @@ every number the paper's figures report.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -205,6 +205,11 @@ class DBStats:
                     self.compactions_by_policy.get(event.policy, 0) + 1
                 )
 
+    def numeric(self) -> dict[str, int | float]:
+        """Every scalar counter by field name: what the ``OP_STATS`` engine
+        section reports and ``ShardedDB.aggregate_stats`` sums."""
+        return {name: getattr(self, name) for name in NUMERIC_FIELDS}
+
     # -- derived metrics -----------------------------------------------------
 
     def sst_bytes_written(self) -> int:
@@ -228,3 +233,7 @@ class DBStats:
         if denominator == 0:
             return 0.0
         return self.max_space_bytes / denominator
+
+
+#: :class:`DBStats`'s scalar counters in declaration order.
+NUMERIC_FIELDS = tuple(f.name for f in fields(DBStats) if f.type in ("int", "float"))

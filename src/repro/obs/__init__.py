@@ -1,6 +1,6 @@
 """Observability: structured tracing, latency histograms, introspection.
 
-Three pieces, all dependency-free and off by default (DESIGN.md §8):
+Four pieces, all dependency-free and off by default (DESIGN.md §8):
 
 * :mod:`repro.obs.trace` — a thread-safe ring-buffered :class:`Tracer`
   emitting begin/end spans and instant events with wall-clock *and*
@@ -8,9 +8,11 @@ Three pieces, all dependency-free and off by default (DESIGN.md §8):
   ``trace_event`` JSON.
 * :mod:`repro.obs.histogram` — fixed-bucket log-scale latency histograms
   with p50/p95/p99/p999 quantiles, grouped in a :class:`LatencyRegistry`.
-* :mod:`repro.obs.timeline` / :mod:`repro.obs.prom` — a flush/compaction
-  timeline renderer over exported traces and a Prometheus-style text
-  exporter over the stats registry.
+* :mod:`repro.obs.timeline` — a flush/compaction timeline renderer over
+  exported traces.
+* :mod:`repro.obs.prom` — one metrics walk, :func:`collect`, over a DB, a
+  ShardedDB or a ShardServer, and :func:`render_prometheus`, the only
+  Prometheus text renderer, over it.
 
 When ``Options.tracing`` and ``Options.latency_histograms`` are both off
 (the default) the engine uses the shared :data:`NULL_TRACER` and records
@@ -19,11 +21,7 @@ engine built without this package.
 """
 
 from .histogram import HistogramSnapshot, LatencyHistogram, LatencyRegistry
-from .prom import (
-    render_prometheus,
-    render_prometheus_serve,
-    render_prometheus_sharded,
-)
+from .prom import Sample, collect, render_prometheus
 from .timeline import Span, build_spans, load_events, render_timeline, spans_to_json
 from .trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
@@ -33,14 +31,14 @@ __all__ = [
     "LatencyRegistry",
     "NULL_TRACER",
     "NullTracer",
+    "Sample",
     "Span",
     "TraceEvent",
     "Tracer",
     "build_spans",
+    "collect",
     "load_events",
     "render_prometheus",
-    "render_prometheus_serve",
-    "render_prometheus_sharded",
     "render_timeline",
     "spans_to_json",
 ]

@@ -632,6 +632,8 @@ class ShardServer:
         if hasattr(self.db, "aggregate_stats"):
             doc["engine"] = self.db.aggregate_stats()
             doc["shards"] = self.db.shard_names()
+        else:
+            doc["engine"] = self.db.stats.numeric()
         return json.dumps(doc).encode("utf-8")
 
     def _health_payload(self) -> bytes:

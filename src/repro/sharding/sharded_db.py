@@ -42,6 +42,7 @@ from ..core.scheduler import SharedBackgroundExecutor
 from ..core.write_batch import WriteBatch
 from ..errors import InvalidArgumentError, WouldBlock
 from ..keys import TYPE_VALUE
+from ..metrics.stats import NUMERIC_FIELDS
 from ..options import Options
 from ..storage.io_stats import IOStats
 from .router import RouterMap, ShardSpec, load_router, save_router
@@ -620,49 +621,18 @@ class ShardedDB:
         ``sim_time_s`` sums too — it is total device work, not wall time;
         shards overlap in wall time by design."""
         total = IOStats()
-        sources = [db.io_stats for db in self._dbs.values()]
-        sources.append(self.store.root_fs.stats)
-        for stats in sources:
-            total.bytes_written += stats.bytes_written
-            total.bytes_read += stats.bytes_read
-            total.write_ops += stats.write_ops
-            total.read_ops += stats.read_ops
-            total.random_reads += stats.random_reads
-            total.sequential_reads += stats.sequential_reads
-            total.files_created += stats.files_created
-            total.files_deleted += stats.files_deleted
-            total.syncs += stats.syncs
-            total.sim_time_s += stats.sim_time_s
-        return total
+        for db in self._dbs.values():
+            total.accumulate(db.io_stats)
+        return total.accumulate(self.store.root_fs.stats)
 
     def aggregate_stats(self) -> dict:
-        """Summed engine counters across shards (the multi-instance view
-        ``repro.tools metrics`` and the Prometheus exporter label per
-        shard; this is the rollup)."""
-        fields = (
-            "user_writes",
-            "user_deletes",
-            "user_bytes_written",
-            "flush_count",
-            "stall_events",
-            "stall_stops",
-            "gets",
-            "gets_found",
-            "scans",
-            "scan_entries",
-            "table_compactions",
-            "block_compactions",
-            "trivial_moves",
-            "compaction_bytes_read",
-            "compaction_bytes_written",
-        )
-        total = {name: 0 for name in fields}
-        total["stall_time_s"] = 0.0
+        """Every numeric engine counter summed across shards (the rollup of
+        what the Prometheus walk labels per shard), plus the router's shard
+        count and lifetime splits/merges."""
+        total = dict.fromkeys(NUMERIC_FIELDS, 0)
         for db in self._dbs.values():
-            stats = db.stats
-            for name in fields:
-                total[name] += getattr(stats, name)
-            total["stall_time_s"] += stats.stall_time_s
+            for name, value in db.stats.numeric().items():
+                total[name] += value
         total["shards"] = len(self._map)
         total["splits"] = self.splits
         total["merges"] = self.merges

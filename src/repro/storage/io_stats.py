@@ -10,8 +10,9 @@ else does.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: Well-known I/O categories (free-form strings are accepted too).
 CAT_WAL = "wal"
@@ -112,55 +113,35 @@ class IOStats:
 
     def snapshot(self) -> "IOStats":
         """A deep copy usable as a baseline for interval measurements."""
-        snap = IOStats(
-            bytes_written=self.bytes_written,
-            bytes_read=self.bytes_read,
-            write_ops=self.write_ops,
-            read_ops=self.read_ops,
-            random_reads=self.random_reads,
-            sequential_reads=self.sequential_reads,
-            files_created=self.files_created,
-            files_deleted=self.files_deleted,
-            syncs=self.syncs,
-            dir_scans=self.dir_scans,
-            dir_scan_entries=self.dir_scan_entries,
-            sim_time_s=self.sim_time_s,
-        )
-        for name, cat in self.per_category.items():
-            snap.per_category[name] = CategoryCounters(
-                bytes_written=cat.bytes_written,
-                bytes_read=cat.bytes_read,
-                write_ops=cat.write_ops,
-                read_ops=cat.read_ops,
-            )
-        for name, seconds in self.time_per_category.items():
-            snap.time_per_category[name] = seconds
-        return snap
+        return IOStats().accumulate(self)
 
     def delta_since(self, baseline: "IOStats") -> "IOStats":
         """Counters accumulated since ``baseline`` (a prior :meth:`snapshot`)."""
-        delta = IOStats(
-            bytes_written=self.bytes_written - baseline.bytes_written,
-            bytes_read=self.bytes_read - baseline.bytes_read,
-            write_ops=self.write_ops - baseline.write_ops,
-            read_ops=self.read_ops - baseline.read_ops,
-            random_reads=self.random_reads - baseline.random_reads,
-            sequential_reads=self.sequential_reads - baseline.sequential_reads,
-            files_created=self.files_created - baseline.files_created,
-            files_deleted=self.files_deleted - baseline.files_deleted,
-            syncs=self.syncs - baseline.syncs,
-            dir_scans=self.dir_scans - baseline.dir_scans,
-            dir_scan_entries=self.dir_scan_entries - baseline.dir_scan_entries,
-            sim_time_s=self.sim_time_s - baseline.sim_time_s,
-        )
-        for name, cat in self.per_category.items():
-            base = baseline.per_category.get(name, CategoryCounters())
-            delta.per_category[name] = CategoryCounters(
-                bytes_written=cat.bytes_written - base.bytes_written,
-                bytes_read=cat.bytes_read - base.bytes_read,
-                write_ops=cat.write_ops - base.write_ops,
-                read_ops=cat.read_ops - base.read_ops,
+        return self.snapshot().accumulate(baseline, operator.sub)
+
+    def accumulate(self, other: "IOStats", op=operator.add) -> "IOStats":
+        """Combine ``other`` into this instance counter by counter, each
+        becoming ``op(mine, other's)``; returns ``self``.  Every copy, delta
+        and rollup goes through here, so none can leave a counter out."""
+        for name in COUNTER_FIELDS:
+            setattr(self, name, op(getattr(self, name), getattr(other, name)))
+        for category, theirs in other.per_category.items():
+            mine = self.per_category[category]
+            for name in CATEGORY_FIELDS:
+                setattr(mine, name, op(getattr(mine, name), getattr(theirs, name)))
+        for category, seconds in other.time_per_category.items():
+            self.time_per_category[category] = op(
+                self.time_per_category[category], seconds
             )
-        for name, seconds in self.time_per_category.items():
-            delta.time_per_category[name] = seconds - baseline.time_per_category.get(name, 0.0)
-        return delta
+        return self
+
+
+def _scalar_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.type in ("int", "float"))
+
+
+#: The scalar counters of :class:`IOStats` and :class:`CategoryCounters`, in
+#: declaration order: what :meth:`IOStats.accumulate` combines and the
+#: Prometheus walk exports.
+COUNTER_FIELDS = _scalar_fields(IOStats)
+CATEGORY_FIELDS = _scalar_fields(CategoryCounters)

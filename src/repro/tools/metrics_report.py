@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from ..core.manifest import read_current, replay_manifest
 from ..core.version import Version, VersionEdit
+from ..metrics.amplification import VlogRow, level_rows, vlog_utilization
 from ..metrics.report import format_table, human_bytes
 from ..options import Options
 from ..storage.fs import FileSystem
@@ -99,66 +100,26 @@ def replay_store(fs: FileSystem) -> StoreReplay:
     return replay
 
 
-def vlog_utilization(fs: FileSystem, replay: StoreReplay) -> list[dict]:
-    """Per-value-log-file utilization from the manifest's garbage ledger.
-
-    One dict per registered vlog file: its on-disk size, the dead bytes
-    compactions have journaled against it, and the live remainder.  The
-    ledger is GC's scheduling heuristic — dead counts reset on repair and
-    lag the newest drops — so ratios are advisory, not exact."""
-    from ..errors import FileSystemError
-    from ..vlog import vlog_file_name
-
-    rows = []
-    for number in sorted(replay.version.vlog):
-        name = vlog_file_name(number)
-        dead = replay.version.vlog[number]
-        try:
-            size = fs.file_size(name)
-        except (FileSystemError, OSError):
-            size = 0
-        rows.append(
-            {
-                "file": name,
-                "number": number,
-                "size": size,
-                "dead_bytes": dead,
-                "live_bytes": max(0, size - dead),
-                "dead_ratio": (dead / size) if size else 0.0,
-            }
-        )
-    return rows
-
-
 def format_store_report(fs: FileSystem) -> str:
     """The ``metrics`` subcommand's full plain-text report."""
     replay = replay_store(fs)
     version = replay.version
 
-    rows = []
-    for level in range(version.num_levels):
-        files = version.files_at(level)
-        if not files and level > version.deepest_nonempty_level():
-            continue
-        file_bytes = version.level_file_bytes(level)
-        valid = version.level_valid_bytes(level)
-        obsolete = version.level_obsolete_bytes(level)
-        appends = sum(f.append_count for f in files)
-        rows.append(
-            [
-                f"L{level}",
-                len(files),
-                human_bytes(file_bytes),
-                human_bytes(valid),
-                human_bytes(obsolete),
-                f"{obsolete / file_bytes:.1%}" if file_bytes else "-",
-                appends,
-            ]
-        )
+    levels = level_rows(version)
+    rows = [
+        [
+            f"L{row.level}",
+            row.files,
+            human_bytes(row.file_bytes),
+            human_bytes(row.valid_bytes),
+            human_bytes(row.obsolete_bytes),
+            _share(row.obsolete_bytes, row.file_bytes),
+            row.appends,
+        ]
+        for row in levels[: version.deepest_nonempty_level() + 1]
+    ]
     total_file = version.total_file_bytes()
-    total_valid = sum(
-        version.level_valid_bytes(level) for level in range(version.num_levels)
-    )
+    total_valid = sum(row.valid_bytes for row in levels)
     rows.append(
         [
             "total",
@@ -166,7 +127,7 @@ def format_store_report(fs: FileSystem) -> str:
             human_bytes(total_file),
             human_bytes(total_valid),
             human_bytes(total_file - total_valid),
-            f"{(total_file - total_valid) / total_file:.1%}" if total_file else "-",
+            _share(total_file - total_valid, total_file),
             "",
         ]
     )
@@ -189,36 +150,27 @@ def format_store_report(fs: FileSystem) -> str:
         f"{total_file / total_valid:.3f}" if total_valid else
         "space amplification: n/a (no valid bytes)",
     ]
-    vlog_rows = vlog_utilization(fs, replay)
+    vlog_rows = vlog_utilization(fs, version)
     if vlog_rows:
-        vrows = []
-        vlog_size = vlog_dead = 0
-        for row in vlog_rows:
-            vrows.append(
-                [
-                    row["file"],
-                    human_bytes(row["size"]),
-                    human_bytes(row["live_bytes"]),
-                    human_bytes(row["dead_bytes"]),
-                    f"{row['dead_ratio']:.1%}" if row["size"] else "-",
-                ]
-            )
-            vlog_size += row["size"]
-            vlog_dead += row["dead_bytes"]
-        vrows.append(
-            [
-                "total",
-                human_bytes(vlog_size),
-                human_bytes(max(0, vlog_size - vlog_dead)),
-                human_bytes(vlog_dead),
-                f"{vlog_dead / vlog_size:.1%}" if vlog_size else "-",
-            ]
+        total = VlogRow(
+            "total",
+            sum(row.size for row in vlog_rows),
+            sum(row.dead_bytes for row in vlog_rows),
         )
         lines.append("")
         lines.append(
             format_table(
                 ["vlog file", "size", "live", "dead", "dead %"],
-                vrows,
+                [
+                    [
+                        row.file,
+                        human_bytes(row.size),
+                        human_bytes(row.live_bytes),
+                        human_bytes(row.dead_bytes),
+                        _share(row.dead_bytes, row.size),
+                    ]
+                    for row in vlog_rows + [total]
+                ],
                 title="Value-log utilization (from manifest garbage ledger)",
             )
         )
@@ -262,53 +214,45 @@ def format_sharded_store_report(root: str) -> str:
     if rmap is None:
         raise ValueError(f"{root}: no committed router map")
 
-    rows = []
-    total_files = total_bytes = total_valid = 0
-    total_vlog = total_vlog_dead = 0
-    replays = []
+    def cells(files, file_bytes, valid, vlog_bytes, vlog_dead, has_vlog):
+        return [
+            files,
+            human_bytes(file_bytes),
+            human_bytes(valid),
+            _share(file_bytes - valid, file_bytes),
+            human_bytes(vlog_bytes) if has_vlog else "-",
+            _share(vlog_dead, vlog_bytes),
+        ]
+
+    rows, missing = [], []
+    totals = [0] * 5
     for index, spec in enumerate(rmap.specs):
         shard_fs = LocalFS(os.path.join(root, spec.name))
         replay = replay_store(shard_fs)
-        replays.append((spec, replay))
         version = replay.version
-        file_bytes = version.total_file_bytes()
-        valid = sum(
-            version.level_valid_bytes(level)
-            for level in range(version.num_levels)
+        vlog_rows = vlog_utilization(shard_fs, version)
+        shard = (
+            version.num_files(),
+            version.total_file_bytes(),
+            sum(row.valid_bytes for row in level_rows(version)),
+            sum(row.size for row in vlog_rows),
+            sum(row.dead_bytes for row in vlog_rows),
         )
-        vlog_rows = vlog_utilization(shard_fs, replay)
-        vlog_bytes = sum(row["size"] for row in vlog_rows)
-        vlog_dead = sum(row["dead_bytes"] for row in vlog_rows)
+        totals = [total + value for total, value in zip(totals, shard)]
         lower = rmap.lower(index)
-        rows.append(
-            [
-                spec.name,
-                (lower.hex() if lower else "-inf"),
-                (spec.upper.hex() if spec.upper is not None else "+inf"),
-                version.num_files(),
-                human_bytes(file_bytes),
-                human_bytes(valid),
-                f"{(file_bytes - valid) / file_bytes:.1%}" if file_bytes else "-",
-                human_bytes(vlog_bytes) if vlog_rows else "-",
-                f"{vlog_dead / vlog_bytes:.1%}" if vlog_bytes else "-",
-            ]
-        )
-        total_files += version.num_files()
-        total_bytes += file_bytes
-        total_valid += valid
-        total_vlog += vlog_bytes
-        total_vlog_dead += vlog_dead
-    rows.append(
-        [
-            "total", "", "",
-            total_files,
-            human_bytes(total_bytes),
-            human_bytes(total_valid),
-            f"{(total_bytes - total_valid) / total_bytes:.1%}" if total_bytes else "-",
-            human_bytes(total_vlog) if total_vlog else "-",
-            f"{total_vlog_dead / total_vlog:.1%}" if total_vlog else "-",
-        ]
-    )
+        rows.append([
+            spec.name,
+            lower.hex() if lower else "-inf",
+            spec.upper.hex() if spec.upper is not None else "+inf",
+            *cells(*shard, bool(vlog_rows)),
+        ])
+        if replay.missing_files:
+            missing.append(
+                f"{spec.name}: MISSING live files "
+                f"({len(replay.missing_files)}): "
+                + ", ".join(replay.missing_files)
+            )
+    rows.append(["total", "", "", *cells(*totals, bool(totals[3]))])
     table = format_table(
         [
             "shard", "lower", "upper", "files", "file bytes", "valid",
@@ -317,23 +261,21 @@ def format_sharded_store_report(root: str) -> str:
         rows,
         title="Per-shard storage (from router + manifest replay)",
     )
-
-    lines = [
+    total_bytes, total_valid = totals[1], totals[2]
+    return "\n".join([
         f"router epoch {rmap.epoch}: {len(rmap.specs)} shards",
         "",
         table,
         "",
         f"aggregate space amplification: {total_bytes / total_valid:.3f}"
         if total_valid else "aggregate space amplification: n/a (no valid bytes)",
-    ]
-    for spec, replay in replays:
-        if replay.missing_files:
-            lines.append(
-                f"{spec.name}: MISSING live files "
-                f"({len(replay.missing_files)}): "
-                + ", ".join(replay.missing_files)
-            )
-    return "\n".join(lines)
+        *missing,
+    ])
+
+
+def _share(part: int, whole: int) -> str:
+    """``part / whole`` as a percentage, or ``-`` when ``whole`` is 0."""
+    return f"{part / whole:.1%}" if whole else "-"
 
 
 def format_bench_report(report: dict) -> str:

@@ -167,43 +167,68 @@ def run_workload(
     """
     rng = random.Random(seed)
     chooser = make_generator(num_keys, spec.zipf, seed=seed + 1)
-    next_insert = num_keys
-    generation = 1 + seed  # distinguishes update rounds across runs
-
     measure = _Measurer(db, spec.name)
+    _issue_ops(
+        db, spec, measure.result, num_ops, rng, chooser,
+        next_insert=num_keys,
+        generation=1 + seed,  # distinguishes update rounds across runs
+        value_size=value_size,
+        sample_every=sample_every,
+    )
+    return measure.finish()
+
+
+def _issue_ops(
+    db: DB,
+    spec: WorkloadSpec,
+    tally: RunResult,
+    num_ops: int,
+    rng: random.Random,
+    chooser,
+    *,
+    next_insert: int,
+    generation: int,
+    value_size: int,
+    insert_stride: int = 1,
+    sample_every: int | None = None,
+) -> None:
+    """The one YCSB op loop: issue ``num_ops`` requests following ``spec``,
+    counting each into ``tally`` once it returns.  ``rng`` draws the op
+    (and a scan's length), ``chooser`` its key; inserts take ordinals from
+    ``next_insert`` in steps of ``insert_stride``, and updates write
+    ``generation``'s value.  ``sample_every`` appends a throughput sample
+    to ``tally`` each N operations."""
     last_time = db.io_stats.sim_time_s
     for done in range(1, num_ops + 1):
         dice = rng.random()
         if dice < spec.read_ratio:
-            key = make_key(chooser.next())
-            value = db.get(key)
-            measure.result.reads += 1
+            value = db.get(make_key(chooser.next()))
+            tally.reads += 1
             if value is not None:
-                measure.result.reads_found += 1
+                tally.reads_found += 1
         elif dice < spec.read_ratio + spec.scan_ratio:
             start = make_key(chooser.next())
             length = rng.randint(spec.scan_min_len, spec.scan_max_len)
             rows = db.scan(start, limit=length)
-            measure.result.scans += 1
-            measure.result.scan_entries += len(rows)
+            tally.scans += 1
+            tally.scan_entries += len(rows)
         else:
             if spec.write_mode == "insert":
                 ordinal = next_insert
-                next_insert += 1
+                next_insert += insert_stride
                 db.put(make_key(ordinal), make_value(ordinal, 0, value_size))
             else:
                 ordinal = chooser.next()
                 db.put(make_key(ordinal), make_value(ordinal, generation, value_size))
-            measure.result.writes += 1
-        measure.result.ops += 1
+            tally.writes += 1
+        tally.ops += 1
         if sample_every and done % sample_every == 0:
             now = db.io_stats.sim_time_s
             window = now - last_time
-            measure.result.throughput_curve.append(
+            tally.throughput_curve.append(
                 ThroughputSample(done, now, sample_every / window if window > 0 else 0.0)
             )
             last_time = now
-    return measure.finish()
 
 
 def run_workload_concurrent(
@@ -244,52 +269,28 @@ def run_workload_concurrent(
         per_thread[extra] += 1
 
     def client(tid: int, ops: int) -> None:
-        """One client thread's request loop (own rng/chooser, local tallies
-        folded into the shared result at the end)."""
-        rng = random.Random(seed + tid * 7919)
-        chooser = make_generator(num_keys, spec.zipf, seed=seed + 1 + tid * 104729)
-        next_insert = num_keys + tid  # strided: no insert collisions
-        generation = 1 + seed
-        reads = reads_found = writes = scans = scan_entries = 0
+        """One client thread: its own rng/chooser and local tallies, folded
+        into the shared result at the end."""
+        tally = RunResult(spec.name)
         try:
-            for _ in range(ops):
-                dice = rng.random()
-                if dice < spec.read_ratio:
-                    key = make_key(chooser.next())
-                    value = db.get(key)
-                    reads += 1
-                    if value is not None:
-                        reads_found += 1
-                elif dice < spec.read_ratio + spec.scan_ratio:
-                    start = make_key(chooser.next())
-                    length = rng.randint(spec.scan_min_len, spec.scan_max_len)
-                    rows = db.scan(start, limit=length)
-                    scans += 1
-                    scan_entries += len(rows)
-                else:
-                    if spec.write_mode == "insert":
-                        ordinal = next_insert
-                        next_insert += threads
-                        db.put(make_key(ordinal), make_value(ordinal, 0, value_size))
-                    else:
-                        ordinal = chooser.next()
-                        db.put(
-                            make_key(ordinal),
-                            make_value(ordinal, generation, value_size),
-                        )
-                    writes += 1
+            _issue_ops(
+                db, spec, tally, ops,
+                random.Random(seed + tid * 7919),
+                make_generator(num_keys, spec.zipf, seed=seed + 1 + tid * 104729),
+                next_insert=num_keys + tid,  # strided: no insert collisions
+                insert_stride=threads,
+                generation=1 + seed,
+                value_size=value_size,
+            )
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
             with counts_lock:
                 errors.append(exc)
         finally:
             with counts_lock:
                 r = measure.result
-                r.reads += reads
-                r.reads_found += reads_found
-                r.writes += writes
-                r.scans += scans
-                r.scan_entries += scan_entries
-                r.ops += reads + writes + scans
+                for name in ("ops", "reads", "reads_found", "writes", "scans",
+                             "scan_entries"):
+                    setattr(r, name, getattr(r, name) + getattr(tally, name))
 
     workers = [
         threading.Thread(target=client, args=(tid, ops), name=f"ycsb-client-{tid}")

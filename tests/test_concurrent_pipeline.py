@@ -11,7 +11,7 @@ from conftest import kv, make_db, tiny_options
 from repro.core import db as db_module
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
-from repro.errors import ReadOnlyError, TransientIOError
+from repro.errors import DBClosedError, ReadOnlyError, TransientIOError
 from repro.memtable.wal import read_wal
 from repro.options import COMPACTION_SELECTIVE, COMPACTION_TABLE, Options
 from repro.storage.faults import KIND_TRANSIENT, FaultInjectionFS, FaultPolicy
@@ -124,6 +124,31 @@ class TestBackgroundPipeline:
             key, value = kv(i)
             assert db.get(key) == value
         db.close()
+
+    def test_flush_waiting_on_the_lane_leaves_when_closed(self):
+        """``close()`` while ``flush()`` waits for a lane that will not run:
+        the flushing thread stops waiting and raises the closed-DB error."""
+        db = make_concurrent_db()
+        db._scheduler.pause()  # the handed-off flush never lands
+        db.put(*kv(0))
+        raised = []
+
+        def flush() -> None:
+            try:
+                db.flush()
+            except DBClosedError as exc:
+                raised.append(exc)
+
+        flusher = threading.Thread(target=flush, daemon=True)
+        flusher.start()
+        deadline = time.monotonic() + 30.0
+        while db._immutable is None:
+            assert time.monotonic() < deadline, "flush never froze the memtable"
+            time.sleep(0.001)
+        db.close()
+        flusher.join(timeout=3.0)
+        assert not flusher.is_alive()
+        assert len(raised) == 1
 
     def test_background_error_degrades_to_read_only(self, monkeypatch):
         """A hard background failure lands the DB in degraded (read-only)

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from repro.errors import InvalidArgumentError, WouldBlock
-from repro.obs import render_prometheus_serve
+from repro.obs import render_prometheus
 from repro.serve import ServeClient, ServeError, ShardServer
 from repro.serve import protocol as P
 from repro.serve.server import INLINE_MAX_ITEMS
@@ -211,7 +211,7 @@ class TestShardServer:
             assert (serve["inline"], serve["hopped"]) == (7, 0)
             health = await client.health()
             assert health["serve"]["inline"] == 7
-            body = render_prometheus_serve(server)
+            body = render_prometheus(server)
             assert "repro_serve_inline 7" in body
             assert "repro_serve_hopped 0" in body
 

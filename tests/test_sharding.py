@@ -510,14 +510,14 @@ class TestMultiTenant:
 
 class TestShardedObservability:
     def test_prometheus_sharded_labels_and_router_gauges(self):
-        from repro.obs import render_prometheus_sharded
+        from repro.obs import render_prometheus
 
         db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2,
                        boundaries=[b"m"])
         db.put(b"a", b"1")
         db.put(b"z", b"2")
         db.flush()
-        body = render_prometheus_sharded(db)
+        body = render_prometheus(db)
         names = sorted(name for name, _ in db.shard_dbs())
         for name in names:
             assert f'shard="{name}"' in body
