@@ -49,7 +49,7 @@ CLI::
 
     python -m oracle.crashtest [--ops N] [--points N] [--seed N] [--quick]
                                [--no-repair] [--sharded] [--tuner]
-                               [--offload {none,thread,process}]
+                               [--offload {none,process}]
                                [--kv-separation] [--json PATH]
 """
 
@@ -588,16 +588,14 @@ def tuner_overrides() -> dict:
     }
 
 
-def offload_overrides(mode: str) -> dict:
-    """Options overrides for crash-testing the offload backend.
+def offload_overrides() -> dict:
+    """Options overrides for crash-testing the process offload backend.
 
     The fork context keeps per-crash-point pool startup cheap (the harness
     opens hundreds of DBs), and two workers are enough to exercise the
     concurrent submit paths."""
-    if mode == "none":
-        return {}
     return {
-        "compaction_offload": mode,
+        "compaction_offload": "process",
         "compaction_offload_mp_context": "fork",
         "compaction_workers": 2,
     }
@@ -622,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sharded", action="store_true",
                         help="crash-test a 2-shard ShardedDB (machine-wide "
                         "sync clock, split/merge ops in the workload)")
-    parser.add_argument("--offload", choices=["none", "thread", "process"],
+    parser.add_argument("--offload", choices=["none", "process"],
                         default="none",
                         help="run every harness DB with this compaction "
                         "offload backend (default none)")
@@ -645,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """0 = all invariants held, 1 = violations."""
     args = build_parser().parse_args(argv)
-    overrides = offload_overrides(args.offload)
+    overrides = offload_overrides() if args.offload == "process" else {}
     value_size = 0
     if args.kv_separation:
         overrides.update(kv_separation_overrides())

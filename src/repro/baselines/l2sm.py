@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..compaction.base import CompactionResult, CompactionTask
-from ..compaction.table_compaction import build_output_tables
-from ..compaction.base import make_tombstone_dropper, merge_live, table_entry_stream
+from ..compaction.table_compaction import merge_into_tables
 from ..core.db import DB
 from ..core.version import FileMetadata, VersionEdit
 from ..keys import ComparableKey
@@ -134,15 +133,7 @@ class L2SMDB(DB):
             level, entry.meta.smallest_user_key, entry.meta.largest_user_key
         )
         write_start = self.fs.stats.per_category[CAT_COMPACTION].bytes_written
-        dropper = make_tombstone_dropper(
-            self, level, entry.meta.smallest_user_key, entry.meta.largest_user_key
-        )
-        sources = [table_entry_stream(self, entry.meta)] + [
-            table_entry_stream(self, f) for f in overlaps
-        ]
-        outputs = build_output_tables(
-            self, merge_live(sources, dropper, self.snapshot_boundaries()), level
-        )
+        outputs = merge_into_tables(self, [entry.meta] + overlaps, level)
         edit = VersionEdit(next_file_number=self._next_file_number)
         for meta in outputs:
             edit.new_files.append((level, meta))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import struct
 import threading
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Protocol
 
@@ -88,31 +90,70 @@ class CompactionResult:
     )
 
 
-def table_entry_stream(
-    env: CompactionEnv, meta: FileMetadata
-) -> Iterator[tuple[ComparableKey, bytes]]:
-    """Full sequential scan of one SSTable for merging (no block cache:
-    compaction reads must not pollute it, matching LevelDB)."""
-    reader = env.table_cache.get(meta.file_number, meta.file_name())
-    return reader.entries_from(category=CAT_COMPACTION, sequential=True)
+@contextmanager
+def pinned_entry_streams(
+    env: CompactionEnv, files: list[FileMetadata]
+) -> Iterator[list[Iterator[tuple[ComparableKey, bytes]]]]:
+    """Full sequential scans of ``files`` for one merge, each reader pinned
+    until the ``with`` body exits.
+
+    A merge opens every input before it reads any of them: with more inputs
+    than ``table_cache_capacity`` the cache would otherwise evict — and
+    close — a reader the merge has not reached yet.  The streams are the
+    readers' own (no per-entry wrapper), and they bypass the block cache so
+    compaction reads do not pollute it, matching LevelDB."""
+    readers = []
+    try:
+        for meta in files:
+            reader = env.table_cache.get(meta.file_number, meta.file_name())
+            reader.acquire()
+            readers.append(reader)
+        yield [r.entries_from(category=CAT_COMPACTION, sequential=True) for r in readers]
+    finally:
+        for reader in readers:
+            reader.release()
 
 
-def make_tombstone_dropper(
-    env: CompactionEnv, child_level: int, lo: bytes, hi: bytes
-) -> Callable[[bytes], bool]:
-    """A predicate deciding whether a tombstone for ``user_key`` can be
-    dropped: true iff no level deeper than ``child_level`` can contain the
-    key.  Computed once per compaction over the input range."""
-    if env.version.is_key_range_absent_below(child_level, lo, hi):
-        return lambda _user_key: True
+@dataclass(frozen=True)
+class TombstoneRule:
+    """Whether a compaction writing into ``level`` may drop a tombstone: true
+    iff no deeper level can hold its user key.
 
-    def check(user_key: bytes) -> bool:
-        for deeper in range(child_level + 1, env.version.num_levels):
-            if env.version.file_for_key(deeper, user_key) is not None:
+    Built once per compaction from the version, over the input key range
+    (:meth:`below`), and picklable, so an offload worker applies exactly the
+    rule the in-process merge does.  For every key in that range
+    :meth:`may_drop` answers what a per-key ``Version.file_for_key`` probe
+    of each deeper level would."""
+
+    #: Per deeper level that overlaps the range: the overlapping files'
+    #: smallest and largest user keys, in key order.  Empty when no deeper
+    #: level overlaps (every tombstone may go).
+    spans: tuple[tuple[tuple[bytes, ...], tuple[bytes, ...]], ...] = ()
+
+    @classmethod
+    def below(cls, version: Version, level: int, lo: bytes, hi: bytes) -> "TombstoneRule":
+        """The rule for a compaction writing into ``level`` whose inputs
+        span user keys ``[lo, hi]``."""
+        if version.is_key_range_absent_below(level, lo, hi):
+            return cls()
+        spans = []
+        for deeper in range(level + 1, version.num_levels):
+            files = version.overlapping_files(deeper, lo, hi)
+            if files:
+                spans.append(
+                    (
+                        tuple(f.smallest_user_key for f in files),
+                        tuple(f.largest_user_key for f in files),
+                    )
+                )
+        return cls(tuple(spans))
+
+    def may_drop(self, user_key: bytes) -> bool:
+        for smallest, largest in self.spans:
+            idx = bisect_left(largest, user_key)
+            if idx < len(largest) and smallest[idx] <= user_key:
                 return False
         return True
-
-    return check
 
 
 def drop_observer(env: CompactionEnv) -> Callable[[bytes], None] | None:

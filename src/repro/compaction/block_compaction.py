@@ -31,6 +31,7 @@ from ..core.version import FileMetadata, clone_metadata
 from ..keys import ComparableKey
 from ..obs.trace import NULL_TRACER
 from ..options import Options
+from ..sstable.block import parse_block_raw
 from ..sstable.index import IndexBlock, IndexEntry
 from ..sstable.table_appender import AppendSession
 from ..sstable.table_reader import TableReader
@@ -39,10 +40,10 @@ from .base import (
     CompactionEnv,
     CompactionResult,
     CompactionTask,
+    TombstoneRule,
     drop_observer,
-    make_tombstone_dropper,
     merge_keep_newest,
-    table_entry_stream,
+    pinned_entry_streams,
 )
 
 ParentEntry = tuple[ComparableKey, bytes]
@@ -117,8 +118,8 @@ def plan_block_walk(
     Contiguous parent keys below a block become one gap op (step 3: they
     form new blocks), the ``dirty_idx``-th dirty block becomes a merge op
     over its parent span (step 4), a clean block becomes a reuse op (step
-    2).  :func:`run_block_walk` executes the plan — here, or in an offload
-    worker that received it pickled inside a :class:`BlockMergeJob`.
+    2).  :func:`run_block_walk` executes the plan, which rides in a
+    :class:`BlockMergeJob`.
     """
     dirty_idx = {e.offset: i for i, e in enumerate(dirty_entries)}
     ops: list[tuple] = []
@@ -196,52 +197,9 @@ def _update_block(
         add(user_key + _FIXED64_PACK(_INVERT - inv), value)
 
 
-def run_block_walk(
-    sink,
-    reuse: Callable[[int], None],
-    ops: list[tuple],
-    parent_slice: list[ParentEntry],
-    dirty_block_entries: Callable[[int], Iterator[tuple[ComparableKey, bytes]]],
-    can_drop_tombstone: Callable[[bytes], bool],
-    boundaries: list[int],
-    on_drop: Callable[[bytes], None] | None = None,
-) -> None:
-    """Execute a :func:`plan_block_walk` plan: merged and gap entries go to
-    ``sink.add`` (an :class:`AppendSession`, or the offload worker's block
-    cutter), clean blocks to ``reuse(index_entry_idx)``;
-    ``dirty_block_entries(dirty_idx)`` yields a dirty block's entries."""
-    gap_keeper = VersionKeeper(boundaries)
-    for op in ops:
-        tag = op[0]
-        if tag == OP_REUSE:
-            reuse(op[1])
-        elif tag == OP_GAP:
-            # Parent keys covered by no block.  The parent slice is already
-            # stratum-filtered upstream; only the tombstone rule needs
-            # re-checking here.
-            for comparable, value in parent_slice[op[1] : op[2]]:
-                user_key, inv = comparable
-                if (
-                    inv & 0xFF == 0xFF  # TYPE_DELETION
-                    and gap_keeper.tombstone_unprotected((_INVERT - inv) >> 8)
-                    and can_drop_tombstone(user_key)
-                ):
-                    continue
-                sink.add(user_key + _FIXED64_PACK(_INVERT - inv), value)
-        else:
-            _update_block(
-                sink,
-                parent_slice[op[2] : op[3]],
-                dirty_block_entries(op[1]),
-                can_drop_tombstone,
-                boundaries,
-                on_drop,
-            )
-
-
 @dataclass(frozen=True)
 class JobGeometry:
-    """The slice of :class:`~repro.options.Options` an offload worker needs.
+    """The slice of :class:`~repro.options.Options` a block merge needs.
 
     A full ``Options`` would drag unpicklable or irrelevant state across
     the process boundary and make every new option a potential pickle
@@ -265,27 +223,75 @@ class JobGeometry:
 
 @dataclass
 class BlockMergeJob:
-    """One sub-task's immutable inputs for an offload worker (DESIGN.md
-    §11), fully picklable: the :func:`plan_block_walk` plan (``ops``), the
-    parent slice it indexes into, and the dirty blocks' *raw stored bytes*
-    (payload + trailer, checksum unverified — the worker verifies as part
-    of its compute).  Payloads travel either inline (``payloads``) or via a
-    named shared-memory segment (``shm_name`` + ``shm_spans``), never both.
+    """One child file's Block Compaction inputs, prepared once
+    (:func:`prepare_block_merge_job`) and consumed by :func:`run_block_walk`
+    in-process or in an offload worker (DESIGN.md §11) alike.
 
-    ``drop_tombstones`` stands in for the version probe a worker cannot
-    make (see :func:`prepare_block_merge_job`); ``report_drops`` asks for
-    the dropped value-log pointers back (the engine carries a vlog).
+    Fully picklable: the :func:`plan_block_walk` plan (``ops``), the parent
+    slice it indexes into, the dirty blocks' *raw stored bytes* (payload +
+    trailer; the walk verifies their checksums), the snapshot boundaries
+    and the :class:`TombstoneRule`.  Payloads travel either inline
+    (``payloads``) or, offloaded, via a named shared-memory segment
+    (``shm_name`` + ``shm_spans``), never both.  ``report_drops`` asks a
+    worker for the dropped value-log pointers back (the engine carries a
+    vlog).
     """
 
     geometry: JobGeometry
     ops: list[tuple]
     parent_entries: list[ParentEntry]
-    drop_tombstones: bool
+    tombstones: TombstoneRule
     boundaries: list[int] = field(default_factory=list)
     report_drops: bool = False
     payloads: list[bytes] | None = None
     shm_name: str | None = None
     shm_spans: list[tuple[int, int]] | None = None
+
+
+def run_block_walk(
+    job: BlockMergeJob,
+    payloads: list[bytes],
+    sink,
+    reuse: Callable[[int], None],
+    on_drop: Callable[[bytes], None] | None = None,
+) -> None:
+    """Execute ``job``'s plan over its dirty blocks' raw ``payloads``: merged
+    and gap entries go to ``sink.add`` (the :class:`AppendSession`
+    in-process, the offload worker's block cutter), clean blocks to
+    ``reuse(index_entry_idx)``.  Every payload is checksummed and decoded
+    before the first entry reaches the sink."""
+    verify = job.geometry.verify_checksums
+    blocks = [parse_block_raw(raw, verify_checksum=verify) for raw in payloads]
+    can_drop_tombstone = job.tombstones.may_drop
+    boundaries = job.boundaries
+    parent_slice = job.parent_entries
+    gap_keeper = VersionKeeper(boundaries)
+    for op in job.ops:
+        tag = op[0]
+        if tag == OP_REUSE:
+            reuse(op[1])
+        elif tag == OP_GAP:
+            # Parent keys covered by no block.  The parent slice is already
+            # stratum-filtered upstream; only the tombstone rule needs
+            # re-checking here.
+            for comparable, value in parent_slice[op[1] : op[2]]:
+                user_key, inv = comparable
+                if (
+                    inv & 0xFF == 0xFF  # TYPE_DELETION
+                    and gap_keeper.tombstone_unprotected((_INVERT - inv) >> 8)
+                    and can_drop_tombstone(user_key)
+                ):
+                    continue
+                sink.add(user_key + _FIXED64_PACK(_INVERT - inv), value)
+        else:
+            _update_block(
+                sink,
+                parent_slice[op[2] : op[3]],
+                blocks[op[1]].entries(),
+                can_drop_tombstone,
+                boundaries,
+                on_drop,
+            )
 
 
 def _input_key_range(
@@ -308,25 +314,18 @@ def prepare_block_merge_job(
     child_level: int,
     scan: DirtyBlockScan,
 ) -> BlockMergeJob:
-    """Build the picklable job for one child file (all I/O happens here).
-
-    The in-process path consults the live version for "may a deeper level
-    hold this key".  That structure cannot ship to a worker, so
-    ``drop_tombstones`` precomputes ``is_key_range_absent_below`` for the
-    file's key range.  When True the worker drops exactly what the
-    in-process path would; when False it conservatively keeps every
-    tombstone (the in-process path might drop a few via per-key probes) —
-    correct, merely a slightly larger output.
-    """
+    """Build the job for one child file.  All of its I/O happens here:
+    Algorithm 3's dirty-block fetch, as overlapping random reads."""
     raws: list[bytes] = []
     if scan.dirty_entries:
         raws = reader.read_blocks_raw(scan.dirty_entries, category=CAT_COMPACTION)
-    lo, hi = _input_key_range(child_meta, parent_slice)
     return BlockMergeJob(
         geometry=JobGeometry.from_options(env.options),
         ops=plan_block_walk(reader.index.entries, parent_slice, scan.dirty_entries),
         parent_entries=parent_slice,
-        drop_tombstones=env.version.is_key_range_absent_below(child_level, lo, hi),
+        tombstones=TombstoneRule.below(
+            env.version, child_level, *_input_key_range(child_meta, parent_slice)
+        ),
         boundaries=env.snapshot_boundaries(),
         report_drops=drop_observer(env) is not None,
         payloads=raws,
@@ -342,7 +341,6 @@ def _run_offloaded(env: CompactionEnv, pool, job: BlockMergeJob, child_meta: Fil
         "compaction.offload",
         "compaction",
         {
-            "mode": pool.mode,
             "file": child_meta.file_number,
             "dirty_blocks": len(job.payloads or ()),
             "parent_entries": len(job.parent_entries),
@@ -383,10 +381,11 @@ def block_compact_file(
     ``scan`` may carry a pre-computed ``FindDirtyBlocks`` result (Selective
     Compaction already ran it to make its decision).
 
-    With ``pool`` (an :class:`~repro.compaction.offload.OffloadPool`) the
-    walk's compute — decode, merge, block rebuild, CRC — runs on a pool
-    worker (DESIGN.md §11): the dirty blocks are read raw, shipped with the
-    plan, and the rebuilt blocks the worker returns are appended here.  All
+    The inputs become one :class:`BlockMergeJob`.  Without ``pool`` the
+    walk runs here straight into the append session; with ``pool`` (an
+    :class:`~repro.compaction.offload.OffloadPool`) its compute — decode,
+    merge, block rebuild, CRC — runs on a pool worker (DESIGN.md §11) and
+    the rebuilt blocks the worker returns are appended here.  All
     filesystem access, its simulated charges and the value-log drop report
     stay on this side either way.
     """
@@ -395,33 +394,18 @@ def block_compact_file(
         scan = find_dirty_blocks([ck[0] for ck, _ in parent_slice], reader.index)
     index_entries = reader.index.entries
     on_drop = drop_observer(env)
+    job = prepare_block_merge_job(env, reader, parent_slice, child_meta, child_level, scan)
 
     if pool is None:
-        # Algorithm 3's payoff: fetch all dirty blocks with concurrent
-        # random reads before the merge walk.
-        blocks: list = []
-        if scan.dirty_entries:
-            blocks = reader.read_blocks_concurrently(
-                scan.dirty_entries, category=CAT_COMPACTION
-            )
-        can_drop = make_tombstone_dropper(
-            env, child_level, *_input_key_range(child_meta, parent_slice)
-        )
         session = AppendSession(env.fs, reader, env.options, child_level)
         run_block_walk(
+            job,
+            job.payloads,
             session,
             lambda entry_idx: session.reuse(index_entries[entry_idx]),
-            plan_block_walk(index_entries, parent_slice, scan.dirty_entries),
-            parent_slice,
-            lambda dirty_idx: blocks[dirty_idx].entries(),
-            can_drop,
-            env.snapshot_boundaries(),
             on_drop,
         )
     else:
-        job = prepare_block_merge_job(
-            env, reader, parent_slice, child_meta, child_level, scan
-        )
         merge = _run_offloaded(env, pool, job, child_meta)
         session = AppendSession(env.fs, reader, env.options, child_level)
         for op in merge.ops:
@@ -518,12 +502,12 @@ def partition_parent_slices(
 def collect_parent_entries(env: CompactionEnv, task: CompactionTask) -> list[ParentEntry]:
     """Materialize the parent files' newest-version entry list (tombstones
     preserved — see :func:`merge_keep_newest`)."""
-    sources = [table_entry_stream(env, f) for f in task.parent_files]
-    return list(
-        merge_keep_newest(
-            sources, env.snapshot_boundaries(), on_drop=drop_observer(env)
+    with pinned_entry_streams(env, task.parent_files) as sources:
+        return list(
+            merge_keep_newest(
+                sources, env.snapshot_boundaries(), on_drop=drop_observer(env)
+            )
         )
-    )
 
 
 def run_block_compaction(env: CompactionEnv, task: CompactionTask) -> CompactionResult:

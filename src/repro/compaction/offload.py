@@ -11,29 +11,27 @@ Block Compaction's per-file work splits cleanly in two:
   matter how many workers run.
 
 This module is the worker side and the transport.  The parent —
-:func:`~repro.compaction.block_compaction.block_compact_file` called with
-an :class:`OffloadPool` — performs all filesystem access and packs each
-subtask's immutable inputs into a picklable
-:class:`~repro.compaction.block_compaction.BlockMergeJob`.  The worker
-(:func:`execute_block_merge`) runs the same plan executor and merge kernel
-the in-process path runs, over the same
+:func:`~repro.compaction.block_compaction.block_compact_file` — performs
+all filesystem access and packs each subtask's immutable inputs into a
+picklable :class:`~repro.compaction.block_compaction.BlockMergeJob`, the
+same job it walks itself when nothing is offloaded.  The worker
+(:func:`execute_block_merge`) runs that one walk,
+:func:`~repro.compaction.block_compaction.run_block_walk`, into the
 :class:`~repro.sstable.block_builder.BlockCutter` an
 :class:`~repro.sstable.table_appender.AppendSession` cuts blocks with, and
 returns the rebuilt raw block bytes plus their index facts; the parent
 replays those into its append session's ``commit_block``, which charges the
 simulated writes and runs the existing locked commit path unchanged.
 
-Because it is the one cutter, an offloaded append produces **bit-identical
-file bytes** to the in-process path whenever the job's precomputed
-``drop_tombstones`` fact is decisive — the equivalence the tests pin.
+One job, one walk, one cutter, one tombstone rule: an offloaded append
+writes **bit-identical file bytes** to the in-process one by construction —
+the equivalence the tests pin.
 
-Transport: ``thread`` mode runs jobs on a ``ThreadPoolExecutor`` (no
-pickling — exercises the job pipeline without process overhead); ``process``
-mode uses a persistent ``ProcessPoolExecutor``.  Large dirty payloads in
-process mode travel via one ``multiprocessing.shared_memory`` segment per
-job instead of being pickled into the job (avoiding the double-copy through
-the call pickle); small jobs inline the bytes, which is cheaper than a
-segment round-trip.
+Transport: a persistent ``ProcessPoolExecutor``.  Large dirty payloads
+travel via one ``multiprocessing.shared_memory`` segment per job instead of
+being pickled into the job (avoiding the double-copy through the call
+pickle); small jobs inline the bytes, which is cheaper than a segment
+round-trip.
 
 Failure semantics: a dead worker (``BrokenProcessPool``) surfaces as
 :class:`~repro.errors.OffloadError` — a *hard* severity for the PR-5 error
@@ -48,22 +46,18 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from ..errors import OffloadError
 from ..options import Options
-from ..sstable.block import parse_block_raw
 from ..sstable.block_builder import BlockCutter
 from ..sstable.format import BLOCK_TRAILER_SIZE
 from ..vlog import is_pointer
-from .block_compaction import OP_REUSE, BlockMergeJob, JobGeometry, run_block_walk
+from .block_compaction import OP_REUSE, BlockMergeJob, run_block_walk
 
 OFFLOAD_NONE = "none"
-OFFLOAD_THREAD = "thread"
-OFFLOAD_PROCESS = "process"
-OFFLOAD_MODES = (OFFLOAD_NONE, OFFLOAD_THREAD, OFFLOAD_PROCESS)
 
 #: Result-op tag next to the echoed ``OP_REUSE``:
 #: ``("b", raw, smallest, largest, num_entries, user_keys)``.
@@ -119,13 +113,6 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
         lambda *block: ops.append((OP_BLOCK, *block)),
     )
     dropped: list[bytes] = []
-    decoded_bytes = 0
-
-    def dirty_block_entries(dirty_idx: int):
-        nonlocal decoded_bytes
-        raw = payloads[dirty_idx]
-        decoded_bytes += len(raw) - BLOCK_TRAILER_SIZE
-        return parse_block_raw(raw, verify_checksum=geometry.verify_checksums).entries()
 
     def on_drop(stored: bytes) -> None:
         if is_pointer(stored):
@@ -136,23 +123,13 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
         cutter.cut()
         ops.append((OP_REUSE, entry_idx))
 
-    drop_tombstones = job.drop_tombstones
-    run_block_walk(
-        cutter,
-        reuse,
-        job.ops,
-        job.parent_entries,
-        dirty_block_entries,
-        lambda _user_key: drop_tombstones,
-        job.boundaries,
-        on_drop if job.report_drops else None,
-    )
+    run_block_walk(job, payloads, cutter, reuse, on_drop if job.report_drops else None)
     cutter.cut()
     return BlockMergeResult(
         ops=ops,
         worker_pid=os.getpid(),
         dropped=dropped,
-        decoded_bytes=decoded_bytes,
+        decoded_bytes=sum(len(raw) - BLOCK_TRAILER_SIZE for raw in payloads),
         merged_entries=sum(op[4] for op in ops if op[0] == OP_BLOCK),
     )
 
@@ -164,7 +141,7 @@ def _warm_probe(hold_s: float) -> int:
 
 
 class OffloadPool:
-    """A persistent worker pool for :class:`BlockMergeJob` execution.
+    """A persistent process pool for :class:`BlockMergeJob` execution.
 
     Thread-safe: selective compaction's subtask threads submit concurrently.
     A broken process pool is discarded under the lock and rebuilt on the
@@ -174,39 +151,30 @@ class OffloadPool:
 
     def __init__(
         self,
-        mode: str,
         workers: int,
         *,
         mp_context: str = "spawn",
         shm_threshold: int = 64 * 1024,
     ):
-        if mode not in (OFFLOAD_THREAD, OFFLOAD_PROCESS):
-            raise ValueError(f"unsupported offload mode {mode!r}")
-        self.mode = mode
         self.workers = max(1, workers)
         self._mp_context = mp_context
         self._shm_threshold = shm_threshold
         self._lock = threading.Lock()
-        self._executor: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._executor: ProcessPoolExecutor | None = None
         self._closed = False
         #: Broken executors discarded after worker crashes (observability).
         self.restarts = 0
 
     @classmethod
     def from_options(cls, options: Options) -> "OffloadPool":
-        """The pool ``options.compaction_offload`` (not ``"none"``) asks for."""
+        """The pool ``options.compaction_offload="process"`` asks for."""
         return cls(
-            options.compaction_offload,
             options.compaction_workers,
             mp_context=options.compaction_offload_mp_context,
             shm_threshold=options.compaction_offload_shm_bytes,
         )
 
-    def _make_executor(self) -> ThreadPoolExecutor | ProcessPoolExecutor:
-        if self.mode == OFFLOAD_THREAD:
-            return ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-offload"
-            )
+    def _make_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context(self._mp_context),
@@ -236,11 +204,7 @@ class OffloadPool:
         is exactly when sibling subtasks run their (simulated) I/O.
         """
         segment = None
-        if (
-            self.mode == OFFLOAD_PROCESS
-            and job.payloads
-            and sum(len(p) for p in job.payloads) >= self._shm_threshold
-        ):
+        if job.payloads and sum(len(p) for p in job.payloads) >= self._shm_threshold:
             from multiprocessing import shared_memory
 
             total = sum(len(p) for p in job.payloads)

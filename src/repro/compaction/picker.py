@@ -158,9 +158,7 @@ class CompactionPicker:
     ) -> CompactionTask:
         lo = min(f.smallest_user_key for f in parents)
         hi = max(f.largest_user_key for f in parents)
-        children = version.overlapping_files(
-            self._policy.output_level(version, level), lo, hi
-        )
+        children = version.overlapping_files(level + 1, lo, hi)
         return CompactionTask(
             parent_level=level,
             parent_files=parents,

@@ -5,14 +5,12 @@ Design Space") separates four orthogonal knobs — trigger, data movement,
 granularity, and picking — that classic engines hard-wire into one point.
 This module factors the first, second and fourth out of
 :class:`~repro.compaction.picker.CompactionPicker` into a
-:class:`CompactionPolicy` object with four responsibilities:
+:class:`CompactionPolicy` object with three responsibilities:
 
 * **scoring** (:meth:`CompactionPolicy.level_score`): when is a level due,
 * **input selection** (:meth:`CompactionPolicy.select_parents`): which of
-  its files move,
-* **output placement** (:meth:`CompactionPolicy.output_level`): where they
-  land (always the next level for the shipped policies — the version
-  invariant below is why),
+  its files move (always into the next level — the version invariant
+  below admits no skips),
 * **granularity choice** (:meth:`CompactionPolicy.granularity_for`): which
   compaction *style* (table / block / selective) handles the task per
   child level, composing with the paper's block-grained machinery.
@@ -71,7 +69,7 @@ class CompactionPolicy:
     """Strategy interface consulted by :class:`CompactionPicker`.
 
     Subclasses override :meth:`level_score` and :meth:`select_parents`;
-    the granularity-override map and the seek/output defaults are shared.
+    the granularity-override map and the seek default are shared.
     The ``picker`` argument of :meth:`select_parents` exposes the stateful
     machinery policies compose with (round-robin pointers, L0 closure).
     """
@@ -97,13 +95,6 @@ class CompactionPolicy:
     ) -> list[FileMetadata]:
         """The files of ``level`` that move in this compaction."""
         raise NotImplementedError
-
-    # -- output placement --------------------------------------------------
-
-    def output_level(self, version: Version, level: int) -> int:
-        """Where ``level``'s outputs land.  Always the next level for the
-        shipped policies (the disjoint-level invariant admits no skips)."""
-        return level + 1
 
     # -- seek-compaction admission ----------------------------------------
 
@@ -205,7 +196,7 @@ class TieredPolicy(CompactionPolicy):
         if level > 0 and len(files) > 1:
             span = version.level_span(level)
             if span is not None and not version.overlapping_files(
-                self.output_level(version, level), span[0], span[1]
+                level + 1, span[0], span[1]
             ):
                 # Nothing to merge against: move files down one at a time.
                 return [picker.round_robin_file(version, level)]

@@ -26,15 +26,7 @@ from dataclasses import dataclass
 
 from ..core.version import FileMetadata
 from ..storage.io_stats import CAT_COMPACTION
-from .base import (
-    CompactionEnv,
-    CompactionResult,
-    CompactionTask,
-    drop_observer,
-    make_tombstone_dropper,
-    merge_live,
-    table_entry_stream,
-)
+from .base import CompactionEnv, CompactionResult, CompactionTask
 from .block_compaction import (
     apply_block_update,
     DirtyBlockScan,
@@ -45,7 +37,7 @@ from .block_compaction import (
     partition_parent_slices,
 )
 from .parallel import SubtaskExecutor
-from .table_compaction import build_output_tables
+from .table_compaction import merge_into_tables
 
 
 @dataclass
@@ -107,16 +99,7 @@ def _table_rewrite_subtask(
 ) -> None:
     """Rewrite one child SSTable merged with its parent slice (the Table
     Compaction arm of a selective task)."""
-    lo = min(child_meta.smallest_user_key, parent_slice[0][0][0])
-    hi = max(child_meta.largest_user_key, parent_slice[-1][0][0])
-    dropper = make_tombstone_dropper(env, child_level, lo, hi)
-    stream = merge_live(
-        [iter(parent_slice), table_entry_stream(env, child_meta)],
-        dropper,
-        env.snapshot_boundaries(),
-        on_drop=drop_observer(env),
-    )
-    outputs = build_output_tables(env, stream, child_level)
+    outputs = merge_into_tables(env, [child_meta], child_level, head=parent_slice)
     with result.apply_lock:
         for meta in outputs:
             result.edit.new_files.append((child_level, meta))

@@ -9,20 +9,20 @@ collection / splitting arm of Selective Compaction.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..core.version import FileMetadata, built_file_metadata, clone_metadata, table_file_name
-from ..keys import user_key_of
+from ..keys import ComparableKey, user_key_of
 from ..sstable.table_builder import TableBuilder
 from ..storage.io_stats import CAT_COMPACTION
 from .base import (
     CompactionEnv,
     CompactionResult,
     CompactionTask,
+    TombstoneRule,
     drop_observer,
-    make_tombstone_dropper,
     merge_live,
-    table_entry_stream,
+    pinned_entry_streams,
 )
 
 
@@ -85,21 +85,30 @@ def build_output_tables(
     return outputs
 
 
-def merged_task_stream(
+def merge_into_tables(
     env: CompactionEnv,
-    task: CompactionTask,
-    child_files: list[FileMetadata],
-    parent_sources: list | None = None,
-) -> Iterator[tuple[bytes, bytes, bool]]:
-    """The deduplicated, tombstone-filtered merge of a task's inputs."""
-    if parent_sources is None:
-        parent_sources = [table_entry_stream(env, f) for f in task.parent_files]
-    sources = list(parent_sources) + [table_entry_stream(env, f) for f in child_files]
-    lo, hi = task.key_range()
-    dropper = make_tombstone_dropper(env, task.child_level, lo, hi)
-    return merge_live(
-        sources, dropper, env.snapshot_boundaries(), on_drop=drop_observer(env)
-    )
+    files: list[FileMetadata],
+    level: int,
+    head: Sequence[tuple[ComparableKey, bytes]] = (),
+) -> list[FileMetadata]:
+    """The one Table Compaction merge: ``files`` (read with their readers
+    pinned) plus ``head`` (an already-merged parent slice) become fresh
+    ``level`` SSTables, keeping the newest version per snapshot stratum and
+    dropping the tombstones the :class:`TombstoneRule` over all inputs
+    allows."""
+    lo = min(f.smallest_user_key for f in files)
+    hi = max(f.largest_user_key for f in files)
+    if head:
+        lo, hi = min(lo, head[0][0][0]), max(hi, head[-1][0][0])
+    rule = TombstoneRule.below(env.version, level, lo, hi)
+    with pinned_entry_streams(env, files) as sources:
+        stream = merge_live(
+            [iter(head)] + sources if head else sources,
+            rule.may_drop,
+            env.snapshot_boundaries(),
+            on_drop=drop_observer(env),
+        )
+        return build_output_tables(env, stream, level)
 
 
 def run_table_compaction(env: CompactionEnv, task: CompactionTask) -> CompactionResult:
@@ -109,9 +118,7 @@ def run_table_compaction(env: CompactionEnv, task: CompactionTask) -> Compaction
     read_start = env.fs.stats.per_category[CAT_COMPACTION].bytes_read
 
     result = CompactionResult(kind="table")
-    outputs = build_output_tables(
-        env, merged_task_stream(env, task, task.child_files), task.child_level
-    )
+    outputs = merge_into_tables(env, inputs, task.child_level)
     env.fs.stats.charge_time(
         env.fs.device.merge_cpu_cost(sum(f.file_size for f in inputs)), CAT_COMPACTION
     )

@@ -71,6 +71,7 @@ from ..compaction.selective import run_selective_compaction
 from ..compaction.tuner import CompactionTuner
 from ..compaction.table_compaction import (
     can_trivially_move,
+    merge_into_tables,
     run_table_compaction,
     run_trivial_move,
 )
@@ -83,7 +84,7 @@ from ..errors import (
 )
 from ..keys import ComparableKey, TYPE_VALUE, seek_comparable
 from ..memtable.memtable import MemTable
-from ..memtable.wal import WalRecoveryStats, WalWriter, read_wal_tolerant
+from ..memtable.wal import WalRecoveryStats, WalWriter
 from ..metrics.amplification import level_rows
 from ..metrics.stats import CompactionEvent, DBStats
 from ..obs.histogram import LatencyRegistry
@@ -111,13 +112,14 @@ from .scheduler import ErrorHandler, SchedulerLane, SharedBackgroundExecutor
 from .snapshot import Snapshot, SnapshotRegistry
 from .superversion import SuperVersion
 from .manifest import (
+    CURRENT_FILE,
     ManifestWriter,
-    read_current,
+    read_pointer,
     replay_manifest,
-    set_current,
+    write_pointer,
 )
 from .version import FileMetadata, Version, VersionEdit, seek_budget, table_file_name
-from .write_batch import WriteBatch
+from .write_batch import WriteBatch, replay_wal
 
 
 def _log_name(number: int) -> str:
@@ -331,7 +333,7 @@ class DB:
         self._memtable = self._new_memtable()
         self._immutable: MemTable | None = None
 
-        current = read_current(self.fs)
+        current = read_pointer(self.fs, CURRENT_FILE)
         old_logs: list[str] = []
         if current is not None:
             for edit in replay_manifest(self.fs, current):
@@ -376,15 +378,10 @@ class DB:
                 for number in sorted(live_numbers):
                     log_name = _log_name(number)
                     old_logs.append(log_name)
-                    for payload in read_wal_tolerant(
-                        self.fs, log_name, self._wal_recovery
-                    ):
-                        batch, base_sequence = WriteBatch.deserialize(payload)
-                        sequence = base_sequence
-                        for value_type, key, value in batch:
-                            self._memtable.add(sequence, value_type, key, value)
-                            sequence += 1
-                        self._sequence = max(self._sequence, sequence - 1)
+                    self._sequence = max(
+                        self._sequence,
+                        replay_wal(self.fs, log_name, self._memtable, self._wal_recovery),
+                    )
 
         if self.vlog is not None:
             self._recover_vlog()
@@ -413,8 +410,7 @@ class DB:
                     self.version.vlog[number] += delta
 
         # Start a fresh manifest snapshotting the recovered state.
-        manifest_number = self.new_file_number()
-        self._manifest = ManifestWriter(self.fs, manifest_number)
+        self._manifest = ManifestWriter(self.fs, self.new_file_number())
         self._log_number = self.new_file_number()
         if self.options.enable_wal:
             self._wal = WalWriter(self.fs, _log_name(self._log_number))
@@ -444,7 +440,7 @@ class DB:
             ]
         snapshot.next_file_number = self._next_file_number
         self._manifest.log_edit(snapshot)
-        set_current(self.fs, manifest_number)
+        write_pointer(self.fs, CURRENT_FILE, self._manifest.name)
         for old_log in old_logs:
             if self.fs.exists(old_log):
                 self.fs.delete_file(old_log)
@@ -1663,38 +1659,14 @@ class DB:
         reaches the bottom has no natural collection point; LevelDB's
         CompactRange has the same follow-up pass.
         """
-        from ..compaction.base import make_tombstone_dropper, merge_live
-        from ..compaction.table_compaction import build_output_tables
-
         level = self.version.deepest_nonempty_level()
         files = list(self.version.files_at(level))
         if not files:
             return
-        lo = min(f.smallest_user_key for f in files)
-        hi = max(f.largest_user_key for f in files)
-        dropper = make_tombstone_dropper(self, level, lo, hi)
         write_start = self.fs.stats.per_category[CAT_COMPACTION].bytes_written
         if self.vlog is not None:
             self.vlog.take_pending_dead()
-        # Every input streams at once, so each reader is pinned for the
-        # merge: with more bottom files than ``table_cache_capacity`` the
-        # cache would otherwise evict — and close — one mid-stream.
-        readers = []
-        try:
-            for meta in files:
-                reader = self.table_cache.get(meta.file_number, meta.file_name())
-                reader.acquire()
-                readers.append(reader)
-            stream = merge_live(
-                [r.entries_from(category=CAT_COMPACTION, sequential=True) for r in readers],
-                dropper,
-                self.snapshot_boundaries(),
-                on_drop=self.vlog.observe_drop if self.vlog is not None else None,
-            )
-            outputs = build_output_tables(self, stream, level)
-        finally:
-            for reader in readers:
-                reader.release()
+        outputs = merge_into_tables(self, files, level)
         edit = VersionEdit(next_file_number=self._next_file_number)
         if self.vlog is not None:
             edit.vlog_dead = self.vlog.take_pending_dead()

@@ -2,8 +2,9 @@
 
 The manifest is a WAL-format log (see :mod:`repro.memtable.wal`) whose
 records are serialized :class:`~repro.core.version.VersionEdit` values.  On
-open, the engine replays the manifest named by ``CURRENT`` to rebuild the
-version, then replays the data WAL into a fresh memtable.
+open, the engine replays the manifest named by ``CURRENT`` (a pointer file:
+:func:`write_pointer` / :func:`read_pointer`) to rebuild the version, then
+replays the data WAL into a fresh memtable.
 """
 
 from __future__ import annotations
@@ -165,31 +166,34 @@ class ManifestWriter:
         self._wal.close()
 
 
-def set_current(fs: FileSystem, manifest_number: int) -> None:
-    """Atomically point ``CURRENT`` at a manifest (write temp + rename)."""
-    tmp = "CURRENT.tmp"
+def write_pointer(fs: FileSystem, name: str, target: str) -> None:
+    """Atomically point the pointer file ``name`` (``CURRENT``, or the
+    sharded catalog's ``ROUTER.CURRENT``) at ``target``: write a temp file,
+    sync it, rename it over ``name``."""
+    tmp = name + ".tmp"
     f = fs.create_file(tmp, category="manifest")
-    f.append(manifest_file_name(manifest_number).encode() + b"\n", category="manifest")
+    f.append(target.encode() + b"\n", category="manifest")
     # Sync before the rename: renaming an un-synced file would leave a
-    # CURRENT that a crash could empty (the classic set_current bug).
+    # pointer that a crash could empty (LevelDB's classic SetCurrentFile bug).
     f.sync()
     f.close()
-    fs.rename(tmp, CURRENT_FILE)
+    fs.rename(tmp, name)
 
 
-def read_current(fs: FileSystem) -> str | None:
-    """Name of the live manifest, or None for a fresh directory."""
-    if not fs.exists(CURRENT_FILE):
+def read_pointer(fs: FileSystem, name: str) -> str | None:
+    """What the pointer file ``name`` names, or None when it does not exist
+    (a fresh directory)."""
+    if not fs.exists(name):
         return None
-    handle = fs.open_random(CURRENT_FILE)
+    handle = fs.open_random(name)
     try:
         data = handle.read(0, handle.size(), category="manifest", sequential=True)
     finally:
         handle.close()
-    name = data.decode().strip()
-    if not name:
-        raise CorruptionError("CURRENT file is empty")
-    return name
+    target = data.decode().strip()
+    if not target:
+        raise CorruptionError(f"{name} is empty")
+    return target
 
 
 def replay_manifest(fs: FileSystem, name: str) -> list[VersionEdit]:

@@ -24,6 +24,9 @@ from ..encoding import (
 )
 from ..errors import CorruptionError, InvalidArgumentError
 from ..keys import TYPE_DELETION, TYPE_VALUE
+from ..memtable.memtable import MemTable
+from ..memtable.wal import WalRecoveryStats, read_wal_tolerant
+from ..storage.fs import FileSystem
 
 _HEADER_SIZE = 12
 
@@ -100,3 +103,19 @@ class WriteBatch:
         if offset != len(payload):
             raise CorruptionError("write batch has trailing bytes")
         return batch, base_sequence
+
+
+def replay_wal(
+    fs: FileSystem, name: str, memtable: MemTable, stats: WalRecoveryStats
+) -> int:
+    """Replay the WAL ``name`` into ``memtable``, stopping at a torn or
+    corrupt tail (which ``stats`` counts); returns the largest sequence
+    number applied (0 for none)."""
+    max_sequence = 0
+    for payload in read_wal_tolerant(fs, name, stats):
+        batch, sequence = WriteBatch.deserialize(payload)
+        for value_type, key, value in batch:
+            memtable.add(sequence, value_type, key, value)
+            sequence += 1
+        max_sequence = max(max_sequence, sequence - 1)
+    return max_sequence

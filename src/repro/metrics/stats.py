@@ -18,7 +18,7 @@ class CompactionEvent:
 
     parent_level: int
     child_level: int
-    kind: str  # 'table' | 'block' | 'trivial' | 'flush'
+    kind: str  # 'table' | 'block' | 'selective' | 'trivial' | 'divert' | 'flush'
     reason: str  # 'size' | 'seek' | 'manual' | 'memtable'
     bytes_read: int
     bytes_written: int
@@ -189,9 +189,9 @@ class DBStats:
     def record_event(self, event: CompactionEvent) -> None:
         """Fold one compaction/flush event into the aggregate counters."""
         self.events.append(event)
-        if event.kind in ("table", "selective-table"):
+        if event.kind == "table":
             self.table_compactions += 1
-        elif event.kind in ("block", "selective-block", "selective"):
+        elif event.kind in ("block", "selective"):
             self.block_compactions += 1
         elif event.kind == "trivial":
             self.trivial_moves += 1

@@ -202,15 +202,14 @@ class Options:
     background_compaction: bool = False
     #: Run each block-compaction subtask's merge *compute* (decode, k-way
     #: merge, block rebuild, CRC) on an offload pool (DESIGN.md §11):
-    #: ``"none"`` (default) keeps it in-process, ``"thread"`` uses a thread
-    #: pool (no pickling — exercises the job pipeline), ``"process"`` uses a
+    #: ``"none"`` (default) keeps it in-process, ``"process"`` uses a
     #: persistent process pool so the compute escapes the GIL.  Enabling
     #: offload also runs the subtasks on real threads (as
     #: ``background_compaction`` does) so subtask I/O overlaps the offloaded
     #: compute.  Default off: the synchronous in-process mode stays
     #: bit-identical on paper metrics and file bytes.
     compaction_offload: str = "none"
-    #: ``multiprocessing`` start method for the process offload pool.
+    #: ``multiprocessing`` start method for the offload pool.
     #: ``"spawn"`` (default) is safe alongside any threads; ``"fork"`` is
     #: much cheaper to start and fine for synchronous-mode harnesses.
     compaction_offload_mp_context: str = "spawn"
@@ -324,7 +323,7 @@ class Options:
             raise InvalidArgumentError("bloom_bits_per_key must be >= 0")
         if self.compaction_workers < 1:
             raise InvalidArgumentError("compaction_workers must be >= 1")
-        if self.compaction_offload not in ("none", "thread", "process"):
+        if self.compaction_offload not in ("none", "process"):
             raise InvalidArgumentError(
                 f"unknown compaction_offload {self.compaction_offload!r}"
             )

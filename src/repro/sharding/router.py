@@ -10,10 +10,10 @@ Persistence mirrors the engine's own manifest/CURRENT protocol
 ``ROUTER-%06d`` generation file, syncs it, and then atomically swaps the
 ``ROUTER.CURRENT`` pointer (write temp → sync → rename).  A crash at any
 point leaves the pointer naming either the old or the new generation,
-both of which are fully-synced snapshots — the same write-ordering
-discipline ``set_current`` uses, validated by the same crash-point
-harness.  Shard directories not named by the live snapshot are orphans
-from an interrupted split/merge and are garbage-collected on reopen.
+both of which are fully-synced snapshots — the same pointer-file helper
+``CURRENT`` uses, validated by the same crash-point harness.  Shard
+directories not named by the live snapshot are orphans from an
+interrupted split/merge and are garbage-collected on reopen.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ..core.manifest import read_pointer, write_pointer
 from ..errors import CorruptionError, InvalidArgumentError
 from ..storage.fs import FileSystem
 
@@ -183,10 +184,10 @@ def save_router(fs: FileSystem, rmap: RouterMap) -> None:
     """Persist ``rmap`` as a new generation and swap the pointer to it.
 
     Write ordering: snapshot appended and synced first, then the pointer
-    temp file synced, then the atomic rename — so the pointer can never
-    name a generation a crash could have emptied.  Superseded generations
-    are deleted after the swap (a crash mid-cleanup just leaves garbage
-    the next :func:`load_router` removes).
+    swapped (:func:`~repro.core.manifest.write_pointer`) — so the pointer
+    can never name a generation a crash could have emptied.  Superseded
+    generations are deleted after the swap (a crash mid-cleanup just
+    leaves garbage the next :func:`load_router` removes).
     """
     name = router_file_name(rmap.epoch)
     snapshot = fs.create_file(name, category="manifest")
@@ -194,12 +195,7 @@ def save_router(fs: FileSystem, rmap: RouterMap) -> None:
     snapshot.sync()
     snapshot.close()
 
-    tmp = ROUTER_CURRENT + ".tmp"
-    pointer = fs.create_file(tmp, category="manifest")
-    pointer.append(name.encode("utf-8") + b"\n", category="manifest")
-    pointer.sync()
-    pointer.close()
-    fs.rename(tmp, ROUTER_CURRENT)
+    write_pointer(fs, ROUTER_CURRENT, name)
 
     for stale in list(fs.list_dir()):
         if stale.startswith(_ROUTER_PREFIX) and stale != name:
@@ -209,16 +205,9 @@ def save_router(fs: FileSystem, rmap: RouterMap) -> None:
 def load_router(fs: FileSystem) -> RouterMap | None:
     """The live map, or None for a fresh store.  Also garbage-collects
     superseded generation files left by a crash mid-cleanup."""
-    if not fs.exists(ROUTER_CURRENT):
+    name = read_pointer(fs, ROUTER_CURRENT)
+    if name is None:
         return None
-    handle = fs.open_random(ROUTER_CURRENT)
-    try:
-        data = handle.read(0, handle.size(), category="manifest", sequential=True)
-    finally:
-        handle.close()
-    name = data.decode("utf-8").strip()
-    if not name:
-        raise CorruptionError("ROUTER.CURRENT is empty")
     if not fs.exists(name):
         raise CorruptionError(f"ROUTER.CURRENT names missing snapshot {name!r}")
     handle = fs.open_random(name)

@@ -31,7 +31,7 @@ from ..keys import ComparableKey, seek_comparable
 from ..options import Options
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_GET, CAT_OPEN, CAT_SCAN
-from .block import DataBlock, ParsedBlock, parse_block_raw
+from .block import ParsedBlock, parse_block_raw
 from .filter_block import Filter, deserialize_filter
 from .format import (
     BLOCK_TRAILER_SIZE,
@@ -233,8 +233,8 @@ class TableReader:
         lookup takes the default: the parse is deferred
         (``LazyDataBlock``), the block enters the cache partially decoded
         and lookups decode only the restart region they bisect into.  A
-        caller about to drain every entry — a scan, :meth:`entry_blocks`,
-        the concurrent compaction reads below — asks for the eager
+        caller about to drain every entry — a scan, :meth:`entry_blocks`
+        — asks for the eager
         ``DataBlock``, which builds no restart table it would never read;
         a later lookup that finds it cached bisects its entry lists.
         Cache accounting is the same for both (each charges the serialized
@@ -259,20 +259,10 @@ class TableReader:
             block_cache.insert(self.file_number, entry.offset, block)
         return block
 
-    def read_blocks_concurrently(
-        self, entries: list[IndexEntry], *, category: str
-    ) -> list[DataBlock]:
-        """Fetch several blocks as overlapping random reads — Algorithm 3's
-        multi-threaded dirty-block fetch, charged with the device's
-        internal-parallelism makespan."""
-        raws = self.read_blocks_raw(entries, category=category)
-        verify = self._options.verify_checksums
-        return [parse_block_raw(raw, verify_checksum=verify) for raw in raws]
-
     def read_user_keys(self, entries: list[IndexEntry], *, category: str) -> list[bytes]:
         """The user keys of several blocks, in order — a filter rebuild's
-        input.  Fetched, charged and checksummed as
-        :meth:`read_blocks_concurrently`; the values are never decoded."""
+        input.  Fetched and charged as :meth:`read_blocks_raw`, then
+        checksummed; the values are never decoded."""
         raws = self.read_blocks_raw(entries, category=category)
         verify = self._options.verify_checksums
         keys: list[bytes] = []
@@ -281,14 +271,14 @@ class TableReader:
         return keys
 
     def read_blocks_raw(self, entries: list[IndexEntry], *, category: str) -> list[bytes]:
-        """Fetch several blocks' *raw stored bytes* (payload + trailer),
-        charged identically to :meth:`read_blocks_concurrently`.
+        """Fetch several blocks' *raw stored bytes* (payload + trailer) as
+        overlapping random reads — Algorithm 3's multi-threaded dirty-block
+        fetch, charged with the device's internal-parallelism makespan.
 
-        This is the offload-mode prep step: the parent process performs all
-        (simulated) I/O here, then ships the raw bytes to a worker which
-        verifies/decodes them off the parent's GIL.  Checksums are therefore
-        deliberately *not* verified here — the worker does that as part of
-        its compute."""
+        Block Compaction's I/O step: the raw bytes go into a merge job,
+        walked in-process or shipped to an offload worker, and the walk
+        verifies and decodes them.  Checksums are therefore deliberately
+        *not* verified here."""
         spans = [(e.offset, e.size + BLOCK_TRAILER_SIZE) for e in entries]
         return self._handle.read_many(
             spans, category=category, concurrency=DIRTY_BLOCK_READ_PARALLELISM

@@ -27,7 +27,7 @@ Durability model (what ``crash()`` keeps):
 * ``delete`` and ``rename`` are durable immediately (journaled metadata);
   a renamed file carries its durable snapshot with it — renaming a file
   that was never synced leaves nothing durable at the destination, which
-  is exactly the write-ordering bug ``set_current`` must avoid;
+  is exactly the write-ordering bug ``write_pointer`` must avoid;
 * a created-but-never-synced file vanishes entirely.
 """
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from ..core.manifest import read_current, replay_manifest
+from ..core.manifest import CURRENT_FILE, read_pointer, replay_manifest
 from ..core.version import Version, VersionEdit
 from ..metrics.amplification import VlogRow, level_rows, vlog_utilization
 from ..metrics.report import format_table, human_bytes
@@ -60,7 +60,7 @@ def replay_store(fs: FileSystem) -> StoreReplay:
     Raises ``ValueError`` when the directory has no CURRENT file (it is not
     a store, or the DB never committed a version).
     """
-    current = read_current(fs)
+    current = read_pointer(fs, CURRENT_FILE)
     if current is None:
         raise ValueError("no CURRENT file: not a store directory or never opened")
     edits: list[VersionEdit] = replay_manifest(fs, current)

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.manifest import ManifestWriter, set_current
+from ..core.manifest import CURRENT_FILE, ManifestWriter, write_pointer
 from ..core.version import FileMetadata, VersionEdit, new_file_metadata
-from ..core.write_batch import WriteBatch
+from ..core.write_batch import replay_wal
 from ..encoding import encode_fixed64
 from ..errors import CorruptionError, FileSystemError, ReproError
 from ..keys import sequence_of
 from ..memtable.memtable import MemTable
-from ..memtable.wal import WalRecoveryStats, read_wal_tolerant
+from ..memtable.wal import WalRecoveryStats
 from ..core.flush import flush_memtable
 from ..options import Options
 from ..sstable.format import BLOCK_TRAILER_SIZE, FOOTER_SIZE, TABLE_MAGIC, Footer, unwrap_block
@@ -174,19 +174,13 @@ def _convert_log(
     """Replay one WAL into an L0 table; returns (metadata, max sequence,
     replay stats — tolerant of a torn/corrupt tail)."""
     memtable = MemTable()
-    max_sequence = 0
     stats = WalRecoveryStats()
     try:
-        for payload in read_wal_tolerant(fs, name, stats):
-            batch, base_sequence = WriteBatch.deserialize(payload)
-            sequence = base_sequence
-            for value_type, key, value in batch:
-                memtable.add(sequence, value_type, key, value)
-                sequence += 1
-            max_sequence = max(max_sequence, sequence - 1)
+        max_sequence = replay_wal(fs, name, memtable, stats)
     except (CorruptionError, FileSystemError):
-        # salvage what replayed before the damage
-        pass
+        # Salvage what replayed before the damage; the full table scan in
+        # repair_store recovers the sequence horizon of those entries.
+        max_sequence = 0
     if len(memtable) == 0:
         return None, max_sequence, stats
     memtable.freeze()
@@ -292,6 +286,6 @@ def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport
     )
     writer.log_edit(edit)
     writer.close()
-    set_current(fs, manifest_number)
-    report.manifest_name = f"MANIFEST-{manifest_number:06d}"
+    write_pointer(fs, CURRENT_FILE, writer.name)
+    report.manifest_name = writer.name
     return report

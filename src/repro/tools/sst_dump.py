@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..bloom import ReservedBloomFilter
-from ..core.manifest import read_current, replay_manifest
+from ..core.manifest import CURRENT_FILE, read_pointer, replay_manifest
 from ..keys import comparable_parts
 from ..options import Options
 from ..sstable.filter_block import BlockFilters, TableFilter
@@ -144,7 +144,7 @@ def dump_table(
 
 def describe_manifest(fs: FileSystem) -> list[str]:
     """Human-readable replay of the store's live manifest."""
-    current = read_current(fs)
+    current = read_pointer(fs, CURRENT_FILE)
     if current is None:
         return ["<no CURRENT file: not a store directory or never opened>"]
     lines = [f"CURRENT -> {current}"]

@@ -297,7 +297,7 @@ class TestBlockCompactFile:
             return [ops[1], ops[0], *ops[2:]]
 
         monkeypatch.setattr(block_compaction, "plan_block_walk", swapped)
-        pool = OffloadPool("thread", 1)
+        pool = OffloadPool(1, mp_context="fork")
         try:
             for offload in (None, pool):
                 env = FakeEnv()

@@ -108,6 +108,29 @@ class TestCompactionCorrectness:
         assert sum(db.level_sizes()) == 0
         db.close()
 
+    @pytest.mark.parametrize("policy", ["leveled", "tiered"])
+    def test_merge_with_more_inputs_than_table_cache_slots(self, any_style, policy):
+        """A merge opens every input before it reads any of them: with more
+        inputs than ``table_cache_capacity`` the cache evicts readers the
+        merge has not reached yet, which must not close them under it."""
+        db = make_db(
+            any_style,
+            block_size=512,
+            sstable_size=2048,
+            memtable_size=2048,
+            max_levels=5,
+            table_cache_capacity=4,
+            compaction_policy=policy,
+        )
+        order = list(range(3000))
+        random.Random(11).shuffle(order)
+        for i in order:
+            db.put(*kv(i))
+        assert db.stats.bg_failures == 0
+        check_level_invariants(db)
+        assert db.scan() == [kv(i) for i in range(3000)]
+        db.close()
+
     def test_compact_all_pushes_to_bottom(self, any_style):
         db = make_db(any_style)
         order = list(range(600))

@@ -40,9 +40,9 @@ class TestManifestDamage:
 
     def test_corrupt_manifest_record_raises(self, fs):
         build_store(fs)
-        from repro.core.manifest import read_current
+        from repro.core.manifest import CURRENT_FILE, read_pointer
 
-        name = read_current(fs)
+        name = read_pointer(fs, CURRENT_FILE)
         # flip a byte inside the first record's payload
         flip_byte(fs, name, 7)
         with pytest.raises(CorruptionError):
@@ -50,9 +50,9 @@ class TestManifestDamage:
 
     def test_current_pointing_at_missing_manifest(self, fs):
         build_store(fs)
-        from repro.core.manifest import read_current
+        from repro.core.manifest import CURRENT_FILE, read_pointer
 
-        fs.delete_file(read_current(fs))
+        fs.delete_file(read_pointer(fs, CURRENT_FILE))
         with pytest.raises(FileSystemError):
             reopen(fs)
 

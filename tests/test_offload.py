@@ -10,6 +10,7 @@ workers).
 from __future__ import annotations
 
 import pickle
+import random
 import threading
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -160,7 +161,7 @@ class TestJobPicklability:
         assert clone.ops == job.ops
         assert clone.parent_entries == job.parent_entries
         assert clone.payloads == job.payloads
-        assert clone.drop_tombstones == job.drop_tombstones
+        assert clone.tombstones == job.tombstones
         # and the clone executes to the same result
         assert execute_block_merge(clone).ops == execute_block_merge(job).ops
 
@@ -199,9 +200,15 @@ class TestOffloadEquivalence:
         new_meta, stats = block_compact_file(env, slice_, child, 2, pool=pool)
         return env, child, new_meta, stats
 
-    def _check_bit_identical(self, mode, scenario):
+    def _check_bit_identical(self, scenario, mode="process"):
         ref_env, ref_child, ref_meta, ref_stats = self._run_inprocess(scenario)
-        pool = OffloadPool(mode, 2, mp_context="fork")
+        pool = OffloadPool.from_options(
+            tiny_options(
+                compaction_offload=mode,
+                compaction_offload_mp_context="fork",
+                compaction_workers=2,
+            )
+        )
         try:
             env, child, new_meta, stats = self._run_offloaded(pool, scenario)
         finally:
@@ -236,19 +243,19 @@ class TestOffloadEquivalence:
             assert reader.file_size == parsed.file_size
         return env, child, stats
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_file_bytes_bit_identical(self, mode):
-        """With the range-absence fact decisive, the offloaded append writes
-        the exact same bytes the in-process path does."""
-        self._check_bit_identical(mode, _make_scenario)
+        """The offloaded append writes the exact same bytes the in-process
+        path does."""
+        self._check_bit_identical(_make_scenario, mode)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_file_bytes_bit_identical_on_cut_boundaries(self, mode):
         """The same on the boundaries the cut rule decides — and the
         scenario is what it claims: rebuilt blocks well past the cut size
         because one key's versions cannot be split (two of them holding that
         key alone), and reuses between the merges."""
-        env, child, stats = self._check_bit_identical(mode, _make_versions_scenario)
+        env, child, stats = self._check_bit_identical(_make_versions_scenario, mode)
         entries = env.reader(child).index.entries
         oversized = [e for e in entries if e.size > 1.4 * env.options.block_size]
         assert len(oversized) >= 4
@@ -258,7 +265,7 @@ class TestOffloadEquivalence:
     def test_shared_memory_transport(self):
         """Forcing the shm path (threshold 0) produces the same file."""
         ref_env, ref_child, _, _ = self._run_inprocess()
-        pool = OffloadPool("process", 2, mp_context="fork", shm_threshold=0)
+        pool = OffloadPool(2, mp_context="fork", shm_threshold=0)
         try:
             env, child, _, _ = self._run_offloaded(pool)
         finally:
@@ -282,7 +289,7 @@ class TestOffloadEquivalence:
             block_compact_file(env, slice_, child, 2, pool=pool)
             return env.vlog.take_pending_dead()
 
-        pool = OffloadPool("thread", 2)
+        pool = OffloadPool(2, mp_context="fork")
         try:
             offloaded = run(pool)
         finally:
@@ -304,7 +311,7 @@ class TestOffloadEquivalence:
             new_meta, stats = block_compact_file(env, slice_, child, 2, pool=pool)
             return env, new_meta, stats
 
-        pool = OffloadPool("thread", 2)
+        pool = OffloadPool(2, mp_context="fork")
         try:
             env, new_meta, stats = run(pool)
         finally:
@@ -314,30 +321,26 @@ class TestOffloadEquivalence:
         assert (stats.dirty_blocks, stats.new_blocks) == (ref_stats.dirty_blocks, 0)
         assert env.fs.digest() == ref_env.fs.digest()
 
-    def test_conservative_tombstones_when_deeper_levels_overlap(self):
-        """When a deeper level may hold the key range, the worker keeps
-        tombstones (conservative); content stays correct."""
-        pool = OffloadPool("thread", 2)
-        try:
-            env = FakeEnv()
-            # deeper-level file overlapping the child's range defeats the
-            # range-absence fast path
-            env.build([k(5), k(50)], register=3)
-            child, slice_ = _make_scenario(env)
-            new_meta, _stats = block_compact_file(env, slice_, child, 2, pool=pool)
-        finally:
-            pool.close()
+    def test_tombstone_rule_bit_identical_when_deeper_levels_overlap(self):
+        """A deeper level overlaps the child's range but not every tombstoned
+        key.  Both sides apply the one tombstone rule shipped in the job, so
+        they drop the same tombstones (8, 70), keep the same one (21, which
+        the deeper file may hold) and write the same bytes."""
+
+        def scenario(env):
+            env.build([k(20), k(22)], register=3)
+            child = env.build([k(i) for i in range(0, 60, 2)], register=2)
+            slice_ = parent_entries(
+                [1, 4, 8, 21, 33, 47, 70, 75], tombstones=(8, 21, 70)
+            )
+            return child, slice_
+
+        env, child, _stats = self._check_bit_identical(scenario)
         reader = env.reader(child)
-        entries = dict(
-            (ck[0], (ck, v)) for ck, v in reader.entries_from(category="compaction")
-        )
-        # tombstoned key 8 must still shadow (kept as a tombstone)
-        assert k(8) in entries
-        found, value = reader.get(k(8), SNAP)
-        assert found and value is None
-        # updated key 4 has the parent's value
-        found, value = reader.get(k(4), SNAP)
-        assert found and value == b"new" * 12
+        keys = {ck[0] for ck, _ in reader.entries_from(category="compaction")}
+        assert k(8) not in keys and k(70) not in keys
+        assert reader.get(k(21), SNAP) == (True, None)  # shadows L3
+        assert reader.get(k(4), SNAP) == (True, b"new" * 12)
 
 
 # ------------------------------------------------------------ failure paths
@@ -367,7 +370,7 @@ class TestFailureSemantics:
         return prepare_block_merge_job(env, reader, slice_, child, 2, scan)
 
     def test_broken_pool_raises_offload_error_and_rebuilds(self):
-        pool = OffloadPool("process", 1, mp_context="fork")
+        pool = OffloadPool(1, mp_context="fork")
         broken = _BrokenExecutor()
         pool._executor = broken
         try:
@@ -387,13 +390,13 @@ class TestFailureSemantics:
         assert classify_severity(OffloadError("worker died")) == SEVERITY_HARD
 
     def test_closed_pool_refuses_jobs(self):
-        pool = OffloadPool("thread", 1)
+        pool = OffloadPool(1, mp_context="fork")
         pool.close()
         with pytest.raises(OffloadError):
             pool.run(self._job())
 
     def test_close_is_idempotent(self):
-        pool = OffloadPool("thread", 1)
+        pool = OffloadPool(1, mp_context="fork")
         pool.run(self._job())
         pool.close()
         pool.close()
@@ -406,14 +409,15 @@ def _live_worker_threads():
     return [
         t
         for t in threading.enumerate()
-        if t.name.startswith(("repro-subtask", "repro-offload"))
+        if t.name.startswith("repro-subtask")
     ]
 
 
 def _offload_db_options(**overrides):
     return tiny_options(
         compaction_style=COMPACTION_SELECTIVE,
-        compaction_offload="thread",
+        compaction_offload="process",
+        compaction_offload_mp_context="fork",
         compaction_workers=2,
         **overrides,
     )
@@ -586,7 +590,7 @@ def test_partition_rejects_no_children():
 
 
 class TestDBWithOffload:
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["process"])
     def test_selective_db_content_matches_default(self, mode):
         def run(offload):
             fs = SimulatedFS()
@@ -609,3 +613,63 @@ class TestDBWithOffload:
             return data
 
         assert run(mode) == run("none")
+
+    @pytest.mark.parametrize("kv_separation", [False, True], ids=["inline", "kv"])
+    def test_offloaded_run_writes_what_the_in_process_run_writes(self, kv_separation):
+        """One seeded op list — puts plus ~25 % deletes, selective style,
+        small geometry — in-process and offloaded: the same scan, the same
+        compaction bytes (so the same WA), the same value-log garbage
+        ledger, and the same multiset of ``.sst`` contents.  (Not the fs
+        digest: threaded sub-tasks number output files in completion order.)
+        Deeper levels overlap many block compactions' ranges without holding
+        their tombstoned keys, which is where two tombstone rules would
+        diverge."""
+        rng = random.Random(29)
+        ops = []
+        for _ in range(3000):
+            key = b"key%05d" % rng.randrange(2000)
+            value = None if rng.random() < 0.25 else b"v" * rng.randrange(8, 48)
+            ops.append((key, value))
+
+        def run(offload):
+            fs = SimulatedFS()
+            db = DB(
+                fs,
+                tiny_options(
+                    compaction_style=COMPACTION_SELECTIVE,
+                    compaction_offload=offload,
+                    compaction_offload_mp_context="fork",
+                    compaction_workers=2,
+                    kv_separation=kv_separation,
+                    kv_separation_threshold=24,
+                ),
+                seed=1,
+            )
+            for key, value in ops:
+                if value is None:
+                    db.delete(key)
+                else:
+                    db.put(key, value)
+            scan = db.scan()
+            stats = db.stats
+            outcome = {
+                "scan": scan,
+                "compaction_bytes_written": stats.compaction_bytes_written,
+                "write_amplification": stats.write_amplification(),
+                "block_compactions": stats.block_compactions,
+                "vlog_dead_bytes_observed": stats.vlog_dead_bytes_observed,
+                "vlog_ledger": sorted(db.version.vlog.items()),
+            }
+            db.close()
+            outcome["sst_contents"] = sorted(
+                fs._read(name, 0, fs.file_size(name))
+                for name in fs.list_dir()
+                if name.endswith(".sst")
+            )
+            return outcome
+
+        in_process, offloaded = run("none"), run("process")
+        assert in_process["block_compactions"] > 0
+        if kv_separation:
+            assert in_process["vlog_dead_bytes_observed"] > 0
+        assert offloaded == in_process

@@ -33,6 +33,7 @@ class TestValidation:
             ("filter_policy", "bogus"),
             ("bloom_bits_per_key", -1),
             ("compaction_workers", 0),
+            ("compaction_offload", "thread"),
         ],
     )
     def test_rejects_bad_values(self, field, value):

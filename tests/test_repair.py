@@ -6,7 +6,7 @@ import pytest
 
 from conftest import flip_byte, kv, make_db, tiny_options
 from repro.core.db import DB
-from repro.core.manifest import read_current
+from repro.core.manifest import CURRENT_FILE, read_pointer
 from repro.tools import repair_store
 
 
@@ -33,7 +33,7 @@ class TestRepair:
         fs.delete_file("CURRENT")
         report = repair_store(fs, tiny_options())
         assert report.tables_recovered > 0
-        assert read_current(fs) == report.manifest_name
+        assert read_pointer(fs, CURRENT_FILE) == report.manifest_name
         db = reopen(fs)
         for i in range(400):
             expected = None if i == 5 else kv(i)[1]
@@ -42,7 +42,7 @@ class TestRepair:
 
     def test_recovers_after_manifest_corruption(self, fs):
         build_store(fs)
-        name = read_current(fs)
+        name = read_pointer(fs, CURRENT_FILE)
         flip_byte(fs, name, 7)
         repair_store(fs, tiny_options())
         db = reopen(fs)

@@ -8,10 +8,11 @@ from conftest import flip_byte
 from repro.core.manifest import (
     decode_edit,
     encode_edit,
+    CURRENT_FILE,
     manifest_file_name,
-    read_current,
+    read_pointer,
     replay_manifest,
-    set_current,
+    write_pointer,
     ManifestWriter,
 )
 from repro.core.version import FileMetadata, VersionEdit
@@ -202,9 +203,9 @@ class TestManifest:
         assert replay_manifest(fs, manifest_file_name(3)) == edits
 
     def test_current_pointer(self, fs):
-        assert read_current(fs) is None
-        set_current(fs, 12)
-        assert read_current(fs) == "MANIFEST-000012"
-        set_current(fs, 13)
-        assert read_current(fs) == "MANIFEST-000013"
+        assert read_pointer(fs, CURRENT_FILE) is None
+        write_pointer(fs, CURRENT_FILE, manifest_file_name(12))
+        assert read_pointer(fs, CURRENT_FILE) == "MANIFEST-000012"
+        write_pointer(fs, CURRENT_FILE, manifest_file_name(13))
+        assert read_pointer(fs, CURRENT_FILE) == "MANIFEST-000013"
         assert not fs.exists("CURRENT.tmp")
