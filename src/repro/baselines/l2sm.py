@@ -136,6 +136,7 @@ class L2SMDB(DB):
         outputs = merge_into_tables(self, [entry.meta] + overlaps, level)
         edit = VersionEdit(next_file_number=self._next_file_number)
         for meta in outputs:
+            meta.built = None  # no eager open here to take it
             edit.new_files.append((level, meta))
         for meta in overlaps:
             edit.deleted_files.append((level, meta.file_number))

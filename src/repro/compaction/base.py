@@ -58,16 +58,6 @@ class CompactionTask:
     def child_level(self) -> int:
         return self.parent_level + 1
 
-    def input_bytes(self) -> int:
-        return sum(f.file_size for f in self.parent_files + self.child_files)
-
-    def key_range(self) -> tuple[bytes, bytes]:
-        """User-key span of all inputs."""
-        files = self.parent_files + self.child_files
-        lo = min(f.smallest_user_key for f in files)
-        hi = max(f.largest_user_key for f in files)
-        return lo, hi
-
 
 @dataclass
 class CompactionResult:

@@ -34,10 +34,10 @@ and concurrent charges make the simulated clock approximate anyway
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from heapq import heapreplace
 from typing import Callable
 
+from ..core import sync
 from ..obs.trace import NULL_TRACER
 from ..options import Options
 from ..storage.io_stats import CAT_COMPACTION, IOStats
@@ -89,7 +89,7 @@ class SubtaskExecutor:
         self._rebate = options.parallel_merging and options.compaction_workers > 1
         self._tracer = tracer
         self._threads = (
-            ThreadPoolExecutor(
+            sync.SubtaskPool(
                 max_workers=self._workers, thread_name_prefix="repro-subtask"
             )
             if options.background_compaction or offload

@@ -50,7 +50,6 @@ event loop.
 
 from __future__ import annotations
 
-import threading
 import time
 from bisect import bisect_left
 from collections import deque
@@ -106,6 +105,7 @@ from ..vlog import (
     vlog_file_name,
     wrap_inline,
 )
+from . import sync
 from .flush import flush_memtable
 from .iterator import DBIterator, EntryStream
 from .scheduler import ErrorHandler, SchedulerLane, SharedBackgroundExecutor
@@ -137,6 +137,9 @@ LEVEL0_SLOWDOWN_SLEEP_S = 0.001
 #: Upper bound on one write's stop-trigger stall before it proceeds anyway:
 #: writes must never error under L0 pressure.
 LEVEL0_STOP_MAX_WAIT_S = 30.0
+#: Upper bound on a rollover's wait for the previous frozen memtable's
+#: flush, for the same reason.
+ROLLOVER_MAX_WAIT_S = 60.0
 
 
 class _GroupWriter:
@@ -239,14 +242,15 @@ class DB:
         # One coarse engine lock: concurrent readers and a writer may share
         # the DB (the paper's 16-thread clients); all structural mutation
         # happens under it.  Reentrant: compactions run inside writes.
-        self._lock = threading.RLock()
-        # Signalled when a background flush commits (immutable drained) and
-        # when a background compaction shrinks L0 (stop-trigger waiters).
+        self._lock = sync.RLock()
+        # Signalled when a flush commits (immutable drained) and when a
+        # compaction commits (stop-trigger waiters), and — both — when the
+        # DB degrades or closes: the three ways a writer's wait ends.
         # Condition.wait on an RLock releases every recursion level, so
         # waiting from inside the write path is safe.
-        self._flush_cv = threading.Condition(self._lock)
-        self._l0_cv = threading.Condition(self._lock)
-        self._fnum_lock = threading.Lock()
+        self._flush_cv = sync.Condition(self._lock)
+        self._l0_cv = sync.Condition(self._lock)
+        self._fnum_lock = sync.Lock()
 
         self._seed = seed
         self._memtable_counter = 0
@@ -278,7 +282,7 @@ class DB:
         self._pending_log: str | None = None  # frozen memtable's WAL, freed on commit
         self._last_flush_meta: FileMetadata | None = None
         self._writers: deque[_GroupWriter] = deque()  # queued behind a busy engine lock
-        self._writers_cv = threading.Condition()
+        self._writers_cv = sync.Condition()
         #: Runs compaction sub-tasks (inline, or on real threads in the
         #: concurrent/offload modes) and holds the offload pool.
         self._subtasks = SubtaskExecutor(
@@ -607,8 +611,7 @@ class DB:
         cv = self._writers_cv
         with cv:
             self._writers.append(writer)
-            while not writer.done and self._writers[0] is not writer:
-                cv.wait()
+            cv.wait_for(lambda: writer.done or self._writers[0] is writer)
             if writer.done:
                 if writer.error is not None:
                     raise writer.error
@@ -776,20 +779,18 @@ class DB:
         if tracer.enabled:
             tracer.begin("stall", "write", {"kind": "stop" if stop else "slowdown"})
         if stop:
-            start = time.monotonic()
-            deadline = start + LEVEL0_STOP_MAX_WAIT_S
+            start = sync.monotonic()
             with self._lock:
-                while (
-                    len(self.version.files_at(0)) >= opts.level0_stop_writes_trigger
-                    and self._scheduler.error is None
-                    and not self._closed
-                    and time.monotonic() < deadline
-                ):
-                    self._l0_cv.wait(timeout=0.05)
-            seconds = time.monotonic() - start
+                self._l0_cv.wait_for(
+                    lambda: len(self.version.files_at(0)) < opts.level0_stop_writes_trigger
+                    or self._error_handler.degraded
+                    or self._closed,
+                    LEVEL0_STOP_MAX_WAIT_S,
+                )
+            seconds = sync.monotonic() - start
         else:
             seconds = LEVEL0_SLOWDOWN_SLEEP_S
-            time.sleep(seconds)
+            sync.sleep(seconds)
         # Throttled writers run OUTSIDE the engine lock, so these
         # counters go through the dedicated stats lock (see DBStats).
         self.stats.record_stall(stop=stop, seconds=seconds)
@@ -829,15 +830,14 @@ class DB:
             if self.tracer.enabled:
                 self.tracer.begin("stall", "write", {"kind": "memtable"})
             self._scheduler.wake()
-            start = time.monotonic()
-            while (
-                self._immutable is not None
-                and self._scheduler.error is None
-                and not self._closed
-                and time.monotonic() - start < 60.0
-            ):
-                self._flush_cv.wait(timeout=0.05)
-            self.stats.record_stall(seconds=time.monotonic() - start)
+            start = sync.monotonic()
+            self._flush_cv.wait_for(
+                lambda: self._immutable is None
+                or self._error_handler.degraded
+                or self._closed,
+                ROLLOVER_MAX_WAIT_S,
+            )
+            self.stats.record_stall(seconds=sync.monotonic() - start)
             if self.tracer.enabled:
                 self.tracer.end("stall", "write")
             if self._immutable is not None:
@@ -848,33 +848,20 @@ class DB:
         self._request_compaction()
 
     def flush(self) -> FileMetadata | None:
-        """Freeze the active memtable and flush it to an L0 SSTable.
-
-        In concurrent mode this hands the frozen memtable to the background
-        worker and waits for that flush to land."""
+        """Freeze the active memtable and flush it to an L0 SSTable on the
+        calling thread — with a lane, quiesced first, as the manual
+        compactions do.  With a lane, a flush that fails into degraded mode
+        raises :class:`ReadOnlyError` chained to its cause, as the lane's
+        own failed steps surface; without one, the cause itself."""
         self._check_open()
-        if self._scheduler is None:
+        with self._background_paused():
             with self._lock:
-                return self._flush_locked()
-        self._error_handler.check_writable()
-        with self._lock:
-            if self._immutable is None:
-                if len(self._memtable) == 0:
-                    return None
-                self._freeze_locked()
-            self._last_flush_meta = None
-            self._scheduler.wake()
-            while (
-                self._immutable is not None
-                and self._scheduler.error is None
-                and not self._closed
-            ):
-                self._flush_cv.wait(timeout=0.05)
-            self._check_open()
-            meta = self._last_flush_meta
-        self._error_handler.check_writable()
-        self._scheduler.raise_if_failed()
-        return meta
+                try:
+                    return self._flush_locked()
+                except BaseException:
+                    if self._scheduler is not None:
+                        self._error_handler.check_writable()
+                    raise
 
     def _flush_locked(self) -> FileMetadata | None:
         # A hard flush failure degrades the DB with the frozen memtable
@@ -907,6 +894,8 @@ class DB:
         """Freeze the active memtable into ``_immutable`` and rotate the
         WAL; the retiring log's name goes to ``_pending_log`` (deleted once
         the flush lands — until then it still guards the frozen entries)."""
+        if not len(self._memtable):  # a writer that missed a roll: a WAL rotated for nothing
+            raise AssertionError("froze an empty memtable")
         self._memtable.freeze()
         self._immutable = self._memtable
         self._memtable = self._new_memtable()
@@ -1169,7 +1158,6 @@ class DB:
             # Safe point between tasks: no task in flight references any
             # file, so auxiliary maintenance (L2SM's log drain) may compact.
             self._post_compaction_maintenance()
-            self._l0_cv.notify_all()
         self._error_handler.note_success()
         return True
 
@@ -1181,8 +1169,9 @@ class DB:
         leaving the DB read-only until resume()."""
         retry = self._error_handler.record(exc)
         if not retry:
-            # Wake anyone blocked on the flush/stop conditions: the error
-            # state is what unblocks them now.
+            # Wake anyone blocked on the flush/stop conditions: the degraded
+            # state ``record`` just set is what unblocks them now (the lane
+            # stores its own error only after this returns).
             with self._lock:
                 self._flush_cv.notify_all()
                 self._l0_cv.notify_all()
@@ -1366,6 +1355,9 @@ class DB:
             self._observe_space()
             for level in range(self.version.num_levels):
                 self.stats.observe_obsolete(level, self.version.level_obsolete_bytes(level))
+            # Stop-trigger waiters: whichever thread drained L0 — the lane,
+            # or a manual compaction with the lane paused.
+            self._l0_cv.notify_all()
             if self.options.paranoid_checks:
                 self._verify_catalog()
         finally:

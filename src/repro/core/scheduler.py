@@ -40,6 +40,7 @@ from typing import Callable, Iterator
 
 from ..errors import SEVERITY_TRANSIENT, ReadOnlyError, classify_severity
 from ..obs.trace import NULL_TRACER
+from . import sync
 
 #: :class:`ErrorHandler` states (its degraded-mode state machine).
 STATE_OK = "ok"
@@ -78,7 +79,7 @@ class ErrorHandler:
         #: simulated seconds.
         self.backoff_s = 0.01
         self.backoff_cap_s = 1.0
-        self._lock = threading.Lock()
+        self._lock = sync.Lock()
         self.state = STATE_OK
         self.severity: str | None = None
         self.last_error: BaseException | None = None
@@ -361,12 +362,12 @@ class SharedBackgroundExecutor:
     def __init__(self, workers: int = 1, *, name: str = "repro-shared-bg"):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self._cv = threading.Condition()
+        self._cv = sync.Condition()
         self._lanes: list[SchedulerLane] = []
         self._cursor = 0
         self._closed = False
         self._threads = [
-            threading.Thread(target=self._loop, name=f"{name}-{i}", daemon=True)
+            sync.Thread(target=self._loop, name=f"{name}-{i}", daemon=True)
             for i in range(workers)
         ]
         for thread in self._threads:

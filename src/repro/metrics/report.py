@@ -55,19 +55,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def format_write_stalls(stats: Any) -> str:
-    """One-row table summarizing write-stall pressure from a
-    :class:`~repro.metrics.stats.DBStats`: slowdown/stop event counts and
-    the wall-clock time writers spent throttled (``stall_time_s`` is only
-    nonzero in the concurrent pipeline — the synchronous engine never
-    sleeps, it just counts ``stall_events``)."""
-    return format_table(
-        ["stall events", "hard stops", "stall time (s)"],
-        [[stats.stall_events, stats.stall_stops, stats.stall_time_s]],
-        title="Write stalls",
-    )
-
-
 def format_latency(latency: dict[str, dict[str, Any]]) -> str:
     """Tail-latency table from per-op summary dicts (the shape
     :meth:`~repro.obs.histogram.LatencyRegistry.summary` and

@@ -120,14 +120,6 @@ class Tracer:
 
     # ------------------------------------------------------------- recording
 
-    def _thread_name(self) -> str:
-        ident = _get_ident()
-        name = self._thread_names.get(ident)
-        if name is None:
-            name = threading.current_thread().name
-            self._thread_names[ident] = name
-        return name
-
     def _record(self, phase: str, name: str, category: str, args, dur: float, sim_dur: float) -> None:
         """One ring append.  Deliberately flat — no helper calls beyond the
         thread-name cache and the two clocks — because high-volume sites

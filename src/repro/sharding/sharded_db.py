@@ -30,13 +30,13 @@ orphan directories are garbage-collected on reopen.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager, nullcontext
 
 from ..cache.block_cache import BlockCache
 from ..cache.lru import ShardedLRUCache
 from ..cache.table_cache import TableCache
 from ..compaction.offload import OFFLOAD_NONE, OffloadPool
+from ..core import sync
 from ..core.db import DB
 from ..core.scheduler import SharedBackgroundExecutor
 from ..core.write_batch import WriteBatch
@@ -57,7 +57,7 @@ class _RWLock:
     """
 
     def __init__(self):
-        self._cv = threading.Condition()
+        self._cv = sync.Condition()
         self._readers = 0
         self._writer = False
 
@@ -66,10 +66,10 @@ class _RWLock:
         """Shared lock for data ops; many readers, excluded by a writer —
         which ``wait=False`` declines to wait out (``WouldBlock``)."""
         with self._cv:
-            while self._writer:
+            if self._writer:
                 if not wait:
                     raise WouldBlock("router edit in progress")
-                self._cv.wait()
+                self._cv.wait_for(lambda: not self._writer)
             self._readers += 1
         try:
             yield
@@ -85,11 +85,9 @@ class _RWLock:
         with self._cv:
             if not blocking and (self._writer or self._readers):
                 return False
-            while self._writer:
-                self._cv.wait()
+            self._cv.wait_for(lambda: not self._writer)
             self._writer = True
-            while self._readers:
-                self._cv.wait()
+            self._cv.wait_for(lambda: not self._readers)
             return True
 
     def release_write(self) -> None:
@@ -175,7 +173,7 @@ class ShardedDB:
         self.splits = 0
         self.merges = 0
         self._op_count = 0
-        self._op_lock = threading.Lock()
+        self._op_lock = sync.Lock()
         self._rebalancing = False
         #: Per-shard stall_events already folded into rebalance decisions.
         self._seen_stalls: dict[str, int] = {}

@@ -27,7 +27,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import CorruptionError
-from ..keys import ComparableKey, seek_comparable
+from ..keys import ComparableKey
 from ..options import Options
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_GET, CAT_OPEN, CAT_SCAN
@@ -186,17 +186,6 @@ class TableReader:
 
     def largest_key(self) -> bytes | None:
         return self._meta.index.largest_key()
-
-    def key_range_excludes(self, user_key: bytes) -> bool:
-        """True when ``user_key`` falls outside this table's key span — the
-        zero-I/O pre-check the lock-free fast path runs before consulting
-        filters or the sharded caches."""
-        index = self._meta.index
-        smallest = index.smallest_key()
-        if smallest is None:
-            return True
-        largest = index.largest_key()
-        return user_key < smallest or (largest is not None and user_key > largest)
 
     def metadata_memory_bytes(self) -> tuple[int, int]:
         """(index bytes, filter bytes) resident while this table is open —
@@ -391,13 +380,6 @@ class TableReader:
                 seek, category=category, block_cache=block_cache, sequential=sequential
             )
         )
-
-    def seek_first_entry(self, user_key: bytes) -> tuple[ComparableKey, bytes] | None:
-        """First entry at or after ``user_key`` (used by seek compaction
-        bookkeeping and tests)."""
-        for item in self.entries_from(seek_comparable(user_key)):
-            return item
-        return None
 
     # -- lifetime ---------------------------------------------------------------
 

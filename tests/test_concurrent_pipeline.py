@@ -8,10 +8,12 @@ import time
 import pytest
 
 from conftest import kv, make_db, tiny_options
+from oracle.interleave import controlled
 from repro.core import db as db_module
+from repro.core import sync
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
-from repro.errors import DBClosedError, ReadOnlyError, TransientIOError
+from repro.errors import ReadOnlyError, TransientIOError
 from repro.memtable.wal import read_wal
 from repro.options import COMPACTION_SELECTIVE, COMPACTION_TABLE, Options
 from repro.storage.faults import KIND_TRANSIENT, FaultInjectionFS, FaultPolicy
@@ -92,10 +94,17 @@ class TestBackgroundPipeline:
         for it.  If the memtable was rolled meanwhile (a value-log GC round
         freezes and flushes inline), the writer freezes nothing: an empty
         freeze rotates the WAL for nothing and the next rollover then waits
-        on it — what made a GC round flush once less than its re-puts."""
-        db = make_concurrent_db()
-        db._scheduler.pause()  # keep the pending flush from landing
-        try:
+        on it — what made a GC round flush once less than its re-puts.
+        Scheduled: the writer parks on the flush before the roll, at every
+        seed."""
+        for seed in range(4):
+            self._roll_under_a_waiting_writer(seed)
+
+    def _roll_under_a_waiting_writer(self, seed: int) -> None:
+        raised = []
+        with controlled(seed):
+            db = make_concurrent_db()
+            db._scheduler.pause()  # keep the pending flush from landing
             written = 0
             while db._immutable is None:
                 db.put(*kv(written))
@@ -104,51 +113,45 @@ class TestBackgroundPipeline:
             while not db._memtable.would_reach(size, len(b"".join(kv(written))), 1):
                 db.put(*kv(written))
                 written += 1
-            writer = threading.Thread(target=db.put, args=kv(written))
-            writer.start()
-            deadline = time.monotonic() + 30.0
-            while db._memtable.approximate_memory_usage() < size:
-                assert time.monotonic() < deadline, "the writer never wrote"
-                time.sleep(0.001)
-            with db._lock:  # the writer released it: it is waiting on the flush
+
+            def writer() -> None:
+                try:
+                    db.put(*kv(written))
+                except BaseException as exc:  # noqa: BLE001 - handed to the test
+                    raised.append(exc)
+
+            thread = sync.Thread(target=writer, name="writer")
+            thread.start()
+            sync.sleep(0.001)  # runs once every other thread is parked
+            assert db._memtable.approximate_memory_usage() >= size  # it wrote, and waits
+            with db._lock:
                 db._drain_immutable_locked()
                 db._freeze_locked()
                 db._drain_immutable_locked()
-            writer.join(timeout=30.0)
-            assert not writer.is_alive()
+            thread.join()
+            assert raised == []
             assert db._immutable is None
             assert len(db._memtable) == 0
-        finally:
             db._scheduler.resume()
-        for i in range(written + 1):
-            key, value = kv(i)
-            assert db.get(key) == value
-        db.close()
+            for i in range(written + 1):
+                key, value = kv(i)
+                assert db.get(key) == value
+            db.close()
 
-    def test_flush_waiting_on_the_lane_leaves_when_closed(self):
-        """``close()`` while ``flush()`` waits for a lane that will not run:
-        the flushing thread stops waiting and raises the closed-DB error."""
-        db = make_concurrent_db()
-        db._scheduler.pause()  # the handed-off flush never lands
-        db.put(*kv(0))
-        raised = []
-
-        def flush() -> None:
-            try:
-                db.flush()
-            except DBClosedError as exc:
-                raised.append(exc)
-
-        flusher = threading.Thread(target=flush, daemon=True)
-        flusher.start()
-        deadline = time.monotonic() + 30.0
-        while db._immutable is None:
-            assert time.monotonic() < deadline, "flush never froze the memtable"
-            time.sleep(0.001)
-        db.close()
-        flusher.join(timeout=3.0)
-        assert not flusher.is_alive()
-        assert len(raised) == 1
+    def test_flush_with_a_paused_lane_does_not_wait(self):
+        """``flush()`` runs on the calling thread with the lane quiesced —
+        there is no hand-off to wait for, so a lane that will not run (paused
+        here) cannot hold it up."""
+        with controlled(0):
+            db = make_concurrent_db()
+            db._scheduler.pause()
+            db.put(*kv(0))
+            meta = db.flush()
+            assert meta is not None
+            assert db._immutable is None
+            assert db.num_files_per_level()[0] == 1
+            db._scheduler.resume()
+            db.close()
 
     def test_background_error_degrades_to_read_only(self, monkeypatch):
         """A hard background failure lands the DB in degraded (read-only)

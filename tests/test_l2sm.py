@@ -93,6 +93,20 @@ class TestDivertAndLog:
             assert db.get(kv(i)[0]) == kv(i)[1]
         db.close()
 
+    def test_merge_back_leaves_no_built_tables_in_the_catalog(self):
+        """A merge-back output is never eagerly opened, so nothing takes its
+        writer's index and filter (``FileMetadata.built``): the catalog must
+        not keep them alive for the file's lifetime."""
+        db = make_l2sm(hot=0.3, log_factor=0.1)
+        merged = []
+        merge_back = db._merge_back
+        db._merge_back = lambda entry: (merged.append(entry), merge_back(entry))
+        load(db, n=800)
+        assert merged, "test needs a merge-back"
+        assert [meta.file_name() for _level, meta in db.version.all_files()
+                if meta.built is not None] == []
+        db.close()
+
     def test_space_accounting_includes_log(self):
         db = make_l2sm(hot=0.3, log_factor=50.0)
         load(db, n=600)
