@@ -12,7 +12,7 @@ The read paths' comparisons with their reference walks (``DB.get``,
 
 =================  ==========================================================
 varint_roundtrip   encode+decode a mixed-magnitude integer corpus
-block_encode       BlockBuilder over a corpus of internal keys
+block_encode       the BlockCutter run loop over a corpus of comparable entries
 block_decode       DataBlock.parse of the built blocks
 merge_visible      fused k-way merge + visibility (the read/scan inner loop)
 compaction_merge   fused merge_live (the compaction inner loop)
@@ -183,41 +183,47 @@ def _entry_corpus(count: int) -> list[tuple[bytes, bytes]]:
 
 
 def bench_block_codec(suite: Suite) -> None:
-    """Block encode (builder) and decode (parse), optimized vs reference."""
+    """Block encode (the cutter's run loop) and decode (parse), optimized
+    vs reference."""
     from oracle import reference
+    from repro.keys import comparable_from_internal
     from repro.sstable.block import DataBlock
-    from repro.sstable.block_builder import BlockBuilder
+    from repro.sstable.block_builder import BlockCutter
+    from repro.sstable.format import BLOCK_TRAILER_SIZE, COMPRESSION_NONE
 
     entries = _entry_corpus(200 if suite.quick else 2000)
+    # The engine's writers hand the run loop the merges' comparable form.
+    comparable = [(comparable_from_internal(key), value) for key, value in entries]
     per_block = 100  # ~ a 4 KiB block's worth of 100-byte entries
+    stored: list[bytes] = []
 
-    def encode_with(builder_cls):
-        def inner():
-            builder = builder_cls()
-            for start in range(0, len(entries), per_block):
-                builder.reset()
-                for key, value in entries[start : start + per_block]:
-                    builder.add(key, value)
-                builder.finish()
-            return len(entries)
+    def encode_fast():
+        stored.clear()
+        # Cut by hand every ``per_block`` entries, never by size.
+        cutter = BlockCutter(1 << 62, 16, COMPRESSION_NONE, lambda raw, *_: stored.append(raw))
+        for start in range(0, len(comparable), per_block):
+            cutter.add_run(comparable[start : start + per_block])
+            cutter.cut()
+        return len(entries)
 
-        return inner
+    def encode_reference():
+        builder = reference.ReferenceBlockBuilder()
+        for start in range(0, len(entries), per_block):
+            builder.reset()
+            for key, value in entries[start : start + per_block]:
+                builder.add(key, value)
+            builder.finish()
+        return len(entries)
 
     suite.measure(
         "block_encode",
-        encode_with(BlockBuilder),
+        encode_fast,
         "entry",
-        reference=encode_with(reference.ReferenceBlockBuilder),
+        reference=encode_reference,
         repeats=suite.micro_repeats,
     )
 
-    builder = BlockBuilder()
-    payloads = []
-    for start in range(0, len(entries), per_block):
-        builder.reset()
-        for key, value in entries[start : start + per_block]:
-            builder.add(key, value)
-        payloads.append(builder.finish())
+    payloads = [raw[:-BLOCK_TRAILER_SIZE] for raw in stored]
 
     def decode_fast():
         total = 0
@@ -449,19 +455,21 @@ def bench_section_finish_open(suite: Suite) -> None:
     open it — with the writer's index and filter handed to the reader, vs
     the reader decoding the bytes just encoded (same writes, same reads,
     same checksums in both arms; the decode is the only difference)."""
-    from repro.keys import TYPE_VALUE, make_internal_key
+    from repro.keys import TYPE_VALUE, comparable_key
     from repro.options import Options
     from repro.sstable import AppendSession, TableBuilder, TableReader
     from repro.storage.fs import SimulatedFS
 
     options = Options()  # 4 KiB blocks
     rng = random.Random(11)
+    # Entries in the merges' comparable form, written by the run method the
+    # engine's flush and compactions drive.
     built = [
-        (make_internal_key(b"user%028d" % (i * 10), 1000 + i, TYPE_VALUE), rng.randbytes(1024))
+        (comparable_key(b"user%028d" % (i * 10), 1000 + i, TYPE_VALUE), rng.randbytes(1024))
         for i in range(64)  # four to a block
     ]
     added = [
-        (make_internal_key(b"user%028d" % (10_000 + i), 2000 + i, TYPE_VALUE), rng.randbytes(1024))
+        (comparable_key(b"user%028d" % (10_000 + i), 2000 + i, TYPE_VALUE), rng.randbytes(1024))
         for i in range(4)
     ]
     rounds = 10 if suite.quick else 40
@@ -471,8 +479,7 @@ def bench_section_finish_open(suite: Suite) -> None:
             for _ in range(rounds):
                 fs = SimulatedFS()
                 builder = TableBuilder(fs, "000001.sst", options, level=2)
-                for key, value in built:
-                    builder.add(key, value)
+                builder.add_run(built)
                 info = builder.finish()
                 reader = TableReader(
                     fs, "000001.sst", 1, options, "compaction", info if hand_over else None
@@ -482,8 +489,7 @@ def bench_section_finish_open(suite: Suite) -> None:
                 session = AppendSession(fs, reader, options, level=2)
                 for entry in entries[:12]:
                     session.reuse(entry)
-                for key, value in added:
-                    session.add(key, value)
+                session.add_run(added)
                 info = session.finish()
                 reader.reload(info if hand_over else None)
                 assert (reader.index is info.index) == hand_over

@@ -36,11 +36,21 @@ multi_get_8_linear      ``multi_get_8`` through
                         ``oracle.reference.multi_get_linear`` — the same,
                         with a list of pending keys
 multi_get_64            ``db.multi_get`` of 64 keys, blocks cached
+table_build             one 64 KiB output table written by
+                        ``build_output_tables`` from 60 merged entries
+                        (``merge_live``'s output form, 32 B keys, 1 KiB
+                        values): the run loop, block cuts, filter, index,
+                        footer and the simulated writes
+load                    a 6 000-put shuffled load into an empty store,
+                        every flush and compaction it triggers included
 ======================  ====================================================
 
 Each path is called five times and the **third** call is the one counted:
 the first two absorb one-time work (a table opened, a block cached, a
-``struct`` format compiled) and the last two show nothing drifts.  All
+``struct`` format compiled) and the last two show nothing drifts.  The
+``load`` row is counted once, on a store of its own (a load from empty is
+deterministic, and at ~40 M bytecodes one count takes seconds):
+``measure(load=False)`` leaves it out.  All
 but the seeked scans run on a 3 000-key store in the end-to-end benchmark's
 geometry (``options_for("BlockDB", ...)``: 64 KiB tables, 4 KiB blocks, 32 B
 keys, 1 KiB values, cache = 10 % of the data), loaded in a seeded shuffle
@@ -77,6 +87,10 @@ for _path in (ROOT, ROOT / "src"):  # the oracle package, the engine
 
 STORE_KEYS = 3000
 VALUE_SIZE = 1024
+#: Merged entries in the ``table_build`` row's one output table.
+TABLE_BUILD_ENTRIES = 60
+#: Puts in the ``load`` row.
+LOAD_PUTS = 6000
 CALLS = 5
 COUNTED_CALL = 2  # the third
 #: Files the seeked-scan store must have on its one populated level.
@@ -113,20 +127,26 @@ def third_of_five(make_call: Callable[[int], Callable[[], object]]) -> int:
     return [count_opcodes(make_call(i)) for i in range(CALLS)][COUNTED_CALL]
 
 
-def _benchmark_store(compacted: bool = True):
-    """The warm store of the module docstring, and its keys in key order.
-    ``compacted=False`` leaves the tree as the load built it: entries in the
-    memtable, an L0 file, two or more sorted levels."""
-    from repro import DB, SimulatedFS
+def _options():
+    """The end-to-end benchmark's geometry, cache = 10 % of the store."""
     from repro.experiments.config import DEFAULT_SCALE, options_for
-    from repro.ycsb import make_key, make_value
 
-    options = options_for(
+    return options_for(
         "BlockDB",
         DEFAULT_SCALE,
         STORE_KEYS * VALUE_SIZE // 10,
         enable_seek_compaction=False,
     )
+
+
+def _benchmark_store(compacted: bool = True):
+    """The warm store of the module docstring, and its keys in key order.
+    ``compacted=False`` leaves the tree as the load built it: entries in the
+    memtable, an L0 file, two or more sorted levels."""
+    from repro import DB, SimulatedFS
+    from repro.ycsb import make_key, make_value
+
+    options = _options()
     db = DB(SimulatedFS(), options, seed=1)
     keys = [make_key(ordinal, 32) for ordinal in range(STORE_KEYS)]
     order = list(range(STORE_KEYS))
@@ -197,8 +217,100 @@ def _deepest_key(db, keys: list[bytes]) -> bytes:
     raise AssertionError("no key sits under a file of every level")
 
 
-def measure() -> dict[str, int]:
-    """Every path's count, in the order of the module docstring."""
+class _OutputEnv:
+    """The slice of a compaction env ``build_output_tables`` uses: a device
+    of its own and the e2e options."""
+
+    def __init__(self):
+        from repro import SimulatedFS
+
+        self.fs = SimulatedFS()
+        self.options = _options()
+        self._numbers = iter(range(1, 1 << 30))
+
+    def new_file_number(self) -> int:
+        return next(self._numbers)
+
+
+def table_build_entries() -> list[tuple[bytes, bytes]]:
+    """The ``table_build`` row's entries as (internal key, value), in order:
+    32 B keys, 1 KiB values, ~62 KiB in all."""
+    from repro.keys import TYPE_VALUE, make_internal_key
+    from repro.ycsb import make_key, make_value
+
+    return [
+        (make_internal_key(make_key(ordinal, 32), 1000 + ordinal, TYPE_VALUE),
+         make_value(ordinal, 0, VALUE_SIZE))
+        for ordinal in range(TABLE_BUILD_ENTRIES)
+    ]
+
+
+def _table_build_path() -> Callable[[int], Callable[[], object]]:
+    """The ``table_build`` row: each call writes the merged entries through
+    ``build_output_tables`` into a fresh device, and must get one table."""
+    from repro.compaction.base import merge_live
+    from repro.compaction.table_compaction import build_output_tables
+    from repro.keys import comparable_from_internal
+
+    source = [(comparable_from_internal(key), value) for key, value in table_build_entries()]
+    merged = list(merge_live([iter(source)], lambda _k: False))
+    envs = [_OutputEnv() for _ in range(CALLS)]
+
+    def make_call(i: int) -> Callable[[], object]:
+        def call():
+            outputs = build_output_tables(envs[i], iter(merged), 1)
+            if len(outputs) != 1:
+                raise AssertionError(f"table_build wrote {len(outputs)} tables, not one")
+
+        return call
+
+    return make_call
+
+
+def count_table_build_reference() -> int:
+    """Bytecodes of the ``table_build`` row's entries through
+    ``oracle.reference.build_table_bytes`` — the same file, built by the
+    reference per-entry path (third of five calls)."""
+    from oracle import reference
+
+    entries = table_build_entries()
+    options = _options()
+    return third_of_five(
+        lambda i: lambda: reference.build_table_bytes(
+            entries,
+            block_size=options.block_size,
+            restart_interval=options.block_restart_interval,
+            bits_per_key=options.bloom_bits_per_key,
+            reserved_fraction=options.bloom_reserved_fraction(1),
+        )
+    )
+
+
+def count_load() -> int:
+    """Bytecodes of the ``load`` row: ``LOAD_PUTS`` distinct keys put in a
+    seeded shuffle into an empty store, flushes and compactions included."""
+    from repro import DB, SimulatedFS
+    from repro.ycsb import make_key, make_value
+
+    db = DB(SimulatedFS(), _options(), seed=1)
+    keys = [make_key(ordinal, 32) for ordinal in range(LOAD_PUTS)]
+    values = [make_value(ordinal, 0, VALUE_SIZE) for ordinal in range(LOAD_PUTS)]
+    order = list(range(LOAD_PUTS))
+    random.Random(20220509).shuffle(order)
+
+    def load():
+        for ordinal in order:
+            db.put(keys[ordinal], values[ordinal])
+
+    try:
+        return count_opcodes(load)
+    finally:
+        db.close()
+
+
+def measure(load: bool = True) -> dict[str, int]:
+    """Every path's count, in the order of the module docstring; without
+    the ``load`` row when ``load`` is false."""
     from oracle import reference
 
     db, keys = _benchmark_store()
@@ -229,9 +341,13 @@ def measure() -> dict[str, int]:
         "get_cached_tree_linear": lambda i: lambda: reference.get_linear(tree_db, deep),
         "multi_get_8_linear": lambda i: lambda: reference.multi_get_linear(db, batch),
         "multi_get_64": lambda i: lambda: db.multi_get(batch_64),
+        "table_build": _table_build_path(),
     }
     try:
-        return {name: third_of_five(make_call) for name, make_call in paths.items()}
+        counts = {name: third_of_five(make_call) for name, make_call in paths.items()}
+        if load:
+            counts["load"] = count_load()
+        return counts
     finally:
         db.close()
         tree_db.close()
@@ -248,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(f"opcodes per call (third of {CALLS}), python {sys.version.split()[0]}")
     for name, count in counts.items():
-        print(f"  {name:<22} {count:>9,}")
+        print(f"  {name:<22} {count:>10,}")
     return 0
 
 

@@ -2,12 +2,12 @@
 
 These are verbatim copies of the straightforward (pre-optimization)
 implementations of the varint codec, the data-block codec, the per-entry
-table build and filter insert, the stored-block and index-block writers,
-the merge/visibility stack, the LPT scheduler, the version catalog, the
-scan path (linear level seek, a generator per file, a per-entry drain), the
-point-read path (a skiplist seek per memtable miss, a key hash per filter,
-a closure per level walk, a list of pending keys per batch), and the
-``bytearray`` file store.  They exist for two reasons:
+table build, output rotation and filter insert, the stored-block and
+index-block writers, the merge/visibility stack, the LPT scheduler, the
+version catalog, the scan path (linear level seek, a generator per file, a
+per-entry drain), the point-read path (a skiplist seek per memtable
+miss, a key hash per filter, a closure per level walk, a list of pending
+keys per batch), and the ``bytearray`` file store.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
   optimized fast path against these on random inputs — including the
@@ -328,6 +328,59 @@ def build_table_bytes(
         ).serialize()
     )
     return bytes(out)
+
+
+def build_output_tables_bytes(
+    entries: list[tuple[bytes, bytes]],
+    *,
+    sstable_size: int,
+    block_size: int,
+    restart_interval: int,
+    bits_per_key: int,
+    reserved_fraction: float,
+) -> list[bytes]:
+    """Reference output rotation: the files a compaction must write for the
+    merged ``entries`` (internal key, value), each :func:`build_table_bytes`
+    of its slice.
+
+    Entry by entry, as the per-entry compaction loop did: before an entry
+    that starts a new user key, the file ends once its size estimate — the
+    stored blocks so far plus the pending block's size estimate — reaches
+    ``sstable_size``; otherwise the block is cut once it reaches
+    ``block_size``.
+    """
+    from repro.sstable.format import wrap_block
+
+    slices: list[list[tuple[bytes, bytes]]] = []
+    start = 0
+    offset = 0
+    block = ReferenceBlockBuilder(restart_interval)
+    last_user_key = None
+    for i, (internal_key, value) in enumerate(entries):
+        user_key = user_key_of(internal_key)
+        if last_user_key is not None and user_key != last_user_key:
+            if offset + block.current_size_estimate() >= sstable_size:
+                slices.append(entries[start:i])
+                start = i
+                offset = 0
+                block.reset()
+            elif block.current_size_estimate() >= block_size:
+                offset += len(wrap_block(block.finish()))
+                block.reset()
+        block.add(internal_key, value)
+        last_user_key = user_key
+    if start < len(entries):
+        slices.append(entries[start:])
+    return [
+        build_table_bytes(
+            slice_,
+            block_size=block_size,
+            restart_interval=restart_interval,
+            bits_per_key=bits_per_key,
+            reserved_fraction=reserved_fraction,
+        )
+        for slice_ in slices
+    ]
 
 
 # ----------------------------------------------------------------- merge stack

@@ -8,7 +8,6 @@ coordinator.
 
 from __future__ import annotations
 
-import struct
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
@@ -17,7 +16,7 @@ from typing import Callable, Iterator, Protocol
 
 from ..cache.block_cache import BlockCache
 from ..cache.table_cache import TableCache
-from ..keys import ComparableKey, comparable_to_internal
+from ..keys import ComparableKey
 from ..core.merge import merge_entries
 from ..core.snapshot import VersionKeeper
 from ..metrics.stats import DBStats
@@ -27,7 +26,6 @@ from ..storage.io_stats import CAT_COMPACTION
 from ..core.version import FileMetadata, Version, VersionEdit
 
 _INVERT = (1 << 64) - 1
-_FIXED64_PACK = struct.Struct("<Q").pack
 
 
 class CompactionEnv(Protocol):
@@ -205,28 +203,27 @@ def merge_live(
     can_drop_tombstone: Callable[[bytes], bool],
     boundaries: list[int] | None = None,
     on_drop: Callable[[bytes], None] | None = None,
-) -> Iterator[tuple[bytes, bytes, bool]]:
+) -> Iterator[tuple[ComparableKey, bytes]]:
     """Merge sorted streams keeping, per user key, the newest version of
     every snapshot stratum (see :class:`~repro.core.snapshot.VersionKeeper`).
 
-    Yields ``(internal_key, value, is_tombstone)``.  A tombstone is dropped
-    only when no live snapshot can see beneath it *and* no deeper level may
-    hold the key; otherwise it passes through and keeps shadowing.
+    Yields ``(comparable_key, value)`` — the form the merge reads and the
+    table writers' run loop encodes, so a kept value's entry passes through
+    as the merge produced it.  A tombstone is dropped only when no live
+    snapshot can see beneath it *and* no deeper level may hold the key;
+    otherwise it passes through, with an empty value, and keeps shadowing.
 
     The per-entry sequence/type split is inlined integer arithmetic on the
     inverted trailer (``_INVERT`` is all-ones so the low byte is
-    ``0xFF - type``), and internal keys are re-serialized with a prebound
-    ``struct`` pack: the loop makes no decoding calls for kept values.
-    With no live snapshots (``boundaries`` empty) the stratum logic
-    degenerates to "newest per user key" and the :class:`VersionKeeper` is
-    skipped entirely.
+    ``0xFF - type``).  With no live snapshots (``boundaries`` empty) the
+    stratum logic degenerates to "newest per user key" and the
+    :class:`VersionKeeper` is skipped entirely.
     """
     invert = _INVERT
-    pack_trailer = _FIXED64_PACK
     last_user_key: bytes | None = None
     if not boundaries:
-        for comparable, value in merge_entries(sources):
-            user_key, inv = comparable
+        for entry in merge_entries(sources):
+            (user_key, inv), value = entry
             if user_key == last_user_key:
                 if on_drop is not None:
                     on_drop(value)
@@ -235,15 +232,15 @@ def merge_live(
             if inv & 0xFF == 0xFF:  # TYPE_DELETION
                 if can_drop_tombstone(user_key):
                     continue
-                yield user_key + pack_trailer(invert - inv), b"", True
+                yield entry[0], b""
             else:
-                yield user_key + pack_trailer(invert - inv), value, False
+                yield entry
         return
     keeper = VersionKeeper(boundaries)
     new_key = keeper.new_key
     keep = keeper.keep
-    for comparable, value in merge_entries(sources):
-        user_key, inv = comparable
+    for entry in merge_entries(sources):
+        (user_key, inv), value = entry
         if user_key != last_user_key:
             new_key()
             last_user_key = user_key
@@ -255,6 +252,6 @@ def merge_live(
         if inv & 0xFF == 0xFF:  # TYPE_DELETION
             if keeper.tombstone_unprotected(sequence) and can_drop_tombstone(user_key):
                 continue
-            yield comparable_to_internal(comparable), b"", True
+            yield entry[0], b""
         else:
-            yield comparable_to_internal(comparable), value, False
+            yield entry

@@ -21,7 +21,6 @@ obsolete bytes until a later Table Compaction collects them.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -49,7 +48,6 @@ from .base import (
 ParentEntry = tuple[ComparableKey, bytes]
 
 _INVERT = (1 << 64) - 1
-_FIXED64_PACK = struct.Struct("<Q").pack
 
 
 @dataclass
@@ -79,14 +77,16 @@ def find_dirty_blocks(parent_user_keys: list[bytes], index: IndexBlock) -> Dirty
     for entry in index.entries:
         # Step 1/2 of Algorithm 3: skip blocks entirely below the cursor key
         # and keys entirely below the block.
-        while i < n and parent_user_keys[i] < entry.smallest_user_key:
+        smallest = entry.smallest_user_key
+        while i < n and parent_user_keys[i] < smallest:
             i += 1
         if i >= n:
             break
-        if parent_user_keys[i] <= entry.largest_user_key:
+        largest = entry.largest_user_key
+        if parent_user_keys[i] <= largest:
             scan.dirty_entries.append(entry)
             scan.dirty_bytes += entry.size
-            while i < n and parent_user_keys[i] <= entry.largest_user_key:
+            while i < n and parent_user_keys[i] <= largest:
                 i += 1
     return scan
 
@@ -127,13 +127,15 @@ def plan_block_walk(
     n = len(parent_slice)
     for entry_idx, entry in enumerate(index_entries):
         j = i
-        while j < n and parent_slice[j][0][0] < entry.smallest_user_key:
+        smallest = entry.smallest_user_key
+        while j < n and parent_slice[j][0][0] < smallest:
             j += 1
         if j > i:
             ops.append((OP_GAP, i, j))
             i = j
         if entry.offset in dirty_idx:
-            while j < n and parent_slice[j][0][0] <= entry.largest_user_key:
+            largest = entry.largest_user_key
+            while j < n and parent_slice[j][0][0] <= largest:
                 j += 1
             ops.append((OP_MERGE, dirty_idx[entry.offset], i, j))
             i = j
@@ -144,16 +146,15 @@ def plan_block_walk(
     return ops
 
 
-def _update_block(
-    sink,
+def _updated_entries(
     parent_entries: list[ParentEntry],
     block_entries: Iterator[tuple[ComparableKey, bytes]],
     can_drop_tombstone: Callable[[bytes], bool],
     boundaries: list[int],
     on_drop: Callable[[bytes], None] | None = None,
-) -> None:
+) -> Iterator[ParentEntry]:
     """Algorithm 2: merge-sort parent keys into one dirty block's entries,
-    writing the survivors to ``sink.add``.
+    yielding the survivors.
 
     Comparable-key order puts the parent's (newer) versions of a user key
     first; the :class:`VersionKeeper` retains the newest version per
@@ -161,13 +162,12 @@ def _update_block(
     breaking live snapshots.
     """
     merged = merge_entries([iter(parent_entries), block_entries])
-    add = sink.add
     last_user_key: bytes | None = None
     if not boundaries:
         # No live snapshots: keep the newest version per user key, dropping
         # droppable tombstones — no VersionKeeper bookkeeping needed.
-        for comparable, value in merged:
-            user_key, inv = comparable
+        for entry in merged:
+            (user_key, inv), value = entry
             if user_key == last_user_key:
                 if on_drop is not None:
                     on_drop(value)
@@ -175,11 +175,11 @@ def _update_block(
             last_user_key = user_key
             if inv & 0xFF == 0xFF and can_drop_tombstone(user_key):
                 continue
-            add(user_key + _FIXED64_PACK(_INVERT - inv), value)
+            yield entry
         return
     keeper = VersionKeeper(boundaries)
-    for comparable, value in merged:
-        user_key, inv = comparable
+    for entry in merged:
+        (user_key, inv), value = entry
         if user_key != last_user_key:
             keeper.new_key()
             last_user_key = user_key
@@ -194,7 +194,26 @@ def _update_block(
             and can_drop_tombstone(user_key)
         ):
             continue
-        add(user_key + _FIXED64_PACK(_INVERT - inv), value)
+        yield entry
+
+
+def _gap_entries(
+    parent_entries: list[ParentEntry],
+    can_drop_tombstone: Callable[[bytes], bool],
+    keeper: VersionKeeper,
+) -> Iterator[ParentEntry]:
+    """Parent keys covered by no block.  The parent slice is already
+    stratum-filtered upstream; only the tombstone rule needs re-checking
+    here."""
+    for entry in parent_entries:
+        user_key, inv = entry[0]
+        if (
+            inv & 0xFF == 0xFF  # TYPE_DELETION
+            and keeper.tombstone_unprotected((_INVERT - inv) >> 8)
+            and can_drop_tombstone(user_key)
+        ):
+            continue
+        yield entry
 
 
 @dataclass(frozen=True)
@@ -255,42 +274,33 @@ def run_block_walk(
     reuse: Callable[[int], None],
     on_drop: Callable[[bytes], None] | None = None,
 ) -> None:
-    """Execute ``job``'s plan over its dirty blocks' raw ``payloads``: merged
-    and gap entries go to ``sink.add`` (the :class:`AppendSession`
-    in-process, the offload worker's block cutter), clean blocks to
-    ``reuse(index_entry_idx)``.  Every payload is checksummed and decoded
-    before the first entry reaches the sink."""
+    """Execute ``job``'s plan over its dirty blocks' raw ``payloads``: each
+    merge and gap op's entries go to ``sink.add_run`` as one run (the
+    :class:`AppendSession` in-process, the offload worker's block cutter),
+    clean blocks to ``reuse(index_entry_idx)``.  Every payload is
+    checksummed and decoded before the first entry reaches the sink."""
     verify = job.geometry.verify_checksums
     blocks = [parse_block_raw(raw, verify_checksum=verify) for raw in payloads]
     can_drop_tombstone = job.tombstones.may_drop
     boundaries = job.boundaries
     parent_slice = job.parent_entries
     gap_keeper = VersionKeeper(boundaries)
+    add_run = sink.add_run
     for op in job.ops:
         tag = op[0]
         if tag == OP_REUSE:
             reuse(op[1])
         elif tag == OP_GAP:
-            # Parent keys covered by no block.  The parent slice is already
-            # stratum-filtered upstream; only the tombstone rule needs
-            # re-checking here.
-            for comparable, value in parent_slice[op[1] : op[2]]:
-                user_key, inv = comparable
-                if (
-                    inv & 0xFF == 0xFF  # TYPE_DELETION
-                    and gap_keeper.tombstone_unprotected((_INVERT - inv) >> 8)
-                    and can_drop_tombstone(user_key)
-                ):
-                    continue
-                sink.add(user_key + _FIXED64_PACK(_INVERT - inv), value)
+            add_run(_gap_entries(parent_slice[op[1] : op[2]], can_drop_tombstone, gap_keeper))
         else:
-            _update_block(
-                sink,
-                parent_slice[op[2] : op[3]],
-                blocks[op[1]].entries(),
-                can_drop_tombstone,
-                boundaries,
-                on_drop,
+            add_run(
+                _updated_entries(
+                    parent_slice[op[2] : op[3]],
+                    blocks[op[1]].entries(),
+                    can_drop_tombstone,
+                    boundaries,
+                    on_drop,
+                )
             )
 
 

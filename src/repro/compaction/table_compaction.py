@@ -9,10 +9,11 @@ collection / splitting arm of Selective Compaction.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 from ..core.version import FileMetadata, built_file_metadata, clone_metadata, table_file_name
-from ..keys import ComparableKey, user_key_of
+from ..keys import ComparableKey
 from ..sstable.table_builder import TableBuilder
 from ..storage.io_stats import CAT_COMPACTION
 from .base import (
@@ -50,37 +51,31 @@ def run_trivial_move(env: CompactionEnv, task: CompactionTask) -> CompactionResu
 
 def build_output_tables(
     env: CompactionEnv,
-    live_stream: Iterator[tuple[bytes, bytes, bool]],
+    live_stream: Iterator[tuple[ComparableKey, bytes]],
     child_level: int,
 ) -> list[FileMetadata]:
     """Serialize a merged live-entry stream into child-level SSTables,
-    rotating output files at the configured SSTable size."""
-    # Rotation never splits one user key's versions across two files (live
-    # snapshots can make several versions survive the merge): level files
-    # must stay disjoint at user-key granularity.
+    rotating output files at the configured SSTable size.
+
+    Each output file takes one run of the stream; the run stops at the
+    first user key met once the file reaches ``sstable_size``, so rotation
+    never splits one user key's versions across two files (live snapshots
+    can make several versions survive the merge): level files must stay
+    disjoint at user-key granularity."""
     outputs: list[FileMetadata] = []
-    builder: TableBuilder | None = None
-    number = 0
     sstable_size = env.options.sstable_size
-    for internal_key, value, _is_tombstone in live_stream:
-        if (
-            builder is not None
-            and builder.estimated_file_size() >= sstable_size
-            and user_key_of(internal_key) != builder.last_user_key
-        ):
-            outputs.append(built_file_metadata(number, builder.finish(), env.options))
-            builder = None
-        if builder is None:
-            number = env.new_file_number()
-            builder = TableBuilder(
-                env.fs,
-                table_file_name(number),
-                env.options,
-                child_level,
-                category=CAT_COMPACTION,
-            )
-        builder.add(internal_key, value)
-    if builder is not None:
+    entries = iter(live_stream)
+    head = next(entries, None)
+    while head is not None:
+        number = env.new_file_number()
+        builder = TableBuilder(
+            env.fs,
+            table_file_name(number),
+            env.options,
+            child_level,
+            category=CAT_COMPACTION,
+        )
+        head = builder.add_run(chain((head,), entries), sstable_size)
         outputs.append(built_file_metadata(number, builder.finish(), env.options))
     return outputs
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..compaction.base import merge_keep_newest
-from ..keys import comparable_to_internal
 from ..memtable.memtable import MemTable
 from ..options import Options
 from ..sstable.table_builder import TableBuilder
@@ -32,11 +31,7 @@ def flush_memtable(
     Returns None when the memtable holds no live entries at all.
     """
     builder = TableBuilder(fs, table_file_name(file_number), options, level=0, category=CAT_FLUSH)
-    add = builder.add
-    for comparable, value in merge_keep_newest(
-        [memtable.entries()], snapshot_boundaries, on_drop
-    ):
-        add(comparable_to_internal(comparable), value)
+    builder.add_run(merge_keep_newest([memtable.entries()], snapshot_boundaries, on_drop))
     if builder.empty():
         builder.abandon()
         return None

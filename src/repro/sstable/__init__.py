@@ -1,7 +1,7 @@
 """SSTable substrate: block format, extended index, builders, readers, appenders."""
 
 from .block import DataBlock
-from .block_builder import BlockBuilder
+from .block_builder import BlockCutter
 from .filter_block import (
     BlockFilters,
     Filter,
@@ -27,7 +27,7 @@ from .table_reader import TableReader
 
 __all__ = [
     "DataBlock",
-    "BlockBuilder",
+    "BlockCutter",
     "BlockFilters",
     "Filter",
     "TableFilter",

@@ -1,4 +1,4 @@
-"""Data-block serialization.
+"""Data-block serialization — the engine's one per-entry encoder.
 
 LevelDB's entry format with prefix compression and restart points:
 
@@ -11,16 +11,23 @@ LevelDB's entry format with prefix compression and restart points:
 ``shared`` is the byte count the key shares with the previous key; every
 ``restart_interval`` entries a restart point stores the full key so readers
 can binary-search restarts.  Keys are serialized internal keys.
+
+Every table writer — flush, Table Compaction's outputs, Block Compaction's
+appends in-process and in an offload worker — hands its entries to
+:meth:`BlockCutter.add_run` in the comparable form the merges produce,
+``((user_key, inv), value)``, a whole run per call.  The run loop keeps the
+pending block in locals, builds each internal key once, and is the only
+place an entry is encoded.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable
+from typing import Callable, Iterable
 from zlib import crc32
 
 from ..encoding import decode_fixed64, encode_varint, shared_prefix_len
-from ..keys import user_key_of
+from ..keys import ComparableKey
 from .format import COMPRESSION_NONE, wrap_block
 
 #: Entry headers whose three varints fit 1+1+1 or 1+1+2 bytes — every
@@ -30,104 +37,19 @@ _HEADER_111 = struct.Struct("<BBB").pack
 _HEADER_112 = struct.Struct("<BBBB").pack
 #: The 5-byte block trailer: compression type, masked little-endian CRC.
 _BLOCK_TRAILER = struct.Struct("<BI").pack
+_FIXED64 = struct.Struct("<Q").pack
+#: ``inv`` of a comparable key is ``_INVERT - trailer`` (see repro.keys).
+_INVERT = (1 << 64) - 1
+#: The restart array and count of a block with one restart point (at 0).
+_ONE_RESTART = struct.pack("<II", 0, 1)
 
-
-class BlockBuilder:
-    """Accumulates sorted entries into one data-block payload.
-
-    Entries are assembled straight into one reusable ``bytearray``;
-    :meth:`reset` keeps the allocation, so a table builder emitting many
-    blocks reuses it.  ``size_estimate`` is kept current by :meth:`add`,
-    so :class:`BlockCutter`'s per-entry cut check reads an attribute
-    instead of calling :meth:`current_size_estimate`.
-    """
-
-    def __init__(self, restart_interval: int = 16):
-        if restart_interval < 1:
-            raise ValueError("restart_interval must be >= 1")
-        self._restart_interval = restart_interval
-        self._buf = bytearray()
-        self.reset()
-
-    def reset(self) -> None:
-        del self._buf[:]
-        self._restarts: list[int] = [0]
-        self._count_since_restart = 0
-        self.num_entries = 0
-        self.first_key: bytes | None = None
-        self.last_key: bytes = b""
-        #: Serialized size if finished now (payload only, no trailer).
-        self.size_estimate = 8
-
-    def add(self, key: bytes, value: bytes) -> None:
-        """Append one entry; keys must arrive in strictly increasing order."""
-        last_key = self.last_key
-        # Internal keys are unique (sequence numbers differ), so equality is
-        # a bug.  Byte order of serialized internal keys is NOT the
-        # internal-key order in general: the builder receives keys already
-        # sorted by internal order and only uses byte comparison as a
-        # prefix-compression aid — so only exact duplicates are rejected.
-        if key == last_key and self.num_entries > 0:
-            raise ValueError("duplicate key added to block")
-        buf = self._buf
-        if self._count_since_restart >= self._restart_interval:
-            self._restarts.append(len(buf))
-            self._count_since_restart = 1
-            shared = 0
-        else:
-            self._count_since_restart += 1
-            shared = shared_prefix_len(last_key, key)
-        non_shared = len(key) - shared
-        value_len = len(value)
-        if shared < 0x80 and non_shared < 0x80 and value_len < 0x4000:
-            if value_len < 0x80:
-                buf += _HEADER_111(shared, non_shared, value_len)
-            else:
-                buf += _HEADER_112(shared, non_shared, (value_len & 0x7F) | 0x80, value_len >> 7)
-        else:
-            buf += encode_varint(shared) + encode_varint(non_shared) + encode_varint(value_len)
-        buf += key[shared:]
-        buf += value
-        if self.num_entries == 0:
-            self.first_key = key
-        self.last_key = key
-        self.num_entries += 1
-        self.size_estimate = len(buf) + 4 * len(self._restarts) + 4
-
-    def current_size_estimate(self) -> int:
-        """Serialized size if finished now (payload only, no trailer)."""
-        return self.size_estimate
-
-    def empty(self) -> bool:
-        return self.num_entries == 0
-
-    def finish(self) -> bytes:
-        """Serialize and return the block payload."""
-        restarts = self._restarts
-        trailer = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
-        return bytes(self._buf) + trailer
-
-    def finish_stored(self) -> bytes:
-        """The block as stored uncompressed — payload plus its 5-byte
-        trailer, byte for byte ``wrap_block(self.finish())`` — assembled
-        with one copy of the entry bytes: the CRC runs over the buffer in
-        place and continues over the restart array."""
-        restarts = self._restarts
-        tail = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
-        crc = crc32(tail, crc32(self._buf))
-        # The mask of encoding.crc32c, which takes one buffer, not two.
-        masked = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
-        return b"".join((self._buf, tail, _BLOCK_TRAILER(COMPRESSION_NONE, masked)))
-
-
-def _trailer(internal_key: bytes) -> int:
-    """The packed ``(sequence << 8) | type`` of an internal key."""
-    return decode_fixed64(internal_key, len(internal_key) - 8)
+Entry = tuple[ComparableKey, bytes]
 
 
 class BlockCutter:
-    """Turns a sorted entry stream into finished data blocks — the one cut
-    rule and the one key-order rule of every table writer.
+    """Turns a sorted entry stream into finished data blocks — the one
+    encoder, the one cut rule and the one key-order rule of every table
+    writer.
 
     Each finished block goes to ``emit(raw, smallest, largest, num_entries,
     user_keys)``: ``raw`` is the wrapped payload (trailer attached), the
@@ -145,51 +67,179 @@ class BlockCutter:
         compression: int,
         emit: Callable[[bytes, bytes, bytes, int, list[bytes]], None],
     ):
-        self.block = BlockBuilder(restart_interval)
+        if restart_interval < 1:
+            raise ValueError("restart_interval must be >= 1")
         self._block_size = block_size
+        self._restart_interval = restart_interval
         self._compression = compression
         self._emit = emit
+        # The pending block: entry bytes, restart offsets, entries left in
+        # the current restart group, boundary keys, and one user key per
+        # entry (so the block is empty exactly when ``_user_keys`` is).
+        self._buf = bytearray()
+        self._restarts: list[int] = [0]
+        self._left = 0
+        self.first_key: bytes | None = None
+        self.last_key = b""
         self._user_keys: list[bytes] = []
         #: User key of the last entry added — or, after a section writer
         #: reused a clean block, that block's largest (None before either).
         self.last_user_key: bytes | None = None
 
-    def add(self, internal_key: bytes, value: bytes) -> None:
-        """Append one entry; keys must arrive in increasing internal order."""
-        user_key = user_key_of(internal_key)
-        last_user_key = self.last_user_key
-        block = self.block
-        if last_user_key is not None:
-            if user_key > last_user_key:
-                # Cut the block when full, but never between two versions of
-                # the same user key: index entries must bound user-key
-                # ranges exactly.
-                if block.size_estimate >= self._block_size:
-                    self.cut()
-            elif (
-                user_key < last_user_key
-                # Same user key: versions must arrive newest (largest
-                # trailer) first, and never across a reused block.
-                or not block.num_entries
-                or _trailer(internal_key) >= _trailer(block.last_key)
-            ):
-                raise ValueError("table entries must be added in increasing internal-key order")
-        block.add(internal_key, value)
-        self._user_keys.append(user_key)
-        self.last_user_key = user_key
+    @property
+    def size_estimate(self) -> int:
+        """Serialized size of the pending block if cut now (payload only,
+        no trailer)."""
+        return len(self._buf) + 4 * len(self._restarts) + 4
 
-    def cut(self) -> None:
-        """Finish the pending block, if any, and hand it to ``emit``."""
-        block = self.block
-        if block.num_entries:
-            self._emit(
-                block.finish_stored()
-                if self._compression == COMPRESSION_NONE
-                else wrap_block(block.finish(), self._compression),
-                block.first_key,
-                block.last_key,
-                block.num_entries,
-                self._user_keys,
-            )
-            self._user_keys = []
-            block.reset()
+    def add_run(self, entries: Iterable[Entry], stop: int | None = None) -> Entry | None:
+        """Encode ``entries`` — ``((user_key, inv), value)`` in increasing
+        internal-key order — into blocks, cutting a block when it is full,
+        but never between two versions of one user key: index entries must
+        bound user-key ranges exactly.
+
+        Returns None once ``entries`` is exhausted.  Given ``stop``, returns
+        instead the first entry of a new user key met once the blocks this
+        run emitted plus the pending block reach ``stop`` bytes; that entry
+        is not added, and the pending block stays pending.
+        """
+        buf = self._buf
+        restarts = self._restarts
+        interval = self._restart_interval
+        block_size = self._block_size
+        user_keys = self._user_keys
+        add_user_key = user_keys.append
+        left = self._left
+        first_key = self.first_key
+        last_key = self.last_key
+        last_len = len(last_key)
+        last_int = int.from_bytes(last_key, "big")
+        last_user_key = self.last_user_key
+        # A cutter nothing was added to orders its first entry against the
+        # smallest user key; only an empty one may equal it.
+        fresh = last_user_key is None
+        if fresh:
+            last_user_key = b""
+        # The pending block's size is ``len(buf)`` plus its restart array
+        # and count; ``limit`` is what ``len(buf)`` may reach before the
+        # block is full or the run's stop is due.
+        trailing = 4 * len(restarts) + 4
+        threshold = block_size if stop is None or stop > block_size else stop
+        limit = threshold - trailing
+        invert = _INVERT
+        pack_trailer = _FIXED64
+        from_bytes = int.from_bytes
+        try:
+            for entry in entries:
+                (user_key, inv), value = entry
+                key = user_key + pack_trailer(invert - inv)
+                if user_key > last_user_key:
+                    if len(buf) >= limit and user_keys:
+                        size = len(buf) + trailing
+                        if stop is not None and size >= stop:
+                            return entry
+                        if size >= block_size:
+                            self._left = left
+                            self.first_key = first_key
+                            self.last_key = last_key
+                            written = self.cut()
+                            user_keys = self._user_keys
+                            add_user_key = user_keys.append
+                            left = 0
+                            trailing = 8
+                            if stop is not None:
+                                stop -= written
+                                threshold = block_size if stop > block_size else stop
+                            limit = threshold - trailing
+                elif user_key < last_user_key or (
+                    # Same user key: versions must arrive newest (largest
+                    # trailer) first, and never across a cut or reused block.
+                    invert - inv >= _trailer(last_key)
+                    if user_keys
+                    else not fresh
+                ):
+                    raise ValueError("table entries must be added in increasing internal-key order")
+                key_len = len(key)
+                key_int = from_bytes(key, "big")
+                if left:
+                    left -= 1
+                    if key_len == last_len:
+                        # The highest set bit of the two keys' XOR marks the
+                        # first differing byte.  Keys of unequal length (a
+                        # user key that prefixes the next lets the shared
+                        # span run into the trailer) take the general helper.
+                        shared = key_len - (((key_int ^ last_int).bit_length() + 7) >> 3)
+                    else:
+                        shared = shared_prefix_len(last_key, key)
+                else:
+                    if user_keys:  # a restart point: the full key
+                        restarts.append(len(buf))
+                        trailing += 4
+                        limit -= 4
+                    else:  # the block's first entry
+                        first_key = key
+                    left = interval - 1
+                    shared = 0
+                non_shared = key_len - shared
+                value_len = len(value)
+                # shared and non_shared never exceed the key's length.
+                if key_len < 0x80 and value_len < 0x4000:
+                    if value_len < 0x80:
+                        buf += _HEADER_111(shared, non_shared, value_len)
+                    else:
+                        buf += _HEADER_112(
+                            shared, non_shared, (value_len & 0x7F) | 0x80, value_len >> 7
+                        )
+                else:
+                    buf += (
+                        encode_varint(shared) + encode_varint(non_shared) + encode_varint(value_len)
+                    )
+                buf += key[shared:]
+                buf += value
+                last_key = key
+                last_len = key_len
+                last_int = key_int
+                last_user_key = user_key
+                add_user_key(user_key)
+            return None
+        finally:
+            self._left = left
+            self.first_key = first_key
+            self.last_key = last_key
+            if user_keys or not fresh:
+                self.last_user_key = last_user_key
+
+    def cut(self) -> int:
+        """Finish the pending block, if any, and hand it to ``emit``;
+        returns its stored size (0 when nothing was pending).
+
+        Uncompressed, the stored block is assembled with one copy of the
+        entry bytes: the CRC runs over the buffer in place and continues
+        over the restart array."""
+        user_keys = self._user_keys
+        if not user_keys:
+            return 0
+        buf = self._buf
+        restarts = self._restarts
+        if len(restarts) == 1:
+            tail = _ONE_RESTART
+        else:
+            tail = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
+        if self._compression == COMPRESSION_NONE:
+            crc = crc32(tail, crc32(buf))
+            # The mask of encoding.crc32c, which takes one buffer, not two.
+            masked = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+            raw = b"".join((buf, tail, _BLOCK_TRAILER(COMPRESSION_NONE, masked)))
+        else:
+            raw = wrap_block(bytes(buf) + tail, self._compression)
+        self._emit(raw, self.first_key, self.last_key, len(user_keys), user_keys)
+        del buf[:]
+        del restarts[1:]
+        self._left = 0
+        self._user_keys = []
+        return len(raw)
+
+
+def _trailer(internal_key: bytes) -> int:
+    """The packed ``(sequence << 8) | type`` of an internal key."""
+    return decode_fixed64(internal_key, len(internal_key) - 8)

@@ -24,23 +24,49 @@ for the widened entries.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import struct
 from typing import Iterator
 
-from ..encoding import decode_varint, decode_varint3, encode_varint, shared_prefix_len
+from ..encoding import decode_varint, decode_varint3, encode_varint
 from ..errors import CorruptionError
 from ..keys import user_key_of
 
+#: One- and two-byte varints (values under 0x80), packed in one call.
+_BYTE = struct.Struct("<B").pack
+_TWO_BYTES = struct.Struct("<BB").pack
 
-@dataclass(frozen=True)
+
 class IndexEntry:
-    """Metadata for one valid data block."""
+    """Metadata for one valid data block.
 
-    smallest: bytes  # internal key of the block's first entry
-    largest: bytes  # internal key of the block's last entry
-    offset: int  # file offset of the block payload
-    size: int  # payload size (trailer excluded)
-    num_entries: int
+    A slotted record built once per block written or decoded; never mutated
+    once built."""
+
+    __slots__ = ("smallest", "largest", "offset", "size", "num_entries")
+
+    def __init__(self, smallest: bytes, largest: bytes, offset: int, size: int, num_entries: int):
+        self.smallest = smallest  # internal key of the block's first entry
+        self.largest = largest  # internal key of the block's last entry
+        self.offset = offset  # file offset of the block payload
+        self.size = size  # payload size (trailer excluded)
+        self.num_entries = num_entries
+
+    def _fields(self) -> tuple[bytes, bytes, int, int, int]:
+        return (self.smallest, self.largest, self.offset, self.size, self.num_entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IndexEntry:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"IndexEntry(smallest={self.smallest!r}, largest={self.largest!r}, "
+            f"offset={self.offset}, size={self.size}, num_entries={self.num_entries})"
+        )
 
     @property
     def smallest_user_key(self) -> bytes:
@@ -58,9 +84,14 @@ class IndexEntry:
 class IndexBlock:
     """An ordered collection of :class:`IndexEntry` with O(log n) lookup."""
 
-    def __init__(self, entries: list[IndexEntry]):
+    def __init__(self, entries: list[IndexEntry], largest_user_keys: list[bytes] | None = None):
+        """``largest_user_keys`` — each entry's largest user key, when the
+        caller already holds them (a section writer indexes blocks by them)
+        — spares re-splitting every entry's largest internal key."""
         self.entries = entries
-        self._largest_user_keys = [e.largest_user_key for e in entries]
+        if largest_user_keys is None:
+            largest_user_keys = [e.largest_user_key for e in entries]
+        self._largest_user_keys = largest_user_keys
         self._serialized_size: int | None = None
 
     def __len__(self) -> int:
@@ -105,16 +136,33 @@ class IndexBlock:
     def serialize(self) -> bytes:
         """Encode all entries in the paper's Fig 3 field order."""
         varint = encode_varint
+        from_bytes = int.from_bytes
         parts = [varint(len(self.entries))]
         for e in self.entries:
             smallest = e.smallest
             largest = e.largest
-            shared = shared_prefix_len(smallest, largest)
+            # The shared prefix, as encoding.shared_prefix_len computes it:
+            # the highest set bit of one XOR marks the first differing byte.
+            limit = min(len(smallest), len(largest))
+            shared = limit - (
+                (
+                    (from_bytes(smallest[:limit], "big") ^ from_bytes(largest[:limit], "big"))
+                    .bit_length()
+                    + 7
+                )
+                >> 3
+            )
+            non_shared = len(smallest) - shared
+            key_len = len(largest)
+            if key_len < 0x80 and non_shared < 0x80:
+                # shared <= key_len: the three key varints are a byte each.
+                head, middle = _BYTE(key_len), _TWO_BYTES(shared, non_shared)
+            else:
+                head, middle = varint(key_len), varint(shared) + varint(non_shared)
             parts += (
-                varint(len(largest)),
+                head,
                 largest,
-                varint(shared),
-                varint(len(smallest) - shared),
+                middle,
                 smallest[shared:],
                 varint(e.size),
                 varint(e.offset),

@@ -17,6 +17,7 @@ I/O category — this is precisely what the reserved bits exist to avoid).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from ..bloom import ReservedBloomFilter
 from ..options import FILTER_BLOCK, FILTER_NONE, FILTER_TABLE, Options
@@ -90,8 +91,8 @@ class SectionWriter:
             self.commit_block,
         )
         self._entries: list[IndexEntry] = []
-        #: Largest user key ``_entries`` covers so far (None while empty).
-        self._indexed_up_to: bytes | None = None
+        #: Each of ``_entries``' largest user key, in order.
+        self._largest_user_keys: list[bytes] = []
         self._reused_offsets: set[int] = set()
         #: User keys per block written by this section, by block offset.
         self._keys_per_block: dict[int, list[bytes]] = {}
@@ -100,13 +101,6 @@ class SectionWriter:
         self.finished = False
 
     # -- recording, in key order ------------------------------------------------
-
-    def _index(self, entry: IndexEntry, smallest_user_key: bytes, largest_user_key: bytes) -> None:
-        up_to = self._indexed_up_to
-        if up_to is not None and smallest_user_key <= up_to:
-            raise ValueError("table blocks must be indexed in increasing user-key order")
-        self._entries.append(entry)
-        self._indexed_up_to = largest_user_key
 
     def commit_block(
         self,
@@ -121,12 +115,14 @@ class SectionWriter:
         blocks an offload worker's cutter emitted — same bytes, same
         (simulated) append charge, same index/filter bookkeeping."""
         offset = self.offset
+        indexed = self._largest_user_keys
+        if indexed and user_keys[0] <= indexed[-1]:
+            raise ValueError("table blocks must be indexed in increasing user-key order")
         # The index records the STORED size (compressed when it shrank).
-        self._index(
-            IndexEntry(smallest, largest, offset, len(raw) - BLOCK_TRAILER_SIZE, num_entries),
-            user_keys[0],
-            user_keys[-1],
+        self._entries.append(
+            IndexEntry(smallest, largest, offset, len(raw) - BLOCK_TRAILER_SIZE, num_entries)
         )
+        indexed.append(user_keys[-1])
         self.file.append(raw)
         self.offset = offset + len(raw)
         self._keys_per_block[offset] = user_keys
@@ -135,8 +131,12 @@ class SectionWriter:
         """Record a clean block of the base: it stays where it is, its index
         entry is copied into the new index verbatim."""
         self.cutter.cut()
+        indexed = self._largest_user_keys
+        if indexed and entry.smallest_user_key <= indexed[-1]:
+            raise ValueError("table blocks must be indexed in increasing user-key order")
         largest_user_key = entry.largest_user_key
-        self._index(entry, entry.smallest_user_key, largest_user_key)
+        self._entries.append(entry)
+        indexed.append(largest_user_key)
         self._reused_offsets.add(entry.offset)
         self.cutter.last_user_key = largest_user_key
 
@@ -157,7 +157,7 @@ class SectionWriter:
             return None
         old = self._base.filter if self._base is not None else None
         if policy == FILTER_TABLE:
-            new_keys = [key for keys in self._keys_per_block.values() for key in keys]
+            new_keys = list(chain.from_iterable(self._keys_per_block.values()))
             if (
                 isinstance(old, TableFilter)
                 and isinstance(old.bloom, ReservedBloomFilter)
@@ -205,7 +205,7 @@ class SectionWriter:
         filter_handle = (
             BlockHandle(0, 0) if flt is None else self._append_meta_block(flt.serialize())
         )
-        index = IndexBlock(self._entries)
+        index = IndexBlock(self._entries, self._largest_user_keys)
         index_handle = self._append_meta_block(index.serialize())
 
         num_entries = index.total_entries()

@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.db import DB
+from repro.keys import comparable_from_internal
 from repro.options import (
     COMPACTION_BLOCK,
     COMPACTION_SELECTIVE,
     COMPACTION_TABLE,
     Options,
 )
+from repro.sstable.block_builder import BlockCutter
+from repro.sstable.format import BLOCK_TRAILER_SIZE, COMPRESSION_NONE
 from repro.storage.fs import SimulatedFS
 
 #: Tiny geometry: enough structure to exercise multi-level behaviour while
@@ -43,6 +46,20 @@ def flip_byte(fs: SimulatedFS, name: str, index: int) -> None:
     data = bytearray(fs.contents(name))
     data[index] ^= 0xFF
     fs.replace(name, data)
+
+
+def encode_block(entries, restart_interval: int = 16) -> bytes:
+    """The payload of one data block holding ``entries`` — (internal key,
+    value) pairs in order — as the engine's run loop encodes it, with no
+    size cut.  ``entries`` must not be empty."""
+    blocks: list[bytes] = []
+    cutter = BlockCutter(
+        1 << 62, restart_interval, COMPRESSION_NONE, lambda raw, *_: blocks.append(raw)
+    )
+    cutter.add_run((comparable_from_internal(key), value) for key, value in entries)
+    cutter.cut()
+    (raw,) = blocks
+    return raw[:-BLOCK_TRAILER_SIZE]
 
 
 def kv(i: int, *, width: int = 6) -> tuple[bytes, bytes]:

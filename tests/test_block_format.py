@@ -1,5 +1,7 @@
-"""Data-block builder/parser tests, including prefix compression and
+"""Data-block encoder/parser tests, including prefix compression and
 corruption detection."""
+
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,10 @@ from repro.keys import (
     make_internal_key,
 )
 from repro.sstable.block import DataBlock
-from repro.sstable.block_builder import BlockBuilder
-from repro.sstable.format import unwrap_block, wrap_block
+from repro.sstable.block_builder import BlockCutter
+from repro.sstable.format import COMPRESSION_NONE, unwrap_block, wrap_block
+
+from conftest import encode_block
 
 
 def ik(user: bytes, seq: int = 1, vt: int = TYPE_VALUE) -> bytes:
@@ -21,15 +25,25 @@ def ik(user: bytes, seq: int = 1, vt: int = TYPE_VALUE) -> bytes:
 
 
 def build(entries, restart_interval=16) -> DataBlock:
-    builder = BlockBuilder(restart_interval)
-    for key, value in entries:
-        builder.add(key, value)
-    return DataBlock.parse(builder.finish())
+    return DataBlock.parse(encode_block(entries, restart_interval))
+
+
+def cutter(emitted=None) -> BlockCutter:
+    """A cutter with 4 KiB blocks collecting what it emits."""
+    sink = [] if emitted is None else emitted
+    return BlockCutter(4096, 16, COMPRESSION_NONE, lambda *block: sink.append(block))
+
+
+def ck(user: bytes, seq: int = 1, vt: int = TYPE_VALUE):
+    return comparable_from_internal(ik(user, seq, vt))
 
 
 class TestBuilderBasics:
     def test_empty_block_parses(self):
-        block = DataBlock.parse(BlockBuilder().finish())
+        # A cutter given no entries emits no block; the empty payload — a
+        # restart array of one offset — still parses.
+        assert cutter().cut() == 0
+        block = DataBlock.parse(struct.pack("<II", 0, 1))
         assert len(block) == 0
         assert block.get(b"k", 100) == (False, None)
 
@@ -42,10 +56,10 @@ class TestBuilderBasics:
         assert decoded[0][0] == comparable_from_internal(entries[0][0])
 
     def test_duplicate_key_rejected(self):
-        builder = BlockBuilder()
-        builder.add(ik(b"k", 5), b"v")
+        blocks = cutter()
+        blocks.add_run([(ck(b"k", 5), b"v")])
         with pytest.raises(ValueError):
-            builder.add(ik(b"k", 5), b"v2")
+            blocks.add_run([(ck(b"k", 5), b"v2")])
 
     def test_restart_interval_one_disables_sharing(self):
         entries = [(ik(f"prefix{i:02d}".encode()), b"v") for i in range(10)]
@@ -55,30 +69,34 @@ class TestBuilderBasics:
         assert list(unshared.entries()) == list(shared.entries())
 
     def test_size_estimate_tracks_growth(self):
-        builder = BlockBuilder()
-        empty = builder.current_size_estimate()
-        builder.add(ik(b"key1"), b"x" * 100)
-        assert builder.current_size_estimate() > empty + 100
+        blocks = cutter()
+        empty = blocks.size_estimate
+        blocks.add_run([(ck(b"key1"), b"x" * 100)])
+        assert blocks.size_estimate > empty + 100
 
     def test_reset_clears_state(self):
-        builder = BlockBuilder()
-        builder.add(ik(b"a"), b"v")
-        builder.reset()
-        assert builder.empty()
-        assert builder.first_key is None
-        builder.add(ik(b"a"), b"v")  # no duplicate error after reset
-        assert builder.num_entries == 1
+        emitted = []
+        blocks = cutter(emitted)
+        blocks.add_run([(ck(b"a"), b"v")])
+        assert blocks.cut() == len(emitted[0][0])
+        assert blocks.cut() == 0  # nothing pending after a cut
+        blocks.add_run([(ck(b"b"), b"v")])  # a fresh block after the cut
+        assert blocks.first_key == ik(b"b")
+        blocks.cut()
+        assert [block[1:4] for block in emitted] == [
+            (ik(b"a"), ik(b"a"), 1),
+            (ik(b"b"), ik(b"b"), 1),
+        ]
 
     def test_first_last_key_tracking(self):
-        builder = BlockBuilder()
-        builder.add(ik(b"aaa"), b"")
-        builder.add(ik(b"bbb"), b"")
-        assert builder.first_key == ik(b"aaa")
-        assert builder.last_key == ik(b"bbb")
+        blocks = cutter()
+        blocks.add_run([(ck(b"aaa"), b""), (ck(b"bbb"), b"")])
+        assert blocks.first_key == ik(b"aaa")
+        assert blocks.last_key == ik(b"bbb")
 
     def test_invalid_restart_interval(self):
         with pytest.raises(ValueError):
-            BlockBuilder(0)
+            BlockCutter(4096, 0, COMPRESSION_NONE, lambda *block: None)
 
 
 class TestBlockSearch:

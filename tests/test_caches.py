@@ -9,15 +9,15 @@ from repro.keys import TYPE_VALUE, make_internal_key
 from repro.options import Options
 from repro.sstable import TableBuilder
 from repro.sstable.block import DataBlock
-from repro.sstable.block_builder import BlockBuilder
 from repro.storage.fs import SimulatedFS
+
+from conftest import encode_block
 
 
 def make_block(n=4) -> DataBlock:
-    builder = BlockBuilder()
-    for i in range(n):
-        builder.add(make_internal_key(b"k%03d" % i, 1, TYPE_VALUE), b"v" * 20)
-    return DataBlock.parse(builder.finish())
+    return DataBlock.parse(
+        encode_block([(make_internal_key(b"k%03d" % i, 1, TYPE_VALUE), b"v" * 20) for i in range(n)])
+    )
 
 
 class TestLRU:

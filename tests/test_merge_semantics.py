@@ -12,7 +12,6 @@ from repro.compaction.base import merge_keep_newest, merge_live
 from repro.keys import (
     TYPE_DELETION,
     TYPE_VALUE,
-    comparable_from_internal,
     comparable_key,
     comparable_parts,
 )
@@ -48,12 +47,12 @@ def model_view(raw, at_sequence):
 
 
 def read_view(entries, at_sequence):
-    """Read {key: value} out of merged (internal_key, value, is_tomb) rows."""
+    """Read {key: value} out of merged (comparable, value) rows."""
     view = {}
-    for internal_key, value, is_tomb in entries:
-        user_key, seq, _vt = comparable_parts(comparable_from_internal(internal_key))
+    for comparable, value in entries:
+        user_key, seq, vt = comparable_parts(comparable)
         if seq <= at_sequence and user_key not in view:
-            view[user_key] = None if is_tomb else value
+            view[user_key] = None if vt == TYPE_DELETION else value
     return {k: v for k, v in view.items() if v is not None}
 
 
@@ -74,8 +73,8 @@ class TestMergeLiveProperties:
     def test_no_snapshots_drops_everything_stale(self, raw):
         merged = list(merge_live([entries_of(raw)], lambda _k: True))
         # exactly one surviving row per live key, no tombstones at all
-        assert not any(is_tomb for _k, _v, is_tomb in merged)
-        keys = [comparable_from_internal(k)[0] for k, _v, _t in merged]
+        assert not any(comparable_parts(ck)[2] == TYPE_DELETION for ck, _v in merged)
+        keys = [ck[0] for ck, _v in merged]
         assert keys == sorted(set(keys))
         assert read_view(merged, 10**6) == model_view(raw, 10**6)
 
@@ -95,7 +94,7 @@ class TestMergeLiveProperties:
     @given(versions_st, boundaries_st)
     def test_output_sorted_and_unique(self, raw, bounds):
         merged = list(merge_live([entries_of(raw)], lambda _k: True, sorted(bounds)))
-        comparables = [comparable_from_internal(k) for k, _v, _t in merged]
+        comparables = [ck for ck, _v in merged]
         assert comparables == sorted(comparables)
         assert len(set(comparables)) == len(comparables)
 

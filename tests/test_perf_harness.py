@@ -208,15 +208,17 @@ def test_opcode_counts_repeat_exactly():
     compile the same source differently; the ratio of two counts cancels
     that): the bisected, single-stream scan, the point read that asks each
     component once, and the batch read built on it each execute fewer
-    bytecodes than ``_reference``'s walk on the same store."""
+    bytecodes than ``_reference``'s walk on the same store — and so does
+    the table build, against ``build_table_bytes`` on the same entries."""
     opcodes = _load("perf_opcodes", PERF_DIR / "opcodes.py")
-    first = opcodes.measure()
-    assert first == opcodes.measure()
+    # The ``load`` row (~40 M bytecodes, seconds to count) is left out.
+    first = opcodes.measure(load=False)
+    assert first == opcodes.measure(load=False)
     assert list(first) == [
         "put", "get_memtable", "get_cached", "get_cold", "scan_20",
         "scan_seek_50", "scan_seek_50_linear", "multi_get_8",
         "get_absent", "get_cached_tree", "get_cached_tree_linear",
-        "multi_get_8_linear", "multi_get_64",
+        "multi_get_8_linear", "multi_get_64", "table_build",
     ]
     assert all(count > 0 for count in first.values())
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
@@ -228,3 +230,6 @@ def test_opcode_counts_repeat_exactly():
     assert first["multi_get_8"] <= 0.85 * first["multi_get_8_linear"]
     # A batch costs less per key as it grows, never more.
     assert first["multi_get_64"] < 8 * first["multi_get_8"]
+    # The build path: one output table from merged entries through the run
+    # loop, against the same entries through the reference per-entry build.
+    assert first["table_build"] <= 0.57 * opcodes.count_table_build_reference()

@@ -39,6 +39,7 @@ from repro.keys import (  # noqa: E402
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
+    comparable_from_internal,
     comparable_key,
     comparable_to_internal,
     make_internal_key,
@@ -52,9 +53,12 @@ from repro.core.version import FileMetadata, Version, VersionEdit  # noqa: E402
 from repro.memtable import MemTable  # noqa: E402
 from repro.options import Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
-from repro.sstable.block_builder import BlockBuilder  # noqa: E402
+from repro.sstable.block_builder import BlockCutter  # noqa: E402
+from repro.sstable.format import COMPRESSION_NONE  # noqa: E402
 from repro.sstable.table_builder import TableBuilder  # noqa: E402
 from repro.storage.fs import SimulatedFS  # noqa: E402
+
+from conftest import encode_block  # noqa: E402
 
 # ---------------------------------------------------------------------- varint
 
@@ -194,23 +198,19 @@ def internal_entries(draw):
 @given(internal_entries(), st.integers(1, 5))
 @settings(deadline=None)
 def test_block_builder_matches_reference_builder(entries, restart_interval):
-    """Optimized builder output is byte-identical to the reference builder."""
-    fast = BlockBuilder(restart_interval=restart_interval)
+    """The run loop's block payload is byte-identical to the reference
+    builder's."""
     ref = reference.ReferenceBlockBuilder(restart_interval=restart_interval)
     for key, value in entries:
-        fast.add(key, value)
         ref.add(key, value)
-    assert fast.finish() == ref.finish()
+    assert encode_block(entries, restart_interval) == ref.finish()
 
 
 @given(internal_entries(), st.integers(1, 5))
 @settings(deadline=None)
 def test_block_decode_matches_reference(entries, restart_interval):
     """Fused entry decode recovers exactly what the reference decode does."""
-    builder = BlockBuilder(restart_interval=restart_interval)
-    for key, value in entries:
-        builder.add(key, value)
-    payload = builder.finish()
+    payload = encode_block(entries, restart_interval)
     block = DataBlock.parse(payload)
     ref_keys, ref_values = reference.parse_block(payload)
     assert block.keys == ref_keys
@@ -222,10 +222,7 @@ def test_block_decode_matches_reference(entries, restart_interval):
 def test_lazy_block_get_matches_eager(entries, restart_interval, probe):
     """Lazy region-decode lookups agree with eager whole-block lookups,
     for present and absent keys alike, at several snapshots."""
-    builder = BlockBuilder(restart_interval=restart_interval)
-    for key, value in entries:
-        builder.add(key, value)
-    payload = builder.finish()
+    payload = encode_block(entries, restart_interval)
     eager = DataBlock.parse(payload)
     user_keys = {key[:-8] for key, _ in entries}
     for snapshot in (MAX_SEQUENCE, MAX_SEQUENCE // 2, 1):
@@ -365,21 +362,34 @@ def test_merge_live_matches_reference(sources_seq, boundaries, droppable):
     expected = list(
         reference.merge_live([iter(list(s)) for s in sources], can_drop, boundaries)
     )
-    assert (
-        list(merge_live([iter(s) for s in sources], can_drop, boundaries)) == expected
-    )
+    merged = merge_live([iter(s) for s in sources], can_drop, boundaries)
+    assert _internal_rows(merged) == expected
+
+
+def _internal_rows(rows) -> list[tuple[bytes, bytes, bool]]:
+    """``merge_live``'s ``(comparable, value)`` rows in the reference's
+    ``(internal_key, value, is_tombstone)`` form."""
+    return [
+        (comparable_to_internal(comparable), value, comparable[1] & 0xFF == 0xFF)
+        for comparable, value in rows
+    ]
 
 
 def test_merge_roundtrip_internal_keys():
-    """Internal keys re-serialized by merge_live round-trip comparably."""
+    """merge_live's comparable keys round-trip through the internal keys the
+    table writers build from them."""
     entries = [
         (comparable_key(b"a", 9, TYPE_VALUE), b"x"),
         (comparable_key(b"a", 5, TYPE_VALUE), b"y"),
         (comparable_key(b"b", 7, TYPE_DELETION), b""),
     ]
     rows = list(merge_live([iter(entries)], lambda _k: False))
-    assert rows[0][0] == comparable_to_internal(entries[0][0])
-    assert rows[1] == (comparable_to_internal(entries[2][0]), b"", True)
+    assert [comparable_from_internal(comparable_to_internal(ck)) for ck, _v in rows] == [
+        entries[0][0],
+        entries[2][0],
+    ]
+    assert _internal_rows(rows)[0][0] == comparable_to_internal(entries[0][0])
+    assert _internal_rows(rows)[1] == (comparable_to_internal(entries[2][0]), b"", True)
 
 
 # ------------------------------------------------------------------- scheduler
@@ -691,14 +701,14 @@ def _table_options(block_size: int, restart_interval: int, bits_per_key: int) ->
 def test_table_builder_matches_reference_table(
     entries, block_size, restart_interval, bits_per_key, level
 ):
-    """The one-split ``TableBuilder.add`` path writes the very file the
-    reference per-entry path assembles — block cuts that never split a
-    user key's versions, index, reserved-bits filter and footer included."""
+    """The run loop (``TableBuilder.add_run`` over comparable entries)
+    writes the very file the reference per-entry path assembles from the
+    same entries as internal keys — block cuts that never split a user
+    key's versions, index, reserved-bits filter and footer included."""
     options = _table_options(block_size, restart_interval, bits_per_key)
     fs = SimulatedFS()
     builder = TableBuilder(fs, "000001.sst", options, level)
-    for key, value in entries:
-        builder.add(key, value)
+    assert builder.add_run(_comparable_entries(entries)) is None
     info = builder.finish()
     expected = reference.build_table_bytes(
         entries,
@@ -713,10 +723,14 @@ def test_table_builder_matches_reference_table(
     assert (info.smallest, info.largest) == (entries[0][0], entries[-1][0])
 
 
+def _comparable_entries(entries) -> list:
+    """(internal key, value) pairs in the merges' ``(comparable, value)`` form."""
+    return [(comparable_from_internal(key), value) for key, value in entries]
+
+
 def _build_with_table_builder(pairs) -> None:
     builder = TableBuilder(SimulatedFS(), "000001.sst", _table_options(64, 2, 0), 1)
-    for key, value in pairs:
-        builder.add(key, value)
+    builder.add_run(_comparable_entries(pairs))
 
 
 def _build_with_reference(pairs) -> None:
@@ -743,6 +757,147 @@ def test_table_builder_rejects_order_violations(build, second):
     with pytest.raises(ValueError, match="increasing internal-key order"):
         build([(first, b"v"), (second, b"w")])
     build([(first, b"v"), (make_internal_key(b"k", 6, TYPE_DELETION), b"")])
+
+
+class _OutputEnv:
+    """The slice of a compaction env ``build_output_tables`` uses."""
+
+    def __init__(self, options: Options):
+        self.fs = SimulatedFS()
+        self.options = options
+        self._numbers = iter(range(1, 1 << 30))
+
+    def new_file_number(self) -> int:
+        return next(self._numbers)
+
+
+def _written_tables(env: _OutputEnv, outputs) -> list[bytes]:
+    """Each output file's bytes, after checking that no user key straddles
+    two of its blocks or two files."""
+    from repro.sstable.table_reader import TableReader
+
+    for before, after in zip(outputs, outputs[1:]):
+        assert before.largest_user_key < after.smallest_user_key
+    tables = []
+    for meta in outputs:
+        reader = TableReader(env.fs, meta.file_name(), meta.file_number, env.options, "meta")
+        blocks = reader.index.entries
+        for before, after in zip(blocks, blocks[1:]):
+            assert before.largest_user_key < after.smallest_user_key
+        tables.append(env.fs.contents(meta.file_name()))
+    return tables
+
+
+@st.composite
+def output_sources(draw):
+    """Entry streams for a compaction's output: variable-length user keys,
+    many with their one-byte-shorter prefix present too (the two internal
+    keys then share bytes past the user key), one to four versions a key,
+    tombstones, and values of 0 to 300 bytes."""
+    drawn = draw(st.lists(st.binary(min_size=1, max_size=10), min_size=1, max_size=25, unique=True))
+    user_keys = set(drawn)
+    for user_key in drawn:
+        if draw(st.booleans()):
+            user_keys.add(user_key[:-1])
+    sequence = 1
+    flat = []
+    for user_key in user_keys:
+        for _ in range(draw(st.integers(1, 4))):
+            value_type = draw(st.sampled_from([TYPE_VALUE, TYPE_VALUE, TYPE_DELETION]))
+            value = bytes([sequence & 0xFF]) * draw(st.integers(0, 300))
+            flat.append((comparable_key(user_key, sequence, value_type), value))
+            sequence += 1
+    sources = [[] for _ in range(draw(st.integers(1, 3)))]
+    for entry in flat:
+        sources[draw(st.integers(0, len(sources) - 1))].append(entry)
+    return [sorted(source) for source in sources]
+
+
+@given(
+    output_sources(),
+    boundary_lists.map(lambda bounds: [b * 2 for b in bounds]),
+    st.booleans(),
+    st.sampled_from([64, 256]),
+    st.integers(0, 1500),
+    st.integers(1, 4),
+    st.sampled_from([0, 10]),
+)
+@settings(deadline=None)
+def test_build_output_tables_matches_rotating_reference(
+    sources, boundaries, droppable, block_size, extra, restart_interval, bits_per_key
+):
+    """``build_output_tables`` over a merged stream — one run per output
+    file, stopped by size at a user-key change — writes the same files
+    (bytes and boundaries) as the reference's per-entry rotation at
+    ``sstable_size``, live snapshots keeping several versions of a key
+    together in one block and one file."""
+    from repro.compaction.table_compaction import build_output_tables
+
+    options = Options(
+        block_size=block_size,
+        sstable_size=block_size + extra,
+        block_restart_interval=restart_interval,
+        bloom_bits_per_key=bits_per_key,
+    )
+    merged = list(merge_live([iter(s) for s in sources], lambda _k: droppable, boundaries))
+    env = _OutputEnv(options)
+    outputs = build_output_tables(env, iter(merged), 2)
+    expected = reference.build_output_tables_bytes(
+        [(comparable_to_internal(ck), value) for ck, value in merged],
+        sstable_size=options.sstable_size,
+        block_size=block_size,
+        restart_interval=restart_interval,
+        bits_per_key=bits_per_key,
+        reserved_fraction=options.bloom_reserved_fraction(2),
+    )
+    assert _written_tables(env, outputs) == expected
+
+
+def test_output_rotation_lands_exactly_on_a_user_key_change():
+    """At a new user key the rotation check comes before the block cut: a
+    file whose size estimate reaches ``sstable_size`` exactly at a user-key
+    change ends there, and one byte more cuts the block instead and lets the
+    file run on — never between two versions of one key."""
+    from repro.compaction.table_compaction import build_output_tables
+
+    block_size = 1024
+    entries = []
+    sequence = 10_000
+    for i in range(30):
+        for version in range(1 + i % 3):
+            value_type = TYPE_DELETION if version == 1 else TYPE_VALUE
+            value = b"" if value_type == TYPE_DELETION else b"v" * (60 + 7 * i)
+            entries.append((make_internal_key(b"key%03d" % i, sequence, value_type), value))
+            sequence -= 1
+    # The reference block's size estimate at the first user-key change that
+    # reaches the block size: the file's size estimate there (no cut yet).
+    block = reference.ReferenceBlockBuilder(16)
+    for boundary, (key, value) in enumerate(entries):
+        new_user_key = key[:-8] != entries[boundary - 1][0][:-8]
+        if new_user_key and block.current_size_estimate() >= block_size:
+            break
+        block.add(key, value)
+    estimate = block.current_size_estimate()
+    assert entries[boundary - 1][0][:-8] == entries[boundary - 2][0][:-8]  # a multi-version key
+    for sstable_size in (estimate, estimate + 1):
+        options = Options(block_size=block_size, sstable_size=sstable_size)
+        env = _OutputEnv(options)
+        outputs = build_output_tables(env, iter(_comparable_entries(entries)), 1)
+        expected = reference.build_output_tables_bytes(
+            entries,
+            sstable_size=sstable_size,
+            block_size=block_size,
+            restart_interval=16,
+            bits_per_key=options.bloom_bits_per_key,
+            reserved_fraction=options.bloom_reserved_fraction(1),
+        )
+        tables = _written_tables(env, outputs)
+        assert tables == expected
+        first_file_entries = outputs[0].num_entries
+        if sstable_size == estimate:
+            assert first_file_entries == boundary
+        else:
+            assert first_file_entries > boundary
 
 
 # ------------------------------------------------- stored blocks and the index
@@ -783,30 +938,25 @@ def test_cutter_block_is_the_wrapped_finished_payload(entries, block_size, resta
     """``BlockCutter.cut`` assembles an uncompressed stored block with one
     join and a CRC continued over the restart array; byte for byte it is
     the reference payload with the reference trailer — and what
-    ``wrap_block(BlockBuilder.finish())``, still the zlib path, gives."""
-    from repro.sstable.block_builder import BlockCutter
-    from repro.sstable.format import COMPRESSION_NONE, wrap_block
+    ``wrap_block`` of the payload, still the zlib path, gives."""
+    from repro.sstable.format import wrap_block
 
     emitted = []
     cutter = BlockCutter(
         block_size, restart_interval, COMPRESSION_NONE,
         lambda raw, _lo, _hi, count, _keys: emitted.append((raw, count)),
     )
-    for key, value in entries:
-        cutter.add(key, value)
+    assert cutter.add_run(_comparable_entries(entries)) is None
     cutter.cut()
     assert sum(count for _raw, count in emitted) == len(entries)
     start = 0
     for raw, count in emitted:
         ref = reference.ReferenceBlockBuilder(restart_interval=restart_interval)
-        fast = BlockBuilder(restart_interval=restart_interval)
         for key, value in entries[start : start + count]:
             ref.add(key, value)
-            fast.add(key, value)
-        start += count
         assert raw == reference.stored_block(ref.finish())
-        assert raw == wrap_block(fast.finish())
-        assert fast.finish_stored() == raw
+        assert raw == wrap_block(encode_block(entries[start : start + count], restart_interval))
+        start += count
 
 
 @st.composite
