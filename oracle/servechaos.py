@@ -20,7 +20,7 @@ Invariants asserted per schedule (DESIGN.md §15):
 * **Degrade → resume** — when a hard fault degrades the engine, writes
   answer ``STATUS_UNAVAILABLE`` while reads still serve; after the fault
   clears and ``DB.resume()``, writes succeed again.
-* **No leaks** — after ``aclose()`` no handler task survives, no
+* **No leaks** — after ``aclose()`` no hop task survives, no
   in-flight request was cancelled (``cancelled_inflight == 0``), and the
   executor threads are gone.
 

@@ -1,9 +1,13 @@
 """Asyncio client for the serving protocol.
 
 One :class:`ServeClient` is one connection; requests on a connection are
-pipelined FIFO (the server responds in order).  Open many clients to
-exercise the server's cross-connection batching — that is exactly what
-the group-commit amortization test does.
+pipelined FIFO.  The server answers in request order, so the connection's
+protocol keeps a FIFO of futures, one per request written, and resolves
+the oldest with each reply it cuts out of the stream.  A caller that gives
+up on a request (a cancelled ``await``) leaves its future in place: its
+reply, when it comes, is dropped, and every later reply still reaches its
+own caller.  Open many clients to exercise the server's cross-connection
+batching — that is exactly what the group-commit amortization test does.
 
 The client is fault-transparent (DESIGN.md §15): it propagates per-request
 deadlines into the wire frame, retries ``STATUS_RETRY_LATER`` responses
@@ -33,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+from collections import deque
 
 from . import protocol as p
 
@@ -60,6 +65,49 @@ class DeadlineExceededError(ServeError):
 class CircuitOpenError(ServeError):
     """The circuit breaker is open: recent transport failures exceeded the
     threshold and the cooldown has not elapsed — fail fast, do not dial."""
+
+
+class _ReplyProtocol(asyncio.Protocol):
+    """One connection's receive side: each reply resolves the oldest
+    pending future.  A lost connection fails every pending future with
+    ``ConnectionError``."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.transport: asyncio.Transport | None = None
+        self.frames = p.FrameBuffer()
+        self.waiters: deque[asyncio.Future] = deque()
+        #: Resolved once the transport is gone (``aclose`` awaits it).
+        self.closed = loop.create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        """Resolve the oldest pending future with each complete reply."""
+        self.frames.feed(data)
+        waiters = self.waiters
+        try:
+            while (body := self.frames.pop()) is not None:
+                if not waiters:
+                    raise p.ProtocolError("reply with no request pending")
+                waiter = waiters.popleft()
+                if not waiter.done():  # a cancelled caller's reply is dropped
+                    waiter.set_result(body)
+        except p.ProtocolError:
+            # The stream can no longer be matched to requests.
+            self.transport.close()
+
+    def connection_lost(self, exc) -> None:
+        """Fail every pending future: the caller's retry loop reconnects."""
+        error = ConnectionResetError(
+            f"connection lost: {exc!r}" if exc else "connection closed"
+        )
+        while self.waiters:
+            waiter = self.waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(error)
+        if not self.closed.done():
+            self.closed.set_result(None)
 
 
 class ServeClient:
@@ -94,11 +142,7 @@ class ServeClient:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
         self._rng = random.Random(seed)
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        # FIFO pipelining: one in-flight request per await point, but a
-        # single lock keeps concurrent tasks on one client well-ordered.
-        self._lock = asyncio.Lock()
+        self._protocol: _ReplyProtocol | None = None
         #: Consecutive transport failures (breaker input).
         self._failures = 0
         #: Monotonic time before which the breaker refuses to dial.
@@ -108,24 +152,32 @@ class ServeClient:
         self.breaker_trips = 0
 
     async def connect(self) -> "ServeClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        """Open the connection; a no-op while one is open."""
+        if self._live():
+            return self
+        loop = asyncio.get_running_loop()
+        _, protocol = await loop.create_connection(
+            lambda: _ReplyProtocol(loop), self.host, self.port
         )
+        if self._live():
+            protocol.transport.close()  # another request reconnected first
+        else:
+            self._protocol = protocol
         return self
 
+    def _live(self) -> bool:
+        protocol = self._protocol
+        return protocol is not None and not protocol.transport.is_closing()
+
     async def aclose(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._writer = None
-            self._reader = None
+        protocol, self._protocol = self._protocol, None
+        if protocol is not None:
+            protocol.transport.close()
+            await protocol.closed
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None
+        return self._protocol is not None
 
     # -- transport with breaker --------------------------------------------
 
@@ -149,26 +201,26 @@ class ServeClient:
             self._open_until = loop.time() + self.breaker_cooldown_s
 
     async def _request(self, frame: bytes) -> tuple[int, bytes]:
-        """One raw attempt: send ``frame``, read one response, map status.
+        """One raw attempt: send ``frame``, await its reply, map status.
 
         No retries at this layer — :meth:`_call` owns the retry loop; the
         protocol-level tests drive this directly.
         """
         self._breaker_check()
-        async with self._lock:
-            if self._writer is None:
-                await self.connect()
-            try:
-                self._writer.write(frame)
-                await self._writer.drain()
-                header = await self._reader.readexactly(4)
-                length = int.from_bytes(header, "big")
-                body = await self._reader.readexactly(length)
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                # The connection is unusable: framing state is unknown.
-                self._record_transport_failure()
-                await self._reset_connection()
-                raise
+        if not self._live():
+            await self.connect()
+        protocol = self._protocol
+        reply = asyncio.get_running_loop().create_future()
+        protocol.waiters.append(reply)
+        protocol.transport.write(frame)
+        try:
+            body = await reply
+        except (ConnectionError, OSError):
+            # The connection is unusable: framing state is unknown.
+            self._record_transport_failure()
+            if self._protocol is protocol:
+                self._protocol = None
+            raise
         self._failures = 0
         status, payload = p.decode_body(body)
         if status == p.STATUS_ERROR:
@@ -179,16 +231,6 @@ class ServeClient:
             raise DeadlineExceededError(payload.decode("utf-8", "replace"))
         return status, payload
 
-    async def _reset_connection(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._writer = None
-        self._reader = None
-
     async def _call(self, frame: bytes) -> tuple[int, bytes]:
         """The retry loop: transport failures reconnect, RETRY_LATER sleeps
         max(server hint, jittered exponential backoff) and tries again."""
@@ -196,7 +238,7 @@ class ServeClient:
         while True:
             try:
                 status, payload = await self._request(frame)
-            except (ConnectionError, asyncio.IncompleteReadError, OSError) as exc:
+            except (ConnectionError, OSError) as exc:
                 if attempt >= self.max_retries:
                     raise ServeError(f"transport failure: {exc!r}") from exc
                 await self._sleep_backoff(attempt, 0)

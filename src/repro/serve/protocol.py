@@ -74,10 +74,10 @@ BATCH_PUT = 0x01
 BATCH_DELETE = 0x00
 
 #: Hard cap on one frame (16 MiB): a corrupt length prefix must not make
-#: the server try to buffer gigabytes.  Enforced on BOTH paths: the read
-#: loop rejects oversized request lengths, and :func:`encode_frame` raises
-#: before an oversized response (a huge scan / multi_get result) is ever
-#: framed — the server maps that to a structured ``STATUS_ERROR`` instead
+#: the server try to buffer gigabytes.  Enforced on BOTH paths:
+#: :class:`FrameBuffer` rejects oversized lengths, and :func:`encode_frame`
+#: raises before an oversized response (a huge scan / multi_get result) is
+#: ever framed — the server maps that to a structured ``STATUS_ERROR`` instead
 #: of emitting an unframeable reply.
 MAX_FRAME = 16 * 1024 * 1024
 
@@ -118,6 +118,49 @@ def encode_frame(code: int, payload: bytes = b"", deadline_ms: int | None = None
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame too large: {len(body)} bytes")
     return _U32.pack(len(body)) + body
+
+
+class FrameBuffer:
+    """Cuts complete frame bodies out of a byte stream, however it is
+    chunked — one byte at a time or many frames per read.  The server and
+    the client share it.
+
+    Bytes go in with :meth:`feed` and bodies come out with :meth:`pop`,
+    one at a time, so a reader can stop between two frames and leave the
+    rest buffered.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+
+    def __len__(self) -> int:
+        """Bytes received but not yet popped."""
+        return len(self._buf)
+
+    def feed(self, data: bytes) -> None:
+        self._buf += data
+
+    def pop(self) -> bytes | None:
+        """The next frame body, or ``None`` until one has fully arrived.
+
+        A zero or over-``MAX_FRAME`` length raises :class:`ProtocolError`
+        as soon as its four bytes are in, and never earlier: the frames in
+        front of it are popped first.
+        """
+        buf = self._buf
+        if len(buf) < 4:
+            return None
+        (length,) = _U32.unpack_from(buf, 0)
+        if length == 0 or length > MAX_FRAME:
+            raise ProtocolError(f"bad frame length {length}")
+        end = 4 + length
+        if len(buf) < end:
+            return None
+        body = bytes(buf[4:end])
+        del buf[:end]
+        return body
 
 
 def decode_body(body: bytes) -> tuple[int, bytes]:

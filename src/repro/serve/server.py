@@ -2,18 +2,26 @@
 
 One event loop multiplexes every client connection, and a request's engine
 call runs **on that loop thread** unless the engine would have to wait
-(DESIGN.md §12, §15).  Every data op is first tried with ``wait=False``.
-On a non-blocking filesystem (``SimulatedFS``, whose modelled I/O never
-sleeps) that is normally the whole call.  It raises
-:class:`~repro.errors.WouldBlock`, with nothing changed, where it would
-wait: a busy engine lock or router edit, a throttled write or one that
-finds a memtable rollover due, and — up front, for every op — a filesystem
-that really blocks (``LocalFS``, or ``SimulatedFS(realtime > 0)``), which
-therefore serves exactly as it did before the inline attempt existed.
-Only then is the same bound method called again, ``wait=True``, on a small
-thread pool.  The pool exists for the calls that wait: in a pure-Python
-engine a worker thread buys no overlap for CPU-bound work, only two GIL
-hand-offs per request and a convoy behind whichever worker is mid-scan.
+(DESIGN.md §12, §15).  Each connection is an :class:`asyncio.Protocol`:
+its read callback cuts complete frames out of the bytes received and
+answers each one, there and then, with a plain method call — decode,
+admission, deadline, the engine call with ``wait=False``, encode,
+``transport.write``.  On a non-blocking filesystem (``SimulatedFS``,
+whose modelled I/O never sleeps) that is normally the whole request.  The
+engine raises :class:`~repro.errors.WouldBlock`, with nothing changed,
+where it would wait: a busy engine lock or router edit, a throttled write
+or one that finds a memtable rollover due, and — up front, for every op —
+a filesystem that really blocks (``LocalFS``, or
+``SimulatedFS(realtime > 0)``), which therefore serves exactly as it did
+before the inline attempt existed.  Only then does the request *hop*: a
+task calls the same bound method again, ``wait=True``, on a small thread
+pool.  The pool exists for the calls that wait: in a pure-Python engine a
+worker thread buys no overlap for CPU-bound work, only two GIL hand-offs
+per request and a convoy behind whichever worker is mid-scan.
+
+Responses leave a connection in request order: while a hop is pending,
+the frames behind it wait unparsed in the connection's buffer, and the
+hop's completion writes its answer and then resumes the loop over them.
 
 Group commit forms among the calls that hop: many connections' PUTs
 against a blocking filesystem land on at most ``executor_threads`` threads,
@@ -24,8 +32,9 @@ many-connection served writes no longer share a modelled WAL append.
 
 Requests that are not bounded — a scan without a ``limit``, or more than
 :data:`INLINE_MAX_ITEMS` keys / batch ops / scan rows — always hop, so no
-single request holds the loop for long; ``serve_counters()`` reports how
-many requests went each way (``inline`` / ``hopped``).
+single request holds the loop for long, and so do the admin ops that read
+the engine (stats, health, ready); ``serve_counters()`` reports how many
+data requests went each way (``inline`` / ``hopped``).
 
 The server is overload-safe by construction (DESIGN.md §15):
 
@@ -43,14 +52,21 @@ The server is overload-safe by construction (DESIGN.md §15):
   trigger, sheds writes with ``STATUS_RETRY_LATER`` and a server-computed
   backoff hint — the queue stays bounded instead of absorbing the burst
   into unbounded executor backlog while every shard is stalled.
+* **Flow control** — a peer that stops reading pauses its connection:
+  once the transport's write buffer passes its high-water mark no further
+  frame is answered and the socket is not read, until the buffer drains.
+  While a hop is pending, more than :data:`MAX_PENDING_INPUT` unparsed
+  bytes also stop the reading.
 * **Structured statuses** — the error-severity engine maps onto the
   wire: transient faults answer ``STATUS_RETRY_LATER`` (retryable),
   read-only degrade answers ``STATUS_UNAVAILABLE`` for writes while reads
   keep serving, and everything else is a permanent ``STATUS_ERROR``.
-* **Graceful drain** — ``aclose()`` stops accepting, parts idle
-  connections, lets in-flight requests finish under ``drain_timeout``,
-  flushes/quiesces the shards, then closes; in-flight work is cancelled
-  only when the timeout expires (counted in ``cancelled_inflight``).
+  A malformed frame answers ``STATUS_ERROR``, half-closes the connection
+  and discards whatever the peer still sends.
+* **Graceful drain** — ``aclose()`` stops accepting, closes idle
+  connections, lets pending hops finish under ``drain_timeout``,
+  flushes/quiesces the shards, then closes; a hop is cancelled only when
+  the timeout expires (counted in ``cancelled_inflight``).
 * **Health** — ``OP_HEALTH`` returns the engine's health report plus the
   server's counters; ``OP_READY`` gates readiness on ``DB.health()``
   (writable and not draining).
@@ -65,6 +81,7 @@ put/get/delete/multi_get/scan/write surface *including the* ``wait=``
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -85,36 +102,14 @@ CLASS_WRITE = "write"
 CLASS_READ = "read"
 CLASS_ADMIN = "admin"
 
-_OP_CLASS = {
-    p.OP_PUT: CLASS_WRITE,
-    p.OP_DELETE: CLASS_WRITE,
-    p.OP_BATCH: CLASS_WRITE,
-    p.OP_GET: CLASS_READ,
-    p.OP_MULTI_GET: CLASS_READ,
-    p.OP_SCAN: CLASS_READ,
-    p.OP_STATS: CLASS_ADMIN,
-    p.OP_PING: CLASS_ADMIN,
-    p.OP_HEALTH: CLASS_ADMIN,
-    p.OP_READY: CLASS_ADMIN,
-}
-
-_OP_NAME = {
-    p.OP_PUT: "put",
-    p.OP_GET: "get",
-    p.OP_DELETE: "delete",
-    p.OP_MULTI_GET: "multi_get",
-    p.OP_SCAN: "scan",
-    p.OP_BATCH: "batch",
-    p.OP_STATS: "stats",
-    p.OP_PING: "ping",
-    p.OP_HEALTH: "health",
-    p.OP_READY: "ready",
-}
-
 #: Largest request (keys of a multi_get, ops of a batch, ``limit`` of a
 #: scan) tried on the loop thread; anything bigger, and a scan with no
 #: limit, goes straight to the pool.
 INLINE_MAX_ITEMS = 128
+
+#: Unparsed input a connection buffers behind a pending hop before it
+#: stops reading its socket.
+MAX_PENDING_INPUT = 64 * 1024
 
 #: Stall pressure levels sampled from the shards' L0 state.
 _PRESSURE_OK = 0
@@ -122,16 +117,125 @@ _PRESSURE_SLOWDOWN = 1
 _PRESSURE_STOP = 2
 
 
-class _Conn:
-    """Per-connection bookkeeping the drain protocol needs."""
+class _Conn(asyncio.Protocol):
+    """One client connection: frames are answered in the read callback, in
+    arrival order, and at most one hop is pending at a time."""
 
-    __slots__ = ("writer", "inflight")
+    __slots__ = (
+        "server", "transport", "frames", "hop", "write_paused", "reading",
+        "eof", "closing",
+    )
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        #: True while a request from this connection is being served —
-        #: the window in which drain must not cut the transport.
-        self.inflight = False
+    def __init__(self, server: "ShardServer"):
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.frames = p.FrameBuffer()
+        #: The pending hop's task.  While it is set, the frames behind it
+        #: wait in ``frames`` — the window in which drain must not cut the
+        #: transport.
+        self.hop: asyncio.Task | None = None
+        #: The peer is not reading: the write buffer is past its high mark.
+        self.write_paused = False
+        self.reading = True
+        #: The peer half-closed; close once every answer is written.
+        self.eof = False
+        #: A protocol error was answered: input is discarded until EOF.
+        self.closing = False
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conns.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._conns.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.closing:
+            return
+        self.frames.feed(data)
+        if self.hop is None and not self.write_paused:
+            self.serve()
+        elif len(self.frames) > MAX_PENDING_INPUT:
+            self._set_reading(False)
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        # Keep the write side open while answers are still owed.
+        return not self.closing and (self.hop is not None or self.write_paused)
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self._set_reading(False)
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.hop is None:
+            self.serve()
+        elif len(self.frames) <= MAX_PENDING_INPUT:
+            self._set_reading(True)
+
+    # -- the request loop ------------------------------------------------------
+
+    def serve(self) -> None:
+        """Answer the buffered frames in order until one hops, the peer
+        stops reading, the server drains, or no complete frame is left."""
+        server = self.server
+        frames = self.frames
+        try:
+            while self.hop is None and not self.write_paused and not server._draining:
+                body = frames.pop()
+                if body is None:
+                    break
+                server._answer(self, body)
+        except p.ProtocolError as exc:
+            self._protocol_error(exc)
+            return
+        if self.hop is not None:
+            if len(frames) > MAX_PENDING_INPUT:
+                self._set_reading(False)
+        elif server._draining or (self.eof and not self.write_paused):
+            self.transport.close()
+        elif not self.reading and not self.write_paused:
+            self._set_reading(True)
+
+    def hop_done(self, task: asyncio.Task) -> None:
+        """Write a finished hop's answer, then serve the frames behind it.
+        A hop cancelled by an expired drain answers nothing: ``aclose``
+        closes the connection."""
+        self.hop = None
+        if task.cancelled() or self.transport.is_closing():
+            return
+        self.transport.write(task.result())
+        self.serve()
+
+    def _set_reading(self, reading: bool) -> None:
+        if reading != self.reading and not self.closing:
+            self.reading = reading
+            if reading:
+                self.transport.resume_reading()
+            else:
+                self.transport.pause_reading()
+
+    def _protocol_error(self, exc: p.ProtocolError) -> None:
+        """Framing is untrusted past a bad frame, so the connection must
+        end — but an abrupt close races the peer's own writes of pipelined
+        requests still in flight: a TCP reset tears away the error frame
+        just queued.  Answer the error, half-close, and discard the rest
+        of the burst until the peer sees the error and hangs up (or
+        5 seconds pass)."""
+        self.server.protocol_errors += 1
+        self._set_reading(True)
+        self.closing = True
+        self.frames = p.FrameBuffer()
+        transport = self.transport
+        transport.write(p.encode_frame(p.STATUS_ERROR, str(exc).encode("utf-8")))
+        if transport.can_write_eof():
+            transport.write_eof()
+            self.server._loop.call_later(5.0, transport.close)
+        else:
+            transport.close()
 
 
 class ShardServer:
@@ -175,8 +279,10 @@ class ShardServer:
             max_workers=executor_threads, thread_name_prefix="repro-serve"
         )
         self._executor_threads = executor_threads
+        self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
         self._conns: set[_Conn] = set()
+        #: Every pending hop's task.
         self._tasks: set[asyncio.Task] = set()
         self._draining = False
         #: (level, sampled_at) cache for the stall-pressure probe.
@@ -185,6 +291,8 @@ class ShardServer:
         #: Only well-formed, known opcodes are counted — malformed frames
         #: land in ``protocol_errors`` instead.
         self.requests: dict[str, int] = {}
+        #: Hopped requests not yet answered, per class (an inline request
+        #: is answered before anything else can look).
         self.inflight: dict[str, int] = {
             CLASS_WRITE: 0, CLASS_READ: 0, CLASS_ADMIN: 0,
         }
@@ -196,16 +304,17 @@ class ShardServer:
         self.deadline_exceeded = 0
         self.protocol_errors = 0
         self.engine_errors = 0
-        #: In-flight requests cut off by a drain-timeout expiry.  A clean
-        #: shutdown keeps this at zero — the invariant the drain test and
-        #: the chaos harness assert.
+        #: Hops cut off by a drain-timeout expiry.  A clean shutdown keeps
+        #: this at zero — the invariant the drain test and the chaos
+        #: harness assert.
         self.cancelled_inflight = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Conn(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -228,7 +337,7 @@ class ShardServer:
 
         1. Stop accepting new connections and mark the server draining
            (new requests on live connections are shed with RETRY_LATER).
-        2. Part idle connections; let in-flight requests finish, up to
+        2. Close idle connections; let pending hops finish, up to
            ``drain_timeout`` — only then cancel stragglers (counted in
            ``cancelled_inflight``).
         3. Flush and quiesce the shards so the WAL tail and memtables are
@@ -241,50 +350,40 @@ class ShardServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
         if drain:
             await self._drain_connections()
         # Cut whatever is left (drain timeout expired, or drain=False).
         for task in list(self._tasks):
-            if not task.done():
-                task.cancel()
+            task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
+        for conn in list(self._conns):
+            conn.transport.close()
         self._conns.clear()
         if drain:
             await self._quiesce_db()
         self._pool.shutdown(wait=True)
 
     async def _drain_connections(self) -> None:
-        """Part idle connections, then wait for in-flight work to finish."""
+        """Close idle connections, then wait for pending hops to finish.
+
+        A connection with a hop pending closes itself once the hop's answer
+        is written (``_Conn.serve`` sees ``_draining``)."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
-        # Idle connections are parted immediately: their handler wakes from
-        # readexactly with an EOF-shaped error and exits cleanly.  Handlers
-        # mid-request notice ``_draining`` after their response instead.
         for conn in list(self._conns):
-            if not conn.inflight:
-                conn.writer.close()
+            if conn.hop is None:
+                conn.transport.close()
         while self._tasks:
             remaining = deadline - loop.time()
             if remaining <= 0:
                 self.cancelled_inflight += sum(
-                    1 for conn in self._conns if conn.inflight
+                    1 for task in self._tasks if not task.done()
                 )
                 break
-            done, pending = await asyncio.wait(
-                list(self._tasks), timeout=remaining,
-                return_when=asyncio.ALL_COMPLETED,
-            )
-            if not pending:
-                break
-            # A request that finished may have left its connection idle;
-            # part those too so the wait converges.
-            for conn in list(self._conns):
-                if not conn.inflight:
-                    conn.writer.close()
+            await asyncio.wait(list(self._tasks), timeout=remaining)
 
     async def _quiesce_db(self) -> None:
         """Flush + settle background work; degraded shards are left alone
@@ -309,70 +408,6 @@ class ShardServer:
             await loop.run_in_executor(self._pool, quiesce)
         except RuntimeError:
             pass  # pool already shut down by a concurrent closer
-
-    # -- request handling --------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        conn = _Conn(writer)
-        self._conns.add(conn)
-        try:
-            while True:
-                header = await reader.readexactly(4)
-                length = int.from_bytes(header, "big")
-                if length == 0 or length > p.MAX_FRAME:
-                    raise p.ProtocolError(f"bad frame length {length}")
-                body = await reader.readexactly(length)
-                conn.inflight = True
-                try:
-                    response = await self._dispatch(body)
-                finally:
-                    conn.inflight = False
-                writer.write(response)
-                await writer.drain()
-                if self._draining:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            pass  # client hung up — the normal end of a connection
-        except p.ProtocolError as exc:
-            # Framing is untrusted past a bad frame, so the connection must
-            # end — but an abrupt close races the client's own drain() of
-            # pipelined requests already in our socket buffer: a TCP reset
-            # tears away the error frame we just queued.  Send the error,
-            # half-close our side, and consume the rest of the burst until
-            # the client sees the error and hangs up.
-            self.protocol_errors += 1
-            conn.inflight = False
-            try:
-                writer.write(
-                    p.encode_frame(p.STATUS_ERROR, str(exc).encode("utf-8"))
-                )
-                await writer.drain()
-                if writer.can_write_eof():
-                    writer.write_eof()
-                await asyncio.wait_for(self._drain_reader(reader), timeout=5.0)
-            except (ConnectionError, OSError, asyncio.TimeoutError):
-                pass
-        finally:
-            self._conns.discard(conn)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # Server teardown cancels handlers mid-wait; the transport
-                # is going away either way.
-                pass
-
-    @staticmethod
-    async def _drain_reader(reader: asyncio.StreamReader) -> None:
-        """Consume (and discard) the remainder of a pipelined burst."""
-        while await reader.read(64 * 1024):
-            pass
 
     # -- admission ---------------------------------------------------------
 
@@ -441,136 +476,109 @@ class ShardServer:
             p.STATUS_RETRY_LATER, p.encode_retry_hint(hint_ms, reason)
         )
 
-    # -- dispatch ----------------------------------------------------------
+    # -- one request -------------------------------------------------------
 
-    async def _dispatch(self, body: bytes) -> bytes:
-        opcode, payload, deadline_ms = p.decode_request(body)
-        op_class = _OP_CLASS.get(opcode)
-        if op_class is None:
-            # Unknown opcodes must not pollute the served-request counters:
-            # they were never admitted, let alone served.
-            raise p.ProtocolError(f"unknown opcode {opcode:#x}")
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        name = _OP_NAME[opcode]
-        self.requests[name] = self.requests.get(name, 0) + 1
+    def _answer(self, conn: _Conn, body: bytes) -> None:
+        """Answer one request frame on ``conn``: here, unless it must hop.
 
-        shed = self._admit(op_class, now)
-        if shed is not None:
-            return shed
-
-        if deadline_ms is None:
-            deadline_ms = self.default_deadline_ms
-        deadline = now + deadline_ms / 1000.0 if deadline_ms is not None else None
-
-        self.inflight[op_class] += 1
-        try:
-            return await self._execute(opcode, payload, deadline, loop)
-        finally:
-            self.inflight[op_class] -= 1
-
-    async def _run(
-        self, loop, deadline: float | None, fn, *args, items: int | None = None
-    ):
-        """Run an engine call, budget-checked: here on the loop thread when
-        it will not wait, else on the pool.
-
-        ``items`` is a data op's size (1 for a point op, the number of
-        keys or batch ops, a scan's ``limit``); admin calls leave it None
-        and always hop.  A data op of at most ``INLINE_MAX_ITEMS`` is first
-        called with ``wait=False`` right here; ``WouldBlock`` — the engine
-        would wait, and has changed nothing — falls through to the hop,
-        which calls the same bound method with ``wait=True``.
+        A data op of at most ``INLINE_MAX_ITEMS`` items is called with
+        ``wait=False`` right here; ``WouldBlock`` — the engine would wait,
+        and has changed nothing — falls through to the hop, which calls the
+        same bound method on the pool.  Unbounded data ops and the admin
+        ops that read the engine hop without trying.
 
         The budget is enforced twice: before the call (late work is
         refused while it is still cheap — neither the engine nor the
-        executor sees it) and around a hopped call (``wait_for`` abandons
-        a call that outlives the budget; a not-yet-started work item is
-        truly cancelled, a running one finishes on its thread but nobody
-        waits for it).
+        executor sees it) and around a hopped call (see :meth:`_hop`).
+        Raises :class:`~repro.serve.protocol.ProtocolError` for a frame
+        that cannot be decoded, with nothing written.
         """
-        if deadline is not None and deadline - loop.time() <= 0:
-            self.deadline_exceeded += 1
-            raise _DeadlineExceeded()
-        if items is not None:
-            if items <= INLINE_MAX_ITEMS:
-                try:
-                    result = fn(*args, wait=False)
-                except WouldBlock:
-                    pass
-                else:
-                    self.inline += 1
-                    return result
-            self.hopped += 1
-        call = loop.run_in_executor(self._pool, fn, *args)
-        if deadline is None:
-            return await call
-        try:
-            return await asyncio.wait_for(call, deadline - loop.time())
-        except asyncio.TimeoutError:
-            self.deadline_exceeded += 1
-            raise _DeadlineExceeded() from None
-
-    async def _execute(
-        self, opcode: int, payload: bytes, deadline: float | None, loop
-    ) -> bytes:
-        try:
-            if opcode == p.OP_PING:
-                return p.encode_frame(p.STATUS_OK, b"pong")
-            if opcode == p.OP_HEALTH:
-                doc = await self._run(loop, deadline, self._health_payload)
-                return p.encode_frame(p.STATUS_OK, doc)
-            if opcode == p.OP_READY:
-                return await self._run(loop, deadline, self._ready_response)
-            if opcode == p.OP_PUT:
-                key, value = p.decode_put(payload)
-                await self._run(loop, deadline, self.db.put, key, value, items=1)
-                return p.encode_frame(p.STATUS_OK)
-            if opcode == p.OP_GET:
-                value = await self._run(loop, deadline, self.db.get, payload, items=1)
-                if value is None:
-                    return p.encode_frame(p.STATUS_NOT_FOUND)
-                return self._encode_ok(value)
-            if opcode == p.OP_DELETE:
-                await self._run(loop, deadline, self.db.delete, payload, items=1)
-                return p.encode_frame(p.STATUS_OK)
-            if opcode == p.OP_MULTI_GET:
-                keys = p.decode_multi_get(payload)
-                found = await self._run(
-                    loop, deadline, self.db.multi_get, keys, items=len(keys)
-                )
-                return self._encode_ok(
-                    p.encode_values([found.get(key) for key in keys])
-                )
-            if opcode == p.OP_SCAN:
-                start, end, limit = p.decode_scan(payload)
-                entries = await self._run(
-                    loop, deadline, self.db.scan, start, end, limit,
-                    items=INLINE_MAX_ITEMS + 1 if limit is None else limit,
-                )
-                return self._encode_ok(p.encode_entries(entries))
-            if opcode == p.OP_BATCH:
-                ops = p.decode_batch(payload)
-                batch = WriteBatch()
-                for tag, key, value in ops:
-                    if tag == p.BATCH_PUT:
-                        batch.put(key, value)
-                    else:
-                        batch.delete(key)
-                await self._run(loop, deadline, self.db.write, batch, items=len(ops))
-                return p.encode_frame(p.STATUS_OK)
-            if opcode == p.OP_STATS:
-                stats = await self._run(loop, deadline, self._stats_payload)
-                return p.encode_frame(p.STATUS_OK, stats)
+        opcode, payload, deadline_ms = p.decode_request(body)
+        op = _OPS.get(opcode)
+        if op is None:
+            # Unknown opcodes must not pollute the served-request counters:
+            # they were never admitted, let alone served.
             raise p.ProtocolError(f"unknown opcode {opcode:#x}")
-        except _DeadlineExceeded:
-            return p.encode_frame(
-                p.STATUS_DEADLINE_EXCEEDED, b"deadline exceeded"
-            )
-        except p.ProtocolError:
-            raise
+        name, op_class, method, decode, encode = op
+        self.requests[name] = self.requests.get(name, 0) + 1
+        if decode is None:
+            conn.transport.write(p.encode_frame(p.STATUS_OK, b"pong"))
+            return
+        now = self._loop.time()
+        response = self._admit(op_class, now)
+        if response is None:
+            if deadline_ms is None:
+                deadline_ms = self.default_deadline_ms
+            deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
+            try:
+                args, items = decode(payload)
+                if deadline is not None and deadline - self._loop.time() <= 0:
+                    response = self._deadline_response()
+                elif items is None:
+                    fn = getattr(self, method)
+                else:
+                    fn = getattr(self.db, method)
+                    if items <= INLINE_MAX_ITEMS:
+                        try:
+                            result = fn(*args, wait=False)
+                        except WouldBlock:
+                            pass
+                        else:
+                            self.inline += 1
+                            response = encode(self, args, result)
+                    if response is None:
+                        self.hopped += 1
+                if response is None:
+                    self._start_hop(conn, op_class, fn, args, encode, deadline)
+                    return
+            except p.ProtocolError:
+                raise
+            except Exception as exc:  # engine-level failure → structured status
+                response = self._engine_error_response(exc)
+        conn.transport.write(response)
+
+    def _start_hop(
+        self, conn: _Conn, op_class: str, fn, args: tuple, encode,
+        deadline: float | None,
+    ) -> None:
+        """Send ``fn(*args)`` to the pool as ``conn``'s pending hop; the
+        connection answers nothing else until it is done."""
+        self.inflight[op_class] += 1
+        task = self._loop.create_task(self._hop(fn, args, encode, deadline))
+        self._tasks.add(task)
+        task.add_done_callback(functools.partial(self._hop_done, conn, op_class))
+        conn.hop = task
+
+    async def _hop(self, fn, args: tuple, encode, deadline: float | None) -> bytes:
+        """Run an engine call on the pool and encode its answer.
+
+        ``wait_for`` abandons a call that outlives the budget: a
+        not-yet-started work item is truly cancelled, a running one
+        finishes on its thread but nobody waits for it."""
+        loop = self._loop
+        try:
+            call = loop.run_in_executor(self._pool, fn, *args)
+            if deadline is None:
+                result = await call
+            else:
+                try:
+                    result = await asyncio.wait_for(call, deadline - loop.time())
+                except asyncio.TimeoutError:
+                    return self._deadline_response()
+            return encode(self, args, result)
         except Exception as exc:  # engine-level failure → structured status
             return self._engine_error_response(exc)
+
+    def _hop_done(self, conn: _Conn, op_class: str, task: asyncio.Task) -> None:
+        self.inflight[op_class] -= 1
+        self._tasks.discard(task)
+        conn.hop_done(task)
+
+    # -- responses -----------------------------------------------------------
+
+    def _deadline_response(self) -> bytes:
+        self.deadline_exceeded += 1
+        return p.encode_frame(p.STATUS_DEADLINE_EXCEEDED, b"deadline exceeded")
 
     def _encode_ok(self, payload: bytes) -> bytes:
         """Frame an OK payload, degrading an oversized response (a huge
@@ -627,20 +635,20 @@ class ShardServer:
             "draining": self._draining,
         }
 
-    def _stats_payload(self) -> bytes:
+    def _stats_response(self) -> bytes:
         doc: dict = {"requests": dict(self.requests), "serve": self.serve_counters()}
         if hasattr(self.db, "aggregate_stats"):
             doc["engine"] = self.db.aggregate_stats()
             doc["shards"] = self.db.shard_names()
         else:
             doc["engine"] = self.db.stats.numeric()
-        return json.dumps(doc).encode("utf-8")
+        return p.encode_frame(p.STATUS_OK, json.dumps(doc).encode("utf-8"))
 
-    def _health_payload(self) -> bytes:
+    def _health_response(self) -> bytes:
         doc = {"serve": self.serve_counters()}
         if hasattr(self.db, "health"):
             doc["engine"] = self.db.health()
-        return json.dumps(doc).encode("utf-8")
+        return p.encode_frame(p.STATUS_OK, json.dumps(doc).encode("utf-8"))
 
     def _ready_response(self) -> bytes:
         """Readiness: accepting requests AND the engine is writable.
@@ -661,6 +669,83 @@ class ShardServer:
                 return p.encode_frame(p.STATUS_UNAVAILABLE, reason)
         return p.encode_frame(p.STATUS_OK, b"ready")
 
+    # -- the opcode table's encoders: (server, args, result) -> frame --------
 
-class _DeadlineExceeded(Exception):
-    """Internal: a request's budget expired (never crosses the wire)."""
+    def _done(self, args: tuple, result) -> bytes:
+        return p.encode_frame(p.STATUS_OK)
+
+    def _value(self, args: tuple, value: bytes | None) -> bytes:
+        if value is None:
+            return p.encode_frame(p.STATUS_NOT_FOUND)
+        return self._encode_ok(value)
+
+    def _values(self, args: tuple, found: dict) -> bytes:
+        return self._encode_ok(p.encode_values([found.get(key) for key in args[0]]))
+
+    def _entries(self, args: tuple, entries: list) -> bytes:
+        return self._encode_ok(p.encode_entries(entries))
+
+    def _frame(self, args: tuple, frame: bytes) -> bytes:
+        return frame
+
+
+# -- the opcode table's decoders: payload -> (args, items) ---------------------
+#
+# ``items`` sizes a data op for the inline bound; ``None`` marks an admin op,
+# which always hops.  Codecs are looked up on ``protocol`` at call time, so a
+# wrapper patched onto the module sees every call.
+
+
+def _key_args(payload: bytes) -> tuple[tuple, int]:
+    return (payload,), 1
+
+
+def _put_args(payload: bytes) -> tuple[tuple, int]:
+    return p.decode_put(payload), 1
+
+
+def _multi_get_args(payload: bytes) -> tuple[tuple, int]:
+    keys = p.decode_multi_get(payload)
+    return (keys,), len(keys)
+
+
+def _scan_args(payload: bytes) -> tuple[tuple, int]:
+    start, end, limit = p.decode_scan(payload)
+    return (start, end, limit), INLINE_MAX_ITEMS + 1 if limit is None else limit
+
+
+def _batch_args(payload: bytes) -> tuple[tuple, int]:
+    ops = p.decode_batch(payload)
+    batch = WriteBatch()
+    for tag, key, value in ops:
+        if tag == p.BATCH_PUT:
+            batch.put(key, value)
+        else:
+            batch.delete(key)
+    return (batch,), len(ops)
+
+
+def _admin_args(payload: bytes) -> tuple[tuple, None]:
+    return (), None
+
+
+#: opcode -> (name, class, method, decode, encode).  ``method`` is looked up
+#: on the db for a data op and on the server for an admin op; the same bound
+#: method serves the inline call (``wait=False``) and the hop.  Ping has no
+#: call at all (``decode`` None): it is answered on the spot.
+_OPS = {
+    p.OP_PUT: ("put", CLASS_WRITE, "put", _put_args, ShardServer._done),
+    p.OP_DELETE: ("delete", CLASS_WRITE, "delete", _key_args, ShardServer._done),
+    p.OP_BATCH: ("batch", CLASS_WRITE, "write", _batch_args, ShardServer._done),
+    p.OP_GET: ("get", CLASS_READ, "get", _key_args, ShardServer._value),
+    p.OP_MULTI_GET: (
+        "multi_get", CLASS_READ, "multi_get", _multi_get_args, ShardServer._values,
+    ),
+    p.OP_SCAN: ("scan", CLASS_READ, "scan", _scan_args, ShardServer._entries),
+    p.OP_STATS: ("stats", CLASS_ADMIN, "_stats_response", _admin_args, ShardServer._frame),
+    p.OP_HEALTH: (
+        "health", CLASS_ADMIN, "_health_response", _admin_args, ShardServer._frame,
+    ),
+    p.OP_READY: ("ready", CLASS_ADMIN, "_ready_response", _admin_args, ShardServer._frame),
+    p.OP_PING: ("ping", CLASS_ADMIN, None, None, None),
+}

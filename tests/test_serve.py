@@ -1,18 +1,23 @@
 """Async serving front end tests (DESIGN.md §12).
 
-Protocol codecs round-trip every frame shape; the end-to-end tests start
-a real :class:`ShardServer` on an ephemeral port over a 2-shard
-:class:`ShardedDB` and drive it through :class:`ServeClient`, including
-pipelined concurrent requests and the error paths (unknown opcode,
-malformed payload, oversized frame).
+Protocol codecs round-trip every frame shape, and the frame parser the
+server and the client share cuts the same bodies out of any chunking of
+a stream; the end-to-end tests start a real :class:`ShardServer` on an
+ephemeral port over a 2-shard :class:`ShardedDB` and drive it through
+:class:`ServeClient`, including pipelined concurrent requests, response
+order behind a hop, flow control against a peer that stops reading, and
+the error paths (unknown opcode, malformed payload, oversized frame).
 """
 
 from __future__ import annotations
 
 import asyncio
+import socket
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import InvalidArgumentError, WouldBlock
 from repro.obs import render_prometheus
@@ -355,3 +360,286 @@ class TestShardServer:
                 await fresh.aclose()
 
         run(_with_server(scenario))
+
+
+# ------------------------------------------------------- the request path
+
+
+class _SlowGetDB(_DecliningDB):
+    """Declining double whose pool-side ``get(b"slow")`` takes 0.2 s."""
+
+    def __getattr__(self, name):
+        call = super().__getattr__(name)
+        if name != "get":
+            return call
+
+        def get(key, wait=True):
+            if wait and key == b"slow":
+                time.sleep(0.2)
+            return call(key, wait=wait)
+
+        return get
+
+
+async def _raw_replies(reader, count: int) -> list[bytes]:
+    bodies = []
+    for _ in range(count):
+        header = await reader.readexactly(4)
+        bodies.append(await reader.readexactly(int.from_bytes(header, "big")))
+    return bodies
+
+
+class TestRequestPath:
+    def test_cancelled_call_does_not_desync_its_connection(self):
+        """A caller that gives up on a request must not leave its reply
+        for the next caller on the same connection."""
+
+        async def scenario(client, _server):
+            await client.put(b"slow", b"S")
+            await client.put(b"fast", b"F")
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(client.get(b"slow"), 0.05)
+            assert await client.get(b"fast") == b"F"
+            assert await client.get(b"slow") == b"S"
+
+        run(_with_server(scenario, wrap=_SlowGetDB))
+
+    def test_answers_behind_a_hop_keep_request_order(self):
+        """[scan (no limit: hops)][get][put][get] in one write: four answers
+        in request order; the scan ran before the put and the last get sees
+        it."""
+
+        async def scenario(client, server):
+            await client.put(b"apple", b"old")
+            await client.put(b"zebra", b"z")
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    P.encode_scan(None, None, None)
+                    + P.encode_get(b"apple")
+                    + P.encode_put(b"apple", b"new")
+                    + P.encode_get(b"apple")
+                )
+                scan, first, put, second = await asyncio.wait_for(
+                    _raw_replies(reader, 4), 10
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert P.decode_entries(scan[1:]) == [(b"apple", b"old"), (b"zebra", b"z")]
+            assert first == bytes([P.STATUS_OK]) + b"old"
+            assert put == bytes([P.STATUS_OK])
+            assert second == bytes([P.STATUS_OK]) + b"new"
+            assert (server.inline, server.hopped) == (5, 1)
+
+        run(_with_server(scenario))
+
+    def test_a_peer_that_stops_reading_pauses_its_connection(self):
+        """64 pipelined ~50 KiB scans, nothing read: the server stops
+        answering (and reading) once its write buffer passes the high-water
+        mark, holding at most one reply past it; when the peer reads, every
+        reply arrives, in order."""
+        value = b"v" * 1000
+
+        async def scenario(client, server):
+            keys = [b"key-%03d" % i for i in range(120)]
+            await client.batch([(P.BATCH_PUT, key, value) for key in keys[:60]])
+            await client.batch([(P.BATCH_PUT, key, value) for key in keys[60:]])
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, ("127.0.0.1", server.port)
+            )
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                port = sock.getsockname()[1]
+                while not (conns := [
+                    c for c in server._conns
+                    if c.transport.get_extra_info("peername")[1] == port
+                ]):
+                    await asyncio.sleep(0.01)
+                conn = conns[0]
+                transport = conn.transport
+                transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                high = transport.get_write_buffer_limits()[1]
+                peak = 0
+                write = transport.write
+
+                def recording_write(data):
+                    nonlocal peak
+                    write(data)
+                    peak = max(peak, transport.get_write_buffer_size())
+
+                transport.write = recording_write
+                writer.write(b"".join(P.encode_scan(k, None, 50) for k in keys[:64]))
+                await writer.drain()
+                for _ in range(500):
+                    if conn.write_paused:
+                        break
+                    await asyncio.sleep(0.01)
+                reply = 4 + 1 + 4 + 50 * (4 + len(keys[0]) + 4 + len(value))
+                assert conn.write_paused
+                assert not transport.is_reading()
+                assert high < peak <= high + reply
+                assert server.requests["scan"] < 64
+                bodies = await asyncio.wait_for(_raw_replies(reader, 64), 30)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            for i, body in enumerate(bodies):
+                entries = P.decode_entries(body[1:])
+                assert body[0] == P.STATUS_OK and len(entries) == 50
+                assert entries[0] == (keys[i], value)
+            assert server.requests["scan"] == 64
+
+        run(_with_server(scenario))
+
+
+class _EchoDB:
+    """Engine double for driving a connection with no event loop running:
+    ``get(key)`` answers ``key``; nothing ever would wait."""
+
+    def get(self, key, wait=True):
+        return key
+
+
+class _FakeTransport:
+    """Records what a protocol writes; closing ends the connection."""
+
+    def __init__(self, protocol):
+        self.protocol = protocol
+        self.out = bytearray()
+        self.closed = False
+        self.eof = False
+
+    def write(self, data):
+        assert not self.eof and not self.closed
+        self.out += data
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.protocol.connection_lost(None)
+
+    def can_write_eof(self):
+        return True
+
+    def write_eof(self):
+        self.eof = True
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+def _bodies_of(stream: bytes) -> list[bytes]:
+    frames = P.FrameBuffer()
+    frames.feed(stream)
+    bodies = []
+    while (body := frames.pop()) is not None:
+        bodies.append(body)
+    assert not len(frames)
+    return bodies
+
+
+def _chunks(stream: bytes, cuts: list[int]) -> list[bytes]:
+    points = [0, *sorted({c % (len(stream) + 1) for c in cuts}), len(stream)]
+    return [stream[a:b] for a, b in zip(points, points[1:]) if b > a]
+
+
+_keys = st.lists(st.binary(min_size=0, max_size=40), min_size=1, max_size=12)
+_cuts = st.one_of(
+    st.just("bytewise"),
+    st.lists(st.integers(min_value=0, max_value=4096), max_size=20),
+)
+_bad = st.sampled_from([None, 0, P.MAX_FRAME + 1, 0xFFFFFFFF])
+
+
+class TestFrameParser:
+    @staticmethod
+    def _split(stream: bytes, cuts) -> list[bytes]:
+        if cuts == "bytewise":
+            return [stream[i:i + 1] for i in range(len(stream))]
+        return _chunks(stream, cuts)
+
+    @staticmethod
+    def _tail(bad) -> bytes:
+        return b"" if bad is None else bad.to_bytes(4, "big") + b"\x02trailing junk"
+
+    @given(keys=_keys, cuts=_cuts, bad=_bad)
+    @settings(max_examples=150, deadline=None)
+    def test_server_answers_every_chunking_alike(self, keys, cuts, bad):
+        """Requests split anywhere are answered in order, one answer per
+        frame; a bad length is refused only after every frame in front of
+        it is answered."""
+        from repro.serve.server import _Conn
+
+        server = ShardServer(_EchoDB(), executor_threads=1)
+        server._loop = asyncio.new_event_loop()
+        try:
+            conn = _Conn(server)
+            conn.connection_made(_FakeTransport(conn))
+            stream = b"".join(P.encode_get(k) for k in keys) + self._tail(bad)
+            for chunk in self._split(stream, cuts):
+                conn.data_received(chunk)
+            replies = _bodies_of(bytes(conn.transport.out))
+            assert replies[: len(keys)] == [bytes([P.STATUS_OK]) + k for k in keys]
+            if bad is None:
+                assert len(replies) == len(keys) and not conn.transport.eof
+            else:
+                assert len(replies) == len(keys) + 1
+                assert replies[-1][0] == P.STATUS_ERROR
+                assert b"bad frame length" in replies[-1]
+                assert conn.transport.eof and server.protocol_errors == 1
+            assert server.requests == {"get": len(keys)}
+            assert (server.inline, server.hopped) == (len(keys), 0)
+        finally:
+            server._loop.close()
+            server._pool.shutdown()
+
+    @given(keys=_keys, cuts=_cuts, bad=_bad)
+    @settings(max_examples=150, deadline=None)
+    def test_client_resolves_every_chunking_alike(self, keys, cuts, bad):
+        """Replies split anywhere resolve the pending futures in order; a
+        bad length fails the futures it leaves unresolved."""
+        from repro.serve.client import _ReplyProtocol
+
+        loop = asyncio.new_event_loop()
+        try:
+            protocol = _ReplyProtocol(loop)
+            protocol.connection_made(_FakeTransport(protocol))
+            waiters = [loop.create_future() for _ in range(len(keys) + 1)]
+            protocol.waiters.extend(waiters)
+            bodies = [bytes([P.STATUS_OK]) + k for k in keys]
+            stream = b"".join(len(b).to_bytes(4, "big") + b for b in bodies)
+            for chunk in self._split(stream + self._tail(bad), cuts):
+                protocol.data_received(chunk)
+            assert [w.result() for w in waiters[:-1]] == bodies
+            if bad is None:
+                assert not waiters[-1].done() and not protocol.transport.closed
+            else:
+                assert protocol.transport.closed
+                assert isinstance(waiters[-1].exception(), ConnectionError)
+        finally:
+            loop.close()
+
+    @given(keys=_keys, cuts=_cuts)
+    @settings(max_examples=100, deadline=None)
+    def test_buffer_pops_what_was_fed(self, keys, cuts):
+        stream = b"".join(P.encode_get(k) for k in keys)
+        frames = P.FrameBuffer()
+        got = []
+        for chunk in self._split(stream, cuts):
+            frames.feed(chunk)
+            while (body := frames.pop()) is not None:
+                got.append(body)
+        assert got == [bytes([P.OP_GET]) + k for k in keys]
+        assert len(frames) == 0
