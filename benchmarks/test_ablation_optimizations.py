@@ -36,6 +36,10 @@ VARIANTS = [
     ("BlockDB (full)", {}),
     ("table compaction only", {"compaction_style": "table"}),
     ("pure block compaction", {"compaction_style": "block"}),
+    (
+        "pure block, no parallel merging",
+        {"compaction_style": "block", "parallel_merging": False},
+    ),
     ("no parallel merging", {"parallel_merging": False}),
     ("no lazy deletion", {"lazy_deletion": False}),
     (
@@ -85,9 +89,12 @@ def test_ablation(benchmark, scale):
     assert data["pure block compaction"][2] <= data["BlockDB (full)"][2] * 1.05
     assert data["pure block compaction"][3] >= data["BlockDB (full)"][3]
 
-    # Parallel merging: same logical work, more simulated time without it.
+    # Parallel merging: same logical work, more simulated time without it —
+    # in the block style as in the selective one.
     assert data["no parallel merging"][1] >= data["BlockDB (full)"][1]
     assert data["no parallel merging"][2] == pytest.approx(data["BlockDB (full)"][2], rel=0.01)
+    assert data["pure block compaction"][1] < data["pure block, no parallel merging"][1]
+    assert data["pure block compaction"][2] == data["pure block, no parallel merging"][2]
 
     # Lazy deletion batches directory scans.
     assert data["BlockDB (full)"][4] < data["no lazy deletion"][4]

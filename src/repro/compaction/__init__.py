@@ -13,7 +13,6 @@ from .block_compaction import (
     block_compact_file,
     find_dirty_blocks,
     partition_parent_slices,
-    run_block_compaction,
 )
 from .lazy_deletion import DeletionManager
 from .parallel import SubtaskExecutor, lpt_makespan
@@ -26,7 +25,12 @@ from .policy import (
     TieredPolicy,
     make_policy,
 )
-from .selective import SelectiveDecision, decide, run_selective_compaction
+from .selective import (
+    SelectiveDecision,
+    decide,
+    run_block_compaction,
+    run_selective_compaction,
+)
 from .tuner import CompactionTuner, TunerDecision
 from .table_compaction import (
     build_output_tables,

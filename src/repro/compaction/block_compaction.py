@@ -519,35 +519,3 @@ def collect_parent_entries(env: CompactionEnv, task: CompactionTask) -> list[Par
             )
         )
 
-
-def run_block_compaction(env: CompactionEnv, task: CompactionTask) -> CompactionResult:
-    """Drive Block Compaction for a whole task (one parent file against all
-    of its overlapped child SSTables)."""
-    if not task.child_files:
-        raise ValueError("block compaction requires overlapped child files")
-    write_start = env.fs.stats.per_category[CAT_COMPACTION].bytes_written
-    read_start = env.fs.stats.per_category[CAT_COMPACTION].bytes_read
-
-    parent_entries = collect_parent_entries(env, task)
-    slices = partition_parent_slices(parent_entries, task.child_files)
-
-    result = CompactionResult(kind="block")
-    for child_meta, parent_slice in zip(task.child_files, slices):
-        if not parent_slice:
-            continue
-        new_meta, _stats = block_compact_file(env, parent_slice, child_meta, task.child_level)
-        apply_block_update(result, task.child_level, child_meta, new_meta)
-
-    env.fs.stats.charge_time(
-        env.fs.device.merge_cpu_cost(sum(f.file_size for f in task.parent_files)),
-        CAT_COMPACTION,
-    )
-    for meta in task.parent_files:
-        result.edit.deleted_files.append((task.parent_level, meta.file_number))
-    result.obsolete_files.extend(task.parent_files)
-
-    result.bytes_written = (
-        env.fs.stats.per_category[CAT_COMPACTION].bytes_written - write_start
-    )
-    result.bytes_read = env.fs.stats.per_category[CAT_COMPACTION].bytes_read - read_start
-    return result

@@ -105,7 +105,7 @@ class CompactionPicker:
                 best_level = level
         if best_level >= 0:
             parents = self._policy.select_parents(self, version, best_level)
-            return self._build_task(version, best_level, parents, reason="size")
+            return self.build_task(version, best_level, parents, reason="size")
         return self._pick_seek_compaction(version)
 
     def _pick_seek_compaction(self, version: Version) -> CompactionTask | None:
@@ -117,7 +117,7 @@ class CompactionPicker:
                     # below an older file that still holds the same keys,
                     # and reads would return the older value.
                     parents = self.expand_level0(version, meta) if level == 0 else [meta]
-                    return self._build_task(version, level, parents, reason="seek")
+                    return self.build_task(version, level, parents, reason="seek")
             # The file was compacted away in the meantime.
             del self._seek_candidates[file_number]
         return None
@@ -153,9 +153,12 @@ class CompactionPicker:
                     changed = True
         return chosen
 
-    def _build_task(
+    def build_task(
         self, version: Version, level: int, parents: list[FileMetadata], reason: str
     ) -> CompactionTask:
+        """``parents`` at ``level`` against every ``level + 1`` file their
+        user-key span overlaps — the task every picked or manual compaction
+        runs."""
         lo = min(f.smallest_user_key for f in parents)
         hi = max(f.largest_user_key for f in parents)
         children = version.overlapping_files(level + 1, lo, hi)

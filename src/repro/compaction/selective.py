@@ -15,6 +15,10 @@ three per-level thresholds:
    Table Compaction wins; otherwise Block Compaction minimizes write
    amplification.
 
+The block style is the same driver with the rule fixed to Block Compaction
+for every child its parent slice touches (:func:`run_block_compaction`), so
+both styles get Parallel Merging and the offload pool from one loop.
+
 L0 -> L1 compactions never reach this module (L0 files overlap arbitrarily,
 so block-grained reuse cannot apply — the DB routes them to Table
 Compaction directly).
@@ -23,6 +27,7 @@ Compaction directly).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core.version import FileMetadata
 from ..storage.io_stats import CAT_COMPACTION
@@ -111,6 +116,29 @@ def _table_rewrite_subtask(
     )
 
 
+def _always_block(
+    env: CompactionEnv,
+    parent_slice: list[ParentEntry],
+    child_meta: FileMetadata,
+    child_level: int,
+) -> SelectiveDecision:
+    """The block style's fixed rule: Block Compaction for every child its
+    parent slice touches.  It opens no reader and scans no index —
+    :func:`block_compact_file` runs ``FindDirtyBlocks`` itself inside the
+    sub-task, so table-cache opens and device charges come in child order."""
+    if not parent_slice:
+        return SelectiveDecision(child_meta.file_number, "skip", "empty-slice")
+    return SelectiveDecision(child_meta.file_number, "block", "block")
+
+
+def run_block_compaction(
+    env: CompactionEnv, task: CompactionTask, executor: SubtaskExecutor
+) -> CompactionResult:
+    """The block style: :func:`run_selective_compaction`'s driver with the
+    per-child rule fixed to :func:`_always_block`."""
+    return _run_per_child(env, task, executor, _always_block, "block")
+
+
 def run_selective_compaction(
     env: CompactionEnv,
     task: CompactionTask,
@@ -118,26 +146,38 @@ def run_selective_compaction(
     decisions_out: list[SelectiveDecision] | None = None,
 ) -> CompactionResult:
     """Drive one parent file against its overlapped children, choosing the
-    scheme per child and running the per-child sub-tasks on ``executor``
-    (Parallel Merging).
+    scheme per child with Algorithm 4 (:func:`decide`)."""
+    return _run_per_child(env, task, executor, decide, "selective", decisions_out)
+
+
+def _run_per_child(
+    env: CompactionEnv,
+    task: CompactionTask,
+    executor: SubtaskExecutor,
+    rule: Callable[..., SelectiveDecision],
+    kind: str,
+    decisions_out: list[SelectiveDecision] | None = None,
+) -> CompactionResult:
+    """The one per-child driver: ``rule`` picks each child's scheme, and the
+    per-child sub-tasks run on ``executor`` (Parallel Merging).
 
     When the executor holds an offload pool the block subtasks' merge
     compute runs on it (DESIGN.md §11); their I/O and commit bookkeeping
     stay here."""
     if not task.child_files:
-        raise ValueError("selective compaction requires overlapped child files")
+        raise ValueError(f"{kind} compaction requires overlapped child files")
     write_start = env.fs.stats.per_category[CAT_COMPACTION].bytes_written
     read_start = env.fs.stats.per_category[CAT_COMPACTION].bytes_read
 
     parent_entries = collect_parent_entries(env, task)
     slices = partition_parent_slices(parent_entries, task.child_files)
 
-    result = CompactionResult(kind="selective")
+    result = CompactionResult(kind=kind)
     table_sub = 0
     block_sub = 0
     subtasks = []
     for child_meta, parent_slice in zip(task.child_files, slices):
-        decision = decide(env, parent_slice, child_meta, task.child_level)
+        decision = rule(env, parent_slice, child_meta, task.child_level)
         if decisions_out is not None:
             decisions_out.append(decision)
         if decision.compaction_type == "skip":

@@ -61,16 +61,14 @@ from ..bloom.bloom import _hash_pair
 from ..cache.block_cache import BlockCache
 from ..cache.table_cache import TableCache
 from ..compaction.base import CompactionResult, CompactionTask
-from ..compaction.block_compaction import run_block_compaction
 from ..compaction.lazy_deletion import DeletionManager
 from ..compaction.parallel import SubtaskExecutor
 from ..compaction.picker import CompactionPicker
 from ..compaction.policy import make_policy
-from ..compaction.selective import run_selective_compaction
+from ..compaction.selective import run_block_compaction, run_selective_compaction
 from ..compaction.tuner import CompactionTuner
 from ..compaction.table_compaction import (
     can_trivially_move,
-    merge_into_tables,
     run_table_compaction,
     run_trivial_move,
 )
@@ -235,8 +233,6 @@ class DB:
             if self.options.kv_separation
             else None
         )
-        #: Re-entrancy guard: a GC re-put can fill the memtable, whose flush
-        #: runs compactions, whose completion would otherwise start GC again.
         self.version = Version(self.options.max_levels)
         self.snapshots = SnapshotRegistry()
         # One coarse engine lock: concurrent readers and a writer may share
@@ -1192,7 +1188,9 @@ class DB:
         """Which scheme handles ``task`` (overridable hook).
 
         L0 parents always use Table Compaction: L0 files overlap each other,
-        so block-grained reuse does not apply (paper Section IV-A).
+        so block-grained reuse does not apply (paper Section IV-A).  So does
+        a level rewrite (a task with no parent files, :meth:`compact_all`'s
+        bottom pass): there is no parent slice to merge into blocks.
 
         Seek-triggered compactions also use Table Compaction: they exist to
         optimize the read path (Section V-G), and appending blocks would
@@ -1206,7 +1204,7 @@ class DB:
         ``Options.compaction_style`` — so the default leveled policy with
         no overrides behaves exactly as before.
         """
-        if task.parent_level == 0 or not task.child_files:
+        if task.parent_level == 0 or not task.child_files or not task.parent_files:
             return COMPACTION_TABLE
         if task.reason == "seek":
             return COMPACTION_TABLE
@@ -1247,7 +1245,7 @@ class DB:
         files nothing else references yet."""
         if self.vlog is not None:
             # Discard a failed prior attempt's drop observations (see
-            # _build_flush_file) so retries never double-fold dead bytes.
+            # _build_flush) so retries never double-fold dead bytes.
             self.vlog.take_pending_dead()
         tracer = self.tracer
         if tracer.enabled:
@@ -1282,7 +1280,7 @@ class DB:
             if style == COMPACTION_TABLE:
                 result = run_table_compaction(self, task)
             elif style == COMPACTION_BLOCK:
-                result = run_block_compaction(self, task)
+                result = run_block_compaction(self, task, self._subtasks)
             elif style == COMPACTION_SELECTIVE:
                 result = run_selective_compaction(self, task, self._subtasks)
             else:  # pragma: no cover - options.validate() rejects this
@@ -1323,10 +1321,12 @@ class DB:
                 },
             )
         try:
-            self.picker.advance_pointer(task)
-            result.edit.compact_pointers.append(
-                (task.parent_level, self.picker.compact_pointer[task.parent_level])
-            )
+            if task.parent_files:
+                # A level rewrite (no parent files) starts no round-robin.
+                self.picker.advance_pointer(task)
+                result.edit.compact_pointers.append(
+                    (task.parent_level, self.picker.compact_pointer[task.parent_level])
+                )
             result.edit.next_file_number = self._next_file_number
             if self.vlog is not None:
                 # Fold the drops this compaction observed into its own edit:
@@ -1437,12 +1437,20 @@ class DB:
     def compact_all(self) -> None:
         """Drain every level into the deepest non-empty level (manual full
         compaction, used by tests and experiment setup): an unbounded
-        :meth:`compact_range`, then the bottom level rewritten in place."""
+        :meth:`compact_range`, then the bottom level rewritten in place —
+        a task with no parent files, so the shadowed versions and
+        unprotected tombstones that reached the bottom are collected
+        (LevelDB's CompactRange has the same follow-up pass)."""
         self._check_open()
         with self._background_paused():
             with self._lock:
                 self._compact_range_locked(None, None)
-                self._rewrite_bottom_level()
+                level = self.version.deepest_nonempty_level()
+                files = list(self.version.files_at(level))
+                if files:
+                    self.run_compaction(
+                        CompactionTask(level - 1, [], files, reason="manual")
+                    )
 
     def _drain_immutable_locked(self) -> None:
         """Land a pending frozen memtable inline (manual compactions run
@@ -1474,17 +1482,11 @@ class DB:
                     overlapping = self.version.overlapping_files(level, begin, end)
                     if not overlapping:
                         break
-                    meta = overlapping[0]
-                    children = self.version.overlapping_files(
-                        level + 1, meta.smallest_user_key, meta.largest_user_key
+                    self.run_compaction(
+                        self.picker.build_task(
+                            self.version, level, overlapping[:1], reason="manual"
+                        )
                     )
-                    task = CompactionTask(
-                        parent_level=level,
-                        parent_files=[meta],
-                        child_files=children,
-                        reason="manual",
-                    )
-                    self.run_compaction(task)
                     moved = True
             if not moved:
                 break
@@ -1642,39 +1644,6 @@ class DB:
         self.stats.count_gets(len(keys), len(keys) - values.count(None))
         self._charge_seeks(charges, wait)
         return dict(zip(keys, values))
-
-    def _rewrite_bottom_level(self) -> None:
-        """Rewrite the deepest level in place, dropping shadowed versions
-        and unprotected tombstones that accumulated there.
-
-        Ordinary compactions only merge *into* a level, so garbage that
-        reaches the bottom has no natural collection point; LevelDB's
-        CompactRange has the same follow-up pass.
-        """
-        level = self.version.deepest_nonempty_level()
-        files = list(self.version.files_at(level))
-        if not files:
-            return
-        write_start = self.fs.stats.per_category[CAT_COMPACTION].bytes_written
-        if self.vlog is not None:
-            self.vlog.take_pending_dead()
-        outputs = merge_into_tables(self, files, level)
-        edit = VersionEdit(next_file_number=self._next_file_number)
-        if self.vlog is not None:
-            edit.vlog_dead = self.vlog.take_pending_dead()
-        for meta in files:
-            edit.deleted_files.append((level, meta.file_number))
-        for meta in outputs:
-            edit.new_files.append((level, meta))
-        self._apply_edit(edit)
-        for meta in outputs:
-            self._open_built(meta, CAT_COMPACTION)
-        self.deletion_manager.retire(files)
-        written = self.fs.stats.per_category[CAT_COMPACTION].bytes_written - write_start
-        self.stats.charge_level_write(level, written)
-        self.stats.compaction_bytes_written += written
-        self.stats.table_compactions += 1
-        self._observe_space()
 
     def _observe_space(self) -> None:
         total = self.version.total_file_bytes() + self.deletion_manager.pending_bytes

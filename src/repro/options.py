@@ -200,8 +200,9 @@ class Options:
     #: Compaction sub-tasks then run on a real thread pool instead of the
     #: deterministic simulated-makespan rebate (Parallel Merging).
     background_compaction: bool = False
-    #: Run each block-compaction subtask's merge *compute* (decode, k-way
-    #: merge, block rebuild, CRC) on an offload pool (DESIGN.md §11):
+    #: Run the merge *compute* (decode, k-way merge, block rebuild, CRC) of
+    #: every Block Compaction sub-task — block and selective styles alike —
+    #: on an offload pool (DESIGN.md §11):
     #: ``"none"`` (default) keeps it in-process, ``"process"`` uses a
     #: persistent process pool so the compute escapes the GIL.  Enabling
     #: offload also runs the subtasks on real threads (as
@@ -219,6 +220,9 @@ class Options:
     compaction_offload_shm_bytes: int = 64 * 1024
 
     # --- Optimizations (Section IV) -------------------------------------------
+    #: Parallel Merging (Section IV-B): charge the per-child sub-tasks of
+    #: every block or selective compaction as if ``compaction_workers`` ran
+    #: them at once (the inline executor's makespan rebate, DESIGN.md §7).
     parallel_merging: bool = False
     compaction_workers: int = 4
     lazy_deletion: bool = False

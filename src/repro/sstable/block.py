@@ -208,7 +208,7 @@ class DataBlock:
     @classmethod
     def parse(cls, payload: bytes, payload_len: int | None = None) -> "DataBlock":
         """Decode a block payload produced by
-        :class:`~repro.sstable.block_builder.BlockBuilder`.
+        :class:`~repro.sstable.block_builder.BlockCutter`.
 
         ``payload_len`` (default: the whole buffer) bounds the payload span
         so raw stored blocks can be decoded in place without slicing the

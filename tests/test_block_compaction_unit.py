@@ -16,8 +16,9 @@ from repro.compaction.block_compaction import (
     block_compact_file,
     find_dirty_blocks,
     partition_parent_slices,
-    run_block_compaction,
 )
+from repro.compaction.parallel import SubtaskExecutor
+from repro.compaction.selective import run_block_compaction
 from repro.core.version import Version, VersionEdit, new_file_metadata
 from repro.keys import TYPE_DELETION, TYPE_VALUE, comparable_key, make_internal_key
 from repro.metrics.stats import DBStats
@@ -308,6 +309,11 @@ class TestBlockCompactFile:
             pool.close()
 
 
+def inline(env):
+    """The sub-task executor a default (synchronous) DB would own."""
+    return SubtaskExecutor(env.fs.stats, env.options)
+
+
 class TestRunBlockCompaction:
     def test_task_updates_children_and_drops_parent(self):
         env = FakeEnv()
@@ -315,7 +321,7 @@ class TestRunBlockCompaction:
         child_b = env.build([k(i) for i in range(30, 50, 2)], level=2, register=2)
         parent = env.build([k(3), k(33)], level=1, seq_start=500, register=1)
         task = CompactionTask(1, [parent], [child_a, child_b])
-        result = run_block_compaction(env, task)
+        result = run_block_compaction(env, task, inline(env))
         assert result.kind == "block"
         assert {n for _l, n in result.edit.deleted_files} == {parent.file_number}
         assert len(result.edit.updated_files) == 2
@@ -332,7 +338,7 @@ class TestRunBlockCompaction:
         child_b = env.build([k(i) for i in range(20, 30)], level=2, register=2)
         parent = env.build([k(5)], level=1, seq_start=500, register=1)
         task = CompactionTask(1, [parent], [child_a, child_b])
-        result = run_block_compaction(env, task)
+        result = run_block_compaction(env, task, inline(env))
         updated = {m.file_number for _l, m in result.edit.updated_files}
         assert updated == {child_a.file_number}
 
@@ -340,4 +346,4 @@ class TestRunBlockCompaction:
         env = FakeEnv()
         parent = env.build([k(1)], level=1, register=1)
         with pytest.raises(ValueError):
-            run_block_compaction(env, CompactionTask(1, [parent], []))
+            run_block_compaction(env, CompactionTask(1, [parent], []), inline(env))

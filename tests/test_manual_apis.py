@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import kv, make_db
+from repro.storage.io_stats import CAT_COMPACTION
 
 
 def load(db, n=600, seed=2):
@@ -65,6 +66,50 @@ class TestCompactRange:
         assert direct.fs.stats.sim_time_s == staged.fs.stats.sim_time_s
         direct.close()
         staged.close()
+
+    def test_compact_all_records_the_bottom_rewrite_as_a_task(self, monkeypatch):
+        """The bottom pass is an ordinary compaction task: one table/manual
+        event whose read bytes are the merge's compaction reads, with the
+        merge CPU charged, and no compact pointer moved."""
+        import repro.core.db as db_module
+
+        merge_reads = []
+        run_table_compaction = db_module.run_table_compaction
+
+        def measured(env, task):
+            before = env.fs.stats.per_category[CAT_COMPACTION].bytes_read
+            result = run_table_compaction(env, task)
+            merge_reads.append(env.fs.stats.per_category[CAT_COMPACTION].bytes_read - before)
+            return result
+
+        monkeypatch.setattr(db_module, "run_table_compaction", measured)
+        db = make_db("table")
+        load(db)
+        for i in range(100, 200):
+            db.put(kv(i)[0], b"v2-%d" % i)
+        db.compact_range()
+        bottom = list(db.version.files_at(db.version.deepest_nonempty_level()))
+        events = len(db.stats.events)
+        pointers = list(db.picker.compact_pointer)
+        del merge_reads[:]
+        charges = []
+        charge_time = db.fs.stats.charge_time
+
+        def recording(seconds, category="other"):
+            charges.append((seconds, category))
+            charge_time(seconds, category)
+
+        db.fs.stats.charge_time = recording
+        db.compact_all()
+        [event] = db.stats.events[events:]
+        assert (event.kind, event.reason) == ("table", "manual")
+        assert event.child_level == db.version.deepest_nonempty_level()
+        assert [event.bytes_read] == merge_reads
+        assert event.bytes_read > 0
+        merge_cpu = db.fs.device.merge_cpu_cost(sum(f.file_size for f in bottom))
+        assert (merge_cpu, CAT_COMPACTION) in charges
+        assert db.picker.compact_pointer == pointers
+        db.close()
 
     def test_compact_all_with_more_bottom_files_than_table_cache_slots(self):
         """The bottom rewrite streams every bottom-level file at once; with

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.keys import TYPE_DELETION, TYPE_VALUE, comparable_key, make_internal_key
 from repro.metrics.stats import DBStats
-from repro.options import COMPACTION_SELECTIVE, Options
+from repro.options import COMPACTION_BLOCK, COMPACTION_SELECTIVE, Options
 from repro.sstable import TableBuilder, TableReader
 from repro.storage.fs import SimulatedFS
 from repro.vlog import VlogManager, encode_pointer
@@ -624,52 +624,75 @@ class TestDBWithOffload:
         Deeper levels overlap many block compactions' ranges without holding
         their tombstoned keys, which is where two tombstone rules would
         diverge."""
-        rng = random.Random(29)
-        ops = []
-        for _ in range(3000):
-            key = b"key%05d" % rng.randrange(2000)
-            value = None if rng.random() < 0.25 else b"v" * rng.randrange(8, 48)
-            ops.append((key, value))
-
-        def run(offload):
-            fs = SimulatedFS()
-            db = DB(
-                fs,
-                tiny_options(
-                    compaction_style=COMPACTION_SELECTIVE,
-                    compaction_offload=offload,
-                    compaction_offload_mp_context="fork",
-                    compaction_workers=2,
-                    kv_separation=kv_separation,
-                    kv_separation_threshold=24,
-                ),
-                seed=1,
-            )
-            for key, value in ops:
-                if value is None:
-                    db.delete(key)
-                else:
-                    db.put(key, value)
-            scan = db.scan()
-            stats = db.stats
-            outcome = {
-                "scan": scan,
-                "compaction_bytes_written": stats.compaction_bytes_written,
-                "write_amplification": stats.write_amplification(),
-                "block_compactions": stats.block_compactions,
-                "vlog_dead_bytes_observed": stats.vlog_dead_bytes_observed,
-                "vlog_ledger": sorted(db.version.vlog.items()),
-            }
-            db.close()
-            outcome["sst_contents"] = sorted(
-                fs._read(name, 0, fs.file_size(name))
-                for name in fs.list_dir()
-                if name.endswith(".sst")
-            )
-            return outcome
-
-        in_process, offloaded = run("none"), run("process")
+        in_process = _seeded_run(COMPACTION_SELECTIVE, "none", kv_separation)
+        offloaded = _seeded_run(COMPACTION_SELECTIVE, "process", kv_separation)
         assert in_process["block_compactions"] > 0
         if kv_separation:
             assert in_process["vlog_dead_bytes_observed"] > 0
         assert offloaded == in_process
+
+    def test_block_style_offloads_and_writes_what_the_in_process_run_writes(
+        self, monkeypatch
+    ):
+        """The block style runs the selective driver, so its sub-tasks ship
+        to the offload pool too, and the offloaded run writes the bytes the
+        in-process run does."""
+        jobs = []
+        run = OffloadPool.run
+
+        def counted(pool, job):
+            jobs.append(job)
+            return run(pool, job)
+
+        monkeypatch.setattr(OffloadPool, "run", counted)
+        in_process = _seeded_run(COMPACTION_BLOCK, "none", False)
+        assert in_process["block_compactions"] > 0 and not jobs
+        offloaded = _seeded_run(COMPACTION_BLOCK, "process", False)
+        assert jobs
+        assert offloaded == in_process
+
+
+def _seeded_run(style, offload, kv_separation):
+    """The differential load of :class:`TestDBWithOffload`: what one seeded
+    op list leaves behind under ``style`` and ``offload``."""
+    rng = random.Random(29)
+    ops = []
+    for _ in range(3000):
+        key = b"key%05d" % rng.randrange(2000)
+        value = None if rng.random() < 0.25 else b"v" * rng.randrange(8, 48)
+        ops.append((key, value))
+    fs = SimulatedFS()
+    db = DB(
+        fs,
+        tiny_options(
+            compaction_style=style,
+            compaction_offload=offload,
+            compaction_offload_mp_context="fork",
+            compaction_workers=2,
+            kv_separation=kv_separation,
+            kv_separation_threshold=24,
+        ),
+        seed=1,
+    )
+    for key, value in ops:
+        if value is None:
+            db.delete(key)
+        else:
+            db.put(key, value)
+    scan = db.scan()
+    stats = db.stats
+    outcome = {
+        "scan": scan,
+        "compaction_bytes_written": stats.compaction_bytes_written,
+        "write_amplification": stats.write_amplification(),
+        "block_compactions": stats.block_compactions,
+        "vlog_dead_bytes_observed": stats.vlog_dead_bytes_observed,
+        "vlog_ledger": sorted(db.version.vlog.items()),
+    }
+    db.close()
+    outcome["sst_contents"] = sorted(
+        fs._read(name, 0, fs.file_size(name))
+        for name in fs.list_dir()
+        if name.endswith(".sst")
+    )
+    return outcome

@@ -101,6 +101,29 @@ class TestSubtaskExecutorInline:
         serial.close()
         parallel.close()
 
+    def test_block_style_gets_the_rebate(self):
+        """The block style runs the selective driver with its rule fixed, so
+        Parallel Merging rebates its per-child sub-tasks too: the same files
+        and WA, less simulated time."""
+        import random
+
+        order = list(range(800))
+        random.Random(42).shuffle(order)
+        runs = {}
+        for parallel_merging in (False, True):
+            db = make_db("block", parallel_merging=parallel_merging, compaction_workers=4)
+            for i in order:
+                db.put(*kv(i))
+            runs[parallel_merging] = db
+        serial, parallel = runs[False], runs[True]
+        assert parallel.stats.block_compactions > 0
+        assert parallel._subtasks.last_rebate > 0
+        assert parallel.io_stats.sim_time_s < serial.io_stats.sim_time_s
+        assert parallel.fs.digest() == serial.fs.digest()
+        assert parallel.stats.write_amplification() == serial.stats.write_amplification()
+        serial.close()
+        parallel.close()
+
 
 class _Env:
     def __init__(self, lazy: bool, threshold: int = 10_000):

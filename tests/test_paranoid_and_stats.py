@@ -52,8 +52,11 @@ class TestCompactAllIdempotent:
         db.compact_all()
         events_after_first = len(db.stats.events)
         db.compact_all()
-        # only re-flushing could add events; nothing to do -> no new ones
-        assert len(db.stats.events) == events_after_first
+        # nothing to flush or drain: the only new event is the bottom-level
+        # rewrite every compact_all ends with
+        [rewrite] = db.stats.events[events_after_first:]
+        assert (rewrite.kind, rewrite.reason) == ("table", "manual")
+        assert rewrite.child_level == db.version.deepest_nonempty_level()
         db.close()
 
     def test_empty_db(self):

@@ -242,6 +242,7 @@ class TestGranularityRouting:
                     "parent_level": 1,
                     "child_level": 2,
                     "reason": "size",
+                    "parent_files": [meta(98, b"a", b"z")],
                     "child_files": [meta(99, b"a", b"z")],
                 },
             )()
