@@ -1,7 +1,7 @@
 """Compaction-policy matrix: WA/throughput/p99 per policy, plus the tuner.
 
 Runs the same keyed workloads under every compaction policy (DESIGN.md
-§14) — leveled, tiered, lazy_leveled, one_leveling — across YCSB-style
+§14) — leveled, tiered, one_leveling — across YCSB-style
 operation mixes and Zipfian skews: ``python benchmarks/perf/run.py
 compaction_policies``.  Two adaptive scenarios then pit the online tuner
 against the static policies on workloads whose character *shifts* mid-run
@@ -20,10 +20,8 @@ that the manifest never persists.
 The design-space claims the matrix reproduces:
 
 * **tiered** beats **leveled** on write-heavy mixes by >= 1.5x lower WA
-  (the overfill factor amortizes child rewrites; gated),
-  while leveled wins p99 reads (fewer, sorted runs);
-* **lazy_leveled** sits between them: tiering's cheap upper-level merges
-  with a leveled last level for reads;
+  (the overfill factor amortizes child rewrites; gated), and pays for it
+  in read p99 (deeper, overfull levels; wall clock, reported ungated);
 * the **tuner** lands within 10% of the best static policy on the
   hotspot-shift scenario *without knowing the shift schedule* (the second
   gate, on simulated device seconds).  The burst scenario is
@@ -46,7 +44,7 @@ METRICS = {
     "tuner_burst_vs_best_static": ("lower", None, None),
 }
 
-POLICIES = ("leveled", "tiered", "lazy_leveled", "one_leveling")
+POLICIES = ("leveled", "tiered", "one_leveling")
 #: YCSB-flavoured operation mixes: (name, write fraction).
 MIXES = (("write_heavy", 0.95), ("balanced", 0.5), ("read_heavy", 0.05))
 SKEWS_FULL = (0.4, 0.99)

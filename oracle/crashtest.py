@@ -145,6 +145,28 @@ def build_workload(num_ops: int, seed: int, value_size: int = 0) -> list[tuple]:
     return ops
 
 
+#: With the tuner on, the workload pauses for a read phase of this many
+#: gets after every :data:`WRITE_PHASE_OPS` ops.  A phase spans at least
+#: one whole 8-op tuner window (:func:`tuner_overrides`), so the tuner sees
+#: a read-heavy window and switches back to ``leveled`` after each write
+#: phase has switched it to ``tiered``.
+READ_PHASE_OPS = 16
+WRITE_PHASE_OPS = 24
+
+
+def with_read_phases(ops: list[tuple], seed: int) -> list[tuple]:
+    """``ops`` with a phase of :data:`READ_PHASE_OPS` gets of random
+    keys after every :data:`WRITE_PHASE_OPS` ops (the tuner leg's
+    workload: the writes alone never move the tuner off ``tiered``)."""
+    rng = random.Random(seed ^ 0x6E75)
+    out: list[tuple] = []
+    for i, op in enumerate(ops, start=1):
+        out.append(op)
+        if i % WRITE_PHASE_OPS == 0:
+            out.extend(("get", _key(rng.randrange(KEYSPACE))) for _ in range(READ_PHASE_OPS))
+    return out
+
+
 def build_sharded_workload(num_ops: int, seed: int, value_size: int = 0) -> list[tuple]:
     """The single-engine workload interleaved with router edits.
 
@@ -181,6 +203,8 @@ def _apply_op(db, op: tuple) -> None:
             else:
                 batch.delete(key)
         db.write(batch)
+    elif kind == "get":
+        db.get(op[1])
     elif kind == "flush":
         db.flush()
     elif kind == "split":
@@ -395,30 +419,33 @@ class _ShardedStore:
 # ----------------------------------------------------------------- driver
 
 
-def _run_workload(target, ops: list[tuple], options: Options) -> tuple[Model, tuple | None]:
+def _run_workload(
+    target, ops: list[tuple], options: Options
+) -> tuple[Model, tuple | None, DB | ShardedDB | None]:
     """Run ``ops`` until completion or the scheduled crash fires.
 
-    Returns ``(model, pending_op)`` — the state every completed
-    (acknowledged) operation built up, and the op in flight at the crash
-    (None when the run completed, or crashed outside any op).
+    Returns ``(model, pending_op, db)`` — the state every completed
+    (acknowledged) operation built up, the op in flight at the crash
+    (None when the run completed, or crashed outside any op), and the
+    closed engine (None when the crash hit its open).
     """
     model = Model()
     try:
         db = target.open(options)
     except BaseException:  # noqa: BLE001 - crash during open
-        return model, None
+        return model, None, None
     for op in ops:
         try:
             _apply_op(db, op)
         except BaseException:  # noqa: BLE001 - crash (or its fallout)
             target.shutdown(db)
-            return model, op
+            return model, op, db
         model.apply(op)
     try:
         db.close()
     except BaseException:  # noqa: BLE001 - crash during the closing flush
         target.shutdown(db)
-    return model, None
+    return model, None, db
 
 
 def _check_recovery(target, model: Model, pending: tuple | None, options: Options) -> list[str]:
@@ -451,6 +478,9 @@ class CrashTestReport:
     points_tested: list[int] = field(default_factory=list)
     #: ``{"point": int, "violations": [str, ...]}`` per failing point.
     failures: list[dict] = field(default_factory=list)
+    #: Live policy switches in the crash-free reference run (None with
+    #: the tuner off, or on a sharded target, whose shards come and go).
+    policy_switches: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -468,6 +498,7 @@ class CrashTestReport:
             "points_tested": self.points_tested,
             "failures": self.failures,
             "passed": self.passed,
+            "policy_switches": self.policy_switches,
         }
 
     def summary(self) -> str:
@@ -475,6 +506,10 @@ class CrashTestReport:
         lines = [
             f"workload: {self.num_ops} ops (seed {self.seed}), "
             f"{self.total_sync_points} sync points",
+        ]
+        if self.policy_switches is not None:
+            lines.append(f"tuner switches in the reference run: {self.policy_switches}")
+        lines += [
             f"crashed at {len(self.points_tested)} distinct points: "
             + ("all invariants held" if self.passed else "VIOLATIONS"),
         ]
@@ -517,6 +552,8 @@ def run_crash_test(
     build = build_sharded_workload if sharded else build_workload
     ops = build(num_ops, seed, value_size=value_size)
     options = harness_options(**(options_overrides or {}))
+    if options.compaction_tuner:
+        ops = with_read_phases(ops, seed)
 
     def target(crash_at_sync: int | None = None):
         if sharded:
@@ -524,13 +561,15 @@ def run_crash_test(
         return _SingleStore(seed, crash_at_sync, repair=check_repair)
 
     baseline = target()
-    _run_workload(baseline, ops, options)
+    _model, _pending, db = _run_workload(baseline, ops, options)
     total = baseline.sync_points
 
     report = CrashTestReport(seed=seed, num_ops=num_ops, total_sync_points=total)
+    if options.compaction_tuner and not sharded:
+        report.policy_switches = db.stats.policy_switches
     for point in _subsample(total, max_points):
         crashing = target(point)
-        model, pending = _run_workload(crashing, ops, options)
+        model, pending, _db = _run_workload(crashing, ops, options)
         if not crashing.crashed:
             # Deterministic schedule: every enumerated barrier must fire.
             report.failures.append(
@@ -574,10 +613,13 @@ def tuner_overrides() -> dict:
     """Options overrides for crash-testing live policy transitions.
 
     Tiny windows, single-window hysteresis, and zero cooldown make the
-    tuner switch policies every few ops of the harness workload, so the
-    crash schedule's sync points fall inside and around the transition
-    protocol: the scheduler quiesce, the under-lock policy swap, and the
-    compaction the switch requests.  Policies are not persisted, so every
+    tuner switch on the first window that disagrees with the running
+    policy; :func:`with_read_phases` gives it read windows between the
+    write phases, so each run switches to ``tiered`` and back to
+    ``leveled`` more than once.  The crash schedule's sync points then
+    fall inside and around the transition protocol: the scheduler
+    quiesce, the under-lock policy swap, and the compaction the switch
+    requests.  Policies are not persisted, so every
     recovery must come up cleanly on the *configured* policy regardless of
     what the tuner had switched to at the crash point."""
     return {
@@ -586,6 +628,11 @@ def tuner_overrides() -> dict:
         "tuner_hysteresis_windows": 1,
         "tuner_cooldown_ops": 0,
     }
+
+
+#: The tuner leg fails unless its reference run switches at least this
+#: often: to ``tiered`` and back, so crashes land around both transitions.
+MIN_TUNER_SWITCHES = 2
 
 
 def offload_overrides() -> dict:
@@ -631,17 +678,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "registration, and GC rewrite/journal windows)")
     parser.add_argument("--tuner", action="store_true",
                         help="run every harness DB with the online compaction "
-                        "tuner on (tiny windows, zero cooldown), so crash "
-                        "points land around live policy transitions — "
+                        "tuner on (tiny windows, zero cooldown) and read "
+                        "phases between the write phases, so crash points "
+                        "land around live policy transitions both ways — "
                         "quiesce, policy swap, and the post-switch "
-                        "compaction burst")
+                        "compaction burst; exits 1 if the reference run "
+                        "switches fewer than twice")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the full report as JSON")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """0 = all invariants held, 1 = violations."""
+    """0 = all invariants held, 1 = violations (or, with ``--tuner``, a
+    reference run that switched policy fewer than
+    :data:`MIN_TUNER_SWITCHES` times)."""
     args = build_parser().parse_args(argv)
     overrides = offload_overrides() if args.offload == "process" else {}
     value_size = 0
@@ -664,6 +715,12 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"report written to {args.json}")
+    if report.policy_switches is not None and report.policy_switches < MIN_TUNER_SWITCHES:
+        print(
+            f"FAILED: the reference run switched policy {report.policy_switches} "
+            f"time(s); the tuner leg needs at least {MIN_TUNER_SWITCHES}"
+        )
+        return 1
     return 0 if report.passed else 1
 
 

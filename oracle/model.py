@@ -2,9 +2,10 @@
 
 :class:`Model` is a dict over the harness op vocabulary —
 ``("put", key, value)``, ``("delete", key)`` and ``("batch", [(kind, key,
-value), ...])``; ``flush``, ``split`` and ``merge`` move bytes, not state,
-so they are no-ops.  :meth:`Model.snapshot` freezes a copy that a checker
-holds beside an engine snapshot.
+value), ...])``; ``("get", key)`` only reads, and ``flush``, ``split`` and
+``merge`` move bytes, not state, so all four are no-ops.
+:meth:`Model.snapshot` freezes a copy that a checker holds beside an engine
+snapshot.
 
 :func:`recovery_violations` is the rule a store reopened after a crash
 must pass, given the model of every acknowledged op and the op in flight

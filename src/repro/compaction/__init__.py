@@ -19,7 +19,6 @@ from .parallel import SubtaskExecutor, lpt_makespan
 from .picker import CompactionPicker
 from .policy import (
     CompactionPolicy,
-    LazyLeveledPolicy,
     LeveledPolicy,
     OneLevelingPolicy,
     TieredPolicy,
@@ -58,7 +57,6 @@ __all__ = [
     "CompactionPolicy",
     "LeveledPolicy",
     "TieredPolicy",
-    "LazyLeveledPolicy",
     "OneLevelingPolicy",
     "make_policy",
     "CompactionTuner",

@@ -41,13 +41,9 @@ from .policy import CompactionPolicy, make_policy
 class CompactionPicker:
     """Stateful picker: owns the per-level compact pointers."""
 
-    def __init__(self, options: Options, policy: CompactionPolicy | None = None):
+    def __init__(self, options: Options):
         self._options = options
-        self._policy = (
-            policy
-            if policy is not None
-            else make_policy(options.compaction_policy, options)
-        )
+        self._policy = make_policy(options.compaction_policy, options)
         self.compact_pointer: list[bytes] = [b""] * options.max_levels
         #: Files flagged by the read path for seek compaction.
         self._seek_candidates: dict[int, int] = {}  # file_number -> level

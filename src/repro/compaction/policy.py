@@ -39,9 +39,7 @@ from __future__ import annotations
 from ..core.version import FileMetadata, Version
 from ..errors import InvalidArgumentError
 from ..options import (
-    _COMPACTION_POLICIES,
     _COMPACTION_STYLES,
-    POLICY_LAZY_LEVELED,
     POLICY_LEVELED,
     POLICY_ONE_LEVELING,
     POLICY_TIERED,
@@ -52,13 +50,9 @@ __all__ = [
     "CompactionPolicy",
     "LeveledPolicy",
     "TieredPolicy",
-    "LazyLeveledPolicy",
     "OneLevelingPolicy",
     "make_policy",
-    "POLICY_NAMES",
 ]
-
-POLICY_NAMES = _COMPACTION_POLICIES
 
 #: Tiered policies let a level grow to this many times its leveled
 #: capacity before merging the whole level down — the write/read knob.
@@ -203,33 +197,6 @@ class TieredPolicy(CompactionPolicy):
         return files
 
 
-class LazyLeveledPolicy(CompactionPolicy):
-    """Dostoevsky's lazy leveling: tiered everywhere except the merge into
-    the last level, which stays leveled.  Keeps tiering's cheap writes at
-    the small upper levels, where most merges happen, while the last level
-    — holding most data — stays a single well-sorted run for reads."""
-
-    name = POLICY_LAZY_LEVELED
-
-    def __init__(self, options: Options):
-        super().__init__(options)
-        self._tiered = TieredPolicy(options)
-        self._leveled = LeveledPolicy(options)
-
-    def _delegate(self, level: int) -> CompactionPolicy:
-        if level >= self._options.max_levels - 2:
-            return self._leveled
-        return self._tiered
-
-    def level_score(self, version: Version, level: int) -> float:
-        return self._delegate(level).level_score(version, level)
-
-    def select_parents(
-        self, picker, version: Version, level: int
-    ) -> list[FileMetadata]:
-        return self._delegate(level).select_parents(picker, version, level)
-
-
 class OneLevelingPolicy(CompactionPolicy):
     """1-leveling: all data lives in L0 plus one sorted run (L1).
 
@@ -260,7 +227,6 @@ class OneLevelingPolicy(CompactionPolicy):
 _POLICY_CLASSES = {
     POLICY_LEVELED: LeveledPolicy,
     POLICY_TIERED: TieredPolicy,
-    POLICY_LAZY_LEVELED: LazyLeveledPolicy,
     POLICY_ONE_LEVELING: OneLevelingPolicy,
 }
 

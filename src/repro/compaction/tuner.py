@@ -1,14 +1,14 @@
 """Online workload-adaptive compaction tuning (DESIGN.md §14).
 
 No static compaction policy wins across workloads: tiering is cheapest
-under write bursts, leveling under read pressure, lazy leveling in between
-(the design-space result this PR's bench matrix reproduces).  The
+under write bursts, leveling under read pressure (the design-space result
+the ``compaction_policies`` bench matrix reproduces).  The
 :class:`CompactionTuner` closes the loop at runtime: it watches the
-operation mix, stall events and seek-miss feedback the engine already
-counts — over a sliding window of ``Options.tuner_window_ops`` operations —
-and switches the live :class:`~repro.compaction.policy.CompactionPolicy`
-(and, optionally, the per-level block-vs-table granularity overrides) when
-the workload shifts.
+operation mix and stall events the engine already counts — over a sliding
+window of ``Options.tuner_window_ops`` operations — and switches the live
+:class:`~repro.compaction.policy.CompactionPolicy` (and the per-level
+block-vs-table granularity overrides) when the workload shifts.  A mixed
+window holds whatever policy is running.
 
 State machine (per evaluated window)::
 
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from ..options import (
     COMPACTION_BLOCK,
     COMPACTION_TABLE,
-    POLICY_LAZY_LEVELED,
     POLICY_LEVELED,
     POLICY_TIERED,
     Options,
@@ -71,7 +70,6 @@ class WindowStats:
     gets: int = 0
     scans: int = 0
     stalls: int = 0
-    seek_charges: int = 0
 
     @property
     def ops(self) -> int:
@@ -95,42 +93,32 @@ def decide(window: WindowStats, options: Options, current: str) -> TunerDecision
       appends at the middle levels to shed even more write amplification;
     * read-heavy -> **leveled**, table rewrites everywhere so every level
       stays fully sorted for scans and point reads;
-    * mixed (a hotspot shift lands here while reads chase the new hot set)
-      -> **lazy_leveled**, cheap upper-level merges with a sorted last
-      level, engine-default granularity.
+    * mixed -> the **current** policy: neither side dominates, so the
+      window gives no reason to pay for a transition.
     """
     ops = window.ops
     if ops == 0:
         return TunerDecision(policy=current, reason="idle window")
     write_frac = window.writes / ops
     read_frac = (window.gets + window.scans) / ops
-    adapt = options.tuner_adapt_granularity
     if write_frac >= WRITE_HEAVY_FRACTION or (
         window.stalls > 0 and write_frac >= STALLED_WRITE_FRACTION
     ):
-        granularity = (
-            {level: COMPACTION_BLOCK for level in range(1, options.max_levels - 1)}
-            if adapt
-            else {}
-        )
         return TunerDecision(
             policy=POLICY_TIERED,
-            granularity=granularity,
+            granularity={
+                level: COMPACTION_BLOCK for level in range(1, options.max_levels - 1)
+            },
             reason=f"write-heavy ({write_frac:.0%} writes, {window.stalls} stalls)",
         )
     if read_frac >= READ_HEAVY_FRACTION:
-        granularity = (
-            {level: COMPACTION_TABLE for level in range(options.max_levels)}
-            if adapt
-            else {}
-        )
         return TunerDecision(
             policy=POLICY_LEVELED,
-            granularity=granularity,
+            granularity={level: COMPACTION_TABLE for level in range(options.max_levels)},
             reason=f"read-heavy ({read_frac:.0%} reads)",
         )
     return TunerDecision(
-        policy=POLICY_LAZY_LEVELED,
+        policy=current,
         reason=f"mixed ({write_frac:.0%} writes, {read_frac:.0%} reads)",
     )
 
@@ -158,14 +146,13 @@ class CompactionTuner:
 
     # -- window accounting -------------------------------------------------
 
-    def _snapshot(self) -> tuple[int, int, int, int, int]:
+    def _snapshot(self) -> tuple[int, int, int, int]:
         stats = self._db.stats
         return (
             stats.user_writes + stats.user_deletes,
             stats.gets,
             stats.scans,
             stats.stall_events,
-            stats.seek_miss_charges,
         )
 
     def record_op(self) -> None:
@@ -193,7 +180,6 @@ class CompactionTuner:
             gets=now[1] - base[1],
             scans=now[2] - base[2],
             stalls=now[3] - base[3],
-            seek_charges=now[4] - base[4],
         )
         self.windows_evaluated += 1
         decision = decide(window, self._options, current)

@@ -29,19 +29,12 @@ _COMPACTION_STYLES = (COMPACTION_TABLE, COMPACTION_BLOCK, COMPACTION_SELECTIVE)
 #: granularity styles above (DESIGN.md §14).  ``leveled`` is LevelDB's
 #: score-and-round-robin policy (the default, and the behavior every
 #: paper figure uses); ``tiered`` lets levels overfill and merges them
-#: wholesale to trade read cost for write amplification; ``lazy_leveled``
-#: is tiered everywhere except the level feeding the last one (Dostoevsky's
-#: lazy leveling); ``one_leveling`` keeps all data in L0 + one sorted run.
+#: wholesale to trade read cost for write amplification; ``one_leveling``
+#: keeps all data in L0 + one sorted run.
 POLICY_LEVELED = "leveled"
 POLICY_TIERED = "tiered"
-POLICY_LAZY_LEVELED = "lazy_leveled"
 POLICY_ONE_LEVELING = "one_leveling"
-_COMPACTION_POLICIES = (
-    POLICY_LEVELED,
-    POLICY_TIERED,
-    POLICY_LAZY_LEVELED,
-    POLICY_ONE_LEVELING,
-)
+_COMPACTION_POLICIES = (POLICY_LEVELED, POLICY_TIERED, POLICY_ONE_LEVELING)
 
 #: Bloom filter placement.  ``block`` keeps one filter per data block and
 #: stores per-block offsets (LevelDB 1.20); ``table`` keeps one filter per
@@ -167,15 +160,15 @@ class Options:
     # --- Compaction policy + online tuner (DESIGN.md §14) -----------------------
     #: Picking discipline: which level compacts next and with which inputs.
     #: ``leveled`` (the default) is today's LevelDB-style picker,
-    #: bit-identical to the pre-policy engine; ``tiered``, ``lazy_leveled``
-    #: and ``one_leveling`` trade read cost for write amplification.  The
+    #: bit-identical to the pre-policy engine; ``tiered`` and
+    #: ``one_leveling`` trade read cost for write amplification.  The
     #: policy is a property of the *open*, not the store: any policy can
     #: read any store, because every policy maintains the same disjoint
     #: per-level invariant (tiering is expressed as overfill-then-merge).
     compaction_policy: str = POLICY_LEVELED
-    #: Run the online workload tuner: watch the operation mix, stall and
-    #: seek feedback over a sliding window and switch ``compaction_policy``
-    #: (and per-level granularity) live as the workload shifts.  Off by
+    #: Run the online workload tuner: watch the operation mix and stall
+    #: events over a sliding window and switch ``compaction_policy`` (and
+    #: per-level granularity) live as the workload shifts.  Off by
     #: default: the static policy keeps the engine deterministic.
     compaction_tuner: bool = False
     #: Operations (puts + gets + scans) per tuner evaluation window.
@@ -185,10 +178,6 @@ class Options:
     tuner_hysteresis_windows: int = 2
     #: Minimum operations between two policy switches (cooldown).
     tuner_cooldown_ops: int = 4000
-    #: Let the tuner also retarget per-level block-vs-table granularity
-    #: (write-heavy -> block appends at middle levels, read-heavy -> table
-    #: rewrites everywhere) on top of the policy switch.
-    tuner_adapt_granularity: bool = True
 
     # --- Concurrency (DESIGN.md §7) -------------------------------------------
     #: Run the flush / compaction / value-log-GC step on a background lane

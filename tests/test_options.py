@@ -34,6 +34,7 @@ class TestValidation:
             ("bloom_bits_per_key", -1),
             ("compaction_workers", 0),
             ("compaction_offload", "thread"),
+            ("compaction_policy", "lazy_leveled"),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -166,7 +167,6 @@ def test_every_option_is_read_somewhere():
 UNCALLED_OPTIONS = {
     "enable_wal": "a floor test pins the off path",
     "verify_checksums": "a floor test pins the off path",
-    "tuner_adapt_granularity": "a floor test pins the off path",
     "compression": "the parked tiering item (ROADMAP) sweeps it",
     "block_restart_interval": "a format parameter the block property tests sweep",
     "table_cache_capacity": "a memory budget",

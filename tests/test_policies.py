@@ -5,9 +5,12 @@ selection, seek admission, granularity routing), the picker running under
 each policy, the live policy-switch protocol, and the tuner's hysteresis
 state machine — including the property-style invariants: level scores are
 monotone in level contents, L0 selection is transitively closed, seek
-state survives ``forget_file``, round-robin wraps, and a steady workload
-never makes the tuner flap.
+state survives ``forget_file``, round-robin wraps, a steady workload
+never makes the tuner flap, and no two policies leave the same tree.
 """
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,23 +20,24 @@ from conftest import make_db, tiny_options
 from repro.compaction import policy as policy_module
 from repro.compaction.picker import CompactionPicker
 from repro.compaction.policy import (
-    LazyLeveledPolicy,
     LeveledPolicy,
     OneLevelingPolicy,
     TieredPolicy,
     make_policy,
 )
 from repro.compaction.tuner import CompactionTuner, WindowStats, decide
+from repro.core.db import DB
 from repro.core.version import Version, VersionEdit
 from repro.errors import InvalidArgumentError
 from repro.metrics.stats import DBStats
 from repro.options import (
+    _COMPACTION_POLICIES,
     COMPACTION_BLOCK,
     COMPACTION_TABLE,
-    POLICY_LAZY_LEVELED,
     POLICY_LEVELED,
     POLICY_TIERED,
 )
+from repro.storage.fs import SimulatedFS
 from test_version import meta
 
 
@@ -56,7 +60,6 @@ class TestMakePolicy:
         for name, cls in (
             ("leveled", LeveledPolicy),
             ("tiered", TieredPolicy),
-            ("lazy_leveled", LazyLeveledPolicy),
             ("one_leveling", OneLevelingPolicy),
         ):
             assert isinstance(_policy(name), cls)
@@ -80,9 +83,7 @@ class TestScoreMonotonicity:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        name=st.sampled_from(
-            ["leveled", "tiered", "lazy_leveled", "one_leveling"]
-        ),
+        name=st.sampled_from(["leveled", "tiered", "one_leveling"]),
         level=st.integers(min_value=0, max_value=3),
         sizes=st.lists(
             st.integers(min_value=1, max_value=50_000), min_size=1, max_size=8
@@ -179,17 +180,29 @@ class TestInputSelection:
         assert task.parent_level == 0
         assert len(task.parent_files) == 4
 
-    def test_lazy_leveled_delegates_by_level(self):
-        options = tiny_options(compaction_policy="lazy_leveled")
-        policy = make_policy("lazy_leveled", options)
-        capacity1 = options.level_capacity_bytes(1)
-        # Upper level: tiered scoring (overfill divides the score).
-        v = _version_with(1, [capacity1 + 1])
-        assert policy.level_score(v, 1) < 1.0
-        # Last-merge levels (>= max_levels - 2): leveled scoring.
-        capacity3 = options.level_capacity_bytes(3)
-        v3 = _version_with(3, [capacity3 + 1])
-        assert policy.level_score(v3, 3) > 1.0
+
+class TestPoliciesMeasureApart:
+    def test_every_pair_of_policies_shapes_the_tree_differently(self):
+        """A policy that leaves the same tree as another is dead or broken:
+        on one seeded load over the policy bench's geometry, every pair of
+        registered policies ends with a different files-per-level shape
+        (12,000 puts over 4,000 keys; fewer puts leave ``tiered`` and
+        ``one_leveling`` tied)."""
+        from benchmarks.perf.compaction_policies import VALUE_SIZE, _options
+
+        value = b"v" * VALUE_SIZE
+        shapes = {}
+        for name in _COMPACTION_POLICIES:
+            rng = random.Random(1)
+            db = DB(SimulatedFS(), _options(name), seed=1)
+            try:
+                for _ in range(12_000):
+                    db.put(b"user%012d" % rng.randrange(4_000), value)
+                shapes[name] = db.num_files_per_level()
+            finally:
+                db.close()
+        for a, b in itertools.combinations(shapes, 2):
+            assert shapes[a] != shapes[b], (a, b, shapes[a])
 
 
 class TestSeekAdmission:
@@ -309,11 +322,10 @@ class TestTunerDecide:
         assert decision.policy == POLICY_LEVELED
         assert all(g == COMPACTION_TABLE for g in decision.granularity.values())
 
-    def test_mixed_wants_lazy_leveled(self):
-        decision = decide(
-            WindowStats(writes=50, gets=50), self._options(), POLICY_LEVELED
-        )
-        assert decision.policy == POLICY_LAZY_LEVELED
+    @pytest.mark.parametrize("current", [POLICY_LEVELED, POLICY_TIERED])
+    def test_mixed_window_holds_current_policy(self, current):
+        decision = decide(WindowStats(writes=50, gets=50), self._options(), current)
+        assert decision.policy == current
 
     def test_stalls_lower_the_write_threshold(self):
         window = WindowStats(writes=60, gets=40, stalls=2)
@@ -322,12 +334,6 @@ class TestTunerDecide:
     def test_idle_window_stays_put(self):
         decision = decide(WindowStats(), self._options(), POLICY_TIERED)
         assert decision.policy == POLICY_TIERED
-
-    def test_adapt_granularity_off_keeps_defaults(self):
-        options = self._options(tuner_adapt_granularity=False)
-        decision = decide(WindowStats(writes=90, gets=10), options, POLICY_LEVELED)
-        assert decision.policy == POLICY_TIERED
-        assert decision.granularity == {}
 
 
 class _StubDB:
