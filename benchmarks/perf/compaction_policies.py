@@ -120,7 +120,7 @@ def _run_cell(options, sequence, keyspace: int) -> dict:
     from repro.core.db import DB
     from repro.storage.fs import SimulatedFS
 
-    db = DB(SimulatedFS(), options, seed=7)
+    db = DB(SimulatedFS(), options)
     value = b"v" * VALUE_SIZE
     for i in range(keyspace):
         db.put(b"user%012d" % i, value)

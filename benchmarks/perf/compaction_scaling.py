@@ -145,7 +145,7 @@ def _run_scenario(name: str, *, workers: int, num_keys: int) -> dict:
 
     with tempfile.TemporaryDirectory(prefix=f"bench-{name}-") as root:
         fs = LocalFS(root, device=_device(), realtime=0.0)
-        db = DB(fs, _options(workers), seed=7)
+        db = DB(fs, _options(workers))
         _settle(db, num_keys)
         _land_updates(db, num_keys)
         # Start every process worker before the clock does: the first job a

@@ -96,7 +96,7 @@ def _run_scenario(
     )
     with tempfile.TemporaryDirectory(prefix=f"bench-{name}-") as root:
         fs = LocalFS(root, device=_device(), realtime=1.0)
-        db = DB(fs, _options(concurrent), seed=7)
+        db = DB(fs, _options(concurrent))
         start = time.perf_counter()
         result = run_workload_concurrent(
             db, spec, num_ops, num_keys=num_ops, threads=threads,

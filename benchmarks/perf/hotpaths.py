@@ -21,6 +21,11 @@ catalog_apply      Version.apply + the picker's child lookup on an 800-file
 section_finish_open  build a 64-entry / 16-block table, ``finish``, eager open;
                    then reuse 12 blocks, add 4 entries, ``finish``, ``reload`` —
                    the opens handed the writer's TableInfo vs full parses
+memtable_fill      one MemTable filled to ``Options().memtable_size`` with
+                   shuffled 32 B keys and 16 B values (~233 k adds) vs the
+                   same keys into ``oracle.reference.SkipList`` — the guard on
+                   insert cost at the default memtable's size; quick mode
+                   fills 20 k and is gated at ``MEMTABLE_FILL_FLOOR`` instead
 seq_fill           DB.put of a fresh sequential load (WAL + flush + compaction)
 scan               full-range DB iterator drain
 full_compaction    DB.compact_all() on a freshly loaded tree
@@ -41,19 +46,28 @@ import time
 #: a quiet machine; the gate is generous because shared runners add noise
 #: that hits the two interleaved arms unevenly.
 OVERHEAD_CEILING = 1.25
+#: Quick-mode floor on ``memtable_fill``'s speedup: the skiplist's insert
+#: cost grows faster with the fill than the chunked list's, so a quick
+#: fill's ratio sits well under a full one's and cannot be held to the
+#: committed (full) value; it must still beat the skiplist.
+MEMTABLE_FILL_FLOOR = 1.0
 PATHS = (
     "varint_roundtrip", "block_encode", "block_decode", "block_decode_raw",
     "merge_visible", "compaction_merge", "catalog_apply", "section_finish_open",
-    "seq_fill", "scan", "full_compaction", "traced_point_get",
+    "memtable_fill", "seq_fill", "scan", "full_compaction", "traced_point_get",
 )
 #: The paths measured against an in-process reference arm.
-REFERENCE_ARMED = PATHS[:8] + ("traced_point_get",)
+REFERENCE_ARMED = PATHS[:9] + ("traced_point_get",)
+#: Adds in the quick-mode ``memtable_fill``; a full run fills the default
+#: memtable.
+MEMTABLE_FILL_QUICK = 20_000
 METRICS = {
     **{f"{path}.ops_per_sec": ("higher", None, None) for path in PATHS},
     **{
         f"{path}.speedup_vs_reference": ("higher", "committed", "committed")
         for path in REFERENCE_ARMED
     },
+    "memtable_fill.speedup_vs_reference": ("higher", MEMTABLE_FILL_FLOOR, "committed"),
     "traced_point_get.overhead_vs_plain": ("lower", OVERHEAD_CEILING, OVERHEAD_CEILING),
 }
 
@@ -506,6 +520,43 @@ def bench_section_finish_open(suite: Suite) -> None:
     )
 
 
+def bench_memtable_fill(suite: Suite) -> None:
+    """A write buffer filled from empty, as a load fills every memtable:
+    ``MemTable.add`` vs the skiplist it replaced, fed the same comparable
+    keys.  The skiplist arm skips the key set and the accounting, so the
+    ratio understates the change."""
+    from oracle import reference
+    from repro.keys import TYPE_VALUE, comparable_key
+    from repro.memtable.memtable import ENTRY_OVERHEAD, MemTable
+    from repro.options import Options
+
+    key_size, value_size = 32, 16
+    limit = Options().memtable_size
+    count = (
+        MEMTABLE_FILL_QUICK
+        if suite.quick
+        else -(-limit // (key_size + value_size + ENTRY_OVERHEAD))
+    )
+    keys = [b"user%028d" % i for i in range(count)]
+    random.Random(23).shuffle(keys)
+    value = b"v" * value_size
+
+    def fill():
+        memtable = MemTable()
+        for sequence, key in enumerate(keys, start=1):
+            memtable.add(sequence, TYPE_VALUE, key, value)
+        assert suite.quick or memtable.approximate_memory_usage() >= limit
+        return count
+
+    def fill_reference():
+        table = reference.SkipList()
+        for sequence, key in enumerate(keys, start=1):
+            table.insert(comparable_key(key, sequence, TYPE_VALUE), value)
+        return count
+
+    suite.measure("memtable_fill", fill, "add", reference=fill_reference, repeats=3)
+
+
 # ------------------------------------------------------------------ DB paths
 
 
@@ -524,11 +575,11 @@ def _perf_options():
     )
 
 
-def _fresh_db(seed: int = 1):
+def _fresh_db():
     from repro.core.db import DB
     from repro.storage.fs import SimulatedFS
 
-    return DB(SimulatedFS(), _perf_options(), seed=seed)
+    return DB(SimulatedFS(), _perf_options())
 
 
 def _load_keys(db, count: int, value_size: int) -> list[bytes]:
@@ -569,7 +620,7 @@ def bench_db_paths(suite: Suite, value_size: int) -> None:
     db.close()
 
     def full_compaction():
-        fresh = _fresh_db(seed=3)
+        fresh = _fresh_db()
         _load_keys(fresh, fill_count, value_size)
         start = time.perf_counter()
         fresh.compact_all()
@@ -607,7 +658,7 @@ def bench_observability(suite: Suite, value_size: int) -> None:
     fill_count = 400 if suite.quick else 4000
 
     def build(options):
-        db = DB(SimulatedFS(), options, seed=7)
+        db = DB(SimulatedFS(), options)
         keys = _load_keys(db, fill_count, value_size)
         db.compact_all()
         return db, keys
@@ -654,6 +705,7 @@ def run(quick: bool, value_size: int) -> dict:
     bench_merge(suite)
     bench_catalog(suite)
     bench_section_finish_open(suite)
+    bench_memtable_fill(suite)
     bench_db_paths(suite, value_size)
     bench_observability(suite, value_size)
     metrics = {

@@ -79,7 +79,7 @@ def _run_arm(*, separated: bool, value_size: int, quick: bool) -> dict:
 
     ops, keyspace = _workload_shape(value_size, quick)
     value = b"v" * value_size
-    db = DB(SimulatedFS(), _options(separated), seed=5)
+    db = DB(SimulatedFS(), _options(separated))
 
     start = time.perf_counter()
     for i in range(ops):

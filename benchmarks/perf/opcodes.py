@@ -147,7 +147,7 @@ def _benchmark_store(compacted: bool = True):
     from repro.ycsb import make_key, make_value
 
     options = _options()
-    db = DB(SimulatedFS(), options, seed=1)
+    db = DB(SimulatedFS(), options)
     keys = [make_key(ordinal, 32) for ordinal in range(STORE_KEYS)]
     order = list(range(STORE_KEYS))
     random.Random(20220509).shuffle(order)
@@ -180,7 +180,7 @@ def seek_store():
         block_cache_capacity=4 * 1024 * 1024,
         enable_seek_compaction=False,
     )
-    db = DB(SimulatedFS(), options, seed=1)
+    db = DB(SimulatedFS(), options)
     keys = [b"user%019d" % i for i in range(10_000)]
     value = b"x" * 100
     for key in keys:
@@ -292,7 +292,7 @@ def count_load() -> int:
     from repro import DB, SimulatedFS
     from repro.ycsb import make_key, make_value
 
-    db = DB(SimulatedFS(), _options(), seed=1)
+    db = DB(SimulatedFS(), _options())
     keys = [make_key(ordinal, 32) for ordinal in range(LOAD_PUTS)]
     values = [make_value(ordinal, 0, VALUE_SIZE) for ordinal in range(LOAD_PUTS)]
     order = list(range(LOAD_PUTS))

@@ -90,7 +90,7 @@ def _run_scenario(
 
     with tempfile.TemporaryDirectory(prefix=f"bench-{name}-") as root:
         fs = LocalFS(root, device=_device(), realtime=0.0)
-        db = DB(fs, _options(), seed=7)
+        db = DB(fs, _options())
         _load(db, num_keys, value_size=value_size)
 
         per_thread = [num_ops // threads] * threads

@@ -56,7 +56,7 @@ def _bench_options() -> Options:
 
 def _bench_db() -> DB:
     fs = SimulatedFS(DeviceModel(write_op_cost=WRITE_OP_COST), realtime=1.0)
-    return DB(fs, _bench_options(), seed=1)
+    return DB(fs, _bench_options())
 
 
 def _percentile(values: list[float], fraction: float) -> float:

@@ -93,7 +93,6 @@ def _run_scenario(name: str, *, shards: int, num_ops: int, value_size: int) -> d
             _options(),
             shards=shards,
             boundaries=tenant_boundaries(TENANTS, shards) if shards > 1 else None,
-            seed=7,
             bg_workers=min(4, shards),
         )
         start = time.perf_counter()
@@ -145,7 +144,6 @@ def _run_hotspot_scenario(num_ops: int) -> dict:
         MemoryShardStore(),
         _options(),
         shards=2,
-        seed=7,
         bg_workers=2,
         auto_rebalance=True,
         split_threshold_bytes=24 * 1024,

@@ -29,7 +29,7 @@ def build_variant(scale, **overrides) -> DB:
         block_size=scale.block_size,
         **overrides,
     )
-    return DB(SimulatedFS(), options, seed=0)
+    return DB(SimulatedFS(), options)
 
 
 VARIANTS = [

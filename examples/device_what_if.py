@@ -38,7 +38,7 @@ PROFILES = {
 
 
 def run(options, device) -> float:
-    db = DB(SimulatedFS(device=device), options, seed=0)
+    db = DB(SimulatedFS(device=device), options)
     ordinals = list(range(8000))
     random.Random(1).shuffle(ordinals)
     for i in ordinals:

@@ -244,7 +244,7 @@ class _SingleStore:
         self.repair = repair
 
     def open(self, options: Options) -> DB:
-        return DB(self.fs, options, seed=1)
+        return DB(self.fs, options)
 
     @property
     def sync_points(self) -> int:
@@ -274,7 +274,7 @@ class _SingleStore:
         try:
             recovered = dict(db.scan())
             repair_store(clone, options)
-            repaired = DB(clone, options, seed=1)
+            repaired = DB(clone, options)
             try:
                 repaired_view = dict(repaired.scan())
             finally:
@@ -381,7 +381,7 @@ class _ShardedStore:
 
     def open(self, options: Options) -> ShardedDB:
         return ShardedDB(
-            self.store, options, shards=2, boundaries=list(self.BOUNDARIES), seed=1
+            self.store, options, shards=2, boundaries=list(self.BOUNDARIES)
         )
 
     @property

@@ -597,7 +597,7 @@ def lane_workload(seed: int, *, clients: int = 2, ops: int = 120) -> list[str]:
 
         def open_engine(fresh: bool):
             layout = dict(shards=2, boundaries=[b"c1-"]) if fresh else {}
-            return ShardedDB(store, options, seed=seed, bg_workers=2, **layout)
+            return ShardedDB(store, options, bg_workers=2, **layout)
 
         maintenance = (
             lambda: db.flush(),
@@ -609,7 +609,7 @@ def lane_workload(seed: int, *, clients: int = 2, ops: int = 120) -> list[str]:
         fs = SimulatedFS()
 
         def open_engine(fresh: bool):
-            return DB(fs, options, seed=seed)
+            return DB(fs, options)
 
         maintenance = (
             lambda: db.flush(),

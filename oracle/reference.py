@@ -4,10 +4,11 @@ These are verbatim copies of the straightforward (pre-optimization)
 implementations of the varint codec, the data-block codec, the per-entry
 table build, output rotation and filter insert, the stored-block and
 index-block writers, the merge/visibility stack, the LPT scheduler, the
-version catalog, the scan path (linear level seek, a generator per file, a
-per-entry drain), the point-read path (a skiplist seek per memtable
-miss, a key hash per filter, a closure per level walk, a list of pending
-keys per batch), and the ``bytearray`` file store.  They exist for two reasons:
+memtable's skiplist, the version catalog, the scan path (linear level
+seek, a generator per file, a per-entry drain), the point-read path (a
+skiplist seek per memtable miss, a key hash per filter, a closure per
+level walk, a list of pending keys per batch), and the ``bytearray`` file
+store.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
   optimized fast path against these on random inputs — including the
@@ -26,11 +27,13 @@ is the point.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import random
 import time
 import zlib
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import CorruptionError, FileSystemError, InvalidArgumentError
 from repro.core.iterator import DBIterator
@@ -672,14 +675,147 @@ def scan_linear(
     return results
 
 
+# -------------------------------------------------------------------- memtable
+
+# The memtable's sorted map until the engine moved to a chunked sorted list:
+# a LevelDB-style skiplist (geometric heights, branching factor 4, maximum
+# height 12, no deletions) with heights from a per-instance seeded PRNG.
+# Keys may be any Python values with a total order; duplicate inserts of the
+# same key overwrite the value in place.
+
+MAX_HEIGHT = 12
+BRANCHING = 4
+
+# Node layout: [key, value, next_0, next_1, ..., next_{h-1}]
+_KEY = 0
+_VALUE = 1
+_NEXT = 2
+
+
+class SkipList:
+    """Sorted map with O(log n) insert and seek."""
+
+    def __init__(self, seed: int = 0):
+        self._rng = random.Random(seed)
+        self._head: list[Any] = [None, None] + [None] * MAX_HEIGHT
+        self._height = 1
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _random_height(self) -> int:
+        height = 1
+        while height < MAX_HEIGHT and self._rng.randrange(BRANCHING) == 0:
+            height += 1
+        return height
+
+    def _find_greater_or_equal(self, key, prev: list | None = None):
+        """Return the first node with ``node.key >= key``.
+
+        When ``prev`` is given it is filled with the predecessor node at
+        every level (used by insert).
+        """
+        node = self._head
+        level = self._height - 1
+        while True:
+            nxt = node[_NEXT + level]
+            if nxt is not None and nxt[_KEY] < key:
+                node = nxt
+            else:
+                if prev is not None:
+                    prev[level] = node
+                if level == 0:
+                    return nxt
+                level -= 1
+
+    def insert(self, key, value) -> None:
+        """Insert ``key -> value``; overwrite the value if ``key`` exists."""
+        prev: list = [None] * MAX_HEIGHT
+        node = self._find_greater_or_equal(key, prev)
+        if node is not None and node[_KEY] == key:
+            node[_VALUE] = value
+            return
+        height = self._random_height()
+        if height > self._height:
+            for level in range(self._height, height):
+                prev[level] = self._head
+            self._height = height
+        new_node = [key, value] + [None] * height
+        for level in range(height):
+            new_node[_NEXT + level] = prev[level][_NEXT + level]
+            prev[level][_NEXT + level] = new_node
+        self._size += 1
+
+    def get(self, key, default=None):
+        """Exact-match lookup."""
+        node = self._find_greater_or_equal(key)
+        if node is not None and node[_KEY] == key:
+            return node[_VALUE]
+        return default
+
+    def __contains__(self, key) -> bool:
+        node = self._find_greater_or_equal(key)
+        return node is not None and node[_KEY] == key
+
+    def items_from(self, key=None) -> Iterator[tuple[Any, Any]]:
+        """Iterate ``(key, value)`` pairs in sorted order.
+
+        Starts at the first key ``>= key``; from the smallest key when
+        ``key`` is None.
+        """
+        if key is None:
+            node = self._head[_NEXT]
+        else:
+            node = self._find_greater_or_equal(key)
+        while node is not None:
+            yield node[_KEY], node[_VALUE]
+            node = node[_NEXT]
+
+    def __iter__(self) -> Iterator[Any]:
+        for key, _ in self.items_from():
+            yield key
+
+    def items(self) -> Iterator[tuple[Any, Any]]:
+        return self.items_from()
+
+    def first_key(self):
+        """Smallest key, or None when empty."""
+        node = self._head[_NEXT]
+        return None if node is None else node[_KEY]
+
+    def last_key(self):
+        """Largest key, or None when empty.  O(n) walk along level 0's
+        upper-level shortcuts — only used at flush boundaries."""
+        node = self._head
+        level = self._height - 1
+        while level >= 0:
+            while node[_NEXT + level] is not None:
+                node = node[_NEXT + level]
+            level -= 1
+        return None if node is self._head else node[_KEY]
+
+
 # ------------------------------------------------------------- point-read path
+
+
+@functools.lru_cache(maxsize=64)
+def memtable_skiplist(memtable, num_entries: int) -> SkipList:
+    """A :class:`SkipList` of ``memtable``'s entries when it had taken
+    ``num_entries`` adds.  A memtable only grows and every add counts, so
+    the pair names one state: a reference get pays for the build once per
+    state, and a repeated one only for the (C-level) cache hit."""
+    table = SkipList()
+    for key, value in memtable.entries():
+        table.insert(key, value)
+    return table
 
 
 def memtable_get_seek(memtable, user_key: bytes, snapshot_sequence: int):
     """Reference ``MemTable.get``: always a skiplist seek, also for a key
     the memtable never held (no user-key set)."""
     seek = seek_comparable(user_key, snapshot_sequence)
-    for key, value in memtable._table.items_from(seek):
+    for key, value in memtable_skiplist(memtable, memtable._num_entries).items_from(seek):
         found_user_key, _seq, value_type = comparable_parts(key)
         if found_user_key != user_key:
             break

@@ -321,7 +321,7 @@ async def _run_schedule_async(
     fs.policy.clear()
     fs.crash()
     fs.heal()
-    reopened = DB(fs, _chaos_options(), seed=1)
+    reopened = DB(fs, _chaos_options())
     try:
         result.violations = recovery_violations(
             reopened, model, None, WORKLOAD_KEYS + PIPELINE_KEYS
@@ -346,7 +346,7 @@ def run_schedule(seed: int) -> ScheduleResult:
     threads_before = threading.active_count()
     policy = FaultPolicy(seed=seed)
     fs = FaultInjectionFS(SimulatedFS(), policy)
-    db = DB(fs, _chaos_options(), seed=1)
+    db = DB(fs, _chaos_options())
     # Arm the disk fault only after a clean open, so it lands mid-serving
     # (an open-time fault would just fail the constructor, testing nothing
     # about the serving path).

@@ -58,7 +58,6 @@ class L2SMDB(DB):
         fs: FileSystem | None = None,
         options: Options | None = None,
         *,
-        seed: int = 0,
         hot_updates_per_key: float = 1.0,
         log_capacity_factor: float = 2.0,
     ):
@@ -67,7 +66,7 @@ class L2SMDB(DB):
         self._log: list[LogEntry] = []
         self._log_sequence = 0
         self._hotness: dict[int, int] = {}
-        super().__init__(fs, options, seed=seed)
+        super().__init__(fs, options)
         #: Log capacity relative to L1 (the paper sizes the log per level).
         self.log_capacity_bytes = int(
             log_capacity_factor * self.options.level_capacity_bytes(1)

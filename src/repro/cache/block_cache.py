@@ -88,7 +88,9 @@ class BlockCache:
         return len(self._lru)
 
     # The key is built in place in the two per-block calls: (file, offset),
-    # led by the namespace when this facade shares its LRU.
+    # led by the namespace when this facade shares its LRU.  Each block is
+    # inserted in its file's group, so an invalidation visits only that
+    # file's cached blocks.
 
     def get(self, file_number: int, offset: int) -> ParsedBlock | None:
         namespace = self._namespace
@@ -97,35 +99,37 @@ class BlockCache:
         )
 
     def insert(self, file_number: int, offset: int, block: ParsedBlock) -> None:
+        """Cache ``block`` in its file's group, charged its memory size."""
         namespace = self._namespace
-        self._lru.insert(
-            (file_number, offset) if namespace is None else (namespace, file_number, offset),
-            block,
-            block.memory_bytes(),
-        )
+        if namespace is None:
+            self._lru.insert((file_number, offset), block, block.memory_bytes(), file_number)
+        else:
+            self._lru.insert(
+                (namespace, file_number, offset),
+                block,
+                block.memory_bytes(),
+                (namespace, file_number),
+            )
 
     def invalidate_file(self, file_number: int) -> int:
         """Drop every block of ``file_number`` (table-compacted or deleted
         file).  Returns the number of entries invalidated."""
-        if self._namespace is None:
-            return self._lru.invalidate_where(lambda key: key[0] == file_number)
         namespace = self._namespace
-        return self._lru.invalidate_where(
-            lambda key: key[0] == namespace and key[1] == file_number
+        return self._lru.invalidate_group(
+            file_number if namespace is None else (namespace, file_number)
         )
 
     def invalidate_blocks(self, file_number: int, offsets: set[int]) -> int:
         """Drop specific blocks of ``file_number`` (the dirty blocks a Block
         Compaction rewrote).  Clean blocks stay cached."""
-        if self._namespace is None:
-            return self._lru.invalidate_where(
-                lambda key: key[0] == file_number and key[1] in offsets
-            )
         namespace = self._namespace
-        return self._lru.invalidate_where(
-            lambda key: key[0] == namespace
-            and key[1] == file_number
-            and key[2] in offsets
+        if namespace is None:
+            return self._lru.invalidate_group(
+                file_number, {(file_number, offset) for offset in offsets}
+            )
+        return self._lru.invalidate_group(
+            (namespace, file_number),
+            {(namespace, file_number, offset) for offset in offsets},
         )
 
     def clear(self) -> None:

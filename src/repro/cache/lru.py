@@ -16,7 +16,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -96,13 +96,23 @@ class LRUStats:
 
 
 class LRUCache:
-    """Least-recently-used cache with per-entry charges."""
+    """Least-recently-used cache with per-entry charges.
+
+    An entry inserted with a ``group`` is also indexed under it, so
+    :meth:`invalidate_group` drops a group's entries without visiting
+    anyone else's (the block cache groups each file's blocks).
+    """
 
     def __init__(self, capacity: int, on_evict: Callable[[Hashable, Any], None] | None = None):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        #: key -> (value, charge, group or None).
+        self._entries: OrderedDict[Hashable, tuple[Any, int, Hashable]] = OrderedDict()
+        #: group -> its cached keys (as dict keys), kept in step with
+        #: ``_entries`` on insert, eviction and removal; a group leaves with
+        #: its last key.
+        self._groups: dict[Hashable, dict[Hashable, None]] = {}
         self._usage = 0
         self._on_evict = on_evict
         self.stats = LRUStats()
@@ -150,28 +160,44 @@ class LRUCache:
             entry = self._entries.get(key)
             return None if entry is None else entry[0]
 
-    def insert(self, key: Hashable, value: Any, charge: int = 1) -> None:
-        """Insert (or replace) ``key``, evicting LRU entries to fit."""
+    def insert(
+        self, key: Hashable, value: Any, charge: int = 1, group: Hashable = None
+    ) -> None:
+        """Insert (or replace) ``key``, evicting LRU entries to fit.  A
+        ``group`` other than None indexes the entry for
+        :meth:`invalidate_group`."""
         if charge < 0:
             raise ValueError("charge must be >= 0")
         with self._lock:
-            if key in self._entries:
-                self._remove(key, invalidation=False, count_eviction=False)
-            # An entry larger than the whole cache is simply not retained.
-            if charge > self.capacity:
-                return
-            self._entries[key] = (value, charge)
-            self._usage += charge
-            self.stats.insertions += 1
             entries = self._entries
-            while self._usage > self.capacity and entries:
+            if key in entries:
+                self._remove(key, invalidation=False, count_eviction=False)
+            capacity = self.capacity
+            # An entry larger than the whole cache is simply not retained.
+            if charge > capacity:
+                return
+            if group is not None:
+                self._groups.setdefault(group, {})[key] = None
+            entries[key] = (value, charge, group)
+            usage = self._usage + charge
+            self.stats.insertions += 1
+            # usage > capacity >= 0 means an entry is left to evict.
+            while usage > capacity:
                 # _remove(oldest, count_eviction=True), without the lookup
                 # of a key that is known to be the first one.
-                oldest, (evicted, evicted_charge) = entries.popitem(last=False)
-                self._usage -= evicted_charge
+                oldest, (evicted, evicted_charge, evicted_group) = entries.popitem(last=False)
+                if evicted_group is not None:
+                    # _leave_group, inlined: this loop runs on every evicting miss.
+                    members = self._groups[evicted_group]
+                    del members[oldest]
+                    if not members:
+                        del self._groups[evicted_group]
+                usage -= evicted_charge
                 self.stats.evictions += 1
                 if self._on_evict is not None:
+                    self._usage = usage
                     self._on_evict(oldest, evicted)
+            self._usage = usage
 
     def get_or_insert(
         self, key: Hashable, factory: Callable[[], Any], charge: int = 1
@@ -209,6 +235,20 @@ class LRUCache:
                 self._remove(key, invalidation=True, count_eviction=False)
             return len(doomed)
 
+    def invalidate_group(self, group: Hashable, keys: Iterable[Hashable] | None = None) -> int:
+        """Remove the entries inserted under ``group`` — all of them, or
+        those also in ``keys`` — as :meth:`invalidate_where` would, visiting
+        only that group's entries.  Returns the number removed; counted as
+        invalidations."""
+        with self._lock:
+            members = self._groups.get(group)
+            if members is None:
+                return 0
+            doomed = list(members) if keys is None else list(members.keys() & keys)
+            for key in doomed:
+                self._remove(key, invalidation=True, count_eviction=False)
+            return len(doomed)
+
     def clear(self) -> None:
         with self._lock:
             for key in list(self._entries):
@@ -219,7 +259,9 @@ class LRUCache:
             return iter(list(self._entries.keys()))
 
     def _remove(self, key: Hashable, *, invalidation: bool, count_eviction: bool) -> None:
-        value, charge = self._entries.pop(key)
+        value, charge, group = self._entries.pop(key)
+        if group is not None:
+            self._leave_group(key, group)
         self._usage -= charge
         if invalidation:
             self.stats.invalidations += 1
@@ -227,6 +269,12 @@ class LRUCache:
             self.stats.evictions += 1
         if self._on_evict is not None:
             self._on_evict(key, value)
+
+    def _leave_group(self, key: Hashable, group: Hashable) -> None:
+        members = self._groups[group]
+        del members[key]
+        if not members:
+            del self._groups[group]
 
     def hit_rate(self) -> float:
         total = self.stats.hits + self.stats.misses
@@ -314,8 +362,10 @@ class ShardedLRUCache:
     def peek(self, key: Hashable) -> Any | None:
         return self._shard(key).peek(key)
 
-    def insert(self, key: Hashable, value: Any, charge: int = 1) -> None:
-        self._shard(key).insert(key, value, charge)
+    def insert(
+        self, key: Hashable, value: Any, charge: int = 1, group: Hashable = None
+    ) -> None:
+        self._shard(key).insert(key, value, charge, group)
 
     def get_or_insert(
         self, key: Hashable, factory: Callable[[], Any], charge: int = 1
@@ -327,6 +377,9 @@ class ShardedLRUCache:
 
     def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
         return sum(shard.invalidate_where(predicate) for shard in self._shards)
+
+    def invalidate_group(self, group: Hashable, keys: Iterable[Hashable] | None = None) -> int:
+        return sum(shard.invalidate_group(group, keys) for shard in self._shards)
 
     def clear(self) -> None:
         for shard in self._shards:

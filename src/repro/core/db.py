@@ -166,7 +166,6 @@ class DB:
         fs: FileSystem | None = None,
         options: Options | None = None,
         *,
-        seed: int = 0,
         block_cache=None,
         table_cache=None,
         offload_pool=None,
@@ -248,8 +247,6 @@ class DB:
         self._l0_cv = sync.Condition(self._lock)
         self._fnum_lock = sync.Lock()
 
-        self._seed = seed
-        self._memtable_counter = 0
         self._sequence = 0
         # The read path (DESIGN.md §9): readers resolve lookups against a
         # refcounted superversion instead of holding the engine lock.
@@ -316,10 +313,6 @@ class DB:
 
     # ------------------------------------------------------------------ setup
 
-    def _new_memtable(self) -> MemTable:
-        self._memtable_counter += 1
-        return MemTable(seed=self._seed + self._memtable_counter)
-
     def new_file_number(self) -> int:
         # Own lock (not the engine lock): background flush/compaction build
         # output files with the engine lock released.
@@ -330,7 +323,7 @@ class DB:
 
     def _recover(self) -> None:
         """Rebuild state from CURRENT/manifest/WAL, or initialize fresh."""
-        self._memtable = self._new_memtable()
+        self._memtable = MemTable()
         self._immutable: MemTable | None = None
 
         current = read_pointer(self.fs, CURRENT_FILE)
@@ -399,7 +392,7 @@ class DB:
                 self.new_file_number(),
                 on_drop=self.vlog.observe_drop if self.vlog is not None else None,
             )
-            self._memtable = self._new_memtable()
+            self._memtable = MemTable()
             if recovered_file is not None:
                 recovered_file.built = None  # no eager open here to take it
         # Dead bytes the recovery flush observed (shadowed replayed entries)
@@ -894,7 +887,7 @@ class DB:
             raise AssertionError("froze an empty memtable")
         self._memtable.freeze()
         self._immutable = self._memtable
-        self._memtable = self._new_memtable()
+        self._memtable = MemTable()
 
         # Rotate the WAL with the memtable: the new log only covers the new
         # memtable, so the old log can go once the flush lands.

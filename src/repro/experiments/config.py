@@ -105,15 +105,14 @@ def make_system(
     scale: ExperimentScale = DEFAULT_SCALE,
     *,
     paper_gb: int = 40,
-    seed: int = 0,
     **overrides,
 ) -> DB:
     """A fresh instance of system ``name`` on its own simulated device."""
     opts = options_for(name, scale, scale.cache_bytes(paper_gb), **overrides)
     fs = SimulatedFS()
     if name == "L2SM":
-        return L2SMDB(fs, opts, seed=seed)
-    return DB(fs, opts, seed=seed)
+        return L2SMDB(fs, opts)
+    return DB(fs, opts)
 
 
 @dataclass

@@ -65,7 +65,7 @@ def run_load_experiment(
         return _load_memo[key]
 
     num_keys = scale.num_keys(paper_gb)
-    db = make_system(system, scale, paper_gb=paper_gb, seed=seed)
+    db = make_system(system, scale, paper_gb=paper_gb)
     sample_every = max(1, num_keys // sample_windows) if sample_windows else None
     result = load_db(
         db, num_keys, value_size=scale.value_size, order="random", seed=seed, sample_every=sample_every
@@ -106,7 +106,7 @@ def run_workload_experiment(
         return _workload_memo[key]
 
     num_keys = scale.num_keys(paper_gb)
-    db = make_system(system, scale, paper_gb=paper_gb, seed=seed)
+    db = make_system(system, scale, paper_gb=paper_gb)
     load_db(db, num_keys, value_size=scale.value_size, order="random", seed=seed)
     # Measurement starts after the load, as in the paper.
     result = run_workload(
@@ -228,7 +228,7 @@ def fig8_wa_per_level(scale: ExperimentScale = DEFAULT_SCALE, paper_gb: int = 40
 def _update_run(system: str, paper_gb: int, scale: ExperimentScale, seed: int = 0):
     """Load then uniformly update every key once (the Fig 9 protocol)."""
     num_keys = scale.num_keys(paper_gb)
-    db = make_system(system, scale, paper_gb=paper_gb, seed=seed)
+    db = make_system(system, scale, paper_gb=paper_gb)
     load_db(db, num_keys, value_size=scale.value_size, seed=seed)
     spec = WorkloadSpec(
         name="update-pass", read_ratio=0.0, write_ratio=1.0, write_mode="update", zipf=None

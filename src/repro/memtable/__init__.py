@@ -1,7 +1,6 @@
-"""Memtable substrate: skiplist, write buffer, write-ahead log."""
+"""Memtable substrate: sorted write buffer, write-ahead log."""
 
 from .memtable import MemTable
-from .skiplist import SkipList
 from .wal import WalWriter, read_wal
 
-__all__ = ["MemTable", "SkipList", "WalWriter", "read_wal"]
+__all__ = ["MemTable", "WalWriter", "read_wal"]

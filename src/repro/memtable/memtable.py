@@ -1,13 +1,26 @@
 """The in-memory write buffer (the LSM-tree's C0 component).
 
-A :class:`MemTable` accumulates writes in a skiplist keyed by the comparable
-internal-key tuple; when its approximate footprint reaches the configured
-size it is frozen into an *immutable memtable* and flushed to an L0 SSTable.
-Deletions are stored as tombstone entries, exactly as in LevelDB.
+A :class:`MemTable` accumulates writes in a sorted map keyed by the
+comparable internal-key tuple; when its approximate footprint reaches the
+configured size it is frozen into an *immutable memtable* and flushed to an
+L0 SSTable.  Deletions are stored as tombstone entries, exactly as in
+LevelDB.
+
+The sorted map is a chunked sorted list: ``(comparable_key, value)`` pairs
+in chunks of at most :data:`_CHUNK_MAX`, each chunk's largest key in a
+parallel ``maxes`` list.  An insert bisects ``maxes`` for its chunk and the
+chunk for its slot — both searches and the shift run in C — so its cost
+grows with the chunk, not with the memtable.  A chunk that outgrows the
+bound is split into two fresh lists, published with a new ``maxes`` as one
+``(maxes, chunks)`` pair; the lists it replaces are never touched again.
+See :meth:`MemTable.entries_from` for what a reader may rely on while a
+writer inserts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Iterator
 
 from ..keys import (
@@ -18,21 +31,34 @@ from ..keys import (
     comparable_parts,
     seek_comparable,
 )
-from .skiplist import SkipList
 
 #: Per-entry bookkeeping overhead (trailer + node pointers), an approximation
 #: of what LevelDB's arena would charge.
 ENTRY_OVERHEAD = 24
 
+#: A chunk longer than this is split in two.  Large enough that a 16 MiB
+#: memtable is ~200 chunks, small enough that an insert's slot shift is a
+#: short ``memmove``.
+_CHUNK_MAX = 2048
+
+#: The comparable key of a ``(comparable_key, value)`` pair.
+_key_of = itemgetter(0)
+
+#: Sorts before every comparable key (a real one's inverted trailer is > 0).
+_LOWEST: ComparableKey = (b"", 0)
+
 
 class MemTable:
-    """Skiplist-backed write buffer with approximate memory accounting."""
+    """Sorted write buffer with approximate memory accounting."""
 
-    def __init__(self, seed: int = 0):
-        self._table = SkipList(seed=seed)
+    def __init__(self):
+        #: ``(maxes, chunks)``: ``chunks[i]`` is a sorted list of
+        #: ``(comparable_key, value)`` pairs and ``maxes[i]`` its last key.
+        #: Replaced whole when a chunk splits.
+        self._index: tuple[list[ComparableKey], list[list[tuple[ComparableKey, bytes]]]] = ([], [])
         #: Every user key with at least one entry (any sequence, value or
         #: tombstone): :meth:`get` answers "nothing here" from it without
-        #: descending the skiplist.  Not in the memory accounting — flush
+        #: searching the chunks.  Not in the memory accounting — flush
         #: timing is defined by ``_approximate_bytes`` alone.
         self._user_keys: set[bytes] = set()
         self._approximate_bytes = 0
@@ -48,12 +74,42 @@ class MemTable:
         return self._approximate_bytes
 
     def add(self, sequence: int, value_type: int, user_key: bytes, value: bytes = b"") -> None:
-        """Insert one entry.  ``value`` must be empty for tombstones."""
+        """Insert one entry.  ``value`` must be empty for tombstones.  An
+        entry with the same comparable key replaces the value in place (and
+        is still counted)."""
         if self.frozen:
             raise RuntimeError("cannot add to a frozen memtable")
         if value_type == TYPE_DELETION and value:
             raise ValueError("tombstones carry no value")
-        self._table.insert(comparable_key(user_key, sequence, value_type), value)
+        key = comparable_key(user_key, sequence, value_type)
+        maxes, chunks = self._index
+        i = bisect_left(maxes, key)
+        if i < len(maxes):
+            chunk = chunks[i]
+            j = bisect_left(chunk, key, key=_key_of)
+            if chunk[j][0] == key:
+                chunk[j] = (key, value)
+            else:
+                chunk.insert(j, (key, value))
+        elif maxes:
+            # Past every key: the last chunk grows, then its max (so a
+            # max is always a key its chunk holds).
+            i -= 1
+            chunk = chunks[i]
+            chunk.append((key, value))
+            maxes[i] = key
+        else:
+            chunk = [(key, value)]
+            self._index = ([key], [chunk])
+        if len(chunk) > _CHUNK_MAX:
+            half = len(chunk) >> 1
+            low, high = chunk[:half], chunk[half:]
+            self._index = (
+                maxes[:i] + [low[-1][0]] + maxes[i:],
+                chunks[:i] + [low, high] + chunks[i + 1 :],
+            )
+        # After the entry is in place: DESIGN.md §9's lock-free get reads
+        # the key set first.
         self._user_keys.add(user_key)
         self._approximate_bytes += len(user_key) + len(value) + ENTRY_OVERHEAD
         self._num_entries += 1
@@ -80,14 +136,19 @@ class MemTable:
         if user_key not in self._user_keys:
             return False, None
         seek = seek_comparable(user_key, snapshot_sequence)
-        for key, value in self._table.items_from(seek):
-            found_user_key, _seq, value_type = comparable_parts(key)
-            if found_user_key != user_key:
-                break
-            if value_type == TYPE_DELETION:
-                return True, None
-            return True, value
-        return False, None
+        maxes, chunks = self._index
+        i = bisect_left(maxes, seek)
+        if i == len(maxes):
+            return False, None
+        # maxes[i] >= seek is a key of chunks[i], so the slot exists.
+        chunk = chunks[i]
+        key, value = chunk[bisect_left(chunk, seek, key=_key_of)]
+        found_user_key, _seq, value_type = comparable_parts(key)
+        if found_user_key != user_key:
+            return False, None
+        if value_type == TYPE_DELETION:
+            return True, None
+        return True, value
 
     def freeze(self) -> None:
         """Mark immutable; further :meth:`add` calls raise."""
@@ -95,17 +156,34 @@ class MemTable:
 
     def entries(self) -> Iterator[tuple[ComparableKey, bytes]]:
         """All entries in internal-key order (newest first per user key)."""
-        return self._table.items()
+        return self.entries_from(_LOWEST)
 
     def entries_from(self, seek: ComparableKey) -> Iterator[tuple[ComparableKey, bytes]]:
-        """Entries with comparable key >= ``seek``, in order."""
-        return self._table.items_from(seek)
+        """Entries with comparable key >= ``seek``, in order.
 
-    def smallest_key(self) -> ComparableKey | None:
-        return self._table.first_key()
-
-    def largest_key(self) -> ComparableKey | None:
-        return self._table.last_key()
+        Safe against adds between two ``next()`` calls (a sync caller's
+        put mid-scan) and during them (the concurrent pipeline's writer):
+        the rest of a chunk is copied in one C-level slice, and the next
+        batch is found by bisecting the current index for the first key
+        after the last one yielded.  So the output is strictly increasing
+        and holds every entry present when the iterator was created; an
+        entry added since may or may not appear.
+        """
+        maxes, chunks = self._index
+        i = bisect_left(maxes, seek)
+        if i == len(maxes):
+            return
+        chunk = chunks[i]
+        batch = chunk[bisect_left(chunk, seek, key=_key_of) :]
+        while True:
+            yield from batch
+            last = batch[-1][0]
+            maxes, chunks = self._index
+            i = bisect_right(maxes, last)
+            if i == len(maxes):
+                return
+            chunk = chunks[i]
+            batch = chunk[bisect_right(chunk, last, key=_key_of) :]
 
 
 __all__ = ["MemTable", "ENTRY_OVERHEAD", "TYPE_VALUE", "TYPE_DELETION"]

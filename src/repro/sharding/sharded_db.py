@@ -144,7 +144,6 @@ class ShardedDB:
         *,
         shards: int = 1,
         boundaries: list[bytes] | None = None,
-        seed: int = 0,
         bg_workers: int | None = None,
         auto_rebalance: bool = False,
         split_threshold_bytes: int = 64 * 1024 * 1024,
@@ -156,7 +155,6 @@ class ShardedDB:
         self.store = store
         self.options = options or Options()
         self.options.validate()
-        self._seed = seed
         self._closed = False
         self._rw = _RWLock()
         self.auto_rebalance = auto_rebalance
@@ -220,7 +218,6 @@ class ShardedDB:
         return DB(
             fs,
             self.options,
-            seed=self._seed,
             block_cache=BlockCache(0, lru=self._block_lru, namespace=spec.name),
             table_cache=TableCache(
                 fs, self.options, lru=self._table_lru, namespace=spec.name

@@ -38,7 +38,7 @@ def tiny_options(**overrides) -> Options:
 
 
 def make_db(style: str = COMPACTION_TABLE, fs: SimulatedFS | None = None, **overrides) -> DB:
-    return DB(fs or SimulatedFS(), tiny_options(compaction_style=style, **overrides), seed=1)
+    return DB(fs or SimulatedFS(), tiny_options(compaction_style=style, **overrides))
 
 
 def flip_byte(fs: SimulatedFS, name: str, index: int) -> None:

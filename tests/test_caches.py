@@ -150,6 +150,123 @@ class TestBlockCache:
         assert cache.usage <= cache.capacity
 
 
+class _CountedFile(int):
+    """A file number that counts the equality tests it takes part in — the
+    visits an invalidation pays to find a file's cached blocks."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        _CountedFile.comparisons += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+class TestInvalidationIsIndexedByFile:
+    """``invalidate_file`` / ``invalidate_blocks`` used to test every cached
+    key with a predicate — on every retired file and every Block
+    Compaction, so the cost grew with the whole cache.  Measured here as
+    file-number comparisons, a count, not a clock."""
+
+    @staticmethod
+    def _comparisons(cache_for, other_blocks: int) -> int:
+        cache, other = cache_for()
+        block = make_block()
+        for offset in range(0, 8 * 512, 512):
+            cache.insert(_CountedFile(7), offset, block)
+        for i in range(other_blocks):
+            # Other files in this facade's namespace, and as many in another.
+            cache.insert(_CountedFile(100 + i // 16), 512 * (i % 16), block)
+            other.insert(_CountedFile(7 + i // 16), 512 * (i % 16), block)
+        _CountedFile.comparisons = 0
+        assert cache.invalidate_blocks(_CountedFile(7), {0, 512, 99_999}) == 2
+        assert cache.invalidate_file(_CountedFile(7)) == 6
+        assert cache.invalidate_file(_CountedFile(8)) == 0
+        return _CountedFile.comparisons
+
+    @staticmethod
+    def _private():
+        return BlockCache(1 << 30), BlockCache(1 << 30)
+
+    @staticmethod
+    def _namespaced():
+        from repro.cache.lru import ShardedLRUCache
+
+        shared = ShardedLRUCache(1 << 30, shards=4)
+        return (
+            BlockCache(0, lru=shared, namespace="s0"),
+            BlockCache(0, lru=shared, namespace="s1"),
+        )
+
+    @pytest.mark.parametrize("layout", ["private", "namespaced"])
+    def test_cost_does_not_grow_with_other_files_blocks(self, layout):
+        cache_for = self._private if layout == "private" else self._namespaced
+        few = self._comparisons(cache_for, 16)
+        many = self._comparisons(cache_for, 4096)
+        assert few == many, (few, many)
+
+    @pytest.mark.parametrize("namespace", [None, "s0"])
+    def test_the_index_holds_only_cached_files(self, namespace):
+        """A file whose blocks were all evicted, or cleared with its
+        namespace, leaves no index entry behind: a ``ShardedDB``'s shared
+        LRU outlives the shards it served."""
+        from repro.cache.lru import ShardedLRUCache
+
+        block = make_block()
+        shared = ShardedLRUCache(4 * block.memory_bytes(), shards=2)
+        cache = BlockCache(0, lru=shared, namespace=namespace)
+        for file_number in range(10):
+            for offset in (0, 512):
+                cache.insert(file_number, offset, block)
+        groups = [group for shard in shared._shards for group in shard._groups]
+        cached = {key[:-1] for key in shared.keys()}
+        assert shared.snapshot().evictions > 0
+        assert sorted(groups) == sorted(
+            key[0] if namespace is None else key for key in cached
+        )
+        cache.clear()
+        assert all(not shard._groups for shard in shared._shards)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("namespace", [None, "s1"])
+    def test_matches_a_predicate_over_every_key(self, shards, namespace):
+        """Contents, LRU order and counters equal what the predicate scan
+        leaves, through inserts, hits, evictions and both invalidations."""
+        import random
+
+        from repro.cache.lru import ShardedLRUCache
+
+        block = make_block()
+        indexed = ShardedLRUCache(40 * block.memory_bytes(), shards=shards)
+        scanned = ShardedLRUCache(40 * block.memory_bytes(), shards=shards)
+        cache = BlockCache(0, lru=indexed, namespace=namespace)
+        lead = () if namespace is None else (namespace,)
+        rng = random.Random(5)
+        for _ in range(3000):
+            file_number, offset = rng.randrange(6), 512 * rng.randrange(12)
+            roll = rng.random()
+            if roll < 0.6:
+                cache.insert(file_number, offset, block)
+                scanned.insert((*lead, file_number, offset), block, block.memory_bytes())
+            elif roll < 0.9:
+                assert (cache.get(file_number, offset) is None) == (
+                    scanned.get((*lead, file_number, offset)) is None
+                )
+            elif roll < 0.95:
+                offsets = {512 * rng.randrange(12) for _ in range(3)}
+                assert cache.invalidate_blocks(file_number, offsets) == scanned.invalidate_where(
+                    lambda key: key[:-1] == (*lead, file_number) and key[-1] in offsets
+                )
+            else:
+                assert cache.invalidate_file(file_number) == scanned.invalidate_where(
+                    lambda key: key[:-1] == (*lead, file_number)
+                )
+            assert list(indexed.keys()) == list(scanned.keys())
+        assert indexed.snapshot() == scanned.snapshot()
+        assert indexed.snapshot().invalidations > 0
+
+
 class TestTableCache:
     def _build(self, fs, options, name, n=10):
         builder = TableBuilder(fs, name, options, level=1)

@@ -76,7 +76,7 @@ class TestEngineWithCompression:
 
     def test_compression_reduces_physical_writes(self):
         def load(compression):
-            db = DB(SimulatedFS(), tiny_options(compression=compression), seed=1)
+            db = DB(SimulatedFS(), tiny_options(compression=compression))
             order = list(range(300))
             random.Random(3).shuffle(order)
             for i in order:
@@ -89,11 +89,11 @@ class TestEngineWithCompression:
 
     def test_recovery_with_compression(self):
         fs = SimulatedFS()
-        db = DB(fs, tiny_options(compression="zlib"), seed=1)
+        db = DB(fs, tiny_options(compression="zlib"))
         for i in range(200):
             db.put(kv(i)[0], b"zzz" * 20)
         db.close()
-        db2 = DB(fs, tiny_options(compression="zlib"), seed=1)
+        db2 = DB(fs, tiny_options(compression="zlib"))
         assert db2.get(kv(123)[0]) == b"zzz" * 20
         db2.close()
 

@@ -118,7 +118,7 @@ class TestConcurrentReaders:
     @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipeline"])
     def test_no_reader_misses_a_write_its_sequence_covers(self, pipeline):
         """Readers race ``MemTable.add``: ``MemTable.get`` answers a miss
-        from the memtable's key set without looking at the skiplist, so a
+        from the memtable's key set without searching its chunks, so a
         key must be in the set by the time any reader can hold a sequence
         that covers its write.  A writer inserts fresh keys; each reader
         looks up keys whose put had returned before the lookup began (its
@@ -126,7 +126,7 @@ class TestConcurrentReaders:
         and the key being inserted right now (absent or whole, and absent
         under a snapshot older than its write)."""
         options = tiny_options(compaction_style="selective")
-        db = DB(SimulatedFS(), options.concurrent_pipeline() if pipeline else options, seed=1)
+        db = DB(SimulatedFS(), options.concurrent_pipeline() if pipeline else options)
         total = 1500
         keys = [b"fresh%06d" % i for i in range(total)]
         #: sequences[i] is set once put(keys[i]) has returned (one writer:

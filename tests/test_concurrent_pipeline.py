@@ -23,7 +23,7 @@ from repro.storage.io_stats import CAT_WAL
 
 def make_concurrent_db(style: str = COMPACTION_TABLE, fs=None, **overrides) -> DB:
     options = tiny_options(compaction_style=style, **overrides).concurrent_pipeline()
-    return DB(fs or SimulatedFS(), options, seed=1)
+    return DB(fs or SimulatedFS(), options)
 
 
 def write_behind_held_lock(db: DB, batches: list[WriteBatch]) -> list:
@@ -251,7 +251,7 @@ class TestGroupCommit:
         """Colliding writers group-commit on the synchronous engine too —
         no option selects it — and the leader runs flush + compactions
         inline."""
-        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        db = DB(SimulatedFS(), tiny_options())
         for start in range(0, 300, 3):
             raised = write_behind_held_lock(
                 db, [one_put(i) for i in range(start, start + 3)]
@@ -269,7 +269,7 @@ class TestGroupCommit:
         commit as one group — one device append carrying three records,
         each batch its own record."""
         fs = SimulatedFS()
-        db = DB(fs, Options(), seed=1)
+        db = DB(fs, Options())
         wal = fs.stats.per_category[CAT_WAL]
         appends = wal.write_ops
         db.put(*kv(0))  # uncontended: a group of one
@@ -300,7 +300,7 @@ class TestGroupCommit:
         in every member, always pops the queue, and degrades the DB — a
         later writer fails fast instead of hanging behind a dead leader."""
         fs = FaultInjectionFS(SimulatedFS(), FaultPolicy())
-        db = DB(fs, tiny_options(), seed=1)
+        db = DB(fs, tiny_options())
         db.put(*kv(0))
         fs.policy.fail("append", "*.log", kind=KIND_TRANSIENT, count=1)
         raised = write_behind_held_lock(db, [one_put(i) for i in (1, 2, 3)])
@@ -343,7 +343,7 @@ class TestL0Throttling:
         """Synchronous mode never sleeps on L0 pressure, but every write at
         or past the slowdown trigger counts one stall event — a write a
         group leader commits for its follower as much as a direct one."""
-        db = DB(SimulatedFS(), tiny_options(level0_slowdown_writes_trigger=1), seed=1)
+        db = DB(SimulatedFS(), tiny_options(level0_slowdown_writes_trigger=1))
         self._wedge_compactions(db, monkeypatch)
         db.put(*kv(0))
         db.flush()  # one L0 file >= slowdown trigger

@@ -86,7 +86,7 @@ class TestTunerLeg:
         it read-heavy windows between the write phases, so the crash points
         land around transitions in both directions."""
         ops = with_read_phases(build_workload(90, seed=0), seed=0)
-        db = DB(SimulatedFS(), harness_options(**tuner_overrides()), seed=1)
+        db = DB(SimulatedFS(), harness_options(**tuner_overrides()))
         policies = [db.picker.policy.name]
         try:
             for op in ops:

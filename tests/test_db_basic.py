@@ -6,6 +6,7 @@ from conftest import kv, make_db, tiny_options
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
 from repro.errors import DBClosedError, InvalidArgumentError, NotFoundError
+from repro.memtable import memtable as memtable_module
 from repro.storage.fs import SimulatedFS
 
 
@@ -164,6 +165,41 @@ class TestScan:
             db.put(*kv(i))
         rows = db.scan()
         assert [k for k, _ in rows] == [kv(i)[0] for i in range(30)]
+
+
+class TestWritesBetweenNextCalls:
+    """A sync caller's puts, overwrites and deletes between two ``next()``
+    calls of an open ``DB.iterator()`` — around the cursor, so the memtable
+    chunk under it splits (four-entry chunks), or with a 1 KiB memtable so
+    that flushes and compactions land mid-scan too: the iterator yields
+    exactly the rows of its snapshot, in order."""
+
+    @pytest.mark.parametrize("chunk_max", [4, 2048], ids=["chunks-of-4", "default-chunks"])
+    @pytest.mark.parametrize("memtable_size", [1 << 20, 1024], ids=["in-memtable", "flushing"])
+    @pytest.mark.parametrize("start", [None, b"k0100"])
+    def test_iterator_yields_its_snapshot(self, monkeypatch, chunk_max, memtable_size, start):
+        monkeypatch.setattr(memtable_module, "_CHUNK_MAX", chunk_max, raising=False)
+        db = DB(SimulatedFS(), tiny_options(memtable_size=memtable_size))
+        model = {}
+        for number in range(0, 300, 3):
+            model[b"k%04d" % number] = b"v%d" % number
+            db.put(b"k%04d" % number, model[b"k%04d" % number])
+        for number in range(0, 300, 12):
+            del model[b"k%04d" % number]
+            db.delete(b"k%04d" % number)
+        expected = sorted((k, v) for k, v in model.items() if start is None or k >= start)
+        rows = []
+        with db.iterator(start) as iterator:
+            for key, value in iterator:
+                rows.append((key, value))
+                number = int(key[1:])
+                db.put(b"k%04d" % (number - 1), b"behind")
+                db.put(key, b"overwritten")
+                db.put(b"k%04d" % (number + 1), b"ahead")
+                db.delete(b"k%04d" % (number + 3))
+                db.put(b"k%04d" % (number + 6), b"overwritten ahead")
+        assert rows == expected
+        db.close()
 
 
 class TestWalDurability:

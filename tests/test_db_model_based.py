@@ -42,7 +42,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     def _open(self) -> DB:
         options = tiny_options(compaction_style=self.style, **self.overrides)
-        return DB(self.fs, options, seed=7)
+        return DB(self.fs, options)
 
     @initialize()
     def setup(self):

@@ -15,7 +15,7 @@ from repro.storage.fs import SimulatedFS
 
 
 def reopen(fs, style="table", **overrides) -> DB:
-    return DB(fs, tiny_options(compaction_style=style, **overrides), seed=1)
+    return DB(fs, tiny_options(compaction_style=style, **overrides))
 
 
 class TestWalRecovery:

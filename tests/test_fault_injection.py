@@ -26,7 +26,7 @@ def build_store(fs, n=300):
 
 
 def reopen(fs) -> DB:
-    return DB(fs, tiny_options(), seed=1)
+    return DB(fs, tiny_options())
 
 
 class TestManifestDamage:
@@ -87,7 +87,7 @@ class TestSSTableDamage:
         db_ref = build_store(fs)
         meta = next(m for _l, m in db_ref.version.all_files())
         flip_byte(fs, meta.file_name(), 3)
-        db = DB(fs, tiny_options(verify_checksums=False), seed=1)
+        db = DB(fs, tiny_options(verify_checksums=False))
         # No checksum guard: reads may return garbage, but only parse
         # errors (if any) surface; the DB doesn't crash on open.
         try:

@@ -33,7 +33,7 @@ def open_db(fs, concurrent: bool = False, **overrides) -> DB:
     options = tiny_options(**overrides)
     if concurrent:
         options = options.concurrent_pipeline()
-    return DB(fs, options, seed=1)
+    return DB(fs, options)
 
 
 class TestPolicyMechanics:

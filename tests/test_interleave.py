@@ -135,7 +135,7 @@ def stop_stalled_db(seed: int) -> DB:
         level0_slowdown_writes_trigger=1,
         level0_stop_writes_trigger=2,
     )
-    db = DB(SimulatedFS(), options, seed=seed)
+    db = DB(SimulatedFS(), options)
     db.picker.pick = lambda version: None
     for i in range(2):
         db.put(b"k%d" % i, b"v")
@@ -209,7 +209,7 @@ def run_op_list(seed: int, *, background: bool, wait: bool) -> tuple:
         | {op[1] for op in ops if op[0] != "batch"}
     )
     with controlled(seed):
-        db = DB(SimulatedFS(), options_for(seed, background_compaction=background), seed=seed)
+        db = DB(SimulatedFS(), options_for(seed, background_compaction=background))
         answers = [apply_op(db, op, wait) for op in ops]
         final = (db.scan(), [db.get(key) for key in keys])
         db.close()

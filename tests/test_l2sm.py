@@ -13,7 +13,6 @@ def make_l2sm(hot=1.0, log_factor=2.0, **overrides) -> L2SMDB:
     return L2SMDB(
         SimulatedFS(),
         tiny_options(**overrides),
-        seed=1,
         hot_updates_per_key=hot,
         log_capacity_factor=log_factor,
     )
@@ -38,7 +37,7 @@ class TestHotness:
         hot = make_l2sm(hot=10**9)
         from repro.core.db import DB
 
-        plain = DB(SimulatedFS(), tiny_options(), seed=1)
+        plain = DB(SimulatedFS(), tiny_options())
         load(hot, n=400)
         load(plain, n=400)
         assert hot.io_stats.sim_time_s > plain.io_stats.sim_time_s

@@ -46,7 +46,7 @@ def drive(db, ops: int = 400) -> None:
 
 
 def plain_db() -> DB:
-    db = DB(SimulatedFS(), tiny_options(**EVERY_SECTION), seed=1)
+    db = DB(SimulatedFS(), tiny_options(**EVERY_SECTION))
     drive(db)
     return db
 

@@ -70,7 +70,7 @@ class TestNoWaitReads:
         not even one the memtable or the block cache would answer — so it
         is served exactly as it was before the no-wait mode existed."""
         opts = tiny_options(latency_histograms=True, seek_compaction_min_seeks=1)
-        db = DB(blocking_fs(), opts, seed=1)
+        db = DB(blocking_fs(), opts)
         for i in range(8):
             db.put(*kv(i))
         db.flush()
@@ -104,7 +104,6 @@ class TestNoWaitReads:
         db = DB(
             SimulatedFS(),
             tiny_options(bloom_bits_per_key=0, filter_policy="none"),
-            seed=1,
         )
         order = list(range(600))
         random.Random(5).shuffle(order)
@@ -135,7 +134,7 @@ class TestNoWaitReads:
         db.close()
 
     def test_reads_decline_a_held_engine_lock(self):
-        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        db = DB(SimulatedFS(), tiny_options())
         db.put(*kv(1))
         with _lock_held_elsewhere(db):
             for call in (
@@ -204,14 +203,14 @@ class TestNoWaitWrites:
         return got[0]
 
     def test_declined_on_a_blocking_fs(self):
-        db = DB(blocking_fs(), tiny_options(), seed=1)
+        db = DB(blocking_fs(), tiny_options())
         self._declined(db)
         db.put(b"declined", b"y")
         assert db.get(b"declined") == b"y"
         db.close()
 
     def test_declined_while_another_thread_holds_the_engine_lock(self):
-        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        db = DB(SimulatedFS(), tiny_options())
         with _lock_held_elsewhere(db):
             self._declined(db)
         db.put(b"declined", b"y", wait=False)
@@ -219,7 +218,7 @@ class TestNoWaitWrites:
         db.close()
 
     def test_declined_at_the_l0_slowdown_trigger(self):
-        db = DB(SimulatedFS(), tiny_options().concurrent_pipeline(), seed=1)
+        db = DB(SimulatedFS(), tiny_options().concurrent_pipeline())
         db.put(*kv(1))
         db.flush()
         db.wait_for_background()
@@ -233,7 +232,7 @@ class TestNoWaitWrites:
         db.close()
 
     def test_declined_while_a_frozen_memtable_is_pending(self):
-        db = DB(SimulatedFS(), tiny_options().concurrent_pipeline(), seed=1)
+        db = DB(SimulatedFS(), tiny_options().concurrent_pipeline())
         with db._background_paused():
             i = 0
             while db._immutable is None:  # fill until the first freeze
@@ -260,7 +259,7 @@ class TestNoWaitWrites:
         db.close()
 
     def test_declined_on_a_synchronous_rollover(self):
-        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        db = DB(SimulatedFS(), tiny_options())
         i = 0
         while True:
             try:
@@ -288,7 +287,7 @@ class TestNoWaitWrites:
         """The forecast that lets a no-wait write through and the rollover
         it must not reach are two pieces of code.  If they ever disagree
         the write does not quietly flush on the caller's thread."""
-        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        db = DB(SimulatedFS(), tiny_options())
         monkeypatch.setattr(MemTable, "would_reach", lambda self, *args: False)
         with pytest.raises(AssertionError, match="rollover that waits"):
             for i in range(200):
@@ -302,7 +301,7 @@ class TestNoWaitWrites:
         bound on the stored form: it may turn a put away early, never let
         one through to the inline flush."""
         opts = tiny_options(kv_separation=True, kv_separation_threshold=32)
-        db = DB(SimulatedFS(), opts, seed=1)
+        db = DB(SimulatedFS(), opts)
         declined = 0
         for i in range(300):
             key, value = kv(i)[0], b"v" * (100 if i % 2 else 10)
@@ -316,7 +315,7 @@ class TestNoWaitWrites:
         db.close()
 
     def test_wait_is_keyword_only(self):
-        db = DB(SimulatedFS(), tiny_options(), seed=1)
+        db = DB(SimulatedFS(), tiny_options())
         with pytest.raises(TypeError):
             db.write(WriteBatch().put(b"k", b"v"), False)
         db.close()
@@ -333,7 +332,7 @@ class TestNoWaitEqualsWait:
             opts = tiny_options()
             if concurrent:
                 opts = opts.concurrent_pipeline()
-            db = DB(SimulatedFS(), opts, seed=1)
+            db = DB(SimulatedFS(), opts)
             declined = 0
 
             def call(fn, *args):

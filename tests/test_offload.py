@@ -428,7 +428,7 @@ class TestExecutorLifecycle:
         """DB.close() during/after offloaded compactions joins every worker
         thread deterministically — no leaked executors."""
         fs = SimulatedFS()
-        db = DB(fs, _offload_db_options(), seed=1)
+        db = DB(fs, _offload_db_options())
         for i in range(800):
             db.put(f"key{i % 300:06d}".encode(), b"x" * 40)
         pool = db._subtasks.offload_pool
@@ -443,7 +443,7 @@ class TestExecutorLifecycle:
         """Close while the background worker may hold in-flight subtasks:
         scheduler drains first, then the subtask pool, then offload."""
         fs = SimulatedFS()
-        db = DB(fs, _offload_db_options(background_compaction=True), seed=1)
+        db = DB(fs, _offload_db_options(background_compaction=True))
         for i in range(800):
             db.put(f"key{i % 300:06d}".encode(), b"x" * 40)
         db.close()
@@ -453,7 +453,7 @@ class TestExecutorLifecycle:
         """A constructor failure after the executors start must tear them
         down (non-daemon threads would otherwise keep the process alive)."""
         fs = SimulatedFS()
-        db = DB(fs, _offload_db_options(), seed=1)
+        db = DB(fs, _offload_db_options())
         db.put(b"k", b"v")
         db.close()
         assert _live_worker_threads() == []
@@ -464,14 +464,14 @@ class TestExecutorLifecycle:
         writer.append(b"MANIFEST-999999\n")
         writer.close()
         with pytest.raises(Exception):
-            DB(fs, _offload_db_options(), seed=1)
+            DB(fs, _offload_db_options())
         assert _live_worker_threads() == []
 
     def test_offload_enables_subtask_threads(self):
         """Offload mode implies real subtask threads so subtask I/O
         overlaps offloaded compute."""
         fs = SimulatedFS()
-        db = DB(fs, _offload_db_options(), seed=1)
+        db = DB(fs, _offload_db_options())
         try:
             assert db._subtasks._threads is not None
         finally:
@@ -481,7 +481,7 @@ class TestExecutorLifecycle:
         """The concurrent pipeline already runs compaction off the calling
         thread, so its sub-tasks run on real threads too — without an
         offload pool."""
-        db = DB(SimulatedFS(), tiny_options(background_compaction=True), seed=1)
+        db = DB(SimulatedFS(), tiny_options(background_compaction=True))
         try:
             assert db._subtasks._threads is not None
             assert db._subtasks.offload_pool is None
@@ -491,7 +491,7 @@ class TestExecutorLifecycle:
 
     def test_default_mode_has_no_pools(self):
         fs = SimulatedFS()
-        db = DB(fs, tiny_options(), seed=1)
+        db = DB(fs, tiny_options())
         try:
             assert db._subtasks.offload_pool is None
             assert db._subtasks._threads is None
@@ -602,7 +602,6 @@ class TestDBWithOffload:
                     compaction_offload_mp_context="fork",
                     compaction_workers=2,
                 ),
-                seed=1,
             )
             for i in range(1200):
                 db.put(f"key{i % 400:06d}".encode(), f"v{i}".encode() * 5)
@@ -672,7 +671,6 @@ def _seeded_run(style, offload, kv_separation):
             kv_separation=kv_separation,
             kv_separation_threshold=24,
         ),
-        seed=1,
     )
     for key, value in ops:
         if value is None:

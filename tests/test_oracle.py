@@ -12,7 +12,7 @@ from repro.storage.fs import SimulatedFS
 
 def _store(model: Model) -> DB:
     """A store holding exactly ``model``'s state."""
-    db = DB(SimulatedFS(), harness_options(), seed=1)
+    db = DB(SimulatedFS(), harness_options())
     for key, value in model.scan():
         db.put(key, value)
     return db

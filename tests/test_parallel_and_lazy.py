@@ -125,6 +125,13 @@ class TestSubtaskExecutorInline:
         parallel.close()
 
 
+class _StubBlock:
+    """Stands in for a parsed block: the block cache reads only its charge."""
+
+    def memory_bytes(self) -> int:
+        return 1
+
+
 class _Env:
     def __init__(self, lazy: bool, threshold: int = 10_000):
         self.options = tiny_options(lazy_deletion=lazy, lazy_deletion_threshold=threshold)
@@ -182,7 +189,8 @@ class TestDeletionManager:
     def test_caches_invalidated_at_retire_not_deletion(self):
         env = _Env(lazy=True, threshold=10**9)
         meta = env.fake_file(1)
-        env.block_cache._lru.insert((1, 0), "block", charge=1)
+        env.block_cache.insert(1, 0, _StubBlock())
+        assert env.block_cache.get(1, 0) is not None
         env.manager.retire([meta])
         assert env.fs.exists("000001.sst")  # bytes still there
         assert env.block_cache.get(1, 0) is None  # but cache entry is dead

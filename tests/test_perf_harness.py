@@ -57,6 +57,7 @@ EXPECTED_PATHS = {
     "compaction_merge",
     "catalog_apply",
     "section_finish_open",
+    "memtable_fill",
     "seq_fill",
     "scan",
     "full_compaction",
@@ -74,7 +75,8 @@ def test_quick_run_covers_all_paths(quick_report):
         assert entry["ns_per_op"] > 0, name
     # The micro paths carry an in-process reference arm.
     for name in ("varint_roundtrip", "block_decode", "merge_visible",
-                 "compaction_merge", "catalog_apply", "section_finish_open"):
+                 "compaction_merge", "catalog_apply", "section_finish_open",
+                 "memtable_fill"):
         assert report["metrics"][f"{name}.speedup_vs_reference"] > 0
 
 
@@ -115,9 +117,13 @@ def test_check_fails_on_regression(quick_report):
 
 
 def test_check_without_baseline_is_ok(quick_report):
-    """No committed report: the speedups have nothing to be gated against."""
+    """No committed report: the speedups have nothing to be gated against
+    but ``memtable_fill``'s quick-mode floor, a fixed bound."""
     runner, hotpaths, report = quick_report
-    assert _speedup_gates(runner, hotpaths, report["metrics"], {}) == []
+    gates = _speedup_gates(runner, hotpaths, report["metrics"], {})
+    assert [(g["metric"], g["bound"], g["ok"]) for g in gates] == [
+        ("memtable_fill.speedup_vs_reference", hotpaths.MEMTABLE_FILL_FLOOR, True)
+    ]
 
 
 def test_every_gated_metric_is_compared_by_baseline(runner):

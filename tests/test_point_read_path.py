@@ -119,7 +119,6 @@ def _l2sm(fs):
     return L2SMDB(
         fs,
         tiny_options(seek_compaction_min_seeks=3, block_cache_capacity=3 * 1024),
-        seed=1,
         hot_updates_per_key=0.3,
         log_capacity_factor=50.0,
     )

@@ -194,7 +194,7 @@ class TestPoliciesMeasureApart:
         shapes = {}
         for name in _COMPACTION_POLICIES:
             rng = random.Random(1)
-            db = DB(SimulatedFS(), _options(name), seed=1)
+            db = DB(SimulatedFS(), _options(name))
             try:
                 for _ in range(12_000):
                     db.put(b"user%012d" % rng.randrange(4_000), value)

@@ -662,14 +662,21 @@ _memtable_keys = st.sampled_from([b"", b"a", b"ab", b"b", b"key1", b"key2", b"zz
                        st.integers(0, 45)), max_size=40),
 )
 def test_memtable_get_with_key_set_matches_skiplist_only_get(history, reads):
-    """``MemTable.get`` — a key-set miss answered before the skiplist is
-    touched — equals the reference skiplist-only get for every key (held,
+    """``MemTable.get`` — a key-set miss answered before the chunks are
+    searched — equals the reference skiplist-only get for every key (held,
     deleted, never seen) at every snapshot sequence, including those
-    older than the key's first entry; freezing changes nothing."""
-    memtable = MemTable(seed=3)
+    older than the key's first entry; freezing changes nothing.  The
+    skiplist the memtable used to be (``reference.SkipList``), fed the same
+    adds, holds exactly the memtable's entries, so the reference get seeks
+    that map."""
+    memtable = MemTable()
+    skiplist = reference.SkipList()
     for sequence, (key, value_type, value) in enumerate(history, start=1):
-        memtable.add(sequence, value_type, key, value if value_type == TYPE_VALUE else b"")
+        value = value if value_type == TYPE_VALUE else b""
+        memtable.add(sequence, value_type, key, value)
+        skiplist.insert(comparable_key(key, sequence, value_type), value)
     assert memtable._user_keys == {key for key, _type, _value in history}
+    assert list(memtable.entries()) == list(skiplist.items())
     for frozen in (False, True):
         if frozen:
             memtable.freeze()

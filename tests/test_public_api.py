@@ -61,7 +61,7 @@ class TestExports:
 class TestLocalFSEndToEnd:
     def test_full_lifecycle_on_disk(self, tmp_path):
         fs = LocalFS(str(tmp_path / "db"))
-        db = DB(fs, tiny_options(compaction_style="selective"), seed=3)
+        db = DB(fs, tiny_options(compaction_style="selective"))
         order = list(range(400))
         random.Random(5).shuffle(order)
         for i in order:
@@ -69,7 +69,7 @@ class TestLocalFSEndToEnd:
         db.delete(kv(7)[0])
         db.close()
 
-        db2 = DB(LocalFS(str(tmp_path / "db")), tiny_options(compaction_style="selective"), seed=3)
+        db2 = DB(LocalFS(str(tmp_path / "db")), tiny_options(compaction_style="selective"))
         assert db2.get(kv(7)[0]) is None
         assert db2.get(kv(123)[0]) == kv(123)[1]
         assert len(db2.scan(kv(100)[0], kv(110)[0])) == 10

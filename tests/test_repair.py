@@ -24,7 +24,7 @@ def build_store(fs, n=400, close=True):
 
 
 def reopen(fs) -> DB:
-    return DB(fs, tiny_options(compaction_style="selective"), seed=1)
+    return DB(fs, tiny_options(compaction_style="selective"))
 
 
 class TestRepair:

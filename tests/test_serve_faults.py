@@ -110,7 +110,7 @@ async def _with_fault_server(
 ):
     """Serve a FaultInjectionFS-backed DB; run ``fn(client, server, db, fs)``."""
     fs = FaultInjectionFS(SimulatedFS(), policy or FaultPolicy())
-    db = DB(fs, tiny_options(), seed=1)
+    db = DB(fs, tiny_options())
     server = ShardServer(
         db if wrap is None else wrap(db),
         "127.0.0.1", 0, executor_threads=2, **(server_kwargs or {})
@@ -295,7 +295,7 @@ class TestAdmissionControl:
 class TestGracefulDrain:
     def test_inflight_writes_finish_clean_on_aclose(self):
         async def scenario():
-            db = DB(SimulatedFS(), tiny_options(), seed=1)
+            db = DB(SimulatedFS(), tiny_options())
             server = ShardServer(
                 _SlowDB(db, 0.2), "127.0.0.1", 0,
                 executor_threads=4, drain_timeout=5.0,
@@ -327,7 +327,7 @@ class TestGracefulDrain:
 
     def test_requests_during_drain_are_shed(self):
         async def scenario():
-            db = DB(SimulatedFS(), tiny_options(), seed=1)
+            db = DB(SimulatedFS(), tiny_options())
             server = ShardServer(
                 _SlowDB(db, 0.3), "127.0.0.1", 0,
                 executor_threads=2, drain_timeout=5.0,
@@ -362,7 +362,7 @@ class TestProtocolErrorPath:
         # connection ends with EOF — not a reset that tears the error away
         # while the tail of the burst sits unread in the server's buffer.
         async def scenario():
-            db = DB(SimulatedFS(), tiny_options(), seed=1)
+            db = DB(SimulatedFS(), tiny_options())
             server = ShardServer(db, "127.0.0.1", 0, executor_threads=2)
             await server.start()
             reader, writer = await asyncio.open_connection(
@@ -428,7 +428,7 @@ class TestFlushFailureDurability:
         # it (its WAL is no longer replayed once the log number rotates).
         policy = FaultPolicy()
         fs = FaultInjectionFS(SimulatedFS(), policy)
-        db = DB(fs, tiny_options(), seed=1)
+        db = DB(fs, tiny_options())
         acked = []
         policy.fail("create", "*.sst", kind="permanent", count=2)
         with pytest.raises(ReproError):
@@ -445,7 +445,7 @@ class TestFlushFailureDurability:
         # Crash (drop un-synced bytes), reopen: every acked write survives.
         fs.crash()
         fs.heal()
-        reopened = DB(fs, tiny_options(), seed=1)
+        reopened = DB(fs, tiny_options())
         for key in acked:
             assert reopened.get(key) is not None, key
         assert reopened.get(b"after-resume") == b"1"

@@ -259,10 +259,10 @@ class TestSingleShardIdentity:
         accounting and engine counters match a plain DB exactly."""
         options = tiny_options()
         plain_fs = SimulatedFS()
-        plain = DB(plain_fs, options, seed=1)
+        plain = DB(plain_fs, options)
 
         store = MemoryShardStore()
-        sharded = ShardedDB(store, tiny_options(), shards=1, seed=1)
+        sharded = ShardedDB(store, tiny_options(), shards=1)
 
         for db in (plain, sharded):
             for i in range(120):

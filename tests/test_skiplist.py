@@ -1,8 +1,10 @@
-"""Skiplist tests, including a model-based property test."""
+"""Tests of ``oracle.reference.SkipList`` — the memtable's frozen original
+sorted map, which the reference point reads seek — including a
+model-based property test."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.memtable.skiplist import SkipList
+from oracle.reference import SkipList
 
 
 class TestBasics:

@@ -343,7 +343,7 @@ def test_stress_readers_race_the_background_lane():
     ).concurrent_pipeline()
     from repro.core.db import DB
 
-    db = DB(SimulatedFS(), options, seed=3)
+    db = DB(SimulatedFS(), options)
     acked: dict[bytes, bytes] = {}
     acked_lock = threading.Lock()
     errors: list[BaseException] = []

@@ -478,7 +478,7 @@ class TestAdoptedMetadata:
         from repro.core.db import DB
         from conftest import tiny_options
 
-        reopened = DB(fs, tiny_options(compaction_style="selective"), seed=1)
+        reopened = DB(fs, tiny_options(compaction_style="selective"))
         assert reopened.get(kv(5)[0]) == kv(5)[1]
         assert decoded
         reopened.close()

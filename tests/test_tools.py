@@ -13,7 +13,7 @@ from repro.tools.__main__ import main as tools_main
 
 
 def build_store(fs, style="selective", n=500):
-    db = DB(fs, tiny_options(compaction_style=style), seed=1)
+    db = DB(fs, tiny_options(compaction_style=style))
     order = list(range(n))
     random.Random(1).shuffle(order)
     for i in order:
@@ -57,7 +57,6 @@ class TestDescribeTable:
                 bloom_reserved_mid_fraction=0.4,
                 bloom_reserved_last_fraction=0.1,
             ),
-            seed=1,
         )
         for i in range(200):
             db2.put(*kv(i))
