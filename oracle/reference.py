@@ -876,10 +876,10 @@ def table_lookup(reader, user_key: bytes, snapshot_sequence: int, block_cache):
 
 
 def lookup_linear(db, sv, key: bytes, sequence: int):
-    """Reference ``DB._lookup`` — the level walk of PRs 12-22: a skiplist
+    """Reference ``SuperVersion.lookup`` — the level walk of PRs 12-22: a skiplist
     seek per memtable, a ``visit`` closure per call, the reader resolved
     through ``reader_for`` and the key hashed by each filter.  Returns
-    ``(value, charge)`` as ``DB._lookup`` does."""
+    ``(value, charge)`` as ``SuperVersion.lookup`` does."""
     found, value = memtable_get_seek(sv.memtable, key, sequence)
     if not found and sv.immutable is not None:
         found, value = memtable_get_seek(sv.immutable, key, sequence)
@@ -912,9 +912,8 @@ def lookup_linear(db, sv, key: bytes, sequence: int):
             found, value = visit(level, meta)
             if found:
                 return value, charge
-        if db._has_extra_read_hook:
-            with db._lock:
-                extra = db._extra_get_after_level(level, key, sequence)
+        if sv.after_level:
+            extra = sv.after_level(level, key, sequence)
             if extra is not None and extra[0]:
                 return extra[1], charge
     return None, charge
@@ -1038,12 +1037,8 @@ def _multi_get_linear(db, keys: list[bytes], snapshot) -> dict[bytes, bytes | No
                         if found:
                             resolved[key] = value
                             pending.remove(key)
-                if db._has_extra_read_hook and pending:
-                    with db._lock:
-                        extras = [
-                            (key, db._extra_get_after_level(level, key, sequence))
-                            for key in pending
-                        ]
+                if sv.after_level and pending:
+                    extras = [(key, sv.after_level(level, key, sequence)) for key in pending]
                     for key, extra in extras:
                         if extra is not None and extra[0]:
                             resolved[key] = extra[1]

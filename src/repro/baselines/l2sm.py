@@ -152,18 +152,21 @@ class L2SMDB(DB):
     def _extra_get_after_level(
         self, level: int, key: bytes, snapshot: int
     ) -> tuple[bool, bytes | None] | None:
-        candidates = [e for e in self._log if e.origin_level == level]
-        for entry in sorted(candidates, key=lambda e: e.sequence, reverse=True):
-            meta = entry.meta
-            if not (meta.smallest_user_key <= key <= meta.largest_user_key):
-                continue
-            reader = self.table_cache.get(meta.file_number, meta.file_name())
-            found, value, _touched = reader.lookup(
-                key, snapshot, block_cache=self.block_cache, category=CAT_GET
-            )
-            if found:
-                return found, value
-        return None
+        # The log is not superversion-safe: a reader probes it under the
+        # engine lock.
+        with self._lock:
+            candidates = [e for e in self._log if e.origin_level == level]
+            for entry in sorted(candidates, key=lambda e: e.sequence, reverse=True):
+                meta = entry.meta
+                if not (meta.smallest_user_key <= key <= meta.largest_user_key):
+                    continue
+                reader = self.table_cache.get(meta.file_number, meta.file_name())
+                found, value, _touched = reader.lookup(
+                    key, snapshot, block_cache=self.block_cache, category=CAT_GET
+                )
+                if found:
+                    return found, value
+            return None
 
     def _extra_entry_sources(self, seek: ComparableKey | None, category: str):
         sources = []

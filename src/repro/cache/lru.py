@@ -340,9 +340,8 @@ class ShardedLRUCache:
             # own locking still guards the actual operation.
             lock = shard._lock
             if not lock.acquire(blocking=False):
-                tracer.begin("cache.shard_wait", "cache")
-                lock.acquire()
-                tracer.end("cache.shard_wait", "cache")
+                with tracer.span("cache.shard_wait", "cache"):
+                    lock.acquire()
             lock.release()
         return shard
 

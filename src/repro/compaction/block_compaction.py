@@ -347,7 +347,7 @@ def _run_offloaded(env: CompactionEnv, pool, job: BlockMergeJob, child_meta: Fil
     tracer = getattr(env, "tracer", NULL_TRACER)
     if not tracer.enabled:
         return pool.run(job)
-    tracer.begin(
+    with tracer.span(
         "compaction.offload",
         "compaction",
         {
@@ -355,11 +355,8 @@ def _run_offloaded(env: CompactionEnv, pool, job: BlockMergeJob, child_meta: Fil
             "dirty_blocks": len(job.payloads or ()),
             "parent_entries": len(job.parent_entries),
         },
-    )
-    try:
+    ):
         merge = pool.run(job)
-    finally:
-        tracer.end("compaction.offload", "compaction")
     tracer.instant(
         "compaction.offload.result",
         "compaction",

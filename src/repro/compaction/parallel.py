@@ -109,11 +109,8 @@ class SubtaskExecutor:
         tracer = self._tracer
 
         def run_traced() -> None:
-            tracer.begin("compaction.subtask", "compaction", {"index": index, "of": total})
-            try:
+            with tracer.span("compaction.subtask", "compaction", {"index": index, "of": total}):
                 subtask()
-            finally:
-                tracer.end("compaction.subtask", "compaction")
 
         return run_traced
 

@@ -10,30 +10,28 @@ background work; :class:`~repro.options.Options` only selects which thread
 drains that unit:
 
 * **Writes** commit through ``_apply_locked`` — directly when the engine
-  lock is free, else through the writer queue, whose head commits everyone
-  behind it in one WAL append (group commit; a lone batch is a group of
-  one).
+  lock is free, else through the :class:`~repro.core.write_queue.WriteQueue`
+  (group commit).
 * **Background work** is ``_background_step``: one flush, else one
-  compaction, else one value-log GC round.  **Synchronous (default)**: the
-  write that fills the memtable runs steps inline until nothing is due.
-  Deterministic, and the mode every paper figure is generated in; *time*
-  parallelism (Parallel Merging, concurrent dirty-block reads) is modelled
-  by the device's makespan accounting.  **Concurrent pipeline**
-  (``background_compaction``): the write freezes the full memtable — it
-  stays readable — and wakes this DB's lane of a background executor
-  (:mod:`repro.core.scheduler` — its own one-worker executor, or the one a
-  ``ShardedDB`` shares across its shards), which runs one step per wake.
-  L0 pressure throttles writers via the slowdown/stop triggers instead of
-  inlining work, and disjoint compaction sub-tasks run on a real thread
-  pool (:mod:`repro.compaction.parallel`).  Throughput mode: simulated
-  metrics are approximate here.
+  compaction, else one value-log GC round (:mod:`repro.vlog.gc`).
+  **Synchronous (default)**: the write that fills the memtable runs steps
+  inline until nothing is due.  Deterministic, and the mode every paper
+  figure is generated in; *time* parallelism (Parallel Merging, concurrent
+  dirty-block reads) is modelled by the device's makespan
+  accounting.  **Concurrent pipeline** (``background_compaction``): the
+  write freezes the full memtable — it stays readable — and wakes this
+  DB's lane of a background executor (:mod:`repro.core.scheduler` — its
+  own one-worker executor, or the one a ``ShardedDB`` shares across its
+  shards), which runs one step per wake.  L0 pressure throttles writers via
+  the slowdown/stop triggers instead of inlining work, and disjoint
+  compaction sub-tasks run on a real thread pool
+  (:mod:`repro.compaction.parallel`).  Throughput mode: simulated metrics
+  are approximate here.
 
-Reads (DESIGN.md §9): ``get``,
-``multi_get`` and iterators take a reference on the current refcounted
-:class:`~repro.core.superversion.SuperVersion` under the engine lock,
-resolve against that snapshot with the lock released, and apply any
-seek-compaction charge under the lock afterwards.  Synchronous mode is
-simply the case with one reader.
+Reads (DESIGN.md §9): ``get``, ``multi_get`` and iterators reference the
+current :class:`~repro.core.superversion.SuperVersion` under the engine
+lock, run its traversal with the lock released, and apply the seek charges
+it returns under the lock afterwards.
 
 No-wait mode (DESIGN.md §9): ``get`` / ``multi_get`` / ``scan`` / ``write``
 (and ``put`` / ``delete``) take ``wait=False``, which never waits and never
@@ -51,13 +49,10 @@ event loop.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
-from collections import deque
 from contextlib import nullcontext
-from itertools import chain, islice
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable
 
-from ..bloom.bloom import _hash_pair
 from ..cache.block_cache import BlockCache
 from ..cache.table_cache import TableCache
 from ..compaction.base import CompactionResult, CompactionTask
@@ -96,13 +91,12 @@ from ..storage.fs import FileSystem, SimulatedFS
 from ..storage.io_stats import CAT_COMPACTION, CAT_FLUSH, CAT_SCAN
 from ..vlog import (
     VlogManager,
-    encode_pointer,
     parse_vlog_file_name,
     salvage_scan,
     stored_size_bound,
     vlog_file_name,
-    wrap_inline,
 )
+from ..vlog import gc as vlog_gc
 from . import sync
 from .flush import flush_memtable
 from .iterator import DBIterator, EntryStream
@@ -118,6 +112,7 @@ from .manifest import (
 )
 from .version import FileMetadata, Version, VersionEdit, seek_budget, table_file_name
 from .write_batch import WriteBatch, replay_wal
+from .write_queue import WriteQueue
 
 
 def _log_name(number: int) -> str:
@@ -125,9 +120,6 @@ def _log_name(number: int) -> str:
 
 
 _NULL_CONTEXT = nullcontext()
-
-#: Largest run of queued batches one group-commit leader adopts.
-_GROUP_COMMIT_MAX_BYTES = 1 * 1024 * 1024
 
 #: Sleep applied once per write while L0 is at or above the slowdown
 #: trigger (LevelDB sleeps 1 ms).  Concurrent pipeline only.
@@ -138,18 +130,6 @@ LEVEL0_STOP_MAX_WAIT_S = 30.0
 #: Upper bound on a rollover's wait for the previous frozen memtable's
 #: flush, for the same reason.
 ROLLOVER_MAX_WAIT_S = 60.0
-
-
-class _GroupWriter:
-    """One queued batch in the group-commit writer queue (LevelDB's
-    ``Writer``); see :meth:`DB._write_queued`."""
-
-    __slots__ = ("batch", "done", "error")
-
-    def __init__(self, batch: WriteBatch):
-        self.batch = batch
-        self.done = False
-        self.error: BaseException | None = None
 
 
 class DB:
@@ -253,12 +233,6 @@ class DB:
         # Installed at the end of recovery; None again once closed.
         self._superversion: SuperVersion | None = None
         self._sv_number = 0
-        # L2SM stacks auxiliary read components under the levels; probing
-        # them is not superversion-safe, so reads take the engine lock
-        # around the hook when a subclass overrides it.
-        self._has_extra_read_hook = (
-            type(self)._extra_get_after_level is not DB._extra_get_after_level
-        )
         self._next_file_number = 1
         self._manifest: ManifestWriter | None = None
         self._wal: WalWriter | None = None
@@ -274,8 +248,7 @@ class DB:
 
         self._pending_log: str | None = None  # frozen memtable's WAL, freed on commit
         self._last_flush_meta: FileMetadata | None = None
-        self._writers: deque[_GroupWriter] = deque()  # queued behind a busy engine lock
-        self._writers_cv = sync.Condition()
+        self._write_queue = WriteQueue(self._lock, self.tracer)
         #: Runs compaction sub-tasks (inline, or on real threads in the
         #: concurrent/offload modes) and holds the offload pool.
         self._subtasks = SubtaskExecutor(
@@ -555,14 +528,14 @@ class DB:
                 # inside ``_apply_locked`` under the engine lock.
                 self._error_handler.check_writable()
                 self._throttle_l0()
-            if not wait or (not self._writers and self._lock.acquire(False)):
+            if not wait or (not self._write_queue.writers and self._lock.acquire(False)):
                 try:
                     self._apply_locked([batch])
                     self._maybe_freeze_locked(wait)
                 finally:
                     self._lock.release()
             else:
-                self._write_queued(batch)
+                self._write_queue.commit(batch, self._commit_group_locked)
         finally:
             if self.latency is not None:
                 self._hist_put.record(time.perf_counter() - start)
@@ -574,12 +547,12 @@ class DB:
     def _lock_nowait_write(self, batch: WriteBatch) -> None:
         """Take the engine lock for a ``wait=False`` write, or raise
         :class:`WouldBlock` with nothing changed.  A device that really
-        blocks, a busy lock and a writer queue (``_write_queued``'s wait)
+        blocks, a busy lock and a writer queue (:class:`WriteQueue`'s wait)
         are declined here; the other two waits are declined, under the
         lock and before a byte is written, by the code that owns them — L0
         past the slowdown trigger by :meth:`_throttle_l0`, a rollover that
         would wait by :meth:`_rollover_waits_locked`."""
-        if self.fs.blocking or self._writers or not self._lock.acquire(False):
+        if self.fs.blocking or self._write_queue.writers or not self._lock.acquire(False):
             raise WouldBlock("device or engine lock busy")
         try:
             if self._scheduler is not None:
@@ -590,56 +563,11 @@ class DB:
             self._lock.release()
             raise
 
-    def _write_queued(self, batch: WriteBatch) -> None:
-        """Group commit: contended writers queue up; the queue head leads,
-        committing a whole run of batches in one WAL append and one
-        lock-held memtable pass, then wakes the followers (LevelDB's
-        ``BuildBatchGroup``).  Each batch keeps its own WAL record — only
-        the ``fs.append`` (the expensive device op) is shared."""
-        writer = _GroupWriter(batch)
-        cv = self._writers_cv
-        with cv:
-            self._writers.append(writer)
-            cv.wait_for(lambda: writer.done or self._writers[0] is writer)
-            if writer.done:
-                if writer.error is not None:
-                    raise writer.error
-                return
-        # Leader.  The queue is left intact until completion so new
-        # arrivals keep waiting behind it.
-        group = [writer]
-        size = batch.byte_size()
-        error: BaseException | None = None
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin("group_commit", "write")
-        try:
-            with self._lock:
-                # Adopt followers only now: everyone who queued while the
-                # leader waited for the engine lock rides along, up to the
-                # byte cap.
-                with cv:
-                    for follower in islice(self._writers, 1, None):
-                        size += follower.batch.byte_size()
-                        if size > _GROUP_COMMIT_MAX_BYTES:
-                            break
-                        group.append(follower)
-                self._apply_locked([m.batch for m in group])
-                self._maybe_freeze_locked()
-        except BaseException as exc:  # noqa: BLE001 - delivered to every member
-            error = exc
-        finally:
-            if tracer.enabled:
-                tracer.end("group_commit", "write", {"writers": len(group), "bytes": size})
-        with cv:
-            for member in group:
-                popped = self._writers.popleft()
-                assert popped is member
-                member.error = error
-                member.done = True
-            cv.notify_all()
-        if error is not None:
-            raise error
+    def _commit_group_locked(self, batches: list[WriteBatch]) -> None:
+        """What a group-commit leader runs for its group, under the engine
+        lock (see :class:`WriteQueue`)."""
+        self._apply_locked(batches)
+        self._maybe_freeze_locked()
 
     def _apply_locked(self, batches: list[WriteBatch], user: bool = True) -> None:
         """The atomic core of every write — a lone batch, a group-commit
@@ -657,7 +585,7 @@ class DB:
             # inside (one append + sync for the whole group), so a durable
             # WAL pointer always addresses a durable frame (a crash in
             # between leaves only orphan vlog garbage).
-            stored = self._separate_group_locked(batches)
+            stored = self.vlog.separate(batches, self._roll_vlog_head_locked)
         first = self._sequence + 1
         if self._wal is not None:
             payloads: list[bytes] = []
@@ -705,39 +633,6 @@ class DB:
                 if self.tracer.enabled:
                     self.tracer.instant("stall", "write", {"kind": "slowdown"})
 
-    def _separate_group_locked(self, batches: list[WriteBatch]) -> list[WriteBatch]:
-        """Rewrite batches into stored form: values at or past the
-        separation threshold move to the value log (one framed, synced
-        append for the whole run) and become pointers; everything else is
-        inline-tagged.  Caller holds the engine lock."""
-        threshold = self.options.kv_separation_threshold
-        ops_per = [list(batch) for batch in batches]
-        large: list[tuple[int, int]] = []
-        pairs: list[tuple[bytes, bytes]] = []
-        for bi, ops in enumerate(ops_per):
-            for oi, (value_type, key, value) in enumerate(ops):
-                if value_type == TYPE_VALUE and len(value) >= threshold:
-                    large.append((bi, oi))
-                    pairs.append((key, value))
-        pointers: list[bytes] = []
-        if pairs:
-            if self.vlog.head_full():
-                self._roll_vlog_head_locked()
-            pointers = self.vlog.append_records(pairs)
-        stored = dict(zip(large, pointers))
-        out: list[WriteBatch] = []
-        for bi, ops in enumerate(ops_per):
-            rewritten = WriteBatch()
-            for oi, (value_type, key, value) in enumerate(ops):
-                if value_type != TYPE_VALUE:
-                    rewritten.delete(key)
-                elif (bi, oi) in stored:
-                    rewritten.put(key, stored[(bi, oi)])
-                else:
-                    rewritten.put(key, wrap_inline(value))
-            out.append(rewritten)
-        return out
-
     def _roll_vlog_head_locked(self) -> None:
         """Open a fresh value-log head file.
 
@@ -762,29 +657,25 @@ class DB:
             return
         if not wait:
             raise WouldBlock("L0 at the slowdown trigger")
-        tracer = self.tracer
         self._scheduler.wake()
         stop = len(self.version.files_at(0)) >= opts.level0_stop_writes_trigger
-        if tracer.enabled:
-            tracer.begin("stall", "write", {"kind": "stop" if stop else "slowdown"})
-        if stop:
-            start = sync.monotonic()
-            with self._lock:
-                self._l0_cv.wait_for(
-                    lambda: len(self.version.files_at(0)) < opts.level0_stop_writes_trigger
-                    or self._error_handler.degraded
-                    or self._closed,
-                    LEVEL0_STOP_MAX_WAIT_S,
-                )
-            seconds = sync.monotonic() - start
-        else:
-            seconds = LEVEL0_SLOWDOWN_SLEEP_S
-            sync.sleep(seconds)
-        # Throttled writers run OUTSIDE the engine lock, so these
-        # counters go through the dedicated stats lock (see DBStats).
-        self.stats.record_stall(stop=stop, seconds=seconds)
-        if tracer.enabled:
-            tracer.end("stall", "write")
+        with self.tracer.span("stall", "write", {"kind": "stop" if stop else "slowdown"}):
+            if stop:
+                start = sync.monotonic()
+                with self._lock:
+                    self._l0_cv.wait_for(
+                        lambda: len(self.version.files_at(0)) < opts.level0_stop_writes_trigger
+                        or self._error_handler.degraded
+                        or self._closed,
+                        LEVEL0_STOP_MAX_WAIT_S,
+                    )
+                seconds = sync.monotonic() - start
+            else:
+                seconds = LEVEL0_SLOWDOWN_SLEEP_S
+                sync.sleep(seconds)
+            # Throttled writers run OUTSIDE the engine lock, so these
+            # counters go through the dedicated stats lock (see DBStats).
+            self.stats.record_stall(stop=stop, seconds=seconds)
 
     def _rollover_waits_locked(self, batch: WriteBatch) -> bool:
         """Whether writing ``batch`` now would end in a rollover its writer
@@ -816,19 +707,16 @@ class DB:
         if self._scheduler is None:
             self._drain_immutable_locked()  # a failed flush's leftover: see _flush_locked
         elif self._immutable is not None:
-            if self.tracer.enabled:
-                self.tracer.begin("stall", "write", {"kind": "memtable"})
-            self._scheduler.wake()
-            start = sync.monotonic()
-            self._flush_cv.wait_for(
-                lambda: self._immutable is None
-                or self._error_handler.degraded
-                or self._closed,
-                ROLLOVER_MAX_WAIT_S,
-            )
-            self.stats.record_stall(seconds=sync.monotonic() - start)
-            if self.tracer.enabled:
-                self.tracer.end("stall", "write")
+            with self.tracer.span("stall", "write", {"kind": "memtable"}):
+                self._scheduler.wake()
+                start = sync.monotonic()
+                self._flush_cv.wait_for(
+                    lambda: self._immutable is None
+                    or self._error_handler.degraded
+                    or self._closed,
+                    ROLLOVER_MAX_WAIT_S,
+                )
+                self.stats.record_stall(seconds=sync.monotonic() - start)
             if self._immutable is not None:
                 return  # flusher wedged or errored; keep accepting writes
             if self._memtable.approximate_memory_usage() < self.options.memtable_size:
@@ -910,41 +798,42 @@ class DB:
             # Discard observations from a failed earlier attempt — folding
             # them would double-count the same drops after a retry.
             self.vlog.take_pending_dead()
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin("flush.build", "flush", {"file": file_number, "entries": len(immutable)})
-        try:
-            return flush_memtable(
-                self.fs,
-                self.options,
-                immutable,
-                file_number,
-                self.snapshot_boundaries(),
-                on_drop=self.vlog.observe_drop if self.vlog is not None else None,
-            )
-        except BaseException:
-            name = table_file_name(file_number)
+        with self.tracer.span(
+            "flush.build", "flush", {"file": file_number, "entries": len(immutable)}
+        ):
             try:
-                if self.fs.exists(name):
-                    self.fs.delete_file(name)
-            except Exception:  # noqa: BLE001 - best-effort cleanup
-                pass
-            raise
-        finally:
-            if tracer.enabled:
-                tracer.end("flush.build", "flush")
+                return flush_memtable(
+                    self.fs,
+                    self.options,
+                    immutable,
+                    file_number,
+                    self.snapshot_boundaries(),
+                    on_drop=self.vlog.observe_drop if self.vlog is not None else None,
+                )
+            except BaseException:
+                name = table_file_name(file_number)
+                try:
+                    if self.fs.exists(name):
+                        self.fs.delete_file(name)
+                except Exception:  # noqa: BLE001 - best-effort cleanup
+                    pass
+                raise
 
     def _commit_flush_locked(self, meta: FileMetadata | None) -> None:
-        traced = self.tracer.enabled and meta is not None
-        if traced:
-            self.tracer.begin(
-                "flush.commit", "flush",
-                {"file": meta.file_number, "bytes": meta.file_size},
-            )
-        try:
-            self._immutable = None
-            dead = self.vlog.take_pending_dead() if self.vlog is not None else []
-            if meta is not None:
+        self._immutable = None
+        dead = self.vlog.take_pending_dead() if self.vlog is not None else []
+        if meta is None:
+            # No table came out (everything dropped), so no version edit —
+            # but _immutable was cleared, which is a read-source change.
+            # Dropped entries may still have freed vlog frames, though:
+            # journal the ledger delta on its own.
+            if dead:
+                self._apply_edit(VersionEdit(vlog_dead=dead))
+            self._install_superversion_locked()
+        else:
+            with self.tracer.span(
+                "flush.commit", "flush", {"file": meta.file_number, "bytes": meta.file_size}
+            ):
                 edit = VersionEdit(
                     log_number=self._log_number,
                     next_file_number=self._next_file_number,
@@ -972,23 +861,12 @@ class DB:
                 # flush, not to the first foreground read (see run_compaction).
                 self._open_built(meta, CAT_FLUSH)
                 self._on_flush(meta)
-            else:
-                # No table came out (everything dropped), so no version edit —
-                # but _immutable was cleared, which is a read-source change.
-                # Dropped entries may still have freed vlog frames, though:
-                # journal the ledger delta on its own.
-                if dead:
-                    self._apply_edit(VersionEdit(vlog_dead=dead))
-                self._install_superversion_locked()
-            if self._pending_log is not None and self.fs.exists(self._pending_log):
-                self.fs.delete_file(self._pending_log)
-            self._pending_log = None
-            self._observe_space()
-            self._last_flush_meta = meta
-            self._flush_cv.notify_all()
-        finally:
-            if traced:
-                self.tracer.end("flush.commit", "flush")
+        if self._pending_log is not None and self.fs.exists(self._pending_log):
+            self.fs.delete_file(self._pending_log)
+        self._pending_log = None
+        self._observe_space()
+        self._last_flush_meta = meta
+        self._flush_cv.notify_all()
 
     def _apply_edit(self, edit: VersionEdit) -> None:
         self.version.apply(edit)
@@ -1025,6 +903,9 @@ class DB:
             self._immutable,
             self.version.clone_file_lists(),
             self._superversion_drained,
+            self.table_cache,
+            self.block_cache,
+            self._extra_get_after_level,
         )
         if old is not None and old.retire():
             self.deletion_manager.pin()
@@ -1140,7 +1021,7 @@ class DB:
         if task is None:
             # Lowest-priority unit: value-log GC (flushes and compactions
             # always drain first, keeping writers unblocked).
-            return self._maybe_run_vlog_gc()
+            return vlog_gc.run_round(self)
         result = self._execute_compaction(task)
         with self._lock:
             self._commit_compaction(task, result)
@@ -1240,52 +1121,42 @@ class DB:
             # Discard a failed prior attempt's drop observations (see
             # _build_flush) so retries never double-fold dead bytes.
             self.vlog.take_pending_dead()
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin(
-                "compaction.execute", "compaction",
-                {
-                    "parent_level": task.parent_level,
-                    "child_level": task.child_level,
-                    "reason": task.reason,
-                    "parent_files": len(task.parent_files),
-                    "child_files": len(task.child_files),
-                },
-            )
-            try:
-                result = self._execute_compaction_inner(task)
-            finally:
-                tracer.end("compaction.execute", "compaction")
-            return result
-        return self._execute_compaction_inner(task)
+        with self.tracer.span(
+            "compaction.execute", "compaction",
+            {
+                "parent_level": task.parent_level,
+                "child_level": task.child_level,
+                "reason": task.reason,
+                "parent_files": len(task.parent_files),
+                "child_files": len(task.child_files),
+            },
+        ):
+            diverted = self._maybe_divert_task(task)
+            if diverted is not None:
+                result = diverted
+            elif can_trivially_move(self, task) and task.reason != "manual":
+                # Manual compactions force a rewrite (LevelDB's CompactRange
+                # semantics): moving a file wholesale would carry its garbage
+                # (shadowed versions, droppable tombstones) along.
+                result = run_trivial_move(self, task)
+            else:
+                style = self.compaction_style_for(task)
+                if style == COMPACTION_TABLE:
+                    result = run_table_compaction(self, task)
+                elif style == COMPACTION_BLOCK:
+                    result = run_block_compaction(self, task, self._subtasks)
+                elif style == COMPACTION_SELECTIVE:
+                    result = run_selective_compaction(self, task, self._subtasks)
+                else:  # pragma: no cover - options.validate() rejects this
+                    raise InvalidArgumentError(f"unknown style {style!r}")
 
-    def _execute_compaction_inner(self, task: CompactionTask) -> CompactionResult:
-        diverted = self._maybe_divert_task(task)
-        if diverted is not None:
-            result = diverted
-        elif can_trivially_move(self, task) and task.reason != "manual":
-            # Manual compactions force a rewrite (LevelDB's CompactRange
-            # semantics): moving a file wholesale would carry its garbage
-            # (shadowed versions, droppable tombstones) along.
-            result = run_trivial_move(self, task)
-        else:
-            style = self.compaction_style_for(task)
-            if style == COMPACTION_TABLE:
-                result = run_table_compaction(self, task)
-            elif style == COMPACTION_BLOCK:
-                result = run_block_compaction(self, task, self._subtasks)
-            elif style == COMPACTION_SELECTIVE:
-                result = run_selective_compaction(self, task, self._subtasks)
-            else:  # pragma: no cover - options.validate() rejects this
-                raise InvalidArgumentError(f"unknown style {style!r}")
-
-        # Open the outputs now (LevelDB verifies each new table is usable
-        # right after building it), charging the metadata loads to the
-        # compaction rather than to the first foreground read.
-        for _level, meta in result.edit.new_files:
-            self._open_built(meta, CAT_COMPACTION)
-        for _level, meta in result.edit.updated_files:
-            self.table_cache.get(meta.file_number, meta.file_name(), CAT_COMPACTION)
+            # Open the outputs now (LevelDB verifies each new table is usable
+            # right after building it), charging the metadata loads to the
+            # compaction rather than to the first foreground read.
+            for _level, meta in result.edit.new_files:
+                self._open_built(meta, CAT_COMPACTION)
+            for _level, meta in result.edit.updated_files:
+                self.table_cache.get(meta.file_number, meta.file_name(), CAT_COMPACTION)
         return result
 
     def _open_built(self, meta: FileMetadata, category: str) -> None:
@@ -1301,19 +1172,16 @@ class DB:
     ) -> CompactionResult:
         """The short half, always under the engine lock: install the version
         edit, retire replaced files, record stats."""
-        traced = self.tracer.enabled
-        if traced:
-            self.tracer.begin(
-                "compaction.commit", "compaction",
-                {
-                    "parent_level": task.parent_level,
-                    "child_level": task.child_level,
-                    "kind": result.kind,
-                    "bytes_written": result.bytes_written,
-                    "output_files": result.output_files,
-                },
-            )
-        try:
+        with self.tracer.span(
+            "compaction.commit", "compaction",
+            {
+                "parent_level": task.parent_level,
+                "child_level": task.child_level,
+                "kind": result.kind,
+                "bytes_written": result.bytes_written,
+                "output_files": result.output_files,
+            },
+        ):
             if task.parent_files:
                 # A level rewrite (no parent files) starts no round-robin.
                 self.picker.advance_pointer(task)
@@ -1353,9 +1221,6 @@ class DB:
             self._l0_cv.notify_all()
             if self.options.paranoid_checks:
                 self._verify_catalog()
-        finally:
-            if traced:
-                self.tracer.end("compaction.commit", "compaction")
         return result
 
     def _verify_catalog(self) -> None:
@@ -1532,7 +1397,25 @@ class DB:
         if not wait:
             self.lock_nowait()
         try:
-            return self._multi_get(checked, snapshot, wait)
+            # One superversion reference for the batch: the engine lock is
+            # touched once to incref, plus once at the end if seek charges
+            # accrued (compacting mid-batch would pull files from under its
+            # probes).
+            sv, sequence = self._acquire_read()
+            try:
+                sequence = self._resolve_snapshot(snapshot, sequence)
+                resolved, charges = sv.multi_lookup(checked, sequence)
+                # Resolve pointers before unref (see get).
+                if self.vlog is not None:
+                    for key, value in resolved.items():
+                        if value is not None:
+                            resolved[key] = self.vlog.resolve(value)
+            finally:
+                sv.unref()
+            values = [resolved.get(key) for key in checked]
+            self.stats.count_gets(len(checked), len(checked) - values.count(None))
+            self._charge_seeks(charges, wait)
+            return dict(zip(checked, values))
         finally:
             if not wait:
                 self._lock.release()
@@ -1541,226 +1424,9 @@ class DB:
             if self._tuner is not None:
                 self._tuner.record_op()
 
-    def _multi_get(
-        self, keys: list[bytes], snapshot: Snapshot | None, wait: bool = True
-    ) -> dict[bytes, bytes | None]:
-        """The batched traversal, against one superversion reference: the
-        engine lock is touched once to incref (plus once at the end if any
-        seek charges accrued — ``wait`` is :meth:`_charge_seeks`'s)."""
-        sv, sequence = self._acquire_read()
-        resolved: dict[bytes, bytes | None] = {}
-        # Seek charges, (level, meta) each, applied under the engine lock after
-        # the batch: compacting mid-batch would pull files from under its probes.
-        charges: list[tuple[int, FileMetadata]] = []
-        try:
-            sequence = self._resolve_snapshot(snapshot, sequence)
-            memtable, immutable = sv.memtable, sv.immutable
-            # Keys the memtables did not answer, in batch order, each with
-            # its seek-charge state (_lookup's rule): None until a probe
-            # reads a block and misses, then that (level, file) — appended
-            # to ``charges`` and set False when the walk goes on past it.
-            pending: dict[bytes, tuple[int, FileMetadata] | None | bool] = {}
-            for key in keys:
-                if key in resolved or key in pending:
-                    continue
-                found, value = memtable.get(key, sequence)
-                if not found and immutable is not None:
-                    found, value = immutable.get(key, sequence)
-                if found:
-                    resolved[key] = value
-                else:
-                    pending[key] = None
-
-            hashes: dict[bytes, tuple[int, int]] = {}  # filled at a key's first probe
-            readers = sv.readers
-            table_cache, block_cache = self.table_cache, self.block_cache
-            hook = self._has_extra_read_hook
-            for level in range(sv.num_levels):
-                if not pending:
-                    break
-                # The level's probes as (file, keys) groups.  An L0 file's keys are
-                # picked at its turn (None here): a newer file may resolve some.
-                if level == 0:
-                    groups = [(meta, None) for meta in sv.level0_newest_first]
-                else:
-                    by_file: dict[int, tuple[FileMetadata, list[bytes]]] = {}
-                    for key in pending:
-                        meta = sv.file_for_key(level, key)
-                        if meta is not None:
-                            by_file.setdefault(meta.file_number, (meta, []))[1].append(key)
-                    groups = by_file.values()
-                for meta, file_keys in groups:
-                    if file_keys is None:
-                        smallest, largest = meta.smallest_user_key, meta.largest_user_key
-                        file_keys = [key for key in pending if smallest <= key <= largest]
-                        if not file_keys:
-                            continue
-                    reader = readers.get(meta.file_number)
-                    if reader is None:
-                        reader = sv.reader_for(meta, table_cache)
-                    for key in file_keys:
-                        key_hash = hashes.get(key) or hashes.setdefault(key, _hash_pair(key))
-                        found, value, touched = reader.lookup(
-                            key, sequence, block_cache=block_cache, key_hash=key_hash
-                        )
-                        if found:
-                            resolved[key] = value
-                            first_miss = pending.pop(key)
-                            if first_miss:
-                                charges.append(first_miss)
-                        elif touched:
-                            first_miss = pending[key]
-                            if first_miss is None:
-                                pending[key] = (level, meta)
-                            elif first_miss:
-                                charges.append(first_miss)
-                                pending[key] = False
-                if hook and level and pending:
-                    with self._lock:
-                        extras = [
-                            (key, self._extra_get_after_level(level, key, sequence))
-                            for key in pending
-                        ]
-                    for key, extra in extras:
-                        if extra is not None and extra[0]:
-                            resolved[key] = extra[1]
-                            del pending[key]
-            # Resolve pointers before unref (see get).
-            if self.vlog is not None:
-                for key, value in resolved.items():
-                    if value is not None:
-                        resolved[key] = self.vlog.resolve(value)
-        finally:
-            sv.unref()
-
-        values = [resolved.get(key) for key in keys]
-        self.stats.count_gets(len(keys), len(keys) - values.count(None))
-        self._charge_seeks(charges, wait)
-        return dict(zip(keys, values))
-
     def _observe_space(self) -> None:
         total = self.version.total_file_bytes() + self.deletion_manager.pending_bytes
         self.stats.observe_space(total)
-
-    # ------------------------------------------------------------------ value-log GC
-
-    def _maybe_run_vlog_gc(self) -> bool:
-        """Run one value-log GC round if a file qualifies, then try any
-        deferred physical deletions.  Returns True when work happened.
-
-        The one entry point is :meth:`_background_step`'s lowest-priority
-        unit, so a failed round is retried by whichever driver ran the
-        step.  A round cannot re-enter itself: its re-puts go through
-        :meth:`_apply_locked`, which never rolls the memtable, and
-        :meth:`_gc_maybe_flush` only ever runs the step that is the pending
-        flush."""
-        if self.vlog is None or self._closed:
-            return False
-        with self._lock:
-            victim = self.vlog.pick_gc_victim(self.version.vlog)
-        did = False
-        if victim is not None:
-            self._run_vlog_gc(victim)
-            self._error_handler.note_success()
-            did = True
-        if self._process_vlog_deletes():
-            did = True
-        return did
-
-    def _run_vlog_gc(self, victim: int) -> None:
-        """Rewrite ``victim``'s still-live records to the log head, then
-        journal its deletion.
-
-        Crash consistency: re-puts are ordinary durable writes, so a crash
-        at ANY point leaves only duplicate-but-live records — never a
-        dangling pointer.  Before the deletion edit lands the victim stays
-        registered and a re-run converges (the re-pointed keys now fail the
-        liveness check); after it lands, recovery unlinks the file via the
-        unregistered-file rule."""
-        if self.tracer.enabled:
-            self.tracer.begin("vlog.gc", "compaction", {"file": victim})
-        self.stats.vlog_gc_runs += 1
-        try:
-            records, _intact = salvage_scan(self.vlog.read_file(victim))
-            chunk: list[tuple[int, int, bytes, bytes]] = []
-            for record in records:
-                chunk.append(record)
-                if len(chunk) >= 64:
-                    self._gc_rewrite_chunk(victim, chunk)
-                    chunk = []
-                    self._gc_maybe_flush()
-            if chunk:
-                self._gc_rewrite_chunk(victim, chunk)
-                self._gc_maybe_flush()
-            with self._lock:
-                self._apply_edit(VersionEdit(deleted_vlog_files=[victim]))
-                # Physical deletion waits for every reader that might still
-                # hold the old pointers: barrier = the first sequence at
-                # which all live versions point at the head copies.
-                self.vlog.defer_delete(victim, self._sequence)
-        finally:
-            if self.tracer.enabled:
-                self.tracer.end("vlog.gc", "compaction")
-
-    def _gc_rewrite_chunk(
-        self, victim: int, chunk: list[tuple[int, int, bytes, bytes]]
-    ) -> None:
-        """Re-point one chunk of victim records.  Liveness re-check and
-        re-put happen under a single engine-lock hold, so a concurrent
-        writer can never be clobbered by a stale GC copy: a record is
-        rewritten only while the newest version of its key is EXACTLY the
-        pointer to this frame."""
-        with self._lock:
-            survivors = WriteBatch()
-            for frame_offset, frame_length, key, value in chunk:
-                # The engine lock is held, so the current superversion
-                # cannot be retired under this walk: no reference needed.
-                stored, _charge = self._lookup(
-                    self._superversion, key, self._sequence
-                )
-                if stored is not None and stored == encode_pointer(
-                    victim, frame_offset, frame_length
-                ):
-                    survivors.put(key, value)
-            if len(survivors):
-                # Re-put through the one durable write core (vlog
-                # re-separation + WAL + memtable), as engine traffic.
-                self._apply_locked([survivors], user=False)
-                self.stats.vlog_gc_rewritten_values += len(survivors)
-                self.stats.vlog_gc_rewritten_bytes += sum(
-                    len(value) for _type, _key, value in survivors
-                )
-
-    def _gc_maybe_flush(self) -> None:
-        """Keep the memtable bounded while GC re-puts stream through it:
-        freeze-and-flush inline (both modes).  Compactions the flushes make
-        due run after the GC round finishes."""
-        with self._lock:
-            if (
-                self._immutable is None
-                and self._memtable.approximate_memory_usage()
-                >= self.options.memtable_size
-            ):
-                self._freeze_locked()
-            self._drain_immutable_locked()
-
-    def _process_vlog_deletes(self) -> bool:
-        """Physically unlink journaled-deleted vlog files once nothing can
-        still read them: no deletion pin (open iterator / draining
-        superversion) and no snapshot older than the GC barrier."""
-        if self.vlog is None or not self.vlog.pending_deletes:
-            return False
-        with self._lock:
-            if self.deletion_manager.active_pins:
-                return False
-            boundaries = self.snapshots.boundaries()
-            oldest = min(boundaries) if boundaries else None
-            return (
-                self.vlog.process_deletes(
-                    lambda barrier: oldest is None or oldest >= barrier
-                )
-                > 0
-            )
 
     # ------------------------------------------------------------------ reads
 
@@ -1794,7 +1460,7 @@ class DB:
             sv, sequence = self._acquire_read()
             try:
                 sequence = self._resolve_snapshot(snapshot, sequence)
-                value, charge = self._lookup(sv, key, sequence)
+                value, charge = sv.lookup(key, sequence)
                 # Resolve while still holding the superversion reference:
                 # pointer resolution must finish before this read stops
                 # being visible to the GC deletion barrier.
@@ -1827,81 +1493,10 @@ class DB:
     def unlock_nowait(self) -> None:
         self._lock.release()
 
-    def _lookup(
-        self, sv: SuperVersion, key: bytes, sequence: int
-    ) -> tuple[bytes | None, tuple[int, FileMetadata] | None]:
-        """The single-key traversal: newest stored (unresolved) value for
-        ``key`` at ``sequence`` in ``sv``, newest component first; None
-        covers both absent and deleted.
-
-        Also returns the seek-compaction charge the walk earned, as
-        ``(level, file)`` or None: the first file that cost a block read
-        but did not contain the key is charged one seek if the lookup had
-        to continue past it — to a later block read, or to the file that
-        holds the key (LevelDB's rule).  The charge is only observed
-        here — the caller applies it under the engine lock once the walk is
-        over (mutating picker state from here would race the background
-        worker, and a compaction in the middle of a level walk would pull
-        files out from under it)."""
-        found, value = sv.memtable.get(key, sequence)
-        if not found and sv.immutable is not None:
-            found, value = sv.immutable.get(key, sequence)
-        if found:
-            return value, None
-
-        # The probe — the reader from the superversion's memo, the key hashed
-        # once (at the first file asked) for every filter, the charge
-        # bookkeeping — is written out twice: sharing it through a closure
-        # or a helper costs a cached get more bytecodes than the probe is.
-        first_miss: tuple[int, FileMetadata] | None = None
-        charge: tuple[int, FileMetadata] | None = None
-        readers = sv.readers
-        table_cache, block_cache = self.table_cache, self.block_cache
-        key_hash = None
-        for meta in sv.level0_newest_first:
-            if meta.smallest_user_key <= key <= meta.largest_user_key:
-                reader = readers.get(meta.file_number)
-                if reader is None:
-                    reader = sv.reader_for(meta, table_cache)
-                if key_hash is None:
-                    key_hash = _hash_pair(key)
-                found, value, touched = reader.lookup(
-                    key, sequence, block_cache=block_cache, key_hash=key_hash
-                )
-                if found:
-                    return value, first_miss
-                if touched:  # a block read for nothing: charged once another follows
-                    charge, first_miss = first_miss, first_miss or (0, meta)
-        # L2SM's log holds entries diverted FROM a level (older than its
-        # content, newer than everything deeper): asked after every level.
-        hook = self._has_extra_read_hook
-        for level in range(1, sv.num_levels):
-            meta = sv.file_for_key(level, key)
-            if meta is not None:
-                reader = readers.get(meta.file_number)
-                if reader is None:
-                    reader = sv.reader_for(meta, table_cache)
-                if key_hash is None:
-                    key_hash = _hash_pair(key)
-                found, value, touched = reader.lookup(
-                    key, sequence, block_cache=block_cache, key_hash=key_hash
-                )
-                if found:
-                    return value, first_miss
-                if touched:  # a block read for nothing: charged once another follows
-                    charge, first_miss = first_miss, first_miss or (level, meta)
-            if hook:
-                with self._lock:
-                    extra = self._extra_get_after_level(level, key, sequence)
-                if extra is not None and extra[0]:
-                    return extra[1], charge
-        return None, charge
-
-    def _extra_get_after_level(
-        self, level: int, key: bytes, snapshot: int
-    ) -> tuple[bool, bytes | None] | None:
-        """L2SM hook: search auxiliary components stacked under ``level``."""
-        return None
+    #: L2SM hook, ``(level, key, sequence) -> (found, value) | None``: search
+    #: the auxiliary components stacked under ``level``, called with no lock
+    #: held.  None (no such components) for every other engine.
+    _extra_get_after_level = None
 
     def _charge_seeks(
         self, charges: Iterable[tuple[int, FileMetadata]], wait: bool = True
@@ -1979,73 +1574,6 @@ class DB:
             if self.deletion_manager.active_pins == 0 and self.picker.seek_candidates:
                 self._request_compaction(wait)
 
-    def _level_blocks(
-        self,
-        level: int,
-        files: list[FileMetadata] | tuple[FileMetadata, ...],
-        first: int,
-        seek: ComparableKey | None,
-        end: bytes | None,
-    ) -> Iterator[Iterable[tuple[ComparableKey, bytes]]]:
-        """The block stream of one sorted run for a scan: ``files[first:]``
-        of a level >= 1 (``first`` from :meth:`SuperVersion.seek_index`), or
-        one L0 file.  Each resume fetches one block and yields its entries
-        as a C-level ``zip`` — this frame is the only Python between the
-        merge and :meth:`TableReader.read_block` — so :meth:`iterator`
-        flattens it with ``chain.from_iterable`` and pays nothing per row.
-
-        * Files wholly at or past ``end`` are never opened: the run is
-          disjoint and ordered, so the first such file ends the stream.
-        * The reader is pinned while the stream is inside its file: a table
-          cache eviction (or file retirement) must not close the handle
-          under the iterator.
-        * Reads follow the index order, each block handed the one before
-          it so that :meth:`TableReader.read_block` can charge a miss by
-          physical contiguity (sequential when it continues the last read,
-          random for a file's first block or one scattered by an earlier
-          Block Compaction).
-        * A file charges its seek (:meth:`_charge_scan_seek`) on the first
-          entry it actually produces — LevelDB's read sampling: a file that
-          is opened but yields nothing charges nothing.
-        * Only the first block read is cut at ``seek``; every block is
-          decoded eagerly, since all of it is about to be drained.
-        """
-        table_cache = self.table_cache
-        block_cache = self.block_cache
-        for i in range(first, len(files)):
-            meta = files[i]
-            if end is not None and meta.smallest_user_key >= end:
-                return
-            reader = table_cache.get(meta.file_number, meta.file_name())
-            reader.acquire()
-            try:
-                index = reader.index
-                entries = index.entries
-                start = 0 if seek is None else index.first_overlapping(seek[0])
-                uncharged = True
-                previous = None
-                for entry in entries[start:] if start else entries:
-                    block = reader.read_block(
-                        entry, CAT_SCAN, block_cache, False, False, previous
-                    )
-                    previous = entry
-                    keys = block.keys
-                    values = block.values
-                    if seek is not None:
-                        cut = bisect_left(keys, seek)
-                        keys = keys[cut:]
-                        values = values[cut:]
-                        seek = None
-                    if uncharged:
-                        if not keys:
-                            continue
-                        self._charge_scan_seek(level, meta)
-                        uncharged = False
-                    yield zip(keys, values)
-            finally:
-                reader.release()
-            seek = None
-
     def _extra_entry_sources(
         self, seek: ComparableKey | None, category: str
     ) -> list[EntryStream]:
@@ -2080,29 +1608,9 @@ class DB:
             sv = self._superversion.ref()
             self.snapshots.pin(snapshot)
 
-            sources: list[EntryStream] = [
-                sv.memtable.entries_from(seek)
-                if seek is not None
-                else sv.memtable.entries()
-            ]
-            if sv.immutable is not None:
-                sources.append(
-                    sv.immutable.entries_from(seek)
-                    if seek is not None
-                    else sv.immutable.entries()
-                )
-            sources.extend(self._extra_entry_sources(seek, CAT_SCAN))
-            flatten = chain.from_iterable
-            for meta in sv.level0_newest_first:
-                if end is not None and meta.smallest_user_key >= end:
-                    continue  # wholly past the bound: never opened
-                sources.append(flatten(self._level_blocks(0, (meta,), 0, seek, end)))
-            for level in range(1, sv.num_levels):
-                files = sv.file_lists[level]
-                if files:
-                    first = sv.seek_index(level, start) if start is not None else 0
-                    sources.append(flatten(self._level_blocks(level, files, first, seek, end)))
-
+            sources = sv.scan_sources(
+                seek, end, self._extra_entry_sources(seek, CAT_SCAN), self._charge_scan_seek
+            )
             self.deletion_manager.pin()
             self.stats.scans += 1
             return DBIterator(

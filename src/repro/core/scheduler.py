@@ -448,16 +448,11 @@ class SharedBackgroundExecutor:
                 lane._work_due = False
             did_work = False
             exc: BaseException | None = None
-            tracer = lane._tracer
-            if tracer.enabled:
-                tracer.begin("bg.round", "background", {"lane": lane.name})
-            try:
-                did_work = bool(lane._step_fn())
-            except BaseException as step_exc:  # noqa: BLE001 - routed to on_error
-                exc = step_exc
-            finally:
-                if tracer.enabled:
-                    tracer.end("bg.round", "background")
+            with lane._tracer.span("bg.round", "background", {"lane": lane.name}):
+                try:
+                    did_work = bool(lane._step_fn())
+                except BaseException as step_exc:  # noqa: BLE001 - routed to on_error
+                    exc = step_exc
             retry = False
             if exc is not None and lane._on_error is not None:
                 try:

@@ -345,7 +345,8 @@ class TableReader:
         Follows the index order (the logical sort), reading each valid block
         as needed, eagerly decoded; reads are charged as :meth:`read_block`
         describes.  (A ``DB`` scan does not come through here: its stream
-        spans the files of a level, :meth:`repro.core.db.DB._level_blocks`.)
+        spans the files of a level,
+        :meth:`repro.core.superversion.SuperVersion.level_blocks`.)
         """
         index = self._meta.index
         start = 0

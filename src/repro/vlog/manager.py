@@ -7,11 +7,12 @@ resolution, the in-memory accumulator of compaction-observed dead bytes
 (folded into each compaction's manifest edit by the DB), and the deferred
 physical-deletion queue for GC victims.
 
-Division of labour with :class:`~repro.core.db.DB`: the manager is purely
-mechanical — framing, appending, reading, bookkeeping.  Everything that
-needs the engine lock, a sequence number, or a manifest edit (head
-rotation registration, GC liveness re-checks, re-pointing, deletion
-barriers) is driven by the DB.
+Division of labour: the manager is mechanical — the stored-value format
+(:meth:`VlogManager.separate`), framing, appending, reading, bookkeeping.
+What needs a sequence number or a manifest edit is passed in or driven
+from outside: head rotation registration by :class:`~repro.core.db.DB`,
+GC liveness re-checks, re-pointing and deletion barriers by
+:mod:`repro.vlog.gc`.
 
 Thread safety: head appends happen only under the engine lock (the write
 path and GC are serialized there); pointer resolution is called from the
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import threading
 
+from ..core.write_batch import WriteBatch
+from ..keys import TYPE_VALUE
 from ..metrics.stats import DBStats
 from ..options import Options
 from ..storage.fs import FileSystem, RandomAccessFile, WritableFile
@@ -36,6 +39,7 @@ from .format import (
     encode_pointer,
     encode_record,
     vlog_file_name,
+    wrap_inline,
 )
 
 #: I/O category every value-log byte is charged to.
@@ -71,37 +75,54 @@ class VlogManager:
         self.head_number = number
         self.head_offset = 0
 
-    def head_full(self) -> bool:
-        """True when the head reached the rotation size."""
-        return (
-            self._head is None
-            or self.head_offset >= self.options.vlog_file_size
-        )
+    def separate(self, batches: list[WriteBatch], roll_head) -> list[WriteBatch]:
+        """Rewrite batches into stored form: values at or past the
+        separation threshold move to the head and become pointers;
+        everything else is inline-tagged.  Caller holds the engine lock.
 
-    def append_records(self, pairs: list[tuple[bytes, bytes]]) -> list[bytes]:
-        """Append ``(key, value)`` records to the head as one synced write.
-
-        Returns the encoded stored-value pointer for each pair, in order.
-        The single ``sync`` is the durability barrier that must precede the
-        WAL append carrying the pointers (DESIGN.md §13): a durable pointer
-        then always addresses a durable frame.
-        """
-        if self._head is None:
-            raise RuntimeError("vlog head not open")
-        pointers: list[bytes] = []
-        buffer = bytearray()
-        offset = self.head_offset
-        for key, value in pairs:
-            frame = encode_record(key, value)
-            buffer += frame
-            pointers.append(encode_pointer(self.head_number, offset, len(frame)))
-            offset += len(frame)
-        self._head.append(bytes(buffer))
-        self._head.sync()
-        self.head_offset = offset
-        self.stats.vlog_separated_values += len(pairs)
-        self.stats.vlog_separated_bytes += len(buffer)
-        return pointers
+        The whole run is one framed append and one ``sync`` — the
+        durability barrier that must precede the WAL append carrying the
+        pointers (DESIGN.md §13): a durable pointer then always addresses a
+        durable frame.  ``roll_head()`` opens a fresh head first when this
+        one reached the rotation size; it journals the new file, so the DB
+        supplies it."""
+        threshold = self.options.kv_separation_threshold
+        ops_per = [list(batch) for batch in batches]
+        large = [
+            (bi, oi)
+            for bi, ops in enumerate(ops_per)
+            for oi, (value_type, _key, value) in enumerate(ops)
+            if value_type == TYPE_VALUE and len(value) >= threshold
+        ]
+        stored: dict[tuple[int, int], bytes] = {}
+        if large:
+            if self._head is None or self.head_offset >= self.options.vlog_file_size:
+                roll_head()
+            buffer = bytearray()
+            offset = self.head_offset
+            for bi, oi in large:
+                _type, key, value = ops_per[bi][oi]
+                frame = encode_record(key, value)
+                buffer += frame
+                stored[(bi, oi)] = encode_pointer(self.head_number, offset, len(frame))
+                offset += len(frame)
+            self._head.append(bytes(buffer))
+            self._head.sync()
+            self.head_offset = offset
+            self.stats.vlog_separated_values += len(large)
+            self.stats.vlog_separated_bytes += len(buffer)
+        out: list[WriteBatch] = []
+        for bi, ops in enumerate(ops_per):
+            rewritten = WriteBatch()
+            for oi, (value_type, key, value) in enumerate(ops):
+                if value_type != TYPE_VALUE:
+                    rewritten.delete(key)
+                elif (bi, oi) in stored:
+                    rewritten.put(key, stored[(bi, oi)])
+                else:
+                    rewritten.put(key, wrap_inline(value))
+            out.append(rewritten)
+        return out
 
     # -- pointer resolution ------------------------------------------------
 

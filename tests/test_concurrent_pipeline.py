@@ -13,8 +13,10 @@ from repro.core import db as db_module
 from repro.core import sync
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
+from repro.core.write_queue import GROUP_COMMIT_MAX_BYTES, WriteQueue
 from repro.errors import ReadOnlyError, TransientIOError
 from repro.memtable.wal import read_wal
+from repro.obs.trace import NULL_TRACER
 from repro.options import COMPACTION_SELECTIVE, COMPACTION_TABLE, Options
 from repro.storage.faults import KIND_TRANSIENT, FaultInjectionFS, FaultPolicy
 from repro.storage.fs import LocalFS, SimulatedFS
@@ -43,7 +45,7 @@ def write_behind_held_lock(db: DB, batches: list[WriteBatch]) -> list:
         for t in threads:
             t.start()
         deadline = time.monotonic() + 30.0
-        while len(db._writers) < len(batches):
+        while len(db._write_queue.writers) < len(batches):
             assert time.monotonic() < deadline, "writers never queued"
             time.sleep(0.001)
     for t in threads:
@@ -279,7 +281,7 @@ class TestGroupCommit:
         assert write_behind_held_lock(db, batches) == [None] * 3
         assert wal.write_ops == appends + 1
         assert db._wal.records_written == records + 3
-        assert not db._writers
+        assert not db._write_queue.writers
         assert db.get(kv(0)[0]) is None
         for i in (1, 2, 3):
             assert db.get(kv(i)[0]) == kv(i)[1]
@@ -306,7 +308,7 @@ class TestGroupCommit:
         raised = write_behind_held_lock(db, [one_put(i) for i in (1, 2, 3)])
         assert isinstance(raised[0], TransientIOError)
         assert raised[1] is raised[0] and raised[2] is raised[0]
-        assert not db._writers
+        assert not db._write_queue.writers
         assert db.health()["state"] == "degraded"
         with pytest.raises(ReadOnlyError):
             db.put(*kv(4))
@@ -315,6 +317,77 @@ class TestGroupCommit:
         assert db.get(kv(0)[0]) == kv(0)[1]
         assert db.get(kv(1)[0]) is None
         db.close()
+
+
+class TestWriteQueue:
+    """``WriteQueue`` alone, with a fake ``apply_group`` that records each
+    group it is handed: who leads, who is adopted, and who sees a failure."""
+
+    @staticmethod
+    def queue_behind_held_lock(lock, queue, batches, apply_group) -> list:
+        """Queue one writer thread per batch, in order, behind the held
+        engine ``lock``; release it and join.  Returns what each raised."""
+        raised: list = [None] * len(batches)
+
+        def run(index: int) -> None:
+            try:
+                queue.commit(batches[index], apply_group)
+            except BaseException as exc:  # noqa: BLE001 - handed to the test
+                raised[index] = exc
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(batches))]
+        with lock:
+            for count, thread in enumerate(threads, 1):
+                thread.start()
+                deadline = time.monotonic() + 30.0
+                while len(queue.writers) < count:
+                    assert time.monotonic() < deadline, "writer never queued"
+                    time.sleep(0.001)
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert not queue.writers
+        return raised
+
+    @staticmethod
+    def sized(nbytes: int) -> WriteBatch:
+        return WriteBatch().put(b"k", b"x" * (nbytes - 1))
+
+    def test_a_lone_batch_is_a_group_of_one(self):
+        lock = threading.RLock()
+        queue = WriteQueue(lock, NULL_TRACER)
+        groups = []
+        batch = one_put(0)
+        queue.commit(batch, groups.append)
+        assert groups == [[batch]]
+        assert not queue.writers
+
+    def test_leader_adopts_followers_up_to_the_cap_and_no_further(self):
+        lock = threading.RLock()
+        queue = WriteQueue(lock, NULL_TRACER)
+        quarter = GROUP_COMMIT_MAX_BYTES // 4
+        # The first four sum to exactly the cap; the fifth is one byte over.
+        batches = [self.sized(quarter) for _ in range(4)] + [self.sized(1), self.sized(1)]
+        groups = []
+        assert self.queue_behind_held_lock(lock, queue, batches, groups.append) == [None] * 6
+        assert groups == [batches[:4], batches[4:]]
+
+    def test_one_failure_reaches_every_member_of_its_group(self):
+        lock = threading.RLock()
+        queue = WriteQueue(lock, NULL_TRACER)
+        half = GROUP_COMMIT_MAX_BYTES // 2
+        batches = [self.sized(half), self.sized(half), one_put(1)]
+        groups = []
+        failure = RuntimeError("apply failed")
+
+        def apply_group(group):
+            groups.append(group)
+            if len(groups) == 1:
+                raise failure
+
+        raised = self.queue_behind_held_lock(lock, queue, batches, apply_group)
+        assert groups == [batches[:2], batches[2:]]
+        assert raised == [failure, failure, None]
 
 
 class TestL0Throttling:

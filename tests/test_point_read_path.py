@@ -244,8 +244,8 @@ class TestMultiGetIsLinear:
         assert len(set(keys)) == count
         _CountedKey.comparisons = 0
         # Below the public method: it copies each key to an exact ``bytes``.
-        out = db._multi_get(keys, None)
-        assert len(out) == count and not any(out.values())
+        resolved, _charges = db._superversion.multi_lookup(keys, db.last_sequence)
+        assert resolved == {}
         return _CountedKey.comparisons / count
 
     def test_4000_absent_keys_cost_per_key_what_250_cost(self):

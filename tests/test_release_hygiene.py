@@ -131,13 +131,8 @@ class TestStructure:
         assert f'version = "{repro.__version__}"' in pyproject
 
 
-def test_benchmark_trace_points_resolve(monkeypatch):
-    """``benchmarks/e2e/tracing.py::POINTS`` freezes ``module:attr`` names:
-    the recorder swaps ``vars(owner)[attr]``, so each target must be
-    defined on that very class or module (an inherited method, or a moved
-    or renamed function, breaks the benchmark's per-layer metrics).  Loaded
-    by path, read-only — a refactor that breaks one fails here, not only in
-    the benchmark's own ``--selftest``."""
+def _load_benchmark_tracing(monkeypatch):
+    """``benchmarks/e2e/tracing.py``, loaded by path, read-only."""
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
@@ -146,9 +141,70 @@ def test_benchmark_trace_points_resolve(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # @dataclass looks it up
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_trace_points_resolve(monkeypatch):
+    """``benchmarks/e2e/tracing.py::POINTS`` freezes ``module:attr`` names:
+    the recorder swaps ``vars(owner)[attr]``, so each target must be
+    defined on that very class or module (an inherited method, or a moved
+    or renamed function, breaks the benchmark's per-layer metrics).  A
+    refactor that breaks one fails here, not only in the benchmark's own
+    ``--selftest``."""
+    tracing = _load_benchmark_tracing(monkeypatch)
     unresolved = []
     for point in tracing.POINTS:
         owner, attr = tracing._resolve(point.target)
         if not callable(vars(owner).get(attr)):
             unresolved.append(point.target)
     assert unresolved == []
+
+
+#: Engine-layer trace points nothing calls today: the engine's own
+#: ``SuperVersion.file_for_key`` replaced ``Version.file_for_key`` on the
+#: read path, and table writers take whole runs (``BlockCutter.add_run``)
+#: instead of the per-entry ``add`` the two adapters keep.
+DEAD_TRACE_POINTS = {"Version.file_for_key", "TableBuilder.add", "AppendSession.add"}
+
+
+def test_benchmark_trace_points_fire(monkeypatch):
+    """Every engine-layer point in ``POINTS`` is still *called*, not only
+    defined: a call site moved out of the module the benchmark patches
+    (``flush_memtable`` and the ``run_*`` compactions are patched as
+    ``repro.core.db`` globals) would silently zero that point's per-layer
+    metrics.  A small load on the BlockDB preset and on the block style
+    under the benchmark's own recorder must fire all of them but exactly
+    :data:`DEAD_TRACE_POINTS`."""
+    import random
+
+    from repro.baselines.presets import blockdb
+    from repro.core.db import DB
+    from repro.options import COMPACTION_BLOCK
+    from repro.storage.fs import SimulatedFS
+
+    tracing = _load_benchmark_tracing(monkeypatch)
+    client_layers = {"serve.client", "serve.protocol", "sharding"}
+    engine_points = [p for p in tracing.POINTS if p.layer not in client_layers]
+    recorder = tracing.Recorder(tuple(engine_points))
+    rng = random.Random(11)
+    keys = [b"key%06d" % i for i in range(3000)]
+    with recorder:
+        for overrides in ({}, {"compaction_style": COMPACTION_BLOCK}):
+            db = DB(
+                SimulatedFS(),
+                blockdb(16 * 1024, 256 * 1024, block_size=1024, **overrides),
+            )
+            rng.shuffle(keys)
+            for key in keys:
+                db.put(key, key * 8)
+            for key in keys[:1500]:
+                db.put(key, key * 9)
+            for key in rng.sample(keys, 300):
+                db.get(key)
+            db.multi_get(rng.sample(keys, 20))
+            for key in rng.sample(keys, 20):
+                db.scan(key, None, 20)
+            db.compact_all()
+            db.close()
+    fired = {engine_points[index].name for _id, _p, _op, index, *_rest in recorder.spans}
+    assert {p.name for p in engine_points} - fired == DEAD_TRACE_POINTS

@@ -9,6 +9,7 @@ from repro.errors import CorruptionError
 from repro.memtable.memtable import ENTRY_OVERHEAD
 from repro.options import COMPACTION_SELECTIVE
 from repro.storage.fs import SimulatedFS
+from repro.vlog import gc as vlog_gc
 from repro.vlog import (
     POINTER_SIZE,
     TAG_INLINE,
@@ -253,10 +254,12 @@ class TestGarbageCollection:
 
 
     @pytest.mark.parametrize("background", [False, True], ids=["sync", "lane"])
-    def test_round_that_rolls_the_memtable_runs_once_per_victim(self, fs, background):
+    def test_round_that_rolls_the_memtable_runs_once_per_victim(
+        self, fs, background, monkeypatch
+    ):
         """A GC round whose re-puts overflow the memtable several times
-        flushes inline (``_gc_maybe_flush``) without re-entering GC: the
-        re-puts go through ``_apply_locked``, which never rolls the
+        flushes inline (``repro.vlog.gc._maybe_flush``) without re-entering
+        GC: the re-puts go through ``_apply_locked``, which never rolls the
         memtable, and the inline drain only ever runs the pending flush —
         so no guard flag is needed, and each victim is collected by exactly
         one round in either driver.
@@ -273,23 +276,24 @@ class TestGarbageCollection:
         charge = len(big(0)[0]) + POINTER_SIZE + ENTRY_OVERHEAD  # one re-put
         rounds: list[tuple[int, int, int]] = []  # (victim, flushes, chunks that fill)
         chunk_reputs: list[int] = []
-        run_round = db._run_vlog_gc
-        rewrite_chunk = db._gc_rewrite_chunk
+        collect = vlog_gc.collect
+        rewrite_chunk = vlog_gc.rewrite_chunk
 
-        def spy(victim: int) -> None:
+        def spy(engine, victim: int) -> None:
+            assert engine is db
             flushes = db.stats.flush_count
             chunk_reputs.clear()
-            run_round(victim)
+            collect(engine, victim)
             filling = sum(1 for n in chunk_reputs if n * charge >= db.options.memtable_size)
             rounds.append((victim, db.stats.flush_count - flushes, filling))
 
-        def chunk_spy(victim: int, chunk) -> None:
+        def chunk_spy(engine, victim: int, chunk) -> None:
             reputs = db.stats.vlog_gc_rewritten_values
-            rewrite_chunk(victim, chunk)
+            rewrite_chunk(engine, victim, chunk)
             chunk_reputs.append(db.stats.vlog_gc_rewritten_values - reputs)
 
-        db._run_vlog_gc = spy
-        db._gc_rewrite_chunk = chunk_spy
+        monkeypatch.setattr(vlog_gc, "collect", spy)
+        monkeypatch.setattr(vlog_gc, "rewrite_chunk", chunk_spy)
         # ~190 records per 16 KiB vlog file; overwriting every other key
         # leaves each sealed file half dead (past the 0.3 ratio) with ~95
         # live records to re-put through a 1 KiB memtable.
