@@ -73,10 +73,6 @@ def _options(workers: int):
         compaction_style=COMPACTION_SELECTIVE,
         compaction_offload="process",
         compaction_workers=workers,
-        # Ship every payload through the shared-memory segment so the
-        # benchmark exercises the production transport, not the small-job
-        # inline fallback.
-        compaction_offload_shm_bytes=0,
     )
 
 

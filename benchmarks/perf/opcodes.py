@@ -212,7 +212,7 @@ def _deepest_key(db, keys: list[bytes]) -> bytes:
             continue
         deepest = metas[-1]
         reader = db.table_cache.get(deepest.file_number, deepest.file_name())
-        if reader.get(key, sequence)[0]:
+        if reader.lookup(key, sequence)[0]:
             return key
     raise AssertionError("no key sits under a file of every level")
 

@@ -119,7 +119,7 @@ def main() -> None:
     print("\n== reads after compaction ==")
     for probe, expect in [(inside, b"UPDATED"), (gap, b"GAP-KEY"), (beyond, b"BEYOND"),
                           (key(0), b"child-value-" + key(0))]:
-        found, value = reader.get(probe, 10**9)
+        found, value = reader.lookup(probe, 10**9)[:2]
         status = "OK" if (found and value == expect) else "FAIL"
         print(f"  get({probe.decode()}) = {value!r:30}  [{status}]")
 

@@ -90,9 +90,6 @@ class L2SMDB(DB):
             self.fs.device.merge_cpu_cost(meta.file_size), CAT_COMPACTION
         )
 
-    def hotness_of(self, file_number: int) -> int:
-        return self._hotness.get(file_number, 0)
-
     # -- divert-to-log ------------------------------------------------------------------
 
     def _maybe_divert_task(self, task: CompactionTask) -> CompactionResult | None:

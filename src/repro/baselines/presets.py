@@ -84,14 +84,13 @@ def rocksdb_like(
 def blockdb(
     sstable_size: int = 16 * 1024 * 1024,
     block_cache_capacity: int = 4 * 1024 * 1024 * 1024,
-    *,
-    lazy_deletion_threshold: int | None = None,
     **overrides,
 ) -> Options:
-    """BlockDB: Block Compaction + all three optimizations (Section IV)."""
-    if lazy_deletion_threshold is None:
-        # Paper: 200 MB against 16 MB SSTables; keep the 12.5x ratio.
-        lazy_deletion_threshold = sstable_size * 12
+    """BlockDB: Block Compaction + all three optimizations (Section IV).
+
+    Lazy Deletion cleans at 12 SSTables of obsolete bytes
+    (``LAZY_DELETION_FACTOR``), not the paper's 12.5: Table II is pinned
+    at 12."""
     params = _common(
         sstable_size,
         block_cache_capacity,
@@ -101,7 +100,6 @@ def blockdb(
         bloom_reserved_mid_fraction=0.40,
         bloom_reserved_last_fraction=0.10,
         lazy_deletion=True,
-        lazy_deletion_threshold=lazy_deletion_threshold,
         parallel_merging=True,
         compaction_workers=4,
     )

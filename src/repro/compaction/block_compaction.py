@@ -228,7 +228,6 @@ class JobGeometry:
     block_size: int
     block_restart_interval: int
     compression_type: int
-    verify_checksums: bool
 
     @classmethod
     def from_options(cls, options: Options) -> "JobGeometry":
@@ -236,7 +235,6 @@ class JobGeometry:
             block_size=options.block_size,
             block_restart_interval=options.block_restart_interval,
             compression_type=options.compression_type(),
-            verify_checksums=options.verify_checksums,
         )
 
 
@@ -249,27 +247,23 @@ class BlockMergeJob:
     Fully picklable: the :func:`plan_block_walk` plan (``ops``), the parent
     slice it indexes into, the dirty blocks' *raw stored bytes* (payload +
     trailer; the walk verifies their checksums), the snapshot boundaries
-    and the :class:`TombstoneRule`.  Payloads travel either inline
-    (``payloads``) or, offloaded, via a named shared-memory segment
-    (``shm_name`` + ``shm_spans``), never both.  ``report_drops`` asks a
-    worker for the dropped value-log pointers back (the engine carries a
-    vlog).
+    and the :class:`TombstoneRule`.  Offloaded, the whole job — payloads
+    included — crosses to the worker through the pool's call pickle.
+    ``report_drops`` asks a worker for the dropped value-log pointers back
+    (the engine carries a vlog).
     """
 
     geometry: JobGeometry
     ops: list[tuple]
     parent_entries: list[ParentEntry]
     tombstones: TombstoneRule
+    payloads: list[bytes]
     boundaries: list[int] = field(default_factory=list)
     report_drops: bool = False
-    payloads: list[bytes] | None = None
-    shm_name: str | None = None
-    shm_spans: list[tuple[int, int]] | None = None
 
 
 def run_block_walk(
     job: BlockMergeJob,
-    payloads: list[bytes],
     sink,
     reuse: Callable[[int], None],
     on_drop: Callable[[bytes], None] | None = None,
@@ -279,8 +273,7 @@ def run_block_walk(
     :class:`AppendSession` in-process, the offload worker's block cutter),
     clean blocks to ``reuse(index_entry_idx)``.  Every payload is
     checksummed and decoded before the first entry reaches the sink."""
-    verify = job.geometry.verify_checksums
-    blocks = [parse_block_raw(raw, verify_checksum=verify) for raw in payloads]
+    blocks = [parse_block_raw(raw) for raw in job.payloads]
     can_drop_tombstone = job.tombstones.may_drop
     boundaries = job.boundaries
     parent_slice = job.parent_entries
@@ -336,9 +329,9 @@ def prepare_block_merge_job(
         tombstones=TombstoneRule.below(
             env.version, child_level, *_input_key_range(child_meta, parent_slice)
         ),
+        payloads=raws,
         boundaries=env.snapshot_boundaries(),
         report_drops=drop_observer(env) is not None,
-        payloads=raws,
     )
 
 
@@ -352,7 +345,7 @@ def _run_offloaded(env: CompactionEnv, pool, job: BlockMergeJob, child_meta: Fil
         "compaction",
         {
             "file": child_meta.file_number,
-            "dirty_blocks": len(job.payloads or ()),
+            "dirty_blocks": len(job.payloads),
             "parent_entries": len(job.parent_entries),
         },
     ):
@@ -407,7 +400,6 @@ def block_compact_file(
         session = AppendSession(env.fs, reader, env.options, child_level)
         run_block_walk(
             job,
-            job.payloads,
             session,
             lambda entry_idx: session.reuse(index_entries[entry_idx]),
             on_drop,

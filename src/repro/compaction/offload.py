@@ -27,11 +27,10 @@ One job, one walk, one cutter, one tombstone rule: an offloaded append
 writes **bit-identical file bytes** to the in-process one by construction —
 the equivalence the tests pin.
 
-Transport: a persistent ``ProcessPoolExecutor``.  Large dirty payloads
-travel via one ``multiprocessing.shared_memory`` segment per job instead of
-being pickled into the job (avoiding the double-copy through the call
-pickle); small jobs inline the bytes, which is cheaper than a segment
-round-trip.
+Transport: a persistent ``ProcessPoolExecutor``; each job, dirty payloads
+included, travels through the executor's call pickle.  The jobs the engine
+produces carry at most a few hundred KiB of payload, and below about 1 MiB
+the pickle pipe is the faster transport (DESIGN.md §11).
 
 Failure semantics: a dead worker (``BrokenProcessPool``) surfaces as
 :class:`~repro.errors.OffloadError` — a *hard* severity for the PR-5 error
@@ -84,24 +83,9 @@ class BlockMergeResult:
     merged_entries: int = 0
 
 
-def _resolve_payloads(job: BlockMergeJob) -> list[bytes]:
-    """Materialize the dirty payload list from whichever transport was used."""
-    if job.shm_name is not None:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=job.shm_name)
-        try:
-            buf = segment.buf
-            return [bytes(buf[offset : offset + length]) for offset, length in job.shm_spans or []]
-        finally:
-            segment.close()
-    return job.payloads or []
-
-
 def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
     """Run one job's decode → merge → rebuild → CRC.  Pure compute: no
     filesystem, no engine state — safe in any process."""
-    payloads = _resolve_payloads(job)
     geometry = job.geometry
     # The in-process cutter, emitting into the result script instead of an
     # append session's ``commit_block``.
@@ -123,13 +107,13 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
         cutter.cut()
         ops.append((OP_REUSE, entry_idx))
 
-    run_block_walk(job, payloads, cutter, reuse, on_drop if job.report_drops else None)
+    run_block_walk(job, cutter, reuse, on_drop if job.report_drops else None)
     cutter.cut()
     return BlockMergeResult(
         ops=ops,
         worker_pid=os.getpid(),
         dropped=dropped,
-        decoded_bytes=sum(len(raw) - BLOCK_TRAILER_SIZE for raw in payloads),
+        decoded_bytes=sum(len(raw) - BLOCK_TRAILER_SIZE for raw in job.payloads),
         merged_entries=sum(op[4] for op in ops if op[0] == OP_BLOCK),
     )
 
@@ -149,16 +133,9 @@ class OffloadPool:
     :class:`OffloadError` → hard severity) without poisoning it forever.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        mp_context: str = "spawn",
-        shm_threshold: int = 64 * 1024,
-    ):
+    def __init__(self, workers: int, *, mp_context: str = "spawn"):
         self.workers = max(1, workers)
         self._mp_context = mp_context
-        self._shm_threshold = shm_threshold
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
@@ -169,9 +146,7 @@ class OffloadPool:
     def from_options(cls, options: Options) -> "OffloadPool":
         """The pool ``options.compaction_offload="process"`` asks for."""
         return cls(
-            options.compaction_workers,
-            mp_context=options.compaction_offload_mp_context,
-            shm_threshold=options.compaction_offload_shm_bytes,
+            options.compaction_workers, mp_context=options.compaction_offload_mp_context
         )
 
     def _make_executor(self) -> ProcessPoolExecutor:
@@ -203,21 +178,6 @@ class OffloadPool:
         The calling subtask thread releases the GIL while it waits, which
         is exactly when sibling subtasks run their (simulated) I/O.
         """
-        segment = None
-        if job.payloads and sum(len(p) for p in job.payloads) >= self._shm_threshold:
-            from multiprocessing import shared_memory
-
-            total = sum(len(p) for p in job.payloads)
-            segment = shared_memory.SharedMemory(create=True, size=max(1, total))
-            spans: list[tuple[int, int]] = []
-            cursor = 0
-            for payload in job.payloads:
-                segment.buf[cursor : cursor + len(payload)] = payload
-                spans.append((cursor, len(payload)))
-                cursor += len(payload)
-            job.shm_name = segment.name
-            job.shm_spans = spans
-            job.payloads = None
         executor = self._executor_for_submit()
         try:
             future = executor.submit(execute_block_merge, job)
@@ -230,10 +190,6 @@ class OffloadPool:
         except RuntimeError as exc:
             # submit() after an interpreter-driven shutdown.
             raise OffloadError(f"offload pool rejected job: {exc}") from exc
-        finally:
-            if segment is not None:
-                segment.close()
-                segment.unlink()
 
     def warm(self) -> int:
         """Start every worker now, returning the number of distinct workers.

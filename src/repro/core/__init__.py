@@ -6,7 +6,7 @@ subpackage, so eagerly importing ``.db`` here would create an import cycle
 for any entry point that touches compaction first.
 """
 
-from .iterator import DBIterator, merge_sorted, visible_entries
+from .iterator import DBIterator
 from .merge import merge_entries, merge_visible
 from .snapshot import Snapshot, SnapshotRegistry, VersionKeeper
 from .version import FileMetadata, Version, VersionEdit, new_file_metadata
@@ -19,9 +19,7 @@ __all__ = [
     "SnapshotRegistry",
     "VersionKeeper",
     "merge_entries",
-    "merge_sorted",
     "merge_visible",
-    "visible_entries",
     "FileMetadata",
     "Version",
     "VersionEdit",

@@ -99,7 +99,8 @@ from ..vlog import (
 from ..vlog import gc as vlog_gc
 from . import sync
 from .flush import flush_memtable
-from .iterator import DBIterator, EntryStream
+from .iterator import DBIterator
+from .merge import EntryStream
 from .scheduler import ErrorHandler, SchedulerLane, SharedBackgroundExecutor
 from .snapshot import Snapshot, SnapshotRegistry
 from .superversion import SuperVersion
@@ -378,8 +379,7 @@ class DB:
         # Start a fresh manifest snapshotting the recovered state.
         self._manifest = ManifestWriter(self.fs, self.new_file_number())
         self._log_number = self.new_file_number()
-        if self.options.enable_wal:
-            self._wal = WalWriter(self.fs, _log_name(self._log_number))
+        self._wal = WalWriter(self.fs, _log_name(self._log_number))
         snapshot = VersionEdit(
             log_number=self._log_number,
             next_file_number=self._next_file_number,
@@ -587,21 +587,20 @@ class DB:
             # between leaves only orphan vlog garbage).
             stored = self.vlog.separate(batches, self._roll_vlog_head_locked)
         first = self._sequence + 1
-        if self._wal is not None:
-            payloads: list[bytes] = []
-            base = first
-            for batch in stored:
-                payloads.append(batch.serialize(base))
-                base += len(batch)
-            try:
-                self._wal.add_records(payloads)
-            except BaseException as exc:  # noqa: BLE001 - log integrity
-                # A failed append may leave a torn frame mid-log; appending
-                # more records behind it would make them unrecoverable
-                # (replay stops at the tear), so ANY WAL failure — even a
-                # transient one — degrades the DB instead of retrying.
-                self._error_handler.record(exc, "wal", retryable=False)
-                raise
+        payloads: list[bytes] = []
+        base = first
+        for batch in stored:
+            payloads.append(batch.serialize(base))
+            base += len(batch)
+        try:
+            self._wal.add_records(payloads)
+        except BaseException as exc:  # noqa: BLE001 - log integrity
+            # A failed append may leave a torn frame mid-log; appending
+            # more records behind it would make them unrecoverable
+            # (replay stops at the tear), so ANY WAL failure — even a
+            # transient one — degrades the DB instead of retrying.
+            self._error_handler.record(exc, "wal", retryable=False)
+            raise
         sequence = first
         puts = 0
         add = self._memtable.add
@@ -779,11 +778,10 @@ class DB:
 
         # Rotate the WAL with the memtable: the new log only covers the new
         # memtable, so the old log can go once the flush lands.
-        self._pending_log = _log_name(self._log_number) if self._wal is not None else None
-        if self._wal is not None:
-            self._wal.close()
-            self._log_number = self.new_file_number()
-            self._wal = WalWriter(self.fs, _log_name(self._log_number))
+        self._pending_log = _log_name(self._log_number)
+        self._wal.close()
+        self._log_number = self.new_file_number()
+        self._wal = WalWriter(self.fs, _log_name(self._log_number))
         self._install_superversion_locked()
 
     def _build_flush(self) -> FileMetadata | None:

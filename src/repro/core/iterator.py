@@ -1,4 +1,4 @@
-"""Merging iterators and the user-facing DB iterator.
+"""The user-facing DB iterator.
 
 All internal sources (memtables, L0 tables, sorted levels) yield
 ``(ComparableKey, value)`` streams already sorted by comparable key.
@@ -7,49 +7,13 @@ comparable keys embed the sequence number descending, the newest version
 of each user key arrives first, so visibility filtering is a single
 forward pass fused into the same loop: keep the first visible version per
 user key and skip tombstoned keys.
-
-:func:`merge_sorted` and :func:`visible_entries` remain as the historical
-two-stage API (other modules and tests compose them directly); both are
-thin wrappers over the fused implementations.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
-from ..keys import ComparableKey
-from .merge import (
-    _TOMBSTONE_LOW,
-    merge_entries,
-    merge_visible,
-    min_visible_inv,
-)
-
-EntryStream = Iterable[tuple[ComparableKey, bytes]]
-
-
-def merge_sorted(sources: list[EntryStream]) -> Iterator[tuple[ComparableKey, bytes]]:
-    """Merge sorted entry streams into one sorted stream."""
-    return merge_entries(sources)
-
-
-def visible_entries(
-    merged: EntryStream,
-    snapshot_sequence: int,
-) -> Iterator[tuple[bytes, bytes]]:
-    """Collapse a merged internal stream into live user ``(key, value)``.
-
-    Entries newer than ``snapshot_sequence`` are invisible; among the rest,
-    the first (newest) version per user key decides: tombstone -> the key is
-    absent, value -> yielded once.
-    """
-    min_inv = min_visible_inv(snapshot_sequence)
-    last_user_key: bytes | None = None
-    for (user_key, inv), value in merged:
-        if inv >= min_inv and user_key != last_user_key:
-            last_user_key = user_key
-            if inv & 0xFF != _TOMBSTONE_LOW:
-                yield user_key, value
+from .merge import EntryStream, merge_visible
 
 
 class DBIterator:

@@ -374,10 +374,6 @@ class SharedBackgroundExecutor:
             thread.start()
 
     @property
-    def num_workers(self) -> int:
-        return len(self._threads)
-
-    @property
     def num_lanes(self) -> int:
         with self._cv:
             return len(self._lanes)

@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache.table_cache import TableCache
     from ..memtable.memtable import MemTable
     from ..sstable.table_reader import TableReader
-    from .iterator import EntryStream
+    from .merge import EntryStream
 
 #: ``after_level(level, key, sequence)`` -> ``(found, value)`` or None.
 AfterLevelHook = Callable[[int, bytes, int], "tuple[bool, bytes | None] | None"]

@@ -150,7 +150,3 @@ class WorkloadOutcome:
     #: Running time with compaction/flush I/O overlapping the foreground —
     #: the measure matching the paper's threaded setup (Figs 11-13, 16).
     overlapped_time_s: float = 0.0
-
-    @property
-    def ops_per_sim_sec(self) -> float:
-        return self.ops / self.sim_time_s if self.sim_time_s > 0 else 0.0

@@ -152,7 +152,6 @@ def table2_lazy_deletion(scale: ExperimentScale = DEFAULT_SCALE, sizes=(40, 80))
                 scale,
                 paper_gb=gb,
                 lazy_deletion=lazy,
-                lazy_deletion_threshold=scale.sstable_size * 12,
             )
             result = load_db(db, num_keys, value_size=scale.value_size, seed=0)
             row.append(result.sim_time_s)

@@ -114,10 +114,6 @@ class Tracer:
         #: Total events recorded, including ones the ring has since dropped.
         self.events_recorded = 0
 
-    def set_sim_clock(self, sim_clock) -> None:
-        """Install the simulated-clock source (callable returning seconds)."""
-        self._sim_clock = sim_clock
-
     # ------------------------------------------------------------- recording
 
     def _record(self, phase: str, name: str, category: str, args, dur: float, sim_dur: float) -> None:
@@ -278,9 +274,6 @@ class NullTracer:
     enabled = False
     capacity = 0
     events_recorded = 0
-
-    def set_sim_clock(self, sim_clock) -> None:
-        pass
 
     def begin(self, name: str, category: str = "", args: dict | None = None) -> None:
         pass

@@ -112,7 +112,6 @@ class Options:
 
     # --- Memtable / write path --------------------------------------------
     memtable_size: int = 16 * 1024 * 1024
-    enable_wal: bool = True
 
     # --- Level sizing -------------------------------------------------------
     #: Size ratio between adjacent levels ("a" in the paper's cost model).
@@ -133,7 +132,6 @@ class Options:
     #: superversion with the engine lock released — contend on per-shard
     #: locks instead of one cache mutex.
     cache_shards: int = 1
-    verify_checksums: bool = True
     #: Per-block codec: "none" (the paper's setting) or "zlib".
     compression: str = COMPRESSION_OFF
 
@@ -203,10 +201,6 @@ class Options:
     #: ``"spawn"`` (default) is safe alongside any threads; ``"fork"`` is
     #: much cheaper to start and fine for synchronous-mode harnesses.
     compaction_offload_mp_context: str = "spawn"
-    #: Dirty-payload bytes above which a process-mode job ships block bytes
-    #: via one ``multiprocessing.shared_memory`` segment instead of pickling
-    #: them into the job (avoids the double-copy through the call pickle).
-    compaction_offload_shm_bytes: int = 64 * 1024
 
     # --- Optimizations (Section IV) -------------------------------------------
     #: Parallel Merging (Section IV-B): charge the per-child sub-tasks of
@@ -214,8 +208,10 @@ class Options:
     #: them at once (the inline executor's makespan rebate, DESIGN.md §7).
     parallel_merging: bool = False
     compaction_workers: int = 4
+    #: Lazy Deletion (Section IV-C): batch obsolete-file cleanup until the
+    #: pending bytes reach ``LAZY_DELETION_FACTOR x sstable_size``
+    #: (:mod:`repro.compaction.lazy_deletion`).
     lazy_deletion: bool = False
-    lazy_deletion_threshold: int = 200 * 1024 * 1024
 
     # --- Key-value separation (DESIGN.md §13) -----------------------------------
     #: Store values at or above ``kv_separation_threshold`` in append-only
@@ -312,8 +308,10 @@ class Options:
             raise InvalidArgumentError(f"unknown filter_policy {self.filter_policy!r}")
         if self.compression not in _COMPRESSIONS:
             raise InvalidArgumentError(f"unknown compression {self.compression!r}")
-        if self.bloom_bits_per_key < 0:
-            raise InvalidArgumentError("bloom_bits_per_key must be >= 0")
+        if self.bloom_bits_per_key < 1:
+            raise InvalidArgumentError(
+                "bloom_bits_per_key must be >= 1 (filter_policy='none' disables the filter)"
+            )
         if self.compaction_workers < 1:
             raise InvalidArgumentError("compaction_workers must be >= 1")
         if self.compaction_offload not in ("none", "process"):
@@ -324,8 +322,6 @@ class Options:
             raise InvalidArgumentError(
                 f"unknown compaction_offload_mp_context {self.compaction_offload_mp_context!r}"
             )
-        if self.compaction_offload_shm_bytes < 0:
-            raise InvalidArgumentError("compaction_offload_shm_bytes must be >= 0")
         if not 1 <= self.cache_shards <= 64:
             raise InvalidArgumentError("cache_shards must be in [1, 64]")
         if self.level0_stop_writes_trigger < self.level0_slowdown_writes_trigger:

@@ -175,10 +175,6 @@ class ServeClient:
             protocol.transport.close()
             await protocol.closed
 
-    @property
-    def connected(self) -> bool:
-        return self._protocol is not None
-
     # -- transport with breaker --------------------------------------------
 
     def _breaker_check(self) -> None:

@@ -420,9 +420,7 @@ def parse_block(payload: bytes, *, lazy: bool = False) -> ParsedBlock:
     return DataBlock.parse(payload)
 
 
-def parse_block_raw(
-    raw: bytes, *, verify_checksum: bool = True, lazy: bool = False
-) -> ParsedBlock:
+def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     """Parse a *raw* stored block (payload + trailer) without copying.
 
     The zero-copy equivalent of ``parse_block(unwrap_block(raw))``: the
@@ -450,11 +448,10 @@ def parse_block_raw(
         # Rare path (the paper disables compression): decompression copies
         # anyway, so reuse the copying helpers, which re-verify the stored
         # bytes before inflating.
-        return parse_block(unwrap_block(raw, verify_checksum=verify_checksum), lazy=lazy)
-    if verify_checksum:
-        crc = _zlib_crc32(memoryview(raw)[:payload_len]) & 0xFFFFFFFF
-        if (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF != expected:
-            raise CorruptionError("block failed checksum")
+        return parse_block(unwrap_block(raw), lazy=lazy)
+    crc = _zlib_crc32(memoryview(raw)[:payload_len]) & 0xFFFFFFFF
+    if (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF != expected:
+        raise CorruptionError("block failed checksum")
     if lazy:
         return LazyDataBlock(raw, payload_len)
     keys, values = _parse_entries(raw, 0, _parse_header(raw, payload_len))

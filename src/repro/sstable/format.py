@@ -122,7 +122,7 @@ def wrap_block(payload: bytes, compression: int = COMPRESSION_NONE) -> bytes:
     return payload + bytes([COMPRESSION_NONE]) + encode_fixed32(crc32c(payload))
 
 
-def check_block_trailer(raw: bytes, *, verify_checksum: bool = True) -> int:
+def check_block_trailer(raw: bytes) -> int:
     """Validate a stored block's trailer *in place*; return its compression
     type byte.
 
@@ -138,10 +138,9 @@ def check_block_trailer(raw: bytes, *, verify_checksum: bool = True) -> int:
     compression = raw[-BLOCK_TRAILER_SIZE]
     if compression not in (COMPRESSION_NONE, COMPRESSION_ZLIB):
         raise CorruptionError(f"unsupported compression type {compression}")
-    if verify_checksum:
-        expected = decode_fixed32(raw, len(raw) - 4)
-        if crc32c(memoryview(raw)[: len(raw) - BLOCK_TRAILER_SIZE]) != expected:
-            raise CorruptionError("block failed checksum")
+    expected = decode_fixed32(raw, len(raw) - 4)
+    if crc32c(memoryview(raw)[: len(raw) - BLOCK_TRAILER_SIZE]) != expected:
+        raise CorruptionError("block failed checksum")
     return compression
 
 

@@ -153,7 +153,7 @@ class SectionWriter:
     def _build_filter(self) -> Filter | None:
         options = self._options
         policy = options.filter_policy
-        if policy == FILTER_NONE or options.bloom_bits_per_key <= 0:
+        if policy == FILTER_NONE:
             return None
         old = self._base.filter if self._base is not None else None
         if policy == FILTER_TABLE:

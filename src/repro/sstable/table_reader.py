@@ -112,7 +112,6 @@ class TableReader:
         that absorbs keys works on a copy of the filter.
         """
         cat = self._load_category
-        verify = self._options.verify_checksums
         size = self._handle.size()
         if size < FOOTER_SIZE:
             raise CorruptionError(f"table {self.name!r} shorter than a footer")
@@ -123,20 +122,20 @@ class TableReader:
         idx = footer.index_handle
         raw = self._handle.read(idx.offset, idx.size + BLOCK_TRAILER_SIZE, category=cat)
         if adopt:
-            check_block_trailer(raw, verify_checksum=verify)
+            check_block_trailer(raw)
             index = built.index
         else:
-            index = IndexBlock.deserialize(unwrap_block(raw, verify_checksum=verify))
+            index = IndexBlock.deserialize(unwrap_block(raw))
 
         filter_: Filter | None = None
         flt = footer.filter_handle
         if not flt.is_null():
             raw = self._handle.read(flt.offset, flt.size + BLOCK_TRAILER_SIZE, category=cat)
             if adopt:
-                check_block_trailer(raw, verify_checksum=verify)
+                check_block_trailer(raw)
                 filter_ = built.filter
             else:
-                filter_ = deserialize_filter(unwrap_block(raw, verify_checksum=verify))
+                filter_ = deserialize_filter(unwrap_block(raw))
         return TableMeta(footer=footer, index=index, filter=filter_, file_size=size)
 
     def reload(self, built: "TableInfo | None" = None) -> None:
@@ -243,7 +242,7 @@ class TableReader:
                 and entry.offset == after.offset + after.size + BLOCK_TRAILER_SIZE
             ),
         )
-        block = parse_block_raw(raw, verify_checksum=self._options.verify_checksums, lazy=lazy)
+        block = parse_block_raw(raw, lazy=lazy)
         if block_cache is not None:
             block_cache.insert(self.file_number, entry.offset, block)
         return block
@@ -253,10 +252,9 @@ class TableReader:
         input.  Fetched and charged as :meth:`read_blocks_raw`, then
         checksummed; the values are never decoded."""
         raws = self.read_blocks_raw(entries, category=category)
-        verify = self._options.verify_checksums
         keys: list[bytes] = []
         for raw in raws:
-            keys += parse_block_raw(raw, verify_checksum=verify, lazy=True).user_keys()
+            keys += parse_block_raw(raw, lazy=True).user_keys()
         return keys
 
     def read_blocks_raw(self, entries: list[IndexEntry], *, category: str) -> list[bytes]:
@@ -274,20 +272,6 @@ class TableReader:
         )
 
     # -- point lookup ------------------------------------------------------------
-
-    def get(
-        self,
-        user_key: bytes,
-        snapshot_sequence: int,
-        *,
-        block_cache: "BlockCache | None" = None,
-        category: str = CAT_GET,
-    ) -> tuple[bool, bytes | None]:
-        """Point lookup: ``(found, value-or-None-for-tombstone)``."""
-        found, value, _touched = self.lookup(
-            user_key, snapshot_sequence, block_cache=block_cache, category=category
-        )
-        return found, value
 
     def lookup(
         self,

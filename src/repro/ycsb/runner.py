@@ -61,10 +61,6 @@ class RunResult:
     latency: dict[str, dict[str, float]] = field(default_factory=dict)
 
     @property
-    def ops_per_sim_sec(self) -> float:
-        return self.ops / self.sim_time_s if self.sim_time_s > 0 else 0.0
-
-    @property
     def ops_per_wall_sec(self) -> float:
         """Aggregate wall-clock throughput — the number that moves when the
         concurrent pipeline overlaps work (simulated time cannot: it is a

@@ -186,8 +186,8 @@ class TestBlockCompactFile:
         assert stats.clean_blocks == blocks_before
         assert stats.new_blocks == 2
         reader.reload()
-        assert reader.get(gap_key, SNAP) == (True, b"GAP")
-        assert reader.get(beyond_key, SNAP) == (True, b"BEYOND")
+        assert reader.lookup(gap_key, SNAP)[:2] == (True, b"GAP")
+        assert reader.lookup(beyond_key, SNAP)[:2] == (True, b"BEYOND")
         assert new_meta.num_entries == meta.num_entries + 2
         assert new_meta.append_count == 1
 
@@ -208,9 +208,9 @@ class TestBlockCompactFile:
         assert len(env.block_cache) == cached_before - 1
         assert env.block_cache.get(meta.file_number, target.offset) is None
         reader.reload()
-        assert reader.get(update_key, SNAP) == (True, b"UPDATED")
+        assert reader.lookup(update_key, SNAP)[:2] == (True, b"UPDATED")
         # neighbours unchanged
-        assert reader.get(k(0), SNAP) == (True, b"v" * 40)
+        assert reader.lookup(k(0), SNAP)[:2] == (True, b"v" * 40)
 
     def test_parent_tombstone_removes_child_key(self):
         env = FakeEnv()
@@ -221,7 +221,7 @@ class TestBlockCompactFile:
         new_meta, _stats = block_compact_file(env, parent, meta, 2)
         reader.reload()
         # nothing deeper: tombstone dropped entirely, key gone
-        assert reader.get(victim, SNAP) == (False, None)
+        assert reader.lookup(victim, SNAP)[:2] == (False, None)
         assert new_meta.num_entries == meta.num_entries - 1
 
     def test_file_emptied_by_tombstones_returns_no_metadata(self):
@@ -257,7 +257,7 @@ class TestBlockCompactFile:
         parent = [(comparable_key(victim, 999, TYPE_DELETION), b"")]
         block_compact_file(env, parent, meta, 2)
         reader.reload()
-        found, value = reader.get(victim, SNAP)
+        found, value = reader.lookup(victim, SNAP)[:2]
         assert (found, value) == (True, None)  # tombstone preserved, shadows L3
 
     def test_newest_version_wins_in_update(self):
@@ -267,7 +267,7 @@ class TestBlockCompactFile:
         parent = [(comparable_key(k(2), 999, TYPE_VALUE), b"NEW")]
         block_compact_file(env, parent, meta, 2)
         reader.reload()
-        assert reader.get(k(2), SNAP) == (True, b"NEW")
+        assert reader.lookup(k(2), SNAP)[:2] == (True, b"NEW")
         # superseded version not duplicated in the logical view
         count = sum(1 for ck, _ in reader.entries_from() if ck[0] == k(2))
         assert count == 1

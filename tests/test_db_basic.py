@@ -213,10 +213,3 @@ class TestWalDurability:
         assert db.get(b"deep") == b"v0"
         assert db.get(b"fresh") == b"vm"
         db.close()
-
-    def test_wal_can_be_disabled(self):
-        db = DB(SimulatedFS(), tiny_options(enable_wal=False))
-        db.put(b"k", b"v")
-        assert db.get(b"k") == b"v"
-        assert not any(name.endswith(".log") for name in db.fs.list_dir())
-        db.close()

@@ -83,19 +83,6 @@ class TestSSTableDamage:
         with pytest.raises(CorruptionError):
             db.scan()
 
-    def test_checksum_verification_can_be_disabled(self, fs):
-        db_ref = build_store(fs)
-        meta = next(m for _l, m in db_ref.version.all_files())
-        flip_byte(fs, meta.file_name(), 3)
-        db = DB(fs, tiny_options(verify_checksums=False))
-        # No checksum guard: reads may return garbage, but only parse
-        # errors (if any) surface; the DB doesn't crash on open.
-        try:
-            db.scan()
-        except CorruptionError:
-            pass  # structural damage may still be caught by the parser
-        db.close()
-
     def test_truncated_footer_raises(self, fs):
         db_ref = build_store(fs)
         meta = next(m for _l, m in db_ref.version.all_files())

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.iterator import DBIterator, merge_sorted, visible_entries
+from repro.core.iterator import DBIterator
+from repro.core.merge import merge_entries, merge_visible
 from repro.errors import InvalidArgumentError
 from repro.keys import TYPE_DELETION, TYPE_VALUE, comparable_key
 
@@ -16,17 +17,17 @@ class TestMergeSorted:
     def test_merges_in_comparable_order(self):
         a = [(ck(b"a", 1), b"a1"), (ck(b"c", 1), b"c1")]
         b = [(ck(b"b", 2), b"b2"), (ck(b"d", 1), b"d1")]
-        merged = list(merge_sorted([a, b]))
+        merged = list(merge_entries([a, b]))
         assert [k[0] for k, _ in merged] == [b"a", b"b", b"c", b"d"]
 
     def test_single_source_passthrough(self):
         a = [(ck(b"a", 1), b"x")]
-        assert list(merge_sorted([a])) == a
+        assert list(merge_entries([a])) == a
 
     def test_newer_version_first_across_sources(self):
         old = [(ck(b"k", 1), b"old")]
         new = [(ck(b"k", 9), b"new")]
-        merged = list(merge_sorted([old, new]))
+        merged = list(merge_entries([old, new]))
         assert merged[0][1] == b"new"
         assert merged[1][1] == b"old"
 
@@ -34,20 +35,20 @@ class TestMergeSorted:
 class TestVisibility:
     def test_newest_version_wins(self):
         stream = [(ck(b"k", 9), b"new"), (ck(b"k", 1), b"old")]
-        assert list(visible_entries(stream, 100)) == [(b"k", b"new")]
+        assert list(merge_visible([stream], 100)) == [(b"k", b"new")]
 
     def test_snapshot_filters_future(self):
         stream = [(ck(b"k", 9), b"new"), (ck(b"k", 1), b"old")]
-        assert list(visible_entries(stream, 5)) == [(b"k", b"old")]
-        assert list(visible_entries(stream, 0)) == []
+        assert list(merge_visible([stream], 5)) == [(b"k", b"old")]
+        assert list(merge_visible([stream], 0)) == []
 
     def test_tombstone_hides_key(self):
         stream = [(ck(b"k", 9, TYPE_DELETION), b""), (ck(b"k", 1), b"old")]
-        assert list(visible_entries(stream, 100)) == []
+        assert list(merge_visible([stream], 100)) == []
 
     def test_tombstone_only_hides_at_or_after_its_seq(self):
         stream = [(ck(b"k", 9, TYPE_DELETION), b""), (ck(b"k", 1), b"old")]
-        assert list(visible_entries(stream, 8)) == [(b"k", b"old")]
+        assert list(merge_visible([stream], 8)) == [(b"k", b"old")]
 
     def test_shadowed_tombstone_under_newer_put(self):
         stream = [
@@ -55,7 +56,7 @@ class TestVisibility:
             (ck(b"k", 5, TYPE_DELETION), b""),
             (ck(b"k", 1), b"old"),
         ]
-        assert list(visible_entries(stream, 100)) == [(b"k", b"resurrected")]
+        assert list(merge_visible([stream], 100)) == [(b"k", b"resurrected")]
 
     @settings(max_examples=40)
     @given(
@@ -84,7 +85,7 @@ class TestVisibility:
             if seq <= snapshot:
                 model[b"k%02d" % ordinal] = None if is_del else b"v%d" % seq
         expected = sorted((k, v) for k, v in model.items() if v is not None)
-        assert list(visible_entries(entries, snapshot)) == expected
+        assert list(merge_visible([entries], snapshot)) == expected
 
 
 class TestDBIterator:

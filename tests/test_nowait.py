@@ -103,7 +103,7 @@ class TestNoWaitReads:
         that may wait runs it."""
         db = DB(
             SimulatedFS(),
-            tiny_options(bloom_bits_per_key=0, filter_policy="none"),
+            tiny_options(filter_policy="none"),
         )
         order = list(range(600))
         random.Random(5).shuffle(order)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.presets import blockdb, l2sm_options, leveldb_like, rocksdb_like
+from repro.compaction.lazy_deletion import DeletionManager
 from repro.errors import InvalidArgumentError
 from repro.options import (
     COMPACTION_SELECTIVE,
@@ -13,6 +14,7 @@ from repro.options import (
     SelectiveThresholds,
     default_selective_thresholds,
 )
+from repro.storage.fs import SimulatedFS
 
 
 class TestValidation:
@@ -32,6 +34,7 @@ class TestValidation:
             ("compaction_style", "bogus"),
             ("filter_policy", "bogus"),
             ("bloom_bits_per_key", -1),
+            ("bloom_bits_per_key", 0),
             ("compaction_workers", 0),
             ("compaction_offload", "thread"),
             ("compaction_policy", "lazy_leveled"),
@@ -120,7 +123,8 @@ class TestPresets:
         assert opts.lazy_deletion
         assert opts.bloom_reserved_mid_fraction == 0.40
         assert opts.bloom_reserved_last_fraction == 0.10
-        assert opts.lazy_deletion_threshold == 12 * (1 << 20)
+        manager = DeletionManager(SimulatedFS(), opts, None, None, None)
+        assert manager.threshold == 12 * (1 << 20)
 
     def test_l2sm_preset(self):
         opts = l2sm_options(sstable_size=1 << 20)
@@ -165,8 +169,6 @@ def test_every_option_is_read_somewhere():
 #: example sets, kept anyway — each with the reason.  Every other field
 #: must have a caller (``test_every_option_has_a_caller``).
 UNCALLED_OPTIONS = {
-    "enable_wal": "a floor test pins the off path",
-    "verify_checksums": "a floor test pins the off path",
     "compression": "the parked tiering item (ROADMAP) sweeps it",
     "block_restart_interval": "a format parameter the block property tests sweep",
     "table_cache_capacity": "a memory budget",

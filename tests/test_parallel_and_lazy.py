@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import kv, make_db, tiny_options
-from repro.compaction.lazy_deletion import DeletionManager
+from repro.compaction.lazy_deletion import LAZY_DELETION_FACTOR, DeletionManager
 from repro.compaction.parallel import SubtaskExecutor, lpt_makespan
 from repro.core.version import FileMetadata
 from repro.cache.block_cache import BlockCache
@@ -133,8 +133,8 @@ class _StubBlock:
 
 
 class _Env:
-    def __init__(self, lazy: bool, threshold: int = 10_000):
-        self.options = tiny_options(lazy_deletion=lazy, lazy_deletion_threshold=threshold)
+    def __init__(self, lazy: bool, sstable_size: int = 1024):
+        self.options = tiny_options(lazy_deletion=lazy, sstable_size=sstable_size)
         self.fs = SimulatedFS()
         self.stats = DBStats()
         self.table_cache = TableCache(self.fs, self.options)
@@ -167,27 +167,46 @@ class TestDeletionManager:
         assert env.stats.obsolete_files_deleted == 1
 
     def test_lazy_mode_batches_below_threshold(self):
-        env = _Env(lazy=True, threshold=5000)
+        env = _Env(lazy=True)
         for i in range(1, 4):
-            env.manager.retire([env.fake_file(i, size=1000)])
+            env.manager.retire([env.fake_file(i, size=1024)])
         assert env.manager.pending_files == 3
         assert env.fs.exists("000001.sst")
         assert env.stats.obsolete_scans == 0
 
     def test_lazy_mode_cleans_at_threshold_with_one_scan(self):
-        env = _Env(lazy=True, threshold=5000)
-        for i in range(1, 7):
-            env.manager.retire([env.fake_file(i, size=1000)])
-        # files 1-5 crossed the 5000-byte threshold and were swept together;
-        # file 6 started a new batch.
+        env = _Env(lazy=True)
+        for i in range(1, 14):
+            env.manager.retire([env.fake_file(i, size=1024)])
+        # files 1-12 reached the 12-SSTable threshold and were swept
+        # together; file 13 started a new batch.
         assert env.manager.pending_files == 1
         assert env.stats.obsolete_scans == 1
-        assert env.stats.obsolete_files_deleted == 5
+        assert env.stats.obsolete_files_deleted == 12
         assert not env.fs.exists("000001.sst")
-        assert env.fs.exists("000006.sst")
+        assert env.fs.exists("000013.sst")
+
+    def test_threshold_is_twelve_sstables_to_the_byte(self):
+        """Nothing is cleaned one byte below ``12 x sstable_size``; the
+        byte that reaches it triggers exactly one scan over everything
+        queued."""
+        sstable_size = 4096
+        env = _Env(lazy=True, sstable_size=sstable_size)
+        assert LAZY_DELETION_FACTOR == 12
+        assert env.manager.threshold == 12 * sstable_size
+        env.manager.retire([env.fake_file(1, size=12 * sstable_size - 1)])
+        assert env.manager.pending_bytes == 12 * sstable_size - 1
+        assert env.stats.obsolete_scans == 0
+        assert env.fs.exists("000001.sst")
+        env.manager.retire([env.fake_file(2, size=1)])
+        assert env.stats.obsolete_scans == 1
+        assert env.stats.obsolete_files_deleted == 2
+        assert env.manager.pending_bytes == 0
+        assert not env.fs.exists("000001.sst")
+        assert not env.fs.exists("000002.sst")
 
     def test_caches_invalidated_at_retire_not_deletion(self):
-        env = _Env(lazy=True, threshold=10**9)
+        env = _Env(lazy=True, sstable_size=1 << 30)
         meta = env.fake_file(1)
         env.block_cache.insert(1, 0, _StubBlock())
         assert env.block_cache.get(1, 0) is not None
@@ -210,7 +229,7 @@ class TestDeletionManager:
             env.manager.unpin()
 
     def test_flush_all_ignores_pins(self):
-        env = _Env(lazy=True, threshold=10**9)
+        env = _Env(lazy=True, sstable_size=1 << 30)
         env.manager.pin()
         env.manager.retire([env.fake_file(1)])
         env.manager.flush_all()
@@ -222,7 +241,7 @@ class TestDeletionManager:
         order = list(range(600))
         random.Random(8).shuffle(order)
         eager = make_db("table", lazy_deletion=False)
-        lazy = make_db("table", lazy_deletion=True, lazy_deletion_threshold=20_000)
+        lazy = make_db("table", lazy_deletion=True)  # 12 x 1 KiB tables
         for i in order:
             eager.put(*kv(i))
         for i in order:

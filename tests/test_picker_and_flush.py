@@ -165,7 +165,7 @@ class TestFlush:
         assert meta_out.num_entries == 2
         assert meta_out.smallest_user_key == b"apple"
         assert meta_out.largest_user_key == b"banana"
-        assert reader.get(b"apple", 100) == (True, b"v2")
+        assert reader.lookup(b"apple", 100)[:2] == (True, b"v2")
 
     def test_flush_dedupes_versions_keeping_newest(self):
         mt = MemTable()
@@ -174,7 +174,7 @@ class TestFlush:
         mt.add(3, TYPE_VALUE, b"k", b"new")
         meta_out, reader = self._flush(mt)
         assert meta_out.num_entries == 1
-        assert reader.get(b"k", 100) == (True, b"new")
+        assert reader.lookup(b"k", 100)[:2] == (True, b"new")
 
     def test_flush_preserves_tombstones(self):
         mt = MemTable()
@@ -182,7 +182,7 @@ class TestFlush:
         mt.add(2, TYPE_DELETION, b"k")
         meta_out, reader = self._flush(mt)
         assert meta_out.num_entries == 1
-        assert reader.get(b"k", 100) == (True, None)
+        assert reader.lookup(b"k", 100)[:2] == (True, None)
 
     def test_flush_only_tombstones_still_writes(self):
         """A memtable of nothing but deletes must still flush — the

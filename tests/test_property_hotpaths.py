@@ -46,12 +46,11 @@ from repro.keys import (  # noqa: E402
 )
 from repro.compaction.base import merge_keep_newest, merge_live  # noqa: E402
 from repro.compaction.parallel import lpt_makespan  # noqa: E402
-from repro.core.iterator import visible_entries  # noqa: E402
 from repro.core.merge import merge_entries, merge_visible  # noqa: E402
 from repro.core.superversion import SuperVersion  # noqa: E402
 from repro.core.version import FileMetadata, Version, VersionEdit  # noqa: E402
 from repro.memtable import MemTable  # noqa: E402
-from repro.options import Options  # noqa: E402
+from repro.options import FILTER_NONE, Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
 from repro.sstable.block_builder import BlockCutter  # noqa: E402
 from repro.sstable.format import COMPRESSION_NONE  # noqa: E402
@@ -316,11 +315,12 @@ def test_merge_visible_end_bound_matches_reference(sources_seq, snapshot, end):
 @given(entry_sources(), st.integers(0, 40))
 @settings(deadline=None)
 def test_visible_entries_matches_reference(sources_seq, snapshot):
-    """The kept ``visible_entries`` wrapper equals the reference pass."""
+    """The fused one-source visibility pass over an already-merged stream
+    equals the reference's two-stage visibility pass."""
     sources, max_seq = sources_seq
     snapshot = min(snapshot, max_seq)
     merged = list(reference.merge_sorted([list(s) for s in sources])) if sources else []
-    assert list(visible_entries(iter(merged), snapshot)) == list(
+    assert list(merge_visible([iter(merged)], snapshot)) == list(
         reference.visible_entries(iter(merged), snapshot)
     )
 
@@ -689,11 +689,19 @@ def test_memtable_get_with_key_set_matches_skiplist_only_get(history, reads):
 # --------------------------------------------------------------- table builder
 
 
+def _filter_options(bits_per_key: int) -> dict:
+    """The ``Options`` spelling of the reference's ``bits_per_key``, where
+    0 means no filter."""
+    if bits_per_key == 0:
+        return {"filter_policy": FILTER_NONE}
+    return {"bloom_bits_per_key": bits_per_key}
+
+
 def _table_options(block_size: int, restart_interval: int, bits_per_key: int) -> Options:
     return Options(
         block_size=block_size,
         block_restart_interval=restart_interval,
-        bloom_bits_per_key=bits_per_key,
+        **_filter_options(bits_per_key),
     )
 
 
@@ -844,7 +852,7 @@ def test_build_output_tables_matches_rotating_reference(
         block_size=block_size,
         sstable_size=block_size + extra,
         block_restart_interval=restart_interval,
-        bloom_bits_per_key=bits_per_key,
+        **_filter_options(bits_per_key),
     )
     merged = list(merge_live([iter(s) for s in sources], lambda _k: droppable, boundaries))
     env = _OutputEnv(options)

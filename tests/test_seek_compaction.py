@@ -14,7 +14,7 @@ def load(db, n=600, seed=5):
 
 class TestPointLookupSeeks:
     def test_fruitless_block_reads_charge_budget(self):
-        db = make_db("table", bloom_bits_per_key=0, filter_policy="none")
+        db = make_db("table", filter_policy="none")
         load(db)
         before = db.stats.seek_miss_charges
         # Keys in range of upper-level files but living deeper force
@@ -24,7 +24,7 @@ class TestPointLookupSeeks:
         assert db.stats.seek_miss_charges >= before
 
     def test_seek_budget_exhaustion_triggers_compaction(self):
-        db = make_db("table", bloom_bits_per_key=0, filter_policy="none")
+        db = make_db("table", filter_policy="none")
         load(db)
         # hammer misses until some file's budget drains
         for round_no in range(400):

@@ -29,9 +29,9 @@ class TestDegenerateTables:
         assert info.num_entries == 1
         assert len(info.index) == 1
         reader = TableReader(fs, "000001.sst", 1, opts())
-        assert reader.get(b"only", SNAP) == (True, b"v")
-        assert reader.get(b"onl", SNAP) == (False, None)
-        assert reader.get(b"onlyx", SNAP) == (False, None)
+        assert reader.lookup(b"only", SNAP)[:2] == (True, b"v")
+        assert reader.lookup(b"onl", SNAP)[:2] == (False, None)
+        assert reader.lookup(b"onlyx", SNAP)[:2] == (False, None)
         reader.close()
 
     def test_value_larger_than_block_size(self, fs):
@@ -42,8 +42,8 @@ class TestDegenerateTables:
         builder.add(make_internal_key(b"small", 2, TYPE_VALUE), b"v")
         info = builder.finish()
         reader = TableReader(fs, "000001.sst", 1, opts())
-        assert reader.get(b"big", SNAP) == (True, big)
-        assert reader.get(b"small", SNAP) == (True, b"v")
+        assert reader.lookup(b"big", SNAP)[:2] == (True, big)
+        assert reader.lookup(b"small", SNAP)[:2] == (True, b"v")
         assert len(info.index) == 2
         reader.close()
 
@@ -53,7 +53,7 @@ class TestDegenerateTables:
             builder.add(make_internal_key(b"k%03d" % i, i + 1, TYPE_VALUE), b"")
         builder.finish()
         reader = TableReader(fs, "000001.sst", 1, opts())
-        assert reader.get(b"k010", SNAP) == (True, b"")
+        assert reader.lookup(b"k010", SNAP)[:2] == (True, b"")
         assert sum(1 for _ in reader.entries_from()) == 30
         reader.close()
 
@@ -66,7 +66,7 @@ class TestDegenerateTables:
         builder.finish()
         reader = TableReader(fs, "000001.sst", 1, opts(block_size=512))
         for key in keys[::7]:
-            assert reader.get(key, SNAP) == (True, b"v")
+            assert reader.lookup(key, SNAP)[:2] == (True, b"v")
         # prefix compression should make the file much smaller than raw keys
         raw = sum(len(k) + 8 for k in keys)
         assert reader.footer.valid_data_bytes < raw
@@ -81,9 +81,9 @@ class TestBoundaryBehaviour:
         builder.finish()
         reader = TableReader(fs, "000001.sst", 1, opts())
         for entry in reader.index.entries:
-            found, _ = reader.get(entry.smallest_user_key, SNAP)
+            found, _ = reader.lookup(entry.smallest_user_key, SNAP)[:2]
             assert found
-            found, _ = reader.get(entry.largest_user_key, SNAP)
+            found, _ = reader.lookup(entry.largest_user_key, SNAP)[:2]
             assert found
         reader.close()
 

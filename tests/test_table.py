@@ -46,9 +46,9 @@ class TestBuildAndRead:
     def test_get_hits_and_misses(self, fs):
         build_table(fs, opts(), n=40)
         reader = TableReader(fs, "000001.sst", 1, opts())
-        assert reader.get(b"key00010", SNAP) == (True, b"v" * 40)
-        assert reader.get(b"key00011", SNAP) == (False, None)
-        assert reader.get(b"zzz", SNAP) == (False, None)
+        assert reader.lookup(b"key00010", SNAP)[:2] == (True, b"v" * 40)
+        assert reader.lookup(b"key00011", SNAP)[:2] == (False, None)
+        assert reader.lookup(b"zzz", SNAP)[:2] == (False, None)
         reader.close()
 
     def test_scan_in_order(self, fs):
@@ -90,7 +90,7 @@ class TestBuildAndRead:
         info = build_table(fs, opts(), n=10)
         # flip a byte inside the first data block
         flip_byte(fs, "000001.sst", 5)
-        reader = TableReader(fs, "000001.sst", 1, opts(verify_checksums=True))
+        reader = TableReader(fs, "000001.sst", 1, opts())
         first = reader.index.entries[0]
         with pytest.raises(CorruptionError):
             reader.read_block(first, category="get")
@@ -109,13 +109,13 @@ class TestFilterPolicies:
         reader = TableReader(fs, "000001.sst", 1, opts(filter_policy=FILTER_BLOCK))
         assert isinstance(reader.filter, BlockFilters)
         assert len(reader.filter.per_block) == len(reader.index)
-        assert reader.get(b"key00010", SNAP) == (True, b"v" * 40)
+        assert reader.lookup(b"key00010", SNAP)[:2] == (True, b"v" * 40)
 
     def test_no_filter(self, fs):
         build_table(fs, opts(filter_policy=FILTER_NONE), n=10)
         reader = TableReader(fs, "000001.sst", 1, opts(filter_policy=FILTER_NONE))
         assert reader.filter is None
-        assert reader.get(b"key00002", SNAP) == (True, b"v" * 40)
+        assert reader.lookup(b"key00002", SNAP)[:2] == (True, b"v" * 40)
 
     def test_reserved_filter_built_at_mid_level(self, fs):
         build_table(fs, opts(), n=40, level=2)
@@ -153,8 +153,8 @@ class TestAppendSessions:
         assert result.num_entries == 41
         reader.reload()
         assert reader.footer.section == 1
-        assert reader.get(new_key, SNAP) == (True, b"NEW")
-        assert reader.get(b"key00010", SNAP) == (True, b"v" * 40)
+        assert reader.lookup(new_key, SNAP)[:2] == (True, b"NEW")
+        assert reader.lookup(b"key00010", SNAP)[:2] == (True, b"v" * 40)
         # logical order intact
         keys = [comparable_parts(ck)[0] for ck, _ in reader.entries_from()]
         assert keys == sorted(keys)
@@ -189,7 +189,7 @@ class TestAppendSessions:
         assert not session.filter_rebuilt
         reader.reload()
         assert isinstance(reader.filter.bloom, ReservedBloomFilter)
-        assert reader.get(b"zzz-appended", SNAP) == (True, b"NEW")
+        assert reader.lookup(b"zzz-appended", SNAP)[:2] == (True, b"NEW")
 
     def test_filter_rebuilt_when_headroom_exhausted(self, fs):
         options = opts()
@@ -205,8 +205,8 @@ class TestAppendSessions:
         session.finish()
         assert session.filter_rebuilt
         reader.reload()
-        assert reader.get(b"zz-00000", SNAP) == (True, b"NEW")
-        assert reader.get(b"key00010", SNAP) == (True, b"v" * 40)
+        assert reader.lookup(b"zz-00000", SNAP)[:2] == (True, b"NEW")
+        assert reader.lookup(b"key00010", SNAP)[:2] == (True, b"v" * 40)
 
     def test_block_filter_append_carries_clean_filters(self, fs):
         options = opts(filter_policy=FILTER_BLOCK)
@@ -219,7 +219,7 @@ class TestAppendSessions:
         reader.reload()
         assert isinstance(reader.filter, BlockFilters)
         assert len(reader.filter.per_block) == len(reader.index)
-        assert reader.get(b"zzz", SNAP) == (True, b"NEW")
+        assert reader.lookup(b"zzz", SNAP)[:2] == (True, b"NEW")
 
     def test_tombstones_can_be_appended(self, fs):
         options = opts()
@@ -233,7 +233,7 @@ class TestAppendSessions:
             session.reuse(e)
         session.finish()
         reader.reload()
-        assert reader.get(tomb_key, SNAP) == (True, None)
+        assert reader.lookup(tomb_key, SNAP)[:2] == (True, None)
 
     # The order rule is the cutter's, so an append session enforces what
     # TableBuilder.add does, and its adds and reuses leave the index sorted.
@@ -296,7 +296,7 @@ class TestAppendSessions:
             reader.reload()
             assert reader.footer.section == round_no + 1
         for round_no in range(3):
-            assert reader.get(b"zzz-%d" % round_no, SNAP) == (True, b"r%d" % round_no)
+            assert reader.lookup(b"zzz-%d" % round_no, SNAP)[:2] == (True, b"r%d" % round_no)
         assert reader.num_entries == 43
 
 
@@ -396,7 +396,7 @@ class TestAdoptedMetadata:
         assert fs_adopted.digest() == fs_parsed.digest()
         assert list(adopted.entries_from()) == list(parsed.entries_from())
         for key in (b"key00010", b"key00011", b"zz-00000", b"zz-00002", b"zzz"):
-            assert adopted.get(key, SNAP) == parsed.get(key, SNAP)
+            assert adopted.lookup(key, SNAP) == parsed.lookup(key, SNAP)
 
     @pytest.mark.parametrize("name", ["built", "append-absorbs", "block-filters-appended"])
     def test_any_flipped_metadata_byte_ends_as_a_full_parse_would(self, name):
