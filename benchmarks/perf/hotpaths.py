@@ -496,7 +496,7 @@ def bench_section_finish_open(suite: Suite) -> None:
                 builder.add_run(built)
                 info = builder.finish()
                 reader = TableReader(
-                    fs, "000001.sst", 1, options, "compaction", info if hand_over else None
+                    fs, "000001.sst", 1, "compaction", info if hand_over else None
                 )
                 entries = reader.index.entries
                 assert len(entries) == 16, len(entries)

@@ -41,6 +41,9 @@ table_build             one 64 KiB output table written by
                         (``merge_live``'s output form, 32 B keys, 1 KiB
                         values): the run loop, block cuts, filter, index,
                         footer and the simulated writes
+write_batch_8           a ``WriteBatch`` of 8 puts (32 B keys, 1 KiB values)
+                        built and passed to one ``db.write``, into an empty
+                        store's memtable, which has room for all five calls
 load                    a 6 000-put shuffled load into an empty store,
                         every flush and compaction it triggers included
 ======================  ====================================================
@@ -74,6 +77,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -100,7 +104,10 @@ SEEK_STORE_MIN_FILES = 256
 def count_opcodes(fn: Callable[[], object]) -> int:
     """Bytecodes executed by ``fn()`` on this thread, frames it calls
     included.  Any trace function already installed (a debugger, coverage)
-    is put back afterwards."""
+    is put back afterwards.  The cyclic collector is paused while ``fn``
+    runs: a collection its allocations happened to trigger would run every
+    ``gc.callbacks`` entry (hypothesis installs a Python one) on this thread,
+    so the count would depend on the heap that earlier code left behind."""
     count = 0
 
     def on_opcode(frame, event, arg):
@@ -114,11 +121,15 @@ def count_opcodes(fn: Callable[[], object]) -> int:
         return on_opcode
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         fn()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 
@@ -267,6 +278,27 @@ def _table_build_path() -> Callable[[int], Callable[[], object]]:
     return make_call
 
 
+def _write_batch_path(db) -> Callable[[int], Callable[[], object]]:
+    """The ``write_batch_8`` row: each call builds a batch of 8 fresh puts
+    and writes it to ``db``."""
+    from repro import WriteBatch
+    from repro.ycsb import make_key, make_value
+
+    keys = [[make_key(8 * i + j, 32) for j in range(8)] for i in range(CALLS)]
+    value = make_value(0, 0, VALUE_SIZE)
+
+    def make_call(i: int) -> Callable[[], object]:
+        def call():
+            batch = WriteBatch()
+            for key in keys[i]:
+                batch.put(key, value)
+            db.write(batch)
+
+        return call
+
+    return make_call
+
+
 def count_table_build_reference() -> int:
     """Bytecodes of the ``table_build`` row's entries through
     ``oracle.reference.build_table_bytes`` — the same file, built by the
@@ -312,10 +344,12 @@ def measure(load: bool = True) -> dict[str, int]:
     """Every path's count, in the order of the module docstring; without
     the ``load`` row when ``load`` is false."""
     from oracle import reference
+    from repro import DB, SimulatedFS
 
     db, keys = _benchmark_store()
     tree_db, _ = _benchmark_store(compacted=False)
     seek_db, seek_keys = seek_store()
+    write_db = DB(SimulatedFS(), _options())
     value = b"v" * VALUE_SIZE
     fresh = [b"zz-new-key-%020d" % i for i in range(CALLS)]
     absent = keys[1500] + b"-absent"
@@ -342,9 +376,12 @@ def measure(load: bool = True) -> dict[str, int]:
         "multi_get_8_linear": lambda i: lambda: reference.multi_get_linear(db, batch),
         "multi_get_64": lambda i: lambda: db.multi_get(batch_64),
         "table_build": _table_build_path(),
+        "write_batch_8": _write_batch_path(write_db),
     }
     try:
         counts = {name: third_of_five(make_call) for name, make_call in paths.items()}
+        if any(write_db.num_files_per_level()):
+            raise AssertionError("write_batch_8 rolled its memtable over")
         if load:
             counts["load"] = count_load()
         return counts
@@ -352,6 +389,7 @@ def measure(load: bool = True) -> dict[str, int]:
         db.close()
         tree_db.close()
         seek_db.close()
+        write_db.close()
 
 
 def main(argv: list[str] | None = None) -> int:

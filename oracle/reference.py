@@ -7,8 +7,9 @@ index-block writers, the merge/visibility stack, the LPT scheduler, the
 memtable's skiplist, the version catalog, the scan path (linear level
 seek, a generator per file, a per-entry drain), the point-read path (a
 skiplist seek per memtable miss, a key hash per filter, a closure per
-level walk, a list of pending keys per batch), and the ``bytearray`` file
-store.  They exist for two reasons:
+level walk, a list of pending keys per batch), the ``bytearray`` file
+store, the three-layer WAL encoder (batch serialize, length prefix, frame)
+and the two-call append accounting.  They exist for two reasons:
 
 * **Property tests** (``tests/test_property_hotpaths.py``) cross-check every
   optimized fast path against these on random inputs — including the
@@ -1060,6 +1061,54 @@ def _multi_get_linear(db, keys: list[bytes], snapshot) -> dict[bytes, bytes | No
     db.stats.count_gets(len(keys), found_count)
     db._charge_seeks(charges)
     return out
+
+
+# ------------------------------------------------------------------ write path
+
+
+def serialize_batch(batch, base_sequence: int) -> bytes:
+    """Reference ``WriteBatch.serialize``: the header, then every op
+    re-encoded from the batch's ``(type, key, value)`` list — a type byte
+    and a length-prefixed key, and a length-prefixed value for a put."""
+    from repro.encoding import encode_fixed32, encode_fixed64, put_length_prefixed
+    from repro.keys import TYPE_VALUE
+
+    out = bytearray()
+    out += encode_fixed64(base_sequence)
+    out += encode_fixed32(len(batch))
+    for value_type, key, value in batch:
+        out.append(value_type)
+        put_length_prefixed(out, key)
+        if value_type == TYPE_VALUE:
+            put_length_prefixed(out, value)
+    return bytes(out)
+
+
+def wal_frames(batches, base: int) -> bytes:
+    """Reference bytes of one group's WAL append: each batch serialized by
+    :func:`serialize_batch` at consecutive base sequences (from ``base``,
+    advancing by the batch's op count, as ``DB._apply_locked`` numbers a
+    group), each payload framed ``[crc32c : fixed32][length : varint]
+    [payload]`` in one ``BufferWriter``."""
+    from repro.encoding import BufferWriter, crc32c
+
+    writer = BufferWriter()
+    for batch in batches:
+        payload = serialize_batch(batch, base)
+        base += len(batch)
+        writer.fixed32(crc32c(payload))
+        writer.length_prefixed(payload)
+    return writer.getvalue()
+
+
+def record_write(stats, nbytes: int, category: str) -> None:
+    """Reference ``IOStats.record_write``: count one write; an append then
+    charged its device time with ``stats.charge_time(seconds, category)``."""
+    stats.bytes_written += nbytes
+    stats.write_ops += 1
+    cat = stats.per_category[category]
+    cat.bytes_written += nbytes
+    cat.write_ops += 1
 
 
 # ------------------------------------------------------------------ file store

@@ -122,7 +122,7 @@ class TableCache:
         """
         def open_reader() -> TableReader:
             return TableReader(
-                self._fs, file_name, file_number, self._options, load_category or CAT_OPEN, built
+                self._fs, file_name, file_number, load_category or CAT_OPEN, built
             )
 
         # Atomic per shard: two concurrent misses must not double-open the

@@ -74,7 +74,7 @@ from ..errors import (
     NotFoundError,
     WouldBlock,
 )
-from ..keys import ComparableKey, TYPE_VALUE, seek_comparable
+from ..keys import ComparableKey, seek_comparable
 from ..memtable.memtable import MemTable
 from ..memtable.wal import WalRecoveryStats, WalWriter
 from ..metrics.amplification import level_rows
@@ -602,25 +602,24 @@ class DB:
             self._error_handler.record(exc, "wal", retryable=False)
             raise
         sequence = first
-        puts = 0
         add = self._memtable.add
         for batch in stored:
             for value_type, key, value in batch:
                 add(sequence, value_type, key, value)
                 sequence += 1
-                if value_type == TYPE_VALUE:
-                    puts += 1
         self._sequence = sequence - 1
         if user:
             # GC re-puts skip this: they are engine-internal traffic and
             # must not deflate the measured write amplification.  User
             # bytes are charged at the ORIGINAL size for the same reason —
             # separation must not shrink the denominator.
+            deletes = 0
             stats = self.stats
-            stats.user_writes += puts
-            stats.user_deletes += sequence - first - puts
             for batch in batches:
-                stats.user_bytes_written += batch.byte_size()
+                deletes += batch.deletes
+                stats.user_bytes_written += batch.user_bytes
+            stats.user_writes += sequence - first - deletes
+            stats.user_deletes += deletes
             # Without a lane nothing sleeps on L0 pressure (the work is
             # inlined instead), but each write past the trigger — a group
             # member's as much as a direct one — counts as a stall.

@@ -1,60 +1,102 @@
 """Write batches.
 
 A :class:`WriteBatch` groups puts and deletes that apply atomically: one WAL
-record, one sequence-number range, one memtable insertion pass.  The
-serialized form is the WAL payload:
+record, one sequence-number range, one memtable insertion pass.  As in
+LevelDB, whose ``WriteBatch::rep_`` is its log payload, the batch *is* its
+WAL record: each op is encoded once, as it enters the batch, into a
+``bytearray`` that starts with the header, and :meth:`WriteBatch.serialize`
+only stamps the header in place.  The payload:
 
 ::
 
     [base sequence : fixed64][count : fixed32]
     ([type : 1][key : lp][value : lp if type == VALUE])*
+
+The decoded ``(type, key, value)`` ops are kept beside it, for the memtable
+pass and value separation, and so are the batch's user bytes and deletes,
+which the write path reads without walking the batch.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator
 
-from ..encoding import (
-    decode_fixed32,
-    decode_fixed64,
-    encode_fixed32,
-    encode_fixed64,
-    get_length_prefixed,
-    put_length_prefixed,
-)
+from ..encoding import encode_varint, get_length_prefixed, put_length_prefixed
 from ..errors import CorruptionError, InvalidArgumentError
 from ..keys import TYPE_DELETION, TYPE_VALUE
 from ..memtable.memtable import MemTable
 from ..memtable.wal import WalRecoveryStats, read_wal_tolerant
 from ..storage.fs import FileSystem
 
-_HEADER_SIZE = 12
+#: ``[base sequence : fixed64][count : fixed32]``.
+_HEADER = struct.Struct("<QI")
+_HEADER_SIZE = _HEADER.size
+
+#: The common put's head in one ``struct`` pack, indexed by key length:
+#: ``[type][key length][key][value length]`` for a key shorter than 128 B
+#: (a one-byte varint) and a value of 128 B to 16 KiB (a two-byte varint).
+_SHORT_PUT = tuple(struct.Struct(f"<BB{klen}sBB") for klen in range(0x80))
+
+
+def _as_bytes(data, message: str) -> bytes:
+    if not isinstance(data, (bytes, bytearray)):
+        raise InvalidArgumentError(message)
+    return bytes(data)
 
 
 class WriteBatch:
-    """An ordered list of (type, key, value) operations."""
+    """An ordered list of (type, key, value) operations and their WAL
+    payload (see module docstring)."""
 
     def __init__(self):
         self._ops: list[tuple[int, bytes, bytes]] = []
+        self._rep = bytearray(_HEADER_SIZE)
+        #: Key plus value bytes of every op (:meth:`byte_size`).
+        self.user_bytes = 0
+        #: Deletes among the ops.
+        self.deletes = 0
 
     def put(self, key: bytes, value: bytes) -> "WriteBatch":
-        if not isinstance(key, (bytes, bytearray)) or not isinstance(value, (bytes, bytearray)):
-            raise InvalidArgumentError("keys and values must be bytes")
+        """Add a put, encoding it onto the payload; returns the batch."""
+        if type(key) is not bytes or type(value) is not bytes:
+            key = _as_bytes(key, "keys and values must be bytes")
+            value = _as_bytes(value, "keys and values must be bytes")
         if not key:
             raise InvalidArgumentError("keys must be non-empty")
-        self._ops.append((TYPE_VALUE, bytes(key), bytes(value)))
+        klen = len(key)
+        vlen = len(value)
+        rep = self._rep
+        if klen < 0x80 and 0x80 <= vlen < 0x4000:
+            rep += _SHORT_PUT[klen].pack(TYPE_VALUE, klen, key, vlen & 0x7F | 0x80, vlen >> 7)
+        else:
+            rep.append(TYPE_VALUE)
+            put_length_prefixed(rep, key)
+            rep += encode_varint(vlen)
+        rep += value
+        self._ops.append((TYPE_VALUE, key, value))
+        self.user_bytes += klen + vlen
         return self
 
     def delete(self, key: bytes) -> "WriteBatch":
-        if not isinstance(key, (bytes, bytearray)):
-            raise InvalidArgumentError("keys must be bytes")
+        """Add a delete, encoding it onto the payload; returns the batch."""
+        if type(key) is not bytes:
+            key = _as_bytes(key, "keys must be bytes")
         if not key:
             raise InvalidArgumentError("keys must be non-empty")
-        self._ops.append((TYPE_DELETION, bytes(key), b""))
+        rep = self._rep
+        rep.append(TYPE_DELETION)
+        put_length_prefixed(rep, key)
+        self._ops.append((TYPE_DELETION, key, b""))
+        self.user_bytes += len(key)
+        self.deletes += 1
         return self
 
     def clear(self) -> None:
         self._ops.clear()
+        del self._rep[_HEADER_SIZE:]
+        self.user_bytes = 0
+        self.deletes = 0
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -64,28 +106,26 @@ class WriteBatch:
 
     def byte_size(self) -> int:
         """User payload bytes — the write-amplification denominator."""
-        return sum(len(k) + len(v) for _, k, v in self._ops)
+        return self.user_bytes
 
     def serialize(self, base_sequence: int) -> bytes:
-        """Encode as the WAL payload (see module docstring)."""
-        out = bytearray()
-        out += encode_fixed64(base_sequence)
-        out += encode_fixed32(len(self._ops))
-        for value_type, key, value in self._ops:
-            out.append(value_type)
-            put_length_prefixed(out, key)
-            if value_type == TYPE_VALUE:
-                put_length_prefixed(out, value)
-        return bytes(out)
+        """The WAL payload (see module docstring): the header stamped onto
+        the ops encoded as they were added, no re-encode."""
+        rep = self._rep
+        _HEADER.pack_into(rep, 0, base_sequence, len(self._ops))
+        return bytes(rep)
 
     @classmethod
     def deserialize(cls, payload: bytes) -> tuple["WriteBatch", int]:
-        """Decode a WAL payload; returns ``(batch, base_sequence)``."""
+        """Decode a WAL payload; returns ``(batch, base_sequence)``.  The
+        payload becomes the batch's own, so a batch re-serialized with the
+        same base gives back the same bytes."""
         if len(payload) < _HEADER_SIZE:
             raise CorruptionError("write batch payload too short")
-        base_sequence = decode_fixed64(payload, 0)
-        count = decode_fixed32(payload, 8)
+        base_sequence, count = _HEADER.unpack_from(payload, 0)
         batch = cls()
+        ops = batch._ops
+        user_bytes = deletes = 0
         offset = _HEADER_SIZE
         for _ in range(count):
             if offset >= len(payload):
@@ -95,13 +135,19 @@ class WriteBatch:
             key, offset = get_length_prefixed(payload, offset)
             if value_type == TYPE_VALUE:
                 value, offset = get_length_prefixed(payload, offset)
-                batch._ops.append((TYPE_VALUE, key, value))
+                ops.append((TYPE_VALUE, key, value))
+                user_bytes += len(key) + len(value)
             elif value_type == TYPE_DELETION:
-                batch._ops.append((TYPE_DELETION, key, b""))
+                ops.append((TYPE_DELETION, key, b""))
+                user_bytes += len(key)
+                deletes += 1
             else:
                 raise CorruptionError(f"unknown write batch op type {value_type}")
         if offset != len(payload):
             raise CorruptionError("write batch has trailing bytes")
+        batch._rep[:] = payload
+        batch.user_bytes = user_bytes
+        batch.deletes = deletes
         return batch, base_sequence
 
 

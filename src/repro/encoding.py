@@ -193,15 +193,14 @@ def get_length_prefixed(buf: bytes, offset: int = 0) -> tuple[bytes, int]:
 
 
 class BufferWriter:
-    """A reusable ``bytearray``-backed record assembler.
+    """A ``bytearray``-backed record assembler.
 
-    Builders (data blocks, WAL records, manifest edits) used
-    to assemble records by concatenating many small ``bytes`` returned from
-    the ``encode_*`` helpers; every ``+=`` allocated an intermediate object.
+    Record encoders (manifest edits, value-log frames) used to assemble
+    records by concatenating many small ``bytes`` returned from the
+    ``encode_*`` helpers; every ``+=`` allocated an intermediate object.
     ``BufferWriter`` appends each field straight into one growing buffer —
     a one-byte varint is a single ``bytearray.append`` — and hands the
-    finished record out once via :meth:`getvalue`.  Call :meth:`clear` to
-    reuse the buffer for the next record (the WAL writer does, per record).
+    finished record out once via :meth:`getvalue`.
     """
 
     __slots__ = ("buf",)
@@ -211,10 +210,6 @@ class BufferWriter:
 
     def __len__(self) -> int:
         return len(self.buf)
-
-    def clear(self) -> None:
-        """Empty the buffer, keeping its allocation for reuse."""
-        del self.buf[:]
 
     def append(self, data: bytes) -> None:
         """Append raw bytes."""

@@ -2,22 +2,48 @@
 
 A simplified LevelDB log: a sequence of self-describing records, each
 ``[masked crc32 : fixed32][payload length : varint][payload]``.  One record
-holds one serialized write batch.  The reader stops cleanly at a truncated
-tail (a crash mid-append) but raises on checksum corruption inside the
-stream.
+holds one write batch's payload, which the batch encoded as its ops were
+added (:mod:`repro.core.write_batch`): the writer only frames it, computing
+the CRC and packing it with the length in one call, and hands the device
+one ``bytes`` per append.  The reader stops cleanly at a truncated tail (a
+crash mid-append) but raises on checksum corruption inside the stream.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterator
+from zlib import crc32 as _zlib_crc32
 
-from ..encoding import BufferWriter, crc32c, decode_fixed32, decode_varint
+from ..encoding import crc32c, decode_fixed32, decode_varint, encode_fixed32, encode_varint
 from ..errors import CorruptionError
 from ..storage.fs import FileSystem, WritableFile
 from ..storage.io_stats import CAT_WAL
 
 _HEADER_CRC_BYTES = 4
+#: A frame's head in one ``struct`` pack of CRC and length, for a payload
+#: under 128 B (a one-byte length varint) and for one under 16 KiB (two).
+_HEAD_1 = struct.Struct("<IB")
+_HEAD_2 = struct.Struct("<IBB")
+
+
+def _frame(payloads: list[bytes]) -> bytes:
+    """Every payload framed, in order, as one ``bytes``: the writer's one
+    encoder.  The masked CRC is :func:`~repro.encoding.crc32c`, inlined."""
+    parts = []
+    for payload in payloads:
+        crc = _zlib_crc32(payload)
+        crc = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+        length = len(payload)
+        if length < 0x80:
+            head = _HEAD_1.pack(crc, length)
+        elif length < 0x4000:
+            head = _HEAD_2.pack(crc, length & 0x7F | 0x80, length >> 7)
+        else:
+            head = encode_fixed32(crc) + encode_varint(length)
+        parts += head, payload
+    return b"".join(parts)
 
 
 class WalWriter:
@@ -29,28 +55,20 @@ class WalWriter:
 
     def __init__(self, fs: FileSystem, name: str):
         self._file: WritableFile = fs.create_file(name, category=CAT_WAL)
-        self._writer = BufferWriter()
         self._tracer = fs.tracer
         self.name = name
         #: Records appended (group commit coalesces many batches per append,
-        #: so ``records_written`` can exceed the file's append count).
+        #: so ``records_written`` can exceed the file's append count).  A
+        #: record counts once its append has returned: one whose append
+        #: raised is not in it.
         self.records_written = 0
 
     def add_record(self, payload: bytes) -> None:
         """Frame ``payload`` (crc, length, bytes) and append it to the log:
         the manifest's single-record call, byte-for-byte ``add_records``
-        of one.
-
-        The frame is assembled in one persistent :class:`BufferWriter`,
-        cleared per record, so the write path allocates no intermediate
-        ``bytes`` objects.
-        """
-        writer = self._writer
-        writer.clear()
-        writer.fixed32(crc32c(payload))
-        writer.length_prefixed(payload)
+        of one, through the same encoder."""
+        self._file.append(_frame([payload]), category=CAT_WAL)
         self.records_written += 1
-        self._file.append(writer.getvalue(), category=CAT_WAL)
         # The write is acked only once durable: sync per record, so a crash
         # can tear at most the record whose ack the client never saw.
         self._file.sync()
@@ -65,13 +83,7 @@ class WalWriter:
         atomicity), but the device sees a single append for the whole
         group instead of one per writer.
         """
-        writer = self._writer
-        writer.clear()
-        for payload in payloads:
-            writer.fixed32(crc32c(payload))
-            writer.length_prefixed(payload)
-        self.records_written += len(payloads)
-        framed = writer.getvalue()
+        framed = _frame(payloads)
         if self._tracer.enabled:
             # One marker per device append: ``records`` > 1 is the
             # timeline's evidence that group commit amortized N records.
@@ -79,6 +91,7 @@ class WalWriter:
                 "wal.group", "wal", {"records": len(payloads), "bytes": len(framed)}
             )
         self._file.append(framed, category=CAT_WAL)
+        self.records_written += len(payloads)
         # One barrier for the whole group — same amortization as the append.
         self._file.sync()
 

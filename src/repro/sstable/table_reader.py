@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import CorruptionError
 from ..keys import ComparableKey
-from ..options import Options
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_GET, CAT_OPEN, CAT_SCAN
 from .block import ParsedBlock, parse_block_raw
@@ -78,14 +77,12 @@ class TableReader:
         fs: FileSystem,
         name: str,
         file_number: int,
-        options: Options,
         load_category: str = CAT_OPEN,
         built: "TableInfo | None" = None,
     ):
         self._fs = fs
         self.name = name
         self.file_number = file_number
-        self._options = options
         #: Where metadata-load I/O is charged.  Tables opened eagerly right
         #: after a compaction/flush built them (LevelDB's usability check)
         #: charge that background category; lazily opened tables charge the

@@ -63,7 +63,9 @@ class DeviceModel:
     # --- primitive costs ---------------------------------------------------
 
     def sequential_write_cost(self, nbytes: int) -> float:
-        """Seconds to append ``nbytes`` sequentially (one append op)."""
+        """Seconds to append ``nbytes`` sequentially (one append op).
+        ``WritableFile.append`` inlines this formula; a property test holds
+        the two equal."""
         return self.write_op_cost + nbytes / self.seq_write_bandwidth
 
     def sequential_read_cost(self, nbytes: int) -> float:

@@ -53,9 +53,12 @@ class WritableFile:
         nbytes = len(data)
         fs._append(self._name, data)
         cat = category or self._category
-        fs.stats.record_write(nbytes, cat)
-        cost = fs.device.sequential_write_cost(nbytes)
-        fs.charge_time(cost, cat)
+        device = fs.device
+        # DeviceModel.sequential_write_cost, inlined: the one charge per append.
+        cost = device.write_op_cost + nbytes / device.seq_write_bandwidth
+        fs.stats.record_append(nbytes, cat, cost)
+        if fs.realtime > 0.0 and cost > 0.0:
+            time.sleep(cost * fs.realtime)
         if fs.tracer.enabled:
             fs.tracer.complete(
                 "fs.write", "fs", sim_dur=cost,
@@ -199,7 +202,8 @@ class FileSystem(ABC):
         return self.realtime > 0.0
 
     def charge_time(self, seconds: float, category: str) -> None:
-        """Charge ``seconds`` of device time, sleeping it in realtime mode."""
+        """Charge ``seconds`` of device time, sleeping it in realtime mode
+        (an append does both itself, in :meth:`WritableFile.append`)."""
         self.stats.charge_time(seconds, category)
         if self.realtime > 0.0 and seconds > 0.0:
             time.sleep(seconds * self.realtime)

@@ -62,12 +62,20 @@ class IOStats:
     #: requests): foreground time = total - compaction/flush time.
     time_per_category: dict[str, float] = field(default_factory=lambda: defaultdict(float))
 
-    def record_write(self, nbytes: int, category: str) -> None:
+    def record_append(self, nbytes: int, category: str, seconds: float) -> None:
+        """Count one append of ``nbytes`` for ``category`` and charge its
+        ``seconds`` of device time: the write side's one accounting call
+        (the same additions, in the same order, as counting the write and
+        then :meth:`charge_time`)."""
+        if seconds < 0:
+            raise ValueError(f"cannot charge negative time: {seconds}")
         self.bytes_written += nbytes
         self.write_ops += 1
         cat = self.per_category[category]
         cat.bytes_written += nbytes
         cat.write_ops += 1
+        self.sim_time_s += seconds
+        self.time_per_category[category] += seconds
 
     def record_read(self, nbytes: int, category: str, *, random: bool) -> None:
         """Count one read of ``nbytes`` (random or sequential) for ``category``."""

@@ -90,7 +90,7 @@ def _salvage_table(
 ) -> FileMetadata | None:
     """Metadata for a readable table, or None when it is damaged."""
     try:
-        reader = TableReader(fs, name, file_number=int(name.split(".")[0]), options=options)
+        reader = TableReader(fs, name, file_number=int(name.split(".")[0]))
     except (CorruptionError, FileSystemError, ValueError):
         return None
     try:
@@ -239,7 +239,7 @@ def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport
     from ..keys import comparable_parts
 
     for meta in tables:
-        reader = TableReader(fs, meta.file_name(), meta.file_number, options)
+        reader = TableReader(fs, meta.file_name(), meta.file_number)
         try:
             for comparable, _value in reader.entries_from(category="open"):
                 _user, sequence, _vt = comparable_parts(comparable)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from ..bloom import ReservedBloomFilter
 from ..core.manifest import CURRENT_FILE, read_pointer, replay_manifest
 from ..keys import comparable_parts
-from ..options import Options
 from ..sstable.filter_block import BlockFilters, TableFilter
 from ..sstable.table_reader import TableReader
 from ..storage.fs import FileSystem
@@ -82,10 +81,9 @@ class TableDescription:
         return "\n".join(lines)
 
 
-def describe_table(fs: FileSystem, name: str, options: Options | None = None) -> TableDescription:
+def describe_table(fs: FileSystem, name: str) -> TableDescription:
     """Read a table file's live metadata into a :class:`TableDescription`."""
-    options = options or Options()
-    reader = TableReader(fs, name, file_number=0, options=options)
+    reader = TableReader(fs, name, file_number=0)
     try:
         flt = reader.filter
         if flt is None:
@@ -125,11 +123,10 @@ def describe_table(fs: FileSystem, name: str, options: Options | None = None) ->
 
 
 def dump_table(
-    fs: FileSystem, name: str, options: Options | None = None, limit: int | None = None
+    fs: FileSystem, name: str, limit: int | None = None
 ) -> list[tuple[bytes, int, int, bytes]]:
     """Decode a table's live entries: ``(user_key, sequence, type, value)``."""
-    options = options or Options()
-    reader = TableReader(fs, name, file_number=0, options=options)
+    reader = TableReader(fs, name, file_number=0)
     try:
         rows = []
         for comparable, value in reader.entries_from():

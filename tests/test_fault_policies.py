@@ -298,6 +298,26 @@ class TestWalFaults:
         assert db.get(b"k1") == b"v1"
         db.close()
 
+    def test_failed_wal_append_is_not_counted_as_a_record(self):
+        """``records_written`` counts records whose append returned: the
+        failed one is not in it, and the DB degrades as for any WAL
+        failure."""
+        fs = fault_fs()
+        db = open_db(fs)
+        db.put(b"k1", b"v1")
+        written = db._wal.records_written
+        fs.policy.fail("append", "*.log", kind=KIND_TRANSIENT, count=1)
+        with pytest.raises(TransientIOError):
+            db.put(b"k2", b"v2")
+        assert db._wal.records_written == written
+        assert db.health()["state"] == "degraded"
+        assert db.stats.bg_retries == 0
+        assert db.get(b"k1") == b"v1"
+        with pytest.raises(ReadOnlyError):
+            db.put(b"k3", b"v3")
+        assert db._wal.records_written == written
+        db.close()
+
     def test_torn_wal_append_recovers_to_last_whole_record(self):
         fs = fault_fs()
         db = open_db(fs)

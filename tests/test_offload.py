@@ -233,7 +233,7 @@ class TestOffloadEquivalence:
         # of the file gives, and both sides paid the same I/O for them.
         assert env.fs.stats == ref_env.fs.stats
         adopted = env.reader(child)
-        parsed = TableReader(env.fs, name, child.file_number, env.options)
+        parsed = TableReader(env.fs, name, child.file_number)
         assert adopted.index is not parsed.index
         for reader in (adopted, ref_env.reader(ref_child)):
             assert reader.footer == parsed.footer

@@ -224,7 +224,7 @@ def test_opcode_counts_repeat_exactly():
         "put", "get_memtable", "get_cached", "get_cold", "scan_20",
         "scan_seek_50", "scan_seek_50_linear", "multi_get_8",
         "get_absent", "get_cached_tree", "get_cached_tree_linear",
-        "multi_get_8_linear", "multi_get_64", "table_build",
+        "multi_get_8_linear", "multi_get_64", "table_build", "write_batch_8",
     ]
     assert all(count > 0 for count in first.values())
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]

@@ -148,7 +148,7 @@ class TestFlush:
         meta_out = flush_memtable(fs, options, mt, file_number=1)
         reader = None
         if meta_out is not None:
-            reader = TableReader(fs, meta_out.file_name(), 1, options)
+            reader = TableReader(fs, meta_out.file_name(), 1)
         return meta_out, reader
 
     def test_empty_memtable_flushes_nothing(self):

@@ -24,7 +24,7 @@ def build_fresh(fs, options, n=40):
     for i in range(0, n, 2):
         builder.add(make_internal_key(k(i), i + 1, TYPE_VALUE), b"v" * 40)
     builder.finish()
-    return TableReader(fs, "000001.sst", 1, options)
+    return TableReader(fs, "000001.sst", 1)
 
 
 class TestContiguityCharging:

@@ -28,7 +28,7 @@ class TestDegenerateTables:
         info = builder.finish()
         assert info.num_entries == 1
         assert len(info.index) == 1
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         assert reader.lookup(b"only", SNAP)[:2] == (True, b"v")
         assert reader.lookup(b"onl", SNAP)[:2] == (False, None)
         assert reader.lookup(b"onlyx", SNAP)[:2] == (False, None)
@@ -41,7 +41,7 @@ class TestDegenerateTables:
         builder.add(make_internal_key(b"big", 1, TYPE_VALUE), big)
         builder.add(make_internal_key(b"small", 2, TYPE_VALUE), b"v")
         info = builder.finish()
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         assert reader.lookup(b"big", SNAP)[:2] == (True, big)
         assert reader.lookup(b"small", SNAP)[:2] == (True, b"v")
         assert len(info.index) == 2
@@ -52,7 +52,7 @@ class TestDegenerateTables:
         for i in range(30):
             builder.add(make_internal_key(b"k%03d" % i, i + 1, TYPE_VALUE), b"")
         builder.finish()
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         assert reader.lookup(b"k010", SNAP)[:2] == (True, b"")
         assert sum(1 for _ in reader.entries_from()) == 30
         reader.close()
@@ -64,7 +64,7 @@ class TestDegenerateTables:
         for i, key in enumerate(keys):
             builder.add(make_internal_key(key, i + 1, TYPE_VALUE), b"v")
         builder.finish()
-        reader = TableReader(fs, "000001.sst", 1, opts(block_size=512))
+        reader = TableReader(fs, "000001.sst", 1)
         for key in keys[::7]:
             assert reader.lookup(key, SNAP)[:2] == (True, b"v")
         # prefix compression should make the file much smaller than raw keys
@@ -79,7 +79,7 @@ class TestBoundaryBehaviour:
         for i in range(0, 60, 2):
             builder.add(make_internal_key(b"%05d" % i, i + 1, TYPE_VALUE), b"v" * 30)
         builder.finish()
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         for entry in reader.index.entries:
             found, _ = reader.lookup(entry.smallest_user_key, SNAP)[:2]
             assert found
@@ -91,7 +91,7 @@ class TestBoundaryBehaviour:
         builder = TableBuilder(fs, "000001.sst", opts(), level=1)
         builder.add(make_internal_key(b"a", 1, TYPE_VALUE), b"v")
         builder.finish()
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         from repro.keys import seek_comparable
 
         assert list(reader.entries_from(seek_comparable(b"zzz"))) == []
@@ -102,7 +102,7 @@ class TestBoundaryBehaviour:
         builder = TableBuilder(fs, "000001.sst", options, level=2)
         builder.add(make_internal_key(b"m", 1, TYPE_VALUE), b"v")
         builder.finish()
-        reader = TableReader(fs, "000001.sst", 1, options)
+        reader = TableReader(fs, "000001.sst", 1)
         session = AppendSession(fs, reader, options, level=2)
         session.add(make_internal_key(b"a", 10, TYPE_VALUE), b"before")
         session.reuse(reader.index.entries[0])

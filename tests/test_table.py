@@ -45,7 +45,7 @@ class TestBuildAndRead:
 
     def test_get_hits_and_misses(self, fs):
         build_table(fs, opts(), n=40)
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         assert reader.lookup(b"key00010", SNAP)[:2] == (True, b"v" * 40)
         assert reader.lookup(b"key00011", SNAP)[:2] == (False, None)
         assert reader.lookup(b"zzz", SNAP)[:2] == (False, None)
@@ -53,7 +53,7 @@ class TestBuildAndRead:
 
     def test_scan_in_order(self, fs):
         build_table(fs, opts(), n=40)
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         keys = [comparable_parts(ck)[0] for ck, _ in reader.entries_from()]
         assert keys == sorted(keys)
         assert len(keys) == 40
@@ -84,13 +84,13 @@ class TestBuildAndRead:
     def test_footer_too_short_file(self, fs):
         fs.create_file("bad.sst").append(b"tiny")
         with pytest.raises(CorruptionError):
-            TableReader(fs, "bad.sst", 9, opts())
+            TableReader(fs, "bad.sst", 9)
 
     def test_checksum_verification(self, fs):
         info = build_table(fs, opts(), n=10)
         # flip a byte inside the first data block
         flip_byte(fs, "000001.sst", 5)
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         first = reader.index.entries[0]
         with pytest.raises(CorruptionError):
             reader.read_block(first, category="get")
@@ -99,33 +99,33 @@ class TestBuildAndRead:
 class TestFilterPolicies:
     def test_table_filter_prunes(self, fs):
         build_table(fs, opts(filter_policy=FILTER_TABLE), n=40)
-        reader = TableReader(fs, "000001.sst", 1, opts(filter_policy=FILTER_TABLE))
+        reader = TableReader(fs, "000001.sst", 1)
         assert isinstance(reader.filter, TableFilter)
         found, _value, touched = reader.lookup(b"nope-key", SNAP)
         assert not found and not touched  # pruned without block I/O
 
     def test_block_filters(self, fs):
         build_table(fs, opts(filter_policy=FILTER_BLOCK), n=40)
-        reader = TableReader(fs, "000001.sst", 1, opts(filter_policy=FILTER_BLOCK))
+        reader = TableReader(fs, "000001.sst", 1)
         assert isinstance(reader.filter, BlockFilters)
         assert len(reader.filter.per_block) == len(reader.index)
         assert reader.lookup(b"key00010", SNAP)[:2] == (True, b"v" * 40)
 
     def test_no_filter(self, fs):
         build_table(fs, opts(filter_policy=FILTER_NONE), n=10)
-        reader = TableReader(fs, "000001.sst", 1, opts(filter_policy=FILTER_NONE))
+        reader = TableReader(fs, "000001.sst", 1)
         assert reader.filter is None
         assert reader.lookup(b"key00002", SNAP)[:2] == (True, b"v" * 40)
 
     def test_reserved_filter_built_at_mid_level(self, fs):
         build_table(fs, opts(), n=40, level=2)
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         assert isinstance(reader.filter.bloom, ReservedBloomFilter)
         assert reader.filter.bloom.can_absorb(int(40 * 0.4))
 
     def test_metadata_memory_split(self, fs):
         build_table(fs, opts(), n=40)
-        reader = TableReader(fs, "000001.sst", 1, opts())
+        reader = TableReader(fs, "000001.sst", 1)
         index_bytes, filter_bytes = reader.metadata_memory_bytes()
         assert index_bytes > 0 and filter_bytes > 0
 
@@ -133,7 +133,7 @@ class TestFilterPolicies:
 class TestAppendSessions:
     def _reader(self, fs, options):
         build_table(fs, options, n=40)
-        return TableReader(fs, "000001.sst", 1, options)
+        return TableReader(fs, "000001.sst", 1)
 
     def test_append_section_and_reload(self, fs):
         options = opts()
@@ -309,7 +309,7 @@ class TestAppendSessions:
 def _built(options, **build):
     def scenario(fs):
         info = build_table(fs, options, **build)
-        return lambda built: TableReader(fs, "000001.sst", 1, options, "compaction", built), info
+        return lambda built: TableReader(fs, "000001.sst", 1, "compaction", built), info
 
     return scenario
 
@@ -320,7 +320,7 @@ def _appended(options, new_keys, level=2):
 
     def scenario(fs):
         build_table(fs, options, n=40, level=level)
-        reader = TableReader(fs, "000001.sst", 1, options)
+        reader = TableReader(fs, "000001.sst", 1)
         count = new_keys
         if count is None:
             count = reader.filter.bloom.remaining_capacity() + 1
@@ -433,20 +433,20 @@ class TestAdoptedMetadata:
 
         flip_byte(fs, "000001.sst", Footer.deserialize(info.footer_bytes).index_handle.offset + 3)
         with pytest.raises(CorruptionError, match="checksum"):
-            TableReader(fs, "000001.sst", 1, opts(), "flush", info)
+            TableReader(fs, "000001.sst", 1, "flush", info)
 
     def test_a_flipped_footer_byte_raises_corruption_on_the_eager_open(self, fs):
         info = build_table(fs, opts())
         flip_byte(fs, "000001.sst", -1)  # the magic
         with pytest.raises(CorruptionError, match="magic"):
-            TableReader(fs, "000001.sst", 1, opts(), "flush", info)
+            TableReader(fs, "000001.sst", 1, "flush", info)
 
     def test_another_files_info_is_not_adopted(self, fs):
         """The hand-off is checked, not trusted: a reader given the result
         of a different section parses its own file."""
         other = build_table(SimulatedFS(), opts(), n=20)
         info = build_table(fs, opts(), n=40)
-        reader = TableReader(fs, "000001.sst", 1, opts(), "flush", other)
+        reader = TableReader(fs, "000001.sst", 1, "flush", other)
         assert reader.index is not other.index
         assert reader.index.entries == info.index.entries
 

@@ -30,7 +30,7 @@ class TestDescribeTable:
             ((lv, m) for lv, m in db.version.all_files() if lv >= 1), (None, None)
         )
         assert meta is not None
-        desc = describe_table(fs, meta.file_name(), db.options)
+        desc = describe_table(fs, meta.file_name())
         assert desc.file_size == meta.file_size
         assert desc.num_entries == meta.num_entries
         assert desc.valid_bytes == meta.valid_bytes
@@ -43,7 +43,7 @@ class TestDescribeTable:
         db = build_store(fs)
         appended = [m for _l, m in db.version.all_files() if m.append_count > 0]
         assert appended, "selective store should have appended tables"
-        desc = describe_table(fs, appended[0].file_name(), db.options)
+        desc = describe_table(fs, appended[0].file_name())
         assert desc.section == appended[0].append_count
         assert desc.obsolete_bytes > 0
         db.close()
@@ -62,7 +62,7 @@ class TestDescribeTable:
             db2.put(*kv(i))
         db2.flush()
         meta = next(m for _l, m in db2.version.all_files())
-        desc = describe_table(fs2, meta.file_name(), db2.options)
+        desc = describe_table(fs2, meta.file_name())
         assert desc.filter_kind == "table+reserved"
         assert desc.filter_headroom > 0
         db2.close()
@@ -70,7 +70,7 @@ class TestDescribeTable:
     def test_summary_renders(self, fs):
         db = build_store(fs)
         meta = next(m for _l, m in db.version.all_files())
-        text = describe_table(fs, meta.file_name(), db.options).summary()
+        text = describe_table(fs, meta.file_name()).summary()
         assert meta.file_name() in text
         assert "valid blocks" in text
         db.close()
@@ -80,7 +80,7 @@ class TestDumpTable:
     def test_entries_decoded_in_order(self, fs):
         db = build_store(fs, n=100)
         meta = next(m for _l, m in db.version.all_files())
-        rows = dump_table(fs, meta.file_name(), db.options)
+        rows = dump_table(fs, meta.file_name())
         keys = [r[0] for r in rows]
         assert keys == sorted(keys)
         assert all(r[2] in (TYPE_VALUE, TYPE_DELETION) for r in rows)
@@ -90,7 +90,7 @@ class TestDumpTable:
     def test_limit(self, fs):
         db = build_store(fs, n=100)
         meta = next(m for _l, m in db.version.all_files())
-        assert len(dump_table(fs, meta.file_name(), db.options, limit=5)) == 5
+        assert len(dump_table(fs, meta.file_name(), limit=5)) == 5
         db.close()
 
 

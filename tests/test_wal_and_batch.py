@@ -83,6 +83,22 @@ class TestWal:
         assert w.records_written == 2
         assert list(read_wal(fs, "a.log")) == [b"a-record", b"b-record"]
 
+    def test_a_failed_append_counts_no_record(self):
+        from repro.errors import TransientIOError
+        from repro.storage.faults import KIND_TRANSIENT, FaultInjectionFS
+
+        fs = FaultInjectionFS(SimulatedFS())
+        w = WalWriter(fs, "a.log")
+        w.add_record(b"landed")
+        fs.policy.fail("append", "a.log", kind=KIND_TRANSIENT, count=2)
+        with pytest.raises(TransientIOError):
+            w.add_record(b"lost")
+        with pytest.raises(TransientIOError):
+            w.add_records([b"lost-1", b"lost-2"])
+        assert w.records_written == 1
+        w.add_records([b"landed-1", b"landed-2"])
+        assert w.records_written == 3
+
     def test_corruption_yields_the_good_records_first(self, fs):
         """The strict reader is lazy: records before the damage come out,
         then the raise."""
@@ -121,9 +137,21 @@ class TestWriteBatch:
             batch.delete(b"")
 
     def test_clear(self):
-        batch = WriteBatch().put(b"k", b"v")
+        batch = WriteBatch().put(b"k", b"v").delete(b"d")
         batch.clear()
         assert len(batch) == 0
+        assert (batch.byte_size(), batch.deletes) == (0, 0)
+        assert batch.serialize(5) == WriteBatch().serialize(5)
+
+    def test_bytearray_inputs_are_copied(self):
+        key, value = bytearray(b"k"), bytearray(b"v" * 200)
+        batch = WriteBatch().put(key, value).delete(bytearray(b"d"))
+        payload = batch.serialize(1)
+        key[:] = b"X"
+        value[:] = b"Y"
+        assert list(batch) == [(TYPE_VALUE, b"k", b"v" * 200), (TYPE_DELETION, b"d", b"")]
+        assert all(type(k) is bytes and type(v) is bytes for _t, k, v in batch)
+        assert batch.serialize(1) == payload
 
     def test_corrupt_payload_rejected(self):
         blob = WriteBatch().put(b"k", b"v").serialize(1)
