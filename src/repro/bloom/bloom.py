@@ -85,7 +85,15 @@ class BloomFilter:
 
     def may_contain(self, key: bytes, key_hash: tuple[int, int] | None = None) -> bool:
         """False means definitely absent; True means possibly present.
-        ``key_hash`` is ``_hash_pair(key)`` when the caller already has it."""
+        ``key_hash`` is ``_hash_pair(key)`` when the caller already has it.
+
+        ``TableFilter.may_contain`` runs its own copy of this loop, over a
+        byte per bit: a point get checks two or three table filters, and
+        calling here from there made each check two frames.  This loop
+        serves every other check — the per-block filters of
+        ``BlockFilters`` (the LevelDB baseline's placement, asked once a
+        lookup, after the index has picked the block) and bare filters —
+        over the bit array alone, with no second copy of the bits."""
         h1, h2 = key_hash or _hash_pair(key)
         bits = self._bits
         nbits = self.num_bits

@@ -54,6 +54,13 @@ class BlockCache:
         else:
             self._lru = ShardedLRUCache(capacity_bytes, shards=shards, tracer=tracer)
         self._namespace = namespace
+        # The per-block calls go straight to the one shard when there is
+        # only one: ``ShardedLRUCache._shard`` would pick it, every call.
+        # Several shards keep the routing (and its contention sampling).
+        lru = self._lru
+        target = lru._shards[0] if lru.num_shards == 1 else lru
+        self._lru_get = target.get
+        self._lru_insert = target.insert
 
     @property
     def namespace(self) -> str | None:
@@ -94,7 +101,7 @@ class BlockCache:
 
     def get(self, file_number: int, offset: int) -> ParsedBlock | None:
         namespace = self._namespace
-        return self._lru.get(
+        return self._lru_get(
             (file_number, offset) if namespace is None else (namespace, file_number, offset)
         )
 
@@ -102,9 +109,9 @@ class BlockCache:
         """Cache ``block`` in its file's group, charged its memory size."""
         namespace = self._namespace
         if namespace is None:
-            self._lru.insert((file_number, offset), block, block.memory_bytes(), file_number)
+            self._lru_insert((file_number, offset), block, block.memory_bytes(), file_number)
         else:
-            self._lru.insert(
+            self._lru_insert(
                 (namespace, file_number, offset),
                 block,
                 block.memory_bytes(),

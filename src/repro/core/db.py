@@ -938,7 +938,8 @@ class DB:
             if tracer.enabled:
                 tracer.complete("get.lock_wait", "get", dur=time.perf_counter() - start)
         try:
-            self._check_open()
+            if self._closed:
+                raise DBClosedError("database is closed")
             return self._superversion.ref(), self._sequence
         finally:
             lock.release()
@@ -1384,7 +1385,8 @@ class DB:
         instead of once per (key, file) pair.  Lookup results (including
         seek-compaction charges) match ``get`` called per key.  ``wait``
         is :meth:`get`'s."""
-        self._check_open()
+        if self._closed:  # _check_open, inlined: here and in _acquire_read
+            raise DBClosedError("database is closed")
         checked: list[bytes] = []
         for key in keys:
             if not isinstance(key, (bytes, bytearray)):
@@ -1400,7 +1402,8 @@ class DB:
             # probes).
             sv, sequence = self._acquire_read()
             try:
-                sequence = self._resolve_snapshot(snapshot, sequence)
+                if snapshot is not None:
+                    sequence = self._resolve_snapshot(snapshot, sequence)
                 resolved, charges = sv.multi_lookup(checked, sequence)
                 # Resolve pointers before unref (see get).
                 if self.vlog is not None:
@@ -1446,7 +1449,8 @@ class DB:
         so nothing further down — the superversion reference, the seek
         charge, a draining superversion's callback — can wait for it.
         """
-        self._check_open()
+        if self._closed:  # _check_open, inlined: here and in _acquire_read
+            raise DBClosedError("database is closed")
         if not isinstance(key, (bytes, bytearray)):
             raise InvalidArgumentError("keys must be bytes")
         key = bytes(key)
@@ -1456,7 +1460,8 @@ class DB:
         try:
             sv, sequence = self._acquire_read()
             try:
-                sequence = self._resolve_snapshot(snapshot, sequence)
+                if snapshot is not None:
+                    sequence = self._resolve_snapshot(snapshot, sequence)
                 value, charge = sv.lookup(key, sequence)
                 # Resolve while still holding the superversion reference:
                 # pointer resolution must finish before this read stops

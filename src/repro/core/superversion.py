@@ -35,8 +35,9 @@ import bisect
 import threading
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from zlib import crc32
 
-from ..bloom.bloom import _hash_pair
+from ..bloom.bloom import _SALT1, _SALT2, _hash_pair
 from ..keys import ComparableKey
 from ..storage.io_stats import CAT_SCAN
 from .version import FileMetadata
@@ -250,8 +251,8 @@ class SuperVersion:
                 reader = readers.get(meta.file_number)
                 if reader is None:
                     reader = self.reader_for(meta, self.table_cache)
-                if key_hash is None:
-                    key_hash = _hash_pair(key)
+                if key_hash is None:  # _hash_pair, inlined
+                    key_hash = crc32(key), crc32(_SALT1 + key + _SALT2) or 0x5BD1E995
                 found, value, touched = reader.lookup(
                     key, sequence, block_cache=block_cache, key_hash=key_hash
                 )
@@ -269,7 +270,7 @@ class SuperVersion:
                 if reader is None:
                     reader = self.reader_for(meta, self.table_cache)
                 if key_hash is None:
-                    key_hash = _hash_pair(key)
+                    key_hash = crc32(key), crc32(_SALT1 + key + _SALT2) or 0x5BD1E995
                 found, value, touched = reader.lookup(
                     key, sequence, block_cache=block_cache, key_hash=key_hash
                 )

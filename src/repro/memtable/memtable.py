@@ -23,14 +23,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterator
 
-from ..keys import (
-    ComparableKey,
-    TYPE_DELETION,
-    TYPE_VALUE,
-    comparable_key,
-    comparable_parts,
-    seek_comparable,
-)
+from ..keys import _INVERT, ComparableKey, TYPE_DELETION, TYPE_VALUE, comparable_key
 
 #: Per-entry bookkeeping overhead (trailer + node pointers), an approximation
 #: of what LevelDB's arena would charge.
@@ -135,18 +128,18 @@ class MemTable:
         """
         if user_key not in self._user_keys:
             return False, None
-        seek = seek_comparable(user_key, snapshot_sequence)
+        # keys.seek_comparable and, below, keys.comparable_parts, inlined.
+        seek = (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE))
         maxes, chunks = self._index
         i = bisect_left(maxes, seek)
         if i == len(maxes):
             return False, None
         # maxes[i] >= seek is a key of chunks[i], so the slot exists.
         chunk = chunks[i]
-        key, value = chunk[bisect_left(chunk, seek, key=_key_of)]
-        found_user_key, _seq, value_type = comparable_parts(key)
+        (found_user_key, inverted), value = chunk[bisect_left(chunk, seek, key=_key_of)]
         if found_user_key != user_key:
             return False, None
-        if value_type == TYPE_DELETION:
+        if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
             return True, None
         return True, value
 

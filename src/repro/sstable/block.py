@@ -38,12 +38,7 @@ from typing import Iterator, Union
 
 from ..encoding import decode_fixed32, decode_varint
 from ..errors import CorruptionError
-from ..keys import (
-    ComparableKey,
-    TYPE_DELETION,
-    comparable_parts,
-    seek_comparable,
-)
+from ..keys import ComparableKey, TYPE_DELETION, TYPE_VALUE
 from zlib import crc32 as _zlib_crc32
 
 from .format import (
@@ -183,14 +178,18 @@ def _lookup(
     user_key: bytes,
     snapshot_sequence: int,
 ) -> tuple[bool, bytes | None]:
-    """Shared point-lookup over decoded entry lists."""
-    idx = bisect_left(keys, seek_comparable(user_key, snapshot_sequence))
+    """Shared point-lookup over decoded entry lists.
+
+    The seek key (``keys.seek_comparable``) and the found entry's split
+    (``keys.comparable_parts``) are written out here and in
+    :meth:`LazyDataBlock.get`: three calls a probe otherwise."""
+    idx = bisect_left(keys, (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE)))
     if idx >= len(keys):
         return False, None
-    found_user_key, _seq, value_type = comparable_parts(keys[idx])
+    found_user_key, inverted = keys[idx]
     if found_user_key != user_key:
         return False, None
-    if value_type == TYPE_DELETION:
+    if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
         return True, None
     return True, values[idx]
 
@@ -356,7 +355,7 @@ class LazyDataBlock:
             return _lookup(self._keys, self._values, user_key, snapshot_sequence)
         if self._data_end == 0 or not self._restarts:
             return False, None
-        target = seek_comparable(user_key, snapshot_sequence)
+        target = (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE))
         # Rightmost region whose first key is <= target; the global first
         # key >= target lives there (or is the next region's first entry).
         lo, hi = 0, len(self._restarts) - 1
@@ -375,10 +374,10 @@ class LazyDataBlock:
             if not keys:
                 return False, None
             idx = 0
-        found_user_key, _seq, value_type = comparable_parts(keys[idx])
+        found_user_key, inverted = keys[idx]
         if found_user_key != user_key:
             return False, None
-        if value_type == TYPE_DELETION:
+        if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
             return True, None
         return True, values[idx]
 

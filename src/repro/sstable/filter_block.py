@@ -14,26 +14,71 @@ Both serialize into one *filter blob* per table section.
 
 from __future__ import annotations
 
+from zlib import crc32
+
 from ..bloom import BloomFilter, ReservedBloomFilter, build_filter
+from ..bloom.bloom import _SALT1, _SALT2
 from ..encoding import decode_varint, encode_varint
 from ..errors import CorruptionError
 
 MODE_TABLE = 1
 MODE_BLOCK = 2
 
+#: Binary digits to the byte table's flags: ``b"0"`` -> 0, ``b"1"`` -> 1.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class TableFilter:
-    """One bloom filter covering every user key of the table."""
+    """One bloom filter covering every user key of the table.
+
+    A check probes a *byte table* — one byte, 0 or 1, per filter bit —
+    rather than the bit array: ``flags[pos]`` instead of a shift, a mask
+    and an ``&`` per probe.  It is built from the bit array at the first
+    check, so a table that is never read never holds it; the bloom it is
+    built from is never mutated once wrapped (an append that absorbs keys
+    wraps a copy), so one build serves the filter's lifetime.  Neither the
+    filter's bytes nor its memory charge include it."""
 
     mode = MODE_TABLE
 
     def __init__(self, bloom: BloomFilter):
         self.bloom = bloom
+        #: ``(flags, num_bits, num_probes)`` once a check has built it.
+        self._probe_table: tuple[bytes, int, int] | None = None
+
+    def _build_probe_table(self) -> tuple[bytes, int, int]:
+        """Bit ``i`` of the bit array (byte ``i >> 3``, bit ``i & 7``) as
+        byte ``i`` of ``flags``, in three C-level passes: the array as one
+        little-endian integer, its binary digits reversed to put bit 0
+        first, the digits translated to bytes 0 and 1.  A racing double
+        build is benign: both threads derive the same table."""
+        bloom = self.bloom
+        nbits = bloom.num_bits
+        digits = format(int.from_bytes(bloom._bits, "little"), "b")[::-1]
+        flags = digits.encode("ascii").translate(_DIGIT_FLAGS).ljust(nbits, b"\0")
+        table = (flags, nbits, bloom.num_probes)
+        self._probe_table = table
+        return table
 
     def may_contain(self, user_key: bytes, key_hash: tuple[int, int] | None = None) -> bool:
         """``key_hash``: the lookup's ``_hash_pair(user_key)``, computed
-        once for every filter it asks; derived here when absent."""
-        return self.bloom.may_contain(user_key, key_hash)
+        once for every filter it asks; derived here when absent.
+
+        The probe loop is ``BloomFilter.may_contain``'s over the byte
+        table — the same positions, ``(h1 + i*h2 mod 2**32) mod
+        num_bits`` — and, like the hash, written out here so that a check
+        is this one frame."""
+        flags, nbits, num_probes = self._probe_table or self._build_probe_table()
+        if key_hash:
+            h1, h2 = key_hash
+        else:
+            # _hash_pair, inlined.
+            h1 = crc32(user_key)
+            h2 = crc32(_SALT1 + user_key + _SALT2) or 0x5BD1E995
+        for h in range(h1, h1 + num_probes * h2, h2):
+            if not flags[(h & 0xFFFFFFFF) % nbits]:
+                return False
+        return True
 
     def may_contain_in_block(
         self, block_offset: int, user_key: bytes, key_hash: tuple[int, int] | None = None

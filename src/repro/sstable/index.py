@@ -110,7 +110,8 @@ class IndexBlock:
         if idx >= len(self.entries):
             return None
         entry = self.entries[idx]
-        if entry.smallest_user_key <= user_key:
+        # ``entry.smallest_user_key``, without the property's two frames.
+        if entry.smallest[:-8] <= user_key:
             return entry
         return None
 
@@ -192,6 +193,8 @@ class IndexBlock:
             if shared > len(largest):
                 raise CorruptionError("index entry shares more bytes than its key has")
             smallest = largest[:shared] + non_shared
+            if len(smallest) < 8:  # find_candidate slices its trailer off unchecked
+                raise CorruptionError(f"internal key too short: {len(smallest)} bytes")
             size, block_offset, num_entries, offset = decode_varint3(payload, offset)
             entries.append(IndexEntry(smallest, largest, block_offset, size, num_entries))
         block = cls(entries)

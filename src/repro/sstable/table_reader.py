@@ -31,7 +31,7 @@ from ..keys import ComparableKey
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_GET, CAT_OPEN, CAT_SCAN
 from .block import ParsedBlock, parse_block_raw
-from .filter_block import Filter, deserialize_filter
+from .filter_block import MODE_BLOCK, Filter, deserialize_filter
 from .format import (
     BLOCK_TRAILER_SIZE,
     FOOTER_SIZE,
@@ -296,8 +296,11 @@ class TableReader:
         entry = meta.index.find_candidate(user_key)
         if entry is None:
             return False, None, False
-        if filter_ is not None and not filter_.may_contain_in_block(
-            entry.offset, user_key, key_hash
+        # Only a block-based filter has anything to say about one block.
+        if (
+            filter_ is not None
+            and filter_.mode == MODE_BLOCK
+            and not filter_.may_contain_in_block(entry.offset, user_key, key_hash)
         ):
             return False, None, False
         block = self.read_block(entry, category, block_cache)

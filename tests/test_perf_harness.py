@@ -230,10 +230,13 @@ def test_opcode_counts_repeat_exactly():
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
     assert first["get_cached"] < first["get_cached_tree"] < first["get_cold"]
     assert first["scan_seek_50"] <= 0.70 * first["scan_seek_50_linear"]
-    assert first["get_cached_tree"] <= 0.80 * first["get_cached_tree_linear"]
-    # 0.85, not ISSUE 23's 0.75: this store is one full level under five
-    # empty ones, and both walks ask each of those about every key.
-    assert first["multi_get_8"] <= 0.85 * first["multi_get_8_linear"]
+    # 0.72 and 0.78 since the one-frame filter check and the inlined key
+    # packing (0.66 and 0.70 measured on 3.11); the reference walks check
+    # the same filters, so part of that saving is on both sides.
+    assert first["get_cached_tree"] <= 0.72 * first["get_cached_tree_linear"]
+    # Looser than the get: this store is one full level under five empty
+    # ones, and both walks ask each of those about every key.
+    assert first["multi_get_8"] <= 0.78 * first["multi_get_8_linear"]
     # A batch costs less per key as it grows, never more.
     assert first["multi_get_64"] < 8 * first["multi_get_8"]
     # The build path: one output table from merged entries through the run

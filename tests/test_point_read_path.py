@@ -11,6 +11,10 @@ import pytest
 from conftest import kv, make_db, tiny_options
 from oracle import reference
 from repro.baselines.l2sm import L2SMDB
+from repro.cache.block_cache import BlockCache
+from repro.cache.lru import ShardedLRUCache
+from repro.cache.table_cache import TableCache
+from repro.core.db import DB
 from repro.storage.fs import SimulatedFS
 from test_version import _CountedKey
 
@@ -92,6 +96,7 @@ def _differential_run(get, multi_get, make, expect_appends):
         seek_candidates=db.picker.seek_candidates,
         seek_compactions=db.stats.seek_triggered_compactions,
         block_cache=cache,
+        block_cache_shards=db.block_cache.shard_snapshots(),
         table_cache=db.table_cache.snapshot(),
         gets=(db.stats.gets, db.stats.gets_found),
         diverts=sum(1 for e in db.stats.events if e.kind == "divert"),
@@ -102,17 +107,40 @@ def _differential_run(get, multi_get, make, expect_appends):
 
 
 def _engine(style, **overrides):
+    params = dict(
+        seek_compaction_min_seeks=3,  # misses exhaust budgets: seek compactions run
+        block_cache_capacity=3 * 1024,  # a dozen blocks: the cache evicts
+        table_cache_capacity=12,  # fewer handles than files: tables reopen
+    )
+    params.update(overrides)
+
     def make(fs):
-        return make_db(
-            style,
-            fs=fs,
-            seek_compaction_min_seeks=3,  # misses exhaust budgets: seek compactions run
-            block_cache_capacity=3 * 1024,  # a dozen blocks: the cache evicts
-            table_cache_capacity=12,  # fewer handles than files: tables reopen
-            **overrides,
-        )
+        return make_db(style, fs=fs, **params)
 
     return make
+
+
+def _shared_lru(fs):
+    """An engine whose caches are namespaced facades over LRUs it shares
+    with another tenant, as a ``ShardedDB`` shard's are: the other
+    tenant's blocks sit in the block LRU first, and this engine's evict
+    them."""
+    options = tiny_options(
+        compaction_style="block",
+        seek_compaction_min_seeks=3,
+        block_cache_capacity=3 * 1024,
+        table_cache_capacity=12,
+    )
+    block_lru = ShardedLRUCache(options.block_cache_capacity)
+    for offset in range(0, 8 * 256, 256):
+        block_lru.insert(("other", 1, offset), object(), 256, ("other", 1))
+    table_lru = TableCache.shared_lru(options.table_cache_capacity)
+    return DB(
+        fs,
+        options,
+        block_cache=BlockCache(0, lru=block_lru, namespace="this"),
+        table_cache=TableCache(fs, options, lru=table_lru, namespace="this"),
+    )
 
 
 def _l2sm(fs):
@@ -144,6 +172,17 @@ class TestPointReadDifferential:
             pytest.param(_engine("table"), False, id="table"),
             pytest.param(_engine("block", filter_policy="block"), True, id="block-filters"),
             pytest.param(_l2sm, False, id="l2sm"),
+            # The concurrent pipeline's shard count: a block cache of 16
+            # LRUs routes each block; 1 KiB a shard still evicts.
+            pytest.param(
+                _engine(
+                    "block", cache_shards=16, block_cache_capacity=16 * 1024,
+                    table_cache_capacity=48,
+                ),
+                True,
+                id="cache_shards=16",
+            ),
+            pytest.param(_shared_lru, True, id="shared-lru"),
         ],
     )
     def test_same_values_reads_seek_charges_and_cache_counts(self, make, expect_appends):
@@ -166,6 +205,40 @@ class TestPointReadDifferential:
             assert new["diverts"] > 0  # the log hook had something to search
         for field, expected in ref.items():
             assert new[field] == expected, field
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(_engine("block"), id="private"),
+            pytest.param(_shared_lru, id="shared-lru"),
+            pytest.param(
+                _engine("block", cache_shards=16, block_cache_capacity=16 * 1024),
+                id="cache_shards=16",
+            ),
+        ],
+    )
+    def test_single_shard_binding_counts_as_routing_does(self, make):
+        """A one-shard LRU's ``BlockCache`` calls the shard's own methods;
+        the same op list with every block-cache call routed through
+        ``ShardedLRUCache`` instead reads, caches and evicts the same, in
+        every shard.  A sixteen-shard cache must already be routing, so
+        forcing the routing changes nothing there either."""
+
+        def routed(fs):
+            db = make(fs)
+            cache = db.block_cache
+            cache._lru_get, cache._lru_insert = cache._lru.get, cache._lru.insert
+            return db
+
+        def get(db, key, snapshot):
+            return db.get(key, snapshot=snapshot)
+
+        def multi_get(db, keys, snapshot):
+            return db.multi_get(keys, snapshot=snapshot)
+
+        bound = _differential_run(get, multi_get, make, True)
+        assert bound["block_cache"].evictions > 0
+        assert bound == _differential_run(get, multi_get, routed, True)
 
 
 def _tree(style="table", n=600):

@@ -22,7 +22,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oracle import reference  # noqa: E402
 from repro.encoding import (  # noqa: E402
@@ -53,6 +53,7 @@ from repro.memtable import MemTable  # noqa: E402
 from repro.options import FILTER_NONE, Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
 from repro.sstable.block_builder import BlockCutter  # noqa: E402
+from repro.sstable.filter_block import TableFilter, deserialize_filter  # noqa: E402
 from repro.sstable.format import COMPRESSION_NONE  # noqa: E402
 from repro.sstable.table_builder import TableBuilder  # noqa: E402
 from repro.storage.fs import SimulatedFS  # noqa: E402
@@ -622,20 +623,44 @@ def test_bulk_filter_build_matches_per_key_adds(keys, bits_per_key, reserved, ex
         assert all(bulk.may_contain(key) for key in keys + extra)
 
 
+def _assert_table_filter_matches_reference(flt, bloom, keys, probes):
+    """``flt.may_contain`` — the byte-table check — answers as the
+    reference check over ``bloom``'s bits, with and without the passed
+    hash; the table is built at the first check and reused after it."""
+    for key in keys + probes:
+        expected = reference.bloom_may_contain(bloom, key)
+        assert flt.may_contain(key) == expected
+        table = flt._probe_table
+        assert table is not None and len(table[0]) == bloom.num_bits
+        assert flt.may_contain(key, _hash_pair(key)) == expected
+        assert flt._probe_table is table  # a second check reuses the table
+    assert all(flt.may_contain(key, _hash_pair(key)) for key in keys)
+
+
 @given(
     st.lists(st.binary(max_size=12), max_size=60, unique=True),
     st.integers(1, 16),
     st.sampled_from([0.0, 0.1, 0.4]),
     st.lists(st.binary(max_size=14), max_size=60),
+    st.lists(st.binary(min_size=13, max_size=16), max_size=12, unique=True),
 )
+@example([], 1, 0.0, [b"", b"a"], [])  # a 0-key filter at the 64-bit floor
+@example([b"k0", b"k1", b"k2", b"k3", b"k4"], 10, 0.4, [b"a"], [b"absorbed-key-1"])
 @settings(deadline=None)
 def test_filter_check_with_a_passed_hash_matches_reference_check(
-    keys, bits_per_key, reserved, probes
+    keys, bits_per_key, reserved, probes, absorbed
 ):
     """``may_contain`` — given the lookup's one ``_hash_pair`` or deriving
     it — answers as the reference check (a hash per call, a masked running
     sum per probe) does, for plain and reserved filters, members and
-    strangers, before and after a serialize round trip."""
+    strangers, before and after a serialize round trip.
+
+    ``TableFilter.may_contain`` runs its own probe loop over a byte table
+    built at its first check, so it is held to the same reference: on the
+    filter as built, after a round trip through the filter blob, and on a
+    reserved filter re-wrapped after absorbing ``absorbed`` keys (as an
+    append does) — the old wrapper, its table already built, still
+    answers for the bits it wrapped."""
     built = build_filter(keys, bits_per_key, reserved)
     for flt in (built, BloomFilter.deserialize(built.serialize())):
         for key in keys + probes:
@@ -643,6 +668,21 @@ def test_filter_check_with_a_passed_hash_matches_reference_check(
             assert flt.may_contain(key) == expected
             assert flt.may_contain(key, _hash_pair(key)) == expected
         assert all(flt.may_contain(key, _hash_pair(key)) for key in keys)
+
+    table_filter = TableFilter(built)
+    assert table_filter._probe_table is None  # nothing built before a check
+    _assert_table_filter_matches_reference(table_filter, built, keys, probes)
+    clone = deserialize_filter(table_filter.serialize())
+    assert clone.serialize() == table_filter.serialize()
+    assert clone.memory_bytes() == built.memory_bytes()
+    _assert_table_filter_matches_reference(clone, clone.bloom, keys, probes)
+
+    if isinstance(built, ReservedBloomFilter) and built.can_absorb(len(absorbed)):
+        bloom = ReservedBloomFilter.deserialize(built.serialize())
+        bloom.add_many(absorbed)
+        grown = TableFilter(bloom)
+        _assert_table_filter_matches_reference(grown, bloom, keys + absorbed, probes)
+        _assert_table_filter_matches_reference(table_filter, built, keys, probes + absorbed)
 
 
 # -------------------------------------------------------------------- memtable
