@@ -1,12 +1,9 @@
-"""Compaction-policy matrix: WA/throughput/p99 per policy, plus the tuner.
+"""Compaction-policy matrix: WA/throughput/p99 per policy.
 
 Runs the same keyed workloads under every compaction policy (DESIGN.md
 §14) — leveled, tiered, one_leveling — across YCSB-style
 operation mixes and Zipfian skews: ``python benchmarks/perf/run.py
-compaction_policies``.  Two adaptive scenarios then pit the online tuner
-against the static policies on workloads whose character *shifts* mid-run
-(a hotspot/mix shift and a write-burst pattern), where no static choice is
-right the whole time.
+compaction_policies``.
 
 Per cell the report records incremental write amplification (bytes the
 device absorbed during the measured op phase over user bytes written —
@@ -14,20 +11,12 @@ the load phase is excluded, so the number is the steady-state marginal
 cost), wall-clock throughput, p99 op latencies from the engine's own
 histograms, **simulated device seconds** (the deterministic cost model
 the gates use — wall clock on shared CI runners is noise), and the
-runtime policy counters (``compactions_by_policy``, ``policy_switches``)
-that the manifest never persists.
+number of compactions (flushes excluded) the policy picked over the run.
 
-The design-space claims the matrix reproduces:
-
-* **tiered** beats **leveled** on write-heavy mixes by >= 1.5x lower WA
-  (the overfill factor amortizes child rewrites; gated), and pays for it
-  in read p99 (deeper, overfull levels; wall clock, reported ungated);
-* the **tuner** lands within 10% of the best static policy on the
-  hotspot-shift scenario *without knowing the shift schedule* (the second
-  gate, on simulated device seconds).  The burst scenario is
-  reported ungated: with phases much shorter than the hysteresis+cooldown
-  horizon, chasing every flip costs more than any static choice — the
-  flap-damping trade working as designed.
+The design-space claim the matrix reproduces: **tiered** beats
+**leveled** on write-heavy mixes by >= 1.5x lower WA (the overfill factor
+amortizes child rewrites; gated), and pays for it in read p99 (deeper,
+overfull levels; wall clock, reported ungated).
 """
 
 from __future__ import annotations
@@ -39,9 +28,6 @@ import time
 METRICS = {
     # Full-run acceptance bar 1.5x; the quick floor is generous.
     "wa_ratio_tiered_vs_leveled": ("higher", 1.2, 1.5),
-    # The tuner's simulated device seconds over the best static policy's.
-    "tuner_hotspot_vs_best_static": ("lower", 1.1, 1.1),
-    "tuner_burst_vs_best_static": ("lower", None, None),
 }
 
 POLICIES = ("leveled", "tiered", "one_leveling")
@@ -86,19 +72,14 @@ def _zipf_cdf(keyspace: int, theta: float) -> list[float]:
 
 def _make_ops(
     *, ops: int, keyspace: int, write_frac: float, theta: float, seed: int,
-    hot_offset: int = 0,
 ) -> list[tuple[str, int]]:
-    """One deterministic op sequence (shared by every policy arm).
-
-    Keys are Zipf(theta)-ranked; ``hot_offset`` rotates which keys are
-    the hot set, which is how the shift scenarios move the hotspot
-    without changing the skew."""
+    """One deterministic op sequence (shared by every policy arm) over
+    Zipf(theta)-ranked keys."""
     rng = random.Random(seed)
     cdf = _zipf_cdf(keyspace, theta)
     sequence = []
     for _ in range(ops):
-        rank = bisect.bisect_left(cdf, rng.random())
-        key = (rank + hot_offset) % keyspace
+        key = bisect.bisect_left(cdf, rng.random()) % keyspace
         op = "w" if rng.random() < write_frac else "r"
         sequence.append((op, key))
     return sequence
@@ -155,12 +136,7 @@ def _run_cell(options, sequence, keyspace: int) -> dict:
         "p99_write_us": _p99_us(latency, "put"),
         "p99_read_us": _p99_us(latency, "get"),
         "stall_events": stats.stall_events,
-        "policy_switches": stats.policy_switches,
-        # Which policies actually ran the work: one name for a static
-        # policy, the mix its switches produced for the tuner.
-        "compactions_by_policy": " ".join(
-            f"{name}={count}" for name, count in sorted(stats.compactions_by_policy.items())
-        ) or "-",
+        "compactions": sum(1 for event in stats.events if event.kind != "flush"),
     }
     db.close()
     return entry
@@ -199,85 +175,12 @@ def run_matrix(quick: bool) -> dict:
     return scenarios
 
 
-def _shift_sequences(quick: bool) -> dict[str, list[tuple[str, int]]]:
-    """The adaptive scenarios: op sequences whose character shifts."""
-    ops, keyspace = _shape(quick)
-    half = ops // 2
-    # Hotspot shift: a write-heavy phase over one hot set, then the mix
-    # flips read-heavy over a rotated hot set (a new region goes hot and
-    # reads chase it).  Statically, tiering wins the first half and
-    # leveling the second.
-    hotspot = _make_ops(
-        ops=half, keyspace=keyspace, write_frac=0.95, theta=0.99, seed=31,
-    ) + _make_ops(
-        ops=ops - half, keyspace=keyspace, write_frac=0.05, theta=0.99,
-        seed=37, hot_offset=keyspace // 2,
-    )
-    # Burst: alternating write bursts and read-mostly drains.
-    quarter = max(1, ops // 4)
-    burst: list[tuple[str, int]] = []
-    for index in range(4):
-        burst.extend(
-            _make_ops(
-                ops=quarter, keyspace=keyspace,
-                write_frac=0.95 if index % 2 == 0 else 0.1,
-                theta=0.99, seed=41 + index,
-            )
-        )
-    return {"hotspot_shift": hotspot, "burst": burst}
-
-
-def run_adaptive(quick: bool) -> tuple[dict, dict]:
-    """Static policies vs the tuner on the shifting workloads: the cells,
-    and each scenario's tuner-over-best-static device-seconds ratio."""
-    _, keyspace = _shape(quick)
-    scenarios: dict[str, dict] = {}
-    ratios: dict[str, float] = {}
-    for scenario_name, sequence in _shift_sequences(quick).items():
-        costs: dict[str, float] = {}
-        for policy in POLICIES:
-            cell = _run_cell(_options(policy), sequence, keyspace)
-            cell["mix"] = scenario_name
-            scenarios[f"{scenario_name}/{policy}"] = cell
-            costs[policy] = cell["sim_device_seconds"]
-        # The tuner arm starts leveled and must discover the shifts from
-        # op-mix deltas alone; windows sized so several evaluations land
-        # inside each phase.
-        window = max(200, len(sequence) // 40)
-        tuned = _options("leveled").copy(
-            compaction_tuner=True,
-            tuner_window_ops=window,
-            tuner_hysteresis_windows=2,
-            tuner_cooldown_ops=4 * window,
-        )
-        cell = _run_cell(tuned, sequence, keyspace)
-        cell["mix"] = scenario_name
-        cell["policy"] = "tuner"
-        best_policy = min(costs, key=costs.get)
-        cell["best_static"] = best_policy
-        ratios[scenario_name] = (
-            round(cell["sim_device_seconds"] / costs[best_policy], 3)
-            if costs[best_policy]
-            else 0.0
-        )
-        scenarios[f"{scenario_name}/tuner"] = cell
-        print(
-            f"  {scenario_name:<16} best static {best_policy}"
-            f" ({costs[best_policy]:.3f} dev-s), tuner"
-            f" {cell['sim_device_seconds']:.3f} dev-s ({ratios[scenario_name]}x,"
-            f" {cell['policy_switches']} switches)"
-        )
-    return scenarios, ratios
-
-
 def run(quick: bool) -> dict:
-    """The full matrix + adaptive scenarios."""
+    """The full matrix."""
     print(
         f"compaction-policy benchmark ({'quick' if quick else 'full'} mode)"
     )
     scenarios = run_matrix(quick)
-    adaptive, tuner_ratios = run_adaptive(quick)
-    scenarios.update(adaptive)
 
     skew = SKEWS_QUICK[0] if quick else SKEWS_FULL[0]
     leveled = scenarios[f"write_heavy/zipf{skew}/leveled"]
@@ -287,15 +190,8 @@ def run(quick: bool) -> dict:
         if tiered["write_amplification"]
         else 0.0
     )
-    print(
-        f"\n  tiered WA advantage on write-heavy: {wa_ratio}x"
-        f"   tuner vs best static on hotspot-shift: {tuner_ratios['hotspot_shift']}x"
-    )
+    print(f"\n  tiered WA advantage on write-heavy: {wa_ratio}x")
     return {
         "arms": scenarios,
-        "metrics": {
-            "wa_ratio_tiered_vs_leveled": wa_ratio,
-            "tuner_hotspot_vs_best_static": tuner_ratios["hotspot_shift"],
-            "tuner_burst_vs_best_static": tuner_ratios["burst"],
-        },
+        "metrics": {"wa_ratio_tiered_vs_leveled": wa_ratio},
     }

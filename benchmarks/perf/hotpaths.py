@@ -203,7 +203,7 @@ def bench_block_codec(suite: Suite) -> None:
     from repro.keys import comparable_from_internal
     from repro.sstable.block import DataBlock
     from repro.sstable.block_builder import BlockCutter
-    from repro.sstable.format import BLOCK_TRAILER_SIZE, COMPRESSION_NONE
+    from repro.sstable.format import BLOCK_TRAILER_SIZE
 
     entries = _entry_corpus(200 if suite.quick else 2000)
     # The engine's writers hand the run loop the merges' comparable form.
@@ -214,7 +214,7 @@ def bench_block_codec(suite: Suite) -> None:
     def encode_fast():
         stored.clear()
         # Cut by hand every ``per_block`` entries, never by size.
-        cutter = BlockCutter(1 << 62, 16, COMPRESSION_NONE, lambda raw, *_: stored.append(raw))
+        cutter = BlockCutter(1 << 62, 16, lambda raw, *_: stored.append(raw))
         for start in range(0, len(comparable), per_block):
             cutter.add_run(comparable[start : start + per_block])
             cutter.cut()
@@ -273,7 +273,7 @@ def bench_block_codec(suite: Suite) -> None:
     from repro.sstable.block import LazyDataBlock, parse_block_raw
     from repro.sstable.format import unwrap_block, wrap_block
 
-    raws = [wrap_block(payload, 0) for payload in payloads]
+    raws = [wrap_block(payload) for payload in payloads]
     rounds = 20
 
     def open_raw_zero_copy():

@@ -45,10 +45,14 @@ cross-shard atomicity out of scope), and rule 5 — single-store by
 construction — becomes **orphan-shard GC**: reopening must drop every
 child shard the committed router map does not reference.
 
+``--policy NAME`` runs every harness DB under one compaction policy, so
+the crash points land inside the compactions that policy picks; the leg
+fails unless its crash-free reference run makes at least one.
+
 CLI::
 
     python -m oracle.crashtest [--ops N] [--points N] [--seed N] [--quick]
-                               [--no-repair] [--sharded] [--tuner]
+                               [--no-repair] [--sharded] [--policy NAME]
                                [--offload {none,process}]
                                [--kv-separation] [--json PATH]
 """
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field
 from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
 from repro.errors import SimulatedCrashError
-from repro.options import COMPACTION_SELECTIVE, Options
+from repro.options import _COMPACTION_POLICIES, COMPACTION_SELECTIVE, Options
 from repro.sharding import MemoryShardStore, ShardedDB
 from repro.storage.faults import FaultInjectionFS, FaultPolicy
 from repro.storage.fs import FileSystem, SimulatedFS
@@ -145,28 +149,6 @@ def build_workload(num_ops: int, seed: int, value_size: int = 0) -> list[tuple]:
     return ops
 
 
-#: With the tuner on, the workload pauses for a read phase of this many
-#: gets after every :data:`WRITE_PHASE_OPS` ops.  A phase spans at least
-#: one whole 8-op tuner window (:func:`tuner_overrides`), so the tuner sees
-#: a read-heavy window and switches back to ``leveled`` after each write
-#: phase has switched it to ``tiered``.
-READ_PHASE_OPS = 16
-WRITE_PHASE_OPS = 24
-
-
-def with_read_phases(ops: list[tuple], seed: int) -> list[tuple]:
-    """``ops`` with a phase of :data:`READ_PHASE_OPS` gets of random
-    keys after every :data:`WRITE_PHASE_OPS` ops (the tuner leg's
-    workload: the writes alone never move the tuner off ``tiered``)."""
-    rng = random.Random(seed ^ 0x6E75)
-    out: list[tuple] = []
-    for i, op in enumerate(ops, start=1):
-        out.append(op)
-        if i % WRITE_PHASE_OPS == 0:
-            out.extend(("get", _key(rng.randrange(KEYSPACE))) for _ in range(READ_PHASE_OPS))
-    return out
-
-
 def build_sharded_workload(num_ops: int, seed: int, value_size: int = 0) -> list[tuple]:
     """The single-engine workload interleaved with router edits.
 
@@ -203,8 +185,6 @@ def _apply_op(db, op: tuple) -> None:
             else:
                 batch.delete(key)
         db.write(batch)
-    elif kind == "get":
-        db.get(op[1])
     elif kind == "flush":
         db.flush()
     elif kind == "split":
@@ -478,9 +458,11 @@ class CrashTestReport:
     points_tested: list[int] = field(default_factory=list)
     #: ``{"point": int, "violations": [str, ...]}`` per failing point.
     failures: list[dict] = field(default_factory=list)
-    #: Live policy switches in the crash-free reference run (None with
-    #: the tuner off, or on a sharded target, whose shards come and go).
-    policy_switches: int | None = None
+    #: The compaction policy every harness DB ran under.
+    policy: str = ""
+    #: Compactions (flushes excluded) that policy picked in the crash-free
+    #: reference run (None on a sharded target, whose shards come and go).
+    policy_compactions: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -498,7 +480,8 @@ class CrashTestReport:
             "points_tested": self.points_tested,
             "failures": self.failures,
             "passed": self.passed,
-            "policy_switches": self.policy_switches,
+            "policy": self.policy,
+            "policy_compactions": self.policy_compactions,
         }
 
     def summary(self) -> str:
@@ -507,8 +490,10 @@ class CrashTestReport:
             f"workload: {self.num_ops} ops (seed {self.seed}), "
             f"{self.total_sync_points} sync points",
         ]
-        if self.policy_switches is not None:
-            lines.append(f"tuner switches in the reference run: {self.policy_switches}")
+        if self.policy_compactions is not None:
+            lines.append(
+                f"{self.policy} compactions in the reference run: {self.policy_compactions}"
+            )
         lines += [
             f"crashed at {len(self.points_tested)} distinct points: "
             + ("all invariants held" if self.passed else "VIOLATIONS"),
@@ -552,8 +537,6 @@ def run_crash_test(
     build = build_sharded_workload if sharded else build_workload
     ops = build(num_ops, seed, value_size=value_size)
     options = harness_options(**(options_overrides or {}))
-    if options.compaction_tuner:
-        ops = with_read_phases(ops, seed)
 
     def target(crash_at_sync: int | None = None):
         if sharded:
@@ -564,9 +547,14 @@ def run_crash_test(
     _model, _pending, db = _run_workload(baseline, ops, options)
     total = baseline.sync_points
 
-    report = CrashTestReport(seed=seed, num_ops=num_ops, total_sync_points=total)
-    if options.compaction_tuner and not sharded:
-        report.policy_switches = db.stats.policy_switches
+    report = CrashTestReport(
+        seed=seed, num_ops=num_ops, total_sync_points=total,
+        policy=options.compaction_policy,
+    )
+    if not sharded:
+        report.policy_compactions = sum(
+            1 for event in db.stats.events if event.kind != "flush"
+        )
     for point in _subsample(total, max_points):
         crashing = target(point)
         model, pending, _db = _run_workload(crashing, ops, options)
@@ -609,30 +597,12 @@ def kv_separation_overrides() -> dict:
     }
 
 
-def tuner_overrides() -> dict:
-    """Options overrides for crash-testing live policy transitions.
-
-    Tiny windows, single-window hysteresis, and zero cooldown make the
-    tuner switch on the first window that disagrees with the running
-    policy; :func:`with_read_phases` gives it read windows between the
-    write phases, so each run switches to ``tiered`` and back to
-    ``leveled`` more than once.  The crash schedule's sync points then
-    fall inside and around the transition protocol: the scheduler
-    quiesce, the under-lock policy swap, and the compaction the switch
-    requests.  Policies are not persisted, so every
-    recovery must come up cleanly on the *configured* policy regardless of
-    what the tuner had switched to at the crash point."""
-    return {
-        "compaction_tuner": True,
-        "tuner_window_ops": 8,
-        "tuner_hysteresis_windows": 1,
-        "tuner_cooldown_ops": 0,
-    }
-
-
-#: The tuner leg fails unless its reference run switches at least this
-#: often: to ``tiered`` and back, so crashes land around both transitions.
-MIN_TUNER_SWITCHES = 2
+#: Workload lengths under ``--quick``: the default leg's, and a
+#: ``--policy`` leg's, sized so that every seed's reference run reaches a
+#: compaction under ``tiered`` — the latest-compacting policy, whose first
+#: compaction on the harness geometry comes at op 112–244 over seeds 0–5.
+QUICK_OPS = 90
+POLICY_QUICK_OPS = 300
 
 
 def offload_overrides() -> dict:
@@ -676,33 +646,34 @@ def build_parser() -> argparse.ArgumentParser:
                         "on (tiny vlog threshold/file size + padded values, "
                         "so crash points land inside vlog append, head-roll "
                         "registration, and GC rewrite/journal windows)")
-    parser.add_argument("--tuner", action="store_true",
-                        help="run every harness DB with the online compaction "
-                        "tuner on (tiny windows, zero cooldown) and read "
-                        "phases between the write phases, so crash points "
-                        "land around live policy transitions both ways — "
-                        "quiesce, policy swap, and the post-switch "
-                        "compaction burst; exits 1 if the reference run "
-                        "switches fewer than twice")
+    parser.add_argument("--policy", choices=_COMPACTION_POLICIES,
+                        help="run every harness DB under this compaction "
+                        "policy, so crash points land inside the compactions "
+                        "it picks; exits 1 unless the reference run makes at "
+                        "least one (single store only; --quick runs "
+                        f"{POLICY_QUICK_OPS} ops)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the full report as JSON")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """0 = all invariants held, 1 = violations (or, with ``--tuner``, a
-    reference run that switched policy fewer than
-    :data:`MIN_TUNER_SWITCHES` times)."""
-    args = build_parser().parse_args(argv)
+    """0 = all invariants held, 1 = violations (or, with ``--policy``, a
+    reference run in which that policy picked no compaction)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.policy and args.sharded:
+        parser.error("--policy counts one store's compactions; drop --sharded")
     overrides = offload_overrides() if args.offload == "process" else {}
     value_size = 0
     if args.kv_separation:
         overrides.update(kv_separation_overrides())
         value_size = KV_SEPARATION_VALUE_SIZE
-    if args.tuner:
-        overrides.update(tuner_overrides())
+    if args.policy:
+        overrides["compaction_policy"] = args.policy
+    quick_ops = POLICY_QUICK_OPS if args.policy else QUICK_OPS
     report = run_crash_test(
-        num_ops=90 if args.quick else args.ops,
+        num_ops=quick_ops if args.quick else args.ops,
         max_points=56 if args.quick else args.points,
         seed=args.seed,
         sharded=args.sharded,
@@ -715,10 +686,10 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"report written to {args.json}")
-    if report.policy_switches is not None and report.policy_switches < MIN_TUNER_SWITCHES:
+    if args.policy and not report.policy_compactions:
         print(
-            f"FAILED: the reference run switched policy {report.policy_switches} "
-            f"time(s); the tuner leg needs at least {MIN_TUNER_SWITCHES}"
+            f"FAILED: {args.policy} picked no compaction in the reference run; "
+            "raise --ops"
         )
         return 1
     return 0 if report.passed else 1

@@ -634,7 +634,7 @@ def scan_linear(
     iterator.  It reads, pins, charges seeks and counts exactly as
     ``DB.scan`` does, so a differential test may demand equal results *and*
     equal ``IOStats``, ``allowed_seeks``, seek candidates and cache
-    counters.  Latency histograms and the tuner are not fed."""
+    counters.  Latency histograms are not fed."""
     flatten = itertools.chain.from_iterable
     with db._lock:
         sequence = db._resolve_snapshot(snapshot, db._sequence)
@@ -923,7 +923,7 @@ def lookup_linear(db, sv, key: bytes, sequence: int):
 def get_linear(db, key: bytes, default: bytes | None = None, snapshot=None):
     """Reference ``DB.get``: the same shell (superversion reference,
     snapshot, value-log resolve, get counters, seek charge, latency
-    histogram, tuner) around :func:`lookup_linear`.  It reads, pins,
+    histogram) around :func:`lookup_linear`.  It reads, pins,
     charges and counts exactly as ``DB.get`` does, so a differential test
     may demand equal values *and* equal ``IOStats``, ``allowed_seeks``,
     seek candidates and cache counters."""
@@ -948,8 +948,6 @@ def get_linear(db, key: bytes, default: bytes | None = None, snapshot=None):
     finally:
         if db.latency is not None:
             db._hist_get.record(time.perf_counter() - start)
-        if db._tuner is not None:
-            db._tuner.record_op()
 
 
 def multi_get_linear(db, keys: list[bytes], snapshot=None) -> dict[bytes, bytes | None]:
@@ -970,8 +968,6 @@ def multi_get_linear(db, keys: list[bytes], snapshot=None) -> dict[bytes, bytes 
     finally:
         if db.latency is not None:
             db._hist_multi_get.record(time.perf_counter() - start)
-        if db._tuner is not None:
-            db._tuner.record_op()
 
 
 def _multi_get_linear(db, keys: list[bytes], snapshot) -> dict[bytes, bytes | None]:

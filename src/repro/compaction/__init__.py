@@ -30,7 +30,6 @@ from .selective import (
     run_block_compaction,
     run_selective_compaction,
 )
-from .tuner import CompactionTuner, TunerDecision
 from .table_compaction import (
     build_output_tables,
     can_trivially_move,
@@ -59,8 +58,6 @@ __all__ = [
     "TieredPolicy",
     "OneLevelingPolicy",
     "make_policy",
-    "CompactionTuner",
-    "TunerDecision",
     "SelectiveDecision",
     "decide",
     "run_selective_compaction",

@@ -227,14 +227,12 @@ class JobGeometry:
 
     block_size: int
     block_restart_interval: int
-    compression_type: int
 
     @classmethod
     def from_options(cls, options: Options) -> "JobGeometry":
         return cls(
             block_size=options.block_size,
             block_restart_interval=options.block_restart_interval,
-            compression_type=options.compression_type(),
         )
 
 

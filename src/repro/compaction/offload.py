@@ -93,7 +93,6 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
     cutter = BlockCutter(
         geometry.block_size,
         geometry.block_restart_interval,
-        geometry.compression_type,
         lambda *block: ops.append((OP_BLOCK, *block)),
     )
     dropped: list[bytes] = []

@@ -3,7 +3,7 @@
 The picker is the *stateful* half of picking — it owns the per-level
 round-robin compact pointers (journaled in the manifest) and the
 seek-compaction candidate set fed by the read path — while the *strategy*
-half (scoring, input selection, output placement, granularity) lives in a
+half (scoring and input selection) lives in a
 pluggable :class:`~repro.compaction.policy.CompactionPolicy`
 (DESIGN.md §14).  With the default :class:`LeveledPolicy` the combination
 reproduces LevelDB's behavior bit-for-bit:
@@ -22,10 +22,9 @@ L0 input selection — size- and seek-triggered alike — expands to the
 transitive closure of overlapping L0 files, since L0 files may overlap one
 another.
 
-Policies may be swapped live via :meth:`CompactionPicker.set_policy` (the
-online tuner's path).  Durable picker state — the compact pointers — stays
-on the picker across the swap, so a switch needs no manifest write; seek
-candidates the incoming policy would veto are dropped.
+The policy is fixed for the life of the picker (``Options.compaction_policy``
+at open); durable picker state — the compact pointers — is positions in key
+space, valid under any policy.
 """
 
 from __future__ import annotations
@@ -43,28 +42,10 @@ class CompactionPicker:
 
     def __init__(self, options: Options):
         self._options = options
-        self._policy = make_policy(options.compaction_policy, options)
+        self.policy: CompactionPolicy = make_policy(options.compaction_policy, options)
         self.compact_pointer: list[bytes] = [b""] * options.max_levels
         #: Files flagged by the read path for seek compaction.
         self._seek_candidates: dict[int, int] = {}  # file_number -> level
-
-    # -- policy -------------------------------------------------------------------
-
-    @property
-    def policy(self) -> CompactionPolicy:
-        return self._policy
-
-    def set_policy(self, policy: CompactionPolicy) -> None:
-        """Swap the picking strategy live (the tuner's transition step).
-
-        The compact pointers survive as-is — they are positions in key
-        space, valid under any policy, and remain manifest-journaled.
-        Seek candidates at levels the incoming policy vetoes are dropped.
-        """
-        self._policy = policy
-        for file_number, level in list(self._seek_candidates.items()):
-            if not policy.allows_seek_compaction(level):
-                del self._seek_candidates[file_number]
 
     # -- seek compaction feedback -----------------------------------------------
 
@@ -73,7 +54,7 @@ class CompactionPicker:
         if (
             self._options.enable_seek_compaction
             and level < self._options.max_levels - 1
-            and self._policy.allows_seek_compaction(level)
+            and self.policy.allows_seek_compaction(level)
         ):
             self._seek_candidates.setdefault(meta.file_number, level)
 
@@ -87,7 +68,7 @@ class CompactionPicker:
     # -- scoring ------------------------------------------------------------------
 
     def level_score(self, version: Version, level: int) -> float:
-        return self._policy.level_score(version, level)
+        return self.policy.level_score(version, level)
 
     def pick(self, version: Version) -> CompactionTask | None:
         """The next compaction task, or None when nothing is due."""
@@ -95,12 +76,12 @@ class CompactionPicker:
         best_score = 1.0
         # The bottom level has no child to compact into.
         for level in range(version.num_levels - 1):
-            score = self._policy.level_score(version, level)
+            score = self.policy.level_score(version, level)
             if score >= best_score:
                 best_score = score
                 best_level = level
         if best_level >= 0:
-            parents = self._policy.select_parents(self, version, best_level)
+            parents = self.policy.select_parents(self, version, best_level)
             return self.build_task(version, best_level, parents, reason="size")
         return self._pick_seek_compaction(version)
 

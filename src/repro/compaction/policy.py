@@ -5,15 +5,16 @@ Design Space") separates four orthogonal knobs — trigger, data movement,
 granularity, and picking — that classic engines hard-wire into one point.
 This module factors the first, second and fourth out of
 :class:`~repro.compaction.picker.CompactionPicker` into a
-:class:`CompactionPolicy` object with three responsibilities:
+:class:`CompactionPolicy` object with two responsibilities:
 
 * **scoring** (:meth:`CompactionPolicy.level_score`): when is a level due,
 * **input selection** (:meth:`CompactionPolicy.select_parents`): which of
   its files move (always into the next level — the version invariant
-  below admits no skips),
-* **granularity choice** (:meth:`CompactionPolicy.granularity_for`): which
-  compaction *style* (table / block / selective) handles the task per
-  child level, composing with the paper's block-grained machinery.
+  below admits no skips).
+
+Granularity — which compaction *style* (table / block / selective) handles
+a task — is not a policy's business: ``Options.compaction_style`` decides
+it, through :meth:`~repro.core.db.DB.compaction_style_for`.
 
 The engine keeps one structural invariant regardless of policy: levels >= 1
 hold disjoint, sorted files (``Version._check_disjoint``), because the whole
@@ -29,9 +30,8 @@ overfull levels rather than via run fan-out.
 
 Policies are in-memory strategy objects owned by the picker; they carry no
 durable state (the round-robin compact pointers stay on the picker and stay
-journaled in the manifest), so switching policies live — what the online
-tuner (:mod:`repro.compaction.tuner`) does — only requires quiescing
-in-flight compactions.
+journaled in the manifest).  ``Options.compaction_policy`` picks one at
+open, and it stays for the life of the open.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 from ..core.version import FileMetadata, Version
 from ..errors import InvalidArgumentError
 from ..options import (
-    _COMPACTION_STYLES,
     POLICY_LEVELED,
     POLICY_ONE_LEVELING,
     POLICY_TIERED,
@@ -63,18 +62,15 @@ class CompactionPolicy:
     """Strategy interface consulted by :class:`CompactionPicker`.
 
     Subclasses override :meth:`level_score` and :meth:`select_parents`;
-    the granularity-override map and the seek default are shared.
-    The ``picker`` argument of :meth:`select_parents` exposes the stateful
-    machinery policies compose with (round-robin pointers, L0 closure).
+    the seek default is shared.  The ``picker`` argument of
+    :meth:`select_parents` exposes the stateful machinery policies compose
+    with (round-robin pointers, L0 closure).
     """
 
     name = "abstract"
 
     def __init__(self, options: Options):
         self._options = options
-        #: Per-child-level granularity overrides (style name), set by the
-        #: tuner or by callers; absent levels use the engine default.
-        self._granularity: dict[int, str] = {}
 
     # -- scoring -----------------------------------------------------------
 
@@ -96,24 +92,6 @@ class CompactionPolicy:
         """Whether a seek-exhausted file at ``level`` may be compacted
         down.  Policies that pin data to fixed levels veto it."""
         return True
-
-    # -- granularity choice ------------------------------------------------
-
-    def granularity_for(self, child_level: int, default: str) -> str:
-        """Compaction style for a task writing into ``child_level``."""
-        return self._granularity.get(child_level, default)
-
-    def set_granularity(self, level: int, style: str | None) -> None:
-        """Override (or, with ``None``, clear) the style for ``level``."""
-        if style is None:
-            self._granularity.pop(level, None)
-            return
-        if style not in _COMPACTION_STYLES:
-            raise InvalidArgumentError(f"unknown compaction style {style!r}")
-        self._granularity[level] = style
-
-    def granularity_overrides(self) -> dict[int, str]:
-        return dict(self._granularity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

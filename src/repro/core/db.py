@@ -59,9 +59,7 @@ from ..compaction.base import CompactionResult, CompactionTask
 from ..compaction.lazy_deletion import DeletionManager
 from ..compaction.parallel import SubtaskExecutor
 from ..compaction.picker import CompactionPicker
-from ..compaction.policy import make_policy
 from ..compaction.selective import run_block_compaction, run_selective_compaction
-from ..compaction.tuner import CompactionTuner
 from ..compaction.table_compaction import (
     can_trivially_move,
     run_table_compaction,
@@ -196,11 +194,6 @@ class DB:
             else TableCache(self.fs, self.options, tracer=self.tracer)
         )
         self.picker = CompactionPicker(self.options)
-        # Online policy tuner (DESIGN.md §14): None — the default — keeps
-        # every op path free of tuner branches beyond one attribute test.
-        self._tuner: CompactionTuner | None = (
-            CompactionTuner(self) if self.options.compaction_tuner else None
-        )
         self.deletion_manager = DeletionManager(
             self.fs, self.options, self.table_cache, self.block_cache, self.stats
         )
@@ -516,7 +509,7 @@ class DB:
         if not wait:
             try:
                 self._lock_nowait_write(batch)
-            except BaseException:  # declined, not served: no sample, no tuner tick
+            except BaseException:  # declined, not served: no latency sample
                 if tracer.enabled:
                     tracer.end("write", "write")
                 raise
@@ -541,8 +534,6 @@ class DB:
                 self._hist_put.record(time.perf_counter() - start)
             if tracer.enabled:
                 tracer.end("write", "write")
-            if self._tuner is not None:
-                self._tuner.record_op()
 
     def _lock_nowait_write(self, batch: WriteBatch) -> None:
         """Take the engine lock for a ``wait=False`` write, or raise
@@ -1071,18 +1062,14 @@ class DB:
         Compaction's stated goal of keeping lower levels sorted for range
         queries.
 
-        Otherwise the policy's per-level granularity override (set by the
-        online tuner, DESIGN.md §14) wins, falling back to the engine-wide
-        ``Options.compaction_style`` — so the default leveled policy with
-        no overrides behaves exactly as before.
+        Otherwise the engine-wide ``Options.compaction_style`` decides, the
+        same at every level and under every policy.
         """
         if task.parent_level == 0 or not task.child_files or not task.parent_files:
             return COMPACTION_TABLE
         if task.reason == "seek":
             return COMPACTION_TABLE
-        return self.picker.policy.granularity_for(
-            task.child_level, self.options.compaction_style
-        )
+        return self.options.compaction_style
 
     def _maybe_divert_task(self, task: CompactionTask) -> CompactionResult | None:
         """L2SM hook: return a result to bypass normal compaction.
@@ -1208,7 +1195,6 @@ class DB:
                     bytes_written=result.bytes_written,
                     input_files=len(task.parent_files) + len(task.child_files),
                     output_files=result.output_files,
-                    policy=self.picker.policy.name,
                 )
             )
             self._observe_space()
@@ -1240,55 +1226,6 @@ class DB:
                     raise InvalidArgumentError(
                         f"catalog references missing value-log file {name}"
                     )
-
-    def switch_compaction_policy(
-        self,
-        name: str,
-        *,
-        granularity: dict[int, str] | None = None,
-        reason: str = "",
-    ) -> bool:
-        """Swap the live compaction policy (the tuner's transition protocol,
-        DESIGN.md §14); returns True if anything changed.
-
-        Sequence: quiesce the background worker (counted pause/resume — any
-        in-flight compaction drains first, so no task built under the old
-        policy commits after the swap), then under the engine lock install
-        the new policy object and migrate picker state (compact pointers
-        survive untouched and stay manifest-journaled; seek candidates the
-        new policy vetoes are dropped), apply per-level granularity
-        overrides, and on resume nudge the scheduler — the new policy may
-        consider work due immediately.
-
-        The policy is deliberately NOT persisted: ``Options
-        .compaction_policy`` seeds the picker at open, so a crash here is
-        indistinguishable from a restart with the configured options and
-        recovery needs no new manifest record.
-        """
-        self._check_open()
-        changed = False
-        with self._background_paused():
-            with self._lock:
-                policy = self.picker.policy
-                if policy.name != name:
-                    policy = make_policy(name, self.options)
-                    self.picker.set_policy(policy)
-                    self.stats.policy_switches += 1
-                    changed = True
-                if granularity is not None and granularity != policy.granularity_overrides():
-                    for level in list(policy.granularity_overrides()):
-                        policy.set_granularity(level, None)
-                    for level, style in granularity.items():
-                        policy.set_granularity(level, style)
-                    changed = True
-                if changed and self.tracer.enabled:
-                    self.tracer.instant(
-                        "compaction.policy_switch", "compaction",
-                        {"policy": name, "reason": reason},
-                    )
-        if changed:
-            self._request_compaction()
-        return changed
 
     def compact_all(self) -> None:
         """Drain every level into the deepest non-empty level (manual full
@@ -1421,8 +1358,6 @@ class DB:
                 self._lock.release()
             if self.latency is not None:
                 self._hist_multi_get.record(time.perf_counter() - start)
-            if self._tuner is not None:
-                self._tuner.record_op()
 
     def _observe_space(self) -> None:
         total = self.version.total_file_bytes() + self.deletion_manager.pending_bytes
@@ -1479,8 +1414,6 @@ class DB:
                 self._lock.release()
             if self.latency is not None:
                 self._hist_get.record(time.perf_counter() - start)
-            if self._tuner is not None:
-                self._tuner.record_op()
 
     def lock_nowait(self) -> None:
         """Take the engine lock for a ``wait=False`` read or scan, or raise
@@ -1651,8 +1584,6 @@ class DB:
             self.stats.count_scan_entries(len(results))
             if self.latency is not None:
                 self._hist_scan.record(time.perf_counter() - clock_start)
-            if self._tuner is not None:
-                self._tuner.record_op()
             return results
         finally:
             if not wait:
@@ -1729,28 +1660,9 @@ class DB:
         )
         lines.append(
             f"compactions: table={s.table_compactions} block={s.block_compactions} "
-            f"trivial={s.trivial_moves} seek-triggered={s.seek_triggered_compactions}"
+            f"trivial={s.trivial_moves} seek-triggered={s.seek_triggered_compactions} "
+            f"policy={self.picker.policy.name}"
         )
-        if self._tuner is not None or s.policy_switches or s.compactions_by_policy:
-            by_policy = " ".join(
-                f"{name}={count}"
-                for name, count in sorted(s.compactions_by_policy.items())
-            )
-            line = (
-                f"policy: current={self.picker.policy.name} "
-                f"switches={s.policy_switches}"
-            )
-            if by_policy:
-                line += f" by-policy: {by_policy}"
-            if self._tuner is not None:
-                state = self._tuner.debug_state()
-                line += (
-                    f" tuner: windows={state['windows']} "
-                    f"pending={state['pending'] or '-'}"
-                )
-                if state["last_reason"]:
-                    line += f" last={state['last_reason']!r}"
-            lines.append(line)
         lines.append(
             f"WA={s.write_amplification():.2f} "
             f"peak-space={s.max_space_bytes / 1024:.1f} KiB "

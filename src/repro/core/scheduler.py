@@ -286,9 +286,8 @@ class SchedulerLane:
     @contextmanager
     def quiesce(self) -> Iterator[None]:
         """Context-manager form of :meth:`pause`/:meth:`resume` — the
-        drain-then-mutate protocol manual compactions and live policy
-        switches (DESIGN.md §14) share.  Lane scope: only this DB's work
-        drains."""
+        drain-then-mutate protocol manual compactions use.  Lane scope:
+        only this DB's work drains."""
         self.pause()
         try:
             yield

@@ -24,9 +24,6 @@ class CompactionEvent:
     bytes_written: int
     input_files: int
     output_files: int
-    #: Compaction policy that picked this task (DESIGN.md §14); empty for
-    #: flushes, which no policy owns.
-    policy: str = ""
 
 
 @dataclass
@@ -82,12 +79,6 @@ class DBStats:
     per_level_write_bytes: list[int] = field(default_factory=list)
     #: Maximum obsolete bytes observed per level (paper Fig 10).
     per_level_max_obsolete_bytes: list[int] = field(default_factory=list)
-    #: Live policy switches performed by the online tuner / admin calls
-    #: (DESIGN.md §14).
-    policy_switches: int = 0
-    #: Compactions (flushes excluded) per picking policy, e.g.
-    #: ``{"leveled": 12, "tiered": 3}`` after one tuner switch.
-    compactions_by_policy: dict[str, int] = field(default_factory=dict)
 
     # bloom filter maintenance (Section IV-D)
     filter_absorbs: int = 0
@@ -200,10 +191,6 @@ class DBStats:
         if event.kind != "flush":
             self.compaction_bytes_read += event.bytes_read
             self.compaction_bytes_written += event.bytes_written
-            if event.policy:
-                self.compactions_by_policy[event.policy] = (
-                    self.compactions_by_policy.get(event.policy, 0) + 1
-                )
 
     def numeric(self) -> dict[str, int | float]:
         """Every scalar counter by field name: what the ``OP_STATS`` engine

@@ -6,8 +6,7 @@ exposition format v0.0.4).  A target is one of:
 
 * a :class:`~repro.core.db.DB` — every numeric
   :class:`~repro.metrics.stats.DBStats` field (a ``per_level_<x>`` list
-  becomes ``repro_level_<x>{level=...}``, an ``<x>_by_<label>`` dict
-  ``repro_<x>_by_<label>{<label>=...}``), write amplification, the
+  becomes ``repro_level_<x>{level=...}``), write amplification, the
   per-level file/valid/obsolete gauges, value-log utilization, every
   :class:`~repro.storage.io_stats.IOStats` counter with its per-category
   breakdown, the block and table caches, one histogram per operation when
@@ -125,10 +124,6 @@ def _db_samples(db, base: tuple[tuple[str, str], ...]) -> list[Sample]:
             elif name.startswith("per_level_"):
                 for level, count in enumerate(value):
                     add(name[len("per_"):], count, kind, level=str(level))
-            elif "_by_" in name:
-                label = name.rsplit("_by_", 1)[1]
-                for key in sorted(value):
-                    add(name, value[key], kind, **{label: key})
         add("write_amplification", round(stats.write_amplification(), 6), GAUGE)
         reasons = Counter(event.reason for event in stats.events if event.kind != "flush")
         for reason in sorted(reasons):

@@ -44,12 +44,6 @@ FILTER_BLOCK = "block"
 FILTER_TABLE = "table"
 _FILTER_POLICIES = (FILTER_NONE, FILTER_BLOCK, FILTER_TABLE)
 
-#: Per-block compression codecs.  The paper's evaluation disables
-#: compression (Section V-B), so ``none`` is the default everywhere.
-COMPRESSION_OFF = "none"
-COMPRESSION_ZLIB_NAME = "zlib"
-_COMPRESSIONS = (COMPRESSION_OFF, COMPRESSION_ZLIB_NAME)
-
 
 @dataclass
 class SelectiveThresholds:
@@ -132,8 +126,6 @@ class Options:
     #: superversion with the engine lock released — contend on per-shard
     #: locks instead of one cache mutex.
     cache_shards: int = 1
-    #: Per-block codec: "none" (the paper's setting) or "zlib".
-    compression: str = COMPRESSION_OFF
 
     # --- Bloom filters -------------------------------------------------------
     filter_policy: str = FILTER_TABLE
@@ -155,27 +147,16 @@ class Options:
     seek_compaction_min_seeks: int = 100
     selective_thresholds: list[SelectiveThresholds] = field(default_factory=list)
 
-    # --- Compaction policy + online tuner (DESIGN.md §14) -----------------------
+    # --- Compaction policy (DESIGN.md §14) --------------------------------------
     #: Picking discipline: which level compacts next and with which inputs.
     #: ``leveled`` (the default) is today's LevelDB-style picker,
     #: bit-identical to the pre-policy engine; ``tiered`` and
     #: ``one_leveling`` trade read cost for write amplification.  The
-    #: policy is a property of the *open*, not the store: any policy can
-    #: read any store, because every policy maintains the same disjoint
-    #: per-level invariant (tiering is expressed as overfill-then-merge).
+    #: policy is a property of the *open*, not the store, and is fixed for
+    #: the open's life: any policy can read any store, because every
+    #: policy maintains the same disjoint per-level invariant (tiering is
+    #: expressed as overfill-then-merge).
     compaction_policy: str = POLICY_LEVELED
-    #: Run the online workload tuner: watch the operation mix and stall
-    #: events over a sliding window and switch ``compaction_policy`` (and
-    #: per-level granularity) live as the workload shifts.  Off by
-    #: default: the static policy keeps the engine deterministic.
-    compaction_tuner: bool = False
-    #: Operations (puts + gets + scans) per tuner evaluation window.
-    tuner_window_ops: int = 2000
-    #: Consecutive windows that must agree on a different policy before the
-    #: tuner switches (hysteresis against oscillating workloads).
-    tuner_hysteresis_windows: int = 2
-    #: Minimum operations between two policy switches (cooldown).
-    tuner_cooldown_ops: int = 4000
 
     # --- Concurrency (DESIGN.md §7) -------------------------------------------
     #: Run the flush / compaction / value-log-GC step on a background lane
@@ -298,16 +279,8 @@ class Options:
             raise InvalidArgumentError(f"unknown compaction_style {self.compaction_style!r}")
         if self.compaction_policy not in _COMPACTION_POLICIES:
             raise InvalidArgumentError(f"unknown compaction_policy {self.compaction_policy!r}")
-        if self.tuner_window_ops < 1:
-            raise InvalidArgumentError("tuner_window_ops must be >= 1")
-        if self.tuner_hysteresis_windows < 1:
-            raise InvalidArgumentError("tuner_hysteresis_windows must be >= 1")
-        if self.tuner_cooldown_ops < 0:
-            raise InvalidArgumentError("tuner_cooldown_ops must be >= 0")
         if self.filter_policy not in _FILTER_POLICIES:
             raise InvalidArgumentError(f"unknown filter_policy {self.filter_policy!r}")
-        if self.compression not in _COMPRESSIONS:
-            raise InvalidArgumentError(f"unknown compression {self.compression!r}")
         if self.bloom_bits_per_key < 1:
             raise InvalidArgumentError(
                 "bloom_bits_per_key must be >= 1 (filter_policy='none' disables the filter)"
@@ -336,12 +309,6 @@ class Options:
             raise InvalidArgumentError("selective_thresholds must cover every level")
         for t in self.selective_thresholds:
             t.validate()
-
-    def compression_type(self) -> int:
-        """The on-disk compression-type byte for this configuration."""
-        from .sstable.format import COMPRESSION_NONE, COMPRESSION_ZLIB
-
-        return COMPRESSION_ZLIB if self.compression == COMPRESSION_ZLIB_NAME else COMPRESSION_NONE
 
     def copy(self, **overrides) -> "Options":
         """Return a copy of these options with ``overrides`` applied."""

@@ -41,12 +41,7 @@ from ..errors import CorruptionError
 from ..keys import ComparableKey, TYPE_DELETION, TYPE_VALUE
 from zlib import crc32 as _zlib_crc32
 
-from .format import (
-    BLOCK_TRAILER_SIZE,
-    COMPRESSION_NONE,
-    COMPRESSION_ZLIB,
-    unwrap_block,
-)
+from .format import BLOCK_TRAILER_SIZE, COMPRESSION_NONE
 
 #: One struct hit decodes the whole 5-byte trailer: compression type byte
 #: followed by the masked little-endian CRC.
@@ -408,28 +403,20 @@ class LazyDataBlock:
         return self.serialized_size
 
 
-#: Either parsed form; everything downstream of :func:`parse_block` accepts both.
+#: Either parsed form; everything downstream of :func:`parse_block_raw` accepts both.
 ParsedBlock = Union[DataBlock, LazyDataBlock]
-
-
-def parse_block(payload: bytes, *, lazy: bool = False) -> ParsedBlock:
-    """Parse a block payload, eagerly by default, lazily on request."""
-    if lazy:
-        return LazyDataBlock(payload)
-    return DataBlock.parse(payload)
 
 
 def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     """Parse a *raw* stored block (payload + trailer) without copying.
 
-    The zero-copy equivalent of ``parse_block(unwrap_block(raw))``: the
+    The zero-copy equivalent of ``DataBlock.parse(unwrap_block(raw))``: the
     trailer is verified in place (checksum over a ``memoryview``) and the
     entries are decoded straight out of ``raw`` bounded by
     ``payload_len = len(raw) - 5``.  The copying path allocated the payload
     twice per block read — once for the checksum slice, once for the
-    returned payload; this path allocates neither.  Compressed blocks
-    (rare; the paper disables compression) fall back to the copying path
-    since decompression materializes a new buffer anyway.
+    returned payload; this path allocates neither.  A type byte other than
+    :data:`~repro.sstable.format.COMPRESSION_NONE` is corruption.
     """
     # Trailer check inlined (vs calling format.check_block_trailer): this
     # runs once per block read, and at ~4 us/block the three Python calls
@@ -442,12 +429,7 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
         raise CorruptionError("block shorter than its trailer")
     compression, expected = _TRAILER_UNPACK(raw, payload_len)
     if compression != COMPRESSION_NONE:
-        if compression != COMPRESSION_ZLIB:
-            raise CorruptionError(f"unsupported compression type {compression}")
-        # Rare path (the paper disables compression): decompression copies
-        # anyway, so reuse the copying helpers, which re-verify the stored
-        # bytes before inflating.
-        return parse_block(unwrap_block(raw), lazy=lazy)
+        raise CorruptionError(f"unsupported compression type {compression}")
     crc = _zlib_crc32(memoryview(raw)[:payload_len]) & 0xFFFFFFFF
     if (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF != expected:
         raise CorruptionError("block failed checksum")

@@ -28,7 +28,7 @@ from zlib import crc32
 
 from ..encoding import decode_fixed64, encode_varint, shared_prefix_len
 from ..keys import ComparableKey
-from .format import COMPRESSION_NONE, wrap_block
+from .format import COMPRESSION_NONE
 
 #: Entry headers whose three varints fit 1+1+1 or 1+1+2 bytes — every
 #: header the engine writes for keys under 128 bytes and values under
@@ -64,14 +64,12 @@ class BlockCutter:
         self,
         block_size: int,
         restart_interval: int,
-        compression: int,
         emit: Callable[[bytes, bytes, bytes, int, list[bytes]], None],
     ):
         if restart_interval < 1:
             raise ValueError("restart_interval must be >= 1")
         self._block_size = block_size
         self._restart_interval = restart_interval
-        self._compression = compression
         self._emit = emit
         # The pending block: entry bytes, restart offsets, entries left in
         # the current restart group, boundary keys, and one user key per
@@ -213,9 +211,9 @@ class BlockCutter:
         """Finish the pending block, if any, and hand it to ``emit``;
         returns its stored size (0 when nothing was pending).
 
-        Uncompressed, the stored block is assembled with one copy of the
-        entry bytes: the CRC runs over the buffer in place and continues
-        over the restart array."""
+        The stored block is assembled with one copy of the entry bytes:
+        the CRC runs over the buffer in place and continues over the
+        restart array."""
         user_keys = self._user_keys
         if not user_keys:
             return 0
@@ -225,13 +223,10 @@ class BlockCutter:
             tail = _ONE_RESTART
         else:
             tail = struct.pack(f"<{len(restarts) + 1}I", *restarts, len(restarts))
-        if self._compression == COMPRESSION_NONE:
-            crc = crc32(tail, crc32(buf))
-            # The mask of encoding.crc32c, which takes one buffer, not two.
-            masked = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
-            raw = b"".join((buf, tail, _BLOCK_TRAILER(COMPRESSION_NONE, masked)))
-        else:
-            raw = wrap_block(bytes(buf) + tail, self._compression)
+        crc = crc32(tail, crc32(buf))
+        # The mask of encoding.crc32c, which takes one buffer, not two.
+        masked = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+        raw = b"".join((buf, tail, _BLOCK_TRAILER(COMPRESSION_NONE, masked)))
         self._emit(raw, self.first_key, self.last_key, len(user_keys), user_keys)
         del buf[:]
         del restarts[1:]

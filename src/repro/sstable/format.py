@@ -24,8 +24,9 @@ a Table Compaction rewrites it, and are what the paper's space-amplification
 figures measure.
 
 Every block (data, filter, index) is stored with a 5-byte trailer:
-``[compression type: 1][masked crc32 of payload: 4]``.  Compression is
-always ``0`` (the paper disables compression).
+``[compression type: 1][masked crc32 of payload: 4]``.  The type byte is
+always :data:`COMPRESSION_NONE` (the paper disables compression, and the
+engine has no codec); any other value is a :class:`CorruptionError`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ TABLE_MAGIC = 0xDB4B10C7C0FFEE01
 FOOTER_SIZE = 8 * 6 + 4 + 8  # six fixed64 fields, one fixed32, magic
 BLOCK_TRAILER_SIZE = 5
 COMPRESSION_NONE = 0
-COMPRESSION_ZLIB = 1
 
 
 @dataclass(frozen=True)
@@ -103,28 +103,22 @@ class Footer:
         )
 
 
-def wrap_block(payload: bytes, compression: int = COMPRESSION_NONE) -> bytes:
-    """Attach the compression-type + checksum trailer to a block payload.
-
-    With :data:`COMPRESSION_ZLIB`, the stored bytes are the zlib stream and
-    the checksum covers the *stored* (compressed) bytes — corruption is
-    detected before decompression.  Like LevelDB's snappy policy, a block
-    that doesn't shrink is stored uncompressed.
-    """
-    if compression == COMPRESSION_ZLIB:
-        import zlib
-
-        compressed = zlib.compress(payload, level=1)
-        if len(compressed) < len(payload):
-            return compressed + bytes([COMPRESSION_ZLIB]) + encode_fixed32(crc32c(compressed))
-    elif compression != COMPRESSION_NONE:
-        raise CorruptionError(f"unsupported compression type {compression}")
+def wrap_block(payload: bytes) -> bytes:
+    """Attach the compression-type + checksum trailer to a block payload."""
     return payload + bytes([COMPRESSION_NONE]) + encode_fixed32(crc32c(payload))
 
 
-def check_block_trailer(raw: bytes) -> int:
-    """Validate a stored block's trailer *in place*; return its compression
-    type byte.
+def _check_type(raw: bytes) -> None:
+    """Reject a block shorter than its trailer, or whose type byte is not 0."""
+    if len(raw) < BLOCK_TRAILER_SIZE:
+        raise CorruptionError("block shorter than its trailer")
+    compression = raw[-BLOCK_TRAILER_SIZE]
+    if compression != COMPRESSION_NONE:
+        raise CorruptionError(f"unsupported compression type {compression}")
+
+
+def check_block_trailer(raw: bytes) -> None:
+    """Validate a stored block's trailer *in place*.
 
     This is the zero-copy half of :func:`unwrap_block`: the checksum is
     computed over a :class:`memoryview` of the stored span, so no payload
@@ -133,34 +127,16 @@ def check_block_trailer(raw: bytes) -> int:
     out of ``raw`` afterwards using explicit bounds instead of slicing the
     payload out.
     """
-    if len(raw) < BLOCK_TRAILER_SIZE:
-        raise CorruptionError("block shorter than its trailer")
-    compression = raw[-BLOCK_TRAILER_SIZE]
-    if compression not in (COMPRESSION_NONE, COMPRESSION_ZLIB):
-        raise CorruptionError(f"unsupported compression type {compression}")
+    _check_type(raw)
     expected = decode_fixed32(raw, len(raw) - 4)
     if crc32c(memoryview(raw)[: len(raw) - BLOCK_TRAILER_SIZE]) != expected:
         raise CorruptionError("block failed checksum")
-    return compression
 
 
 def unwrap_block(raw: bytes, *, verify_checksum: bool = True) -> bytes:
     """Strip and (optionally) verify a block trailer, returning the payload."""
-    if len(raw) < BLOCK_TRAILER_SIZE:
-        raise CorruptionError("block shorter than its trailer")
-    stored = raw[:-BLOCK_TRAILER_SIZE]
-    compression = raw[-BLOCK_TRAILER_SIZE]
-    if compression not in (COMPRESSION_NONE, COMPRESSION_ZLIB):
-        raise CorruptionError(f"unsupported compression type {compression}")
-    if verify_checksum:
-        expected = decode_fixed32(raw, len(raw) - 4)
-        if crc32c(stored) != expected:
-            raise CorruptionError("block failed checksum")
-    if compression == COMPRESSION_ZLIB:
-        import zlib
-
-        try:
-            return zlib.decompress(stored)
-        except zlib.error as exc:
-            raise CorruptionError(f"block failed decompression: {exc}") from exc
-    return stored
+    _check_type(raw)
+    payload = raw[:-BLOCK_TRAILER_SIZE]
+    if verify_checksum and crc32c(payload) != decode_fixed32(raw, len(raw) - 4):
+        raise CorruptionError("block failed checksum")
+    return payload

@@ -85,10 +85,7 @@ class SectionWriter:
             self.offset = fs.file_size(name)
         self._start_offset = self.offset
         self.cutter = BlockCutter(
-            options.block_size,
-            options.block_restart_interval,
-            options.compression_type(),
-            self.commit_block,
+            options.block_size, options.block_restart_interval, self.commit_block
         )
         self._entries: list[IndexEntry] = []
         #: Each of ``_entries``' largest user key, in order.

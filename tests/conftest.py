@@ -13,7 +13,7 @@ from repro.options import (
     Options,
 )
 from repro.sstable.block_builder import BlockCutter
-from repro.sstable.format import BLOCK_TRAILER_SIZE, COMPRESSION_NONE
+from repro.sstable.format import BLOCK_TRAILER_SIZE
 from repro.storage.fs import SimulatedFS
 
 #: Tiny geometry: enough structure to exercise multi-level behaviour while
@@ -53,9 +53,7 @@ def encode_block(entries, restart_interval: int = 16) -> bytes:
     value) pairs in order — as the engine's run loop encodes it, with no
     size cut.  ``entries`` must not be empty."""
     blocks: list[bytes] = []
-    cutter = BlockCutter(
-        1 << 62, restart_interval, COMPRESSION_NONE, lambda raw, *_: blocks.append(raw)
-    )
+    cutter = BlockCutter(1 << 62, restart_interval, lambda raw, *_: blocks.append(raw))
     cutter.add_run((comparable_from_internal(key), value) for key, value in entries)
     cutter.cut()
     (raw,) = blocks

@@ -2,10 +2,12 @@
 corruption detection."""
 
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.encoding import crc32c, encode_fixed32
 from repro.errors import CorruptionError
 from repro.keys import (
     TYPE_DELETION,
@@ -13,9 +15,9 @@ from repro.keys import (
     comparable_from_internal,
     make_internal_key,
 )
-from repro.sstable.block import DataBlock
+from repro.sstable.block import DataBlock, parse_block_raw
 from repro.sstable.block_builder import BlockCutter
-from repro.sstable.format import COMPRESSION_NONE, unwrap_block, wrap_block
+from repro.sstable.format import check_block_trailer, unwrap_block, wrap_block
 
 from conftest import encode_block
 
@@ -31,7 +33,7 @@ def build(entries, restart_interval=16) -> DataBlock:
 def cutter(emitted=None) -> BlockCutter:
     """A cutter with 4 KiB blocks collecting what it emits."""
     sink = [] if emitted is None else emitted
-    return BlockCutter(4096, 16, COMPRESSION_NONE, lambda *block: sink.append(block))
+    return BlockCutter(4096, 16, lambda *block: sink.append(block))
 
 
 def ck(user: bytes, seq: int = 1, vt: int = TYPE_VALUE):
@@ -96,7 +98,7 @@ class TestBuilderBasics:
 
     def test_invalid_restart_interval(self):
         with pytest.raises(ValueError):
-            BlockCutter(4096, 0, COMPRESSION_NONE, lambda *block: None)
+            BlockCutter(4096, 0, lambda *block: None)
 
 
 class TestBlockSearch:
@@ -155,6 +157,20 @@ class TestTrailerAndCorruption:
         raw[-5] = 1
         with pytest.raises(CorruptionError):
             unwrap_block(bytes(raw))
+        # The trailer's type byte is always 0: even a well-formed zlib
+        # stream of a real block, tagged type 1 under a correct checksum,
+        # is corruption on every decode path, not a block to inflate.
+        payload = encode_block([(ik(b"k%03d" % i), b"v" * 20) for i in range(20)], 16)
+        stream = zlib.compress(payload)
+        tagged = stream + bytes([1]) + encode_fixed32(crc32c(stream))
+        for decode in (
+            unwrap_block,
+            check_block_trailer,
+            parse_block_raw,
+            lambda raw: parse_block_raw(raw, lazy=True),
+        ):
+            with pytest.raises(CorruptionError, match="compression type 1"):
+                decode(tagged)
 
     def test_short_block_rejected(self):
         with pytest.raises(CorruptionError):

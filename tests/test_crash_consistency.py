@@ -2,20 +2,13 @@
 of the harness machinery (full runs: ``python -m oracle.crashtest``)."""
 
 from oracle.crashtest import (
-    READ_PHASE_OPS,
-    WRITE_PHASE_OPS,
-    _apply_op,
+    POLICY_QUICK_OPS,
     _subsample,
     build_parser,
     build_workload,
-    harness_options,
     main,
     run_crash_test,
-    tuner_overrides,
-    with_read_phases,
 )
-from repro.core.db import DB
-from repro.storage.fs import SimulatedFS
 
 
 class TestHarnessMachinery:
@@ -33,12 +26,6 @@ class TestHarnessMachinery:
         assert len(picked) == 50
         assert picked[0] == 0 and picked[-1] == 999
         assert picked == sorted(set(picked))
-
-    def test_read_phases_only_add_gets(self):
-        ops = build_workload(90, seed=0)
-        phased = with_read_phases(ops, seed=0)
-        assert [op for op in phased if op[0] != "get"] == ops
-        assert len(phased) - len(ops) == READ_PHASE_OPS * (90 // WRITE_PHASE_OPS)
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
@@ -79,29 +66,21 @@ class TestCrashRecoveryInvariants:
         assert payload["passed"] is True
 
 
-class TestTunerLeg:
-    def test_quick_tuner_workload_switches_both_ways(self):
-        """The ``--quick --tuner`` workload, run without a crash, moves the
-        tuner to ``tiered`` and back to ``leveled``: the read phases give
-        it read-heavy windows between the write phases, so the crash points
-        land around transitions in both directions."""
-        ops = with_read_phases(build_workload(90, seed=0), seed=0)
-        db = DB(SimulatedFS(), harness_options(**tuner_overrides()))
-        policies = [db.picker.policy.name]
-        try:
-            for op in ops:
-                _apply_op(db, op)
-                if db.picker.policy.name != policies[-1]:
-                    policies.append(db.picker.policy.name)
-        finally:
-            db.close()
-        assert db.stats.policy_switches >= 2
-        transitions = set(zip(policies, policies[1:]))
-        assert {("leveled", "tiered"), ("tiered", "leveled")} <= transitions
+class TestPolicyLeg:
+    def test_quick_tiered_leg_crashes_inside_a_tiered_compaction(self, capsys):
+        """The ``--quick --policy tiered`` workload is long enough that its
+        reference run makes a compaction under ``tiered``, so crash points
+        land inside one; the leg passes."""
+        assert main(["--ops", str(POLICY_QUICK_OPS), "--points", "12",
+                     "--policy", "tiered"]) == 0
+        out = capsys.readouterr().out
+        assert "tiered compactions in the reference run: 1" in out
+        assert "all invariants held" in out
 
-    def test_cli_fails_a_reference_run_below_two_switches(self, capsys):
-        """Twenty ops end before the first read phase, so the tuner only
-        switches once: the leg must fail, not pass on one transition."""
-        assert main(["--ops", "20", "--points", "2", "--tuner"]) == 1
-        assert "tuner switches in the reference run: 1" in capsys.readouterr().out
-        assert main(["--ops", "50", "--points", "2", "--tuner"]) == 0
+    def test_cli_fails_a_reference_run_without_a_policy_compaction(self, capsys):
+        """Ninety ops end before ``tiered`` first compacts: the leg must
+        fail rather than pass on a run that never exercised the policy."""
+        assert main(["--ops", "90", "--points", "2", "--policy", "tiered"]) == 1
+        out = capsys.readouterr().out
+        assert "tiered compactions in the reference run: 0" in out
+        assert "FAILED" in out

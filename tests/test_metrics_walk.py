@@ -25,8 +25,6 @@ EVERY_SECTION = dict(
     kv_separation=True,
     kv_separation_threshold=48,
     vlog_file_size=4096,
-    compaction_tuner=True,
-    tuner_window_ops=100,
     latency_histograms=True,
     tracing=True,
     cache_shards=4,
@@ -112,10 +110,9 @@ def test_every_stats_field_and_section_is_scraped(scraped):
         io_name = f"repro_io_{name.removesuffix('_s')}"
         assert any(n.startswith(io_name) for n in names), name
     assert {
-        # DBStats list and dict fields, and IOStats' per-category breakdowns
+        # DBStats list fields, and IOStats' per-category breakdowns
         "repro_level_write_bytes",
         "repro_level_max_obsolete_bytes",
-        "repro_compactions_by_policy",
         "repro_io_category_bytes",
         "repro_io_category_ops",
         "repro_io_category_sim_time_seconds",

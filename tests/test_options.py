@@ -169,7 +169,6 @@ def test_every_option_is_read_somewhere():
 #: example sets, kept anyway — each with the reason.  Every other field
 #: must have a caller (``test_every_option_has_a_caller``).
 UNCALLED_OPTIONS = {
-    "compression": "the parked tiering item (ROADMAP) sweeps it",
     "block_restart_interval": "a format parameter the block property tests sweep",
     "table_cache_capacity": "a memory budget",
     "paranoid_checks": "a safety check",

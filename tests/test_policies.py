@@ -1,12 +1,11 @@
-"""Compaction-policy engine and online-tuner tests (DESIGN.md §14).
+"""Compaction-policy engine tests (DESIGN.md §14).
 
 Covers the :class:`CompactionPolicy` strategy objects (scoring, input
-selection, seek admission, granularity routing), the picker running under
-each policy, the live policy-switch protocol, and the tuner's hysteresis
-state machine — including the property-style invariants: level scores are
-monotone in level contents, L0 selection is transitively closed, seek
-state survives ``forget_file``, round-robin wraps, a steady workload
-never makes the tuner flap, and no two policies leave the same tree.
+selection, seek admission), the picker running under each policy and the
+style routing beside it — including the property-style invariants: level
+scores are monotone in level contents, L0 selection is transitively
+closed, seek state survives ``forget_file``, round-robin wraps, and no two
+policies leave the same tree.
 """
 
 import itertools
@@ -25,17 +24,13 @@ from repro.compaction.policy import (
     TieredPolicy,
     make_policy,
 )
-from repro.compaction.tuner import CompactionTuner, WindowStats, decide
 from repro.core.db import DB
 from repro.core.version import Version, VersionEdit
 from repro.errors import InvalidArgumentError
-from repro.metrics.stats import DBStats
 from repro.options import (
     _COMPACTION_POLICIES,
     COMPACTION_BLOCK,
     COMPACTION_TABLE,
-    POLICY_LEVELED,
-    POLICY_TIERED,
 )
 from repro.storage.fs import SimulatedFS
 from test_version import meta
@@ -219,236 +214,31 @@ class TestSeekAdmission:
         picker.note_seek_exhausted(0, meta(8, b"a", b"c"))
         assert 8 in picker.seek_candidates
 
-    def test_policy_switch_drops_vetoed_candidates(self):
-        options = tiny_options()
-        picker = CompactionPicker(options)
-        picker.note_seek_exhausted(1, meta(7, b"a", b"c"))
-        picker.note_seek_exhausted(0, meta(8, b"a", b"c"))
-        picker.set_policy(make_policy("one_leveling", options))
-        assert list(picker.seek_candidates) == [8]
 
-
-class TestGranularityRouting:
-    def test_override_and_clear(self):
-        policy = _policy("leveled")
-        assert policy.granularity_for(2, COMPACTION_TABLE) == COMPACTION_TABLE
-        policy.set_granularity(2, COMPACTION_BLOCK)
-        assert policy.granularity_for(2, COMPACTION_TABLE) == COMPACTION_BLOCK
-        assert policy.granularity_for(3, COMPACTION_TABLE) == COMPACTION_TABLE
-        policy.set_granularity(2, None)
-        assert policy.granularity_for(2, COMPACTION_TABLE) == COMPACTION_TABLE
-
-    def test_unknown_style_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            _policy("leveled").set_granularity(1, "columnar")
-
-    def test_db_routes_compaction_style_through_policy(self):
-        db = make_db()
-        try:
-            for i in range(60):
-                db.put(b"k%05d" % i, b"v" * 40)
-            db.compact_all()
-            task = type(
-                "T",
-                (),
-                {
-                    "parent_level": 1,
-                    "child_level": 2,
-                    "reason": "size",
-                    "parent_files": [meta(98, b"a", b"z")],
-                    "child_files": [meta(99, b"a", b"z")],
-                },
-            )()
-            assert db.compaction_style_for(task) == COMPACTION_TABLE
-            db.picker.policy.set_granularity(2, COMPACTION_BLOCK)
-            assert db.compaction_style_for(task) == COMPACTION_BLOCK
-        finally:
-            db.close()
-
-
-class TestPolicySwitch:
-    def test_switch_preserves_data_and_counts(self):
-        db = make_db()
-        try:
-            for i in range(150):
-                db.put(b"k%05d" % i, b"v" * 40)
-            assert db.switch_compaction_policy("tiered", reason="test")
-            assert db.picker.policy.name == "tiered"
-            assert db.stats.policy_switches == 1
-            for i in range(150, 300):
-                db.put(b"k%05d" % i, b"v" * 40)
-            db.compact_all()
-            for i in range(0, 300, 37):
-                assert db.get(b"k%05d" % i) == b"v" * 40
-            assert db.stats.compactions_by_policy.get("tiered", 0) > 0
-        finally:
-            db.close()
-
-    def test_switch_to_same_policy_is_a_noop(self):
-        db = make_db()
-        try:
-            assert not db.switch_compaction_policy("leveled")
-            assert db.stats.policy_switches == 0
-        finally:
-            db.close()
-
-    def test_switch_applies_granularity_overrides(self):
-        db = make_db()
-        try:
-            db.switch_compaction_policy("tiered", granularity={2: COMPACTION_BLOCK})
-            assert db.picker.policy.granularity_overrides() == {2: COMPACTION_BLOCK}
-        finally:
-            db.close()
-
-
-class TestTunerDecide:
-    """The pure decision rules, driven without an engine."""
-
-    def _options(self, **overrides):
-        return tiny_options(compaction_tuner=True, **overrides)
-
-    def test_write_heavy_wants_tiered_with_block_mid_levels(self):
-        decision = decide(
-            WindowStats(writes=90, gets=10), self._options(), POLICY_LEVELED
-        )
-        assert decision.policy == POLICY_TIERED
-        assert decision.granularity  # mid levels flip to block appends
-        assert all(g == COMPACTION_BLOCK for g in decision.granularity.values())
-
-    def test_read_heavy_wants_leveled_with_table_everywhere(self):
-        decision = decide(
-            WindowStats(writes=10, gets=90), self._options(), POLICY_TIERED
-        )
-        assert decision.policy == POLICY_LEVELED
-        assert all(g == COMPACTION_TABLE for g in decision.granularity.values())
-
-    @pytest.mark.parametrize("current", [POLICY_LEVELED, POLICY_TIERED])
-    def test_mixed_window_holds_current_policy(self, current):
-        decision = decide(WindowStats(writes=50, gets=50), self._options(), current)
-        assert decision.policy == current
-
-    def test_stalls_lower_the_write_threshold(self):
-        window = WindowStats(writes=60, gets=40, stalls=2)
-        assert decide(window, self._options(), POLICY_LEVELED).policy == POLICY_TIERED
-
-    def test_idle_window_stays_put(self):
-        decision = decide(WindowStats(), self._options(), POLICY_TIERED)
-        assert decision.policy == POLICY_TIERED
-
-
-class _StubDB:
-    """The minimal engine surface the tuner drives, with a scripted
-    workload counter instead of real operations."""
-
-    def __init__(self, options):
-        self.options = options
-        self.stats = DBStats()
-        self.picker = CompactionPicker(options)
-        self.switch_calls: list[str] = []
-
-    def switch_compaction_policy(self, name, *, granularity=None, reason=""):
-        changed = self.picker.policy.name != name
-        if changed:
-            self.picker.set_policy(make_policy(name, self.options))
-        self.switch_calls.append(name)
-        return changed
-
-
-def _stub_tuner(**overrides) -> tuple[_StubDB, CompactionTuner]:
-    settings = dict(
-        compaction_tuner=True,
-        tuner_window_ops=10,
-        tuner_hysteresis_windows=2,
-        tuner_cooldown_ops=0,
-    )
-    settings.update(overrides)
-    options = tiny_options(**settings)
-    db = _StubDB(options)
-    return db, CompactionTuner(db)
-
-
-def _run_window(db: _StubDB, tuner: CompactionTuner, *, writes: int, gets: int):
-    """Feed exactly one tuner window of the given mix."""
-    assert writes + gets == db.options.tuner_window_ops
-    db.stats.user_writes += writes
-    db.stats.gets += gets
-    for _ in range(writes + gets):
-        tuner.record_op()
-
-
-class TestTunerHysteresis:
-    def test_steady_workload_switches_at_most_once(self):
-        """The no-flapping property: a steady mix converges to one policy
-        after one switch and never moves again."""
-        db, tuner = _stub_tuner()
-        for _ in range(20):
-            _run_window(db, tuner, writes=9, gets=1)
-        assert tuner.switches == 1
-        assert db.picker.policy.name == POLICY_TIERED
-        assert sum(1 for _ in db.switch_calls) == 1
-
-    def test_single_window_does_not_switch(self):
-        db, tuner = _stub_tuner()  # hysteresis = 2
-        _run_window(db, tuner, writes=9, gets=1)
-        assert tuner.switches == 0
-        assert db.picker.policy.name == POLICY_LEVELED
-
-    def test_alternating_windows_never_flap(self):
-        """A mix oscillating faster than the hysteresis horizon produces
-        zero switches: agreement never reaches two in a row."""
-        db, tuner = _stub_tuner()
-        for index in range(20):
-            if index % 2 == 0:
-                _run_window(db, tuner, writes=9, gets=1)
-            else:
-                _run_window(db, tuner, writes=1, gets=9)
-        assert tuner.switches == 0
-        assert db.picker.policy.name == POLICY_LEVELED
-
-    def test_cooldown_defers_the_second_switch(self):
-        db, tuner = _stub_tuner(tuner_cooldown_ops=1000)
-        for _ in range(4):
-            _run_window(db, tuner, writes=9, gets=1)
-        assert db.picker.policy.name == POLICY_TIERED  # first switch is free
-        for _ in range(4):
-            _run_window(db, tuner, writes=1, gets=9)
-        assert tuner.switches == 1  # cooldown (1000 ops) still running
-        assert db.picker.policy.name == POLICY_TIERED
-
-    def test_debug_state_reports_machine(self):
-        db, tuner = _stub_tuner()
-        _run_window(db, tuner, writes=9, gets=1)
-        state = tuner.debug_state()
-        assert state["windows"] == 1
-        assert state["pending"] == POLICY_TIERED
-        assert state["agree"] == 1
-        assert "write-heavy" in state["last_reason"]
-
-
-class TestTunerIntegration:
-    def test_steady_write_workload_converges_in_engine(self):
-        """End to end: tuner on, steady write-heavy traffic, at most one
-        live switch and the DB still serves every key."""
-        db = make_db(
-            compaction_tuner=True,
-            tuner_window_ops=50,
-            tuner_hysteresis_windows=2,
-            tuner_cooldown_ops=0,
-        )
-        try:
-            for i in range(600):
-                db.put(b"k%05d" % (i % 200), b"v" * 40)
-            assert db.stats.policy_switches <= 1
-            assert db.picker.policy.name in (POLICY_LEVELED, POLICY_TIERED)
-            db.compact_all()
-            for i in range(200):
-                assert db.get(b"k%05d" % i) == b"v" * 40
-        finally:
-            db.close()
-
-    def test_tuner_off_by_default(self):
-        db = make_db()
-        try:
-            assert db._tuner is None
-        finally:
-            db.close()
+class TestStyleRouting:
+    def test_compaction_style_comes_from_options_under_every_policy(self):
+        """Granularity is not a policy's: a size task below L0 runs
+        ``Options.compaction_style`` whatever the policy, and L0 parents and
+        seek tasks run Table Compaction."""
+        task = type(
+            "T",
+            (),
+            {
+                "parent_level": 1,
+                "child_level": 2,
+                "reason": "size",
+                "parent_files": [meta(98, b"a", b"z")],
+                "child_files": [meta(99, b"a", b"z")],
+            },
+        )()
+        for name in _COMPACTION_POLICIES:
+            db = make_db(COMPACTION_BLOCK, compaction_policy=name)
+            try:
+                assert db.compaction_style_for(task) == COMPACTION_BLOCK
+                task.reason = "seek"
+                assert db.compaction_style_for(task) == COMPACTION_TABLE
+                task.reason, task.parent_level = "size", 0
+                assert db.compaction_style_for(task) == COMPACTION_TABLE
+                task.parent_level = 1
+            finally:
+                db.close()

@@ -54,7 +54,6 @@ from repro.options import FILTER_NONE, Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
 from repro.sstable.block_builder import BlockCutter  # noqa: E402
 from repro.sstable.filter_block import TableFilter, deserialize_filter  # noqa: E402
-from repro.sstable.format import COMPRESSION_NONE  # noqa: E402
 from repro.sstable.table_builder import TableBuilder  # noqa: E402
 from repro.storage.fs import SimulatedFS  # noqa: E402
 
@@ -988,15 +987,15 @@ def wide_internal_entries(draw):
 )
 @settings(deadline=None)
 def test_cutter_block_is_the_wrapped_finished_payload(entries, block_size, restart_interval):
-    """``BlockCutter.cut`` assembles an uncompressed stored block with one
-    join and a CRC continued over the restart array; byte for byte it is
-    the reference payload with the reference trailer — and what
-    ``wrap_block`` of the payload, still the zlib path, gives."""
+    """``BlockCutter.cut`` assembles a stored block with one join and a
+    CRC continued over the restart array; byte for byte it is the
+    reference payload with the reference trailer — and what ``wrap_block``
+    of the payload gives."""
     from repro.sstable.format import wrap_block
 
     emitted = []
     cutter = BlockCutter(
-        block_size, restart_interval, COMPRESSION_NONE,
+        block_size, restart_interval,
         lambda raw, _lo, _hi, count, _keys: emitted.append((raw, count)),
     )
     assert cutter.add_run(_comparable_entries(entries)) is None

@@ -349,8 +349,6 @@ ADOPTION_SCENARIOS = {
     "block-filters-built": _built(opts(filter_policy=FILTER_BLOCK)),
     "block-filters-appended": _appended(opts(filter_policy=FILTER_BLOCK), 3),
     "no-filter": _appended(opts(filter_policy=FILTER_NONE), 3),
-    "zlib-built": _built(opts(compression="zlib"), value=b"compressible " * 8),
-    "zlib-appended": _appended(opts(compression="zlib"), 3),
 }
 
 
