@@ -44,7 +44,7 @@ METRICS = {
 def _options(separated: bool):
     from repro.options import Options
 
-    # The hotpaths suite's geometry: small enough that every cell runs
+    # A small geometry: small enough that every cell runs
     # flushes and multi-level compactions, big enough that block encoding
     # (not file-open churn) dominates.  The separated arm keeps the stock
     # separation knobs — 1 KiB threshold, 4 MiB vlog files — so the sweep

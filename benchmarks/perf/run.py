@@ -12,11 +12,8 @@ A suite is a module beside this one that exports two things:
   {metric: number}}``;
 * ``METRICS``, its metric table: ``metric -> (better, quick bound, full
   bound[, strict])``.  ``better`` is ``"higher"`` or ``"lower"``.  A bound
-  of ``None`` reports the metric without gating it; a bound of
-  ``"committed"`` sits :data:`TOLERANCE` short of the value in the
-  committed ``BENCH_<suite>.json`` (for ratios whose level depends on the
-  host, as the hot paths' speedups over an in-process reference arm do).
-  A strict bound fails a value equal to it.
+  of ``None`` reports the metric without gating it.  A strict bound fails
+  a value equal to it.
 
 The report is ``{"suite", "meta", "arms", "metrics", "gates"}``, where each
 gate is ``{"metric", "better", "bound", "value", "ok"}``.  ``--check`` exits
@@ -45,7 +42,6 @@ for _path in (ROOT, ROOT / "src", Path(__file__).resolve().parent):
         sys.path.insert(0, str(_path))
 
 SUITES = (
-    "hotpaths",
     "concurrency",
     "read_scaling",
     "compaction_scaling",
@@ -62,14 +58,9 @@ class Metric(NamedTuple):
     """One row of a suite's metric table."""
 
     better: str
-    quick: float | str | None
-    full: float | str | None
+    quick: float | None
+    full: float | None
     strict: bool = False
-
-
-def tolerated(better: str, reference: float) -> float:
-    """The worst value within :data:`TOLERANCE` of ``reference``."""
-    return reference * (1 - TOLERANCE) if better == "higher" else reference / (1 - TOLERANCE)
 
 
 def _gate(name: str, better: str, bound: float, value, strict: bool = False) -> dict:
@@ -82,17 +73,12 @@ def _gate(name: str, better: str, bound: float, value, strict: bool = False) -> 
     return {"metric": name, "better": better, "bound": bound, "value": value, "ok": ok}
 
 
-def evaluate(table: dict, metrics: dict, quick: bool, committed: dict) -> list[dict]:
-    """The gates ``table`` sets on ``metrics`` in this mode.  ``committed``
-    holds the committed report's metrics; a ``"committed"`` bound on a
-    metric it lacks gates nothing."""
+def evaluate(table: dict, metrics: dict, quick: bool) -> list[dict]:
+    """The gates ``table`` sets on ``metrics`` in this mode."""
     gates = []
     for name, row in table.items():
         metric = Metric(*row)
         bound = metric.quick if quick else metric.full
-        if bound == "committed":
-            reference = committed.get(name)
-            bound = None if reference is None else tolerated(metric.better, reference)
         if bound is not None:
             gates.append(_gate(name, metric.better, bound, metrics.get(name), metric.strict))
     return gates
@@ -106,7 +92,8 @@ def compare(table: dict, metrics: dict, baseline: dict) -> list[dict]:
         reference = baseline.get(name)
         if isinstance(reference, (int, float)) and not isinstance(reference, bool):
             better = Metric(*row).better
-            gates.append(_gate(name, better, tolerated(better, reference), metrics.get(name)))
+            bound = reference * (1 - TOLERANCE) if better == "higher" else reference / (1 - TOLERANCE)
+            gates.append(_gate(name, better, bound, metrics.get(name)))
     return gates
 
 
@@ -166,9 +153,6 @@ def main(argv: list[str] | None = None) -> int:
             baseline = load_metrics(args.baseline)
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read baseline: {exc}")
-    committed_path = ROOT / f"BENCH_{args.suite}.json"
-    committed = load_metrics(committed_path) if committed_path.exists() else {}
-
     meta = {"python": platform.python_version(), "quick": args.quick, "tolerance": TOLERANCE}
     if takes_value_size:
         meta["value_size"] = (
@@ -177,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         result = suite.run(args.quick, meta["value_size"])
     else:
         result = suite.run(args.quick)
-    gates = evaluate(suite.METRICS, result["metrics"], args.quick, committed)
+    gates = evaluate(suite.METRICS, result["metrics"], args.quick)
     report = {"suite": args.suite, "meta": meta, **result, "gates": gates}
     _print_gates("gates", gates)
 
@@ -190,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         status = max(status, failed(gates))
     output = args.output
     if output is None and not args.check and baseline is None:
-        output = committed_path
+        output = ROOT / f"BENCH_{args.suite}.json"
     if output is not None:
         output.write_text(json.dumps(report, indent=1) + "\n")
         print(f"\nwrote {output}")

@@ -46,8 +46,9 @@ construction — becomes **orphan-shard GC**: reopening must drop every
 child shard the committed router map does not reference.
 
 ``--policy NAME`` runs every harness DB under one compaction policy, so
-the crash points land inside the compactions that policy picks; the leg
-fails unless its crash-free reference run makes at least one.
+the crash points land inside the compactions that policy picks.  Every
+single-store leg fails unless its crash-free reference run makes at least
+one compaction: a leg that never compacts never crashes inside one.
 
 CLI::
 
@@ -516,8 +517,8 @@ def _subsample(total: int, limit: int) -> list[int]:
 
 def run_crash_test(
     *,
-    num_ops: int = 160,
-    max_points: int = 96,
+    num_ops: int,
+    max_points: int,
     seed: int = 0,
     sharded: bool = False,
     check_repair: bool = True,
@@ -597,12 +598,19 @@ def kv_separation_overrides() -> dict:
     }
 
 
-#: Workload lengths under ``--quick``: the default leg's, and a
-#: ``--policy`` leg's, sized so that every seed's reference run reaches a
-#: compaction under ``tiered`` — the latest-compacting policy, whose first
-#: compaction on the harness geometry comes at op 112–244 over seeds 0–5.
-QUICK_OPS = 90
+#: Workload lengths, sized so that the reference run of every seed from 0
+#: to 5 reaches a compaction on the harness geometry: ``QUICK_OPS`` under
+#: ``--quick`` (the plain, kv and offload legs' latest first compaction is
+#: plain seed 1's, at op 196–200), ``POLICY_QUICK_OPS`` for a ``--policy``
+#: leg under ``--quick`` (``tiered``, the latest-compacting policy, first
+#: compacts at op 112–244) and ``DEFAULT_OPS`` for every leg without it.
+QUICK_OPS = 220
 POLICY_QUICK_OPS = 300
+DEFAULT_OPS = 300
+#: Crash points, spread evenly over the schedule: with and without
+#: ``--quick``.
+QUICK_POINTS = 56
+DEFAULT_POINTS = 96
 
 
 def offload_overrides() -> dict:
@@ -625,13 +633,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Crash at every sync point of a seeded workload and "
         "verify recovery invariants.",
     )
-    parser.add_argument("--ops", type=int, default=160, metavar="N",
-                        help="workload length (default 160)")
-    parser.add_argument("--points", type=int, default=96, metavar="N",
-                        help="max crash points, spread evenly (default 96)")
+    parser.add_argument("--ops", type=int, default=DEFAULT_OPS, metavar="N",
+                        help=f"workload length (default {DEFAULT_OPS})")
+    parser.add_argument("--points", type=int, default=DEFAULT_POINTS, metavar="N",
+                        help=f"max crash points, spread evenly (default {DEFAULT_POINTS})")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
-                        help="smaller workload for CI (still >= 50 points)")
+                        help=f"CI defaults: {QUICK_OPS} ops ({POLICY_QUICK_OPS} with "
+                        f"--policy) and {QUICK_POINTS} points; an explicit --ops "
+                        "or --points still wins")
     parser.add_argument("--no-repair", action="store_true",
                         help="skip the repair-convergence check")
     parser.add_argument("--sharded", action="store_true",
@@ -649,19 +659,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--policy", choices=_COMPACTION_POLICIES,
                         help="run every harness DB under this compaction "
                         "policy, so crash points land inside the compactions "
-                        "it picks; exits 1 unless the reference run makes at "
-                        "least one (single store only; --quick runs "
-                        f"{POLICY_QUICK_OPS} ops)")
+                        "it picks (single store only)")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the full report as JSON")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """0 = all invariants held, 1 = violations (or, with ``--policy``, a
-    reference run in which that policy picked no compaction)."""
+    """0 = all invariants held, 1 = violations (or, on a single store, a
+    reference run that made no compaction)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.quick:  # new defaults, so that an explicit --ops or --points wins
+        parser.set_defaults(
+            ops=POLICY_QUICK_OPS if args.policy else QUICK_OPS, points=QUICK_POINTS
+        )
+        args = parser.parse_args(argv)
     if args.policy and args.sharded:
         parser.error("--policy counts one store's compactions; drop --sharded")
     overrides = offload_overrides() if args.offload == "process" else {}
@@ -671,10 +684,9 @@ def main(argv: list[str] | None = None) -> int:
         value_size = KV_SEPARATION_VALUE_SIZE
     if args.policy:
         overrides["compaction_policy"] = args.policy
-    quick_ops = POLICY_QUICK_OPS if args.policy else QUICK_OPS
     report = run_crash_test(
-        num_ops=quick_ops if args.quick else args.ops,
-        max_points=56 if args.quick else args.points,
+        num_ops=args.ops,
+        max_points=args.points,
         seed=args.seed,
         sharded=args.sharded,
         check_repair=not args.no_repair,
@@ -686,9 +698,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"report written to {args.json}")
-    if args.policy and not report.policy_compactions:
+    if report.policy_compactions == 0:
         print(
-            f"FAILED: {args.policy} picked no compaction in the reference run; "
+            f"FAILED: {report.policy} picked no compaction in the reference run; "
             "raise --ops"
         )
         return 1

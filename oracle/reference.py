@@ -15,10 +15,11 @@ and the two-call append accounting.  They exist for two reasons:
   optimized fast path against these on random inputs — including the
   corruption-raising paths — so the fast paths can never silently drift
   from the spec.
-* **The perf harness** (``benchmarks/perf/``) benchmarks the optimized
-  paths *against* these on the same machine in the same process, which is
-  what makes the speedup numbers in ``BENCH_hotpaths.json`` reproducible
-  anywhere rather than tied to one historical checkout.
+* **The opcode counter** (``benchmarks/perf/opcodes.py``) counts the
+  bytecodes of each optimized path and of its reference here on one
+  corpus, and ``tests/test_perf_harness.py`` bounds their ratio: a gain
+  that is reproducible anywhere, under any load, rather than tied to one
+  historical checkout or one quiet machine.
 
 It is test/benchmark collateral, so it lives in ``oracle/`` beside the
 crash and chaos checkers, outside the engine package; nothing under

@@ -226,14 +226,10 @@ class JobGeometry:
     """
 
     block_size: int
-    block_restart_interval: int
 
     @classmethod
     def from_options(cls, options: Options) -> "JobGeometry":
-        return cls(
-            block_size=options.block_size,
-            block_restart_interval=options.block_restart_interval,
-        )
+        return cls(block_size=options.block_size)
 
 
 @dataclass

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 from ..errors import OffloadError
 from ..options import Options
-from ..sstable.block_builder import BlockCutter
+from ..sstable.block_builder import RESTART_INTERVAL, BlockCutter
 from ..sstable.format import BLOCK_TRAILER_SIZE
 from ..vlog import is_pointer
 from .block_compaction import OP_REUSE, BlockMergeJob, run_block_walk
@@ -92,7 +92,7 @@ def execute_block_merge(job: BlockMergeJob) -> BlockMergeResult:
     ops: list[tuple] = []
     cutter = BlockCutter(
         geometry.block_size,
-        geometry.block_restart_interval,
+        RESTART_INTERVAL,
         lambda *block: ops.append((OP_BLOCK, *block)),
     )
     dropped: list[bytes] = []

@@ -920,7 +920,8 @@ class DB:
         on, the wait is recorded as one pre-timed ``get.lock_wait`` event
         (the ``cache.shard_wait`` pattern); an uncontended reader records
         nothing, because a ring append on every get costs more than the
-        tracing-overhead gate (benchmarks/perf/hotpaths.py) allows."""
+        tracing-overhead gate allows (``get_sweep_traced`` against
+        ``get_sweep`` in benchmarks/perf/opcodes.py)."""
         lock = self._lock
         if not lock.acquire(blocking=False):
             tracer = self.tracer

@@ -101,7 +101,6 @@ class Options:
 
     # --- SSTable geometry -------------------------------------------------
     block_size: int = 4096
-    block_restart_interval: int = 16
     sstable_size: int = 16 * 1024 * 1024
 
     # --- Memtable / write path --------------------------------------------
@@ -265,8 +264,6 @@ class Options:
         """Raise :class:`InvalidArgumentError` on inconsistent settings."""
         if self.block_size < 64:
             raise InvalidArgumentError(f"block_size {self.block_size} too small (min 64)")
-        if self.block_restart_interval < 1:
-            raise InvalidArgumentError("block_restart_interval must be >= 1")
         if self.sstable_size < self.block_size:
             raise InvalidArgumentError("sstable_size must be >= block_size")
         if self.memtable_size < self.block_size:

@@ -30,6 +30,9 @@ from ..encoding import decode_fixed64, encode_varint, shared_prefix_len
 from ..keys import ComparableKey
 from .format import COMPRESSION_NONE
 
+#: Entries between restart points in every block the engine writes (the
+#: format itself allows any interval >= 1, and readers take any).
+RESTART_INTERVAL = 16
 #: Entry headers whose three varints fit 1+1+1 or 1+1+2 bytes — every
 #: header the engine writes for keys under 128 bytes and values under
 #: 16 KiB — packed by one ``struct`` call.

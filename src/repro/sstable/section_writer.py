@@ -22,7 +22,7 @@ from itertools import chain
 from ..bloom import ReservedBloomFilter
 from ..options import FILTER_BLOCK, FILTER_NONE, FILTER_TABLE, Options
 from ..storage.fs import FileSystem
-from .block_builder import BlockCutter
+from .block_builder import RESTART_INTERVAL, BlockCutter
 from .filter_block import (
     BlockFilters,
     Filter,
@@ -84,9 +84,7 @@ class SectionWriter:
             self.file = fs.open_append(name, category=category)
             self.offset = fs.file_size(name)
         self._start_offset = self.offset
-        self.cutter = BlockCutter(
-            options.block_size, options.block_restart_interval, self.commit_block
-        )
+        self.cutter = BlockCutter(options.block_size, RESTART_INTERVAL, self.commit_block)
         self._entries: list[IndexEntry] = []
         #: Each of ``_entries``' largest user key, in order.
         self._largest_user_keys: list[bytes] = []

@@ -2,6 +2,8 @@
 of the harness machinery (full runs: ``python -m oracle.crashtest``)."""
 
 from oracle.crashtest import (
+    DEFAULT_OPS,
+    DEFAULT_POINTS,
     POLICY_QUICK_OPS,
     _subsample,
     build_parser,
@@ -29,7 +31,18 @@ class TestHarnessMachinery:
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
-        assert args.ops == 160 and args.points == 96 and not args.quick
+        assert args.ops == DEFAULT_OPS and args.points == DEFAULT_POINTS and not args.quick
+
+    def test_quick_keeps_explicit_ops_and_points(self, tmp_path, capsys):
+        """``--quick`` sets defaults only: an explicit ``--ops`` and
+        ``--points`` are the run's."""
+        import json
+
+        json_path = tmp_path / "report.json"
+        assert main(["--quick", "--ops", "120", "--points", "3", "--json", str(json_path)]) == 0
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        assert payload["num_ops"] == 120 and len(payload["points_tested"]) == 3
+        capsys.readouterr()
 
 
 class TestCrashRecoveryInvariants:
@@ -51,9 +64,11 @@ class TestCrashRecoveryInvariants:
         assert "sync points" in report.summary()
 
     def test_cli_quick_exit_code(self, tmp_path, capsys):
+        # Ninety ops: seed 0's first compaction (a shorter single-store run
+        # makes none, and fails -- see TestPolicyLeg).
         json_path = str(tmp_path / "report.json")
         code = main(
-            ["--ops", "25", "--points", "6", "--json", json_path]
+            ["--ops", "90", "--points", "6", "--json", json_path]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -83,4 +98,12 @@ class TestPolicyLeg:
         assert main(["--ops", "90", "--points", "2", "--policy", "tiered"]) == 1
         out = capsys.readouterr().out
         assert "tiered compactions in the reference run: 0" in out
+        assert "FAILED" in out
+
+    def test_cli_fails_a_plain_reference_run_without_a_compaction(self, capsys):
+        """The rule holds on every single-store leg, not only ``--policy``:
+        forty ops of seed 0 end before its first compaction."""
+        assert main(["--ops", "40", "--points", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "leveled compactions in the reference run: 0" in out
         assert "FAILED" in out

@@ -25,7 +25,6 @@ class TestValidation:
         "field,value",
         [
             ("block_size", 10),
-            ("block_restart_interval", 0),
             ("sstable_size", 100),
             ("memtable_size", 100),
             ("level_size_multiplier", 1),
@@ -169,7 +168,6 @@ def test_every_option_is_read_somewhere():
 #: example sets, kept anyway — each with the reason.  Every other field
 #: must have a caller (``test_every_option_has_a_caller``).
 UNCALLED_OPTIONS = {
-    "block_restart_interval": "a format parameter the block property tests sweep",
     "table_cache_capacity": "a memory budget",
     "paranoid_checks": "a safety check",
 }

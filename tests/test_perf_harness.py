@@ -1,12 +1,11 @@
-"""Tests for the perf runner (``benchmarks/perf/run.py``) and its suites.
+"""Tests for the perf runner (``benchmarks/perf/run.py``) and its suites,
+and for the opcode counter (``opcodes.py``).
 
-These do not assert absolute performance — only that the hot-path suite
-runs end to end in quick mode and emits a well-formed report, that its
-gates pass against its own report and fail against a doctored one, that
-every bound a suite's metric table sets is enforced by ``--check`` and
-compared by ``--baseline``, that two quick suites run, gate and render end
-to end — and that the opcode counter (``opcodes.py``) counts the same twice
-and gates the read paths that have a reference arm.
+These assert no wall-clock performance — only that every bound a suite's
+metric table sets is enforced by ``--check`` and compared by
+``--baseline``, that two quick suites run, gate and render end to end,
+that the opcode counter counts the same twice, and that each path with a
+reference arm executes fewer bytecodes than its reference.
 """
 
 from __future__ import annotations
@@ -39,93 +38,6 @@ def runner():
     return _load("perf_run", PERF_DIR / "run.py")
 
 
-@pytest.fixture(scope="module")
-def quick_report(runner, tmp_path_factory):
-    """One quick-mode hot-path run shared by the assertions below."""
-    out = tmp_path_factory.mktemp("bench") / "BENCH_hotpaths.json"
-    status = runner.main(["hotpaths", "--quick", "--output", str(out)])
-    assert status == 0
-    return runner, importlib.import_module("hotpaths"), json.loads(out.read_text())
-
-
-EXPECTED_PATHS = {
-    "varint_roundtrip",
-    "block_encode",
-    "block_decode",
-    "block_decode_raw",
-    "merge_visible",
-    "compaction_merge",
-    "catalog_apply",
-    "section_finish_open",
-    "memtable_fill",
-    "seq_fill",
-    "scan",
-    "full_compaction",
-    "traced_point_get",
-}
-
-
-def test_quick_run_covers_all_paths(quick_report):
-    """Quick mode measures every hot path and records sane numbers."""
-    _runner, _hotpaths, report = quick_report
-    assert set(report) == {"suite", "meta", "arms", "metrics", "gates"}
-    assert set(report["arms"]) == EXPECTED_PATHS
-    for name, entry in report["arms"].items():
-        assert entry["ops_per_sec"] > 0, name
-        assert entry["ns_per_op"] > 0, name
-    # The micro paths carry an in-process reference arm.
-    for name in ("varint_roundtrip", "block_decode", "merge_visible",
-                 "compaction_merge", "catalog_apply", "section_finish_open",
-                 "memtable_fill"):
-        assert report["metrics"][f"{name}.speedup_vs_reference"] > 0
-
-
-def _speedup_gates(runner, hotpaths, metrics: dict, committed: dict) -> list[dict]:
-    """The gates on the speedups alone.  The wall-clock observability
-    ceiling is gated by CI's ``run.py hotpaths --quick --check`` (and
-    doctored below), since one timed run under host load can cross it on
-    any tree."""
-    gates = runner.evaluate(hotpaths.METRICS, metrics, True, committed)
-    return [g for g in gates if g["metric"] != "traced_point_get.overhead_vs_plain"]
-
-
-def test_check_passes_against_own_baseline(quick_report):
-    """A report checked against itself as the committed one passes every
-    speedup gate."""
-    runner, hotpaths, report = quick_report
-    gates = _speedup_gates(runner, hotpaths, report["metrics"], report["metrics"])
-    assert len(gates) == len(hotpaths.REFERENCE_ARMED)
-    assert runner.failed(gates) == 0
-
-
-def test_check_fails_on_observability_overhead(quick_report):
-    """A traced point get slower than the ceiling fails the check even
-    when every ratio matches its committed one."""
-    runner, hotpaths, report = quick_report
-    doctored = dict(report["metrics"])
-    doctored["traced_point_get.overhead_vs_plain"] = hotpaths.OVERHEAD_CEILING * 1.1
-    assert runner.failed(runner.evaluate(hotpaths.METRICS, doctored, True, report["metrics"])) == 1
-
-
-def test_check_fails_on_regression(quick_report):
-    """Inflating a committed speedup beyond tolerance fails the check."""
-    runner, hotpaths, report = quick_report
-    committed = dict(report["metrics"])
-    committed["varint_roundtrip.speedup_vs_reference"] *= 10
-    gates = _speedup_gates(runner, hotpaths, report["metrics"], committed)
-    assert [g["metric"] for g in gates if not g["ok"]] == ["varint_roundtrip.speedup_vs_reference"]
-
-
-def test_check_without_baseline_is_ok(quick_report):
-    """No committed report: the speedups have nothing to be gated against
-    but ``memtable_fill``'s quick-mode floor, a fixed bound."""
-    runner, hotpaths, report = quick_report
-    gates = _speedup_gates(runner, hotpaths, report["metrics"], {})
-    assert [(g["metric"], g["bound"], g["ok"]) for g in gates] == [
-        ("memtable_fill.speedup_vs_reference", hotpaths.MEMTABLE_FILL_FLOOR, True)
-    ]
-
-
 def test_every_gated_metric_is_compared_by_baseline(runner):
     """For every suite and every metric its table gates: a report that
     moves only that metric 30% the wrong way fails ``--baseline``; a report
@@ -147,17 +59,16 @@ def test_every_gated_metric_is_compared_by_baseline(runner):
                 worse[metric] *= 0.7 if row.better == "higher" else 1.3
                 compared = runner.compare(table, worse, baseline)
                 assert [g["metric"] for g in compared if not g["ok"]] == [metric], (name, metric)
-            # On the bound ("committed" bounds resolve against this
-            # committed report, so sit on theirs too).
-            bounds = {g["metric"]: g["bound"] for g in runner.evaluate(table, {}, quick, baseline)}
+            # On the bound.
+            bounds = {g["metric"]: g["bound"] for g in runner.evaluate(table, {}, quick)}
             assert set(bounds) == set(gated), name
-            gates = {g["metric"]: g for g in runner.evaluate(table, bounds, quick, baseline)}
+            gates = {g["metric"]: g for g in runner.evaluate(table, bounds, quick)}
             for metric, row in gated.items():
                 assert gates[metric]["ok"] is not row.strict, (name, metric)
                 if row.strict:
                     nudge = 1.001 if row.better == "higher" else 0.999
                     past = dict(bounds, **{metric: bounds[metric] * nudge})
-                    assert runner.failed(runner.evaluate(table, past, quick, baseline)) == 0
+                    assert runner.failed(runner.evaluate(table, past, quick)) == 0
                     strict_count += 1
     assert strict_count == 2  # kv's WA, quick and full
 
@@ -206,25 +117,43 @@ def test_quick_suite_writes_gates_and_renders(runner, suite, tmp_path, capsys):
         assert name in rendered
 
 
-def test_opcode_counts_repeat_exactly():
+@pytest.fixture(scope="module")
+def opcodes():
+    return _load("perf_opcodes", PERF_DIR / "opcodes.py")
+
+
+@pytest.fixture(scope="module")
+def opcode_counts(opcodes):
+    """One ``opcodes.measure()`` without the ``load`` row (~40 M
+    bytecodes, seconds to count)."""
+    return opcodes.measure(load=False)
+
+
+def test_opcode_counts_repeat_exactly(opcodes, opcode_counts):
     """The deterministic CPU metric is deterministic: two runs of
     ``opcodes.measure()`` — each building its stores from scratch — give
-    the same count for every path.  And it gates the paths that have a
-    reference arm, as counts under this one interpreter (3.11 and 3.12
-    compile the same source differently; the ratio of two counts cancels
-    that): the bisected, single-stream scan, the point read that asks each
-    component once, and the batch read built on it each execute fewer
-    bytecodes than ``_reference``'s walk on the same store — and so does
-    the table build, against ``build_table_bytes`` on the same entries."""
-    opcodes = _load("perf_opcodes", PERF_DIR / "opcodes.py")
-    # The ``load`` row (~40 M bytecodes, seconds to count) is left out.
-    first = opcodes.measure(load=False)
+    the same count for every path.  And it gates the read and build paths
+    that have a reference arm, as counts under this one interpreter (3.11
+    and 3.12 compile the same source differently; the ratio of two counts
+    cancels that): the bisected, single-stream scan, the point read that
+    asks each component once, and the batch read built on it each execute
+    fewer bytecodes than ``oracle.reference``'s walk on the same store."""
+    first = opcode_counts
     assert first == opcodes.measure(load=False)
     assert list(first) == [
         "put", "get_memtable", "get_cached", "get_cold", "scan_20",
         "scan_seek_50", "scan_seek_50_linear", "multi_get_8",
         "get_absent", "get_cached_tree", "get_cached_tree_linear",
         "multi_get_8_linear", "multi_get_64", "table_build", "write_batch_8",
+        "varint", "varint_reference", "block_encode", "block_encode_reference",
+        "block_decode", "block_decode_reference",
+        "block_decode_raw", "block_decode_raw_reference",
+        "merge_visible", "merge_visible_reference",
+        "compaction_merge", "compaction_merge_reference",
+        "catalog_apply", "catalog_apply_reference",
+        "section_finish_open", "section_finish_open_reference",
+        "memtable_fill", "memtable_fill_reference", "table_build_reference",
+        "get_sweep", "get_sweep_traced",
     ]
     assert all(count > 0 for count in first.values())
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
@@ -239,6 +168,42 @@ def test_opcode_counts_repeat_exactly():
     assert first["multi_get_8"] <= 0.78 * first["multi_get_8_linear"]
     # A batch costs less per key as it grows, never more.
     assert first["multi_get_64"] < 8 * first["multi_get_8"]
-    # The build path: one output table from merged entries through the run
-    # loop, against the same entries through the reference per-entry build.
-    assert first["table_build"] <= 0.57 * opcodes.count_table_build_reference()
+
+
+#: Each fast/reference row pair's bound: the fast row's count at most this
+#: share of its ``_reference`` row's.  Each sits 4-10 % above the larger
+#: of the shares measured on 3.11 and 3.12 (in brackets).
+REFERENCE_PAIRS = {
+    # One output table from merged entries through the run loop, against
+    # the same entries through the reference per-entry build.
+    "table_build": 0.57,  # (0.52, 0.52)
+    "varint": 0.62,  # (0.57, 0.58)
+    "block_encode": 0.26,  # (0.24, 0.22)
+    "block_decode": 0.65,  # (0.59, 0.61)
+    "block_decode_raw": 0.92,  # (0.87, 0.88)
+    "merge_visible": 0.71,  # (0.67, 0.68)
+    "compaction_merge": 0.41,  # (0.35, 0.39)
+    # Over a 90-file level; the reference re-sorts the level per added
+    # file, so the share falls as the level grows (0.004 at 800 files).
+    "catalog_apply": 0.04,  # (0.034, 0.037)
+    "section_finish_open": 0.86,  # (0.809, 0.810)
+    # A 2 000-add fill; the share falls as the fill grows (0.19 at 20 000).
+    "memtable_fill": 0.27,  # (0.25, 0.24)
+}
+#: The traced gets' ceiling over the plain ones (1.09 on 3.11 and 3.12).
+TRACED_GET_CEILING = 1.25
+
+
+def test_reference_pairs_gated_by_count(opcode_counts):
+    """Every path measured against a frozen reference arm executes at most
+    its bound's share of the reference's bytecodes on the same corpus, and
+    a get with tracing and latency histograms on at most
+    :data:`TRACED_GET_CEILING` times the plain get's."""
+    over = {
+        path: round(opcode_counts[path] / opcode_counts[f"{path}_reference"], 3)
+        for path, bound in REFERENCE_PAIRS.items()
+        if opcode_counts[path] > bound * opcode_counts[f"{path}_reference"]
+    }
+    assert over == {}
+    assert opcode_counts["get_sweep"] < opcode_counts["get_sweep_traced"]
+    assert opcode_counts["get_sweep_traced"] <= TRACED_GET_CEILING * opcode_counts["get_sweep"]

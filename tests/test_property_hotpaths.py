@@ -52,7 +52,7 @@ from repro.core.version import FileMetadata, Version, VersionEdit  # noqa: E402
 from repro.memtable import MemTable  # noqa: E402
 from repro.options import FILTER_NONE, Options  # noqa: E402
 from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
-from repro.sstable.block_builder import BlockCutter  # noqa: E402
+from repro.sstable.block_builder import RESTART_INTERVAL, BlockCutter  # noqa: E402
 from repro.sstable.filter_block import TableFilter, deserialize_filter  # noqa: E402
 from repro.sstable.table_builder import TableBuilder  # noqa: E402
 from repro.storage.fs import SimulatedFS  # noqa: E402
@@ -734,30 +734,23 @@ def _filter_options(bits_per_key: int) -> dict:
     return {"bloom_bits_per_key": bits_per_key}
 
 
-def _table_options(block_size: int, restart_interval: int, bits_per_key: int) -> Options:
-    return Options(
-        block_size=block_size,
-        block_restart_interval=restart_interval,
-        **_filter_options(bits_per_key),
-    )
+def _table_options(block_size: int, bits_per_key: int) -> Options:
+    return Options(block_size=block_size, **_filter_options(bits_per_key))
 
 
 @given(
     internal_entries(),
     st.sampled_from([64, 96, 200]),
-    st.integers(1, 5),
     st.sampled_from([0, 10]),
     st.integers(0, 6),
 )
 @settings(deadline=None)
-def test_table_builder_matches_reference_table(
-    entries, block_size, restart_interval, bits_per_key, level
-):
+def test_table_builder_matches_reference_table(entries, block_size, bits_per_key, level):
     """The run loop (``TableBuilder.add_run`` over comparable entries)
     writes the very file the reference per-entry path assembles from the
     same entries as internal keys — block cuts that never split a user
     key's versions, index, reserved-bits filter and footer included."""
-    options = _table_options(block_size, restart_interval, bits_per_key)
+    options = _table_options(block_size, bits_per_key)
     fs = SimulatedFS()
     builder = TableBuilder(fs, "000001.sst", options, level)
     assert builder.add_run(_comparable_entries(entries)) is None
@@ -765,7 +758,7 @@ def test_table_builder_matches_reference_table(
     expected = reference.build_table_bytes(
         entries,
         block_size=block_size,
-        restart_interval=restart_interval,
+        restart_interval=RESTART_INTERVAL,
         bits_per_key=bits_per_key,
         reserved_fraction=options.bloom_reserved_fraction(level),
     )
@@ -781,13 +774,14 @@ def _comparable_entries(entries) -> list:
 
 
 def _build_with_table_builder(pairs) -> None:
-    builder = TableBuilder(SimulatedFS(), "000001.sst", _table_options(64, 2, 0), 1)
+    builder = TableBuilder(SimulatedFS(), "000001.sst", _table_options(64, 0), 1)
     builder.add_run(_comparable_entries(pairs))
 
 
 def _build_with_reference(pairs) -> None:
     reference.build_table_bytes(
-        pairs, block_size=64, restart_interval=2, bits_per_key=0, reserved_fraction=0.0
+        pairs, block_size=64, restart_interval=RESTART_INTERVAL, bits_per_key=0,
+        reserved_fraction=0.0,
     )
 
 
@@ -871,12 +865,11 @@ def output_sources(draw):
     st.booleans(),
     st.sampled_from([64, 256]),
     st.integers(0, 1500),
-    st.integers(1, 4),
     st.sampled_from([0, 10]),
 )
 @settings(deadline=None)
 def test_build_output_tables_matches_rotating_reference(
-    sources, boundaries, droppable, block_size, extra, restart_interval, bits_per_key
+    sources, boundaries, droppable, block_size, extra, bits_per_key
 ):
     """``build_output_tables`` over a merged stream — one run per output
     file, stopped by size at a user-key change — writes the same files
@@ -888,7 +881,6 @@ def test_build_output_tables_matches_rotating_reference(
     options = Options(
         block_size=block_size,
         sstable_size=block_size + extra,
-        block_restart_interval=restart_interval,
         **_filter_options(bits_per_key),
     )
     merged = list(merge_live([iter(s) for s in sources], lambda _k: droppable, boundaries))
@@ -898,7 +890,7 @@ def test_build_output_tables_matches_rotating_reference(
         [(comparable_to_internal(ck), value) for ck, value in merged],
         sstable_size=options.sstable_size,
         block_size=block_size,
-        restart_interval=restart_interval,
+        restart_interval=RESTART_INTERVAL,
         bits_per_key=bits_per_key,
         reserved_fraction=options.bloom_reserved_fraction(2),
     )
@@ -923,7 +915,7 @@ def test_output_rotation_lands_exactly_on_a_user_key_change():
             sequence -= 1
     # The reference block's size estimate at the first user-key change that
     # reaches the block size: the file's size estimate there (no cut yet).
-    block = reference.ReferenceBlockBuilder(16)
+    block = reference.ReferenceBlockBuilder(RESTART_INTERVAL)
     for boundary, (key, value) in enumerate(entries):
         new_user_key = key[:-8] != entries[boundary - 1][0][:-8]
         if new_user_key and block.current_size_estimate() >= block_size:
@@ -939,7 +931,7 @@ def test_output_rotation_lands_exactly_on_a_user_key_change():
             entries,
             sstable_size=sstable_size,
             block_size=block_size,
-            restart_interval=16,
+            restart_interval=RESTART_INTERVAL,
             bits_per_key=options.bloom_bits_per_key,
             reserved_fraction=options.bloom_reserved_fraction(1),
         )
