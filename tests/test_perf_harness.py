@@ -4,8 +4,9 @@ and for the opcode counter (``opcodes.py``).
 These assert no wall-clock performance — only that every bound a suite's
 metric table sets is enforced by ``--check`` and compared by
 ``--baseline``, that two quick suites run, gate and render end to end,
-that the opcode counter counts the same twice, and that each path with a
-reference arm executes fewer bytecodes than its reference.
+that the opcode counter measures every hot path and counts the same
+twice, and that each path with a reference arm executes fewer bytecodes
+than its reference.
 """
 
 from __future__ import annotations
@@ -129,18 +130,11 @@ def opcode_counts(opcodes):
     return opcodes.measure(load=False)
 
 
-def test_opcode_counts_repeat_exactly(opcodes, opcode_counts):
-    """The deterministic CPU metric is deterministic: two runs of
-    ``opcodes.measure()`` — each building its stores from scratch — give
-    the same count for every path.  And it gates the read and build paths
-    that have a reference arm, as counts under this one interpreter (3.11
-    and 3.12 compile the same source differently; the ratio of two counts
-    cancels that): the bisected, single-stream scan, the point read that
-    asks each component once, and the batch read built on it each execute
-    fewer bytecodes than ``oracle.reference``'s walk on the same store."""
-    first = opcode_counts
-    assert first == opcodes.measure(load=False)
-    assert list(first) == [
+def test_quick_run_covers_all_paths(opcode_counts):
+    """A run without the ``load`` row measures every hot path, each
+    reference-armed one next to its ``_reference`` arm, in docstring
+    order, and records a positive count for each."""
+    assert list(opcode_counts) == [
         "put", "get_memtable", "get_cached", "get_cold", "scan_20",
         "scan_seek_50", "scan_seek_50_linear", "multi_get_8",
         "get_absent", "get_cached_tree", "get_cached_tree_linear",
@@ -155,7 +149,20 @@ def test_opcode_counts_repeat_exactly(opcodes, opcode_counts):
         "memtable_fill", "memtable_fill_reference", "table_build_reference",
         "get_sweep", "get_sweep_traced",
     ]
-    assert all(count > 0 for count in first.values())
+    assert all(count > 0 for count in opcode_counts.values())
+
+
+def test_opcode_counts_repeat_exactly(opcodes, opcode_counts):
+    """The deterministic CPU metric is deterministic: two runs of
+    ``opcodes.measure()`` — each building its stores from scratch — give
+    the same count for every path.  And it gates the read and build paths
+    that have a reference arm, as counts under this one interpreter (3.11
+    and 3.12 compile the same source differently; the ratio of two counts
+    cancels that): the bisected, single-stream scan, the point read that
+    asks each component once, and the batch read built on it each execute
+    fewer bytecodes than ``oracle.reference``'s walk on the same store."""
+    first = opcode_counts
+    assert first == opcodes.measure(load=False)
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
     assert first["get_cached"] < first["get_cached_tree"] < first["get_cold"]
     assert first["scan_seek_50"] <= 0.70 * first["scan_seek_50_linear"]
