@@ -1,11 +1,15 @@
-"""Deterministic CPU metric: the bytecodes one engine call executes.
+"""Deterministic CPU metric: the bytecodes one engine call executes, and
+the Python frames it enters.
 
 Wall-clock numbers on a shared host swing 2x between back-to-back runs;
-the number of Python bytecodes a call executes does not move at all.  This
-script counts them (``sys.settrace`` with ``frame.f_trace_opcodes``, so the
-count is per thread and excludes time spent inside C) for the engine's
-default-path operations and for each micro path beside its frozen
-reference, and prints one line per path:
+the number of Python bytecodes a call executes does not move at all, nor
+does the number of frames it enters.  This script counts both in one trace
+(``sys.settrace`` with ``frame.f_trace_opcodes``: every ``opcode`` event is
+a bytecode, every ``call`` event a frame, the row's own function and each
+generator resumption included; the counts are per thread and exclude time
+spent inside C) for the engine's default-path operations and for each
+micro path beside its frozen reference, and prints one line per path, the
+bytecodes and then the frames:
 
 ======================  ====================================================
 put                     a lone ``db.put`` into a memtable with room
@@ -70,13 +74,17 @@ both, so no call is the one that happens to pay for a reorganisation.
 
 Counts compare two versions of this program under one interpreter (3.11
 and 3.12 compile the same source to different bytecode); they say nothing
-about waiting, C time or the GIL.  A perf or simplicity PR quotes this
-table, parent -> change, in its CHANGES.md line.
+about waiting, C time or the GIL.  Frames are the second column because a
+call costs far more wall time than a bytecode: on the put path, a change
+that took 20 % of the bytecodes and half the frames took 16.5 % off the
+median put latency of the end-to-end ``load_random`` workload.  A perf or
+simplicity PR quotes this table, parent -> change, in its CHANGES.md line.
 
 Usage::
 
     python benchmarks/perf/opcodes.py            # the table
-    python benchmarks/perf/opcodes.py --json     # one JSON object
+    python benchmarks/perf/opcodes.py --json     # one JSON object: each row's
+                                                 # bytecodes, and "frames"
 """
 
 from __future__ import annotations
@@ -87,7 +95,7 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parents[2]
 for _path in (ROOT, ROOT / "src"):  # the oracle package, the engine
@@ -115,14 +123,24 @@ SWEEP_KEYS = 400
 SWEEP_GETS = 50
 
 
-def count_opcodes(fn: Callable[[], object]) -> int:
-    """Bytecodes executed by ``fn()`` on this thread, frames it calls
-    included.  Any trace function already installed (a debugger, coverage)
-    is put back afterwards.  The cyclic collector is paused while ``fn``
-    runs: a collection its allocations happened to trigger would run every
-    ``gc.callbacks`` entry (hypothesis installs a Python one) on this thread,
-    so the count would depend on the heap that earlier code left behind."""
+class Count(NamedTuple):
+    """One row's counts: bytecodes executed and Python frames entered."""
+
+    bytecodes: int
+    frames: int
+
+
+def count_opcodes(fn: Callable[[], object]) -> Count:
+    """Bytecodes executed by ``fn()`` on this thread, and the Python frames
+    it entered (``fn``'s own and every one it called: the ``call`` events
+    of the same trace).  Any trace function already installed (a
+    debugger, coverage) is put back afterwards.  The cyclic collector is
+    paused while ``fn`` runs: a collection its allocations happened to
+    trigger would run every ``gc.callbacks`` entry (hypothesis installs a
+    Python one) on this thread, so the count would depend on the heap that
+    earlier code left behind."""
     count = 0
+    frames = 0
 
     def on_opcode(frame, event, arg):
         nonlocal count
@@ -131,6 +149,8 @@ def count_opcodes(fn: Callable[[], object]) -> int:
         return on_opcode
 
     def on_call(frame, event, arg):
+        nonlocal frames
+        frames += 1
         frame.f_trace_opcodes = True
         return on_opcode
 
@@ -144,7 +164,7 @@ def count_opcodes(fn: Callable[[], object]) -> int:
         sys.settrace(previous)
         if collecting:
             gc.enable()
-    return count
+    return Count(count, frames)
 
 
 # Python 3.12 reports no event to the first trace function a process
@@ -152,9 +172,9 @@ def count_opcodes(fn: Callable[[], object]) -> int:
 count_opcodes(lambda: None)
 
 
-def third_of_five(make_call: Callable[[int], Callable[[], object]]) -> int:
+def third_of_five(make_call: Callable[[int], Callable[[], object]]) -> Count:
     """Run ``make_call(i)()`` for ``i`` in 0..4 and count the third."""
-    count = 0
+    count = Count(0, 0)
     for i in range(CALLS):
         if i == COUNTED_CALL:
             count = count_opcodes(make_call(i))
@@ -635,7 +655,7 @@ def _traced_get_pair(dbs: list):
     }
 
 
-def count_reference_pairs() -> dict[str, int]:
+def count_reference_pairs() -> dict[str, Count]:
     """Every fast/reference row pair's counts, the fast row first."""
     dbs: list = []
     try:
@@ -650,8 +670,8 @@ def count_reference_pairs() -> dict[str, int]:
             db.close()
 
 
-def count_load() -> int:
-    """Bytecodes of the ``load`` row: ``LOAD_PUTS`` distinct keys put in a
+def count_load() -> Count:
+    """Counts of the ``load`` row: ``LOAD_PUTS`` distinct keys put in a
     seeded shuffle into an empty store, flushes and compactions included."""
     from repro import DB, SimulatedFS
     from repro.ycsb import make_key, make_value
@@ -672,8 +692,8 @@ def count_load() -> int:
         db.close()
 
 
-def measure(load: bool = True) -> dict[str, int]:
-    """Every row's count, in docstring order; ``load=False`` skips ``load``."""
+def measure(load: bool = True) -> dict[str, Count]:
+    """Every row's counts, in docstring order; ``load=False`` skips ``load``."""
     from oracle import reference
     from repro import DB, SimulatedFS
 
@@ -730,11 +750,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     counts = measure()
     if args.json:
-        print(json.dumps(counts))
+        print(json.dumps({
+            **{name: count.bytecodes for name, count in counts.items()},
+            "frames": {name: count.frames for name, count in counts.items()},
+        }))
         return 0
-    print(f"opcodes per call (third of {CALLS}), python {sys.version.split()[0]}")
+    print(f"opcodes and frames per call (third of {CALLS}), python {sys.version.split()[0]}")
     for name, count in counts.items():
-        print(f"  {name:<30} {count:>10,}")
+        print(f"  {name:<30} {count.bytecodes:>10,} {count.frames:>9,}")
     return 0
 
 

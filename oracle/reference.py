@@ -802,11 +802,12 @@ class SkipList:
 
 
 @functools.lru_cache(maxsize=64)
-def memtable_skiplist(memtable, num_entries: int) -> SkipList:
-    """A :class:`SkipList` of ``memtable``'s entries when it had taken
-    ``num_entries`` adds.  A memtable only grows and every add counts, so
-    the pair names one state: a reference get pays for the build once per
-    state, and a repeated one only for the (C-level) cache hit."""
+def memtable_skiplist(memtable, fill: int) -> SkipList:
+    """A :class:`SkipList` of ``memtable``'s entries when its
+    ``approximate_bytes`` was ``fill``.  A memtable only grows and every
+    add grows its fill, so the pair names one state: a reference get pays
+    for the build once per state, and a repeated one only for the (C-level)
+    cache hit."""
     table = SkipList()
     for key, value in memtable.entries():
         table.insert(key, value)
@@ -817,7 +818,7 @@ def memtable_get_seek(memtable, user_key: bytes, snapshot_sequence: int):
     """Reference ``MemTable.get``: always a skiplist seek, also for a key
     the memtable never held (no user-key set)."""
     seek = seek_comparable(user_key, snapshot_sequence)
-    for key, value in memtable_skiplist(memtable, memtable._num_entries).items_from(seek):
+    for key, value in memtable_skiplist(memtable, memtable.approximate_bytes).items_from(seek):
         found_user_key, _seq, value_type = comparable_parts(key)
         if found_user_key != user_key:
             break
@@ -1106,6 +1107,21 @@ def record_write(stats, nbytes: int, category: str) -> None:
     cat = stats.per_category[category]
     cat.bytes_written += nbytes
     cat.write_ops += 1
+
+
+def record_read(stats, nbytes: int, category: str, *, random: bool) -> None:
+    """Reference ``IOStats.record_read``, the read twin of
+    :func:`record_write`: count one read; a read then charged its device
+    time with ``fs.charge_time(seconds, category)``."""
+    stats.bytes_read += nbytes
+    stats.read_ops += 1
+    if random:
+        stats.random_reads += 1
+    else:
+        stats.sequential_reads += 1
+    cat = stats.per_category[category]
+    cat.bytes_read += nbytes
+    cat.read_ops += 1
 
 
 # ------------------------------------------------------------------ file store

@@ -99,7 +99,7 @@ from . import sync
 from .flush import flush_memtable
 from .iterator import DBIterator
 from .merge import EntryStream
-from .scheduler import ErrorHandler, SchedulerLane, SharedBackgroundExecutor
+from .scheduler import STATE_DEGRADED, ErrorHandler, SchedulerLane, SharedBackgroundExecutor
 from .snapshot import Snapshot, SnapshotRegistry
 from .superversion import SuperVersion
 from .manifest import (
@@ -110,7 +110,7 @@ from .manifest import (
     write_pointer,
 )
 from .version import FileMetadata, Version, VersionEdit, seek_budget, table_file_name
-from .write_batch import WriteBatch, replay_wal
+from .write_batch import HEADER as BATCH_HEADER, WriteBatch, replay_wal
 from .write_queue import WriteQueue
 
 
@@ -481,9 +481,7 @@ class DB:
 
     def put(self, key: bytes, value: bytes, *, wait: bool = True) -> None:
         """Insert or update one key (``wait``: see :meth:`write`)."""
-        batch = WriteBatch()
-        batch.put(key, value)
-        self.write(batch, wait=wait)
+        self.write(WriteBatch().put(key, value), wait=wait)
 
     def delete(self, key: bytes, *, wait: bool = True) -> None:
         """Delete one key (writes a tombstone; ``wait``: see :meth:`write`)."""
@@ -499,12 +497,13 @@ class DB:
         ``wait=False`` never queues, sleeps or rolls the memtable over into
         work it must wait for: it raises :class:`WouldBlock` first, with
         nothing written (see :meth:`_lock_nowait_write`)."""
-        self._check_open()
-        if len(batch) == 0:
+        if self._closed:  # _check_open, inlined
+            raise DBClosedError("database is closed")
+        if not batch.ops:
             return
         tracer = self.tracer
         if tracer.enabled:
-            tracer.begin("write", "write", {"n": len(batch)})
+            tracer.begin("write", "write", {"n": len(batch.ops)})
         start = time.perf_counter() if self.latency is not None else 0.0
         if not wait:
             try:
@@ -524,7 +523,10 @@ class DB:
             if not wait or (not self._write_queue.writers and self._lock.acquire(False)):
                 try:
                     self._apply_locked([batch])
-                    self._maybe_freeze_locked(wait)
+                    # _maybe_freeze_locked's own test first: a call only
+                    # for the write that fills the memtable.
+                    if self._memtable.approximate_bytes >= self.options.memtable_size:
+                        self._maybe_freeze_locked(wait)
                 finally:
                     self._lock.release()
             else:
@@ -569,7 +571,11 @@ class DB:
         the pre-lock fast path: a background error recorded between a
         writer's pre-check and its critical section must still refuse the
         batch (the bg_error propagation race)."""
-        self._error_handler.check_writable()
+        # ErrorHandler.check_writable's unlocked test, inlined (its
+        # docstring has the argument): under the engine lock it observes
+        # every transition into degraded that a locked read would.
+        if self._error_handler.state == STATE_DEGRADED:
+            self._error_handler.check_writable()
         stored = batches
         if self.vlog is not None:
             # Separate BEFORE the WAL append: the vlog frames are synced
@@ -578,11 +584,19 @@ class DB:
             # between leaves only orphan vlog garbage).
             stored = self.vlog.separate(batches, self._roll_vlog_head_locked)
         first = self._sequence + 1
-        payloads: list[bytes] = []
-        base = first
-        for batch in stored:
-            payloads.append(batch.serialize(base))
-            base += len(batch)
+        if len(stored) == 1:
+            # A lone batch, every put's: WriteBatch.serialize, inlined,
+            # and its own ops list is the one the memtable pass walks.
+            ops = stored[0].ops
+            rep = stored[0].rep
+            BATCH_HEADER.pack_into(rep, 0, first, len(ops))
+            payloads = [bytes(rep)]
+        else:
+            ops = []
+            payloads = []
+            for batch in stored:
+                payloads.append(batch.serialize(first + len(ops)))
+                ops += batch.ops
         try:
             self._wal.add_records(payloads)
         except BaseException as exc:  # noqa: BLE001 - log integrity
@@ -594,10 +608,9 @@ class DB:
             raise
         sequence = first
         add = self._memtable.add
-        for batch in stored:
-            for value_type, key, value in batch:
-                add(sequence, value_type, key, value)
-                sequence += 1
+        for value_type, key, value in ops:
+            add(sequence, value_type, key, value)
+            sequence += 1
         self._sequence = sequence - 1
         if user:
             # GC re-puts skip this: they are engine-internal traffic and
@@ -610,13 +623,14 @@ class DB:
                 deletes += batch.deletes
                 stats.user_bytes_written += batch.user_bytes
             stats.user_writes += sequence - first - deletes
-            stats.user_deletes += deletes
+            if deletes:
+                stats.user_deletes += deletes
             # Without a lane nothing sleeps on L0 pressure (the work is
             # inlined instead), but each write past the trigger — a group
             # member's as much as a direct one — counts as a stall.
             if (
                 self._scheduler is None
-                and len(self.version.files_at(0)) >= self.options.level0_slowdown_writes_trigger
+                and len(self.version.levels[0]) >= self.options.level0_slowdown_writes_trigger
             ):
                 stats.stall_events += len(batches)
                 if self.tracer.enabled:

@@ -172,10 +172,28 @@ class ErrorHandler:
         Must be called *under the engine lock* on every path that mutates
         state, so a background error set between a caller's pre-check and
         its critical section is still observed (the bg_error race fix).
+
+        The state is read before this handler's lock is taken, and taken
+        only to read the error of a degraded state.  That unlocked read,
+        taken under the engine lock, observes every transition into
+        degraded that a locked read would.  A transition is one store to
+        ``state`` inside :meth:`record`'s critical section.  A locked read
+        is ordered after exactly the critical sections that released the
+        lock before it took the lock; each of their stores came before
+        that release, so before this read too, and under the GIL a read
+        sees the last store made.  What a locked read could add is a
+        ``record`` still inside its critical section: a failure concurrent
+        with this write, which a locked read also observes or not by which
+        thread wins the lock, and either order is a legal one.  An error
+        recorded before the writer's critical section, the bg_error race,
+        is always seen.  A state that reads degraded is re-read under the
+        lock, with its error.
         """
+        if self.state != STATE_DEGRADED:
+            return
         with self._lock:
             if self.state != STATE_DEGRADED:
-                return
+                return  # cleared by resume() since the read above
             error = self.last_error
             severity = self.severity
         raise ReadOnlyError(

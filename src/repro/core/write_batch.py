@@ -4,17 +4,19 @@ A :class:`WriteBatch` groups puts and deletes that apply atomically: one WAL
 record, one sequence-number range, one memtable insertion pass.  As in
 LevelDB, whose ``WriteBatch::rep_`` is its log payload, the batch *is* its
 WAL record: each op is encoded once, as it enters the batch, into a
-``bytearray`` that starts with the header, and :meth:`WriteBatch.serialize`
-only stamps the header in place.  The payload:
+``bytearray`` (``rep``) that starts with the header, and
+:meth:`WriteBatch.serialize` only stamps the header in place (for a lone
+batch ``DB._apply_locked`` does that stamp itself, with :data:`HEADER`).
+The payload:
 
 ::
 
     [base sequence : fixed64][count : fixed32]
     ([type : 1][key : lp][value : lp if type == VALUE])*
 
-The decoded ``(type, key, value)`` ops are kept beside it, for the memtable
-pass and value separation, and so are the batch's user bytes and deletes,
-which the write path reads without walking the batch.
+The decoded ``(type, key, value)`` ops are kept beside it (``ops``), for the
+memtable pass and value separation, and so are the batch's user bytes and
+deletes, which the write path reads without walking the batch.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from ..memtable.wal import WalRecoveryStats, read_wal_tolerant
 from ..storage.fs import FileSystem
 
 #: ``[base sequence : fixed64][count : fixed32]``.
-_HEADER = struct.Struct("<QI")
-_HEADER_SIZE = _HEADER.size
+HEADER = struct.Struct("<QI")
+_HEADER_SIZE = HEADER.size
 
 #: The common put's head in one ``struct`` pack, indexed by key length:
 #: ``[type][key length][key][value length]`` for a key shorter than 128 B
@@ -49,13 +51,17 @@ class WriteBatch:
     """An ordered list of (type, key, value) operations and their WAL
     payload (see module docstring)."""
 
+    #: Key plus value bytes of every op (:meth:`byte_size`).  The class
+    #: holds the empty batch's 0, which the first op's ``+=`` shadows.
+    user_bytes = 0
+    #: Deletes among the ops (the same default as ``user_bytes``).
+    deletes = 0
+
     def __init__(self):
-        self._ops: list[tuple[int, bytes, bytes]] = []
-        self._rep = bytearray(_HEADER_SIZE)
-        #: Key plus value bytes of every op (:meth:`byte_size`).
-        self.user_bytes = 0
-        #: Deletes among the ops.
-        self.deletes = 0
+        #: The ``(type, key, value)`` ops, in order.
+        self.ops: list[tuple[int, bytes, bytes]] = []
+        #: The WAL payload: the header, then each op as it was added.
+        self.rep = bytearray(_HEADER_SIZE)
 
     def put(self, key: bytes, value: bytes) -> "WriteBatch":
         """Add a put, encoding it onto the payload; returns the batch."""
@@ -66,7 +72,7 @@ class WriteBatch:
             raise InvalidArgumentError("keys must be non-empty")
         klen = len(key)
         vlen = len(value)
-        rep = self._rep
+        rep = self.rep
         if klen < 0x80 and 0x80 <= vlen < 0x4000:
             rep += _SHORT_PUT[klen].pack(TYPE_VALUE, klen, key, vlen & 0x7F | 0x80, vlen >> 7)
         else:
@@ -74,7 +80,7 @@ class WriteBatch:
             put_length_prefixed(rep, key)
             rep += encode_varint(vlen)
         rep += value
-        self._ops.append((TYPE_VALUE, key, value))
+        self.ops.append((TYPE_VALUE, key, value))
         self.user_bytes += klen + vlen
         return self
 
@@ -84,25 +90,25 @@ class WriteBatch:
             key = _as_bytes(key, "keys must be bytes")
         if not key:
             raise InvalidArgumentError("keys must be non-empty")
-        rep = self._rep
+        rep = self.rep
         rep.append(TYPE_DELETION)
         put_length_prefixed(rep, key)
-        self._ops.append((TYPE_DELETION, key, b""))
+        self.ops.append((TYPE_DELETION, key, b""))
         self.user_bytes += len(key)
         self.deletes += 1
         return self
 
     def clear(self) -> None:
-        self._ops.clear()
-        del self._rep[_HEADER_SIZE:]
+        self.ops.clear()
+        del self.rep[_HEADER_SIZE:]
         self.user_bytes = 0
         self.deletes = 0
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self.ops)
 
     def __iter__(self) -> Iterator[tuple[int, bytes, bytes]]:
-        return iter(self._ops)
+        return iter(self.ops)
 
     def byte_size(self) -> int:
         """User payload bytes — the write-amplification denominator."""
@@ -111,8 +117,8 @@ class WriteBatch:
     def serialize(self, base_sequence: int) -> bytes:
         """The WAL payload (see module docstring): the header stamped onto
         the ops encoded as they were added, no re-encode."""
-        rep = self._rep
-        _HEADER.pack_into(rep, 0, base_sequence, len(self._ops))
+        rep = self.rep
+        HEADER.pack_into(rep, 0, base_sequence, len(self.ops))
         return bytes(rep)
 
     @classmethod
@@ -122,9 +128,9 @@ class WriteBatch:
         same base gives back the same bytes."""
         if len(payload) < _HEADER_SIZE:
             raise CorruptionError("write batch payload too short")
-        base_sequence, count = _HEADER.unpack_from(payload, 0)
+        base_sequence, count = HEADER.unpack_from(payload, 0)
         batch = cls()
-        ops = batch._ops
+        ops = batch.ops
         user_bytes = deletes = 0
         offset = _HEADER_SIZE
         for _ in range(count):
@@ -145,7 +151,7 @@ class WriteBatch:
                 raise CorruptionError(f"unknown write batch op type {value_type}")
         if offset != len(payload):
             raise CorruptionError("write batch has trailing bytes")
-        batch._rep[:] = payload
+        batch.rep[:] = payload
         batch.user_bytes = user_bytes
         batch.deletes = deletes
         return batch, base_sequence

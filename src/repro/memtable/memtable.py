@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterator
 
-from ..keys import _INVERT, ComparableKey, TYPE_DELETION, TYPE_VALUE, comparable_key
+from ..keys import _INVERT, MAX_SEQUENCE, ComparableKey, TYPE_DELETION, TYPE_VALUE
 
 #: Per-entry bookkeeping overhead (trailer + node pointers), an approximation
 #: of what LevelDB's arena would charge.
@@ -52,19 +52,24 @@ class MemTable:
         #: Every user key with at least one entry (any sequence, value or
         #: tombstone): :meth:`get` answers "nothing here" from it without
         #: searching the chunks.  Not in the memory accounting — flush
-        #: timing is defined by ``_approximate_bytes`` alone.
+        #: timing is defined by ``approximate_bytes`` alone.
         self._user_keys: set[bytes] = set()
-        self._approximate_bytes = 0
-        self._num_entries = 0
+        #: :meth:`approximate_memory_usage`, as an attribute the write
+        #: path's rollover test reads without a call.
+        self.approximate_bytes = 0
+        #: Adds that replaced an entry in place: with the chunks' lengths,
+        #: the count of adds, kept off the add that inserts.
+        self._replaced = 0
         self.frozen = False
 
     def __len__(self) -> int:
-        return self._num_entries
+        """Adds taken, an in-place replacement included."""
+        return sum(map(len, self._index[1])) + self._replaced
 
     def approximate_memory_usage(self) -> int:
         """Bytes this memtable would occupy in an arena (keys + values +
         per-entry overhead)."""
-        return self._approximate_bytes
+        return self.approximate_bytes
 
     def add(self, sequence: int, value_type: int, user_key: bytes, value: bytes = b"") -> None:
         """Insert one entry.  ``value`` must be empty for tombstones.  An
@@ -72,9 +77,16 @@ class MemTable:
         is still counted)."""
         if self.frozen:
             raise RuntimeError("cannot add to a frozen memtable")
-        if value_type == TYPE_DELETION and value:
-            raise ValueError("tombstones carry no value")
-        key = comparable_key(user_key, sequence, value_type)
+        # keys.comparable_key and its pack_trailer, inlined with their
+        # checks: a put pays one type test and the sequence range.
+        if value_type != TYPE_VALUE:
+            if value_type != TYPE_DELETION:
+                raise ValueError(f"invalid value type {value_type}")
+            if value:
+                raise ValueError("tombstones carry no value")
+        if not 0 <= sequence <= MAX_SEQUENCE:
+            raise ValueError(f"sequence {sequence} out of range")
+        key = (user_key, _INVERT - ((sequence << 8) | value_type))
         maxes, chunks = self._index
         i = bisect_left(maxes, key)
         if i < len(maxes):
@@ -82,6 +94,7 @@ class MemTable:
             j = bisect_left(chunk, key, key=_key_of)
             if chunk[j][0] == key:
                 chunk[j] = (key, value)
+                self._replaced += 1
             else:
                 chunk.insert(j, (key, value))
         elif maxes:
@@ -104,14 +117,13 @@ class MemTable:
         # After the entry is in place: DESIGN.md §9's lock-free get reads
         # the key set first.
         self._user_keys.add(user_key)
-        self._approximate_bytes += len(user_key) + len(value) + ENTRY_OVERHEAD
-        self._num_entries += 1
+        self.approximate_bytes += len(user_key) + len(value) + ENTRY_OVERHEAD
 
     def would_reach(self, limit: int, payload_bytes: int, entries: int) -> bool:
         """Whether ``entries`` more adds carrying ``payload_bytes`` of keys
         and values would take the usage to ``limit`` — :meth:`add`'s
         accounting, asked before the adds."""
-        return self._approximate_bytes + payload_bytes + entries * ENTRY_OVERHEAD >= limit
+        return self.approximate_bytes + payload_bytes + entries * ENTRY_OVERHEAD >= limit
 
     def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
         """Look up ``user_key`` at or before ``snapshot_sequence``.

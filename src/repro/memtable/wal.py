@@ -28,22 +28,17 @@ _HEAD_1 = struct.Struct("<IB")
 _HEAD_2 = struct.Struct("<IBB")
 
 
-def _frame(payloads: list[bytes]) -> bytes:
-    """Every payload framed, in order, as one ``bytes``: the writer's one
-    encoder.  The masked CRC is :func:`~repro.encoding.crc32c`, inlined."""
-    parts = []
-    for payload in payloads:
-        crc = _zlib_crc32(payload)
-        crc = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
-        length = len(payload)
-        if length < 0x80:
-            head = _HEAD_1.pack(crc, length)
-        elif length < 0x4000:
-            head = _HEAD_2.pack(crc, length & 0x7F | 0x80, length >> 7)
-        else:
-            head = encode_fixed32(crc) + encode_varint(length)
-        parts += head, payload
-    return b"".join(parts)
+def _frame(payload: bytes) -> bytes:
+    """``payload`` framed as one ``bytes``: the writer's one encoder.  The
+    masked CRC is :func:`~repro.encoding.crc32c`, inlined."""
+    crc = _zlib_crc32(payload)
+    crc = (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF
+    length = len(payload)
+    if length < 0x80:
+        return _HEAD_1.pack(crc, length) + payload
+    if length < 0x4000:
+        return _HEAD_2.pack(crc, length & 0x7F | 0x80, length >> 7) + payload
+    return encode_fixed32(crc) + encode_varint(length) + payload
 
 
 class WalWriter:
@@ -67,7 +62,7 @@ class WalWriter:
         """Frame ``payload`` (crc, length, bytes) and append it to the log:
         the manifest's single-record call, byte-for-byte ``add_records``
         of one, through the same encoder."""
-        self._file.append(_frame([payload]), category=CAT_WAL)
+        self._file.append(_frame(payload))  # the file's category is CAT_WAL
         self.records_written += 1
         # The write is acked only once durable: sync per record, so a crash
         # can tear at most the record whose ack the client never saw.
@@ -83,14 +78,15 @@ class WalWriter:
         atomicity), but the device sees a single append for the whole
         group instead of one per writer.
         """
-        framed = _frame(payloads)
+        # One frame is handed back by join as it is; a group is joined.
+        framed = b"".join(map(_frame, payloads))
         if self._tracer.enabled:
             # One marker per device append: ``records`` > 1 is the
             # timeline's evidence that group commit amortized N records.
             self._tracer.instant(
                 "wal.group", "wal", {"records": len(payloads), "bytes": len(framed)}
             )
-        self._file.append(framed, category=CAT_WAL)
+        self._file.append(framed)  # the file's category is CAT_WAL
         self.records_written += len(payloads)
         # One barrier for the whole group — same amortization as the append.
         self._file.sync()

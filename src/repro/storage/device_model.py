@@ -54,9 +54,17 @@ class DeviceModel:
     cpu_cost_per_byte: float = 1.5e-9
 
     def validate(self) -> None:
+        """Reject a device whose costs could come out negative: bandwidths
+        must be positive and every per-operation cost non-negative, so no
+        cost below is ever charged as negative time (the storage handles
+        rely on it instead of testing each charge)."""
         for name in ("seq_read_bandwidth", "seq_write_bandwidth"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("random_read_latency", "write_op_cost", "file_open_cost",
+                     "file_delete_cost", "dir_entry_cost", "cpu_cost_per_byte"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.internal_parallelism < 1:
             raise ValueError("internal_parallelism must be >= 1")
 

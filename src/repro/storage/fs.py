@@ -46,7 +46,13 @@ class WritableFile:
         return self._name
 
     def append(self, data: bytes, category: str | None = None) -> None:
-        """Append ``data``, charging bytes and sequential-write time."""
+        """Append ``data``, charging bytes and sequential-write time.
+
+        One storage frame plus the backend's ``_append``: the device cost
+        (``DeviceModel.sequential_write_cost``) and the accounting
+        (``IOStats.record_append``) are inlined, with the same additions in
+        the same order.  The cost is never negative: the device was
+        validated (``DeviceModel.validate``)."""
         if self._closed:
             raise FileSystemError(f"append to closed file {self._name!r}")
         fs = self._fs
@@ -54,9 +60,15 @@ class WritableFile:
         fs._append(self._name, data)
         cat = category or self._category
         device = fs.device
-        # DeviceModel.sequential_write_cost, inlined: the one charge per append.
         cost = device.write_op_cost + nbytes / device.seq_write_bandwidth
-        fs.stats.record_append(nbytes, cat, cost)
+        stats = fs.stats
+        stats.bytes_written += nbytes
+        stats.write_ops += 1
+        counters = stats.per_category[cat]
+        counters.bytes_written += nbytes
+        counters.write_ops += 1
+        stats.sim_time_s += cost
+        stats.time_per_category[cat] += cost
         if fs.realtime > 0.0 and cost > 0.0:
             time.sleep(cost * fs.realtime)
         if fs.tracer.enabled:
@@ -107,22 +119,39 @@ class RandomAccessFile:
         """Read ``nbytes`` at ``offset``.
 
         ``sequential`` selects the cost model: block-by-block table scans are
-        sequential; point lookups and dirty-block fetches are random.
+        sequential; point lookups and dirty-block fetches are random.  One
+        storage frame plus the backend's ``_read``: the device cost and the
+        accounting (``IOStats.record_read``, then ``FileSystem.charge_time``)
+        are inlined, with the same additions in the same order.  The cost is
+        never negative: the device was validated.
         """
         if self._closed:
             raise FileSystemError(f"read from closed file {self._name!r}")
-        data = self._fs._read(self._name, offset, nbytes)
-        self._fs.stats.record_read(len(data), category, random=not sequential)
+        fs = self._fs
+        data = fs._read(self._name, offset, nbytes)
+        size = len(data)
+        stats = fs.stats
+        device = fs.device
+        stats.bytes_read += size
+        stats.read_ops += 1
         if sequential:
-            cost = self._fs.device.sequential_read_cost(len(data))
+            stats.sequential_reads += 1
+            cost = size / device.seq_read_bandwidth
         else:
-            cost = self._fs.device.random_read_cost(len(data))
-        self._fs.charge_time(cost, category)
-        tracer = self._fs.tracer
+            stats.random_reads += 1
+            cost = device.random_read_latency + size / device.seq_read_bandwidth
+        counters = stats.per_category[category]
+        counters.bytes_read += size
+        counters.read_ops += 1
+        stats.sim_time_s += cost
+        stats.time_per_category[category] += cost
+        if fs.realtime > 0.0 and cost > 0.0:
+            time.sleep(cost * fs.realtime)
+        tracer = fs.tracer
         if tracer.enabled:
             tracer.complete(
                 "fs.read", "fs", sim_dur=cost,
-                args={"file": self._name, "bytes": len(data), "category": category},
+                args={"file": self._name, "bytes": size, "category": category},
             )
         return data
 
@@ -203,7 +232,8 @@ class FileSystem(ABC):
 
     def charge_time(self, seconds: float, category: str) -> None:
         """Charge ``seconds`` of device time, sleeping it in realtime mode
-        (an append does both itself, in :meth:`WritableFile.append`)."""
+        (an append and a read do both themselves, in
+        :meth:`WritableFile.append` and :meth:`RandomAccessFile.read`)."""
         self.stats.charge_time(seconds, category)
         if self.realtime > 0.0 and seconds > 0.0:
             time.sleep(seconds * self.realtime)
@@ -231,7 +261,9 @@ class FileSystem(ABC):
         return RandomAccessFile(self, name)
 
     def sync_file(self, name: str) -> None:
-        """Make every byte of ``name`` durable (see ``WritableFile.sync``)."""
+        """Make every byte of ``name`` durable (see ``WritableFile.sync``).
+        A backend may check existence itself (:class:`SimulatedFS` does,
+        under the lock it already holds)."""
         with self._lock:
             if not self.exists(name):
                 raise FileSystemError(f"sync of missing file {name!r}")
@@ -357,7 +389,9 @@ class SimulatedFS(FileSystem):
             if data:
                 # An immutable ``bytes`` is kept as is; anything else (the
                 # caller may reuse a bytearray) is copied once.
-                chunks.append(data if type(data) is bytes else bytes(data))
+                if type(data) is not bytes:
+                    data = bytes(data)
+                chunks.append(data)
                 ends.append(ends[-1] + len(data))
 
     def _read(self, name: str, offset: int, nbytes: int) -> bytes:
@@ -400,6 +434,14 @@ class SimulatedFS(FileSystem):
     def exists(self, name: str) -> bool:
         with self._lock:
             return name in self._files
+
+    def sync_file(self, name: str) -> None:
+        """:meth:`FileSystem.sync_file` under one lock: the existence check
+        is a dict lookup, and the backend's ``_sync`` is a no-op."""
+        with self._lock:
+            if name not in self._files:
+                raise FileSystemError(f"sync of missing file {name!r}")
+            self.stats.syncs += 1
 
     def list_dir(self) -> list[str]:
         with self._lock:

@@ -5,7 +5,11 @@ instance, tagged with a *category* (``wal``, ``flush``, ``compaction``,
 ``manifest``, ``get``, ``scan``, ``open``).  Write amplification, read
 traffic, and the simulated running-time figures are all derived from these
 counters, so they must be exact — the storage layer charges them, nothing
-else does.
+else does.  Its per-I/O handles (``WritableFile.append``,
+``RandomAccessFile.read``) write the additions out themselves, one storage
+frame per simulated I/O; ``tests/test_io_accounting.py`` holds them equal,
+bit for bit, to :meth:`IOStats.record_append`, :meth:`IOStats.record_read`
+and :meth:`IOStats.charge_time`.
 """
 
 from __future__ import annotations
@@ -64,9 +68,9 @@ class IOStats:
 
     def record_append(self, nbytes: int, category: str, seconds: float) -> None:
         """Count one append of ``nbytes`` for ``category`` and charge its
-        ``seconds`` of device time: the write side's one accounting call
-        (the same additions, in the same order, as counting the write and
-        then :meth:`charge_time`)."""
+        ``seconds`` of device time (the same additions, in the same order,
+        as counting the write and then :meth:`charge_time`).
+        ``WritableFile.append`` makes these additions itself, inlined."""
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
         self.bytes_written += nbytes
@@ -78,7 +82,9 @@ class IOStats:
         self.time_per_category[category] += seconds
 
     def record_read(self, nbytes: int, category: str, *, random: bool) -> None:
-        """Count one read of ``nbytes`` (random or sequential) for ``category``."""
+        """Count one read of ``nbytes`` (random or sequential) for
+        ``category``.  ``RandomAccessFile.read`` makes these additions
+        itself, inlined, and then charges the time."""
         self.bytes_read += nbytes
         self.read_ops += 1
         if random:

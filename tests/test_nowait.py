@@ -173,9 +173,11 @@ class _lock_held_elsewhere:
 
 
 class TestNoWaitWrites:
-    def _declined(self, db: DB) -> None:
-        """A no-wait put is declined with the write state untouched; the
-        same put, allowed to wait, then lands."""
+    def _declined(self, db: DB, *, lock_held: bool = False) -> None:
+        """A no-wait put is declined with the write state untouched, and
+        left nothing a get finds.  With ``lock_held`` (another thread holds
+        the engine lock) the caller reads that back after the holder lets
+        go: a waiting get would sit out the holder."""
         before = write_state(db)
         with pytest.raises(WouldBlock):
             db.put(b"declined", b"x" * 40, wait=False)
@@ -185,7 +187,8 @@ class TestNoWaitWrites:
         with pytest.raises(WouldBlock):
             db.delete(b"declined", wait=False)
         assert write_state(db) == before
-        assert db.get(b"declined") is None
+        if not lock_held:
+            assert db.get(b"declined") is None
 
     @staticmethod
     def _lock_is_free(db: DB) -> bool:
@@ -212,7 +215,8 @@ class TestNoWaitWrites:
     def test_declined_while_another_thread_holds_the_engine_lock(self):
         db = DB(SimulatedFS(), tiny_options())
         with _lock_held_elsewhere(db):
-            self._declined(db)
+            self._declined(db, lock_held=True)
+        assert db.get(b"declined") is None
         db.put(b"declined", b"y", wait=False)
         assert db.get(b"declined") == b"y"
         db.close()

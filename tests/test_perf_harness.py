@@ -5,8 +5,9 @@ These assert no wall-clock performance — only that every bound a suite's
 metric table sets is enforced by ``--check`` and compared by
 ``--baseline``, that two quick suites run, gate and render end to end,
 that the opcode counter measures every hot path and counts the same
-twice, and that each path with a reference arm executes fewer bytecodes
-than its reference.
+twice, bytecodes and frames, that each path with a reference arm executes
+fewer bytecodes than its reference, and that the put path stays within
+its counted bytecodes and frames on the interpreters it was counted on.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,10 +126,22 @@ def opcodes():
 
 
 @pytest.fixture(scope="module")
-def opcode_counts(opcodes):
+def opcode_measure(opcodes):
     """One ``opcodes.measure()`` without the ``load`` row (~40 M
-    bytecodes, seconds to count)."""
+    bytecodes, seconds to count): each row's bytecodes and frames."""
     return opcodes.measure(load=False)
+
+
+@pytest.fixture(scope="module")
+def opcode_counts(opcode_measure):
+    """Each row's bytecodes."""
+    return {name: count.bytecodes for name, count in opcode_measure.items()}
+
+
+@pytest.fixture(scope="module")
+def frame_counts(opcode_measure):
+    """Each row's frames entered."""
+    return {name: count.frames for name, count in opcode_measure.items()}
 
 
 def test_quick_run_covers_all_paths(opcode_counts):
@@ -152,17 +166,17 @@ def test_quick_run_covers_all_paths(opcode_counts):
     assert all(count > 0 for count in opcode_counts.values())
 
 
-def test_opcode_counts_repeat_exactly(opcodes, opcode_counts):
+def test_opcode_counts_repeat_exactly(opcodes, opcode_measure, opcode_counts):
     """The deterministic CPU metric is deterministic: two runs of
     ``opcodes.measure()`` — each building its stores from scratch — give
-    the same count for every path.  And it gates the read and build paths
+    the same counts, bytecodes and frames, for every path.  And it gates the read and build paths
     that have a reference arm, as counts under this one interpreter (3.11
     and 3.12 compile the same source differently; the ratio of two counts
     cancels that): the bisected, single-stream scan, the point read that
     asks each component once, and the batch read built on it each execute
     fewer bytecodes than ``oracle.reference``'s walk on the same store."""
+    assert opcodes.measure(load=False) == opcode_measure
     first = opcode_counts
-    assert first == opcodes.measure(load=False)
     assert first["get_memtable"] < first["get_absent"] < first["get_cached"]
     assert first["get_cached"] < first["get_cached_tree"] < first["get_cold"]
     assert first["scan_seek_50"] <= 0.70 * first["scan_seek_50_linear"]
@@ -194,8 +208,8 @@ REFERENCE_PAIRS = {
     # file, so the share falls as the level grows (0.004 at 800 files).
     "catalog_apply": 0.04,  # (0.034, 0.037)
     "section_finish_open": 0.86,  # (0.809, 0.810)
-    # A 2 000-add fill; the share falls as the fill grows (0.19 at 20 000).
-    "memtable_fill": 0.27,  # (0.25, 0.24)
+    # A 2 000-add fill; the share falls as the fill grows (0.16 at 20 000).
+    "memtable_fill": 0.22,  # (0.21, 0.19)
 }
 #: The traced gets' ceiling over the plain ones (1.09 on 3.11 and 3.12).
 TRACED_GET_CEILING = 1.25
@@ -214,3 +228,29 @@ def test_reference_pairs_gated_by_count(opcode_counts):
     assert over == {}
     assert opcode_counts["get_sweep"] < opcode_counts["get_sweep_traced"]
     assert opcode_counts["get_sweep_traced"] <= TRACED_GET_CEILING * opcode_counts["get_sweep"]
+
+
+#: The put path's counts, per interpreter minor version, each bound at its
+#: count measured when it was set plus at most 2 % (3.11.7: put 718
+#: bytecodes and 13 frames, write_batch_8 2 246 and 26; 3.12.1: 664 and
+#: 13, 2 081 and 26).  Frames have no slack: 2 % of 13 or 26 is under one.
+#: Undoing either memtable or WAL-record round of the put path, or
+#: re-nesting a storage frame, fails one of these.
+PUT_PATH_BOUNDS = {
+    (3, 11): {"put": (732, 13), "write_batch_8": (2290, 26)},
+    (3, 12): {"put": (677, 13), "write_batch_8": (2122, 26)},
+}
+
+
+def test_put_path_counts_bounded(opcode_counts, frame_counts):
+    """A lone put and an 8-put batch execute no more bytecodes, and enter
+    no more frames, than their bounds under this interpreter."""
+    bounds = PUT_PATH_BOUNDS.get(sys.version_info[:2])
+    if bounds is None:
+        pytest.skip(f"no put-path bounds for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    over = {
+        row: (opcode_counts[row], frame_counts[row])
+        for row, (bytecodes, frames) in bounds.items()
+        if opcode_counts[row] > bytecodes or frame_counts[row] > frames
+    }
+    assert over == {}
