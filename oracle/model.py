@@ -17,14 +17,18 @@ at the crash (``pending``):
 3. **the scan is exact** — a full scan succeeds (every block checksum
    verifies) and equals the model outside the pending op's keys: no lost
    key, no phantom;
-4. **the catalog rule** (:func:`catalog_violations`) — each sorted level's
-   files are disjoint, and every live file exists.
+4. **the catalog rule** — :func:`repro.core.version.catalog_violations`
+   on each shard: ordered, disjoint levels; smallest <= largest and
+   ``valid_bytes <= file_size`` per file; running totals and ``num_files``
+   equal their sums; every live table on disk at its recorded size, every
+   registered value-log file on disk.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from repro.core.version import catalog_violations as version_catalog_violations
 from repro.sharding import ShardedDB
 
 
@@ -76,27 +80,16 @@ class Model:
 
 
 def catalog_violations(engine) -> list[str]:
-    """The catalog rule over a :class:`~repro.core.db.DB` or every shard of
-    a :class:`ShardedDB`: files of a sorted level (L1+) do not overlap, and
-    every file the version lists exists on the engine's filesystem."""
+    """The catalog rule (:func:`repro.core.version.catalog_violations`,
+    storage clauses included) over a :class:`~repro.core.db.DB` or every
+    shard of a :class:`ShardedDB`, each shard's violations prefixed with
+    its name."""
     shards = engine.shard_dbs() if isinstance(engine, ShardedDB) else [("", engine)]
-    violations: list[str] = []
-    for name, db in shards:
-        where = f"shard {name} " if name else ""
-        version = db.version
-        for level in range(1, version.num_levels):
-            files = version.files_at(level)
-            for a, b in zip(files, files[1:]):
-                if not a.largest_user_key < b.smallest_user_key:
-                    violations.append(
-                        f"{where}L{level} overlaps: {a.file_name()} ends at "
-                        f"{a.largest_user_key!r}, {b.file_name()} starts at "
-                        f"{b.smallest_user_key!r}"
-                    )
-        for level, meta in version.all_files():
-            if not db.fs.exists(meta.file_name()):
-                violations.append(f"{where}L{level} file {meta.file_name()} is missing")
-    return violations
+    return [
+        f"shard {name} {violation}" if name else violation
+        for name, db in shards
+        for violation in version_catalog_violations(db.version, db.fs)
+    ]
 
 
 def recovery_violations(

@@ -109,7 +109,14 @@ from .manifest import (
     replay_manifest,
     write_pointer,
 )
-from .version import FileMetadata, Version, VersionEdit, seek_budget, table_file_name
+from .version import (
+    FileMetadata,
+    Version,
+    VersionEdit,
+    catalog_violations,
+    seek_budget,
+    table_file_name,
+)
 from .write_batch import HEADER as BATCH_HEADER, WriteBatch, replay_wal
 from .write_queue import WriteQueue
 
@@ -312,10 +319,9 @@ class DB:
             # longer on disk than the catalog records — truncating back to
             # the recorded size restores the previously-live footer at the
             # tail, which is exactly the state the catalog describes.
-            for _level, meta in self.version.all_files():
-                name = meta.file_name()
-                if self.fs.exists(name) and self.fs.file_size(name) > meta.file_size:
-                    self.fs.truncate_file(name, meta.file_size)
+            for name, size in self.version.live_files().items():
+                if size is not None and self.fs.exists(name) and self.fs.file_size(name) > size:
+                    self.fs.truncate_file(name, size)
             # Replay EVERY log at or past the manifest's log number, oldest
             # first: a crash between a WAL rotation and the flush landing
             # leaves two live logs (the frozen memtable's and the active
@@ -343,7 +349,7 @@ class DB:
                         replay_wal(self.fs, log_name, self._memtable, self._wal_recovery),
                     )
 
-        if self.vlog is not None:
+        if self.vlog is not None or self.version.vlog:
             self._recover_vlog()
 
         # Entries replayed from the old WAL go straight to an L0 table (as
@@ -405,19 +411,30 @@ class DB:
                 self.fs.delete_file(old_log)
 
     def _recover_vlog(self) -> None:
-        """Value-log recovery (DESIGN.md §13).
+        """Value-log recovery (DESIGN.md §13), reconciling the manifest's
+        registrations with the VLOG files on disk in both directions.
 
-        A head registration edit is journaled (and synced) BEFORE any
-        pointer into that file can reach the WAL, so an on-disk VLOG file
-        absent from the replayed manifest has no durable pointer referencing
-        it — this one rule covers both a crash between create and register
-        and a GC victim journaled deleted but not yet unlinked; such files
-        are deleted here.  Registered files may carry a torn tail (an
+        A registered file absent on disk never became durable: its
+        registration is journaled before the file is created, and its
+        first sync is the head append that precedes any WAL pointer into
+        it.  No durable pointer addresses it, so the registration is
+        dropped, whether or not this open separates values.  The other
+        direction, and all that follows, runs only on a separating open:
+        an on-disk VLOG file absent from the replayed manifest has no
+        durable pointer into it either (a crash between create and
+        register, or a GC victim journaled deleted but not yet unlinked),
+        so it is deleted.  Registered files may carry a torn tail (an
         append whose pointers never reached the WAL): truncate back to the
         last intact frame.  A fresh head always opens — sealed files never
         grow again, keeping every durable pointer's (file, offset) stable.
         """
-        for name in self.fs.list_dir():
+        names = self.fs.list_dir()
+        on_disk = set(names)
+        for number in [n for n in self.version.vlog if vlog_file_name(n) not in on_disk]:
+            del self.version.vlog[number]
+        if self.vlog is None:
+            return
+        for name in names:
             number = parse_vlog_file_name(name)
             if number is None:
                 continue
@@ -1223,24 +1240,11 @@ class DB:
         return result
 
     def _verify_catalog(self) -> None:
-        """Paranoid mode: every live file exists with its recorded size."""
-        for _level, meta in self.version.all_files():
-            name = meta.file_name()
-            if not self.fs.exists(name):
-                raise InvalidArgumentError(f"catalog references missing file {name}")
-            actual = self.fs.file_size(name)
-            if actual != meta.file_size:
-                raise InvalidArgumentError(
-                    f"catalog size mismatch for {name}: recorded "
-                    f"{meta.file_size}, on disk {actual}"
-                )
-        if self.vlog is not None:
-            for number in self.version.vlog:
-                name = vlog_file_name(number)
-                if not self.fs.exists(name):
-                    raise InvalidArgumentError(
-                        f"catalog references missing value-log file {name}"
-                    )
+        """Paranoid mode: raise the catalog rule's first violation, storage
+        clauses included (:func:`~repro.core.version.catalog_violations`)."""
+        violations = catalog_violations(self.version, self.fs)
+        if violations:
+            raise InvalidArgumentError(violations[0])
 
     def compact_all(self) -> None:
         """Drain every level into the deepest non-empty level (manual full

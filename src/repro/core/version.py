@@ -20,6 +20,7 @@ from operator import attrgetter
 
 from ..errors import InvalidArgumentError
 from ..keys import user_key_of
+from ..vlog.format import vlog_file_name
 
 #: Bisect keys over a sorted level's file list (``bisect(..., key=...)``).
 SMALLEST_USER_KEY = attrgetter("smallest_user_key")
@@ -148,7 +149,8 @@ class Version:
     invariants and their cost"): level 0 is ordered by file number, every
     deeper level by smallest user key with pairwise-disjoint user-key
     ranges, and the per-level byte totals equal the sums over the level's
-    files (a file's sizes never change in place).
+    files (a file's sizes never change in place).  :func:`catalog_violations`
+    checks them.
     """
 
     def __init__(self, num_levels: int):
@@ -193,8 +195,13 @@ class Version:
     def all_files(self) -> list[tuple[int, FileMetadata]]:
         return [(lv, f) for lv in range(self.num_levels) for f in self.levels[lv]]
 
-    def live_file_numbers(self) -> set[int]:
-        return {number for _, number in self._files}
+    def live_files(self) -> dict[str, int | None]:
+        """Every file the catalog references, by name, with its recorded
+        size: the live tables, then the registered value-log files (None:
+        the catalog records no size for an append-only value log)."""
+        live: dict[str, int | None] = {m.file_name(): m.file_size for _, m in self.all_files()}
+        live.update(dict.fromkeys(map(vlog_file_name, self.vlog)))
+        return live
 
     def deepest_nonempty_level(self) -> int:
         deepest = 0
@@ -334,6 +341,53 @@ class Version:
     def clone_file_lists(self) -> list[list[FileMetadata]]:
         """Shallow snapshot of file lists (iterator pinning)."""
         return [list(files) for files in self.levels]
+
+
+def catalog_violations(version: Version, fs=None) -> list[str]:
+    """The catalog rule (DESIGN.md, "Catalog invariants and their cost"):
+    its violations, empty when it holds.  L0 is ordered by file number;
+    each sorted level is ordered and pairwise disjoint; every file has
+    smallest <= largest and ``valid_bytes <= file_size``; each level's
+    running totals and ``num_files`` equal their sums.  Given ``fs``, every
+    live table exists at its recorded size and every registered value-log
+    file exists (:meth:`Version.live_files`)."""
+    out: list[str] = []
+    for level, files in enumerate(version.levels):
+        for f in files:
+            if f.smallest_user_key > f.largest_user_key or f.valid_bytes > f.file_size:
+                out.append(
+                    f"L{level} {f.file_name()} spans {f.smallest_user_key!r} to "
+                    f"{f.largest_user_key!r}, {f.valid_bytes} of {f.file_size} bytes valid"
+                )
+        for a, b in zip(files, files[1:]):
+            if level == 0 and a.file_number >= b.file_number or (
+                level > 0 and a.largest_user_key >= b.smallest_user_key
+            ):
+                out.append(
+                    f"L{level} out of order or overlapping: {a.file_name()} ends at "
+                    f"{a.largest_user_key!r}, {b.file_name()} starts at {b.smallest_user_key!r}"
+                )
+        totals = (
+            version.level_file_bytes(level),
+            version.level_valid_bytes(level),
+            version.level_obsolete_bytes(level),
+        )
+        sums = (
+            sum(f.file_size for f in files),
+            sum(f.valid_bytes for f in files),
+            sum(f.obsolete_bytes for f in files),
+        )
+        if totals != sums:
+            out.append(f"L{level} (file, valid, obsolete) byte totals {totals} != sums {sums}")
+    listed = sum(map(len, version.levels))
+    if version.num_files() != listed:
+        out.append(f"num_files {version.num_files()} != {listed} files listed")
+    for name, size in version.live_files().items() if fs is not None else ():
+        if not fs.exists(name):
+            out.append(f"catalog references missing file {name}")
+        elif size is not None and (on_disk := fs.file_size(name)) != size:
+            out.append(f"catalog size mismatch for {name}: recorded {size}, on disk {on_disk}")
+    return out
 
 
 def clone_metadata(meta: FileMetadata, **overrides) -> FileMetadata:

@@ -55,27 +55,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def format_latency(latency: dict[str, dict[str, Any]]) -> str:
-    """Tail-latency table from per-op summary dicts (the shape
-    :meth:`~repro.obs.histogram.LatencyRegistry.summary` and
-    :class:`~repro.ycsb.runner.RunResult.latency` produce)."""
-    headers = ["op", "count", "mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)", "p999 (ms)", "max (ms)"]
-    rows = [
-        [
-            op,
-            summary.get("count", 0),
-            summary.get("mean_ms", 0.0),
-            summary.get("p50_ms", 0.0),
-            summary.get("p95_ms", 0.0),
-            summary.get("p99_ms", 0.0),
-            summary.get("p999_ms", 0.0),
-            summary.get("max_ms", 0.0),
-        ]
-        for op, summary in sorted(latency.items())
-    ]
-    return format_table(headers, rows, title="Operation latency")
-
-
 def human_bytes(n: int | float) -> str:
     """1536 -> '1.5 KiB'."""
     n = float(n)

@@ -85,18 +85,16 @@ def replay_store(fs: FileSystem) -> StoreReplay:
         if edit.last_sequence is not None:
             replay.last_sequence = edit.last_sequence
 
-    from ..vlog import parse_vlog_file_name, vlog_file_name
+    from ..vlog import parse_vlog_file_name
 
-    live_names = {meta.file_name() for _, meta in version.all_files()}
-    live_vlog = {vlog_file_name(number) for number in version.vlog}
+    live = version.live_files().keys()
     on_disk = set(fs.list_dir())
     replay.garbage_files = sorted(
         name
-        for name in on_disk
-        if (name.endswith(".sst") and name not in live_names)
-        or (parse_vlog_file_name(name) is not None and name not in live_vlog)
+        for name in on_disk - live
+        if name.endswith(".sst") or parse_vlog_file_name(name) is not None
     )
-    replay.missing_files = sorted((live_names | live_vlog) - on_disk)
+    replay.missing_files = sorted(live - on_disk)
     return replay
 
 

@@ -11,22 +11,15 @@ import random
 import pytest
 
 from conftest import kv, make_db
+from repro.core.version import catalog_violations
 from repro.keys import user_key_of
 from repro.options import COMPACTION_BLOCK, COMPACTION_SELECTIVE, COMPACTION_TABLE
 
 
 def check_level_invariants(db):
-    """Sorted levels: disjoint, ordered files; metadata matches reality."""
-    version = db.version
-    for level in range(1, version.num_levels):
-        files = version.files_at(level)
-        for a, b in zip(files, files[1:]):
-            assert a.largest_user_key < b.smallest_user_key
-        for meta in files:
-            assert meta.smallest_user_key <= meta.largest_user_key
-            assert meta.valid_bytes <= meta.file_size
-            assert db.fs.exists(meta.file_name())
-            assert db.fs.file_size(meta.file_name()) == meta.file_size
+    """The catalog rule, storage clauses included: ordered, disjoint levels,
+    consistent totals, every live file on disk at its recorded size."""
+    assert catalog_violations(db.version, db.fs) == []
 
 
 def check_against_model(db, model):

@@ -20,6 +20,7 @@ from repro.core.db import DB
 from repro.core.write_batch import WriteBatch
 from repro.options import COMPACTION_BLOCK, COMPACTION_SELECTIVE, COMPACTION_TABLE
 from repro.storage.fs import SimulatedFS
+from repro.vlog import gc as vlog_gc
 
 KEYS = st.integers(min_value=0, max_value=120)
 VALUES = st.binary(min_size=0, max_size=80)
@@ -196,6 +197,41 @@ class _SeekHeavyMachine(EngineMachine):
                 assert self.db.get(self._k(i)) == self.model.get(self._k(i))
 
 
+class _KvSeparatedMachine(EngineMachine):
+    """Values of 16+ bytes move to the value log, whose 1 KiB heads roll
+    every few puts and whose GC collects what overwrites and deletes
+    killed: the catalog rule's value-log clause (every registered VLOG
+    file exists) then holds after every step, across reopens."""
+
+    style = COMPACTION_BLOCK
+    overrides = dict(
+        kv_separation=True,
+        kv_separation_threshold=16,
+        vlog_file_size=1024,
+        vlog_gc_ratio=0.3,
+        memtable_size=256,
+    )
+    key_space = 16
+
+    @initialize()
+    def setup(self):
+        """Start with three generations of every key in the value log and
+        a full compaction that found the older two dead, so sealed files
+        past ``vlog_gc_ratio`` wait for the first GC round."""
+        super().setup()
+        for generation in range(3):
+            for i in range(self.key_space):
+                self.put(i, b"generation-%d " % generation * 3)
+            self.flush()
+        self.compact_all()
+
+    @rule()
+    def collect_garbage(self):
+        """One GC round, as the write path runs it after a flush: a no-op
+        unless a sealed file's dead share reached ``vlog_gc_ratio``."""
+        vlog_gc.run_round(self.db)
+
+
 class TestBlockStyleMachine(_BlockMachine.TestCase):
     settings = _settings
 
@@ -206,3 +242,7 @@ class TestSelectiveStyleMachine(_SelectiveMachine.TestCase):
 
 class TestSeekHeavyMachine(_SeekHeavyMachine.TestCase):
     settings = settings(_settings, max_examples=120)
+
+
+class TestKvSeparatedMachine(_KvSeparatedMachine.TestCase):
+    settings = _settings

@@ -86,7 +86,7 @@ def test_catalog_rule_sees_a_missing_live_file():
     assert catalog_violations(db) == []
     _level, meta = db.version.all_files()[0]
     db.fs.delete_file(meta.file_name())
-    assert catalog_violations(db) == [f"L{_level} file {meta.file_name()} is missing"]
+    assert catalog_violations(db) == [f"catalog references missing file {meta.file_name()}"]
 
 
 def test_serve_chaos_audits_every_acked_write():

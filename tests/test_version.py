@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.core.version import FileMetadata, Version, VersionEdit, clone_metadata
+from repro.core.version import (
+    FileMetadata,
+    Version,
+    VersionEdit,
+    catalog_violations,
+    clone_metadata,
+)
 from repro.errors import InvalidArgumentError
+from repro.storage.fs import SimulatedFS
 from repro.keys import TYPE_VALUE, make_internal_key
 
 
@@ -88,8 +95,17 @@ class TestVersionQueries:
         assert not version.is_key_range_absent_below(1, b"a", b"b")  # L2 covers
         assert version.is_key_range_absent_below(2, b"a", b"b")  # nothing below L2
 
-    def test_live_file_numbers(self, version):
-        assert version.live_file_numbers() == {10, 11, 3, 4, 5, 6}
+    def test_live_files(self, version):
+        version.apply(VersionEdit(new_vlog_files=[7]))
+        assert version.live_files() == {
+            "000010.sst": 1000,
+            "000011.sst": 1000,
+            "000003.sst": 1000,
+            "000004.sst": 1000,
+            "000005.sst": 1000,
+            "000006.sst": 5000,
+            "VLOG-000007": None,
+        }
 
 
 class TestVersionMutation:
@@ -168,6 +184,96 @@ class TestVersionMutation:
     def test_min_levels(self):
         with pytest.raises(InvalidArgumentError):
             Version(1)
+
+
+class TestCatalogRule:
+    """Each clause of :func:`catalog_violations`, broken alone behind
+    :meth:`Version.apply`'s back, is the one violation reported."""
+
+    @pytest.fixture
+    def version(self):
+        v = Version(3)
+        v.apply(
+            VersionEdit(
+                new_files=[
+                    (0, meta(10, b"a", b"z")),
+                    (0, meta(11, b"c", b"f")),
+                    (1, meta(3, b"a", b"f", valid=600)),
+                    (1, meta(4, b"h", b"m")),
+                ],
+                new_vlog_files=[7],
+            )
+        )
+        return v
+
+    @pytest.fixture
+    def fs(self, version):
+        fs = SimulatedFS()
+        for name, size in version.live_files().items():
+            fs.replace(name, b"x" * (size or 0))
+        return fs
+
+    def test_intact_catalog_holds(self, version, fs):
+        assert catalog_violations(version) == []
+        assert catalog_violations(version, fs) == []
+
+    def test_l0_out_of_file_number_order(self, version):
+        version.levels[0].reverse()
+        assert catalog_violations(version) == [
+            "L0 out of order or overlapping: 000011.sst ends at b'f', 000010.sst starts at b'a'"
+        ]
+
+    def test_overlapping_sorted_level(self, version):
+        files = version.levels[1]
+        files[1] = clone_metadata(files[1], smallest=make_internal_key(b"e", 1, TYPE_VALUE))
+        assert catalog_violations(version) == [
+            "L1 out of order or overlapping: 000003.sst ends at b'f', 000004.sst starts at b'e'"
+        ]
+
+    def test_inverted_bounds(self, version):
+        files = version.levels[1]
+        files[1] = clone_metadata(files[1], largest=make_internal_key(b"g", 1, TYPE_VALUE))
+        assert catalog_violations(version) == [
+            "L1 000004.sst spans b'h' to b'g', 1000 of 1000 bytes valid"
+        ]
+
+    def test_valid_bytes_past_file_size(self, version):
+        version.levels[0][0] = clone_metadata(version.levels[0][0], file_size=900, valid_bytes=1000)
+        version._file_bytes[0] -= 100  # keep the running totals in step
+        assert catalog_violations(version) == [
+            "L0 000010.sst spans b'a' to b'z', 1000 of 900 bytes valid"
+        ]
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_running_total_skewed(self, version, index):
+        total = (version._file_bytes, version._valid_bytes, version._obsolete_bytes)[index]
+        total[1] += 1
+        skewed = [2000, 1600, 400]
+        skewed[index] += 1
+        assert catalog_violations(version) == [
+            f"L1 (file, valid, obsolete) byte totals {tuple(skewed)} != sums (2000, 1600, 400)"
+        ]
+
+    def test_num_files_out_of_step(self, version):
+        version.levels[1].pop()
+        version._file_bytes[1] -= 1000
+        version._valid_bytes[1] -= 1000
+        assert catalog_violations(version) == ["num_files 4 != 3 files listed"]
+
+    def test_missing_table(self, version, fs):
+        fs.delete_file("000004.sst")
+        assert catalog_violations(version) == []
+        assert catalog_violations(version, fs) == ["catalog references missing file 000004.sst"]
+
+    def test_table_size_mismatch(self, version, fs):
+        fs.replace("000003.sst", b"x" * 990)
+        assert catalog_violations(version, fs) == [
+            "catalog size mismatch for 000003.sst: recorded 1000, on disk 990"
+        ]
+
+    def test_missing_value_log(self, version, fs):
+        fs.delete_file("VLOG-000007")
+        assert catalog_violations(version, fs) == ["catalog references missing file VLOG-000007"]
 
 
 def version_files(v: Version, level: int):

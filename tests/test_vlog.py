@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_db, tiny_options
 from repro.core.db import DB
+from repro.core.version import VersionEdit
 from repro.errors import CorruptionError
 from repro.memtable.memtable import ENTRY_OVERHEAD
 from repro.options import COMPACTION_SELECTIVE
@@ -181,6 +182,34 @@ class TestSeparatedEngine:
         db = kv_db(fs)
         assert "VLOG-999999" not in fs.list_dir()
         assert db.get(big(0)[0]) == big(0)[1]
+        db.close()
+
+    @pytest.mark.parametrize("separating", [True, False], ids=["separating", "inline"])
+    def test_registered_vlog_never_created_dropped_on_open(self, fs, separating):
+        """A head's registration is journaled before its file is created,
+        and a crash before the file's first sync drops the file: the next
+        open, separating values or not, drops the registration, so the
+        paranoid catalog check after the first compaction holds."""
+        db = kv_db(fs)
+        db.put(*big(0))
+        number = db.new_file_number()
+        with db._lock:
+            db._apply_edit(
+                VersionEdit(new_vlog_files=[number], next_file_number=db._next_file_number)
+            )
+        db.close()
+        assert vlog_file_name(number) not in fs.list_dir()
+        db = kv_db(fs, kv_separation=separating, paranoid_checks=True)
+        for i in range(1, 1000):
+            db.put(*big(i))
+            if any(event.kind != "flush" for event in db.stats.events):
+                break
+        else:
+            pytest.fail("no compaction committed")
+        assert db.health()["state"] == "ok"
+        assert number not in db.version.vlog
+        if separating:  # an inline open returns pointers unresolved (DESIGN.md §13)
+            assert db.get(big(0)[0]) == big(0)[1]
         db.close()
 
 
@@ -388,5 +417,26 @@ class TestCrashConsistencySmoke:
             seed=0,
             options_overrides=kv_separation_overrides(),
             value_size=KV_SEPARATION_VALUE_SIZE,
+        )
+        assert report.passed, report.failures
+
+    def test_crash_at_a_new_heads_first_sync(self):
+        """Seed 2's sweep crashes at point 65 inside the first sync of a
+        freshly registered head, so the never-synced file vanishes while
+        its registration survives; recovery must drop the registration, or
+        the catalog rule's value-log clause fails."""
+        from oracle.crashtest import (
+            KV_SEPARATION_VALUE_SIZE,
+            kv_separation_overrides,
+            run_crash_test,
+        )
+
+        report = run_crash_test(
+            num_ops=60,
+            seed=2,
+            max_points=10**6,
+            options_overrides=kv_separation_overrides(),
+            value_size=KV_SEPARATION_VALUE_SIZE,
+            check_repair=False,
         )
         assert report.passed, report.failures
