@@ -246,9 +246,12 @@ class _SingleStore:
 
     def recovery_rule(self, db: DB, options: Options) -> list[str]:
         """Repair convergence: ``repair_store`` on a copy of the healed
-        files reopens to the contents ``db`` recovered."""
+        files reopens to the contents ``db`` recovered.  Both run with
+        ``kv_separation`` off: repair must rebuild the value format the
+        files record, and the reopen adopt it (DESIGN.md §13)."""
         if not self.repair:
             return []
+        options = options.copy(kv_separation=False)
         clone = SimulatedFS()
         for name in self.fs.inner.list_dir():
             clone.replace(name, self.fs.inner.contents(name))

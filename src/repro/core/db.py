@@ -90,7 +90,6 @@ from ..storage.io_stats import CAT_COMPACTION, CAT_FLUSH, CAT_SCAN
 from ..vlog import (
     VlogManager,
     parse_vlog_file_name,
-    salvage_scan,
     stored_size_bound,
     vlog_file_name,
 )
@@ -204,15 +203,12 @@ class DB:
         self.deletion_manager = DeletionManager(
             self.fs, self.options, self.table_cache, self.block_cache, self.stats
         )
-        # Key-value separation (DESIGN.md §13): None — the default — means
+        # Key-value separation (DESIGN.md §13): None — a raw store — means
         # values live inline in the LSM exactly as before; compaction's
         # drop_observer() and every read-path resolve site key off this
-        # attribute, so the non-separated engine stays bit-identical.
-        self.vlog: VlogManager | None = (
-            VlogManager(self.fs, self.options, self.stats)
-            if self.options.kv_separation
-            else None
-        )
+        # attribute, so the raw engine stays bit-identical.  _recover sets
+        # it from the store's recorded format.
+        self.vlog: VlogManager | None = None
         self.version = Version(self.options.max_levels)
         self.snapshots = SnapshotRegistry()
         # One coarse engine lock: concurrent readers and a writer may share
@@ -301,10 +297,14 @@ class DB:
         self._immutable: MemTable | None = None
 
         current = read_pointer(self.fs, CURRENT_FILE)
+        # The stored-value format is the store's, recorded in its manifest
+        # (DESIGN.md §13): only a new store takes it from the options.
+        tagged = current is None and self.options.kv_separation
         old_logs: list[str] = []
         if current is not None:
             for edit in replay_manifest(self.fs, current):
                 self.version.apply(edit)
+                tagged = tagged or edit.values_tagged
                 if edit.next_file_number is not None:
                     self._next_file_number = edit.next_file_number
                 if edit.last_sequence is not None:
@@ -349,7 +349,8 @@ class DB:
                         replay_wal(self.fs, log_name, self._memtable, self._wal_recovery),
                     )
 
-        if self.vlog is not None or self.version.vlog:
+        if tagged:
+            self.vlog = VlogManager(self.fs, self.options, self.stats)
             self._recover_vlog()
 
         # Entries replayed from the old WAL go straight to an L0 table (as
@@ -371,9 +372,7 @@ class DB:
         # Dead bytes the recovery flush observed (shadowed replayed entries)
         # fold into the ledger before the snapshot below re-emits it.
         if self.vlog is not None:
-            for number, delta in self.vlog.take_pending_dead():
-                if number in self.version.vlog:
-                    self.version.vlog[number] += delta
+            self.version.apply(VersionEdit(vlog_dead=self.vlog.take_pending_dead()))
 
         # Start a fresh manifest snapshotting the recovered state.
         self._manifest = ManifestWriter(self.fs, self.new_file_number())
@@ -389,13 +388,12 @@ class DB:
                 for lv, key in enumerate(self.picker.compact_pointer)
                 if key
             ],
+            values_tagged=tagged,
         )
         if recovered_file is not None:
             self.version.apply(VersionEdit(new_files=[(0, recovered_file)]))
             snapshot.new_files.append((0, recovered_file))
-        # Re-emit the value-log catalog (registrations + garbage ledger)
-        # into the fresh manifest — kept even with separation off, so a
-        # store's vlog state survives an interim non-separated open.
+        # Re-emit the value-log catalog: registrations and garbage ledger.
         if self.version.vlog:
             snapshot.new_vlog_files = sorted(self.version.vlog)
             snapshot.vlog_dead = [
@@ -403,7 +401,6 @@ class DB:
                 for number, dead in sorted(self.version.vlog.items())
                 if dead
             ]
-        snapshot.next_file_number = self._next_file_number
         self._manifest.log_edit(snapshot)
         write_pointer(self.fs, CURRENT_FILE, self._manifest.name)
         for old_log in old_logs:
@@ -418,35 +415,26 @@ class DB:
         registration is journaled before the file is created, and its
         first sync is the head append that precedes any WAL pointer into
         it.  No durable pointer addresses it, so the registration is
-        dropped, whether or not this open separates values.  The other
-        direction, and all that follows, runs only on a separating open:
-        an on-disk VLOG file absent from the replayed manifest has no
-        durable pointer into it either (a crash between create and
+        dropped.  An on-disk VLOG file absent from the replayed manifest
+        has no durable pointer into it either (a crash between create and
         register, or a GC victim journaled deleted but not yet unlinked),
-        so it is deleted.  Registered files may carry a torn tail (an
-        append whose pointers never reached the WAL): truncate back to the
-        last intact frame.  A fresh head always opens — sealed files never
-        grow again, keeping every durable pointer's (file, offset) stable.
+        so it is deleted.  Registered files lose any torn tail
+        (:meth:`VlogManager.salvage_tail`).  A fresh head always opens —
+        sealed files never grow again, keeping every durable pointer's
+        (file, offset) stable.
         """
         names = self.fs.list_dir()
         on_disk = set(names)
         for number in [n for n in self.version.vlog if vlog_file_name(n) not in on_disk]:
             del self.version.vlog[number]
-        if self.vlog is None:
-            return
         for name in names:
             number = parse_vlog_file_name(name)
             if number is None:
                 continue
-            if number not in self.version.vlog:
+            if number in self.version.vlog:
+                self.vlog.salvage_tail(number)
+            else:
                 self.fs.delete_file(name)
-                continue
-            size = self.fs.file_size(name)
-            if size == 0:
-                continue
-            _records, intact = salvage_scan(self.vlog.read_file(number))
-            if intact < size:
-                self.fs.truncate_file(name, intact)
         head = self.new_file_number()
         self.vlog.open_head(head)
         self.version.vlog.setdefault(head, 0)

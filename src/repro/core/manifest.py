@@ -27,6 +27,8 @@ _TAG_UPDATED_FILE = 7
 _TAG_VLOG_FILE = 8
 _TAG_VLOG_DEAD = 9
 _TAG_VLOG_DELETED = 10
+# Payload-less: the store's values are tagged (inline or pointer), not raw.
+_TAG_VALUES_TAGGED = 11
 
 CURRENT_FILE = "CURRENT"
 
@@ -106,6 +108,8 @@ def encode_edit(edit: VersionEdit) -> bytes:
     for number in edit.deleted_vlog_files:
         out.varint(_TAG_VLOG_DELETED)
         out.varint(number)
+    if edit.values_tagged:
+        out.varint(_TAG_VALUES_TAGGED)
     return out.getvalue()
 
 
@@ -145,6 +149,8 @@ def decode_edit(buf: bytes) -> VersionEdit:
         elif tag == _TAG_VLOG_DELETED:
             number, offset = decode_varint(buf, offset)
             edit.deleted_vlog_files.append(number)
+        elif tag == _TAG_VALUES_TAGGED:
+            edit.values_tagged = True
         else:
             raise CorruptionError(f"unknown manifest tag {tag}")
     return edit

@@ -134,6 +134,8 @@ class VersionEdit:
     new_vlog_files: list[int] = field(default_factory=list)
     vlog_dead: list[tuple[int, int]] = field(default_factory=list)
     deleted_vlog_files: list[int] = field(default_factory=list)
+    #: The store's values are tagged, not raw (DESIGN.md §13).
+    values_tagged: bool = False
 
 
 class Version:

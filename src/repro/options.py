@@ -198,9 +198,8 @@ class Options:
     #: value-log files (``VLOG-%06d``); the LSM keeps the key plus a fixed
     #: 17-byte pointer that resolves transparently on reads.  Off by
     #: default: the non-separated engine stays bit-identical (stored values
-    #: are raw bytes only when this is off).  The setting is a property of
-    #: the store, not the open: reopen a store with the same value it was
-    #: created with.
+    #: are raw bytes).  Read only when a store is created: its manifest
+    #: records the format, and every later open keeps it whatever this says.
     kv_separation: bool = False
     #: Smallest value (bytes) redirected to the value log.
     kv_separation_threshold: int = 1024

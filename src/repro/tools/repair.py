@@ -29,6 +29,7 @@ from ..errors import CorruptionError, FileSystemError, ReproError
 from ..keys import sequence_of
 from ..memtable.memtable import MemTable
 from ..memtable.wal import WalRecoveryStats
+from ..metrics.stats import DBStats
 from ..core.flush import flush_memtable
 from ..options import Options
 from ..sstable.format import BLOCK_TRAILER_SIZE, FOOTER_SIZE, TABLE_MAGIC, Footer, unwrap_block
@@ -254,26 +255,24 @@ def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport
     # future compactions re-derive the counts.  Pointers in salvaged tables
     # stay valid: truncation only removes frames past the last intact CRC,
     # which no durable pointer can address (the vlog append syncs before
-    # the pointer's WAL record).
-    from ..vlog import parse_vlog_file_name, salvage_scan
+    # the pointer's WAL record).  Any VLOG file marks the store's values
+    # tagged (DESIGN.md §13), whatever ``options`` says.
+    from ..vlog import VlogManager, parse_vlog_file_name
 
+    vlog = VlogManager(fs, options, DBStats())
+    vlog_names = [name for name in names if parse_vlog_file_name(name) is not None]
     vlog_files: list[int] = []
-    for name in names:
+    for name in vlog_names:
         number = parse_vlog_file_name(name)
-        if number is None:
-            continue
         try:
-            size = fs.file_size(name)
-            _records, intact = salvage_scan(fs._read(name, 0, size))
+            report.vlog_bytes_discarded += vlog.salvage_tail(number)
         except (FileSystemError, OSError):
             report.corrupt_files.append(name)
             continue
-        if intact < size:
-            fs.truncate_file(name, intact)
-            report.vlog_bytes_discarded += size - intact
         vlog_files.append(number)
         max_file_number = max(max_file_number, number)
         report.vlog_files_recovered += 1
+    vlog.close()
 
     manifest_number = max_file_number + 1
     writer = ManifestWriter(fs, manifest_number)
@@ -283,6 +282,7 @@ def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport
         last_sequence=report.max_sequence,
         new_files=[(0, meta) for meta in tables],
         new_vlog_files=sorted(vlog_files),
+        values_tagged=bool(vlog_names),
     )
     writer.log_edit(edit)
     writer.close()

@@ -18,7 +18,6 @@ from .format import (
     parse_vlog_file_name,
     salvage_scan,
     stored_size_bound,
-    unwrap_inline,
     vlog_file_name,
     wrap_inline,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "parse_vlog_file_name",
     "salvage_scan",
     "stored_size_bound",
-    "unwrap_inline",
     "vlog_file_name",
     "wrap_inline",
 ]

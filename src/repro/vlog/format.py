@@ -9,7 +9,8 @@ is one WAL-style CRC frame::
 The key rides along so garbage collection can re-point a live record
 through the normal write path without consulting the LSM first.
 
-When ``Options.kv_separation`` is on, every value the LSM (and WAL) stores
+In a *tagged* store (one created with key-value separation on; its
+manifest records the format, tag 11), every value the LSM (and WAL) stores
 carries a one-byte tag:
 
 * ``TAG_INLINE`` (0x00) — the raw value follows (below the separation
@@ -19,8 +20,8 @@ carries a one-byte tag:
 
 A pointer addresses the *whole frame* (header included), so resolution is
 one ranged read + one CRC check, and a dead frame's byte cost is exactly
-``pointer.length``.  With separation off, stored values are raw bytes —
-the default mode stays bit-identical.
+``pointer.length``.  A raw store's values are raw bytes — the default
+mode stays bit-identical.
 
 Decoders here follow the repo-wide corruption contract: any damaged input
 raises :class:`~repro.errors.CorruptionError`; nothing ever reads past a
@@ -118,13 +119,6 @@ def stored_size_bound(payload_bytes: int, entries: int) -> int:
     their values are in stored form: a value gains its inline tag or is
     replaced by a pointer, at most ``POINTER_SIZE`` more either way."""
     return payload_bytes + entries * POINTER_SIZE
-
-
-def unwrap_inline(stored: bytes) -> bytes:
-    """Strip the inline tag from a tagged stored value."""
-    if not stored or stored[0] != TAG_INLINE:
-        raise CorruptionError("stored value is not inline-tagged")
-    return stored[1:]
 
 
 def encode_record(key: bytes, value: bytes) -> bytes:

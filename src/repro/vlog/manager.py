@@ -1,11 +1,11 @@
 """Value-log runtime state: head writer, reader cache, garbage ledger.
 
-One :class:`VlogManager` serves one DB when ``Options.kv_separation`` is
-on.  It owns the append-only *head* file (where new separated values and
-GC rewrites land), a cache of random-access readers for pointer
-resolution, the in-memory accumulator of compaction-observed dead bytes
-(folded into each compaction's manifest edit by the DB), and the deferred
-physical-deletion queue for GC victims.
+One :class:`VlogManager` serves one DB whose store is tagged: its manifest
+records that format (DESIGN.md §13).  It owns the append-only *head* file
+(where new separated values and GC rewrites land), a cache of
+random-access readers for pointer resolution, the in-memory accumulator of
+compaction-observed dead bytes (folded into each compaction's manifest
+edit by the DB), and the deferred physical-deletion queue for GC victims.
 
 Division of labour: the manager is mechanical — the stored-value format
 (:meth:`VlogManager.separate`), framing, appending, reading, bookkeeping.
@@ -38,6 +38,7 @@ from .format import (
     decode_record,
     encode_pointer,
     encode_record,
+    salvage_scan,
     vlog_file_name,
     wrap_inline,
 )
@@ -208,6 +209,18 @@ class VlogManager:
         if size == 0:
             return b""
         return self._reader(number).read(0, size, category=CAT_VLOG, sequential=True)
+
+    def salvage_tail(self, number: int) -> int:
+        """Truncate vlog file ``number`` back to its last intact frame (a
+        torn tail is an append whose pointers never reached the WAL) and
+        return the bytes discarded.  The one salvage, for recovery and
+        repair alike: a read error raises, failing recovery's open, while
+        repair sets the file aside."""
+        image = self.read_file(number)
+        _records, intact = salvage_scan(image)
+        if intact < len(image):
+            self.fs.truncate_file(vlog_file_name(number), intact)
+        return len(image) - intact
 
     def defer_delete(self, number: int, barrier_sequence: int) -> None:
         """Queue a journaled-deleted victim for physical deletion once no

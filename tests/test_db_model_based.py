@@ -41,8 +41,8 @@ class EngineMachine(RuleBasedStateMachine):
     def _k(self, i: int) -> bytes:
         return _key(i % self.key_space)
 
-    def _open(self) -> DB:
-        options = tiny_options(compaction_style=self.style, **self.overrides)
+    def _open(self, **reopen) -> DB:
+        options = tiny_options(compaction_style=self.style, **{**self.overrides, **reopen})
         return DB(self.fs, options)
 
     @initialize()
@@ -91,12 +91,14 @@ class EngineMachine(RuleBasedStateMachine):
     def compact_all(self):
         self.db.compact_all()
 
-    @rule()
-    def crash_and_recover(self):
+    @rule(separate=st.booleans())
+    def crash_and_recover(self, separate):
         # abandon without close(); reopen over the same simulated disk.
         # Snapshots are handles on the old instance — they don't survive.
+        # The store keeps the value format it was created with, whatever
+        # the reopen's kv_separation says (DESIGN.md §13).
         self.pinned.clear()
-        self.db = self._open()
+        self.db = self._open(kv_separation=separate)
 
     @rule()
     def take_snapshot(self):

@@ -9,8 +9,18 @@ import random
 import pytest
 
 from conftest import kv, make_db, tiny_options
+from oracle.model import Model, catalog_violations
 from repro.core.db import DB
-from repro.options import COMPACTION_SELECTIVE
+from repro.options import (
+    COMPACTION_BLOCK,
+    COMPACTION_SELECTIVE,
+    COMPACTION_TABLE,
+    FILTER_BLOCK,
+    FILTER_NONE,
+    FILTER_TABLE,
+    POLICY_LEVELED,
+    POLICY_TIERED,
+)
 from repro.storage.fs import SimulatedFS
 
 
@@ -197,3 +207,63 @@ class TestManifestRecovery:
         recovered = {m.file_name() for _l, m in db2.version.all_files()}
         assert recovered == live
         db2.close()
+
+
+#: The reopen matrix: a store written under options A, then reopened under
+#: B, one field flipped.  A store's value format is its own (DESIGN.md §13),
+#: so ``kv_separation`` flips both ways adopt the recorded format; every
+#: other field is a property of the open.
+REOPEN_FLIPS = [
+    ("kv_separation", True, False),
+    ("kv_separation", False, True),
+    ("filter_policy", FILTER_TABLE, FILTER_BLOCK),
+    ("filter_policy", FILTER_BLOCK, FILTER_NONE),
+    ("compaction_style", COMPACTION_BLOCK, COMPACTION_TABLE),
+    ("compaction_policy", POLICY_LEVELED, POLICY_TIERED),
+    ("compaction_policy", POLICY_TIERED, POLICY_LEVELED),
+    ("block_size", 256, 512),
+    ("bloom_bits_per_key", 10, 4),
+    ("max_levels", 7, 4),
+    ("lazy_deletion", False, True),
+]
+
+#: Raw values a tagged reader would misread: an inline tag byte first, and
+#: a pointer's tag at a pointer's length.
+TAG_LOOKALIKES = {b"key-lookalike-0": b"\x00hello", b"key-lookalike-1": b"\x01" + bytes(16)}
+
+
+class TestReopenUnderOtherOptions:
+    @staticmethod
+    def _write(db, model, rng, ops):
+        for _ in range(ops):
+            key = b"key%04d" % rng.randrange(400)
+            if rng.random() < 0.25:
+                db.delete(key)
+                model.apply(("delete", key))
+            else:
+                value = rng.randbytes(rng.choice((0, 5, 17, 40, 90)))
+                db.put(key, value)
+                model.apply(("put", key, value))
+
+    @pytest.mark.parametrize(
+        "field,before,after",
+        REOPEN_FLIPS,
+        ids=[f"{field}-{before}-{after}" for field, before, after in REOPEN_FLIPS],
+    )
+    def test_reads_match_the_model(self, fs, field, before, after):
+        base = dict(kv_separation_threshold=32, vlog_file_size=1024)
+        rng = random.Random(6)
+        model = Model()
+        db = DB(fs, tiny_options(**base, **{field: before}))
+        for key, value in TAG_LOOKALIKES.items():
+            db.put(key, value)
+            model.apply(("put", key, value))
+        self._write(db, model, rng, 1500)
+        db.close()
+        db = DB(fs, tiny_options(**base, **{field: after}))
+        self._write(db, model, rng, 1500)
+        keys = [b"key%04d" % i for i in range(400)] + list(TAG_LOOKALIKES)
+        assert {key: db.get(key) for key in keys} == {key: model.get(key) for key in keys}
+        assert db.scan() == model.scan()
+        assert catalog_violations(db) == []
+        db.close()

@@ -8,7 +8,8 @@ from repro.core.db import DB
 from repro.core.version import VersionEdit
 from repro.errors import CorruptionError
 from repro.memtable.memtable import ENTRY_OVERHEAD
-from repro.options import COMPACTION_SELECTIVE
+from repro.metrics.stats import DBStats
+from repro.options import COMPACTION_SELECTIVE, Options
 from repro.storage.fs import SimulatedFS
 from repro.vlog import gc as vlog_gc
 from repro.vlog import (
@@ -16,6 +17,7 @@ from repro.vlog import (
     TAG_INLINE,
     TAG_POINTER,
     ValuePointer,
+    VlogManager,
     decode_pointer,
     decode_record,
     encode_pointer,
@@ -23,7 +25,6 @@ from repro.vlog import (
     is_pointer,
     parse_vlog_file_name,
     salvage_scan,
-    unwrap_inline,
     vlog_file_name,
     wrap_inline,
 )
@@ -61,7 +62,9 @@ class TestCodec:
         stored = wrap_inline(b"payload")
         assert stored[0] == TAG_INLINE
         assert not is_pointer(stored)
-        assert unwrap_inline(stored) == b"payload"
+        vlog = VlogManager(SimulatedFS(), Options(), DBStats())
+        assert vlog.resolve(stored) == b"payload"
+        assert vlog.resolve(wrap_inline(b"\x01" * 16)) == b"\x01" * 16
 
     def test_record_round_trip(self):
         frame = encode_record(b"k1", b"v" * 50)
@@ -188,8 +191,9 @@ class TestSeparatedEngine:
     def test_registered_vlog_never_created_dropped_on_open(self, fs, separating):
         """A head's registration is journaled before its file is created,
         and a crash before the file's first sync drops the file: the next
-        open, separating values or not, drops the registration, so the
-        paranoid catalog check after the first compaction holds."""
+        open, whatever its ``kv_separation``, drops the registration, so the
+        paranoid catalog check after the first compaction holds, and still
+        resolves the store's pointers."""
         db = kv_db(fs)
         db.put(*big(0))
         number = db.new_file_number()
@@ -208,8 +212,7 @@ class TestSeparatedEngine:
             pytest.fail("no compaction committed")
         assert db.health()["state"] == "ok"
         assert number not in db.version.vlog
-        if separating:  # an inline open returns pointers unresolved (DESIGN.md §13)
-            assert db.get(big(0)[0]) == big(0)[1]
+        assert db.get(big(0)[0]) == big(0)[1]
         db.close()
 
 
@@ -384,21 +387,27 @@ class TestDefaultModeUnchanged:
 
 class TestRepairWithVlog:
     def test_repair_preserves_separated_values(self, fs):
+        """Repair rebuilds the tagged format from the VLOG files it finds,
+        whatever its options say, and the reopen adopts it: first under
+        separating options, then under raw ones."""
         from repro.tools.repair import repair_store
 
         db = kv_db(fs)
-        pairs = [big(i) for i in range(25)]
+        pairs = [big(i) for i in range(25)] + [(b"small", b"\x00s"), (b"empty", b"")]
         for key, value in pairs:
             db.put(key, value)
         db.flush()
         db.close()
-        fs.delete_file("CURRENT")
-        report = repair_store(fs, tiny_options(**KV))
-        assert report.vlog_files_recovered >= 1
-        db = kv_db(fs)
-        for key, value in pairs:
-            assert db.get(key) == value
-        db.close()
+        for separating in (True, False):
+            fs.delete_file("CURRENT")
+            report = repair_store(fs, tiny_options(**KV) if separating else tiny_options())
+            assert report.vlog_files_recovered >= 1
+            db = kv_db(fs, kv_separation=separating)
+            assert db.vlog is not None
+            for key, value in pairs:
+                assert db.get(key) == value
+            assert dict(db.scan()) == dict(pairs)
+            db.close()
 
 
 class TestCrashConsistencySmoke:

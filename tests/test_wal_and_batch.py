@@ -215,6 +215,14 @@ class TestManifest:
     def test_empty_edit(self):
         assert decode_edit(encode_edit(VersionEdit())) == VersionEdit()
 
+    def test_values_tagged_is_one_payloadless_tag(self):
+        """Tag 11 records a tagged store; a raw store's edits encode as before."""
+        assert encode_edit(VersionEdit(values_tagged=True)) == b"\x0b"
+        assert decode_edit(b"\x0b") == VersionEdit(values_tagged=True)
+        edit = VersionEdit(last_sequence=9, new_vlog_files=[4], values_tagged=True)
+        assert decode_edit(encode_edit(edit)) == edit
+        assert encode_edit(VersionEdit(last_sequence=9)) == b"\x03\x09"
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(CorruptionError):
             decode_edit(b"\x63")
