@@ -10,7 +10,7 @@ device time.  The benchmark therefore runs on a real-file store in
 ``realtime`` mode — every second charged to the analytic device model is
 also slept, with the GIL released — emulating an I/O-bound device.  The
 block cache is sized to zero so every GET pays its data-block random read:
-readers only touch the engine lock for a pointer-load + incref, so their
+a get pins its superversion without taking the engine lock, so readers'
 device waits overlap (a reader that slept its read while holding the lock
 would serialize the others and the speedup would stay near 1).
 

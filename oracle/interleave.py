@@ -8,7 +8,7 @@ block and restores them on exit.  Inside it:
 * the calling thread and every thread started through ``sync.Thread`` (the
   lane's worker included) are *managed*: they run one at a time, and a
   switch happens only at a seam call — a lock acquire (a try-lock too), a
-  condition wait, a sleep, a thread start or join;
+  condition wait, a sleep, a thread start or join, a pin or unpin;
 * the next thread is the runnable one with the highest priority.  Each
   thread draws a priority from the seeded RNG when it starts and redraws it
   at a switch point with the run's change probability (also drawn from the
@@ -17,7 +17,11 @@ block and restores them on exit.  Inside it:
 * time is virtual: ``sync.monotonic()`` reads a clock that advances only
   when every managed thread is blocked and one of them has a timeout;
 * the compaction sub-task pool runs each sub-task inline on the thread
-  that submits it.
+  that submits it;
+* ``sync.AtomicList`` — a superversion's lock-free reader pins and its
+  install reference — switches before and after every ``append`` and
+  ``pop``, so the windows of a lock-free read (load, pin, re-check; unpin,
+  drain) and of a retire interleave with everything else.
 
 Two outcomes are :class:`Finding` s: a **deadlock** (every thread blocked,
 no timeout to advance to) and a **wait ended by its timeout** (the engine's
@@ -261,6 +265,9 @@ class Scheduler:
         def monotonic() -> float:
             return scheduler.now
 
+        def make_atomic_list(items=()) -> _SwitchList:
+            return _SwitchList(scheduler, items)
+
         return {
             "Lock": make_lock,
             "RLock": make_rlock,
@@ -269,6 +276,7 @@ class Scheduler:
             "sleep": sleep,
             "monotonic": monotonic,
             "SubtaskPool": _InlinePool,
+            "AtomicList": make_atomic_list,
         }
 
 
@@ -420,6 +428,26 @@ class _ManagedThread(threading.Thread):
             if not self._scheduler.block(f"join {self.name}", lambda: task.finished, timeout):
                 return
         super().join(None if task is not None and task.finished else timeout)
+
+
+class _SwitchList(list):
+    """``sync.AtomicList`` twin: a switch point on both sides of each
+    ``append`` and ``pop``, the steps that stand in for a lock."""
+
+    def __init__(self, scheduler: Scheduler, items=()):
+        super().__init__(items)
+        self._scheduler = scheduler
+
+    def append(self, item) -> None:
+        self._scheduler.block("pin")
+        super().append(item)
+        self._scheduler.block("pinned")
+
+    def pop(self, *index):
+        self._scheduler.block("unpin")
+        item = super().pop(*index)
+        self._scheduler.block("unpinned")
+        return item
 
 
 class _InlinePool:

@@ -898,10 +898,11 @@ class DB:
         engine lock; called whenever a read source changed — memtable
         rotation, flush commit, compaction commit.
 
-        The outgoing superversion drops its install reference here.  If
-        in-flight readers still hold it, the deletion manager takes one pin
-        on its behalf so files retired by this very commit stay on disk;
-        the last reader's unref releases the pin (deferred deletion)."""
+        The pointer moves first, then the outgoing superversion drops its
+        install reference.  If in-flight readers still hold it, the
+        deletion manager takes one pin on its behalf so files retired by
+        this very commit stay on disk; the last reader's unref releases the
+        pin (deferred deletion)."""
         old = self._superversion
         self._sv_number += 1
         self._superversion = SuperVersion(
@@ -915,45 +916,37 @@ class DB:
             self._extra_get_after_level,
         )
         if old is not None and old.retire():
+            old.deletion_pinned = True
             self.deletion_manager.pin()
 
     def _superversion_drained(self, sv: SuperVersion) -> None:
-        """Last reference to a retired superversion dropped (its pinned
-        table readers are already released).  Runs on whichever thread
-        dropped the last ref, with no superversion lock held."""
-        if not sv.deletion_pinned:
-            return
+        """The last reader reference to a retired superversion dropped (its
+        pinned table readers are already released).  Runs on that reader's
+        thread.  ``deletion_pinned`` is read under the engine lock: the
+        retire that sets it, with the pin, may still be inside its critical
+        section when the reader drains."""
         with self._lock:
-            if self._closed:
-                # close() already force-cleaned via flush_all(); the pin
-                # count was zeroed, so there is nothing to release.
+            if self._closed or not sv.deletion_pinned:
+                # close() already force-cleaned via flush_all(), which
+                # zeroed the pin count: nothing to release.
                 return
             self.deletion_manager.unpin()
 
     def _acquire_read(self) -> tuple[SuperVersion, int]:
-        """A lookup's only engine-lock touch before it resolves: load the
-        current superversion pointer, incref, read the latest sequence.
-
-        The lock is tried first and waited for only when another thread
-        holds it — the same sequence with tracing on or off.  With tracing
-        on, the wait is recorded as one pre-timed ``get.lock_wait`` event
-        (the ``cache.shard_wait`` pattern); an uncontended reader records
-        nothing, because a ring append on every get costs more than the
-        tracing-overhead gate allows (``get_sweep_traced`` against
-        ``get_sweep`` in benchmarks/perf/opcodes.py)."""
-        lock = self._lock
-        if not lock.acquire(blocking=False):
-            tracer = self.tracer
-            start = time.perf_counter() if tracer.enabled else 0.0
-            lock.acquire()
-            if tracer.enabled:
-                tracer.complete("get.lock_wait", "get", dur=time.perf_counter() - start)
-        try:
-            if self._closed:
+        """A lookup's pin, taken without the engine lock: load the current
+        superversion, pin it, read the latest sequence, and keep the pair
+        only if the pointer has not moved meanwhile (DESIGN.md §9, "Why a
+        lock-free pin reads a consistent pair"); a moved pointer is
+        unpinned and the load retried.  A closed store's pointer is None."""
+        while True:
+            sv = self._superversion
+            if sv is None:
                 raise DBClosedError("database is closed")
-            return self._superversion.ref(), self._sequence
-        finally:
-            lock.release()
+            sv.pins.append(None)
+            sequence = self._sequence
+            if self._superversion is sv:
+                return sv, sequence
+            sv.unref()
 
     # ------------------------------------------------------------------ compaction
 
@@ -1329,7 +1322,7 @@ class DB:
         instead of once per (key, file) pair.  Lookup results (including
         seek-compaction charges) match ``get`` called per key.  ``wait``
         is :meth:`get`'s."""
-        if self._closed:  # _check_open, inlined: here and in _acquire_read
+        if self._closed:  # _check_open, inlined
             raise DBClosedError("database is closed")
         checked: list[bytes] = []
         for key in keys:
@@ -1340,10 +1333,9 @@ class DB:
         if not wait:
             self.lock_nowait()
         try:
-            # One superversion reference for the batch: the engine lock is
-            # touched once to incref, plus once at the end if seek charges
-            # accrued (compacting mid-batch would pull files from under its
-            # probes).
+            # One superversion pin for the batch; the engine lock is taken
+            # only at the end, if seek charges accrued (compacting mid-batch
+            # would pull files from under its probes).
             sv, sequence = self._acquire_read()
             try:
                 if snapshot is not None:
@@ -1388,10 +1380,11 @@ class DB:
         §9, :meth:`lock_nowait`): :class:`WouldBlock`, before
         anything is read or counted, on a filesystem that really blocks or
         when the engine lock is busy.  The lock is then held for the call,
-        so nothing further down — the superversion reference, the seek
-        charge, a draining superversion's callback — can wait for it.
+        so nothing further down — the seek charge, a draining
+        superversion's callback — can wait for it (the superversion pin
+        takes no lock).
         """
-        if self._closed:  # _check_open, inlined: here and in _acquire_read
+        if self._closed:  # _check_open, inlined
             raise DBClosedError("database is closed")
         if not isinstance(key, (bytes, bytearray)):
             raise InvalidArgumentError("keys must be bytes")
@@ -1585,7 +1578,7 @@ class DB:
         try:
             # The iterator drains with the engine lock released (a waiting
             # scan's does), so the entry tally is taken from the result
-            # and added through the stats lock.
+            # and added to this thread's read tally (DBStats).
             with self.iterator(start, end, snapshot=snapshot, wait=wait) as it:
                 results = list(it if limit is None else islice(it, limit))
             self.stats.count_scan_entries(len(results))
@@ -1768,6 +1761,14 @@ class DB:
         self._subtasks.close()
 
     def _close_locked(self) -> None:
+        if self._superversion is not None:
+            # First, so that no read can pin the store from here on.  Drop
+            # the install reference: in-flight readers (if any) keep their
+            # snapshot alive; their final unref sees _closed and skips the
+            # deletion-manager unpin (flush_all below zeroes the pin count
+            # unconditionally).
+            sv, self._superversion = self._superversion, None
+            sv.retire()
         if self._wal is not None:
             self._wal.close()
         if self.vlog is not None:
@@ -1777,13 +1778,6 @@ class DB:
             self.vlog.close()
         if self._manifest is not None:
             self._manifest.close()
-        if self._superversion is not None:
-            # Drop the install reference.  In-flight readers (if any) keep
-            # their snapshot alive; their final unref sees _closed and
-            # skips the deletion-manager unpin (flush_all below zeroes the
-            # pin count unconditionally).
-            sv, self._superversion = self._superversion, None
-            sv.retire()
         self.deletion_manager.flush_all()
         self.table_cache.close()
         self.block_cache.clear()

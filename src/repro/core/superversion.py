@@ -4,12 +4,13 @@ A :class:`SuperVersion` is an immutable snapshot of the engine's read
 sources: the active memtable, the frozen immutable memtable (if any), and
 the manifest Version's per-level file lists.  The DB installs a new one
 under the engine lock whenever any of those change (memtable rotation,
-flush commit, compaction commit) and retires the old one; readers take the
-engine lock only long enough to load the current pointer and increment its
-refcount — LevelDB's ``Version::Ref/Unref`` discipline — then resolve the
-whole lookup against their private snapshot with no lock held.  Every
-``get``, ``multi_get`` and iterator reads this way in every mode;
-synchronous mode is the case with one reader.
+flush commit, compaction commit) and retires the old one.  A point read
+takes no lock at all: ``DB._acquire_read`` loads the current pointer, pins
+it (one ``list.append``), reads the latest sequence and re-checks that the
+pointer has not moved — LevelDB's ``Version::Ref/Unref`` discipline
+without the mutex — then resolves the whole lookup against its private
+snapshot.  Every ``get``, ``multi_get`` and iterator reads this way in
+every mode; synchronous mode is the case with one reader.
 
 The traversals are methods here, so a read that holds only a superversion
 cannot mutate engine state: seek charges come back as values (a scan's go
@@ -18,15 +19,23 @@ to the callback the DB passes) for the DB to apply under its lock.
 Lifecycle invariants:
 
 * A superversion is born with one *install* reference, dropped by
-  :meth:`retire` when it stops being current.
+  :meth:`retire` when it stops being current; reader references are the
+  entries of :attr:`SuperVersion.pins`.  Both are lists whose ``append``
+  and ``pop`` are single GIL-atomic steps, so no lock guards the count.
+* Whichever of :meth:`retire` and the last :meth:`unref` comes second
+  drains the superversion, exactly once: each finds the other half gone
+  and pops the one-element drain token, and only the pop that gets it
+  drains.  A reader that pinned a superversion already retired (its
+  re-check then fails) unpins it without draining it again.
 * While a retired superversion still has reader references, the DB holds
   one :class:`~repro.compaction.lazy_deletion.DeletionManager` pin on its
   behalf, so files that a compaction retired stay physically present until
   the last in-flight reader drops its reference (deferred deletion).
-* The last ``unref`` releases the memoized pinned table readers and then
-  invokes the drain callback **without holding the superversion's lock**
-  (the callback takes the engine lock; holding ``_ref_lock`` across it
-  would invert the engine-lock → ``_ref_lock`` order used by ``retire``).
+* The drain releases the memoized pinned table readers.  An unref that
+  drained then invokes the drain callback, which takes the engine lock
+  before it looks at :attr:`SuperVersion.deletion_pinned` (set under that
+  lock by the DB when :meth:`retire` reports live readers); a retire that
+  drained needs no callback, since it took no deletion pin.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from zlib import crc32
 from ..bloom.bloom import _SALT1, _SALT2, _hash_pair
 from ..keys import ComparableKey
 from ..storage.io_stats import CAT_SCAN
+from . import sync
 from .version import FileMetadata
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -85,11 +95,16 @@ class SuperVersion:
             file_lists[0], key=lambda f: f.file_number, reverse=True
         )
         self._on_drain = on_drain
-        self._ref_lock = threading.Lock()
-        self._refs = 1  # the install reference
+        #: Reader references, one element each: ``DB._acquire_read`` and
+        #: :meth:`ref` append, :meth:`unref` pops.
+        self.pins = sync.AtomicList()
+        #: The install reference, popped by :meth:`retire`.
+        self._installed = sync.AtomicList((None,))
+        #: Popped by the one drain (see the module docstring).
+        self._drain_token = [None]
         #: True once ``retire`` found live readers and the DB took a
-        #: deletion-manager pin for this superversion; the drain callback
-        #: releases that pin.
+        #: deletion-manager pin for this superversion (both under the engine
+        #: lock); the drain callback releases that pin.
         self.deletion_pinned = False
         # Per-level largest-key arrays for the bisect in file_for_key and
         # seek_index, built lazily (levels a workload never reads cost
@@ -109,53 +124,48 @@ class SuperVersion:
 
     @property
     def refs(self) -> int:
-        with self._ref_lock:
-            return self._refs
+        return len(self.pins) + len(self._installed)
 
     def ref(self) -> "SuperVersion":
-        """Add a reader reference (caller holds the engine lock, so this
-        superversion is current and cannot have drained)."""
-        with self._ref_lock:
-            if self._refs <= 0:
-                raise RuntimeError("ref on a drained superversion")
-            self._refs += 1
+        """Add a reader reference (the caller holds the engine lock, so
+        this superversion is current and cannot have drained)."""
+        self.pins.append(None)
         return self
 
     def unref(self) -> None:
-        """Drop a reader reference; the last one out drains the
-        superversion (releases pinned readers, fires the drain callback)."""
-        with self._ref_lock:
-            if self._refs <= 0:
-                raise RuntimeError("unref without matching ref")
-            self._refs -= 1
-            drained = self._refs == 0
-        if drained:
-            self._drain()
+        """Drop a reader reference; the last one out of a retired
+        superversion drains it (releases pinned readers, fires the drain
+        callback)."""
+        pins = self.pins
+        pins.pop()
+        if not pins and not self._installed and self._drain():
+            self._on_drain(self)
 
     def retire(self) -> bool:
         """Drop the install reference when a newer superversion replaces
-        this one.  Called under the engine lock; returns True when live
-        readers remain — the caller must then pin the deletion manager,
-        which the drain callback will release."""
-        with self._ref_lock:
-            if self._refs <= 0:
-                raise RuntimeError("retire on a drained superversion")
-            self._refs -= 1
-            drained = self._refs == 0
-            if not drained:
-                self.deletion_pinned = True
-        if drained:
-            self._drain()
-            return False
-        return True
+        this one.  Called under the engine lock, after the DB's pointer
+        moved on; returns True when reader references remain — the caller
+        must then pin the deletion manager and set :attr:`deletion_pinned`,
+        under the same lock, for the drain callback to release."""
+        self._installed.pop()
+        if self.pins:
+            return True
+        self._drain()
+        return False
 
-    def _drain(self) -> None:
+    def _drain(self) -> bool:
+        """Release the pinned table readers, once: False when another
+        thread's retire or unref already drained."""
+        try:
+            self._drain_token.pop()
+        except IndexError:
+            return False
         with self._readers_lock:
             readers = list(self.readers.values())
             self.readers.clear()
         for reader in readers:
             reader.release()
-        self._on_drain(self)
+        return True
 
     # -- read-source resolution ----------------------------------------------
 

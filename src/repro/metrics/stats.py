@@ -26,22 +26,61 @@ class CompactionEvent:
     output_files: int
 
 
+#: Slot of each read tally field in a thread's tally list.
+_TALLY_SLOTS = {"gets": 0, "gets_found": 1, "scan_entries": 2, "vlog_resolves": 3}
+
+
+class _ThreadTally(threading.local):
+    """A thread's own read tally: its first touch on a thread makes a fresh
+    list and registers it, so the registry keeps the counts of threads that
+    have since exited."""
+
+    def __init__(self, registry: list[list[int]]):
+        self.counts = [0, 0, 0, 0]
+        registry.append(self.counts)
+
+
+class _ReadTally:
+    """A :class:`DBStats` read counter kept as per-thread tallies: reading
+    it sums them all.  An assignment (a ``+=``, say) goes into the first
+    tally of the registry, which no thread counts into, so that the field
+    then reads the value assigned.  The field is not an ``__init__``
+    argument.  Nothing here touches the instance ``__dict__``: on CPython
+    3.11/3.12 materializing it takes every other counter, which the write
+    path bumps with ``+=``, off the inline-values attribute fast path."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = _TALLY_SLOTS[name]
+
+    def __get__(self, stats: "DBStats | None", owner: type | None = None) -> int:
+        if stats is None:
+            return 0  # the dataclass default
+        slot = self.slot
+        return sum(counts[slot] for counts in stats._tallies)
+
+    def __set__(self, stats: "DBStats", value: int) -> None:
+        stats._tallies[0][self.slot] += value - self.__get__(stats)
+
+
 @dataclass
 class DBStats:
     """Logical counters for one DB instance.
 
     Thread-safety contract (audited for the concurrent pipeline): most
-    counters are only updated with the engine lock held — the write path,
-    read path, and the background worker's commit step all run under it,
-    so their plain ``+=`` updates never race.  The exceptions are the
-    *stall* counters (updated by throttled writers that deliberately do
-    not hold the engine lock while sleeping/waiting) and the *scan*
-    tallies (updated while an iterator is drained, which happens with the
-    lock released).  Those sites go through :meth:`record_stall` /
-    :meth:`count_scan_entries`, which serialize on a dedicated stats lock
-    so concurrent increments sum exactly (a Python ``+=`` on an attribute
-    is read-modify-write across several bytecodes and CAN drop updates
-    under free-threading or an ill-timed GIL switch).
+    counters are only updated with the engine lock held — the write path
+    and the background worker's commit step run under it, so their plain
+    ``+=`` updates never race.  The exceptions are the *stall* counters
+    (updated by throttled writers that deliberately do not hold the engine
+    lock while sleeping/waiting) and the *read* tallies — ``gets``,
+    ``gets_found``, ``scan_entries``, ``vlog_resolves`` — which readers add
+    with no lock held.  A Python ``+=`` on a shared attribute is
+    read-modify-write across several bytecodes and CAN drop updates under
+    free-threading or an ill-timed GIL switch, so :meth:`record_stall`
+    serializes on a dedicated stats lock, and the read tallies go into a
+    per-thread tally that only its own thread writes (:meth:`count_gets`,
+    :meth:`count_scan_entries`, :meth:`count_vlog_resolves`); reading one
+    of those fields sums every thread's tally, so it reads exactly what a
+    locked counter would.
     """
 
     # write path
@@ -61,10 +100,10 @@ class DBStats:
     stall_stops: int = 0
 
     # read path
-    gets: int = 0
-    gets_found: int = 0
+    gets: int = field(default=_ReadTally(), init=False)
+    gets_found: int = field(default=_ReadTally(), init=False)
     scans: int = 0
-    scan_entries: int = 0
+    scan_entries: int = field(default=_ReadTally(), init=False)
     seek_miss_charges: int = 0
 
     # compaction
@@ -94,7 +133,7 @@ class DBStats:
     vlog_separated_values: int = 0
     vlog_separated_bytes: int = 0
     #: Pointer resolutions performed by reads (get/multi_get/scan).
-    vlog_resolves: int = 0
+    vlog_resolves: int = field(default=_ReadTally(), init=False)
     #: Dead frame bytes observed by flush/compaction drop sites.
     vlog_dead_bytes_observed: int = 0
     #: GC activity: runs started, live records rewritten to the head (and
@@ -119,13 +158,23 @@ class DBStats:
     #: Peak total file bytes observed (space-amplification numerator).
     max_space_bytes: int = 0
 
-    #: Guards the counters updated outside the engine lock (stalls, scan
-    #: tallies).  Excluded from comparison/repr: it is plumbing, not data.
+    #: Guards the stall counters.  Excluded from comparison/repr: it is
+    #: plumbing, not data.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    #: The read tallies, one ``[gets, gets_found, scan_entries,
+    #: vlog_resolves]`` list each: the assignments' first, then every
+    #: thread's; and the handle a thread finds its own by.
+    _tallies: list = field(
+        default_factory=lambda: [[0, 0, 0, 0]], repr=False, compare=False
+    )
+    _thread_tally: threading.local = field(init=False, repr=False, compare=False)
 
-    # -- lock-guarded updates (callers without the engine lock) --------------
+    def __post_init__(self) -> None:
+        self._thread_tally = _ThreadTally(self._tallies)
+
+    # -- updates from callers without the engine lock ------------------------
 
     def record_stall(self, *, stop: bool = False, seconds: float = 0.0) -> None:
         """Count one write stall (optionally a hard stop) and its duration.
@@ -136,27 +185,24 @@ class DBStats:
                 self.stall_stops += 1
             self.stall_time_s += seconds
 
-    def count_scan_entries(self, n: int) -> None:
-        """Add ``n`` scanned entries.  Safe to call without the engine lock
-        (scans drain iterators with the lock released)."""
-        with self._lock:
-            self.scan_entries += n
-
     def count_gets(self, gets: int, found: int) -> None:
-        """Batch-add point-lookup counters.  Safe to call without the engine
-        lock (the superversion read path resolves lookups lock-free and
-        records the tallies afterwards).  Seek-miss charges are *not*
-        recorded here — those stay engine-lock-guarded via ``_charge_seeks``
-        so the two locking domains never write the same counter."""
-        with self._lock:
-            self.gets += gets
-            self.gets_found += found
+        """Add point lookups to this thread's tally: the superversion read
+        path resolves lookups with no lock held and counts them afterwards.
+        Seek-miss charges are *not* recorded here — those stay
+        engine-lock-guarded via ``_charge_seeks``."""
+        tally = self._thread_tally.counts
+        tally[0] += gets
+        tally[1] += found
+
+    def count_scan_entries(self, n: int) -> None:
+        """Add ``n`` scanned entries to this thread's tally (scans drain
+        iterators with the engine lock released)."""
+        self._thread_tally.counts[2] += n
 
     def count_vlog_resolves(self, n: int) -> None:
-        """Add ``n`` value-log pointer resolutions.  Safe to call without
-        the engine lock (the lock-free read path resolves pointers)."""
-        with self._lock:
-            self.vlog_resolves += n
+        """Add ``n`` value-log pointer resolutions to this thread's tally
+        (the lock-free read path resolves pointers)."""
+        self._thread_tally.counts[3] += n
 
     def ensure_levels(self, num_levels: int) -> None:
         while len(self.per_level_write_bytes) < num_levels:

@@ -13,7 +13,9 @@ the block cache stores.  Two forms exist:
   region it bisects into.  Point lookups decode ~``restart_interval``
   entries instead of the whole block, and the block cache stores these
   cheap partially-decoded blocks; a later scan hitting the cached block
-  materializes it fully, once.
+  materializes it fully, once.  A block with a single restart point is one
+  region, so :func:`parse_block_raw` decodes it eagerly even when asked for
+  the lazy form.
 
 Both forms charge the cache by serialized payload size, so cache hit/miss
 and eviction behaviour — everything the paper's Fig 14 measures — is
@@ -43,9 +45,10 @@ from zlib import crc32 as _zlib_crc32
 
 from .format import BLOCK_TRAILER_SIZE, COMPRESSION_NONE
 
-#: One struct hit decodes the whole 5-byte trailer: compression type byte
-#: followed by the masked little-endian CRC.
-_TRAILER_UNPACK = struct.Struct("<BI").unpack_from
+#: One struct hit decodes a stored block's last 9 bytes: the payload's
+#: restart count, then the 5-byte trailer (compression type byte, masked
+#: little-endian CRC).
+_TAIL_UNPACK = struct.Struct("<IBI").unpack_from
 
 _FIXED64_UNPACK = struct.Struct("<Q").unpack_from
 _FIXED64_PACK = struct.Struct("<Q").pack
@@ -267,11 +270,18 @@ class LazyDataBlock:
         "_values",
     )
 
-    def __init__(self, payload: bytes, payload_len: int | None = None):
+    def __init__(
+        self, payload: bytes, payload_len: int | None = None, num_restarts: int | None = None
+    ):
         if payload_len is None:
             payload_len = len(payload)
-        data_end = _parse_header(payload, payload_len)
-        num_restarts = decode_fixed32(payload, payload_len - 4)
+        if num_restarts is None:  # parse_block_raw passes the count it read
+            if payload_len < 4:
+                raise CorruptionError("data block too short")
+            num_restarts = decode_fixed32(payload, payload_len - 4)
+        data_end = payload_len - 4 - 4 * num_restarts
+        if data_end < 0:
+            raise CorruptionError("data block restart array overruns payload")
         self.payload = payload
         # Cache charge is the *payload* size even when ``payload`` is a raw
         # stored block (5 trailer bytes longer) — the charge must stay
@@ -417,6 +427,13 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     twice per block read — once for the checksum slice, once for the
     returned payload; this path allocates neither.  A type byte other than
     :data:`~repro.sstable.format.COMPRESSION_NONE` is corruption.
+
+    ``lazy`` asks for a :class:`LazyDataBlock`, which only a block with
+    more than one restart point gets: a one-region block's lazy form would
+    decode that same region at its first lookup, then pay an extra frame
+    on every later hit and hold both the raw bytes and the decoded lists,
+    so it is decoded eagerly here, once (the cache charge is
+    ``payload_len`` either way).
     """
     # Trailer check inlined (vs calling format.check_block_trailer): this
     # runs once per block read, and at ~4 us/block the three Python calls
@@ -425,15 +442,20 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     # C-speed slice.  One struct hit decodes the trailer; the masked CRC
     # is computed inline over a memoryview of the stored span.
     payload_len = len(raw) - BLOCK_TRAILER_SIZE
-    if payload_len < 0:
-        raise CorruptionError("block shorter than its trailer")
-    compression, expected = _TRAILER_UNPACK(raw, payload_len)
+    if payload_len < 4:
+        raise CorruptionError(
+            "block shorter than its trailer" if payload_len < 0 else "data block too short"
+        )
+    num_restarts, compression, expected = _TAIL_UNPACK(raw, payload_len - 4)
     if compression != COMPRESSION_NONE:
         raise CorruptionError(f"unsupported compression type {compression}")
     crc = _zlib_crc32(memoryview(raw)[:payload_len]) & 0xFFFFFFFF
     if (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF != expected:
         raise CorruptionError("block failed checksum")
-    if lazy:
-        return LazyDataBlock(raw, payload_len)
-    keys, values = _parse_entries(raw, 0, _parse_header(raw, payload_len))
+    if lazy and num_restarts > 1:
+        return LazyDataBlock(raw, payload_len, num_restarts)
+    data_end = payload_len - 4 - 4 * num_restarts
+    if data_end < 0:
+        raise CorruptionError("data block restart array overruns payload")
+    keys, values = _parse_entries(raw, 0, data_end)
     return DataBlock(keys, values, payload_len)

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.manifest import CURRENT_FILE, ManifestWriter, write_pointer
+from ..core.manifest import CURRENT_FILE, ManifestWriter, decode_edit, write_pointer
 from ..core.version import FileMetadata, VersionEdit, new_file_metadata
 from ..core.write_batch import replay_wal
 from ..encoding import encode_fixed64
 from ..errors import CorruptionError, FileSystemError, ReproError
 from ..keys import sequence_of
 from ..memtable.memtable import MemTable
-from ..memtable.wal import WalRecoveryStats
+from ..memtable.wal import WalRecoveryStats, read_wal_tolerant
 from ..metrics.stats import DBStats
 from ..core.flush import flush_memtable
 from ..options import Options
@@ -188,6 +188,23 @@ def _convert_log(
     return flush_memtable(fs, options, memtable, file_number), max_sequence, stats
 
 
+def _manifest_recorded_tagged(fs: FileSystem, names: list[str]) -> bool:
+    """Whether an intact edit of any surviving ``MANIFEST-*`` file records
+    that the store's values are tagged (tag 11).  A damaged manifest is
+    read up to its first bad record: repair runs because the catalog may
+    be broken."""
+    for name in names:
+        if not name.startswith("MANIFEST-"):
+            continue
+        try:
+            for record in read_wal_tolerant(fs, name, WalRecoveryStats()):
+                if decode_edit(record).values_tagged:
+                    return True
+        except (ReproError, OSError):
+            continue
+    return False
+
+
 def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport:
     """Rebuild the store's manifest from whatever files survive.
 
@@ -256,7 +273,9 @@ def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport
     # stay valid: truncation only removes frames past the last intact CRC,
     # which no durable pointer can address (the vlog append syncs before
     # the pointer's WAL record).  Any VLOG file marks the store's values
-    # tagged (DESIGN.md §13), whatever ``options`` says.
+    # tagged (DESIGN.md §13), whatever ``options`` says; so does a surviving
+    # manifest that recorded the format, which covers a store whose value
+    # log is gone but whose tables still hold tagged inline values.
     from ..vlog import VlogManager, parse_vlog_file_name
 
     vlog = VlogManager(fs, options, DBStats())
@@ -282,7 +301,7 @@ def repair_store(fs: FileSystem, options: Options | None = None) -> RepairReport
         last_sequence=report.max_sequence,
         new_files=[(0, meta) for meta in tables],
         new_vlog_files=sorted(vlog_files),
-        values_tagged=bool(vlog_names),
+        values_tagged=bool(vlog_names) or _manifest_recorded_tagged(fs, names),
     )
     writer.log_edit(edit)
     writer.close()

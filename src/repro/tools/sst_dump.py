@@ -22,6 +22,7 @@ from ..keys import comparable_parts
 from ..sstable.filter_block import BlockFilters, TableFilter
 from ..sstable.table_reader import TableReader
 from ..storage.fs import FileSystem
+from ..vlog.format import vlog_file_name
 
 
 @dataclass
@@ -140,7 +141,9 @@ def dump_table(
 
 
 def describe_manifest(fs: FileSystem) -> list[str]:
-    """Human-readable replay of the store's live manifest."""
+    """Human-readable replay of the store's live manifest: per edit, the
+    catalog fields, table changes and the value-log records (the format
+    tag, registered files, the garbage ledger's deltas, GC deletions)."""
     current = read_pointer(fs, CURRENT_FILE)
     if current is None:
         return ["<no CURRENT file: not a store directory or never opened>"]
@@ -164,5 +167,13 @@ def describe_manifest(fs: FileSystem) -> list[str]:
                 f"upd L{level}/{meta.file_number:06d} "
                 f"(size {meta.file_size} B, appends {meta.append_count})"
             )
+        if edit.values_tagged:
+            parts.append("values=tagged")
+        for number in edit.new_vlog_files:
+            parts.append(f"add {vlog_file_name(number)}")
+        for number, dead_bytes in edit.vlog_dead:
+            parts.append(f"dead {vlog_file_name(number)} +{dead_bytes} B")
+        for number in edit.deleted_vlog_files:
+            parts.append(f"del {vlog_file_name(number)}")
         lines.append(f"edit[{i}]: " + ", ".join(parts))
     return lines

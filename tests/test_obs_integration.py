@@ -1,7 +1,8 @@
 """Observability integration tests: engine tracing end to end, timeline
 rendering from a real workload, the Prometheus exporter, the CLI
-subcommands, the disabled-mode determinism contract, and the stats-lock
-exactness stress test (DESIGN.md §8)."""
+subcommands, the disabled-mode determinism contract, and the exactness
+stress tests of the stats lock and the per-thread read tallies (DESIGN.md
+§8)."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from repro.tools.metrics_report import format_store_report, replay_store
 from repro.ycsb.runner import load_db, run_workload
 from repro.ycsb.workloads import WorkloadSpec
 
-from conftest import kv, make_db
+from conftest import kv, make_db, tiny_options
 
 UPDATE_HEAVY = WorkloadSpec(
     name="update-heavy", read_ratio=0.3, write_ratio=0.7, scan_ratio=0.0,
@@ -215,6 +216,54 @@ def test_concurrent_stall_and_scan_counts_sum_exactly():
     assert stats.stall_stops == threads * (per_thread // 10)
     assert stats.scan_entries == 3 * threads * per_thread
     assert stats.stall_time_s == pytest.approx(threads * per_thread * 0.001)
+
+
+def test_read_tallies_sum_exactly_wherever_they_are_read():
+    """``count_gets``, ``count_scan_entries`` and ``count_vlog_resolves``
+    add into per-thread tallies with no lock.  The field, ``numeric()``, a
+    ShardedDB's aggregate and the Prometheus walk all read the exact sum,
+    the tallies of threads that have exited included."""
+    from repro.obs.prom import collect
+    from repro.sharding import MemoryShardStore, ShardedDB
+
+    db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2, boundaries=[kv(50)[0]])
+    try:
+        for i in range(100):
+            db.put(*kv(i))
+        threads, per_thread = 4, 300
+
+        def reader(t: int) -> None:
+            for j in range(per_thread):
+                db.get(kv((t * 37 + j) % 125)[0])  # 100 and up are absent
+
+        workers = [threading.Thread(target=reader, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        found = sum((t * 37 + j) % 125 < 100 for t in range(threads) for j in range(per_thread))
+        shards = [shard.stats for _name, shard in db.shard_dbs()]
+        assert sum(s.gets for s in shards) == threads * per_thread
+        assert sum(s.gets_found for s in shards) == found
+        assert all(s.numeric()["gets"] == s.gets for s in shards)
+        totals = db.aggregate_stats()
+        assert (totals["gets"], totals["gets_found"]) == (threads * per_thread, found)
+        scraped = {"repro_gets": 0, "repro_gets_found": 0}
+        for sample in collect(db):
+            if sample.name in scraped:
+                scraped[sample.name] += sample.value
+        assert scraped == {"repro_gets": threads * per_thread, "repro_gets_found": found}
+
+        stats = DBStats()
+        stats.count_vlog_resolves(2)
+        worker = threading.Thread(target=lambda: [stats.count_vlog_resolves(1) for _ in range(500)])
+        worker.start()
+        worker.join()
+        assert stats.vlog_resolves == 502
+        stats.vlog_resolves += 1  # an assignment moves the base, not a tally
+        assert stats.vlog_resolves == 503
+    finally:
+        db.close()
 
 
 def test_concurrent_pipeline_scan_entries_exact():

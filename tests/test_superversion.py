@@ -1,7 +1,8 @@
 """Superversion lifecycle and read-path tests (DESIGN.md §9):
 refcount hygiene across flush/compaction churn, deferred table-file
-deletion until the last in-flight reader drops its reference, single-lock
-multi_get, trace spans, the tracing-off determinism contract, and a stress
+deletion until the last in-flight reader drops its reference, lock-free
+get / multi_get and the races of their pin (an install or a close inside
+the acquire window, a retire racing the last unpin), trace spans, the tracing-off determinism contract, and a stress
 run racing reader threads against the background worker."""
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ import hashlib
 import threading
 import time
 
-from repro.obs.trace import PHASE_COMPLETE, Tracer
+import pytest
+
+from repro.errors import DBClosedError
+from repro.obs.trace import Tracer
 from repro.options import COMPACTION_SELECTIVE
 from repro.storage.fs import SimulatedFS
 from repro.ycsb.runner import load_db, run_workload
@@ -165,7 +169,10 @@ class _CountingLock:
         return False
 
 
-def test_multi_get_takes_the_lock_once():
+def test_get_and_multi_get_take_no_engine_lock():
+    """A point read pins its superversion, counts itself and returns
+    without touching the engine lock (no seek charge accrues here: the
+    keys sit in one L0 file)."""
     db = make_db()
     try:
         for i in range(200):
@@ -176,55 +183,172 @@ def test_multi_get_takes_the_lock_once():
         shim = _CountingLock(db._lock)
         db._lock = shim
         result = db.multi_get(keys)
+        value = db.get(kv(10)[0])
         db._lock = shim._inner
-        assert shim.acquisitions == 1
+        assert shim.acquisitions == 0
         assert all(result[kv(i)[0]] == kv(i)[1] for i in range(0, 200, 5))
+        assert value == kv(10)[1]
+        assert db.stats.gets == len(keys) + 1
     finally:
         db.close()
 
 
-# ------------------------------------------------------------ trace spans
+# ------------------------------------------------------------ lock-free pins
 
 
-class _BusyOnceLock(_CountingLock):
-    """Reports the lock as held to the first non-blocking attempt, as if
-    another thread owned it at that instant."""
+def test_get_completes_while_another_thread_holds_the_engine_lock():
+    db = sharded_db()
+    held, done = threading.Event(), threading.Event()
 
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.refused = False
+    def hold() -> None:
+        with db._lock:
+            held.set()
+            done.wait(10.0)
 
-    def acquire(self, blocking=True, timeout=-1):
-        if not blocking and not self.refused:
-            self.refused = True
-            return False
-        return super().acquire(blocking, timeout)
-
-
-def test_lock_wait_event_brackets_the_wait_for_the_engine_lock():
-    """A reader that finds the engine lock held records one pre-timed
-    ``get.lock_wait`` event for the wait; an uncontended reader records
-    nothing (the per-get ring append is what the tracing-overhead gate
-    could not afford)."""
-    db = sharded_db(tracing=True)
     try:
-        for i in range(50):
+        for i in range(5):
             key, value = kv(i)
             db.put(key, value)
-        assert db.get(kv(3)[0]) == kv(3)[1]
-        assert "get.lock_wait" not in {e.name for e in db.tracer.events()}
-
-        shim = _BusyOnceLock(db._lock)
-        db._lock = shim
-        assert db.get(kv(3)[0]) == kv(3)[1]
-        db._lock = shim._inner
-        assert shim.refused
-        waits = [e for e in db.tracer.events() if e.name == "get.lock_wait"]
-        assert len(waits) == 1
-        assert waits[0].phase == PHASE_COMPLETE and waits[0].category == "get"
-        assert waits[0].dur >= 0
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10.0)
+        results = []
+        reader = threading.Thread(
+            target=lambda: results.append((db.get(kv(3)[0]), db.multi_get([kv(4)[0]])))
+        )
+        try:
+            reader.start()
+            reader.join(10.0)
+            assert not reader.is_alive(), "a get waited for the engine lock"
+        finally:
+            done.set()
+            holder.join()
+            reader.join()
+        assert results == [(kv(3)[1], {kv(4)[0]: kv(4)[1]})]
     finally:
         db.close()
+
+
+class _InterposingPins(list):
+    """A superversion's pin list that runs ``interpose`` once, at the first
+    append (or pop), just before or just after the list operation: the
+    window a racing thread's install or close would land in."""
+
+    def __init__(self, items, interpose, *, after: bool, on_pop: bool = False):
+        super().__init__(items)
+        self.interpose = interpose
+        self.after = after
+        self.on_pop = on_pop
+
+    def _step(self, op, *args):
+        interpose, self.interpose = self.interpose, None
+        if interpose is not None and not self.after:
+            interpose()
+        result = op(*args)
+        if interpose is not None and self.after:
+            interpose()
+        return result
+
+    def append(self, item):
+        if self.on_pop:
+            return super().append(item)
+        return self._step(super().append, item)
+
+    def pop(self, *index):
+        if not self.on_pop:
+            return super().pop(*index)
+        return self._step(super().pop, *index)
+
+
+def _count_drains(sv) -> list[bool]:
+    """Record every drain attempt on ``sv`` (True: it drained)."""
+    attempts: list[bool] = []
+    drain = sv._drain
+
+    def counted() -> bool:
+        attempts.append(drain())
+        return attempts[-1]
+
+    sv._drain = counted
+    return attempts
+
+
+class TestLockFreePin:
+    @pytest.mark.parametrize("after_pin", [False, True], ids=["before-pin", "after-pin"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["get", "multi_get"])
+    def test_install_inside_the_acquire_window_makes_the_reader_retry(self, after_pin, batched):
+        """A flush (memtable rotation + install) and a newer write land
+        between the reader's pointer load and its re-check.  The sequence
+        it read covers the newer write, which only the new superversion
+        holds: without the re-check it would answer from the old one."""
+        db = make_db()
+        key = kv(1)[0]
+        try:
+            db.put(key, b"old")
+            sv = db._superversion
+
+            def install() -> None:
+                db.flush()
+                db.put(key, b"new")
+
+            sv.pins = _InterposingPins(sv.pins, install, after=after_pin)
+            drains = _count_drains(sv)
+            got = db.multi_get([key])[key] if batched else db.get(key)
+            assert got == b"new"
+            assert sv.refs == 0 and drains.count(True) == 1
+            assert db._superversion.refs == 1
+            assert db.deletion_manager.active_pins == 0
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("after_pop", [False, True], ids=["before-pop", "after-pop"])
+    def test_last_unpin_racing_retire_drains_once(self, after_pop):
+        """The retire lands just before or just after the last reader's
+        unpin: exactly one of the two drains, and the deletion-manager pin
+        the retire may take is released."""
+        db = make_db()
+        try:
+            for i in range(50):
+                key, value = kv(i)
+                db.put(key, value)
+            db.flush()
+            sv, sequence = db._acquire_read()
+            assert sv.lookup(kv(7)[0], sequence)[0] == kv(7)[1]
+            assert sv.readers  # the probe pinned a table reader
+            readers = list(sv.readers.values())
+            pins_at_retire = []
+
+            def retire() -> None:
+                db.flush()
+                pins_at_retire.append(db.deletion_manager.active_pins)
+
+            sv.pins = _InterposingPins(sv.pins, retire, after=after_pop, on_pop=True)
+            db.put(kv(60)[0], kv(60)[1])  # something for the flush to rotate
+            drains = _count_drains(sv)
+            sv.unref()
+            # Before the pop the retire sees a reader and pins deletion for
+            # it; after the pop it drains the superversion itself.
+            assert pins_at_retire == [0 if after_pop else 1]
+            assert drains.count(True) == 1
+            assert sv.refs == 0 and sv.readers == {}
+            assert all(reader._refs == 0 for reader in readers)
+            assert db.deletion_manager.active_pins == 0
+            with pytest.raises(IndexError):
+                sv.unref()
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("after_pin", [False, True], ids=["before-pin", "after-pin"])
+    def test_close_racing_a_reader_raises_closed_without_a_double_drain(self, after_pin):
+        db = make_db()
+        db.put(kv(1)[0], kv(1)[1])
+        sv = db._superversion
+        sv.pins = _InterposingPins(sv.pins, db.close, after=after_pin)
+        drains = _count_drains(sv)
+        with pytest.raises(DBClosedError):
+            db.get(kv(1)[0])
+        assert drains.count(True) == 1
+        assert sv.refs == 0
 
 
 def test_shard_wait_span_records_contention():

@@ -113,6 +113,26 @@ class TestDescribeManifest:
         db.close()
 
 
+    def test_prints_the_value_log_records(self, fs):
+        """A tagged store's manifest shows its format tag, its value-log
+        registrations, the garbage ledger and the files GC deleted."""
+        db = DB(fs, tiny_options(
+            compaction_style="selective", kv_separation=True,
+            kv_separation_threshold=32, vlog_file_size=1024, vlog_gc_ratio=0.3,
+        ))
+        for round_ in range(4):
+            for i in range(60):
+                db.put(kv(i)[0], b"%d." % round_ * 20)
+            db.flush()
+            db.compact_all()
+        assert db.stats.vlog_files_deleted > 0
+        lines = describe_manifest(fs)
+        db.close()
+        assert "values=tagged" in lines[1]
+        for record in ("add VLOG-", "dead VLOG-", "del VLOG-"):
+            assert any(record in line for line in lines), record
+
+
 class TestCli:
     def test_table_and_manifest(self, tmp_path, capsys):
         root = str(tmp_path / "store")

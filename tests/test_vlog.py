@@ -410,6 +410,29 @@ class TestRepairWithVlog:
             db.close()
 
 
+    def test_repair_keeps_the_format_when_the_value_log_is_gone(self, fs):
+        """A tagged store loses its only VLOG file: repair takes the format
+        from the surviving MANIFEST, so an inline value still reads back
+        without its tag byte."""
+        from repro.tools.repair import repair_store
+
+        db = kv_db(fs)
+        db.put(b"small", b"small")
+        db.put(*big(1))  # separated: the store's one value-log file
+        db.flush()
+        db.close()
+        vlogs = [name for name in fs.list_dir() if name.startswith("VLOG-")]
+        assert len(vlogs) == 1
+        fs.delete_file(vlogs[0])
+        fs.delete_file("CURRENT")
+        report = repair_store(fs, tiny_options())
+        assert report.vlog_files_recovered == 0
+        db = make_db(COMPACTION_SELECTIVE, fs=fs)
+        assert db.vlog is not None
+        assert db.get(b"small") == b"small"
+        db.close()
+
+
 class TestCrashConsistencySmoke:
     def test_kv_crash_points_hold(self):
         """A thin slice of the kv-separation crash sweep (the full sweep is
