@@ -49,6 +49,9 @@ table_build_reference   ``table_build``'s entries through
                         ``oracle.reference.build_table_bytes``
 get_sweep               50 gets on a compacted 400-key tree, blocks cached
 get_sweep_traced        the same with tracing and latency histograms on
+get_second_touch        ``db.get`` of a block that an earlier get (run
+                        outside the count) read and left undecoded: the
+                        whole-block decode the block's second use pays
 load                    a 6 000-put shuffled load into an empty store,
                         every flush and compaction it triggers included
 ======================  ====================================================
@@ -375,7 +378,7 @@ def _codec_pairs():
     from oracle import reference
     from repro import encoding
     from repro.keys import TYPE_VALUE, comparable_from_internal, make_internal_key
-    from repro.sstable.block import DataBlock, LazyDataBlock, parse_block_raw
+    from repro.sstable.block import DataBlock, parse_block_raw
     from repro.sstable.block_builder import RESTART_INTERVAL, BlockCutter
     from repro.sstable.format import BLOCK_TRAILER_SIZE, unwrap_block
 
@@ -437,7 +440,7 @@ def _codec_pairs():
 
     def open_raw_reference():
         for raw in raws:
-            LazyDataBlock(unwrap_block(raw))
+            reference.LazyDataBlock(unwrap_block(raw))
 
     return {
         **_pair(
@@ -655,6 +658,19 @@ def _traced_get_pair(dbs: list):
     }
 
 
+def _second_touch_path(db, keys: list[bytes]) -> Callable[[int], Callable[[], object]]:
+    """Each call's key, early in the key space (long evicted) and in a
+    block of its own, is read once while the call is made, so the counted
+    get is the second touch of a block still held undecoded."""
+
+    def make_call(i: int) -> Callable[[], object]:
+        key = keys[150 + 97 * i]
+        db.get(key)
+        return lambda: db.get(key)
+
+    return make_call
+
+
 def count_reference_pairs() -> dict[str, Count]:
     """Every fast/reference row pair's counts, the fast row first."""
     dbs: list = []
@@ -734,6 +750,7 @@ def measure(load: bool = True) -> dict[str, Count]:
         if any(write_db.num_files_per_level()):
             raise AssertionError("write_batch_8 rolled its memtable over")
         counts.update(count_reference_pairs())
+        counts["get_second_touch"] = third_of_five(_second_touch_path(db, keys))
         if load:
             counts["load"] = count_load()
         return counts

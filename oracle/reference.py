@@ -1,7 +1,8 @@
 """Frozen reference implementations of the engine's hot paths.
 
 These are verbatim copies of the straightforward (pre-optimization)
-implementations of the varint codec, the data-block codec, the per-entry
+implementations of the varint codec, the data-block codec, the
+region-at-a-time point-read block, the per-entry
 table build, output rotation and filter insert, the stored-block and
 index-block writers, the merge/visibility stack, the LPT scheduler, the
 memtable's skiplist, the version catalog, the scan path (linear level
@@ -30,17 +31,21 @@ is the point.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 import heapq
 import itertools
 import random
+import struct as _struct
 import time
 import zlib
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.encoding import decode_fixed32 as _live_fixed32, decode_varint as _live_varint
 from repro.errors import CorruptionError, FileSystemError, InvalidArgumentError
 from repro.core.iterator import DBIterator
 from repro.keys import (
     TYPE_DELETION,
+    TYPE_VALUE,
     ComparableKey,
     comparable_from_internal,
     comparable_parts,
@@ -49,6 +54,7 @@ from repro.keys import (
     user_key_of,
 )
 from repro.storage.fs import FileSystem
+from repro.sstable.block import _FIXED64_UNPACK, _INVERT, _lookup, _parse_entries
 from repro.sstable.filter_block import MODE_TABLE
 from repro.storage.io_stats import CAT_GET, CAT_SCAN
 
@@ -137,6 +143,181 @@ def parse_block(payload: bytes) -> tuple[list[ComparableKey], list[bytes]]:
         prev_key = key
         offset = value_end
     return keys, values
+
+
+class LazyDataBlock:
+    """Reference point-read block: the partially decoded form a point read's
+    miss cached before ``repro.sstable.block.DeferredBlock`` replaced it.
+    Decodes one restart region per lookup.
+
+    Holds the raw payload plus the restart-offset array.  ``get()`` binary-
+    searches the restart keys — each decoded once, on first touch — then
+    decodes only the region the key bisects into (``restart_interval``
+    entries, 16 by default, instead of the whole block).  Any whole-block
+    operation (``entries``, ``user_keys``, ``len``) materializes the full
+    entry lists once and serves from them afterwards, so a cached lazy
+    block promotes itself to the eager form under scan traffic.
+
+    Lazy decode trusts the payload's restart array (the checksum in the
+    block trailer has already been verified by the reader); a restart
+    entry that is prefix-compressed or out of bounds raises
+    :class:`CorruptionError`.
+    """
+
+    __slots__ = (
+        "payload",
+        "serialized_size",
+        "_data_end",
+        "_restarts",
+        "_restart_keys",
+        "_regions",
+        "_keys",
+        "_values",
+    )
+
+    def __init__(
+        self, payload: bytes, payload_len: int | None = None, num_restarts: int | None = None
+    ):
+        if payload_len is None:
+            payload_len = len(payload)
+        if num_restarts is None:  # parse_block_raw passes the count it read
+            if payload_len < 4:
+                raise CorruptionError("data block too short")
+            num_restarts = _live_fixed32(payload, payload_len - 4)
+        data_end = payload_len - 4 - 4 * num_restarts
+        if data_end < 0:
+            raise CorruptionError("data block restart array overruns payload")
+        self.payload = payload
+        # Cache charge is the *payload* size even when ``payload`` is a raw
+        # stored block (5 trailer bytes longer) — the charge must stay
+        # bit-identical to the copying path so cache behaviour never shifts.
+        self.serialized_size = payload_len
+        self._data_end = data_end
+        self._restarts: tuple[int, ...] = (
+            _struct.unpack_from(f"<{num_restarts}I", payload, data_end)
+            if num_restarts
+            else ()
+        )
+        self._restart_keys: list[ComparableKey | None] = [None] * num_restarts
+        self._regions: dict[int, tuple[list[ComparableKey], list[bytes]]] = {}
+        self._keys: list[ComparableKey] | None = None
+        self._values: list[bytes] | None = None
+
+    # -- lazy machinery ------------------------------------------------------
+
+    def _restart_key(self, i: int) -> ComparableKey:
+        """Comparable key of restart ``i``'s first entry (decoded once)."""
+        cached = self._restart_keys[i]
+        if cached is not None:
+            return cached
+        offset = self._restarts[i]
+        if not 0 <= offset < self._data_end:
+            raise CorruptionError("restart offset out of range")
+        shared, offset = _live_varint(self.payload, offset)
+        if shared:
+            raise CorruptionError("restart entry is prefix-compressed")
+        non_shared, offset = _live_varint(self.payload, offset)
+        _value_len, offset = _live_varint(self.payload, offset)
+        key_end = offset + non_shared
+        if non_shared < 8 or key_end > self._data_end:
+            raise CorruptionError("restart entry overruns payload")
+        key = self.payload[offset:key_end]
+        comparable = (key[:-8], _INVERT - _FIXED64_UNPACK(key, non_shared - 8)[0])
+        self._restart_keys[i] = comparable
+        return comparable
+
+    def _region(self, i: int) -> tuple[list[ComparableKey], list[bytes]]:
+        """Decode (and cache) the entries of restart region ``i``."""
+        cached = self._regions.get(i)
+        if cached is not None:
+            return cached
+        restarts = self._restarts
+        start = restarts[i]
+        end = restarts[i + 1] if i + 1 < len(restarts) else self._data_end
+        if not 0 <= start <= end <= self._data_end:
+            raise CorruptionError("restart offset out of range")
+        region = _parse_entries(self.payload, start, end)
+        self._regions[i] = region
+        return region
+
+    def _materialize(self) -> tuple[list[ComparableKey], list[bytes]]:
+        """Decode the whole block once; later calls serve the cached lists."""
+        if self._keys is None:
+            self._keys, self._values = _parse_entries(self.payload, 0, self._data_end)
+        return self._keys, self._values  # type: ignore[return-value]
+
+    # -- DataBlock API -------------------------------------------------------
+
+    @property
+    def keys(self) -> list[ComparableKey]:
+        return self._materialize()[0]
+
+    @property
+    def values(self) -> list[bytes]:
+        return self._materialize()[1]
+
+    def __len__(self) -> int:
+        return len(self._materialize()[0])
+
+    def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
+        """Point lookup decoding only the restart region it bisects into."""
+        if self._keys is not None:
+            return _lookup(self._keys, self._values, user_key, snapshot_sequence)
+        if self._data_end == 0 or not self._restarts:
+            return False, None
+        target = (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE))
+        # Rightmost region whose first key is <= target; the global first
+        # key >= target lives there (or is the next region's first entry).
+        lo, hi = 0, len(self._restarts) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if self._restart_key(mid) <= target:
+                lo = mid
+            else:
+                hi = mid - 1
+        keys, values = self._region(lo)
+        idx = bisect_left(keys, target)
+        if idx == len(keys):
+            if lo + 1 >= len(self._restarts):
+                return False, None
+            keys, values = self._region(lo + 1)
+            if not keys:
+                return False, None
+            idx = 0
+        found_user_key, inverted = keys[idx]
+        if found_user_key != user_key:
+            return False, None
+        if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
+            return True, None
+        return True, values[idx]
+
+    def entries(self) -> Iterator[tuple[ComparableKey, bytes]]:
+        keys, values = self._materialize()
+        return zip(keys, values)
+
+    def entries_from(self, seek: ComparableKey) -> Iterator[tuple[ComparableKey, bytes]]:
+        """Entries with comparable key >= ``seek``."""
+        keys, values = self._materialize()
+        idx = bisect_left(keys, seek)
+        return zip(keys[idx:], values[idx:])
+
+    def user_keys(self) -> list[bytes]:
+        """Distinct-preserving list of user keys (for filter construction).
+        A block nothing has materialized decodes its keys only."""
+        keys = self._keys
+        if keys is None:
+            keys = _parse_entries(self.payload, 0, self._data_end, with_values=False)[0]
+        return [key[0] for key in keys]
+
+    def memory_bytes(self) -> int:
+        """Charge for cache accounting: the serialized payload size.
+
+        Identical to the eager form's charge, so lazy decode never changes
+        cache behaviour.
+        """
+        return self.serialized_size
+
+
 
 
 class ReferenceBlockBuilder:

@@ -27,9 +27,10 @@ from .lru import LRUStats, ShardedLRUCache
 class BlockCache:
     """LRU over parsed data blocks, charged by serialized block size.
 
-    Entries may be eager :class:`~repro.sstable.block.DataBlock` or lazy
-    :class:`~repro.sstable.block.LazyDataBlock` instances; both charge the
-    serialized payload size, so the eviction behaviour is identical.
+    Entries are eager :class:`~repro.sstable.block.DataBlock` or raw
+    :class:`~repro.sstable.block.DeferredBlock` (a get's miss) instances,
+    both charged the payload size; :meth:`promote` swaps a deferred block's
+    decoded form into its entry, so :meth:`get` never checks which it is.
 
     ``shards`` > 1 partitions the ``(file_number, offset)`` key space across
     independently locked LRU shards (DESIGN.md §9); the default of 1 keeps
@@ -117,6 +118,12 @@ class BlockCache:
                 block.memory_bytes(),
                 (namespace, file_number),
             )
+
+    def promote(self, file_number: int, offset: int, deferred, block) -> None:
+        """Swap ``deferred``'s decoded ``block`` into its entry, if still there."""
+        namespace = self._namespace
+        key = (file_number, offset) if namespace is None else (namespace, file_number, offset)
+        self._lru.replace(key, deferred, block)
 
     def invalidate_file(self, file_number: int) -> int:
         """Drop every block of ``file_number`` (table-compacted or deleted

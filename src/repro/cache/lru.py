@@ -199,6 +199,13 @@ class LRUCache:
                     self._on_evict(oldest, evicted)
             self._usage = usage
 
+    def replace(self, key: Hashable, old: Any, new: Any) -> None:
+        """Swap ``key``'s value ``old``, if still there, for ``new`` in place."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is old:
+                self._entries[key] = (new, entry[1], entry[2])  # keeps its place
+
     def get_or_insert(
         self, key: Hashable, factory: Callable[[], Any], charge: int = 1
     ) -> Any:
@@ -365,6 +372,9 @@ class ShardedLRUCache:
         self, key: Hashable, value: Any, charge: int = 1, group: Hashable = None
     ) -> None:
         self._shard(key).insert(key, value, charge, group)
+
+    def replace(self, key: Hashable, old: Any, new: Any) -> None:
+        self._shard(key).replace(key, old, new)
 
     def get_or_insert(
         self, key: Hashable, factory: Callable[[], Any], charge: int = 1

@@ -146,9 +146,13 @@ class MemTable:
         i = bisect_left(maxes, seek)
         if i == len(maxes):
             return False, None
-        # maxes[i] >= seek is a key of chunks[i], so the slot exists.
+        # maxes[i] >= seek is a key of chunks[i], so the slot exists; an add
+        # landing between the bisect and the read shifts it: search again.
         chunk = chunks[i]
-        (found_user_key, inverted), value = chunk[bisect_left(chunk, seek, key=_key_of)]
+        entry = chunk[bisect_left(chunk, seek, key=_key_of)]
+        while entry[0] < seek:
+            entry = chunk[bisect_left(chunk, seek, key=_key_of)]
+        (found_user_key, inverted), value = entry
         if found_user_key != user_key:
             return False, None
         if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
@@ -168,18 +172,23 @@ class MemTable:
 
         Safe against adds between two ``next()`` calls (a sync caller's
         put mid-scan) and during them (the concurrent pipeline's writer):
-        the rest of a chunk is copied in one C-level slice, and the next
-        batch is found by bisecting the current index for the first key
-        after the last one yielded.  So the output is strictly increasing
-        and holds every entry present when the iterator was created; an
-        entry added since may or may not appear.
+        the rest of a chunk is copied in one C-level slice (re-cut on the
+        copy if an add shifted it), and the next batch is found by
+        bisecting the current index for the first key after the last one
+        yielded.  So the output is strictly increasing and holds every
+        entry present when the iterator was created; an entry added since
+        may or may not appear.
         """
         maxes, chunks = self._index
         i = bisect_left(maxes, seek)
         if i == len(maxes):
             return
         chunk = chunks[i]
+        # An add landing between a bisect and its slice shifts entries into
+        # the copy from below; a bisect of the private copy cuts them off.
         batch = chunk[bisect_left(chunk, seek, key=_key_of) :]
+        if batch[0][0] < seek:
+            batch = batch[bisect_left(batch, seek, key=_key_of) :]
         while True:
             yield from batch
             last = batch[-1][0]
@@ -189,6 +198,8 @@ class MemTable:
                 return
             chunk = chunks[i]
             batch = chunk[bisect_right(chunk, last, key=_key_of) :]
+            if batch[0][0] <= last:
+                batch = batch[bisect_right(batch, last, key=_key_of) :]
 
 
 __all__ = ["MemTable", "ENTRY_OVERHEAD", "TYPE_VALUE", "TYPE_DELETION"]

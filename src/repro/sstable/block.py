@@ -5,17 +5,13 @@ the block cache stores.  Two forms exist:
 
 * :class:`DataBlock` — eagerly decoded into parallel entry lists, searched
   with :mod:`bisect`.  Scans and compactions read (and scans cache) this
-  form: they touch every entry anyway, so the restart table, restart-key
-  list and region cache of the lazy form would be built for nothing.
-* :class:`LazyDataBlock` — keeps the raw payload and the restart array and
-  decodes *one restart region* on demand: ``get()`` binary-searches the
-  restart keys (decoded lazily, then cached) and materializes only the
-  region it bisects into.  Point lookups decode ~``restart_interval``
-  entries instead of the whole block, and the block cache stores these
-  cheap partially-decoded blocks; a later scan hitting the cached block
-  materializes it fully, once.  A block with a single restart point is one
-  region, so :func:`parse_block_raw` decodes it eagerly even when asked for
-  the lazy form.
+  form: they drain every entry anyway.
+* :class:`DeferredBlock` — the checksummed raw bytes, nothing decoded.  A
+  point read's cache miss caches this form and walks the raw entries to
+  its one key.  Most such blocks leave the cache unread; the next touch
+  of one — a second get, a scan — decodes it once and swaps the
+  :class:`DataBlock` into its cache entry in place, so a later hit is an
+  eager-block hit.
 
 Both forms charge the cache by serialized payload size, so cache hit/miss
 and eviction behaviour — everything the paper's Fig 14 measures — is
@@ -36,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from ..encoding import decode_fixed32, decode_varint
 from ..errors import CorruptionError
@@ -53,22 +49,6 @@ _TAIL_UNPACK = struct.Struct("<IBI").unpack_from
 _FIXED64_UNPACK = struct.Struct("<Q").unpack_from
 _FIXED64_PACK = struct.Struct("<Q").pack
 _INVERT = (1 << 64) - 1
-
-
-def _parse_header(payload: bytes, payload_len: int) -> int:
-    """Validate the restart trailer; return ``data_end`` (entry bytes).
-
-    ``payload_len`` bounds the payload span within ``payload`` — it equals
-    ``len(payload)`` for a bare payload, or ``len(raw) - 5`` when parsing
-    in place from a raw stored block.
-    """
-    if payload_len < 4:
-        raise CorruptionError("data block too short")
-    num_restarts = decode_fixed32(payload, payload_len - 4)
-    data_end = payload_len - 4 - 4 * num_restarts
-    if data_end < 0:
-        raise CorruptionError("data block restart array overruns payload")
-    return data_end
 
 
 def _parse_entries(
@@ -180,7 +160,7 @@ def _lookup(
 
     The seek key (``keys.seek_comparable``) and the found entry's split
     (``keys.comparable_parts``) are written out here and in
-    :meth:`LazyDataBlock.get`: three calls a probe otherwise."""
+    :meth:`DeferredBlock.get`: three calls a probe otherwise."""
     idx = bisect_left(keys, (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE)))
     if idx >= len(keys):
         return False, None
@@ -213,7 +193,11 @@ class DataBlock:
         """
         if payload_len is None:
             payload_len = len(payload)
-        data_end = _parse_header(payload, payload_len)
+        if payload_len < 4:
+            raise CorruptionError("data block too short")
+        data_end = payload_len - 4 - 4 * decode_fixed32(payload, payload_len - 4)
+        if data_end < 0:
+            raise CorruptionError("data block restart array overruns payload")
         keys, values = _parse_entries(payload, 0, data_end)
         return cls(keys, values, payload_len)
 
@@ -242,179 +226,171 @@ class DataBlock:
         return self.serialized_size
 
 
-class LazyDataBlock:
-    """Partially-decoded data block: decodes one restart region per lookup.
+class DeferredBlock:
+    """A data block held as its raw stored bytes, decoded when touched again.
 
-    Holds the raw payload plus the restart-offset array.  ``get()`` binary-
-    searches the restart keys — each decoded once, on first touch — then
-    decodes only the region the key bisects into (``restart_interval``
-    entries, 16 by default, instead of the whole block).  Any whole-block
-    operation (``entries``, ``user_keys``, ``len``) materializes the full
-    entry lists once and serves from them afterwards, so a cached lazy
-    block promotes itself to the eager form under scan traffic.
-
-    Lazy decode trusts the payload's restart array (the checksum in the
-    block trailer has already been verified by the reader); a restart
-    entry that is prefix-compressed or out of bounds raises
-    :class:`CorruptionError`.
+    The first :meth:`get` walks the raw entries; any later use decodes the
+    whole block once (:meth:`decoded`) and swaps the :class:`DataBlock`
+    into the cache entry ``home`` (``(BlockCache.promote, file_number,
+    offset)``, set by ``TableReader.read_block``), so the raw bytes leave
+    the cache as the lists enter it.  :meth:`user_keys` decodes keys only.
+    Safe under lock-free readers: DESIGN.md §9.
     """
 
-    __slots__ = (
-        "payload",
-        "serialized_size",
-        "_data_end",
-        "_restarts",
-        "_restart_keys",
-        "_regions",
-        "_keys",
-        "_values",
-    )
+    __slots__ = ("raw", "serialized_size", "home", "_data_end", "_touched", "_decoded")
 
-    def __init__(
-        self, payload: bytes, payload_len: int | None = None, num_restarts: int | None = None
-    ):
-        if payload_len is None:
-            payload_len = len(payload)
-        if num_restarts is None:  # parse_block_raw passes the count it read
-            if payload_len < 4:
-                raise CorruptionError("data block too short")
-            num_restarts = decode_fixed32(payload, payload_len - 4)
-        data_end = payload_len - 4 - 4 * num_restarts
-        if data_end < 0:
-            raise CorruptionError("data block restart array overruns payload")
-        self.payload = payload
-        # Cache charge is the *payload* size even when ``payload`` is a raw
-        # stored block (5 trailer bytes longer) — the charge must stay
-        # bit-identical to the copying path so cache behaviour never shifts.
-        self.serialized_size = payload_len
+    def __init__(self, raw: bytes, payload_len: int, data_end: int):
+        self.raw = raw
+        self.serialized_size = payload_len  # the payload's, as DataBlock charges
+        self.home: tuple[Callable, int, int] | None = None
         self._data_end = data_end
-        self._restarts: tuple[int, ...] = (
-            struct.unpack_from(f"<{num_restarts}I", payload, data_end)
-            if num_restarts
-            else ()
-        )
-        self._restart_keys: list[ComparableKey | None] = [None] * num_restarts
-        self._regions: dict[int, tuple[list[ComparableKey], list[bytes]]] = {}
-        self._keys: list[ComparableKey] | None = None
-        self._values: list[bytes] | None = None
+        self._touched = False
+        self._decoded: DataBlock | None = None
 
-    # -- lazy machinery ------------------------------------------------------
+    def decoded(self) -> DataBlock:
+        """The whole block, decoded on the first call (and swapped in)."""
+        block = self._decoded
+        if block is None:
+            keys, values = _parse_entries(self.raw, 0, self._data_end)
+            block = DataBlock(keys, values, self.serialized_size)
+            self._decoded = block  # one store publishes both lists
+            home = self.home
+            if home is not None:
+                home[0](home[1], home[2], self, block)
+        return block
 
-    def _restart_key(self, i: int) -> ComparableKey:
-        """Comparable key of restart ``i``'s first entry (decoded once)."""
-        cached = self._restart_keys[i]
-        if cached is not None:
-            return cached
-        offset = self._restarts[i]
-        if not 0 <= offset < self._data_end:
-            raise CorruptionError("restart offset out of range")
-        shared, offset = decode_varint(self.payload, offset)
-        if shared:
-            raise CorruptionError("restart entry is prefix-compressed")
-        non_shared, offset = decode_varint(self.payload, offset)
-        _value_len, offset = decode_varint(self.payload, offset)
-        key_end = offset + non_shared
-        if non_shared < 8 or key_end > self._data_end:
-            raise CorruptionError("restart entry overruns payload")
-        key = self.payload[offset:key_end]
-        comparable = (key[:-8], _INVERT - _FIXED64_UNPACK(key, non_shared - 8)[0])
-        self._restart_keys[i] = comparable
-        return comparable
-
-    def _region(self, i: int) -> tuple[list[ComparableKey], list[bytes]]:
-        """Decode (and cache) the entries of restart region ``i``."""
-        cached = self._regions.get(i)
-        if cached is not None:
-            return cached
-        restarts = self._restarts
-        start = restarts[i]
-        end = restarts[i + 1] if i + 1 < len(restarts) else self._data_end
-        if not 0 <= start <= end <= self._data_end:
-            raise CorruptionError("restart offset out of range")
-        region = _parse_entries(self.payload, start, end)
-        self._regions[i] = region
-        return region
-
-    def _materialize(self) -> tuple[list[ComparableKey], list[bytes]]:
-        """Decode the whole block once; later calls serve the cached lists."""
-        if self._keys is None:
-            self._keys, self._values = _parse_entries(self.payload, 0, self._data_end)
-        return self._keys, self._values  # type: ignore[return-value]
-
-    # -- DataBlock API -------------------------------------------------------
+    def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
+        """:meth:`DataBlock.get`'s answer; a first call copies one value."""
+        if self._touched:
+            block = self.decoded()
+            return _lookup(block.keys, block.values, user_key, snapshot_sequence)
+        self._touched = True
+        buf = self.raw
+        data_end = self._data_end
+        limit = (snapshot_sequence << 8) | TYPE_VALUE
+        offset = 0
+        restarts = (self.serialized_size - 4 - data_end) >> 2
+        if restarts > 1:
+            # Walk from the last restart whose first key is <= the seek key.
+            target = (user_key, _INVERT - limit)
+            lo, hi = 0, restarts - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                offset = decode_fixed32(buf, data_end + 4 * mid)
+                if not 0 <= offset < data_end:
+                    raise CorruptionError("restart offset out of range")
+                shared, offset = decode_varint(buf, offset)
+                if shared:
+                    raise CorruptionError("restart entry is prefix-compressed")
+                non_shared, offset = decode_varint(buf, offset)
+                _value_len, offset = decode_varint(buf, offset)
+                key_end = offset + non_shared
+                if non_shared < 8 or key_end > data_end:
+                    raise CorruptionError("restart entry overruns payload")
+                tail = key_end - 8
+                if (buf[offset:tail], _INVERT - _FIXED64_UNPACK(buf, tail)[0]) <= target:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            offset = decode_fixed32(buf, data_end + 4 * lo)
+            if not 0 <= offset <= data_end:
+                raise CorruptionError("restart offset out of range")
+        # _parse_entries' loop, comparing each key instead of keeping it.
+        # A trailer is read only if its entry decides (the overlap branch
+        # rebuilds the last key from tail_buf[tail:tail + 8]); overruns
+        # are checked where the walk stops, as offsets only grow.
+        prev_user = tail_buf = b""
+        prev_ulen = tail = 0
+        while offset < data_end:
+            try:
+                byte = buf[offset]
+                if byte < 0x80:
+                    shared = byte
+                    offset += 1
+                else:
+                    shared, offset = decode_varint(buf, offset)
+                byte = buf[offset]
+                if byte < 0x80:
+                    non_shared = byte
+                    offset += 1
+                else:
+                    non_shared, offset = decode_varint(buf, offset)
+                byte = buf[offset]
+                if byte < 0x80:
+                    value_len = byte
+                    offset += 1
+                else:
+                    high = buf[offset + 1]
+                    if high < 0x80:
+                        value_len = (byte & 0x7F) | (high << 7)
+                        offset += 2
+                    else:
+                        value_len, offset = decode_varint(buf, offset)
+            except IndexError:
+                raise CorruptionError("truncated varint") from None
+            key_end = offset + non_shared
+            if non_shared >= 8 and shared <= prev_ulen:
+                tail = key_end - 8
+                if shared:
+                    prev_user = prev_user[:shared] + buf[offset:tail]
+                else:
+                    prev_user = buf[offset:tail]
+                tail_buf = buf
+                prev_ulen = shared + non_shared - 8
+            else:
+                key = prev_user + tail_buf[tail : tail + 8]
+                if shared > len(key):
+                    raise CorruptionError(
+                        "prefix-compressed key shares more than previous key"
+                    )
+                key = key[:shared] + buf[offset:key_end]
+                prev_ulen = tail = len(key) - 8
+                if tail < 0:
+                    raise CorruptionError(f"internal key too short: {len(key)} bytes")
+                prev_user = key[:tail]
+                tail_buf = key
+            offset = key_end + value_len
+            if prev_user >= user_key:
+                # The first entry at or past the seek key decides, as the
+                # bisect in _lookup does.
+                if offset > data_end:
+                    break
+                if prev_user != user_key:
+                    return False, None
+                (trailer,) = _FIXED64_UNPACK(tail_buf, tail)
+                if trailer <= limit:
+                    if trailer & 0xFF == TYPE_DELETION:
+                        return True, None
+                    return True, buf[key_end:offset]
+        if offset > data_end:
+            raise CorruptionError("data block entry overruns payload")
+        return False, None
 
     @property
     def keys(self) -> list[ComparableKey]:
-        return self._materialize()[0]
+        return self.decoded().keys
 
     @property
     def values(self) -> list[bytes]:
-        return self._materialize()[1]
-
-    def __len__(self) -> int:
-        return len(self._materialize()[0])
-
-    def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
-        """Point lookup decoding only the restart region it bisects into."""
-        if self._keys is not None:
-            return _lookup(self._keys, self._values, user_key, snapshot_sequence)
-        if self._data_end == 0 or not self._restarts:
-            return False, None
-        target = (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE))
-        # Rightmost region whose first key is <= target; the global first
-        # key >= target lives there (or is the next region's first entry).
-        lo, hi = 0, len(self._restarts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._restart_key(mid) <= target:
-                lo = mid
-            else:
-                hi = mid - 1
-        keys, values = self._region(lo)
-        idx = bisect_left(keys, target)
-        if idx == len(keys):
-            if lo + 1 >= len(self._restarts):
-                return False, None
-            keys, values = self._region(lo + 1)
-            if not keys:
-                return False, None
-            idx = 0
-        found_user_key, inverted = keys[idx]
-        if found_user_key != user_key:
-            return False, None
-        if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
-            return True, None
-        return True, values[idx]
+        return self.decoded().values
 
     def entries(self) -> Iterator[tuple[ComparableKey, bytes]]:
-        keys, values = self._materialize()
-        return zip(keys, values)
+        return self.decoded().entries()
 
     def entries_from(self, seek: ComparableKey) -> Iterator[tuple[ComparableKey, bytes]]:
-        """Entries with comparable key >= ``seek``."""
-        keys, values = self._materialize()
-        idx = bisect_left(keys, seek)
-        return zip(keys[idx:], values[idx:])
+        return self.decoded().entries_from(seek)
 
     def user_keys(self) -> list[bytes]:
-        """Distinct-preserving list of user keys (for filter construction).
-        A block nothing has materialized decodes its keys only."""
-        keys = self._keys
-        if keys is None:
-            keys = _parse_entries(self.payload, 0, self._data_end, with_values=False)[0]
+        """:meth:`DataBlock.user_keys`, from a decode of the keys only."""
+        keys = _parse_entries(self.raw, 0, self._data_end, with_values=False)[0]
         return [key[0] for key in keys]
 
     def memory_bytes(self) -> int:
-        """Charge for cache accounting: the serialized payload size.
-
-        Identical to the eager form's charge, so lazy decode never changes
-        cache behaviour.
-        """
         return self.serialized_size
 
 
 #: Either parsed form; everything downstream of :func:`parse_block_raw` accepts both.
-ParsedBlock = Union[DataBlock, LazyDataBlock]
+ParsedBlock = Union[DataBlock, DeferredBlock]
 
 
 def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
@@ -428,12 +404,9 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     returned payload; this path allocates neither.  A type byte other than
     :data:`~repro.sstable.format.COMPRESSION_NONE` is corruption.
 
-    ``lazy`` asks for a :class:`LazyDataBlock`, which only a block with
-    more than one restart point gets: a one-region block's lazy form would
-    decode that same region at its first lookup, then pay an extra frame
-    on every later hit and hold both the raw bytes and the decoded lists,
-    so it is decoded eagerly here, once (the cache charge is
-    ``payload_len`` either way).
+    ``lazy`` asks for a :class:`DeferredBlock`: nothing is decoded past
+    the trailer and the restart count (the cache charge is ``payload_len``
+    either way).
     """
     # Trailer check inlined (vs calling format.check_block_trailer): this
     # runs once per block read, and at ~4 us/block the three Python calls
@@ -452,10 +425,10 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     crc = _zlib_crc32(memoryview(raw)[:payload_len]) & 0xFFFFFFFF
     if (((crc >> 15) | (crc << 17)) + 0xA282EAD8) & 0xFFFFFFFF != expected:
         raise CorruptionError("block failed checksum")
-    if lazy and num_restarts > 1:
-        return LazyDataBlock(raw, payload_len, num_restarts)
     data_end = payload_len - 4 - 4 * num_restarts
     if data_end < 0:
         raise CorruptionError("data block restart array overruns payload")
+    if lazy:
+        return DeferredBlock(raw, payload_len, data_end)
     keys, values = _parse_entries(raw, 0, data_end)
     return DataBlock(keys, values, payload_len)

@@ -214,16 +214,13 @@ class TableReader:
         ``sequential`` declares the read sequential outright (a
         compaction's whole-file pass).
 
-        ``lazy`` picks the form a miss decodes to (and caches).  A point
-        lookup takes the default: the parse is deferred
-        (``LazyDataBlock``), the block enters the cache partially decoded
-        and lookups decode only the restart region they bisect into.  A
-        caller about to drain every entry — a scan, :meth:`entry_blocks`
-        — asks for the eager
-        ``DataBlock``, which builds no restart table it would never read;
-        a later lookup that finds it cached bisects its entry lists.
-        Cache accounting is the same for both (each charges the serialized
-        size).
+        ``lazy`` picks the form a miss caches.  A point lookup takes the
+        default, a ``DeferredBlock``: the checksummed raw bytes, which the
+        lookup walks to its one key and whose next touch decodes them and
+        swaps the result into the cache entry given as ``home``.  A caller
+        about to drain every entry — a scan, :meth:`entry_blocks` — asks
+        for the eager ``DataBlock``.  A hit returns whichever form the
+        cache holds, unchecked; both charge the payload size.
         """
         if block_cache is not None:
             cached = block_cache.get(self.file_number, entry.offset)
@@ -241,6 +238,8 @@ class TableReader:
         )
         block = parse_block_raw(raw, lazy=lazy)
         if block_cache is not None:
+            if lazy:
+                block.home = (block_cache.promote, self.file_number, entry.offset)
             block_cache.insert(self.file_number, entry.offset, block)
         return block
 

@@ -187,6 +187,66 @@ class TestWritesDuringIteration:
         assert list(mt.entries_from(seek_comparable(b"a"))) == []
 
 
+class TestAddBetweenSearchAndRead:
+    """A lock-free reader bisects a chunk and then reads the slot, or slices
+    from it, as a second step; another writer's add can land in between
+    and shift the slot.  Each test makes that add land there."""
+
+    @staticmethod
+    def _add_after_next_chunk_search(monkeypatch, name, add):
+        """Run ``add()`` right after the next chunk bisect (``name`` is
+        ``bisect_left`` or ``bisect_right``; a chunk's carries ``key=``)."""
+        real = getattr(memtable_module, name)
+        armed = [True]
+
+        def search_then_add(seq, x, *args, **kwargs):
+            index = real(seq, x, *args, **kwargs)
+            if armed[0] and "key" in kwargs:
+                armed[0] = False
+                add()
+            return index
+
+        monkeypatch.setattr(memtable_module, name, search_then_add)
+
+    @pytest.mark.parametrize(
+        "added, expected",
+        [((3, b"k1", b"x"), (True, b"v5")), ((3, b"k5", b"newer"), (True, b"v5"))],
+        ids=["other-key-below", "newer-version-above-the-snapshot"],
+    )
+    def test_get(self, monkeypatch, added, expected):
+        mt = MemTable()
+        mt.add(1, TYPE_VALUE, b"k5", b"v5")
+        mt.add(2, TYPE_VALUE, b"k9", b"v9")
+        sequence, user_key, value = added
+        self._add_after_next_chunk_search(
+            monkeypatch, "bisect_left", lambda: mt.add(sequence, TYPE_VALUE, user_key, value)
+        )
+        assert mt.get(b"k5", 2) == expected
+
+    def test_iterator_start(self, monkeypatch):
+        mt = MemTable()
+        for sequence, user_key in enumerate((b"k3", b"k5", b"k7"), start=1):
+            mt.add(sequence, TYPE_VALUE, user_key, b"v")
+        self._add_after_next_chunk_search(
+            monkeypatch, "bisect_left", lambda: mt.add(9, TYPE_VALUE, b"k1", b"v")
+        )
+        got = [comparable_parts(key)[0] for key, _value in mt.entries_from(seek_comparable(b"k5"))]
+        assert got == [b"k5", b"k7"]
+
+    def test_iterator_next_batch(self, monkeypatch):
+        mt = MemTable()
+        mt.add(1, TYPE_VALUE, b"k2", b"v")
+        mt.add(2, TYPE_VALUE, b"k4", b"v")
+        iterator = mt.entries()
+        first = [comparable_parts(next(iterator)[0])[0] for _ in range(2)]
+        mt.add(3, TYPE_VALUE, b"k5", b"v")  # the chunk grows past the batch
+        self._add_after_next_chunk_search(
+            monkeypatch, "bisect_right", lambda: mt.add(4, TYPE_VALUE, b"k3", b"v")
+        )
+        rest = [comparable_parts(key)[0] for key, _value in iterator]
+        assert first + rest == [b"k2", b"k4", b"k5"]
+
+
 class TestSortedDictModel:
     """``MemTable`` against a plain dict sorted on demand, with four-entry
     chunks so that every history splits."""

@@ -5,17 +5,23 @@ answer exactly as the walk they replaced, which lives on as
 ``oracle.reference.get_linear`` / ``oracle.reference.multi_get_linear``."""
 
 import random
+import sys
+import threading
 
 import pytest
 
 from conftest import kv, make_db, tiny_options
 from oracle import reference
+from oracle.model import Model
 from repro.baselines.l2sm import L2SMDB
 from repro.cache.block_cache import BlockCache
 from repro.cache.lru import ShardedLRUCache
 from repro.cache.table_cache import TableCache
 from repro.core.db import DB
+from repro.sstable import block as block_module
+from repro.sstable.block import DataBlock, DeferredBlock, parse_block_raw
 from repro.storage.fs import SimulatedFS
+from repro.storage.io_stats import CAT_COMPACTION
 from test_version import _CountedKey
 
 
@@ -327,4 +333,110 @@ class TestMultiGetIsLinear:
         large = self._comparisons_per_key(db, 4000)
         assert small > 0
         assert large <= 3 * small, (small, large)
+        db.close()
+
+
+class TestDeferredBlock:
+    """A get's cache miss caches its block undecoded (a ``DeferredBlock``)
+    and answers from the raw entries; the block's next touch decodes it
+    and swaps the eager ``DataBlock`` into the cache entry in place."""
+
+    @staticmethod
+    def _store():
+        """A compacted store with tombstones, its model, and one stored
+        block: ``(db, model, reader, entry, block keys)``.  The block cache
+        is left empty."""
+        db = make_db()
+        model = Model()
+        for i in random.Random(7).sample(range(300), 300):
+            db.put(*kv(i))
+            model.apply(("put", *kv(i)))
+        for i in range(0, 300, 7):
+            db.delete(kv(i)[0])
+            model.apply(("delete", kv(i)[0]))
+        db.compact_all()
+        db.block_cache.clear()
+        level = max(level for level, count in enumerate(db.num_files_per_level()) if count)
+        meta = db.version.files_at(level)[1]
+        reader = db.table_cache.get(meta.file_number, meta.file_name())
+        entry = reader.index.entries[1]
+        keys = reader.read_user_keys([entry], category=CAT_COMPACTION)
+        assert len(keys) > 1
+        return db, model, reader, entry, keys
+
+    def test_second_touch_swaps_the_decoded_block_in_place(self):
+        db, model, reader, entry, keys = self._store()
+        cache = db.block_cache
+        key = (reader.file_number, entry.offset)
+        assert db.get(keys[0]) == model.get(keys[0])
+        deferred = cache._lru.peek(key)
+        assert type(deferred) is DeferredBlock and deferred._decoded is None
+        stats, usage, order = cache.snapshot(), cache.usage, list(cache._lru.keys())
+        assert db.get(keys[-1]) == model.get(keys[-1])
+        decoded = cache._lru.peek(key)
+        assert type(decoded) is DataBlock and decoded is deferred._decoded
+        after = cache.snapshot()
+        assert (after.hits, after.misses, after.insertions, after.evictions) == (
+            stats.hits + 1, stats.misses, stats.insertions, stats.evictions
+        )
+        assert (cache.usage, list(cache._lru.keys())) == (usage, order)
+        # A later hit is an eager-block hit.
+        assert db.get(keys[0]) == model.get(keys[0])
+        assert cache._lru.peek(key) is decoded
+        db.close()
+
+    def test_filter_rebuild_decodes_keys_only(self, monkeypatch):
+        """``read_user_keys`` (a filter rebuild's input) decodes no value,
+        and the deferred block it parses stays undecoded."""
+        db, _model, reader, entry, keys = self._store()
+        (raw,) = reader.read_blocks_raw([entry], category=CAT_COMPACTION)
+        eager = parse_block_raw(raw)
+        assert keys == eager.user_keys()
+        parsed = []
+        real = block_module._parse_entries
+
+        def spy(buf, offset, data_end, with_values=True):
+            parsed.append(with_values)
+            return real(buf, offset, data_end, with_values)
+
+        monkeypatch.setattr(block_module, "_parse_entries", spy)
+        assert reader.read_user_keys([entry], category=CAT_COMPACTION) == keys
+        deferred = parse_block_raw(raw, lazy=True)
+        assert deferred.user_keys() == keys
+        assert deferred._decoded is None
+        assert parsed == [False, False]
+        db.close()
+
+    def test_racing_first_and_second_touches_agree_with_the_model(self):
+        """Eight threads get the keys of one never-decoded block at once
+        (DESIGN.md §9: gets take no engine lock), so first touches, second
+        touches and the cache swap race; every answer is the model's."""
+        db, model, reader, entry, keys = self._store()
+        probes = keys + [key + b"-absent" for key in keys]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(10):
+                db.block_cache.clear()
+                barrier = threading.Barrier(8)
+                answers = []
+
+                def run(shift):
+                    order = probes[shift:] + probes[:shift]
+                    barrier.wait()
+                    answers.append([(key, db.get(key)) for key in order])
+
+                threads = [
+                    threading.Thread(target=run, args=(t % len(probes),)) for t in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+                assert len(answers) == 8
+                assert all(value == model.get(key) for run_ in answers for key, value in run_)
+                cached = db.block_cache._lru.peek((reader.file_number, entry.offset))
+                assert type(cached) is DataBlock
+        finally:
+            sys.setswitchinterval(switch)
         db.close()

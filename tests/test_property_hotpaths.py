@@ -56,9 +56,10 @@ from repro.core.version import (  # noqa: E402
 )
 from repro.memtable import MemTable  # noqa: E402
 from repro.options import FILTER_NONE, Options  # noqa: E402
-from repro.sstable.block import DataBlock, LazyDataBlock  # noqa: E402
+from repro.sstable.block import DataBlock, parse_block_raw  # noqa: E402
 from repro.sstable.block_builder import RESTART_INTERVAL, BlockCutter  # noqa: E402
 from repro.sstable.filter_block import TableFilter, deserialize_filter  # noqa: E402
+from repro.sstable.format import wrap_block  # noqa: E402
 from repro.sstable.table_builder import TableBuilder  # noqa: E402
 from repro.storage.fs import SimulatedFS  # noqa: E402
 
@@ -222,20 +223,31 @@ def test_block_decode_matches_reference(entries, restart_interval):
 @given(internal_entries(), st.integers(1, 5), st.binary(max_size=26))
 @settings(deadline=None)
 def test_lazy_block_get_matches_eager(entries, restart_interval, probe):
-    """Lazy region-decode lookups agree with eager whole-block lookups,
-    for present and absent keys alike, at several snapshots."""
+    """A point read's deferred block answers as the eager whole-block
+    lookup does, for present and absent keys alike, at several snapshots:
+    on its first touch (the walk over the raw entries, from the restart
+    region a binary search picks) and its second (the decoded block).  So
+    does the frozen region-at-a-time block it replaced."""
     payload = encode_block(entries, restart_interval)
+    raw = wrap_block(payload)
     eager = DataBlock.parse(payload)
     user_keys = {key[:-8] for key, _ in entries}
     for snapshot in (MAX_SEQUENCE, MAX_SEQUENCE // 2, 1):
-        lazy = LazyDataBlock(payload)
+        lazy = reference.LazyDataBlock(payload)
         for user_key in sorted(user_keys) + [probe, b"", b"\xff" * 30]:
-            assert lazy.get(user_key, snapshot) == eager.get(user_key, snapshot)
-    # A materialized lazy block serves the same entry lists.
-    lazy = LazyDataBlock(payload)
-    assert list(lazy.entries()) == list(eager.entries())
-    assert lazy.user_keys() == eager.user_keys()
-    assert lazy.memory_bytes() == eager.memory_bytes()
+            expected = eager.get(user_key, snapshot)
+            assert lazy.get(user_key, snapshot) == expected
+            deferred = parse_block_raw(raw, lazy=True)
+            assert deferred.get(user_key, snapshot) == expected
+            assert deferred._decoded is None
+            assert deferred.get(user_key, snapshot) == expected
+            assert deferred._decoded is not None
+    # A decoded deferred block serves the same entry lists.
+    deferred = parse_block_raw(raw, lazy=True)
+    assert deferred.user_keys() == eager.user_keys()
+    assert list(deferred.entries()) == list(eager.entries())
+    assert deferred.user_keys() == eager.user_keys()
+    assert deferred.memory_bytes() == eager.memory_bytes()
 
 
 @given(st.binary(max_size=80))
@@ -254,6 +266,83 @@ def test_block_decode_corruption_matches_reference(payload):
     else:
         block = DataBlock.parse(payload)
         assert (block.keys, block.values) == expected
+
+
+def _entries_before_damage(payload: bytes):
+    """The entries ``reference.parse_block`` decodes from the front of a
+    ``payload`` of one restart or none before it meets damage, and whether
+    it met any."""
+    data_end = len(payload) - 4 - 4 * reference.decode_fixed32(payload, len(payload) - 4)
+    entries = []
+    offset = 0
+    prev_key = b""
+    try:
+        while offset < data_end:
+            shared, offset = reference.decode_varint(payload, offset)
+            non_shared, offset = reference.decode_varint(payload, offset)
+            value_len, offset = reference.decode_varint(payload, offset)
+            key_end = offset + non_shared
+            value_end = key_end + value_len
+            if shared > len(prev_key) or value_end > data_end or shared + non_shared < 8:
+                return entries, True
+            key = prev_key[:shared] + payload[offset:key_end]
+            entries.append((comparable_from_internal(key), payload[key_end:value_end]))
+            prev_key = key
+            offset = value_end
+    except CorruptionError:
+        return entries, True
+    return entries, False
+
+
+@given(
+    st.binary(max_size=80),
+    st.one_of(
+        st.sampled_from([struct.pack("<II", 0, 1), struct.pack("<I", 0)]),
+        st.binary(min_size=4, max_size=12),
+    ),
+    st.binary(max_size=12),
+    st.integers(0, MAX_SEQUENCE),
+)
+@settings(deadline=None)
+@example(body=b"\x00\x08\x00" + b"\x00" * 8, restarts=struct.pack("<II", 0, 1),
+         user_key=b"", snapshot=0)
+def test_deferred_walk_corruption_matches_eager(body, restarts, user_key, snapshot):
+    """On arbitrary bytes, a deferred block's first-touch walk raises
+    CorruptionError and nothing else.  Over one restart region (or none)
+    it raises, or gives the answer of the first entry at or past the seek
+    key among those the eager decode reads before any damage — which is
+    the eager block's own answer when the decode succeeds and its keys are
+    in order.  It raises whenever it would have to read past the damage
+    to answer.  (Over several regions it trusts the restart array, as the
+    checksum has been verified.)"""
+    payload = body + restarts
+    try:
+        deferred = parse_block_raw(wrap_block(payload), lazy=True)
+    except CorruptionError:
+        return  # the restart array overruns the payload: the eager open refuses it too
+    try:
+        got = deferred.get(user_key, snapshot)
+    except CorruptionError:
+        got = None
+    if reference.decode_fixed32(payload, len(payload) - 4) > 1:
+        return
+    entries, damaged = _entries_before_damage(payload)
+    seek = (user_key, comparable_key(user_key, snapshot, TYPE_VALUE)[1])
+    at = next((i for i, (key, _) in enumerate(entries) if key >= seek), None)
+    if at is None:
+        assert got == (None if damaged else (False, None))
+        return
+    (found_user, inverted), value = entries[at]
+    if found_user != user_key:
+        expected = (False, None)
+    elif (((1 << 64) - 1 - inverted) & 0xFF) == TYPE_DELETION:
+        expected = (True, None)
+    else:
+        expected = (True, value)
+    assert got == expected
+    keys = [key for key, _ in entries]
+    if not damaged and keys == sorted(keys):
+        assert DataBlock.parse(payload).get(user_key, snapshot) == expected
 
 
 # ----------------------------------------------------------------- merge stack
