@@ -50,8 +50,8 @@ table_build_reference   ``table_build``'s entries through
 get_sweep               50 gets on a compacted 400-key tree, blocks cached
 get_sweep_traced        the same with tracing and latency histograms on
 get_second_touch        ``db.get`` of a block that an earlier get (run
-                        outside the count) read and left undecoded: the
-                        whole-block decode the block's second use pays
+                        outside the count) read and left raw: the
+                        in-place decode the block's second use pays
 load                    a 6 000-put shuffled load into an empty store,
                         every flush and compaction it triggers included
 ======================  ====================================================
@@ -661,7 +661,8 @@ def _traced_get_pair(dbs: list):
 def _second_touch_path(db, keys: list[bytes]) -> Callable[[int], Callable[[], object]]:
     """Each call's key, early in the key space (long evicted) and in a
     block of its own, is read once while the call is made, so the counted
-    get is the second touch of a block still held undecoded."""
+    get is the second touch of a block still held raw: it decodes the
+    block in place."""
 
     def make_call(i: int) -> Callable[[], object]:
         key = keys[150 + 97 * i]

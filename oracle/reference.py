@@ -2,13 +2,14 @@
 
 These are verbatim copies of the straightforward (pre-optimization)
 implementations of the varint codec, the data-block codec, the
-region-at-a-time point-read block, the per-entry
-table build, output rotation and filter insert, the stored-block and
+region-at-a-time point-read block and the decoded block's lookup helper,
+the per-entry table build, output rotation and filter insert, the stored-block and
 index-block writers, the merge/visibility stack, the LPT scheduler, the
 memtable's skiplist, the version catalog, the scan path (linear level
 seek, a generator per file, a per-entry drain), the point-read path (a
 skiplist seek per memtable miss, a key hash per filter, a closure per
-level walk, a list of pending keys per batch), the ``bytearray`` file
+level walk; and the batch walk, a list of pending keys probed per file,
+which the live ``multi_get`` no longer has), the ``bytearray`` file
 store, the three-layer WAL encoder (batch serialize, length prefix, frame)
 and the two-call append accounting.  They exist for two reasons:
 
@@ -54,7 +55,7 @@ from repro.keys import (
     user_key_of,
 )
 from repro.storage.fs import FileSystem
-from repro.sstable.block import _FIXED64_UNPACK, _INVERT, _lookup, _parse_entries
+from repro.sstable.block import _FIXED64_UNPACK, _INVERT, _parse_entries
 from repro.sstable.filter_block import MODE_TABLE
 from repro.storage.io_stats import CAT_GET, CAT_SCAN
 
@@ -145,10 +146,31 @@ def parse_block(payload: bytes) -> tuple[list[ComparableKey], list[bytes]]:
     return keys, values
 
 
+def _lookup(
+    keys: list[ComparableKey],
+    values: list[bytes],
+    user_key: bytes,
+    snapshot_sequence: int,
+) -> tuple[bool, bytes | None]:
+    """Reference point lookup over decoded entry lists: the helper a
+    decoded block's ``get`` called before the bisect was written into
+    ``DataBlock.get``."""
+    idx = bisect_left(keys, (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE)))
+    if idx >= len(keys):
+        return False, None
+    found_user_key, inverted = keys[idx]
+    if found_user_key != user_key:
+        return False, None
+    if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
+        return True, None
+    return True, values[idx]
+
+
 class LazyDataBlock:
     """Reference point-read block: the partially decoded form a point read's
-    miss cached before ``repro.sstable.block.DeferredBlock`` replaced it.
-    Decodes one restart region per lookup.
+    miss cached before the raw ``repro.sstable.block.DataBlock`` (walked on
+    its first touch, decoded in place on its next) replaced it.  Decodes
+    one restart region per lookup.
 
     Holds the raw payload plus the restart-offset array.  ``get()`` binary-
     searches the restart keys — each decoded once, on first touch — then
@@ -1134,11 +1156,15 @@ def get_linear(db, key: bytes, default: bytes | None = None, snapshot=None):
 
 
 def multi_get_linear(db, keys: list[bytes], snapshot=None) -> dict[bytes, bytes | None]:
-    """Reference ``DB.multi_get`` — the batch walk of PRs 12-22: ``pending``
-    a list (``key in pending`` and ``pending.remove`` scan it, so a batch of
-    absent keys is quadratic), a ``probe`` closure and a dict of
-    ``[first_miss, charged]`` lists, every sorted level asked.  Same
-    contract as :func:`get_linear`."""
+    """Reference batch walk — ``DB.multi_get`` as PRs 12-22 wrote it:
+    ``pending`` a list (``key in pending`` and ``pending.remove`` scan it,
+    so a batch of absent keys is quadratic), a ``probe`` closure and a dict
+    of ``[first_miss, charged]`` lists, the probes grouped per file, every
+    sorted level asked.  Kept as a CPU yardstick for the ``multi_get_8``
+    opcode row: ``DB.multi_get`` is now a :meth:`SuperVersion.lookup` per
+    distinct key, so its contract is :func:`get_linear`'s per key.  This
+    walk reads the same blocks in another order, so under eviction its
+    cache counts differ."""
     db._check_open()
     checked: list[bytes] = []
     for key in keys:

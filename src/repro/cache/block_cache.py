@@ -20,17 +20,17 @@ pressure — is genuinely global (a hot shard may hold more than 1/N of it).
 
 from __future__ import annotations
 
-from ..sstable.block import ParsedBlock
+from ..sstable.block import DataBlock
 from .lru import LRUStats, ShardedLRUCache
 
 
 class BlockCache:
     """LRU over parsed data blocks, charged by serialized block size.
 
-    Entries are eager :class:`~repro.sstable.block.DataBlock` or raw
-    :class:`~repro.sstable.block.DeferredBlock` (a get's miss) instances,
-    both charged the payload size; :meth:`promote` swaps a deferred block's
-    decoded form into its entry, so :meth:`get` never checks which it is.
+    Entries are :class:`~repro.sstable.block.DataBlock` instances, decoded
+    or still raw (a get's miss), charged the payload size either way.  A
+    raw block decodes itself in place on its next touch, so an entry's
+    value never changes and the cache never checks which form it holds.
 
     ``shards`` > 1 partitions the ``(file_number, offset)`` key space across
     independently locked LRU shards (DESIGN.md §9); the default of 1 keeps
@@ -100,13 +100,13 @@ class BlockCache:
     # inserted in its file's group, so an invalidation visits only that
     # file's cached blocks.
 
-    def get(self, file_number: int, offset: int) -> ParsedBlock | None:
+    def get(self, file_number: int, offset: int) -> DataBlock | None:
         namespace = self._namespace
         return self._lru_get(
             (file_number, offset) if namespace is None else (namespace, file_number, offset)
         )
 
-    def insert(self, file_number: int, offset: int, block: ParsedBlock) -> None:
+    def insert(self, file_number: int, offset: int, block: DataBlock) -> None:
         """Cache ``block`` in its file's group, charged its memory size."""
         namespace = self._namespace
         if namespace is None:
@@ -118,12 +118,6 @@ class BlockCache:
                 block.memory_bytes(),
                 (namespace, file_number),
             )
-
-    def promote(self, file_number: int, offset: int, deferred, block) -> None:
-        """Swap ``deferred``'s decoded ``block`` into its entry, if still there."""
-        namespace = self._namespace
-        key = (file_number, offset) if namespace is None else (namespace, file_number, offset)
-        self._lru.replace(key, deferred, block)
 
     def invalidate_file(self, file_number: int) -> int:
         """Drop every block of ``file_number`` (table-compacted or deleted

@@ -1316,12 +1316,12 @@ class DB:
     ) -> dict[bytes, bytes | None]:
         """Batched point lookups: ``{key: value-or-None}`` for each input.
 
-        A true batch, not a per-key loop: the snapshot and superversion
-        are resolved once, and SSTable probes are grouped per file —
-        each table's reader is fetched from the table cache once per batch
-        instead of once per (key, file) pair.  Lookup results (including
-        seek-compaction charges) match ``get`` called per key.  ``wait``
-        is :meth:`get`'s."""
+        One superversion pin and one snapshot for the batch, then
+        :meth:`SuperVersion.lookup` once per distinct key, in first-seen
+        order, each value resolved as :meth:`get` resolves it: the values,
+        seek charges and cache traffic are ``get``'s per key.  Counted per
+        requested key; the seek charges are applied once, at the end.
+        ``wait`` is :meth:`get`'s."""
         if self._closed:  # _check_open, inlined
             raise DBClosedError("database is closed")
         checked: list[bytes] = []
@@ -1333,25 +1333,32 @@ class DB:
         if not wait:
             self.lock_nowait()
         try:
-            # One superversion pin for the batch; the engine lock is taken
-            # only at the end, if seek charges accrued (compacting mid-batch
-            # would pull files from under its probes).
+            # The engine lock is taken only at the end, if seek charges
+            # accrued (compacting mid-batch would pull files from under its
+            # probes).
             sv, sequence = self._acquire_read()
             try:
                 if snapshot is not None:
                     sequence = self._resolve_snapshot(snapshot, sequence)
-                resolved, charges = sv.multi_lookup(checked, sequence)
-                # Resolve pointers before unref (see get).
-                if self.vlog is not None:
-                    for key, value in resolved.items():
-                        if value is not None:
-                            resolved[key] = self.vlog.resolve(value)
+                lookup = sv.lookup
+                vlog = self.vlog
+                results: dict[bytes, bytes | None] = {}
+                charges: list[tuple[int, FileMetadata]] = []
+                for key in checked:
+                    if key not in results:
+                        value, charge = lookup(key, sequence)
+                        if charge is not None:
+                            charges.append(charge)
+                        # Resolve before unref (see get).
+                        if vlog is not None and value is not None:
+                            value = vlog.resolve(value)
+                        results[key] = value
             finally:
                 sv.unref()
-            values = [resolved.get(key) for key in checked]
-            self.stats.count_gets(len(checked), len(checked) - values.count(None))
+            missing = list(map(results.get, checked)).count(None)
+            self.stats.count_gets(len(checked), len(checked) - missing)
             self._charge_seeks(charges, wait)
-            return dict(zip(checked, values))
+            return results
         finally:
             if not wait:
                 self._lock.release()

@@ -46,7 +46,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from zlib import crc32
 
-from ..bloom.bloom import _SALT1, _SALT2, _hash_pair
+from ..bloom.bloom import _SALT1, _SALT2
 from ..keys import ComparableKey
 from ..storage.io_stats import CAT_SCAN
 from . import sync
@@ -230,9 +230,10 @@ class SuperVersion:
     def lookup(
         self, key: bytes, sequence: int
     ) -> tuple[bytes | None, tuple[int, FileMetadata] | None]:
-        """The single-key traversal: newest stored (unresolved) value for
-        ``key`` at ``sequence``, newest component first; None covers both
-        absent and deleted.
+        """The point-read traversal, ``get``'s and ``multi_get``'s (once per
+        distinct key): newest stored (unresolved) value for ``key`` at
+        ``sequence``, newest component first; None covers both absent and
+        deleted.
 
         Also returns the seek-compaction charge the walk earned, as
         ``(level, file)`` or None: the first file that cost a block read
@@ -293,84 +294,6 @@ class SuperVersion:
                 if extra is not None and extra[0]:
                     return extra[1], charge
         return None, charge
-
-    def multi_lookup(
-        self, keys: list[bytes], sequence: int
-    ) -> tuple[dict[bytes, bytes | None], list[tuple[int, FileMetadata]]]:
-        """The batched traversal: ``(resolved, charges)`` — the stored
-        (unresolved) value of every key found, and the seek charges the
-        walk earned, ``(level, file)`` each, under :meth:`lookup`'s rule
-        per key.  SSTable probes are grouped per file, so each table's
-        reader is resolved once per batch."""
-        resolved: dict[bytes, bytes | None] = {}
-        charges: list[tuple[int, FileMetadata]] = []
-        memtable, immutable = self.memtable, self.immutable
-        # Keys the memtables did not answer, in batch order, each with its
-        # seek-charge state: None until a probe reads a block and misses,
-        # then that (level, file) — appended to ``charges`` and set False
-        # when the walk goes on past it.
-        pending: dict[bytes, tuple[int, FileMetadata] | None | bool] = {}
-        for key in keys:
-            if key in resolved or key in pending:
-                continue
-            found, value = memtable.get(key, sequence)
-            if not found and immutable is not None:
-                found, value = immutable.get(key, sequence)
-            if found:
-                resolved[key] = value
-            else:
-                pending[key] = None
-
-        hashes: dict[bytes, tuple[int, int]] = {}  # filled at a key's first probe
-        readers = self.readers
-        block_cache = self.block_cache
-        after_level = self.after_level
-        for level in range(self.num_levels):
-            if not pending:
-                break
-            # The level's probes as (file, keys) groups.  An L0 file's keys are
-            # picked at its turn (None here): a newer file may resolve some.
-            if level == 0:
-                groups = [(meta, None) for meta in self.level0_newest_first]
-            else:
-                by_file: dict[int, tuple[FileMetadata, list[bytes]]] = {}
-                for key in pending:
-                    meta = self.file_for_key(level, key)
-                    if meta is not None:
-                        by_file.setdefault(meta.file_number, (meta, []))[1].append(key)
-                groups = by_file.values()
-            for meta, file_keys in groups:
-                if file_keys is None:
-                    smallest, largest = meta.smallest_user_key, meta.largest_user_key
-                    file_keys = [key for key in pending if smallest <= key <= largest]
-                    if not file_keys:
-                        continue
-                reader = readers.get(meta.file_number)
-                if reader is None:
-                    reader = self.reader_for(meta, self.table_cache)
-                for key in file_keys:
-                    key_hash = hashes.get(key) or hashes.setdefault(key, _hash_pair(key))
-                    found, value, touched = reader.lookup(
-                        key, sequence, block_cache=block_cache, key_hash=key_hash
-                    )
-                    if found:
-                        resolved[key] = value
-                        first_miss = pending.pop(key)
-                        if first_miss:
-                            charges.append(first_miss)
-                    elif touched:
-                        first_miss = pending[key]
-                        if first_miss is None:
-                            pending[key] = (level, meta)
-                        elif first_miss:
-                            charges.append(first_miss)
-                            pending[key] = False
-            if after_level and level and pending:
-                for key, extra in [(key, after_level(level, key, sequence)) for key in pending]:
-                    if extra is not None and extra[0]:
-                        resolved[key] = extra[1]
-                        del pending[key]
-        return resolved, charges
 
     def scan_sources(
         self,
@@ -436,7 +359,8 @@ class SuperVersion:
           produces — LevelDB's read sampling: a file that is opened but
           yields nothing charges nothing.
         * Only the first block read is cut at ``seek``; every block is
-          decoded eagerly, since all of it is about to be drained.
+          decoded eagerly, since all of it is about to be drained — a
+          cached raw block (a get's miss) in place.
         """
         table_cache = self.table_cache
         block_cache = self.block_cache
@@ -458,7 +382,10 @@ class SuperVersion:
                     )
                     previous = entry
                     keys = block.keys
-                    values = block.values
+                    if keys is None:  # raw, from a get's miss: decoded once, here
+                        keys, values = block.decode()
+                    else:
+                        values = block.values
                     if seek is not None:
                         cut = bisect.bisect_left(keys, seek)
                         keys = keys[cut:]

@@ -1,21 +1,17 @@
 """Parsed data block: decoding and search.
 
-A parsed block is the in-memory form of one data-block payload and is what
-the block cache stores.  Two forms exist:
+A :class:`DataBlock` is the in-memory form of one data-block payload and is
+what the block cache stores.  Scans and compactions decode it eagerly into
+parallel entry lists, searched with :mod:`bisect`: they drain every entry
+anyway.  A point read's cache miss keeps the checksummed raw bytes instead
+and walks them to its one key: most such blocks leave the cache unread.
+The next touch of a raw block — a second get, a scan — decodes it in the
+same object, so a later hit is a hit on the decoded lists and the cache
+entry is never swapped.
 
-* :class:`DataBlock` — eagerly decoded into parallel entry lists, searched
-  with :mod:`bisect`.  Scans and compactions read (and scans cache) this
-  form: they drain every entry anyway.
-* :class:`DeferredBlock` — the checksummed raw bytes, nothing decoded.  A
-  point read's cache miss caches this form and walks the raw entries to
-  its one key.  Most such blocks leave the cache unread; the next touch
-  of one — a second get, a scan — decodes it once and swaps the
-  :class:`DataBlock` into its cache entry in place, so a later hit is an
-  eager-block hit.
-
-Both forms charge the cache by serialized payload size, so cache hit/miss
-and eviction behaviour — everything the paper's Fig 14 measures — is
-bit-identical whichever form is cached.  The decode loop is the engine's
+The charge is the serialized payload size either way, so cache hit/miss and
+eviction behaviour — everything the paper's Fig 14 measures — does not
+depend on which form a block is in.  The decode loop is the engine's
 hottest path; it runs over locally-bound buffers with the 3-varint entry
 header decoded inline (see :mod:`repro.encoding`).
 
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Callable, Iterator, Union
+from typing import Iterator
 
 from ..encoding import decode_fixed32, decode_varint
 from ..errors import CorruptionError
@@ -150,37 +146,36 @@ def _parse_entries(
     return keys, values
 
 
-def _lookup(
-    keys: list[ComparableKey],
-    values: list[bytes],
-    user_key: bytes,
-    snapshot_sequence: int,
-) -> tuple[bool, bytes | None]:
-    """Shared point-lookup over decoded entry lists.
-
-    The seek key (``keys.seek_comparable``) and the found entry's split
-    (``keys.comparable_parts``) are written out here and in
-    :meth:`DeferredBlock.get`: three calls a probe otherwise."""
-    idx = bisect_left(keys, (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE)))
-    if idx >= len(keys):
-        return False, None
-    found_user_key, inverted = keys[idx]
-    if found_user_key != user_key:
-        return False, None
-    if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
-        return True, None
-    return True, values[idx]
-
-
 class DataBlock:
-    """Decoded data block: parallel lists of comparable keys and values."""
+    """One data block: parallel lists of comparable keys and values, or the
+    block's raw stored bytes until something needs the lists.
 
-    __slots__ = ("keys", "values", "serialized_size")
+    ``keys is None`` marks a raw block (a point read's miss,
+    ``parse_block_raw(raw, lazy=True)``).  Its first :meth:`get` walks the
+    raw entries to its one key and copies only the value it returns; any
+    later use — a second get, :meth:`decode` from a scan — decodes the
+    whole block in place, once, storing ``values`` before ``keys`` and only
+    then dropping ``raw``, so a reader that sees ``keys`` also sees
+    ``values`` (DESIGN.md §9).  The cache entry never changes object.
+    :meth:`user_keys` of a raw block decodes keys only and leaves it raw.
+    """
 
-    def __init__(self, keys: list[ComparableKey], values: list[bytes], serialized_size: int):
+    __slots__ = ("keys", "values", "serialized_size", "raw", "_data_end", "_touched")
+
+    def __init__(
+        self,
+        keys: list[ComparableKey] | None,
+        values: list[bytes] | None,
+        serialized_size: int,
+        raw: bytes | None = None,
+        data_end: int = 0,
+    ):
         self.keys = keys
         self.values = values
         self.serialized_size = serialized_size
+        self.raw = raw
+        self._data_end = data_end
+        self._touched = False
 
     @classmethod
     def parse(cls, payload: bytes, payload_len: int | None = None) -> "DataBlock":
@@ -201,199 +196,176 @@ class DataBlock:
         keys, values = _parse_entries(payload, 0, data_end)
         return cls(keys, values, payload_len)
 
+    def decode(self) -> tuple[list[ComparableKey], list[bytes]]:
+        """The block's ``(keys, values)``, decoding a raw block in place."""
+        raw = self.raw
+        if raw is None:  # decoded: raw is dropped after both lists are stored
+            return self.keys, self.values
+        keys, values = _parse_entries(raw, 0, self._data_end)
+        self.values = values
+        self.keys = keys
+        self.raw = None
+        return keys, values
+
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.decode()[0])
 
     def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
         """Lookup semantics matching :meth:`MemTable.get`:
-        ``(found, value-or-None-for-tombstone)``."""
-        return _lookup(self.keys, self.values, user_key, snapshot_sequence)
+        ``(found, value-or-None-for-tombstone)``.  A raw block's first call
+        walks the raw entries; its next decodes the block in place.
+
+        The seek key (``keys.seek_comparable``) and the found entry's split
+        (``keys.comparable_parts``) are written out: three calls a probe
+        otherwise."""
+        keys = self.keys
+        if keys is None:
+            buf = self.raw
+            if buf is None or self._touched:
+                keys, values = self.decode()
+            else:
+                # A raw block's first touch: walk to the key, copy one value.
+                self._touched = True
+                data_end = self._data_end
+                limit = (snapshot_sequence << 8) | TYPE_VALUE
+                offset = 0
+                restarts = (self.serialized_size - 4 - data_end) >> 2
+                if restarts > 1:
+                    # Walk from the last restart whose first key is <= the seek key.
+                    target = (user_key, _INVERT - limit)
+                    lo, hi = 0, restarts - 1
+                    while lo < hi:
+                        mid = (lo + hi + 1) // 2
+                        offset = decode_fixed32(buf, data_end + 4 * mid)
+                        if not 0 <= offset < data_end:
+                            raise CorruptionError("restart offset out of range")
+                        shared, offset = decode_varint(buf, offset)
+                        if shared:
+                            raise CorruptionError("restart entry is prefix-compressed")
+                        non_shared, offset = decode_varint(buf, offset)
+                        _value_len, offset = decode_varint(buf, offset)
+                        key_end = offset + non_shared
+                        if non_shared < 8 or key_end > data_end:
+                            raise CorruptionError("restart entry overruns payload")
+                        tail = key_end - 8
+                        if (buf[offset:tail], _INVERT - _FIXED64_UNPACK(buf, tail)[0]) <= target:
+                            lo = mid
+                        else:
+                            hi = mid - 1
+                    offset = decode_fixed32(buf, data_end + 4 * lo)
+                    if not 0 <= offset <= data_end:
+                        raise CorruptionError("restart offset out of range")
+                # _parse_entries' loop, comparing each key instead of keeping it.
+                # A trailer is read only if its entry decides (the overlap branch
+                # rebuilds the last key from tail_buf[tail:tail + 8]); overruns
+                # are checked where the walk stops, as offsets only grow.
+                prev_user = tail_buf = b""
+                prev_ulen = tail = 0
+                while offset < data_end:
+                    try:
+                        byte = buf[offset]
+                        if byte < 0x80:
+                            shared = byte
+                            offset += 1
+                        else:
+                            shared, offset = decode_varint(buf, offset)
+                        byte = buf[offset]
+                        if byte < 0x80:
+                            non_shared = byte
+                            offset += 1
+                        else:
+                            non_shared, offset = decode_varint(buf, offset)
+                        byte = buf[offset]
+                        if byte < 0x80:
+                            value_len = byte
+                            offset += 1
+                        else:
+                            high = buf[offset + 1]
+                            if high < 0x80:
+                                value_len = (byte & 0x7F) | (high << 7)
+                                offset += 2
+                            else:
+                                value_len, offset = decode_varint(buf, offset)
+                    except IndexError:
+                        raise CorruptionError("truncated varint") from None
+                    key_end = offset + non_shared
+                    if non_shared >= 8 and shared <= prev_ulen:
+                        tail = key_end - 8
+                        if shared:
+                            prev_user = prev_user[:shared] + buf[offset:tail]
+                        else:
+                            prev_user = buf[offset:tail]
+                        tail_buf = buf
+                        prev_ulen = shared + non_shared - 8
+                    else:
+                        key = prev_user + tail_buf[tail : tail + 8]
+                        if shared > len(key):
+                            raise CorruptionError(
+                                "prefix-compressed key shares more than previous key"
+                            )
+                        key = key[:shared] + buf[offset:key_end]
+                        prev_ulen = tail = len(key) - 8
+                        if tail < 0:
+                            raise CorruptionError(f"internal key too short: {len(key)} bytes")
+                        prev_user = key[:tail]
+                        tail_buf = key
+                    offset = key_end + value_len
+                    if prev_user >= user_key:
+                        # The first entry at or past the seek key decides, as the
+                        # bisect below does.
+                        if offset > data_end:
+                            break
+                        if prev_user != user_key:
+                            return False, None
+                        (trailer,) = _FIXED64_UNPACK(tail_buf, tail)
+                        if trailer <= limit:
+                            if trailer & 0xFF == TYPE_DELETION:
+                                return True, None
+                            return True, buf[key_end:offset]
+                if offset > data_end:
+                    raise CorruptionError("data block entry overruns payload")
+                return False, None
+        else:
+            values = self.values
+        idx = bisect_left(keys, (user_key, _INVERT - ((snapshot_sequence << 8) | TYPE_VALUE)))
+        if idx >= len(keys):
+            return False, None
+        found_user_key, inverted = keys[idx]
+        if found_user_key != user_key:
+            return False, None
+        if (_INVERT - inverted) & 0xFF == TYPE_DELETION:
+            return True, None
+        return True, values[idx]
 
     def entries(self) -> Iterator[tuple[ComparableKey, bytes]]:
-        return zip(self.keys, self.values)
+        keys = self.keys
+        if keys is None:
+            return zip(*self.decode())
+        return zip(keys, self.values)
 
     def entries_from(self, seek: ComparableKey) -> Iterator[tuple[ComparableKey, bytes]]:
         """Entries with comparable key >= ``seek``."""
-        idx = bisect_left(self.keys, seek)
-        return zip(self.keys[idx:], self.values[idx:])
+        keys, values = self.decode()
+        idx = bisect_left(keys, seek)
+        return zip(keys[idx:], values[idx:])
 
     def user_keys(self) -> list[bytes]:
-        """Distinct-preserving list of user keys (for filter construction)."""
-        return [key[0] for key in self.keys]
-
-    def memory_bytes(self) -> int:
-        """Charge for cache accounting: the serialized payload size."""
-        return self.serialized_size
-
-
-class DeferredBlock:
-    """A data block held as its raw stored bytes, decoded when touched again.
-
-    The first :meth:`get` walks the raw entries; any later use decodes the
-    whole block once (:meth:`decoded`) and swaps the :class:`DataBlock`
-    into the cache entry ``home`` (``(BlockCache.promote, file_number,
-    offset)``, set by ``TableReader.read_block``), so the raw bytes leave
-    the cache as the lists enter it.  :meth:`user_keys` decodes keys only.
-    Safe under lock-free readers: DESIGN.md §9.
-    """
-
-    __slots__ = ("raw", "serialized_size", "home", "_data_end", "_touched", "_decoded")
-
-    def __init__(self, raw: bytes, payload_len: int, data_end: int):
-        self.raw = raw
-        self.serialized_size = payload_len  # the payload's, as DataBlock charges
-        self.home: tuple[Callable, int, int] | None = None
-        self._data_end = data_end
-        self._touched = False
-        self._decoded: DataBlock | None = None
-
-    def decoded(self) -> DataBlock:
-        """The whole block, decoded on the first call (and swapped in)."""
-        block = self._decoded
-        if block is None:
-            keys, values = _parse_entries(self.raw, 0, self._data_end)
-            block = DataBlock(keys, values, self.serialized_size)
-            self._decoded = block  # one store publishes both lists
-            home = self.home
-            if home is not None:
-                home[0](home[1], home[2], self, block)
-        return block
-
-    def get(self, user_key: bytes, snapshot_sequence: int) -> tuple[bool, bytes | None]:
-        """:meth:`DataBlock.get`'s answer; a first call copies one value."""
-        if self._touched:
-            block = self.decoded()
-            return _lookup(block.keys, block.values, user_key, snapshot_sequence)
-        self._touched = True
-        buf = self.raw
-        data_end = self._data_end
-        limit = (snapshot_sequence << 8) | TYPE_VALUE
-        offset = 0
-        restarts = (self.serialized_size - 4 - data_end) >> 2
-        if restarts > 1:
-            # Walk from the last restart whose first key is <= the seek key.
-            target = (user_key, _INVERT - limit)
-            lo, hi = 0, restarts - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                offset = decode_fixed32(buf, data_end + 4 * mid)
-                if not 0 <= offset < data_end:
-                    raise CorruptionError("restart offset out of range")
-                shared, offset = decode_varint(buf, offset)
-                if shared:
-                    raise CorruptionError("restart entry is prefix-compressed")
-                non_shared, offset = decode_varint(buf, offset)
-                _value_len, offset = decode_varint(buf, offset)
-                key_end = offset + non_shared
-                if non_shared < 8 or key_end > data_end:
-                    raise CorruptionError("restart entry overruns payload")
-                tail = key_end - 8
-                if (buf[offset:tail], _INVERT - _FIXED64_UNPACK(buf, tail)[0]) <= target:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            offset = decode_fixed32(buf, data_end + 4 * lo)
-            if not 0 <= offset <= data_end:
-                raise CorruptionError("restart offset out of range")
-        # _parse_entries' loop, comparing each key instead of keeping it.
-        # A trailer is read only if its entry decides (the overlap branch
-        # rebuilds the last key from tail_buf[tail:tail + 8]); overruns
-        # are checked where the walk stops, as offsets only grow.
-        prev_user = tail_buf = b""
-        prev_ulen = tail = 0
-        while offset < data_end:
-            try:
-                byte = buf[offset]
-                if byte < 0x80:
-                    shared = byte
-                    offset += 1
-                else:
-                    shared, offset = decode_varint(buf, offset)
-                byte = buf[offset]
-                if byte < 0x80:
-                    non_shared = byte
-                    offset += 1
-                else:
-                    non_shared, offset = decode_varint(buf, offset)
-                byte = buf[offset]
-                if byte < 0x80:
-                    value_len = byte
-                    offset += 1
-                else:
-                    high = buf[offset + 1]
-                    if high < 0x80:
-                        value_len = (byte & 0x7F) | (high << 7)
-                        offset += 2
-                    else:
-                        value_len, offset = decode_varint(buf, offset)
-            except IndexError:
-                raise CorruptionError("truncated varint") from None
-            key_end = offset + non_shared
-            if non_shared >= 8 and shared <= prev_ulen:
-                tail = key_end - 8
-                if shared:
-                    prev_user = prev_user[:shared] + buf[offset:tail]
-                else:
-                    prev_user = buf[offset:tail]
-                tail_buf = buf
-                prev_ulen = shared + non_shared - 8
-            else:
-                key = prev_user + tail_buf[tail : tail + 8]
-                if shared > len(key):
-                    raise CorruptionError(
-                        "prefix-compressed key shares more than previous key"
-                    )
-                key = key[:shared] + buf[offset:key_end]
-                prev_ulen = tail = len(key) - 8
-                if tail < 0:
-                    raise CorruptionError(f"internal key too short: {len(key)} bytes")
-                prev_user = key[:tail]
-                tail_buf = key
-            offset = key_end + value_len
-            if prev_user >= user_key:
-                # The first entry at or past the seek key decides, as the
-                # bisect in _lookup does.
-                if offset > data_end:
-                    break
-                if prev_user != user_key:
-                    return False, None
-                (trailer,) = _FIXED64_UNPACK(tail_buf, tail)
-                if trailer <= limit:
-                    if trailer & 0xFF == TYPE_DELETION:
-                        return True, None
-                    return True, buf[key_end:offset]
-        if offset > data_end:
-            raise CorruptionError("data block entry overruns payload")
-        return False, None
-
-    @property
-    def keys(self) -> list[ComparableKey]:
-        return self.decoded().keys
-
-    @property
-    def values(self) -> list[bytes]:
-        return self.decoded().values
-
-    def entries(self) -> Iterator[tuple[ComparableKey, bytes]]:
-        return self.decoded().entries()
-
-    def entries_from(self, seek: ComparableKey) -> Iterator[tuple[ComparableKey, bytes]]:
-        return self.decoded().entries_from(seek)
-
-    def user_keys(self) -> list[bytes]:
-        """:meth:`DataBlock.user_keys`, from a decode of the keys only."""
-        keys = _parse_entries(self.raw, 0, self._data_end, with_values=False)[0]
+        """Distinct-preserving list of user keys (for filter construction);
+        a raw block decodes its keys only, and stays raw."""
+        raw = self.raw
+        if raw is None:
+            keys = self.keys
+        else:
+            keys = _parse_entries(raw, 0, self._data_end, with_values=False)[0]
         return [key[0] for key in keys]
 
     def memory_bytes(self) -> int:
+        """Charge for cache accounting: the serialized payload size, raw or
+        decoded alike."""
         return self.serialized_size
 
 
-#: Either parsed form; everything downstream of :func:`parse_block_raw` accepts both.
-ParsedBlock = Union[DataBlock, DeferredBlock]
-
-
-def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
+def parse_block_raw(raw: bytes, *, lazy: bool = False) -> DataBlock:
     """Parse a *raw* stored block (payload + trailer) without copying.
 
     The zero-copy equivalent of ``DataBlock.parse(unwrap_block(raw))``: the
@@ -404,7 +376,7 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     returned payload; this path allocates neither.  A type byte other than
     :data:`~repro.sstable.format.COMPRESSION_NONE` is corruption.
 
-    ``lazy`` asks for a :class:`DeferredBlock`: nothing is decoded past
+    ``lazy`` asks for a raw :class:`DataBlock`: nothing is decoded past
     the trailer and the restart count (the cache charge is ``payload_len``
     either way).
     """
@@ -429,6 +401,6 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> ParsedBlock:
     if data_end < 0:
         raise CorruptionError("data block restart array overruns payload")
     if lazy:
-        return DeferredBlock(raw, payload_len, data_end)
+        return DataBlock(None, None, payload_len, raw, data_end)
     keys, values = _parse_entries(raw, 0, data_end)
     return DataBlock(keys, values, payload_len)

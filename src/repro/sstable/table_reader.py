@@ -30,7 +30,7 @@ from ..errors import CorruptionError
 from ..keys import ComparableKey
 from ..storage.fs import FileSystem
 from ..storage.io_stats import CAT_GET, CAT_OPEN, CAT_SCAN
-from .block import ParsedBlock, parse_block_raw
+from .block import DataBlock, parse_block_raw
 from .filter_block import MODE_BLOCK, Filter, deserialize_filter
 from .format import (
     BLOCK_TRAILER_SIZE,
@@ -201,7 +201,7 @@ class TableReader:
         sequential: bool = False,
         lazy: bool = True,
         after: IndexEntry | None = None,
-    ) -> ParsedBlock:
+    ) -> DataBlock:
         """Fetch one data block, through the block cache when given.
 
         A miss is charged by *physical contiguity*.  ``after`` is the block
@@ -215,12 +215,12 @@ class TableReader:
         compaction's whole-file pass).
 
         ``lazy`` picks the form a miss caches.  A point lookup takes the
-        default, a ``DeferredBlock``: the checksummed raw bytes, which the
-        lookup walks to its one key and whose next touch decodes them and
-        swaps the result into the cache entry given as ``home``.  A caller
-        about to drain every entry — a scan, :meth:`entry_blocks` — asks
-        for the eager ``DataBlock``.  A hit returns whichever form the
-        cache holds, unchecked; both charge the payload size.
+        default, a raw ``DataBlock``: the checksummed stored bytes, which
+        the lookup walks to its one key and whose next touch decodes them
+        in place.  A caller about to drain every entry — a scan,
+        :meth:`entry_blocks` — asks for the decoded block.  A hit returns
+        the cached block in whichever form it is; both charge the payload
+        size.
         """
         if block_cache is not None:
             cached = block_cache.get(self.file_number, entry.offset)
@@ -238,8 +238,6 @@ class TableReader:
         )
         block = parse_block_raw(raw, lazy=lazy)
         if block_cache is not None:
-            if lazy:
-                block.home = (block_cache.promote, self.file_number, entry.offset)
             block_cache.insert(self.file_number, entry.offset, block)
         return block
 

@@ -182,3 +182,72 @@ class TestConcurrentReaders:
         assert errors == []
         assert published[0] == total - 1
         db.close()
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipeline"])
+    def test_no_reader_misses_a_write_of_two_shuffled_writers(self, pipeline):
+        """The same contract under two writers putting keys in shuffled
+        order.  An add then lands inside a memtable chunk and shifts the
+        slots after it — in key order, one writer only ever appends — so a
+        reader whose add lands between its bisect and its read of the chunk
+        must still find every key whose put returned before it looked,
+        through a snapshot too."""
+        options = tiny_options(compaction_style="selective", memtable_size=16 * 1024)
+        db = DB(SimulatedFS(), options.concurrent_pipeline() if pipeline else options)
+        total = 2000
+        keys = [b"fresh%06d" % i for i in range(total)]
+        random.Random(11).shuffle(keys)
+        acked: list[bytes] = []  # each key appended once its put returned
+        errors: list[BaseException] = []
+        stop = threading.Event()
+        deadline = time.monotonic() + 60
+
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                while not stop.is_set():
+                    done = len(acked)
+                    if not done:
+                        continue
+                    # The memtables hold the latest few hundred keys.
+                    key = acked[done - 1 - rng.randrange(min(done, 200))]
+                    assert db.get(key) == b"v" + key
+                    if rng.randrange(16):
+                        continue
+                    # Seldom: a snapshot takes the engine lock, and readers
+                    # that queue on it behind the writers rarely race an add.
+                    snapshot = db.snapshot()
+                    try:
+                        assert db.get(key, snapshot=snapshot) == b"v" + key
+                    finally:
+                        db.release_snapshot(snapshot)
+            except BaseException as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        def writer(part: list[bytes]) -> None:
+            try:
+                for key in part:
+                    db.put(key, b"v" + key)
+                    acked.append(key)
+                    if errors or time.monotonic() > deadline:
+                        break
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        readers = [threading.Thread(target=reader, args=(t,)) for t in range(4)]
+        writers = [threading.Thread(target=writer, args=(keys[w::2],)) for w in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=90)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert errors == []
+        assert sorted(acked) == sorted(keys)
+        db.close()

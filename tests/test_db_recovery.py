@@ -225,6 +225,10 @@ REOPEN_FLIPS = [
     ("bloom_bits_per_key", 10, 4),
     ("max_levels", 7, 4),
     ("lazy_deletion", False, True),
+    ("sstable_size", 1024, 4096),
+    ("sstable_size", 4096, 1024),
+    ("memtable_size", 1024, 4096),
+    ("memtable_size", 4096, 1024),
 ]
 
 #: Raw values a tagged reader would misread: an inline tag byte first, and

@@ -1,8 +1,8 @@
-"""The point-read path (DESIGN.md §9): ``DB.get`` / ``DB.multi_get`` ask
-each component once — the memtable's key set, one key hash for every
-filter, a walk with no closure — and must read, charge, count and
-answer exactly as the walk they replaced, which lives on as
-``oracle.reference.get_linear`` / ``oracle.reference.multi_get_linear``."""
+"""The point-read path (DESIGN.md §9): ``DB.get`` asks each component
+once — the memtable's key set, one key hash for every filter, a walk with
+no closure — and ``DB.multi_get`` runs that walk once per distinct key.
+Both must read, charge, count and answer exactly as the walk they
+replaced, which lives on as ``oracle.reference.get_linear``."""
 
 import random
 import sys
@@ -19,7 +19,7 @@ from repro.cache.lru import ShardedLRUCache
 from repro.cache.table_cache import TableCache
 from repro.core.db import DB
 from repro.sstable import block as block_module
-from repro.sstable.block import DataBlock, DeferredBlock, parse_block_raw
+from repro.sstable.block import DataBlock, parse_block_raw
 from repro.storage.fs import SimulatedFS
 from repro.storage.io_stats import CAT_COMPACTION
 from test_version import _CountedKey
@@ -158,12 +158,37 @@ def _l2sm(fs):
     )
 
 
+def _multi_get_per_key_linear(db, keys, snapshot):
+    """``DB.multi_get``'s contract through the reference walk: one pin and
+    one snapshot for the batch, ``reference.lookup_linear`` (the traversal
+    of ``get_linear``) once per distinct key in first-seen order, each value
+    resolved as it is found, the gets counted per requested key and the
+    seek charges applied once, at the end."""
+    sv, sequence = db._acquire_read()
+    results, charges = {}, []
+    try:
+        sequence = db._resolve_snapshot(snapshot, sequence)
+        for key in keys:
+            if key not in results:
+                value, charge = reference.lookup_linear(db, sv, key, sequence)
+                if charge is not None:
+                    charges.append(charge)
+                if value is not None and db.vlog is not None:
+                    value = db.vlog.resolve(value)
+                results[key] = value
+    finally:
+        sv.unref()
+    db.stats.count_gets(len(keys), sum(1 for key in keys if results[key] is not None))
+    db._charge_seeks(charges)
+    return results
+
+
 class TestPointReadDifferential:
-    """``DB.get`` / ``DB.multi_get`` against ``oracle.reference.get_linear`` /
-    ``multi_get_linear`` over one op list: L0 files, an immutable memtable,
-    tombstones, overwritten keys, snapshots older and newer than the
-    memtable's entries, absent keys, appended files, value separation and
-    the L2SM log hook.  A read may cost less CPU, not read, charge, count or
+    """``DB.get`` against ``oracle.reference.get_linear``, and
+    ``DB.multi_get`` against that walk run once per distinct key, over one
+    op list: L0 files, an immutable memtable, tombstones, overwritten keys,
+    snapshots older and newer than the memtable's entries, absent keys,
+    appended files, value separation and the L2SM log hook.  A read may cost less CPU, not read, charge, count or
     cache anything differently."""
 
     @pytest.mark.parametrize(
@@ -200,7 +225,7 @@ class TestPointReadDifferential:
         )
         ref = _differential_run(
             lambda db, key, snap: reference.get_linear(db, key, snapshot=snap),
-            lambda db, keys, snap: reference.multi_get_linear(db, keys, snapshot=snap),
+            _multi_get_per_key_linear,
             make,
             expect_appends,
         )
@@ -312,8 +337,10 @@ class TestMultiGetBatches:
 class TestMultiGetIsLinear:
     """``multi_get`` used to keep its unresolved keys in a list (``key in
     pending``, ``pending.remove(key)``): 3.5 us a key at 250 absent keys,
-    79 us a key at 16 000.  Measured here as key comparisons — a count, not
-    a clock — with keys that count every comparison they take part in."""
+    79 us a key at 16 000.  It is now the point-read walk once per key, so a
+    key must cost that walk the same at any batch size.  Measured here as
+    key comparisons — a count, not a clock — with keys that count every
+    comparison they take part in."""
 
     @staticmethod
     def _comparisons_per_key(db, count):
@@ -323,8 +350,8 @@ class TestMultiGetIsLinear:
         assert len(set(keys)) == count
         _CountedKey.comparisons = 0
         # Below the public method: it copies each key to an exact ``bytes``.
-        resolved, _charges = db._superversion.multi_lookup(keys, db.last_sequence)
-        assert resolved == {}
+        sv, sequence = db._superversion, db.last_sequence
+        assert all(sv.lookup(key, sequence)[0] is None for key in keys)
         return _CountedKey.comparisons / count
 
     def test_4000_absent_keys_cost_per_key_what_250_cost(self):
@@ -337,9 +364,9 @@ class TestMultiGetIsLinear:
 
 
 class TestDeferredBlock:
-    """A get's cache miss caches its block undecoded (a ``DeferredBlock``)
-    and answers from the raw entries; the block's next touch decodes it
-    and swaps the eager ``DataBlock`` into the cache entry in place."""
+    """A get's cache miss caches its block undecoded (a ``DataBlock`` whose
+    ``keys`` is None) and answers from the raw entries; the block's next
+    touch decodes it in place, in the object the cache entry holds."""
 
     @staticmethod
     def _store():
@@ -364,30 +391,33 @@ class TestDeferredBlock:
         assert len(keys) > 1
         return db, model, reader, entry, keys
 
-    def test_second_touch_swaps_the_decoded_block_in_place(self):
+    def test_second_touch_decodes_the_block_in_place(self):
         db, model, reader, entry, keys = self._store()
         cache = db.block_cache
         key = (reader.file_number, entry.offset)
         assert db.get(keys[0]) == model.get(keys[0])
-        deferred = cache._lru.peek(key)
-        assert type(deferred) is DeferredBlock and deferred._decoded is None
+        block = cache._lru.peek(key)
+        assert type(block) is DataBlock and block.keys is None and block.raw is not None
         stats, usage, order = cache.snapshot(), cache.usage, list(cache._lru.keys())
         assert db.get(keys[-1]) == model.get(keys[-1])
-        decoded = cache._lru.peek(key)
-        assert type(decoded) is DataBlock and decoded is deferred._decoded
+        # The same object, now decoded: its lists in, its raw bytes out.
+        assert cache._lru.peek(key) is block
+        assert block.keys is not None and block.values is not None and block.raw is None
+        assert [k[0] for k in block.keys] == keys
         after = cache.snapshot()
         assert (after.hits, after.misses, after.insertions, after.evictions) == (
             stats.hits + 1, stats.misses, stats.insertions, stats.evictions
         )
         assert (cache.usage, list(cache._lru.keys())) == (usage, order)
-        # A later hit is an eager-block hit.
+        # A later hit is a hit on the decoded lists.
+        decoded = block.keys
         assert db.get(keys[0]) == model.get(keys[0])
-        assert cache._lru.peek(key) is decoded
+        assert cache._lru.peek(key) is block and block.keys is decoded
         db.close()
 
     def test_filter_rebuild_decodes_keys_only(self, monkeypatch):
         """``read_user_keys`` (a filter rebuild's input) decodes no value,
-        and the deferred block it parses stays undecoded."""
+        and ``user_keys`` leaves a raw block raw."""
         db, _model, reader, entry, keys = self._store()
         (raw,) = reader.read_blocks_raw([entry], category=CAT_COMPACTION)
         eager = parse_block_raw(raw)
@@ -401,16 +431,17 @@ class TestDeferredBlock:
 
         monkeypatch.setattr(block_module, "_parse_entries", spy)
         assert reader.read_user_keys([entry], category=CAT_COMPACTION) == keys
-        deferred = parse_block_raw(raw, lazy=True)
-        assert deferred.user_keys() == keys
-        assert deferred._decoded is None
+        block = parse_block_raw(raw, lazy=True)
+        assert block.user_keys() == keys
+        assert block.keys is None and block.raw is raw
         assert parsed == [False, False]
         db.close()
 
     def test_racing_first_and_second_touches_agree_with_the_model(self):
         """Eight threads get the keys of one never-decoded block at once
         (DESIGN.md §9: gets take no engine lock), so first touches, second
-        touches and the cache swap race; every answer is the model's."""
+        touches and the in-place decode race; every answer is the model's,
+        and the cache ends holding one decoded block."""
         db, model, reader, entry, keys = self._store()
         probes = keys + [key + b"-absent" for key in keys]
         switch = sys.getswitchinterval()
@@ -437,6 +468,7 @@ class TestDeferredBlock:
                 assert all(value == model.get(key) for run_ in answers for key, value in run_)
                 cached = db.block_cache._lru.peek((reader.file_number, entry.offset))
                 assert type(cached) is DataBlock
+                assert cached.keys is not None and cached.raw is None
         finally:
             sys.setswitchinterval(switch)
         db.close()

@@ -223,11 +223,12 @@ def test_block_decode_matches_reference(entries, restart_interval):
 @given(internal_entries(), st.integers(1, 5), st.binary(max_size=26))
 @settings(deadline=None)
 def test_lazy_block_get_matches_eager(entries, restart_interval, probe):
-    """A point read's deferred block answers as the eager whole-block
-    lookup does, for present and absent keys alike, at several snapshots:
-    on its first touch (the walk over the raw entries, from the restart
-    region a binary search picks) and its second (the decoded block).  So
-    does the frozen region-at-a-time block it replaced."""
+    """A point read's raw block answers as the eager whole-block lookup
+    does, for present and absent keys alike, at several snapshots: on its
+    first touch (the walk over the raw entries, from the restart region a
+    binary search picks), which leaves it raw, and its second, which
+    decodes it in place.  So does the frozen region-at-a-time block it
+    replaced."""
     payload = encode_block(entries, restart_interval)
     raw = wrap_block(payload)
     eager = DataBlock.parse(payload)
@@ -237,17 +238,26 @@ def test_lazy_block_get_matches_eager(entries, restart_interval, probe):
         for user_key in sorted(user_keys) + [probe, b"", b"\xff" * 30]:
             expected = eager.get(user_key, snapshot)
             assert lazy.get(user_key, snapshot) == expected
-            deferred = parse_block_raw(raw, lazy=True)
-            assert deferred.get(user_key, snapshot) == expected
-            assert deferred._decoded is None
-            assert deferred.get(user_key, snapshot) == expected
-            assert deferred._decoded is not None
-    # A decoded deferred block serves the same entry lists.
-    deferred = parse_block_raw(raw, lazy=True)
-    assert deferred.user_keys() == eager.user_keys()
-    assert list(deferred.entries()) == list(eager.entries())
-    assert deferred.user_keys() == eager.user_keys()
-    assert deferred.memory_bytes() == eager.memory_bytes()
+            block = parse_block_raw(raw, lazy=True)
+            assert block.get(user_key, snapshot) == expected
+            assert block.keys is None and block.raw is raw
+            assert block.get(user_key, snapshot) == expected
+            assert (block.keys, block.values) == (eager.keys, eager.values)
+            assert block.raw is None
+    # Every other use of a raw block serves the decoded entry lists;
+    # ``user_keys`` alone leaves it raw.
+    block = parse_block_raw(raw, lazy=True)
+    assert block.user_keys() == eager.user_keys()
+    assert block.keys is None
+    assert block.memory_bytes() == eager.memory_bytes()
+    assert list(block.entries()) == list(eager.entries())
+    assert block.raw is None and block.memory_bytes() == eager.memory_bytes()
+    assert block.user_keys() == eager.user_keys()
+    block = parse_block_raw(raw, lazy=True)
+    assert len(block) == len(eager) and block.keys == eager.keys
+    block = parse_block_raw(raw, lazy=True)
+    seek = eager.keys[len(eager.keys) // 2]
+    assert list(block.entries_from(seek)) == list(eager.entries_from(seek))
 
 
 @given(st.binary(max_size=80))
@@ -307,7 +317,7 @@ def _entries_before_damage(payload: bytes):
 @example(body=b"\x00\x08\x00" + b"\x00" * 8, restarts=struct.pack("<II", 0, 1),
          user_key=b"", snapshot=0)
 def test_deferred_walk_corruption_matches_eager(body, restarts, user_key, snapshot):
-    """On arbitrary bytes, a deferred block's first-touch walk raises
+    """On arbitrary bytes, a raw block's first-touch walk raises
     CorruptionError and nothing else.  Over one restart region (or none)
     it raises, or gives the answer of the first entry at or past the seek
     key among those the eager decode reads before any damage — which is
@@ -317,11 +327,11 @@ def test_deferred_walk_corruption_matches_eager(body, restarts, user_key, snapsh
     checksum has been verified.)"""
     payload = body + restarts
     try:
-        deferred = parse_block_raw(wrap_block(payload), lazy=True)
+        block = parse_block_raw(wrap_block(payload), lazy=True)
     except CorruptionError:
         return  # the restart array overruns the payload: the eager open refuses it too
     try:
-        got = deferred.get(user_key, snapshot)
+        got = block.get(user_key, snapshot)
     except CorruptionError:
         got = None
     if reference.decode_fixed32(payload, len(payload) - 4) > 1:
