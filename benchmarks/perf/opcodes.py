@@ -54,6 +54,10 @@ get_second_touch        ``db.get`` of a block that an earlier get (run
                         in-place decode the block's second use pays
 load                    a 6 000-put shuffled load into an empty store,
                         every flush and compaction it triggers included
+serve_get               one served ``get`` of a cached key, socket to socket
+                        and back (see :func:`serve_rows`)
+serve_put               one served ``put`` of a fresh key
+serve_scan_20           one served ``scan(start, None, 20)``, blocks cached
 ======================  ====================================================
 
 Each path is called five times and the **third** call is the one counted:
@@ -70,7 +74,9 @@ but the seeked scans run on a 3 000-key store in the end-to-end benchmark's
 geometry (``options_for("BlockDB", ...)``: 64 KiB tables, 4 KiB blocks, 32 B
 keys, 1 KiB values, cache = 10 % of the data), loaded in a seeded shuffle
 and compacted into one level — the ``*_tree`` rows on a second copy of it
-left as the load built it; the seeked scans on :func:`seek_store`.
+left as the load built it; the seeked scans on :func:`seek_store`; the
+``serve_*`` rows on the same keys behind a ``ShardServer`` in the
+end-to-end ``serve_mixed`` geometry.
 Rows are added at the end, so that a row's count does not depend on which
 rows exist (a get before a scan moves the scan's count by two).  Seek compaction is off in
 both, so no call is the one that happens to pay for a reorganisation.
@@ -672,6 +678,105 @@ def _second_touch_path(db, keys: list[bytes]) -> Callable[[int], Callable[[], ob
     return make_call
 
 
+class _Wire:
+    """A transport stub: ``write`` records what a protocol sends and the
+    connection is never closing — both C calls, so that a served row
+    counts no frame of the stub's."""
+
+    def __init__(self):
+        self.sent: list[bytes] = []
+        self.write = self.sent.append
+        self.is_closing = False.__bool__
+
+    def take(self) -> bytes:
+        data = b"".join(self.sent)
+        self.sent.clear()
+        return data
+
+
+def count_serve_rows() -> dict[str, Count]:
+    """The ``serve_*`` rows' counts.
+
+    Each call is one request through ``ShardServer`` and back, with no
+    socket and no turn of an event loop: the client's op encodes its frame
+    and awaits its reply future (the coroutine is stepped by hand, with
+    the server's loop set as the running one); the server connection's
+    ``data_received`` answers it, inline, through ``ShardedDB`` and the
+    shard's ``DB``; the client protocol's ``data_received`` resolves the
+    future and the coroutine maps the status.  The store is the e2e
+    ``serve_mixed`` one: two shards split at the middle key,
+    ``Options.concurrent_pipeline()`` over this module's geometry, the keys
+    loaded in a seeded shuffle, flushed and settled.  The sampled stall
+    pressure is held (``stall_check_interval_s`` is infinite), so no count
+    depends on the wall clock."""
+    import asyncio
+
+    from repro.serve import ServeClient, ShardServer
+    from repro.serve.client import _ReplyProtocol
+    from repro.serve.server import _Conn
+    from repro.sharding import MemoryShardStore, ShardedDB
+    from repro.ycsb import make_key, make_value
+
+    keys = [make_key(ordinal, 32) for ordinal in range(STORE_KEYS)]
+    db = ShardedDB(
+        MemoryShardStore(), _options().concurrent_pipeline(), shards=2,
+        boundaries=[keys[STORE_KEYS // 2]],
+    )
+    loop = asyncio.new_event_loop()
+    server = ShardServer(db, executor_threads=1, stall_check_interval_s=float("inf"))
+    try:
+        order = list(range(STORE_KEYS))
+        random.Random(20220509).shuffle(order)
+        for ordinal in order:
+            db.put(keys[ordinal], make_value(ordinal, 0, VALUE_SIZE))
+        db.flush()
+        db.wait_for_background()
+        db.scan()
+        server._loop = loop
+        conn = _Conn(server)
+        conn.connection_made(_Wire())
+        client = ServeClient()
+        protocol = _ReplyProtocol(loop)
+        protocol.connection_made(_Wire())
+        client._protocol = protocol
+
+        def request(coro):
+            coro.send(None)  # the frame is written; the reply future awaited
+            conn.data_received(protocol.transport.take())
+            protocol.data_received(conn.transport.take())
+            try:
+                coro.send(None)
+            except StopIteration as done:
+                return done.value
+            raise AssertionError("a served request did not finish in one round trip")
+
+        value = b"v" * VALUE_SIZE
+        fresh = [b"zz-served-key-%020d" % i for i in range(CALLS)]
+        rows = {
+            "serve_get": lambda i: lambda: request(client.get(keys[700])),
+            "serve_put": lambda i: lambda: request(client.put(fresh[i], value)),
+            "serve_scan_20": lambda i: lambda: request(client.scan(keys[1500], None, 20)),
+        }
+        asyncio.events._set_running_loop(loop)
+        try:
+            counts = {name: third_of_five(make_call) for name, make_call in rows.items()}
+            found = request(client.get(keys[700]))
+            scanned = request(client.scan(keys[1500], None, 20))
+        finally:
+            asyncio.events._set_running_loop(None)
+        if (
+            found != make_value(700, 0, VALUE_SIZE)
+            or [key for key, _ in scanned] != keys[1500:1520]
+            or (server.inline, server.hopped) != (3 * CALLS + 2, 0)
+        ):
+            raise AssertionError("the served rows' store did not answer inline")
+        return counts
+    finally:
+        loop.close()
+        server._pool.shutdown()
+        db.close()
+
+
 def count_reference_pairs() -> dict[str, Count]:
     """Every fast/reference row pair's counts, the fast row first."""
     dbs: list = []
@@ -754,6 +859,7 @@ def measure(load: bool = True) -> dict[str, Count]:
         counts["get_second_touch"] = third_of_five(_second_touch_path(db, keys))
         if load:
             counts["load"] = count_load()
+        counts.update(count_serve_rows())
         return counts
     finally:
         db.close()

@@ -358,6 +358,12 @@ class _Condition:
     def __exit__(self, *exc) -> None:
         self._lock.release()
 
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self) -> None:
+        self._lock.release()
+
     def wait(self, timeout: float | None = None) -> bool:
         if not self._lock._is_owned():
             raise RuntimeError("cannot wait on un-acquired lock")

@@ -21,7 +21,7 @@ pressure — is genuinely global (a hot shard may hold more than 1/N of it).
 from __future__ import annotations
 
 from ..sstable.block import DataBlock
-from .lru import LRUStats, ShardedLRUCache
+from .lru import LRUStats, ShardedLRUCache, _text_hash
 
 
 class BlockCache:
@@ -62,6 +62,16 @@ class BlockCache:
         target = lru._shards[0] if lru.num_shards == 1 else lru
         self._lru_get = target.get
         self._lru_insert = target.insert
+        # A namespaced facade over several shards picks the shard itself:
+        # ``stable_hash`` of ``(namespace, file, offset)`` is the builtin
+        # hash of ``(_text_hash(namespace), file, offset)``, and the
+        # namespace's part is the same on every call.  With a tracer on the
+        # LRU the calls go through ``_shard``, which samples contention.
+        self._ns_shards = None
+        self._ns_hash = 0
+        if namespace is not None and lru.num_shards > 1 and lru._tracer is None:
+            self._ns_shards = lru._shards
+            self._ns_hash = _text_hash(namespace)
 
     @property
     def namespace(self) -> str | None:
@@ -102,22 +112,31 @@ class BlockCache:
 
     def get(self, file_number: int, offset: int) -> DataBlock | None:
         namespace = self._namespace
-        return self._lru_get(
-            (file_number, offset) if namespace is None else (namespace, file_number, offset)
-        )
+        if namespace is None:
+            return self._lru_get((file_number, offset))
+        shards = self._ns_shards
+        if shards is None:
+            return self._lru_get((namespace, file_number, offset))
+        shard = shards[hash((self._ns_hash, file_number, offset)) % len(shards)]
+        return shard.get((namespace, file_number, offset))
 
     def insert(self, file_number: int, offset: int, block: DataBlock) -> None:
         """Cache ``block`` in its file's group, charged its memory size."""
         namespace = self._namespace
         if namespace is None:
             self._lru_insert((file_number, offset), block, block.memory_bytes(), file_number)
+            return
+        shards = self._ns_shards
+        if shards is None:
+            insert = self._lru_insert
         else:
-            self._lru_insert(
-                (namespace, file_number, offset),
-                block,
-                block.memory_bytes(),
-                (namespace, file_number),
-            )
+            insert = shards[hash((self._ns_hash, file_number, offset)) % len(shards)].insert
+        insert(
+            (namespace, file_number, offset),
+            block,
+            block.memory_bytes(),
+            (namespace, file_number),
+        )
 
     def invalidate_file(self, file_number: int) -> int:
         """Drop every block of ``file_number`` (table-compacted or deleted

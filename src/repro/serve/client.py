@@ -73,6 +73,7 @@ class _ReplyProtocol(asyncio.Protocol):
     ``ConnectionError``."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.loop = loop
         self.transport: asyncio.Transport | None = None
         self.frames = p.FrameBuffer()
         self.waiters: deque[asyncio.Future] = deque()
@@ -178,8 +179,7 @@ class ServeClient:
     # -- transport with breaker --------------------------------------------
 
     def _breaker_check(self) -> None:
-        if self._failures < self.breaker_threshold:
-            return
+        """Called once ``breaker_threshold`` failures are in a row."""
         now = asyncio.get_running_loop().time()
         if now < self._open_until:
             raise CircuitOpenError(
@@ -196,59 +196,57 @@ class ServeClient:
                 self.breaker_trips += 1
             self._open_until = loop.time() + self.breaker_cooldown_s
 
-    async def _request(self, frame: bytes) -> tuple[int, bytes]:
-        """One raw attempt: send ``frame``, await its reply, map status.
-
-        No retries at this layer — :meth:`_call` owns the retry loop; the
-        protocol-level tests drive this directly.
-        """
-        self._breaker_check()
-        if not self._live():
-            await self.connect()
-        protocol = self._protocol
-        reply = asyncio.get_running_loop().create_future()
-        protocol.waiters.append(reply)
-        protocol.transport.write(frame)
-        try:
-            body = await reply
-        except (ConnectionError, OSError):
-            # The connection is unusable: framing state is unknown.
-            self._record_transport_failure()
-            if self._protocol is protocol:
-                self._protocol = None
-            raise
-        self._failures = 0
-        status, payload = p.decode_body(body)
-        if status == p.STATUS_ERROR:
-            raise ServeError(payload.decode("utf-8", "replace"))
-        if status == p.STATUS_UNAVAILABLE:
-            raise UnavailableError(payload.decode("utf-8", "replace"))
-        if status == p.STATUS_DEADLINE_EXCEEDED:
-            raise DeadlineExceededError(payload.decode("utf-8", "replace"))
-        return status, payload
-
     async def _call(self, frame: bytes) -> tuple[int, bytes]:
-        """The retry loop: transport failures reconnect, RETRY_LATER sleeps
-        max(server hint, jittered exponential backoff) and tries again."""
+        """Send ``frame``, await its reply and map its status: the one
+        request path, and its retry loop.  Returns ``(status, body)`` for
+        an answer (``body[1:]`` is the payload); an error status raises
+        its :class:`ServeError`.
+
+        A transport failure reconnects and tries again; once the frame was
+        queued it also counts towards the breaker, and the connection is
+        dropped, since its reply order is lost.  RETRY_LATER sleeps
+        max(server hint, jittered exponential backoff) and tries again.
+        """
         attempt = 0
         while True:
+            if self._failures >= self.breaker_threshold:
+                self._breaker_check()
+            protocol = self._protocol
+            reply = None
             try:
-                status, payload = await self._request(frame)
+                if protocol is None or protocol.transport.is_closing():
+                    await self.connect()
+                    protocol = self._protocol
+                reply = protocol.loop.create_future()
+                protocol.waiters.append(reply)
+                protocol.transport.write(frame)
+                body = await reply
             except (ConnectionError, OSError) as exc:
+                if reply is not None:
+                    self._record_transport_failure()
+                    if self._protocol is protocol:
+                        self._protocol = None
                 if attempt >= self.max_retries:
                     raise ServeError(f"transport failure: {exc!r}") from exc
-                await self._sleep_backoff(attempt, 0)
-                attempt += 1
-                self.retries += 1
-                continue
-            if status != p.STATUS_RETRY_LATER:
-                return status, payload
-            retry_after_ms, message = p.decode_retry_hint(payload)
-            if attempt >= self.max_retries:
-                raise RetryLaterError(
-                    message or "server shed the request", retry_after_ms
-                )
-            await self._sleep_backoff(attempt, retry_after_ms)
+                hint_ms = 0
+            else:
+                self._failures = 0
+                status = body[0]
+                if status == p.STATUS_OK or status == p.STATUS_NOT_FOUND:
+                    return status, body
+                if status != p.STATUS_RETRY_LATER:
+                    message = body[1:].decode("utf-8", "replace")
+                    if status == p.STATUS_ERROR:
+                        raise ServeError(message)
+                    if status == p.STATUS_UNAVAILABLE:
+                        raise UnavailableError(message)
+                    if status == p.STATUS_DEADLINE_EXCEEDED:
+                        raise DeadlineExceededError(message)
+                    return status, body
+                hint_ms, message = p.decode_retry_hint(body[1:])
+                if attempt >= self.max_retries:
+                    raise RetryLaterError(message or "server shed the request", hint_ms)
+            await self._sleep_backoff(attempt, hint_ms)
             attempt += 1
             self.retries += 1
 
@@ -262,38 +260,41 @@ class ServeClient:
         if delay > 0:
             await asyncio.sleep(delay)
 
-    def _deadline(self, deadline_ms: int | None) -> int | None:
-        return deadline_ms if deadline_ms is not None else self.deadline_ms
-
     # -- operations --------------------------------------------------------
+    #
+    # ``deadline_ms`` None falls back to the client's default budget.
 
     async def ping(self) -> bytes:
-        _, payload = await self._call(p.encode_frame(p.OP_PING))
-        return payload
+        _, body = await self._call(p.encode_frame(p.OP_PING))
+        return body[1:]
 
     async def put(
         self, key: bytes, value: bytes, *, deadline_ms: int | None = None
     ) -> None:
-        await self._call(p.encode_put(key, value, self._deadline(deadline_ms)))
+        await self._call(p.encode_put(
+            key, value, self.deadline_ms if deadline_ms is None else deadline_ms
+        ))
 
     async def get(
         self, key: bytes, *, deadline_ms: int | None = None
     ) -> bytes | None:
-        status, payload = await self._call(
-            p.encode_get(key, self._deadline(deadline_ms))
-        )
-        return None if status == p.STATUS_NOT_FOUND else payload
+        status, body = await self._call(p.encode_get(
+            key, self.deadline_ms if deadline_ms is None else deadline_ms
+        ))
+        return None if status == p.STATUS_NOT_FOUND else body[1:]
 
     async def delete(self, key: bytes, *, deadline_ms: int | None = None) -> None:
-        await self._call(p.encode_delete(key, self._deadline(deadline_ms)))
+        await self._call(p.encode_delete(
+            key, self.deadline_ms if deadline_ms is None else deadline_ms
+        ))
 
     async def multi_get(
         self, keys: list[bytes], *, deadline_ms: int | None = None
     ) -> list[bytes | None]:
-        _, payload = await self._call(
-            p.encode_multi_get(keys, self._deadline(deadline_ms))
-        )
-        return p.decode_values(payload)
+        _, body = await self._call(p.encode_multi_get(
+            keys, self.deadline_ms if deadline_ms is None else deadline_ms
+        ))
+        return p.decode_values(body, 1)
 
     async def scan(
         self,
@@ -304,25 +305,27 @@ class ServeClient:
         deadline_ms: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Range scan ``[start, end)`` (None bounds are open-ended)."""
-        _, payload = await self._call(
-            p.encode_scan(start, end, limit, self._deadline(deadline_ms))
-        )
-        return p.decode_entries(payload)
+        _, body = await self._call(p.encode_scan(
+            start, end, limit, self.deadline_ms if deadline_ms is None else deadline_ms
+        ))
+        return p.decode_entries(body, 1)
 
     async def batch(
         self, ops: list[tuple[int, bytes, bytes]], *, deadline_ms: int | None = None
     ) -> None:
         """``ops`` are (BATCH_PUT|BATCH_DELETE, key, value) tuples."""
-        await self._call(p.encode_batch(ops, self._deadline(deadline_ms)))
+        await self._call(p.encode_batch(
+            ops, self.deadline_ms if deadline_ms is None else deadline_ms
+        ))
 
     async def stats(self) -> dict:
-        _, payload = await self._call(p.encode_frame(p.OP_STATS))
-        return json.loads(payload.decode("utf-8"))
+        _, body = await self._call(p.encode_frame(p.OP_STATS))
+        return json.loads(body[1:].decode("utf-8"))
 
     async def health(self) -> dict:
         """The engine + server health report (never shed, never degraded)."""
-        _, payload = await self._call(p.encode_frame(p.OP_HEALTH))
-        return json.loads(payload.decode("utf-8"))
+        _, body = await self._call(p.encode_frame(p.OP_HEALTH))
+        return json.loads(body[1:].decode("utf-8"))
 
     async def ready(self) -> bool:
         """Readiness probe: True when the server accepts writes.

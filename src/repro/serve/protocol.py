@@ -82,17 +82,32 @@ BATCH_DELETE = 0x00
 MAX_FRAME = 16 * 1024 * 1024
 
 _U32 = struct.Struct(">I")
+#: A frame's head, ``[length u32][code u8]``, and the same with the deadline
+#: field behind a flagged code byte: one pack each.
+_HEAD = struct.Struct(">IB")
+_HEAD_DEADLINE = struct.Struct(">IBI")
+#: A found value's ``[found u8][vlen u32]`` in a MULTI_GET response.
+_FOUND = struct.Struct(">BI")
 
 
 class ProtocolError(Exception):
     """Malformed frame (bad length, short payload, unknown opcode)."""
 
 
-def _lp(data: bytes) -> bytes:
-    return _U32.pack(len(data)) + data
+# Every codec below builds its bytes with one join, and every decoder reads
+# its fields at an offset into the buffer it is given: a request's payload
+# straight out of the frame body (``decode_request`` returns where it
+# starts), a reply's out of the reply body (``decode_values(body, 1)``), so
+# no payload is copied off its body before its fields are.  Fields are read
+# inline: a call per length-prefixed field was most of a decoder's cost.  The per-item
+# decoders check bounds once: a length prefix past the end fails its
+# unpack, a field past the end fails the final check — either way a
+# truncated payload raises ProtocolError and never decodes short.
 
 
 def _read_lp(payload: bytes, offset: int) -> tuple[bytes, int]:
+    """One length-prefixed field at ``offset`` and the offset behind it,
+    for the decoders that read a field or two per request."""
     if offset + 4 > len(payload):
         raise ProtocolError("truncated length prefix")
     (length,) = _U32.unpack_from(payload, offset)
@@ -110,14 +125,16 @@ def encode_frame(code: int, payload: bytes = b"", deadline_ms: int | None = None
     bit-identical to the original protocol.
     """
     if deadline_ms is None:
-        body = bytes([code]) + payload
-    else:
-        if not 0 <= deadline_ms <= 0xFFFFFFFF:
-            raise ProtocolError(f"deadline_ms out of range: {deadline_ms}")
-        body = bytes([code | FLAG_DEADLINE]) + _U32.pack(deadline_ms) + payload
-    if len(body) > MAX_FRAME:
-        raise ProtocolError(f"frame too large: {len(body)} bytes")
-    return _U32.pack(len(body)) + body
+        size = len(payload) + 1
+        if size > MAX_FRAME:
+            raise ProtocolError(f"frame too large: {size} bytes")
+        return _HEAD.pack(size, code) + payload
+    if not 0 <= deadline_ms <= 0xFFFFFFFF:
+        raise ProtocolError(f"deadline_ms out of range: {deadline_ms}")
+    size = len(payload) + 5
+    if size > MAX_FRAME:
+        raise ProtocolError(f"frame too large: {size} bytes")
+    return _HEAD_DEADLINE.pack(size, code | FLAG_DEADLINE, deadline_ms) + payload
 
 
 class FrameBuffer:
@@ -127,20 +144,38 @@ class FrameBuffer:
 
     Bytes go in with :meth:`feed` and bodies come out with :meth:`pop`,
     one at a time, so a reader can stop between two frames and leave the
-    rest buffered.
+    rest buffered.  A chunk fed while nothing is pending is kept as it is
+    and bodies are sliced out of it at a read position, so a body is
+    copied once; only a frame split across chunks is gathered in a
+    ``bytearray`` first.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_buf", "_pos")
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._buf: bytes | bytearray = b""
+        #: Where the next frame starts in ``_buf``.
+        self._pos = 0
 
     def __len__(self) -> int:
         """Bytes received but not yet popped."""
-        return len(self._buf)
+        return len(self._buf) - self._pos
 
     def feed(self, data: bytes) -> None:
-        self._buf += data
+        """Append ``data`` (``bytes``: a chunk with nothing pending is
+        kept, not copied)."""
+        buf = self._buf
+        pos = self._pos
+        if pos == len(buf):
+            self._buf = data
+        elif type(buf) is bytearray:
+            del buf[:pos]
+            buf += data
+        else:
+            buf = bytearray(memoryview(buf)[pos:])
+            buf += data
+            self._buf = buf
+        self._pos = 0
 
     def pop(self) -> bytes | None:
         """The next frame body, or ``None`` until one has fully arrived.
@@ -150,32 +185,38 @@ class FrameBuffer:
         front of it are popped first.
         """
         buf = self._buf
-        if len(buf) < 4:
+        start = self._pos + 4
+        if len(buf) < start:
             return None
-        (length,) = _U32.unpack_from(buf, 0)
+        (length,) = _U32.unpack_from(buf, start - 4)
         if length == 0 or length > MAX_FRAME:
             raise ProtocolError(f"bad frame length {length}")
-        end = 4 + length
+        end = start + length
         if len(buf) < end:
             return None
-        body = bytes(buf[4:end])
-        del buf[:end]
-        return body
+        self._pos = end
+        if type(buf) is bytes:
+            return buf[start:end]
+        return bytes(memoryview(buf)[start:end])
 
 
 def decode_body(body: bytes) -> tuple[int, bytes]:
     """Split a received frame body into (code, payload).
 
-    Response-side decoder: statuses never carry the deadline flag.  For
-    request bodies use :func:`decode_request`, which strips the flag.
+    Response-side decoder: statuses never carry the deadline flag.  The
+    client reads a reply's status byte itself and decodes its payload in
+    place (``decode_values(body, 1)``); this copy-out form is for tools
+    and tests.  For request bodies use :func:`decode_request`.
     """
     if not body:
         raise ProtocolError("empty frame body")
     return body[0], body[1:]
 
 
-def decode_request(body: bytes) -> tuple[int, bytes, int | None]:
-    """Split a request frame body into (opcode, payload, deadline_ms).
+def decode_request(body: bytes) -> tuple[int, int, int | None]:
+    """Read a request frame body's head: ``(opcode, start, deadline_ms)``,
+    the payload being ``body[start:]`` — the payload decoders below take
+    ``(body, start)`` and read it in place.
 
     A flagless body (the pre-deadline protocol) decodes with
     ``deadline_ms=None`` — old clients keep working unchanged.
@@ -184,23 +225,32 @@ def decode_request(body: bytes) -> tuple[int, bytes, int | None]:
         raise ProtocolError("empty frame body")
     code = body[0]
     if not code & FLAG_DEADLINE:
-        return code, body[1:], None
+        return code, 1, None
     if len(body) < 5:
         raise ProtocolError("truncated deadline field")
     (deadline_ms,) = _U32.unpack_from(body, 1)
-    return code & ~FLAG_DEADLINE, body[5:], deadline_ms
+    return code & ~FLAG_DEADLINE, 5, deadline_ms
 
 
 # -- request payloads ------------------------------------------------------
+#
+# Each ``decode_*`` reads its payload from ``offset`` to the end of the
+# buffer (default: the whole buffer is the payload).
 
 def encode_put(key: bytes, value: bytes, deadline_ms: int | None = None) -> bytes:
     """``[klen u32][key][value]`` (value runs to the end of the frame)."""
-    return encode_frame(OP_PUT, _lp(key) + value, deadline_ms)
+    return encode_frame(OP_PUT, b"".join((_U32.pack(len(key)), key, value)), deadline_ms)
 
 
-def decode_put(payload: bytes) -> tuple[bytes, bytes]:
-    key, offset = _read_lp(payload, 0)
-    return key, payload[offset:]
+def decode_put(payload: bytes, offset: int = 0) -> tuple[bytes, bytes]:
+    if offset + 4 > len(payload):
+        raise ProtocolError("truncated length prefix")
+    (length,) = _U32.unpack_from(payload, offset)
+    offset += 4
+    key_end = offset + length
+    if key_end > len(payload):
+        raise ProtocolError("truncated field")
+    return payload[offset:key_end], payload[key_end:]
 
 
 def encode_get(key: bytes, deadline_ms: int | None = None) -> bytes:
@@ -213,19 +263,30 @@ def encode_delete(key: bytes, deadline_ms: int | None = None) -> bytes:
 
 def encode_multi_get(keys: list[bytes], deadline_ms: int | None = None) -> bytes:
     """``[count u32]([klen u32][key])*``"""
-    out = bytearray(_U32.pack(len(keys)))
+    pack = _U32.pack
+    parts = [pack(len(keys))]
     for key in keys:
-        out += _lp(key)
-    return encode_frame(OP_MULTI_GET, bytes(out), deadline_ms)
+        parts += (pack(len(key)), key)
+    return encode_frame(OP_MULTI_GET, b"".join(parts), deadline_ms)
 
 
-def decode_multi_get(payload: bytes) -> list[bytes]:
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = 4
+def decode_multi_get(payload: bytes, offset: int = 0) -> list[bytes]:
+    """Inverse of :func:`encode_multi_get`."""
+    unpack = _U32.unpack_from
+    (count,) = unpack(payload, offset)
+    offset += 4
     keys = []
-    for _ in range(count):
-        key, offset = _read_lp(payload, offset)
-        keys.append(key)
+    append = keys.append
+    try:
+        for _ in range(count):
+            (length,) = unpack(payload, offset)
+            start = offset + 4
+            offset = start + length
+            append(payload[start:offset])
+    except struct.error:
+        raise ProtocolError("truncated length prefix") from None
+    if offset > len(payload):
+        raise ProtocolError("truncated field")
     return keys
 
 
@@ -244,22 +305,24 @@ def encode_scan(
         | (2 if end is not None else 0)
         | (4 if limit is not None else 0)
     )
-    out = bytearray([flags])
+    parts = [bytes((flags,))]
     if start is not None:
-        out += _lp(start)
+        parts += (_U32.pack(len(start)), start)
     if end is not None:
-        out += _lp(end)
+        parts += (_U32.pack(len(end)), end)
     if limit is not None:
-        out += _U32.pack(limit)
-    return encode_frame(OP_SCAN, bytes(out), deadline_ms)
+        parts.append(_U32.pack(limit))
+    return encode_frame(OP_SCAN, b"".join(parts), deadline_ms)
 
 
-def decode_scan(payload: bytes) -> tuple[bytes | None, bytes | None, int | None]:
+def decode_scan(
+    payload: bytes, offset: int = 0
+) -> tuple[bytes | None, bytes | None, int | None]:
     """Inverse of :func:`encode_scan`; absent fields come back ``None``."""
-    if not payload:
+    if offset >= len(payload):
         raise ProtocolError("empty scan payload")
-    flags = payload[0]
-    offset = 1
+    flags = payload[offset]
+    offset += 1
     start = end = limit = None
     if flags & 1:
         start, offset = _read_lp(payload, offset)
@@ -276,19 +339,19 @@ def encode_batch(
     ops: list[tuple[int, bytes, bytes]], deadline_ms: int | None = None
 ) -> bytes:
     """``[count u32]([tag u8][klen u32][key]([vlen u32][value] if put))*``"""
-    out = bytearray(_U32.pack(len(ops)))
+    pack = _U32.pack
+    parts = [pack(len(ops))]
     for tag, key, value in ops:
-        out.append(tag)
-        out += _lp(key)
+        parts += (bytes((tag,)), pack(len(key)), key)
         if tag == BATCH_PUT:
-            out += _lp(value)
-    return encode_frame(OP_BATCH, bytes(out), deadline_ms)
+            parts += (pack(len(value)), value)
+    return encode_frame(OP_BATCH, b"".join(parts), deadline_ms)
 
 
-def decode_batch(payload: bytes) -> list[tuple[int, bytes, bytes]]:
+def decode_batch(payload: bytes, offset: int = 0) -> list[tuple[int, bytes, bytes]]:
     """Inverse of :func:`encode_batch`; deletes carry an empty value."""
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = 4
+    (count,) = _U32.unpack_from(payload, offset)
+    offset += 4
     ops: list[tuple[int, bytes, bytes]] = []
     for _ in range(count):
         if offset >= len(payload):
@@ -309,51 +372,72 @@ def decode_batch(payload: bytes) -> list[tuple[int, bytes, bytes]]:
 
 def encode_values(values: list[bytes | None]) -> bytes:
     """MULTI_GET response: ``[count u32]([found u8][vlen u32][value]?)*``"""
-    out = bytearray(_U32.pack(len(values)))
+    found = _FOUND.pack
+    parts = [_U32.pack(len(values))]
     for value in values:
         if value is None:
-            out.append(0)
+            parts.append(b"\x00")
         else:
-            out.append(1)
-            out += _lp(value)
-    return bytes(out)
+            parts += (found(1, len(value)), value)
+    return b"".join(parts)
 
 
-def decode_values(payload: bytes) -> list[bytes | None]:
+def decode_values(payload: bytes, offset: int = 0) -> list[bytes | None]:
     """Inverse of :func:`encode_values`; misses come back ``None``."""
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = 4
+    (count,) = _U32.unpack_from(payload, offset)
+    offset += 4
+    unpack = _FOUND.unpack_from
     values: list[bytes | None] = []
-    for _ in range(count):
-        if offset >= len(payload):
-            raise ProtocolError("truncated values")
-        found = payload[offset]
-        offset += 1
-        if found:
-            value, offset = _read_lp(payload, offset)
-            values.append(value)
-        else:
-            values.append(None)
+    append = values.append
+    try:
+        for _ in range(count):
+            if payload[offset]:
+                (_found, length) = unpack(payload, offset)
+                start = offset + 5
+                offset = start + length
+                append(payload[start:offset])
+            else:
+                offset += 1
+                append(None)
+    except IndexError:
+        raise ProtocolError("truncated values") from None
+    except struct.error:
+        raise ProtocolError("truncated length prefix") from None
+    if offset > len(payload):
+        raise ProtocolError("truncated field")
     return values
 
 
 def encode_entries(entries: list[tuple[bytes, bytes]]) -> bytes:
     """SCAN response: ``[count u32]([klen][key][vlen][value])*``"""
-    out = bytearray(_U32.pack(len(entries)))
+    pack = _U32.pack
+    parts = [pack(len(entries))]
     for key, value in entries:
-        out += _lp(key)
-        out += _lp(value)
-    return bytes(out)
+        parts += (pack(len(key)), key, pack(len(value)), value)
+    return b"".join(parts)
 
 
-def decode_entries(payload: bytes) -> list[tuple[bytes, bytes]]:
-    (count,) = _U32.unpack_from(payload, 0)
-    offset = 4
+def decode_entries(payload: bytes, offset: int = 0) -> list[tuple[bytes, bytes]]:
+    """Inverse of :func:`encode_entries`."""
+    unpack = _U32.unpack_from
+    (count,) = unpack(payload, offset)
+    offset += 4
     entries = []
-    for _ in range(count):
-        key, offset = _read_lp(payload, offset)
-        value, offset = _read_lp(payload, offset)
-        entries.append((key, value))
+    append = entries.append
+    try:
+        for _ in range(count):
+            (length,) = unpack(payload, offset)
+            start = offset + 4
+            offset = start + length
+            key = payload[start:offset]
+            (length,) = unpack(payload, offset)
+            start = offset + 4
+            offset = start + length
+            append((key, payload[start:offset]))
+    except struct.error:
+        raise ProtocolError("truncated length prefix") from None
+    if offset > len(payload):
+        raise ProtocolError("truncated field")
     return entries
 
 

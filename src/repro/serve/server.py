@@ -415,10 +415,8 @@ class ShardServer:
         """Worst L0 stall state across the shards, sampled at most once per
         ``stall_check_interval_s`` — the probe reads each shard's version
         (cheap, but not free) and overload is exactly when it would be
-        called thousands of times a second."""
-        level, sampled_at = self._pressure
-        if now - sampled_at < self.stall_check_interval_s:
-            return level
+        called thousands of times a second.  :meth:`_admit` reads the
+        cached level itself while it is fresh."""
         level = _PRESSURE_OK
         dbs = (
             [db for _, db in self.db.shard_dbs()]
@@ -440,16 +438,17 @@ class ShardServer:
         return level
 
     def _admit(self, op_class: str, now: float) -> bytes | None:
-        """Admission check; returns a RETRY_LATER response when shedding."""
-        if op_class == CLASS_ADMIN:
-            return None
+        """Admission check for a data op; returns a RETRY_LATER response
+        when shedding.  Admin ops are never shed and never come here."""
         if self._draining:
             return self._shed_response(0, "draining")
         if not self.admission_control:
             return None
         if op_class == CLASS_WRITE:
             inflight = self.inflight[CLASS_WRITE]
-            pressure = self._stall_pressure(now)
+            pressure, sampled_at = self._pressure
+            if now - sampled_at >= self.stall_check_interval_s:
+                pressure = self._stall_pressure(now)
             if pressure == _PRESSURE_STOP:
                 return self._shed_response(inflight, "write stall (stop)")
             if (
@@ -487,35 +486,43 @@ class ShardServer:
         same bound method on the pool.  Unbounded data ops and the admin
         ops that read the engine hop without trying.
 
-        The budget is enforced twice: before the call (late work is
-        refused while it is still cheap — neither the engine nor the
-        executor sees it) and around a hopped call (see :meth:`_hop`).
-        Raises :class:`~repro.serve.protocol.ProtocolError` for a frame
-        that cannot be decoded, with nothing written.
+        The loop's clock is read once, when the frame is taken up: it
+        times admission, and the budget runs from it.  The budget is
+        enforced twice: before the call (late work is refused while it is
+        still cheap — neither the engine nor the executor sees it) and
+        around a hopped call (see :meth:`_hop`).  The payload is decoded
+        in place, from the offset the head names.  Raises
+        :class:`~repro.serve.protocol.ProtocolError` for a frame that
+        cannot be decoded, with nothing written.
         """
-        opcode, payload, deadline_ms = p.decode_request(body)
+        opcode, start, deadline_ms = p.decode_request(body)
         op = _OPS.get(opcode)
         if op is None:
             # Unknown opcodes must not pollute the served-request counters:
             # they were never admitted, let alone served.
             raise p.ProtocolError(f"unknown opcode {opcode:#x}")
         name, op_class, method, decode, encode = op
-        self.requests[name] = self.requests.get(name, 0) + 1
-        if decode is None:
+        requests = self.requests
+        requests[name] = requests.get(name, 0) + 1
+        if method is None:
             conn.transport.write(p.encode_frame(p.STATUS_OK, b"pong"))
             return
         now = self._loop.time()
-        response = self._admit(op_class, now)
+        response = None if op_class == CLASS_ADMIN else self._admit(op_class, now)
         if response is None:
             if deadline_ms is None:
                 deadline_ms = self.default_deadline_ms
             deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
             try:
-                args, items = decode(payload)
-                if deadline is not None and deadline - self._loop.time() <= 0:
+                # A key op's payload is its key.
+                args, items = ((body[start:],), 1) if decode is None else decode(body, start)
+                if deadline is not None and deadline <= now:
                     response = self._deadline_response()
                 elif items is None:
-                    fn = getattr(self, method)
+                    self._start_hop(
+                        conn, op_class, getattr(self, method), args, encode, deadline
+                    )
+                    return
                 else:
                     fn = getattr(self.db, method)
                     if items <= INLINE_MAX_ITEMS:
@@ -525,10 +532,9 @@ class ShardServer:
                             pass
                         else:
                             self.inline += 1
-                            response = encode(self, args, result)
-                    if response is None:
-                        self.hopped += 1
-                if response is None:
+                            conn.transport.write(encode(self, args, result))
+                            return
+                    self.hopped += 1
                     self._start_hop(conn, op_class, fn, args, encode, deadline)
                     return
             except p.ProtocolError:
@@ -580,20 +586,17 @@ class ShardServer:
         self.deadline_exceeded += 1
         return p.encode_frame(p.STATUS_DEADLINE_EXCEEDED, b"deadline exceeded")
 
-    def _encode_ok(self, payload: bytes) -> bytes:
-        """Frame an OK payload, degrading an oversized response (a huge
-        scan / multi_get result past MAX_FRAME) to a structured error
-        instead of an unframeable reply that would kill the connection."""
-        try:
-            return p.encode_frame(p.STATUS_OK, payload)
-        except p.ProtocolError:
-            self.engine_errors += 1
-            return p.encode_frame(
-                p.STATUS_ERROR,
-                f"response too large ({len(payload)} bytes > "
-                f"{p.MAX_FRAME} frame cap); narrow the range or lower the "
-                f"limit".encode("utf-8"),
-            )
+    def _too_large(self, size: int) -> bytes:
+        """The structured error an OK payload past MAX_FRAME (a huge scan /
+        multi_get result) degrades to, instead of an unframeable reply
+        that would kill the connection."""
+        self.engine_errors += 1
+        return p.encode_frame(
+            p.STATUS_ERROR,
+            f"response too large ({size} bytes > "
+            f"{p.MAX_FRAME} frame cap); narrow the range or lower the "
+            f"limit".encode("utf-8"),
+        )
 
     def _engine_error_response(self, exc: Exception) -> bytes:
         """Map the severity engine onto the wire (DESIGN.md §10 → §15):
@@ -677,45 +680,53 @@ class ShardServer:
     def _value(self, args: tuple, value: bytes | None) -> bytes:
         if value is None:
             return p.encode_frame(p.STATUS_NOT_FOUND)
-        return self._encode_ok(value)
+        try:
+            return p.encode_frame(p.STATUS_OK, value)
+        except p.ProtocolError:
+            return self._too_large(len(value))
 
     def _values(self, args: tuple, found: dict) -> bytes:
-        return self._encode_ok(p.encode_values([found.get(key) for key in args[0]]))
+        payload = p.encode_values([found.get(key) for key in args[0]])
+        try:
+            return p.encode_frame(p.STATUS_OK, payload)
+        except p.ProtocolError:
+            return self._too_large(len(payload))
 
     def _entries(self, args: tuple, entries: list) -> bytes:
-        return self._encode_ok(p.encode_entries(entries))
+        payload = p.encode_entries(entries)
+        try:
+            return p.encode_frame(p.STATUS_OK, payload)
+        except p.ProtocolError:
+            return self._too_large(len(payload))
 
     def _frame(self, args: tuple, frame: bytes) -> bytes:
         return frame
 
 
-# -- the opcode table's decoders: payload -> (args, items) ---------------------
+# -- the opcode table's decoders: (body, start) -> (args, items) ---------------
 #
 # ``items`` sizes a data op for the inline bound; ``None`` marks an admin op,
-# which always hops.  Codecs are looked up on ``protocol`` at call time, so a
-# wrapper patched onto the module sees every call.
+# which always hops.  A key op (get, delete) has no decoder: its payload is
+# its key.  Codecs are looked up on ``protocol`` at call time, so a wrapper
+# patched onto the module sees every call.
 
 
-def _key_args(payload: bytes) -> tuple[tuple, int]:
-    return (payload,), 1
+def _put_args(body: bytes, start: int) -> tuple[tuple, int]:
+    return p.decode_put(body, start), 1
 
 
-def _put_args(payload: bytes) -> tuple[tuple, int]:
-    return p.decode_put(payload), 1
-
-
-def _multi_get_args(payload: bytes) -> tuple[tuple, int]:
-    keys = p.decode_multi_get(payload)
+def _multi_get_args(body: bytes, start: int) -> tuple[tuple, int]:
+    keys = p.decode_multi_get(body, start)
     return (keys,), len(keys)
 
 
-def _scan_args(payload: bytes) -> tuple[tuple, int]:
-    start, end, limit = p.decode_scan(payload)
-    return (start, end, limit), INLINE_MAX_ITEMS + 1 if limit is None else limit
+def _scan_args(body: bytes, start: int) -> tuple[tuple, int]:
+    first, end, limit = p.decode_scan(body, start)
+    return (first, end, limit), INLINE_MAX_ITEMS + 1 if limit is None else limit
 
 
-def _batch_args(payload: bytes) -> tuple[tuple, int]:
-    ops = p.decode_batch(payload)
+def _batch_args(body: bytes, start: int) -> tuple[tuple, int]:
+    ops = p.decode_batch(body, start)
     batch = WriteBatch()
     for tag, key, value in ops:
         if tag == p.BATCH_PUT:
@@ -725,19 +736,19 @@ def _batch_args(payload: bytes) -> tuple[tuple, int]:
     return (batch,), len(ops)
 
 
-def _admin_args(payload: bytes) -> tuple[tuple, None]:
+def _admin_args(body: bytes, start: int) -> tuple[tuple, None]:
     return (), None
 
 
 #: opcode -> (name, class, method, decode, encode).  ``method`` is looked up
 #: on the db for a data op and on the server for an admin op; the same bound
 #: method serves the inline call (``wait=False``) and the hop.  Ping has no
-#: call at all (``decode`` None): it is answered on the spot.
+#: call at all (``method`` None): it is answered on the spot.
 _OPS = {
     p.OP_PUT: ("put", CLASS_WRITE, "put", _put_args, ShardServer._done),
-    p.OP_DELETE: ("delete", CLASS_WRITE, "delete", _key_args, ShardServer._done),
+    p.OP_DELETE: ("delete", CLASS_WRITE, "delete", None, ShardServer._done),
     p.OP_BATCH: ("batch", CLASS_WRITE, "write", _batch_args, ShardServer._done),
-    p.OP_GET: ("get", CLASS_READ, "get", _key_args, ShardServer._value),
+    p.OP_GET: ("get", CLASS_READ, "get", None, ShardServer._value),
     p.OP_MULTI_GET: (
         "multi_get", CLASS_READ, "multi_get", _multi_get_args, ShardServer._values,
     ),

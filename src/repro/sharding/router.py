@@ -19,6 +19,7 @@ interrupted split/merge and are garbage-collected on reopen.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..core.manifest import read_pointer, write_pointer
@@ -52,7 +53,7 @@ class RouterMap:
     and :meth:`merge`); :class:`~repro.sharding.sharded_db.ShardedDB` swaps
     the live reference under its router write-lock."""
 
-    __slots__ = ("specs", "next_shard_id", "epoch")
+    __slots__ = ("specs", "uppers", "next_shard_id", "epoch")
 
     def __init__(self, specs: tuple[ShardSpec, ...], *, next_shard_id: int, epoch: int = 0):
         if not specs:
@@ -69,6 +70,9 @@ class RouterMap:
         if len({spec.name for spec in specs}) != len(specs):
             raise InvalidArgumentError("duplicate shard names in router map")
         self.specs = tuple(specs)
+        #: Every shard's upper bound but the last's (which is None), in
+        #: order: shard ``i`` owns the keys ``bisect_right`` places at ``i``.
+        self.uppers = tuple(spec.upper for spec in specs[:-1])
         self.next_shard_id = next_shard_id
         self.epoch = epoch
 
@@ -97,16 +101,7 @@ class RouterMap:
 
     def shard_for(self, key: bytes) -> int:
         """Index of the shard owning ``key`` (binary search over bounds)."""
-        specs = self.specs
-        lo, hi = 0, len(specs) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            upper = specs[mid].upper
-            if upper is not None and key >= upper:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_right(self.uppers, key)
 
     def lower(self, index: int) -> bytes | None:
         """Inclusive lower bound of shard ``index`` (None = -inf)."""

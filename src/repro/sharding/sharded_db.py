@@ -30,7 +30,8 @@ orphan directories are garbage-collected on reopen.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 
 from ..cache.block_cache import BlockCache
 from ..cache.lru import ShardedLRUCache
@@ -54,6 +55,11 @@ class _RWLock:
 
     Writer-preferring: an arriving writer blocks new readers while the
     in-flight ones drain, so a steady op stream cannot starve a split.
+
+    A reader is a plain pair, ``enter_read`` then ``exit_read`` in a
+    ``finally``: each takes the condition's lock by its own ``acquire`` /
+    ``release`` (C calls on ``threading``'s; a ``with`` block and a
+    generator context manager cost several Python frames a data op).
     """
 
     def __init__(self):
@@ -61,23 +67,32 @@ class _RWLock:
         self._readers = 0
         self._writer = False
 
-    @contextmanager
-    def read_locked(self, wait: bool = True):
+    def enter_read(self, wait: bool = True) -> None:
         """Shared lock for data ops; many readers, excluded by a writer —
         which ``wait=False`` declines to wait out (``WouldBlock``)."""
-        with self._cv:
+        cv = self._cv
+        cv.acquire()
+        try:
             if self._writer:
                 if not wait:
                     raise WouldBlock("router edit in progress")
-                self._cv.wait_for(lambda: not self._writer)
+                cv.wait_for(lambda: not self._writer)
             self._readers += 1
-        try:
-            yield
         finally:
-            with self._cv:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cv.notify_all()
+            cv.release()
+
+    def exit_read(self) -> None:
+        """Release a reader's hold.  Only a writer, which has already set
+        ``_writer`` under the lock, waits for the readers to drain, so the
+        last reader out wakes the waiters only when one is there."""
+        cv = self._cv
+        cv.acquire()
+        try:
+            self._readers -= 1
+            if not self._readers and self._writer:
+                cv.notify_all()
+        finally:
+            cv.release()
 
     def acquire_write(self, *, blocking: bool = True) -> bool:
         """Exclusive lock for split/merge; waits out (or, non-blocking,
@@ -104,24 +119,23 @@ class _RWLock:
             self.release_write()
 
 
-@contextmanager
-def _held_nowait(dbs: list[DB]):
-    """Hold the engine lock of every shard a fanned-out ``wait=False`` read
+def _lock_all_nowait(dbs: list[DB]) -> None:
+    """Take the engine lock of every shard a fanned-out ``wait=False`` read
     will visit, or raise ``WouldBlock`` holding none — taken before any
     shard runs its part, so a declined read has counted and charged nothing
-    anywhere (the engines' own try-lock then re-enters the held lock)."""
-    held: list[DB] = []
-    try:
-        for db in dbs:
+    anywhere (the engines' own try-lock then re-enters the held lock).
+    Pair with :func:`_unlock_all`."""
+    for index, db in enumerate(dbs):
+        try:
             db.lock_nowait()
-            held.append(db)
-        yield
-    finally:
-        for db in held:
-            db.unlock_nowait()
+        except BaseException:
+            _unlock_all(dbs[:index])
+            raise
 
 
-_NOT_HELD = nullcontext()  # the waiting path: each engine locks for itself
+def _unlock_all(dbs: list[DB]) -> None:
+    for db in dbs:
+        db.unlock_nowait()
 
 
 class ShardedDB:
@@ -207,6 +221,7 @@ class ShardedDB:
                 save_router(store.root_fs, self._map)
             for spec in self._map.specs:
                 self._dbs[spec.name] = self._open_shard_db(spec)
+            self._install(self._map)
         except BaseException:
             self._teardown()
             raise
@@ -226,6 +241,14 @@ class ShardedDB:
             background_executor=self._executor,
             lane_name=spec.name,
         )
+
+    def _install(self, rmap: RouterMap) -> None:
+        """Make ``rmap`` the live map, every shard it names open in
+        ``_dbs``.  ``_route`` is what the data ops route by: the map's
+        upper bounds and the shards' engines in key order, one tuple, read
+        once under a reader's hold."""
+        self._map = rmap
+        self._route = (rmap.uppers, tuple(self._dbs[spec.name] for spec in rmap.specs))
 
     def _teardown(self) -> None:
         for db in list(self._dbs.values()):
@@ -249,6 +272,7 @@ class ShardedDB:
             for db in self._dbs.values():
                 db.close()
             self._dbs.clear()
+            self._route = ((), ())  # let go of the closed engines too
         if self._executor is not None:
             self._executor.close()
         if self._offload_pool is not None:
@@ -279,13 +303,9 @@ class ShardedDB:
         rmap = self._map
         return [(spec.name, self._dbs[spec.name]) for spec in rmap.specs]
 
-    def _db_for(self, key: bytes) -> DB:
-        rmap = self._map
-        return self._dbs[rmap.specs[rmap.shard_for(key)].name]
-
     def _after_write_ops(self, count: int, wait: bool = True) -> None:
-        if not self.auto_rebalance:
-            return
+        """Count ``count`` writes towards the next rebalance check and run
+        it when due; the data ops call this only when ``auto_rebalance``."""
         with self._op_lock:
             self._op_count += count
             if self._op_count < self.rebalance_check_interval or not wait:
@@ -295,11 +315,9 @@ class ShardedDB:
 
     def _decline_rebalance_check(self, count: int) -> None:
         """A rebalance check may split or merge on the calling thread, so a
-        no-wait write that would make one due raises before it writes."""
-        if (
-            self.auto_rebalance
-            and self._op_count + count >= self.rebalance_check_interval
-        ):
+        no-wait write that would make one due raises before it writes.
+        Called only when ``auto_rebalance``."""
+        if self._op_count + count >= self.rebalance_check_interval:
             raise WouldBlock("rebalance check due")
 
     # ------------------------------------------------------------- data ops
@@ -309,45 +327,79 @@ class ShardedDB:
     # and for a write that would make a rebalance check due.  It raises with
     # nothing written, counted or charged on any shard: a batch that spans
     # shards is declined outright, and a read fanned out over several shards
-    # first try-locks every engine it will visit (``_held_nowait``).
+    # first try-locks every engine it will visit (``_lock_all_nowait``).
+    #
+    # Each op holds the router as a reader between ``enter_read`` and an
+    # ``exit_read`` in ``finally``, and routes a key in place: the map is
+    # read once, under the hold.
 
     def put(self, key: bytes, value: bytes, *, wait: bool = True) -> None:
-        if not wait:
+        """Put ``key`` on the shard that owns it."""
+        rebalance = self.auto_rebalance
+        if rebalance and not wait:
             self._decline_rebalance_check(1)
-        with self._rw.read_locked(wait):
-            self._db_for(key).put(key, value, wait=wait)
-        self._after_write_ops(1, wait)
+        rw = self._rw
+        rw.enter_read(wait)
+        try:
+            uppers, shards = self._route
+            shards[bisect_right(uppers, key)].put(key, value, wait=wait)
+        finally:
+            rw.exit_read()
+        if rebalance:
+            self._after_write_ops(1, wait)
 
     def delete(self, key: bytes, *, wait: bool = True) -> None:
-        if not wait:
+        """Delete ``key`` on the shard that owns it."""
+        rebalance = self.auto_rebalance
+        if rebalance and not wait:
             self._decline_rebalance_check(1)
-        with self._rw.read_locked(wait):
-            self._db_for(key).delete(key, wait=wait)
-        self._after_write_ops(1, wait)
+        rw = self._rw
+        rw.enter_read(wait)
+        try:
+            uppers, shards = self._route
+            shards[bisect_right(uppers, key)].delete(key, wait=wait)
+        finally:
+            rw.exit_read()
+        if rebalance:
+            self._after_write_ops(1, wait)
 
     def get(
         self, key: bytes, default: bytes | None = None, *, wait: bool = True
     ) -> bytes | None:
-        with self._rw.read_locked(wait):
-            return self._db_for(key).get(key, default, wait=wait)
+        """Point lookup on the shard that owns ``key``."""
+        rw = self._rw
+        rw.enter_read(wait)
+        try:
+            uppers, shards = self._route
+            return shards[bisect_right(uppers, key)].get(key, default, wait=wait)
+        finally:
+            rw.exit_read()
 
     def multi_get(
         self, keys: list[bytes], *, wait: bool = True
     ) -> dict[bytes, bytes | None]:
         """Batched lookups: keys are grouped per shard so each engine
         resolves its group with one snapshot/lock acquisition."""
-        with self._rw.read_locked(wait):
-            rmap = self._map
-            groups: dict[str, list[bytes]] = {}
+        rw = self._rw
+        rw.enter_read(wait)
+        try:
+            uppers, shards = self._route
+            groups: dict[int, list[bytes]] = {}
             for key in keys:
-                name = rmap.specs[rmap.shard_for(key)].name
-                groups.setdefault(name, []).append(key)
-            dbs = [self._dbs[name] for name in groups]
-            results: dict[bytes, bytes | None] = {}
-            with _held_nowait(dbs) if not wait else _NOT_HELD:
+                groups.setdefault(bisect_right(uppers, key), []).append(key)
+            dbs = [shards[index] for index in groups]
+            if not wait:
+                _lock_all_nowait(dbs)
+            try:
+                results: dict[bytes, bytes | None] = {}
                 for db, group in zip(dbs, groups.values()):
                     results.update(db.multi_get(group, wait=wait))
+            finally:
+                if not wait:
+                    _unlock_all(dbs)
             return {key: results.get(key) for key in keys}
+        finally:
+            rw.exit_read()
 
     def write_batch(self, batch: WriteBatch, *, wait: bool = True) -> None:
         """Apply a batch, split per shard.  Atomic *within* each shard (one
@@ -356,25 +408,31 @@ class ShardedDB:
         For the same reason ``wait=False`` declines a batch that spans
         shards outright: a later shard's ``WouldBlock`` could not take the
         earlier shards' sub-batches back."""
-        if not wait:
+        rebalance = self.auto_rebalance
+        if rebalance and not wait:
             self._decline_rebalance_check(len(batch))
-        with self._rw.read_locked(wait):
-            rmap = self._map
-            subs: dict[str, WriteBatch] = {}
+        rw = self._rw
+        rw.enter_read(wait)
+        try:
+            uppers, shards = self._route
+            subs: dict[int, WriteBatch] = {}
             for value_type, key, value in batch:
-                name = rmap.specs[rmap.shard_for(key)].name
-                sub = subs.get(name)
+                index = bisect_right(uppers, key)
+                sub = subs.get(index)
                 if sub is None:
-                    sub = subs[name] = WriteBatch()
+                    sub = subs[index] = WriteBatch()
                 if value_type == TYPE_VALUE:
                     sub.put(key, value)
                 else:
                     sub.delete(key)
             if not wait and len(subs) > 1:
                 raise WouldBlock("batch spans shards")
-            for name, sub in subs.items():
-                self._dbs[name].write(sub, wait=wait)
-        self._after_write_ops(len(batch), wait)
+            for index, sub in subs.items():
+                shards[index].write(sub, wait=wait)
+        finally:
+            rw.exit_read()
+        if rebalance:
+            self._after_write_ops(len(batch), wait)
 
     # Alias matching DB.write(batch).
     write = write_batch
@@ -393,40 +451,58 @@ class ShardedDB:
         error."""
         if limit is not None and limit < 0:
             raise InvalidArgumentError(f"scan limit must be >= 0, got {limit}")
-        with self._rw.read_locked(wait):
-            rmap = self._map
-            dbs: list[DB] = []
-            for index, spec in enumerate(rmap.specs):
-                lower = rmap.lower(index)
-                if end is not None and lower is not None and lower >= end:
-                    break
-                if start is not None and spec.upper is not None and spec.upper <= start:
-                    continue
-                dbs.append(self._dbs[spec.name])
-            out: list[tuple[bytes, bytes]] = []
-            with _held_nowait(dbs) if not wait else _NOT_HELD:
+        rw = self._rw
+        rw.enter_read(wait)
+        try:
+            # The shards from the one owning ``start`` to the last whose
+            # lower bound (the upper before it) is below ``end``.
+            uppers, shards = self._route
+            dbs = shards[
+                0 if start is None else bisect_right(uppers, start)
+                : len(shards) if end is None else bisect_left(uppers, end) + 1
+            ]
+            if not wait:
+                _lock_all_nowait(dbs)
+            try:
+                out: list[tuple[bytes, bytes]] = []
                 for db in dbs:
                     remaining = None if limit is None else limit - len(out)
                     if remaining is not None and remaining <= 0:
                         break
                     out.extend(db.scan(start, end, remaining, wait=wait))
+            finally:
+                if not wait:
+                    _unlock_all(dbs)
             return out
+        finally:
+            rw.exit_read()
 
     # --------------------------------------------------------- maintenance
 
-    def flush(self) -> None:
-        with self._rw.read_locked():
+    def _each_shard(self, method: str) -> None:
+        """Call ``method`` on every shard, holding the router as a reader."""
+        rw = self._rw
+        rw.enter_read()
+        try:
             for db in self._dbs.values():
-                db.flush()
+                getattr(db, method)()
+        finally:
+            rw.exit_read()
+
+    def flush(self) -> None:
+        self._each_shard("flush")
 
     def compact_all(self) -> None:
-        with self._rw.read_locked():
-            for db in self._dbs.values():
-                db.compact_all()
+        self._each_shard("compact_all")
 
     def wait_for_background(self, timeout: float | None = None) -> bool:
-        with self._rw.read_locked():
+        """Wait for every shard's background work; False if any timed out."""
+        rw = self._rw
+        rw.enter_read()
+        try:
             dbs = list(self._dbs.values())
+        finally:
+            rw.exit_read()
         drained = True
         for db in dbs:
             drained = db.wait_for_background(timeout) and drained
@@ -496,10 +572,10 @@ class ShardedDB:
             self.store.drop_shard(left_spec.name)
             self.store.drop_shard(right_spec.name)
             raise
-        self._map = new_map
         self._dbs[left_spec.name] = left_db
         self._dbs[right_spec.name] = right_db
         del self._dbs[spec.name]
+        self._install(new_map)
         self._seen_stalls.pop(spec.name, None)
         source.close()
         self.store.drop_shard(spec.name)
@@ -534,13 +610,13 @@ class ShardedDB:
             child_db.close()
             self.store.drop_shard(child_spec.name)
             raise
-        self._map = new_map
         self._dbs[child_spec.name] = child_db
         for spec, db in ((left_spec, left), (right_spec, right)):
             del self._dbs[spec.name]
             self._seen_stalls.pop(spec.name, None)
             db.close()
             self.store.drop_shard(spec.name)
+        self._install(new_map)
         self.merges += 1
         return child_spec.name
 

@@ -45,6 +45,7 @@ _TAIL_UNPACK = struct.Struct("<IBI").unpack_from
 _FIXED64_UNPACK = struct.Struct("<Q").unpack_from
 _FIXED64_PACK = struct.Struct("<Q").pack
 _INVERT = (1 << 64) - 1
+_new_block = object.__new__
 
 
 def _parse_entries(
@@ -164,18 +165,18 @@ class DataBlock:
 
     def __init__(
         self,
-        keys: list[ComparableKey] | None,
-        values: list[bytes] | None,
+        keys: list[ComparableKey],
+        values: list[bytes],
         serialized_size: int,
-        raw: bytes | None = None,
-        data_end: int = 0,
     ):
+        """An eagerly decoded block.  It stores no raw form: ``raw``,
+        ``_data_end`` and ``_touched`` are a raw block's, which only
+        :func:`parse_block_raw` builds, and stay unset here — so every
+        method reads ``keys`` first, and only a block whose ``keys`` is
+        None has a ``raw`` to read."""
         self.keys = keys
         self.values = values
         self.serialized_size = serialized_size
-        self.raw = raw
-        self._data_end = data_end
-        self._touched = False
 
     @classmethod
     def parse(cls, payload: bytes, payload_len: int | None = None) -> "DataBlock":
@@ -198,9 +199,17 @@ class DataBlock:
 
     def decode(self) -> tuple[list[ComparableKey], list[bytes]]:
         """The block's ``(keys, values)``, decoding a raw block in place."""
+        keys = self.keys
+        if keys is not None:  # decoded: values are stored before keys
+            return keys, self.values
         raw = self.raw
-        if raw is None:  # decoded: raw is dropped after both lists are stored
+        if raw is None:  # another thread's decode finished in between
             return self.keys, self.values
+        return self._decode_in_place(raw)
+
+    def _decode_in_place(self, raw: bytes) -> tuple[list[ComparableKey], list[bytes]]:
+        """Decode the raw block ``raw`` into its lists: ``values`` stored
+        before ``keys``, ``raw`` dropped last (DESIGN.md §9)."""
         keys, values = _parse_entries(raw, 0, self._data_end)
         self.values = values
         self.keys = keys
@@ -221,8 +230,10 @@ class DataBlock:
         keys = self.keys
         if keys is None:
             buf = self.raw
-            if buf is None or self._touched:
-                keys, values = self.decode()
+            if buf is None:  # another thread's decode finished in between
+                keys, values = self.keys, self.values
+            elif self._touched:
+                keys, values = self._decode_in_place(buf)
             else:
                 # A raw block's first touch: walk to the key, copy one value.
                 self._touched = True
@@ -352,11 +363,13 @@ class DataBlock:
     def user_keys(self) -> list[bytes]:
         """Distinct-preserving list of user keys (for filter construction);
         a raw block decodes its keys only, and stays raw."""
-        raw = self.raw
-        if raw is None:
-            keys = self.keys
-        else:
-            keys = _parse_entries(raw, 0, self._data_end, with_values=False)[0]
+        keys = self.keys
+        if keys is None:
+            raw = self.raw
+            if raw is None:  # decoded in place meanwhile
+                keys = self.keys
+            else:
+                keys = _parse_entries(raw, 0, self._data_end, with_values=False)[0]
         return [key[0] for key in keys]
 
     def memory_bytes(self) -> int:
@@ -401,6 +414,13 @@ def parse_block_raw(raw: bytes, *, lazy: bool = False) -> DataBlock:
     if data_end < 0:
         raise CorruptionError("data block restart array overruns payload")
     if lazy:
-        return DataBlock(None, None, payload_len, raw, data_end)
+        # The raw form's one constructor, written out (no __init__ frame).
+        block = _new_block(DataBlock)
+        block.keys = block.values = None
+        block.serialized_size = payload_len
+        block.raw = raw
+        block._data_end = data_end
+        block._touched = False
+        return block
     keys, values = _parse_entries(raw, 0, data_end)
     return DataBlock(keys, values, payload_len)

@@ -352,6 +352,34 @@ class TestShardedLRU:
                 for _ in range(2):  # cold, then remembered
                     assert cache.shard_index((namespace, file_number, offset)) == expected
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_namespaced_facade_picks_the_shard_the_lru_would(self, traced, monkeypatch):
+        """A namespaced ``BlockCache`` over a shared multi-shard LRU picks
+        each block's shard itself, the one ``stable_hash`` routes its key
+        to; with a tracer on the LRU it routes through ``_shard``, so the
+        contention sampling stays."""
+        from repro.cache.lru import ShardedLRUCache
+        from repro.obs import Tracer
+
+        routed = []
+        original = ShardedLRUCache._shard
+        monkeypatch.setattr(
+            ShardedLRUCache, "_shard",
+            lambda lru, key: routed.append(key) or original(lru, key),
+        )
+        shared = ShardedLRUCache(1 << 20, shards=16, tracer=Tracer() if traced else None)
+        caches = [BlockCache(0, lru=shared, namespace=f"shard-{n:06d}") for n in range(3)]
+        block = make_block()
+        places = [(file_number, offset) for file_number in (1, 7, 2**40) for offset in (0, 4096, 9)]
+        for cache in caches:
+            for file_number, offset in places:
+                cache.insert(file_number, offset, block)
+                key = (cache.namespace, file_number, offset)
+                assert key in shared._shards[shared.shard_index(key)]
+                assert cache.get(file_number, offset) is block
+        assert len(shared) == len(caches) * len(places)
+        assert bool(routed) == traced
+
     def test_cache_key_shapes_route_by_the_generic_formula(self):
         """The block / table cache key shapes ``stable_hash`` spells out —
         (file, offset), (namespace, file), (namespace, file, offset) — hash

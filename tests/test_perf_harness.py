@@ -163,6 +163,7 @@ def test_quick_run_covers_all_paths(opcode_counts):
         "section_finish_open", "section_finish_open_reference",
         "memtable_fill", "memtable_fill_reference", "table_build_reference",
         "get_sweep", "get_sweep_traced", "get_second_touch",
+        "serve_get", "serve_put", "serve_scan_20",
     ]
     assert all(count > 0 for count in opcode_counts.values())
 
@@ -272,6 +273,21 @@ def _rows_over(bounds_by_version, opcode_counts, frame_counts, what):
     }
 
 
+#: The served request, as :data:`PUT_PATH_BOUNDS` bounds the put: one
+#: request from the client's op through ``ShardServer`` and ``ShardedDB``
+#: into the shard's ``DB`` and back, with no socket and no loop turn
+#: (``opcodes.count_serve_rows``).  3.11.7: ``serve_get`` 1 540 bytecodes
+#: and 47 frames, ``serve_put`` 1 694 / 49, ``serve_scan_20`` 6 606 / 175;
+#: 3.12.1: 1 418 / 47, 1 541 / 49 and 6 049 / 175 (1 828 / 70, 1 953 / 72
+#: and 8 729 / 297 on 3.11.7 before the request path was cut to a frame a
+#: layer).  Re-nesting the client's retry loop, the router lock's context
+#: manager or a codec's per-field call fails one of these.
+SERVE_PATH_BOUNDS = {
+    (3, 11): {"serve_get": (1570, 47), "serve_put": (1727, 49), "serve_scan_20": (6738, 175)},
+    (3, 12): {"serve_get": (1446, 47), "serve_put": (1571, 49), "serve_scan_20": (6169, 175)},
+}
+
+
 def test_put_path_counts_bounded(opcode_counts, frame_counts):
     """A lone put and an 8-put batch execute no more bytecodes, and enter
     no more frames, than their bounds under this interpreter."""
@@ -283,3 +299,9 @@ def test_read_path_counts_bounded(opcode_counts, frame_counts):
     more bytecodes, and enter no more frames, than their bounds under this
     interpreter."""
     assert _rows_over(READ_PATH_BOUNDS, opcode_counts, frame_counts, "read-path") == {}
+
+
+def test_serve_path_counts_bounded(opcode_counts, frame_counts):
+    """A served get, put and 20-entry scan execute no more bytecodes, and
+    enter no more frames, than their bounds under this interpreter."""
+    assert _rows_over(SERVE_PATH_BOUNDS, opcode_counts, frame_counts, "serve-path") == {}

@@ -19,7 +19,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import InvalidArgumentError, WouldBlock
+from repro.errors import InvalidArgumentError, TransientIOError, WouldBlock
 from repro.obs import render_prometheus
 from repro.serve import ServeClient, ServeError, ShardServer
 from repro.serve import protocol as P
@@ -338,7 +338,7 @@ class TestShardServer:
             # A protocol error earns one error frame, then the server drops
             # the connection (framing can't be trusted past a bad frame).
             with pytest.raises(ServeError, match="opcode"):
-                await client._request(P.encode_frame(0x7F, b""))
+                await client._call(P.encode_frame(0x7F, b""))
             fresh = await ServeClient("127.0.0.1", server.port).connect()
             try:
                 await fresh.put(b"k", b"v")
@@ -352,12 +352,118 @@ class TestShardServer:
         async def scenario(client, server):
             bad_scan = P.encode_frame(P.OP_SCAN, b"")  # missing flags byte
             with pytest.raises(ServeError):
-                await client._request(bad_scan)
+                await client._call(bad_scan)
             fresh = await ServeClient("127.0.0.1", server.port).connect()
             try:
                 assert await fresh.ping() == b"pong"
             finally:
                 await fresh.aclose()
+
+        run(_with_server(scenario))
+
+
+# --------------------------------------------- exits of the one request path
+
+
+class _FailsOnceDB(_DecliningDB):
+    """Delegating double whose first call of each data op raises a
+    transient engine fault, which the server answers RETRY_LATER."""
+
+    def __init__(self, db):
+        super().__init__(db)
+        self.failed: set[str] = set()
+
+    def __getattr__(self, name):
+        attr = getattr(self._db, name)
+        if name not in ("put", "get", "delete", "multi_get", "scan", "write"):
+            return attr
+
+        def call(*args, **kwargs):
+            if name not in self.failed:
+                self.failed.add(name)
+                raise TransientIOError(f"injected: first {name} fails")
+            return attr(*args, **kwargs)
+
+        return call
+
+
+_PUBLIC_OPS = {
+    "get": (lambda c: c.get(b"apple"), b"1"),
+    "put": (lambda c: c.put(b"apple", b"2"), None),
+    "delete": (lambda c: c.delete(b"zebra"), None),
+    "multi_get": (lambda c: c.multi_get([b"apple", b"zebra", b"nope"]), [b"1", b"2", None]),
+    "scan": (lambda c: c.scan(limit=5), [(b"apple", b"1"), (b"zebra", b"2")]),
+    "batch": (lambda c: c.batch([(P.BATCH_PUT, b"ant", b"3")]), None),
+}
+
+
+class TestRequestPathExits:
+    """Every way out of ``ServeClient._call`` and the server's inline
+    answer, driven through the public ops."""
+
+    @pytest.mark.parametrize("op", sorted(_PUBLIC_OPS))
+    def test_retry_later_on_the_first_attempt_is_retried(self, op):
+        call, expected = _PUBLIC_OPS[op]
+
+        async def scenario(client, server):
+            server.db._db.put(b"apple", b"1")
+            server.db._db.put(b"zebra", b"2")
+            assert await call(client) == expected
+            assert client.retries == 1 and server.engine_errors == 1
+            # The faulted attempt is an engine error; the retry is inline.
+            assert (server.inline, server.hopped) == (1, 0)
+
+        run(_with_server(scenario, wrap=_FailsOnceDB))
+
+    @pytest.mark.parametrize("op", sorted(_PUBLIC_OPS))
+    def test_a_connection_lost_mid_request_reconnects_and_retries(self, op):
+        call, expected = _PUBLIC_OPS[op]
+
+        async def scenario(client, server):
+            await client.put(b"apple", b"1")
+            await client.put(b"zebra", b"2")
+            first = client._protocol
+            # Runs once the frame is written, before its reply is read.
+            asyncio.get_running_loop().call_soon(first.transport.close)
+            assert await call(client) == expected
+            assert client.retries == 1 and client._protocol is not first
+            assert not first.waiters and not client._protocol.waiters
+
+        run(_with_server(scenario))
+
+    def test_a_cancelled_caller_leaves_the_fifo_in_step(self):
+        async def scenario(client, server):
+            await client.put(b"apple", b"1")
+            await client.put(b"zebra", b"2")
+            task = asyncio.ensure_future(client.get(b"apple"))
+            await asyncio.sleep(0)  # its frame is written, its reply unread
+            task.cancel()
+            assert await client.get(b"zebra") == b"2"
+            assert await client.multi_get([b"apple"]) == [b"1"]
+            assert task.cancelled() and not client._protocol.waiters
+            assert server.inline == 5 and client.retries == 0
+
+        run(_with_server(scenario))
+
+    @pytest.mark.parametrize("frame, protocol_error", [
+        (P.encode_frame(0x7F), True),  # unknown opcode
+        (P.encode_frame(P.OP_PUT, b"\x00\x00\x00\x09short"), True),  # key past the end
+        (P.encode_frame(P.OP_SCAN, b""), True),  # no flags byte
+        (P.encode_frame(P.OP_MULTI_GET, b"\x00"), False),  # count cut short
+    ])
+    def test_bad_frames_still_answer_errors(self, frame, protocol_error):
+        """A frame that cannot be decoded answers STATUS_ERROR and ends the
+        connection; a payload whose count field is cut short fails as an
+        engine-level error, and the connection serves on."""
+
+        async def scenario(client, server):
+            await client.put(b"apple", b"1")
+            with pytest.raises(ServeError) as raised:
+                await client._call(frame)
+            assert type(raised.value) is ServeError
+            assert server.protocol_errors == (1 if protocol_error else 0)
+            assert server.engine_errors == (0 if protocol_error else 1)
+            assert await client.get(b"apple") == b"1"  # reconnected if it must
 
         run(_with_server(scenario))
 

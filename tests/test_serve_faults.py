@@ -38,19 +38,19 @@ from conftest import tiny_options
 class TestDeadlineCodec:
     def test_deadline_roundtrip(self):
         frame = P.encode_put(b"key", b"value", 1500)
-        code, payload, deadline_ms = P.decode_request(frame[4:])
+        code, start, deadline_ms = P.decode_request(frame[4:])
         assert code == P.OP_PUT
         assert deadline_ms == 1500
-        assert P.decode_put(payload) == (b"key", b"value")
+        assert P.decode_put(frame[4:], start) == (b"key", b"value")
 
     def test_flagless_frame_still_decodes(self):
         # The pre-deadline wire format: a bare opcode byte.  It must keep
         # decoding unchanged — old clients speak it.
         frame = P.encode_put(b"key", b"value")
-        code, payload, deadline_ms = P.decode_request(frame[4:])
+        code, start, deadline_ms = P.decode_request(frame[4:])
         assert code == P.OP_PUT
         assert deadline_ms is None
-        assert P.decode_put(payload) == (b"key", b"value")
+        assert P.decode_put(frame[4:], start) == (b"key", b"value")
 
     def test_no_deadline_encodes_bit_identical(self):
         # deadline_ms=None must produce byte-for-byte the legacy frame.
@@ -395,7 +395,7 @@ class TestProtocolErrorPath:
     def test_unknown_opcode_not_counted_as_request(self):
         async def scenario(client, server, db, fs):
             with pytest.raises(ServeError, match="opcode"):
-                await client._request(P.encode_frame(0x7E))
+                await client._call(P.encode_frame(0x7E))
             assert server.requests == {}
             assert server.protocol_errors == 1
 

@@ -253,6 +253,136 @@ class TestShardedOps:
             db.put(b"k", b"v")
 
 
+def _free_to_another_thread(lock) -> bool:
+    """Whether another thread can take ``lock`` now (an engine's lock is
+    reentrant, so the test thread's own try-lock proves nothing)."""
+    got = []
+
+    def probe() -> None:
+        if lock.acquire(blocking=False):
+            lock.release()
+            got.append(True)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return bool(got)
+
+
+class TestRouterLock:
+    """The data ops hold the router as readers between a plain enter and
+    an exit in ``finally`` (no context manager): every exit must release,
+    and the writer preference must hold for waiting and no-wait reads."""
+
+    @staticmethod
+    def _db():
+        db = ShardedDB(MemoryShardStore(), tiny_options(), shards=2, boundaries=[b"m"])
+        db.put(b"apple", b"1")
+        db.put(b"zebra", b"2")
+        return db
+
+    @pytest.mark.parametrize("op", [
+        "get", "put", "delete", "multi_get", "scan", "write",
+    ])
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_a_reader_that_raises_releases_its_hold(self, op, wait, monkeypatch):
+        db = self._db()
+        calls = {
+            "get": lambda: db.get(b"apple", wait=wait),
+            "put": lambda: db.put(b"apple", b"x", wait=wait),
+            "delete": lambda: db.delete(b"apple", wait=wait),
+            "multi_get": lambda: db.multi_get([b"apple", b"zebra"], wait=wait),
+            "scan": lambda: db.scan(limit=5, wait=wait),
+            "write": lambda: db.write(WriteBatch().put(b"apple", b"x"), wait=wait),
+        }
+        engine = db.shard_dbs()[0][1]
+        engine_op = "multi_get" if op == "multi_get" else op
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("engine failure")
+
+        monkeypatch.setattr(engine, engine_op, fail)
+        with pytest.raises(RuntimeError, match="engine failure"):
+            calls[op]()
+        assert db._rw._readers == 0
+        # A router edit can take the lock at once, and every engine is free.
+        assert db._rw.acquire_write(blocking=False)
+        db._rw.release_write()
+        assert all(_free_to_another_thread(e._lock) for _, e in db.shard_dbs())
+        monkeypatch.undo()
+        assert db.get(b"zebra", wait=wait) == b"2"
+        db.close()
+
+    def test_while_a_writer_waits_nowait_reads_decline_and_waiting_reads_wait(self):
+        db = self._db()
+        rw = db._rw
+        rw.enter_read()  # an in-flight reader the writer has to wait out
+        writer_in = threading.Event()
+        order: list[str] = []
+
+        def writer() -> None:
+            rw.acquire_write()
+            writer_in.set()
+            order.append("writer")
+            rw.release_write()
+
+        def waiting_reader() -> None:
+            order.append(("reader", db.get(b"apple")))
+
+        writer_thread = threading.Thread(target=writer)
+        writer_thread.start()
+        for _ in range(1000):  # the writer has announced itself
+            if rw._writer:
+                break
+            writer_in.wait(0.005)
+        assert rw._writer and not writer_in.is_set()
+        for call in (
+            lambda: db.get(b"apple", wait=False),
+            lambda: db.put(b"k", b"v", wait=False),
+            lambda: db.multi_get([b"apple", b"zebra"], wait=False),
+            lambda: db.scan(limit=1, wait=False),
+        ):
+            with pytest.raises(WouldBlock):
+                call()
+        reader_thread = threading.Thread(target=waiting_reader)
+        reader_thread.start()
+        reader_thread.join(0.2)
+        assert reader_thread.is_alive() and order == []  # behind the writer
+        rw.exit_read()
+        writer_thread.join(10.0)
+        reader_thread.join(10.0)
+        assert order == ["writer", ("reader", b"1")]
+        assert rw._readers == 0 and not rw._writer
+        db.close()
+
+    @pytest.mark.parametrize("read", ["multi_get", "scan"])
+    def test_a_declined_fanned_out_read_has_locked_no_shard(self, read):
+        db = self._db()
+        first, second = (engine for _, engine in db.shard_dbs())
+        held, done = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with second._lock:
+                held.set()
+                done.wait(10.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(10.0)
+        try:
+            with pytest.raises(WouldBlock):
+                if read == "multi_get":
+                    db.multi_get([b"apple", b"zebra"], wait=False)
+                else:
+                    db.scan(limit=5, wait=False)
+            assert _free_to_another_thread(first._lock)
+            assert db._rw._readers == 0
+        finally:
+            done.set()
+            holder.join()
+        db.close()
+
+
 class TestSingleShardIdentity:
     def test_bit_identical_to_plain_db(self):
         """With shards=1 the router is a pass-through: simulated I/O
